@@ -136,8 +136,6 @@ pub struct DecentConfig {
     pub read_fanout: usize,
     /// Abort backoff base.
     pub backoff_base: SimDuration,
-    /// Event-queue implementation for the underlying sim.
-    pub queue: qrdtm_sim::EventQueueKind,
 }
 
 impl Default for DecentConfig {
@@ -149,7 +147,6 @@ impl Default for DecentConfig {
             service_time: SimDuration::from_micros(200),
             read_fanout: 3,
             backoff_base: SimDuration::from_millis(4),
-            queue: qrdtm_sim::EventQueueKind::default(),
         }
     }
 }
@@ -185,7 +182,6 @@ impl DecentCluster {
             latency: cfg.latency.build(cfg.nodes, cfg.seed),
             service_time: cfg.service_time,
             service_by_class,
-            queue: cfg.queue,
         });
         let nodes = sim.add_nodes(cfg.nodes);
         let stores: Vec<Rc<RefCell<ReplicaStore>>> = (0..cfg.nodes)

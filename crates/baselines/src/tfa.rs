@@ -122,8 +122,6 @@ pub struct TfaConfig {
     pub service_time: SimDuration,
     /// Abort backoff base.
     pub backoff_base: SimDuration,
-    /// Event-queue implementation for the underlying sim.
-    pub queue: qrdtm_sim::EventQueueKind,
 }
 
 impl Default for TfaConfig {
@@ -134,7 +132,6 @@ impl Default for TfaConfig {
             latency: LatencySpec::Jittered(SimDuration::from_micros(2_500), 0.1),
             service_time: SimDuration::from_micros(200),
             backoff_base: SimDuration::from_millis(2),
-            queue: qrdtm_sim::EventQueueKind::default(),
         }
     }
 }
@@ -168,7 +165,6 @@ impl TfaCluster {
             latency: cfg.latency.build(cfg.nodes, cfg.seed),
             service_time: cfg.service_time,
             service_by_class: [None; qrdtm_sim::MAX_CLASSES],
-            queue: cfg.queue,
         });
         let node_ids = sim.add_nodes(cfg.nodes);
         let stores: Vec<Rc<RefCell<HomeStore>>> = (0..cfg.nodes)

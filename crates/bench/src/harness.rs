@@ -3,7 +3,7 @@
 //! Each function sweeps the paper's parameter grid, runs every
 //! configuration (in parallel across OS threads — each simulation is
 //! single-threaded and deterministic), and returns structured rows that
-//! the `repro` binary prints and the Criterion benches sample.
+//! the `repro` binary prints.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -3,8 +3,7 @@
 //! [`harness`] holds one function per experiment (Figs. 5, 6, 7, 9, 10,
 //! Table 8, plus the ablations DESIGN.md calls out); [`table`] renders
 //! results as aligned text and CSV. The `repro` binary is the command-line
-//! front end; the Criterion benches sample representative configurations
-//! of the same harness.
+//! front end.
 
 #![warn(missing_docs)]
 
@@ -13,39 +12,6 @@ pub mod harness;
 pub mod mc_cli;
 pub mod perf_cli;
 pub mod table;
-
-/// Shrunken configurations for the Criterion benches: same protocols and
-/// workloads as the paper grid, but 13 nodes and a short virtual window so
-/// a sample takes fractions of a wall-second.
-pub mod quick {
-    use qrdtm_core::{DtmConfig, LatencySpec, NestingMode};
-    use qrdtm_sim::SimDuration;
-    use qrdtm_workloads::{Benchmark, RunSpec, WorkloadParams};
-
-    /// 13-node cluster with the paper's latency profile.
-    pub fn cfg(mode: NestingMode) -> DtmConfig {
-        DtmConfig {
-            nodes: 13,
-            mode,
-            read_level: 1,
-            seed: crate::harness::SEED,
-            latency: LatencySpec::Jittered(SimDuration::from_millis(15), 0.1),
-            ..Default::default()
-        }
-    }
-
-    /// A short run of `bench` with the given workload shape.
-    pub fn spec(bench: Benchmark, params: WorkloadParams) -> RunSpec {
-        RunSpec {
-            bench,
-            params,
-            warmup: SimDuration::from_millis(500),
-            duration: SimDuration::from_secs(2),
-            clients_per_node: 1,
-            failures: 0,
-        }
-    }
-}
 
 use std::path::PathBuf;
 

@@ -118,6 +118,10 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> McArgs {
             _ => mc_usage(),
         }
     }
+    if a.nodes == 0 || a.objects == 0 {
+        eprintln!("mc: --nodes and --objects must be at least 1");
+        mc_usage();
+    }
     a
 }
 
@@ -182,7 +186,6 @@ fn explore(a: &McArgs) -> i32 {
             txns: a.txns,
             seed: a.seed,
             injected_bug: a.bug,
-            queue: qrdtm_sim::EventQueueKind::default(),
         };
         let mut seen = HashSet::new();
         let dfs = dfs_explore(&scope, a.dfs, &mut seen);

@@ -10,7 +10,7 @@
 //! repro perf [--quick] [--out FILE]     (default FILE: BENCH_baseline.json)
 //! ```
 //!
-//! Five legs:
+//! Four legs:
 //!
 //! * **sim** — the QR-CN cluster on the simulator: virtual txn/s (the
 //!   paper's metric), plus how fast the simulator itself executes (wall
@@ -35,12 +35,6 @@
 //!   retry-budget exhaustion and commit-latency percentiles; the run
 //!   fails if goodput at twice the knee has collapsed below 1/1.5 of the
 //!   peak — the graceful-degradation gate.
-//! * **hot-loop grid** — the event-core microbench: 1e5 → 1e6 perpetual
-//!   open-loop ping chains on both event-queue implementations (binary
-//!   heap vs timing wheel), reporting wall events/sec per point and the
-//!   wheel-vs-heap ratio. The run fails if the ratio at the largest
-//!   client count drops under the gate (2x in full mode), so the
-//!   tentpole speedup is CI-enforced, machine-independently.
 //!
 //! The emitted JSON is validated by the built-in parser before the
 //! process exits (exit 1 on malformed output), so CI can gate on it.
@@ -52,9 +46,7 @@ use std::rc::Rc;
 use qrdtm_core::{Cluster, DtmConfig, DurabilityConfig, LatencySpec, NestingMode, OverloadConfig};
 use qrdtm_par::{run_par_bank, ParBankResult, ParBankSpec};
 use qrdtm_qstore::{QStoreCluster, QStoreConfig};
-use qrdtm_sim::{
-    EventQueueKind, JitteredLatency, NodeId, Sim, SimConfig, SimDuration, SimMessage, SimTime,
-};
+use qrdtm_sim::SimDuration;
 use qrdtm_workloads::{run_bank, run_open_loop, BankSpec, OpenLoopSpec, RateSchedule};
 
 /// Threads for the scaled par leg.
@@ -96,11 +88,6 @@ pub fn run(mut args: impl Iterator<Item = String>) -> i32 {
         eprintln!("FAIL: {msg}");
         return 1;
     }
-    let hot = hot_loop_grid(quick);
-    if let Err(msg) = hot.regression_check() {
-        eprintln!("FAIL: {msg}");
-        return 1;
-    }
 
     let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
     let speedup = parn.throughput / par1.throughput.max(1e-9);
@@ -110,7 +97,6 @@ pub fn run(mut args: impl Iterator<Item = String>) -> i32 {
         &sim,
         &grid,
         &overload,
-        &hot,
         &[&par1, &parn],
         speedup,
     );
@@ -134,7 +120,6 @@ pub fn run(mut args: impl Iterator<Item = String>) -> i32 {
         &sim,
         &grid,
         &overload,
-        &hot,
         &[&par1, &parn],
         speedup,
         &out,
@@ -494,154 +479,6 @@ fn overload_grid(quick: bool) -> OverloadGrid {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Hot-loop event-core microbench: timing wheel vs binary heap.
-
-/// Outstanding-chain sweep for the event-core hot loop. Each "client" is a
-/// self-perpetuating fire-and-forget ping (the handler re-sends on every
-/// receive), so the simulator holds exactly this many future events at all
-/// times — the regime where heap `sift` cost and cache misses dominate.
-const HOT_LOOP_CLIENTS: [u64; 3] = [100_000, 300_000, 1_000_000];
-const HOT_LOOP_CLIENTS_QUICK: [u64; 2] = [20_000, 100_000];
-/// Events each leg executes before the clock stops, so every point does
-/// comparable work regardless of how many clients are outstanding.
-const HOT_LOOP_TARGET_EVENTS: u64 = 4_000_000;
-const HOT_LOOP_TARGET_EVENTS_QUICK: u64 = 400_000;
-/// CI gate on wheel-vs-heap events/sec at the largest client count. The
-/// ratio is machine-independent (both legs run on the same host in the
-/// same process), so the full-mode bar is the tentpole's ≥2x claim; quick
-/// mode only guards against the wheel regressing below the heap.
-const HOT_LOOP_MIN_RATIO: f64 = 2.0;
-const HOT_LOOP_MIN_RATIO_QUICK: f64 = 1.05;
-const HOT_LOOP_NODES: usize = 4;
-
-/// One queue implementation's measurement at one client count.
-struct HotLoopLeg {
-    events: u64,
-    wall_secs: f64,
-    events_per_sec: f64,
-}
-
-/// Heap and wheel, same seed and client count.
-struct HotLoopPoint {
-    clients: u64,
-    heap: HotLoopLeg,
-    wheel: HotLoopLeg,
-    /// wheel events/sec ÷ heap events/sec.
-    ratio: f64,
-}
-
-/// The whole sweep plus the gate parameters it was run under.
-struct HotLoopGrid {
-    points: Vec<HotLoopPoint>,
-    target_events: u64,
-    min_ratio: f64,
-}
-
-impl HotLoopGrid {
-    /// The events/sec regression gate, judged at the largest client count
-    /// (the point the tentpole claim is about).
-    fn regression_check(&self) -> Result<(), String> {
-        let last = self
-            .points
-            .last()
-            .ok_or_else(|| "hot-loop grid is empty".to_string())?;
-        if last.ratio < self.min_ratio {
-            return Err(format!(
-                "event-core regression: wheel is only {:.2}x the heap at {} clients \
-                 ({:.0} vs {:.0} events/s wall, gate {:.2}x)",
-                last.ratio,
-                last.clients,
-                last.wheel.events_per_sec,
-                last.heap.events_per_sec,
-                self.min_ratio
-            ));
-        }
-        Ok(())
-    }
-}
-
-#[derive(Clone, Copy)]
-struct Ping;
-impl SimMessage for Ping {}
-
-/// One hot-loop leg: `clients` perpetual ping chains over a 4-node ring
-/// with jittered 5 ms links (the jitter spreads arrivals across wheel
-/// pages — a constant latency would degenerate into one bucket), run
-/// until `target_events` simulator events have executed. Wall time covers
-/// seeding too: the initial `clients` pushes are queue work.
-fn hot_loop_leg(queue: EventQueueKind, clients: u64, target_events: u64) -> HotLoopLeg {
-    let mut cfg = SimConfig::new(
-        7,
-        Box::new(JitteredLatency::new(SimDuration::from_millis(5), 0.4)),
-    );
-    cfg.queue = queue;
-    let sim: Sim<Ping> = Sim::new(cfg);
-    let nodes = sim.add_nodes(HOT_LOOP_NODES);
-    for (i, &id) in nodes.iter().enumerate() {
-        let next = nodes[(i + 1) % HOT_LOOP_NODES];
-        sim.set_handler(id, move |ctx, _env| ctx.send(next, Ping));
-    }
-    let t0 = std::time::Instant::now();
-    for k in 0..clients {
-        let from = (k % HOT_LOOP_NODES as u64) as u32;
-        sim.send(
-            NodeId(from),
-            NodeId((from + 1) % HOT_LOOP_NODES as u32),
-            Ping,
-        );
-    }
-    let mut horizon = SimTime::ZERO;
-    let mut events = 0;
-    while events < target_events {
-        horizon += SimDuration::from_millis(2);
-        sim.run_until(horizon);
-        events = sim.metrics().events;
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    HotLoopLeg {
-        events,
-        wall_secs: wall,
-        events_per_sec: events as f64 / wall.max(1e-9),
-    }
-}
-
-/// Sweep the hot-loop client grid on both queue implementations.
-fn hot_loop_grid(quick: bool) -> HotLoopGrid {
-    let (clients, target_events, min_ratio) = if quick {
-        (
-            &HOT_LOOP_CLIENTS_QUICK[..],
-            HOT_LOOP_TARGET_EVENTS_QUICK,
-            HOT_LOOP_MIN_RATIO_QUICK,
-        )
-    } else {
-        (
-            &HOT_LOOP_CLIENTS[..],
-            HOT_LOOP_TARGET_EVENTS,
-            HOT_LOOP_MIN_RATIO,
-        )
-    };
-    let points = clients
-        .iter()
-        .map(|&n| {
-            let heap = hot_loop_leg(EventQueueKind::Heap, n, target_events);
-            let wheel = hot_loop_leg(EventQueueKind::Wheel, n, target_events);
-            let ratio = wheel.events_per_sec / heap.events_per_sec.max(1e-9);
-            HotLoopPoint {
-                clients: n,
-                heap,
-                wheel,
-                ratio,
-            }
-        })
-        .collect();
-    HotLoopGrid {
-        points,
-        target_events,
-        min_ratio,
-    }
-}
-
 /// Peak resident set size of this process in kB, from `/proc/self/status`
 /// (`VmHWM`); 0 where procfs is unavailable.
 fn peak_rss_kb() -> u64 {
@@ -695,21 +532,12 @@ fn overload_point_json(p: &OverloadPoint) -> String {
     )
 }
 
-fn hot_loop_leg_json(leg: &HotLoopLeg) -> String {
-    format!(
-        "{{\"events\": {}, \"wall_secs\": {:.3}, \"events_per_sec_wall\": {:.0}}}",
-        leg.events, leg.wall_secs, leg.events_per_sec
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
 fn render_json(
     quick: bool,
     cores: usize,
     sim: &SimLeg,
     grid: &WriteHeavyGrid,
     overload: &OverloadGrid,
-    hot: &HotLoopGrid,
     par: &[&ParBankResult],
     speedup: f64,
 ) -> String {
@@ -771,26 +599,6 @@ fn render_json(
         overload.peak_goodput_tps,
         overload.goodput_at_2x_knee_tps
     ));
-    s.push_str(&format!(
-        "  \"hot_loop_grid\": {{\"nodes\": {HOT_LOOP_NODES}, \"target_events\": {}, \"min_ratio\": {:.2}, \"peak_rss_kb\": {}, \"points\": [\n",
-        hot.target_events,
-        hot.min_ratio,
-        peak_rss_kb()
-    ));
-    for (i, p) in hot.points.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"clients\": {}, \"heap\": {}, \"wheel\": {}, \"wheel_vs_heap\": {:.3}}}{}\n",
-            p.clients,
-            hot_loop_leg_json(&p.heap),
-            hot_loop_leg_json(&p.wheel),
-            p.ratio,
-            if i + 1 < hot.points.len() { "," } else { "" }
-        ));
-    }
-    s.push_str(&format!(
-        "  ], \"ratio_at_max_clients\": {:.3}}},\n",
-        hot.points.last().map_or(0.0, |p| p.ratio)
-    ));
     s.push_str("  \"par\": [\n");
     for (i, r) in par.iter().enumerate() {
         s.push_str(&format!(
@@ -813,13 +621,11 @@ fn render_json(
     s
 }
 
-#[allow(clippy::too_many_arguments)]
 fn print_summary(
     cores: usize,
     sim: &SimLeg,
     grid: &WriteHeavyGrid,
     overload: &OverloadGrid,
-    hot: &HotLoopGrid,
     par: &[&ParBankResult],
     speedup: f64,
     out: &Path,
@@ -886,17 +692,6 @@ fn print_summary(
          (graceful-degradation gate: within 1.5x of peak)\n",
         overload.knee_offered_tps, overload.peak_goodput_tps, overload.goodput_at_2x_knee_tps
     );
-    println!(
-        "hot-loop event core (wheel vs heap, {} target events, gate {:.2}x):",
-        hot.target_events, hot.min_ratio
-    );
-    for p in &hot.points {
-        println!(
-            "       {:>9} clients: heap {:>10.0} ev/s, wheel {:>10.0} ev/s — {:.2}x",
-            p.clients, p.heap.events_per_sec, p.wheel.events_per_sec, p.ratio
-        );
-    }
-    println!();
     for r in par {
         println!(
             "par    TL2 x{:<3}: {:9.0} txn/s (wall),   {} commits, {} aborts, p50 {} µs, p99 {} µs",
@@ -1137,9 +932,7 @@ mod tests {
             goodput_at_2x_knee_tps: 170.0,
         };
         assert!(overload.degradation_check().is_ok());
-        let hot = hot_grid(2.4);
-        assert!(hot.regression_check().is_ok());
-        let json = render_json(true, 1, &sim, &grid, &overload, &hot, &[&par, &par], 1.0);
+        let json = render_json(true, 1, &sim, &grid, &overload, &[&par, &par], 1.0);
         validate_json(&json).expect("baseline JSON must validate");
         for key in [
             "\"host\"",
@@ -1158,50 +951,9 @@ mod tests {
             "\"deadline_aborts\"",
             "\"retry_budget_exhausted\"",
             "\"knee_offered_tps\"",
-            "\"hot_loop_grid\"",
-            "\"events_per_sec_wall\"",
-            "\"wheel_vs_heap\"",
-            "\"ratio_at_max_clients\"",
         ] {
             assert!(json.contains(key), "missing {key}");
         }
-    }
-
-    /// A synthetic hot-loop grid whose largest point has `last_ratio`.
-    fn hot_grid(last_ratio: f64) -> HotLoopGrid {
-        let leg = |eps: f64| HotLoopLeg {
-            events: 400_000,
-            wall_secs: 400_000.0 / eps,
-            events_per_sec: eps,
-        };
-        HotLoopGrid {
-            points: vec![
-                HotLoopPoint {
-                    clients: 20_000,
-                    heap: leg(2.0e6),
-                    wheel: leg(3.0e6),
-                    ratio: 1.5,
-                },
-                HotLoopPoint {
-                    clients: 100_000,
-                    heap: leg(1.0e6),
-                    wheel: leg(1.0e6 * last_ratio),
-                    ratio: last_ratio,
-                },
-            ],
-            target_events: 400_000,
-            min_ratio: 2.0,
-        }
-    }
-
-    #[test]
-    fn hot_loop_gate_catches_a_wheel_regression() {
-        let err = hot_grid(1.4).regression_check().unwrap_err();
-        assert!(err.contains("event-core regression"), "got: {err}");
-        assert!(
-            hot_grid(2.0).regression_check().is_ok(),
-            "gate is >=, not >"
-        );
     }
 
     #[test]

@@ -159,10 +159,6 @@ pub struct DtmConfig {
     /// drivers enforce. `None` (the default) keeps the engine's behaviour
     /// byte-for-byte identical to the pre-overload model.
     pub overload: Option<OverloadConfig>,
-    /// Event-queue implementation for the underlying sim (timing wheel by
-    /// default; the heap baseline stays selectable for differential tests
-    /// and perf comparisons).
-    pub queue: qrdtm_sim::EventQueueKind,
 }
 
 /// Knobs of the overload graceful-degradation layer
@@ -258,7 +254,6 @@ impl Default for DtmConfig {
             durability: None,
             injected_bug: None,
             overload: None,
-            queue: qrdtm_sim::EventQueueKind::default(),
         }
     }
 }
@@ -369,7 +364,6 @@ impl Cluster {
             latency: cfg.latency.build(cfg.nodes, cfg.seed),
             service_time: cfg.service_time,
             service_by_class: [None; qrdtm_sim::MAX_CLASSES],
-            queue: cfg.queue,
         });
         let nodes = sim.add_nodes(cfg.nodes);
         let mut view = QuorumView {

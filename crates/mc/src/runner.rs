@@ -72,11 +72,6 @@ pub struct Scope {
     /// Deliberately broken protocol variant, used to validate that the
     /// checkers can actually catch protocol bugs.
     pub injected_bug: Option<McBug>,
-    /// Event-queue implementation the schedules run on. Part of the scope
-    /// for honesty's sake, but heap and wheel produce identical tie groups
-    /// and choice vectors (regression-tested in `tests/`), so traces
-    /// recorded on one replay on the other.
-    pub queue: qrdtm_sim::EventQueueKind,
 }
 
 impl Scope {
@@ -89,7 +84,6 @@ impl Scope {
             txns: 2,
             seed: 1,
             injected_bug: None,
-            queue: qrdtm_sim::EventQueueKind::default(),
         }
     }
 }
@@ -236,7 +230,6 @@ fn run_qr_schedule(scope: &Scope, mode: NestingMode, policy: Box<dyn ChoicePolic
             Some(McBug::Qr(b)) => Some(b),
             _ => None,
         },
-        queue: scope.queue,
         ..DtmConfig::default()
     };
     let cluster = Rc::new(Cluster::new(cfg));
@@ -374,7 +367,6 @@ fn run_qstore_schedule(scope: &Scope, policy: Box<dyn ChoicePolicy>) -> RunOutco
         // Real per-replica batch WALs, so the planner-crash step below is
         // an honest amnesiac restart and the durability checker bites.
         durability: Some(qrdtm_core::DurabilityConfig::default()),
-        queue: scope.queue,
         detector: None,
         injected_bug: match scope.injected_bug {
             Some(McBug::QStore(b)) => Some(b),

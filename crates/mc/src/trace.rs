@@ -94,9 +94,11 @@ impl fmt::Display for Trace {
 }
 
 impl Trace {
-    /// Parse the text form. `#` and blank lines are ignored; unknown keys
-    /// and missing required fields are errors (a trace must be lossless,
-    /// silently dropping a field would change the replayed schedule).
+    /// Parse the text form. `#` and blank lines are ignored; unknown or
+    /// repeated keys, missing required fields, tokens after a value and a
+    /// zero `nodes`/`objects` count are errors (a trace must be lossless:
+    /// silently dropping or overriding a field would change the replayed
+    /// schedule, and an empty scope has nothing to schedule).
     pub fn parse(text: &str) -> Result<Trace, String> {
         let mut proto = None;
         let mut seed = None;
@@ -105,6 +107,7 @@ impl Trace {
         let mut txns = None;
         let mut bug = None;
         let mut choices: Option<Vec<usize>> = None;
+        let mut seen = Vec::new();
         for (n, raw) in text.lines().enumerate() {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -113,32 +116,42 @@ impl Trace {
             let at = |msg: String| format!("line {}: {msg}", n + 1);
             let mut it = line.split_whitespace();
             let key = it.next().expect("non-empty line");
-            let mut arg = || {
-                it.next()
-                    .ok_or_else(|| at(format!("`{key}` needs a value")))
+            if seen.contains(&key) {
+                return Err(at(format!("duplicate `{key}` line")));
+            }
+            seen.push(key);
+            let vals: Vec<&str> = it.collect();
+            let one = || match vals[..] {
+                [v] => Ok(v),
+                [] => Err(at(format!("`{key}` needs a value"))),
+                [_, extra, ..] => Err(at(format!("unexpected `{extra}` after `{key}` value"))),
+            };
+            let positive = || match parse_num(one()?).map_err(&at)? {
+                0 => Err(at(format!("`{key}` must be at least 1"))),
+                v => Ok(v),
             };
             match key {
                 "proto" => {
-                    let v = arg()?;
+                    let v = one()?;
                     proto = Some(parse_proto(v).ok_or_else(|| at(format!("unknown proto `{v}`")))?);
                 }
-                "seed" => seed = Some(parse_num(arg()?).map_err(&at)?),
-                "nodes" => nodes = Some(parse_num(arg()?).map_err(&at)? as usize),
-                "objects" => objects = Some(parse_num(arg()?).map_err(&at)?),
-                "txns" => txns = Some(parse_num(arg()?).map_err(&at)? as usize),
+                "seed" => seed = Some(parse_num(one()?).map_err(&at)?),
+                "nodes" => nodes = Some(positive()? as usize),
+                "objects" => objects = Some(positive()?),
+                "txns" => txns = Some(parse_num(one()?).map_err(&at)? as usize),
                 "bug" => {
-                    let v = arg()?;
+                    let v = one()?;
                     bug = Some(parse_bug(v).ok_or_else(|| at(format!("unknown bug `{v}`")))?);
                 }
                 "choices" => {
                     choices = Some(
-                        it.map(|t| {
-                            t.parse::<usize>()
-                                .map_err(|_| at(format!("bad choice `{t}`")))
-                        })
-                        .collect::<Result<_, _>>()?,
+                        vals.iter()
+                            .map(|t| {
+                                t.parse::<usize>()
+                                    .map_err(|_| at(format!("bad choice `{t}`")))
+                            })
+                            .collect::<Result<_, _>>()?,
                     );
-                    continue;
                 }
                 other => return Err(at(format!("unknown key `{other}`"))),
             }
@@ -152,9 +165,6 @@ impl Trace {
                 txns: txns.ok_or_else(|| require("txns"))?,
                 seed: seed.ok_or_else(|| require("seed"))?,
                 injected_bug: bug,
-                // Not serialized: heap and wheel replay identically, so a
-                // trace is queue-agnostic and replays on the default.
-                queue: qrdtm_sim::EventQueueKind::default(),
             },
             choices: choices.ok_or_else(|| require("choices"))?,
         })
@@ -178,7 +188,6 @@ mod tests {
                 txns: 2,
                 seed: 7,
                 injected_bug: Some(McBug::Qr(InjectedBug::SkipVoteCheck)),
-                queue: qrdtm_sim::EventQueueKind::default(),
             },
             choices: vec![0, 2, 1, 0, 3],
         }
@@ -225,5 +234,20 @@ mod tests {
         assert!(Trace::parse("proto QR\nseed x\n")
             .unwrap_err()
             .contains("bad number"));
+        // Zero-sized scopes, trailing tokens and repeated keys would each
+        // replay a different schedule than the text describes (or none).
+        let with = |line: &str| {
+            let text = format!("proto QR\nseed 1\n{line}\ntxns 2\nchoices 1\n");
+            Trace::parse(&text).unwrap_err()
+        };
+        assert!(with("nodes 0\nobjects 2").contains("`nodes` must be at least 1"));
+        assert!(with("nodes 3\nobjects 0").contains("`objects` must be at least 1"));
+        assert!(with("nodes 3 4\nobjects 2").contains("unexpected `4` after `nodes`"));
+        assert!(Trace::parse("proto QR\nseed 5 6\n")
+            .unwrap_err()
+            .contains("unexpected `6` after `seed`"));
+        assert!(with("nodes 3\nobjects 2\nnodes 5").contains("duplicate `nodes`"));
+        assert!(with("nodes 3\nobjects 2\nchoices 0").contains("duplicate `choices`"));
+        assert!(with("nodes\nobjects 2").contains("`nodes` needs a value"));
     }
 }

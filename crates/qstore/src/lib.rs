@@ -116,8 +116,6 @@ pub struct QStoreConfig {
     pub detector: Option<DetectorConfig>,
     /// Injected protocol bug (mc validation only).
     pub injected_bug: Option<QStoreBug>,
-    /// Event-queue implementation for the underlying sim.
-    pub queue: qrdtm_sim::EventQueueKind,
 }
 
 impl Default for QStoreConfig {
@@ -138,7 +136,6 @@ impl Default for QStoreConfig {
             durability: None,
             detector: None,
             injected_bug: None,
-            queue: qrdtm_sim::EventQueueKind::default(),
         }
     }
 }
@@ -168,7 +165,6 @@ impl QStoreCluster {
             latency: cfg.latency.build(cfg.nodes, cfg.seed),
             service_time: cfg.service_time,
             service_by_class,
-            queue: cfg.queue,
         });
         let nodes = sim.add_nodes(cfg.nodes);
         let shared = Rc::new(Shared {

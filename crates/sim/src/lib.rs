@@ -62,8 +62,8 @@ pub use metrics::{
     MAX_CLASSES, RESERVOIR_CAP,
 };
 pub use sim::{
-    CallFuture, CallId, CallResult, Envelope, EventInfo, EventQueueKind, EventTag, HandlerCtx,
-    HeartbeatConfig, Scheduler, Sim, SimConfig, SimMessage, Sleep,
+    CallFuture, CallId, CallResult, Envelope, EventInfo, EventTag, HandlerCtx, HeartbeatConfig,
+    Scheduler, Sim, SimConfig, SimMessage, Sleep,
 };
 pub use time::{SimDuration, SimTime};
 pub use wheel::{ArenaStats, EventArena, TimingWheel, WheelHandle, WheelStats};

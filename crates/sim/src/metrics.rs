@@ -173,8 +173,8 @@ pub struct Metrics {
     /// Sampled end-to-end commit latencies (engines report through
     /// [`Sim::observe_latency`](crate::Sim::observe_latency)).
     pub latency: LatencyReservoir,
-    /// Event-queue internals when the sim runs on the timing wheel
-    /// (promotions, bucket sorts, arena high-water; all zero on the heap).
+    /// Timing-wheel internals (promotions, bucket sorts, arena
+    /// high-water).
     /// Lifetime counters: snapshot-merged, unaffected by [`Metrics::reset`].
     pub queue: crate::wheel::WheelStats,
 }

@@ -23,8 +23,6 @@
 //! event queue break on a monotonically increasing sequence number.
 
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::{Rc, Weak};
@@ -113,22 +111,6 @@ pub struct Envelope<M> {
     pub msg: M,
 }
 
-/// Which event-queue implementation a [`Sim`] runs on.
-///
-/// Both produce byte-identical event orders — `(time, seq)` total order
-/// with FIFO ties — which the differential battery in
-/// `tests/queue_equivalence.rs` enforces. The wheel is the default; the
-/// heap remains selectable as the committed baseline for differential
-/// tests and perf comparisons.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EventQueueKind {
-    /// Classic `BinaryHeap` ordered by `(time, seq)`.
-    Heap,
-    /// Bucketed timing wheel with an overflow level (see [`crate::wheel`]).
-    #[default]
-    Wheel,
-}
-
 /// Configuration for a [`Sim`].
 pub struct SimConfig {
     /// RNG seed; two sims with equal seeds and equal inputs behave
@@ -140,8 +122,6 @@ pub struct SimConfig {
     pub service_time: SimDuration,
     /// Per-class service-time overrides.
     pub service_by_class: [Option<SimDuration>; MAX_CLASSES],
-    /// Event-queue implementation (timing wheel by default).
-    pub queue: EventQueueKind,
 }
 
 impl SimConfig {
@@ -153,7 +133,6 @@ impl SimConfig {
             latency,
             service_time: SimDuration::from_micros(200),
             service_by_class: [None; MAX_CLASSES],
-            queue: EventQueueKind::default(),
         }
     }
 }
@@ -332,91 +311,6 @@ impl<M: SimMessage> Scheduled<M> {
     }
 }
 
-impl<M> Scheduled<M> {
-    /// The one and only ordering key of a scheduled event: virtual due
-    /// time, ties broken by creation sequence. Every consumer — the heap's
-    /// `Ord`, the wheel's bucket sort, and same-instant tie-group
-    /// extraction — derives its order from this helper, so the two queue
-    /// implementations cannot diverge on tie-break rules.
-    #[inline]
-    fn event_key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
-    }
-}
-
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.event_key() == other.event_key()
-    }
-}
-impl<M> Eq for Scheduled<M> {}
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.event_key().cmp(&other.event_key())
-    }
-}
-
-/// The pluggable event queue: both variants pop in exactly
-/// [`Scheduled::event_key`] order (see [`EventQueueKind`]).
-// One instance per simulation, never moved after construction — the size
-// asymmetry between the arms costs nothing, so no indirection.
-#[allow(clippy::large_enum_variant)]
-enum EventQueue<M> {
-    Heap(BinaryHeap<Reverse<Scheduled<M>>>),
-    Wheel(TimingWheel<EventKind<M>>),
-}
-
-impl<M> EventQueue<M> {
-    fn new(kind: EventQueueKind) -> Self {
-        match kind {
-            EventQueueKind::Heap => EventQueue::Heap(BinaryHeap::new()),
-            EventQueueKind::Wheel => EventQueue::Wheel(TimingWheel::new()),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, s: Scheduled<M>) {
-        match self {
-            EventQueue::Heap(h) => h.push(Reverse(s)),
-            EventQueue::Wheel(w) => {
-                w.push(s.time, s.seq, s.kind);
-            }
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<Scheduled<M>> {
-        match self {
-            EventQueue::Heap(h) => h.pop().map(|Reverse(s)| s),
-            EventQueue::Wheel(w) => w
-                .pop()
-                .map(|(time, seq, kind)| Scheduled { time, seq, kind }),
-        }
-    }
-
-    /// `(time, seq)` of the next event without consuming it. The wheel may
-    /// advance its cursor internally, but observable state is unchanged.
-    #[inline]
-    fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        match self {
-            EventQueue::Heap(h) => h.peek().map(|Reverse(s)| s.event_key()),
-            EventQueue::Wheel(w) => w.peek_key(),
-        }
-    }
-
-    fn stats(&self) -> crate::wheel::WheelStats {
-        match self {
-            EventQueue::Heap(_) => crate::wheel::WheelStats::default(),
-            EventQueue::Wheel(w) => w.stats(),
-        }
-    }
-}
-
 struct NodeMeta {
     alive: bool,
     busy_until: SimTime,
@@ -439,7 +333,7 @@ struct LinkFault {
 struct SimInner<M: SimMessage> {
     now: SimTime,
     seq: u64,
-    queue: EventQueue<M>,
+    queue: TimingWheel<EventKind<M>>,
     nodes: Vec<NodeMeta>,
     latency: Box<dyn LatencyModel>,
     service_time: SimDuration,
@@ -467,7 +361,13 @@ impl<M: SimMessage> SimInner<M> {
     fn schedule(&mut self, time: SimTime, kind: EventKind<M>) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Scheduled { time, seq, kind });
+        self.queue.push(time, seq, kind);
+    }
+
+    fn pop(&mut self) -> Option<Scheduled<M>> {
+        self.queue
+            .pop()
+            .map(|(time, seq, kind)| Scheduled { time, seq, kind })
     }
 
     fn service_for(&self, class: u8) -> SimDuration {
@@ -556,7 +456,7 @@ impl<M: SimMessage> Sim<M> {
                 inner: RefCell::new(SimInner {
                     now: SimTime::ZERO,
                     seq: 0,
-                    queue: EventQueue::new(cfg.queue),
+                    queue: TimingWheel::new(),
                     nodes: Vec::new(),
                     latency: cfg.latency,
                     service_time: cfg.service_time,
@@ -997,7 +897,7 @@ impl<M: SimMessage> Sim<M> {
                     }
                     Some(_) => {}
                 }
-                let s = inner.queue.pop().expect("peeked");
+                let s = inner.pop().expect("peeked");
                 debug_assert!(s.time >= inner.now, "event queue went backwards");
                 inner.now = s.time;
                 let s = self.apply_scheduler(&mut inner, s);
@@ -1021,13 +921,12 @@ impl<M: SimMessage> Sim<M> {
             return head;
         };
         let now = head.time;
-        // Queue pops come out in event_key = (time, seq) order, so the
-        // group is already sorted by creation order — a deterministic
-        // candidate ordering.
+        // Queue pops come out in (time, seq) order, so the group is
+        // already sorted by creation order — a deterministic candidate
+        // ordering.
         let mut group = vec![head];
         while matches!(inner.queue.peek_key(), Some((t, _)) if t == now) {
-            let s = inner.queue.pop().expect("peeked");
-            group.push(s);
+            group.push(inner.pop().expect("peeked"));
         }
         if group.len() == 1 {
             return group.pop().expect("nonempty");
@@ -1036,7 +935,7 @@ impl<M: SimMessage> Sim<M> {
         let pick = sched.pick(now, &infos).min(group.len() - 1);
         let chosen = group.swap_remove(pick);
         for s in group {
-            inner.queue.push(s);
+            inner.queue.push(s.time, s.seq, s.kind);
         }
         chosen
     }
@@ -2169,75 +2068,5 @@ mod tests {
             call: None,
         };
         assert!(!timer.commutes_with(&info(Some(1), Some(0), None)));
-    }
-
-    #[test]
-    fn event_key_is_the_single_ordering_authority() {
-        let ev = |time: u64, seq: u64| Scheduled::<Msg> {
-            time: SimTime(time),
-            seq,
-            kind: EventKind::CallTimeout(CallId(0)),
-        };
-        // Time dominates; seq breaks ties; equal keys are equal events.
-        assert!(ev(5, 9).event_key() < ev(6, 0).event_key());
-        assert!(ev(5, 1).event_key() < ev(5, 2).event_key());
-        assert_eq!(ev(5, 1).event_key(), (SimTime(5), 1));
-        // Ord, PartialEq, and the key agree — the heap's comparator and
-        // the wheel's bucket sort cannot diverge on tie-break rules.
-        assert_eq!(
-            ev(5, 1).cmp(&ev(5, 2)),
-            ev(5, 1).event_key().cmp(&ev(5, 2).event_key())
-        );
-        assert!(ev(7, 3) == ev(7, 3));
-        assert!(ev(7, 3) < ev(7, 4));
-    }
-
-    #[test]
-    fn heap_and_wheel_produce_identical_traces() {
-        // The in-crate smoke version of the differential battery: same
-        // seed, both queues, byte-identical dispatch order and counters.
-        let run = |queue: EventQueueKind| {
-            let mut cfg = SimConfig::new(
-                42,
-                Box::new(crate::latency::JitteredLatency::new(
-                    SimDuration::from_millis(5),
-                    0.4,
-                )),
-            );
-            cfg.queue = queue;
-            let s: Sim<Msg> = Sim::new(cfg);
-            let n = s.add_nodes(4);
-            let log = Rc::new(RefCell::new(Vec::new()));
-            for &id in &n {
-                let log = Rc::clone(&log);
-                s.set_handler(id, move |ctx, env| {
-                    log.borrow_mut().push((ctx.now().as_nanos(), env.to.0));
-                    if env.call.is_some() {
-                        ctx.respond(&env, env.msg.clone());
-                    } else if let Msg::Ping(hops) = env.msg {
-                        if hops > 0 {
-                            ctx.send(NodeId((env.to.0 + 1) % 4), Msg::Ping(hops - 1));
-                        }
-                    }
-                });
-            }
-            for i in 0..8u64 {
-                s.send(NodeId(0), NodeId((i % 3) as u32 + 1), Msg::Ping(6));
-            }
-            let sc = s.clone();
-            s.spawn(async move {
-                let r = sc
-                    .call(NodeId(0), &[NodeId(1), NodeId(2)], Msg::Ping(0), None)
-                    .await;
-                assert_eq!(r.replies.len(), 2);
-            });
-            s.run();
-            let m = s.metrics();
-            let trace = log.borrow().clone();
-            (trace, m.events, m.sent_total)
-        };
-        let heap = run(EventQueueKind::Heap);
-        let wheel = run(EventQueueKind::Wheel);
-        assert_eq!(heap, wheel, "heap and wheel diverged");
     }
 }

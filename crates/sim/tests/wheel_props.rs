@@ -38,8 +38,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 }
 
 /// Oracle entry: `(time, seq, payload)`; the expected pop order is the
-/// ascending `(time, seq)` sort, which a `BinaryHeap` (and the previous
-/// simulator queue) produces by construction.
+/// ascending `(time, seq)` sort.
 struct Oracle {
     live: Vec<(u64, u64, u64)>,
 }
@@ -123,24 +122,45 @@ proptest! {
     }
 
     #[test]
-    fn equal_timestamp_events_stay_fifo(times in proptest::collection::vec(0u64..64, 2..80)) {
-        // Many events on few distinct instants: within one instant, pops
-        // must come out in push (seq) order.
+    fn equal_timestamp_events_stay_fifo(
+        events in proptest::collection::vec((0u64..64, 0usize..4), 2..80)
+    ) {
+        // Many events `(instant, pick)` on few distinct instants: within
+        // one instant, pops must come out in push (seq) order — and must
+        // keep doing so under the pattern `Sim::run_until` uses to offer
+        // tie groups to an mc scheduler: pop every event due at `now`,
+        // dispatch the one at the scheduler's pick, push the rest back at
+        // `now` under their original seqs.
         let mut w: TimingWheel<usize> = TimingWheel::with_geometry(4, 6);
-        for (i, &t) in times.iter().enumerate() {
+        for (i, &(t, _)) in events.iter().enumerate() {
             w.push(SimTime(t * 8), i as u64, i);
         }
-        let mut last: Option<(u64, u64)> = None;
-        let mut n = 0;
-        while let Some((t, s, p)) = w.pop() {
-            prop_assert_eq!(s as usize, p);
-            if let Some(prev) = last {
-                prop_assert!((t.as_nanos(), s) > prev, "order regressed");
+        let mut now = SimTime::ZERO;
+        let mut dispatched = vec![false; events.len()];
+        while let Some(head) = w.pop() {
+            prop_assert!(head.0 >= now, "time went backwards");
+            now = head.0;
+            let pick = events[head.2].1;
+            let mut group = vec![head];
+            while w.peek_key().map(|(t, _)| t) == Some(now) {
+                group.push(w.pop().expect("peeked"));
             }
-            last = Some((t.as_nanos(), s));
-            n += 1;
+            for pair in group.windows(2) {
+                prop_assert!(pair[0].1 < pair[1].1, "tie group out of seq order");
+            }
+            let due = (0..events.len())
+                .filter(|&i| SimTime(events[i].0 * 8) == now && !dispatched[i])
+                .count();
+            prop_assert_eq!(group.len(), due, "tie group lost or gained an event");
+            let (_, s, p) = group.swap_remove(pick % group.len());
+            prop_assert_eq!(s as usize, p);
+            prop_assert!(!dispatched[p], "event dispatched twice");
+            dispatched[p] = true;
+            for (t, s, p) in group {
+                w.push(t, s, p);
+            }
         }
-        prop_assert_eq!(n, times.len());
+        prop_assert!(dispatched.iter().all(|&d| d), "event never dispatched");
     }
 
     #[test]

@@ -33,15 +33,13 @@ fn first_drift(committed: &str, regenerated: &str) -> Option<String> {
         let i = (0..wf.len().max(gf.len()))
             .find(|&i| wf.get(i) != gf.get(i))
             .expect("unequal lines differ in some token");
-        let (a, b) = (
-            wf.get(i).unwrap_or(&"<absent>"),
-            gf.get(i).unwrap_or(&"<absent>"),
-        );
-        let field = if wf.get(i).is_some() { a } else { b };
+        let (a, b) = (wf.get(i).copied(), gf.get(i).copied());
+        let field = a.or(b).and_then(|t| t.split('=').next()).unwrap_or("");
         return Some(format!(
-            "leg `{}` drifted at `{}`: golden {a}, regenerated {b}",
+            "leg `{}` drifted at `{field}`: golden {}, regenerated {}",
             wf[0],
-            field.split('=').next().unwrap_or(field)
+            a.unwrap_or("<absent>"),
+            b.unwrap_or("<absent>")
         ));
     }
 }
