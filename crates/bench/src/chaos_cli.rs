@@ -268,6 +268,24 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> ChaosArgs {
             _ => chaos_usage(),
         }
     }
+    // Zero runs would report "all invariants held" over nothing, and the
+    // plan generator / cluster constructors assert on degenerate shapes.
+    let bad = [
+        (
+            a.seeds == 0 || a.seed.checked_add(a.seeds).is_none(),
+            "--seeds must be at least 1 and --seed + --seeds must not overflow",
+        ),
+        (a.nodes < 2, "--nodes must be at least 2"),
+        (
+            a.nodes < 3 && a.protos.contains(&Proto::QStore),
+            "--nodes must be at least 3 when qstore is selected",
+        ),
+        (a.horizon_ms == Some(0), "--horizon-ms must be at least 1"),
+    ];
+    if let Some((_, msg)) = bad.iter().find(|(hit, _)| *hit) {
+        eprintln!("chaos: {msg}");
+        chaos_usage();
+    }
     a
 }
 
@@ -501,10 +519,12 @@ fn smoke() -> i32 {
     let spec = ChaosSpec::smoke();
     println!("## chaos --smoke — 2 seeds x 6 protocols + fig10 + planner-failover\n");
     let mut ok = true;
+    let mut qstore_runs = 0u32;
     for seed in 1..=2u64 {
         for proto in ALL_PROTOS {
             let plan = generate(seed, 10, spec.horizon, &proto.budget(5, false));
             ok &= run_one(proto, seed, 10, &spec, &plan, None, false, false);
+            qstore_runs += u32::from(proto == Proto::QStore);
         }
     }
     let fig10 = fig10_plan(3, spec.horizon);
@@ -529,6 +549,10 @@ fn smoke() -> i32 {
         false,
         false,
     );
+    if qstore_runs == 0 {
+        eprintln!("chaos smoke: the generated-plan grid never ran the qstore arm");
+        ok = false;
+    }
     if ok {
         println!("\nchaos smoke: all invariants held");
         0
@@ -769,6 +793,7 @@ fn amnesia_smoke() -> i32 {
     // every plan so failover must adopt only the quorum-acked durable
     // prefix before the old planner rejoins from its own batch log.
     println!("\nbatch WAL (qstore): torn tails + planner amnesia across 20 seeds");
+    let mut qstore_runs = 0u32;
     for seed in 1..=20u64 {
         let victim = 1 + (seed % 9) as u32;
         let plan = FaultPlan::new(vec![
@@ -796,6 +821,7 @@ fn amnesia_smoke() -> i32 {
         let r = Proto::QStore.run(10, seed, &spec, &plan, true, false);
         ok &= report_one(Proto::QStore, seed, 10, &spec, &plan, None, true, false, &r);
         tally(&r);
+        qstore_runs += 1;
     }
     // And generated durable-budget plans for breadth on the batching
     // family too.
@@ -804,6 +830,7 @@ fn amnesia_smoke() -> i32 {
         let r = Proto::QStore.run(10, seed, &spec, &plan, true, false);
         ok &= report_one(Proto::QStore, seed, 10, &spec, &plan, None, true, false, &r);
         tally(&r);
+        qstore_runs += 1;
     }
     println!(
         "\naggregate: log_replays={replays} torn_tails={torn} repair_rounds={rounds} \
@@ -819,6 +846,10 @@ fn amnesia_smoke() -> i32 {
             eprintln!("amnesia smoke: counter {counter} never fired");
             ok = false;
         }
+    }
+    if qstore_runs < 20 {
+        eprintln!("amnesia smoke: only {qstore_runs} qstore batch-WAL run(s) (< 20)");
+        ok = false;
     }
     if ok {
         println!("\nchaos amnesia smoke: all invariants held, recovery machinery fired");
@@ -867,7 +898,9 @@ fn overload_smoke() -> i32 {
     println!("## chaos --smoke --overload — open-loop traffic, surges + gray faults\n");
     let mut ok = true;
     let (mut shed, mut deadlines, mut exhausted, mut retries) = (0u64, 0u64, 0u64, 0u64);
+    let mut runs = 0u32;
     let mut tally = |r: &ChaosReport| {
+        runs += 1;
         shed += r.metrics.admission_shed;
         deadlines += r.metrics.deadline_aborts;
         exhausted += r.metrics.retry_budget_exhausted;
@@ -990,6 +1023,10 @@ fn overload_smoke() -> i32 {
             eprintln!("overload smoke: counter {counter} never fired");
             ok = false;
         }
+    }
+    if runs < 120 {
+        eprintln!("overload smoke: only {runs} protected run(s) (< 120)");
+        ok = false;
     }
     if ok {
         println!(

@@ -10,7 +10,6 @@
 pub mod chaos_cli;
 pub mod harness;
 pub mod mc_cli;
-pub mod perf_cli;
 pub mod table;
 
 use std::path::PathBuf;

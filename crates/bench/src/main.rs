@@ -18,7 +18,6 @@ fn usage() -> ! {
     eprintln!("usage: repro <fig5|fig6|fig7|table8|fig9|fig10|ablation|all> [--quick] [--out DIR]");
     eprintln!("       repro chaos [--smoke] [...]   (see `repro chaos --help`)");
     eprintln!("       repro mc [--smoke] [...]      (see `repro mc --help`)");
-    eprintln!("       repro perf [--quick] [--out FILE]   (wall-clock baseline, BENCH json)");
     std::process::exit(2);
 }
 
@@ -31,9 +30,6 @@ fn main() {
     }
     if cmd == "mc" {
         std::process::exit(qrdtm_bench::mc_cli::run(args));
-    }
-    if cmd == "perf" {
-        std::process::exit(qrdtm_bench::perf_cli::run(args));
     }
     let mut quick = false;
     let mut out_dir: Option<PathBuf> = None;

@@ -118,8 +118,10 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> McArgs {
             _ => mc_usage(),
         }
     }
-    if a.nodes == 0 || a.objects == 0 {
-        eprintln!("mc: --nodes and --objects must be at least 1");
+    // Q-Store needs three nodes for a meaningful majority.
+    let qstore = a.protos.contains(&McProto::QStore);
+    if a.nodes == 0 || (qstore && a.nodes < 3) || a.objects == 0 {
+        eprintln!("mc: --nodes must be at least 1 (3 with qstore), --objects at least 1");
         mc_usage();
     }
     a
@@ -306,7 +308,11 @@ fn smoke() -> i32 {
     let mut ok = true;
     let mut total_distinct = 0u64;
     let mut total_runs = 0u64;
+    // What actually ran, by label: the Q-Store arm and its two bug
+    // validations must be among them or the run is not a pass.
+    let mut exercised: Vec<&str> = Vec::new();
     for (scope, runs, distinct, depth, exhausted, cex) in results {
+        exercised.push(label(scope.proto));
         total_distinct += distinct;
         total_runs += runs;
         println!(
@@ -379,6 +385,7 @@ fn smoke() -> i32 {
                     .ok();
                 match replayed {
                     Some(out) if !out.violations.is_empty() => {
+                        exercised.push(bug_name);
                         println!(
                             "    caught, minimized to {} choice(s), replays from text:",
                             trace.choices.len()
@@ -396,6 +403,12 @@ fn smoke() -> i32 {
         }
     }
 
+    for want in ["qstore", "skip-tag-check", "ack-before-fsync"] {
+        if !exercised.contains(&want) {
+            eprintln!("\nmc smoke: {want} was never exercised");
+            ok = false;
+        }
+    }
     let secs = t0.elapsed().as_secs_f64();
     if total_distinct < 10_000 {
         eprintln!("\nmc smoke: only {total_distinct} distinct schedules (< 10000)");

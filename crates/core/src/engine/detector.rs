@@ -43,10 +43,11 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use qrdtm_sim::{Counter, EngineEventKind, HeartbeatConfig, NodeId, SimDuration, SimTime};
+use qrdtm_sim::{
+    Counter, EngineEventKind, HeartbeatConfig, NodeId, SimDuration, SimMessage, SimTime,
+};
 
 use crate::cluster::Cluster;
-use crate::msg::Msg;
 use crate::substrate::{SimSubstrate, Substrate};
 
 /// Knobs of the failure detector and the transport robustness that rides
@@ -96,27 +97,55 @@ impl DetectorConfig {
     }
 }
 
+/// The reconfigurable membership view a detector drives: the QR family's
+/// quorum view ([`Cluster`]) and the Q-Store planner view both implement
+/// it, so one detector serves every family over its own wire type.
+pub trait Membership {
+    /// Number of nodes the view ranges over (ids `0..node_count`).
+    fn node_count(&self) -> usize;
+    /// Whether the view currently counts `node` a member.
+    fn view_alive(&self, node: NodeId) -> bool;
+    /// The current view (fencing) epoch.
+    fn view_epoch(&self) -> u64;
+    /// Remove a suspected `node` from the view without touching the
+    /// network. `false` when refused (the view could not survive without
+    /// it), leaving the view untouched.
+    fn eject(&self, node: NodeId) -> bool;
+    /// Readmit a view-dead `node` that is heard again, view-only. Returns
+    /// the charged readmission cost (the joiner's grace period), or `None`
+    /// when the node was not readmitted.
+    fn rejoin(&self, node: NodeId) -> Option<SimDuration>;
+}
+
+impl Membership for Cluster {
+    fn node_count(&self) -> usize {
+        self.config().nodes
+    }
+    fn view_alive(&self, node: NodeId) -> bool {
+        Cluster::view_alive(self, node)
+    }
+    fn view_epoch(&self) -> u64 {
+        Cluster::view_epoch(self)
+    }
+    fn eject(&self, node: NodeId) -> bool {
+        self.eject_node(node).is_ok()
+    }
+    fn rejoin(&self, node: NodeId) -> Option<SimDuration> {
+        self.rejoin_node(node).ok()
+    }
+}
+
 /// Handle on a running detector task (see [`spawn_detector`]).
 ///
 /// The handle is deliberately message-type-agnostic (the teardown is a
-/// boxed callback, not a `Sim<Msg>`): other protocol families host their
-/// own detector task over their own wire type and hand back the same
-/// handle shape through `ChaosTarget::start_detector`.
+/// boxed callback, not a `Sim<Msg>`), so every protocol family hands back
+/// the same handle shape through `ChaosTarget::start_detector`.
 pub struct DetectorHandle {
     stop: Rc<Cell<bool>>,
     on_stop: Box<dyn Fn()>,
 }
 
 impl DetectorHandle {
-    /// Build a handle from a shared stop flag and a teardown callback run
-    /// on [`stop`](Self::stop) (typically `Sim::stop_heartbeats`).
-    pub fn new(stop: Rc<Cell<bool>>, on_stop: impl Fn() + 'static) -> Self {
-        DetectorHandle {
-            stop,
-            on_stop: Box::new(on_stop),
-        }
-    }
-
     /// Stop the detector task (at its next tick) and the heartbeat layer.
     /// The membership view stays as the detector last left it.
     pub fn stop(&self) {
@@ -137,23 +166,34 @@ pub fn spawn_detector(cluster: &Rc<Cluster>) -> DetectorHandle {
         .config()
         .detector
         .expect("spawn_detector requires DtmConfig::detector");
-    let sim = cluster.sim().clone();
+    spawn_detector_on(Rc::clone(cluster), cluster.substrate().clone(), cfg)
+}
+
+/// [`spawn_detector`] for any [`Membership`] view hosted on the simulator
+/// behind `sub`, whatever its wire type.
+pub fn spawn_detector_on<M: SimMessage, V: Membership + 'static>(
+    view: Rc<V>,
+    sub: SimSubstrate<M>,
+    cfg: DetectorConfig,
+) -> DetectorHandle {
+    let sim = sub.sim().clone();
     sim.start_heartbeats(cfg.heartbeat());
     let stop = Rc::new(Cell::new(false));
-    let handle = DetectorHandle::new(Rc::clone(&stop), {
-        let sim = sim.clone();
-        move || sim.stop_heartbeats()
-    });
-    let cluster = Rc::clone(cluster);
-    let sub = cluster.substrate().clone();
+    let handle = DetectorHandle {
+        stop: Rc::clone(&stop),
+        on_stop: Box::new({
+            let sim = sim.clone();
+            move || sim.stop_heartbeats()
+        }),
+    };
     sim.spawn(async move {
-        let mut st = DetectorState::new(cluster.config().nodes);
+        let mut st = DetectorState::new(view.node_count());
         loop {
             sub.sleep(cfg.interval).await;
             if stop.get() {
                 return;
             }
-            tick(&cluster, &sub, &cfg, &mut st);
+            tick(&*view, &sub, &cfg, &mut st);
         }
     });
     handle
@@ -186,8 +226,13 @@ impl DetectorState {
 /// One detector evaluation over the current observation matrix. Clock,
 /// liveness and metrics go through the [`Substrate`] surface; only the
 /// heartbeat observation matrix is a sim-world extra.
-fn tick(cluster: &Cluster, sub: &SimSubstrate<Msg>, cfg: &DetectorConfig, st: &mut DetectorState) {
-    let nodes = cluster.config().nodes;
+fn tick<M: SimMessage>(
+    cluster: &impl Membership,
+    sub: &SimSubstrate<M>,
+    cfg: &DetectorConfig,
+    st: &mut DetectorState,
+) {
+    let nodes = cluster.node_count();
     let now = sub.now();
     let window = cfg.suspect_window();
     let fresh = |observer: NodeId, sender: NodeId| {
@@ -212,7 +257,7 @@ fn tick(cluster: &Cluster, sub: &SimSubstrate<Msg>, cfg: &DetectorConfig, st: &m
         // Outside the reference component: suspect. Ejection fails only
         // when the view would lose its quorums without the node; then the
         // suspect stays (and is re-examined next tick).
-        if cluster.eject_node(n).is_err() {
+        if !cluster.eject(n) {
             continue;
         }
         st.suspected_at[n.index()] = now;
@@ -226,7 +271,7 @@ fn tick(cluster: &Cluster, sub: &SimSubstrate<Msg>, cfg: &DetectorConfig, st: &m
     // Rejoin: a view-dead node is back once some view-alive observer has
     // heard it *after* the ejection and within the window (crash healed,
     // partition healed, or the suspicion was false all along). View-only
-    // — rejoin_node never resurrects the node in the network; that is the
+    // — a rejoin never resurrects the node in the network; that is the
     // oracle's (or nemesis's) business.
     for v in (0..nodes as u32).map(NodeId) {
         if cluster.view_alive(v) {
@@ -242,7 +287,7 @@ fn tick(cluster: &Cluster, sub: &SimSubstrate<Msg>, cfg: &DetectorConfig, st: &m
         // heartbeat start (last_hb seeds at start time), so a node that
         // never beat is not rejoined by the seed value.
         if heard > st.suspected_at[v.index()] && now.saturating_since(heard) <= window {
-            if let Ok(transfer) = cluster.rejoin_node(v) {
+            if let Some(transfer) = cluster.rejoin(v) {
                 st.grace_until[v.index()] = now + transfer + window;
                 sub.bump(Counter::Rejoins);
                 sub.emit_engine_event(EngineEventKind::NodeRejoined, v, cluster.view_epoch());
@@ -253,14 +298,7 @@ fn tick(cluster: &Cluster, sub: &SimSubstrate<Msg>, cfg: &DetectorConfig, st: &m
 
 /// Largest connected component of the bidirectional-freshness graph over
 /// `trusted`; ties break to the component containing the lowest node id.
-///
-/// Public so every protocol family's detector picks the reference
-/// partition with the same rule (the Q-Store detector reuses it over its
-/// own heartbeat matrix).
-pub fn reference_component(
-    trusted: &[NodeId],
-    fresh: &dyn Fn(NodeId, NodeId) -> bool,
-) -> Vec<NodeId> {
+fn reference_component(trusted: &[NodeId], fresh: &dyn Fn(NodeId, NodeId) -> bool) -> Vec<NodeId> {
     let mut best: Vec<NodeId> = Vec::new();
     let mut seen: Vec<NodeId> = Vec::new();
     for &start in trusted {

@@ -45,7 +45,7 @@ mod transport;
 mod validation;
 pub(crate) mod wal;
 
-pub use detector::{reference_component, spawn_detector, DetectorConfig, DetectorHandle};
+pub use detector::{spawn_detector, spawn_detector_on, DetectorConfig, DetectorHandle, Membership};
 pub use wal::DurabilityConfig;
 
 #[cfg(test)]

@@ -69,8 +69,8 @@ pub use cluster::{
     Cluster, DtmConfig, InjectedBug, LatencySpec, LockPolicy, OverloadConfig, QuorumView,
 };
 pub use engine::{
-    reference_component, spawn_detector, Client, DetectorConfig, DetectorHandle, DurabilityConfig,
-    Tx,
+    spawn_detector, spawn_detector_on, Client, DetectorConfig, DetectorHandle, DurabilityConfig,
+    Membership, Tx,
 };
 pub use history::{
     check_abort_targets, check_checkpoint_restores, CommitRecord, HistoryRecorder,

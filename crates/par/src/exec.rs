@@ -1,6 +1,6 @@
 //! Thread-side execution: a minimal executor for the protocol's async
-//! surface, and the closed-count bank driver that produces the wall-clock
-//! perf baseline.
+//! surface, and the closed-count bank driver behind the audited
+//! multi-thread stress in `tests/protocol_conformance.rs`.
 //!
 //! [`DtmProtocol`] is an async trait so the simulator protocols can await
 //! virtual time, but the TL2 backend completes every operation

@@ -45,13 +45,13 @@ use std::rc::Rc;
 
 use qrdtm_core::history::{verify, Violation};
 use qrdtm_core::{
-    Abort, DetectorConfig, DetectorHandle, DtmProtocol, DurabilityConfig, LatencySpec, ObjVal,
-    ObjectId, ProtocolStats, SimHosted, SimSubstrate, Substrate, TxId, Version,
+    spawn_detector_on, Abort, DetectorConfig, DetectorHandle, DtmProtocol, DurabilityConfig,
+    LatencySpec, Membership, ObjVal, ObjectId, ProtocolStats, SimHosted, SimSubstrate, Substrate,
+    TxId, Version,
 };
 use qrdtm_sim::{NodeId, Sim, SimConfig, SimDuration};
 
 mod core;
-mod detector;
 mod msg;
 mod wal;
 
@@ -525,13 +525,19 @@ impl QStoreCluster {
     }
 
     /// Start the heartbeat failure detector (requires
-    /// [`QStoreConfig::detector`]). Same manager model as the QR family:
-    /// one task reads the observation matrix, keeps the largest
-    /// bidirectionally-fresh component, ejects outsiders (planner
-    /// ejection triggers the fenced takeover) and rejoins nodes that are
-    /// heard again. Returns a handle whose `stop()` halts detection.
+    /// [`QStoreConfig::detector`]). The QR family's detector, driving this
+    /// cluster's view through [`Membership`]: one task reads the
+    /// observation matrix, keeps the largest bidirectionally-fresh
+    /// component, ejects outsiders (planner ejection triggers the fenced
+    /// takeover) and rejoins nodes that are heard again — an amnesiac
+    /// joiner's charged replay+repair cost extends its grace window.
+    /// Returns a handle whose `stop()` halts detection.
     pub fn start_detector(self: &Rc<Self>) -> DetectorHandle {
-        detector::spawn_qstore_detector(self)
+        let cfg = self
+            .cfg
+            .detector
+            .expect("start_detector requires QStoreConfig::detector");
+        spawn_detector_on(Rc::clone(self), self.sub.clone(), cfg)
     }
 
     /// Upper bound on oracle-free failure handling: how long after a
@@ -734,6 +740,24 @@ pub struct QStoreTxHandle {
     /// Consecutive requeues of this logical transaction; after two, reads
     /// switch to the planner's authoritative store.
     requeues: u32,
+}
+
+impl Membership for QStoreCluster {
+    fn node_count(&self) -> usize {
+        self.cfg.nodes
+    }
+    fn view_alive(&self, node: NodeId) -> bool {
+        QStoreCluster::view_alive(self, node)
+    }
+    fn view_epoch(&self) -> u64 {
+        QStoreCluster::view_epoch(self)
+    }
+    fn eject(&self, node: NodeId) -> bool {
+        self.eject_node(node)
+    }
+    fn rejoin(&self, node: NodeId) -> Option<SimDuration> {
+        self.rejoin_node(node)
+    }
 }
 
 impl DtmProtocol for QStoreCluster {

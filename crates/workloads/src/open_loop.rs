@@ -433,8 +433,8 @@ pub struct OpenLoopResult {
 }
 
 /// Run the open-loop mix standalone on any simulator-hosted protocol:
-/// preload, warm up, measure for `duration`. The perf harness sweeps
-/// `spec.rate_tps` through the saturation knee with this.
+/// preload, warm up, measure for `duration`. Sweeping `spec.rate_tps`
+/// through the saturation knee gives the graceful-degradation curve.
 pub fn run_open_loop<P: SimHosted + 'static>(
     proto: Rc<P>,
     nodes: usize,
@@ -480,7 +480,7 @@ pub fn run_open_loop<P: SimHosted + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrdtm_core::{Cluster, DtmConfig, OverloadConfig};
+    use qrdtm_core::{Cluster, DtmConfig, NestingMode, OverloadConfig};
 
     fn overload_cluster(seed: u64) -> Rc<Cluster> {
         Rc::new(Cluster::new(DtmConfig {
@@ -589,5 +589,67 @@ mod tests {
             flash.offered,
             steady.offered
         );
+    }
+
+    /// The six-rate sweep through and past saturation on a fresh QR-CN
+    /// cluster per point: uniform keys over 64 accounts so the knee
+    /// measures capacity rather than lock contention, and a queue bound
+    /// that holds less than a deadline's worth of service time. Returns
+    /// `(offered tps, goodput tps)` per point.
+    fn saturation_sweep(protect: bool) -> Vec<(u64, f64)> {
+        [100, 200, 400, 800, 1_600, 3_200]
+            .into_iter()
+            .map(|rate_tps| {
+                let cluster = Rc::new(Cluster::new(DtmConfig {
+                    nodes: 10,
+                    mode: NestingMode::Closed,
+                    seed: 42,
+                    rpc_timeout: Some(SimDuration::from_millis(100)),
+                    overload: Some(OverloadConfig::default()),
+                    ..Default::default()
+                }));
+                let spec = OpenLoopSpec {
+                    accounts: 64,
+                    zipf_milli: 0,
+                    rate_tps,
+                    deadline: SimDuration::from_millis(500),
+                    queue_bound: 4,
+                    protect,
+                    ..OpenLoopSpec::default()
+                };
+                let r = run_open_loop(
+                    cluster,
+                    10,
+                    &spec,
+                    SimDuration::from_millis(300),
+                    SimDuration::from_secs(2),
+                );
+                (rate_tps, r.goodput_tps)
+            })
+            .collect()
+    }
+
+    /// Graceful degradation: with the knee at the first rate delivering
+    /// 95% of peak goodput, every point at twice the knee or beyond must
+    /// keep goodput within 1.5x of the peak.
+    fn degrades_gracefully(sweep: &[(u64, f64)]) -> bool {
+        let peak = sweep.iter().map(|p| p.1).fold(0.0, f64::max);
+        let knee = sweep.iter().find(|p| p.1 >= peak * 0.95).unwrap().0;
+        let mut past = sweep.iter().filter(|p| p.0 >= 2 * knee).peekable();
+        assert!(
+            past.peek().is_some(),
+            "sweep never reaches 2x knee: {sweep:?}"
+        );
+        past.all(|p| p.1 * 1.5 >= peak)
+    }
+
+    #[test]
+    fn goodput_past_twice_the_knee_stays_within_1_5x_of_peak() {
+        let protected = saturation_sweep(true);
+        assert!(degrades_gracefully(&protected), "{protected:?}");
+        // The same sweep without admission control or deadline abandon
+        // collapses, so the condition above can fail.
+        let unprotected = saturation_sweep(false);
+        assert!(!degrades_gracefully(&unprotected), "{unprotected:?}");
     }
 }
