@@ -11,23 +11,30 @@
 //! regenerates it and the diff shows reviewers exactly which legs moved.
 //!
 //! Legs: closed-loop bank on all six protocol families, QR-CN through the
-//! open-loop admission path, QR-CN under a chaos-smoke fault plan, and for
-//! the model checker the DFS+PCT distinct-schedule sets, forced-prefix
-//! tie groups and the four injected-bug counterexamples.
+//! open-loop admission path, QR-CN under a chaos-smoke fault plan, durable
+//! QR-CN and Q-Store through amnesiac restarts with torn WAL tails, QR and
+//! Q-Store healed by the failure detector alone, the five non-bank
+//! benchmarks through `workloads::run`, and for the model checker the
+//! DFS+PCT distinct-schedule sets, forced-prefix tie groups and the four
+//! injected-bug counterexamples.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
 use qrdtm_baselines::{DecentCluster, DecentConfig, TfaCluster, TfaConfig};
-use qrdtm_chaos::{generate, run_plan, ChaosSpec, ChaosTarget, FaultBudget};
-use qrdtm_core::{Cluster, DtmConfig, InjectedBug, NestingMode, ObjectId};
+use qrdtm_chaos::{generate, run_plan, ChaosSpec, ChaosTarget, FaultBudget, FaultPlan};
+use qrdtm_core::{
+    Cluster, DetectorConfig, DtmConfig, DurabilityConfig, InjectedBug, NestingMode, ObjectId,
+};
 use qrdtm_mc::{
     dfs_explore, pct_explore, replay, run_schedule, ForcedPolicy, McBug, McProto, Scope, Trace,
 };
 use qrdtm_qstore::{QStoreBug, QStoreCluster, QStoreConfig};
 use qrdtm_sim::{EngineEvent, Metrics, SimDuration};
-use qrdtm_workloads::{run_bank, run_open_loop, BankSpec, OpenLoopSpec};
+use qrdtm_workloads::{
+    run, run_bank, run_open_loop, BankSpec, Benchmark, OpenLoopSpec, RunSpec, WorkloadParams,
+};
 
 const NODES: usize = 6;
 const ACCOUNTS: u64 = 8;
@@ -238,17 +245,20 @@ fn observe_open_loop() -> Observation {
     )
 }
 
-/// Chaos-smoke leg: crashes, partitions and recovery drive the
-/// failure-detector timer plane (heartbeats, suspicions, call timeouts)
-/// far harder than the healthy bank does.
-fn observe_chaos() -> Observation {
-    let spec = ChaosSpec::smoke();
-    let plan = generate(11, NODES as u32, spec.horizon, &FaultBudget::full(5));
-    let proto = qr(NestingMode::Closed);
-    let report = run_plan(Rc::clone(&proto), NODES, &spec, &plan);
+/// One nemesis run of `plan` on a fresh `proto`: the report's fingerprint,
+/// summary and fault log next to the usual engine-event, store and counter
+/// digests.
+fn observe_plan<P: ChaosTarget + 'static>(
+    leg: &str,
+    proto: &Rc<P>,
+    nodes: usize,
+    spec: &ChaosSpec,
+    plan: &FaultPlan,
+) -> Observation {
+    let report = run_plan(Rc::clone(proto), nodes, spec, plan);
     let fp = &report.fingerprint;
     let mut obs = Observation::new(
-        "chaos-smoke/QR-CN",
+        leg,
         vec![
             ("commits", fp.commits),
             ("aborts", fp.aborts),
@@ -257,11 +267,123 @@ fn observe_chaos() -> Observation {
             ("violations", report.violations.len() as u64),
         ],
         &report.metrics,
-        store(&*proto),
+        store(&**proto),
     );
     obs.texts.push(("summary", report.summary_line()));
     obs.texts.push(("fault_log", report.fault_log.join(";")));
     obs
+}
+
+/// Chaos-smoke leg: crashes, partitions and recovery drive the
+/// failure-detector timer plane (heartbeats, suspicions, call timeouts)
+/// far harder than the healthy bank does.
+fn observe_chaos() -> Observation {
+    let spec = ChaosSpec::smoke();
+    let plan = generate(11, NODES as u32, spec.horizon, &FaultBudget::full(5));
+    observe_plan(
+        "chaos-smoke/QR-CN",
+        &qr(NestingMode::Closed),
+        NODES,
+        &spec,
+        &plan,
+    )
+}
+
+/// Cluster size and seed of the amnesia and detector legs (the shape
+/// `repro chaos --smoke --amnesia` / `--detector` runs first).
+const CHAOS_NODES: usize = 10;
+const CHAOS_SEED: u64 = 1;
+
+fn chaos_qr(mode: NestingMode, durable: bool, detector: bool) -> Rc<Cluster> {
+    let mut cfg = DtmConfig {
+        nodes: CHAOS_NODES,
+        mode,
+        seed: CHAOS_SEED,
+        durability: durable.then(DurabilityConfig::default),
+        ..Default::default()
+    };
+    if detector {
+        cfg.detector = Some(DetectorConfig::default());
+        cfg.rpc_timeout = Some(SimDuration::from_millis(100));
+    }
+    Rc::new(Cluster::new(cfg))
+}
+
+fn chaos_qstore(durable: bool, detector: bool) -> Rc<QStoreCluster> {
+    Rc::new(QStoreCluster::new(QStoreConfig {
+        nodes: CHAOS_NODES,
+        seed: CHAOS_SEED,
+        durability: durable.then(DurabilityConfig::default),
+        detector: detector.then(DetectorConfig::default),
+        ..Default::default()
+    }))
+}
+
+/// A Q-Store nemesis leg, plus what only that family keeps: the per-replica
+/// batch-WAL record/fsync totals and every sampled group-commit latency.
+fn observe_qstore_plan(
+    leg: &str,
+    proto: &Rc<QStoreCluster>,
+    spec: &ChaosSpec,
+    plan: &str,
+) -> Observation {
+    let plan = FaultPlan::parse(plan).expect("golden plan parses");
+    let mut obs = observe_plan(leg, proto, CHAOS_NODES, spec, &plan);
+    let (records, fsyncs) = proto.wal_totals();
+    let lat = proto.fsync_latencies();
+    obs.tallies.extend([
+        ("wal_records", records),
+        ("wal_fsyncs", fsyncs),
+        ("fsync_samples", lat.len() as u64),
+        ("fsync_hash", fnv(lat)),
+    ]);
+    obs
+}
+
+/// Amnesia legs: durable replicas, a torn WAL tail, an amnesiac restart
+/// (replay, torn-tail truncation, quorum repair, re-baseline). The Q-Store
+/// plan also amnesia-crashes the planner, so failover adopts only the
+/// quorum-acknowledged durable prefix. Detector legs: the oracle is off,
+/// crash and heal touch the simulator only, and the heartbeat detector
+/// must eject and rejoin on its own (for Q-Store the victim is the
+/// planner, so ejection is also a failover).
+fn observe_amnesia_and_detector() -> Vec<Observation> {
+    let oracle = ChaosSpec::smoke();
+    let detector = ChaosSpec {
+        detector: true,
+        ..ChaosSpec::smoke()
+    };
+    let torn_restart = "@400000us corrupt-tail 2\n@400000us crash-amnesia 2\n@1100000us recover 2";
+    let crash_heal = FaultPlan::parse("@300000us crash 1\n@1100000us recover 1");
+    vec![
+        observe_plan(
+            "chaos-amnesia/QR-CN",
+            &chaos_qr(NestingMode::Closed, true, false),
+            CHAOS_NODES,
+            &oracle,
+            &FaultPlan::parse(torn_restart).expect("golden plan parses"),
+        ),
+        observe_qstore_plan(
+            "chaos-amnesia/Q-Store",
+            &chaos_qstore(true, false),
+            &oracle,
+            "@400000us corrupt-tail 2\n@400000us crash-amnesia 2\n@700000us crash-amnesia 0\n\
+             @1000000us recover 2\n@1200000us recover 0",
+        ),
+        observe_plan(
+            "chaos-detector/QR",
+            &chaos_qr(NestingMode::Flat, false, true),
+            CHAOS_NODES,
+            &detector,
+            &crash_heal.expect("golden plan parses"),
+        ),
+        observe_qstore_plan(
+            "chaos-detector/Q-Store",
+            &chaos_qstore(false, true),
+            &detector,
+            "@300000us crash 0\n@1100000us recover 0",
+        ),
+    ]
 }
 
 /// Every simulator-level leg, in file order.
@@ -297,6 +419,60 @@ pub fn sim_legs() -> Vec<Observation> {
         observe_open_loop(),
         observe_chaos(),
     ]
+    .into_iter()
+    .chain(observe_amnesia_and_detector())
+    .collect()
+}
+
+/// One benchmark through `workloads::run` (setup, warm-up, 3 s window) on
+/// 13 QR-CN nodes. `run` owns its cluster, so the leg holds what it hands
+/// back: the `RunResult` message tallies and every `DtmStats` counter.
+fn closed_loop_line(bench: Benchmark) -> String {
+    let r = run(
+        DtmConfig {
+            nodes: 13,
+            mode: NestingMode::Closed,
+            seed: SEED,
+            ..Default::default()
+        },
+        &RunSpec {
+            bench,
+            params: WorkloadParams {
+                read_pct: 50,
+                calls: 2,
+                objects: 16,
+            },
+            warmup: SimDuration::from_millis(500),
+            duration: SimDuration::from_secs(3),
+            clients_per_node: 1,
+            failures: 0,
+        },
+    );
+    // `DtmStats`'s derived `Debug` names every counter; reshape it into the
+    // file's ` key=value` tokens so a drift names the counter that moved.
+    let stats = format!("{:?}", r.stats)
+        .replace("DtmStats { ", "")
+        .replace(" }", "")
+        .replace(": ", "=")
+        .replace(", ", " ");
+    format!(
+        "closed-loop/{bench:?}/QR-CN messages={} read_msgs={} commit_msgs={} {stats}",
+        r.messages, r.read_msgs, r.commit_msgs
+    )
+}
+
+/// The non-bank benchmarks, in file order.
+pub fn closed_loop_lines() -> Vec<String> {
+    [
+        Benchmark::Hashmap,
+        Benchmark::SList,
+        Benchmark::RBTree,
+        Benchmark::Bst,
+        Benchmark::Vacation,
+    ]
+    .into_iter()
+    .map(closed_loop_line)
+    .collect()
 }
 
 fn dotted(v: impl IntoIterator<Item = usize>) -> String {
@@ -425,7 +601,12 @@ pub fn golden() -> String {
          # tests/golden_digests.rs regenerates this text and fails on drift.\n",
     );
     let sim = sim_legs();
-    for line in sim.iter().map(Observation::line).chain(mc_lines()) {
+    for line in sim
+        .iter()
+        .map(Observation::line)
+        .chain(closed_loop_lines())
+        .chain(mc_lines())
+    {
         s.push_str(&line);
         s.push('\n');
     }
