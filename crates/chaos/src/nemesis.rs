@@ -25,7 +25,9 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use qrdtm_core::{ObjVal, ObjectId};
+use qrdtm_core::{
+    crash_amnesia_sim_only, crash_sim_only, recover_sim_only, Membership, ObjVal, ObjectId,
+};
 use qrdtm_sim::{EngineEventKind, NodeId, Sim, SimDuration};
 use qrdtm_workloads::open_loop::{spawn_open_loop, LoadControl, LoadTallies, OpenLoopSpec};
 use qrdtm_workloads::protocol_bank::{audit, transfer};
@@ -254,16 +256,11 @@ pub fn run_plan<P: ChaosTarget + 'static>(
 
     // Detector mode: start the target's failure detector — the nemesis
     // will then touch the SIMULATOR only and never call the view oracle.
-    let detector = if spec.detector {
-        let h = Rc::clone(&proto).start_detector();
-        assert!(
-            h.is_some(),
-            "detector mode requires a detector-capable target (set DtmConfig::detector)"
-        );
-        h
-    } else {
-        None
-    };
+    let detector = spec.detector.then(|| {
+        Rc::clone(&proto)
+            .start_detector()
+            .expect("detector mode requires a detector-capable target (set DtmConfig::detector)")
+    });
 
     let stop = Rc::new(Cell::new(false));
     let state = Rc::new(RefCell::new(NemesisState::default()));
@@ -386,10 +383,10 @@ pub fn run_plan<P: ChaosTarget + 'static>(
     // by the end of the recovery tail the view must agree with the network
     // about every node. Then stop the detector so the drain can quiesce.
     let mut violations = Vec::new();
-    if spec.detector {
+    if let Some(view) = detector_view(&*proto, spec.detector) {
         for node in (0..nodes as u32).map(NodeId) {
             let net_alive = sim.is_alive(node);
-            if net_alive != proto.view_member(node) {
+            if net_alive != view.view_alive(node) {
                 violations.push(ChaosViolation::MembershipDiverged {
                     node: node.0,
                     net_alive,
@@ -493,9 +490,19 @@ pub fn run_plan<P: ChaosTarget + 'static>(
             events: m.events,
             end_ns: sim.now().as_nanos(),
         },
-        view_epoch: proto.view_epoch(),
+        view_epoch: proto.membership().map_or(0, |m| m.view_epoch()),
         metrics: m,
     }
+}
+
+/// The membership view the sim-only verbs and the convergence checker work
+/// over — `Some` exactly in detector mode, where [`run_plan`] has already
+/// established that the target is self-healing.
+fn detector_view<P: ChaosTarget>(p: &P, detector: bool) -> Option<&dyn Membership> {
+    detector.then(|| {
+        p.membership()
+            .expect("a target with a failure detector keeps a membership view")
+    })
 }
 
 fn apply_event<P: ChaosTarget>(
@@ -518,19 +525,14 @@ fn apply_event<P: ChaosTarget>(
     // Detector mode swaps the oracle hooks (which repair the view at the
     // instant of the fault) for sim-only ones: the target's own failure
     // detector must notice the silence and react.
-    let crash = |n: NodeId| {
-        if detector {
-            p.crash_sim_only(n)
-        } else {
-            p.crash(n)
-        }
+    let view = detector_view(p, detector);
+    let crash = |n: NodeId| match view {
+        Some(v) => crash_sim_only(v, s, n),
+        None => p.crash(n),
     };
-    let recover = |n: NodeId| {
-        if detector {
-            p.recover_sim_only(n)
-        } else {
-            p.recover_crashed(n)
-        }
+    let recover = |n: NodeId| match view {
+        Some(_) => recover_sim_only(s, n),
+        None => p.recover_crashed(n),
     };
     let mut applied_on: Option<NodeId> = None;
     match &kind {
@@ -620,10 +622,9 @@ fn apply_event<P: ChaosTarget>(
             // heal-all backstop) cures it through the same recovery hooks;
             // the amnesiac readmission path runs the honest replay+repair.
             if *node < nodes && !st.crashed.contains(node) {
-                let ok = if detector {
-                    p.crash_amnesia_sim_only(NodeId(*node))
-                } else {
-                    p.crash_amnesia(NodeId(*node))
+                let ok = match view {
+                    Some(v) => crash_amnesia_sim_only(v, s, NodeId(*node)),
+                    None => p.crash_amnesia(NodeId(*node)),
                 };
                 if ok {
                     st.crashed.insert(*node);
@@ -692,7 +693,7 @@ fn heal_all<P: ChaosTarget>(
     let crashed: Vec<u32> = st.crashed.iter().copied().collect();
     for node in crashed {
         if detector {
-            p.recover_sim_only(NodeId(node));
+            recover_sim_only(s, NodeId(node));
         } else {
             p.recover_crashed(NodeId(node));
         }

@@ -6,9 +6,13 @@
 use std::rc::Rc;
 
 use qrdtm_baselines::{DecentCluster, TfaCluster};
-use qrdtm_core::{spawn_detector, Cluster, DetectorHandle, ObjectId, SimHosted};
+use qrdtm_core::history::verify;
+use qrdtm_core::{
+    spawn_detector, Cluster, CommitRecord, DetectorHandle, Membership, ObjVal, ObjectId, SimHosted,
+    Version,
+};
 use qrdtm_qstore::QStoreCluster;
-use qrdtm_sim::NodeId;
+use qrdtm_sim::{NodeId, SimDuration};
 
 use crate::plan::FaultKind;
 
@@ -75,8 +79,15 @@ impl FaultSupport {
 }
 
 /// A protocol the nemesis can drive: a simulator-hosted [`DtmProtocol`]
-/// plus fault hooks and
-/// committed-state access for the post-hoc checkers.
+/// plus fault hooks and committed-state access for the post-hoc checkers.
+///
+/// Only what differs per family is a hook here. The detector-mode verbs
+/// (`crash_sim_only` & co.) are written once in `qrdtm_core` over the
+/// [`Membership`] view a self-healing target hands out; the oracle verbs
+/// stay per family because the order of view repair and network kill is
+/// part of each protocol.
+///
+/// [`DtmProtocol`]: qrdtm_core::DtmProtocol
 pub trait ChaosTarget: SimHosted {
     /// Which fault classes this protocol may be subjected to.
     fn fault_support(&self) -> FaultSupport;
@@ -84,14 +95,25 @@ pub trait ChaosTarget: SimHosted {
     /// Crash-stop `node`, repairing whatever membership/quorum view the
     /// protocol keeps. Returns false if the crash cannot be applied (e.g.
     /// no quorum would survive) — the event is then skipped.
-    fn crash(&self, node: NodeId) -> bool {
-        let _ = node;
+    fn crash(&self, _node: NodeId) -> bool {
         false
     }
 
     /// Recover a crashed node. Returns false if recovery is impossible.
-    fn recover_crashed(&self, node: NodeId) -> bool {
-        let _ = node;
+    fn recover_crashed(&self, _node: NodeId) -> bool {
+        false
+    }
+
+    /// Crash `node` with amnesia (volatile state lost, durable log keeps a
+    /// seeded prefix), repairing the membership view. Returns false if
+    /// inapplicable.
+    fn crash_amnesia(&self, _node: NodeId) -> bool {
+        false
+    }
+
+    /// Corrupt the tail of `node`'s durable log in place. Returns false if
+    /// the target keeps no durable log (or it is empty).
+    fn corrupt_tail(&self, _node: NodeId) -> bool {
         false
     }
 
@@ -101,35 +123,13 @@ pub trait ChaosTarget: SimHosted {
         None
     }
 
-    /// Start recording a commit history for post-hoc serializability
-    /// checking (no-op if the protocol has no recorder).
-    fn begin_history(&self) {}
-
-    /// Violations found by replaying the recorded history (empty if the
-    /// protocol has no recorder).
-    fn history_violations(&self) -> Vec<String> {
-        Vec::new()
-    }
-
-    /// The committed value of an integer object as a client reading after
-    /// quiescence would see it.
-    fn committed_int(&self, oid: ObjectId) -> Option<i64>;
-
-    /// Kill `node` **in the simulator only** — no view repair, no oracle
-    /// call. Detector-mode nemesis hook: the failure detector must notice
-    /// on its own. Returns false if inapplicable (target keeps no
-    /// self-healing view, node already dead, or no quorum would survive
-    /// once the detector reacts).
-    fn crash_sim_only(&self, node: NodeId) -> bool {
-        let _ = node;
-        false
-    }
-
-    /// Revive `node` in the simulator only; the detector is responsible
-    /// for rejoining it to the view (with state transfer).
-    fn recover_sim_only(&self, node: NodeId) -> bool {
-        let _ = node;
-        false
+    /// The reconfigurable membership view, if the target keeps one. In
+    /// detector mode the nemesis touches the simulator only, through
+    /// `qrdtm_core::{crash_sim_only, recover_sim_only,
+    /// crash_amnesia_sim_only}` over this view, and the convergence
+    /// checker compares it against network aliveness.
+    fn membership(&self) -> Option<&dyn Membership> {
+        None
     }
 
     /// Start the target's failure detector, if it has one configured.
@@ -137,61 +137,62 @@ pub trait ChaosTarget: SimHosted {
         None
     }
 
-    /// Whether the membership view currently includes `node` (trivially
-    /// true for targets without a self-healing view; the detector-mode
-    /// convergence checker compares this against network aliveness).
-    fn view_member(&self, node: NodeId) -> bool {
-        let _ = node;
-        true
-    }
-
-    /// The current view epoch, if the target keeps one (0 otherwise).
-    fn view_epoch(&self) -> u64 {
-        0
-    }
-
     /// How long after a crash the detector may take to raise its suspicion
-    /// before the checker flags it (derived from the detector knobs;
-    /// `None` when no detector is configured).
-    fn detection_bound(&self) -> Option<qrdtm_sim::SimDuration> {
+    /// before the checker flags it ([`DetectorConfig::detection_bound`]
+    /// over the family's transfer cost; `None` when no detector is
+    /// configured).
+    ///
+    /// [`DetectorConfig::detection_bound`]: qrdtm_core::DetectorConfig::detection_bound
+    fn detection_bound(&self) -> Option<SimDuration> {
         None
     }
 
-    /// Crash `node` with amnesia (volatile state lost, durable log keeps a
-    /// seeded prefix), repairing the membership view. Returns false if
-    /// inapplicable.
-    fn crash_amnesia(&self, node: NodeId) -> bool {
-        let _ = node;
-        false
+    /// Start recording a commit history for post-hoc serializability
+    /// checking (no-op if the protocol has no recorder).
+    fn begin_history(&self) {}
+
+    /// The commits recorded since [`ChaosTarget::begin_history`] (empty if
+    /// the protocol has no recorder).
+    fn history(&self) -> Vec<CommitRecord> {
+        Vec::new()
     }
 
-    /// Detector-mode flavour of [`ChaosTarget::crash_amnesia`]: network
-    /// kill + state loss only, the view learns nothing.
-    fn crash_amnesia_sim_only(&self, node: NodeId) -> bool {
-        let _ = node;
-        false
-    }
-
-    /// Corrupt the tail of `node`'s durable log in place. Returns false if
-    /// the target keeps no durable log (or it is empty).
-    fn corrupt_tail(&self, node: NodeId) -> bool {
-        let _ = node;
-        false
-    }
-
-    /// The committed version of an object as a quorum reader would see it
-    /// (for the durability checker; `None` if unknown or inapplicable).
-    fn committed_version(&self, oid: ObjectId) -> Option<u64> {
-        let _ = oid;
-        None
+    /// Violations found by replaying the recorded history.
+    fn history_violations(&self) -> Vec<String> {
+        verify(&self.history())
+            .into_iter()
+            .map(|v| v.to_string())
+            .collect()
     }
 
     /// Every `(object id, installed version)` pair acknowledged to a
-    /// client by a successful commit, from the recorded history (empty
-    /// without a recorder). The durability checker asserts none of these
-    /// regressed after the run.
+    /// client by a successful commit, from the recorded history. The
+    /// durability checker asserts none of these regressed after the run.
     fn acked_write_versions(&self) -> Vec<(u64, u64)> {
-        Vec::new()
+        self.history()
+            .iter()
+            .flat_map(|rec| {
+                rec.writes
+                    .iter()
+                    .map(|(oid, _, installed)| (oid.0, installed.0))
+            })
+            .collect()
+    }
+
+    /// The committed `(version, value)` of an object as a client reading
+    /// after quiescence would see it; the version is `None` for protocols
+    /// that keep none.
+    fn committed(&self, oid: ObjectId) -> Option<(Option<Version>, ObjVal)>;
+
+    /// The committed value of an integer object.
+    fn committed_int(&self, oid: ObjectId) -> Option<i64> {
+        self.committed(oid).map(|(_, val)| val.expect_int())
+    }
+
+    /// The committed version of an object (for the durability checker;
+    /// `None` if unknown or inapplicable).
+    fn committed_version(&self, oid: ObjectId) -> Option<u64> {
+        self.committed(oid)?.0.map(|v| v.0)
     }
 
     /// Batch-oriented protocols only: violations of epoch (batch)
@@ -204,7 +205,7 @@ pub trait ChaosTarget: SimHosted {
     /// The target's client retry budget as `(cap, refill_per_commit,
     /// drip)`, when overload protection is armed — feeds the no-retry-storm
     /// checker. `None` when the protocol has no budget (nothing to check).
-    fn retry_budget(&self) -> Option<(u64, u64, qrdtm_sim::SimDuration)> {
+    fn retry_budget(&self) -> Option<(u64, u64, SimDuration)> {
         None
     }
 }
@@ -219,103 +220,52 @@ impl ChaosTarget for Cluster {
     }
 
     fn crash(&self, node: NodeId) -> bool {
-        Cluster::fail_node(self, node).is_ok()
+        self.fail_node(node).is_ok()
     }
 
     fn recover_crashed(&self, node: NodeId) -> bool {
-        Cluster::recover_node(self, node).is_ok()
-    }
-
-    fn read_quorum_victim(&self) -> Option<NodeId> {
-        self.read_quorum().first().copied()
-    }
-
-    fn begin_history(&self) {
-        self.enable_history();
-    }
-
-    fn history_violations(&self) -> Vec<String> {
-        self.verify_history()
-            .into_iter()
-            .map(|v| v.to_string())
-            .collect()
-    }
-
-    fn committed_int(&self, oid: ObjectId) -> Option<i64> {
-        self.latest(oid).map(|(_, v)| v.expect_int())
-    }
-
-    fn crash_sim_only(&self, node: NodeId) -> bool {
-        // Same applicability rule as the oracle crash: never kill the last
-        // node that keeps the quorums alive — the detector could only
-        // refuse the ejection and the cluster would stall until heal.
-        if !self.sim().is_alive(node) || !self.quorum_survives_without(node) {
-            return false;
-        }
-        self.sim().fail_node(node);
-        true
-    }
-
-    fn recover_sim_only(&self, node: NodeId) -> bool {
-        if self.sim().is_alive(node) {
-            return false;
-        }
-        self.sim().recover_node(node);
-        true
-    }
-
-    fn start_detector(self: Rc<Self>) -> Option<DetectorHandle> {
-        self.config().detector.map(|_| spawn_detector(&self))
-    }
-
-    fn view_member(&self, node: NodeId) -> bool {
-        self.view_alive(node)
-    }
-
-    fn view_epoch(&self) -> u64 {
-        Cluster::view_epoch(self)
-    }
-
-    fn detection_bound(&self) -> Option<qrdtm_sim::SimDuration> {
-        // Suspicion fires once silence exceeds the window; grant four more
-        // intervals of slack for heartbeat staggering, in-flight delivery
-        // and detector-tick quantization. A node that crashes right after
-        // rejoining is additionally covered by its state-transfer grace
-        // (the detector deliberately does not suspect a joiner whose
-        // heartbeats queue behind the transfer it was just charged).
-        self.config()
-            .detector
-            .map(|d| d.suspect_window() * 2 + d.interval * 4 + self.transfer_cost())
+        self.recover_node(node).is_ok()
     }
 
     fn crash_amnesia(&self, node: NodeId) -> bool {
-        self.config().durability.is_some() && Cluster::crash_node_amnesia(self, node).is_ok()
-    }
-
-    fn crash_amnesia_sim_only(&self, node: NodeId) -> bool {
-        self.config().durability.is_some() && Cluster::crash_amnesia_sim_only(self, node)
+        self.config().durability.is_some() && self.crash_node_amnesia(node).is_ok()
     }
 
     fn corrupt_tail(&self, node: NodeId) -> bool {
         self.corrupt_wal_tail(node, 1)
     }
 
-    fn committed_version(&self, oid: ObjectId) -> Option<u64> {
-        self.latest(oid).map(|(v, _)| v.0)
+    fn read_quorum_victim(&self) -> Option<NodeId> {
+        self.read_quorum().first().copied()
     }
 
-    fn acked_write_versions(&self) -> Vec<(u64, u64)> {
-        self.history()
-            .iter()
-            .flat_map(|rec| {
-                rec.writes
-                    .iter()
-                    .map(|(oid, _, installed)| (oid.0, installed.0))
-            })
-            .collect()
+    fn membership(&self) -> Option<&dyn Membership> {
+        Some(self)
     }
 
-    fn retry_budget(&self) -> Option<(u64, u64, qrdtm_sim::SimDuration)> {
+    fn start_detector(self: Rc<Self>) -> Option<DetectorHandle> {
+        self.config().detector.map(|_| spawn_detector(&self))
+    }
+
+    fn detection_bound(&self) -> Option<SimDuration> {
+        self.config()
+            .detector
+            .map(|d| d.detection_bound(self.transfer_cost()))
+    }
+
+    fn begin_history(&self) {
+        self.enable_history();
+    }
+
+    fn history(&self) -> Vec<CommitRecord> {
+        Cluster::history(self)
+    }
+
+    fn committed(&self, oid: ObjectId) -> Option<(Option<Version>, ObjVal)> {
+        self.latest(oid).map(|(v, val)| (Some(v), val))
+    }
+
+    fn retry_budget(&self) -> Option<(u64, u64, SimDuration)> {
         self.config()
             .overload
             .map(|o| (o.retry_budget_cap, o.retry_refill_per_commit, o.retry_drip))
@@ -327,8 +277,8 @@ impl ChaosTarget for TfaCluster {
         FaultSupport::gray_only()
     }
 
-    fn committed_int(&self, oid: ObjectId) -> Option<i64> {
-        self.latest(oid).map(|v| v.expect_int())
+    fn committed(&self, oid: ObjectId) -> Option<(Option<Version>, ObjVal)> {
+        self.latest(oid).map(|val| (None, val))
     }
 }
 
@@ -337,8 +287,8 @@ impl ChaosTarget for DecentCluster {
         FaultSupport::gray_only()
     }
 
-    fn committed_int(&self, oid: ObjectId) -> Option<i64> {
-        self.latest(oid).map(|v| v.expect_int())
+    fn committed(&self, oid: ObjectId) -> Option<(Option<Version>, ObjVal)> {
+        self.latest(oid).map(|val| (None, val))
     }
 }
 
@@ -354,34 +304,23 @@ impl ChaosTarget for QStoreCluster {
     }
 
     fn crash(&self, node: NodeId) -> bool {
-        QStoreCluster::crash_node(self, node)
+        self.crash_node(node)
     }
 
     fn recover_crashed(&self, node: NodeId) -> bool {
-        QStoreCluster::recover_crashed_node(self, node)
+        self.recover_crashed_node(node)
     }
 
-    fn begin_history(&self) {
-        QStoreCluster::begin_history(self);
+    fn crash_amnesia(&self, node: NodeId) -> bool {
+        self.config().durability.is_some() && self.crash_node_amnesia(node)
     }
 
-    fn history_violations(&self) -> Vec<String> {
-        self.verify_history()
-            .into_iter()
-            .map(|v| v.to_string())
-            .collect()
+    fn corrupt_tail(&self, node: NodeId) -> bool {
+        QStoreCluster::corrupt_tail(self, node, 1)
     }
 
-    fn committed_int(&self, oid: ObjectId) -> Option<i64> {
-        self.latest(oid).map(|(_, v)| v.expect_int())
-    }
-
-    fn crash_sim_only(&self, node: NodeId) -> bool {
-        QStoreCluster::crash_sim_only(self, node)
-    }
-
-    fn recover_sim_only(&self, node: NodeId) -> bool {
-        QStoreCluster::recover_sim_only(self, node)
+    fn membership(&self) -> Option<&dyn Membership> {
+        Some(self)
     }
 
     fn start_detector(self: Rc<Self>) -> Option<DetectorHandle> {
@@ -390,45 +329,22 @@ impl ChaosTarget for QStoreCluster {
             .map(|_| QStoreCluster::start_detector(&self))
     }
 
-    fn view_member(&self, node: NodeId) -> bool {
-        self.view_alive(node)
-    }
-
-    fn view_epoch(&self) -> u64 {
-        QStoreCluster::view_epoch(self)
-    }
-
-    fn detection_bound(&self) -> Option<qrdtm_sim::SimDuration> {
+    fn detection_bound(&self) -> Option<SimDuration> {
         self.config()
             .detector
-            .map(|_| QStoreCluster::detection_bound(self))
+            .map(|d| d.detection_bound(self.config().transfer_cost))
     }
 
-    fn crash_amnesia(&self, node: NodeId) -> bool {
-        self.config().durability.is_some() && QStoreCluster::crash_node_amnesia(self, node)
+    fn begin_history(&self) {
+        QStoreCluster::begin_history(self);
     }
 
-    fn crash_amnesia_sim_only(&self, node: NodeId) -> bool {
-        self.config().durability.is_some() && QStoreCluster::crash_amnesia_sim_only(self, node)
+    fn history(&self) -> Vec<CommitRecord> {
+        QStoreCluster::history(self)
     }
 
-    fn corrupt_tail(&self, node: NodeId) -> bool {
-        self.config().durability.is_some() && QStoreCluster::corrupt_tail(self, node, 1)
-    }
-
-    fn committed_version(&self, oid: ObjectId) -> Option<u64> {
-        self.latest(oid).map(|(v, _)| v.0)
-    }
-
-    fn acked_write_versions(&self) -> Vec<(u64, u64)> {
-        self.history()
-            .iter()
-            .flat_map(|rec| {
-                rec.writes
-                    .iter()
-                    .map(|(oid, _, installed)| (oid.0, installed.0))
-            })
-            .collect()
+    fn committed(&self, oid: ObjectId) -> Option<(Option<Version>, ObjVal)> {
+        self.latest(oid).map(|(v, val)| (Some(v), val))
     }
 
     fn batch_atomicity_violations(&self) -> Vec<String> {

@@ -13,7 +13,7 @@ use qrdtm_quorum::{QuorumError, Tree, TreeQuorum};
 use qrdtm_sim::{ConstLatency, JitteredLatency, NodeId, Sim, SimConfig, SimDuration};
 
 use crate::engine::repair;
-use crate::engine::wal::ReplicaWal;
+use crate::engine::wal::{install_stream, ReplicaWal, WalRecord};
 use crate::history::{CommitRecord, HistoryRecorder, Violation};
 use crate::msg::Msg;
 use crate::object::{ObjVal, ObjectId};
@@ -142,7 +142,7 @@ pub struct DtmConfig {
     /// one-object-per-message pull from a donor).
     pub transfer_latency: Option<SimDuration>,
     /// Give every replica a simulated disk with a write-ahead log and
-    /// periodic snapshots (see [`crate::engine::wal`]). Arms the
+    /// periodic snapshots (see [`crate::Wal`]). Arms the
     /// crash-restart-with-amnesia semantics
     /// ([`Cluster::crash_node_amnesia`]): a crashed node loses its volatile
     /// object table and recovers honestly — snapshot+log replay, torn-tail
@@ -432,10 +432,21 @@ impl Cluster {
                     Msg::Apply { root, writes } => {
                         st.apply(*root, writes);
                         if let Some(w) = &wal {
-                            // WAL the phase-2 application before acking; the
-                            // disk work occupies the server beyond the
-                            // request's own service time.
-                            let cost = w.borrow_mut().record_apply(*root, writes, || st.entries());
+                            // WAL the phase-2 application before acking,
+                            // group-committing every `fsync_every` appends
+                            // and superseding the log with the post-apply
+                            // table every `snapshot_every`; the disk work
+                            // occupies the server beyond the request's own
+                            // service time.
+                            let mut w = w.borrow_mut();
+                            let mut cost = w.append(WalRecord {
+                                writes: writes.to_vec(),
+                            });
+                            if w.snapshot_due() {
+                                cost += w.snapshot(st.entries());
+                            } else if w.fsync_due() {
+                                cost += w.fsync(None);
+                            }
                             ctx.occupy(cost);
                         }
                         ctx.respond(&env, Msg::Ack);
@@ -501,7 +512,9 @@ impl Cluster {
         }
         if let Some(wals) = &self.inner.wals {
             for w in wals {
-                w.borrow_mut().record_preload(oid, val.clone());
+                w.borrow_mut().preload(WalRecord {
+                    writes: vec![(oid, crate::object::Version::INITIAL, val.clone())],
+                });
             }
         }
     }
@@ -555,10 +568,6 @@ impl Cluster {
     /// Requires [`DtmConfig::durability`] — without a disk there is nothing
     /// to restart from. Errors (like `fail_node`) if no quorum survives.
     pub fn crash_node_amnesia(&self, node: NodeId) -> Result<(), QuorumError> {
-        assert!(
-            self.inner.cfg.durability.is_some(),
-            "crash_node_amnesia requires DtmConfig::durability"
-        );
         self.fail_node(node)?;
         // fail_node no-ops when the view already excludes the node; the
         // crash must still take the network down and lose the state.
@@ -567,32 +576,18 @@ impl Cluster {
         Ok(())
     }
 
-    /// Kill `node` in the simulator only and wipe its volatile state — the
-    /// failure-detector flavour of [`Cluster::crash_node_amnesia`] (the
-    /// quorum view is the detector's business). Refuses (returning `false`)
-    /// if the node is already dead or the remaining census could not form
-    /// quorums. Requires [`DtmConfig::durability`].
-    pub fn crash_amnesia_sim_only(&self, node: NodeId) -> bool {
-        assert!(
-            self.inner.cfg.durability.is_some(),
-            "crash_amnesia_sim_only requires DtmConfig::durability"
-        );
-        if !self.sim.is_alive(node) || !self.quorum_survives_without(node) {
-            return false;
-        }
-        self.sim.fail_node(node);
-        self.forget_node(node);
-        true
-    }
-
     /// Lose `node`'s volatile state: empty object table, seeded partial
-    /// loss of the unsynced disk buffer, amnesiac flag set.
-    fn forget_node(&self, node: NodeId) {
+    /// loss of the unsynced disk buffer, amnesiac flag set. Requires
+    /// [`DtmConfig::durability`] — readmission restarts from the disk.
+    pub(crate) fn forget_node(&self, node: NodeId) {
+        let wals = self
+            .inner
+            .wals
+            .as_ref()
+            .expect("an amnesiac crash requires DtmConfig::durability");
         *self.inner.stores[node.index()].borrow_mut() = NodeStore::new();
-        if let Some(wals) = &self.inner.wals {
-            self.sim
-                .with_rng(|rng| wals[node.index()].borrow_mut().crash(rng));
-        }
+        self.sim
+            .with_rng(|rng| wals[node.index()].borrow_mut().crash(rng));
         self.inner.amnesiac.borrow_mut()[node.index()] = true;
     }
 
@@ -808,7 +803,7 @@ impl Cluster {
             .expect("amnesiac node implies durability");
         let img = wals[node.index()].borrow_mut().replay();
         let mut store = NodeStore::new();
-        for (oid, version, val) in img.installs {
+        for (oid, version, val) in install_stream(img.snapshot, img.records) {
             store.sync(oid, version, val);
         }
         let mut cost = img.cost;
@@ -854,9 +849,7 @@ impl Cluster {
         }
         let nominal = self.inner.cfg.latency.nominal();
         cost += repair::charge_quorum_repair(&self.sim, node, repaired, bytes, nominal);
-        cost += wals[node.index()]
-            .borrow_mut()
-            .snapshot_now(store.entries());
+        cost += wals[node.index()].borrow_mut().snapshot(store.entries());
         *self.inner.stores[node.index()].borrow_mut() = store;
         self.inner.amnesiac.borrow_mut()[node.index()] = false;
         cost

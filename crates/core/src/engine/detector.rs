@@ -44,7 +44,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use qrdtm_sim::{
-    Counter, EngineEventKind, HeartbeatConfig, NodeId, SimDuration, SimMessage, SimTime,
+    Counter, EngineEventKind, HeartbeatConfig, NodeId, Sim, SimDuration, SimMessage, SimTime,
 };
 
 use crate::cluster::Cluster;
@@ -88,6 +88,18 @@ impl DetectorConfig {
         self.interval * u64::from(self.suspect_after)
     }
 
+    /// How long after a crash the detector may take to raise its suspicion
+    /// (and, after a heal, to readmit the node) before a checker flags it.
+    /// Suspicion fires once silence exceeds the window; twice the window
+    /// plus four more intervals is the slack for heartbeat staggering,
+    /// in-flight delivery and detector-tick quantization. `transfer_cost`
+    /// covers a node that crashes right after rejoining: the detector
+    /// deliberately does not suspect a joiner whose heartbeats queue behind
+    /// the state transfer it was just charged.
+    pub fn detection_bound(&self, transfer_cost: SimDuration) -> SimDuration {
+        self.suspect_window() * 2 + self.interval * 4 + transfer_cost
+    }
+
     pub(crate) fn heartbeat(&self) -> HeartbeatConfig {
         HeartbeatConfig {
             interval: self.interval,
@@ -115,6 +127,52 @@ pub trait Membership {
     /// the charged readmission cost (the joiner's grace period), or `None`
     /// when the node was not readmitted.
     fn rejoin(&self, node: NodeId) -> Option<SimDuration>;
+    /// Whether the nodes the network still has alive, minus `node`, could
+    /// keep the view going (quorums for QR, a majority for Q-Store) — the
+    /// view itself may not have noticed every death yet.
+    fn survives_without(&self, node: NodeId) -> bool;
+    /// Lose `node`'s volatile state, keeping only what its disk holds
+    /// after a seeded crash; its readmission must replay and repair.
+    /// Requires durable storage.
+    fn forget(&self, node: NodeId);
+}
+
+/// Detector-mode crash: kill `node` in the simulator only — no view
+/// repair, no oracle; the failure detector must notice the silence on its
+/// own. Refused (`false`) when the node is already dead or is the last
+/// one keeping the view alive: the detector could only refuse the
+/// ejection and the cluster would stall until heal.
+pub fn crash_sim_only<M: SimMessage>(view: &dyn Membership, sim: &Sim<M>, node: NodeId) -> bool {
+    if !sim.is_alive(node) || !view.survives_without(node) {
+        return false;
+    }
+    sim.fail_node(node);
+    true
+}
+
+/// Detector-mode heal: revive `node` in the simulator only; its heartbeats
+/// resume and the detector rejoins it to the view (with state transfer).
+/// `false` when the node is not dead.
+pub fn recover_sim_only<M: SimMessage>(sim: &Sim<M>, node: NodeId) -> bool {
+    if sim.is_alive(node) {
+        return false;
+    }
+    sim.recover_node(node);
+    true
+}
+
+/// Detector-mode crash **with amnesia**: [`crash_sim_only`] plus the loss
+/// of the node's volatile state; the view learns nothing.
+pub fn crash_amnesia_sim_only<M: SimMessage>(
+    view: &dyn Membership,
+    sim: &Sim<M>,
+    node: NodeId,
+) -> bool {
+    let crashed = crash_sim_only(view, sim, node);
+    if crashed {
+        view.forget(node);
+    }
+    crashed
 }
 
 impl Membership for Cluster {
@@ -132,6 +190,12 @@ impl Membership for Cluster {
     }
     fn rejoin(&self, node: NodeId) -> Option<SimDuration> {
         self.rejoin_node(node).ok()
+    }
+    fn survives_without(&self, node: NodeId) -> bool {
+        self.quorum_survives_without(node)
+    }
+    fn forget(&self, node: NodeId) {
+        self.forget_node(node);
     }
 }
 

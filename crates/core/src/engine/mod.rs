@@ -45,8 +45,11 @@ mod transport;
 mod validation;
 pub(crate) mod wal;
 
-pub use detector::{spawn_detector, spawn_detector_on, DetectorConfig, DetectorHandle, Membership};
-pub use wal::DurabilityConfig;
+pub use detector::{
+    crash_amnesia_sim_only, crash_sim_only, recover_sim_only, spawn_detector, spawn_detector_on,
+    DetectorConfig, DetectorHandle, Membership,
+};
+pub use wal::{DurabilityConfig, Replay, Wal};
 
 #[cfg(test)]
 mod tests;

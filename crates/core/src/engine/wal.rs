@@ -1,22 +1,27 @@
-//! Per-replica write-ahead log and snapshots over the simulated disk.
+//! The one write-ahead log every durable replica keeps on its simulated
+//! disk, generic over what a family logs.
 //!
-//! When [`DtmConfig::durability`](crate::cluster::DtmConfig) is armed, every
-//! replica records each commit phase-2 application to a [`qrdtm_sim::Disk`]
-//! before acknowledging it, fsyncs every [`DurabilityConfig::fsync_every`]
-//! appends, and supersedes the log with a full snapshot every
-//! [`DurabilityConfig::snapshot_every`] appends. A *crash-restart-with-
-//! amnesia* (as opposed to the classic crash-pause) wipes the replica's
-//! volatile object table; the restart replays snapshot+log from this layer,
-//! detects a torn tail if the crash (or a `corrupt-tail` fault) damaged the
-//! last durable records, and hands the rest to the quorum-repair protocol
-//! in `cluster.rs` to catch up the lost suffix.
+//! [`Wal<R, S>`] wraps a [`qrdtm_sim::Disk`] of log records `R` and
+//! snapshots `S` and owns everything about durability that does not depend
+//! on the record type: the latencies, the since-last-fsync and
+//! since-last-snapshot policy counters, seeded crash loss, tail corruption,
+//! group-commit latency samples, and the cost of reading the image back at
+//! an amnesiac restart. A family keeps only its record and snapshot types
+//! and the fold that turns a [`Replay`] into installable state: for QR,
+//! [`WalRecord`] (one phase-2 application) folded into an install stream
+//! by [`install_stream`]; for Q-Store, one whole batch per record.
+//!
+//! A *crash-restart-with-amnesia* (as opposed to the classic crash-pause)
+//! wipes a replica's volatile state; the restart replays snapshot+log from
+//! here, detects a torn tail if the crash (or a `corrupt-tail` fault)
+//! damaged the last durable records, and hands the rest to the family's
+//! repair protocol to catch up the lost suffix.
 
 use rand::rngs::StdRng;
 
 use qrdtm_sim::{Disk, DiskConfig, SimDuration};
 
 use crate::object::{ObjVal, ObjectId, Version};
-use crate::txid::TxId;
 
 /// Durable-storage knobs (see `DtmConfig::durability`; `None` = replicas
 /// are memory-only and a crash is a pause, today's classic behaviour).
@@ -28,7 +33,9 @@ pub struct DurabilityConfig {
     pub fsync_latency: SimDuration,
     /// Cost of writing (or reading back) a full snapshot.
     pub snapshot_latency: SimDuration,
-    /// Fsync the log every N appended records (group commit).
+    /// Fsync the log every N appended records (QR's group commit). Q-Store
+    /// ignores it: that family group-commits by construction, one fsync
+    /// per batch record.
     pub fsync_every: usize,
     /// Take a snapshot (and truncate the log) every N appended records.
     pub snapshot_every: usize,
@@ -51,105 +58,96 @@ impl Default for DurabilityConfig {
     }
 }
 
-impl DurabilityConfig {
-    fn disk_config(&self) -> DiskConfig {
-        DiskConfig {
-            append_latency: self.append_latency,
-            fsync_latency: self.fsync_latency,
-            snapshot_latency: self.snapshot_latency,
-            torn_tail_pct: self.torn_tail_pct,
-        }
-    }
-}
-
-/// One WAL record: a phase-2 application of a committed transaction's
-/// write set (the installed versions, not the observed ones).
-#[derive(Clone, Debug)]
-pub struct WalRecord {
-    /// Root transaction whose commit this records. Replay reinstalls by
-    /// version (idempotent `sync`), not by transaction identity, so the id
-    /// exists for trace dumps and debugging only.
-    #[allow(dead_code)]
-    pub root: TxId,
-    /// Installed `(oid, new version, value)` triples.
-    pub writes: Vec<(ObjectId, Version, ObjVal)>,
-}
-
-/// A snapshot is the full committed object table at snapshot time.
-pub type SnapshotImage = Vec<(ObjectId, Version, ObjVal)>;
-
-/// What a restarting replica gets back from its durable storage.
-pub struct ReplayImage {
-    /// Snapshot entries then log records, already flattened into the
-    /// `(oid, version, value)` install stream to apply via `sync`.
-    pub installs: Vec<(ObjectId, Version, ObjVal)>,
-    /// Log records replayed (excluding the snapshot).
+/// What a restarting replica reads back from its [`Wal`].
+pub struct Replay<R, S> {
+    /// The newest snapshot, if one was ever taken.
+    pub snapshot: Option<S>,
+    /// Readable log records after the snapshot, in append order, up to
+    /// (and excluding) any torn record.
+    pub records: Vec<R>,
+    /// `records.len()`, kept for the accounting after a fold consumed them.
     pub records_replayed: u64,
     /// Whether a torn tail was detected (and truncated).
     pub torn_tail_detected: bool,
-    /// Occupancy cost of reading the disk back (snapshot read plus one
-    /// append-cost per record scanned).
+    /// Occupancy cost of reading the disk back: one append-cost per record
+    /// scanned, plus the snapshot read if there was one.
     pub cost: SimDuration,
 }
 
 /// The write-ahead log one replica keeps on its simulated disk.
-pub struct ReplicaWal {
+pub struct Wal<R, S> {
     cfg: DurabilityConfig,
-    disk: Disk<WalRecord, SnapshotImage>,
+    disk: Disk<R, S>,
     appends_since_fsync: usize,
     appends_since_snapshot: usize,
+    /// Cost of each [`fsync`](Self::fsync), in nanoseconds — the real disk
+    /// latencies behind the benchmark's fsync percentiles.
+    sync_lat: Vec<u64>,
 }
 
-impl ReplicaWal {
-    /// An empty WAL.
+impl<R: Clone, S: Clone> Wal<R, S> {
+    /// An empty log.
     pub fn new(cfg: DurabilityConfig) -> Self {
-        ReplicaWal {
+        Wal {
             cfg,
-            disk: Disk::new(cfg.disk_config()),
+            disk: Disk::new(DiskConfig {
+                append_latency: cfg.append_latency,
+                fsync_latency: cfg.fsync_latency,
+                snapshot_latency: cfg.snapshot_latency,
+                torn_tail_pct: cfg.torn_tail_pct,
+            }),
             appends_since_fsync: 0,
             appends_since_snapshot: 0,
+            sync_lat: Vec::new(),
         }
     }
 
-    /// Bootstrap: persist a preloaded object as if it were part of the
-    /// initial durable image. Free of charge — preloading happens before
-    /// the simulation starts, like `NodeStore::preload`.
-    pub fn record_preload(&mut self, oid: ObjectId, val: ObjVal) {
-        self.disk.append(WalRecord {
-            root: TxId {
-                node: u32::MAX,
-                seq: 0,
-            },
-            writes: vec![(oid, Version::INITIAL, val)],
-        });
+    /// Bootstrap: persist `rec` as part of the initial durable image. Free
+    /// of charge and outside the policy counters — preloading happens
+    /// before the simulation starts.
+    pub fn preload(&mut self, rec: R) {
+        self.disk.append(rec);
         self.disk.fsync();
     }
 
-    /// Record a phase-2 application, driving the fsync/snapshot policy.
-    /// `table` is the post-apply committed table (captured only when the
-    /// policy decides to snapshot). Returns the disk occupancy to charge
-    /// to the node.
-    pub fn record_apply(
-        &mut self,
-        root: TxId,
-        writes: &[(ObjectId, Version, ObjVal)],
-        table: impl FnOnce() -> SnapshotImage,
-    ) -> SimDuration {
-        let mut cost = self.disk.append(WalRecord {
-            root,
-            writes: writes.to_vec(),
-        });
+    /// Append one record to the volatile log buffer; it becomes durable at
+    /// the next [`fsync`](Self::fsync). Returns the occupancy cost.
+    pub fn append(&mut self, rec: R) -> SimDuration {
         self.appends_since_fsync += 1;
         self.appends_since_snapshot += 1;
-        if self.appends_since_snapshot >= self.cfg.snapshot_every {
-            cost += self.disk.snapshot(table());
-            self.appends_since_snapshot = 0;
-            self.appends_since_fsync = 0;
-        } else if self.appends_since_fsync >= self.cfg.fsync_every {
-            cost += self.disk.fsync();
-            self.appends_since_fsync = 0;
+        self.disk.append(rec)
+    }
+
+    /// Whether [`DurabilityConfig::fsync_every`] appends have accumulated.
+    pub fn fsync_due(&self) -> bool {
+        self.appends_since_fsync >= self.cfg.fsync_every
+    }
+
+    /// Whether [`DurabilityConfig::snapshot_every`] appends have
+    /// accumulated (the caller captures its state only when asked to).
+    pub fn snapshot_due(&self) -> bool {
+        self.appends_since_snapshot >= self.cfg.snapshot_every
+    }
+
+    /// Group commit: flush the buffer, then supersede the log with `snap`
+    /// if the caller captured one. Returns the total occupancy cost, which
+    /// is also sampled for [`sync_latencies`](Self::sync_latencies).
+    pub fn fsync(&mut self, snap: Option<S>) -> SimDuration {
+        let mut cost = self.disk.fsync();
+        self.appends_since_fsync = 0;
+        if let Some(s) = snap {
+            cost += self.snapshot(s);
         }
+        self.sync_lat.push(cost.as_nanos());
         cost
+    }
+
+    /// Write a full snapshot, superseding (and truncating) the log.
+    /// Returns the occupancy cost.
+    pub fn snapshot(&mut self, s: S) -> SimDuration {
+        self.appends_since_fsync = 0;
+        self.appends_since_snapshot = 0;
+        self.disk.snapshot(s)
     }
 
     /// The node crashed: lose a seeded portion of the unsynced buffer,
@@ -165,40 +163,54 @@ impl ReplicaWal {
         self.disk.corrupt_tail(records)
     }
 
-    /// Read the durable image back after an amnesiac restart.
-    pub fn replay(&mut self) -> ReplayImage {
+    /// Read the durable image back after an amnesiac restart. A torn
+    /// record truncates the log there.
+    pub fn replay(&mut self) -> Replay<R, S> {
         let img = self.disk.recover();
-        let records = img.log.len() as u64;
-        let mut cost = self.cfg.append_latency * records;
-        let mut installs: Vec<(ObjectId, Version, ObjVal)> = Vec::new();
-        if let Some(snap) = img.snapshot {
+        let records_replayed = img.log.len() as u64;
+        let mut cost = self.cfg.append_latency * records_replayed;
+        if img.snapshot.is_some() {
             cost += self.cfg.snapshot_latency;
-            installs.extend(snap);
         }
-        for rec in img.log {
-            installs.extend(rec.writes);
-        }
-        ReplayImage {
-            installs,
-            records_replayed: records,
+        Replay {
+            snapshot: img.snapshot,
+            records: img.log,
+            records_replayed,
             torn_tail_detected: img.torn_tail_detected,
             cost,
         }
     }
 
-    /// Persist a post-recovery snapshot so the disk catches up with the
-    /// quorum-repaired in-memory table. Returns the occupancy cost.
-    pub fn snapshot_now(&mut self, table: SnapshotImage) -> SimDuration {
-        self.appends_since_snapshot = 0;
-        self.appends_since_fsync = 0;
-        self.disk.snapshot(table)
+    /// Cost of every [`fsync`](Self::fsync) so far, ns.
+    pub fn sync_latencies(&self) -> &[u64] {
+        &self.sync_lat
     }
+}
 
-    /// Durable log records that would survive a restart right now.
-    #[cfg(test)]
-    fn durable_len(&self) -> usize {
-        self.disk.readable_len()
-    }
+/// QR's log record: one phase-2 application of a committed transaction's
+/// write set — the installed `(oid, new version, value)` triples. Replay
+/// reinstalls by version (idempotent `sync`), not by transaction identity.
+#[derive(Clone, Debug)]
+pub(crate) struct WalRecord {
+    pub writes: Vec<(ObjectId, Version, ObjVal)>,
+}
+
+/// QR's snapshot: the full committed object table at snapshot time.
+pub(crate) type SnapshotImage = Vec<(ObjectId, Version, ObjVal)>;
+
+/// A QR replica's log.
+pub(crate) type ReplicaWal = Wal<WalRecord, SnapshotImage>;
+
+/// QR's fold: snapshot entries then log records, flattened into the
+/// `(oid, version, value)` install stream to apply via `sync`.
+pub(crate) fn install_stream(
+    snapshot: Option<SnapshotImage>,
+    records: Vec<WalRecord>,
+) -> impl Iterator<Item = (ObjectId, Version, ObjVal)> {
+    snapshot
+        .into_iter()
+        .flatten()
+        .chain(records.into_iter().flat_map(|rec| rec.writes))
 }
 
 #[cfg(test)]
@@ -206,80 +218,105 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
-    fn cfg() -> DurabilityConfig {
-        DurabilityConfig {
-            fsync_every: 2,
-            snapshot_every: 4,
+    /// Records and snapshots are opaque to the log: plain integers do.
+    fn wal(fsync_every: usize, snapshot_every: usize) -> Wal<u32, Vec<u32>> {
+        Wal::new(DurabilityConfig {
+            fsync_every,
+            snapshot_every,
             ..DurabilityConfig::default()
-        }
-    }
-
-    fn write(oid: u64, v: u64) -> (ObjectId, Version, ObjVal) {
-        (ObjectId(oid), Version(v), ObjVal::Int(v as i64))
-    }
-
-    fn apply(w: &mut ReplicaWal, seq: u64, oid: u64, v: u64) -> SimDuration {
-        w.record_apply(TxId { node: 0, seq }, &[write(oid, v)], || {
-            vec![write(oid, v)]
         })
+    }
+
+    /// One append under the policy QR's apply path runs.
+    fn apply(w: &mut Wal<u32, Vec<u32>>, rec: u32) {
+        w.append(rec);
+        if w.snapshot_due() {
+            w.snapshot(vec![rec]);
+        } else if w.fsync_due() {
+            w.fsync(None);
+        }
     }
 
     #[test]
     fn fsync_and_snapshot_policy_fire_on_schedule() {
-        let mut w = ReplicaWal::new(cfg());
-        apply(&mut w, 1, 1, 2);
-        assert_eq!(w.durable_len(), 0, "first append still buffered");
-        apply(&mut w, 2, 1, 3);
-        assert_eq!(w.durable_len(), 2, "fsync_every=2 flushed");
-        apply(&mut w, 3, 1, 4);
-        apply(&mut w, 4, 1, 5);
-        assert_eq!(w.durable_len(), 0, "snapshot_every=4 truncated the log");
+        let mut w = wal(2, 4);
+        apply(&mut w, 1);
+        assert_eq!(w.disk.readable_len(), 0, "first append still buffered");
+        apply(&mut w, 2);
+        assert_eq!(w.disk.readable_len(), 2, "fsync_every=2 flushed");
+        apply(&mut w, 3);
+        apply(&mut w, 4);
+        assert_eq!(
+            w.disk.readable_len(),
+            0,
+            "snapshot_every=4 truncated the log"
+        );
         let img = w.replay();
         assert_eq!(img.records_replayed, 0);
-        assert_eq!(img.installs, vec![write(1, 5)], "snapshot carries state");
+        assert_eq!(img.snapshot, Some(vec![4]), "snapshot carries state");
+        assert_eq!(img.cost, DurabilityConfig::default().snapshot_latency);
+        apply(&mut w, 5);
+        assert!(!w.fsync_due(), "the snapshot restarted both counters");
     }
 
     #[test]
     fn crash_loses_unsynced_tail_deterministically() {
         let run = |seed: u64| {
-            let mut w = ReplicaWal::new(DurabilityConfig {
-                fsync_every: 100,
-                snapshot_every: 1000,
-                ..DurabilityConfig::default()
-            });
+            let mut w = wal(100, 1000);
             for i in 0..8 {
-                apply(&mut w, i, 1, i + 2);
+                apply(&mut w, i);
             }
-            let mut rng = StdRng::seed_from_u64(seed);
-            w.crash(&mut rng);
+            w.crash(&mut StdRng::seed_from_u64(seed));
             let img = w.replay();
-            (img.records_replayed, img.torn_tail_detected)
+            (img.records, img.torn_tail_detected)
         };
         assert_eq!(run(3), run(3));
-        let (replayed, _) = run(3);
-        assert!(replayed <= 8);
-    }
-
-    #[test]
-    fn preloads_survive_replay() {
-        let mut w = ReplicaWal::new(cfg());
-        w.record_preload(ObjectId(7), ObjVal::Int(100));
-        let img = w.replay();
-        assert_eq!(
-            img.installs,
-            vec![(ObjectId(7), Version::INITIAL, ObjVal::Int(100))]
-        );
-        assert!(!img.torn_tail_detected);
+        assert!(run(3).0.len() <= 8);
     }
 
     #[test]
     fn corrupt_tail_is_detected_on_replay() {
-        let mut w = ReplicaWal::new(cfg());
-        apply(&mut w, 1, 1, 2);
-        apply(&mut w, 2, 1, 3); // fsynced now
+        let mut w = wal(2, 4);
+        apply(&mut w, 1);
+        apply(&mut w, 2); // fsynced now
         assert!(w.corrupt_tail(1));
         let img = w.replay();
         assert!(img.torn_tail_detected);
-        assert_eq!(img.records_replayed, 1, "tail truncated at the tear");
+        assert_eq!(img.records, vec![1], "tail truncated at the tear");
+        assert_eq!(img.cost, DurabilityConfig::default().append_latency);
+    }
+
+    #[test]
+    fn group_commit_samples_feed_the_fsync_telemetry() {
+        let d = DurabilityConfig::default();
+        let mut w = wal(1, 2);
+        w.append(1);
+        w.fsync(None);
+        w.append(2);
+        w.fsync(Some(vec![2]));
+        assert_eq!(
+            w.sync_latencies(),
+            &[
+                d.fsync_latency.as_nanos(),
+                (d.fsync_latency + d.snapshot_latency).as_nanos()
+            ],
+            "a policy snapshot is part of its group commit's sample"
+        );
+        w.snapshot(vec![2]);
+        assert_eq!(w.sync_latencies().len(), 2, "full-state installs are not");
+    }
+
+    #[test]
+    fn preloads_survive_replay() {
+        let mut w = ReplicaWal::new(DurabilityConfig::default());
+        w.preload(WalRecord {
+            writes: vec![(ObjectId(7), Version::INITIAL, ObjVal::Int(100))],
+        });
+        let img = w.replay();
+        assert!(!img.torn_tail_detected);
+        assert_eq!(
+            install_stream(img.snapshot, img.records).collect::<Vec<_>>(),
+            vec![(ObjectId(7), Version::INITIAL, ObjVal::Int(100))]
+        );
     }
 }

@@ -69,8 +69,8 @@ pub use cluster::{
     Cluster, DtmConfig, InjectedBug, LatencySpec, LockPolicy, OverloadConfig, QuorumView,
 };
 pub use engine::{
-    spawn_detector, spawn_detector_on, Client, DetectorConfig, DetectorHandle, DurabilityConfig,
-    Membership, Tx,
+    crash_amnesia_sim_only, crash_sim_only, recover_sim_only, spawn_detector, spawn_detector_on,
+    Client, DetectorConfig, DetectorHandle, DurabilityConfig, Membership, Replay, Tx, Wal,
 };
 pub use history::{
     check_abort_targets, check_checkpoint_restores, CommitRecord, HistoryRecorder,

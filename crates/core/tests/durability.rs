@@ -160,7 +160,7 @@ fn sim_only_amnesia_rejoins_through_the_shared_readmit_path() {
     let sim2 = sim.clone();
     sim.spawn(async move {
         sim2.sleep(SimDuration::from_millis(600)).await;
-        assert!(cl.crash_amnesia_sim_only(victim));
+        assert!(qrdtm_core::crash_amnesia_sim_only(&*cl, cl.sim(), victim));
         cl.eject_node(victim).unwrap();
         sim2.sleep(SimDuration::from_millis(600)).await;
         sim2.recover_node(victim);

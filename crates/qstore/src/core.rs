@@ -10,11 +10,13 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 
-use qrdtm_core::{repair, CommitRecord, ObjVal, ObjectId, SimSubstrate, Substrate, TxId, Version};
+use qrdtm_core::{
+    repair, CommitRecord, ObjVal, ObjectId, SimSubstrate, Substrate, TxId, Version, Wal,
+};
 use qrdtm_sim::{NodeId, Sim, SimDuration, SimTime};
 
 use crate::msg::{Decision, QMsg, TxStatus};
-use crate::wal::{BatchRecord, BatchWal, QSnapshot};
+use crate::wal::{fold, BatchRecord, QSnapshot};
 use crate::QStoreBug;
 
 /// Quorum size over the *configured* node count (the planner counts
@@ -54,7 +56,7 @@ pub(crate) struct ReplicaState {
     /// The real disk behind the counters above (`None` = cost-modelled
     /// mode, PR-7 behaviour: the counters move but nothing is readable
     /// back and a crash cannot be amnesiac).
-    pub wal: Option<BatchWal>,
+    pub wal: Option<Wal<BatchRecord, QSnapshot>>,
     /// Set between an amnesiac crash and the replay+repair at readmission.
     pub amnesiac: bool,
     /// View epoch under which this replica last applied state. A
@@ -146,15 +148,13 @@ impl ReplicaState {
     /// one, driving the snapshot policy. Returns the occupancy to charge,
     /// or `None` in cost-modelled mode (caller charges `wal_cost`).
     pub fn group_commit(&mut self) -> Option<SimDuration> {
-        self.wal.as_ref()?;
-        self.wal_fsyncs += 1;
         let snap = self
             .wal
-            .as_ref()
-            .unwrap()
+            .as_ref()?
             .snapshot_due()
             .then(|| self.snapshot_state());
-        Some(self.wal.as_mut().unwrap().sync(snap))
+        self.wal_fsyncs += 1;
+        self.wal.as_mut().map(|w| w.fsync(snap))
     }
 
     /// Persist a full-state install (`FullSync`, takeover adoption, or a
@@ -167,7 +167,7 @@ impl ReplicaState {
             return fallback;
         }
         let snap = self.snapshot_state();
-        self.wal.as_mut().unwrap().install_state(snap)
+        self.wal.as_mut().map_or(fallback, |w| w.snapshot(snap))
     }
 
     /// The replica's full committed state, as a snapshot payload.
@@ -1172,27 +1172,22 @@ pub(crate) fn forget_replica(sh: &Shared, sim: &Sim<QMsg>, idx: usize) {
 ///
 /// Returns the total occupancy to charge the restarting node.
 pub(crate) fn amnesia_recovery(sh: &Shared, sim: &Sim<QMsg>, idx: usize) -> SimDuration {
-    let img = {
+    let (records_replayed, torn_tail_detected, mut cost) = {
         let mut r = sh.replicas[idx].borrow_mut();
         let img = r
             .wal
             .as_mut()
             .expect("amnesiac replica implies durability")
             .replay();
-        r.store = img.store.clone();
-        r.decided = img.decided.clone();
-        r.applied = img.applied;
+        let st = fold(img.snapshot, img.records);
+        r.store = st.store;
+        r.decided = st.decided;
+        r.applied = st.applied;
         r.spec.clear();
         r.last_apply_epoch = 0;
-        img
+        (img.records_replayed, img.torn_tail_detected, img.cost)
     };
-    let mut cost = img.cost;
-    repair::account_wal_replay(
-        sim,
-        sh.nodes[idx],
-        img.records_replayed,
-        img.torn_tail_detected,
-    );
+    repair::account_wal_replay(sim, sh.nodes[idx], records_replayed, torn_tail_detected);
     let donor_idx = {
         let v = sh.view.borrow();
         let usable = |i: usize| i != idx && v.alive[i] && sim.is_alive(sh.nodes[i]);

@@ -47,7 +47,7 @@ use qrdtm_core::history::{verify, Violation};
 use qrdtm_core::{
     spawn_detector_on, Abort, DetectorConfig, DetectorHandle, DtmProtocol, DurabilityConfig,
     LatencySpec, Membership, ObjVal, ObjectId, ProtocolStats, SimHosted, SimSubstrate, Substrate,
-    TxId, Version,
+    TxId, Version, Wal,
 };
 use qrdtm_sim::{NodeId, Sim, SimConfig, SimDuration};
 
@@ -62,7 +62,7 @@ use crate::core::{
     amnesia_recovery, catch_up, forget_replica, install_handlers, majority, takeover, PlannerState,
     QView, ReplicaState, Shared, Slot, Tunables,
 };
-use crate::wal::BatchWal;
+use crate::wal::BatchRecord;
 
 /// Protocol bugs that can be injected for model-checker validation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -178,7 +178,7 @@ impl QStoreCluster {
             replicas: (0..cfg.nodes)
                 .map(|_| {
                     Rc::new(RefCell::new(ReplicaState {
-                        wal: cfg.durability.map(BatchWal::new),
+                        wal: cfg.durability.map(Wal::new),
                         ..Default::default()
                     }))
                 })
@@ -243,7 +243,11 @@ impl QStoreCluster {
                 },
             );
             if let Some(w) = r.wal.as_mut() {
-                w.record_preload(oid, val.clone());
+                w.preload(BatchRecord {
+                    batch: 0,
+                    writes: vec![(oid, Version::INITIAL, 0, val.clone())],
+                    decided: Vec::new(),
+                });
             }
         }
     }
@@ -419,10 +423,6 @@ impl QStoreCluster {
     /// [`QStoreConfig::durability`]. Refused under the same majority rule
     /// as [`crash_node`](Self::crash_node).
     pub fn crash_node_amnesia(&self, node: NodeId) -> bool {
-        assert!(
-            self.cfg.durability.is_some(),
-            "crash_node_amnesia requires QStoreConfig::durability"
-        );
         if !self.crash_node(node) {
             return false;
         }
@@ -430,82 +430,13 @@ impl QStoreCluster {
         true
     }
 
-    /// Network-kill `node` and wipe its memory *without* updating the
-    /// membership view — the failure detector must notice the silence and
-    /// eject it. Requires [`QStoreConfig::durability`]. Refused when the
-    /// other network-alive nodes could not form a majority.
-    pub fn crash_amnesia_sim_only(&self, node: NodeId) -> bool {
-        assert!(
-            self.cfg.durability.is_some(),
-            "crash_amnesia_sim_only requires QStoreConfig::durability"
-        );
-        if !self.crash_sim_only(node) {
-            return false;
-        }
-        forget_replica(&self.shared, &self.sim, node.index());
-        true
-    }
-
-    /// Network-kill `node` without updating the view (detector-mode
-    /// crash; memory survives). Refused when the remaining network-alive
-    /// nodes could not form a majority.
-    pub fn crash_sim_only(&self, node: NodeId) -> bool {
-        if !self.sim.is_alive(node) {
-            return false;
-        }
-        let alive = (0..self.cfg.nodes as u32)
-            .filter(|&i| self.sim.is_alive(NodeId(i)))
-            .count();
-        if alive - 1 < majority(self.cfg.nodes) {
-            return false;
-        }
-        self.sim.fail_node(node);
-        true
-    }
-
-    /// Restore `node`'s network without touching the view (detector-mode
-    /// recovery; its heartbeats resume and the detector rejoins it).
-    pub fn recover_sim_only(&self, node: NodeId) -> bool {
-        if self.sim.is_alive(node) {
-            return false;
-        }
-        self.sim.recover_node(node);
-        true
-    }
-
-    /// Detector ejection: remove a silent `node` from the view (epoch
-    /// fencing, planner failover) without touching the network. Refused
-    /// when the survivors could not form a majority.
-    pub fn eject_node(&self, node: NodeId) -> bool {
-        self.evict_from_view(node.index())
-    }
-
-    /// Detector rejoin: readmit a view-dead `node` that is heard again.
-    /// Amnesiacs go through the replay+repair pipeline. Returns the
-    /// readmission cost estimate (for the detector's grace window), or
-    /// `None` when the node is already in the view.
-    pub fn rejoin_node(&self, node: NodeId) -> Option<SimDuration> {
-        let idx = node.index();
-        {
-            let v = self.shared.view.borrow();
-            if idx >= v.alive.len() || v.alive[idx] {
-                return None;
-            }
-        }
-        Some(self.readmit(idx).max(self.cfg.transfer_cost))
-    }
-
     /// Corrupt the last `records` durable batch records on `node`'s disk
     /// (torn-tail injection: each corrupted record drops a whole batch on
-    /// the next amnesiac replay). Requires [`QStoreConfig::durability`].
-    /// Returns whether anything was corrupted.
+    /// the next amnesiac replay). Returns whether anything was corrupted
+    /// (`false` without [`QStoreConfig::durability`] or with an empty log).
     pub fn corrupt_tail(&self, node: NodeId, records: usize) -> bool {
         let mut r = self.shared.replicas[node.index()].borrow_mut();
-        let wal = r
-            .wal
-            .as_mut()
-            .expect("corrupt_tail requires QStoreConfig::durability");
-        wal.corrupt_tail(records)
+        r.wal.as_mut().is_some_and(|w| w.corrupt_tail(records))
     }
 
     /// Recover a crashed node; an amnesiac one replays its durable disk
@@ -538,17 +469,6 @@ impl QStoreCluster {
             .detector
             .expect("start_detector requires QStoreConfig::detector");
         spawn_detector_on(Rc::clone(self), self.sub.clone(), cfg)
-    }
-
-    /// Upper bound on oracle-free failure handling: how long after a
-    /// detector-mode fault until the view has converged and any readmitted
-    /// replica is caught up. Mirrors the QR bound.
-    pub fn detection_bound(&self) -> SimDuration {
-        let d = self
-            .cfg
-            .detector
-            .expect("detection_bound requires QStoreConfig::detector");
-        d.suspect_window() * 2 + d.interval * 4 + self.cfg.transfer_cost
     }
 
     /// Every group-commit fsync latency sampled across all replica disks,
@@ -753,10 +673,25 @@ impl Membership for QStoreCluster {
         QStoreCluster::view_epoch(self)
     }
     fn eject(&self, node: NodeId) -> bool {
-        self.eject_node(node)
+        self.evict_from_view(node.index())
     }
+    /// Amnesiacs go through the replay+repair pipeline; the returned grace
+    /// is at least the configured transfer cost.
     fn rejoin(&self, node: NodeId) -> Option<SimDuration> {
-        self.rejoin_node(node)
+        if self.view_alive(node) || node.index() >= self.cfg.nodes {
+            return None;
+        }
+        Some(self.readmit(node.index()).max(self.cfg.transfer_cost))
+    }
+    fn survives_without(&self, node: NodeId) -> bool {
+        let others = (0..self.cfg.nodes as u32)
+            .map(NodeId)
+            .filter(|&n| n != node && self.sim.is_alive(n))
+            .count();
+        others >= majority(self.cfg.nodes)
+    }
+    fn forget(&self, node: NodeId) {
+        forget_replica(&self.shared, &self.sim, node.index());
     }
 }
 
@@ -834,6 +769,7 @@ impl SimHosted for QStoreCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qrdtm_core::{crash_amnesia_sim_only, recover_sim_only};
 
     const ACCOUNTS: u64 = 8;
     const INITIAL: i64 = 100;
@@ -1164,19 +1100,20 @@ mod tests {
             ..Default::default()
         });
         let handle = c.start_detector();
+        let bound = DetectorConfig::default().detection_bound(c.cfg.transfer_cost);
         let c2 = Rc::clone(&c);
         c.sim().spawn(async move {
             transfer(&c2, NodeId(4), ObjectId(0), ObjectId(1), 10).await;
             // Silence the planner without telling the view: only missed
             // heartbeats can eject it and fail the planner role over.
-            assert!(c2.crash_amnesia_sim_only(NodeId(0)));
-            c2.sim().sleep(c2.detection_bound()).await;
+            assert!(crash_amnesia_sim_only(&*c2, c2.sim(), NodeId(0)));
+            c2.sim().sleep(bound).await;
             assert!(!c2.view_alive(NodeId(0)), "detector must eject planner");
             transfer(&c2, NodeId(4), ObjectId(2), ObjectId(3), 10).await;
             // Heal the network: heartbeats resume and the detector rejoins
             // the amnesiac through the replay+repair pipeline.
-            assert!(c2.recover_sim_only(NodeId(0)));
-            c2.sim().sleep(c2.detection_bound()).await;
+            assert!(recover_sim_only(c2.sim(), NodeId(0)));
+            c2.sim().sleep(bound).await;
             assert!(c2.view_alive(NodeId(0)), "detector must rejoin planner");
         });
         c.sim().run_for(SimDuration::from_secs(10));

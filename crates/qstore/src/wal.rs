@@ -1,29 +1,20 @@
-//! Per-replica durable batch log over the simulated disk.
+//! What a Q-Store replica logs in its [`Wal`](qrdtm_core::Wal).
 //!
-//! Q-Store's durability unit is the *batch* (epoch): each replica appends
-//! exactly one [`BatchRecord`] per applied batch and fsyncs it immediately
-//! — the group commit the family is built around (fsyncs ≈ batches ≪
-//! transactions). Because one record carries the whole batch, the disk's
-//! torn-tail semantics give batch atomicity for free: a tear truncates at
-//! a record boundary, so replay either resurrects an epoch completely or
-//! drops it completely — never a partial epoch.
+//! The durability unit is the *batch* (epoch): each replica appends exactly
+//! one [`BatchRecord`] per applied batch and fsyncs it immediately — the
+//! group commit the family is built around (fsyncs ≈ batches ≪
+//! transactions). One record carries the whole batch, so the disk's
+//! torn-tail semantics give batch atomicity for free: a tear truncates at a
+//! record boundary, and replay resurrects an epoch completely or not at all.
 //!
-//! The planner splits the pair: `seal` *appends* the record (volatile
-//! buffer) and the replication task fsyncs it just before driving the
-//! quorum round. A planner that crashes with amnesia in between loses the
-//! record — the append-vs-fsync window the takeover protocol (and the
-//! `ack-before-fsync` model-checker bug) probe.
-//!
-//! Every `snapshot_every` batches the log is superseded by a full-state
-//! snapshot and truncated; full-state installs (`FullSync`, takeover
-//! adoption, post-repair re-baseline) snapshot unconditionally.
+//! The planner splits the pair: `seal` *appends* the record and the
+//! replication task fsyncs it just before driving the quorum round. A
+//! planner that crashes with amnesia in between loses the record — the
+//! window the takeover protocol and the `ack-before-fsync` mc bug probe.
 
 use std::collections::HashMap;
 
-use rand::rngs::StdRng;
-
-use qrdtm_core::{DurabilityConfig, ObjVal, ObjectId, TxId, Version};
-use qrdtm_sim::{Disk, DiskConfig, SimDuration};
+use qrdtm_core::{ObjVal, ObjectId, TxId, Version};
 
 use crate::core::Slot;
 use crate::msg::Decision;
@@ -38,280 +29,82 @@ pub(crate) struct BatchRecord {
     pub decided: Vec<(TxId, Decision)>,
 }
 
-/// A snapshot is the replica's full committed state at snapshot time.
+/// A replica's full committed state: a snapshot's payload, [`fold`]'s result.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct QSnapshot {
+    /// Highest batch the state covers.
     pub applied: u64,
     pub store: HashMap<ObjectId, Slot>,
     pub decided: HashMap<TxId, Decision>,
 }
 
-/// What an amnesiac restart reads back: the snapshot plus the readable
-/// batch records already folded into installable state.
-pub(crate) struct QReplay {
-    /// Highest batch the durable prefix covers.
-    pub applied: u64,
-    pub store: HashMap<ObjectId, Slot>,
-    pub decided: HashMap<TxId, Decision>,
-    /// Batch records replayed (excluding the snapshot).
-    pub records_replayed: u64,
-    /// Whether a torn record was found (the tail — whole batches — was
-    /// dropped at it).
-    pub torn_tail_detected: bool,
-    /// Occupancy cost of reading the disk back.
-    pub cost: SimDuration,
-}
-
-/// The batch-granular write-ahead log one Q-Store replica keeps on its
-/// simulated disk.
-///
-/// [`DurabilityConfig::fsync_every`] is ignored here: Q-Store group-commits
-/// by construction (one fsync per batch record), so the append-coalescing
-/// knob QR needs is meaningless for this family.
-pub(crate) struct BatchWal {
-    cfg: DurabilityConfig,
-    disk: Disk<BatchRecord, QSnapshot>,
-    batches_since_snapshot: usize,
-    /// Total durability cost of each group commit (fsync plus any
-    /// policy-driven snapshot), in nanoseconds — the real disk latencies
-    /// behind the perf report's fsync percentiles.
-    sync_lat: Vec<u64>,
-}
-
-impl BatchWal {
-    /// An empty log.
-    pub fn new(cfg: DurabilityConfig) -> Self {
-        BatchWal {
-            cfg,
-            disk: Disk::new(DiskConfig {
-                append_latency: cfg.append_latency,
-                fsync_latency: cfg.fsync_latency,
-                snapshot_latency: cfg.snapshot_latency,
-                torn_tail_pct: cfg.torn_tail_pct,
-            }),
-            batches_since_snapshot: 0,
-            sync_lat: Vec::new(),
+/// Snapshot state, then every readable batch record folded in, in append
+/// order — whole batches only.
+pub(crate) fn fold(snapshot: Option<QSnapshot>, records: Vec<BatchRecord>) -> QSnapshot {
+    let mut st = snapshot.unwrap_or_default();
+    for rec in records {
+        for (oid, version, tag, val) in rec.writes {
+            st.store.insert(
+                oid,
+                Slot {
+                    version,
+                    tag,
+                    batch: rec.batch,
+                    val,
+                },
+            );
         }
+        st.decided.extend(rec.decided);
+        st.applied = st.applied.max(rec.batch);
     }
-
-    /// Bootstrap: persist a preloaded object as a batch-0 record. Free of
-    /// charge — preloading happens before the simulation starts.
-    pub fn record_preload(&mut self, oid: ObjectId, val: ObjVal) {
-        self.disk.append(BatchRecord {
-            batch: 0,
-            writes: vec![(oid, Version::INITIAL, 0, val)],
-            decided: Vec::new(),
-        });
-        self.disk.fsync();
-    }
-
-    /// Append one batch record to the volatile log buffer; it becomes
-    /// durable at the next [`sync`](Self::sync). Returns the append cost.
-    pub fn append(&mut self, rec: BatchRecord) -> SimDuration {
-        self.batches_since_snapshot += 1;
-        self.disk.append(rec)
-    }
-
-    /// Whether the next [`sync`](Self::sync) should supersede the log with
-    /// a snapshot (the caller captures the state only when asked to).
-    pub fn snapshot_due(&self) -> bool {
-        self.batches_since_snapshot >= self.cfg.snapshot_every
-    }
-
-    /// Group commit: fsync the appended record(s), writing (and
-    /// truncating to) `snap` when the snapshot policy fired. Returns the
-    /// occupancy cost, which is also sampled for the fsync telemetry.
-    pub fn sync(&mut self, snap: Option<QSnapshot>) -> SimDuration {
-        let mut cost = self.disk.fsync();
-        if let Some(s) = snap {
-            cost += self.disk.snapshot(s);
-            self.batches_since_snapshot = 0;
-        }
-        self.sync_lat.push(cost.as_nanos());
-        cost
-    }
-
-    /// Persist a full-state install (`FullSync`, takeover adoption, or the
-    /// post-repair re-baseline): one snapshot superseding the log.
-    pub fn install_state(&mut self, snap: QSnapshot) -> SimDuration {
-        self.batches_since_snapshot = 0;
-        self.disk.snapshot(snap)
-    }
-
-    /// The node crashed: lose a seeded portion of the unsynced buffer,
-    /// possibly tearing the last persisted record (= one whole batch).
-    pub fn crash(&mut self, rng: &mut StdRng) {
-        self.disk.crash(rng);
-    }
-
-    /// Corrupt the last `records` readable batch records (the
-    /// `corrupt-tail` chaos verb). Returns whether anything was corrupted.
-    pub fn corrupt_tail(&mut self, records: usize) -> bool {
-        self.disk.corrupt_tail(records)
-    }
-
-    /// Read the durable image back after an amnesiac restart: snapshot
-    /// state, then every readable batch record folded in, in append order.
-    /// A torn record truncates there — dropping whole batches, never part
-    /// of one.
-    pub fn replay(&mut self) -> QReplay {
-        let img = self.disk.recover();
-        let records = img.log.len() as u64;
-        let mut cost = self.cfg.append_latency * records;
-        let (mut applied, mut store, mut decided) = match img.snapshot {
-            Some(s) => {
-                cost += self.cfg.snapshot_latency;
-                (s.applied, s.store, s.decided)
-            }
-            None => (0, HashMap::new(), HashMap::new()),
-        };
-        for rec in img.log {
-            for (oid, version, tag, val) in rec.writes {
-                store.insert(
-                    oid,
-                    Slot {
-                        version,
-                        tag,
-                        batch: rec.batch,
-                        val,
-                    },
-                );
-            }
-            decided.extend(rec.decided);
-            applied = applied.max(rec.batch);
-        }
-        QReplay {
-            applied,
-            store,
-            decided,
-            records_replayed: records,
-            torn_tail_detected: img.torn_tail_detected,
-            cost,
-        }
-    }
-
-    /// Fsync-latency samples accumulated so far, ns.
-    pub fn sync_latencies(&self) -> &[u64] {
-        &self.sync_lat
-    }
-
-    /// Durable batch records that would survive a restart right now.
-    #[cfg(test)]
-    fn durable_len(&self) -> usize {
-        self.disk.readable_len()
-    }
+    st
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use qrdtm_core::{DurabilityConfig, Wal};
 
-    fn wal() -> BatchWal {
-        BatchWal::new(DurabilityConfig {
-            snapshot_every: 4,
-            ..DurabilityConfig::default()
-        })
-    }
-
-    fn rec(batch: u64, writes: usize) -> BatchRecord {
+    fn rec(batch: u64, writes: u64) -> BatchRecord {
         BatchRecord {
             batch,
-            writes: (0..writes as u64)
-                .map(|i| {
-                    (
-                        ObjectId(i),
-                        Version(batch),
-                        (batch << 24) | i,
-                        ObjVal::Int(batch as i64),
-                    )
-                })
+            writes: (0..writes)
+                .map(|i| (ObjectId(i), Version(batch), (batch << 24) | i, ObjVal::Unit))
                 .collect(),
             decided: Vec::new(),
         }
     }
 
+    fn synced(batches: &[(u64, u64)]) -> Wal<BatchRecord, QSnapshot> {
+        let mut w = Wal::new(DurabilityConfig::default());
+        for &(batch, writes) in batches {
+            w.append(rec(batch, writes));
+            w.fsync(None);
+        }
+        w
+    }
+
     #[test]
     fn fsynced_prefix_survives_an_amnesiac_restart() {
-        let mut w = wal();
-        w.append(rec(1, 2));
-        w.sync(None);
+        let mut w = synced(&[(1, 2)]);
         w.append(rec(2, 2)); // appended, never synced: the planner window
         let img = w.replay();
-        assert_eq!(img.applied, 1, "unsynced batch is lost by definition");
         assert_eq!(img.records_replayed, 1);
         assert!(!img.torn_tail_detected);
-        assert_eq!(img.store.len(), 2);
-        assert!(img.store.values().all(|s| s.batch == 1));
+        let st = fold(img.snapshot, img.records);
+        assert_eq!(st.applied, 1, "unsynced batch is lost by definition");
+        assert_eq!(st.store.len(), 2);
+        assert!(st.store.values().all(|s| s.batch == 1));
     }
 
     #[test]
     fn a_torn_record_drops_the_whole_batch_atomically() {
-        let mut w = wal();
-        w.append(rec(1, 1));
-        w.sync(None);
-        w.append(rec(2, 3));
-        w.sync(None);
+        let mut w = synced(&[(1, 1), (2, 3)]);
         assert!(w.corrupt_tail(1));
         let img = w.replay();
         assert!(img.torn_tail_detected);
-        assert_eq!(img.applied, 1, "batch 2 is gone entirely");
-        assert!(
-            img.store.values().all(|s| s.batch <= 1),
-            "no partial-epoch resurrection: none of batch 2's writes survive"
-        );
-    }
-
-    #[test]
-    fn snapshot_policy_truncates_the_log() {
-        let mut w = wal();
-        for b in 1..=4 {
-            w.append(rec(b, 1));
-            let snap = w.snapshot_due().then(|| QSnapshot {
-                applied: b,
-                store: HashMap::from([(
-                    ObjectId(0),
-                    Slot {
-                        version: Version(b),
-                        tag: b << 24,
-                        batch: b,
-                        val: ObjVal::Int(b as i64),
-                    },
-                )]),
-                decided: HashMap::new(),
-            });
-            w.sync(snap);
-        }
-        assert_eq!(w.durable_len(), 0, "snapshot_every=4 truncated the log");
-        let img = w.replay();
-        assert_eq!(img.records_replayed, 0);
-        assert_eq!(img.applied, 4, "snapshot carries the applied frontier");
-        assert_eq!(img.store[&ObjectId(0)].batch, 4);
-    }
-
-    #[test]
-    fn crash_loss_is_deterministic_per_seed() {
-        let run = |seed: u64| {
-            let mut w = wal();
-            for b in 1..=3 {
-                w.append(rec(b, 2));
-            }
-            let mut rng = StdRng::seed_from_u64(seed);
-            w.crash(&mut rng);
-            let img = w.replay();
-            (img.applied, img.records_replayed, img.torn_tail_detected)
-        };
-        assert_eq!(run(9), run(9));
-    }
-
-    #[test]
-    fn group_commit_samples_feed_the_fsync_telemetry() {
-        let mut w = wal();
-        w.append(rec(1, 1));
-        w.sync(None);
-        assert_eq!(
-            w.sync_latencies(),
-            &[DurabilityConfig::default().fsync_latency.as_nanos()]
-        );
+        let st = fold(img.snapshot, img.records);
+        assert_eq!(st.applied, 1, "batch 2 is gone entirely");
+        assert!(st.store.values().all(|s| s.batch <= 1), "no partial epoch");
     }
 }

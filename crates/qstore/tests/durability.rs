@@ -190,3 +190,11 @@ fn amnesia_without_durability_panics() {
     let c = cluster(QStoreConfig::default());
     let _ = c.crash_node_amnesia(NodeId(1));
 }
+
+#[test]
+fn corrupt_tail_without_durability_corrupts_nothing() {
+    // No disk, no log tail: the verb is refused like on an empty log (and
+    // like `Cluster::corrupt_wal_tail`), not a panic.
+    let c = cluster(QStoreConfig::default());
+    assert!(!c.corrupt_tail(NodeId(1), 1));
+}

@@ -13,16 +13,14 @@
 //! Everything is parameterized the way the paper's sweeps are: read
 //! percentage (Fig. 5), number of nested calls per root transaction
 //! (Fig. 6), and number of objects (Fig. 7); plus a failure count for the
-//! Fig. 10 experiment.
-//!
-//! When [`DtmConfig::detector`] is set, the driver no longer acts as a
-//! failure oracle: Fig. 10 failures and any [`ScheduledFault`] only kill or
-//! heal nodes in the simulator, and the heartbeat-driven failure detector
-//! performs the corresponding view changes (with their real detection
-//! latency and message cost) on its own.
+//! Fig. 10 experiment. Mid-run fault schedules and detector-driven
+//! membership are the chaos harness's business (`qrdtm-chaos`), not this
+//! driver's.
 
-use qrdtm_core::{Cluster, DtmConfig, DtmStats};
-use qrdtm_sim::{NodeId, SimDuration};
+use std::rc::Rc;
+
+use qrdtm_core::{Abort, Client, Cluster, DtmConfig, DtmStats, Msg, Tx};
+use qrdtm_sim::{NodeId, Sim, SimDuration};
 
 use crate::bank::{self, BankLayout};
 use crate::bst::{self, BstLayout};
@@ -155,61 +153,15 @@ impl RunResult {
     }
 }
 
-/// A failure-schedule action the driver can apply *during* the
-/// measurement window (the pre-run `RunSpec::failures` kill list only
-/// shapes the cluster before clients start).
-#[derive(Clone, Copy, Debug)]
-pub enum FaultAction {
-    /// Fail the first alive member of the current read quorum (the
-    /// Fig. 10 victim-selection rule).
-    FailReadQuorumMember,
-    /// Fail a specific node.
-    Fail(NodeId),
-    /// Crash a specific node with loss of its in-memory state: on
-    /// recovery it must replay its durable log and run quorum repair
-    /// before readmission. Requires [`DtmConfig::durability`]; skipped
-    /// otherwise.
-    CrashAmnesia(NodeId),
-    /// Recover a specific node.
-    Recover(NodeId),
-}
-
-/// One scheduled mid-run failure: `action` applied `at` after the
-/// measurement window opens.
-#[derive(Clone, Copy, Debug)]
-pub struct ScheduledFault {
-    /// Offset from the start of the measurement window.
-    pub at: SimDuration,
-    /// What to do.
-    pub action: FaultAction,
-}
-
 /// Execute one experiment run. Deterministic for a given `(cfg, spec)`.
 pub fn run(cfg: DtmConfig, spec: &RunSpec) -> RunResult {
-    run_with_schedule(cfg, spec, &[])
-}
-
-/// Execute one experiment run with a mid-run failure schedule: each
-/// [`ScheduledFault`] is applied at its virtual-time offset into the
-/// measurement window, while clients keep running. Deterministic for a
-/// given `(cfg, spec, schedule)`. Actions that cannot be applied (no
-/// surviving quorum, node already in the target state) are skipped.
-pub fn run_with_schedule(cfg: DtmConfig, spec: &RunSpec, schedule: &[ScheduledFault]) -> RunResult {
-    let cluster = std::rc::Rc::new(Cluster::new(cfg));
+    let cluster = Cluster::new(cfg);
     let sim = cluster.sim().clone();
     let nodes = sim.num_nodes();
 
     // --- Phase 1: setup -------------------------------------------------
     setup_bench(&cluster, spec);
     sim.run(); // drain the population phase
-
-    // With a detector configured, the driver stops being a failure oracle:
-    // faults (pre-run and scheduled) only kill or heal nodes in the
-    // simulator, and the heartbeat-driven detector repairs the view on its
-    // own. Spawned only after the setup drain — heartbeats never go idle,
-    // so `sim.run()` above would otherwise not terminate.
-    let detector_cfg = cluster.config().detector;
-    let _detector = detector_cfg.map(|_| qrdtm_core::spawn_detector(&cluster));
 
     // Fig. 10-style failures: shrink the alive set, growing the read quorum.
     for _ in 0..spec.failures {
@@ -218,32 +170,9 @@ pub fn run_with_schedule(cfg: DtmConfig, spec: &RunSpec, schedule: &[ScheduledFa
             .into_iter()
             .find(|&n| sim.is_alive(n))
             .expect("read quorum has an alive member");
-        match detector_cfg {
-            None => cluster
-                .fail_node(victim)
-                .expect("quorum survives the configured failures"),
-            Some(d) => {
-                // Kill in the simulator only, then run (still client-free)
-                // until the detector has ejected the victim, so clients
-                // start against the same shrunken view the oracle would
-                // have produced.
-                assert!(
-                    cluster.quorum_survives_without(victim),
-                    "quorum survives the configured failures"
-                );
-                sim.fail_node(victim);
-                let mut waited = SimDuration::ZERO;
-                let cap = d.suspect_window() * 2 + d.interval * 8;
-                while cluster.view_alive(victim) && waited < cap {
-                    sim.run_for(d.interval);
-                    waited += d.interval;
-                }
-                assert!(
-                    !cluster.view_alive(victim),
-                    "detector ejects a pre-run victim within its bound"
-                );
-            }
-        }
+        cluster
+            .fail_node(victim)
+            .expect("quorum survives the configured failures");
     }
 
     // --- Phase 2+3: drive clients ---------------------------------------
@@ -259,59 +188,6 @@ pub fn run_with_schedule(cfg: DtmConfig, spec: &RunSpec, schedule: &[ScheduledFa
     sim.run_for(spec.warmup);
     cluster.reset_stats();
     sim.reset_metrics();
-    if !schedule.is_empty() {
-        let mut schedule = schedule.to_vec();
-        schedule.sort_by_key(|f| f.at);
-        let cluster = std::rc::Rc::clone(&cluster);
-        let s = sim.clone();
-        sim.spawn(async move {
-            let t0 = s.now();
-            for f in schedule {
-                let due = t0 + f.at;
-                if due > s.now() {
-                    s.sleep(due - s.now()).await;
-                }
-                // Detector mode: faults touch only the simulator; the
-                // detector is responsible for the matching view changes.
-                let fail = |n: NodeId| {
-                    if detector_cfg.is_some() {
-                        if s.is_alive(n) && cluster.quorum_survives_without(n) {
-                            s.fail_node(n);
-                        }
-                    } else {
-                        let _ = cluster.fail_node(n);
-                    }
-                };
-                match f.action {
-                    FaultAction::FailReadQuorumMember => {
-                        let victim = cluster.read_quorum().into_iter().find(|&n| s.is_alive(n));
-                        if let Some(v) = victim {
-                            fail(v);
-                        }
-                    }
-                    FaultAction::Fail(n) => fail(n),
-                    FaultAction::CrashAmnesia(n) => {
-                        if cluster.config().durability.is_some() {
-                            if detector_cfg.is_some() {
-                                cluster.crash_amnesia_sim_only(n);
-                            } else {
-                                let _ = cluster.crash_node_amnesia(n);
-                            }
-                        }
-                    }
-                    FaultAction::Recover(n) => {
-                        if detector_cfg.is_some() {
-                            if !s.is_alive(n) {
-                                s.recover_node(n);
-                            }
-                        } else {
-                            let _ = cluster.recover_node(n);
-                        }
-                    }
-                }
-            }
-        });
-    }
     sim.run_for(spec.duration);
 
     let stats = cluster.stats();
@@ -401,41 +277,23 @@ fn setup_bench(cluster: &Cluster, spec: &RunSpec) {
         Benchmark::SList => {
             let sl = slist_layout(&p);
             cluster.preload_all(sl.setup());
-            let client = cluster.client(NodeId(0));
-            cluster.sim().spawn(async move {
-                for k in (0..sl.key_space).step_by(2) {
-                    client
-                        .run(|tx| async move { skiplist::insert(&tx, &sl, k, k).await })
-                        .await;
-                }
-            });
+            populate(cluster, sl, (0..sl.key_space).step_by(2));
         }
         Benchmark::RBTree => {
             let t = rbtree_layout(&p);
             cluster.preload_all(t.setup());
-            let client = cluster.client(NodeId(0));
-            cluster.sim().spawn(async move {
-                for k in (0..t.key_space).step_by(2) {
-                    client
-                        .run(|tx| async move { rbtree::insert(&tx, &t, k, k).await })
-                        .await;
-                }
-            });
+            populate(cluster, t, (0..t.key_space).step_by(2));
         }
         Benchmark::Bst => {
             let t = bst_layout(&p);
             cluster.preload_all(t.setup());
-            let client = cluster.client(NodeId(0));
-            cluster.sim().spawn(async move {
-                // Shuffled-ish order keeps the unbalanced tree shallow.
-                let n = t.key_space;
-                for step in 0..n {
-                    let k = (hashmap::mix(step as u64) % n as u64) as i64;
-                    client
-                        .run(|tx| async move { bst::insert(&tx, &t, k, k).await })
-                        .await;
-                }
-            });
+            // Shuffled-ish order keeps the unbalanced tree shallow.
+            let n = t.key_space;
+            populate(
+                cluster,
+                t,
+                (0..n).map(move |step| (hashmap::mix(step as u64) % n as u64) as i64),
+            );
         }
         Benchmark::Vacation => cluster.preload_all(vacation_layout(&p).setup()),
     }
@@ -490,177 +348,18 @@ fn spawn_client(cluster: &Cluster, node: NodeId, spec: &RunSpec) {
                 }
             });
         }
-        Benchmark::Hashmap => {
-            let map = map_layout(&p);
-            let keyspace = p.objects.max(2);
-            sim.spawn({
-                let sim = sim.clone();
-                async move {
-                    loop {
-                        let plan = op_plan(&sim, spec.calls(), p.read_pct, keyspace);
-                        let plan = std::rc::Rc::new(plan);
-                        client
-                            .run(|tx| {
-                                let plan = std::rc::Rc::clone(&plan);
-                                async move {
-                                    for &(key, op) in plan.iter() {
-                                        match op {
-                                            Op::Read => {
-                                                tx.closed(move |tx2| async move {
-                                                    hashmap::get(&tx2, &map, key).await
-                                                })
-                                                .await?;
-                                            }
-                                            Op::Insert => {
-                                                tx.closed(move |tx2| async move {
-                                                    hashmap::put(&tx2, &map, key).await
-                                                })
-                                                .await?;
-                                            }
-                                            Op::Remove => {
-                                                tx.closed(move |tx2| async move {
-                                                    hashmap::remove(&tx2, &map, key).await
-                                                })
-                                                .await?;
-                                            }
-                                        }
-                                    }
-                                    Ok(())
-                                }
-                            })
-                            .await;
-                    }
-                }
-            });
-        }
+        Benchmark::Hashmap => spawn_set_client(sim, client, spec, map_layout(&p), p.objects.max(2)),
         Benchmark::SList => {
             let sl = slist_layout(&p);
-            let keyspace = sl.key_space as u64;
-            sim.spawn({
-                let sim = sim.clone();
-                async move {
-                    loop {
-                        let plan = op_plan(&sim, spec.calls(), p.read_pct, keyspace);
-                        let plan = std::rc::Rc::new(plan);
-                        client
-                            .run(|tx| {
-                                let plan = std::rc::Rc::clone(&plan);
-                                async move {
-                                    for &(key, op) in plan.iter() {
-                                        match op {
-                                            Op::Read => {
-                                                tx.closed(move |tx2| async move {
-                                                    skiplist::contains(&tx2, &sl, key).await
-                                                })
-                                                .await?;
-                                            }
-                                            Op::Insert => {
-                                                tx.closed(move |tx2| async move {
-                                                    skiplist::insert(&tx2, &sl, key, key).await
-                                                })
-                                                .await?;
-                                            }
-                                            Op::Remove => {
-                                                tx.closed(move |tx2| async move {
-                                                    skiplist::remove(&tx2, &sl, key).await
-                                                })
-                                                .await?;
-                                            }
-                                        }
-                                    }
-                                    Ok(())
-                                }
-                            })
-                            .await;
-                    }
-                }
-            });
+            spawn_set_client(sim, client, spec, sl, sl.key_space as u64);
         }
         Benchmark::RBTree => {
             let t = rbtree_layout(&p);
-            let keyspace = t.key_space as u64;
-            sim.spawn({
-                let sim = sim.clone();
-                async move {
-                    loop {
-                        let plan = op_plan(&sim, spec.calls(), p.read_pct, keyspace);
-                        let plan = std::rc::Rc::new(plan);
-                        client
-                            .run(|tx| {
-                                let plan = std::rc::Rc::clone(&plan);
-                                async move {
-                                    for &(key, op) in plan.iter() {
-                                        match op {
-                                            Op::Read => {
-                                                tx.closed(move |tx2| async move {
-                                                    rbtree::contains(&tx2, &t, key).await
-                                                })
-                                                .await?;
-                                            }
-                                            Op::Insert => {
-                                                tx.closed(move |tx2| async move {
-                                                    rbtree::insert(&tx2, &t, key, key).await
-                                                })
-                                                .await?;
-                                            }
-                                            Op::Remove => {
-                                                tx.closed(move |tx2| async move {
-                                                    rbtree::remove(&tx2, &t, key).await
-                                                })
-                                                .await?;
-                                            }
-                                        }
-                                    }
-                                    Ok(())
-                                }
-                            })
-                            .await;
-                    }
-                }
-            });
+            spawn_set_client(sim, client, spec, t, t.key_space as u64);
         }
         Benchmark::Bst => {
             let t = bst_layout(&p);
-            let keyspace = t.key_space as u64;
-            sim.spawn({
-                let sim = sim.clone();
-                async move {
-                    loop {
-                        let plan = op_plan(&sim, spec.calls(), p.read_pct, keyspace);
-                        let plan = std::rc::Rc::new(plan);
-                        client
-                            .run(|tx| {
-                                let plan = std::rc::Rc::clone(&plan);
-                                async move {
-                                    for &(key, op) in plan.iter() {
-                                        match op {
-                                            Op::Read => {
-                                                tx.closed(move |tx2| async move {
-                                                    bst::contains(&tx2, &t, key).await
-                                                })
-                                                .await?;
-                                            }
-                                            Op::Insert => {
-                                                tx.closed(move |tx2| async move {
-                                                    bst::insert(&tx2, &t, key, key).await
-                                                })
-                                                .await?;
-                                            }
-                                            Op::Remove => {
-                                                tx.closed(move |tx2| async move {
-                                                    bst::remove(&tx2, &t, key).await
-                                                })
-                                                .await?;
-                                            }
-                                        }
-                                    }
-                                    Ok(())
-                                }
-                            })
-                            .await;
-                    }
-                }
-            });
+            spawn_set_client(sim, client, spec, t, t.key_space as u64);
         }
         Benchmark::Vacation => {
             let v = vacation_layout(&p);
@@ -716,13 +415,113 @@ enum Op {
     Remove,
 }
 
-/// Draw a root transaction's operation plan: `calls` (key, op) pairs.
-fn op_plan(
-    sim: &qrdtm_sim::Sim<qrdtm_core::Msg>,
-    calls: usize,
-    read_pct: u32,
+/// A keyed set under churn — what the Hashmap, SList, RBTree and BST
+/// benchmarks share, so one client loop and one populate loop drive all
+/// four layouts.
+#[allow(async_fn_in_trait)]
+trait KeyedSet: Copy + 'static {
+    async fn contains(&self, tx: &Tx, key: i64) -> Result<bool, Abort>;
+    async fn insert(&self, tx: &Tx, key: i64) -> Result<bool, Abort>;
+    async fn remove(&self, tx: &Tx, key: i64) -> Result<bool, Abort>;
+}
+
+impl KeyedSet for HashmapLayout {
+    async fn contains(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
+        hashmap::get(tx, self, key).await
+    }
+    async fn insert(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
+        hashmap::put(tx, self, key).await
+    }
+    async fn remove(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
+        hashmap::remove(tx, self, key).await
+    }
+}
+
+impl KeyedSet for SkiplistLayout {
+    async fn contains(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
+        skiplist::contains(tx, self, key).await
+    }
+    async fn insert(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
+        skiplist::insert(tx, self, key, key).await
+    }
+    async fn remove(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
+        skiplist::remove(tx, self, key).await
+    }
+}
+
+impl KeyedSet for RBTreeLayout {
+    async fn contains(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
+        rbtree::contains(tx, self, key).await
+    }
+    async fn insert(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
+        rbtree::insert(tx, self, key, key).await
+    }
+    async fn remove(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
+        rbtree::remove(tx, self, key).await
+    }
+}
+
+impl KeyedSet for BstLayout {
+    async fn contains(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
+        bst::contains(tx, self, key).await
+    }
+    async fn insert(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
+        bst::insert(tx, self, key, key).await
+    }
+    async fn remove(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
+        bst::remove(tx, self, key).await
+    }
+}
+
+/// Setup: insert `keys` into `set`, one root transaction each, from a
+/// single writer on node 0.
+fn populate<S: KeyedSet>(cluster: &Cluster, set: S, keys: impl Iterator<Item = i64> + 'static) {
+    let client = cluster.client(NodeId(0));
+    cluster.sim().spawn(async move {
+        for k in keys {
+            client
+                .run(|tx| async move { set.insert(&tx, k).await })
+                .await;
+        }
+    });
+}
+
+/// The closed-loop client of the keyed-set benchmarks: draw a plan, run it
+/// as one root transaction with a closed-nested call per operation, repeat.
+fn spawn_set_client<S: KeyedSet>(
+    sim: Sim<Msg>,
+    client: Client,
+    spec: RunSpec,
+    set: S,
     keyspace: u64,
-) -> Vec<(i64, Op)> {
+) {
+    sim.clone().spawn(async move {
+        loop {
+            let plan = Rc::new(op_plan(&sim, spec.calls(), spec.params.read_pct, keyspace));
+            client
+                .run(|tx| {
+                    let plan = Rc::clone(&plan);
+                    async move {
+                        for &(key, op) in plan.iter() {
+                            tx.closed(move |tx2| async move {
+                                match op {
+                                    Op::Read => set.contains(&tx2, key).await,
+                                    Op::Insert => set.insert(&tx2, key).await,
+                                    Op::Remove => set.remove(&tx2, key).await,
+                                }
+                            })
+                            .await?;
+                        }
+                        Ok(())
+                    }
+                })
+                .await;
+        }
+    });
+}
+
+/// Draw a root transaction's operation plan: `calls` (key, op) pairs.
+fn op_plan(sim: &Sim<Msg>, calls: usize, read_pct: u32, keyspace: u64) -> Vec<(i64, Op)> {
     (0..calls)
         .map(|_| {
             let key = sim.rand_below(keyspace) as i64;
@@ -805,100 +604,6 @@ mod tests {
         assert_eq!(a.commits, b.commits);
         assert_eq!(a.messages, b.messages);
         assert_eq!(a.stats, b.stats);
-    }
-
-    #[test]
-    fn mid_run_failure_schedule_is_applied_while_clients_run() {
-        let mut cfg = quick_cfg(NestingMode::Closed);
-        cfg.nodes = 28;
-        cfg.read_level = 0;
-        let schedule = [
-            ScheduledFault {
-                at: SimDuration::from_millis(500),
-                action: FaultAction::FailReadQuorumMember,
-            },
-            ScheduledFault {
-                at: SimDuration::from_millis(1_200),
-                action: FaultAction::Fail(NodeId(20)),
-            },
-            ScheduledFault {
-                at: SimDuration::from_millis(2_000),
-                action: FaultAction::Recover(NodeId(20)),
-            },
-        ];
-        let r = run_with_schedule(cfg, &quick_spec(Benchmark::Bank), &schedule);
-        assert!(
-            r.commits > 0,
-            "commits continue through mid-run failures: {:?}",
-            r.stats
-        );
-        // Determinism holds with a schedule too.
-        let mut cfg2 = quick_cfg(NestingMode::Closed);
-        cfg2.nodes = 28;
-        cfg2.read_level = 0;
-        let r2 = run_with_schedule(cfg2, &quick_spec(Benchmark::Bank), &schedule);
-        assert_eq!(r.commits, r2.commits);
-        assert_eq!(r.messages, r2.messages);
-    }
-
-    #[test]
-    fn amnesiac_crash_mid_run_recovers_and_stays_deterministic() {
-        let mk = || {
-            let mut cfg = quick_cfg(NestingMode::Closed);
-            cfg.nodes = 28;
-            cfg.read_level = 0;
-            cfg.durability = Some(qrdtm_core::DurabilityConfig::default());
-            cfg
-        };
-        let schedule = [
-            ScheduledFault {
-                at: SimDuration::from_millis(500),
-                action: FaultAction::CrashAmnesia(NodeId(20)),
-            },
-            ScheduledFault {
-                at: SimDuration::from_millis(1_800),
-                action: FaultAction::Recover(NodeId(20)),
-            },
-        ];
-        let r = run_with_schedule(mk(), &quick_spec(Benchmark::Bank), &schedule);
-        assert!(
-            r.commits > 0,
-            "commits continue through an amnesiac restart: {:?}",
-            r.stats
-        );
-        let r2 = run_with_schedule(mk(), &quick_spec(Benchmark::Bank), &schedule);
-        assert_eq!(r.commits, r2.commits);
-        assert_eq!(r.messages, r2.messages);
-        // Without durable storage the action is skipped, not a crash.
-        let mut plain = quick_cfg(NestingMode::Closed);
-        plain.nodes = 28;
-        plain.read_level = 0;
-        let r3 = run_with_schedule(plain, &quick_spec(Benchmark::Bank), &schedule);
-        assert!(r3.commits > 0);
-    }
-
-    #[test]
-    fn detector_replaces_the_failure_oracle_in_fig10_runs() {
-        let mut spec = quick_spec(Benchmark::Bank);
-        spec.failures = 1;
-        let mk = || {
-            let mut cfg = quick_cfg(NestingMode::Closed);
-            cfg.nodes = 28;
-            cfg.read_level = 0;
-            cfg.detector = Some(qrdtm_core::DetectorConfig::default());
-            cfg.rpc_timeout = Some(SimDuration::from_millis(100));
-            cfg
-        };
-        let r = run(mk(), &spec);
-        assert!(
-            r.commits > 0,
-            "cluster commits after a detector-ejected failure: {:?}",
-            r.stats
-        );
-        // Detector runs stay deterministic per seed.
-        let r2 = run(mk(), &spec);
-        assert_eq!(r.commits, r2.commits);
-        assert_eq!(r.messages, r2.messages);
     }
 
     #[test]

@@ -14,6 +14,12 @@ esac
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
+# benchmark/ is a separate workspace compiled against these crates' public
+# API: find an API break here, not after every smoke. The benchmark smoke
+# at the end reuses these artefacts.
+echo "==> cargo build benchmark package (public-API drift)"
+cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo test --workspace"
 cargo test --quiet --workspace
 
