@@ -494,11 +494,8 @@ impl DtmProtocol for TfaCluster {
 
     async fn restart(&self, tx: &mut TfaTxHandle, _abort: Abort) {
         self.stats.borrow_mut().aborts += 1;
-        let d = self.backoff_base.mul_f64(self.sim.with_rng(|r| {
-            use rand::RngExt;
-            r.random_range(0.5..2.0)
-        }));
-        self.sim.sleep(d).await;
+        let d = self.backoff_base.mul_f64(self.sim.jitter(0.5, 2.0));
+        self.sim.charge(d).await;
         *tx = self.fresh_handle(tx.node);
     }
 

@@ -217,6 +217,11 @@ struct ChaosArgs {
     fig10: Option<usize>,
 }
 
+/// Largest accepted `--horizon-ms`: the plan generator and the fig10
+/// schedule scale the horizon in nanoseconds by up to 6x, which must not
+/// overflow `u64`.
+const MAX_HORIZON_MS: u64 = u64::MAX / 1_000_000 / 8;
+
 fn chaos_usage() -> ! {
     eprintln!(
         "usage: repro chaos [--smoke] [--detector] [--amnesia] [--overload] \
@@ -280,7 +285,11 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> ChaosArgs {
             a.nodes < 3 && a.protos.contains(&Proto::QStore),
             "--nodes must be at least 3 when qstore is selected",
         ),
-        (a.horizon_ms == Some(0), "--horizon-ms must be at least 1"),
+        (
+            a.horizon_ms
+                .is_some_and(|ms| !(1..=MAX_HORIZON_MS).contains(&ms)),
+            "--horizon-ms must be at least 1 and at most u64::MAX / 8 nanoseconds",
+        ),
     ];
     if let Some((_, msg)) = bad.iter().find(|(hit, _)| *hit) {
         eprintln!("chaos: {msg}");

@@ -14,8 +14,9 @@ pub mod table;
 
 use std::path::PathBuf;
 
-/// Print a [`harness::Figure`] as text tables and write one CSV per group.
-pub fn emit_figure(fig: &harness::Figure, out_dir: Option<&PathBuf>) {
+/// Print a [`harness::Figure`] as text tables and write one CSV per group;
+/// stops at the first CSV that cannot be written.
+pub fn emit_figure(fig: &harness::Figure, out_dir: Option<&PathBuf>) -> std::io::Result<()> {
     for group in &fig.groups {
         let mut headers = vec![fig.x_label.clone()];
         headers.extend(fig.series.iter().cloned());
@@ -36,9 +37,8 @@ pub fn emit_figure(fig: &harness::Figure, out_dir: Option<&PathBuf>) {
                 fig.name,
                 group.title.to_lowercase().replace([' ', '%'], "_")
             );
-            if let Err(e) = table::write_csv(&dir.join(fname), &headers, &rows) {
-                eprintln!("warning: CSV write failed: {e}");
-            }
+            table::write_csv(&dir.join(fname), &headers, &rows)?;
         }
     }
+    Ok(())
 }

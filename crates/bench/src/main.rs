@@ -41,18 +41,24 @@ fn main() {
         }
     }
     let t0 = std::time::Instant::now();
-    match cmd.as_str() {
-        "fig5" => emit_figure(&harness::fig5(quick), out_dir.as_ref()),
-        "fig6" => emit_figure(&harness::fig6(quick), out_dir.as_ref()),
-        "fig7" => emit_figure(&harness::fig7(quick), out_dir.as_ref()),
-        "table8" => emit_table8(quick, out_dir.as_ref()),
-        "fig9" => emit_figure(&harness::fig9(quick), out_dir.as_ref()),
-        "fig10" => emit_figure(&harness::fig10(quick), out_dir.as_ref()),
-        "ablation" => {
-            for fig in harness::ablations(quick) {
-                emit_figure(&fig, out_dir.as_ref());
-            }
-        }
+    if let Err(e) = emit(&cmd, quick, out_dir.as_ref()) {
+        eprintln!("error: CSV write failed: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("done in {:.1}s", t0.elapsed().as_secs_f64());
+}
+
+fn emit(cmd: &str, quick: bool, out_dir: Option<&PathBuf>) -> std::io::Result<()> {
+    match cmd {
+        "fig5" => emit_figure(&harness::fig5(quick), out_dir),
+        "fig6" => emit_figure(&harness::fig6(quick), out_dir),
+        "fig7" => emit_figure(&harness::fig7(quick), out_dir),
+        "table8" => emit_table8(quick, out_dir),
+        "fig9" => emit_figure(&harness::fig9(quick), out_dir),
+        "fig10" => emit_figure(&harness::fig10(quick), out_dir),
+        "ablation" => harness::ablations(quick)
+            .iter()
+            .try_for_each(|fig| emit_figure(fig, out_dir)),
         "debug" => {
             // Full per-mode counter dump at the default workload shape —
             // not a paper artifact, but invaluable when calibrating.
@@ -70,24 +76,21 @@ fn main() {
                     );
                 }
             }
+            Ok(())
         }
         "all" => {
-            emit_figure(&harness::fig5(quick), out_dir.as_ref());
-            emit_figure(&harness::fig6(quick), out_dir.as_ref());
-            emit_figure(&harness::fig7(quick), out_dir.as_ref());
-            emit_table8(quick, out_dir.as_ref());
-            emit_figure(&harness::fig9(quick), out_dir.as_ref());
-            emit_figure(&harness::fig10(quick), out_dir.as_ref());
-            for fig in harness::ablations(quick) {
-                emit_figure(&fig, out_dir.as_ref());
+            for fig in [
+                "fig5", "fig6", "fig7", "table8", "fig9", "fig10", "ablation",
+            ] {
+                emit(fig, quick, out_dir)?;
             }
+            Ok(())
         }
         _ => usage(),
     }
-    eprintln!("done in {:.1}s", t0.elapsed().as_secs_f64());
 }
 
-fn emit_table8(quick: bool, out_dir: Option<&PathBuf>) {
+fn emit_table8(quick: bool, out_dir: Option<&PathBuf>) -> std::io::Result<()> {
     let rows = harness::table8(quick);
     let headers: Vec<String> = [
         "Bench.",
@@ -128,7 +131,8 @@ fn emit_table8(quick: bool, out_dir: Option<&PathBuf>) {
         .collect();
     println!("{}", table::render(&headers2, &body2));
     if let Some(dir) = out_dir {
-        let _ = table::write_csv(&dir.join("table8.csv"), &headers, &body);
-        let _ = table::write_csv(&dir.join("table8_throughput.csv"), &headers2, &body2);
+        table::write_csv(&dir.join("table8.csv"), &headers, &body)?;
+        table::write_csv(&dir.join("table8_throughput.csv"), &headers2, &body2)?;
     }
+    Ok(())
 }

@@ -33,10 +33,8 @@ pub fn render(headers: &[String], rows: &[Vec<String>]) -> String {
 }
 
 /// Write the same data as CSV (quotes unnecessary for our numeric cells).
+/// A failure names the path it could not write.
 pub fn write_csv(path: &Path, headers: &[String], rows: &[Vec<String>]) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
     let mut s = String::new();
     s.push_str(&headers.join(","));
     s.push('\n');
@@ -44,7 +42,13 @@ pub fn write_csv(path: &Path, headers: &[String], rows: &[Vec<String>]) -> std::
         s.push_str(&row.join(","));
         s.push('\n');
     }
-    std::fs::write(path, s)
+    let write = || {
+        if let Some(dir) = path.parent() {
+            std::fs::create_dir_all(dir)?;
+        }
+        std::fs::write(path, &s)
+    };
+    write().map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", path.display())))
 }
 
 /// Format a float with sensible precision for tables.

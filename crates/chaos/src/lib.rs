@@ -3,7 +3,7 @@
 //!
 //! The subsystem has three parts:
 //!
-//! - **Plans** ([`plan`], [`generate`]): a declarative, serializable
+//! - **Plans** ([`plan`], [`mod@generate`]): a declarative, serializable
 //!   [`FaultPlan`] — crash/recover, partition/heal, per-link loss and
 //!   latency spikes, slow nodes — plus a seeded generator and a
 //!   delta-debugging shrinker for minimizing failing plans.

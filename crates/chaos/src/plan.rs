@@ -3,7 +3,7 @@
 //!
 //! A [`FaultPlan`] is data, not code — it can be generated from a seed,
 //! printed, parsed back, shrunk to a minimal reproducer, and replayed
-//! deterministically (see [`crate::generate`] and [`crate::nemesis`]).
+//! deterministically (see [`mod@crate::generate`] and [`crate::nemesis`]).
 //! Every quantity is integral (permille, percent, microseconds) so plans
 //! compare exactly and round-trip through text losslessly.
 
@@ -500,6 +500,15 @@ mod tests {
             assert!(err.starts_with("line 1:"), "{err}");
         }
         assert!(FaultPlan::parse("# only comments\n\n").unwrap().is_empty());
+    }
+
+    #[test]
+    fn huge_offset_saturates_instead_of_wrapping() {
+        // u64::MAX ns is 18446744073709551.615 us; one microsecond more
+        // used to overflow the us -> ns multiply (debug panic, release
+        // wrap to 384 ns — the fault would fire at the wrong instant).
+        let p = FaultPlan::parse("@18446744073709552us heal").expect("parses");
+        assert_eq!(p.events[0].at, SimDuration::from_nanos(u64::MAX));
     }
 
     #[test]

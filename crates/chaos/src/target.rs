@@ -1,4 +1,4 @@
-//! What the nemesis needs from a protocol beyond [`DtmProtocol`]:
+//! What the nemesis needs from a protocol beyond [`DtmProtocol`](qrdtm_core::DtmProtocol):
 //! which fault classes it can honestly be subjected to, how to crash and
 //! recover its nodes, and how to read back committed state for the
 //! checkers.

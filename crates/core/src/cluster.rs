@@ -19,12 +19,11 @@ use crate::msg::Msg;
 use crate::object::{ObjVal, ObjectId};
 use crate::stats::DtmStats;
 use crate::store::{NodeStore, ReadOutcome};
-use crate::substrate::SimSubstrate;
 use crate::txid::{NestingMode, TxId};
 
 /// What a transaction does when the object it requests is commit-locked.
 ///
-/// The paper's PR/PW lists exist so "contention managers [can] decide which
+/// The paper's PR/PW lists exist so "contention managers \[can\] decide which
 /// transaction needs to be aborted or committed"; these are the two
 /// simplest such managers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -352,7 +351,6 @@ impl ClusterInner {
 /// every object, plus the shared quorum view and statistics.
 pub struct Cluster {
     sim: Sim<Msg>,
-    sub: SimSubstrate<Msg>,
     pub(crate) inner: Rc<ClusterInner>,
 }
 
@@ -463,10 +461,8 @@ impl Cluster {
         }
         let amnesiac = RefCell::new(vec![false; cfg.nodes]);
         let retry_cap = cfg.overload.map_or(0, |o| o.retry_budget_cap);
-        let sub = SimSubstrate::new(sim.clone());
         Cluster {
             sim,
-            sub,
             inner: Rc::new(ClusterInner {
                 cfg,
                 quorum: RefCell::new(view),
@@ -489,13 +485,6 @@ impl Cluster {
     /// The underlying simulator (to spawn drivers, run, read metrics).
     pub fn sim(&self) -> &Sim<Msg> {
         &self.sim
-    }
-
-    /// The substrate hosting this cluster's engine (the sim world's
-    /// [`SimSubstrate`]; the engine itself is generic over
-    /// [`crate::substrate::Substrate`]).
-    pub fn substrate(&self) -> &SimSubstrate<Msg> {
-        &self.sub
     }
 
     /// Cluster configuration.
@@ -929,7 +918,7 @@ impl Cluster {
 
     /// Open a client bound to `node`; transactions it runs originate there.
     pub fn client(&self, node: NodeId) -> crate::engine::Client {
-        crate::engine::Client::new(self.sub.clone(), Rc::clone(&self.inner), node)
+        crate::engine::Client::new(self.sim.clone(), Rc::clone(&self.inner), node)
     }
 
     /// Start recording the committed history for [`Cluster::verify_history`].

@@ -10,9 +10,7 @@ use std::cell::RefCell;
 
 use crate::cluster::{InjectedBug, PendingPhase2};
 use crate::history::CommitRecord;
-use crate::msg::Msg;
 use crate::object::{ObjVal, ObjectId, Version};
-use crate::substrate::Substrate;
 use crate::txid::Abort;
 
 use super::nesting::{NestingPolicy, TxState};
@@ -20,8 +18,8 @@ use super::transport::Endpoint;
 
 /// Two-phase commit of the root transaction, or the local read-only commit
 /// Rqv enables under QR-CN.
-pub(super) async fn commit_root<S: Substrate<Msg>>(
-    ep: &Endpoint<S>,
+pub(super) async fn commit_root(
+    ep: &Endpoint,
     st: &RefCell<TxState>,
     pol: &dyn NestingPolicy,
 ) -> Result<(), Abort> {
@@ -89,7 +87,7 @@ pub(super) async fn commit_root<S: Substrate<Msg>>(
         // before our read observed it, and every writer that would
         // invalidate a read must serialize after the replica validations,
         // which happen after the send.
-        let at = ep.sub.now();
+        let at = ep.sim.now();
         let vote = ep
             .vote_round(&wq, root, reads.clone(), vec![], deadline)
             .await;
@@ -137,7 +135,7 @@ pub(super) async fn commit_root<S: Substrate<Msg>>(
             }
             if ep.inner.history.borrow().is_enabled() {
                 // Serialization point: all write-quorum locks held.
-                let at = ep.sub.now();
+                let at = ep.sim.now();
                 ep.inner.history.borrow_mut().push(CommitRecord {
                     tx: root,
                     at,
@@ -167,8 +165,8 @@ pub(super) async fn commit_root<S: Substrate<Msg>>(
 
 /// Release-side phase two: registered with the cluster while in flight so
 /// a view change can finish it on every alive replica immediately.
-async fn release_registered<S: Substrate<Msg>>(
-    ep: &Endpoint<S>,
+async fn release_registered(
+    ep: &Endpoint,
     voted: &[qrdtm_sim::NodeId],
     root: crate::txid::TxId,
     oids: Vec<ObjectId>,

@@ -48,7 +48,6 @@ use qrdtm_sim::{
 };
 
 use crate::cluster::Cluster;
-use crate::substrate::{SimSubstrate, Substrate};
 
 /// Knobs of the failure detector and the transport robustness that rides
 /// along with it (see [`DtmConfig::detector`](crate::DtmConfig::detector)).
@@ -230,17 +229,16 @@ pub fn spawn_detector(cluster: &Rc<Cluster>) -> DetectorHandle {
         .config()
         .detector
         .expect("spawn_detector requires DtmConfig::detector");
-    spawn_detector_on(Rc::clone(cluster), cluster.substrate().clone(), cfg)
+    spawn_detector_on(Rc::clone(cluster), cluster.sim().clone(), cfg)
 }
 
-/// [`spawn_detector`] for any [`Membership`] view hosted on the simulator
-/// behind `sub`, whatever its wire type.
+/// [`spawn_detector`] for any [`Membership`] view hosted on `sim`,
+/// whatever its wire type.
 pub fn spawn_detector_on<M: SimMessage, V: Membership + 'static>(
     view: Rc<V>,
-    sub: SimSubstrate<M>,
+    sim: Sim<M>,
     cfg: DetectorConfig,
 ) -> DetectorHandle {
-    let sim = sub.sim().clone();
     sim.start_heartbeats(cfg.heartbeat());
     let stop = Rc::new(Cell::new(false));
     let handle = DetectorHandle {
@@ -250,14 +248,14 @@ pub fn spawn_detector_on<M: SimMessage, V: Membership + 'static>(
             move || sim.stop_heartbeats()
         }),
     };
-    sim.spawn(async move {
+    sim.clone().spawn(async move {
         let mut st = DetectorState::new(view.node_count());
         loop {
-            sub.sleep(cfg.interval).await;
+            sim.sleep(cfg.interval).await;
             if stop.get() {
                 return;
             }
-            tick(&*view, &sub, &cfg, &mut st);
+            tick(&*view, &sim, &cfg, &mut st);
         }
     });
     handle
@@ -287,20 +285,18 @@ impl DetectorState {
     }
 }
 
-/// One detector evaluation over the current observation matrix. Clock,
-/// liveness and metrics go through the [`Substrate`] surface; only the
-/// heartbeat observation matrix is a sim-world extra.
+/// One detector evaluation over the current observation matrix.
 fn tick<M: SimMessage>(
     cluster: &impl Membership,
-    sub: &SimSubstrate<M>,
+    sim: &Sim<M>,
     cfg: &DetectorConfig,
     st: &mut DetectorState,
 ) {
     let nodes = cluster.node_count();
-    let now = sub.now();
+    let now = sim.now();
     let window = cfg.suspect_window();
     let fresh = |observer: NodeId, sender: NodeId| {
-        now.saturating_since(sub.sim().last_heartbeat(observer, sender)) <= window
+        now.saturating_since(sim.last_heartbeat(observer, sender)) <= window
     };
     let trusted: Vec<NodeId> = (0..nodes as u32)
         .map(NodeId)
@@ -325,11 +321,11 @@ fn tick<M: SimMessage>(
             continue;
         }
         st.suspected_at[n.index()] = now;
-        sub.bump(Counter::Suspicions);
-        if sub.is_alive(n) {
-            sub.bump(Counter::FalseSuspicions);
+        sim.bump(Counter::Suspicions);
+        if sim.is_alive(n) {
+            sim.bump(Counter::FalseSuspicions);
         }
-        sub.emit_engine_event(EngineEventKind::NodeSuspected, n, cluster.view_epoch());
+        sim.emit_engine_event(EngineEventKind::NodeSuspected, n, cluster.view_epoch());
     }
 
     // Rejoin: a view-dead node is back once some view-alive observer has
@@ -344,7 +340,7 @@ fn tick<M: SimMessage>(
         let heard = (0..nodes as u32)
             .map(NodeId)
             .filter(|&o| o != v && cluster.view_alive(o))
-            .map(|o| sub.sim().last_heartbeat(o, v))
+            .map(|o| sim.last_heartbeat(o, v))
             .max()
             .unwrap_or(SimTime::ZERO);
         // Strictly newer than the window also implies newer than the
@@ -353,8 +349,8 @@ fn tick<M: SimMessage>(
         if heard > st.suspected_at[v.index()] && now.saturating_since(heard) <= window {
             if let Some(transfer) = cluster.rejoin(v) {
                 st.grace_until[v.index()] = now + transfer + window;
-                sub.bump(Counter::Rejoins);
-                sub.emit_engine_event(EngineEventKind::NodeRejoined, v, cluster.view_epoch());
+                sim.bump(Counter::Rejoins);
+                sim.emit_engine_event(EngineEventKind::NodeRejoined, v, cluster.view_epoch());
             }
         }
     }

@@ -59,19 +59,18 @@ use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 
-use qrdtm_sim::{Counter, EngineEventKind, NodeId, SimDuration, SimTime};
+use qrdtm_sim::{Counter, EngineEventKind, NodeId, Sim, SimDuration, SimTime};
 
 use crate::cluster::{ClusterInner, LockPolicy};
 use crate::msg::{Msg, ValidationKind};
 use crate::object::{ObjVal, ObjectId};
-use crate::substrate::{SimSubstrate, Substrate};
 use crate::txid::{Abort, AbortTarget, TxId};
 
 use nesting::{Cached, Frame, NestingPolicy, TxState};
 use transport::Endpoint;
 
 /// A compensating action: a transaction body undoing an open CT's effects.
-type Compensation<S> = Rc<dyn Fn(Tx<S>) -> Pin<Box<dyn Future<Output = Result<(), Abort>>>>>;
+type Compensation = Rc<dyn Fn(Tx) -> Pin<Box<dyn Future<Output = Result<(), Abort>>>>>;
 
 /// Encode an abort target into an [`EngineEventKind::AbortWithTarget`]
 /// event's `detail` field: levels map to their value, checkpoint targets
@@ -89,17 +88,14 @@ fn abort_detail(target: AbortTarget, bound: u32) -> u64 {
 }
 
 /// A client bound to a node; runs root transactions originating there.
-///
-/// Generic over the [`Substrate`] hosting the engine; defaults to the
-/// deterministic simulator, so existing sim-world code never names `S`.
-pub struct Client<S: Substrate<Msg> = SimSubstrate<Msg>> {
-    ep: Endpoint<S>,
+pub struct Client {
+    ep: Endpoint,
 }
 
-impl<S: Substrate<Msg>> Client<S> {
-    pub(crate) fn new(sub: S, inner: S::Shared<ClusterInner>, node: NodeId) -> Self {
+impl Client {
+    pub(crate) fn new(sim: Sim<Msg>, inner: Rc<ClusterInner>, node: NodeId) -> Self {
         Client {
-            ep: Endpoint::new(sub, inner, node),
+            ep: Endpoint::new(sim, inner, node),
         }
     }
 
@@ -117,10 +113,10 @@ impl<S: Substrate<Msg>> Client<S> {
     /// non-determinism outside `Tx` would diverge from the logged prefix.
     pub async fn run<T, F, Fut>(&self, body: F) -> T
     where
-        F: Fn(Tx<S>) -> Fut,
+        F: Fn(Tx) -> Fut,
         Fut: Future<Output = Result<T, Abort>>,
     {
-        let started = self.ep.sub.now();
+        let started = self.ep.sim.now();
         let tx = self.begin_tx();
         loop {
             match body(tx.clone()).await {
@@ -139,12 +135,12 @@ impl<S: Substrate<Msg>> Client<S> {
     /// A fresh root transaction handle at nesting level 0 — the attempt-
     /// level API [`crate::protocol::DtmProtocol`] builds on (where the
     /// caller, not [`Client::run`], drives the retry loop).
-    pub(crate) fn begin_tx(&self) -> Tx<S> {
+    pub(crate) fn begin_tx(&self) -> Tx {
         Tx {
-            st: S::share(RefCell::new(TxState::new(
+            st: Rc::new(RefCell::new(TxState::new(
                 self.ep.inner.fresh_txid(self.ep.node),
             ))),
-            comps: S::share(RefCell::new(Vec::new())),
+            comps: Rc::new(RefCell::new(Vec::new())),
             ep: self.ep.clone(),
             level: 0,
         }
@@ -155,28 +151,18 @@ impl<S: Substrate<Msg>> Client<S> {
 ///
 /// Cloning is cheap (reference-counted); each [`Tx::closed`] scope receives
 /// a handle one nesting level deeper.
-pub struct Tx<S: Substrate<Msg> = SimSubstrate<Msg>> {
-    st: S::Shared<RefCell<TxState>>,
+#[derive(Clone)]
+pub struct Tx {
+    st: Rc<RefCell<TxState>>,
     /// Compensations recorded by committed open CTs of the current attempt
     /// (run newest-first if the attempt aborts). Kept on the handle, not in
-    /// [`TxState`], so the state layer stays substrate-free.
-    comps: S::Shared<RefCell<Vec<Compensation<S>>>>,
-    ep: Endpoint<S>,
+    /// [`TxState`], so the state layer never names the handle type.
+    comps: Rc<RefCell<Vec<Compensation>>>,
+    ep: Endpoint,
     level: u32,
 }
 
-impl<S: Substrate<Msg>> Clone for Tx<S> {
-    fn clone(&self) -> Self {
-        Tx {
-            st: self.st.clone(),
-            comps: self.comps.clone(),
-            ep: self.ep.clone(),
-            level: self.level,
-        }
-    }
-}
-
-impl<S: Substrate<Msg>> Tx<S> {
+impl Tx {
     /// The nesting level of this handle (0 = root).
     pub fn level(&self) -> u32 {
         self.level
@@ -300,7 +286,7 @@ impl<S: Substrate<Msg>> Tx<S> {
                         if waits < max_waits {
                             waits += 1;
                             self.ep.inner.stats.borrow_mut().lock_waits += 1;
-                            self.ep.sub.sleep(pause).await;
+                            self.ep.sim.sleep(pause).await;
                             continue;
                         }
                     }
@@ -311,12 +297,12 @@ impl<S: Substrate<Msg>> Tx<S> {
         };
         if kind != ValidationKind::None {
             self.ep
-                .sub
+                .sim
                 .emit_engine_event(EngineEventKind::ReadValidated, self.ep.node, oid.0);
         }
         {
             let mut st = self.st.borrow_mut();
-            st.last_remote_read_at = self.ep.sub.now();
+            st.last_remote_read_at = self.ep.sim.now();
             let cached = Cached {
                 version,
                 val: write_val.clone().unwrap_or_else(|| fetched.clone()),
@@ -345,7 +331,7 @@ impl<S: Substrate<Msg>> Tx<S> {
     /// no communication (paper Alg. 3).
     pub async fn closed<T, F, Fut>(&self, body: F) -> Result<T, Abort>
     where
-        F: Fn(Tx<S>) -> Fut,
+        F: Fn(Tx) -> Fut,
         Fut: Future<Output = Result<T, Abort>>,
     {
         if !self.policy().real_nested_scopes() {
@@ -387,7 +373,7 @@ impl<S: Substrate<Msg>> Tx<S> {
                     target: AbortTarget::Level(l),
                 }) if l == child_level => {
                     let innermost = (self.st.borrow().frames.len() - 1) as u32;
-                    self.ep.sub.emit_engine_event(
+                    self.ep.sim.emit_engine_event(
                         EngineEventKind::AbortWithTarget,
                         self.ep.node,
                         abort_detail(AbortTarget::Level(l), innermost),
@@ -433,9 +419,9 @@ impl<S: Substrate<Msg>> Tx<S> {
     /// compensation recorded).
     pub async fn open<T, F, Fut, C>(&self, body: F, compensate: C) -> Result<T, Abort>
     where
-        F: Fn(Tx<S>) -> Fut,
+        F: Fn(Tx) -> Fut,
         Fut: Future<Output = Result<T, Abort>>,
-        C: Fn(Tx<S>) -> Pin<Box<dyn Future<Output = Result<(), Abort>>>> + 'static,
+        C: Fn(Tx) -> Pin<Box<dyn Future<Output = Result<(), Abort>>>> + 'static,
     {
         if !self.policy().real_nested_scopes() {
             return body(self.clone()).await;
@@ -451,7 +437,7 @@ impl<S: Substrate<Msg>> Tx<S> {
     /// untouched.
     async fn run_subtransaction<T, F, Fut>(&self, body: &F) -> T
     where
-        F: Fn(Tx<S>) -> Fut,
+        F: Fn(Tx) -> Fut,
         Fut: Future<Output = Result<T, Abort>>,
     {
         let client = Client {
@@ -507,11 +493,11 @@ impl<S: Substrate<Msg>> Tx<S> {
         }
         // The measured ~6% creation overhead, as local compute time; a
         // zero-cost config charges nothing and schedules no event.
-        self.ep.sub.charge(cost).await;
+        self.ep.sim.charge(cost).await;
         let mut st = self.st.borrow_mut();
         pol.take_checkpoint(&mut st);
         self.ep.inner.stats.borrow_mut().checkpoints += 1;
-        self.ep.sub.emit_engine_event(
+        self.ep.sim.emit_engine_event(
             EngineEventKind::CheckpointTaken,
             self.ep.node,
             (u64::from(st.cur_chk()) << 32) | st.oplog.len() as u64,
@@ -541,8 +527,8 @@ impl<S: Substrate<Msg>> Tx<S> {
     /// Account a successful commit: one commit plus its latency measured
     /// from `started` (the begin instant, spanning every retry).
     pub(crate) fn record_commit(&self, started: qrdtm_sim::SimTime) {
-        let lat = self.ep.sub.now().saturating_since(started).as_nanos();
-        self.ep.sub.observe_latency(lat);
+        let lat = self.ep.sim.now().saturating_since(started).as_nanos();
+        self.ep.sim.observe_latency(lat);
         // Successes replenish the shared retry budget: the token-bucket
         // refill that lets retries scale with how fast the cluster is
         // actually completing work (and starves them when it is not).
@@ -576,7 +562,7 @@ impl<S: Substrate<Msg>> Tx<S> {
             // credited so fractional progress is never lost.
             let drip_ns = drip.as_nanos();
             let last = ov.last_drip_ns.get();
-            let earned = self.ep.sub.now().as_nanos().saturating_sub(last) / drip_ns;
+            let earned = self.ep.sim.now().as_nanos().saturating_sub(last) / drip_ns;
             if earned > 0 {
                 ov.last_drip_ns.set(last + earned * drip_ns);
                 ov.retry_tokens
@@ -585,11 +571,11 @@ impl<S: Substrate<Msg>> Tx<S> {
             let tokens = ov.retry_tokens.get();
             if tokens > 0 {
                 ov.retry_tokens.set(tokens - 1);
-                self.ep.sub.bump(Counter::ClientRetries);
+                self.ep.sim.bump(Counter::ClientRetries);
                 return;
             }
-            self.ep.sub.bump(Counter::RetryBudgetExhausted);
-            self.ep.sub.sleep(drip).await;
+            self.ep.sim.bump(Counter::RetryBudgetExhausted);
+            self.ep.sim.sleep(drip).await;
         }
     }
 
@@ -604,7 +590,7 @@ impl<S: Substrate<Msg>> Tx<S> {
                 AbortTarget::Chk(_) => st.cur_chk(),
             }
         };
-        self.ep.sub.emit_engine_event(
+        self.ep.sim.emit_engine_event(
             EngineEventKind::AbortWithTarget,
             self.ep.node,
             abort_detail(abort.target, bound),
@@ -641,7 +627,7 @@ impl<S: Substrate<Msg>> Tx<S> {
             let restored = st.rollback_to(c);
             (restored, st.oplog.len())
         };
-        self.ep.sub.emit_engine_event(
+        self.ep.sim.emit_engine_event(
             EngineEventKind::CheckpointRestored,
             self.ep.node,
             (u64::from(restored) << 32) | oplog_len as u64,
@@ -678,8 +664,8 @@ impl<S: Substrate<Msg>> Tx<S> {
         // charge() makes zero cost event-free — one rule for both former
         // `> ZERO` special cases (here and in checkpoint charging).
         if d > SimDuration::ZERO {
-            d = d.mul_f64(self.ep.sub.jitter(0.5, 1.5));
+            d = d.mul_f64(self.ep.sim.jitter(0.5, 1.5));
         }
-        self.ep.sub.charge(d).await;
+        self.ep.sim.charge(d).await;
     }
 }

@@ -4,23 +4,22 @@
 //! read-quorum fetch round, the 2PC vote round, and the commit-confirm /
 //! lock-release fan-outs — together with the round/timeout accounting and
 //! the [`EngineEventKind::QuorumRound`] boundary events. Layers above deal
-//! in replies and outcomes, never in call plumbing; the plumbing itself
-//! goes through the [`Substrate`], never directly to a simulator.
+//! in replies and outcomes, never in call plumbing.
 
 use std::cell::Cell;
+use std::rc::Rc;
 
-use qrdtm_sim::{Counter, EngineEventKind, NodeId, SimDuration, SimTime};
+use qrdtm_sim::{Counter, EngineEventKind, NodeId, Sim, SimDuration, SimTime};
 
 use crate::cluster::ClusterInner;
 use crate::msg::{class, Msg, ValEntry, ValidationKind};
 use crate::object::{ObjVal, ObjectId, Version};
 use crate::pool::Payload;
-use crate::substrate::{SimSubstrate, Substrate};
 use crate::txid::{Abort, TxId};
 
 /// Decorrelated-jitter step of the capped exponential retry backoff:
 /// `next = clamp(prev × mult, base, cap)` with `mult` drawn per step from
-/// the seeded substrate RNG in `[1, 3)`. Plain doubling keeps every client
+/// the seeded simulator RNG in `[1, 3)`. Plain doubling keeps every client
 /// that timed out at the same instant in lockstep — they retry together,
 /// collide again, and double together (PR 6 measured exactly this livelock
 /// at zero backoff); a multiplier drawn per client per step decorrelates
@@ -81,26 +80,17 @@ pub(super) struct ReadRound {
 }
 
 /// A node-bound handle on the cluster: the shared plumbing every engine
-/// layer works through (substrate, cluster state, origin node).
-pub(crate) struct Endpoint<S: Substrate<Msg> = SimSubstrate<Msg>> {
-    pub(super) sub: S,
-    pub(super) inner: S::Shared<ClusterInner>,
+/// layer works through (simulator, cluster state, origin node).
+#[derive(Clone)]
+pub(crate) struct Endpoint {
+    pub(super) sim: Sim<Msg>,
+    pub(super) inner: Rc<ClusterInner>,
     pub(super) node: NodeId,
 }
 
-impl<S: Substrate<Msg>> Clone for Endpoint<S> {
-    fn clone(&self) -> Self {
-        Endpoint {
-            sub: self.sub.clone(),
-            inner: self.inner.clone(),
-            node: self.node,
-        }
-    }
-}
-
-impl<S: Substrate<Msg>> Endpoint<S> {
-    pub(super) fn new(sub: S, inner: S::Shared<ClusterInner>, node: NodeId) -> Self {
-        Endpoint { sub, inner, node }
+impl Endpoint {
+    pub(super) fn new(sim: Sim<Msg>, inner: Rc<ClusterInner>, node: NodeId) -> Self {
+        Endpoint { sim, inner, node }
     }
 
     /// Next retry backoff after sleeping `prev`: decorrelated jitter within
@@ -114,14 +104,14 @@ impl<S: Substrate<Msg>> Endpoint<S> {
             prev,
             self.inner.cfg.backoff_base,
             self.inner.cfg.backoff_max,
-            self.sub.jitter(1.0, 3.0),
+            self.sim.jitter(1.0, 3.0),
         )
     }
 
-    /// Whether `deadline` (if any) has already passed on the substrate
+    /// Whether `deadline` (if any) has already passed on the simulator
     /// clock — retry loops abandon rather than burn more quorum rounds.
     fn past_deadline(&self, deadline: Option<SimTime>) -> bool {
-        deadline.is_some_and(|d| self.sub.now() > d)
+        deadline.is_some_and(|d| self.sim.now() > d)
     }
 
     /// One read round against the current read quorum. Returns the raw
@@ -150,7 +140,7 @@ impl<S: Substrate<Msg>> Endpoint<S> {
         // driver is about to abandon it, so the round (and any hedges or
         // retries it would spawn) is pure waste.
         if self.past_deadline(deadline) {
-            self.sub.bump(Counter::WastedRetries);
+            self.sim.bump(Counter::WastedRetries);
             return Err(Abort::root());
         }
         let msg = Msg::ReadReq {
@@ -163,7 +153,7 @@ impl<S: Substrate<Msg>> Endpoint<S> {
             kind,
         };
         self.inner.stats.borrow_mut().read_rounds += 1;
-        self.sub.emit_engine_event(
+        self.sim.emit_engine_event(
             EngineEventKind::QuorumRound,
             self.node,
             u64::from(class::READ_REQ),
@@ -187,8 +177,8 @@ impl<S: Substrate<Msg>> Endpoint<S> {
                         self.inner.overload.retry_pressure.get() >= o.hedge_pressure_threshold
                     });
                     if suppress {
-                        self.sub.bump(Counter::HedgesSuppressed);
-                        self.sub.emit_engine_event(
+                        self.sim.bump(Counter::HedgesSuppressed);
+                        self.sim.emit_engine_event(
                             EngineEventKind::HedgeSuppressed,
                             self.node,
                             self.inner.overload.retry_pressure.get(),
@@ -207,13 +197,13 @@ impl<S: Substrate<Msg>> Endpoint<S> {
                             }
                         }
                         if added > 0 {
-                            self.sub.bump(Counter::HedgedCalls);
+                            self.sim.bump(Counter::HedgedCalls);
                         }
                     }
                 }
             }
             let res = self
-                .sub
+                .sim
                 .call_first(
                     self.node,
                     &dests,
@@ -225,7 +215,7 @@ impl<S: Substrate<Msg>> Endpoint<S> {
             if !res.timed_out {
                 let hedged = res.replies.iter().any(|(n, _)| !rq.contains(n));
                 if hedged {
-                    self.sub.bump(Counter::HedgedWins);
+                    self.sim.bump(Counter::HedgedWins);
                 }
                 return Ok(ReadRound {
                     replies: res.replies,
@@ -237,12 +227,12 @@ impl<S: Substrate<Msg>> Endpoint<S> {
                 // Cancel the remaining retries once the deadline passed
                 // mid-round — the timeout already burned past it.
                 if self.past_deadline(deadline) {
-                    self.sub.bump(Counter::WastedRetries);
+                    self.sim.bump(Counter::WastedRetries);
                     return Err(Abort::root());
                 }
                 pressure.engage();
-                self.sub.bump(Counter::RpcRetries);
-                self.sub.sleep(backoff).await;
+                self.sim.bump(Counter::RpcRetries);
+                self.sim.sleep(backoff).await;
                 backoff = self.next_backoff(backoff);
             }
         }
@@ -263,11 +253,11 @@ impl<S: Substrate<Msg>> Endpoint<S> {
         deadline: Option<SimTime>,
     ) -> Result<(), Abort> {
         if self.past_deadline(deadline) {
-            self.sub.bump(Counter::WastedRetries);
+            self.sim.bump(Counter::WastedRetries);
             return Err(Abort::root());
         }
         self.inner.stats.borrow_mut().commit_rounds += 1;
-        self.sub.emit_engine_event(
+        self.sim.emit_engine_event(
             EngineEventKind::QuorumRound,
             self.node,
             u64::from(class::COMMIT_REQ),
@@ -287,7 +277,7 @@ impl<S: Substrate<Msg>> Endpoint<S> {
         let mut pressure = PressureGuard::new(&self.inner.overload.retry_pressure);
         for attempt in 0..=retries {
             let res = self
-                .sub
+                .sim
                 .call(self.node, wq, msg.clone(), self.inner.cfg.rpc_timeout)
                 .await;
             if !res.timed_out {
@@ -300,12 +290,12 @@ impl<S: Substrate<Msg>> Endpoint<S> {
             self.inner.stats.borrow_mut().timeouts += 1;
             if attempt < retries {
                 if self.past_deadline(deadline) {
-                    self.sub.bump(Counter::WastedRetries);
+                    self.sim.bump(Counter::WastedRetries);
                     return Err(Abort::root());
                 }
                 pressure.engage();
-                self.sub.bump(Counter::RpcRetries);
-                self.sub.sleep(backoff).await;
+                self.sim.bump(Counter::RpcRetries);
+                self.sim.sleep(backoff).await;
                 backoff = self.next_backoff(backoff);
             }
         }
@@ -366,21 +356,21 @@ impl<S: Substrate<Msg>> Endpoint<S> {
             let targets: Vec<NodeId> = voted
                 .iter()
                 .copied()
-                .filter(|&n| self.sub.is_alive(n))
+                .filter(|&n| self.sim.is_alive(n))
                 .collect();
             if targets.is_empty() {
                 return;
             }
             let res = self
-                .sub
+                .sim
                 .call(self.node, &targets, mk(), self.inner.cfg.rpc_timeout)
                 .await;
             if !res.timed_out {
                 return;
             }
             self.inner.stats.borrow_mut().timeouts += 1;
-            self.sub.bump(Counter::RpcRetries);
-            self.sub.sleep(backoff).await;
+            self.sim.bump(Counter::RpcRetries);
+            self.sim.sleep(backoff).await;
             backoff = self.next_backoff(backoff);
         }
     }

@@ -62,7 +62,6 @@ pub mod pool;
 pub mod protocol;
 mod stats;
 mod store;
-pub mod substrate;
 mod txid;
 
 pub use cluster::{
@@ -82,5 +81,4 @@ pub use pool::Payload;
 pub use protocol::{DtmProtocol, ProtocolStats, QrTxHandle, SimHosted};
 pub use stats::DtmStats;
 pub use store::{NodeStore, ReadOutcome};
-pub use substrate::{SimSubstrate, Substrate};
 pub use txid::{Abort, AbortTarget, NestingMode, TxId};

@@ -189,13 +189,13 @@ mod tests {
             cur_chk: 0,
             oid: ObjectId(1),
             want_write: false,
-            entries: Payload::empty(),
+            entries: [].into(),
             kind: ValidationKind::None,
         };
         let commit = Msg::CommitReq {
             root: dummy_tx(),
-            reads: Payload::empty(),
-            writes: Payload::empty(),
+            reads: [].into(),
+            writes: [].into(),
         };
         assert_eq!(read.class(), class::READ_REQ);
         assert_eq!(commit.class(), class::COMMIT_REQ);
@@ -224,7 +224,7 @@ mod tests {
             cur_chk: 0,
             oid: ObjectId(1),
             want_write: false,
-            entries: Payload::empty(),
+            entries: [].into(),
             kind: ValidationKind::Closed,
         };
         let big = Msg::ReadReq {

@@ -1,102 +1,16 @@
-//! Arena-friendly payload handles for the wire protocol.
+//! Shared payload handles for the wire protocol.
 //!
 //! The simulator clones a message once per destination, and the transport
 //! layer clones it again per retry attempt — so a commit against a
-//! 5-member write quorum with two retries used to deep-copy its read and
-//! write sets fifteen times. [`Payload`] makes every one of those clones a
-//! reference-count bump on a single immutable allocation: the variable
-//! -length payload of a [`Msg`](crate::Msg) is built exactly once, frozen,
-//! and shared by every copy in flight.
-//!
-//! The handle is deliberately immutable (`Rc<[T]>`, not `Rc<Vec<T>>`):
-//! a frozen payload cannot be mutated through an alias after it is on the
-//! wire, which is the same property a real serialized packet has. All
-//! consumers read payloads through `&[T]`, which deref coercion provides.
-//!
-//! This is the protocol-level half of the event-core arena work: the
-//! simulator's timing wheel keeps event *envelopes* out of the allocator
-//! (see `qrdtm_sim::wheel`), and `Payload` keeps the message *bodies*
-//! from multiplying behind them.
+//! 5-member write quorum with two retries would deep-copy its read and
+//! write sets fifteen times. A [`Payload`] makes every one of those clones
+//! a reference-count bump on a single allocation: the variable-length
+//! payload of a [`Msg`](crate::Msg) is built exactly once (`vec.into()`),
+//! frozen, and shared by every copy in flight.
 
-use std::fmt;
-use std::ops::Deref;
 use std::rc::Rc;
 
-/// A frozen, cheaply clonable message payload.
-///
-/// Construct with [`From<Vec<T>>`] (the one unavoidable allocation) or
-/// [`Payload::empty`]; clone freely after that.
-pub struct Payload<T>(Rc<[T]>);
-
-impl<T> Payload<T> {
-    /// The shared empty payload (flat QR sends no validation entries).
-    pub fn empty() -> Self {
-        Payload(Rc::from(Vec::new()))
-    }
-
-    /// How many handles share this allocation (diagnostics only).
-    pub fn handles(&self) -> usize {
-        Rc::strong_count(&self.0)
-    }
-}
-
-impl<T> Clone for Payload<T> {
-    fn clone(&self) -> Self {
-        Payload(Rc::clone(&self.0))
-    }
-}
-
-impl<T> Deref for Payload<T> {
-    type Target = [T];
-    fn deref(&self) -> &[T] {
-        &self.0
-    }
-}
-
-impl<T> From<Vec<T>> for Payload<T> {
-    fn from(v: Vec<T>) -> Self {
-        Payload(Rc::from(v))
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for Payload<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
-    }
-}
-
-impl<T: PartialEq> PartialEq for Payload<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0
-    }
-}
-
-impl<T: Eq> Eq for Payload<T> {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn clone_shares_the_allocation() {
-        let p: Payload<u32> = vec![1, 2, 3].into();
-        let q = p.clone();
-        assert_eq!(p.handles(), 2);
-        assert_eq!(&*q, &[1, 2, 3]);
-        assert_eq!(p, q);
-        drop(q);
-        assert_eq!(p.handles(), 1);
-    }
-
-    #[test]
-    fn derefs_like_a_slice() {
-        let p: Payload<u32> = vec![5, 6].into();
-        fn takes_slice(s: &[u32]) -> u32 {
-            s.iter().sum()
-        }
-        assert_eq!(takes_slice(&p), 11);
-        assert_eq!(p.len(), 2);
-        assert!(!p.is_empty());
-        assert!(Payload::<u32>::empty().is_empty());
-    }
-}
+/// A frozen, cheaply clonable message payload. Immutable (`Rc<[T]>`, not
+/// `Rc<Vec<T>>`): a payload cannot be mutated through an alias once it is
+/// on the wire, the same property a real serialized packet has.
+pub type Payload<T> = Rc<[T]>;

@@ -15,6 +15,8 @@
 //! attempt otherwise) and re-executes its body on the same handle. That is
 //! exactly the contract [`Client::run`] implements internally for QR, and
 //! the imperative equivalent of what the baselines' bank drivers did.
+//!
+//! [`Client::run`]: crate::Client::run
 
 use qrdtm_sim::{NodeId, Sim, SimMessage, SimTime};
 
@@ -108,6 +110,8 @@ pub trait SimHosted: DtmProtocol {
 
 /// QR transaction handle: the engine transaction plus its begin instant
 /// (commit latency spans every retry, as in [`Client::run`]).
+///
+/// [`Client::run`]: crate::Client::run
 pub struct QrTxHandle {
     tx: Tx,
     started: SimTime,

@@ -1,8 +1,8 @@
 //! # qrdtm-par — a multi-threaded TL2 backend for the protocol surface
 //!
 //! Everything else in this workspace runs on the deterministic
-//! single-threaded simulator; this crate is the other half of the
-//! substrate split: a real multi-threaded in-process software
+//! single-threaded simulator; this crate shares only the transactional
+//! interface with it: a real multi-threaded in-process software
 //! transactional memory in the style of **TL2** (Dice, Shalev, Shavit,
 //! DISC 2006), sitting behind the same [`DtmProtocol`] trait the
 //! simulator protocols implement. Real OS threads run the generic

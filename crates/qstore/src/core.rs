@@ -10,9 +10,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 
-use qrdtm_core::{
-    repair, CommitRecord, ObjVal, ObjectId, SimSubstrate, Substrate, TxId, Version, Wal,
-};
+use qrdtm_core::{repair, CommitRecord, ObjVal, ObjectId, TxId, Version, Wal};
 use qrdtm_sim::{NodeId, Sim, SimDuration, SimTime};
 
 use crate::msg::{Decision, QMsg, TxStatus};
@@ -748,7 +746,6 @@ pub(crate) fn account_decisions(sh: &Shared, decided: &[(TxId, Decision)]) {
 /// empty or young (the armed sealer picks it up), when deposed, or when
 /// the planner node dies.
 pub(crate) async fn run_batches(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, first: BatchJob) {
-    let sub = SimSubstrate::new(sim.clone());
     let mut job = first;
     loop {
         if sh.cfg.bug == Some(QStoreBug::AckBeforeFsync) {
@@ -773,7 +770,7 @@ pub(crate) async fn run_batches(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, first
             .borrow_mut()
             .group_commit()
             .unwrap_or(sh.cfg.wal_cost);
-        Substrate::<QMsg>::sleep(&sub, sync_cost).await;
+        sim.sleep(sync_cost).await;
         let maj = majority(sh.cfg.nodes);
         let mut acked: HashSet<usize> = HashSet::from([me]);
         loop {
@@ -791,22 +788,22 @@ pub(crate) async fn run_batches(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, first
                 .map(|&i| sh.nodes[i])
                 .collect();
             if targets.is_empty() {
-                Substrate::<QMsg>::sleep(&sub, sh.cfg.backoff).await;
+                sim.sleep(sh.cfg.backoff).await;
                 continue;
             }
-            let res = Substrate::<QMsg>::call(
-                &sub,
-                sh.nodes[me],
-                &targets,
-                QMsg::ApplyBatch {
-                    batch: job.batch,
-                    view: view_epoch,
-                    writes: job.writes.clone(),
-                    decided: job.decided.clone(),
-                },
-                Some(sh.cfg.rpc_timeout),
-            )
-            .await;
+            let res = sim
+                .call(
+                    sh.nodes[me],
+                    &targets,
+                    QMsg::ApplyBatch {
+                        batch: job.batch,
+                        view: view_epoch,
+                        writes: job.writes.clone(),
+                        decided: job.decided.clone(),
+                    },
+                    Some(sh.cfg.rpc_timeout),
+                )
+                .await;
             let mut lagging: Vec<usize> = Vec::new();
             for (node, reply) in &res.replies {
                 let idx = node.0 as usize;
@@ -832,14 +829,9 @@ pub(crate) async fn run_batches(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, first
                         decided: r.decided.iter().map(|(t, d)| (*t, d.clone())).collect(),
                     }
                 };
-                let res = Substrate::<QMsg>::call(
-                    &sub,
-                    sh.nodes[me],
-                    &[sh.nodes[idx]],
-                    fs,
-                    Some(sh.cfg.rpc_timeout),
-                )
-                .await;
+                let res = sim
+                    .call(sh.nodes[me], &[sh.nodes[idx]], fs, Some(sh.cfg.rpc_timeout))
+                    .await;
                 if res
                     .replies
                     .iter()
@@ -849,8 +841,8 @@ pub(crate) async fn run_batches(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, first
                 }
             }
             if acked.len() < maj {
-                let jitter = Substrate::<QMsg>::jitter(&sub, 0.5, 1.5);
-                Substrate::<QMsg>::sleep(&sub, sh.cfg.backoff.mul_f64(jitter)).await;
+                let jitter = sim.jitter(0.5, 1.5);
+                sim.sleep(sh.cfg.backoff.mul_f64(jitter)).await;
             }
         }
         // Quorum reached: acknowledge the whole epoch at once.
@@ -893,9 +885,8 @@ pub(crate) async fn run_batches(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, first
 /// out `epoch_timeout`, then seals unless the epoch was already sealed
 /// (batch-full trigger or replication chaining) in the meantime.
 pub(crate) async fn sealer(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, my_batch: u64) {
-    let sub = SimSubstrate::new(sim.clone());
     loop {
-        Substrate::<QMsg>::sleep(&sub, sh.cfg.epoch_timeout).await;
+        sim.sleep(sh.cfg.epoch_timeout).await;
         if !sim.is_alive(sh.nodes[me]) || sh.view.borrow().planner != me {
             return;
         }
@@ -923,7 +914,6 @@ pub(crate) async fn sealer(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, my_batch: 
 /// lagging replicas. The deposed planner's open epoch is lost by design;
 /// clients re-submit and are replanned from acknowledged state.
 pub(crate) async fn takeover(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize) {
-    let sub = SimSubstrate::new(sim.clone());
     loop {
         if !sim.is_alive(sh.nodes[me]) || sh.view.borrow().planner != me {
             return;
@@ -938,14 +928,14 @@ pub(crate) async fn takeover(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize) {
         // non-holders; observing self plus `nodes - majority` others
         // guarantees a holder is seen.
         let need_others = sh.cfg.nodes - majority(sh.cfg.nodes);
-        let res = Substrate::<QMsg>::call(
-            &sub,
-            sh.nodes[me],
-            &targets,
-            QMsg::SyncPull,
-            Some(sh.cfg.rpc_timeout),
-        )
-        .await;
+        let res = sim
+            .call(
+                sh.nodes[me],
+                &targets,
+                QMsg::SyncPull,
+                Some(sh.cfg.rpc_timeout),
+            )
+            .await;
         let infos: Vec<(u64, usize)> = res
             .replies
             .iter()
@@ -955,15 +945,15 @@ pub(crate) async fn takeover(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize) {
             })
             .collect();
         if infos.len() < need_others {
-            let jitter = Substrate::<QMsg>::jitter(&sub, 0.5, 1.5);
-            Substrate::<QMsg>::sleep(&sub, sh.cfg.backoff.mul_f64(jitter)).await;
+            let jitter = sim.jitter(0.5, 1.5);
+            sim.sleep(sh.cfg.backoff.mul_f64(jitter)).await;
             continue;
         }
         let my_applied = sh.replicas[me].borrow().applied;
         let best = infos.iter().copied().max().unwrap_or((my_applied, me));
         if best.0 > my_applied {
             // Charged state transfer from the most advanced replica.
-            Substrate::<QMsg>::sleep(&sub, sh.cfg.transfer_cost).await;
+            sim.sleep(sh.cfg.transfer_cost).await;
             if !sim.is_alive(sh.nodes[me]) || sh.view.borrow().planner != me {
                 return;
             }
@@ -1020,14 +1010,9 @@ pub(crate) async fn takeover(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize) {
                     }
                 };
                 let targets: Vec<NodeId> = lagging.iter().map(|(_, n)| *n).collect();
-                let res = Substrate::<QMsg>::call(
-                    &sub,
-                    sh.nodes[me],
-                    &targets,
-                    fs,
-                    Some(sh.cfg.rpc_timeout),
-                )
-                .await;
+                let res = sim
+                    .call(sh.nodes[me], &targets, fs, Some(sh.cfg.rpc_timeout))
+                    .await;
                 for (node, m) in &res.replies {
                     if let QMsg::ApplyAck { ok: true, applied } = m {
                         if *applied >= adopted {
@@ -1037,8 +1022,8 @@ pub(crate) async fn takeover(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize) {
                 }
             }
             if holders.len() < maj {
-                let jitter = Substrate::<QMsg>::jitter(&sub, 0.5, 1.5);
-                Substrate::<QMsg>::sleep(&sub, sh.cfg.backoff.mul_f64(jitter)).await;
+                let jitter = sim.jitter(0.5, 1.5);
+                sim.sleep(sh.cfg.backoff.mul_f64(jitter)).await;
             }
         }
         {
@@ -1079,9 +1064,9 @@ pub(crate) async fn takeover(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize) {
                     decided: r.decided.iter().map(|(t, d)| (*t, d.clone())).collect(),
                 }
             };
-            let _ =
-                Substrate::<QMsg>::call(&sub, sh.nodes[me], &behind, fs, Some(sh.cfg.rpc_timeout))
-                    .await;
+            let _ = sim
+                .call(sh.nodes[me], &behind, fs, Some(sh.cfg.rpc_timeout))
+                .await;
         }
         return;
     }
@@ -1091,7 +1076,6 @@ pub(crate) async fn takeover(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize) {
 /// replica (retried a few times; the per-batch gap repair takes over if
 /// this loses the race with new traffic).
 pub(crate) async fn catch_up(sh: Rc<Shared>, sim: Sim<QMsg>, planner_idx: usize, node_idx: usize) {
-    let sub = SimSubstrate::new(sim.clone());
     for _ in 0..5 {
         {
             let v = sh.view.borrow();
@@ -1100,7 +1084,7 @@ pub(crate) async fn catch_up(sh: Rc<Shared>, sim: Sim<QMsg>, planner_idx: usize,
             }
         }
         if !sh.planner.borrow().ready {
-            Substrate::<QMsg>::sleep(&sub, sh.cfg.backoff).await;
+            sim.sleep(sh.cfg.backoff).await;
             continue;
         }
         if sh.replicas[node_idx].borrow().applied >= sh.replicas[planner_idx].borrow().applied {
@@ -1116,14 +1100,14 @@ pub(crate) async fn catch_up(sh: Rc<Shared>, sim: Sim<QMsg>, planner_idx: usize,
                 decided: r.decided.iter().map(|(t, d)| (*t, d.clone())).collect(),
             }
         };
-        let res = Substrate::<QMsg>::call(
-            &sub,
-            sh.nodes[planner_idx],
-            &[sh.nodes[node_idx]],
-            fs,
-            Some(sh.cfg.rpc_timeout),
-        )
-        .await;
+        let res = sim
+            .call(
+                sh.nodes[planner_idx],
+                &[sh.nodes[node_idx]],
+                fs,
+                Some(sh.cfg.rpc_timeout),
+            )
+            .await;
         if res
             .replies
             .iter()
@@ -1131,8 +1115,8 @@ pub(crate) async fn catch_up(sh: Rc<Shared>, sim: Sim<QMsg>, planner_idx: usize,
         {
             return;
         }
-        let jitter = Substrate::<QMsg>::jitter(&sub, 0.5, 1.5);
-        Substrate::<QMsg>::sleep(&sub, sh.cfg.backoff.mul_f64(jitter)).await;
+        let jitter = sim.jitter(0.5, 1.5);
+        sim.sleep(sh.cfg.backoff.mul_f64(jitter)).await;
     }
 }
 

@@ -33,11 +33,6 @@
 //! the longest prefix (charged state transfer), re-replicates it to a
 //! majority, and replans from acknowledged state — the dead planner's
 //! open epoch is lost by design and clients resubmit into it.
-//!
-//! Client-side transaction logic is written against the
-//! [`Substrate`] trait surface only (`call`/`sleep`/`jitter`/
-//! `is_alive`), so it is host-agnostic in the same way the QR engine
-//! is; the cluster here hosts it on [`SimSubstrate`].
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -46,8 +41,7 @@ use std::rc::Rc;
 use qrdtm_core::history::{verify, Violation};
 use qrdtm_core::{
     spawn_detector_on, Abort, DetectorConfig, DetectorHandle, DtmProtocol, DurabilityConfig,
-    LatencySpec, Membership, ObjVal, ObjectId, ProtocolStats, SimHosted, SimSubstrate, Substrate,
-    TxId, Version, Wal,
+    LatencySpec, Membership, ObjVal, ObjectId, ProtocolStats, SimHosted, TxId, Version, Wal,
 };
 use qrdtm_sim::{NodeId, Sim, SimConfig, SimDuration};
 
@@ -148,7 +142,6 @@ const IDLE: SimDuration = SimDuration::from_millis(20);
 /// batch-atomic group commit.
 pub struct QStoreCluster {
     sim: Sim<QMsg>,
-    sub: SimSubstrate<QMsg>,
     shared: Rc<Shared>,
     cfg: QStoreConfig,
 }
@@ -206,12 +199,7 @@ impl QStoreCluster {
             },
         });
         install_handlers(&sim, &shared);
-        QStoreCluster {
-            sub: SimSubstrate::new(sim.clone()),
-            sim,
-            shared,
-            cfg,
-        }
+        QStoreCluster { sim, shared, cfg }
     }
 
     /// The simulator handle.
@@ -419,7 +407,8 @@ impl QStoreCluster {
 
     /// Crash `node` *and wipe its memory*: only the durable disk image
     /// (snapshot + fsynced batch prefix, possibly with a torn tail)
-    /// survives into the next [`recover_crashed_node`]. Requires
+    /// survives into the next
+    /// [`recover_crashed_node`](Self::recover_crashed_node). Requires
     /// [`QStoreConfig::durability`]. Refused under the same majority rule
     /// as [`crash_node`](Self::crash_node).
     pub fn crash_node_amnesia(&self, node: NodeId) -> bool {
@@ -468,7 +457,7 @@ impl QStoreCluster {
             .cfg
             .detector
             .expect("start_detector requires QStoreConfig::detector");
-        spawn_detector_on(Rc::clone(self), self.sub.clone(), cfg)
+        spawn_detector_on(Rc::clone(self), self.sim.clone(), cfg)
     }
 
     /// Every group-commit fsync latency sampled across all replica disks,
@@ -525,11 +514,11 @@ impl QStoreCluster {
     /// reads of never-written objects terminate instead of retrying
     /// forever.
     async fn read_remote(&self, node: NodeId, oid: ObjectId, authoritative: bool) -> (u64, ObjVal) {
-        let sub = &self.sub;
+        let sim = &self.sim;
         let mut attempt = 0u32;
         loop {
-            if !sub.is_alive(node) {
-                sub.sleep(IDLE).await;
+            if !sim.is_alive(node) {
+                sim.sleep(IDLE).await;
                 continue;
             }
             let (alive, planner) = self.shared.view_snapshot();
@@ -544,7 +533,7 @@ impl QStoreCluster {
             } else {
                 QMsg::Read { oid }
             };
-            let res = sub
+            let res = sim
                 .call(
                     node,
                     &[self.shared.nodes[target]],
@@ -560,8 +549,8 @@ impl QStoreCluster {
                 return hit;
             }
             attempt += 1;
-            let d = self.cfg.backoff.mul_f64(sub.jitter(0.5, 1.5));
-            sub.sleep(d).await;
+            let d = self.cfg.backoff.mul_f64(sim.jitter(0.5, 1.5));
+            sim.sleep(d).await;
         }
     }
 
@@ -576,14 +565,14 @@ impl QStoreCluster {
         let reads: Vec<(ObjectId, u64)> = tx.reads.iter().map(|(o, (t, _))| (*o, *t)).collect();
         let writes: Vec<(ObjectId, ObjVal)> =
             tx.writes.iter().map(|(o, v)| (*o, v.clone())).collect();
-        let sub = &self.sub;
+        let sim = &self.sim;
         loop {
-            if !sub.is_alive(tx.node) {
-                sub.sleep(IDLE).await;
+            if !sim.is_alive(tx.node) {
+                sim.sleep(IDLE).await;
                 continue;
             }
             let (_, planner) = self.shared.view_snapshot();
-            let res = sub
+            let res = sim
                 .call(
                     tx.node,
                     &[self.shared.nodes[planner]],
@@ -603,15 +592,15 @@ impl QStoreCluster {
                 Some(TxStatus::Committed) => return Ok(()),
                 Some(TxStatus::Requeued) => return Err(Abort::root()),
                 Some(TxStatus::Pending) | Some(TxStatus::Busy) => {
-                    sub.sleep(self.cfg.poll_initial).await;
+                    sim.sleep(self.cfg.poll_initial).await;
                     if self.poll_outcome(tx).await? {
                         return Ok(());
                     }
                     // Unknown: fall through to re-submit.
                 }
                 _ => {
-                    let d = self.cfg.backoff.mul_f64(sub.jitter(0.5, 1.5));
-                    sub.sleep(d).await;
+                    let d = self.cfg.backoff.mul_f64(sim.jitter(0.5, 1.5));
+                    sim.sleep(d).await;
                 }
             }
         }
@@ -620,14 +609,14 @@ impl QStoreCluster {
     /// Poll until the transaction resolves. `Ok(true)` = committed,
     /// `Err` = requeued, `Ok(false)` = the planner lost it (re-submit).
     async fn poll_outcome(&self, tx: &QStoreTxHandle) -> Result<bool, Abort> {
-        let sub = &self.sub;
+        let sim = &self.sim;
         loop {
-            if !sub.is_alive(tx.node) {
-                sub.sleep(IDLE).await;
+            if !sim.is_alive(tx.node) {
+                sim.sleep(IDLE).await;
                 continue;
             }
             let (_, planner) = self.shared.view_snapshot();
-            let res = sub
+            let res = sim
                 .call(
                     tx.node,
                     &[self.shared.nodes[planner]],
@@ -643,7 +632,7 @@ impl QStoreCluster {
                 Some(TxStatus::Committed) => return Ok(true),
                 Some(TxStatus::Requeued) => return Err(Abort::root()),
                 Some(TxStatus::Unknown) => return Ok(false),
-                _ => sub.sleep(self.cfg.poll_interval).await,
+                _ => sim.sleep(self.cfg.poll_interval).await,
             }
         }
     }
@@ -739,8 +728,8 @@ impl DtmProtocol for QStoreCluster {
     async fn restart(&self, tx: &mut QStoreTxHandle, _abort: Abort) {
         // Requeues are counted as aborts at the planner decision; here the
         // client just backs off and starts a fresh attempt.
-        let d = self.cfg.backoff.mul_f64(self.sub.jitter(0.5, 2.0));
-        self.sub.sleep(d).await;
+        let d = self.cfg.backoff.mul_f64(self.sim.jitter(0.5, 2.0));
+        self.sim.charge(d).await;
         *tx = self.fresh_handle(tx.node, tx.requeues + 1);
     }
 

@@ -773,6 +773,11 @@ impl<M: SimMessage> Sim<M> {
         self.with_rng(|r| r.random_bool(p))
     }
 
+    /// One uniform draw in `[lo, hi)` (backoff jitter).
+    pub fn jitter(&self, lo: f64, hi: f64) -> f64 {
+        self.with_rng(|r| r.random_range(lo..hi))
+    }
+
     /// A future that completes `d` of virtual time from now.
     pub fn sleep(&self, d: SimDuration) -> Sleep {
         let state = Rc::new(RefCell::new(TimerState {
@@ -783,6 +788,18 @@ impl<M: SimMessage> Sim<M> {
         let at = inner.now + d;
         inner.schedule(at, EventKind::Timer(Rc::clone(&state)));
         Sleep { state }
+    }
+
+    /// Charge `cost` of local compute or backoff time.
+    ///
+    /// The one place zero-cost charging is decided: a zero cost is free —
+    /// no event is scheduled, no RNG is drawn, the future completes
+    /// immediately — so zero-latency configs replay the exact event order
+    /// of a run that never charged at all.
+    pub async fn charge(&self, cost: SimDuration) {
+        if cost > SimDuration::ZERO {
+            self.sleep(cost).await;
+        }
     }
 
     /// Fire-and-forget message (no reply expected).
@@ -2036,6 +2053,42 @@ mod tests {
         }));
         s.run();
         assert_eq!(order.borrow().len(), 2);
+    }
+
+    #[test]
+    fn charge_zero_schedules_no_event() {
+        let s = sim(1);
+        s.add_nodes(2);
+        let before = s.metrics().events;
+        let s2 = s.clone();
+        s.spawn(async move {
+            s2.charge(SimDuration::ZERO).await;
+        });
+        s.run();
+        // Only the spawn-task event itself ran; charging zero added none.
+        let after = s.metrics().events;
+        assert!(after - before <= 1, "zero charge must not schedule timers");
+        assert_eq!(s.now(), SimTime::ZERO, "virtual time did not advance");
+    }
+
+    #[test]
+    fn charge_nonzero_advances_time() {
+        let s = sim(1);
+        s.add_nodes(2);
+        let s2 = s.clone();
+        s.spawn(async move {
+            s2.charge(SimDuration::from_millis(5)).await;
+        });
+        s.run();
+        assert_eq!(s.now(), SimTime::ZERO + SimDuration::from_millis(5));
+    }
+
+    #[test]
+    fn jitter_is_seeded_and_in_range() {
+        let a = sim(1).jitter(0.5, 1.5);
+        let b = sim(1).jitter(0.5, 1.5);
+        assert!((0.5..1.5).contains(&a));
+        assert_eq!(a, b, "same seed, same draw");
     }
 
     #[test]

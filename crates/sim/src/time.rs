@@ -61,22 +61,23 @@ impl SimDuration {
         SimDuration(ns)
     }
 
-    /// Construct from whole microseconds.
+    /// Construct from whole microseconds (saturating, like every other
+    /// operator here: parsed plans and CLI flags feed these constructors).
     #[inline]
     pub const fn from_micros(us: u64) -> Self {
-        SimDuration(us * 1_000)
+        SimDuration(us.saturating_mul(1_000))
     }
 
-    /// Construct from whole milliseconds.
+    /// Construct from whole milliseconds (saturating).
     #[inline]
     pub const fn from_millis(ms: u64) -> Self {
-        SimDuration(ms * 1_000_000)
+        SimDuration(ms.saturating_mul(1_000_000))
     }
 
-    /// Construct from whole seconds.
+    /// Construct from whole seconds (saturating).
     #[inline]
     pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000_000)
+        SimDuration(s.saturating_mul(1_000_000_000))
     }
 
     /// Construct from fractional seconds (panics on negative / non-finite).

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: run this before every PR. Fails fast on the first broken
-# stage — build, tests, formatting, lints, smokes — in that order, so the
-# cheapest signal that something is wrong arrives first. Every stage is
+# stage — build, tests, formatting, lints, docs, smokes — in that order, so
+# the cheapest signal that something is wrong arrives first. Every stage is
 # judged by its exit status alone: each smoke checks inside the program
 # that its arms ran and its mechanism counters fired.
 set -euo pipefail
@@ -28,6 +28,9 @@ cargo fmt --all --check
 
 echo "==> cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (broken intra-doc links are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 repro() {
     cargo run --quiet --release -p qrdtm-bench -- "$@"

@@ -2,7 +2,7 @@
 //!
 //! The engine used to decide "is this cost zero?" in two places (abort
 //! backoff and checkpoint-save cost); both now funnel through
-//! `Substrate::charge`, whose contract is that a zero cost schedules no
+//! `Sim::charge`, whose contract is that a zero cost schedules no
 //! timer event and draws no RNG — a zero-cost config replays the exact
 //! event order of a run that never charged at all. If someone
 //! reintroduces a `sleep(ZERO)` or an unconditional jitter draw on either
@@ -15,8 +15,11 @@
 
 use std::rc::Rc;
 
-use qr_dtm::core::{Cluster, DtmConfig, DtmProtocol, LatencySpec, ObjVal, ObjectId};
-use qr_dtm::prelude::{NestingMode, NodeId, SimDuration};
+use qr_dtm::baselines::{DecentCluster, DecentConfig, TfaCluster, TfaConfig};
+use qr_dtm::core::{
+    Abort, Cluster, DtmConfig, DtmProtocol, LatencySpec, ObjVal, ObjectId, SimHosted,
+};
+use qr_dtm::prelude::{NestingMode, NodeId, SimDuration, SimTime};
 use qr_dtm::workloads::protocol_bank::transfer;
 
 fn cluster(mode: NestingMode, accounts: u64) -> Rc<Cluster> {
@@ -134,5 +137,43 @@ fn zero_checkpoint_cost_charges_nothing() {
     assert!(
         chk_paid.1 > chk_free.1,
         "a nonzero checkpoint cost must advance the clock (probe sanity)"
+    );
+}
+
+#[test]
+fn baseline_restart_with_zero_backoff_schedules_no_timer() {
+    // TFA and Decent-STM take their abort backoff through the same
+    // `Sim::charge` as the QR engine, so a zero `backoff_base` makes
+    // `restart` event-free: a task that restarts once must cost exactly
+    // the events (and virtual time) of a task that does nothing.
+    fn events<P: SimHosted + 'static>(p: Rc<P>, restart: bool) -> (u64, SimTime) {
+        let p2 = Rc::clone(&p);
+        p.sim().spawn(async move {
+            if restart {
+                let mut tx = p2.begin(NodeId(0));
+                p2.restart(&mut tx, Abort::root()).await;
+            }
+        });
+        p.sim().run();
+        assert_eq!(p.protocol_stats().aborts, u64::from(restart));
+        (p.sim().metrics().events, p.sim().now())
+    }
+    let tfa = || {
+        Rc::new(TfaCluster::new(TfaConfig {
+            backoff_base: SimDuration::ZERO,
+            ..Default::default()
+        }))
+    };
+    let decent = || {
+        Rc::new(DecentCluster::new(DecentConfig {
+            backoff_base: SimDuration::ZERO,
+            ..Default::default()
+        }))
+    };
+    assert_eq!(events(tfa(), true), events(tfa(), false), "TFA");
+    assert_eq!(
+        events(decent(), true),
+        events(decent(), false),
+        "Decent-STM"
     );
 }
