@@ -10,10 +10,10 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 
-use qrdtm_core::{repair, CommitRecord, ObjVal, ObjectId, TxId, Version, Wal};
+use qrdtm_core::{repair, CommitRecord, ObjVal, ObjectId, Payload, TxId, Version, Wal};
 use qrdtm_sim::{NodeId, Sim, SimDuration, SimTime};
 
-use crate::msg::{Decision, QMsg, TxStatus};
+use crate::msg::{Decision, DecisionBlock, DecisionLog, QMsg, TxStatus};
 use crate::wal::{fold, BatchRecord, QSnapshot};
 use crate::QStoreBug;
 
@@ -47,7 +47,11 @@ pub(crate) struct SpecEntry {
 pub(crate) struct ReplicaState {
     pub store: HashMap<ObjectId, Slot>,
     pub spec: HashMap<ObjectId, Vec<SpecEntry>>,
-    pub decided: HashMap<TxId, Decision>,
+    /// Append-only between wholesale replacements (a `FullSync` install,
+    /// takeover adoption, an amnesiac restart) and never searched here —
+    /// only the planner looks a transaction up by id, in its own
+    /// [`PlannerState::outcomes`] index.
+    pub decided: DecisionLog,
     pub applied: u64,
     pub wal_records: u64,
     pub wal_fsyncs: u64,
@@ -93,11 +97,11 @@ impl ReplicaState {
     pub fn apply_batch(
         &mut self,
         batch: u64,
-        writes: &[(ObjectId, Version, u64, ObjVal)],
-        decided: &[(TxId, Decision)],
+        writes: &Payload<(ObjectId, Version, u64, ObjVal)>,
+        decided: &DecisionBlock,
         fallback: SimDuration,
     ) -> SimDuration {
-        for (oid, version, tag, val) in writes {
+        for (oid, version, tag, val) in writes.iter() {
             self.store.insert(
                 *oid,
                 Slot {
@@ -108,9 +112,7 @@ impl ReplicaState {
                 },
             );
         }
-        for (tx, d) in decided {
-            self.decided.insert(*tx, d.clone());
-        }
+        self.decided.push(Rc::clone(decided));
         self.applied = batch;
         self.prune_spec(batch);
         self.append_record(batch, writes, decided);
@@ -124,16 +126,16 @@ impl ReplicaState {
     pub fn append_record(
         &mut self,
         batch: u64,
-        writes: &[(ObjectId, Version, u64, ObjVal)],
-        decided: &[(TxId, Decision)],
+        writes: &Payload<(ObjectId, Version, u64, ObjVal)>,
+        decided: &DecisionBlock,
     ) {
         self.wal_records += 1;
         match self.wal.as_mut() {
             Some(w) => {
                 w.append(BatchRecord {
                     batch,
-                    writes: writes.to_vec(),
-                    decided: decided.to_vec(),
+                    writes: Rc::clone(writes),
+                    decided: Rc::clone(decided),
                 });
             }
             // Cost-modelled mode has no buffer: the whole group commit is
@@ -168,21 +170,37 @@ impl ReplicaState {
         self.wal.as_mut().map_or(fallback, |w| w.snapshot(snap))
     }
 
-    /// The replica's full committed state, as a snapshot payload.
-    fn snapshot_state(&self) -> QSnapshot {
+    /// The replica's full committed state, as a snapshot payload (the
+    /// decision log by reference).
+    fn snapshot_state(&mut self) -> QSnapshot {
         QSnapshot {
             applied: self.applied,
             store: self.store.clone(),
-            decided: self.decided.clone(),
+            decided: self.decided.share(),
         }
     }
 
-    /// Wire-format dump of the committed store (for `FullSync`).
+    /// Wire-format dump of the committed store (for `FullSync`), in
+    /// `ObjectId` order so the payload never depends on hasher state.
     pub fn dump_store(&self) -> Vec<(ObjectId, Version, u64, u64, ObjVal)> {
-        self.store
+        let mut dump: Vec<_> = self
+            .store
             .iter()
             .map(|(oid, s)| (*oid, s.version, s.tag, s.batch, s.val.clone()))
-            .collect()
+            .collect();
+        dump.sort_unstable_by_key(|entry| entry.0);
+        dump
+    }
+
+    /// This replica's full committed state as the `FullSync` a planner
+    /// stamped with `view` pushes to a lagging replica.
+    pub fn full_sync(&mut self, view: u64) -> QMsg {
+        QMsg::FullSync {
+            view,
+            applied: self.applied,
+            store: self.dump_store(),
+            decided: self.decided.share(),
+        }
     }
 }
 
@@ -214,6 +232,11 @@ pub(crate) struct PendTxn {
 pub(crate) struct PlannerState {
     pub open: Vec<PendTxn>,
     pub pending: HashSet<TxId>,
+    /// `tx -> (deciding batch, committed?)` for every decision in the
+    /// planner's log — all a duplicate `Submit` or a `Poll` needs to be
+    /// answered exactly once. Filled by `seal`, rebuilt from the adopted
+    /// log by `takeover`.
+    pub outcomes: HashMap<TxId, (u64, bool)>,
     pub sealing: bool,
     pub last_sealed: u64,
     pub decided_through: u64,
@@ -227,6 +250,7 @@ impl PlannerState {
         PlannerState {
             open: Vec::new(),
             pending: HashSet::new(),
+            outcomes: HashMap::new(),
             sealing: false,
             last_sealed: applied,
             decided_through: applied,
@@ -234,6 +258,30 @@ impl PlannerState {
             ready: true,
             opened_at: SimTime::ZERO,
         }
+    }
+
+    /// Index one batch's outcomes (a later decision of a transaction
+    /// supersedes an earlier one).
+    pub fn index_outcomes(&mut self, block: &[(TxId, Decision)]) {
+        self.outcomes.extend(block.iter().map(|(tx, d)| match d {
+            Decision::Committed { batch, .. } => (*tx, (*batch, true)),
+            Decision::Requeued { batch } => (*tx, (*batch, false)),
+        }));
+    }
+
+    /// Status of `tx` if it was ever decided, gated on its batch being
+    /// quorum-acknowledged: nothing is reported committed before the
+    /// epoch is durable on a majority.
+    pub fn decided_status(&self, tx: &TxId) -> Option<TxStatus> {
+        self.outcomes.get(tx).map(|&(batch, committed)| {
+            if batch > self.decided_through {
+                TxStatus::Pending
+            } else if committed {
+                TxStatus::Committed
+            } else {
+                TxStatus::Requeued
+            }
+        })
     }
 }
 
@@ -301,8 +349,8 @@ impl Shared {
 pub(crate) struct BatchJob {
     pub batch: u64,
     pub sealed_at: SimTime,
-    pub writes: Vec<(ObjectId, Version, u64, ObjVal)>,
-    pub decided: Vec<(TxId, Decision)>,
+    pub writes: Payload<(ObjectId, Version, u64, ObjVal)>,
+    pub decided: DecisionBlock,
 }
 
 /// Install the per-node message handlers.
@@ -423,7 +471,7 @@ pub(crate) fn install_handlers(sim: &Sim<QMsg>, shared: &Rc<Shared>) {
                             )
                         })
                         .collect();
-                    r.decided = decided.iter().cloned().collect();
+                    r.decided.clone_from(decided);
                     r.applied = *applied;
                     r.prune_spec(*applied);
                     r.last_apply_epoch = current;
@@ -448,17 +496,6 @@ pub(crate) fn install_handlers(sim: &Sim<QMsg>, shared: &Rc<Shared>) {
     }
 }
 
-/// Status of a decided transaction, gated on its batch being
-/// quorum-acknowledged: nothing is reported committed before the epoch
-/// is durable on a majority.
-fn decided_status(d: &Decision, decided_through: u64) -> TxStatus {
-    match d {
-        Decision::Committed { batch, .. } if *batch <= decided_through => TxStatus::Committed,
-        Decision::Requeued { batch } if *batch <= decided_through => TxStatus::Requeued,
-        _ => TxStatus::Pending,
-    }
-}
-
 fn planner_poll(sh: &Rc<Shared>, me: usize, tx: &TxId) -> TxStatus {
     {
         let v = sh.view.borrow();
@@ -470,8 +507,8 @@ fn planner_poll(sh: &Rc<Shared>, me: usize, tx: &TxId) -> TxStatus {
     if !p.ready {
         return TxStatus::Busy;
     }
-    if let Some(d) = sh.replicas[me].borrow().decided.get(tx) {
-        return decided_status(d, p.decided_through);
+    if let Some(status) = p.decided_status(tx) {
+        return status;
     }
     if p.pending.contains(tx) {
         TxStatus::Pending
@@ -501,8 +538,8 @@ fn planner_submit(
         if !p.ready {
             return TxStatus::Busy;
         }
-        if let Some(d) = sh.replicas[me].borrow().decided.get(tx) {
-            return decided_status(d, p.decided_through);
+        if let Some(status) = p.decided_status(tx) {
+            return status;
         }
         if p.pending.contains(tx) {
             return TxStatus::Pending;
@@ -684,22 +721,25 @@ pub(crate) fn seal(sh: &Rc<Shared>, sim: &Sim<QMsg>, me: usize) -> Option<BatchJ
             },
         ));
     }
+    // Freeze the batch: from here on the job, every wire copy, every
+    // replica's log, WAL record and snapshot share these two blocks.
+    let writes: Payload<_> = wire_writes.into();
+    let decided: DecisionBlock = decided.into();
     // Self-apply bookkeeping: the planner is replica 1 of the quorum. The
     // batch record is only *appended* here — the group-commit fsync runs
     // at the head of the replication task, so a planner that dies in
     // between loses the record (the append-vs-fsync crash window).
-    for (tx, d) in &decided {
-        r.decided.insert(*tx, d.clone());
-    }
+    r.decided.push(Rc::clone(&decided));
     r.applied = batch;
     r.prune_spec(batch);
     r.last_apply_epoch = sh.view.borrow().epoch;
-    r.append_record(batch, &wire_writes, &decided);
+    r.append_record(batch, &writes, &decided);
     drop(r);
+    sh.planner.borrow_mut().index_outcomes(&decided);
     Some(BatchJob {
         batch,
         sealed_at,
-        writes: wire_writes,
+        writes,
         decided,
     })
 }
@@ -798,8 +838,8 @@ pub(crate) async fn run_batches(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, first
                     QMsg::ApplyBatch {
                         batch: job.batch,
                         view: view_epoch,
-                        writes: job.writes.clone(),
-                        decided: job.decided.clone(),
+                        writes: Rc::clone(&job.writes),
+                        decided: Rc::clone(&job.decided),
                     },
                     Some(sh.cfg.rpc_timeout),
                 )
@@ -819,16 +859,9 @@ pub(crate) async fn run_batches(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, first
             }
             // Gap-nacked replicas get the full committed state.
             for idx in lagging {
-                let fs = {
-                    let v = sh.view.borrow();
-                    let r = sh.replicas[me].borrow();
-                    QMsg::FullSync {
-                        view: v.epoch,
-                        applied: r.applied,
-                        store: r.dump_store(),
-                        decided: r.decided.iter().map(|(t, d)| (*t, d.clone())).collect(),
-                    }
-                };
+                let fs = sh.replicas[me]
+                    .borrow_mut()
+                    .full_sync(sh.view.borrow().epoch);
                 let res = sim
                     .call(sh.nodes[me], &[sh.nodes[idx]], fs, Some(sh.cfg.rpc_timeout))
                     .await;
@@ -850,7 +883,7 @@ pub(crate) async fn run_batches(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, first
             let mut p = sh.planner.borrow_mut();
             p.decided_through = job.batch;
             p.sealing = false;
-            for (tx, _) in &job.decided {
+            for (tx, _) in job.decided.iter() {
                 p.pending.remove(tx);
             }
         }
@@ -961,7 +994,7 @@ pub(crate) async fn takeover(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize) {
                 let donor = sh.replicas[best.1].borrow();
                 let mut r = sh.replicas[me].borrow_mut();
                 r.store = donor.store.clone();
-                r.decided = donor.decided.clone();
+                r.decided.clone_from(&donor.decided);
                 r.applied = donor.applied;
                 r.spec.clear();
                 r.last_apply_epoch = sh.view.borrow().epoch;
@@ -999,16 +1032,9 @@ pub(crate) async fn takeover(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize) {
                 .map(|&i| (i, sh.nodes[i]))
                 .collect();
             if !lagging.is_empty() {
-                let fs = {
-                    let v = sh.view.borrow();
-                    let r = sh.replicas[me].borrow();
-                    QMsg::FullSync {
-                        view: v.epoch,
-                        applied: r.applied,
-                        store: r.dump_store(),
-                        decided: r.decided.iter().map(|(t, d)| (*t, d.clone())).collect(),
-                    }
-                };
+                let fs = sh.replicas[me]
+                    .borrow_mut()
+                    .full_sync(sh.view.borrow().epoch);
                 let targets: Vec<NodeId> = lagging.iter().map(|(_, n)| *n).collect();
                 let res = sim
                     .call(sh.nodes[me], &targets, fs, Some(sh.cfg.rpc_timeout))
@@ -1034,17 +1060,15 @@ pub(crate) async fn takeover(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize) {
         }
         // Promote adopted decisions: batches the dead planner replicated
         // but never acknowledged are now majority-durable (re-replicated
-        // above), so their commits are counted and recorded exactly once.
-        {
-            let promoted: Vec<(TxId, Decision)> = sh.replicas[me]
-                .borrow()
-                .decided
-                .iter()
-                .map(|(t, d)| (*t, d.clone()))
-                .collect();
-            account_decisions(&sh, &promoted);
+        // above), so their commits are counted and recorded exactly once,
+        // in apply order. The same walk rebuilds the outcome index — the
+        // one place the planner does work proportional to history.
+        let mut planner = PlannerState::fresh(adopted);
+        for block in sh.replicas[me].borrow().decided.iter() {
+            account_decisions(&sh, block);
+            planner.index_outcomes(block);
         }
-        *sh.planner.borrow_mut() = PlannerState::fresh(adopted);
+        *sh.planner.borrow_mut() = planner;
         // Best-effort catch-up push to any replica still behind; the
         // per-batch gap repair finishes the job if this races new traffic.
         let (alive, _) = sh.view_snapshot();
@@ -1054,16 +1078,9 @@ pub(crate) async fn takeover(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize) {
             .map(|&i| sh.nodes[i])
             .collect();
         if !behind.is_empty() {
-            let fs = {
-                let v = sh.view.borrow();
-                let r = sh.replicas[me].borrow();
-                QMsg::FullSync {
-                    view: v.epoch,
-                    applied: r.applied,
-                    store: r.dump_store(),
-                    decided: r.decided.iter().map(|(t, d)| (*t, d.clone())).collect(),
-                }
-            };
+            let fs = sh.replicas[me]
+                .borrow_mut()
+                .full_sync(sh.view.borrow().epoch);
             let _ = sim
                 .call(sh.nodes[me], &behind, fs, Some(sh.cfg.rpc_timeout))
                 .await;
@@ -1090,16 +1107,9 @@ pub(crate) async fn catch_up(sh: Rc<Shared>, sim: Sim<QMsg>, planner_idx: usize,
         if sh.replicas[node_idx].borrow().applied >= sh.replicas[planner_idx].borrow().applied {
             return;
         }
-        let fs = {
-            let v = sh.view.borrow();
-            let r = sh.replicas[planner_idx].borrow();
-            QMsg::FullSync {
-                view: v.epoch,
-                applied: r.applied,
-                store: r.dump_store(),
-                decided: r.decided.iter().map(|(t, d)| (*t, d.clone())).collect(),
-            }
-        };
+        let fs = sh.replicas[planner_idx]
+            .borrow_mut()
+            .full_sync(sh.view.borrow().epoch);
         let res = sim
             .call(
                 sh.nodes[planner_idx],
@@ -1120,6 +1130,25 @@ pub(crate) async fn catch_up(sh: Rc<Shared>, sim: Sim<QMsg>, planner_idx: usize,
     }
 }
 
+/// Union of two decision logs, `own`'s entry winning: `own`'s blocks,
+/// then every donor outcome `own` lacks, in the donor's order. When `own`
+/// is a prefix of `donor` — the replayed disk image of a replica that was
+/// merely behind — the result is the donor's log, block for block.
+fn merge_decisions(own: &mut DecisionLog, donor: &DecisionLog) {
+    let have: HashSet<TxId> = own
+        .iter()
+        .flat_map(|block| block.iter().map(|(tx, _)| *tx))
+        .collect();
+    for block in donor.iter() {
+        let missing = block.iter().filter(|(tx, _)| !have.contains(tx));
+        match missing.clone().count() {
+            0 => {}
+            n if n == block.len() => own.push(Rc::clone(block)),
+            _ => own.push(missing.cloned().collect()),
+        }
+    }
+}
+
 /// Amnesiac crash of `idx`'s replica: wipe the volatile state and crash
 /// the disk (a seeded portion of the unsynced buffer survives, possibly
 /// with a torn last record). Requires durability.
@@ -1131,7 +1160,7 @@ pub(crate) fn forget_replica(sh: &Shared, sim: &Sim<QMsg>, idx: usize) {
     );
     r.store.clear();
     r.spec.clear();
-    r.decided.clear();
+    r.decided = DecisionLog::default();
     r.applied = 0;
     r.last_apply_epoch = 0;
     sim.with_rng(|rng| r.wal.as_mut().unwrap().crash(rng));
@@ -1202,9 +1231,7 @@ pub(crate) fn amnesia_recovery(sh: &Shared, sim: &Sim<QMsg>, idx: usize) -> SimD
                     r.store.insert(oid, ds.clone());
                 }
             }
-            for (tx, dec) in donor.decided.iter() {
-                r.decided.entry(*tx).or_insert_with(|| dec.clone());
-            }
+            merge_decisions(&mut r.decided, &donor.decided);
             r.applied = donor.applied;
         } else {
             // The disk resurrected batches beyond the acked frontier
@@ -1218,7 +1245,7 @@ pub(crate) fn amnesia_recovery(sh: &Shared, sim: &Sim<QMsg>, idx: usize) -> SimD
                 .map(|s| s.val.approx_size() as u64)
                 .sum();
             r.store = donor.store.clone();
-            r.decided = donor.decided.clone();
+            r.decided.clone_from(&donor.decided);
             r.applied = donor.applied;
         }
     }

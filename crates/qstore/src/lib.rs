@@ -50,7 +50,7 @@ mod msg;
 mod wal;
 
 pub use crate::core::QStoreStats;
-pub use msg::{Decision, QMsg, TxStatus};
+pub use msg::{Decision, DecisionBlock, DecisionLog, QMsg, TxStatus};
 
 use crate::core::{
     amnesia_recovery, catch_up, forget_replica, install_handlers, majority, takeover, PlannerState,
@@ -219,6 +219,11 @@ impl QStoreCluster {
             .tag_vers
             .borrow_mut()
             .insert((oid, 0), Version::INITIAL);
+        let record = BatchRecord {
+            batch: 0,
+            writes: [(oid, Version::INITIAL, 0, val.clone())].into(),
+            decided: DecisionBlock::default(),
+        };
         for r in &self.shared.replicas {
             let mut r = r.borrow_mut();
             r.store.insert(
@@ -231,11 +236,7 @@ impl QStoreCluster {
                 },
             );
             if let Some(w) = r.wal.as_mut() {
-                w.preload(BatchRecord {
-                    batch: 0,
-                    writes: vec![(oid, Version::INITIAL, 0, val.clone())],
-                    decided: Vec::new(),
-                });
+                w.preload(record.clone());
             }
         }
     }
@@ -461,8 +462,9 @@ impl QStoreCluster {
     }
 
     /// Every group-commit fsync latency sampled across all replica disks,
-    /// in node order, ns — the telemetry behind the perf report's
-    /// `disk_fsync_virtual_ns` percentiles. Empty in cost-modelled mode.
+    /// in node order, ns — the telemetry behind the benchmark's
+    /// `sim.disk.fsync_p50_vus` / `sim.disk.fsync_p99_vus`. Empty in
+    /// cost-modelled mode.
     pub fn fsync_latencies(&self) -> Vec<u64> {
         self.shared
             .replicas
@@ -908,27 +910,34 @@ mod tests {
         assert_eq!(c.verify_history(), vec![]);
     }
 
-    #[test]
-    fn planner_crash_hands_epoch_to_successor() {
-        let c = cluster(31);
+    /// Six clients on nodes 1..=6 run `transfers` transfers each while the
+    /// planner (node 0) is crashed `crash_ms` into the run; node 1 must
+    /// take over and replan. Returns the drained cluster.
+    fn failover_run(seed: u64, transfers: u64, crash_ms: u64) -> Rc<QStoreCluster> {
+        let c = cluster(seed);
         c.begin_history();
         for node in 1..7u32 {
             let c2 = Rc::clone(&c);
             c.sim().spawn(async move {
-                for i in 0..3u64 {
+                for i in 0..transfers {
                     let from = ObjectId((u64::from(node) + i) % ACCOUNTS);
                     let to = ObjectId((u64::from(node) + i + 2) % ACCOUNTS);
                     transfer(&c2, NodeId(node), from, to, 2).await;
                 }
             });
         }
-        // Kill the planner mid-run; node 1 must take over and replan.
         let c3 = Rc::clone(&c);
         c.sim().spawn(async move {
-            c3.sim().sleep(SimDuration::from_millis(60)).await;
+            c3.sim().sleep(SimDuration::from_millis(crash_ms)).await;
             assert!(c3.crash_node(NodeId(0)));
         });
         c.sim().run();
+        c
+    }
+
+    #[test]
+    fn planner_crash_hands_epoch_to_successor() {
+        let c = failover_run(31, 3, 60);
         assert_eq!(c.stats().commits, 18, "every transfer eventually commits");
         assert_eq!(total(&c), ACCOUNTS as i64 * INITIAL);
         assert_eq!(c.verify_history(), vec![]);
@@ -1036,7 +1045,7 @@ mod tests {
                 let mut r = c2.shared.replicas[idx].borrow_mut();
                 r.applied = 0;
                 r.store.clear();
-                r.decided.clear();
+                r.decided = DecisionLog::default();
             }
             // The takeover must not promote until it has pushed the adopted
             // prefix back onto a majority — otherwise a second crash could
@@ -1113,6 +1122,118 @@ mod tests {
         assert!(m.rejoins >= 1, "rejoin must be counted");
         assert!(m.log_replays >= 1, "amnesiac rejoin must replay its log");
         assert_eq!(c.latest(ObjectId(2)).unwrap().1, ObjVal::Int(90));
+    }
+
+    /// A takeover promotes the adopted decisions into the commit history.
+    /// It walks the log in apply order, so the history — order included —
+    /// is a function of the seed (promotion used to iterate a `HashMap`,
+    /// whose order is seeded per map instance).
+    #[test]
+    fn history_order_after_failover_is_deterministic_per_seed() {
+        let history = |seed, crash_ms| -> Vec<TxId> {
+            let c = failover_run(seed, 6, crash_ms);
+            assert_eq!(c.stats().commits, 36);
+            c.history().iter().map(|r| r.tx).collect()
+        };
+        // A crash 70-80 ms in tends to catch a batch replicated but not yet
+        // acknowledged: the takeover then has several commits to promote.
+        for seed in 1..=13 {
+            for crash_ms in [70, 80] {
+                assert_eq!(
+                    history(seed, crash_ms),
+                    history(seed, crash_ms),
+                    "seed {seed}, planner crash at {crash_ms} ms"
+                );
+            }
+        }
+    }
+
+    /// Exactly-once across every representation a decision passes through:
+    /// node 1 rebuilds its log from snapshot + WAL suffix + the donor merge,
+    /// then becomes planner and must answer for every earlier commit.
+    #[test]
+    fn commits_stay_committed_across_snapshot_amnesia_and_takeover() {
+        let c = cluster_with(QStoreConfig {
+            seed: 61,
+            durability: Some(DurabilityConfig {
+                snapshot_every: 2,
+                ..Default::default()
+            }),
+            ..Default::default()
+        });
+        c.begin_history();
+        let c2 = Rc::clone(&c);
+        c.sim().spawn(async move {
+            for i in 0..5u64 {
+                transfer(&c2, NodeId(3), ObjectId(i), ObjectId(i + 1), 3).await;
+            }
+            // Snapshots superseded the log at batches 2 and 4; batch 5 is
+            // the log suffix the replay folds on top.
+            assert_eq!(c2.shared.replicas[1].borrow().applied, 5);
+            assert!(c2.crash_node_amnesia(NodeId(1)));
+            // Missed while down: only the donor merge can supply it.
+            transfer(&c2, NodeId(3), ObjectId(5), ObjectId(6), 3).await;
+            assert!(c2.recover_crashed_node(NodeId(1)));
+            let committed: Vec<TxId> = c2.history().iter().map(|r| r.tx).collect();
+            assert_eq!(committed.len(), 6);
+            assert!(c2.crash_node(NodeId(0)));
+            for id in committed {
+                // A client that lost its reply polls again. `Ok(false)` is
+                // `Unknown`, which would make it re-execute the transfer.
+                let mut again = c2.begin(NodeId(4));
+                again.id = id;
+                assert_eq!(c2.poll_outcome(&again).await, Ok(true), "{id:?}");
+            }
+            assert_eq!(c2.shared.view_snapshot().1, 1, "node 1 answered");
+            transfer(&c2, NodeId(4), ObjectId(0), ObjectId(1), 3).await;
+        });
+        c.sim().run();
+        assert!(c.sim().metrics().log_replays >= 1);
+        assert_eq!(c.stats().commits, 7, "takeover must not double-count");
+        assert_eq!(total(&c), ACCOUNTS as i64 * INITIAL);
+        assert_eq!(c.verify_history(), vec![]);
+        assert_eq!(c.batch_atomicity_violations(), Vec::<String>::new());
+    }
+
+    /// One allocation per sealed batch: the planner's log, every follower's
+    /// log and every snapshot hold the block the seal built.
+    #[test]
+    fn a_batch_outcome_block_is_shared_by_logs_and_snapshots() {
+        let c = cluster_with(QStoreConfig {
+            seed: 67,
+            durability: Some(DurabilityConfig {
+                snapshot_every: 4,
+                ..Default::default()
+            }),
+            ..Default::default()
+        });
+        let c2 = Rc::clone(&c);
+        c.sim().spawn(async move {
+            for i in 0..6u64 {
+                transfer(&c2, NodeId(3), ObjectId(i), ObjectId(i + 1), 3).await;
+            }
+        });
+        c.sim().run();
+        let log = |idx: usize| -> Vec<DecisionBlock> {
+            let r = c.shared.replicas[idx].borrow();
+            r.decided.iter().cloned().collect()
+        };
+        let (planner, a, b) = (log(0), log(2), log(7));
+        assert_eq!(planner.len(), 6, "one block per batch");
+        assert_eq!((a.len(), b.len()), (6, 6));
+        let snapshot = {
+            let mut r = c.shared.replicas[2].borrow_mut();
+            r.wal.as_mut().unwrap().replay().snapshot.unwrap()
+        };
+        let snapped: Vec<&DecisionBlock> = snapshot.decided.iter().collect();
+        assert_eq!(snapped.len(), 4, "newest snapshot was taken at batch 4");
+        for k in 0..6 {
+            assert!(Rc::ptr_eq(&planner[k], &a[k]), "batch {}", k + 1);
+            assert!(Rc::ptr_eq(&a[k], &b[k]), "batch {}", k + 1);
+            if let Some(block) = snapped.get(k) {
+                assert!(Rc::ptr_eq(&a[k], block), "batch {}", k + 1);
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! and the planner, speculative queue forwarding to executors, and the
 //! per-batch replication round.
 
-use qrdtm_core::{ObjVal, ObjectId, TxId, Version};
+use qrdtm_core::{ObjVal, ObjectId, Payload, TxId, Version};
 use qrdtm_sim::{SimMessage, SimTime};
 
 /// The planner's verdict on one transaction, shipped inside the batch
@@ -29,6 +29,53 @@ pub enum Decision {
         /// Batch that rejected the transaction.
         batch: u64,
     },
+}
+
+/// The outcome of every transaction in one sealed batch, in planner order.
+/// A sealed batch's outcomes never change, so the block is built once at
+/// the seal and everything downstream — the replication job, the wire
+/// copies, each replica's WAL record, decision log and snapshots, a
+/// `FullSync` — holds the same allocation by reference count.
+pub type DecisionBlock = Payload<(TxId, Decision)>;
+
+/// A replica's decision log: the [`DecisionBlock`] of every applied batch,
+/// in apply order. Append-only; a copy shares every block. Capturing the
+/// log (for a snapshot or a `FullSync`) freezes the blocks since the last
+/// capture into a chunk that is held by reference count too, so a capture
+/// costs one count bump per earlier capture — not one per batch, let alone
+/// one per transaction.
+#[derive(Clone, Debug, Default)]
+pub struct DecisionLog {
+    chunks: Vec<Payload<DecisionBlock>>,
+    tail: Vec<DecisionBlock>,
+}
+
+impl DecisionLog {
+    pub(crate) fn push(&mut self, block: DecisionBlock) {
+        self.tail.push(block);
+    }
+
+    /// Every block, in apply order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &DecisionBlock> {
+        self.chunks
+            .iter()
+            .flat_map(|chunk| chunk.iter())
+            .chain(&self.tail)
+    }
+
+    /// Transactions decided across all blocks.
+    pub(crate) fn txns(&self) -> usize {
+        self.iter().map(|block| block.len()).sum()
+    }
+
+    /// Freeze the blocks pushed since the last call into one chunk and
+    /// hand back a copy of the whole log.
+    pub(crate) fn share(&mut self) -> DecisionLog {
+        if !self.tail.is_empty() {
+            self.chunks.push(std::mem::take(&mut self.tail).into());
+        }
+        self.clone()
+    }
 }
 
 /// Reply status for `Submit`/`Poll`.
@@ -116,9 +163,9 @@ pub enum QMsg {
         /// fenced here.
         view: u64,
         /// `(object, version, tag, value)` for every committed write.
-        writes: Vec<(ObjectId, Version, u64, ObjVal)>,
+        writes: Payload<(ObjectId, Version, u64, ObjVal)>,
         /// Outcome of every transaction in the batch.
-        decided: Vec<(TxId, Decision)>,
+        decided: DecisionBlock,
     },
     /// Replica -> planner: batch installation outcome.
     ApplyAck {
@@ -145,7 +192,7 @@ pub enum QMsg {
         /// `(object, version, tag, batch, value)` store dump.
         store: Vec<(ObjectId, Version, u64, u64, ObjVal)>,
         /// Full decision log.
-        decided: Vec<(TxId, Decision)>,
+        decided: DecisionLog,
     },
 }
 
@@ -168,7 +215,7 @@ impl SimMessage for QMsg {
             QMsg::ApplyBatch {
                 writes, decided, ..
             } => 32 + 40 * writes.len() + 64 * decided.len(),
-            QMsg::FullSync { store, decided, .. } => 32 + 48 * store.len() + 64 * decided.len(),
+            QMsg::FullSync { store, decided, .. } => 32 + 48 * store.len() + 64 * decided.txns(),
             _ => 32,
         }
     }

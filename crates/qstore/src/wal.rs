@@ -14,19 +14,20 @@
 
 use std::collections::HashMap;
 
-use qrdtm_core::{ObjVal, ObjectId, TxId, Version};
+use qrdtm_core::{ObjVal, ObjectId, Payload, Version};
 
 use crate::core::Slot;
-use crate::msg::Decision;
+use crate::msg::{DecisionBlock, DecisionLog};
 
 /// One durable log record: a whole sealed batch (preloads use batch 0).
+/// Both lists are the blocks the seal built, held by reference count.
 #[derive(Clone, Debug)]
 pub(crate) struct BatchRecord {
     pub batch: u64,
     /// `(object, version, tag, value)` for every write in the batch.
-    pub writes: Vec<(ObjectId, Version, u64, ObjVal)>,
-    /// Outcome of every transaction in the batch.
-    pub decided: Vec<(TxId, Decision)>,
+    pub writes: Payload<(ObjectId, Version, u64, ObjVal)>,
+    /// Outcome of every transaction in the batch (empty for a preload).
+    pub decided: DecisionBlock,
 }
 
 /// A replica's full committed state: a snapshot's payload, [`fold`]'s result.
@@ -35,7 +36,7 @@ pub(crate) struct QSnapshot {
     /// Highest batch the state covers.
     pub applied: u64,
     pub store: HashMap<ObjectId, Slot>,
-    pub decided: HashMap<TxId, Decision>,
+    pub decided: DecisionLog,
 }
 
 /// Snapshot state, then every readable batch record folded in, in append
@@ -43,18 +44,20 @@ pub(crate) struct QSnapshot {
 pub(crate) fn fold(snapshot: Option<QSnapshot>, records: Vec<BatchRecord>) -> QSnapshot {
     let mut st = snapshot.unwrap_or_default();
     for rec in records {
-        for (oid, version, tag, val) in rec.writes {
+        for (oid, version, tag, val) in rec.writes.iter() {
             st.store.insert(
-                oid,
+                *oid,
                 Slot {
-                    version,
-                    tag,
+                    version: *version,
+                    tag: *tag,
                     batch: rec.batch,
-                    val,
+                    val: val.clone(),
                 },
             );
         }
-        st.decided.extend(rec.decided);
+        if !rec.decided.is_empty() {
+            st.decided.push(rec.decided);
+        }
         st.applied = st.applied.max(rec.batch);
     }
     st
@@ -63,7 +66,9 @@ pub(crate) fn fold(snapshot: Option<QSnapshot>, records: Vec<BatchRecord>) -> QS
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrdtm_core::{DurabilityConfig, Wal};
+    use crate::msg::Decision;
+    use qrdtm_core::{DurabilityConfig, TxId, Wal};
+    use std::rc::Rc;
 
     fn rec(batch: u64, writes: u64) -> BatchRecord {
         BatchRecord {
@@ -71,7 +76,14 @@ mod tests {
             writes: (0..writes)
                 .map(|i| (ObjectId(i), Version(batch), (batch << 24) | i, ObjVal::Unit))
                 .collect(),
-            decided: Vec::new(),
+            decided: [(
+                TxId {
+                    node: 0,
+                    seq: batch,
+                },
+                Decision::Requeued { batch },
+            )]
+            .into(),
         }
     }
 
@@ -86,7 +98,10 @@ mod tests {
 
     #[test]
     fn fsynced_prefix_survives_an_amnesiac_restart() {
-        let mut w = synced(&[(1, 2)]);
+        let first = rec(1, 2);
+        let mut w = Wal::new(DurabilityConfig::default());
+        w.append(first.clone());
+        w.fsync(None);
         w.append(rec(2, 2)); // appended, never synced: the planner window
         let img = w.replay();
         assert_eq!(img.records_replayed, 1);
@@ -95,6 +110,12 @@ mod tests {
         assert_eq!(st.applied, 1, "unsynced batch is lost by definition");
         assert_eq!(st.store.len(), 2);
         assert!(st.store.values().all(|s| s.batch == 1));
+        let blocks: Vec<_> = st.decided.iter().collect();
+        assert_eq!(blocks.len(), 1, "one outcome block per replayed batch");
+        assert!(
+            Rc::ptr_eq(blocks[0], &first.decided),
+            "the disk hands back the logged block, not a copy"
+        );
     }
 
     #[test]
@@ -106,5 +127,6 @@ mod tests {
         let st = fold(img.snapshot, img.records);
         assert_eq!(st.applied, 1, "batch 2 is gone entirely");
         assert!(st.store.values().all(|s| s.batch <= 1), "no partial epoch");
+        assert_eq!(st.decided.txns(), 1, "batch 2's outcomes went with it");
     }
 }

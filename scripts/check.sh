@@ -20,6 +20,8 @@ cargo build --workspace --release
 echo "==> cargo build benchmark package (public-API drift)"
 cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 
+# Root tests/*.rs are separate binaries of the root package and ride along,
+# including tests/qstore_linear_work.rs (own counting allocator, < 1 s).
 echo "==> cargo test --workspace"
 cargo test --quiet --workspace
 

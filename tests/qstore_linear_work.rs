@@ -1,0 +1,107 @@
+//! Durable Q-Store must do work proportional to the commits it processes,
+//! not to the history behind them: twice the commits may allocate about
+//! twice the bytes. A replica that copies its whole decision history at
+//! every snapshot fails this with a ratio that grows with the run.
+//!
+//! The file is its own test binary because it installs a counting
+//! `#[global_allocator]`. No wall clock is read: bytes allocated are a
+//! function of the seed.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use qr_dtm::core::{DtmProtocol, DurabilityConfig, ObjVal, ObjectId};
+use qr_dtm::qstore::{QStoreCluster, QStoreConfig};
+use qr_dtm::sim::NodeId;
+
+/// Counts every byte ever requested (growth through the default
+/// `realloc` is an `alloc` of the new size, so it is counted too).
+struct Counting;
+
+static ALLOCATED: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: both methods hand their arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const NODES: usize = 10;
+const CLIENTS_PER_NODE: u64 = 2;
+const ACCOUNTS: u64 = 8;
+
+/// The hot-account bank: two clients per node, each running `transfers`
+/// transfers between neighbouring accounts of the eight, to completion.
+/// Returns `(commits, bytes allocated)`.
+fn hot_bank(transfers: u64) -> (u64, u64) {
+    let before = ALLOCATED.load(Ordering::Relaxed);
+    let c = Rc::new(QStoreCluster::new(QStoreConfig {
+        nodes: NODES,
+        seed: 7,
+        durability: Some(DurabilityConfig::default()),
+        ..Default::default()
+    }));
+    for i in 0..ACCOUNTS {
+        c.preload(ObjectId(i), ObjVal::Int(1_000));
+    }
+    for client in 0..NODES as u64 * CLIENTS_PER_NODE {
+        let c2 = Rc::clone(&c);
+        let node = NodeId((client / CLIENTS_PER_NODE) as u32);
+        c.sim().spawn(async move {
+            for i in 0..transfers {
+                let (from, to) = (
+                    ObjectId((client + i) % ACCOUNTS),
+                    ObjectId((client + i + 1) % ACCOUNTS),
+                );
+                let mut h = c2.begin(node);
+                loop {
+                    let attempt = async {
+                        let a = c2.read(&mut h, from).await?.expect_int();
+                        let b = c2.read(&mut h, to).await?.expect_int();
+                        c2.write(&mut h, from, ObjVal::Int(a - 1)).await?;
+                        c2.write(&mut h, to, ObjVal::Int(b + 1)).await?;
+                        c2.commit(&mut h).await
+                    }
+                    .await;
+                    match attempt {
+                        Ok(()) => break,
+                        Err(e) => c2.restart(&mut h, e).await,
+                    }
+                }
+            }
+        });
+    }
+    c.sim().run();
+    let commits = c.stats().commits;
+    let total: i64 = (0..ACCOUNTS)
+        .map(|i| c.latest(ObjectId(i)).unwrap().1.expect_int())
+        .sum();
+    assert_eq!(total, ACCOUNTS as i64 * 1_000, "money is conserved");
+    drop(c);
+    (commits, ALLOCATED.load(Ordering::Relaxed) - before)
+}
+
+#[test]
+fn twice_the_commits_allocate_about_twice_the_bytes() {
+    let per_client = 50;
+    let (n, bytes_n) = hot_bank(per_client);
+    let (n2, bytes_2n) = hot_bank(2 * per_client);
+    assert_eq!(n, NODES as u64 * CLIENTS_PER_NODE * per_client);
+    assert_eq!(n2, 2 * n);
+    let growth = bytes_2n as f64 / bytes_n as f64;
+    assert!(
+        growth <= 2.2,
+        "{n} commits allocated {bytes_n} B, {n2} commits {bytes_2n} B: \
+         x{growth:.2} for twice the work"
+    );
+}
