@@ -26,6 +26,14 @@ pub(super) async fn commit_root(
     let (root, reads, writes, payload, deadline) = {
         let st = st.borrow();
         debug_assert_eq!(st.frames.len(), 1, "all CTs completed before root commit");
+        assert!(
+            !st.replaying(),
+            "replay divergence in {}: the re-executed body finished after {} of the {} logged \
+             operations; a transaction body must be a pure function of its Tx results",
+            st.root,
+            st.op_index,
+            st.replay_upto,
+        );
         let f = &st.frames[0];
         let writes: Vec<(ObjectId, Version)> =
             f.writes.iter().map(|(o, c)| (*o, c.version)).collect();

@@ -26,8 +26,9 @@
 //!   parent with **zero** messages.
 //! * Under QR-CHK the engine creates a checkpoint each time the data set
 //!   grows by `chk_threshold` objects. A read-time conflict rolls back to
-//!   `abortChk`: the frame snapshot is restored, the operation log is
-//!   truncated, and the body is re-executed with logged results replayed
+//!   `abortChk`: the data-set inserts made since that checkpoint are undone
+//!   from a journal (a checkpoint is a mark, not a copy), the operation log
+//!   is truncated, and the body is re-executed with logged results replayed
 //!   (our deterministic-replay substitute for the paper's Java
 //!   continuations — identical message behaviour, see DESIGN.md).
 //!
@@ -111,6 +112,9 @@ impl Client {
     /// be pure apart from `Tx` operations: on a checkpoint rollback it is
     /// re-run with earlier operation results replayed from the log, so any
     /// non-determinism outside `Tx` would diverge from the logged prefix.
+    /// Divergence is a bug in the body and panics, naming the transaction,
+    /// the operation index and the logged vs. issued `(object, read|write)`
+    /// (or, for a body that returns early, how much of the prefix it ran).
     pub async fn run<T, F, Fut>(&self, body: F) -> T
     where
         F: Fn(Tx) -> Fut,
@@ -217,30 +221,28 @@ impl Tx {
         // Replay and local-hit fast paths (no communication).
         {
             let mut st = self.st.borrow_mut();
-            if let Some(out) = pol.replay_hit(&mut st, is_write) {
+            if let Some(out) = pol.replay_hit(&mut st, oid, is_write) {
                 self.ep.inner.stats.borrow_mut().replayed_ops += 1;
                 return Ok(out);
             }
-            if let Some(found) = st.lookup(self.level, oid).cloned() {
+            if let Some(found) = st.lookup(self.level, oid) {
                 let out = match write_val {
                     Some(v) => {
                         // Promote/shadow into this level's write set keeping
                         // the fetch-time version and owner (the owner is
                         // whoever READ it — its abort invalidates the copy).
-                        st.frames[self.level as usize].writes.insert(
-                            oid,
-                            Cached {
-                                version: found.version,
-                                val: v,
-                                owner_level: found.owner_level,
-                                owner_chk: found.owner_chk,
-                            },
-                        );
+                        let cached = Cached {
+                            version: found.version,
+                            val: v,
+                            owner_level: found.owner_level,
+                            owner_chk: found.owner_chk,
+                        };
+                        st.insert(self.level, oid, true, cached, pol.journals_inserts());
                         ObjVal::Unit
                     }
                     None => found.val.clone(),
                 };
-                pol.log_op(&mut st, is_write, &out);
+                pol.log_op(&mut st, oid, is_write, &out);
                 self.ep.inner.stats.borrow_mut().local_hits += 1;
                 return Ok(out);
             }
@@ -305,17 +307,12 @@ impl Tx {
             st.last_remote_read_at = self.ep.sim.now();
             let cached = Cached {
                 version,
-                val: write_val.clone().unwrap_or_else(|| fetched.clone()),
+                val: write_val.unwrap_or_else(|| fetched.clone()),
                 owner_level: self.level,
                 owner_chk: cur_chk,
             };
-            let frame = &mut st.frames[self.level as usize];
-            if is_write {
-                frame.writes.insert(oid, cached);
-            } else {
-                frame.reads.insert(oid, cached);
-            }
-            pol.log_op(&mut st, is_write, &fetched);
+            st.insert(self.level, oid, is_write, cached, pol.journals_inserts());
+            pol.log_op(&mut st, oid, is_write, &fetched);
         }
         self.maybe_checkpoint().await;
         Ok(if is_write { ObjVal::Unit } else { fetched })

@@ -76,7 +76,9 @@ pub use history::{
     StructuralViolation, Violation,
 };
 pub use msg::{Msg, ValEntry, ValidationKind};
-pub use object::{ObjVal, ObjectId, Replica, SkipNode, TableRow, TreeNode, Version};
+pub use object::{
+    IdHasher, IdMap, IdSet, ObjVal, ObjectId, Replica, SkipNode, TableRow, TreeNode, Version,
+};
 pub use pool::Payload;
 pub use protocol::{DtmProtocol, ProtocolStats, QrTxHandle, SimHosted};
 pub use stats::DtmStats;

@@ -20,10 +20,8 @@
 //!   by setting `protected`, then apply new versions or roll the locks
 //!   back.
 
-use std::collections::HashMap;
-
 use crate::msg::{ValEntry, ValidationKind};
-use crate::object::{ObjVal, ObjectId, Replica, Version};
+use crate::object::{IdMap, ObjVal, ObjectId, Replica, Version};
 use crate::txid::{AbortTarget, TxId};
 
 /// PR/PW sets are pruned when they exceed this bound. The lists are
@@ -35,7 +33,7 @@ const PRUNE_AT: usize = 256;
 /// One node's object table.
 #[derive(Default)]
 pub struct NodeStore {
-    objects: HashMap<ObjectId, Replica>,
+    objects: IdMap<ObjectId, Replica>,
 }
 
 /// Outcome of serving a read request.

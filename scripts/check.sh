@@ -21,7 +21,10 @@ echo "==> cargo build benchmark package (public-API drift)"
 cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 
 # Root tests/*.rs are separate binaries of the root package and ride along,
-# including tests/qstore_linear_work.rs (own counting allocator, < 1 s).
+# including the two linear-work gates, each its own binary for its counting
+# allocator: tests/qstore_linear_work.rs (bytes per commit, < 1 s) and
+# tests/chk_linear_work.rs (allocation calls per QR-CHK data-set object,
+# < 1 s).
 echo "==> cargo test --workspace"
 cargo test --quiet --workspace
 

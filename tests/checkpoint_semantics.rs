@@ -2,6 +2,7 @@
 //! exclude every invalid object, replay reconstructs the execution exactly,
 //! and commit-time conflicts still abort fully (the paper's design).
 
+use qr_dtm::core::Version;
 use qr_dtm::prelude::*;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -243,4 +244,178 @@ fn checkpoint_cost_consumes_virtual_time() {
         8 * SimDuration::from_millis(5).as_nanos(),
         "8 checkpoints x 5ms"
     );
+}
+
+/// A write promoted from a local hit lives in the write set under the
+/// `owner_chk` of the read it shadows, so a rollback that lands between
+/// the read and the promotion must drop the write and keep the read. `x`
+/// is read under checkpoint 0 and promoted after checkpoint 3; a second
+/// client then overwrites the first object fetched under checkpoint 2.
+#[test]
+fn rollback_drops_a_write_promoted_after_the_mark() {
+    const X: ObjectId = ObjectId(1);
+    const Z: ObjectId = ObjectId(99);
+    for threshold in [1usize, 2] {
+        let t = threshold as u64;
+        let c = cluster(6, threshold);
+        c.enable_history();
+        // X and then ids 2.. are read in order, `threshold` per checkpoint.
+        let scanned = 3 * t;
+        for i in 1..=scanned {
+            c.preload(ObjectId(i), ObjVal::Int(100 * i as i64));
+        }
+        c.preload(Z, ObjVal::Int(-1));
+        let victim = ObjectId(2 * t + 1); // first fetch under checkpoint 2
+        let sim = c.sim().clone();
+        let body_runs = Rc::new(Cell::new(0));
+        let x_before_write = Rc::new(RefCell::new(Vec::new()));
+        let t1 = c.client(NodeId(3));
+        {
+            let (sim1, br, seen) = (
+                sim.clone(),
+                Rc::clone(&body_runs),
+                Rc::clone(&x_before_write),
+            );
+            sim.spawn(async move {
+                t1.run(|tx| {
+                    let (sim1, br, seen) = (sim1.clone(), Rc::clone(&br), Rc::clone(&seen));
+                    async move {
+                        br.set(br.get() + 1);
+                        for i in 1..=scanned {
+                            tx.read(ObjectId(i)).await?;
+                        }
+                        // Both local hits: what the data set holds for X,
+                        // then the promotion.
+                        let held = tx.read(X).await?.expect_int();
+                        seen.borrow_mut().push(held);
+                        tx.write(X, ObjVal::Int(777)).await?;
+                        sim1.sleep(SimDuration::from_millis(200)).await;
+                        tx.read(Z).await?; // Rqv finds the victim stale
+                        Ok(())
+                    }
+                })
+                .await;
+            });
+        }
+        let t2 = c.client(NodeId(5));
+        let sim2 = sim.clone();
+        sim.spawn(async move {
+            sim2.sleep(SimDuration::from_millis(130)).await;
+            t2.run(|tx| async move {
+                let v = tx.read(victim).await?.expect_int();
+                tx.write(victim, ObjVal::Int(v + 1)).await?;
+                Ok(())
+            })
+            .await;
+        });
+        c.sim().run();
+        let s = c.stats();
+        assert_eq!(s.commits, 2, "threshold {threshold}: {s:?}");
+        assert_eq!(s.chk_rollbacks, 1, "threshold {threshold}: {s:?}");
+        assert_eq!(s.root_aborts, 0, "threshold {threshold}: {s:?}");
+        assert_eq!(body_runs.get(), 2, "threshold {threshold}");
+        // Checkpoint 2 was taken after 2*threshold reads: exactly those are
+        // replayed, everything later is issued again.
+        assert_eq!(s.replayed_ops, 2 * t, "threshold {threshold}: {s:?}");
+        let first_run = scanned + 1;
+        let second_run = (scanned - 2 * t) + 1;
+        assert_eq!(
+            s.read_rounds,
+            first_run + second_run + 1,
+            "threshold {threshold}: no round for the replayed prefix: {s:?}"
+        );
+        // Had the promoted write survived the rollback, the second run's
+        // local read of X would have seen 777.
+        assert_eq!(
+            *x_before_write.borrow(),
+            [100, 100],
+            "threshold {threshold}"
+        );
+        assert_eq!(
+            c.latest(X).unwrap(),
+            (Version(2), ObjVal::Int(777)),
+            "threshold {threshold}: X installed exactly once"
+        );
+        assert_eq!(c.latest(Z).unwrap().0, Version::INITIAL);
+        assert_eq!(c.verify_history(), vec![], "threshold {threshold}");
+    }
+}
+
+/// Run a body that is not a pure function of its `Tx` results. Its first
+/// execution reads objects 1, 2 (checkpoint 1), 3, and after a pause 5,
+/// where Rqv finds 3 overwritten and rolls back to checkpoint 1: two
+/// logged reads to replay. Its second execution issues `second_run`
+/// instead — `(object, Some(value to write) | None to read)` — and returns.
+fn run_diverging_body(second_run: &'static [(u64, Option<i64>)]) {
+    let c = cluster(7, 2);
+    for i in 1..=5u64 {
+        c.preload(ObjectId(i), ObjVal::Int(0));
+    }
+    let sim = c.sim().clone();
+    let runs = Rc::new(Cell::new(0u32));
+    let t1 = c.client(NodeId(3));
+    let sim1 = sim.clone();
+    sim.spawn(async move {
+        t1.run(|tx| {
+            let (sim1, runs) = (sim1.clone(), Rc::clone(&runs));
+            async move {
+                runs.set(runs.get() + 1);
+                if runs.get() == 1 {
+                    for i in 1..=3u64 {
+                        tx.read(ObjectId(i)).await?;
+                    }
+                    sim1.sleep(SimDuration::from_millis(150)).await;
+                    tx.read(ObjectId(5)).await?;
+                    unreachable!("object 3 was overwritten during the pause");
+                }
+                for &(oid, write) in second_run {
+                    match write {
+                        None => drop(tx.read(ObjectId(oid)).await?),
+                        Some(v) => tx.write(ObjectId(oid), ObjVal::Int(v)).await?,
+                    }
+                }
+                Ok(())
+            }
+        })
+        .await;
+    });
+    let t2 = c.client(NodeId(5));
+    let sim2 = sim.clone();
+    sim.spawn(async move {
+        sim2.sleep(SimDuration::from_millis(80)).await;
+        t2.run(|tx| async move {
+            let v = tx.read(ObjectId(3)).await?.expect_int();
+            tx.write(ObjectId(3), ObjVal::Int(v + 1)).await?;
+            Ok(())
+        })
+        .await;
+    });
+    c.sim().run();
+}
+
+/// Another object's read where the log holds `o1`'s: served from the log
+/// it would silently get `o1`'s value. It is diagnosed instead.
+#[test]
+#[should_panic(
+    expected = "replay divergence in T3.0: op 0 was logged as (o1, read) but the re-executed body issued (o2, read)"
+)]
+fn replay_of_a_different_object_is_diagnosed() {
+    run_diverging_body(&[(2, None)]);
+}
+
+/// A write where a read was logged.
+#[test]
+#[should_panic(
+    expected = "replay divergence in T3.0: op 1 was logged as (o2, read) but the re-executed body issued (o2, write)"
+)]
+fn replay_of_a_different_kind_is_diagnosed() {
+    run_diverging_body(&[(1, None), (2, Some(9))]);
+}
+
+/// A body that returns before it has re-issued the whole logged prefix
+/// would commit a restored data set it did not produce.
+#[test]
+#[should_panic(expected = "T3.0: the re-executed body finished after 1 of the 2 logged operations")]
+fn replay_cut_short_is_diagnosed() {
+    run_diverging_body(&[(1, None)]);
 }
