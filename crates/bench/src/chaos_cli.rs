@@ -86,43 +86,45 @@ impl Proto {
     fn supports_detector(self) -> bool {
         matches!(self, Proto::Qr | Proto::QrCn | Proto::QrChk | Proto::QStore)
     }
+}
+
+/// One chaos run's fixed coordinates: which protocol, on how many nodes,
+/// from which seed, with which engine arms.
+#[derive(Clone, Copy)]
+struct Scenario {
+    proto: Proto,
+    seed: u64,
+    nodes: usize,
+    /// Replicas log to the simulated disk (crash-amnesia and corrupt-tail
+    /// faults become applicable).
+    durable: bool,
+    /// Arm the engine-side overload protections (admission control,
+    /// deadline-aware abort, retry budget) on the QR family; the baselines
+    /// and Q-Store have no engine knobs, so under overload they rely on
+    /// the driver-side queue bound and deadline abandon alone.
+    protect: bool,
+}
+
+impl Scenario {
+    /// The smoke suites' scenario: 10 nodes, neither engine arm set.
+    fn smoke(proto: Proto, seed: u64) -> Self {
+        Scenario {
+            proto,
+            seed,
+            nodes: 10,
+            durable: false,
+            protect: false,
+        }
+    }
 
     /// Build a fresh cluster and run `plan` against it. A new cluster per
     /// run is what makes replays (and the shrinker's re-runs) exact.
-    /// `protect` arms the engine-side overload protections (admission
-    /// control, deadline-aware abort, retry budget) on the QR family;
-    /// the baselines and Q-Store have no engine knobs, so under overload
-    /// they rely on the driver-side queue bound and deadline abandon
-    /// alone.
-    fn run(
-        self,
-        nodes: usize,
-        seed: u64,
-        spec: &ChaosSpec,
-        plan: &FaultPlan,
-        durable: bool,
-        protect: bool,
-    ) -> ChaosReport {
-        let det = spec.detector;
-        match self {
-            Proto::Qr => run_plan(
-                qr(NestingMode::Flat, nodes, seed, det, durable, protect),
-                nodes,
-                spec,
-                plan,
-            ),
-            Proto::QrCn => run_plan(
-                qr(NestingMode::Closed, nodes, seed, det, durable, protect),
-                nodes,
-                spec,
-                plan,
-            ),
-            Proto::QrChk => run_plan(
-                qr(NestingMode::Checkpoint, nodes, seed, det, durable, protect),
-                nodes,
-                spec,
-                plan,
-            ),
+    fn run(&self, spec: &ChaosSpec, plan: &FaultPlan) -> ChaosReport {
+        let Scenario { seed, nodes, .. } = *self;
+        match self.proto {
+            Proto::Qr => run_plan(self.qr(NestingMode::Flat, spec), nodes, spec, plan),
+            Proto::QrCn => run_plan(self.qr(NestingMode::Closed, spec), nodes, spec, plan),
+            Proto::QrChk => run_plan(self.qr(NestingMode::Checkpoint, spec), nodes, spec, plan),
             Proto::Tfa => {
                 let cl = Rc::new(TfaCluster::new(TfaConfig {
                     nodes,
@@ -145,12 +147,12 @@ impl Proto {
                     seed,
                     ..Default::default()
                 };
-                if det {
+                if spec.detector {
                     // Oracle off: the heartbeat detector ejects a silent
                     // planner and drives the successor's fenced takeover.
                     cfg.detector = Some(DetectorConfig::default());
                 }
-                if durable {
+                if self.durable {
                     // Replicas append+fsync one batch record per epoch to
                     // the simulated disk; crash-amnesia and corrupt-tail
                     // faults become applicable.
@@ -161,44 +163,121 @@ impl Proto {
             }
         }
     }
-}
 
-fn qr(
-    mode: NestingMode,
-    nodes: usize,
-    seed: u64,
-    detector: bool,
-    durable: bool,
-    protect: bool,
-) -> Rc<Cluster> {
-    let mut cfg = DtmConfig {
-        nodes,
-        mode,
-        seed,
-        ..Default::default()
-    };
-    if detector {
-        // Oracle off: the cluster self-heals via heartbeats. A tight RPC
-        // timeout keeps calls into not-yet-ejected dead nodes short
-        // relative to the suspicion window, so retries/hedging matter.
-        cfg.detector = Some(DetectorConfig::default());
-        cfg.rpc_timeout = Some(SimDuration::from_millis(100));
+    /// The QR-family cluster for this scenario. Only detector mode tightens
+    /// the RPC timeout; durable and protected runs keep
+    /// `DtmConfig::default()`'s 500 ms (the nemesis unit-test builders
+    /// `qr_durable`/`qr_overload` set 100 ms, so they exercise a different
+    /// configuration — ROADMAP item 3).
+    fn qr(&self, mode: NestingMode, spec: &ChaosSpec) -> Rc<Cluster> {
+        let mut cfg = DtmConfig {
+            nodes: self.nodes,
+            mode,
+            seed: self.seed,
+            ..Default::default()
+        };
+        if spec.detector {
+            // Oracle off: the cluster self-heals via heartbeats. A tight RPC
+            // timeout keeps calls into not-yet-ejected dead nodes short
+            // relative to the suspicion window, so retries/hedging matter.
+            cfg.detector = Some(DetectorConfig::default());
+            cfg.rpc_timeout = Some(SimDuration::from_millis(100));
+        }
+        if self.durable {
+            cfg.durability = Some(DurabilityConfig::default());
+        }
+        if self.protect {
+            // Per-node admission queues, deadline-aware early abort, retry
+            // budgets, hedge suppression.
+            cfg.overload = Some(OverloadConfig::default());
+        }
+        Rc::new(Cluster::new(cfg))
     }
-    if durable {
-        // Replicas log to the simulated disk; crash-amnesia and
-        // corrupt-tail faults become applicable.
-        cfg.durability = Some(DurabilityConfig::default());
-        cfg.rpc_timeout.get_or_insert(SimDuration::from_millis(100));
+
+    /// Run `plan`, print the report line and, on a violation, shrink the
+    /// plan to a minimal deterministic reproducer (written to `save_to` if
+    /// given). The caller judges the returned report with
+    /// [`ChaosReport::ok`].
+    fn check(
+        &self,
+        spec: &ChaosSpec,
+        plan: &FaultPlan,
+        save_to: Option<&std::path::Path>,
+    ) -> ChaosReport {
+        let Scenario {
+            proto, seed, nodes, ..
+        } = *self;
+        let r = self.run(spec, plan);
+        println!(
+            "[{:<7} seed={seed} nodes={nodes}] {}",
+            proto.label(),
+            r.summary_line(),
+        );
+        let m = &r.metrics;
+        if spec.detector {
+            println!(
+                "    detector: hb={} suspicions={} (false {}) rejoins={} epoch={} \
+                 retries={} hedged {}/{} wasted={}",
+                m.heartbeats_sent,
+                m.suspicions,
+                m.false_suspicions,
+                m.rejoins,
+                r.view_epoch,
+                m.rpc_retries,
+                m.hedged_wins,
+                m.hedged_calls,
+                m.wasted_replies,
+            );
+        }
+        // Recovery counters are zero unless an amnesiac restart actually
+        // replayed a log and/or ran quorum repair — print only then.
+        if m.log_replays + m.torn_tails + m.repair_rounds + m.repaired_objects + m.repair_bytes > 0
+        {
+            println!(
+                "    recovery: log_replays={} torn_tails={} repair_rounds={} \
+                 repaired_objects={} repair_bytes={}",
+                m.log_replays, m.torn_tails, m.repair_rounds, m.repaired_objects, m.repair_bytes,
+            );
+        }
+        if r.ok() {
+            return r;
+        }
+        for v in &r.violations {
+            println!("    ! {v}");
+        }
+        println!(
+            "    shrinking the {}-event plan to a minimal reproducer...",
+            plan.len()
+        );
+        let min = shrink(plan, |cand| !self.run(spec, cand).ok());
+        println!("    minimized plan ({} event(s)):", min.len());
+        for line in min.to_text().lines() {
+            println!("      {line}");
+        }
+        if let Some(path) = save_to {
+            match self.save_plan(path, &min) {
+                Ok(()) => println!("    minimized plan written to {}", path.display()),
+                Err(e) => eprintln!("chaos: cannot write {}: {e}", path.display()),
+            }
+        }
+        println!(
+            "    repro: save the plan to FILE and run `repro chaos --proto {} --seed {seed} \
+             --nodes {nodes} --plan FILE` (fully deterministic)",
+            proto.label()
+        );
+        r
     }
-    if protect {
-        // Engine-side graceful degradation: per-node admission queues,
-        // deadline-aware early abort, retry budgets, hedge suppression.
-        // The tight RPC timeout makes retries (and thus the budget)
-        // matter under surge.
-        cfg.overload = Some(OverloadConfig::default());
-        cfg.rpc_timeout.get_or_insert(SimDuration::from_millis(100));
+
+    fn save_plan(&self, path: &std::path::Path, plan: &FaultPlan) -> std::io::Result<()> {
+        let text = format!(
+            "# generated for --proto {} --seed {} --nodes {}\n{}",
+            self.proto.label(),
+            self.seed,
+            self.nodes,
+            plan.to_text()
+        );
+        std::fs::write(path, text)
     }
-    Rc::new(Cluster::new(cfg))
 }
 
 struct ChaosArgs {
@@ -375,19 +454,20 @@ pub fn run(args: impl Iterator<Item = String>) -> i32 {
                 Some(p) => p.clone(),
                 None => generate(seed, a.nodes as u32, spec.horizon, &budget),
             };
-            if let Some(path) = &a.save_plan {
-                save_plan(path, &plan, proto, seed, a.nodes);
-            }
-            if !run_one(
+            let sc = Scenario {
                 proto,
                 seed,
-                a.nodes,
-                &spec,
-                &plan,
-                a.save_plan.as_deref(),
-                a.amnesia,
-                a.overload,
-            ) {
+                nodes: a.nodes,
+                durable: a.amnesia,
+                protect: a.overload,
+            };
+            if let Some(path) = &a.save_plan {
+                if let Err(e) = sc.save_plan(path, &plan) {
+                    eprintln!("chaos: cannot write {}: {e}", path.display());
+                    return 1;
+                }
+            }
+            if !sc.check(&spec, &plan, a.save_plan.as_deref()).ok() {
                 failures += 1;
             }
         }
@@ -410,115 +490,6 @@ fn fig10_plan(k: usize, horizon: SimDuration) -> FaultPlan {
     FaultPlan::fig10(k, start, spacing)
 }
 
-fn save_plan(path: &std::path::Path, plan: &FaultPlan, proto: Proto, seed: u64, nodes: usize) {
-    let text = format!(
-        "# generated for --proto {} --seed {seed} --nodes {nodes}\n{}",
-        proto.label(),
-        plan.to_text()
-    );
-    if let Err(e) = std::fs::write(path, text) {
-        eprintln!("chaos: cannot write {}: {e}", path.display());
-    }
-}
-
-/// Run one (protocol, seed, plan) scenario, print its report line and, on
-/// a violation, the shrunken reproducer. Returns whether invariants held.
-#[allow(clippy::too_many_arguments)]
-fn run_one(
-    proto: Proto,
-    seed: u64,
-    nodes: usize,
-    spec: &ChaosSpec,
-    plan: &FaultPlan,
-    save_to: Option<&std::path::Path>,
-    durable: bool,
-    protect: bool,
-) -> bool {
-    let r = proto.run(nodes, seed, spec, plan, durable, protect);
-    report_one(
-        proto, seed, nodes, spec, plan, save_to, durable, protect, &r,
-    )
-}
-
-/// Print the report line (and, on a violation, shrink to a minimal
-/// reproducer). Split from [`run_one`] so callers that need the raw
-/// [`ChaosReport`] (the detector smoke, for counter aggregation) can run
-/// the plan themselves.
-#[allow(clippy::too_many_arguments)]
-fn report_one(
-    proto: Proto,
-    seed: u64,
-    nodes: usize,
-    spec: &ChaosSpec,
-    plan: &FaultPlan,
-    save_to: Option<&std::path::Path>,
-    durable: bool,
-    protect: bool,
-    r: &ChaosReport,
-) -> bool {
-    println!(
-        "[{:<7} seed={seed} nodes={nodes}] {}",
-        proto.label(),
-        r.summary_line(),
-    );
-    if spec.detector {
-        let m = &r.metrics;
-        println!(
-            "    detector: hb={} suspicions={} (false {}) rejoins={} epoch={} \
-             retries={} hedged {}/{} wasted={}",
-            m.heartbeats_sent,
-            m.suspicions,
-            m.false_suspicions,
-            m.rejoins,
-            r.view_epoch,
-            m.rpc_retries,
-            m.hedged_wins,
-            m.hedged_calls,
-            m.wasted_replies,
-        );
-    }
-    {
-        // Recovery counters are zero unless an amnesiac restart actually
-        // replayed a log and/or ran quorum repair — print only then.
-        let m = &r.metrics;
-        if m.log_replays + m.torn_tails + m.repair_rounds + m.repaired_objects + m.repair_bytes > 0
-        {
-            println!(
-                "    recovery: log_replays={} torn_tails={} repair_rounds={} \
-                 repaired_objects={} repair_bytes={}",
-                m.log_replays, m.torn_tails, m.repair_rounds, m.repaired_objects, m.repair_bytes,
-            );
-        }
-    }
-    if r.ok() {
-        return true;
-    }
-    for v in &r.violations {
-        println!("    ! {v}");
-    }
-    println!(
-        "    shrinking the {}-event plan to a minimal reproducer...",
-        plan.len()
-    );
-    let min = shrink(plan, |cand| {
-        !proto.run(nodes, seed, spec, cand, durable, protect).ok()
-    });
-    println!("    minimized plan ({} event(s)):", min.len());
-    for line in min.to_text().lines() {
-        println!("      {line}");
-    }
-    if let Some(path) = save_to {
-        save_plan(path, &min, proto, seed, nodes);
-        println!("    minimized plan written to {}", path.display());
-    }
-    println!(
-        "    repro: save the plan to FILE and run `repro chaos --proto {} --seed {seed} \
-         --nodes {nodes} --plan FILE` (fully deterministic)",
-        proto.label()
-    );
-    false
-}
-
 /// The fixed smoke suite `scripts/check.sh` runs: two seeds across all
 /// six protocols with the short spec, plus one Fig. 10 crash schedule and
 /// a crafted planner-failover plan for the batching family (crash node 0,
@@ -532,12 +503,14 @@ fn smoke() -> i32 {
     for seed in 1..=2u64 {
         for proto in ALL_PROTOS {
             let plan = generate(seed, 10, spec.horizon, &proto.budget(5, false));
-            ok &= run_one(proto, seed, 10, &spec, &plan, None, false, false);
+            ok &= Scenario::smoke(proto, seed).check(&spec, &plan, None).ok();
             qstore_runs += u32::from(proto == Proto::QStore);
         }
     }
     let fig10 = fig10_plan(3, spec.horizon);
-    ok &= run_one(Proto::QrCn, 3, 10, &spec, &fig10, None, false, false);
+    ok &= Scenario::smoke(Proto::QrCn, 3)
+        .check(&spec, &fig10, None)
+        .ok();
     let planner_failover = FaultPlan::new(vec![
         FaultEvent {
             at: SimDuration::from_millis(400),
@@ -548,16 +521,9 @@ fn smoke() -> i32 {
             kind: FaultKind::Recover { node: 0 },
         },
     ]);
-    ok &= run_one(
-        Proto::QStore,
-        3,
-        10,
-        &spec,
-        &planner_failover,
-        None,
-        false,
-        false,
-    );
+    ok &= Scenario::smoke(Proto::QStore, 3)
+        .check(&spec, &planner_failover, None)
+        .ok();
     if qstore_runs == 0 {
         eprintln!("chaos smoke: the generated-plan grid never ran the qstore arm");
         ok = false;
@@ -630,8 +596,8 @@ fn detector_smoke() -> i32 {
         for (name, plan) in plans {
             println!("plan: {name}");
             for proto in [Proto::QrCn, Proto::Qr] {
-                let r = proto.run(10, seed, &spec, plan, false, false);
-                ok &= report_one(proto, seed, 10, &spec, plan, None, false, false, &r);
+                let r = Scenario::smoke(proto, seed).check(&spec, plan, None);
+                ok &= r.ok();
                 hb += r.metrics.heartbeats_sent;
                 susp += r.metrics.suspicions;
                 false_susp += r.metrics.false_suspicions;
@@ -644,8 +610,8 @@ fn detector_smoke() -> i32 {
     // schedules also go through the detector path.
     for seed in 1..=2u64 {
         let plan = generate(seed, 10, spec.horizon, &FaultBudget::full(5));
-        let r = Proto::QrChk.run(10, seed, &spec, &plan, false, false);
-        ok &= report_one(Proto::QrChk, seed, 10, &spec, &plan, None, false, false, &r);
+        let r = Scenario::smoke(Proto::QrChk, seed).check(&spec, &plan, None);
+        ok &= r.ok();
         hb += r.metrics.heartbeats_sent;
         susp += r.metrics.suspicions;
         false_susp += r.metrics.false_suspicions;
@@ -668,18 +634,8 @@ fn detector_smoke() -> i32 {
     ]);
     for seed in 1..=2u64 {
         println!("plan: planner-crash (batching family)");
-        let r = Proto::QStore.run(10, seed, &spec, &planner_crash, false, false);
-        ok &= report_one(
-            Proto::QStore,
-            seed,
-            10,
-            &spec,
-            &planner_crash,
-            None,
-            false,
-            false,
-            &r,
-        );
+        let r = Scenario::smoke(Proto::QStore, seed).check(&spec, &planner_crash, None);
+        ok &= r.ok();
         hb += r.metrics.heartbeats_sent;
         susp += r.metrics.suspicions;
         false_susp += r.metrics.false_suspicions;
@@ -770,6 +726,10 @@ fn amnesia_smoke() -> i32 {
         ("double-amnesia", &double_amnesia),
     ];
     println!("## chaos --smoke --amnesia — durable replicas, amnesiac restarts\n");
+    let durable = |proto, seed| Scenario {
+        durable: true,
+        ..Scenario::smoke(proto, seed)
+    };
     let mut ok = true;
     let (mut replays, mut torn, mut rounds, mut repaired) = (0u64, 0u64, 0u64, 0u64);
     let mut tally = |r: &ChaosReport| {
@@ -782,8 +742,8 @@ fn amnesia_smoke() -> i32 {
         for (name, plan) in plans {
             println!("plan: {name}");
             for proto in [Proto::QrCn, Proto::Qr] {
-                let r = proto.run(10, seed, &spec, plan, true, false);
-                ok &= report_one(proto, seed, 10, &spec, plan, None, true, false, &r);
+                let r = durable(proto, seed).check(&spec, plan, None);
+                ok &= r.ok();
                 tally(&r);
             }
         }
@@ -792,8 +752,8 @@ fn amnesia_smoke() -> i32 {
     // (mixed with partitions, drops and slowdowns) also get coverage.
     for seed in 1..=3u64 {
         let plan = generate(seed, 10, spec.horizon, &FaultBudget::durable(5));
-        let r = Proto::QrChk.run(10, seed, &spec, &plan, true, false);
-        ok &= report_one(Proto::QrChk, seed, 10, &spec, &plan, None, true, false, &r);
+        let r = durable(Proto::QrChk, seed).check(&spec, &plan, None);
+        ok &= r.ok();
         tally(&r);
     }
     // Q-Store: twenty seeds of torn batch tails + amnesiac restarts. The
@@ -827,8 +787,8 @@ fn amnesia_smoke() -> i32 {
                 kind: FaultKind::Recover { node: 0 },
             },
         ]);
-        let r = Proto::QStore.run(10, seed, &spec, &plan, true, false);
-        ok &= report_one(Proto::QStore, seed, 10, &spec, &plan, None, true, false, &r);
+        let r = durable(Proto::QStore, seed).check(&spec, &plan, None);
+        ok &= r.ok();
         tally(&r);
         qstore_runs += 1;
     }
@@ -836,8 +796,8 @@ fn amnesia_smoke() -> i32 {
     // family too.
     for seed in 1..=3u64 {
         let plan = generate(seed, 10, spec.horizon, &FaultBudget::durable(5));
-        let r = Proto::QStore.run(10, seed, &spec, &plan, true, false);
-        ok &= report_one(Proto::QStore, seed, 10, &spec, &plan, None, true, false, &r);
+        let r = durable(Proto::QStore, seed).check(&spec, &plan, None);
+        ok &= r.ok();
         tally(&r);
         qstore_runs += 1;
     }
@@ -923,8 +883,12 @@ fn overload_smoke() -> i32 {
     for seed in 1..=20u64 {
         for proto in ALL_PROTOS {
             let plan = generate(seed, 10, spec.horizon, &FaultBudget::overload(4));
-            let r = proto.run(10, seed, &spec, &plan, false, true);
-            ok &= report_one(proto, seed, 10, &spec, &plan, None, false, true, &r);
+            let protected = Scenario {
+                protect: true,
+                ..Scenario::smoke(proto, seed)
+            };
+            let r = protected.check(&spec, &plan, None);
+            ok &= r.ok();
             tally(&r);
         }
     }
@@ -1003,7 +967,7 @@ fn overload_smoke() -> i32 {
     ]);
     println!("\nchecker validation: unprotected surge must go metastable");
     for seed in 1..=3u64 {
-        let r = Proto::Qr.run(10, seed, &unprotected, &surge_only, false, false);
+        let r = Scenario::smoke(Proto::Qr, seed).run(&unprotected, &surge_only);
         let meta = r
             .violations
             .iter()

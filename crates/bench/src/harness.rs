@@ -14,8 +14,8 @@ use qrdtm_core::{DtmConfig, LatencySpec, NestingMode};
 use qrdtm_qstore::QStoreConfig;
 use qrdtm_sim::SimDuration;
 use qrdtm_workloads::{
-    run, run_decent_bank, run_qr_bank, run_qstore_bank, run_tfa_bank, BankSpec, Benchmark,
-    RunResult, RunSpec, WorkloadParams,
+    run, run_decent_bank, run_qr_bank, run_qstore_bank, run_tfa_bank, BankRunResult, BankSpec,
+    Benchmark, RunResult, RunSpec, WorkloadParams,
 };
 
 /// Base RNG seed for every experiment (results are deterministic given it).
@@ -145,61 +145,101 @@ pub struct FigureGroup {
 
 const MODES: [NestingMode; 3] = NestingMode::ALL;
 
-fn mode_sweep(
+/// Run `cell` on every point of the `groups × xs × series` product (the
+/// file's one trip through the worker pool) and hand the results back
+/// nested in axis order: `out[g][x][s]`. A panicking cell is reported by
+/// its index in that order, series fastest.
+fn grid<G: Sync, X: Sync, S: Sync, O: Send>(
+    groups: &[G],
+    xs: &[X],
+    series: &[S],
+    cell: impl Fn(&G, &X, &S) -> O + Sync,
+) -> Vec<Vec<Vec<O>>> {
+    let mut jobs = Vec::with_capacity(groups.len() * xs.len() * series.len());
+    for g in groups {
+        for x in xs {
+            for s in series {
+                jobs.push((g, x, s));
+            }
+        }
+    }
+    let mut flat = parallel_map(jobs, |(g, x, s)| cell(g, x, s)).into_iter();
+    groups
+        .iter()
+        .map(|_| {
+            xs.iter()
+                .map(|_| flat.by_ref().take(series.len()).collect())
+                .collect()
+        })
+        .collect()
+}
+
+/// A throughput [`grid`] as a [`Figure`]: every axis entry pairs its label
+/// (group title, x value, series name) with the value `cell` receives.
+fn figure<G: Sync, X: Sync, S: Sync>(
     name: &str,
     x_label: &str,
-    benches: &[Benchmark],
-    xs: &[(f64, WorkloadParams)],
-    quick: bool,
-    tweak: impl Fn(&mut DtmConfig, &mut RunSpec) + Sync,
+    groups: &[(impl ToString + Sync, G)],
+    xs: &[(f64, X)],
+    series: &[(impl ToString + Sync, S)],
+    cell: impl Fn(&G, &X, &S) -> f64 + Sync,
 ) -> Figure {
-    let (warmup, duration) = windows(quick);
-    let mut jobs = Vec::new();
-    for &bench in benches {
-        for (x, params) in xs {
-            for mode in MODES {
-                jobs.push((bench, *x, *params, mode));
-            }
-        }
-    }
-    let results = parallel_map(jobs.clone(), |(bench, _x, params, mode)| {
-        let mut cfg = paper_cfg(mode);
-        let mut spec = RunSpec {
-            bench,
-            params,
-            warmup,
-            duration,
-            clients_per_node: 1,
-            failures: 0,
-        };
-        tweak(&mut cfg, &mut spec);
-        run(cfg, &spec)
-    });
-    let mut groups = Vec::new();
-    for &bench in benches {
-        let mut rows = Vec::new();
-        for (x, _) in xs {
-            let mut series = Vec::new();
-            for mode in MODES {
-                let idx = jobs
-                    .iter()
-                    .position(|&(b, jx, _, m)| b == bench && jx == *x && m == mode)
-                    .expect("job present");
-                series.push(results[idx].throughput);
-            }
-            rows.push((*x, series));
-        }
-        groups.push(FigureGroup {
-            title: bench.name().to_string(),
-            rows,
-        });
-    }
+    let cells = grid(groups, xs, series, |g, x, s| cell(&g.1, &x.1, &s.1));
     Figure {
         name: name.to_string(),
         x_label: x_label.to_string(),
-        series: MODES.iter().map(|m| m.to_string()).collect(),
-        groups,
+        series: series.iter().map(|s| s.0.to_string()).collect(),
+        groups: groups
+            .iter()
+            .zip(cells)
+            .map(|(g, rows)| FigureGroup {
+                title: g.0.to_string(),
+                rows: xs.iter().map(|x| x.0).zip(rows).collect(),
+            })
+            .collect(),
     }
+}
+
+/// An integer sweep axis for [`figure`].
+fn axis(values: &[u32]) -> Vec<(f64, u32)> {
+    values.iter().map(|&v| (f64::from(v), v)).collect()
+}
+
+/// The closed-loop run every sweep starts from: `bench` at its default
+/// shape, one client per node, no failures.
+fn base_spec(bench: Benchmark, quick: bool) -> RunSpec {
+    let (warmup, duration) = windows(quick);
+    RunSpec {
+        bench,
+        params: default_params(bench),
+        warmup,
+        duration,
+        clients_per_node: 1,
+        failures: 0,
+    }
+}
+
+/// Figs. 5–7: the five benchmarks × `xs` × the three nesting modes, where
+/// `set` moves the swept workload parameter off its default to `x`.
+fn mode_sweep(
+    name: &str,
+    x_label: &str,
+    quick: bool,
+    xs: &[u32],
+    set: impl Fn(&mut WorkloadParams, u32) + Sync,
+) -> Figure {
+    figure(
+        name,
+        x_label,
+        &Benchmark::FIGURE_SET.map(|b| (b.name(), b)),
+        &axis(xs),
+        &MODES.map(|m| (m, m)),
+        |&bench, &x, &mode| {
+            let mut spec = base_spec(bench, quick);
+            set(&mut spec.params, x);
+            run(paper_cfg(mode), &spec).throughput
+        },
+    )
 }
 
 /// Fig. 5: throughput vs read-workload percentage (0–100).
@@ -209,119 +249,27 @@ pub fn fig5(quick: bool) -> Figure {
     } else {
         (0..=10).map(|i| i * 10).collect()
     };
-    // Params vary per benchmark (objects) and per point (read %), so this
-    // sweep builds its own job list instead of using `mode_sweep`.
-    let benches = Benchmark::FIGURE_SET;
-    let mut groups = Vec::new();
-    let (warmup, duration) = windows(quick);
-    let mut jobs = Vec::new();
-    for &bench in &benches {
-        for &pct in &pcts {
-            for mode in MODES {
-                let mut params = default_params(bench);
-                params.read_pct = pct;
-                jobs.push((bench, pct, params, mode));
-            }
-        }
-    }
-    let results = parallel_map(jobs.clone(), |(bench, _pct, params, mode)| {
-        let cfg = paper_cfg(mode);
-        run(
-            cfg,
-            &RunSpec {
-                bench,
-                params,
-                warmup,
-                duration,
-                clients_per_node: 1,
-                failures: 0,
-            },
-        )
-    });
-    for &bench in &benches {
-        let mut rows = Vec::new();
-        for &pct in &pcts {
-            let mut series = Vec::new();
-            for mode in MODES {
-                let idx = jobs
-                    .iter()
-                    .position(|&(b, p, _, m)| b == bench && p == pct && m == mode)
-                    .unwrap();
-                series.push(results[idx].throughput);
-            }
-            rows.push((f64::from(pct), series));
-        }
-        groups.push(FigureGroup {
-            title: bench.name().to_string(),
-            rows,
-        });
-    }
-    Figure {
-        name: "fig5".into(),
-        x_label: "read %".into(),
-        series: MODES.iter().map(|m| m.to_string()).collect(),
-        groups,
-    }
+    mode_sweep("fig5", "read %", quick, &pcts, |p, pct| p.read_pct = pct)
 }
 
 /// Fig. 6: throughput vs number of nested calls (1–5).
 pub fn fig6(quick: bool) -> Figure {
-    let calls: Vec<usize> = if quick {
-        vec![1, 3, 5]
-    } else {
-        vec![1, 2, 3, 4, 5]
-    };
-    let benches = Benchmark::FIGURE_SET;
-    let xs: Vec<(f64, usize)> = calls.iter().map(|&c| (c as f64, c)).collect();
-    let xps: Vec<(f64, WorkloadParams)> = xs
-        .iter()
-        .map(|&(x, c)| {
-            (
-                x,
-                WorkloadParams {
-                    calls: c,
-                    ..default_params(Benchmark::Bank)
-                },
-            )
-        })
-        .collect();
-    let mut fig = mode_sweep(
-        "fig6",
-        "nested calls",
-        &benches,
-        &xps,
-        quick,
-        |cfg, spec| {
-            // Objects follow the benchmark default, not Bank's.
-            spec.params.objects = default_params(spec.bench).objects;
-            cfg.seed = SEED;
-        },
-    );
-    fig.name = "fig6".into();
-    fig
+    let calls: &[u32] = if quick { &[1, 3, 5] } else { &[1, 2, 3, 4, 5] };
+    mode_sweep("fig6", "nested calls", quick, calls, |p, c| {
+        p.calls = c as usize;
+    })
 }
 
 /// Fig. 7: throughput vs number of objects.
 pub fn fig7(quick: bool) -> Figure {
-    let objects: Vec<u64> = if quick {
-        vec![12, 48, 192]
+    let objects: &[u32] = if quick {
+        &[12, 48, 192]
     } else {
-        vec![12, 24, 48, 96, 192]
+        &[12, 24, 48, 96, 192]
     };
-    let benches = Benchmark::FIGURE_SET;
-    let xps: Vec<(f64, WorkloadParams)> = objects
-        .iter()
-        .map(|&o| {
-            (
-                o as f64,
-                WorkloadParams {
-                    objects: o,
-                    ..default_params(Benchmark::Bank)
-                },
-            )
-        })
-        .collect();
-    mode_sweep("fig7", "objects", &benches, &xps, quick, |_cfg, _spec| {})
+    mode_sweep("fig7", "objects", quick, objects, |p, o| {
+        p.objects = u64::from(o);
+    })
 }
 
 /// One row of Table 8: percentage change of QR-CN and QR-CHK vs flat in
@@ -344,55 +292,33 @@ pub struct Table8Row {
 
 /// Table 8: abort-rate and message deltas at the default workload shape.
 pub fn table8(quick: bool) -> Vec<Table8Row> {
-    let (warmup, duration) = windows(quick);
-    let mut jobs = Vec::new();
-    for &bench in &Benchmark::FIGURE_SET {
-        for mode in MODES {
-            jobs.push((bench, mode));
-        }
-    }
-    let results = parallel_map(jobs.clone(), |(bench, mode)| {
-        run(
-            paper_cfg(mode),
-            &RunSpec {
-                bench,
-                params: default_params(bench),
-                warmup,
-                duration,
-                clients_per_node: 1,
-                failures: 0,
-            },
-        )
+    let benches = Benchmark::FIGURE_SET;
+    let cells = grid(&benches, &[()], &MODES, |&bench, (), &mode| {
+        run(paper_cfg(mode), &base_spec(bench, quick))
     });
-    let get = |bench: Benchmark, mode: NestingMode| -> &RunResult {
-        let idx = jobs
-            .iter()
-            .position(|&(b, m)| b == bench && m == mode)
-            .unwrap();
-        &results[idx]
+    let msgs_per_commit = |r: &RunResult| r.messages as f64 / r.commits.max(1) as f64;
+    let abort_rate = |r: &RunResult| r.stats.abort_rate();
+    let delta = |a: f64, b: f64| {
+        if b.abs() < 1e-9 {
+            0.0
+        } else {
+            (a - b) / b * 100.0
+        }
     };
-    Benchmark::FIGURE_SET
+    benches
         .iter()
-        .map(|&bench| {
-            let flat = get(bench, NestingMode::Flat);
-            let cn = get(bench, NestingMode::Closed);
-            let chk = get(bench, NestingMode::Checkpoint);
-            let msgs_per_commit = |r: &RunResult| r.messages as f64 / r.commits.max(1) as f64;
-            let abort_rate = |r: &RunResult| r.stats.abort_rate();
-            let delta = |a: f64, b: f64| {
-                if b.abs() < 1e-9 {
-                    0.0
-                } else {
-                    (a - b) / b * 100.0
-                }
-            };
+        .zip(cells)
+        .map(|(bench, mut by_x)| {
+            // One x point; its series are in `MODES` order.
+            let raw = by_x.pop().expect("one x point");
+            let (flat, cn, chk) = (&raw[0], &raw[1], &raw[2]);
             Table8Row {
                 bench: bench.name().to_string(),
                 cn_abort_pct: delta(abort_rate(cn), abort_rate(flat)),
                 chk_abort_pct: delta(abort_rate(chk), abort_rate(flat)),
                 cn_msg_pct: delta(msgs_per_commit(cn), msgs_per_commit(flat)),
                 chk_msg_pct: delta(msgs_per_commit(chk), msgs_per_commit(flat)),
-                raw: vec![flat.clone(), cn.clone(), chk.clone()],
+                raw,
             }
         })
         .collect()
@@ -403,154 +329,92 @@ pub fn table8(quick: bool) -> Vec<Table8Row> {
 /// batching outlier: planner-ordered epochs trade commit latency for
 /// abort-free throughput under contention.
 pub fn fig9(quick: bool) -> Figure {
-    let nodes: Vec<usize> = if quick {
-        vec![8, 20, 40]
+    let nodes: &[u32] = if quick {
+        &[8, 20, 40]
     } else {
-        vec![4, 8, 13, 20, 28, 40]
+        &[4, 8, 13, 20, 28, 40]
     };
     let (warmup, duration) = windows(quick);
-    let mixes = [50u32, 90u32];
-    let mut jobs = Vec::new();
-    for &mix in &mixes {
-        for &n in &nodes {
-            for proto in 0..4usize {
-                jobs.push((mix, n, proto));
-            }
-        }
-    }
-    let accounts = 48u64;
-    let results = parallel_map(jobs.clone(), |(mix, n, proto)| match proto {
-        0 => {
-            let mut cfg = paper_cfg(NestingMode::Flat);
-            cfg.nodes = n;
-            let r = run_qr_bank(
-                cfg,
-                &BankSpec {
-                    accounts,
-                    read_pct: mix,
-                    warmup,
-                    duration,
-                    clients_per_node: 1,
-                },
-            );
-            r.throughput
-        }
-        1 => {
-            let r = run_tfa_bank(
-                TfaConfig {
-                    nodes: n,
-                    seed: SEED,
-                    ..Default::default()
-                },
-                &BankSpec {
-                    accounts,
-                    read_pct: mix,
-                    warmup,
-                    duration,
-                    clients_per_node: 1,
-                },
-            );
-            r.throughput
-        }
-        2 => {
-            let r = run_decent_bank(
-                DecentConfig {
-                    nodes: n,
-                    seed: SEED,
-                    ..Default::default()
-                },
-                &BankSpec {
-                    accounts,
-                    read_pct: mix,
-                    warmup,
-                    duration,
-                    clients_per_node: 1,
-                },
-            );
-            r.throughput
-        }
-        _ => {
-            let r = run_qstore_bank(
-                QStoreConfig {
-                    nodes: n,
-                    seed: SEED,
-                    ..Default::default()
-                },
-                &BankSpec {
-                    accounts,
-                    read_pct: mix,
-                    warmup,
-                    duration,
-                    clients_per_node: 1,
-                },
-            );
-            r.throughput
-        }
-    });
-    let groups = mixes
-        .iter()
-        .map(|&mix| {
-            let rows = nodes
-                .iter()
-                .map(|&n| {
-                    let series = (0..4usize)
-                        .map(|proto| {
-                            let idx = jobs
-                                .iter()
-                                .position(|&(m, jn, p)| m == mix && jn == n && p == proto)
-                                .unwrap();
-                            results[idx]
-                        })
-                        .collect();
-                    (n as f64, series)
-                })
-                .collect();
-            FigureGroup {
-                title: format!("Bank {mix}% read"),
-                rows,
-            }
-        })
-        .collect();
-    Figure {
-        name: "fig9".into(),
-        x_label: "nodes".into(),
-        series: vec![
-            "QR-DTM".into(),
-            "HyFlow".into(),
-            "Decent-STM".into(),
-            "Q-Store".into(),
-        ],
-        groups,
-    }
+    type BankRunner = fn(usize, &BankSpec) -> BankRunResult;
+    let protos: [(&str, BankRunner); 4] = [
+        ("QR-DTM", |nodes, spec| {
+            let cfg = DtmConfig {
+                nodes,
+                ..paper_cfg(NestingMode::Flat)
+            };
+            run_qr_bank(cfg, spec)
+        }),
+        ("HyFlow", |nodes, spec| {
+            let cfg = TfaConfig {
+                nodes,
+                seed: SEED,
+                ..Default::default()
+            };
+            run_tfa_bank(cfg, spec)
+        }),
+        ("Decent-STM", |nodes, spec| {
+            let cfg = DecentConfig {
+                nodes,
+                seed: SEED,
+                ..Default::default()
+            };
+            run_decent_bank(cfg, spec)
+        }),
+        ("Q-Store", |nodes, spec| {
+            let cfg = QStoreConfig {
+                nodes,
+                seed: SEED,
+                ..Default::default()
+            };
+            run_qstore_bank(cfg, spec)
+        }),
+    ];
+    figure(
+        "fig9",
+        "nodes",
+        &[50u32, 90].map(|mix| (format!("Bank {mix}% read"), mix)),
+        &axis(nodes),
+        &protos,
+        |&read_pct, &nodes, run_bank| {
+            let spec = BankSpec {
+                accounts: 48,
+                read_pct,
+                warmup,
+                duration,
+                clients_per_node: 1,
+            };
+            run_bank(nodes as usize, &spec).throughput
+        },
+    )
 }
 
 /// Fig. 10: throughput under increasing node failures (28 nodes, read
 /// quorum starts as the root alone and grows by one per failure).
 pub fn fig10(quick: bool) -> Figure {
-    let failures: Vec<usize> = if quick {
+    let failures: Vec<u32> = if quick {
         vec![0, 2, 4, 6, 8]
     } else {
         (0..=8).collect()
     };
-    let benches = [Benchmark::Hashmap, Benchmark::Bst, Benchmark::Vacation];
     let (warmup, duration) = windows(quick);
-    let mut jobs = Vec::new();
-    for &bench in &benches {
-        for &f in &failures {
-            jobs.push((bench, f));
-        }
-    }
-    let results = parallel_map(jobs.clone(), |(bench, f)| {
-        let mut cfg = paper_cfg(NestingMode::Closed);
-        cfg.nodes = 28;
-        cfg.read_level = 0; // single-node read quorum initially
-                            // Server occupancy high enough that the singleton read quorum is a
-                            // genuine hot spot; spreading it is what produces the initial
-                            // throughput rise of Fig. 10.
-        cfg.service_time = SimDuration::from_millis(2);
-        run(
-            cfg,
-            &RunSpec {
+    figure(
+        "fig10",
+        "failed nodes",
+        &[Benchmark::Hashmap, Benchmark::Bst, Benchmark::Vacation].map(|b| (b.name(), b)),
+        &axis(&failures),
+        &[("QR-DTM", ())],
+        |&bench, &failures, ()| {
+            let cfg = DtmConfig {
+                nodes: 28,
+                // Single-node read quorum initially.
+                read_level: 0,
+                // Server occupancy high enough that the singleton read
+                // quorum is a genuine hot spot; spreading it is what
+                // produces the initial throughput rise of Fig. 10.
+                service_time: SimDuration::from_millis(2),
+                ..paper_cfg(NestingMode::Closed)
+            };
+            let spec = RunSpec {
                 bench,
                 params: WorkloadParams {
                     read_pct: 50,
@@ -562,180 +426,122 @@ pub fn fig10(quick: bool) -> Figure {
                 warmup,
                 duration,
                 clients_per_node: 2,
-                failures: f,
-            },
-        )
-        .throughput
-    });
-    let groups = benches
-        .iter()
-        .map(|&bench| {
-            let rows = failures
-                .iter()
-                .map(|&f| {
-                    let idx = jobs
-                        .iter()
-                        .position(|&(b, jf)| b == bench && jf == f)
-                        .unwrap();
-                    (f as f64, vec![results[idx]])
-                })
-                .collect();
-            FigureGroup {
-                title: bench.name().to_string(),
-                rows,
-            }
-        })
-        .collect();
-    Figure {
-        name: "fig10".into(),
-        x_label: "failed nodes".into(),
-        series: vec!["QR-DTM".into()],
-        groups,
-    }
+                failures: failures as usize,
+            };
+            run(cfg, &spec).throughput
+        },
+    )
+}
+
+/// One ablation: `bench` at its default shape under each configuration of
+/// `xs` (all of one nesting mode), as a one-group, one-series figure.
+fn ablation(
+    name: &str,
+    x_label: &str,
+    title: &str,
+    bench: Benchmark,
+    quick: bool,
+    xs: &[(f64, DtmConfig)],
+) -> Figure {
+    let series = format!("{} {}", bench.name(), xs[0].1.mode);
+    figure(
+        name,
+        x_label,
+        &[(title, bench)],
+        xs,
+        &[(series, ())],
+        |&bench, cfg, ()| run(cfg.clone(), &base_spec(bench, quick)).throughput,
+    )
 }
 
 /// Ablation results (one figure per design knob DESIGN.md calls out).
 pub fn ablations(quick: bool) -> Vec<Figure> {
-    let (warmup, duration) = windows(quick);
-    let base_spec = |bench| RunSpec {
-        bench,
-        params: default_params(bench),
-        warmup,
-        duration,
-        clients_per_node: 1,
-        failures: 0,
-    };
-
-    // (a) Rqv on/off under QR-CN.
-    let rqv = {
-        let jobs: Vec<bool> = vec![true, false];
-        let results = parallel_map(jobs.clone(), |rqv| {
-            let mut cfg = paper_cfg(NestingMode::Closed);
-            cfg.rqv = rqv;
-            run(cfg, &base_spec(Benchmark::SList)).throughput
-        });
-        Figure {
-            name: "ablation-rqv".into(),
-            x_label: "rqv".into(),
-            series: vec!["SList closed".into()],
-            groups: vec![FigureGroup {
-                title: "Rqv incremental validation".into(),
-                rows: jobs
-                    .iter()
-                    .zip(&results)
-                    .map(|(&on, &t)| (if on { 1.0 } else { 0.0 }, vec![t]))
-                    .collect(),
-            }],
-        }
-    };
-
-    // (b) Checkpoint threshold granularity under QR-CHK.
-    let thresh = {
-        let jobs: Vec<usize> = vec![1, 2, 4, 8];
-        let results = parallel_map(jobs.clone(), |t| {
-            let mut cfg = paper_cfg(NestingMode::Checkpoint);
-            cfg.chk_threshold = t;
-            run(cfg, &base_spec(Benchmark::Hashmap)).throughput
-        });
-        Figure {
-            name: "ablation-chk-threshold".into(),
-            x_label: "objects per checkpoint".into(),
-            series: vec!["Hashmap chk".into()],
-            groups: vec![FigureGroup {
-                title: "Checkpoint granularity".into(),
-                rows: jobs
-                    .iter()
-                    .zip(&results)
-                    .map(|(&t, &x)| (t as f64, vec![x]))
-                    .collect(),
-            }],
-        }
-    };
-
-    // (c) Read-quorum level policy.
-    let level = {
-        let jobs: Vec<usize> = vec![0, 1, 2];
-        let results = parallel_map(jobs.clone(), |l| {
-            let mut cfg = paper_cfg(NestingMode::Closed);
-            cfg.read_level = l;
-            run(cfg, &base_spec(Benchmark::Bank)).throughput
-        });
-        Figure {
-            name: "ablation-read-level".into(),
-            x_label: "read quorum level".into(),
-            series: vec!["Bank closed".into()],
-            groups: vec![FigureGroup {
-                title: "Read quorum selection".into(),
-                rows: jobs
-                    .iter()
-                    .zip(&results)
-                    .map(|(&l, &x)| (l as f64, vec![x]))
-                    .collect(),
-            }],
-        }
-    };
-
-    // (d) Backoff policy under flat nesting (where retries are hottest).
-    let backoff = {
-        let jobs: Vec<u64> = vec![0, 1, 4, 16];
-        let results = parallel_map(jobs.clone(), |ms| {
-            let mut cfg = paper_cfg(NestingMode::Flat);
-            cfg.backoff_base = SimDuration::from_millis(ms);
-            run(cfg, &base_spec(Benchmark::SList)).throughput
-        });
-        Figure {
-            name: "ablation-backoff".into(),
-            x_label: "backoff base (ms)".into(),
-            series: vec!["SList flat".into()],
-            groups: vec![FigureGroup {
-                title: "Abort backoff".into(),
-                rows: jobs
-                    .iter()
-                    .zip(&results)
-                    .map(|(&b, &x)| (b as f64, vec![x]))
-                    .collect(),
-            }],
-        }
-    };
-
-    // (e) Network model: uniform vs jittered vs metric-space (cc-DTM) at
-    // the same mean budget.
-    let netmodel = {
-        let jobs: Vec<(&'static str, LatencySpec)> = vec![
-            ("const", LatencySpec::Const(SimDuration::from_millis(15))),
-            (
-                "jittered",
-                LatencySpec::Jittered(SimDuration::from_millis(15), 0.1),
-            ),
-            (
-                "metric",
+    let ms = SimDuration::from_millis;
+    vec![
+        // (a) Rqv on/off under QR-CN.
+        ablation(
+            "ablation-rqv",
+            "rqv",
+            "Rqv incremental validation",
+            Benchmark::SList,
+            quick,
+            &[(1.0, true), (0.0, false)].map(|(x, rqv)| {
+                let cfg = DtmConfig {
+                    rqv,
+                    ..paper_cfg(NestingMode::Closed)
+                };
+                (x, cfg)
+            }),
+        ),
+        // (b) Checkpoint threshold granularity under QR-CHK.
+        ablation(
+            "ablation-chk-threshold",
+            "objects per checkpoint",
+            "Checkpoint granularity",
+            Benchmark::Hashmap,
+            quick,
+            &[1usize, 2, 4, 8].map(|chk_threshold| {
+                let cfg = DtmConfig {
+                    chk_threshold,
+                    ..paper_cfg(NestingMode::Checkpoint)
+                };
+                (chk_threshold as f64, cfg)
+            }),
+        ),
+        // (c) Read-quorum level policy.
+        ablation(
+            "ablation-read-level",
+            "read quorum level",
+            "Read quorum selection",
+            Benchmark::Bank,
+            quick,
+            &[0usize, 1, 2].map(|read_level| {
+                let cfg = DtmConfig {
+                    read_level,
+                    ..paper_cfg(NestingMode::Closed)
+                };
+                (read_level as f64, cfg)
+            }),
+        ),
+        // (d) Backoff policy under flat nesting (where retries are hottest).
+        ablation(
+            "ablation-backoff",
+            "backoff base (ms)",
+            "Abort backoff",
+            Benchmark::SList,
+            quick,
+            &[0u32, 1, 4, 16].map(|base| {
+                let cfg = DtmConfig {
+                    backoff_base: ms(u64::from(base)),
+                    ..paper_cfg(NestingMode::Flat)
+                };
+                (f64::from(base), cfg)
+            }),
+        ),
+        // (e) Network model: uniform vs jittered vs metric-space (cc-DTM) at
+        // the same mean budget.
+        ablation(
+            "ablation-network-model",
+            "model (0=const 1=jittered 2=metric)",
+            "Latency model",
+            Benchmark::Bank,
+            quick,
+            &[
+                (0.0, LatencySpec::Const(ms(15))),
+                (1.0, LatencySpec::Jittered(ms(15), 0.1)),
                 // Unit-square placement with ~0.52 mean distance: per-unit
                 // chosen so the mean one-way latency is ~15 ms.
-                LatencySpec::Metric(SimDuration::from_millis(29), SimDuration::from_millis(2)),
-            ),
-        ];
-        let results = parallel_map(jobs.clone(), |(_, latency)| {
-            let mut cfg = paper_cfg(NestingMode::Closed);
-            cfg.latency = latency;
-            run(cfg, &base_spec(Benchmark::Bank)).throughput
-        });
-        Figure {
-            name: "ablation-network-model".into(),
-            x_label: "model (0=const 1=jittered 2=metric)".into(),
-            series: vec!["Bank closed".into()],
-            groups: vec![FigureGroup {
-                title: "Latency model".into(),
-                rows: jobs
-                    .iter()
-                    .enumerate()
-                    .zip(&results)
-                    .map(|((i, _), &x)| (i as f64, vec![x]))
-                    .collect(),
-            }],
-        }
-    };
-
-    vec![rqv, thresh, level, backoff, netmodel]
+                (2.0, LatencySpec::Metric(ms(29), ms(2))),
+            ]
+            .map(|(x, latency)| {
+                let cfg = DtmConfig {
+                    latency,
+                    ..paper_cfg(NestingMode::Closed)
+                };
+                (x, cfg)
+            }),
+        ),
+    ]
 }
 
 #[cfg(test)]
@@ -752,6 +558,29 @@ mod tests {
     fn parallel_map_empty_input() {
         let out: Vec<i32> = parallel_map(Vec::<i32>::new(), |x| x);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn grid_nests_results_in_axis_order() {
+        let out = grid(&[0, 1], &[0, 1, 2], &[0, 1, 2, 3], |&g, &x, &s| (g, x, s));
+        assert_eq!(out.len(), 2);
+        for (g, rows) in out.iter().enumerate() {
+            assert_eq!(rows.len(), 3);
+            for (x, cells) in rows.iter().enumerate() {
+                let want: Vec<_> = (0..4).map(|s| (g, x, s)).collect();
+                assert_eq!(cells, &want, "out[{g}][{x}]");
+            }
+        }
+    }
+
+    #[test]
+    fn grid_with_an_empty_axis_runs_no_cell() {
+        let never = |_: &u8, _: &u8, _: &u8| -> u8 { unreachable!("no cell to run") };
+        assert!(grid(&[], &[1], &[1], never).is_empty());
+        let no_xs: Vec<Vec<u8>> = Vec::new();
+        assert_eq!(grid(&[1, 2], &[], &[1], never), vec![no_xs; 2]);
+        let no_series: Vec<u8> = Vec::new();
+        assert_eq!(grid(&[1], &[1, 2], &[], never), vec![vec![no_series; 2]]);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //!
 //! ```text
 //! repro <fig5|fig6|fig7|table8|fig9|fig10|ablation|all> [--quick] [--out DIR]
+//! repro debug [--quick]
 //! ```
 //!
 //! Prints each figure as aligned text tables (one per sub-figure) and, with
@@ -14,8 +15,34 @@ use std::path::PathBuf;
 use qrdtm_bench::harness;
 use qrdtm_bench::{emit_figure, table};
 
+/// Emits one artifact: `(quick, out_dir)`.
+type Emit = fn(bool, Option<&PathBuf>) -> std::io::Result<()>;
+
+/// Every paper artifact, in the order `all` regenerates them; the usage
+/// line and the dispatch read the same table.
+const ARTIFACTS: [(&str, Emit); 7] = [
+    ("fig5", |quick, out| emit_figure(&harness::fig5(quick), out)),
+    ("fig6", |quick, out| emit_figure(&harness::fig6(quick), out)),
+    ("fig7", |quick, out| emit_figure(&harness::fig7(quick), out)),
+    ("table8", emit_table8),
+    ("fig9", |quick, out| emit_figure(&harness::fig9(quick), out)),
+    ("fig10", |quick, out| {
+        emit_figure(&harness::fig10(quick), out)
+    }),
+    ("ablation", |quick, out| {
+        harness::ablations(quick)
+            .iter()
+            .try_for_each(|fig| emit_figure(fig, out))
+    }),
+];
+
 fn usage() -> ! {
-    eprintln!("usage: repro <fig5|fig6|fig7|table8|fig9|fig10|ablation|all> [--quick] [--out DIR]");
+    let names: Vec<&str> = ARTIFACTS.iter().map(|(name, _)| *name).collect();
+    eprintln!(
+        "usage: repro <{}|all> [--quick] [--out DIR]",
+        names.join("|")
+    );
+    eprintln!("       repro debug [--quick]         (per-mode counters at the Table-8 defaults)");
     eprintln!("       repro chaos [--smoke] [...]   (see `repro chaos --help`)");
     eprintln!("       repro mc [--smoke] [...]      (see `repro mc --help`)");
     std::process::exit(2);
@@ -50,15 +77,7 @@ fn main() {
 
 fn emit(cmd: &str, quick: bool, out_dir: Option<&PathBuf>) -> std::io::Result<()> {
     match cmd {
-        "fig5" => emit_figure(&harness::fig5(quick), out_dir),
-        "fig6" => emit_figure(&harness::fig6(quick), out_dir),
-        "fig7" => emit_figure(&harness::fig7(quick), out_dir),
-        "table8" => emit_table8(quick, out_dir),
-        "fig9" => emit_figure(&harness::fig9(quick), out_dir),
-        "fig10" => emit_figure(&harness::fig10(quick), out_dir),
-        "ablation" => harness::ablations(quick)
-            .iter()
-            .try_for_each(|fig| emit_figure(fig, out_dir)),
+        "all" => ARTIFACTS.iter().try_for_each(|(_, f)| f(quick, out_dir)),
         "debug" => {
             // Full per-mode counter dump at the default workload shape —
             // not a paper artifact, but invaluable when calibrating.
@@ -78,15 +97,10 @@ fn emit(cmd: &str, quick: bool, out_dir: Option<&PathBuf>) -> std::io::Result<()
             }
             Ok(())
         }
-        "all" => {
-            for fig in [
-                "fig5", "fig6", "fig7", "table8", "fig9", "fig10", "ablation",
-            ] {
-                emit(fig, quick, out_dir)?;
-            }
-            Ok(())
-        }
-        _ => usage(),
+        _ => match ARTIFACTS.iter().find(|(name, _)| *name == cmd) {
+            Some((_, f)) => f(quick, out_dir),
+            None => usage(),
+        },
     }
 }
 

@@ -1,7 +1,7 @@
 //! Degenerate `repro chaos` / `repro mc` arguments are usage errors (exit
 //! 2, the offending flag named on stderr) — not a panic, and not a run
-//! over zero plans that reports every invariant held. A failed `--out`
-//! write is a run error (exit 1, the path named on stderr).
+//! over zero plans that reports every invariant held. A failed `--out` or
+//! `--save-plan` write is a run error (exit 1, the path named on stderr).
 
 use std::process::Command;
 
@@ -44,16 +44,40 @@ fn degenerate_arguments_are_usage_errors() {
     }
 }
 
-#[test]
-fn unwritable_out_dir_fails_the_run() {
-    // A directory "inside" a regular file can never be created, whoever
-    // runs the test (root ignores permission bits).
-    let dir = format!("{}/out", env!("CARGO_BIN_EXE_repro"));
+/// Run `repro <args> PATH` with a PATH that cannot be written and expect
+/// exit 1 with the path named. A path "inside" a regular file can never be
+/// created, whoever runs the test (root ignores permission bits).
+fn unwritable_path_fails_the_run(args: &[&str]) {
+    let path = format!("{}/out", env!("CARGO_BIN_EXE_repro"));
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["fig9", "--quick", "--out", &dir])
+        .args(args)
+        .arg(&path)
         .output()
         .expect("spawn repro");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains(&dir), "failed path is named: {stderr}");
+    assert_eq!(out.status.code(), Some(1), "repro {args:?}: {stderr}");
+    assert!(stderr.contains(&path), "failed path is named: {stderr}");
+}
+
+#[test]
+fn unwritable_out_dir_fails_the_run() {
+    unwritable_path_fails_the_run(&["fig9", "--quick", "--out"]);
+}
+
+/// Used to print `chaos: cannot write …`, run the plan anyway and exit 0
+/// with "all invariants held".
+#[test]
+fn unwritable_save_plan_fails_the_run() {
+    unwritable_path_fails_the_run(&[
+        "chaos",
+        "--proto",
+        "tfa",
+        "--seeds",
+        "1",
+        "--events",
+        "2",
+        "--horizon-ms",
+        "300",
+        "--save-plan",
+    ]);
 }

@@ -97,3 +97,51 @@ fn fig5_throughput_rises_with_read_share_on_bank_and_hashmap() {
         }
     }
 }
+
+/// Fig. 9: the paper's ordering HyFlow > QR-DTM > Decent-STM holds at every
+/// `(read mix, nodes)` point of the quick grid.
+#[test]
+fn fig9_orders_hyflow_above_qr_above_decent_at_every_point() {
+    let fig = harness::fig9(true);
+    let col = |name: &str| {
+        fig.series
+            .iter()
+            .position(|s| s == name)
+            .unwrap_or_else(|| panic!("fig9 has no {name} series"))
+    };
+    let (qr, hyflow, decent) = (col("QR-DTM"), col("HyFlow"), col("Decent-STM"));
+    let points: Vec<_> = fig
+        .groups
+        .iter()
+        .flat_map(|g| g.rows.iter().map(move |(nodes, ys)| (&g.title, nodes, ys)))
+        .collect();
+    assert_eq!(points.len(), 6, "two read mixes x three cluster sizes");
+    for (mix, nodes, ys) in points {
+        assert!(
+            ys[hyflow] > ys[qr] && ys[qr] > ys[decent],
+            "{mix}, {nodes} nodes: HyFlow {:.1} > QR-DTM {:.1} > Decent-STM {:.1} broken",
+            ys[hyflow],
+            ys[qr],
+            ys[decent]
+        );
+    }
+}
+
+/// Fig. 10: node failures do not collapse throughput — with 8 of the 28
+/// nodes failed it is no lower than with none, on all three benchmarks.
+#[test]
+fn fig10_throughput_survives_eight_failures() {
+    let fig = harness::fig10(true);
+    assert_eq!(fig.groups.len(), 3, "Hashmap, BST and Vacation");
+    for g in &fig.groups {
+        let (first, last) = (&g.rows[0], &g.rows[g.rows.len() - 1]);
+        assert_eq!((first.0, last.0), (0.0, 8.0), "{}: sweep ends", g.title);
+        assert!(
+            last.1[0] >= first.1[0],
+            "{}: throughput fell from {:.1} (no failures) to {:.1} (8 failed)",
+            g.title,
+            first.1[0],
+            last.1[0]
+        );
+    }
+}

@@ -181,11 +181,6 @@ pub struct OverloadConfig {
     /// virtual time, so a drained bucket cannot deadlock a healthy cluster
     /// whose clients are all waiting on tokens.
     pub retry_drip: SimDuration,
-    /// Suppress hedged read rounds while at least this many RPC rounds are
-    /// concurrently in timeout/retry (the saturation-pressure gauge):
-    /// hedging helps tail latency at low load and must disappear at high
-    /// load, where it only amplifies pressure.
-    pub hedge_pressure_threshold: u64,
 }
 
 impl Default for OverloadConfig {
@@ -195,7 +190,6 @@ impl Default for OverloadConfig {
             retry_budget_cap: 64,
             retry_refill_per_commit: 2,
             retry_drip: SimDuration::from_millis(50),
-            hedge_pressure_threshold: 3,
         }
     }
 }

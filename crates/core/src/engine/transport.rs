@@ -17,6 +17,12 @@ use crate::object::{ObjVal, ObjectId, Version};
 use crate::pool::Payload;
 use crate::txid::{Abort, TxId};
 
+/// With overload protection armed, hedged read rounds are suppressed while
+/// at least this many RPC rounds are concurrently in timeout/retry (the
+/// saturation-pressure gauge): hedging helps tail latency at low load and
+/// must disappear at high load, where it only amplifies pressure.
+const HEDGE_PRESSURE_THRESHOLD: u64 = 3;
+
 /// Decorrelated-jitter step of the capped exponential retry backoff:
 /// `next = clamp(prev × mult, base, cap)` with `mult` drawn per step from
 /// the seeded simulator RNG in `[1, 3)`. Plain doubling keeps every client
@@ -173,9 +179,8 @@ impl Endpoint {
                     // concurrently timing out and retrying) extra hedge
                     // destinations only amplify the pressure, so they are
                     // skipped — counted and event-logged, never silent.
-                    let suppress = self.inner.cfg.overload.is_some_and(|o| {
-                        self.inner.overload.retry_pressure.get() >= o.hedge_pressure_threshold
-                    });
+                    let suppress = self.inner.cfg.overload.is_some()
+                        && self.inner.overload.retry_pressure.get() >= HEDGE_PRESSURE_THRESHOLD;
                     if suppress {
                         self.sim.bump(Counter::HedgesSuppressed);
                         self.sim.emit_engine_event(

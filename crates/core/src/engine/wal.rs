@@ -27,33 +27,19 @@ use crate::object::{ObjVal, ObjectId, Version};
 /// are memory-only and a crash is a pause, today's classic behaviour).
 #[derive(Clone, Copy, Debug)]
 pub struct DurabilityConfig {
-    /// Cost of appending one log record.
-    pub append_latency: SimDuration,
-    /// Cost of an fsync.
-    pub fsync_latency: SimDuration,
-    /// Cost of writing (or reading back) a full snapshot.
-    pub snapshot_latency: SimDuration,
     /// Fsync the log every N appended records (QR's group commit). Q-Store
     /// ignores it: that family group-commits by construction, one fsync
     /// per batch record.
     pub fsync_every: usize,
     /// Take a snapshot (and truncate the log) every N appended records.
     pub snapshot_every: usize,
-    /// Probability, in percent, that a crash tears the last log record it
-    /// managed to persist.
-    pub torn_tail_pct: u32,
 }
 
 impl Default for DurabilityConfig {
     fn default() -> Self {
-        let d = DiskConfig::default();
         DurabilityConfig {
-            append_latency: d.append_latency,
-            fsync_latency: d.fsync_latency,
-            snapshot_latency: d.snapshot_latency,
             fsync_every: 4,
             snapshot_every: 64,
-            torn_tail_pct: d.torn_tail_pct,
         }
     }
 }
@@ -86,16 +72,12 @@ pub struct Wal<R, S> {
 }
 
 impl<R: Clone, S: Clone> Wal<R, S> {
-    /// An empty log.
+    /// An empty log on a disk with [`DiskConfig::default`]'s latencies and
+    /// torn-tail probability.
     pub fn new(cfg: DurabilityConfig) -> Self {
         Wal {
             cfg,
-            disk: Disk::new(DiskConfig {
-                append_latency: cfg.append_latency,
-                fsync_latency: cfg.fsync_latency,
-                snapshot_latency: cfg.snapshot_latency,
-                torn_tail_pct: cfg.torn_tail_pct,
-            }),
+            disk: Disk::new(DiskConfig::default()),
             appends_since_fsync: 0,
             appends_since_snapshot: 0,
             sync_lat: Vec::new(),
@@ -167,10 +149,11 @@ impl<R: Clone, S: Clone> Wal<R, S> {
     /// record truncates the log there.
     pub fn replay(&mut self) -> Replay<R, S> {
         let img = self.disk.recover();
+        let disk = self.disk.config();
         let records_replayed = img.log.len() as u64;
-        let mut cost = self.cfg.append_latency * records_replayed;
+        let mut cost = disk.append_latency * records_replayed;
         if img.snapshot.is_some() {
-            cost += self.cfg.snapshot_latency;
+            cost += disk.snapshot_latency;
         }
         Replay {
             snapshot: img.snapshot,
@@ -223,7 +206,6 @@ mod tests {
         Wal::new(DurabilityConfig {
             fsync_every,
             snapshot_every,
-            ..DurabilityConfig::default()
         })
     }
 
@@ -254,7 +236,7 @@ mod tests {
         let img = w.replay();
         assert_eq!(img.records_replayed, 0);
         assert_eq!(img.snapshot, Some(vec![4]), "snapshot carries state");
-        assert_eq!(img.cost, DurabilityConfig::default().snapshot_latency);
+        assert_eq!(img.cost, DiskConfig::default().snapshot_latency);
         apply(&mut w, 5);
         assert!(!w.fsync_due(), "the snapshot restarted both counters");
     }
@@ -283,12 +265,12 @@ mod tests {
         let img = w.replay();
         assert!(img.torn_tail_detected);
         assert_eq!(img.records, vec![1], "tail truncated at the tear");
-        assert_eq!(img.cost, DurabilityConfig::default().append_latency);
+        assert_eq!(img.cost, DiskConfig::default().append_latency);
     }
 
     #[test]
     fn group_commit_samples_feed_the_fsync_telemetry() {
-        let d = DurabilityConfig::default();
+        let d = DiskConfig::default();
         let mut w = wal(1, 2);
         w.append(1);
         w.fsync(None);

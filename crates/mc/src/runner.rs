@@ -14,11 +14,12 @@ use std::rc::Rc;
 
 use qrdtm_chaos::{check_balances, check_durability, ChaosTarget};
 use qrdtm_core::{
-    check_abort_targets, check_checkpoint_restores, Abort, Cluster, DtmConfig, DtmProtocol,
-    InjectedBug, LatencySpec, NestingMode, ObjVal, ObjectId,
+    check_abort_targets, check_checkpoint_restores, Cluster, DtmConfig, InjectedBug, LatencySpec,
+    NestingMode, ObjVal, ObjectId,
 };
 use qrdtm_qstore::{QStoreBug, QStoreCluster, QStoreConfig};
-use qrdtm_sim::{EventInfo, NodeId, Scheduler, Sim, SimDuration, SimMessage, SimTime};
+use qrdtm_sim::{EventInfo, Metrics, NodeId, Scheduler, SimDuration, SimTime};
+use qrdtm_workloads::protocol_bank::transfer;
 
 use crate::strategies::ChoicePolicy;
 
@@ -154,18 +155,14 @@ impl Scheduler for RecordingScheduler {
     }
 }
 
-/// Install a recording scheduler on `sim`; the returned recording fills in
-/// as the run executes.
-fn attach_recorder<M: SimMessage>(
-    sim: &Sim<M>,
-    policy: Box<dyn ChoicePolicy>,
-) -> Rc<RefCell<Recording>> {
-    let rec = Rc::new(RefCell::new(Recording::default()));
-    sim.set_scheduler(Box::new(RecordingScheduler {
-        policy,
-        rec: Rc::clone(&rec),
-    }));
-    rec
+/// The scope's workload: client `i` runs on node `i % nodes` and moves
+/// `1 + i` from object `i % objects` to the next one.
+fn transfers(scope: &Scope) -> impl Iterator<Item = (NodeId, ObjectId, ObjectId, i64)> + '_ {
+    (0..scope.txns).map(|i| {
+        let from = ObjectId(i as u64 % scope.objects);
+        let to = ObjectId((i as u64 + 1) % scope.objects);
+        (NodeId((i % scope.nodes) as u32), from, to, 1 + i as i64)
+    })
 }
 
 /// Spawn one transfer client. Under QR-CN the debit and credit run in
@@ -211,8 +208,105 @@ pub fn run_schedule(scope: &Scope, policy: Box<dyn ChoicePolicy>) -> RunOutcome 
     }
 }
 
-/// QR-family schedule: the full battery including durability no-regress
-/// and the structural nesting/checkpoint assertions.
+/// What one protocol family adds to [`drive`], read off the cluster after
+/// the run.
+struct Family {
+    commits: u64,
+    aborts: u64,
+    /// The family's own counters: the leading fingerprint words.
+    fingerprint: Vec<u64>,
+    /// Violations from checks only this family has; reported last.
+    violations: Vec<String>,
+}
+
+/// The one schedule runner: preload, record history and choices, `spawn`
+/// the workload, run to the horizon, then the battery every family shares
+/// (batch atomicity is empty for per-transaction protocols) and the
+/// fingerprint — the family's words, then message and event totals, final
+/// balances and acknowledged versions.
+fn drive<P: ChaosTarget>(
+    scope: &Scope,
+    policy: Box<dyn ChoicePolicy>,
+    cluster: Rc<P>,
+    spawn: impl FnOnce(&Rc<P>),
+    family: impl FnOnce(&P, &Metrics) -> Family,
+) -> RunOutcome {
+    for o in 0..scope.objects {
+        cluster.preload(ObjectId(o), ObjVal::Int(INITIAL_BALANCE));
+    }
+    cluster.begin_history();
+    let sim = cluster.sim();
+    // The recording fills in as the run executes.
+    let rec = Rc::new(RefCell::new(Recording::default()));
+    sim.set_scheduler(Box::new(RecordingScheduler {
+        policy,
+        rec: Rc::clone(&rec),
+    }));
+    spawn(&cluster);
+    sim.run_until(SimTime::ZERO + HORIZON);
+    sim.clear_scheduler();
+
+    let stuck = sim.live_tasks();
+    let metrics = sim.metrics();
+    let family = family(&cluster, &metrics);
+
+    let mut violations: Vec<String> = Vec::new();
+    if stuck > 0 {
+        violations.push(format!("stuck: {stuck} task(s) still live at the horizon"));
+    }
+    violations.extend(cluster.history_violations());
+    let balances: Vec<(u64, Option<i64>)> = (0..scope.objects)
+        .map(|o| (o, cluster.committed_int(ObjectId(o))))
+        .collect();
+    violations.extend(
+        check_balances(&balances, INITIAL_BALANCE * scope.objects as i64)
+            .iter()
+            .map(ToString::to_string),
+    );
+    violations.extend(
+        cluster
+            .batch_atomicity_violations()
+            .into_iter()
+            .map(|v| format!("batch atomicity broken: {v}")),
+    );
+    // Durability no-regress: every write version acked to a client must
+    // still be committed state after any crash and takeover.
+    let acked = cluster.acked_write_versions();
+    violations.extend(
+        check_durability(&acked, |oid| cluster.committed_version(ObjectId(oid)))
+            .iter()
+            .map(ToString::to_string),
+    );
+    violations.extend(family.violations);
+
+    let mut fp = Fnv::new();
+    for word in family.fingerprint {
+        fp.write(word);
+    }
+    fp.write(metrics.sent_total);
+    fp.write(metrics.events);
+    for (o, b) in &balances {
+        fp.write(*o);
+        fp.write(b.map_or(u64::MAX, |b| b as u64));
+    }
+    for (o, v) in &acked {
+        fp.write(*o);
+        fp.write(*v);
+    }
+
+    let rec = rec.borrow();
+    RunOutcome {
+        choices: rec.choices.clone(),
+        groups: rec.groups.clone(),
+        commits: family.commits,
+        aborts: family.aborts,
+        violations,
+        fingerprint: fp.finish(),
+    }
+}
+
+/// QR-family schedule: the shared battery plus the structural
+/// nesting/checkpoint assertions over the engine-event stream.
 fn run_qr_schedule(scope: &Scope, mode: NestingMode, policy: Box<dyn ChoicePolicy>) -> RunOutcome {
     let cfg = DtmConfig {
         nodes: scope.nodes,
@@ -233,119 +327,36 @@ fn run_qr_schedule(scope: &Scope, mode: NestingMode, policy: Box<dyn ChoicePolic
         ..DtmConfig::default()
     };
     let cluster = Rc::new(Cluster::new(cfg));
-    for o in 0..scope.objects {
-        cluster.preload(ObjectId(o), ObjVal::Int(INITIAL_BALANCE));
-    }
-    cluster.begin_history();
-    let sim = cluster.sim().clone();
-    sim.record_engine_events(true);
-
-    let rec = attach_recorder(&sim, policy);
-
-    for i in 0..scope.txns {
-        let from = ObjectId(i as u64 % scope.objects);
-        let to = ObjectId((i as u64 + 1) % scope.objects);
-        let node = NodeId((i % scope.nodes) as u32);
-        spawn_transfer(&cluster, node, from, to, 1 + i as i64);
-    }
-    sim.run_until(SimTime::ZERO + HORIZON);
-    sim.clear_scheduler();
-
-    let stuck = sim.live_tasks();
-    let stats = cluster.stats();
-    let metrics = sim.metrics();
-
-    let mut violations: Vec<String> = Vec::new();
-    if stuck > 0 {
-        violations.push(format!("stuck: {stuck} task(s) still live at the horizon"));
-    }
-    violations.extend(cluster.history_violations());
-    let balances: Vec<(u64, Option<i64>)> = (0..scope.objects)
-        .map(|o| (o, cluster.committed_int(ObjectId(o))))
-        .collect();
-    let expected_total = INITIAL_BALANCE * scope.objects as i64;
-    violations.extend(
-        check_balances(&balances, expected_total)
-            .iter()
-            .map(ToString::to_string),
-    );
-    let acked = cluster.acked_write_versions();
-    violations.extend(
-        check_durability(&acked, |oid| cluster.committed_version(ObjectId(oid)))
-            .iter()
-            .map(ToString::to_string),
-    );
-    violations.extend(
-        check_abort_targets(&metrics.engine_event_log)
-            .iter()
-            .map(ToString::to_string),
-    );
-    violations.extend(
-        check_checkpoint_restores(&metrics.engine_event_log)
-            .iter()
-            .map(ToString::to_string),
-    );
-
-    let mut fp = Fnv::new();
-    fp.write(stats.commits);
-    fp.write(stats.root_aborts);
-    fp.write(stats.ct_aborts + stats.chk_rollbacks);
-    fp.write(metrics.sent_total);
-    fp.write(metrics.events);
-    for (o, b) in &balances {
-        fp.write(*o);
-        fp.write(b.map_or(u64::MAX, |b| b as u64));
-    }
-    for (o, v) in &acked {
-        fp.write(*o);
-        fp.write(*v);
-    }
-
-    let rec = rec.borrow();
-    RunOutcome {
-        choices: rec.choices.clone(),
-        groups: rec.groups.clone(),
-        commits: stats.commits,
-        aborts: stats.root_aborts + stats.ct_aborts + stats.chk_rollbacks,
-        violations,
-        fingerprint: fp.finish(),
-    }
+    cluster.sim().record_engine_events(true);
+    drive(
+        scope,
+        policy,
+        cluster,
+        |cluster| {
+            for (node, from, to, amount) in transfers(scope) {
+                spawn_transfer(cluster, node, from, to, amount);
+            }
+        },
+        |cluster, metrics| {
+            let stats = cluster.stats();
+            let partial_aborts = stats.ct_aborts + stats.chk_rollbacks;
+            let mut structural = check_abort_targets(&metrics.engine_event_log);
+            structural.extend(check_checkpoint_restores(&metrics.engine_event_log));
+            Family {
+                commits: stats.commits,
+                aborts: stats.root_aborts + partial_aborts,
+                fingerprint: vec![stats.commits, stats.root_aborts, partial_aborts],
+                violations: structural.iter().map(ToString::to_string).collect(),
+            }
+        },
+    )
 }
 
-/// Spawn one Q-Store transfer client: flat read-modify-write of both
-/// accounts through the [`DtmProtocol`] surface, retrying on requeue.
-fn spawn_qstore_transfer(
-    cluster: &Rc<QStoreCluster>,
-    node: NodeId,
-    from: ObjectId,
-    to: ObjectId,
-    amount: i64,
-) {
-    let c = Rc::clone(cluster);
-    cluster.sim().spawn(async move {
-        let mut tx = c.begin(node);
-        loop {
-            let attempt: Result<(), Abort> = async {
-                let a = c.read(&mut tx, from).await?.expect_int();
-                let b = c.read(&mut tx, to).await?.expect_int();
-                c.write(&mut tx, from, ObjVal::Int(a - amount)).await?;
-                c.write(&mut tx, to, ObjVal::Int(b + amount)).await?;
-                c.commit(&mut tx).await
-            }
-            .await;
-            match attempt {
-                Ok(()) => return,
-                Err(abort) => c.restart(&mut tx, abort).await,
-            }
-        }
-    });
-}
-
-/// Q-Store schedule: same workload, with the batch-oriented battery —
-/// serializability, balance conservation, and batch atomicity (no commit
-/// may observe state from an unacknowledged or later epoch). The QR
-/// engine-event assertions do not apply; tight timeouts and constant
-/// latency keep every fan-out a real tie group for the scheduler.
+/// Q-Store schedule: same workload as flat read-modify-write transfers
+/// retrying on requeue, where the battery's batch-atomicity check bites (no
+/// commit may observe state from an unacknowledged or later epoch). Tight
+/// timeouts and constant latency keep every fan-out a real tie group for
+/// the scheduler.
 fn run_qstore_schedule(scope: &Scope, policy: Box<dyn ChoicePolicy>) -> RunOutcome {
     let cfg = QStoreConfig {
         nodes: scope.nodes,
@@ -373,109 +384,55 @@ fn run_qstore_schedule(scope: &Scope, policy: Box<dyn ChoicePolicy>) -> RunOutco
             _ => None,
         },
     };
-    let cluster = Rc::new(QStoreCluster::new(cfg));
-    for o in 0..scope.objects {
-        cluster.preload(ObjectId(o), ObjVal::Int(INITIAL_BALANCE));
-    }
-    cluster.begin_history();
-    let sim = cluster.sim().clone();
-
-    let rec = attach_recorder(&sim, policy);
-
-    for i in 0..scope.txns {
-        let from = ObjectId(i as u64 % scope.objects);
-        let to = ObjectId((i as u64 + 1) % scope.objects);
-        let node = NodeId((i % scope.nodes) as u32);
-        spawn_qstore_transfer(&cluster, node, from, to, 1 + i as i64);
-    }
-    // The ack-before-fsync bug is only observable through a crash: the
-    // buggy planner reports an epoch committed the moment it is sealed, so
-    // killing it with amnesia as soon as the first commit is visible lands
-    // inside the ack-vs-fsync window — the epoch clients already saw
-    // acknowledged dies with the planner's volatile log, and the
-    // durability/balance checkers catch the regression. A fixed planner
-    // never acks before the quorum's fsyncs, so the same crash loses
-    // nothing.
-    if matches!(
-        scope.injected_bug,
-        Some(McBug::QStore(QStoreBug::AckBeforeFsync))
-    ) {
-        let c = Rc::clone(&cluster);
-        let s = sim.clone();
-        sim.spawn(async move {
-            while c.stats().commits == 0 {
-                s.sleep(SimDuration::from_micros(200)).await;
+    let spawn = |cluster: &Rc<QStoreCluster>| {
+        let sim = cluster.sim();
+        for (node, from, to, amount) in transfers(scope) {
+            let c = Rc::clone(cluster);
+            sim.spawn(async move { transfer(&*c, node, from, to, amount).await });
+        }
+        // The ack-before-fsync bug is only observable through a crash: the
+        // buggy planner reports an epoch committed the moment it is sealed,
+        // so killing it with amnesia as soon as the first commit is visible
+        // lands inside the ack-vs-fsync window — the epoch clients already
+        // saw acknowledged dies with the planner's volatile log, and the
+        // durability/balance checkers catch the regression. A fixed planner
+        // never acks before the quorum's fsyncs, so the same crash loses
+        // nothing.
+        if scope.injected_bug == Some(McBug::QStore(QStoreBug::AckBeforeFsync)) {
+            let c = Rc::clone(cluster);
+            let s = sim.clone();
+            sim.spawn(async move {
+                while c.stats().commits == 0 {
+                    s.sleep(SimDuration::from_micros(200)).await;
+                }
+                if c.crash_node_amnesia(NodeId(0)) {
+                    s.sleep(SimDuration::from_millis(20)).await;
+                    c.recover_crashed_node(NodeId(0));
+                }
+            });
+        }
+    };
+    drive(
+        scope,
+        policy,
+        Rc::new(QStoreCluster::new(cfg)),
+        spawn,
+        |cluster, _| {
+            let stats = cluster.stats();
+            let (wal_records, wal_fsyncs) = cluster.wal_totals();
+            Family {
+                commits: stats.commits,
+                aborts: stats.aborts,
+                fingerprint: vec![
+                    stats.commits,
+                    stats.aborts,
+                    stats.batches,
+                    stats.batch_txns,
+                    wal_records,
+                    wal_fsyncs,
+                ],
+                violations: Vec::new(),
             }
-            if c.crash_node_amnesia(NodeId(0)) {
-                s.sleep(SimDuration::from_millis(20)).await;
-                c.recover_crashed_node(NodeId(0));
-            }
-        });
-    }
-    sim.run_until(SimTime::ZERO + HORIZON);
-    sim.clear_scheduler();
-
-    let stuck = sim.live_tasks();
-    let stats = cluster.stats();
-    let metrics = sim.metrics();
-
-    let mut violations: Vec<String> = Vec::new();
-    if stuck > 0 {
-        violations.push(format!("stuck: {stuck} task(s) still live at the horizon"));
-    }
-    violations.extend(cluster.verify_history().iter().map(ToString::to_string));
-    let balances: Vec<(u64, Option<i64>)> = (0..scope.objects)
-        .map(|o| (o, ChaosTarget::committed_int(&*cluster, ObjectId(o))))
-        .collect();
-    let expected_total = INITIAL_BALANCE * scope.objects as i64;
-    violations.extend(
-        check_balances(&balances, expected_total)
-            .iter()
-            .map(ToString::to_string),
-    );
-    violations.extend(
-        cluster
-            .batch_atomicity_violations()
-            .into_iter()
-            .map(|v| format!("batch atomicity broken: {v}")),
-    );
-    // Durability no-regress: every write version acked to a client must
-    // still be committed state after any planner crash and takeover.
-    let acked = ChaosTarget::acked_write_versions(&*cluster);
-    violations.extend(
-        check_durability(&acked, |oid| {
-            ChaosTarget::committed_version(&*cluster, ObjectId(oid))
-        })
-        .iter()
-        .map(ToString::to_string),
-    );
-
-    let (wal_records, wal_fsyncs) = cluster.wal_totals();
-    let mut fp = Fnv::new();
-    fp.write(stats.commits);
-    fp.write(stats.aborts);
-    fp.write(stats.batches);
-    fp.write(stats.batch_txns);
-    fp.write(wal_records);
-    fp.write(wal_fsyncs);
-    fp.write(metrics.sent_total);
-    fp.write(metrics.events);
-    for (o, b) in &balances {
-        fp.write(*o);
-        fp.write(b.map_or(u64::MAX, |b| b as u64));
-    }
-    for (o, v) in &acked {
-        fp.write(*o);
-        fp.write(*v);
-    }
-
-    let rec = rec.borrow();
-    RunOutcome {
-        choices: rec.choices.clone(),
-        groups: rec.groups.clone(),
-        commits: stats.commits,
-        aborts: stats.aborts,
-        violations,
-        fingerprint: fp.finish(),
-    }
+        },
+    )
 }

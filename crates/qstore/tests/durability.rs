@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use qrdtm_core::{DtmProtocol, DurabilityConfig, ObjVal, ObjectId};
 use qrdtm_qstore::{QStoreCluster, QStoreConfig};
-use qrdtm_sim::NodeId;
+use qrdtm_sim::{DiskConfig, NodeId};
 
 const ACCOUNTS: u64 = 8;
 const INITIAL: i64 = 100;
@@ -146,7 +146,7 @@ fn snapshot_truncation_survives_amnesia() {
     // Every group commit was sampled on the real disk.
     let lat = c.fsync_latencies();
     assert!(!lat.is_empty(), "durable mode must sample fsync latencies");
-    let fsync = DurabilityConfig::default().fsync_latency.as_nanos();
+    let fsync = DiskConfig::default().fsync_latency.as_nanos();
     assert!(lat.iter().all(|&ns| ns >= fsync));
 }
 

@@ -11,55 +11,75 @@ case "$0" in
 *) cd .. ;;
 esac
 
-echo "==> cargo build --workspace --release"
-cargo build --workspace --release
+# Run one stage under its heading, then print the wall seconds it took
+# (what each stage costs is the other half of deciding which to keep).
+stage() {
+    echo "==> $1"
+    shift
+    local t0=$SECONDS
+    "$@"
+    echo "    ($((SECONDS - t0)) s)"
+}
+
+repro() {
+    cargo run --quiet --release -p qrdtm-bench -- "$@"
+}
+
+quiet() {
+    "$@" >/dev/null
+}
+
+stage "cargo build --workspace --release" \
+    cargo build --workspace --release
 
 # benchmark/ is a separate workspace compiled against these crates' public
 # API: find an API break here, not after every smoke. The benchmark smoke
 # at the end reuses these artefacts.
-echo "==> cargo build benchmark package (public-API drift)"
-cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+stage "cargo build benchmark package (public-API drift)" \
+    cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 
 # Root tests/*.rs are separate binaries of the root package and ride along,
 # including the two linear-work gates, each its own binary for its counting
 # allocator: tests/qstore_linear_work.rs (bytes per commit, < 1 s) and
 # tests/chk_linear_work.rs (allocation calls per QR-CHK data-set object,
 # < 1 s).
-echo "==> cargo test --workspace"
-cargo test --quiet --workspace
+stage "cargo test --workspace" \
+    cargo test --quiet --workspace
 
-echo "==> cargo fmt --check"
-cargo fmt --all --check
+stage "cargo fmt --check" \
+    cargo fmt --all --check
 
-echo "==> cargo clippy (warnings are errors)"
-cargo clippy --workspace --all-targets -- -D warnings
+stage "cargo clippy (warnings are errors)" \
+    cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo doc (broken intra-doc links are errors)"
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+stage "cargo doc (broken intra-doc links are errors)" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-repro() {
-    cargo run --quiet --release -p qrdtm-bench -- "$@"
-}
+# fig6, fig7 and the ablations are reached by no test and no smoke; the
+# tables are judged elsewhere (crates/bench/tests/shapes.rs), here every
+# sweep only has to run to completion.
+stage "repro all --quick (every figure, table and ablation runs)" \
+    quiet repro all --quick
 
-echo "==> chaos smoke (fault injection + invariant checks, incl. qstore batch atomicity)"
-repro chaos --smoke
+stage "chaos smoke (fault injection + invariant checks, incl. qstore batch atomicity)" \
+    repro chaos --smoke
 
-echo "==> chaos detector smoke (self-healing membership, no oracle)"
-repro chaos --smoke --detector
+stage "chaos detector smoke (self-healing membership, no oracle)" \
+    repro chaos --smoke --detector
 
-echo "==> chaos amnesia smoke (durable replicas, WAL replay + quorum repair, >=20 qstore batch-WAL runs)"
-repro chaos --smoke --amnesia
+stage "chaos amnesia smoke (durable replicas, WAL replay + quorum repair, >=20 qstore batch-WAL runs)" \
+    repro chaos --smoke --amnesia
 
-echo "==> chaos overload smoke (open-loop surges, admission control, retry budgets, >=120 runs)"
-repro chaos --smoke --overload
+stage "chaos overload smoke (open-loop surges, admission control, retry budgets, >=120 runs)" \
+    repro chaos --smoke --overload
 
-echo "==> mc smoke (bounded schedule exploration + checker validation)"
-repro mc --smoke
+stage "mc smoke (bounded schedule exploration + checker validation)" \
+    repro mc --smoke
 
-echo "==> benchmark package tests (BENCHMARK.json contract drift, determinism across reps)"
-cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
+stage "benchmark package tests (BENCHMARK.json contract drift, determinism across reps)" \
+    cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
 
-echo "==> benchmark package smoke (separate workspace built against these crates' public API)"
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
+stage "benchmark package smoke (separate workspace built against these crates' public API)" \
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
-echo "ok: all tier-1 checks passed"
+echo "ok: all tier-1 checks passed (${SECONDS} s)"
