@@ -49,6 +49,7 @@
 
 mod disk;
 mod executor;
+mod idhash;
 mod latency;
 mod metrics;
 mod sim;
@@ -56,6 +57,7 @@ mod time;
 pub mod wheel;
 
 pub use disk::{Disk, DiskConfig, DiskImage};
+pub use idhash::{IdHasher, IdMap, IdSet};
 pub use latency::{ConstLatency, JitteredLatency, LatencyModel, MetricSpace};
 pub use metrics::{
     Counter, EngineEvent, EngineEventKind, LatencyReservoir, Metrics, ENGINE_EVENT_KINDS,
@@ -66,7 +68,7 @@ pub use sim::{
     Scheduler, Sim, SimConfig, SimMessage, Sleep,
 };
 pub use time::{SimDuration, SimTime};
-pub use wheel::{ArenaStats, EventArena, TimingWheel, WheelHandle, WheelStats};
+pub use wheel::{ArenaStats, EventArena, TimingWheel, WheelStats};
 
 use std::fmt;
 

@@ -31,7 +31,8 @@ use std::task::{Context, Poll, Waker};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::executor::{ReadyQueue, TaskStore};
+use crate::executor::{ReadyQueue, TaskId, TaskStore};
+use crate::idhash::IdMap;
 use crate::latency::LatencyModel;
 use crate::metrics::{Counter, Metrics, MAX_CLASSES};
 use crate::time::{SimDuration, SimTime};
@@ -340,11 +341,11 @@ struct SimInner<M: SimMessage> {
     service_by_class: [Option<SimDuration>; MAX_CLASSES],
     rng: StdRng,
     link_faults: std::collections::HashMap<(u32, u32), LinkFault>,
-    pending: std::collections::HashMap<CallId, Weak<RefCell<CallState<M>>>>,
+    pending: IdMap<CallId, Weak<RefCell<CallState<M>>>>,
     /// Calls that resolved before every destination replied, with the
     /// number of replies still outstanding — late arrivals are counted as
     /// wasted instead of "caller gave up".
-    resolved_extra: std::collections::HashMap<CallId, usize>,
+    resolved_extra: IdMap<CallId, usize>,
     next_call: u64,
     metrics: Metrics,
     halted: bool,
@@ -362,6 +363,21 @@ impl<M: SimMessage> SimInner<M> {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(time, seq, kind);
+    }
+
+    /// Schedule the completion of a request admitted to `node`'s service
+    /// queue through the node's FIFO lane of the wheel. `seq` is drawn
+    /// here, at admission, exactly as [`SimInner::schedule`] draws it, so
+    /// pop order is the one a plain push would give; the lane only keeps a
+    /// deep backlog out of the wheel. Completion instants of one node never
+    /// decrease — `busy_until` moves forward only: admissions and `occupy`
+    /// extend it, `fail_node` / `recover_node` leave it alone — which is
+    /// the monotonicity a lane requires.
+    fn schedule_service(&mut self, node: NodeId, done: SimTime, env: Envelope<M>) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.queue
+            .push_lane(node.0, done, seq, EventKind::Dispatch(env));
     }
 
     fn pop(&mut self) -> Option<Scheduled<M>> {
@@ -427,6 +443,10 @@ struct SimCore<M: SimMessage> {
     inner: RefCell<SimInner<M>>,
     tasks: RefCell<TaskStore>,
     ready: ReadyQueue,
+    /// The batch of ready ids `drain_ready` is working through; kept here
+    /// so its buffer and the ready queue's trade places instead of being
+    /// reallocated.
+    ready_batch: RefCell<Vec<TaskId>>,
     handlers: RefCell<Vec<Option<Handler<M>>>>,
     /// Installed schedule-exploration hook (see [`Scheduler`]). Kept
     /// outside `inner` so the pick callback never observes a borrowed
@@ -463,8 +483,8 @@ impl<M: SimMessage> Sim<M> {
                     service_by_class: cfg.service_by_class,
                     rng: StdRng::seed_from_u64(cfg.seed),
                     link_faults: std::collections::HashMap::new(),
-                    pending: std::collections::HashMap::new(),
-                    resolved_extra: std::collections::HashMap::new(),
+                    pending: IdMap::default(),
+                    resolved_extra: IdMap::default(),
                     next_call: 0,
                     metrics: Metrics::new(0),
                     halted: false,
@@ -473,6 +493,7 @@ impl<M: SimMessage> Sim<M> {
                 }),
                 tasks: RefCell::new(TaskStore::default()),
                 ready: ReadyQueue::default(),
+                ready_batch: RefCell::new(Vec::new()),
                 handlers: RefCell::new(Vec::new()),
                 scheduler: RefCell::new(None),
             }),
@@ -517,11 +538,11 @@ impl<M: SimMessage> Sim<M> {
 
     /// Spawn an async task; it starts running inside the next `run_*` call.
     pub fn spawn(&self, fut: impl Future<Output = ()> + 'static) {
-        let id = self.core.tasks.borrow_mut().insert(Box::pin(fut));
-        self.ready_push(id);
-    }
-
-    fn ready_push(&self, id: crate::executor::TaskId) {
+        let id = self
+            .core
+            .tasks
+            .borrow_mut()
+            .insert(Box::pin(fut), &self.core.ready);
         self.core.ready.push(id);
     }
 
@@ -992,7 +1013,7 @@ impl<M: SimMessage> Sim<M> {
                 }
                 let done = start + svc;
                 inner.nodes[env.to.index()].busy_until = done;
-                inner.schedule(done, EventKind::Dispatch(env));
+                inner.schedule_service(env.to, done, env);
             }
             EventKind::Dispatch(env) => {
                 {
@@ -1147,19 +1168,27 @@ impl<M: SimMessage> Sim<M> {
         }
     }
 
+    /// Poll every task a waker made runnable, in wake order, including
+    /// those woken by these polls. An event that woke nothing costs one
+    /// load here (see [`ReadyQueue::take_batch`]).
     fn drain_ready(&self) {
-        while let Some(id) = self.core.ready.pop() {
-            let fut = self.core.tasks.borrow_mut().take(id);
-            let Some(mut fut) = fut else { continue };
-            let waker = self.core.tasks.borrow_mut().waker(id, &self.core.ready);
-            let mut cx = Context::from_waker(&waker);
-            match fut.as_mut().poll(&mut cx) {
-                Poll::Ready(()) => self.core.tasks.borrow_mut().finish(id),
-                Poll::Pending => {
-                    self.core.tasks.borrow_mut().put_back(id, fut);
+        // Taken out of its cell for the duration: a poll must find no
+        // borrow of the core outstanding.
+        let mut batch = self.core.ready_batch.take();
+        while self.core.ready.take_batch(&mut batch) {
+            for id in batch.drain(..) {
+                let task = self.core.tasks.borrow_mut().take(id);
+                let Some((mut fut, waker)) = task else {
+                    continue;
+                };
+                let mut cx = Context::from_waker(&waker);
+                match fut.as_mut().poll(&mut cx) {
+                    Poll::Ready(()) => self.core.tasks.borrow_mut().finish(id),
+                    Poll::Pending => self.core.tasks.borrow_mut().put_back(id, fut, waker),
                 }
             }
         }
+        self.core.ready_batch.replace(batch);
     }
 
     /// Number of tasks that have been spawned but not completed.
@@ -2053,6 +2082,142 @@ mod tests {
         }));
         s.run();
         assert_eq!(order.borrow().len(), 2);
+    }
+
+    /// Install a handler on `node` that logs `(payload, handler time)`.
+    fn recording(s: &Sim<Msg>, node: NodeId) -> Rc<RefCell<Vec<(u64, SimTime)>>> {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let l = Rc::clone(&log);
+        s.set_handler(node, move |ctx, env| {
+            if let Msg::Ping(x) = env.msg {
+                l.borrow_mut().push((x, ctx.now()));
+            }
+        });
+        log
+    }
+
+    /// `ms` milliseconds plus `us` microseconds after time zero.
+    fn at(ms: u64, us: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(ms) + SimDuration::from_micros(us)
+    }
+
+    #[test]
+    fn backlog_dispatches_in_admission_order_at_admission_time_instants() {
+        // 50 requests reach node 1 together (5 ms links, 200 us service):
+        // request i completes at the instant fixed when it was admitted,
+        // however deep behind the head of the node's lane it waited.
+        let s = sim(5);
+        let n = s.add_nodes(2);
+        let log = recording(&s, n[1]);
+        for i in 0..50 {
+            s.send(n[0], n[1], Msg::Ping(i));
+        }
+        s.run();
+        let want: Vec<(u64, SimTime)> = (0..50).map(|i| (i, at(5, 200 * (i + 1)))).collect();
+        assert_eq!(*log.borrow(), want);
+        let m = s.metrics();
+        assert_eq!(m.events, 100, "one Arrive and one Dispatch per message");
+        assert_eq!(m.queue.lane_high_water, 49, "all but the head waited");
+    }
+
+    /// Tag and target of each event of one offered tie group.
+    type TieGroup = Vec<(EventTag, Option<NodeId>)>;
+
+    /// Scheduler that always picks index 0 (the default order) and records
+    /// every group it was offered.
+    struct RecordGroups(Rc<RefCell<Vec<TieGroup>>>);
+
+    impl Scheduler for RecordGroups {
+        fn pick(&mut self, _now: SimTime, ready: &[EventInfo]) -> usize {
+            self.0
+                .borrow_mut()
+                .push(ready.iter().map(|e| (e.tag, e.to)).collect());
+            0
+        }
+    }
+
+    #[test]
+    fn zero_service_time_offers_every_same_instant_dispatch_to_the_scheduler() {
+        // Three requests reach node 1 at one instant and complete at that
+        // same instant: once all are admitted, the tie group must hold all
+        // three `Dispatch` events, although they share one service lane.
+        let mut cfg = SimConfig::new(1, Box::new(ConstLatency::new(SimDuration::from_millis(5))));
+        cfg.service_time = SimDuration::ZERO;
+        let s: Sim<Msg> = Sim::new(cfg);
+        let n = s.add_nodes(2);
+        let log = recording(&s, n[1]);
+        let groups = Rc::new(RefCell::new(Vec::new()));
+        s.set_scheduler(Box::new(RecordGroups(Rc::clone(&groups))));
+        for i in 0..3 {
+            s.send(n[0], n[1], Msg::Ping(i));
+        }
+        s.run();
+        let dispatch = (EventTag::Dispatch, Some(n[1]));
+        let arrive = (EventTag::Arrive, Some(n[1]));
+        assert_eq!(
+            *groups.borrow(),
+            vec![
+                vec![arrive, arrive, arrive],
+                vec![arrive, arrive, dispatch],
+                vec![arrive, dispatch, dispatch],
+                vec![dispatch, dispatch, dispatch],
+                vec![dispatch, dispatch],
+            ]
+        );
+        assert_eq!(*log.borrow(), [0, 1, 2].map(|i| (i, at(5, 0))));
+    }
+
+    #[test]
+    fn fail_mid_backlog_drops_queued_requests_one_by_one_until_recovery() {
+        // Ten requests queue at node 1, completing at 5.2, 5.4, ... 7.0 ms.
+        let s = sim(5);
+        let n = s.add_nodes(2);
+        let log = recording(&s, n[1]);
+        for i in 0..10 {
+            s.send(n[0], n[1], Msg::Ping(i));
+        }
+        s.run_until(at(5, 500));
+        assert_eq!(log.borrow().len(), 2);
+        s.fail_node(n[1]);
+        // Each queued request is lost at its own completion instant, not
+        // in bulk when the node fails.
+        for (until, dropped) in [(at(5, 700), 1), (at(5, 900), 2), (at(6, 100), 3)] {
+            s.run_until(until);
+            assert_eq!(s.metrics().dropped, dropped);
+        }
+        s.recover_node(n[1]);
+        s.run();
+        let served: Vec<u64> = log.borrow().iter().map(|&(x, _)| x).collect();
+        assert_eq!(served, vec![0, 1, 5, 6, 7, 8, 9]);
+        assert_eq!(log.borrow().last(), Some(&(9, at(7, 0))));
+        let m = s.metrics();
+        assert_eq!((m.dropped, m.processed_by_node[1]), (3, 7));
+    }
+
+    #[test]
+    fn occupy_mid_backlog_delays_only_later_admissions() {
+        // Three requests queue at node 1 (done at 5.2, 5.4, 5.6 ms). A
+        // 10 ms occupancy charged at 5.3 ms goes behind them — busy until
+        // 15.6 ms — and only a request admitted afterwards waits for it.
+        let s = sim(5);
+        let n = s.add_nodes(2);
+        let log = recording(&s, n[1]);
+        for i in 0..3 {
+            s.send(n[0], n[1], Msg::Ping(i));
+        }
+        s.run_until(at(5, 300));
+        s.occupy(n[1], SimDuration::from_millis(10));
+        s.send(n[0], n[1], Msg::Ping(3));
+        s.run();
+        assert_eq!(
+            *log.borrow(),
+            vec![
+                (0, at(5, 200)),
+                (1, at(5, 400)),
+                (2, at(5, 600)),
+                (3, at(15, 800)),
+            ]
+        );
     }
 
     #[test]

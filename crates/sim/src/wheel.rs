@@ -25,18 +25,36 @@
 //! tie-groups and model-checker choice vectors byte-identical between the
 //! heap and the wheel.
 //!
+//! ## Service lanes
+//!
+//! A producer whose events are already in `(time, seq)` order among
+//! themselves — a node's FIFO service queue, whose completion instants
+//! never decrease — schedules through [`TimingWheel::push_lane`]. Only the
+//! lane's **head**, its oldest unpopped key, is resident in the wheel; the
+//! keys behind it wait in push order in a per-lane deque, payloads staying
+//! in their arena slots, and the `pop` that removes the head moves its
+//! successor in. Every waiting key is later than the resident head of its
+//! own lane, so it can never be the global minimum: pop order is the same
+//! total order as if every key had gone through [`TimingWheel::push`],
+//! while a backlog thousands deep never touches the buckets or the
+//! overflow heap. Keys of one lane due at the *same* instant need no
+//! special case: the successor is resident before `pop` returns, hence
+//! before the next [`TimingWheel::peek_key`], so a caller collecting a
+//! same-instant group by peek-and-pop (the `Scheduler` tie groups) finds
+//! every member.
+//!
 //! ## Arena lifetimes
 //!
 //! Payloads live in a pre-allocated free-list arena ([`EventArena`]); the
-//! buckets, run, and overflow heap hold 24-byte keys only, so sorting
-//! never moves payload bytes and popping never allocates. A slot is
-//! recycled the moment its event is popped or cancelled; the `seq`
-//! stamped into both the key and the slot guards against stale handles
-//! (an old key can never resurrect a recycled slot).
+//! buckets, run, lanes and overflow heap hold 24-byte keys only, so
+//! sorting never moves payload bytes and popping never allocates. A slot
+//! is recycled the moment its event is popped. Nothing outlives a pop — no
+//! handle is handed out and nothing is cancelled — so slots carry no
+//! generation: each key is the only reference to its slot.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Default page width: 2^16 ns = 65.536 µs per bucket.
 pub const DEFAULT_BUCKET_SHIFT: u32 = 16;
@@ -44,14 +62,18 @@ pub const DEFAULT_BUCKET_SHIFT: u32 = 16;
 pub const DEFAULT_BUCKET_BITS: u32 = 12;
 
 const NO_SLOT: u32 = u32::MAX;
+/// `EvKey::lane` of an event pushed outside any lane.
+const NO_LANE: u32 = u32::MAX;
 
 /// Key of one scheduled event: total order is `(time, seq)`; `idx` is the
-/// arena slot holding the payload and never participates in ordering.
+/// arena slot holding the payload and `lane` the service lane the event
+/// was pushed through (or `NO_LANE`) — neither participates in ordering.
 #[derive(Clone, Copy, Debug)]
 struct EvKey {
     time: SimTime,
     seq: u64,
     idx: u32,
+    lane: u32,
 }
 
 impl EvKey {
@@ -78,18 +100,9 @@ impl Ord for EvKey {
     }
 }
 
-/// Handle returned by [`TimingWheel::push`]; lets the caller cancel the
-/// event later. Stale handles (already popped or cancelled) are detected
-/// via the embedded `seq` and rejected.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WheelHandle {
-    idx: u32,
-    seq: u64,
-}
-
 enum Slot<T> {
     Vacant { next_free: u32 },
-    Full { seq: u64, payload: T },
+    Full { payload: T },
 }
 
 /// Free-list slab holding event payloads; see the module docs for the
@@ -127,8 +140,8 @@ impl<T> EventArena<T> {
         }
     }
 
-    /// Store `payload` stamped with `seq`, returning its slot index.
-    pub fn alloc(&mut self, seq: u64, payload: T) -> u32 {
+    /// Store `payload`, returning its slot index.
+    pub fn alloc(&mut self, payload: T) -> u32 {
         self.live += 1;
         self.stats.high_water = self.stats.high_water.max(self.live as u64);
         if self.free_head != NO_SLOT {
@@ -138,37 +151,31 @@ impl<T> EventArena<T> {
                 Slot::Vacant { next_free } => self.free_head = *next_free,
                 Slot::Full { .. } => unreachable!("free list points at a full slot"),
             }
-            *slot = Slot::Full { seq, payload };
+            *slot = Slot::Full { payload };
             self.stats.recycled += 1;
             idx
         } else {
             let idx = u32::try_from(self.slots.len()).expect("arena overflow");
-            self.slots.push(Slot::Full { seq, payload });
+            self.slots.push(Slot::Full { payload });
             idx
         }
     }
 
-    /// Remove and return the payload at `idx` if it still holds the event
-    /// stamped `seq`; `None` means the slot was already freed (and possibly
-    /// recycled by a newer event).
-    pub fn take(&mut self, idx: u32, seq: u64) -> Option<T> {
+    /// Remove and return the payload at `idx`, freeing the slot for reuse;
+    /// `None` if the slot is vacant. An index is good for exactly one
+    /// `take`: once freed, the slot may be handed to a newer payload.
+    #[inline]
+    pub fn take(&mut self, idx: u32) -> Option<T> {
         let slot = self.slots.get_mut(idx as usize)?;
-        match slot {
-            Slot::Full { seq: s, .. } if *s == seq => {}
-            _ => return None,
+        if matches!(slot, Slot::Vacant { .. }) {
+            return None;
         }
-        let old = std::mem::replace(
-            slot,
-            Slot::Vacant {
-                next_free: self.free_head,
-            },
-        );
-        self.free_head = idx;
+        let next_free = std::mem::replace(&mut self.free_head, idx);
+        let Slot::Full { payload } = std::mem::replace(slot, Slot::Vacant { next_free }) else {
+            unreachable!("checked Full above")
+        };
         self.live -= 1;
-        match old {
-            Slot::Full { payload, .. } => Some(payload),
-            Slot::Vacant { .. } => unreachable!("checked Full above"),
-        }
+        Some(payload)
     }
 
     /// Live (allocated, not yet taken) payload count.
@@ -202,8 +209,23 @@ pub struct WheelStats {
     pub run_inserts: u64,
     /// Largest run (sorted bucket) ever drained.
     pub max_run: u64,
+    /// Most keys ever waiting in one service lane behind its head
+    /// (for the simulator: the deepest node mailbox).
+    pub lane_high_water: u64,
     /// Arena telemetry.
     pub arena: ArenaStats,
+}
+
+/// One FIFO service lane (see the module docs).
+#[derive(Default)]
+struct Lane {
+    /// Whether the lane's head — its oldest unpopped key — is in the wheel.
+    /// `waiting` is non-empty only while it is.
+    head_resident: bool,
+    /// The keys behind the head, in push order.
+    waiting: VecDeque<EvKey>,
+    /// Time of the latest push, for the monotonicity check.
+    tail_time: SimTime,
 }
 
 /// The two-level timing wheel. Generic over the payload so property tests
@@ -223,8 +245,10 @@ pub struct TimingWheel<T> {
     /// Page of the run being drained; every live event has page >= this.
     cursor_page: u64,
     arena: EventArena<T>,
-    /// Keys resident in `buckets` (may include lazily-cancelled ones).
+    /// Keys resident in `buckets`.
     wheel_count: usize,
+    /// Service lanes by index, grown on first use.
+    lanes: Vec<Lane>,
     stats: WheelStats,
 }
 
@@ -257,6 +281,7 @@ impl<T> TimingWheel<T> {
             cursor_page: 0,
             arena: EventArena::new(),
             wheel_count: 0,
+            lanes: Vec::new(),
             stats: WheelStats::default(),
         }
     }
@@ -297,11 +322,87 @@ impl<T> TimingWheel<T> {
     /// wheel's lifetime and callers must never schedule before an already
     /// popped instant's page (the simulator guarantees both: `seq` is its
     /// global creation counter and events are never scheduled in the past).
-    pub fn push(&mut self, time: SimTime, seq: u64, payload: T) -> WheelHandle {
+    pub fn push(&mut self, time: SimTime, seq: u64, payload: T) {
+        let key = self.admit(time, seq, NO_LANE, payload);
+        self.place(key);
+    }
+
+    /// Schedule `payload` at `(time, seq)` through service lane `lane`:
+    /// same contract and same pop order as [`TimingWheel::push`], for a
+    /// producer whose times never decrease from one push to the next.
+    /// Only the lane's head occupies the wheel; later keys wait in the lane
+    /// until the keys ahead of them have popped.
+    pub fn push_lane(&mut self, lane: u32, time: SimTime, seq: u64, payload: T) {
+        let key = self.admit(time, seq, lane, payload);
+        let li = lane as usize;
+        if li >= self.lanes.len() {
+            self.lanes.resize_with(li + 1, Lane::default);
+        }
+        let l = &mut self.lanes[li];
+        debug_assert!(
+            time >= l.tail_time,
+            "lane {lane}: key at {time:?} pushed behind {:?}; a lane's producer must be \
+             monotone (a node's `busy_until` only ever moves forward)",
+            l.tail_time
+        );
+        l.tail_time = time;
+        if l.head_resident {
+            l.waiting.push_back(key);
+            self.stats.lane_high_water = self.stats.lane_high_water.max(l.waiting.len() as u64);
+        } else {
+            l.head_resident = true;
+            self.place(key);
+        }
+    }
+
+    /// Count the push and give the payload its arena slot and key.
+    #[inline]
+    fn admit(&mut self, time: SimTime, seq: u64, lane: u32, payload: T) -> EvKey {
         self.stats.pushes += 1;
-        let idx = self.arena.alloc(seq, payload);
-        let key = EvKey { time, seq, idx };
-        let p = self.page(time);
+        let idx = self.arena.alloc(payload);
+        EvKey {
+            time,
+            seq,
+            idx,
+            lane,
+        }
+    }
+
+    /// Key `(time, seq)` of the next event, without consuming it. May
+    /// internally advance the cursor, promote overflow entries, and sort
+    /// a bucket.
+    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
+        self.position().map(|k| k.key())
+    }
+
+    /// Pop the globally minimum `(time, seq)` event.
+    #[inline]
+    pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
+        let k = self.position()?;
+        self.run_idx += 1;
+        let payload = self.arena.take(k.idx).expect("queued key owns its slot");
+        if k.lane != NO_LANE {
+            self.lane_popped(k.lane);
+        }
+        Some((k.time, k.seq, payload))
+    }
+
+    /// The head of `lane` popped: its successor, if any, becomes the head
+    /// and moves into the wheel.
+    #[inline]
+    fn lane_popped(&mut self, lane: u32) {
+        let l = &mut self.lanes[lane as usize];
+        match l.waiting.pop_front() {
+            Some(next) => self.place(next),
+            None => l.head_resident = false,
+        }
+    }
+
+    /// Put `key` where its page says: the live run, a bucket, or the
+    /// overflow level.
+    #[inline]
+    fn place(&mut self, key: EvKey) {
+        let p = self.page(key.time);
         if p <= self.cursor_page {
             // The event lands on the page currently draining (or, under a
             // clock anomaly, behind it): keep the run sorted by inserting
@@ -316,32 +417,6 @@ impl<T> TimingWheel<T> {
             self.overflow.push(Reverse(key));
             self.stats.overflow_pushes += 1;
         }
-        WheelHandle { idx, seq }
-    }
-
-    /// Cancel a previously pushed event, returning its payload. Lazy: the
-    /// key stays queued and is skipped when encountered. `None` if the
-    /// event already popped (or was already cancelled).
-    pub fn cancel(&mut self, h: WheelHandle) -> Option<T> {
-        self.arena.take(h.idx, h.seq)
-    }
-
-    /// Key `(time, seq)` of the next event, without consuming it. May
-    /// internally advance the cursor, promote overflow entries, and sort
-    /// a bucket.
-    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        self.position().map(|k| k.key())
-    }
-
-    /// Pop the globally minimum `(time, seq)` event.
-    pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        let k = self.position()?;
-        self.run_idx += 1;
-        let payload = self
-            .arena
-            .take(k.idx, k.seq)
-            .expect("positioned key is live");
-        Some((k.time, k.seq, payload))
     }
 
     #[inline]
@@ -354,27 +429,19 @@ impl<T> TimingWheel<T> {
         self.wheel_count += 1;
     }
 
-    /// Advance `run_idx` past cancelled keys and exhausted pages until it
-    /// rests on a live key; returns that key.
+    /// Advance past exhausted pages until `run_idx` rests on a key;
+    /// returns that key.
+    #[inline]
     fn position(&mut self) -> Option<EvKey> {
         loop {
-            while self.run_idx < self.run.len() {
-                let k = self.run[self.run_idx];
-                if self.arena_has(k) {
-                    return Some(k);
-                }
-                self.run_idx += 1; // lazily-cancelled key
+            if let Some(&k) = self.run.get(self.run_idx) {
+                return Some(k);
             }
             if self.is_empty() {
                 return None;
             }
             self.advance();
         }
-    }
-
-    #[inline]
-    fn arena_has(&self, k: EvKey) -> bool {
-        matches!(self.arena.slots.get(k.idx as usize), Some(Slot::Full { seq, .. }) if *seq == k.seq)
     }
 
     /// Move the cursor to the next non-empty page and drain its bucket
@@ -511,29 +578,67 @@ mod tests {
     }
 
     #[test]
-    fn cancel_is_lazy_and_exact() {
-        let mut w: TimingWheel<&str> = TimingWheel::new();
-        let a = w.push(t(10), 0, "a");
-        let b = w.push(t(20), 1, "b");
-        assert_eq!(w.cancel(a), Some("a"));
-        assert_eq!(w.cancel(a), None, "double cancel rejected");
-        assert_eq!(w.len(), 1);
-        assert_eq!(w.pop().map(|x| x.2), Some("b"));
-        assert_eq!(w.cancel(b), None, "cancel after pop rejected");
-        assert!(w.pop().is_none());
+    fn arena_recycles_freed_slots() {
+        let mut a: EventArena<String> = EventArena::new();
+        let i0 = a.alloc("first".into());
+        assert_eq!(a.take(i0), Some("first".into()));
+        assert_eq!(a.take(i0), None, "a taken slot is vacant");
+        let i1 = a.alloc("second".into());
+        assert_eq!(i1, i0, "slot recycled");
+        assert_eq!(a.take(i1), Some("second".into()));
+        assert_eq!(a.stats().recycled, 1);
+        assert_eq!(a.stats().high_water, 1);
     }
 
     #[test]
-    fn arena_recycles_without_stale_payloads() {
-        let mut a: EventArena<String> = EventArena::new();
-        let i0 = a.alloc(0, "first".into());
-        assert_eq!(a.take(i0, 0), Some("first".into()));
-        let i1 = a.alloc(1, "second".into());
-        assert_eq!(i1, i0, "slot recycled");
-        assert_eq!(a.take(i0, 0), None, "stale handle cannot steal the slot");
-        assert_eq!(a.take(i1, 1), Some("second".into()));
-        assert_eq!(a.stats().recycled, 1);
-        assert_eq!(a.stats().high_water, 1);
+    fn lane_keeps_only_its_head_in_the_wheel() {
+        // Tiny wheel (horizon 1024 ns) and a lane reaching 100x past it:
+        // no lane key overflows, because only one is resident at a time,
+        // and a plain event in between still pops in its place.
+        let mut w: TimingWheel<u64> = TimingWheel::with_geometry(4, 6);
+        for i in 0..1000u64 {
+            w.push_lane(0, t(100 * (i + 1)), i, i);
+        }
+        w.push(t(250), 1000, 1000);
+        assert_eq!(w.stats().lane_high_water, 999);
+        assert_eq!(w.len(), 1001);
+        let order: Vec<u64> = std::iter::from_fn(|| w.pop().map(|x| x.2)).collect();
+        let mut want: Vec<u64> = (0..1000).collect();
+        want.insert(2, 1000);
+        assert_eq!(order, want);
+        let s = w.stats();
+        assert_eq!((s.overflow_pushes, s.promotions), (0, 0));
+    }
+
+    #[test]
+    fn same_instant_lane_keys_are_all_visible_to_peek_and_pop() {
+        // Keys 1..=3 of one lane share an instant with plain key 4. A
+        // caller collecting the instant by peek-and-pop (a scheduler's tie
+        // group) must get all four, in seq order.
+        let mut w: TimingWheel<u64> = TimingWheel::new();
+        w.push_lane(7, t(10), 0, 0);
+        for seq in 1..=3 {
+            w.push_lane(7, t(20), seq, seq);
+        }
+        w.push(t(20), 4, 4);
+        w.push_lane(7, t(30), 5, 5);
+        assert_eq!(w.pop().map(|x| x.2), Some(0));
+        let mut group = Vec::new();
+        while w.peek_key().map(|(time, _)| time) == Some(t(20)) {
+            group.push(w.pop().expect("peeked").2);
+        }
+        assert_eq!(group, vec![1, 2, 3, 4]);
+        assert_eq!(w.pop().map(|x| x.2), Some(5));
+        assert!(w.pop().is_none() && w.is_empty());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "must be monotone")]
+    fn lane_push_behind_its_tail_is_diagnosed() {
+        let mut w: TimingWheel<u64> = TimingWheel::new();
+        w.push_lane(0, t(20), 0, 0);
+        w.push_lane(0, t(10), 1, 1);
     }
 
     #[test]

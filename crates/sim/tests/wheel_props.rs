@@ -1,11 +1,12 @@
 //! Property tests for the timing wheel against a sorted-vec oracle:
-//! arbitrary interleaved schedule/cancel/pop sequences never lose an
-//! event, never reorder equal-timestamp events, and promote overflow
-//! entries exactly; plus the arena recycle property (a freed slot can be
-//! reused, but a stale handle can never observe the new tenant).
+//! arbitrary interleaved schedule/pop sequences — plain pushes and pushes
+//! through FIFO service lanes — never lose an event, never reorder
+//! equal-timestamp events, and promote overflow entries exactly; plus the
+//! arena recycle property (a freed slot is reused, and every live payload
+//! stays reachable through its own index only).
 
 use proptest::prelude::*;
-use qrdtm_sim::wheel::{EventArena, TimingWheel, WheelHandle};
+use qrdtm_sim::wheel::{EventArena, TimingWheel};
 use qrdtm_sim::SimTime;
 
 /// One step of an interleaved workload, drawn by proptest.
@@ -13,11 +14,19 @@ use qrdtm_sim::SimTime;
 enum Op {
     /// Schedule at `now + dt` (dt spans sub-bucket to far-beyond-horizon).
     Push { dt: u64 },
+    /// Schedule through service lane `lane` at `max(now, the lane's last
+    /// time) + dt`: per-lane times never decrease, as a node's completion
+    /// instants never do. `dt == 0` makes same-instant groups in a lane.
+    PushLane { lane: u32, dt: u64 },
     /// Pop the minimum (no-op when empty).
     Pop,
-    /// Cancel the `i % live`-th oldest outstanding event (no-op when none).
-    Cancel { i: usize },
+    /// What `Sim::apply_scheduler` does at a tie: pop every event due at
+    /// the head's instant, keep the `pick`-th, push the rest back at that
+    /// instant under their original seqs (as plain events).
+    PopTieGroup { pick: usize },
 }
+
+const LANES: u32 = 3;
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     // dt mix: same-instant ties (0), sub-bucket, in-horizon, and far past
@@ -30,10 +39,23 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u64..64).prop_map(|dt| Op::Push { dt }),
         prop_oneof![Just(0u64), Just(1), Just(16), Just(1 << 13), Just(1 << 20)]
             .prop_map(|dt| Op::Push { dt }),
+        // Lane steps: ties (0), sub-bucket, a few buckets, and past the
+        // horizon, so a released head lands in the live run, a bucket and
+        // the overflow level.
+        (
+            0u32..LANES,
+            prop_oneof![Just(0u64), Just(0), 0u64..16, 0u64..200]
+        )
+            .prop_map(|(lane, dt)| Op::PushLane { lane, dt }),
+        (
+            0u32..LANES,
+            prop_oneof![Just(0u64), 0u64..16, 0u64..200, Just(1 << 11)]
+        )
+            .prop_map(|(lane, dt)| Op::PushLane { lane, dt }),
         Just(Op::Pop),
         Just(Op::Pop),
         Just(Op::Pop),
-        (0usize..64).prop_map(|i| Op::Cancel { i }),
+        (0usize..8).prop_map(|pick| Op::PopTieGroup { pick }),
     ]
 }
 
@@ -63,18 +85,26 @@ proptest! {
         // Tiny geometry so 300 ops cross many pages and the overflow level.
         let mut w: TimingWheel<u64> = TimingWheel::with_geometry(4, 6);
         let mut oracle = Oracle { live: Vec::new() };
-        let mut handles: Vec<(WheelHandle, u64, u64, u64)> = Vec::new();
         let mut now = 0u64;
         let mut seq = 0u64;
         let mut payload = 0u64;
+        let mut lane_last = [0u64; LANES as usize];
 
         for op in ops {
             match op {
                 Op::Push { dt } => {
                     let t = now + dt;
-                    let h = w.push(SimTime(t), seq, payload);
+                    w.push(SimTime(t), seq, payload);
                     oracle.live.push((t, seq, payload));
-                    handles.push((h, t, seq, payload));
+                    seq += 1;
+                    payload += 1;
+                }
+                Op::PushLane { lane, dt } => {
+                    let last = &mut lane_last[lane as usize];
+                    let t = now.max(*last) + dt;
+                    *last = t;
+                    w.push_lane(lane, SimTime(t), seq, payload);
+                    oracle.live.push((t, seq, payload));
                     seq += 1;
                     payload += 1;
                 }
@@ -91,21 +121,26 @@ proptest! {
                         now = t;
                     }
                 }
-                Op::Cancel { i } => {
-                    if handles.is_empty() {
-                        continue;
+                Op::PopTieGroup { pick } => {
+                    let Some(head) = w.pop() else { continue };
+                    prop_assert!(head.0.as_nanos() >= now, "time went backwards");
+                    now = head.0.as_nanos();
+                    let mut group = vec![head];
+                    while w.peek_key().map(|(t, _)| t) == Some(head.0) {
+                        group.push(w.pop().expect("peeked"));
                     }
-                    let (h, t, s, p) = handles.remove(i % handles.len());
-                    let live = oracle.live.iter().position(|e| e.1 == s);
-                    let got = w.cancel(h);
-                    match live {
-                        Some(j) => {
-                            prop_assert_eq!(got, Some(p), "cancelled wrong payload");
-                            oracle.live.remove(j);
-                            let _ = t;
-                        }
-                        // Already popped: the stale handle must be refused.
-                        None => prop_assert_eq!(got, None, "stale cancel succeeded"),
+                    // The group is every live event due now, in seq order:
+                    // a lane must not hold part of an instant back.
+                    let mut due: Vec<_> =
+                        oracle.live.iter().copied().filter(|e| e.0 == now).collect();
+                    due.sort_unstable();
+                    let got: Vec<_> =
+                        group.iter().map(|&(t, s, p)| (t.as_nanos(), s, p)).collect();
+                    prop_assert_eq!(&got, &due, "tie group diverged from oracle");
+                    let (_, chosen, _) = group.swap_remove(pick % group.len());
+                    oracle.live.retain(|e| e.1 != chosen);
+                    for (t, s, p) in group {
+                        w.push(t, s, p);
                     }
                 }
             }
@@ -164,35 +199,37 @@ proptest! {
     }
 
     #[test]
-    fn arena_recycle_never_leaks_stale_payloads(
+    fn arena_recycle_never_loses_or_aliases_payloads(
         ops in proptest::collection::vec((0u8..2, 0usize..32), 1..200)
     ) {
-        // Free/alloc churn: a payload must only ever be observable through
-        // the handle it was allocated under, even as slots recycle.
+        // Free/alloc churn: every live payload is reachable through its own
+        // index and no other, freed slots are vacant until recycled, and a
+        // recycled slot serves its new tenant.
         let mut arena: EventArena<u64> = EventArena::new();
-        let mut live: Vec<(u32, u64, u64)> = Vec::new(); // (idx, seq, payload)
-        let mut freed: Vec<(u32, u64)> = Vec::new();
-        let mut seq = 0u64;
+        let mut live: Vec<(u32, u64)> = Vec::new(); // (idx, payload)
+        let mut vacant: Vec<u32> = Vec::new();
+        let mut next = 0u64;
         for (kind, i) in ops {
             if kind == 0 || live.is_empty() {
-                let idx = arena.alloc(seq, seq * 1000);
-                live.push((idx, seq, seq * 1000));
-                seq += 1;
+                let idx = arena.alloc(next);
+                prop_assert!(!live.iter().any(|&(l, _)| l == idx), "live slot handed out twice");
+                if !vacant.is_empty() {
+                    prop_assert!(vacant.contains(&idx), "grew while slots were free");
+                    vacant.retain(|&v| v != idx);
+                }
+                live.push((idx, next));
+                next += 1;
             } else {
-                let (idx, s, p) = live.remove(i % live.len());
-                prop_assert_eq!(arena.take(idx, s), Some(p), "live take returned wrong payload");
-                freed.push((idx, s));
-            }
-            // Every stale handle stays dead, even if its slot was reused.
-            for &(idx, s) in &freed {
-                prop_assert!(
-                    !live.iter().any(|&(_, ls, _)| ls == s),
-                    "seq reused across allocations"
-                );
-                prop_assert_eq!(arena.take(idx, s), None, "stale handle resurrected a slot");
+                let (idx, p) = live.remove(i % live.len());
+                prop_assert_eq!(arena.take(idx), Some(p), "live take returned wrong payload");
+                prop_assert_eq!(arena.take(idx), None, "freed slot still served a payload");
+                vacant.push(idx);
             }
             prop_assert_eq!(arena.live(), live.len());
         }
-        prop_assert!(arena.stats().high_water as usize <= seq as usize);
+        prop_assert!(arena.stats().high_water <= next);
+        for (idx, p) in live {
+            prop_assert_eq!(arena.take(idx), Some(p), "payload lost or aliased in the churn");
+        }
     }
 }

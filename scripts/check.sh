@@ -42,7 +42,8 @@ stage "cargo build benchmark package (public-API drift)" \
 # including the two linear-work gates, each its own binary for its counting
 # allocator: tests/qstore_linear_work.rs (bytes per commit, < 1 s) and
 # tests/chk_linear_work.rs (allocation calls per QR-CHK data-set object,
-# < 1 s).
+# < 1 s). crates/sim/tests/backlog.rs rides here too: a node backlog four
+# wheel horizons deep must cause no overflow promotions (< 1 s).
 stage "cargo test --workspace" \
     cargo test --quiet --workspace
 
