@@ -121,6 +121,13 @@ struct ReplicaStore {
     objects: HashMap<ObjectId, ReplicaObj>,
 }
 
+/// Link latency (same network as QR-DTM in the paper's comparison).
+const LATENCY: LatencySpec = LatencySpec::Jittered(SimDuration::from_millis(15), 0.1);
+/// Base service time; reads pay double (history reconciliation).
+const SERVICE_TIME: SimDuration = SimDuration::from_micros(200);
+/// Replicas consulted per read to assemble a snapshot.
+const READ_FANOUT: usize = 3;
+
 /// Configuration for a Decent-STM cluster.
 #[derive(Clone, Debug)]
 pub struct DecentConfig {
@@ -128,12 +135,6 @@ pub struct DecentConfig {
     pub nodes: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Link latency (same network as QR-DTM in the paper's comparison).
-    pub latency: LatencySpec,
-    /// Base service time; reads pay double (history reconciliation).
-    pub service_time: SimDuration,
-    /// Replicas consulted per read to assemble a snapshot.
-    pub read_fanout: usize,
     /// Abort backoff base.
     pub backoff_base: SimDuration,
 }
@@ -143,9 +144,6 @@ impl Default for DecentConfig {
         DecentConfig {
             nodes: 13,
             seed: 1,
-            latency: LatencySpec::Jittered(SimDuration::from_millis(15), 0.1),
-            service_time: SimDuration::from_micros(200),
-            read_fanout: 3,
             backoff_base: SimDuration::from_millis(4),
         }
     }
@@ -167,7 +165,6 @@ pub struct DecentCluster {
     stores: Vec<Rc<RefCell<ReplicaStore>>>,
     stats: Rc<RefCell<DecentStats>>,
     next_seq: Rc<std::cell::Cell<u64>>,
-    read_fanout: usize,
     backoff_base: SimDuration,
 }
 
@@ -176,11 +173,11 @@ impl DecentCluster {
     pub fn new(cfg: DecentConfig) -> Self {
         let mut service_by_class = [None; qrdtm_sim::MAX_CLASSES];
         // History scans make reads heavier than votes.
-        service_by_class[0] = Some(cfg.service_time * 2);
+        service_by_class[0] = Some(SERVICE_TIME * 2);
         let sim: Sim<DecentMsg> = Sim::new(SimConfig {
             seed: cfg.seed,
-            latency: cfg.latency.build(cfg.nodes, cfg.seed),
-            service_time: cfg.service_time,
+            latency: LATENCY.build(cfg.nodes, cfg.seed),
+            service_time: SERVICE_TIME,
             service_by_class,
         });
         let nodes = sim.add_nodes(cfg.nodes);
@@ -250,7 +247,6 @@ impl DecentCluster {
             stores,
             stats: Rc::new(RefCell::new(DecentStats::default())),
             next_seq: Rc::new(std::cell::Cell::new(0)),
-            read_fanout: cfg.read_fanout.max(1),
             backoff_base: cfg.backoff_base,
         }
     }
@@ -294,12 +290,12 @@ impl DecentCluster {
 
     fn pick_replicas(&self, me: NodeId) -> Vec<NodeId> {
         let n = self.nodes.len();
-        let mut out = Vec::with_capacity(self.read_fanout);
+        let mut out = Vec::with_capacity(READ_FANOUT);
         let start = self.sim.rand_below(n as u64) as usize;
         let mut i = start;
-        while out.len() < self.read_fanout.min(n) {
+        while out.len() < READ_FANOUT.min(n) {
             let cand = self.nodes[i % n];
-            if cand != me || n <= self.read_fanout {
+            if cand != me || n <= READ_FANOUT {
                 out.push(cand);
             }
             i += 1;

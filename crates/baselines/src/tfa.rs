@@ -109,6 +109,11 @@ struct HomeStore {
     clock: u64,
 }
 
+/// Unicast link latency (paper: ~5 ms RTT ⇒ 2.5 ms one-way).
+const LATENCY: LatencySpec = LatencySpec::Jittered(SimDuration::from_micros(2_500), 0.1);
+/// Per-request service time.
+const SERVICE_TIME: SimDuration = SimDuration::from_micros(200);
+
 /// Configuration for a TFA cluster.
 #[derive(Clone, Debug)]
 pub struct TfaConfig {
@@ -116,10 +121,6 @@ pub struct TfaConfig {
     pub nodes: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Unicast link latency (paper: ~5 ms RTT ⇒ 2.5 ms one-way).
-    pub latency: LatencySpec,
-    /// Per-request service time.
-    pub service_time: SimDuration,
     /// Abort backoff base.
     pub backoff_base: SimDuration,
 }
@@ -129,8 +130,6 @@ impl Default for TfaConfig {
         TfaConfig {
             nodes: 13,
             seed: 1,
-            latency: LatencySpec::Jittered(SimDuration::from_micros(2_500), 0.1),
-            service_time: SimDuration::from_micros(200),
             backoff_base: SimDuration::from_millis(2),
         }
     }
@@ -162,8 +161,8 @@ impl TfaCluster {
     pub fn new(cfg: TfaConfig) -> Self {
         let sim: Sim<TfaMsg> = Sim::new(SimConfig {
             seed: cfg.seed,
-            latency: cfg.latency.build(cfg.nodes, cfg.seed),
-            service_time: cfg.service_time,
+            latency: LATENCY.build(cfg.nodes, cfg.seed),
+            service_time: SERVICE_TIME,
             service_by_class: [None; qrdtm_sim::MAX_CLASSES],
         });
         let node_ids = sim.add_nodes(cfg.nodes);

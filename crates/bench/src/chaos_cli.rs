@@ -13,8 +13,7 @@ use std::rc::Rc;
 
 use qrdtm_baselines::{DecentCluster, DecentConfig, TfaCluster, TfaConfig};
 use qrdtm_chaos::{
-    generate, run_plan, shrink, ChaosReport, ChaosSpec, ChaosViolation, FaultBudget, FaultEvent,
-    FaultKind, FaultPlan,
+    generate, run_plan, shrink, ChaosReport, ChaosSpec, ChaosViolation, FaultBudget, FaultPlan,
 };
 use qrdtm_core::{
     Cluster, DetectorConfig, DtmConfig, DurabilityConfig, NestingMode, OverloadConfig,
@@ -490,6 +489,11 @@ fn fig10_plan(k: usize, horizon: SimDuration) -> FaultPlan {
     FaultPlan::fig10(k, start, spacing)
 }
 
+/// A crafted smoke plan, written in the text `--plan FILE` takes.
+fn plan(text: &str) -> FaultPlan {
+    FaultPlan::parse(text).unwrap_or_else(|e| panic!("crafted plan {text:?}: {e}"))
+}
+
 /// The fixed smoke suite `scripts/check.sh` runs: two seeds across all
 /// six protocols with the short spec, plus one Fig. 10 crash schedule and
 /// a crafted planner-failover plan for the batching family (crash node 0,
@@ -511,16 +515,7 @@ fn smoke() -> i32 {
     ok &= Scenario::smoke(Proto::QrCn, 3)
         .check(&spec, &fig10, None)
         .ok();
-    let planner_failover = FaultPlan::new(vec![
-        FaultEvent {
-            at: SimDuration::from_millis(400),
-            kind: FaultKind::Crash { node: 0 },
-        },
-        FaultEvent {
-            at: SimDuration::from_millis(1_200),
-            kind: FaultKind::Recover { node: 0 },
-        },
-    ]);
+    let planner_failover = plan("@400000us crash 0\n@1200000us recover 0");
     ok &= Scenario::smoke(Proto::QStore, 3)
         .check(&spec, &planner_failover, None)
         .ok();
@@ -547,42 +542,9 @@ fn detector_smoke() -> i32 {
         detector: true,
         ..ChaosSpec::smoke()
     };
-    let ms = SimDuration::from_millis;
-    let crash_heal = FaultPlan::new(vec![
-        FaultEvent {
-            at: ms(300),
-            kind: FaultKind::Crash { node: 1 },
-        },
-        FaultEvent {
-            at: ms(1_100),
-            kind: FaultKind::Recover { node: 1 },
-        },
-    ]);
-    let isolate = FaultPlan::new(vec![
-        FaultEvent {
-            at: ms(300),
-            kind: FaultKind::Partition {
-                groups: vec![vec![2], vec![0, 1, 3, 4, 5, 6, 7, 8, 9]],
-            },
-        },
-        FaultEvent {
-            at: ms(1_100),
-            kind: FaultKind::Heal,
-        },
-    ]);
-    let slow = FaultPlan::new(vec![
-        FaultEvent {
-            at: ms(300),
-            kind: FaultKind::Slow {
-                node: 3,
-                factor_pct: 2_000,
-            },
-        },
-        FaultEvent {
-            at: ms(1_400),
-            kind: FaultKind::Restore { node: 3 },
-        },
-    ]);
+    let crash_heal = plan("@300000us crash 1\n@1100000us recover 1");
+    let isolate = plan("@300000us partition 2|0,1,3,4,5,6,7,8,9\n@1100000us heal");
+    let slow = plan("@300000us slow 3 2000\n@1400000us restore 3");
     let plans: [(&str, &FaultPlan); 3] = [
         ("crash+heal", &crash_heal),
         ("isolate-alive", &isolate),
@@ -622,16 +584,7 @@ fn detector_smoke() -> i32 {
     // planner (node 0) must be suspected and ejected by the heartbeat
     // detector, the successor takes over behind a view-epoch fence, and
     // the old planner rejoins as an ordinary replica once it heals.
-    let planner_crash = FaultPlan::new(vec![
-        FaultEvent {
-            at: ms(300),
-            kind: FaultKind::Crash { node: 0 },
-        },
-        FaultEvent {
-            at: ms(1_100),
-            kind: FaultKind::Recover { node: 0 },
-        },
-    ]);
+    let planner_crash = plan("@300000us crash 0\n@1100000us recover 0");
     for seed in 1..=2u64 {
         println!("plan: planner-crash (batching family)");
         let r = Scenario::smoke(Proto::QStore, seed).check(&spec, &planner_crash, None);
@@ -684,43 +637,12 @@ fn detector_smoke() -> i32 {
 /// lost — with the batch-atomicity and durability checkers watching.
 fn amnesia_smoke() -> i32 {
     let spec = ChaosSpec::smoke();
-    let ms = SimDuration::from_millis;
-    let torn_restart = FaultPlan::new(vec![
-        FaultEvent {
-            at: ms(400),
-            kind: FaultKind::CorruptTail { node: 2 },
-        },
-        FaultEvent {
-            at: ms(400),
-            kind: FaultKind::CrashAmnesia { node: 2 },
-        },
-        FaultEvent {
-            at: ms(1_100),
-            kind: FaultKind::Recover { node: 2 },
-        },
-    ]);
-    let double_amnesia = FaultPlan::new(vec![
-        FaultEvent {
-            at: ms(300),
-            kind: FaultKind::CrashAmnesia { node: 1 },
-        },
-        FaultEvent {
-            at: ms(800),
-            kind: FaultKind::Recover { node: 1 },
-        },
-        FaultEvent {
-            at: ms(1_000),
-            kind: FaultKind::CorruptTail { node: 4 },
-        },
-        FaultEvent {
-            at: ms(1_000),
-            kind: FaultKind::CrashAmnesia { node: 4 },
-        },
-        FaultEvent {
-            at: ms(1_400),
-            kind: FaultKind::Recover { node: 4 },
-        },
-    ]);
+    let torn_restart =
+        plan("@400000us corrupt-tail 2\n@400000us crash-amnesia 2\n@1100000us recover 2");
+    let double_amnesia = plan(
+        "@300000us crash-amnesia 1\n@800000us recover 1\n@1000000us corrupt-tail 4\n\
+         @1000000us crash-amnesia 4\n@1400000us recover 4",
+    );
     let plans: [(&str, &FaultPlan); 2] = [
         ("torn-restart", &torn_restart),
         ("double-amnesia", &double_amnesia),
@@ -765,29 +687,11 @@ fn amnesia_smoke() -> i32 {
     let mut qstore_runs = 0u32;
     for seed in 1..=20u64 {
         let victim = 1 + (seed % 9) as u32;
-        let plan = FaultPlan::new(vec![
-            FaultEvent {
-                at: ms(400),
-                kind: FaultKind::CorruptTail { node: victim },
-            },
-            FaultEvent {
-                at: ms(400),
-                kind: FaultKind::CrashAmnesia { node: victim },
-            },
-            FaultEvent {
-                at: ms(700),
-                kind: FaultKind::CrashAmnesia { node: 0 },
-            },
-            FaultEvent {
-                at: ms(1_000),
-                kind: FaultKind::Recover { node: victim },
-            },
-            FaultEvent {
-                at: ms(1_200),
-                kind: FaultKind::Recover { node: 0 },
-            },
-        ]);
-        let r = durable(Proto::QStore, seed).check(&spec, &plan, None);
+        let torn_planner = plan(&format!(
+            "@400000us corrupt-tail {victim}\n@400000us crash-amnesia {victim}\n\
+             @700000us crash-amnesia 0\n@1000000us recover {victim}\n@1200000us recover 0"
+        ));
+        let r = durable(Proto::QStore, seed).check(&spec, &torn_planner, None);
         ok &= r.ok();
         tally(&r);
         qstore_runs += 1;
@@ -899,27 +803,8 @@ fn overload_smoke() -> i32 {
     // and the drip must be enough for the run to work itself back to
     // health once the faults clear.
     println!("\nbudget pressure: cap-4 retry budget, drip-only refill, 20x slow node + surge");
-    let slow_surge = FaultPlan::new(vec![
-        FaultEvent {
-            at: ms(300),
-            kind: FaultKind::Slow {
-                node: 3,
-                factor_pct: 2_000,
-            },
-        },
-        FaultEvent {
-            at: ms(500),
-            kind: FaultKind::Surge { factor_pct: 400 },
-        },
-        FaultEvent {
-            at: ms(1_200),
-            kind: FaultKind::Calm,
-        },
-        FaultEvent {
-            at: ms(1_400),
-            kind: FaultKind::Restore { node: 3 },
-        },
-    ]);
+    let slow_surge =
+        plan("@300000us slow 3 2000\n@500000us surge 400\n@1200000us calm\n@1400000us restore 3");
     for seed in 1..=3u64 {
         let cl = Rc::new(Cluster::new(DtmConfig {
             nodes: 10,
@@ -930,7 +815,6 @@ fn overload_smoke() -> i32 {
                 retry_budget_cap: 4,
                 retry_refill_per_commit: 0,
                 retry_drip: ms(100),
-                ..OverloadConfig::default()
             }),
             ..Default::default()
         }));
@@ -955,16 +839,7 @@ fn overload_smoke() -> i32 {
         }),
         ..ChaosSpec::smoke()
     };
-    let surge_only = FaultPlan::new(vec![
-        FaultEvent {
-            at: ms(600),
-            kind: FaultKind::Surge { factor_pct: 600 },
-        },
-        FaultEvent {
-            at: ms(1_400),
-            kind: FaultKind::Calm,
-        },
-    ]);
+    let surge_only = plan("@600000us surge 600\n@1400000us calm");
     println!("\nchecker validation: unprotected surge must go metastable");
     for seed in 1..=3u64 {
         let r = Scenario::smoke(Proto::Qr, seed).run(&unprotected, &surge_only);

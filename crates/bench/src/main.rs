@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! repro <fig5|fig6|fig7|table8|fig9|fig10|ablation|all> [--quick] [--out DIR]
-//! repro debug [--quick]
 //! ```
 //!
 //! Prints each figure as aligned text tables (one per sub-figure) and, with
@@ -42,7 +41,6 @@ fn usage() -> ! {
         "usage: repro <{}|all> [--quick] [--out DIR]",
         names.join("|")
     );
-    eprintln!("       repro debug [--quick]         (per-mode counters at the Table-8 defaults)");
     eprintln!("       repro chaos [--smoke] [...]   (see `repro chaos --help`)");
     eprintln!("       repro mc [--smoke] [...]      (see `repro mc --help`)");
     std::process::exit(2);
@@ -78,25 +76,6 @@ fn main() {
 fn emit(cmd: &str, quick: bool, out_dir: Option<&PathBuf>) -> std::io::Result<()> {
     match cmd {
         "all" => ARTIFACTS.iter().try_for_each(|(_, f)| f(quick, out_dir)),
-        "debug" => {
-            // Full per-mode counter dump at the default workload shape —
-            // not a paper artifact, but invaluable when calibrating.
-            for row in harness::table8(quick) {
-                println!("=== {} ===", row.bench);
-                for (mode, r) in ["flat", "closed", "chk"].iter().zip(&row.raw) {
-                    println!(
-                        "{mode:>7}: tput={:7.1} commits={} msgs/commit={:.0} lat(ms) mean={:.0} max={:.0} {:?}",
-                        r.throughput,
-                        r.commits,
-                        r.messages as f64 / r.commits.max(1) as f64,
-                        r.stats.mean_latency_ms(),
-                        r.stats.max_latency_ms(),
-                        r.stats
-                    );
-                }
-            }
-            Ok(())
-        }
         _ => match ARTIFACTS.iter().find(|(name, _)| *name == cmd) {
             Some((_, f)) => f(quick, out_dir),
             None => usage(),

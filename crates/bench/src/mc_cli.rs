@@ -21,37 +21,15 @@ use qrdtm_qstore::QStoreBug;
 
 use crate::harness;
 
-const MC_PROTOS: [McProto; 4] = [
-    McProto::Qr(NestingMode::Flat),
-    McProto::Qr(NestingMode::Closed),
-    McProto::Qr(NestingMode::Checkpoint),
-    McProto::QStore,
-];
-
-fn label(proto: McProto) -> &'static str {
-    match proto {
-        McProto::Qr(NestingMode::Flat) => "qr",
-        McProto::Qr(NestingMode::Closed) => "qr-cn",
-        McProto::Qr(NestingMode::Checkpoint) => "qr-chk",
-        McProto::QStore => "qstore",
-    }
+fn all_protos() -> Vec<McProto> {
+    McProto::ALL.iter().map(|row| row.0).collect()
 }
 
 fn parse_protos(s: &str) -> Option<Vec<McProto>> {
     if s == "all" {
-        return Some(MC_PROTOS.to_vec());
+        return Some(all_protos());
     }
-    MC_PROTOS.iter().find(|p| label(**p) == s).map(|p| vec![*p])
-}
-
-fn parse_bug(s: &str) -> Option<McBug> {
-    match s {
-        "skip-vote-check" => Some(McBug::Qr(InjectedBug::SkipVoteCheck)),
-        "skip-epoch-fence" => Some(McBug::Qr(InjectedBug::SkipEpochFence)),
-        "skip-tag-check" => Some(McBug::QStore(QStoreBug::SkipTagCheck)),
-        "ack-before-fsync" => Some(McBug::QStore(QStoreBug::AckBeforeFsync)),
-        _ => None,
-    }
+    McProto::from_label(s).map(|p| vec![p])
 }
 
 struct McArgs {
@@ -85,7 +63,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> McArgs {
     let mut a = McArgs {
         smoke: false,
         replay: None,
-        protos: MC_PROTOS.to_vec(),
+        protos: all_protos(),
         seed: 1,
         nodes: 3,
         objects: 2,
@@ -112,7 +90,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> McArgs {
             "--dfs" => a.dfs = val(&mut args).parse().unwrap_or_else(|_| mc_usage()),
             "--pct" => a.pct = val(&mut args).parse().unwrap_or_else(|_| mc_usage()),
             "--inject-bug" => {
-                a.bug = Some(parse_bug(&val(&mut args)).unwrap_or_else(|| mc_usage()));
+                a.bug = Some(McBug::parse_bug(&val(&mut args)).unwrap_or_else(|| mc_usage()));
             }
             "--save-trace" => a.save_trace = Some(PathBuf::from(val(&mut args))),
             _ => mc_usage(),
@@ -202,7 +180,7 @@ fn explore(a: &McArgs) -> i32 {
         }
         println!(
             "[{:<6}] dfs={:>5} (exhausted={}) pct={:>5} distinct={:>5} max_depth={:>3} => {}",
-            label(proto),
+            proto.label(),
             dfs.runs,
             if dfs.exhausted { "yes" } else { "no" },
             pct.runs,
@@ -250,7 +228,7 @@ fn replay_file(path: &Path) -> i32 {
         "replayed {} choice(s) [{} nodes={} objects={} txns={} seed={}]: \
          commits={} aborts={} fingerprint={:016x}",
         trace.choices.len(),
-        label(trace.scope.proto),
+        trace.scope.proto.label(),
         trace.scope.nodes,
         trace.scope.objects,
         trace.scope.txns,
@@ -280,7 +258,7 @@ fn smoke() -> i32 {
     let t0 = std::time::Instant::now();
     println!("## mc --smoke — schedule exploration at 3 nodes / 2 objects / 2 txns\n");
     const TARGET_PER_MODE: u64 = 3_500;
-    let results = harness::parallel_map(MC_PROTOS.to_vec(), |proto| {
+    let results = harness::parallel_map(all_protos(), |proto| {
         let scope = Scope::smoke(proto);
         let mut seen = HashSet::new();
         let dfs = dfs_explore(&scope, 2_500, &mut seen);
@@ -312,12 +290,12 @@ fn smoke() -> i32 {
     // validations must be among them or the run is not a pass.
     let mut exercised: Vec<&str> = Vec::new();
     for (scope, runs, distinct, depth, exhausted, cex) in results {
-        exercised.push(label(scope.proto));
+        exercised.push(scope.proto.label());
         total_distinct += distinct;
         total_runs += runs;
         println!(
             "[{:<6}] runs={:>5} distinct={:>5} max_depth={:>3} exhausted={} => {}",
-            label(scope.proto),
+            scope.proto.label(),
             runs,
             distinct,
             depth,
@@ -362,7 +340,7 @@ fn smoke() -> i32 {
     for (bug_name, bug_scope) in validations {
         println!(
             "\nchecker validation: injected bug {bug_name} on {}",
-            label(bug_scope.proto)
+            bug_scope.proto.label()
         );
         let mut seen = HashSet::new();
         let mut cex = dfs_explore(&bug_scope, 600, &mut seen).counterexample;

@@ -7,7 +7,7 @@ use std::process::Command;
 
 #[test]
 fn degenerate_arguments_are_usage_errors() {
-    let cases: [(&[&str], &str); 11] = [
+    let cases: [(&[&str], &str); 12] = [
         (&["chaos", "--seeds", "0"], "chaos: --seeds"),
         (
             &["chaos", "--seed", "18446744073709551615", "--seeds", "2"],
@@ -31,6 +31,7 @@ fn degenerate_arguments_are_usage_errors() {
         (&["mc", "--nodes", "2", "--proto", "qstore"], "mc: --nodes"),
         (&["mc", "--objects", "0"], "--objects at least 1"),
         (&["perf"], "usage: repro"),
+        (&["debug"], "usage: repro"),
     ];
     for (args, names) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))

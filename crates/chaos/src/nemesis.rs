@@ -14,7 +14,7 @@
 //!    healed cluster, so the liveness checker can observe re-convergence.
 //! 4. **Drain**: clients are told to stop after their current
 //!    transaction and the simulator runs to quiescence (bounded by
-//!    `spec.drain`); only then is committed state snapshotted, so the
+//!    `DRAIN`, 60 s); only then is committed state snapshotted, so the
 //!    safety checkers never see a mid-2PC cut.
 //!
 //! Everything derives from the target's simulator seed plus the plan, so
@@ -39,29 +39,29 @@ use crate::checkers::{
 use crate::plan::{FaultKind, FaultPlan};
 use crate::target::ChaosTarget;
 
-/// Shape of a nemesis run (workload mix and phase lengths).
+/// Percentage of read-only audits in the closed-loop mix (one client per
+/// node).
+const READ_PCT: u64 = 40;
+/// Initial balance per account (conservation invariant base).
+const INITIAL_BALANCE: i64 = 1_000;
+/// Upper bound on the post-stop drain to quiescence.
+const DRAIN: SimDuration = SimDuration::from_secs(60);
+/// Monitor sampling interval.
+const PROBE: SimDuration = SimDuration::from_millis(200);
+/// Grace after a fault clears before liveness is judged.
+const QUIET_GRACE: SimDuration = SimDuration::from_millis(700);
+/// Minimum quiet span that must contain a commit.
+const PROGRESS_WINDOW: SimDuration = SimDuration::from_millis(1_200);
+
+/// Shape of a nemesis run (workload size and phase lengths).
 #[derive(Clone, Copy, Debug)]
 pub struct ChaosSpec {
     /// Number of bank accounts.
     pub accounts: u64,
-    /// Percentage of read-only audits in the mix.
-    pub read_pct: u32,
-    /// Closed-loop clients per node.
-    pub clients_per_node: usize,
-    /// Initial balance per account (conservation invariant base).
-    pub initial_balance: i64,
     /// Plan window: fault offsets beyond this are clamped to heal-all time.
     pub horizon: SimDuration,
     /// Healthy tail after heal-all, for re-convergence checking.
     pub recovery: SimDuration,
-    /// Upper bound on the post-stop drain to quiescence.
-    pub drain: SimDuration,
-    /// Monitor sampling interval.
-    pub probe: SimDuration,
-    /// Grace after a fault clears before liveness is judged.
-    pub quiet_grace: SimDuration,
-    /// Minimum quiet span that must contain a commit.
-    pub progress_window: SimDuration,
     /// Detector mode: no oracle — crashes and recoveries touch the
     /// simulator only, the target's failure detector must notice on its
     /// own, and extra checkers assert bounded detection latency and
@@ -71,9 +71,8 @@ pub struct ChaosSpec {
     /// Overload mode: replace the closed-loop clients with the open-loop
     /// traffic generator (arrivals independent of completion), making the
     /// `surge`/`flash-crowd`/`calm` plan verbs applicable and arming the
-    /// goodput re-convergence checker. The generator's `accounts` and
-    /// `read_pct` are overridden by this spec's, so the balance checkers
-    /// stay exact.
+    /// goodput re-convergence checker. The generator's `accounts` is
+    /// overridden by this spec's, so the balance checkers stay exact.
     pub overload: Option<OpenLoopSpec>,
     /// Metastability tolerance: post-surge goodput must recover to at
     /// least `100 / reconverge_factor_pct` of the pre-surge baseline.
@@ -84,15 +83,8 @@ impl Default for ChaosSpec {
     fn default() -> Self {
         ChaosSpec {
             accounts: 16,
-            read_pct: 40,
-            clients_per_node: 1,
-            initial_balance: 1_000,
             horizon: SimDuration::from_secs(4),
             recovery: SimDuration::from_secs(3),
-            drain: SimDuration::from_secs(60),
-            probe: SimDuration::from_millis(200),
-            quiet_grace: SimDuration::from_millis(700),
-            progress_window: SimDuration::from_millis(1_200),
             detector: false,
             overload: None,
             reconverge_factor_pct: 300,
@@ -250,7 +242,7 @@ pub fn run_plan<P: ChaosTarget + 'static>(
     let sim = proto.sim().clone();
     sim.record_engine_events(true);
     for i in 0..spec.accounts {
-        proto.preload(ObjectId(i), ObjVal::Int(spec.initial_balance));
+        proto.preload(ObjectId(i), ObjVal::Int(INITIAL_BALANCE));
     }
     proto.begin_history();
 
@@ -276,7 +268,6 @@ pub fn run_plan<P: ChaosTarget + 'static>(
             nodes,
             OpenLoopSpec {
                 accounts: spec.accounts,
-                read_pct: spec.read_pct,
                 ..ospec
             },
             Rc::clone(&control),
@@ -285,33 +276,31 @@ pub fn run_plan<P: ChaosTarget + 'static>(
         );
         Some((control, tallies))
     } else {
-        // One set of clients per node; a client whose node is down idles
-        // until it comes back (a crashed node runs no workload).
+        // One client per node; a client whose node is down idles until it
+        // comes back (a crashed node runs no workload).
         for node in 0..nodes as u32 {
-            for _ in 0..spec.clients_per_node {
-                let p = Rc::clone(&proto);
-                let stop = Rc::clone(&stop);
-                let s = sim.clone();
-                let spec = *spec;
-                sim.spawn(async move {
-                    while !stop.get() {
-                        if !s.is_alive(NodeId(node)) {
-                            s.sleep(spec.probe).await;
-                            continue;
-                        }
-                        let a = s.rand_below(spec.accounts);
-                        let mut b = s.rand_below(spec.accounts);
-                        if b == a {
-                            b = (b + 1) % spec.accounts;
-                        }
-                        if s.rand_below(100) < u64::from(spec.read_pct) {
-                            audit(&*p, NodeId(node), ObjectId(a), ObjectId(b)).await;
-                        } else {
-                            transfer(&*p, NodeId(node), ObjectId(a), ObjectId(b), 5).await;
-                        }
+            let p = Rc::clone(&proto);
+            let stop = Rc::clone(&stop);
+            let s = sim.clone();
+            let accounts = spec.accounts;
+            sim.spawn(async move {
+                while !stop.get() {
+                    if !s.is_alive(NodeId(node)) {
+                        s.sleep(PROBE).await;
+                        continue;
                     }
-                });
-            }
+                    let a = s.rand_below(accounts);
+                    let mut b = s.rand_below(accounts);
+                    if b == a {
+                        b = (b + 1) % accounts;
+                    }
+                    if s.rand_below(100) < READ_PCT {
+                        audit(&*p, NodeId(node), ObjectId(a), ObjectId(b)).await;
+                    } else {
+                        transfer(&*p, NodeId(node), ObjectId(a), ObjectId(b), 5).await;
+                    }
+                }
+            });
         }
         None
     };
@@ -325,7 +314,6 @@ pub fn run_plan<P: ChaosTarget + 'static>(
         let out = Rc::clone(&samples);
         let tallies = load.as_ref().map(|(_, t)| Rc::clone(t));
         let s = sim.clone();
-        let probe = spec.probe;
         sim.spawn(async move {
             while !stop.get() {
                 let commits = p.protocol_stats().commits;
@@ -337,7 +325,7 @@ pub fn run_plan<P: ChaosTarget + 'static>(
                     goodput: tallies.as_ref().map_or(commits, |t| t.goodput.get()),
                     quiet: st.borrow().quiet(),
                 });
-                s.sleep(probe).await;
+                s.sleep(PROBE).await;
             }
         });
     }
@@ -398,7 +386,7 @@ pub fn run_plan<P: ChaosTarget + 'static>(
         h.stop();
     }
     stop.set(true);
-    sim.run_for(spec.drain);
+    sim.run_for(DRAIN);
     let drained = sim.live_tasks() == 0;
 
     // Post-hoc checks, only on quiescent state — a cut through an
@@ -409,7 +397,7 @@ pub fn run_plan<P: ChaosTarget + 'static>(
             .collect();
         violations.extend(check_balances(
             &balances,
-            spec.initial_balance * spec.accounts as i64,
+            INITIAL_BALANCE * spec.accounts as i64,
         ));
         // Durability: no write acknowledged to a client may be missing
         // from committed state, no matter how many amnesiac restarts or
@@ -436,15 +424,15 @@ pub fn run_plan<P: ChaosTarget + 'static>(
     );
     violations.extend(check_liveness(
         &samples.borrow(),
-        spec.quiet_grace,
-        spec.progress_window,
+        QUIET_GRACE,
+        PROGRESS_WINDOW,
     ));
     if spec.overload.is_some() {
         // Metastability: after the surge ends, within-deadline goodput
         // must re-converge toward its pre-surge baseline.
         violations.extend(check_goodput_reconvergence(
             &samples.borrow(),
-            spec.quiet_grace,
+            QUIET_GRACE,
             spec.reconverge_factor_pct,
         ));
     }
@@ -722,9 +710,12 @@ fn heal_all<P: ChaosTarget>(
 mod tests {
     use super::*;
     use crate::generate::{generate, FaultBudget};
-    use crate::plan::FaultEvent;
     use qrdtm_baselines::{TfaCluster, TfaConfig};
     use qrdtm_core::{Cluster, DtmConfig, NestingMode};
+
+    fn plan(text: &str) -> FaultPlan {
+        FaultPlan::parse(text).expect("test plan parses")
+    }
 
     fn quick_spec() -> ChaosSpec {
         ChaosSpec {
@@ -756,30 +747,10 @@ mod tests {
 
     #[test]
     fn partitions_and_drops_are_demonstrably_exercised() {
-        let plan = FaultPlan::new(vec![
-            FaultEvent {
-                at: SimDuration::from_millis(200),
-                kind: FaultKind::Partition {
-                    groups: vec![vec![0, 1, 2, 3, 4], vec![5, 6, 7, 8, 9]],
-                },
-            },
-            FaultEvent {
-                at: SimDuration::from_millis(700),
-                kind: FaultKind::Heal,
-            },
-            FaultEvent {
-                at: SimDuration::from_millis(800),
-                kind: FaultKind::DropLink {
-                    from: 9,
-                    to: 0,
-                    permille: 500,
-                },
-            },
-            FaultEvent {
-                at: SimDuration::from_millis(1_300),
-                kind: FaultKind::HealLink { from: 9, to: 0 },
-            },
-        ]);
+        let plan = plan(
+            "@200000us partition 0,1,2,3,4|5,6,7,8,9\n@700000us heal\n\
+             @800000us drop 9->0 500\n@1300000us heal-link 9->0",
+        );
         let r = run_plan(qr(2), 10, &quick_spec(), &plan);
         assert!(r.ok(), "violations: {:?}", r.violations);
         assert_eq!(r.applied, 4);
@@ -805,19 +776,7 @@ mod tests {
 
     #[test]
     fn unsupported_faults_are_skipped_on_baselines() {
-        let plan = FaultPlan::new(vec![
-            FaultEvent {
-                at: SimDuration::from_millis(200),
-                kind: FaultKind::Crash { node: 1 },
-            },
-            FaultEvent {
-                at: SimDuration::from_millis(400),
-                kind: FaultKind::Slow {
-                    node: 2,
-                    factor_pct: 400,
-                },
-            },
-        ]);
+        let plan = plan("@200000us crash 1\n@400000us slow 2 400");
         let tfa = Rc::new(TfaCluster::new(TfaConfig {
             nodes: 10,
             seed: 4,
@@ -846,16 +805,7 @@ mod tests {
         // eject the victim, the cluster keep committing, and the rejoin
         // happen on its own — all checked by the detector-mode checkers
         // (detection latency, membership convergence) inside run_plan.
-        let plan = FaultPlan::new(vec![
-            FaultEvent {
-                at: SimDuration::from_millis(300),
-                kind: FaultKind::Crash { node: 1 },
-            },
-            FaultEvent {
-                at: SimDuration::from_millis(1_000),
-                kind: FaultKind::Recover { node: 1 },
-            },
-        ]);
+        let plan = plan("@300000us crash 1\n@1000000us recover 1");
         let spec = ChaosSpec {
             detector: true,
             ..quick_spec()
@@ -880,18 +830,7 @@ mod tests {
         // Isolate one node: alive the whole time, but silent across the
         // cut — the detector must (falsely) suspect it, and the run must
         // still conserve balances and serialize.
-        let plan = FaultPlan::new(vec![
-            FaultEvent {
-                at: SimDuration::from_millis(300),
-                kind: FaultKind::Partition {
-                    groups: vec![vec![1], vec![0, 2, 3, 4, 5, 6, 7, 8, 9]],
-                },
-            },
-            FaultEvent {
-                at: SimDuration::from_millis(1_000),
-                kind: FaultKind::Heal,
-            },
-        ]);
+        let plan = plan("@300000us partition 1|0,2,3,4,5,6,7,8,9\n@1000000us heal");
         let spec = ChaosSpec {
             detector: true,
             ..quick_spec()
@@ -921,20 +860,8 @@ mod tests {
 
     #[test]
     fn amnesia_crash_recovers_durably() {
-        let plan = FaultPlan::new(vec![
-            FaultEvent {
-                at: SimDuration::from_millis(400),
-                kind: FaultKind::CorruptTail { node: 2 },
-            },
-            FaultEvent {
-                at: SimDuration::from_millis(400),
-                kind: FaultKind::CrashAmnesia { node: 2 },
-            },
-            FaultEvent {
-                at: SimDuration::from_millis(1_100),
-                kind: FaultKind::Recover { node: 2 },
-            },
-        ]);
+        let plan =
+            plan("@400000us corrupt-tail 2\n@400000us crash-amnesia 2\n@1100000us recover 2");
         let r = run_plan(qr_durable(9), 10, &quick_spec(), &plan);
         assert!(
             r.ok(),
@@ -951,10 +878,7 @@ mod tests {
 
     #[test]
     fn amnesia_is_skipped_without_durable_storage() {
-        let plan = FaultPlan::new(vec![FaultEvent {
-            at: SimDuration::from_millis(300),
-            kind: FaultKind::CrashAmnesia { node: 1 },
-        }]);
+        let plan = plan("@300000us crash-amnesia 1");
         let r = run_plan(qr(10), 10, &quick_spec(), &plan);
         assert!(r.ok(), "violations: {:?}", r.violations);
         assert_eq!(r.skipped, 1, "memory-only replicas cannot restart");
@@ -967,30 +891,10 @@ mod tests {
         // Crash a replica, then the planner (node 0) — the successor must
         // replan from acknowledged state; then cut the cluster in half and
         // heal. Every checker, including batch atomicity, must stay clean.
-        let plan = FaultPlan::new(vec![
-            FaultEvent {
-                at: SimDuration::from_millis(200),
-                kind: FaultKind::Crash { node: 6 },
-            },
-            FaultEvent {
-                at: SimDuration::from_millis(400),
-                kind: FaultKind::Crash { node: 0 },
-            },
-            FaultEvent {
-                at: SimDuration::from_millis(800),
-                kind: FaultKind::Recover { node: 6 },
-            },
-            FaultEvent {
-                at: SimDuration::from_millis(900),
-                kind: FaultKind::Partition {
-                    groups: vec![vec![1, 2, 3, 4, 5], vec![0, 6, 7, 8, 9]],
-                },
-            },
-            FaultEvent {
-                at: SimDuration::from_millis(1_300),
-                kind: FaultKind::Heal,
-            },
-        ]);
+        let plan = plan(
+            "@200000us crash 6\n@400000us crash 0\n@800000us recover 6\n\
+             @900000us partition 1,2,3,4,5|0,6,7,8,9\n@1300000us heal",
+        );
         let c = Rc::new(QStoreCluster::new(QStoreConfig {
             nodes: 10,
             seed: 11,
@@ -1015,28 +919,10 @@ mod tests {
         // Torn-tail + amnesiac restart of a replica, then an amnesiac
         // planner crash: replay + epoch repair must restore everything the
         // clients were acked, and the durability checker must stay clean.
-        let plan = FaultPlan::new(vec![
-            FaultEvent {
-                at: SimDuration::from_millis(400),
-                kind: FaultKind::CorruptTail { node: 3 },
-            },
-            FaultEvent {
-                at: SimDuration::from_millis(400),
-                kind: FaultKind::CrashAmnesia { node: 3 },
-            },
-            FaultEvent {
-                at: SimDuration::from_millis(700),
-                kind: FaultKind::CrashAmnesia { node: 0 },
-            },
-            FaultEvent {
-                at: SimDuration::from_millis(1_000),
-                kind: FaultKind::Recover { node: 3 },
-            },
-            FaultEvent {
-                at: SimDuration::from_millis(1_200),
-                kind: FaultKind::Recover { node: 0 },
-            },
-        ]);
+        let plan = plan(
+            "@400000us corrupt-tail 3\n@400000us crash-amnesia 3\n@700000us crash-amnesia 0\n\
+             @1000000us recover 3\n@1200000us recover 0",
+        );
         let c = Rc::new(QStoreCluster::new(QStoreConfig {
             nodes: 10,
             seed: 12,
@@ -1065,10 +951,7 @@ mod tests {
     #[test]
     fn qstore_amnesia_is_skipped_without_durable_storage() {
         use qrdtm_qstore::{QStoreCluster, QStoreConfig};
-        let plan = FaultPlan::new(vec![FaultEvent {
-            at: SimDuration::from_millis(300),
-            kind: FaultKind::CrashAmnesia { node: 1 },
-        }]);
+        let plan = plan("@300000us crash-amnesia 1");
         let c = Rc::new(QStoreCluster::new(QStoreConfig {
             nodes: 10,
             seed: 13,
@@ -1081,16 +964,7 @@ mod tests {
     }
 
     fn surge_plan() -> FaultPlan {
-        FaultPlan::new(vec![
-            FaultEvent {
-                at: SimDuration::from_millis(600),
-                kind: FaultKind::Surge { factor_pct: 600 },
-            },
-            FaultEvent {
-                at: SimDuration::from_millis(1_400),
-                kind: FaultKind::Calm,
-            },
-        ])
+        plan("@600000us surge 600\n@1400000us calm")
     }
 
     fn overload_spec(protect: bool) -> ChaosSpec {
@@ -1184,27 +1058,9 @@ mod tests {
         // Flash crowd onto a node that is simultaneously running slow —
         // overload and gray failure at once, the scenario the paper's
         // fault model never priced in. All checkers must still pass.
-        let plan = FaultPlan::new(vec![
-            FaultEvent {
-                at: SimDuration::from_millis(400),
-                kind: FaultKind::Slow {
-                    node: 3,
-                    factor_pct: 300,
-                },
-            },
-            FaultEvent {
-                at: SimDuration::from_millis(600),
-                kind: FaultKind::FlashCrowd { node: 3 },
-            },
-            FaultEvent {
-                at: SimDuration::from_millis(1_300),
-                kind: FaultKind::Calm,
-            },
-            FaultEvent {
-                at: SimDuration::from_millis(1_500),
-                kind: FaultKind::Restore { node: 3 },
-            },
-        ]);
+        let plan = plan(
+            "@400000us slow 3 300\n@600000us flash-crowd 3\n@1300000us calm\n@1500000us restore 3",
+        );
         let r = run_plan(qr_overload(23), 10, &overload_spec(true), &plan);
         assert!(
             r.ok(),

@@ -8,8 +8,8 @@ use std::rc::Rc;
 use qrdtm_baselines::{DecentCluster, TfaCluster};
 use qrdtm_core::history::verify;
 use qrdtm_core::{
-    spawn_detector, Cluster, CommitRecord, DetectorHandle, Membership, ObjVal, ObjectId, SimHosted,
-    Version,
+    spawn_detector, Cluster, CommitRecord, DetectorConfig, DetectorHandle, Membership, ObjVal,
+    ObjectId, SimHosted, Version,
 };
 use qrdtm_qstore::QStoreCluster;
 use qrdtm_sim::{NodeId, SimDuration};
@@ -250,7 +250,7 @@ impl ChaosTarget for Cluster {
     fn detection_bound(&self) -> Option<SimDuration> {
         self.config()
             .detector
-            .map(|d| d.detection_bound(self.transfer_cost()))
+            .map(|_| DetectorConfig::detection_bound(self.transfer_cost()))
     }
 
     fn begin_history(&self) {
@@ -332,7 +332,7 @@ impl ChaosTarget for QStoreCluster {
     fn detection_bound(&self) -> Option<SimDuration> {
         self.config()
             .detector
-            .map(|d| d.detection_bound(self.config().transfer_cost))
+            .map(|_| DetectorConfig::detection_bound(self.config().transfer_cost))
     }
 
     fn begin_history(&self) {

@@ -21,26 +21,6 @@ use crate::stats::DtmStats;
 use crate::store::{NodeStore, ReadOutcome};
 use crate::txid::{NestingMode, TxId};
 
-/// What a transaction does when the object it requests is commit-locked.
-///
-/// The paper's PR/PW lists exist so "contention managers \[can\] decide which
-/// transaction needs to be aborted or committed"; these are the two
-/// simplest such managers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LockPolicy {
-    /// Abort the requester's innermost scope immediately (the default, and
-    /// the behaviour the evaluation uses).
-    AbortRequester,
-    /// Retry the read up to `max_waits` times after `pause`, since commit
-    /// locks are transient (~one round trip); abort only after that.
-    WaitRetry {
-        /// Retries before giving up and aborting.
-        max_waits: u32,
-        /// Pause between retries.
-        pause: SimDuration,
-    },
-}
-
 /// Link-latency specification (kept plain-data so configs are `Clone`).
 #[derive(Clone, Debug)]
 pub enum LatencySpec {
@@ -127,19 +107,12 @@ pub struct DtmConfig {
     /// it off under QR-CN is the ablation showing why local CT commits need
     /// it: conflicts then surface only at root commit.
     pub rqv: bool,
-    /// Contention policy for reads of commit-locked objects.
-    pub lock_policy: LockPolicy,
     /// Run the heartbeat failure detector ([`crate::spawn_detector`])
     /// instead of relying on an oracle to call
     /// [`Cluster::fail_node`]/[`Cluster::recover_node`]. Also arms the
     /// transport's retry/hedging path. `None` (the default) keeps the
     /// classic oracle-driven model byte-for-byte identical.
     pub detector: Option<crate::engine::DetectorConfig>,
-    /// Time a rejoining node spends busy receiving the state transfer
-    /// before it serves requests again. `None` derives it from the object
-    /// census: one nominal link latency per object (a naive
-    /// one-object-per-message pull from a donor).
-    pub transfer_latency: Option<SimDuration>,
     /// Give every replica a simulated disk with a write-ahead log and
     /// periodic snapshots (see [`crate::Wal`]). Arms the
     /// crash-restart-with-amnesia semantics
@@ -153,9 +126,9 @@ pub struct DtmConfig {
     /// see [`InjectedBug`]). `None` (the default) is the correct protocol.
     pub injected_bug: Option<InjectedBug>,
     /// Graceful-degradation machinery for open-loop overload: client-side
-    /// retry token budget, deadline-aware early abort, hedge suppression
-    /// under saturation pressure, and the admission-queue bound open-loop
-    /// drivers enforce. `None` (the default) keeps the engine's behaviour
+    /// retry token budget, deadline-aware early abort and hedge suppression
+    /// under saturation pressure (open-loop drivers enforce their own
+    /// admission-queue bound). `None` (the default) keeps the engine's behaviour
     /// byte-for-byte identical to the pre-overload model.
     pub overload: Option<OverloadConfig>,
 }
@@ -166,9 +139,6 @@ pub struct DtmConfig {
 /// dropped or suppressed.
 #[derive(Clone, Copy, Debug)]
 pub struct OverloadConfig {
-    /// Bound on each node's admission queue: open-loop drivers shed (count,
-    /// never enqueue) arrivals that would push the queue past this depth.
-    pub queue_bound: usize,
     /// Capacity of the client-side retry token bucket. Every transaction
     /// retry draws one token; an empty bucket delays the retry until a
     /// token drips or a commit mints one, bounding the cluster-wide retry
@@ -186,7 +156,6 @@ pub struct OverloadConfig {
 impl Default for OverloadConfig {
     fn default() -> Self {
         OverloadConfig {
-            queue_bound: 64,
             retry_budget_cap: 64,
             retry_refill_per_commit: 2,
             retry_drip: SimDuration::from_millis(50),
@@ -241,9 +210,7 @@ impl Default for DtmConfig {
             backoff_max: SimDuration::from_millis(120),
             rpc_timeout: Some(SimDuration::from_millis(500)),
             rqv: true,
-            lock_policy: LockPolicy::AbortRequester,
             detector: None,
-            transfer_latency: None,
             durability: None,
             injected_bug: None,
             overload: None,
@@ -405,11 +372,7 @@ impl Cluster {
                                 version,
                                 val,
                             },
-                            ReadOutcome::Abort(target) => Msg::ReadAbort {
-                                target,
-                                busy: false,
-                            },
-                            ReadOutcome::Busy(target) => Msg::ReadAbort { target, busy: true },
+                            ReadOutcome::Abort(target) => Msg::ReadAbort { target },
                         };
                         ctx.respond(&env, reply);
                     }
@@ -700,8 +663,7 @@ impl Cluster {
     /// nodes before the node re-enters the quorum view. The transfer's
     /// install is atomic w.r.t. the view change, but its *cost* is charged
     /// to the rejoining node as server occupancy
-    /// ([`DtmConfig::transfer_latency`], defaulting to one nominal link
-    /// latency per transferred object), so requests routed to a fresh
+    /// ([`Cluster::transfer_cost`]), so requests routed to a fresh
     /// joiner queue behind the transfer in fig10-style runs.
     pub fn recover_node(&self, node: NodeId) -> Result<(), QuorumError> {
         // Idempotent: recovering a node that is alive in both the quorum
@@ -838,22 +800,20 @@ impl Cluster {
         cost
     }
 
-    /// The state-transfer occupancy a rejoining node is charged
-    /// ([`DtmConfig::transfer_latency`], defaulting to one nominal link
-    /// latency per object in the census) — exposed so detectors and
-    /// checkers can bound how long a fresh joiner may stay silent.
+    /// The state-transfer occupancy a rejoining node is charged before it
+    /// serves requests again: one nominal link latency per object in the
+    /// census (a naive one-object-per-message pull from a donor) — exposed
+    /// so detectors and checkers can bound how long a fresh joiner may
+    /// stay silent.
     pub fn transfer_cost(&self) -> SimDuration {
-        self.inner.cfg.transfer_latency.unwrap_or_else(|| {
-            // Full replication: any store knows the census.
-            let census = self.inner.stores[0].borrow().object_ids().len();
-            self.inner.cfg.latency.nominal() * census as u64
-        })
+        // Full replication: any store knows the census.
+        let census = self.inner.stores[0].borrow().object_ids().len();
+        self.inner.cfg.latency.nominal() * census as u64
     }
 
     /// Bring `node`'s replica up to the max-version copy held by the other
     /// alive nodes and return the occupancy cost to charge for it
-    /// ([`DtmConfig::transfer_latency`], defaulting to one nominal link
-    /// latency per transferred object).
+    /// ([`Cluster::transfer_cost`]).
     fn state_transfer_to(&self, node: NodeId) -> SimDuration {
         let oids: Vec<ObjectId> = {
             // Any alive store knows the full object census (full replication).

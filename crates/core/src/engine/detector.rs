@@ -49,20 +49,13 @@ use qrdtm_sim::{
 
 use crate::cluster::Cluster;
 
-/// Knobs of the failure detector and the transport robustness that rides
+/// Arms the failure detector and the transport robustness that rides
 /// along with it (see [`DtmConfig::detector`](crate::DtmConfig::detector)).
+/// Heartbeat period, jitter and suspicion threshold are
+/// [`HeartbeatConfig::default`]'s: every 50 ms ± 20 %, suspected after four
+/// silent intervals.
 #[derive(Clone, Copy, Debug)]
 pub struct DetectorConfig {
-    /// Heartbeat period (each node, to every other node).
-    pub interval: SimDuration,
-    /// Relative jitter on the period (seeded; desynchronizes emitters).
-    pub jitter: f64,
-    /// Suspect a node after this many silent intervals. Lower detects
-    /// faster but false-suspects slow-but-alive nodes more often.
-    pub suspect_after: u32,
-    /// Transport: re-issue a timed-out quorum RPC up to this many times
-    /// (capped exponential backoff between attempts) before aborting.
-    pub rpc_retries: u32,
     /// Transport: send read rounds to `read_q + hedge` destinations and
     /// accept the first `|read_q|` replies, masking slow members at the
     /// cost of wasted replies. 0 disables hedging.
@@ -71,22 +64,16 @@ pub struct DetectorConfig {
 
 impl Default for DetectorConfig {
     fn default() -> Self {
-        DetectorConfig {
-            interval: SimDuration::from_millis(50),
-            jitter: 0.2,
-            suspect_after: 4,
-            rpc_retries: 2,
-            hedge: 1,
-        }
+        DetectorConfig { hedge: 1 }
     }
 }
 
-impl DetectorConfig {
-    /// Silence threshold beyond which a node is suspected.
-    pub fn suspect_window(&self) -> SimDuration {
-        self.interval * u64::from(self.suspect_after)
-    }
+/// Transport, with a detector configured: re-issue a timed-out quorum RPC
+/// up to this many times (capped exponential backoff between attempts)
+/// before aborting.
+pub(crate) const RPC_RETRIES: u32 = 2;
 
+impl DetectorConfig {
     /// How long after a crash the detector may take to raise its suspicion
     /// (and, after a heal, to readmit the node) before a checker flags it.
     /// Suspicion fires once silence exceeds the window; twice the window
@@ -95,16 +82,9 @@ impl DetectorConfig {
     /// covers a node that crashes right after rejoining: the detector
     /// deliberately does not suspect a joiner whose heartbeats queue behind
     /// the state transfer it was just charged.
-    pub fn detection_bound(&self, transfer_cost: SimDuration) -> SimDuration {
-        self.suspect_window() * 2 + self.interval * 4 + transfer_cost
-    }
-
-    pub(crate) fn heartbeat(&self) -> HeartbeatConfig {
-        HeartbeatConfig {
-            interval: self.interval,
-            jitter: self.jitter,
-            suspect_after: self.suspect_after,
-        }
+    pub fn detection_bound(transfer_cost: SimDuration) -> SimDuration {
+        let hb = HeartbeatConfig::default();
+        hb.suspect_window() * 2 + hb.interval * 4 + transfer_cost
     }
 }
 
@@ -225,11 +205,11 @@ impl DetectorHandle {
 /// heal nodes in the simulator and the view follows within a bounded
 /// number of heartbeat intervals.
 pub fn spawn_detector(cluster: &Rc<Cluster>) -> DetectorHandle {
-    let cfg = cluster
-        .config()
-        .detector
-        .expect("spawn_detector requires DtmConfig::detector");
-    spawn_detector_on(Rc::clone(cluster), cluster.sim().clone(), cfg)
+    assert!(
+        cluster.config().detector.is_some(),
+        "spawn_detector requires DtmConfig::detector"
+    );
+    spawn_detector_on(Rc::clone(cluster), cluster.sim().clone())
 }
 
 /// [`spawn_detector`] for any [`Membership`] view hosted on `sim`,
@@ -237,9 +217,9 @@ pub fn spawn_detector(cluster: &Rc<Cluster>) -> DetectorHandle {
 pub fn spawn_detector_on<M: SimMessage, V: Membership + 'static>(
     view: Rc<V>,
     sim: Sim<M>,
-    cfg: DetectorConfig,
 ) -> DetectorHandle {
-    sim.start_heartbeats(cfg.heartbeat());
+    let hb = HeartbeatConfig::default();
+    sim.start_heartbeats(hb);
     let stop = Rc::new(Cell::new(false));
     let handle = DetectorHandle {
         stop: Rc::clone(&stop),
@@ -251,11 +231,11 @@ pub fn spawn_detector_on<M: SimMessage, V: Membership + 'static>(
     sim.clone().spawn(async move {
         let mut st = DetectorState::new(view.node_count());
         loop {
-            sim.sleep(cfg.interval).await;
+            sim.sleep(hb.interval).await;
             if stop.get() {
                 return;
             }
-            tick(&*view, &sim, &cfg, &mut st);
+            tick(&*view, &sim, hb.suspect_window(), &mut st);
         }
     });
     handle
@@ -289,12 +269,11 @@ impl DetectorState {
 fn tick<M: SimMessage>(
     cluster: &impl Membership,
     sim: &Sim<M>,
-    cfg: &DetectorConfig,
+    window: SimDuration,
     st: &mut DetectorState,
 ) {
     let nodes = cluster.node_count();
     let now = sim.now();
-    let window = cfg.suspect_window();
     let fresh = |observer: NodeId, sender: NodeId| {
         now.saturating_since(sim.last_heartbeat(observer, sender)) <= window
     };

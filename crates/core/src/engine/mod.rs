@@ -57,21 +57,17 @@ mod tests;
 
 use std::cell::RefCell;
 use std::future::Future;
-use std::pin::Pin;
 use std::rc::Rc;
 
 use qrdtm_sim::{Counter, EngineEventKind, NodeId, Sim, SimDuration, SimTime};
 
-use crate::cluster::{ClusterInner, LockPolicy};
+use crate::cluster::ClusterInner;
 use crate::msg::{Msg, ValidationKind};
 use crate::object::{ObjVal, ObjectId};
-use crate::txid::{Abort, AbortTarget, TxId};
+use crate::txid::{Abort, AbortTarget};
 
 use nesting::{Cached, Frame, NestingPolicy, TxState};
 use transport::Endpoint;
-
-/// A compensating action: a transaction body undoing an open CT's effects.
-type Compensation = Rc<dyn Fn(Tx) -> Pin<Box<dyn Future<Output = Result<(), Abort>>>>>;
 
 /// Encode an abort target into an [`EngineEventKind::AbortWithTarget`]
 /// event's `detail` field: levels map to their value, checkpoint targets
@@ -144,7 +140,6 @@ impl Client {
             st: Rc::new(RefCell::new(TxState::new(
                 self.ep.inner.fresh_txid(self.ep.node),
             ))),
-            comps: Rc::new(RefCell::new(Vec::new())),
             ep: self.ep.clone(),
             level: 0,
         }
@@ -158,10 +153,6 @@ impl Client {
 #[derive(Clone)]
 pub struct Tx {
     st: Rc<RefCell<TxState>>,
-    /// Compensations recorded by committed open CTs of the current attempt
-    /// (run newest-first if the attempt aborts). Kept on the handle, not in
-    /// [`TxState`], so the state layer never names the handle type.
-    comps: Rc<RefCell<Vec<Compensation>>>,
     ep: Endpoint,
     level: u32,
 }
@@ -190,11 +181,6 @@ impl Tx {
     /// Err(tx.abort_here())` to retry with fresh reads.
     pub fn abort_here(&self) -> Abort {
         self.policy().abort_here(self.level)
-    }
-
-    /// The root transaction id of the current attempt.
-    pub fn root_id(&self) -> TxId {
-        self.st.borrow().root
     }
 
     /// The node this transaction executes on.
@@ -251,52 +237,25 @@ impl Tx {
         let (root, cur_chk, entries, kind, deadline) = {
             let st = self.st.borrow();
             let (kind, entries) = validation::read_validation(&st, self.ep.inner.cfg.rqv, pol);
-            // Freeze the validation payload once: the wait-retry loop below
-            // re-sends it every round, and each send clones per quorum
-            // member — all of which now share this one allocation.
             let entries: crate::pool::Payload<_> = entries.into();
             (st.root, st.cur_chk(), entries, kind, st.deadline)
         };
-        let mut waits = 0u32;
-        let (version, fetched) = loop {
-            let round = self
-                .ep
-                .read_round(
-                    root,
-                    self.level,
-                    cur_chk,
-                    oid,
-                    is_write,
-                    entries.clone(),
-                    kind,
-                    deadline,
-                )
-                .await?;
-            if round.hedged {
-                // The accepted set was not the designated read quorum; the
-                // zero-message read-only commit must not trust it.
-                self.st.borrow_mut().hedged_reads = true;
-            }
-            let r = validation::resolve_replies(round.replies);
-            if let Some(target) = r.abort {
-                // Transient commit locks may be waited out instead of
-                // aborting, if the contention policy says so.
-                if r.only_busy {
-                    if let LockPolicy::WaitRetry { max_waits, pause } =
-                        self.ep.inner.cfg.lock_policy
-                    {
-                        if waits < max_waits {
-                            waits += 1;
-                            self.ep.inner.stats.borrow_mut().lock_waits += 1;
-                            self.ep.sim.sleep(pause).await;
-                            continue;
-                        }
-                    }
-                }
-                return Err(Abort { target });
-            }
-            break r.best.expect("non-empty read quorum");
-        };
+        let round = self
+            .ep
+            .read_round(
+                root, self.level, cur_chk, oid, is_write, entries, kind, deadline,
+            )
+            .await?;
+        if round.hedged {
+            // The accepted set was not the designated read quorum; the
+            // zero-message read-only commit must not trust it.
+            self.st.borrow_mut().hedged_reads = true;
+        }
+        let r = validation::resolve_replies(round.replies);
+        if let Some(target) = r.abort {
+            return Err(Abort { target });
+        }
+        let (version, fetched) = r.best.expect("non-empty read quorum");
         if kind != ValidationKind::None {
             self.ep
                 .sim
@@ -336,7 +295,7 @@ impl Tx {
         }
         let child_level = self.level + 1;
         loop {
-            let comp_mark = {
+            {
                 let mut st = self.st.borrow_mut();
                 debug_assert_eq!(
                     st.frames.len(),
@@ -344,8 +303,7 @@ impl Tx {
                     "closed() called from the innermost active scope"
                 );
                 st.frames.push(Frame::default());
-                self.comps.borrow().len()
-            };
+            }
             let mut child = self.clone();
             child.level = child_level;
             match body(child).await {
@@ -379,9 +337,6 @@ impl Tx {
                     // promptly — the whole point of closed nesting is that
                     // the retry is cheap, so it only takes a jittered
                     // de-synchronization delay, not an escalating backoff.
-                    // Open CTs the failed attempt already published must be
-                    // compensated first, or the retry would double-apply.
-                    self.compensate_down_to(comp_mark).await;
                     self.st.borrow_mut().frames.truncate(child_level as usize);
                     self.ep.inner.stats.borrow_mut().ct_aborts += 1;
                     self.backoff(false).await;
@@ -393,85 +348,6 @@ impl Tx {
                 }
             }
         }
-    }
-
-    /// Run `body` as an **open-nested** transaction (the QR-ON extension;
-    /// the paper's §I-A taxonomy defines open nesting and defers it to
-    /// related work, N-TFA/TFA-ON style).
-    ///
-    /// The body executes as an independent sub-transaction with its own
-    /// read/write sets and commits **globally** through the regular quorum
-    /// two-phase commit as soon as it succeeds — its effects are visible to
-    /// every other transaction before the enclosing one commits. In
-    /// exchange, the caller supplies `compensate`: if the enclosing
-    /// transaction attempt later aborts, the recorded compensations run (in
-    /// reverse order, each as its own committed transaction) to undo the
-    /// published effects.
-    ///
-    /// Like classical open nesting, correctness is *abstract*
-    /// serializability: the body and its compensation must be semantic
-    /// inverses at the data-structure level (insert/remove, credit/debit) —
-    /// the engine does not check this. Under flat and checkpoint modes the
-    /// body runs inline like [`Tx::closed`] (no early publication, no
-    /// compensation recorded).
-    pub async fn open<T, F, Fut, C>(&self, body: F, compensate: C) -> Result<T, Abort>
-    where
-        F: Fn(Tx) -> Fut,
-        Fut: Future<Output = Result<T, Abort>>,
-        C: Fn(Tx) -> Pin<Box<dyn Future<Output = Result<(), Abort>>>> + 'static,
-    {
-        if !self.policy().real_nested_scopes() {
-            return body(self.clone()).await;
-        }
-        let v = self.run_subtransaction(&body).await;
-        self.comps.borrow_mut().push(Rc::new(compensate));
-        self.ep.inner.stats.borrow_mut().open_commits += 1;
-        Ok(v)
-    }
-
-    /// Run a body as an independent flat sub-transaction to commit
-    /// (retrying internally), leaving the enclosing transaction's state
-    /// untouched.
-    async fn run_subtransaction<T, F, Fut>(&self, body: &F) -> T
-    where
-        F: Fn(Tx) -> Fut,
-        Fut: Future<Output = Result<T, Abort>>,
-    {
-        let client = Client {
-            ep: self.ep.clone(),
-        };
-        client.run(body).await
-    }
-
-    /// Execute and clear the recorded compensations, newest first. Each
-    /// runs as its own committed transaction (it must: the effects it
-    /// undoes are already globally visible).
-    /// Boxed to break the async type cycle `run -> run_compensations ->
-    /// run` (compensation bodies are flat and never record further
-    /// compensations).
-    pub(crate) fn run_compensations(&self) -> Pin<Box<dyn Future<Output = ()>>> {
-        self.compensate_down_to(0)
-    }
-
-    /// Pop and execute compensations until only `mark` remain — the
-    /// watermark form lets a retrying closed CT undo exactly the open CTs
-    /// it published during the failed attempt.
-    fn compensate_down_to(&self, mark: usize) -> Pin<Box<dyn Future<Output = ()>>> {
-        let tx = self.clone();
-        Box::pin(async move {
-            loop {
-                let comp = {
-                    let mut comps = tx.comps.borrow_mut();
-                    if comps.len() <= mark {
-                        return;
-                    }
-                    comps.pop()
-                };
-                let Some(comp) = comp else { return };
-                tx.ep.inner.stats.borrow_mut().compensations += 1;
-                tx.run_subtransaction(&|t| comp(t)).await;
-            }
-        })
     }
 
     /// QR-CHK: create a checkpoint when the data set grew by the threshold
@@ -501,14 +377,9 @@ impl Tx {
         );
     }
 
-    /// Try to commit this root transaction's current attempt; clears the
-    /// recorded compensations on success (they are no longer needed — the
-    /// attempt's open CTs stand).
+    /// Try to commit this root transaction's current attempt.
     pub(crate) async fn commit_attempt(&self) -> Result<(), Abort> {
-        let pol = self.policy();
-        commit::commit_root(&self.ep, &self.st, pol).await?;
-        self.comps.borrow_mut().clear();
-        Ok(())
+        commit::commit_root(&self.ep, &self.st, self.policy()).await
     }
 
     /// Arm (or clear) a completion deadline for this transaction. Quorum
@@ -578,7 +449,7 @@ impl Tx {
 
     /// Prepare the next attempt after an aborted one: emit the abort event,
     /// then either roll back to the targeted checkpoint (QR-CHK partial
-    /// abort) or compensate, fully reset and take escalating backoff.
+    /// abort) or fully reset and take escalating backoff.
     pub(crate) async fn restart_after(&self, abort: Abort) {
         let bound = {
             let st = self.st.borrow();
@@ -608,7 +479,6 @@ impl Tx {
                 // from the retry budget when overload protection is armed
                 // (partial aborts above are cheap and exempt).
                 self.ep.inner.stats.borrow_mut().root_aborts += 1;
-                self.run_compensations().await;
                 self.full_reset();
                 self.acquire_retry_token().await;
                 self.backoff(true).await;

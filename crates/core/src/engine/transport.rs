@@ -12,6 +12,7 @@ use std::rc::Rc;
 use qrdtm_sim::{Counter, EngineEventKind, NodeId, Sim, SimDuration, SimTime};
 
 use crate::cluster::ClusterInner;
+use crate::engine::detector::RPC_RETRIES;
 use crate::msg::{class, Msg, ValEntry, ValidationKind};
 use crate::object::{ObjVal, ObjectId, Version};
 use crate::pool::Payload;
@@ -165,7 +166,7 @@ impl Endpoint {
             u64::from(class::READ_REQ),
         );
         let det = self.inner.cfg.detector;
-        let retries = det.map_or(0, |d| d.rpc_retries);
+        let retries = det.map_or(0, |_| RPC_RETRIES);
         let mut backoff = self.inner.cfg.backoff_base;
         let mut pressure = PressureGuard::new(&self.inner.overload.retry_pressure);
         for attempt in 0..=retries {
@@ -277,7 +278,7 @@ impl Endpoint {
         // the same root (a re-vote on an object it already locked re-locks
         // and answers yes), so a reply lost to the network costs a retry,
         // not an abort. No hedging here — every member of `wq` must vote.
-        let retries = self.inner.cfg.detector.map_or(0, |d| d.rpc_retries);
+        let retries = self.inner.cfg.detector.map_or(0, |_| RPC_RETRIES);
         let mut backoff = self.inner.cfg.backoff_base;
         let mut pressure = PressureGuard::new(&self.inner.overload.retry_pressure);
         for attempt in 0..=retries {

@@ -4,9 +4,7 @@
 //! set; each read-quorum node revalidates it and either serves the object
 //! or reports a conflict with an abort target. This module assembles the
 //! outbound payload and merges the inbound replies — the max-version copy
-//! wins, abort targets merge toward the outermost scope, and the
-//! `only_busy` flag distinguishes real conflicts from transient commit
-//! locks the contention policy may wait out.
+//! wins and abort targets merge toward the outermost scope.
 
 use qrdtm_sim::NodeId;
 
@@ -43,8 +41,6 @@ pub(super) struct ReadResolution {
     pub(super) best: Option<(Version, ObjVal)>,
     /// Merged abort target, if any node reported a conflict.
     pub(super) abort: Option<AbortTarget>,
-    /// Whether every abort reply was a transient commit-lock rejection.
-    pub(super) only_busy: bool,
 }
 
 /// Merge a read round's replies (paper Alg. 2, quorum part): take the
@@ -52,15 +48,13 @@ pub(super) struct ReadResolution {
 pub(super) fn resolve_replies(replies: Vec<(NodeId, Msg)>) -> ReadResolution {
     let mut best: Option<(Version, ObjVal)> = None;
     let mut abort: Option<AbortTarget> = None;
-    let mut only_busy = true;
     for (_, m) in replies {
         match m {
             Msg::ReadOk { version, val, .. } if best.as_ref().is_none_or(|(v, _)| version > *v) => {
                 best = Some((version, val));
             }
             Msg::ReadOk { .. } => {}
-            Msg::ReadAbort { target, busy } => {
-                only_busy &= busy;
+            Msg::ReadAbort { target } => {
                 abort = Some(match abort {
                     Some(prev) => prev.merge(target),
                     None => target,
@@ -69,9 +63,5 @@ pub(super) fn resolve_replies(replies: Vec<(NodeId, Msg)>) -> ReadResolution {
             _ => {}
         }
     }
-    ReadResolution {
-        best,
-        abort,
-        only_busy,
-    }
+    ReadResolution { best, abort }
 }

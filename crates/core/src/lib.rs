@@ -64,9 +64,7 @@ mod stats;
 mod store;
 mod txid;
 
-pub use cluster::{
-    Cluster, DtmConfig, InjectedBug, LatencySpec, LockPolicy, OverloadConfig, QuorumView,
-};
+pub use cluster::{Cluster, DtmConfig, InjectedBug, LatencySpec, OverloadConfig, QuorumView};
 pub use engine::{
     crash_amnesia_sim_only, crash_sim_only, recover_sim_only, spawn_detector, spawn_detector_on,
     Client, DetectorConfig, DetectorHandle, DurabilityConfig, Membership, Replay, Tx, Wal,

@@ -103,10 +103,6 @@ pub enum Msg {
     ReadAbort {
         /// Where the requester must unwind to.
         target: AbortTarget,
-        /// True when the only problem was a transient commit lock on the
-        /// requested object (no validation failure) — a waiting contention
-        /// policy may retry the read instead of aborting.
-        busy: bool,
     },
     /// 2PC phase one: validate and lock.
     CommitReq {
@@ -202,8 +198,7 @@ mod tests {
         assert_eq!(Msg::Ack.class(), class::ACK);
         assert_eq!(
             Msg::ReadAbort {
-                target: AbortTarget::ROOT,
-                busy: false
+                target: AbortTarget::ROOT
             }
             .class(),
             Msg::ReadOk {

@@ -36,19 +36,14 @@ pub struct DtmStats {
     pub replayed_ops: u64,
     /// RPC rounds that timed out (only possible with failures).
     pub timeouts: u64,
-    /// Read rounds retried because the requested object was commit-locked
-    /// (the waiting contention policy).
+    /// Always 0: the wait-retry contention policy that bumped it is gone.
+    /// Kept because `benchmark/src/layers.rs` reads it by field.
     pub lock_waits: u64,
     /// Sum of committed-transaction latencies, in nanoseconds (start of
     /// first attempt to commit confirmation).
     pub latency_sum_ns: u64,
     /// Largest committed-transaction latency observed, in nanoseconds.
     pub latency_max_ns: u64,
-    /// Open-nested transactions committed (globally visible before their
-    /// root committed).
-    pub open_commits: u64,
-    /// Compensating actions executed after an enclosing abort.
-    pub compensations: u64,
 }
 
 impl DtmStats {

@@ -41,12 +41,10 @@ pub struct NodeStore {
 pub enum ReadOutcome {
     /// Serve this copy.
     Ok(Version, ObjVal),
-    /// Rqv validation failed; unwind to the target.
+    /// Rqv validation failed, or the requested object itself is locked by
+    /// a committing transaction (the target is then the requester's
+    /// innermost scope); unwind to the target.
     Abort(AbortTarget),
-    /// The requested object itself is locked by a committing transaction;
-    /// the suggested unwind target is the requester's innermost scope, but
-    /// a waiting contention policy may simply retry.
-    Busy(AbortTarget),
 }
 
 impl NodeStore {
@@ -192,7 +190,7 @@ impl NodeStore {
                 ValidationKind::Checkpoint => AbortTarget::Chk(cur_chk),
                 ValidationKind::None => AbortTarget::ROOT,
             };
-            return ReadOutcome::Busy(target);
+            return ReadOutcome::Abort(target);
         }
         // Alg. 2 lines 17-18: record metadata for the root transaction only.
         let list = if want_write { &mut obj.pw } else { &mut obj.pr };
@@ -397,7 +395,7 @@ mod tests {
     }
 
     #[test]
-    fn read_of_locked_object_is_busy_at_current_scope() {
+    fn read_of_locked_object_aborts_the_current_scope() {
         let mut s = store_with(1);
         assert!(s.vote(tx(1, 1), &[], &[(ObjectId(0), Version(1))]));
         let out = s.read(
@@ -409,7 +407,7 @@ mod tests {
             &[],
             ValidationKind::Closed,
         );
-        assert_eq!(out, ReadOutcome::Busy(AbortTarget::Level(2)));
+        assert_eq!(out, ReadOutcome::Abort(AbortTarget::Level(2)));
         let out = s.read(
             tx(0, 2),
             0,
@@ -419,7 +417,7 @@ mod tests {
             &[],
             ValidationKind::Checkpoint,
         );
-        assert_eq!(out, ReadOutcome::Busy(AbortTarget::Chk(4)));
+        assert_eq!(out, ReadOutcome::Abort(AbortTarget::Chk(4)));
         let out = s.read(
             tx(0, 3),
             0,
@@ -429,7 +427,7 @@ mod tests {
             &[],
             ValidationKind::None,
         );
-        assert_eq!(out, ReadOutcome::Busy(AbortTarget::ROOT));
+        assert_eq!(out, ReadOutcome::Abort(AbortTarget::ROOT));
     }
 
     #[test]

@@ -46,11 +46,6 @@ impl NestingMode {
         NestingMode::Closed,
         NestingMode::Checkpoint,
     ];
-
-    /// Whether reads carry Rqv incremental validation.
-    pub fn validates_on_read(self) -> bool {
-        !matches!(self, NestingMode::Flat)
-    }
 }
 
 impl fmt::Display for NestingMode {
@@ -168,10 +163,7 @@ mod tests {
     }
 
     #[test]
-    fn mode_properties() {
-        assert!(!NestingMode::Flat.validates_on_read());
-        assert!(NestingMode::Closed.validates_on_read());
-        assert!(NestingMode::Checkpoint.validates_on_read());
+    fn mode_display() {
         assert_eq!(NestingMode::Closed.to_string(), "closed");
     }
 

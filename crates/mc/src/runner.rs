@@ -42,14 +42,77 @@ pub enum McProto {
     QStore,
 }
 
+impl McProto {
+    /// Every protocol with its `repro mc --proto` label and its trace-file
+    /// spelling — the one table both parsers and both printers read.
+    pub const ALL: [(McProto, &'static str, &'static str); 4] = [
+        (McProto::Qr(NestingMode::Flat), "qr", "QR"),
+        (McProto::Qr(NestingMode::Closed), "qr-cn", "QR-CN"),
+        (McProto::Qr(NestingMode::Checkpoint), "qr-chk", "QR-CHK"),
+        (McProto::QStore, "qstore", "QSTORE"),
+    ];
+
+    fn row(self) -> (McProto, &'static str, &'static str) {
+        *Self::ALL
+            .iter()
+            .find(|(p, ..)| *p == self)
+            .expect("every McProto is in ALL")
+    }
+
+    /// The command-line label (`qr-cn`).
+    pub fn label(self) -> &'static str {
+        self.row().1
+    }
+
+    /// The protocol a command-line label names.
+    pub fn from_label(s: &str) -> Option<McProto> {
+        Self::ALL.iter().find(|(_, l, _)| *l == s).map(|r| r.0)
+    }
+
+    /// The trace-file spelling (`QR-CN`).
+    pub(crate) fn trace_label(self) -> &'static str {
+        self.row().2
+    }
+
+    /// The protocol a trace-file spelling names.
+    pub(crate) fn from_trace_label(s: &str) -> Option<McProto> {
+        Self::ALL.iter().find(|(_, _, t)| *t == s).map(|r| r.0)
+    }
+}
+
 /// A deliberately broken protocol variant, used to validate that the
 /// checkers can actually catch protocol bugs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum McBug {
     /// A QR-family bug (`skip-vote-check` / `skip-epoch-fence`).
     Qr(InjectedBug),
-    /// A Q-Store bug (`skip-tag-check`).
+    /// A Q-Store bug (`skip-tag-check` / `ack-before-fsync`).
     QStore(QStoreBug),
+}
+
+impl McBug {
+    /// Every injectable bug with its label — the spelling
+    /// `repro mc --inject-bug` and a trace file's `bug` line share.
+    pub const ALL: [(McBug, &'static str); 4] = [
+        (McBug::Qr(InjectedBug::SkipVoteCheck), "skip-vote-check"),
+        (McBug::Qr(InjectedBug::SkipEpochFence), "skip-epoch-fence"),
+        (McBug::QStore(QStoreBug::SkipTagCheck), "skip-tag-check"),
+        (McBug::QStore(QStoreBug::AckBeforeFsync), "ack-before-fsync"),
+    ];
+
+    /// This bug's label.
+    pub fn label(self) -> &'static str {
+        Self::ALL
+            .iter()
+            .find(|(b, _)| *b == self)
+            .expect("every McBug is in ALL")
+            .1
+    }
+
+    /// The bug a label names.
+    pub fn parse_bug(s: &str) -> Option<McBug> {
+        Self::ALL.iter().find(|(_, l)| *l == s).map(|r| r.0)
+    }
 }
 
 /// The bounded exploration scope: protocol, cluster size, and workload

@@ -20,9 +20,6 @@
 
 use std::fmt;
 
-use qrdtm_core::{InjectedBug, NestingMode};
-use qrdtm_qstore::QStoreBug;
-
 use crate::runner::{McBug, McProto, Scope};
 
 /// A replayable schedule: the exploration [`Scope`] plus the scheduler
@@ -36,54 +33,16 @@ pub struct Trace {
     pub choices: Vec<usize>,
 }
 
-fn proto_label(p: McProto) -> &'static str {
-    match p {
-        McProto::Qr(NestingMode::Flat) => "QR",
-        McProto::Qr(NestingMode::Closed) => "QR-CN",
-        McProto::Qr(NestingMode::Checkpoint) => "QR-CHK",
-        McProto::QStore => "QSTORE",
-    }
-}
-
-fn parse_proto(s: &str) -> Option<McProto> {
-    match s {
-        "QR" => Some(McProto::Qr(NestingMode::Flat)),
-        "QR-CN" => Some(McProto::Qr(NestingMode::Closed)),
-        "QR-CHK" => Some(McProto::Qr(NestingMode::Checkpoint)),
-        "QSTORE" => Some(McProto::QStore),
-        _ => None,
-    }
-}
-
-fn bug_label(b: McBug) -> &'static str {
-    match b {
-        McBug::Qr(InjectedBug::SkipVoteCheck) => "skip-vote-check",
-        McBug::Qr(InjectedBug::SkipEpochFence) => "skip-epoch-fence",
-        McBug::QStore(QStoreBug::SkipTagCheck) => "skip-tag-check",
-        McBug::QStore(QStoreBug::AckBeforeFsync) => "ack-before-fsync",
-    }
-}
-
-fn parse_bug(s: &str) -> Option<McBug> {
-    match s {
-        "skip-vote-check" => Some(McBug::Qr(InjectedBug::SkipVoteCheck)),
-        "skip-epoch-fence" => Some(McBug::Qr(InjectedBug::SkipEpochFence)),
-        "skip-tag-check" => Some(McBug::QStore(QStoreBug::SkipTagCheck)),
-        "ack-before-fsync" => Some(McBug::QStore(QStoreBug::AckBeforeFsync)),
-        _ => None,
-    }
-}
-
 impl fmt::Display for Trace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "# qrdtm-mc trace v1")?;
-        writeln!(f, "proto {}", proto_label(self.scope.proto))?;
+        writeln!(f, "proto {}", self.scope.proto.trace_label())?;
         writeln!(f, "seed {}", self.scope.seed)?;
         writeln!(f, "nodes {}", self.scope.nodes)?;
         writeln!(f, "objects {}", self.scope.objects)?;
         writeln!(f, "txns {}", self.scope.txns)?;
         if let Some(b) = self.scope.injected_bug {
-            writeln!(f, "bug {}", bug_label(b))?;
+            writeln!(f, "bug {}", b.label())?;
         }
         write!(f, "choices")?;
         for c in &self.choices {
@@ -133,7 +92,10 @@ impl Trace {
             match key {
                 "proto" => {
                     let v = one()?;
-                    proto = Some(parse_proto(v).ok_or_else(|| at(format!("unknown proto `{v}`")))?);
+                    proto = Some(
+                        McProto::from_trace_label(v)
+                            .ok_or_else(|| at(format!("unknown proto `{v}`")))?,
+                    );
                 }
                 "seed" => seed = Some(parse_num(one()?).map_err(&at)?),
                 "nodes" => nodes = Some(positive()? as usize),
@@ -141,7 +103,8 @@ impl Trace {
                 "txns" => txns = Some(parse_num(one()?).map_err(&at)? as usize),
                 "bug" => {
                     let v = one()?;
-                    bug = Some(parse_bug(v).ok_or_else(|| at(format!("unknown bug `{v}`")))?);
+                    bug =
+                        Some(McBug::parse_bug(v).ok_or_else(|| at(format!("unknown bug `{v}`")))?);
                 }
                 "choices" => {
                     choices = Some(
@@ -178,6 +141,8 @@ fn parse_num(s: &str) -> Result<u64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qrdtm_core::{InjectedBug, NestingMode};
+    use qrdtm_qstore::QStoreBug;
 
     fn sample() -> Trace {
         Trace {

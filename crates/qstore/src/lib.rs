@@ -454,11 +454,11 @@ impl QStoreCluster {
     /// joiner's charged replay+repair cost extends its grace window.
     /// Returns a handle whose `stop()` halts detection.
     pub fn start_detector(self: &Rc<Self>) -> DetectorHandle {
-        let cfg = self
-            .cfg
-            .detector
-            .expect("start_detector requires QStoreConfig::detector");
-        spawn_detector_on(Rc::clone(self), self.sim.clone(), cfg)
+        assert!(
+            self.cfg.detector.is_some(),
+            "start_detector requires QStoreConfig::detector"
+        );
+        spawn_detector_on(Rc::clone(self), self.sim.clone())
     }
 
     /// Every group-commit fsync latency sampled across all replica disks,
@@ -1098,7 +1098,7 @@ mod tests {
             ..Default::default()
         });
         let handle = c.start_detector();
-        let bound = DetectorConfig::default().detection_bound(c.cfg.transfer_cost);
+        let bound = DetectorConfig::detection_bound(c.cfg.transfer_cost);
         let c2 = Rc::clone(&c);
         c.sim().spawn(async move {
             transfer(&c2, NodeId(4), ObjectId(0), ObjectId(1), 10).await;

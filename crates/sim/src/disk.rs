@@ -166,16 +166,6 @@ impl<R: Clone, S: Clone> Disk<R, S> {
     pub fn readable_len(&self) -> usize {
         self.torn_at.unwrap_or(self.durable.len())
     }
-
-    /// Records appended but not yet fsynced.
-    pub fn pending_len(&self) -> usize {
-        self.buffered.len()
-    }
-
-    /// Whether a snapshot has ever been written.
-    pub fn has_snapshot(&self) -> bool {
-        self.snapshot.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -192,9 +182,7 @@ mod tests {
         let mut d = disk();
         assert_eq!(d.append(1), DiskConfig::default().append_latency);
         d.append(2);
-        assert_eq!(d.pending_len(), 2);
         d.fsync();
-        assert_eq!(d.pending_len(), 0);
         let img = d.recover();
         assert_eq!(img.log, vec![1, 2]);
         assert!(img.snapshot.is_none());

@@ -702,16 +702,6 @@ impl<M: SimMessage> Sim<M> {
         self.core.inner.borrow_mut().heartbeat = None;
     }
 
-    /// Whether the heartbeat layer is running.
-    pub fn heartbeats_enabled(&self) -> bool {
-        self.core.inner.borrow().heartbeat.is_some()
-    }
-
-    /// The active heartbeat configuration, if any.
-    pub fn heartbeat_config(&self) -> Option<HeartbeatConfig> {
-        self.core.inner.borrow().heartbeat
-    }
-
     /// The last virtual time `observer` received a heartbeat from `from`
     /// (the enable instant if none arrived yet). Panics if heartbeats were
     /// never started.
@@ -787,11 +777,6 @@ impl<M: SimMessage> Sim<M> {
     /// Uniform draw in `[0, n)`.
     pub fn rand_below(&self, n: u64) -> u64 {
         self.with_rng(|r| r.random_range(0..n))
-    }
-
-    /// Bernoulli draw.
-    pub fn rand_bool(&self, p: f64) -> bool {
-        self.with_rng(|r| r.random_bool(p))
     }
 
     /// One uniform draw in `[lo, hi)` (backoff jitter).
@@ -1897,7 +1882,6 @@ mod tests {
         );
         s.stop_heartbeats();
         s.run(); // must quiesce: no perpetual tick stream
-        assert!(!s.heartbeats_enabled());
     }
 
     #[test]

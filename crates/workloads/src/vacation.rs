@@ -164,26 +164,6 @@ pub async fn delete_customer(tx: &Tx, v: &VacationLayout, customer: u64) -> Resu
     Ok(list.len())
 }
 
-/// Maintenance: bump the price of a picked row per relation.
-pub async fn update_tables(
-    tx: &Tx,
-    v: &VacationLayout,
-    picks: [u64; 3],
-    delta: i64,
-) -> Result<(), Abort> {
-    for (table, &pick) in picks.iter().enumerate() {
-        let v2 = *v;
-        tx.closed(move |tx2| async move {
-            let roid = v2.row(table, pick);
-            let mut rows = tx2.read(roid).await?.expect_table().clone();
-            rows[0].price = (rows[0].price + delta).max(1);
-            tx2.write(roid, ObjVal::Table(rows)).await
-        })
-        .await?;
-    }
-    Ok(())
-}
-
 /// Sum of `used` across all rows (must equal the total reservations held by
 /// customers — the Vacation conservation invariant).
 pub async fn total_used(tx: &Tx, v: &VacationLayout) -> Result<i64, Abort> {
@@ -280,7 +260,7 @@ mod tests {
     }
 
     #[test]
-    fn query_is_read_only_and_update_changes_price() {
+    fn query_is_read_only() {
         let (c, v) = setup();
         let client = c.client(NodeId(5));
         c.sim().spawn(async move {
@@ -288,15 +268,12 @@ mod tests {
                 .run(|tx| async move { query(&tx, &v, [1, 1, 1]).await })
                 .await;
             assert_eq!(free, 6);
-            client
-                .run(|tx| async move { update_tables(&tx, &v, [1, 1, 1], 7).await })
-                .await;
         });
         c.sim().run();
-        // One local (read-only) commit and one remote commit round.
+        // A local (read-only) commit: no commit round.
         let s = c.stats();
         assert_eq!(s.local_commits, 1);
-        assert_eq!(s.commit_rounds, 1);
+        assert_eq!(s.commit_rounds, 0);
     }
 
     #[test]

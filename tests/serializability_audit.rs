@@ -1,9 +1,8 @@
 //! End-to-end serializability auditing: record the committed history of
 //! heavily contended runs in every mode and machine-check 1-copy
 //! serializability (the executable counterpart of the paper's Theorem V.1),
-//! plus the waiting contention policy and latency accounting.
+//! plus latency accounting.
 
-use qr_dtm::core::LockPolicy;
 use qr_dtm::prelude::*;
 use qr_dtm::workloads::{bank, hashmap};
 
@@ -99,56 +98,6 @@ fn contended_hashmap_history_serializable() {
     c.sim().run();
     let violations = c.verify_history();
     assert!(violations.is_empty(), "{violations:?}");
-}
-
-/// The waiting contention policy rides out transient commit locks instead
-/// of aborting, and stays serializable.
-#[test]
-fn wait_retry_policy_trades_aborts_for_waits() {
-    let run_with = |policy: LockPolicy| {
-        let c = Cluster::new(DtmConfig {
-            nodes: 13,
-            mode: NestingMode::Closed,
-            seed: 71,
-            lock_policy: policy,
-            latency: LatencySpec::Const(SimDuration::from_millis(10)),
-            ..Default::default()
-        });
-        c.enable_history();
-        c.preload(ObjectId(1), ObjVal::Int(0));
-        // Many clients hammer one object so reads frequently land mid-2PC.
-        for node in 0..8u32 {
-            let client = c.client(NodeId(node));
-            c.sim().spawn(async move {
-                for _ in 0..4 {
-                    client
-                        .run(|tx| async move {
-                            let v = tx.read(ObjectId(1)).await?.expect_int();
-                            tx.write(ObjectId(1), ObjVal::Int(v + 1)).await?;
-                            Ok(())
-                        })
-                        .await;
-                }
-            });
-        }
-        c.sim().run();
-        assert!(c.verify_history().is_empty(), "policy {policy:?} unsound");
-        assert_eq!(c.latest(ObjectId(1)).unwrap().1, ObjVal::Int(32));
-        c.stats()
-    };
-    let aborting = run_with(LockPolicy::AbortRequester);
-    let waiting = run_with(LockPolicy::WaitRetry {
-        max_waits: 3,
-        pause: SimDuration::from_millis(15),
-    });
-    assert_eq!(aborting.lock_waits, 0);
-    assert!(waiting.lock_waits > 0, "the waiting policy actually waited");
-    assert!(
-        waiting.total_aborts() < aborting.total_aborts(),
-        "waiting converts busy-aborts into retries: {} vs {}",
-        waiting.total_aborts(),
-        aborting.total_aborts()
-    );
 }
 
 /// Latency accounting: the mean committed latency is at least the minimum
