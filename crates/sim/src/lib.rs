@@ -49,23 +49,27 @@
 
 mod disk;
 mod executor;
+mod heartbeat;
 mod idhash;
 mod latency;
 mod metrics;
+mod net;
+mod rpc;
 mod sim;
 mod time;
 pub mod wheel;
 
 pub use disk::{Disk, DiskConfig, DiskImage};
+pub use heartbeat::HeartbeatConfig;
 pub use idhash::{IdHasher, IdMap, IdSet};
 pub use latency::{ConstLatency, JitteredLatency, LatencyModel, MetricSpace};
 pub use metrics::{
     Counter, EngineEvent, EngineEventKind, LatencyReservoir, Metrics, ENGINE_EVENT_KINDS,
     MAX_CLASSES, RESERVOIR_CAP,
 };
+pub use rpc::{CallFuture, CallId, CallResult};
 pub use sim::{
-    CallFuture, CallId, CallResult, Envelope, EventInfo, EventTag, HandlerCtx, HeartbeatConfig,
-    Scheduler, Sim, SimConfig, SimMessage, Sleep,
+    Envelope, EventInfo, EventTag, HandlerCtx, Scheduler, Sim, SimConfig, SimMessage, Sleep,
 };
 pub use time::{SimDuration, SimTime};
 pub use wheel::{ArenaStats, EventArena, TimingWheel, WheelStats};

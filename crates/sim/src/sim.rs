@@ -32,52 +32,15 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::executor::{ReadyQueue, TaskId, TaskStore};
+use crate::heartbeat::HeartbeatConfig;
 use crate::idhash::IdMap;
 use crate::latency::LatencyModel;
 use crate::metrics::{Counter, Metrics, MAX_CLASSES};
+use crate::net::LinkFault;
+use crate::rpc::{CallId, CallState};
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::TimingWheel;
 use crate::NodeId;
-
-/// Configuration of the simulator-level heartbeat layer (see
-/// [`Sim::start_heartbeats`]).
-///
-/// Heartbeats are plain simulator events, not protocol messages: they cross
-/// the same latency model, partitions and link faults as real traffic, and
-/// their *emission* is pushed behind the sender's service backlog (a node
-/// drowning in requests — or slowed by a gray failure — heartbeats late),
-/// but they never occupy the receiver's service queue, so enabling them
-/// does not perturb protocol message timing.
-#[derive(Clone, Copy, Debug)]
-pub struct HeartbeatConfig {
-    /// Nominal interval between a node's heartbeats.
-    pub interval: SimDuration,
-    /// Per-beat jitter fraction: each gap is `interval * (1 ± jitter)`,
-    /// drawn from the simulation RNG (keeps nodes de-synchronized while
-    /// staying fully deterministic per seed).
-    pub jitter: f64,
-    /// A node is suspectable once no heartbeat from it was observed for
-    /// `interval * suspect_after` (the *suspicion window* — also used to
-    /// resolve timeout-less calls to dead nodes, see [`Sim::call`]).
-    pub suspect_after: u32,
-}
-
-impl Default for HeartbeatConfig {
-    fn default() -> Self {
-        HeartbeatConfig {
-            interval: SimDuration::from_millis(50),
-            jitter: 0.2,
-            suspect_after: 4,
-        }
-    }
-}
-
-impl HeartbeatConfig {
-    /// The suspicion window: `interval * suspect_after`.
-    pub fn suspect_window(&self) -> SimDuration {
-        SimDuration::from_nanos(self.interval.as_nanos() * u64::from(self.suspect_after))
-    }
-}
 
 /// Messages carried by the simulated network.
 ///
@@ -94,10 +57,6 @@ pub trait SimMessage: Clone + 'static {
         64
     }
 }
-
-/// Correlates a reply with the [`CallFuture`] awaiting it.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct CallId(u64);
 
 /// A message in flight or being dispatched to a node handler.
 #[derive(Clone, Debug)]
@@ -140,23 +99,12 @@ impl SimConfig {
 
 type Handler<M> = Box<dyn FnMut(&mut HandlerCtx<'_, M>, Envelope<M>)>;
 
-struct TimerState {
+pub(crate) struct TimerState {
     fired: bool,
     waker: Option<Waker>,
 }
 
-struct CallState<M> {
-    /// Destinations the call was sent to.
-    expected: usize,
-    /// Replies that resolve the future (`need <= expected`; equal for
-    /// plain calls, smaller for hedged first-quorum calls).
-    need: usize,
-    replies: Vec<(NodeId, M)>,
-    timed_out: bool,
-    waker: Option<Waker>,
-}
-
-enum EventKind<M> {
+pub(crate) enum EventKind<M> {
     /// Message reached the destination; join its service queue.
     Arrive(Envelope<M>),
     /// Service completed; run the node handler.
@@ -312,54 +260,45 @@ impl<M: SimMessage> Scheduled<M> {
     }
 }
 
-struct NodeMeta {
-    alive: bool,
+pub(crate) struct NodeMeta {
+    pub(crate) alive: bool,
     busy_until: SimTime,
     /// Partition group; messages only flow between equal groups. 0 = the
     /// default (un-partitioned) group.
-    group: u32,
+    pub(crate) group: u32,
     /// Service-time multiplier for gray failures (1.0 = healthy).
-    service_factor: f64,
+    pub(crate) service_factor: f64,
 }
 
-/// Injected per-link fault state (directional, keyed by `(from, to)`).
-#[derive(Clone, Copy, Default)]
-struct LinkFault {
-    /// Probability of dropping a message on this link, in permille.
-    drop_permille: u16,
-    /// Extra one-way latency added to every message on this link.
-    extra_delay: SimDuration,
-}
-
-struct SimInner<M: SimMessage> {
-    now: SimTime,
+pub(crate) struct SimInner<M: SimMessage> {
+    pub(crate) now: SimTime,
     seq: u64,
     queue: TimingWheel<EventKind<M>>,
-    nodes: Vec<NodeMeta>,
+    pub(crate) nodes: Vec<NodeMeta>,
     latency: Box<dyn LatencyModel>,
     service_time: SimDuration,
     service_by_class: [Option<SimDuration>; MAX_CLASSES],
-    rng: StdRng,
-    link_faults: std::collections::HashMap<(u32, u32), LinkFault>,
-    pending: IdMap<CallId, Weak<RefCell<CallState<M>>>>,
+    pub(crate) rng: StdRng,
+    pub(crate) link_faults: std::collections::HashMap<(u32, u32), LinkFault>,
+    pub(crate) pending: IdMap<CallId, Weak<RefCell<CallState<M>>>>,
     /// Calls that resolved before every destination replied, with the
     /// number of replies still outstanding — late arrivals are counted as
     /// wasted instead of "caller gave up".
     resolved_extra: IdMap<CallId, usize>,
-    next_call: u64,
-    metrics: Metrics,
+    pub(crate) next_call: u64,
+    pub(crate) metrics: Metrics,
     halted: bool,
     /// Heartbeat layer state; `None` (the default) means no heartbeat
     /// events exist and the RNG is never touched for them, keeping
     /// detector-less runs byte-identical to earlier versions.
-    heartbeat: Option<HeartbeatConfig>,
+    pub(crate) heartbeat: Option<HeartbeatConfig>,
     /// `last_hb[observer][sender]`: virtual time the observer last received
     /// a heartbeat from the sender (seeded with the enable instant).
-    last_hb: Vec<Vec<SimTime>>,
+    pub(crate) last_hb: Vec<Vec<SimTime>>,
 }
 
 impl<M: SimMessage> SimInner<M> {
-    fn schedule(&mut self, time: SimTime, kind: EventKind<M>) {
+    pub(crate) fn schedule(&mut self, time: SimTime, kind: EventKind<M>) {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(time, seq, kind);
@@ -394,7 +333,7 @@ impl<M: SimMessage> SimInner<M> {
     /// the destination already failed (in-flight loss is modelled at arrival
     /// instead). A dead *sender* originates nothing: its sends are dropped
     /// here, so crashed nodes stop talking the instant they fail.
-    fn send_request(&mut self, env: Envelope<M>) {
+    pub(crate) fn send_request(&mut self, env: Envelope<M>) {
         if !self.nodes[env.from.index()].alive {
             self.metrics.dropped += 1;
             return;
@@ -405,42 +344,10 @@ impl<M: SimMessage> SimInner<M> {
         let at = self.now + lat;
         self.schedule(at, EventKind::Arrive(env));
     }
-
-    /// Injected extra latency on the directed link `from -> to`.
-    fn link_extra(&self, from: NodeId, to: NodeId) -> SimDuration {
-        if self.link_faults.is_empty() {
-            return SimDuration::ZERO;
-        }
-        self.link_faults
-            .get(&(from.0, to.0))
-            .map_or(SimDuration::ZERO, |lf| lf.extra_delay)
-    }
-
-    /// Consult injected network faults at delivery time: a partition between
-    /// the endpoints or a probabilistic per-link drop loses the message.
-    /// The RNG is touched only when a drop fault is actually installed on
-    /// the link, so fault-free runs keep their exact event trace.
-    fn delivery_faulted(&mut self, from: NodeId, to: NodeId) -> bool {
-        if self.nodes[from.index()].group != self.nodes[to.index()].group {
-            self.metrics.dropped_by_partition += 1;
-            return true;
-        }
-        if !self.link_faults.is_empty() {
-            if let Some(lf) = self.link_faults.get(&(from.0, to.0)) {
-                if lf.drop_permille > 0
-                    && self.rng.random_range(0..1000u32) < u32::from(lf.drop_permille)
-                {
-                    self.metrics.dropped_by_link += 1;
-                    return true;
-                }
-            }
-        }
-        false
-    }
 }
 
-struct SimCore<M: SimMessage> {
-    inner: RefCell<SimInner<M>>,
+pub(crate) struct SimCore<M: SimMessage> {
+    pub(crate) inner: RefCell<SimInner<M>>,
     tasks: RefCell<TaskStore>,
     ready: ReadyQueue,
     /// The batch of ready ids `drain_ready` is working through; kept here
@@ -457,7 +364,7 @@ struct SimCore<M: SimMessage> {
 /// Handle to a simulation. Cheaply cloneable; all clones refer to the same
 /// simulation state. `Sim` is single-threaded (`!Send`).
 pub struct Sim<M: SimMessage> {
-    core: Rc<SimCore<M>>,
+    pub(crate) core: Rc<SimCore<M>>,
 }
 
 impl<M: SimMessage> Clone for Sim<M> {
@@ -551,105 +458,6 @@ impl<M: SimMessage> Sim<M> {
         self.core.inner.borrow().now
     }
 
-    /// Mark `node` failed: queued and in-flight requests to it are dropped at
-    /// dispatch/arrival, it stops issuing replies, and anything it sends is
-    /// dropped at the source. Idempotent — failing a dead node is a no-op.
-    pub fn fail_node(&self, node: NodeId) {
-        self.core.inner.borrow_mut().nodes[node.index()].alive = false;
-    }
-
-    /// Bring a failed node back (its handler state is whatever the protocol
-    /// left there — recovery semantics belong to the protocol layer).
-    /// Idempotent — recovering an alive node is a no-op.
-    pub fn recover_node(&self, node: NodeId) {
-        self.core.inner.borrow_mut().nodes[node.index()].alive = true;
-    }
-
-    /// Partition the network into the given node groups: a message is
-    /// delivered only if sender and receiver share a group. Nodes not listed
-    /// in any group stay in the default group 0 (reachable from each other,
-    /// unreachable from every listed group). Replaces any earlier partition.
-    pub fn set_partition(&self, groups: &[Vec<NodeId>]) {
-        let mut inner = self.core.inner.borrow_mut();
-        for meta in inner.nodes.iter_mut() {
-            meta.group = 0;
-        }
-        for (g, members) in groups.iter().enumerate() {
-            for &n in members {
-                inner.nodes[n.index()].group = g as u32 + 1;
-            }
-        }
-    }
-
-    /// Remove any partition: all nodes rejoin the default group.
-    pub fn heal_partition(&self) {
-        let mut inner = self.core.inner.borrow_mut();
-        for meta in inner.nodes.iter_mut() {
-            meta.group = 0;
-        }
-    }
-
-    /// Whether `a` and `b` can currently exchange messages (same partition
-    /// group).
-    pub fn connected(&self, a: NodeId, b: NodeId) -> bool {
-        let inner = self.core.inner.borrow();
-        inner.nodes[a.index()].group == inner.nodes[b.index()].group
-    }
-
-    /// Install (or update) a message-loss fault on the directed link
-    /// `from -> to`: each delivery on the link is dropped with probability
-    /// `permille`/1000. Any extra-delay fault on the link is kept.
-    pub fn set_link_drop(&self, from: NodeId, to: NodeId, permille: u16) {
-        let mut inner = self.core.inner.borrow_mut();
-        inner
-            .link_faults
-            .entry((from.0, to.0))
-            .or_default()
-            .drop_permille = permille.min(1000);
-    }
-
-    /// Install (or update) a latency-spike fault on the directed link
-    /// `from -> to`: every message on the link takes `extra` additional
-    /// one-way latency. Any drop fault on the link is kept.
-    pub fn set_link_delay(&self, from: NodeId, to: NodeId, extra: SimDuration) {
-        let mut inner = self.core.inner.borrow_mut();
-        inner
-            .link_faults
-            .entry((from.0, to.0))
-            .or_default()
-            .extra_delay = extra;
-    }
-
-    /// Remove all injected faults from the directed link `from -> to`.
-    pub fn clear_link_fault(&self, from: NodeId, to: NodeId) {
-        self.core
-            .inner
-            .borrow_mut()
-            .link_faults
-            .remove(&(from.0, to.0));
-    }
-
-    /// Remove every injected link fault.
-    pub fn clear_all_link_faults(&self) {
-        self.core.inner.borrow_mut().link_faults.clear();
-    }
-
-    /// Scale `node`'s service time by `factor` (a gray failure: the node is
-    /// up but slow). `1.0` restores healthy speed. Panics if `factor` is not
-    /// finite and positive.
-    pub fn set_service_factor(&self, node: NodeId, factor: f64) {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "service factor must be finite and positive"
-        );
-        self.core.inner.borrow_mut().nodes[node.index()].service_factor = factor;
-    }
-
-    /// Whether `node` is currently alive.
-    pub fn is_alive(&self, node: NodeId) -> bool {
-        self.core.inner.borrow().nodes[node.index()].alive
-    }
-
     /// Keep `node` busy for an extra `d` of service time, queued behind its
     /// current backlog. Models out-of-band work that occupies the server —
     /// e.g. the rejoin state transfer a recovering replica performs before
@@ -664,49 +472,6 @@ impl<M: SimMessage> Sim<M> {
             now
         };
         meta.busy_until = start + d;
-    }
-
-    /// Start the heartbeat layer: every node emits periodic heartbeats to
-    /// every other node, with seeded per-beat jitter, delivered through the
-    /// regular latency/partition/link-fault path. Observers' last-heard
-    /// times become available via [`Sim::last_heartbeat`]. Idempotent-ish:
-    /// calling again replaces the config but does not double the tick
-    /// streams.
-    pub fn start_heartbeats(&self, cfg: HeartbeatConfig) {
-        assert!(
-            cfg.interval > SimDuration::ZERO && cfg.suspect_after > 0,
-            "heartbeat interval and suspect_after must be positive"
-        );
-        let mut inner = self.core.inner.borrow_mut();
-        let n = inner.nodes.len();
-        let already = inner.heartbeat.is_some();
-        inner.heartbeat = Some(cfg);
-        let now = inner.now;
-        inner.last_hb = vec![vec![now; n]; n];
-        if already {
-            return; // tick streams are still alive; only the config changed
-        }
-        // Stagger initial phases deterministically so all nodes do not
-        // beat in lock-step.
-        for i in 0..n {
-            let frac = inner.rng.random_range(0.0..1.0);
-            let at = now + cfg.interval.mul_f64(frac);
-            inner.schedule(at, EventKind::HeartbeatTick(NodeId(i as u32)));
-        }
-    }
-
-    /// Stop the heartbeat layer: in-flight ticks and heartbeats are
-    /// discarded at dispatch and no new ones are scheduled (so `run()` can
-    /// reach quiescence again).
-    pub fn stop_heartbeats(&self) {
-        self.core.inner.borrow_mut().heartbeat = None;
-    }
-
-    /// The last virtual time `observer` received a heartbeat from `from`
-    /// (the enable instant if none arrived yet). Panics if heartbeats were
-    /// never started.
-    pub fn last_heartbeat(&self, observer: NodeId, from: NodeId) -> SimTime {
-        self.core.inner.borrow().last_hb[observer.index()][from.index()]
     }
 
     /// Bump a detector/transport counter in the metrics sink (failure
@@ -817,73 +582,6 @@ impl<M: SimMessage> Sim<M> {
             call: None,
             msg,
         });
-    }
-
-    /// Send `msg` to every node in `dests` and await their replies.
-    ///
-    /// The returned future resolves when all `dests.len()` replies arrived,
-    /// or at `timeout` with whatever replies came by then. Without a timeout
-    /// the caller must know every destination is alive, or the call never
-    /// resolves (like a real RPC with no failure detector) — unless the
-    /// heartbeat layer is running, in which case such calls are resolved as
-    /// timed-out after one suspicion window (the detector is the failure
-    /// oracle now), and either way a `no_timeout_dead_calls` counter
-    /// records the footgun.
-    pub fn call(
-        &self,
-        from: NodeId,
-        dests: &[NodeId],
-        msg: M,
-        timeout: Option<SimDuration>,
-    ) -> CallFuture<M> {
-        self.call_first(from, dests, msg, dests.len(), timeout)
-    }
-
-    /// Like [`Sim::call`], but the future resolves as soon as the first
-    /// `need` replies arrived (hedged-request support: send to a quorum
-    /// plus spares, take the first quorum of replies). Later replies are
-    /// counted as wasted. `need` is clamped to `1..=dests.len()`.
-    pub fn call_first(
-        &self,
-        from: NodeId,
-        dests: &[NodeId],
-        msg: M,
-        need: usize,
-        timeout: Option<SimDuration>,
-    ) -> CallFuture<M> {
-        let mut inner = self.core.inner.borrow_mut();
-        let id = CallId(inner.next_call);
-        inner.next_call += 1;
-        let state = Rc::new(RefCell::new(CallState {
-            expected: dests.len(),
-            need: need.clamp(1, dests.len().max(1)),
-            replies: Vec::with_capacity(dests.len()),
-            timed_out: false,
-            waker: None,
-        }));
-        inner.pending.insert(id, Rc::downgrade(&state));
-        for &to in dests {
-            inner.send_request(Envelope {
-                from,
-                to,
-                call: Some(id),
-                msg: msg.clone(),
-            });
-        }
-        if let Some(t) = timeout {
-            let at = inner.now + t;
-            inner.schedule(at, EventKind::CallTimeout(id));
-        } else if dests.iter().any(|&d| !inner.nodes[d.index()].alive) {
-            // The documented footgun: a timeout-less call to a dead node
-            // hangs forever. Count it always; with the heartbeat layer
-            // running, bound it by the suspicion window instead.
-            inner.metrics.no_timeout_dead_calls += 1;
-            if let Some(hb) = inner.heartbeat {
-                let at = inner.now + hb.suspect_window();
-                inner.schedule(at, EventKind::CallTimeout(id));
-            }
-        }
-        CallFuture { state }
     }
 
     /// Install a schedule-exploration hook consulted whenever several
@@ -1277,52 +975,14 @@ impl Future for Sleep {
     }
 }
 
-/// Replies gathered by a [`CallFuture`].
-#[derive(Debug)]
-pub struct CallResult<M> {
-    /// `(responder, reply)` pairs in arrival order.
-    pub replies: Vec<(NodeId, M)>,
-    /// True if the call timed out before all replies arrived.
-    pub timed_out: bool,
-}
-
-impl<M> CallResult<M> {
-    /// Whether every destination replied.
-    pub fn complete(&self) -> bool {
-        !self.timed_out
-    }
-}
-
-/// Future returned by [`Sim::call`]; resolves with all replies or on
-/// timeout.
-pub struct CallFuture<M> {
-    state: Rc<RefCell<CallState<M>>>,
-}
-
-impl<M> Future for CallFuture<M> {
-    type Output = CallResult<M>;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<CallResult<M>> {
-        let mut st = self.state.borrow_mut();
-        if st.replies.len() >= st.need || st.timed_out {
-            Poll::Ready(CallResult {
-                replies: std::mem::take(&mut st.replies),
-                timed_out: st.timed_out,
-            })
-        } else {
-            st.waker = Some(cx.waker().clone());
-            Poll::Pending
-        }
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::latency::ConstLatency;
     use std::cell::Cell;
 
     #[derive(Clone, Debug, PartialEq)]
-    enum Msg {
+    pub(crate) enum Msg {
         Ping(u64),
         Pong(u64),
     }
@@ -1336,7 +996,7 @@ mod tests {
         }
     }
 
-    fn sim(ms: u64) -> Sim<Msg> {
+    pub(crate) fn sim(ms: u64) -> Sim<Msg> {
         Sim::new(SimConfig::new(
             1,
             Box::new(ConstLatency::new(SimDuration::from_millis(ms))),
@@ -1344,87 +1004,12 @@ mod tests {
     }
 
     /// Install an echo handler: Ping(x) -> Pong(x).
-    fn echo(s: &Sim<Msg>, node: NodeId) {
+    pub(crate) fn echo(s: &Sim<Msg>, node: NodeId) {
         s.set_handler(node, |ctx, env| {
             if let Msg::Ping(x) = env.msg {
                 ctx.respond(&env, Msg::Pong(x));
             }
         });
-    }
-
-    #[test]
-    fn rpc_round_trip_takes_two_latencies_plus_service() {
-        let s = sim(15);
-        let n = s.add_nodes(2);
-        echo(&s, n[1]);
-        let s2 = s.clone();
-        let done = Rc::new(Cell::new(None));
-        let done2 = Rc::clone(&done);
-        s.spawn(async move {
-            let r = s2.call(NodeId(0), &[NodeId(1)], Msg::Ping(7), None).await;
-            assert_eq!(r.replies.len(), 1);
-            assert_eq!(r.replies[0].1, Msg::Pong(7));
-            done2.set(Some(s2.now()));
-        });
-        s.run();
-        let t = done.get().expect("call resolved");
-        // 15ms there + 200us service + 15ms back.
-        assert_eq!(
-            t,
-            SimTime::ZERO + SimDuration::from_millis(30) + SimDuration::from_micros(200)
-        );
-    }
-
-    #[test]
-    fn quorum_call_waits_for_all_replies() {
-        let s = sim(10);
-        let n = s.add_nodes(4);
-        for &id in &n[1..] {
-            echo(&s, id);
-        }
-        let s2 = s.clone();
-        let got = Rc::new(Cell::new(0usize));
-        let got2 = Rc::clone(&got);
-        s.spawn(async move {
-            let r = s2
-                .call(
-                    NodeId(0),
-                    &[NodeId(1), NodeId(2), NodeId(3)],
-                    Msg::Ping(1),
-                    None,
-                )
-                .await;
-            got2.set(r.replies.len());
-            assert!(r.complete());
-        });
-        s.run();
-        assert_eq!(got.get(), 3);
-    }
-
-    #[test]
-    fn failed_node_causes_timeout_with_partial_replies() {
-        let s = sim(10);
-        let n = s.add_nodes(3);
-        echo(&s, n[1]);
-        echo(&s, n[2]);
-        s.fail_node(n[2]);
-        let s2 = s.clone();
-        let out = Rc::new(Cell::new((0usize, false)));
-        let out2 = Rc::clone(&out);
-        s.spawn(async move {
-            let r = s2
-                .call(
-                    NodeId(0),
-                    &[NodeId(1), NodeId(2)],
-                    Msg::Ping(9),
-                    Some(SimDuration::from_millis(100)),
-                )
-                .await;
-            out2.set((r.replies.len(), r.timed_out));
-        });
-        s.run();
-        assert_eq!(out.get(), (1, true));
-        assert_eq!(s.metrics().dropped, 1);
     }
 
     #[test]
@@ -1556,375 +1141,6 @@ mod tests {
         }
         assert_eq!(trace(42), trace(42));
         assert_ne!(trace(42), trace(43), "different seed perturbs the trace");
-    }
-
-    #[test]
-    fn late_replies_after_timeout_are_ignored() {
-        let s = sim(50);
-        let n = s.add_nodes(2);
-        echo(&s, n[1]);
-        let s2 = s.clone();
-        s.spawn(async move {
-            let r = s2
-                .call(
-                    NodeId(0),
-                    &[NodeId(1)],
-                    Msg::Ping(3),
-                    Some(SimDuration::from_millis(10)),
-                )
-                .await;
-            assert!(r.timed_out);
-            assert!(r.replies.is_empty());
-        });
-        // Must not panic when the pong arrives at t=100ms+service.
-        s.run();
-    }
-
-    #[test]
-    fn fail_and_recover_are_idempotent() {
-        let s = sim(5);
-        let n = s.add_nodes(2);
-        echo(&s, n[1]);
-        s.fail_node(n[1]);
-        s.fail_node(n[1]); // double-fail: no-op, no panic
-        assert!(!s.is_alive(n[1]));
-        let s2 = s.clone();
-        s.spawn(async move {
-            let r = s2
-                .call(
-                    NodeId(0),
-                    &[NodeId(1)],
-                    Msg::Ping(1),
-                    Some(SimDuration::from_millis(50)),
-                )
-                .await;
-            assert!(r.timed_out);
-        });
-        s.run();
-        assert_eq!(s.metrics().dropped, 1, "one message, one drop");
-        s.recover_node(n[1]);
-        s.recover_node(n[1]); // recover-of-alive: no-op
-        assert!(s.is_alive(n[1]));
-        let s3 = s.clone();
-        s.spawn(async move {
-            let r = s3
-                .call(
-                    NodeId(0),
-                    &[NodeId(1)],
-                    Msg::Ping(2),
-                    Some(SimDuration::from_millis(50)),
-                )
-                .await;
-            assert!(r.complete(), "recovered node answers again");
-        });
-        s.run();
-        assert_eq!(s.metrics().dropped, 1, "no further drops after recovery");
-    }
-
-    #[test]
-    fn dead_sender_originates_nothing() {
-        let s = sim(5);
-        let n = s.add_nodes(2);
-        echo(&s, n[1]);
-        s.fail_node(n[0]);
-        let s2 = s.clone();
-        s.spawn(async move {
-            let r = s2
-                .call(
-                    NodeId(0),
-                    &[NodeId(1)],
-                    Msg::Ping(1),
-                    Some(SimDuration::from_millis(50)),
-                )
-                .await;
-            assert!(r.timed_out, "a crashed node's requests go nowhere");
-        });
-        s.run();
-        let m = s.metrics();
-        assert_eq!(m.dropped, 1);
-        assert_eq!(m.sent_total, 0, "dropped at the source, never on the wire");
-    }
-
-    #[test]
-    fn partition_blocks_cross_group_traffic_until_healed() {
-        let s = sim(5);
-        let n = s.add_nodes(4);
-        echo(&s, n[1]);
-        echo(&s, n[3]);
-        s.set_partition(&[vec![n[0], n[1]], vec![n[2], n[3]]]);
-        assert!(s.connected(n[0], n[1]));
-        assert!(!s.connected(n[1], n[2]));
-        let s2 = s.clone();
-        s.spawn(async move {
-            // Same side: works.
-            let r = s2
-                .call(
-                    NodeId(0),
-                    &[NodeId(1)],
-                    Msg::Ping(1),
-                    Some(SimDuration::from_millis(50)),
-                )
-                .await;
-            assert!(r.complete());
-            // Across the cut: dropped at delivery.
-            let r = s2
-                .call(
-                    NodeId(0),
-                    &[NodeId(3)],
-                    Msg::Ping(2),
-                    Some(SimDuration::from_millis(50)),
-                )
-                .await;
-            assert!(r.timed_out);
-        });
-        s.run();
-        assert_eq!(s.metrics().dropped_by_partition, 1);
-        assert_eq!(s.metrics().dropped, 0);
-        s.heal_partition();
-        assert!(s.connected(n[0], n[3]));
-        let s3 = s.clone();
-        s.spawn(async move {
-            let r = s3
-                .call(
-                    NodeId(0),
-                    &[NodeId(3)],
-                    Msg::Ping(3),
-                    Some(SimDuration::from_millis(50)),
-                )
-                .await;
-            assert!(r.complete(), "healed partition delivers again");
-        });
-        s.run();
-    }
-
-    #[test]
-    fn certain_link_drop_loses_requests_until_cleared() {
-        let s = sim(5);
-        let n = s.add_nodes(2);
-        echo(&s, n[1]);
-        s.set_link_drop(n[0], n[1], 1000);
-        let s2 = s.clone();
-        s.spawn(async move {
-            let r = s2
-                .call(
-                    NodeId(0),
-                    &[NodeId(1)],
-                    Msg::Ping(1),
-                    Some(SimDuration::from_millis(50)),
-                )
-                .await;
-            assert!(r.timed_out);
-        });
-        s.run();
-        assert_eq!(s.metrics().dropped_by_link, 1);
-        s.clear_link_fault(n[0], n[1]);
-        let s3 = s.clone();
-        s.spawn(async move {
-            let r = s3
-                .call(
-                    NodeId(0),
-                    &[NodeId(1)],
-                    Msg::Ping(2),
-                    Some(SimDuration::from_millis(50)),
-                )
-                .await;
-            assert!(r.complete());
-        });
-        s.run();
-        assert_eq!(s.metrics().dropped_by_link, 1, "cleared link is clean");
-    }
-
-    #[test]
-    fn link_delay_slows_one_direction_only() {
-        let s = sim(10);
-        let n = s.add_nodes(2);
-        echo(&s, n[1]);
-        s.set_link_delay(n[0], n[1], SimDuration::from_millis(7));
-        let s2 = s.clone();
-        let done = Rc::new(Cell::new(None));
-        let done2 = Rc::clone(&done);
-        s.spawn(async move {
-            s2.call(NodeId(0), &[NodeId(1)], Msg::Ping(1), None).await;
-            done2.set(Some(s2.now()));
-        });
-        s.run();
-        // 10ms + 7ms spike there, 200us service, 10ms back (reply link clean).
-        assert_eq!(
-            done.get().unwrap(),
-            SimTime::ZERO + SimDuration::from_millis(27) + SimDuration::from_micros(200)
-        );
-    }
-
-    #[test]
-    fn service_factor_multiplies_service_time() {
-        let mut cfg = SimConfig::new(1, Box::new(ConstLatency::new(SimDuration::from_millis(10))));
-        cfg.service_time = SimDuration::from_millis(5);
-        let s: Sim<Msg> = Sim::new(cfg);
-        let n = s.add_nodes(2);
-        echo(&s, n[1]);
-        s.set_service_factor(n[1], 3.0);
-        let s2 = s.clone();
-        let done = Rc::new(Cell::new(None));
-        let done2 = Rc::clone(&done);
-        s.spawn(async move {
-            s2.call(NodeId(0), &[NodeId(1)], Msg::Ping(1), None).await;
-            done2.set(Some(s2.now()));
-        });
-        s.run();
-        // 10ms there + 3x5ms service + 10ms back.
-        assert_eq!(
-            done.get().unwrap(),
-            SimTime::ZERO + SimDuration::from_millis(35)
-        );
-        s.set_service_factor(n[1], 1.0);
-        let s3 = s.clone();
-        let t0 = s.now();
-        let done = Rc::new(Cell::new(None));
-        let done2 = Rc::clone(&done);
-        s.spawn(async move {
-            s3.call(NodeId(0), &[NodeId(1)], Msg::Ping(2), None).await;
-            done2.set(Some(s3.now()));
-        });
-        s.run();
-        assert_eq!(
-            done.get().unwrap() - t0,
-            SimDuration::from_millis(25),
-            "restored node serves at healthy speed"
-        );
-    }
-
-    #[test]
-    fn call_first_resolves_at_need_and_counts_waste() {
-        // Node 1 is healthy, node 2 is slow: a hedged call needing one
-        // reply resolves with node 1's answer; node 2's late reply is
-        // counted as wasted.
-        let mut cfg = SimConfig::new(1, Box::new(ConstLatency::new(SimDuration::from_millis(10))));
-        cfg.service_time = SimDuration::from_millis(1);
-        let s: Sim<Msg> = Sim::new(cfg);
-        let n = s.add_nodes(3);
-        echo(&s, n[1]);
-        echo(&s, n[2]);
-        s.set_service_factor(n[2], 50.0);
-        let s2 = s.clone();
-        let got = Rc::new(Cell::new(None));
-        let got2 = Rc::clone(&got);
-        s.spawn(async move {
-            let r = s2
-                .call_first(NodeId(0), &[NodeId(1), NodeId(2)], Msg::Ping(5), 1, None)
-                .await;
-            assert!(!r.timed_out);
-            got2.set(Some(r.replies.len()));
-        });
-        s.run();
-        assert_eq!(got.get(), Some(1));
-        assert_eq!(s.metrics().wasted_replies, 1, "the straggler's reply");
-    }
-
-    #[test]
-    fn no_timeout_call_to_dead_node_is_counted_and_detector_bounded() {
-        let s = sim(5);
-        let n = s.add_nodes(2);
-        echo(&s, n[1]);
-        s.fail_node(n[1]);
-        // Without heartbeats: counted, still hangs (documented footgun).
-        let s2 = s.clone();
-        s.spawn(async move {
-            s2.call(NodeId(0), &[NodeId(1)], Msg::Ping(1), None).await;
-            unreachable!("no detector: the call must hang forever");
-        });
-        s.run();
-        assert_eq!(s.metrics().no_timeout_dead_calls, 1);
-        assert_eq!(s.live_tasks(), 1, "caller is stuck");
-        // With heartbeats running, the same call resolves as timed-out
-        // after one suspicion window.
-        s.start_heartbeats(HeartbeatConfig::default());
-        let s3 = s.clone();
-        let done = Rc::new(Cell::new(false));
-        let done2 = Rc::clone(&done);
-        s.spawn(async move {
-            let r = s3.call(NodeId(0), &[NodeId(1)], Msg::Ping(2), None).await;
-            assert!(r.timed_out);
-            done2.set(true);
-            s3.halt();
-        });
-        s.run();
-        assert!(done.get(), "detector-bounded call resolved");
-        assert_eq!(s.metrics().no_timeout_dead_calls, 2);
-    }
-
-    #[test]
-    fn heartbeats_flow_and_respect_partitions() {
-        let s = sim(5);
-        let n = s.add_nodes(3);
-        s.start_heartbeats(HeartbeatConfig {
-            interval: SimDuration::from_millis(20),
-            jitter: 0.1,
-            suspect_after: 3,
-        });
-        s.run_for(SimDuration::from_millis(200));
-        let m = s.metrics();
-        assert!(m.heartbeats_sent > 0);
-        assert!(m.heartbeats_delivered > 0);
-        let t1 = s.last_heartbeat(n[0], n[1]);
-        assert!(t1 > SimTime::ZERO, "observer 0 heard node 1");
-        // Partition node 2 away: nodes 0/1 stop hearing it, it keeps
-        // hearing nothing from them either, but 0 and 1 stay fresh.
-        s.set_partition(&[vec![n[0], n[1]], vec![n[2]]]);
-        let cut_at = s.now();
-        s.run_for(SimDuration::from_millis(200));
-        assert!(
-            s.last_heartbeat(n[0], n[2]) <= cut_at,
-            "no heartbeat crosses the cut"
-        );
-        assert!(
-            s.last_heartbeat(n[0], n[1]) > cut_at,
-            "same side stays fresh"
-        );
-        s.stop_heartbeats();
-        s.run(); // must quiesce: no perpetual tick stream
-    }
-
-    #[test]
-    fn dead_node_heartbeats_resume_on_recovery() {
-        let s = sim(5);
-        let n = s.add_nodes(2);
-        s.start_heartbeats(HeartbeatConfig {
-            interval: SimDuration::from_millis(20),
-            jitter: 0.0,
-            suspect_after: 3,
-        });
-        s.fail_node(n[1]);
-        s.run_for(SimDuration::from_millis(100));
-        let stale = s.last_heartbeat(n[0], n[1]);
-        s.recover_node(n[1]);
-        s.run_for(SimDuration::from_millis(100));
-        assert!(
-            s.last_heartbeat(n[0], n[1]) > stale,
-            "recovered node beats again without re-arming"
-        );
-        s.stop_heartbeats();
-        s.run();
-    }
-
-    #[test]
-    fn heartbeats_off_keep_trace_identical() {
-        // The heartbeat layer must be strictly opt-in: a sim that never
-        // starts it behaves exactly like one built before the layer
-        // existed (same RNG draws, same event count).
-        fn trace() -> (u64, u64) {
-            let s = sim(7);
-            let n = s.add_nodes(3);
-            echo(&s, n[1]);
-            echo(&s, n[2]);
-            let s2 = s.clone();
-            s.spawn(async move {
-                s2.call(NodeId(0), &[NodeId(1), NodeId(2)], Msg::Ping(1), None)
-                    .await;
-            });
-            s.run();
-            (s.metrics().events, s.metrics().sent_total)
-        }
-        assert_eq!(trace(), trace());
     }
 
     #[test]
