@@ -82,3 +82,82 @@ fn unwritable_save_plan_fails_the_run() {
         "--save-plan",
     ]);
 }
+
+fn repro(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("spawn repro");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+    )
+}
+
+/// What a violation report tells the user to do next — save the plan or
+/// trace, then re-run it with `--plan` / `--replay` — works from the
+/// command line, and the replay says what the first run said.
+#[test]
+fn saved_plans_and_traces_replay_from_the_command_line() {
+    let dir = env!("CARGO_TARGET_TMPDIR");
+    let report_line = |stdout: &str| {
+        stdout
+            .lines()
+            .find(|l| l.starts_with("[tfa"))
+            .expect("one report line")
+            .to_string()
+    };
+    let plan = format!("{dir}/cli_usage.plan");
+    let shape = ["chaos", "--proto", "tfa", "--horizon-ms", "300"];
+    let generate = [&shape[..], &["--events", "2", "--save-plan", &plan]].concat();
+    let (code, first) = repro(&generate);
+    assert_eq!(code, Some(0), "{first}");
+    let (code, again) = repro(&[&shape[..], &["--plan", &plan]].concat());
+    assert_eq!(code, Some(0), "{again}");
+    assert_eq!(report_line(&first), report_line(&again));
+
+    let (code, out) = repro(&[
+        "chaos",
+        "--proto",
+        "qr-cn",
+        "--horizon-ms",
+        "400",
+        "--fig10",
+        "2",
+    ]);
+    assert_eq!(code, Some(0), "{out}");
+    assert!(
+        out.contains("applied= 2"),
+        "both fig10 crashes applied: {out}"
+    );
+
+    let trace = format!("{dir}/cli_usage.trace");
+    let (code, found) = repro(&[
+        "mc",
+        "--proto",
+        "qr",
+        "--txns",
+        "2",
+        "--seed",
+        "1",
+        "--inject-bug",
+        "skip-vote-check",
+        "--dfs",
+        "50",
+        "--pct",
+        "0",
+        "--save-trace",
+        &trace,
+    ]);
+    assert_eq!(code, Some(1), "the injected bug is caught: {found}");
+    let (code, replayed) = repro(&["mc", "--replay", &trace]);
+    assert_eq!(code, Some(1), "{replayed}");
+    let violation = |s: &str| {
+        s.lines()
+            .find(|l| l.contains("! T"))
+            .map(str::trim)
+            .map(String::from)
+    };
+    assert!(violation(&found).is_some(), "{found}");
+    assert_eq!(violation(&found), violation(&replayed));
+}

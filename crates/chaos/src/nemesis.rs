@@ -737,7 +737,7 @@ mod tests {
 
     #[test]
     fn empty_plan_is_a_healthy_run() {
-        let r = run_plan(qr(1), 10, &quick_spec(), &FaultPlan::empty());
+        let r = run_plan(qr(1), 10, &quick_spec(), &FaultPlan::default());
         assert!(r.ok(), "violations: {:?}", r.violations);
         assert!(r.drained);
         assert!(r.commits > 0);

@@ -220,11 +220,6 @@ impl FaultPlan {
         FaultPlan { events }
     }
 
-    /// The empty plan (a plain healthy run).
-    pub fn empty() -> Self {
-        FaultPlan::default()
-    }
-
     /// Number of events.
     pub fn len(&self) -> usize {
         self.events.len()

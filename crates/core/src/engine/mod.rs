@@ -96,11 +96,6 @@ impl Client {
         }
     }
 
-    /// The node this client's transactions execute on.
-    pub fn node(&self) -> NodeId {
-        self.ep.node
-    }
-
     /// Run `body` as a root transaction, retrying until it commits, and
     /// return its result.
     ///
@@ -158,11 +153,6 @@ pub struct Tx {
 }
 
 impl Tx {
-    /// The nesting level of this handle (0 = root).
-    pub fn level(&self) -> u32 {
-        self.level
-    }
-
     fn policy(&self) -> &'static dyn NestingPolicy {
         nesting::policy(self.ep.inner.cfg.mode)
     }
@@ -181,11 +171,6 @@ impl Tx {
     /// Err(tx.abort_here())` to retry with fresh reads.
     pub fn abort_here(&self) -> Abort {
         self.policy().abort_here(self.level)
-    }
-
-    /// The node this transaction executes on.
-    pub fn node(&self) -> NodeId {
-        self.ep.node
     }
 
     /// Read an object (paper Alg. 2, local part). Checks the transaction's
@@ -251,11 +236,7 @@ impl Tx {
             // zero-message read-only commit must not trust it.
             self.st.borrow_mut().hedged_reads = true;
         }
-        let r = validation::resolve_replies(round.replies);
-        if let Some(target) = r.abort {
-            return Err(Abort { target });
-        }
-        let (version, fetched) = r.best.expect("non-empty read quorum");
+        let (version, fetched) = validation::resolve_replies(round.replies)?;
         if kind != ValidationKind::None {
             self.ep
                 .sim

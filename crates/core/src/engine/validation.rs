@@ -10,7 +10,7 @@ use qrdtm_sim::NodeId;
 
 use crate::msg::{Msg, ValEntry, ValidationKind};
 use crate::object::{ObjVal, Version};
-use crate::txid::AbortTarget;
+use crate::txid::{Abort, AbortTarget};
 
 use super::nesting::{NestingPolicy, TxState};
 
@@ -35,17 +35,10 @@ pub(super) fn read_validation(
     (kind, entries)
 }
 
-/// The merged outcome of one read round's replies.
-pub(super) struct ReadResolution {
-    /// Highest-version copy served, if any node served one.
-    pub(super) best: Option<(Version, ObjVal)>,
-    /// Merged abort target, if any node reported a conflict.
-    pub(super) abort: Option<AbortTarget>,
-}
-
-/// Merge a read round's replies (paper Alg. 2, quorum part): take the
-/// max-version copy; merge abort targets toward the outermost scope.
-pub(super) fn resolve_replies(replies: Vec<(NodeId, Msg)>) -> ReadResolution {
+/// Merge a read round's replies (paper Alg. 2, quorum part): the
+/// max-version copy served, or — if any node reported a conflict — the
+/// abort targets merged toward the outermost scope.
+pub(super) fn resolve_replies(replies: Vec<(NodeId, Msg)>) -> Result<(Version, ObjVal), Abort> {
     let mut best: Option<(Version, ObjVal)> = None;
     let mut abort: Option<AbortTarget> = None;
     for (_, m) in replies {
@@ -63,5 +56,8 @@ pub(super) fn resolve_replies(replies: Vec<(NodeId, Msg)>) -> ReadResolution {
             _ => {}
         }
     }
-    ReadResolution { best, abort }
+    match abort {
+        Some(target) => Err(Abort { target }),
+        None => Ok(best.expect("non-empty read quorum")),
+    }
 }

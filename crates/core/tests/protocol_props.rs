@@ -70,10 +70,7 @@ fn hedged_read_only_run(seed: u64, hedge: usize) -> Cluster {
         mode: NestingMode::Closed,
         seed,
         latency: LatencySpec::Jittered(SimDuration::from_millis(10), 0.4),
-        detector: Some(DetectorConfig {
-            hedge,
-            ..Default::default()
-        }),
+        detector: Some(DetectorConfig { hedge }),
         ..Default::default()
     });
     for i in 0..4u64 {
@@ -292,10 +289,7 @@ proptest! {
             mode: NestingMode::Closed,
             seed,
             latency: LatencySpec::Jittered(SimDuration::from_millis(10), 0.3),
-            detector: Some(DetectorConfig {
-                hedge,
-                ..Default::default()
-            }),
+            detector: Some(DetectorConfig { hedge }),
             ..Default::default()
         });
         for i in 0..3u64 {

@@ -499,3 +499,35 @@ fn run_qstore_schedule(scope: &Scope, policy: Box<dyn ChoicePolicy>) -> RunOutco
         },
     )
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_label_round_trips_through_its_table() {
+        for (proto, label, trace_label) in McProto::ALL {
+            assert_eq!(McProto::from_label(label), Some(proto));
+            assert_eq!(proto.label(), label);
+            assert_eq!(McProto::from_trace_label(trace_label), Some(proto));
+            assert_eq!(proto.trace_label(), trace_label);
+        }
+        for (bug, label) in McBug::ALL {
+            assert_eq!(McBug::parse_bug(label), Some(bug));
+            assert_eq!(bug.label(), label);
+        }
+        // Every variant has a row (`label()` panics on one left out).
+        for mode in NestingMode::ALL {
+            McProto::Qr(mode).label();
+        }
+        McProto::QStore.label();
+        for bug in [InjectedBug::SkipVoteCheck, InjectedBug::SkipEpochFence] {
+            McBug::Qr(bug).label();
+        }
+        for bug in [QStoreBug::SkipTagCheck, QStoreBug::AckBeforeFsync] {
+            McBug::QStore(bug).label();
+        }
+        assert_eq!(McProto::from_label("QR-CN"), None, "spellings stay apart");
+        assert_eq!(McProto::from_trace_label("qr-cn"), None);
+    }
+}

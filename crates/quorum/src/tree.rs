@@ -37,11 +37,6 @@ impl Tree {
         false // n > 0 is an invariant; method provided for API completeness
     }
 
-    /// Branching factor.
-    pub fn branching(&self) -> usize {
-        self.branching
-    }
-
     /// The root node (always 0).
     pub fn root(&self) -> usize {
         0

@@ -104,13 +104,6 @@ pub struct CallResult<M> {
     pub timed_out: bool,
 }
 
-impl<M> CallResult<M> {
-    /// Whether every destination replied.
-    pub fn complete(&self) -> bool {
-        !self.timed_out
-    }
-}
-
 /// Future returned by [`Sim::call`]; resolves with all replies or on
 /// timeout.
 pub struct CallFuture<M> {
@@ -186,7 +179,7 @@ mod tests {
                 )
                 .await;
             got2.set(r.replies.len());
-            assert!(r.complete());
+            assert!(!r.timed_out);
         });
         s.run();
         assert_eq!(got.get(), 3);

@@ -58,13 +58,14 @@ pub enum RateSchedule {
     },
 }
 
+/// Percentage of read-only audits in the mix.
+const READ_PCT: u64 = 40;
+
 /// Shape of an open-loop run.
 #[derive(Clone, Copy, Debug)]
 pub struct OpenLoopSpec {
     /// Number of account objects.
     pub accounts: u64,
-    /// Percentage of read-only audits in the mix.
-    pub read_pct: u32,
     /// Base offered load, transactions per virtual second (cluster-wide).
     pub rate_tps: u64,
     /// Zipfian skew exponent ×1000 (0 = uniform; 900 ≈ web-like skew).
@@ -88,7 +89,6 @@ impl Default for OpenLoopSpec {
     fn default() -> Self {
         OpenLoopSpec {
             accounts: 32,
-            read_pct: 40,
             rate_tps: 200,
             zipf_milli: 900,
             deadline: SimDuration::from_millis(400),
@@ -265,7 +265,7 @@ pub fn spawn_open_loop<P: SimHosted + 'static>(
                 if b == a {
                     b = (b + 1) % spec.accounts;
                 }
-                let read = s.rand_below(100) < u64::from(spec.read_pct);
+                let read = s.rand_below(100) < READ_PCT;
                 tallies.offered.set(tallies.offered.get() + 1);
                 let mut q = queues[node as usize].borrow_mut();
                 if spec.protect && q.len() >= spec.queue_bound {

@@ -29,6 +29,21 @@ quiet() {
     "$@" >/dev/null
 }
 
+# Lines under crates/*/src, in total and outside tests: a file counts up to
+# the first `#[cfg(test)]` that opens an inline `mod ... {` (a
+# `#[cfg(test)] mod tests;` declaration is one line of code, not the end of
+# the file), and a `tests.rs` counts as all test. ROADMAP's "the round's net
+# line count under crates/ must come out negative" reads these two numbers.
+count_lines() {
+    find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
+        FNR == 1 { in_test = (FILENAME ~ /\/tests\.rs$/); pending = 0 }
+        { total++ }
+        in_test { next }
+        pending && /^(pub(\([a-z]+\))? )?mod [a-z_]+ \{/ { in_test = 1; code -= 1; next }
+        { pending = /^#\[cfg\(test\)\]$/; code++ }
+        END { printf "crates/*/src: %d lines, %d outside tests\n", total, code }'
+}
+
 stage "cargo build --workspace --release" \
     cargo build --workspace --release
 
@@ -84,3 +99,4 @@ stage "benchmark package smoke (separate workspace built against these crates' p
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
 echo "ok: all tier-1 checks passed (${SECONDS} s)"
+count_lines
