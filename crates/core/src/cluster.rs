@@ -17,6 +17,7 @@ use crate::engine::wal::{install_stream, ReplicaWal, WalRecord};
 use crate::history::{CommitRecord, HistoryRecorder, Violation};
 use crate::msg::Msg;
 use crate::object::{ObjVal, ObjectId};
+use crate::pool::Payload;
 use crate::stats::DtmStats;
 use crate::store::{NodeStore, ReadOutcome};
 use crate::txid::{NestingMode, TxId};
@@ -243,8 +244,10 @@ impl DtmConfig {
 pub struct QuorumView {
     tq: TreeQuorum,
     read_level: usize,
-    pub(crate) read_q: Vec<NodeId>,
-    pub(crate) write_q: Vec<NodeId>,
+    /// Shared, not copied, by every read round and commit that snapshots
+    /// the view.
+    pub(crate) read_q: Rc<[NodeId]>,
+    pub(crate) write_q: Rc<[NodeId]>,
     /// Bumped on every reconfiguration. Quorum intersection is only
     /// guaranteed between quorums derived from the same view, so a commit
     /// decision whose vote round straddled an epoch change must not be
@@ -273,9 +276,9 @@ impl QuorumView {
 /// during reconfiguration, never left blocking the new view).
 pub(crate) enum PendingPhase2 {
     /// Commit decided: install these writes and release the locks.
-    Apply(Vec<(ObjectId, crate::object::Version, ObjVal)>),
+    Apply(Payload<(ObjectId, crate::object::Version, ObjVal)>),
     /// Abort decided: release any locks granted on these objects.
-    Release(Vec<ObjectId>),
+    Release(Payload<ObjectId>),
 }
 
 pub(crate) struct ClusterInner {
@@ -328,8 +331,8 @@ impl Cluster {
         let mut view = QuorumView {
             tq: TreeQuorum::new(Tree::ternary(cfg.nodes)),
             read_level: cfg.read_level,
-            read_q: Vec::new(),
-            write_q: Vec::new(),
+            read_q: [].into(),
+            write_q: [].into(),
             epoch: 0,
         };
         view.recompute()
@@ -475,12 +478,12 @@ impl Cluster {
     /// Current read quorum (every node uses the same designated quorums, as
     /// in the paper's experiments).
     pub fn read_quorum(&self) -> Vec<NodeId> {
-        self.inner.quorum.borrow().read_q.clone()
+        self.inner.quorum.borrow().read_q.to_vec()
     }
 
     /// Current write quorum.
     pub fn write_quorum(&self) -> Vec<NodeId> {
-        self.inner.quorum.borrow().write_q.clone()
+        self.inner.quorum.borrow().write_q.to_vec()
     }
 
     /// Fail a node and reconfigure the shared quorum view (the Cluster

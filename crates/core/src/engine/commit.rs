@@ -1,19 +1,21 @@
 //! Commit layer: the two-phase quorum commit of a root transaction.
 //!
-//! Collects the root frame's read/write sets, runs the vote round against
+//! Collects the data set's read/write sets, runs the vote round against
 //! the write quorum and, on success, the apply/confirm round (paper §II).
 //! Read-only transactions take one of two shortcuts: under a policy with
 //! Rqv-validated reads they commit locally with zero messages, otherwise
 //! they still validate their read set at the quorum.
 
 use std::cell::RefCell;
+use std::rc::Rc;
 
 use crate::cluster::{InjectedBug, PendingPhase2};
 use crate::history::CommitRecord;
-use crate::object::{ObjVal, ObjectId, Version};
+use crate::object::ObjectId;
+use crate::pool::Payload;
 use crate::txid::Abort;
 
-use super::nesting::{NestingPolicy, TxState};
+use super::nesting::{CommitSets, NestingPolicy, TxState};
 use super::transport::Endpoint;
 
 /// Two-phase commit of the root transaction, or the local read-only commit
@@ -23,9 +25,8 @@ pub(super) async fn commit_root(
     st: &RefCell<TxState>,
     pol: &dyn NestingPolicy,
 ) -> Result<(), Abort> {
-    let (root, reads, writes, payload, deadline) = {
-        let st = st.borrow();
-        debug_assert_eq!(st.frames.len(), 1, "all CTs completed before root commit");
+    let (root, sets, deadline) = {
+        let mut st = st.borrow_mut();
         assert!(
             !st.replaying(),
             "replay divergence in {}: the re-executed body finished after {} of the {} logged \
@@ -34,29 +35,20 @@ pub(super) async fn commit_root(
             st.op_index,
             st.replay_upto,
         );
-        let f = &st.frames[0];
-        let writes: Vec<(ObjectId, Version)> =
-            f.writes.iter().map(|(o, c)| (*o, c.version)).collect();
-        let reads: Vec<(ObjectId, Version)> = f
-            .reads
-            .iter()
-            .filter(|(o, _)| !f.writes.contains_key(o))
-            .map(|(o, c)| (*o, c.version))
-            .collect();
-        let payload: Vec<(ObjectId, Version, ObjVal)> = f
-            .writes
-            .iter()
-            .map(|(o, c)| (*o, c.version.next(), c.val.clone()))
-            .collect();
-        (st.root, reads, writes, payload, st.deadline)
+        (st.root, st.commit_sets(), st.deadline)
     };
+    let CommitSets {
+        reads,
+        writes,
+        payload,
+    } = sets;
     // Snapshot the view the decision is made under. The vote must go to
     // this exact quorum (locks will live on it), and the decision is only
     // sound if the view is unchanged when the votes are in — quorum
     // intersection holds within a view, not across reconfigurations.
     let (epoch, wq) = {
         let v = ep.inner.quorum.borrow();
-        (v.epoch, v.write_q.clone())
+        (v.epoch, Rc::clone(&v.write_q))
     };
     if writes.is_empty() {
         if pol.local_read_only_commit() && ep.inner.cfg.rqv && !st.borrow().hedged_reads {
@@ -73,7 +65,7 @@ pub(super) async fn commit_root(
                 ep.inner.history.borrow_mut().push(CommitRecord {
                     tx: root,
                     at,
-                    reads,
+                    reads: reads.to_vec(),
                     writes: vec![],
                 });
             }
@@ -97,7 +89,7 @@ pub(super) async fn commit_root(
         // which happen after the send.
         let at = ep.sim.now();
         let vote = ep
-            .vote_round(&wq, root, reads.clone(), vec![], deadline)
+            .vote_round(&wq, root, reads.clone(), writes, deadline)
             .await;
         if ep.inner.cfg.injected_bug != Some(InjectedBug::SkipVoteCheck) {
             vote?;
@@ -113,7 +105,7 @@ pub(super) async fn commit_root(
             ep.inner.history.borrow_mut().push(CommitRecord {
                 tx: root,
                 at,
-                reads,
+                reads: reads.to_vec(),
                 writes: vec![],
             });
         }
@@ -137,8 +129,7 @@ pub(super) async fn commit_root(
                 // replica has seen the writes yet, so converting the
                 // decision to an abort is safe — and necessary, since the
                 // vote quorum need not intersect the new view's quorums.
-                let oids: Vec<ObjectId> = writes.iter().map(|(o, _)| *o).collect();
-                release_registered(ep, &wq, root, oids).await;
+                release_registered(ep, &wq, root, &writes).await;
                 return Err(Abort::root());
             }
             if ep.inner.history.borrow().is_enabled() {
@@ -147,7 +138,7 @@ pub(super) async fn commit_root(
                 ep.inner.history.borrow_mut().push(CommitRecord {
                     tx: root,
                     at,
-                    reads,
+                    reads: reads.to_vec(),
                     writes: writes.iter().map(|(o, v)| (*o, *v, v.next())).collect(),
                 });
             }
@@ -164,8 +155,7 @@ pub(super) async fn commit_root(
         }
         Err(e) => {
             // Release any locks granted in phase one.
-            let oids: Vec<ObjectId> = writes.iter().map(|(o, _)| *o).collect();
-            release_registered(ep, &wq, root, oids).await;
+            release_registered(ep, &wq, root, &writes).await;
             Err(e)
         }
     }
@@ -177,8 +167,9 @@ async fn release_registered(
     ep: &Endpoint,
     voted: &[qrdtm_sim::NodeId],
     root: crate::txid::TxId,
-    oids: Vec<ObjectId>,
+    writes: &[(ObjectId, crate::object::Version)],
 ) {
+    let oids: Payload<ObjectId> = writes.iter().map(|(o, _)| *o).collect();
     ep.inner
         .pending
         .borrow_mut()

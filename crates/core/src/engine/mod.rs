@@ -5,11 +5,12 @@
 //!
 //! * [`transport`] — quorum RPC rounds (read fetch, 2PC vote,
 //!   apply/release) plus round/timeout accounting,
-//! * [`validation`] — the Rqv incremental-validation path: outbound
-//!   data-set payloads and read-reply merging,
-//! * [`nesting`] — per-transaction state ([`nesting::TxState`]) and the
-//!   flat/closed/checkpoint strategy objects behind
-//!   [`nesting::NestingPolicy`],
+//! * [`validation`] — the inbound half of the Rqv incremental-validation
+//!   path: read-reply merging,
+//! * [`nesting`] — per-transaction state ([`nesting::TxState`]: the data
+//!   set as one log with scope and checkpoint marks, and the outbound Rqv
+//!   payload built from it) and the flat/closed/checkpoint strategy
+//!   objects behind [`nesting::NestingPolicy`],
 //! * [`commit`] — the two-phase quorum commit of a root transaction.
 //!
 //! This module composes them. A [`Client`] is bound to a node and runs root
@@ -20,15 +21,15 @@
 //!   its ancestors' data sets (`checkParent`, Alg. 2 line 2) and otherwise
 //!   fetch the object from the read quorum, piggybacking the data set for
 //!   Rqv validation (QR-CN/QR-CHK) and taking the max-version copy.
-//! * [`Tx::closed`] runs a closed-nested transaction: a fresh frame on the
-//!   frame stack, independent retry on aborts addressed to its level, and
-//!   the paper's Alg. 3 local commit — merging its read/write sets into the
-//!   parent with **zero** messages.
+//! * [`Tx::closed`] runs a closed-nested transaction: a mark on the data-set
+//!   log, independent retry on aborts addressed to its level (truncate to
+//!   the mark), and the paper's Alg. 3 local commit — its entries become the
+//!   parent's with **zero** messages and nothing copied.
 //! * Under QR-CHK the engine creates a checkpoint each time the data set
 //!   grows by `chk_threshold` objects. A read-time conflict rolls back to
-//!   `abortChk`: the data-set inserts made since that checkpoint are undone
-//!   from a journal (a checkpoint is a mark, not a copy), the operation log
-//!   is truncated, and the body is re-executed with logged results replayed
+//!   `abortChk`: the data-set log is truncated to that checkpoint's mark (a
+//!   checkpoint is a mark, not a copy), the operation log is truncated
+//!   likewise, and the body is re-executed with logged results replayed
 //!   (our deterministic-replay substitute for the paper's Java
 //!   continuations — identical message behaviour, see DESIGN.md).
 //!
@@ -64,9 +65,10 @@ use qrdtm_sim::{Counter, EngineEventKind, NodeId, Sim, SimDuration, SimTime};
 use crate::cluster::ClusterInner;
 use crate::msg::{Msg, ValidationKind};
 use crate::object::{ObjVal, ObjectId};
+use crate::pool::Payload;
 use crate::txid::{Abort, AbortTarget};
 
-use nesting::{Cached, Frame, NestingPolicy, TxState};
+use nesting::{Entry, NestingPolicy, TxState};
 use transport::Endpoint;
 
 /// Encode an abort target into an [`EngineEventKind::AbortWithTarget`]
@@ -196,33 +198,34 @@ impl Tx {
                 self.ep.inner.stats.borrow_mut().replayed_ops += 1;
                 return Ok(out);
             }
-            if let Some(found) = st.lookup(self.level, oid) {
+            if let Some(found) = st.find(self.level, oid) {
                 let out = match write_val {
                     Some(v) => {
-                        // Promote/shadow into this level's write set keeping
-                        // the fetch-time version and owner (the owner is
-                        // whoever READ it — its abort invalidates the copy).
-                        let cached = Cached {
-                            version: found.version,
-                            val: v,
-                            owner_level: found.owner_level,
-                            owner_chk: found.owner_chk,
-                        };
-                        st.insert(self.level, oid, true, cached, pol.journals_inserts());
+                        st.promote(found, v);
                         ObjVal::Unit
                     }
-                    None => found.val.clone(),
+                    None => st.entry(found).val.clone(),
                 };
                 pol.log_op(&mut st, oid, is_write, &out);
                 self.ep.inner.stats.borrow_mut().local_hits += 1;
                 return Ok(out);
             }
         }
-        // Remote acquisition: validation payload, then read-quorum rounds.
+        // Remote acquisition: the validation payload the policy mandates
+        // (the merged data set, or nothing with Rqv disabled), then
+        // read-quorum rounds.
         let (root, cur_chk, entries, kind, deadline) = {
-            let st = self.st.borrow();
-            let (kind, entries) = validation::read_validation(&st, self.ep.inner.cfg.rqv, pol);
-            let entries: crate::pool::Payload<_> = entries.into();
+            let mut st = self.st.borrow_mut();
+            let kind = if self.ep.inner.cfg.rqv {
+                pol.validation_kind()
+            } else {
+                ValidationKind::None
+            };
+            let entries = if kind == ValidationKind::None {
+                Payload::default()
+            } else {
+                st.entries()
+            };
             (st.root, st.cur_chk(), entries, kind, st.deadline)
         };
         let round = self
@@ -245,13 +248,14 @@ impl Tx {
         {
             let mut st = self.st.borrow_mut();
             st.last_remote_read_at = self.ep.sim.now();
-            let cached = Cached {
+            st.fetched(Entry {
+                oid,
+                is_write,
                 version,
                 val: write_val.unwrap_or_else(|| fetched.clone()),
                 owner_level: self.level,
                 owner_chk: cur_chk,
-            };
-            st.insert(self.level, oid, is_write, cached, pol.journals_inserts());
+            });
             pol.log_op(&mut st, oid, is_write, &fetched);
         }
         self.maybe_checkpoint().await;
@@ -279,36 +283,25 @@ impl Tx {
             {
                 let mut st = self.st.borrow_mut();
                 debug_assert_eq!(
-                    st.frames.len(),
-                    child_level as usize,
+                    st.depth(),
+                    self.level,
                     "closed() called from the innermost active scope"
                 );
-                st.frames.push(Frame::default());
+                st.open_scope();
             }
             let mut child = self.clone();
             child.level = child_level;
             match body(child).await {
                 Ok(v) => {
                     // commitCT (Alg. 3): merge into the parent, locally.
-                    let mut st = self.st.borrow_mut();
-                    let frame = st.frames.pop().expect("child frame present");
-                    let parent = &mut st.frames[self.level as usize];
-                    for (oid, mut c) in frame.reads {
-                        c.owner_level = c.owner_level.min(self.level);
-                        parent.reads.entry(oid).or_insert(c);
-                    }
-                    for (oid, mut c) in frame.writes {
-                        c.owner_level = c.owner_level.min(self.level);
-                        parent.writes.insert(oid, c);
-                    }
-                    drop(st);
+                    self.st.borrow_mut().commit_scope();
                     self.ep.inner.stats.borrow_mut().ct_commits += 1;
                     return Ok(v);
                 }
                 Err(Abort {
                     target: AbortTarget::Level(l),
                 }) if l == child_level => {
-                    let innermost = (self.st.borrow().frames.len() - 1) as u32;
+                    let innermost = self.st.borrow().depth();
                     self.ep.sim.emit_engine_event(
                         EngineEventKind::AbortWithTarget,
                         self.ep.node,
@@ -318,13 +311,13 @@ impl Tx {
                     // promptly — the whole point of closed nesting is that
                     // the retry is cheap, so it only takes a jittered
                     // de-synchronization delay, not an escalating backoff.
-                    self.st.borrow_mut().frames.truncate(child_level as usize);
+                    self.st.borrow_mut().abort_scope(child_level);
                     self.ep.inner.stats.borrow_mut().ct_aborts += 1;
                     self.backoff(false).await;
                 }
                 Err(e) => {
                     // Addressed to an ancestor: unwind further.
-                    self.st.borrow_mut().frames.truncate(child_level as usize);
+                    self.st.borrow_mut().abort_scope(child_level);
                     return Err(e);
                 }
             }
@@ -435,7 +428,7 @@ impl Tx {
         let bound = {
             let st = self.st.borrow();
             match abort.target {
-                AbortTarget::Level(_) => (st.frames.len() - 1) as u32,
+                AbortTarget::Level(_) => st.depth(),
                 AbortTarget::Chk(_) => st.cur_chk(),
             }
         };

@@ -3,25 +3,31 @@
 //!
 //! The paper's three protocols differ only in *how a transaction reacts to
 //! conflicts and structures its data set*: flat QR retries wholesale, QR-CN
-//! keeps per-level frames so a closed-nested scope can abort alone, and
-//! QR-CHK marks checkpoints on an undo journal of the root frame's inserts,
-//! pops the journal back to the mark on a partial rollback and replays the
-//! logged operation prefix. Each variant is a stateless strategy object
-//! behind [`NestingPolicy`]; the engine core consults the policy instead of
+//! lets a closed-nested scope abort alone, and QR-CHK rolls back to a
+//! checkpoint and replays the logged operation prefix. The data set behind
+//! all three is one append-only log of cached copies ([`TxState`]): the
+//! latest entry for an object is the one the transaction sees, a
+//! closed-nested scope and a checkpoint are both marks on the log, and
+//! every partial abort is a truncation to a mark — the log is its own undo
+//! record. Each variant is a stateless strategy object behind
+//! [`NestingPolicy`]; the engine core consults the policy instead of
 //! matching on [`NestingMode`] mid-access.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
 
 use qrdtm_sim::SimTime;
 
 use crate::msg::{ValEntry, ValidationKind};
 use crate::object::{ObjVal, ObjectId, Version};
+use crate::pool::Payload;
 use crate::txid::{Abort, AbortTarget, NestingMode, TxId};
 
-/// A cached object copy inside a transaction's data set.
+/// One data-set entry: a cached object copy in the read or the write set.
 #[derive(Debug)]
 #[cfg_attr(test, derive(Clone, PartialEq))]
-pub(super) struct Cached {
+pub(super) struct Entry {
+    pub(super) oid: ObjectId,
+    pub(super) is_write: bool,
     pub(super) version: Version,
     pub(super) val: ObjVal,
     /// Nesting level whose abort invalidates this entry (the `ownerTxn`).
@@ -30,37 +36,14 @@ pub(super) struct Cached {
     pub(super) owner_chk: u32,
 }
 
-/// Read/write sets of one nesting level.
-#[derive(Debug, Default)]
-#[cfg_attr(test, derive(Clone, PartialEq))]
-pub(super) struct Frame {
-    pub(super) reads: BTreeMap<ObjectId, Cached>,
-    pub(super) writes: BTreeMap<ObjectId, Cached>,
-}
-
-impl Frame {
-    pub(super) fn len(&self) -> usize {
-        self.reads.len() + self.writes.len()
-    }
-
-    fn set_mut(&mut self, is_write: bool) -> &mut BTreeMap<ObjectId, Cached> {
-        if is_write {
-            &mut self.writes
-        } else {
-            &mut self.reads
-        }
-    }
-}
-
-/// A checkpoint: a mark on the op log and on the undo journal, plus the
-/// data-set size at capture. Nothing is copied — the journal entries past
-/// `journal_len` are what [`TxState::rollback_to`] undoes to get the root
-/// frame of the capture instant back, and replaying the op-log prefix
-/// reconstructs the execution state.
-#[derive(Clone, Copy, Debug)]
+/// A checkpoint: a mark on the op log and on the data-set log, plus the
+/// data-set size at capture. Nothing is copied — truncating both logs to
+/// the mark is the root scope of the capture instant, and replaying the
+/// op-log prefix reconstructs the execution state.
+#[derive(Clone, Copy, Debug, Default)]
 pub(super) struct ChkRec {
     pub(super) oplog_len: usize,
-    pub(super) journal_len: usize,
+    pub(super) log_len: usize,
     pub(super) dataset_size: usize,
 }
 
@@ -72,27 +55,39 @@ pub(super) struct LoggedOp {
     pub(super) result: Option<ObjVal>,
 }
 
-/// One undo-journal record: the root-frame slot an insert overwrote.
-#[derive(Debug)]
-struct Undo {
-    oid: ObjectId,
-    is_write: bool,
-    /// What the slot held before (`None`: the insert created it).
-    prev: Option<Cached>,
+/// What a root commit sends: the winning entry of every object, split into
+/// read-only and written objects, each sorted by object id.
+pub(super) struct CommitSets {
+    pub(super) reads: Payload<(ObjectId, Version)>,
+    pub(super) writes: Payload<(ObjectId, Version)>,
+    /// `(object, new version, new value)` per written object.
+    pub(super) payload: Payload<(ObjectId, Version, ObjVal)>,
 }
 
 /// The mutable state of one root transaction attempt (all nesting levels).
 pub(super) struct TxState {
     pub(super) root: TxId,
-    pub(super) frames: Vec<Frame>,
+    /// The data set: every insert of the attempt in order, never edited in
+    /// place. The latest entry for an object wins (a write is always later
+    /// than the read it promotes, a child scope's entry later than its
+    /// ancestors').
+    log: Vec<Entry>,
+    /// One mark per open closed-nested scope (QR-CN only): the log length
+    /// when the scope at level `index + 1` began.
+    scopes: Vec<usize>,
+    /// Distinct `(object, read|write)` slots the log holds — what the
+    /// checkpoint criterion measures (QR-CHK only, whose scopes are all
+    /// inlined): a write shadowing an earlier write adds an entry, not a
+    /// slot.
+    dataset_size: usize,
+    /// Scratch for [`TxState::entries`] and [`TxState::commit_sets`]:
+    /// `(object, newest first)` keys of the log, kept across reads and
+    /// retries so the per-read sort allocates nothing.
+    order: Vec<(ObjectId, Reverse<u32>)>,
     /// One entry per operation (QR-CHK only, see [`NestingPolicy::log_op`]).
     pub(super) oplog: Vec<LoggedOp>,
     pub(super) op_index: usize,
     pub(super) replay_upto: usize,
-    /// Undo records of every root-frame insert since the attempt began
-    /// (QR-CHK only, see [`TxState::insert`]): O(data set) per attempt,
-    /// however many checkpoints mark it.
-    journal: Vec<Undo>,
     pub(super) checkpoints: Vec<ChkRec>,
     pub(super) last_chk_size: usize,
     pub(super) attempt: u32,
@@ -116,16 +111,14 @@ impl TxState {
     pub(super) fn new(root: TxId) -> Self {
         TxState {
             root,
-            frames: vec![Frame::default()],
+            log: Vec::new(),
+            scopes: Vec::new(),
+            dataset_size: 0,
+            order: Vec::new(),
             oplog: Vec::new(),
             op_index: 0,
             replay_upto: 0,
-            journal: Vec::new(),
-            checkpoints: vec![ChkRec {
-                oplog_len: 0,
-                journal_len: 0,
-                dataset_size: 0,
-            }],
+            checkpoints: vec![ChkRec::default()],
             last_chk_size: 0,
             attempt: 0,
             last_remote_read_at: SimTime::ZERO,
@@ -142,88 +135,157 @@ impl TxState {
         self.op_index < self.replay_upto
     }
 
-    /// The merged data set as Rqv validation entries, sorted by object,
-    /// one entry per object: the innermost frame shadows, and within a
-    /// frame the write shadows the read.
-    pub(super) fn entries(&self) -> Vec<ValEntry> {
-        let mut out = Vec::with_capacity(self.frames.iter().map(Frame::len).sum());
-        // Winners first: the sort is stable, so within one object the
-        // order pushed here survives and `dedup` keeps the head of a run.
-        for f in self.frames.iter().rev() {
-            for (oid, c) in f.writes.iter().chain(f.reads.iter()) {
-                out.push(ValEntry {
-                    oid: *oid,
-                    version: c.version,
-                    owner_level: c.owner_level,
-                    owner_chk: c.owner_chk,
-                });
-            }
-        }
-        out.sort_by_key(|e| e.oid);
-        out.dedup_by_key(|e| e.oid);
-        out
+    /// Nesting level of the innermost open scope (0 = only the root).
+    pub(super) fn depth(&self) -> u32 {
+        self.scopes.len() as u32
     }
 
-    /// Put `c` into `level`'s read or write set: the one door every
-    /// data-set insert of an access takes. With `journal` set (the
-    /// checkpoint policy, whose scopes are all inlined into the root
-    /// frame) the slot's previous content is recorded so
-    /// [`TxState::rollback_to`] can put it back.
-    pub(super) fn insert(
-        &mut self,
-        level: u32,
-        oid: ObjectId,
-        is_write: bool,
-        c: Cached,
-        journal: bool,
-    ) {
-        let prev = self.frames[level as usize].set_mut(is_write).insert(oid, c);
-        if journal {
-            debug_assert_eq!(level, 0, "journaled inserts go to the root frame");
-            self.journal.push(Undo {
-                oid,
-                is_write,
-                prev,
-            });
+    /// Sort the winning entry of every object into `order`, by object id.
+    fn sort_winners(&mut self) {
+        self.order.clear();
+        self.order.extend(
+            self.log
+                .iter()
+                .enumerate()
+                .map(|(i, e)| (e.oid, Reverse(i as u32))),
+        );
+        // Keys are unique, so the allocation-free unstable sort is exact;
+        // within one object the newest entry sorts first and survives.
+        self.order.sort_unstable();
+        self.order.dedup_by_key(|k| k.0);
+    }
+
+    /// The merged data set as the Rqv validation payload, sorted by object,
+    /// one entry per object (the latest), built in one allocation.
+    pub(super) fn entries(&mut self) -> Payload<ValEntry> {
+        self.sort_winners();
+        let winners = self
+            .order
+            .iter()
+            .map(|&(_, Reverse(i))| &self.log[i as usize]);
+        winners
+            .map(|e| ValEntry {
+                oid: e.oid,
+                version: e.version,
+                owner_level: e.owner_level,
+                owner_chk: e.owner_chk,
+            })
+            .collect()
+    }
+
+    /// The read and write sets of a root commit (all scopes closed).
+    pub(super) fn commit_sets(&mut self) -> CommitSets {
+        debug_assert!(
+            self.scopes.is_empty(),
+            "all CTs completed before root commit"
+        );
+        self.sort_winners();
+        let winners = || {
+            self.order
+                .iter()
+                .map(|&(_, Reverse(i))| &self.log[i as usize])
+        };
+        let versions = |is_write| {
+            winners()
+                .filter(move |e| e.is_write == is_write)
+                .map(|e| (e.oid, e.version))
+                .collect()
+        };
+        CommitSets {
+            reads: versions(false),
+            writes: versions(true),
+            payload: winners()
+                .filter(|e| e.is_write)
+                .map(|e| (e.oid, e.version.next(), e.val.clone()))
+                .collect(),
         }
     }
 
-    /// Locate an object in the data set visible to `level` (own frame and
-    /// ancestors; writes shadow reads).
-    pub(super) fn lookup(&self, level: u32, oid: ObjectId) -> Option<&Cached> {
-        for f in self.frames[..=(level as usize)].iter().rev() {
-            if let Some(c) = f.writes.get(&oid) {
-                return Some(c);
-            }
-            if let Some(c) = f.reads.get(&oid) {
-                return Some(c);
-            }
+    /// Locate the entry for an object in the data set visible to `level`
+    /// (own scope and ancestors): the index of the latest one.
+    pub(super) fn find(&self, level: u32, oid: ObjectId) -> Option<usize> {
+        let visible = self
+            .scopes
+            .get(level as usize)
+            .map_or(&self.log[..], |&end| &self.log[..end]);
+        visible.iter().rposition(|e| e.oid == oid)
+    }
+
+    pub(super) fn entry(&self, i: usize) -> &Entry {
+        &self.log[i]
+    }
+
+    /// Append a copy the innermost scope fetched from the read quorum to
+    /// its read or write set. The object is in no visible scope yet (the
+    /// fetch followed a failed [`TxState::find`]), so it opens a new slot.
+    pub(super) fn fetched(&mut self, e: Entry) {
+        debug_assert_eq!(
+            e.owner_level,
+            self.depth(),
+            "inserts go to the innermost scope"
+        );
+        self.log.push(e);
+        self.dataset_size += 1;
+    }
+
+    /// Write `val` to the object entry `i` holds: promote/shadow into the
+    /// innermost scope's write set keeping the fetch-time version and owner
+    /// (the owner is whoever READ it — its abort invalidates the copy).
+    pub(super) fn promote(&mut self, i: usize, val: ObjVal) {
+        let found = &self.log[i];
+        let scope_start = self.scopes.last().copied().unwrap_or(0);
+        if !(found.is_write && i >= scope_start) {
+            self.dataset_size += 1;
         }
-        None
+        self.log.push(Entry {
+            oid: found.oid,
+            is_write: true,
+            version: found.version,
+            val,
+            owner_level: found.owner_level,
+            owner_chk: found.owner_chk,
+        });
+    }
+
+    /// Begin a closed-nested scope: a mark, nothing else.
+    pub(super) fn open_scope(&mut self) {
+        self.scopes.push(self.log.len());
+    }
+
+    /// `commitCT` (Alg. 3): the innermost scope's entries become its
+    /// parent's. They stay where they are — later than anything the parent
+    /// held, so they shadow it — and only their owner moves up.
+    pub(super) fn commit_scope(&mut self) {
+        let mark = self.scopes.pop().expect("child scope present");
+        let parent = self.depth();
+        for e in &mut self.log[mark..] {
+            e.owner_level = e.owner_level.min(parent);
+        }
+    }
+
+    /// Discard the scope at `level` and everything nested in it.
+    pub(super) fn abort_scope(&mut self, level: u32) {
+        if let Some(&mark) = self.scopes.get(level as usize - 1) {
+            self.scopes.truncate(level as usize - 1);
+            self.log.truncate(mark);
+        }
     }
 
     /// Restore checkpoint `c` and arm deterministic replay of the logged
     /// prefix (QR-CHK `abortChk`). Returns the index actually restored
     /// (`c` clamped to the live checkpoint stack).
     ///
-    /// The root frame is restored by undoing the journal back to the
-    /// mark, newest record first. Filtering the frame by `owner_chk > c`
-    /// instead would be wrong: a write promoted under checkpoint 3 keeps
-    /// the `owner_chk` of the read it shadows (whoever *fetched* the copy
-    /// owns it), so a rollback to checkpoint 2 would keep a write the
-    /// replayed prefix never issued.
+    /// Truncating the log to the mark is exact. Filtering it by
+    /// `owner_chk > c` instead would be wrong: a write promoted under
+    /// checkpoint 3 keeps the `owner_chk` of the read it shadows (whoever
+    /// *fetched* the copy owns it), so a rollback to checkpoint 2 would
+    /// keep a write the replayed prefix never issued.
     pub(super) fn rollback_to(&mut self, c: u32) -> u32 {
         let c = (c as usize).min(self.checkpoints.len() - 1);
         let rec = self.checkpoints[c];
-        self.frames.truncate(1);
-        let root = &mut self.frames[0];
-        for u in self.journal.drain(rec.journal_len..).rev() {
-            let set = root.set_mut(u.is_write);
-            match u.prev {
-                Some(prev) => set.insert(u.oid, prev),
-                None => set.remove(&u.oid),
-            };
-        }
+        self.scopes.clear();
+        self.log.truncate(rec.log_len);
+        self.dataset_size = rec.dataset_size;
         self.oplog.truncate(rec.oplog_len);
         self.replay_upto = rec.oplog_len;
         self.op_index = 0;
@@ -234,13 +296,21 @@ impl TxState {
     }
 
     /// Full reset for a root retry; the new attempt gets a fresh [`TxId`] so
-    /// stale locks/metadata of the old attempt can never alias it.
+    /// stale locks/metadata of the old attempt can never alias it. The
+    /// logs are emptied, not freed: the retry refills them.
     pub(super) fn reset_for_retry(&mut self, fresh: TxId) {
-        let attempt = self.attempt + 1;
-        let deadline = self.deadline;
-        *self = TxState::new(fresh);
-        self.attempt = attempt;
-        self.deadline = deadline;
+        self.root = fresh;
+        self.log.clear();
+        self.scopes.clear();
+        self.dataset_size = 0;
+        self.oplog.clear();
+        self.op_index = 0;
+        self.replay_upto = 0;
+        self.checkpoints.truncate(1);
+        self.last_chk_size = 0;
+        self.attempt += 1;
+        self.last_remote_read_at = SimTime::ZERO;
+        self.hedged_reads = false;
     }
 }
 
@@ -253,8 +323,9 @@ pub(super) trait NestingPolicy {
     /// Validation kind piggybacked on remote reads (assuming Rqv is on).
     fn validation_kind(&self) -> ValidationKind;
 
-    /// Whether [`Tx::closed`]/[`Tx::open`] create real nested scopes; when
-    /// `false`, bodies run inline in the enclosing transaction.
+    /// Whether [`Tx::closed`](super::Tx::closed) creates a real nested
+    /// scope; when `false`, its body runs inline in the enclosing
+    /// transaction.
     fn real_nested_scopes(&self) -> bool {
         false
     }
@@ -276,19 +347,13 @@ pub(super) trait NestingPolicy {
     /// Record a completed operation in the op log (QR-CHK only).
     fn log_op(&self, _st: &mut TxState, _oid: ObjectId, _is_write: bool, _out: &ObjVal) {}
 
-    /// Whether data-set inserts are recorded in the undo journal (QR-CHK
-    /// only — the same policy that logs operations).
-    fn journals_inserts(&self) -> bool {
-        false
-    }
-
     /// Whether the data set grew enough since the last checkpoint that a new
     /// one is due.
     fn checkpoint_due(&self, _st: &TxState, _threshold: usize) -> bool {
         false
     }
 
-    /// Mark the current op-log and journal position as a new checkpoint.
+    /// Mark the current op-log and data-set position as a new checkpoint.
     fn take_checkpoint(&self, _st: &mut TxState) {
         unreachable!("only the checkpoint policy takes checkpoints");
     }
@@ -313,7 +378,7 @@ impl NestingPolicy for FlatPolicy {
     }
 }
 
-/// QR-CN: per-level frames, Rqv validation, local read-only commits.
+/// QR-CN: real nested scopes, Rqv validation, local read-only commits.
 struct ClosedPolicy;
 
 impl NestingPolicy for ClosedPolicy {
@@ -380,19 +445,15 @@ impl NestingPolicy for CheckpointPolicy {
         st.op_index += 1;
     }
 
-    fn journals_inserts(&self) -> bool {
-        true
-    }
-
     fn checkpoint_due(&self, st: &TxState, threshold: usize) -> bool {
-        st.frames[0].len() >= st.last_chk_size + threshold
+        st.dataset_size >= st.last_chk_size + threshold
     }
 
     fn take_checkpoint(&self, st: &mut TxState) {
         let rec = ChkRec {
             oplog_len: st.oplog.len(),
-            journal_len: st.journal.len(),
-            dataset_size: st.frames[0].len(),
+            log_len: st.log.len(),
+            dataset_size: st.dataset_size,
         };
         st.last_chk_size = rec.dataset_size;
         st.checkpoints.push(rec);
@@ -417,73 +478,71 @@ pub(super) fn policy(mode: NestingMode) -> &'static dyn NestingPolicy {
 
 #[cfg(test)]
 mod tests {
-    //! The journal and the direct `entries()` fill against the code they
-    //! replaced, kept here as references.
+    //! The log with marks against the representations it replaced, kept
+    //! here as references: read/write maps per nesting level, a deep copy
+    //! of the root level per checkpoint, and `entries()` through a map.
 
     use super::*;
     use proptest::collection::vec;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     const ROOT: TxId = TxId { node: 3, seq: 1 };
 
-    /// The deleted checkpoint representation: a deep clone of the root
-    /// frame per checkpoint, cloned again at rollback.
-    struct SnapshotChk {
-        oplog_len: usize,
-        frame: Frame,
-        dataset_size: usize,
+    /// The deleted per-level read/write sets.
+    #[derive(Clone, Debug, Default, PartialEq)]
+    struct Frame {
+        reads: BTreeMap<ObjectId, Entry>,
+        writes: BTreeMap<ObjectId, Entry>,
     }
 
-    /// As much of the deleted `TxState` as checkpoints touched.
-    struct SnapshotState {
-        frames: Vec<Frame>,
-        oplog_len: usize,
-        checkpoints: Vec<SnapshotChk>,
-        last_chk_size: usize,
-    }
-
-    impl SnapshotState {
-        fn new() -> Self {
-            SnapshotState {
-                frames: vec![Frame::default()],
-                oplog_len: 0,
-                checkpoints: vec![SnapshotChk {
-                    oplog_len: 0,
-                    frame: Frame::default(),
-                    dataset_size: 0,
-                }],
-                last_chk_size: 0,
-            }
+    impl Frame {
+        fn len(&self) -> usize {
+            self.reads.len() + self.writes.len()
         }
 
-        fn insert(&mut self, oid: ObjectId, is_write: bool, c: Cached) {
-            self.frames[0].set_mut(is_write).insert(oid, c);
-            self.oplog_len += 1;
-        }
-
-        fn take_checkpoint(&mut self) {
-            let rec = SnapshotChk {
-                oplog_len: self.oplog_len,
-                frame: self.frames[0].clone(),
-                dataset_size: self.frames[0].len(),
+        fn insert(&mut self, e: Entry) {
+            let set = if e.is_write {
+                &mut self.writes
+            } else {
+                &mut self.reads
             };
-            self.last_chk_size = rec.dataset_size;
-            self.checkpoints.push(rec);
+            set.insert(e.oid, e);
         }
+    }
 
-        fn rollback_to(&mut self, c: usize) {
-            let rec = &self.checkpoints[c];
-            self.frames = vec![rec.frame.clone()];
-            self.oplog_len = rec.oplog_len;
-            self.last_chk_size = rec.dataset_size;
-            self.checkpoints.truncate(c + 1);
+    /// The log's materialised view: every entry inserted, in log order,
+    /// into the maps of the level its position falls in.
+    fn frames_of(st: &TxState) -> Vec<Frame> {
+        let mut frames = vec![Frame::default(); st.scopes.len() + 1];
+        for (i, e) in st.log.iter().enumerate() {
+            let level = st.scopes.iter().filter(|&&mark| mark <= i).count();
+            frames[level].insert(e.clone());
+        }
+        frames
+    }
+
+    /// The deleted lookup: own frame and ancestors, writes shadow reads.
+    fn lookup(frames: &[Frame], oid: ObjectId) -> Option<&Entry> {
+        frames
+            .iter()
+            .rev()
+            .find_map(|f| f.writes.get(&oid).or_else(|| f.reads.get(&oid)))
+    }
+
+    /// The deleted promotion of a held copy into a level's write set.
+    fn promoted(found: &Entry, val: ObjVal) -> Entry {
+        Entry {
+            is_write: true,
+            val,
+            ..found.clone()
         }
     }
 
     /// The deleted `entries()`: build a map, collect it, drop it.
-    fn entries_via_map(st: &TxState) -> Vec<ValEntry> {
+    fn entries_via_map(frames: &[Frame]) -> Vec<ValEntry> {
         let mut map: BTreeMap<ObjectId, ValEntry> = BTreeMap::new();
-        for f in &st.frames {
+        for f in frames {
             for (oid, c) in f.reads.iter().chain(f.writes.iter()) {
                 map.insert(
                     *oid,
@@ -499,22 +558,69 @@ mod tests {
         map.into_values().collect()
     }
 
+    /// The deleted checkpoint representation: a deep clone of the root
+    /// frame per checkpoint, cloned again at rollback.
+    struct SnapshotChk {
+        oplog_len: usize,
+        frame: Frame,
+    }
+
+    /// As much of the deleted `TxState` as checkpoints touched.
+    struct SnapshotState {
+        frame: Frame,
+        oplog_len: usize,
+        checkpoints: Vec<SnapshotChk>,
+        last_chk_size: usize,
+    }
+
+    impl SnapshotState {
+        fn new() -> Self {
+            SnapshotState {
+                frame: Frame::default(),
+                oplog_len: 0,
+                checkpoints: vec![SnapshotChk {
+                    oplog_len: 0,
+                    frame: Frame::default(),
+                }],
+                last_chk_size: 0,
+            }
+        }
+
+        fn insert(&mut self, e: Entry) {
+            self.frame.insert(e);
+            self.oplog_len += 1;
+        }
+
+        fn take_checkpoint(&mut self) {
+            self.last_chk_size = self.frame.len();
+            self.checkpoints.push(SnapshotChk {
+                oplog_len: self.oplog_len,
+                frame: self.frame.clone(),
+            });
+        }
+
+        fn rollback_to(&mut self, c: usize) {
+            let rec = &self.checkpoints[c];
+            self.frame = rec.frame.clone();
+            self.oplog_len = rec.oplog_len;
+            self.last_chk_size = rec.frame.len();
+            self.checkpoints.truncate(c + 1);
+        }
+    }
+
     #[derive(Clone, Copy, Debug)]
     enum Step {
         /// Fetch an object the data set does not hold, for read or write.
-        Remote {
-            oid: u64,
-            is_write: bool,
-        },
+        Remote { oid: u64, is_write: bool },
         /// Write the `pick`-th held object as a local hit.
-        Promote {
-            pick: usize,
-        },
-        Checkpoint,
-        /// Roll back to the `pick`-th live checkpoint.
-        Rollback {
-            pick: usize,
-        },
+        Promote { pick: usize },
+        /// QR-CHK: take a checkpoint. QR-CN: open a closed-nested scope.
+        Mark,
+        /// QR-CHK: roll back to the `pick`-th live checkpoint. QR-CN: abort
+        /// the `pick`-th open scope and everything nested in it.
+        Rollback { pick: usize },
+        /// QR-CN: commit the innermost scope into its parent.
+        CommitScope,
     }
 
     fn steps() -> impl Strategy<Value = Vec<Step>> {
@@ -525,8 +631,9 @@ mod tests {
                 remote(),
                 remote(),
                 (0..64usize).prop_map(|pick| Step::Promote { pick }),
-                Just(Step::Checkpoint),
+                Just(Step::Mark),
                 (0..64usize).prop_map(|pick| Step::Rollback { pick }),
+                Just(Step::CommitScope),
             ],
             1..60,
         )
@@ -536,36 +643,30 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
-        fn journal_rollback_equals_snapshot_rollback(steps in steps()) {
+        fn truncating_rollback_equals_snapshot_rollback(steps in steps()) {
             let pol = policy(NestingMode::Checkpoint);
             let mut st = TxState::new(ROOT);
             let mut reference = SnapshotState::new();
-            // Data-set insert plus op log, the way `Tx::access` does both.
-            let insert = |st: &mut TxState,
-                          reference: &mut SnapshotState,
-                          oid: ObjectId,
-                          is_write: bool,
-                          c: Cached| {
-                reference.insert(oid, is_write, c.clone());
-                let out = c.val.clone();
-                st.insert(0, oid, is_write, c, pol.journals_inserts());
-                pol.log_op(st, oid, is_write, &out);
-            };
             for (n, step) in steps.into_iter().enumerate() {
                 let val = ObjVal::Int(n as i64);
                 match step {
                     Step::Remote { oid, is_write } => {
                         let oid = ObjectId(oid);
-                        if st.lookup(0, oid).is_some() {
+                        if st.find(0, oid).is_some() {
                             continue;
                         }
-                        let c = Cached {
+                        let e = Entry {
+                            oid,
+                            is_write,
                             version: Version(n as u64),
-                            val,
+                            val: val.clone(),
                             owner_level: 0,
                             owner_chk: st.cur_chk(),
                         };
-                        insert(&mut st, &mut reference, oid, is_write, c);
+                        reference.insert(e.clone());
+                        // Data-set insert plus op log, as `Tx::access` does.
+                        st.fetched(e);
+                        pol.log_op(&mut st, oid, is_write, &val);
                     }
                     Step::Promote { pick } => {
                         let held = st.entries();
@@ -573,16 +674,13 @@ mod tests {
                             continue;
                         }
                         let oid = held[pick % held.len()].oid;
-                        let found = st.lookup(0, oid).expect("held");
-                        let c = Cached {
-                            version: found.version,
-                            val,
-                            owner_level: found.owner_level,
-                            owner_chk: found.owner_chk,
-                        };
-                        insert(&mut st, &mut reference, oid, true, c);
+                        let found = lookup(std::slice::from_ref(&reference.frame), oid);
+                        reference.insert(promoted(found.expect("held"), val.clone()));
+                        let i = st.find(0, oid).expect("held");
+                        st.promote(i, val);
+                        pol.log_op(&mut st, oid, true, &ObjVal::Unit);
                     }
-                    Step::Checkpoint => {
+                    Step::Mark => {
                         pol.take_checkpoint(&mut st);
                         reference.take_checkpoint();
                     }
@@ -599,40 +697,149 @@ mod tests {
                         }
                         prop_assert!(!st.replaying());
                     }
+                    Step::CommitScope => continue, // QR-CHK inlines every scope
                 }
-                prop_assert_eq!(&st.frames, &reference.frames, "after step {} ({:?})", n, step);
+                let frames = frames_of(&st);
+                prop_assert_eq!(&frames[..], std::slice::from_ref(&reference.frame),
+                    "after step {} ({:?})", n, step);
+                prop_assert_eq!(st.dataset_size, reference.frame.len());
                 prop_assert_eq!(st.oplog.len(), reference.oplog_len);
                 prop_assert_eq!(st.last_chk_size, reference.last_chk_size);
                 prop_assert_eq!(st.checkpoints.len(), reference.checkpoints.len());
                 for (rec, snap) in st.checkpoints.iter().zip(&reference.checkpoints) {
                     prop_assert_eq!(rec.oplog_len, snap.oplog_len);
-                    prop_assert_eq!(rec.dataset_size, snap.dataset_size);
+                    prop_assert_eq!(rec.dataset_size, snap.frame.len());
                 }
             }
+        }
+
+        #[test]
+        fn scope_marks_equal_a_stack_of_frames(steps in steps()) {
+            let mut st = TxState::new(ROOT);
+            let mut reference = vec![Frame::default()];
+            for (n, step) in steps.into_iter().enumerate() {
+                let val = ObjVal::Int(n as i64);
+                let level = st.depth();
+                match step {
+                    Step::Remote { oid, is_write } => {
+                        let oid = ObjectId(oid);
+                        if st.find(level, oid).is_some() {
+                            continue;
+                        }
+                        let e = Entry {
+                            oid,
+                            is_write,
+                            version: Version(n as u64),
+                            val,
+                            owner_level: level,
+                            owner_chk: 0,
+                        };
+                        reference[level as usize].insert(e.clone());
+                        st.fetched(e);
+                    }
+                    Step::Promote { pick } => {
+                        let held = st.entries();
+                        if held.is_empty() {
+                            continue;
+                        }
+                        let oid = held[pick % held.len()].oid;
+                        let e = promoted(lookup(&reference, oid).expect("held"), val.clone());
+                        reference[level as usize].insert(e);
+                        let i = st.find(level, oid).expect("held");
+                        st.promote(i, val);
+                    }
+                    Step::Mark => {
+                        st.open_scope();
+                        reference.push(Frame::default());
+                    }
+                    Step::Rollback { pick } => {
+                        if level == 0 {
+                            continue;
+                        }
+                        let target = 1 + pick % level as usize;
+                        st.abort_scope(target as u32);
+                        reference.truncate(target);
+                    }
+                    Step::CommitScope => {
+                        if level == 0 {
+                            continue;
+                        }
+                        st.commit_scope();
+                        // The deleted commitCT: move both maps into the parent.
+                        let child = reference.pop().expect("child frame");
+                        let parent = reference.last_mut().expect("parent frame");
+                        for (oid, mut e) in child.reads {
+                            e.owner_level = e.owner_level.min(level - 1);
+                            parent.reads.entry(oid).or_insert(e);
+                        }
+                        for (oid, mut e) in child.writes {
+                            e.owner_level = e.owner_level.min(level - 1);
+                            parent.writes.insert(oid, e);
+                        }
+                    }
+                }
+                prop_assert_eq!(&frames_of(&st), &reference, "after step {} ({:?})", n, step);
+                prop_assert_eq!(st.depth() as usize, reference.len() - 1);
+                for oid in (0..24).map(ObjectId) {
+                    // Every ancestor sees what its frames held.
+                    for level in 0..=st.depth() {
+                        let seen = st.find(level, oid).map(|i| st.entry(i));
+                        prop_assert_eq!(seen, lookup(&reference[..=level as usize], oid));
+                    }
+                }
+                prop_assert_eq!(&st.entries()[..], &entries_via_map(&reference)[..]);
+            }
+            // Close what is open and compare what a root commit would send.
+            while st.depth() > 0 {
+                st.abort_scope(st.depth());
+                reference.pop();
+            }
+            let root = &reference[0];
+            let sets = st.commit_sets();
+            let reads: Vec<_> = root
+                .reads
+                .iter()
+                .filter(|(oid, _)| !root.writes.contains_key(oid))
+                .map(|(oid, e)| (*oid, e.version))
+                .collect();
+            let writes: Vec<_> = root.writes.iter().map(|(oid, e)| (*oid, e.version)).collect();
+            let payload: Vec<_> = root
+                .writes
+                .iter()
+                .map(|(oid, e)| (*oid, e.version.next(), e.val.clone()))
+                .collect();
+            prop_assert_eq!(&sets.reads[..], &reads[..]);
+            prop_assert_eq!(&sets.writes[..], &writes[..]);
+            prop_assert_eq!(&sets.payload[..], &payload[..]);
         }
 
         #[test]
         fn direct_entries_equal_map_built_entries(
             frames in vec(vec((0..16u64, any::<bool>(), 1..9u64, 0..4u32), 0..12), 1..5)
         ) {
+            // Arbitrary frames, reachable or not: later levels shadow, and
+            // within a level the write set shadows the read set.
             let mut st = TxState::new(ROOT);
-            st.frames.clear();
+            let mut reference = Vec::new();
             for (level, slots) in frames.into_iter().enumerate() {
+                if level > 0 {
+                    st.open_scope();
+                }
                 let mut f = Frame::default();
                 for (oid, is_write, version, owner_chk) in slots {
-                    f.set_mut(is_write).insert(
-                        ObjectId(oid),
-                        Cached {
-                            version: Version(version),
-                            val: ObjVal::Unit,
-                            owner_level: level as u32,
-                            owner_chk,
-                        },
-                    );
+                    f.insert(Entry {
+                        oid: ObjectId(oid),
+                        is_write,
+                        version: Version(version),
+                        val: ObjVal::Unit,
+                        owner_level: level as u32,
+                        owner_chk,
+                    });
                 }
-                st.frames.push(f);
+                st.log.extend(f.reads.values().chain(f.writes.values()).cloned());
+                reference.push(f);
             }
-            prop_assert_eq!(st.entries(), entries_via_map(&st));
+            prop_assert_eq!(&st.entries()[..], &entries_via_map(&reference)[..]);
         }
     }
 }

@@ -172,8 +172,10 @@ impl Endpoint {
         for attempt in 0..=retries {
             // Re-read per attempt: a retry's whole point is that the view
             // may have reconfigured around the member that timed us out.
-            let rq = self.inner.quorum.borrow().read_q.clone();
-            let mut dests = rq.clone();
+            let rq = Rc::clone(&self.inner.quorum.borrow().read_q);
+            // Only a round that actually adds a hedge builds its own
+            // destination list.
+            let mut hedged_dests: Option<Vec<NodeId>> = None;
             if let Some(d) = det {
                 if d.hedge > 0 {
                     // Hedge suppression: under saturation (other rounds are
@@ -191,19 +193,15 @@ impl Endpoint {
                         );
                     } else {
                         let view = self.inner.quorum.borrow();
-                        let mut added = 0usize;
-                        for n in 0..self.inner.cfg.nodes {
-                            if added >= d.hedge {
-                                break;
-                            }
-                            let id = NodeId(n as u32);
-                            if view.is_view_alive(n) && !rq.contains(&id) {
-                                dests.push(id);
-                                added += 1;
-                            }
-                        }
-                        if added > 0 {
+                        let spares: Vec<NodeId> = (0..self.inner.cfg.nodes)
+                            .filter(|&n| view.is_view_alive(n))
+                            .map(|n| NodeId(n as u32))
+                            .filter(|id| !rq.contains(id))
+                            .take(d.hedge)
+                            .collect();
+                        if !spares.is_empty() {
                             self.sim.bump(Counter::HedgedCalls);
+                            hedged_dests = Some(rq.iter().copied().chain(spares).collect());
                         }
                     }
                 }
@@ -212,7 +210,7 @@ impl Endpoint {
                 .sim
                 .call_first(
                     self.node,
-                    &dests,
+                    hedged_dests.as_deref().unwrap_or(&rq),
                     msg.clone(),
                     rq.len(),
                     self.inner.cfg.rpc_timeout,
@@ -254,8 +252,8 @@ impl Endpoint {
         &self,
         wq: &[NodeId],
         root: TxId,
-        reads: Vec<(ObjectId, Version)>,
-        writes: Vec<(ObjectId, Version)>,
+        reads: Payload<(ObjectId, Version)>,
+        writes: Payload<(ObjectId, Version)>,
         deadline: Option<SimTime>,
     ) -> Result<(), Abort> {
         if self.past_deadline(deadline) {
@@ -270,8 +268,8 @@ impl Endpoint {
         );
         let msg = Msg::CommitReq {
             root,
-            reads: reads.into(),
-            writes: writes.into(),
+            reads,
+            writes,
         };
         // With a detector configured, a timed-out vote round is retried
         // against the same quorum: the replica-side vote is idempotent for
@@ -316,11 +314,10 @@ impl Endpoint {
         &self,
         voted: &[NodeId],
         root: TxId,
-        writes: Vec<(ObjectId, Version, ObjVal)>,
+        writes: Payload<(ObjectId, Version, ObjVal)>,
     ) {
-        // Freeze once; every retry attempt and per-destination copy of the
-        // fan-out shares the same allocation.
-        let writes: Payload<_> = writes.into();
+        // Frozen once by the caller; every retry attempt and
+        // per-destination copy of the fan-out shares the same allocation.
         self.fanout_until_acked(voted, || Msg::Apply {
             root,
             writes: writes.clone(),
@@ -330,8 +327,7 @@ impl Endpoint {
 
     /// 2PC phase two, failure: release any locks granted in phase one on
     /// `voted`, the quorum the vote round was sent to.
-    pub(super) async fn release(&self, voted: &[NodeId], root: TxId, oids: Vec<ObjectId>) {
-        let oids: Payload<_> = oids.into();
+    pub(super) async fn release(&self, voted: &[NodeId], root: TxId, oids: Payload<ObjectId>) {
         self.fanout_until_acked(voted, || Msg::AbortReq {
             root,
             oids: oids.clone(),

@@ -244,15 +244,25 @@ mod tests {
     }
 
     #[test]
-    fn apply_size_includes_payload() {
-        let a = Msg::Apply {
-            root: dummy_tx(),
-            writes: vec![(ObjectId(1), Version(2), ObjVal::IntList(vec![0; 100]))].into(),
+    fn size_hint_of_value_carriers_is_pinned() {
+        // A shared value is accounted by content, never by representation:
+        // the same value in a read reply and in two clones of an apply.
+        let val = ObjVal::IntList(vec![0; 100].into());
+        let read_ok = Msg::ReadOk {
+            oid: ObjectId(1),
+            version: Version(2),
+            val: val.clone(),
         };
-        let b = Msg::Apply {
+        assert_eq!(read_ok.size_hint(), 32 + 16 + 808);
+        let apply = Msg::Apply {
             root: dummy_tx(),
-            writes: vec![(ObjectId(1), Version(2), ObjVal::Int(0))].into(),
+            writes: vec![
+                (ObjectId(1), Version(2), val),
+                (ObjectId(2), Version(2), ObjVal::Int(0)),
+            ]
+            .into(),
         };
-        assert!(a.size_hint() > b.size_hint());
+        assert_eq!(apply.size_hint(), 32 + (16 + 808) + (16 + 8));
+        assert_eq!(apply.clone().size_hint(), apply.size_hint());
     }
 }

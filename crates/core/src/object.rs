@@ -5,8 +5,16 @@
 //! flag set while a committing transaction holds the object locked during
 //! two-phase commit, and the potential-readers / potential-writers lists
 //! (PR/PW) the paper's contention manager consults.
+//!
+//! An [`ObjVal`] is immutable once written: its variable-length parts are
+//! shared slices (`Arc<[T]>`), so a clone — replica to read reply, reply to
+//! data set, data set to op log and commit payload, commit payload to every
+//! write-quorum replica — moves a reference count and never bytes. A writer
+//! builds a new value (`to_vec()` … `.into()`, or `Arc::make_mut` on its own
+//! clone) and hands that to [`Tx::write`](crate::Tx::write).
 
 use std::fmt;
+use std::sync::Arc;
 
 // The replica tables' integer keys ([`ObjectId`], [`TxId`]) go through the
 // workspace's one integer hasher, which lives in the lowest crate.
@@ -62,7 +70,7 @@ pub struct SkipNode {
     /// Payload.
     pub val: i64,
     /// Forward pointers, one per level (index 0 = bottom).
-    pub nexts: Vec<Option<ObjectId>>,
+    pub nexts: Arc<[Option<ObjectId>]>,
 }
 
 /// A row of a Vacation-style relation (cars / rooms / flights).
@@ -83,6 +91,10 @@ pub struct TableRow {
 /// A small closed universe is enough for every benchmark in the paper; the
 /// variants map 1:1 onto the data structures of §VI (Bank accounts, Hashmap
 /// buckets, RBTree/BST nodes, Skiplist nodes, Vacation relations).
+///
+/// The slices are `Arc`, not `Rc`: the threaded backend (`qrdtm-par`) keeps
+/// values in tables shared between threads, so `ObjVal` must stay
+/// `Send + Sync` (asserted below).
 #[derive(Clone, Debug, PartialEq, Default)]
 pub enum ObjVal {
     /// Placeholder / deleted.
@@ -91,18 +103,23 @@ pub enum ObjVal {
     /// A scalar (bank account balance, counters).
     Int(i64),
     /// A sorted list of keys (hashmap bucket).
-    IntList(Vec<i64>),
+    IntList(Arc<[i64]>),
     /// Search-tree node.
     Node(TreeNode),
     /// Skip-list node.
     SkipNode(SkipNode),
     /// Vacation relation fragment.
-    Table(Vec<TableRow>),
+    Table(Arc<[TableRow]>),
     /// A pointer cell (tree root, list head).
     Ptr(Option<ObjectId>),
     /// A directory of object ids (index structures).
-    Dir(Vec<ObjectId>),
+    Dir(Arc<[ObjectId]>),
 }
+
+const _: fn() = || {
+    fn is<T: Send + Sync>() {}
+    is::<ObjVal>();
+};
 
 impl ObjVal {
     /// Approximate serialized size in bytes, used for wire accounting.
@@ -128,7 +145,7 @@ impl ObjVal {
     }
 
     /// Unwrap an `IntList`.
-    pub fn expect_list(&self) -> &Vec<i64> {
+    pub fn expect_list(&self) -> &[i64] {
         match self {
             ObjVal::IntList(v) => v,
             other => panic!("expected IntList, found {other:?}"),
@@ -152,7 +169,7 @@ impl ObjVal {
     }
 
     /// Unwrap a table.
-    pub fn expect_table(&self) -> &Vec<TableRow> {
+    pub fn expect_table(&self) -> &[TableRow] {
         match self {
             ObjVal::Table(t) => t,
             other => panic!("expected Table, found {other:?}"),
@@ -230,27 +247,47 @@ mod tests {
     }
 
     #[test]
-    fn approx_sizes_scale_with_content() {
-        assert!(ObjVal::IntList(vec![1; 10]).approx_size() > ObjVal::IntList(vec![]).approx_size());
-        assert!(
-            ObjVal::Table(vec![
-                TableRow {
-                    id: 0,
-                    total: 1,
-                    used: 0,
-                    price: 10
-                };
-                4
-            ])
-            .approx_size()
-                > ObjVal::Unit.approx_size()
-        );
+    fn approx_size_is_pinned_per_variant() {
+        // Wire accounting (`bytes_per_commit`, every digest) reads these; a
+        // change of representation must not move them.
+        let row = TableRow {
+            id: 0,
+            total: 1,
+            used: 0,
+            price: 10,
+        };
+        let node = TreeNode {
+            key: 1,
+            val: 2,
+            left: None,
+            right: Some(ObjectId(3)),
+            red: true,
+        };
+        let skip = SkipNode {
+            key: 1,
+            val: 2,
+            nexts: vec![None; 8].into(),
+        };
+        let sizes = [
+            (ObjVal::Unit, 1),
+            (ObjVal::Int(-7), 8),
+            (ObjVal::IntList([].into()), 8),
+            (ObjVal::IntList(vec![1; 10].into()), 88),
+            (ObjVal::Node(node), 40),
+            (ObjVal::SkipNode(skip), 96),
+            (ObjVal::Table(vec![row; 4].into()), 136),
+            (ObjVal::Ptr(Some(ObjectId(3))), 9),
+            (ObjVal::Dir(vec![ObjectId(1); 3].into()), 32),
+        ];
+        for (val, bytes) in sizes {
+            assert_eq!(val.approx_size(), bytes, "{val:?}");
+        }
     }
 
     #[test]
     fn expect_accessors_round_trip() {
         assert_eq!(ObjVal::Int(5).expect_int(), 5);
-        assert_eq!(ObjVal::IntList(vec![1, 2]).expect_list(), &vec![1, 2]);
+        assert_eq!(ObjVal::IntList(vec![1, 2].into()).expect_list(), [1, 2]);
         assert_eq!(
             ObjVal::Ptr(Some(ObjectId(3))).expect_ptr(),
             Some(ObjectId(3))

@@ -7,6 +7,13 @@
 //! a reference-count bump on a single allocation: the variable-length
 //! payload of a [`Msg`](crate::Msg) is built exactly once (`vec.into()`),
 //! frozen, and shared by every copy in flight.
+//!
+//! Payloads are `Rc<[T]>` while object values ([`ObjVal`](crate::ObjVal))
+//! share their contents as `Arc<[T]>`: a payload lives and dies inside one
+//! single-threaded simulation, so the non-atomic count is enough. Values
+//! are also what the threaded backend (`qrdtm-par`) stores in tables shared
+//! between threads — it never sees a payload — so they must be `Send +
+//! Sync`.
 
 use std::rc::Rc;
 

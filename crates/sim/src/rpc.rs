@@ -1,13 +1,18 @@
 //! Quorum RPC: one request fanned out to several nodes, the replies
 //! gathered by a future that resolves on the last needed reply or on timeout.
+//!
+//! The state of a call in flight lives in the simulator's own table
+//! (`SimInner::pending`, keyed by [`CallId`]) from the send until its
+//! [`CallFuture`] takes the result or is dropped; the future holds the id,
+//! nothing else. The reply vector, which the caller keeps, is the one
+//! allocation a call makes.
 
-use std::cell::RefCell;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use crate::sim::{Envelope, EventKind, Sim, SimMessage};
+use crate::sim::{Envelope, EventKind, Sim, SimCore, SimMessage};
 use crate::time::SimDuration;
 use crate::NodeId;
 
@@ -24,6 +29,20 @@ pub(crate) struct CallState<M> {
     pub(crate) replies: Vec<(NodeId, M)>,
     pub(crate) timed_out: bool,
     pub(crate) waker: Option<Waker>,
+}
+
+impl<M> CallState<M> {
+    /// Whether the future may take its result: enough replies, or timeout.
+    /// A resolved call accepts no further reply.
+    pub(crate) fn resolved(&self) -> bool {
+        self.replies.len() >= self.need || self.timed_out
+    }
+
+    pub(crate) fn wake(&mut self) {
+        if let Some(w) = self.waker.take() {
+            w.wake();
+        }
+    }
 }
 
 impl<M: SimMessage> Sim<M> {
@@ -50,7 +69,8 @@ impl<M: SimMessage> Sim<M> {
     /// Like [`Sim::call`], but the future resolves as soon as the first
     /// `need` replies arrived (hedged-request support: send to a quorum
     /// plus spares, take the first quorum of replies). Later replies are
-    /// counted as wasted. `need` is clamped to `1..=dests.len()`.
+    /// counted as wasted. `need` is clamped to `1..=dests.len()`; a call to
+    /// nobody resolves at once with no replies, and schedules nothing.
     pub fn call_first(
         &self,
         from: NodeId,
@@ -62,14 +82,23 @@ impl<M: SimMessage> Sim<M> {
         let mut inner = self.core.inner.borrow_mut();
         let id = CallId(inner.next_call);
         inner.next_call += 1;
-        let state = Rc::new(RefCell::new(CallState {
-            expected: dests.len(),
-            need: need.clamp(1, dests.len().max(1)),
-            replies: Vec::with_capacity(dests.len()),
-            timed_out: false,
-            waker: None,
-        }));
-        inner.pending.insert(id, Rc::downgrade(&state));
+        inner.pending.insert(
+            id,
+            CallState {
+                expected: dests.len(),
+                need: need.clamp(dests.len().min(1), dests.len()),
+                replies: Vec::with_capacity(dests.len()),
+                timed_out: false,
+                waker: None,
+            },
+        );
+        let fut = CallFuture {
+            core: Rc::clone(&self.core),
+            id,
+        };
+        if dests.is_empty() {
+            return fut;
+        }
         for &to in dests {
             inner.send_request(Envelope {
                 from,
@@ -91,7 +120,7 @@ impl<M: SimMessage> Sim<M> {
                 inner.schedule(at, EventKind::CallTimeout(id));
             }
         }
-        CallFuture { state }
+        fut
     }
 }
 
@@ -106,22 +135,39 @@ pub struct CallResult<M> {
 
 /// Future returned by [`Sim::call`]; resolves with all replies or on
 /// timeout.
-pub struct CallFuture<M> {
-    state: Rc<RefCell<CallState<M>>>,
+pub struct CallFuture<M: SimMessage> {
+    core: Rc<SimCore<M>>,
+    id: CallId,
 }
 
-impl<M> Future for CallFuture<M> {
+impl<M: SimMessage> Future for CallFuture<M> {
     type Output = CallResult<M>;
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<CallResult<M>> {
-        let mut st = self.state.borrow_mut();
-        if st.replies.len() >= st.need || st.timed_out {
-            Poll::Ready(CallResult {
-                replies: std::mem::take(&mut st.replies),
-                timed_out: st.timed_out,
-            })
-        } else {
+        let mut inner = self.core.inner.borrow_mut();
+        let st = inner
+            .pending
+            .get_mut(&self.id)
+            .expect("CallFuture polled after it resolved");
+        if !st.resolved() {
             st.waker = Some(cx.waker().clone());
-            Poll::Pending
+            return Poll::Pending;
+        }
+        let st = inner.pending.remove(&self.id).expect("present above");
+        Poll::Ready(CallResult {
+            replies: st.replies,
+            timed_out: st.timed_out,
+        })
+    }
+}
+
+impl<M: SimMessage> Drop for CallFuture<M> {
+    /// Retire a call nobody awaits any more: its late replies are then
+    /// "caller gave up", exactly as after a timeout.
+    fn drop(&mut self) {
+        // `try_`: a future dropped while the core is borrowed must not
+        // panic; its entry then merely outlives it.
+        if let Ok(mut inner) = self.core.inner.try_borrow_mut() {
+            inner.pending.remove(&self.id);
         }
     }
 }
@@ -183,6 +229,30 @@ mod tests {
         });
         s.run();
         assert_eq!(got.get(), 3);
+    }
+
+    #[test]
+    fn call_to_nobody_resolves_at_once() {
+        // No reply can ever arrive: the caller must neither park forever
+        // (no timeout) nor burn the whole timeout.
+        let s = sim(10);
+        s.add_nodes(1);
+        let s2 = s.clone();
+        let resolved = Rc::new(Cell::new(0usize));
+        let resolved2 = Rc::clone(&resolved);
+        s.spawn(async move {
+            for timeout in [None, Some(SimDuration::from_millis(100))] {
+                let r = s2.call(NodeId(0), &[], Msg::Ping(1), timeout).await;
+                assert!(r.replies.is_empty());
+                assert!(!r.timed_out);
+                resolved2.set(resolved2.get() + 1);
+            }
+        });
+        s.run();
+        assert_eq!(resolved.get(), 2);
+        assert_eq!(s.live_tasks(), 0);
+        assert_eq!(s.now(), SimTime::ZERO, "nothing was scheduled");
+        assert_eq!(s.metrics().events, 0);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 use std::cell::RefCell;
 use std::future::Future;
 use std::pin::Pin;
-use std::rc::{Rc, Weak};
+use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 use rand::rngs::StdRng;
@@ -280,7 +280,9 @@ pub(crate) struct SimInner<M: SimMessage> {
     service_by_class: [Option<SimDuration>; MAX_CLASSES],
     pub(crate) rng: StdRng,
     pub(crate) link_faults: std::collections::HashMap<(u32, u32), LinkFault>,
-    pub(crate) pending: IdMap<CallId, Weak<RefCell<CallState<M>>>>,
+    /// Every call between its send and its future taking the result (or
+    /// being dropped).
+    pub(crate) pending: IdMap<CallId, CallState<M>>,
     /// Calls that resolved before every destination replied, with the
     /// number of replies still outstanding — late arrivals are counted as
     /// wasted instead of "caller gave up".
@@ -727,45 +729,34 @@ impl<M: SimMessage> Sim<M> {
                 to,
                 msg,
             } => {
-                let state = {
-                    let mut inner = self.core.inner.borrow_mut();
-                    // Replies cross the same faulty network as requests.
-                    if inner.delivery_faulted(from, to) {
-                        return;
-                    }
-                    let weak = inner.pending.get(&call).cloned();
-                    match weak.and_then(|w| w.upgrade()) {
-                        Some(s) => Some(s),
-                        None => {
-                            // Caller resolved early (hedged win) or gave up
-                            // (timeout). Early-resolved extras are the price
-                            // of hedging — account them.
-                            inner.pending.remove(&call);
-                            if let Some(left) = inner.resolved_extra.get_mut(&call) {
-                                *left -= 1;
-                                let drained = *left == 0;
-                                if drained {
-                                    inner.resolved_extra.remove(&call);
-                                }
-                                inner.metrics.wasted_replies += 1;
+                let mut inner = self.core.inner.borrow_mut();
+                let inner = &mut *inner;
+                // Replies cross the same faulty network as requests.
+                if inner.delivery_faulted(from, to) {
+                    return;
+                }
+                match inner.pending.get_mut(&call) {
+                    Some(st) if !st.resolved() => {
+                        st.replies.push((from, msg));
+                        if st.resolved() {
+                            if st.replies.len() < st.expected {
+                                inner
+                                    .resolved_extra
+                                    .insert(call, st.expected - st.replies.len());
                             }
-                            None
+                            st.wake();
                         }
                     }
-                };
-                if let Some(state) = state {
-                    let mut st = state.borrow_mut();
-                    st.replies.push((from, msg));
-                    if st.replies.len() >= st.need {
-                        let mut inner = self.core.inner.borrow_mut();
-                        inner.pending.remove(&call);
-                        if st.replies.len() < st.expected {
-                            inner
-                                .resolved_extra
-                                .insert(call, st.expected - st.replies.len());
-                        }
-                        if let Some(w) = st.waker.take() {
-                            w.wake();
+                    // Caller resolved early (hedged win) or gave up
+                    // (timeout, or dropped the future). Early-resolved
+                    // extras are the price of hedging — account them.
+                    _ => {
+                        if let Some(left) = inner.resolved_extra.get_mut(&call) {
+                            *left -= 1;
+                            if *left == 0 {
+                                inner.resolved_extra.remove(&call);
+                            }
+                            inner.metrics.wasted_replies += 1;
                         }
                     }
                 }
@@ -778,17 +769,11 @@ impl<M: SimMessage> Sim<M> {
                 }
             }
             EventKind::CallTimeout(call) => {
-                let state = {
-                    let mut inner = self.core.inner.borrow_mut();
-                    inner.pending.remove(&call).and_then(|w| w.upgrade())
-                };
-                if let Some(state) = state {
-                    let mut st = state.borrow_mut();
-                    if st.replies.len() < st.need {
+                let mut inner = self.core.inner.borrow_mut();
+                if let Some(st) = inner.pending.get_mut(&call) {
+                    if !st.resolved() {
                         st.timed_out = true;
-                        if let Some(w) = st.waker.take() {
-                            w.wake();
-                        }
+                        st.wake();
                     }
                 }
             }

@@ -270,7 +270,7 @@ fn setup_bench(cluster: &Cluster, spec: &RunSpec) {
                 keys.sort_unstable();
                 cluster.preload(
                     qrdtm_core::ObjectId(map.base + b as u64),
-                    qrdtm_core::ObjVal::IntList(keys),
+                    qrdtm_core::ObjVal::IntList(keys.into()),
                 );
             }
         }

@@ -29,7 +29,7 @@ impl HashmapLayout {
     /// Objects to preload: empty buckets.
     pub fn setup(&self) -> Vec<(ObjectId, ObjVal)> {
         (0..self.buckets)
-            .map(|b| (ObjectId(self.base + b), ObjVal::IntList(Vec::new())))
+            .map(|b| (ObjectId(self.base + b), ObjVal::IntList([].into())))
             .collect()
     }
 }
@@ -45,12 +45,12 @@ pub(crate) fn mix(mut x: u64) -> u64 {
 /// Insert `key`; returns true if it was absent.
 pub async fn put(tx: &Tx, map: &HashmapLayout, key: i64) -> Result<bool, Abort> {
     let oid = map.bucket(key);
-    let mut list = tx.read(oid).await?.expect_list().clone();
+    let mut list = tx.read(oid).await?.expect_list().to_vec();
     match list.binary_search(&key) {
         Ok(_) => Ok(false),
         Err(pos) => {
             list.insert(pos, key);
-            tx.write(oid, ObjVal::IntList(list)).await?;
+            tx.write(oid, ObjVal::IntList(list.into())).await?;
             Ok(true)
         }
     }
@@ -70,11 +70,11 @@ pub async fn get(tx: &Tx, map: &HashmapLayout, key: i64) -> Result<bool, Abort> 
 /// Remove `key`; returns true if it was present.
 pub async fn remove(tx: &Tx, map: &HashmapLayout, key: i64) -> Result<bool, Abort> {
     let oid = map.bucket(key);
-    let mut list = tx.read(oid).await?.expect_list().clone();
+    let mut list = tx.read(oid).await?.expect_list().to_vec();
     match list.binary_search(&key) {
         Ok(pos) => {
             list.remove(pos);
-            tx.write(oid, ObjVal::IntList(list)).await?;
+            tx.write(oid, ObjVal::IntList(list.into())).await?;
             Ok(true)
         }
         Err(_) => Ok(false),

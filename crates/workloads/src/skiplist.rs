@@ -9,6 +9,7 @@
 
 use qrdtm_core::{Abort, ObjVal, ObjectId, SkipNode, Tx};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::hashmap::mix;
 
@@ -61,7 +62,7 @@ impl SkiplistLayout {
             ObjVal::SkipNode(SkipNode {
                 key: i64::MIN,
                 val: 0,
-                nexts: vec![None; self.levels],
+                nexts: vec![None; self.levels].into(),
             }),
         )];
         for k in 0..self.key_space {
@@ -70,7 +71,7 @@ impl SkiplistLayout {
                 ObjVal::SkipNode(SkipNode {
                     key: k,
                     val: 0,
-                    nexts: vec![None; self.height_of(k)],
+                    nexts: vec![None; self.height_of(k)].into(),
                 }),
             ));
         }
@@ -140,16 +141,15 @@ pub async fn insert(tx: &Tx, sl: &SkiplistLayout, key: i64, val: i64) -> Result<
     // Link the node's tower to its successors, then splice the
     // predecessors. The same predecessor object may cover several levels, so
     // accumulate mutations before writing.
-    let mut nexts = vec![None; height];
-    for (lvl, next) in nexts.iter_mut().enumerate() {
-        *next = preds[lvl].1.nexts.get(lvl).copied().flatten();
-    }
+    let nexts = (0..height)
+        .map(|lvl| preds[lvl].1.nexts.get(lvl).copied().flatten())
+        .collect();
     tx.write(node_oid, ObjVal::SkipNode(SkipNode { key, val, nexts }))
         .await?;
     let mut pending: BTreeMap<ObjectId, SkipNode> = BTreeMap::new();
     for (lvl, (poid, psnap)) in preds.iter().enumerate().take(height) {
         let p = pending.entry(*poid).or_insert_with(|| psnap.clone());
-        p.nexts[lvl] = Some(node_oid);
+        Arc::make_mut(&mut p.nexts)[lvl] = Some(node_oid);
     }
     for (oid, n) in pending {
         tx.write(oid, ObjVal::SkipNode(n)).await?;
@@ -171,7 +171,7 @@ pub async fn remove(tx: &Tx, sl: &SkiplistLayout, key: i64) -> Result<bool, Abor
         // (it always does when present, by the tower construction).
         let p = pending.entry(*poid).or_insert_with(|| psnap.clone());
         if p.nexts.get(lvl).copied().flatten() == Some(node_oid) {
-            p.nexts[lvl] = node.nexts[lvl];
+            Arc::make_mut(&mut p.nexts)[lvl] = node.nexts[lvl];
         }
     }
     for (oid, n) in pending {

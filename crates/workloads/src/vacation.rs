@@ -59,17 +59,20 @@ impl VacationLayout {
             for i in 0..self.rows {
                 objs.push((
                     self.row(table, i),
-                    ObjVal::Table(vec![TableRow {
-                        id: i as i64,
-                        total: self.capacity,
-                        used: 0,
-                        price: 50 + ((table as i64 + 1) * i as i64) % 100,
-                    }]),
+                    ObjVal::Table(
+                        [TableRow {
+                            id: i as i64,
+                            total: self.capacity,
+                            used: 0,
+                            price: 50 + ((table as i64 + 1) * i as i64) % 100,
+                        }]
+                        .into(),
+                    ),
                 ));
             }
         }
         for c in 0..self.customers {
-            objs.push((self.customer(c), ObjVal::IntList(Vec::new())));
+            objs.push((self.customer(c), ObjVal::IntList([].into())));
         }
         objs
     }
@@ -78,11 +81,11 @@ impl VacationLayout {
 /// Reserve one unit of `(table, pick)` if available; CT-sized helper.
 async fn reserve_row(tx: &Tx, v: &VacationLayout, table: usize, pick: u64) -> Result<bool, Abort> {
     let oid = v.row(table, pick);
-    let mut rows = tx.read(oid).await?.expect_table().clone();
+    let mut rows = tx.read(oid).await?.expect_table().to_vec();
     let row = &mut rows[0];
     if row.used < row.total {
         row.used += 1;
-        tx.write(oid, ObjVal::Table(rows)).await?;
+        tx.write(oid, ObjVal::Table(rows.into())).await?;
         Ok(true)
     } else {
         Ok(false)
@@ -116,9 +119,9 @@ pub async fn make_reservation(
             let v2 = v2;
             async move {
                 let oid = v2.customer(customer);
-                let mut list = tx2.read(oid).await?.expect_list().clone();
+                let mut list = tx2.read(oid).await?.expect_list().to_vec();
                 list.extend_from_slice(&got2);
-                tx2.write(oid, ObjVal::IntList(list)).await
+                tx2.write(oid, ObjVal::IntList(list.into())).await
             }
         })
         .await?;
@@ -146,20 +149,21 @@ pub async fn query(tx: &Tx, v: &VacationLayout, picks: [u64; 3]) -> Result<i64, 
 /// record. Returns the number of reservations released.
 pub async fn delete_customer(tx: &Tx, v: &VacationLayout, customer: u64) -> Result<usize, Abort> {
     let oid = v.customer(customer);
-    let list = tx.read(oid).await?.expect_list().clone();
-    for &code in &list {
+    let record = tx.read(oid).await?;
+    let list = record.expect_list();
+    for &code in list {
         let (table, i) = v.decode(code);
         let v2 = *v;
         tx.closed(move |tx2| async move {
             let roid = v2.row(table, i);
-            let mut rows = tx2.read(roid).await?.expect_table().clone();
+            let mut rows = tx2.read(roid).await?.expect_table().to_vec();
             rows[0].used -= 1;
-            tx2.write(roid, ObjVal::Table(rows)).await
+            tx2.write(roid, ObjVal::Table(rows.into())).await
         })
         .await?;
     }
     if !list.is_empty() {
-        tx.write(oid, ObjVal::IntList(Vec::new())).await?;
+        tx.write(oid, ObjVal::IntList([].into())).await?;
     }
     Ok(list.len())
 }

@@ -54,10 +54,10 @@ stage "cargo build benchmark package (public-API drift)" \
     cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 
 # Root tests/*.rs are separate binaries of the root package and ride along,
-# including the two linear-work gates, each its own binary for its counting
-# allocator: tests/qstore_linear_work.rs (bytes per commit, < 1 s) and
-# tests/chk_linear_work.rs (allocation calls per QR-CHK data-set object,
-# < 1 s). crates/sim/tests/backlog.rs rides here too: a node backlog four
+# including the two linear-work gates, each its own binary for the counting
+# allocator of tests/support/counting_alloc.rs: tests/qstore_linear_work.rs
+# (bytes per commit, < 1 s) and tests/chk_linear_work.rs (allocation calls
+# per data-set object, per remote read and per closed-nested scope, < 1 s). crates/sim/tests/backlog.rs rides here too: a node backlog four
 # wheel horizons deep must cause no overflow promotions (< 1 s).
 stage "cargo test --workspace" \
     cargo test --quiet --workspace
@@ -76,6 +76,11 @@ stage "cargo doc (broken intra-doc links are errors)" \
 # sweep only has to run to completion.
 stage "repro all --quick (every figure, table and ablation runs)" \
     quiet repro all --quick
+
+# The allocation census only has to run; its table is read by hand against
+# the parent's (DESIGN.md "Value ownership").
+stage "alloc_census (allocation calls and bytes per commit, 5 benchmarks x 3 modes)" \
+    quiet cargo run --quiet --release --example alloc_census
 
 stage "chaos smoke (fault injection + invariant checks, incl. qstore batch atomicity)" \
     repro chaos --smoke

@@ -1,92 +1,151 @@
-//! QR-CHK must do work per transaction proportional to its data set, not
-//! to the square of it: a checkpoint is taken per `chk_threshold` objects
-//! (default 1), so a checkpoint that copies the data set makes an N-object
-//! transaction allocate O(N^2) times. Twice the objects may make about
-//! twice the allocation *calls*. Bytes are not counted: they stay
-//! quadratic by protocol, since each of the N Rqv requests carries the
-//! data set read so far.
+//! The QR engine must do work per transaction proportional to its data
+//! set, and per remote read a small constant, whatever the objects hold.
+//! Four gates on allocation *calls* (bytes are not counted: they stay
+//! quadratic by protocol, since each of the N Rqv requests carries the data
+//! set read so far):
 //!
-//! The file is its own test binary because it installs a counting
-//! `#[global_allocator]`. No wall clock is read: the number of allocations
-//! is a function of the seed.
+//! * QR-CHK takes a checkpoint per `chk_threshold` objects (default 1), so
+//!   a checkpoint that copies the data set makes an N-object transaction
+//!   allocate O(N^2) times; twice the objects may make about twice the
+//!   calls.
+//! * A committed value is shared, never copied: reading 128 eight-level
+//!   skip-list nodes costs exactly the calls of reading 128 integers.
+//! * The call plumbing of one remote read — Rqv payload, quorum call,
+//!   data-set entry, op log — stays within a handful of calls.
+//! * A closed-nested scope is a mark on the data-set log: a scope that
+//!   only shadows a held copy allocates nothing.
+//!
+//! The file is its own test binary because it installs the counting
+//! allocator of `tests/support/counting_alloc.rs`. No wall clock is read:
+//! the number of allocations is a function of the seed. Every run is one
+//! client on 13 nodes and counts from after `preload_all`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
+use qr_dtm::core::{DtmStats, SkipNode};
 use qr_dtm::prelude::*;
 
-/// Counts every allocation call (growth through the default `realloc` is
-/// an `alloc` of the new size, so it is counted too).
-struct Counting;
-
-static CALLS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: both methods hand their arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::Allocated;
 
 const TRANSACTIONS: u64 = 8;
 
-/// One client, `TRANSACTIONS` transactions, each reading `objects` `Int`
-/// objects and writing their sum to one more. Returns `(checkpoints
-/// taken, allocation calls)`.
-fn scan_and_write(objects: u64) -> (u64, u64) {
-    let before = CALLS.load(Ordering::Relaxed);
+/// One client running `TRANSACTIONS` times `body` over `objects` preloaded
+/// copies of `val` (plus an `Int` sink behind them). Returns the counters
+/// and the allocation calls of the run.
+fn run_client<F, Fut>(mode: NestingMode, objects: u64, val: ObjVal, body: F) -> (DtmStats, u64)
+where
+    F: Fn(Tx) -> Fut + 'static,
+    Fut: std::future::Future<Output = Result<(), Abort>>,
+{
     let c = Cluster::new(DtmConfig {
         nodes: 13,
-        mode: NestingMode::Checkpoint,
+        mode,
         ..Default::default()
     });
-    let sink = ObjectId(objects);
-    c.preload_all((0..=objects).map(|i| (ObjectId(i), ObjVal::Int(1))));
+    c.preload_all((0..objects).map(|i| (ObjectId(i), val.clone())));
+    c.preload(ObjectId(objects), ObjVal::Int(0));
+    let before = Allocated::now();
     let client = c.client(NodeId(3));
     c.sim().spawn(async move {
         for _ in 0..TRANSACTIONS {
-            client
-                .run(|tx| async move {
-                    let mut sum = 0;
-                    for i in 0..objects {
-                        sum += tx.read(ObjectId(i)).await?.expect_int();
-                    }
-                    tx.write(sink, ObjVal::Int(sum)).await
-                })
-                .await;
+            client.run(&body).await;
         }
     });
     c.sim().run();
+    let calls = Allocated::since(before).calls;
     let s = c.stats();
     assert_eq!(s.commits, TRANSACTIONS);
     assert_eq!(s.chk_rollbacks + s.root_aborts, 0, "one client: {s:?}");
-    assert_eq!(c.latest(sink).unwrap().1, ObjVal::Int(objects as i64));
-    drop(c);
-    (s.checkpoints, CALLS.load(Ordering::Relaxed) - before)
+    (s, calls)
+}
+
+/// Each transaction reads all `objects` copies of `val` and writes how
+/// many it read to the sink.
+fn scan_and_write(mode: NestingMode, objects: u64, val: ObjVal) -> (DtmStats, u64) {
+    run_client(mode, objects, val, move |tx| async move {
+        for i in 0..objects {
+            tx.read(ObjectId(i)).await?;
+        }
+        tx.write(ObjectId(objects), ObjVal::Int(objects as i64))
+            .await
+    })
 }
 
 #[test]
 fn twice_the_objects_make_about_twice_the_allocations() {
     let n = 128;
-    let (chk_n, calls_n) = scan_and_write(n);
-    let (chk_2n, calls_2n) = scan_and_write(2 * n);
+    let (s_n, calls_n) = scan_and_write(NestingMode::Checkpoint, n, ObjVal::Int(1));
+    let (s_2n, calls_2n) = scan_and_write(NestingMode::Checkpoint, 2 * n, ObjVal::Int(1));
     // Default threshold 1: every fetched object (the written one too) is a
     // checkpoint — the work whose cost is being bounded did happen.
-    assert_eq!(chk_n, TRANSACTIONS * (n + 1));
-    assert_eq!(chk_2n, TRANSACTIONS * (2 * n + 1));
+    assert_eq!(s_n.checkpoints, TRANSACTIONS * (n + 1));
+    assert_eq!(s_2n.checkpoints, TRANSACTIONS * (2 * n + 1));
     let growth = calls_2n as f64 / calls_n as f64;
     assert!(
         growth <= 2.2,
         "{n} objects: {calls_n} allocations, {} objects: {calls_2n}: \
          x{growth:.2} for twice the data set",
         2 * n
+    );
+}
+
+#[test]
+fn reading_big_values_allocates_no_more_than_reading_integers() {
+    let node = ObjVal::SkipNode(SkipNode {
+        key: 7,
+        val: 0,
+        nexts: vec![Some(ObjectId(1)); 8].into(),
+    });
+    for mode in NestingMode::ALL {
+        let (_, ints) = scan_and_write(mode, 128, ObjVal::Int(1));
+        let (_, nodes) = scan_and_write(mode, 128, node.clone());
+        assert_eq!(
+            nodes, ints,
+            "{mode}: 128 skip-list nodes against 128 integers, {TRANSACTIONS} transactions"
+        );
+    }
+}
+
+#[test]
+fn a_remote_read_makes_a_handful_of_allocations() {
+    for (mode, bound) in [
+        (NestingMode::Flat, 5.0),
+        (NestingMode::Closed, 5.0),
+        (NestingMode::Checkpoint, 6.0),
+    ] {
+        let (_, calls_64) = scan_and_write(mode, 64, ObjVal::Int(1));
+        let (s, calls_128) = scan_and_write(mode, 128, ObjVal::Int(1));
+        assert_eq!(s.read_rounds, TRANSACTIONS * 129);
+        let per_read = (calls_128 - calls_64) as f64 / (64 * TRANSACTIONS) as f64;
+        assert!(
+            per_read <= bound,
+            "{mode}: {calls_64} calls for 64 objects, {calls_128} for 128: \
+             {per_read:.2} per remote read, bound {bound}"
+        );
+    }
+}
+
+#[test]
+fn a_scope_that_only_promotes_allocates_nothing() {
+    // One QR-CN root reads the sink, then runs `scopes` closed-nested
+    // transactions each writing it: every one a local hit, every commit a
+    // merge into the root.
+    let promote = |scopes: i64| {
+        let (s, calls) = run_client(NestingMode::Closed, 0, ObjVal::Unit, move |tx| async move {
+            tx.read(ObjectId(0)).await?;
+            for k in 0..scopes {
+                tx.closed(|ct| async move { ct.write(ObjectId(0), ObjVal::Int(k)).await })
+                    .await?;
+            }
+            Ok(())
+        });
+        assert_eq!(s.ct_commits, TRANSACTIONS * scopes as u64);
+        assert_eq!(s.read_rounds, TRANSACTIONS);
+        calls
+    };
+    let (calls_100, calls_200) = (promote(100), promote(200));
+    assert!(
+        calls_200 - calls_100 <= 8,
+        "100 scopes: {calls_100} calls, 200 scopes: {calls_200}"
     );
 }

@@ -3,38 +3,19 @@
 //! twice the bytes. A replica that copies its whole decision history at
 //! every snapshot fails this with a ratio that grows with the run.
 //!
-//! The file is its own test binary because it installs a counting
-//! `#[global_allocator]`. No wall clock is read: bytes allocated are a
-//! function of the seed.
+//! The file is its own test binary because it installs the counting
+//! allocator of `tests/support/counting_alloc.rs`. No wall clock is read:
+//! bytes allocated are a function of the seed.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use qr_dtm::core::{DtmProtocol, DurabilityConfig, ObjVal, ObjectId};
 use qr_dtm::qstore::{QStoreCluster, QStoreConfig};
 use qr_dtm::sim::NodeId;
 
-/// Counts every byte ever requested (growth through the default
-/// `realloc` is an `alloc` of the new size, so it is counted too).
-struct Counting;
-
-static ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: both methods hand their arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::Allocated;
 
 const NODES: usize = 10;
 const CLIENTS_PER_NODE: u64 = 2;
@@ -44,7 +25,7 @@ const ACCOUNTS: u64 = 8;
 /// transfers between neighbouring accounts of the eight, to completion.
 /// Returns `(commits, bytes allocated)`.
 fn hot_bank(transfers: u64) -> (u64, u64) {
-    let before = ALLOCATED.load(Ordering::Relaxed);
+    let before = Allocated::now();
     let c = Rc::new(QStoreCluster::new(QStoreConfig {
         nodes: NODES,
         seed: 7,
@@ -88,7 +69,7 @@ fn hot_bank(transfers: u64) -> (u64, u64) {
         .sum();
     assert_eq!(total, ACCOUNTS as i64 * 1_000, "money is conserved");
     drop(c);
-    (commits, ALLOCATED.load(Ordering::Relaxed) - before)
+    (commits, Allocated::since(before).bytes)
 }
 
 #[test]

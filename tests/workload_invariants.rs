@@ -53,7 +53,11 @@ fn hashmap_under_contention(mode: NestingMode) {
         auditor
             .run(|tx| async move {
                 for b in 0..map.buckets {
-                    let list = tx.read(ObjectId(map.base + b)).await?.expect_list().clone();
+                    let list = tx
+                        .read(ObjectId(map.base + b))
+                        .await?
+                        .expect_list()
+                        .to_vec();
                     let mut sorted = list.clone();
                     sorted.sort_unstable();
                     sorted.dedup();
