@@ -11,8 +11,7 @@ use std::rc::Rc;
 
 use crate::cluster::{InjectedBug, PendingPhase2};
 use crate::history::CommitRecord;
-use crate::object::ObjectId;
-use crate::pool::Payload;
+use crate::object::{ObjectId, Version};
 use crate::txid::Abort;
 
 use super::nesting::{CommitSets, NestingPolicy, TxState};
@@ -42,6 +41,19 @@ pub(super) async fn commit_root(
         writes,
         payload,
     } = sets;
+    // Tell the history auditor, if it listens, that the attempt committed
+    // with serialization point `at`.
+    let record = |at, writes: &[(ObjectId, Version)]| {
+        let mut history = ep.inner.history.borrow_mut();
+        if history.is_enabled() {
+            history.push(CommitRecord {
+                tx: root,
+                at,
+                reads: reads.to_vec(),
+                writes: writes.iter().map(|(o, v)| (*o, *v, v.next())).collect(),
+            });
+        }
+    };
     // Snapshot the view the decision is made under. The vote must go to
     // this exact quorum (locks will live on it), and the decision is only
     // sound if the view is unchanged when the votes are in — quorum
@@ -59,16 +71,8 @@ pub(super) async fn commit_root(
             // not intersect write quorums — those attempts fall through to
             // the vote round below.)
             ep.inner.stats.borrow_mut().local_commits += 1;
-            if ep.inner.history.borrow().is_enabled() {
-                // Serialization point: the last validated remote read.
-                let at = st.borrow().last_remote_read_at;
-                ep.inner.history.borrow_mut().push(CommitRecord {
-                    tx: root,
-                    at,
-                    reads: reads.to_vec(),
-                    writes: vec![],
-                });
-            }
+            // Serialization point: the last validated remote read.
+            record(st.borrow().last_remote_read_at, &[]);
             return Ok(());
         }
         if reads.is_empty() {
@@ -101,14 +105,7 @@ pub(super) async fn commit_root(
             // reads need not intersect the new view's write quorums.
             return Err(Abort::root());
         }
-        if ep.inner.history.borrow().is_enabled() {
-            ep.inner.history.borrow_mut().push(CommitRecord {
-                tx: root,
-                at,
-                reads: reads.to_vec(),
-                writes: vec![],
-            });
-        }
+        record(at, &[]);
         return Ok(());
     }
     let vote = ep
@@ -129,51 +126,24 @@ pub(super) async fn commit_root(
                 // replica has seen the writes yet, so converting the
                 // decision to an abort is safe — and necessary, since the
                 // vote quorum need not intersect the new view's quorums.
-                release_registered(ep, &wq, root, &writes).await;
+                ep.phase_two(&wq, root, release(&writes)).await;
                 return Err(Abort::root());
             }
-            if ep.inner.history.borrow().is_enabled() {
-                // Serialization point: all write-quorum locks held.
-                let at = ep.sim.now();
-                ep.inner.history.borrow_mut().push(CommitRecord {
-                    tx: root,
-                    at,
-                    reads: reads.to_vec(),
-                    writes: writes.iter().map(|(o, v)| (*o, *v, v.next())).collect(),
-                });
-            }
-            // Commit confirm: apply writes, release locks. Registered so a
-            // view change mid-fan-out completes it instantly instead of
-            // leaving the new view behind the decision.
-            ep.inner
-                .pending
-                .borrow_mut()
-                .insert(root, PendingPhase2::Apply(payload.clone()));
-            ep.apply(&wq, root, payload).await;
-            ep.inner.pending.borrow_mut().remove(&root);
+            // Serialization point: all write-quorum locks held.
+            record(ep.sim.now(), &writes);
+            // Commit confirm: apply writes, release locks.
+            ep.phase_two(&wq, root, PendingPhase2::Apply(payload)).await;
             Ok(())
         }
         Err(e) => {
             // Release any locks granted in phase one.
-            release_registered(ep, &wq, root, &writes).await;
+            ep.phase_two(&wq, root, release(&writes)).await;
             Err(e)
         }
     }
 }
 
-/// Release-side phase two: registered with the cluster while in flight so
-/// a view change can finish it on every alive replica immediately.
-async fn release_registered(
-    ep: &Endpoint,
-    voted: &[qrdtm_sim::NodeId],
-    root: crate::txid::TxId,
-    writes: &[(ObjectId, crate::object::Version)],
-) {
-    let oids: Payload<ObjectId> = writes.iter().map(|(o, _)| *o).collect();
-    ep.inner
-        .pending
-        .borrow_mut()
-        .insert(root, PendingPhase2::Release(oids.clone()));
-    ep.release(voted, root, oids).await;
-    ep.inner.pending.borrow_mut().remove(&root);
+/// The abort decision after a vote round that may have locked `writes`.
+fn release(writes: &[(ObjectId, Version)]) -> PendingPhase2 {
+    PendingPhase2::Release(writes.iter().map(|(o, _)| *o).collect())
 }

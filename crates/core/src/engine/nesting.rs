@@ -36,6 +36,18 @@ pub(super) struct Entry {
     pub(super) owner_chk: u32,
 }
 
+impl Entry {
+    /// What Rqv validates of this entry.
+    fn rqv(&self) -> ValEntry {
+        ValEntry {
+            oid: self.oid,
+            version: self.version,
+            owner_level: self.owner_level,
+            owner_chk: self.owner_chk,
+        }
+    }
+}
+
 /// A checkpoint: a mark on the op log and on the data-set log, plus the
 /// data-set size at capture. Nothing is copied — truncating both logs to
 /// the mark is the root scope of the capture instant, and replaying the
@@ -47,14 +59,6 @@ pub(super) struct ChkRec {
     pub(super) dataset_size: usize,
 }
 
-/// One logged operation: what the body issued and, for a read, what it got.
-#[derive(Debug)]
-pub(super) struct LoggedOp {
-    pub(super) oid: ObjectId,
-    /// `Some(result)` for a read, `None` for a write.
-    pub(super) result: Option<ObjVal>,
-}
-
 /// What a root commit sends: the winning entry of every object, split into
 /// read-only and written objects, each sorted by object id.
 pub(super) struct CommitSets {
@@ -62,6 +66,14 @@ pub(super) struct CommitSets {
     pub(super) writes: Payload<(ObjectId, Version)>,
     /// `(object, new version, new value)` per written object.
     pub(super) payload: Payload<(ObjectId, Version, ObjVal)>,
+}
+
+/// One logged operation: what the body issued and, for a read, what it got.
+#[derive(Debug)]
+pub(super) struct LoggedOp {
+    pub(super) oid: ObjectId,
+    /// `Some(result)` for a read, `None` for a write.
+    pub(super) result: Option<ObjVal>,
 }
 
 /// The mutable state of one root transaction attempt (all nesting levels).
@@ -89,7 +101,6 @@ pub(super) struct TxState {
     pub(super) op_index: usize,
     pub(super) replay_upto: usize,
     pub(super) checkpoints: Vec<ChkRec>,
-    pub(super) last_chk_size: usize,
     pub(super) attempt: u32,
     /// Completion instant of the latest remote (validated) read — the
     /// serialization point of a read-only QR-CN commit.
@@ -119,7 +130,6 @@ impl TxState {
             op_index: 0,
             replay_upto: 0,
             checkpoints: vec![ChkRec::default()],
-            last_chk_size: 0,
             attempt: 0,
             last_remote_read_at: SimTime::ZERO,
             hedged_reads: false,
@@ -140,64 +150,42 @@ impl TxState {
         self.scopes.len() as u32
     }
 
-    /// Sort the winning entry of every object into `order`, by object id.
-    fn sort_winners(&mut self) {
+    /// The winning (latest) entry of every object, sorted by object id.
+    fn winners(&mut self) -> impl Iterator<Item = &Entry> + Clone {
+        let keys = self.log.iter().enumerate();
         self.order.clear();
-        self.order.extend(
-            self.log
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (e.oid, Reverse(i as u32))),
-        );
+        self.order
+            .extend(keys.map(|(i, e)| (e.oid, Reverse(i as u32))));
         // Keys are unique, so the allocation-free unstable sort is exact;
         // within one object the newest entry sorts first and survives.
         self.order.sort_unstable();
         self.order.dedup_by_key(|k| k.0);
+        let log = &self.log;
+        self.order
+            .iter()
+            .map(move |&(_, Reverse(i))| &log[i as usize])
     }
 
     /// The merged data set as the Rqv validation payload, sorted by object,
-    /// one entry per object (the latest), built in one allocation.
+    /// one entry per object, collected straight into its one allocation.
     pub(super) fn entries(&mut self) -> Payload<ValEntry> {
-        self.sort_winners();
-        let winners = self
-            .order
-            .iter()
-            .map(|&(_, Reverse(i))| &self.log[i as usize]);
-        winners
-            .map(|e| ValEntry {
-                oid: e.oid,
-                version: e.version,
-                owner_level: e.owner_level,
-                owner_chk: e.owner_chk,
-            })
-            .collect()
+        self.winners().map(Entry::rqv).collect()
     }
 
     /// The read and write sets of a root commit (all scopes closed).
     pub(super) fn commit_sets(&mut self) -> CommitSets {
-        debug_assert!(
-            self.scopes.is_empty(),
-            "all CTs completed before root commit"
-        );
-        self.sort_winners();
-        let winners = || {
-            self.order
-                .iter()
-                .map(|&(_, Reverse(i))| &self.log[i as usize])
-        };
+        debug_assert_eq!(self.depth(), 0, "all CTs completed before root commit");
+        let winners = self.winners();
         let versions = |is_write| {
-            winners()
-                .filter(move |e| e.is_write == is_write)
-                .map(|e| (e.oid, e.version))
-                .collect()
+            let set = winners.clone().filter(move |e| e.is_write == is_write);
+            set.map(|e| (e.oid, e.version)).collect()
         };
+        let written = winners.clone().filter(|e| e.is_write);
+        let payload = written.map(|e| (e.oid, e.version.next(), e.val.clone()));
         CommitSets {
             reads: versions(false),
             writes: versions(true),
-            payload: winners()
-                .filter(|e| e.is_write)
-                .map(|e| (e.oid, e.version.next(), e.val.clone()))
-                .collect(),
+            payload: payload.collect(),
         }
     }
 
@@ -219,11 +207,7 @@ impl TxState {
     /// its read or write set. The object is in no visible scope yet (the
     /// fetch followed a failed [`TxState::find`]), so it opens a new slot.
     pub(super) fn fetched(&mut self, e: Entry) {
-        debug_assert_eq!(
-            e.owner_level,
-            self.depth(),
-            "inserts go to the innermost scope"
-        );
+        debug_assert_eq!(e.owner_level, self.depth(), "the innermost scope inserts");
         self.log.push(e);
         self.dataset_size += 1;
     }
@@ -232,18 +216,13 @@ impl TxState {
     /// innermost scope's write set keeping the fetch-time version and owner
     /// (the owner is whoever READ it — its abort invalidates the copy).
     pub(super) fn promote(&mut self, i: usize, val: ObjVal) {
-        let found = &self.log[i];
+        let shadowed = Entry { val, ..self.log[i] };
         let scope_start = self.scopes.last().copied().unwrap_or(0);
-        if !(found.is_write && i >= scope_start) {
-            self.dataset_size += 1;
-        }
+        // A write over this scope's own write reuses its slot.
+        self.dataset_size += usize::from(!(shadowed.is_write && i >= scope_start));
         self.log.push(Entry {
-            oid: found.oid,
             is_write: true,
-            version: found.version,
-            val,
-            owner_level: found.owner_level,
-            owner_chk: found.owner_chk,
+            ..shadowed
         });
     }
 
@@ -271,6 +250,15 @@ impl TxState {
         }
     }
 
+    /// Mark the current op-log and data-set position as a new checkpoint.
+    pub(super) fn take_checkpoint(&mut self) {
+        self.checkpoints.push(ChkRec {
+            oplog_len: self.oplog.len(),
+            log_len: self.log.len(),
+            dataset_size: self.dataset_size,
+        });
+    }
+
     /// Restore checkpoint `c` and arm deterministic replay of the logged
     /// prefix (QR-CHK `abortChk`). Returns the index actually restored
     /// (`c` clamped to the live checkpoint stack).
@@ -290,25 +278,17 @@ impl TxState {
         self.replay_upto = rec.oplog_len;
         self.op_index = 0;
         self.checkpoints.truncate(c + 1);
-        self.last_chk_size = rec.dataset_size;
         self.attempt += 1;
         c as u32
     }
 
-    /// Full reset for a root retry; the new attempt gets a fresh [`TxId`] so
-    /// stale locks/metadata of the old attempt can never alias it. The
-    /// logs are emptied, not freed: the retry refills them.
+    /// Full reset for a root retry: a rollback to the mark at zero (the
+    /// logs are emptied, not freed — the retry refills them) under a fresh
+    /// [`TxId`], so stale locks/metadata of the old attempt can never alias
+    /// the new one.
     pub(super) fn reset_for_retry(&mut self, fresh: TxId) {
+        self.rollback_to(0);
         self.root = fresh;
-        self.log.clear();
-        self.scopes.clear();
-        self.dataset_size = 0;
-        self.oplog.clear();
-        self.op_index = 0;
-        self.replay_upto = 0;
-        self.checkpoints.truncate(1);
-        self.last_chk_size = 0;
-        self.attempt += 1;
         self.last_remote_read_at = SimTime::ZERO;
         self.hedged_reads = false;
     }
@@ -318,7 +298,9 @@ impl TxState {
 /// branch on [`NestingMode`] asks the policy instead.
 pub(super) trait NestingPolicy {
     /// The abort value a body at `level` uses to abort voluntarily.
-    fn abort_here(&self, level: u32) -> Abort;
+    fn abort_here(&self, level: u32) -> Abort {
+        Abort::level(level)
+    }
 
     /// Validation kind piggybacked on remote reads (assuming Rqv is on).
     fn validation_kind(&self) -> ValidationKind;
@@ -353,11 +335,6 @@ pub(super) trait NestingPolicy {
         false
     }
 
-    /// Mark the current op-log and data-set position as a new checkpoint.
-    fn take_checkpoint(&self, _st: &mut TxState) {
-        unreachable!("only the checkpoint policy takes checkpoints");
-    }
-
     /// How a root-level abort retries: `Some(c)` rolls back to checkpoint
     /// `c` (partial, replayed); `None` resets the whole transaction.
     fn rollback_checkpoint(&self, _abort: &Abort) -> Option<u32> {
@@ -369,10 +346,6 @@ pub(super) trait NestingPolicy {
 struct FlatPolicy;
 
 impl NestingPolicy for FlatPolicy {
-    fn abort_here(&self, level: u32) -> Abort {
-        Abort::level(level)
-    }
-
     fn validation_kind(&self) -> ValidationKind {
         ValidationKind::None
     }
@@ -382,10 +355,6 @@ impl NestingPolicy for FlatPolicy {
 struct ClosedPolicy;
 
 impl NestingPolicy for ClosedPolicy {
-    fn abort_here(&self, level: u32) -> Abort {
-        Abort::level(level)
-    }
-
     fn validation_kind(&self) -> ValidationKind {
         ValidationKind::Closed
     }
@@ -446,17 +415,8 @@ impl NestingPolicy for CheckpointPolicy {
     }
 
     fn checkpoint_due(&self, st: &TxState, threshold: usize) -> bool {
-        st.dataset_size >= st.last_chk_size + threshold
-    }
-
-    fn take_checkpoint(&self, st: &mut TxState) {
-        let rec = ChkRec {
-            oplog_len: st.oplog.len(),
-            log_len: st.log.len(),
-            dataset_size: st.dataset_size,
-        };
-        st.last_chk_size = rec.dataset_size;
-        st.checkpoints.push(rec);
+        let last = st.checkpoints.last().expect("checkpoint 0 is never popped");
+        st.dataset_size >= last.dataset_size + threshold
     }
 
     fn rollback_checkpoint(&self, abort: &Abort) -> Option<u32> {
@@ -479,8 +439,9 @@ pub(super) fn policy(mode: NestingMode) -> &'static dyn NestingPolicy {
 #[cfg(test)]
 mod tests {
     //! The log with marks against the representations it replaced, kept
-    //! here as references: read/write maps per nesting level, a deep copy
-    //! of the root level per checkpoint, and `entries()` through a map.
+    //! here as references: read/write maps per nesting level, merged by
+    //! moving map entries at child commit; a deep copy of the root level
+    //! per checkpoint; `entries()` through a map.
 
     use super::*;
     use proptest::collection::vec;
@@ -524,88 +485,19 @@ mod tests {
 
     /// The deleted lookup: own frame and ancestors, writes shadow reads.
     fn lookup(frames: &[Frame], oid: ObjectId) -> Option<&Entry> {
-        frames
-            .iter()
-            .rev()
-            .find_map(|f| f.writes.get(&oid).or_else(|| f.reads.get(&oid)))
-    }
-
-    /// The deleted promotion of a held copy into a level's write set.
-    fn promoted(found: &Entry, val: ObjVal) -> Entry {
-        Entry {
-            is_write: true,
-            val,
-            ..found.clone()
-        }
+        let mut inner_first = frames.iter().rev();
+        inner_first.find_map(|f| f.writes.get(&oid).or_else(|| f.reads.get(&oid)))
     }
 
     /// The deleted `entries()`: build a map, collect it, drop it.
     fn entries_via_map(frames: &[Frame]) -> Vec<ValEntry> {
         let mut map: BTreeMap<ObjectId, ValEntry> = BTreeMap::new();
         for f in frames {
-            for (oid, c) in f.reads.iter().chain(f.writes.iter()) {
-                map.insert(
-                    *oid,
-                    ValEntry {
-                        oid: *oid,
-                        version: c.version,
-                        owner_level: c.owner_level,
-                        owner_chk: c.owner_chk,
-                    },
-                );
+            for (oid, e) in f.reads.iter().chain(f.writes.iter()) {
+                map.insert(*oid, e.rqv());
             }
         }
         map.into_values().collect()
-    }
-
-    /// The deleted checkpoint representation: a deep clone of the root
-    /// frame per checkpoint, cloned again at rollback.
-    struct SnapshotChk {
-        oplog_len: usize,
-        frame: Frame,
-    }
-
-    /// As much of the deleted `TxState` as checkpoints touched.
-    struct SnapshotState {
-        frame: Frame,
-        oplog_len: usize,
-        checkpoints: Vec<SnapshotChk>,
-        last_chk_size: usize,
-    }
-
-    impl SnapshotState {
-        fn new() -> Self {
-            SnapshotState {
-                frame: Frame::default(),
-                oplog_len: 0,
-                checkpoints: vec![SnapshotChk {
-                    oplog_len: 0,
-                    frame: Frame::default(),
-                }],
-                last_chk_size: 0,
-            }
-        }
-
-        fn insert(&mut self, e: Entry) {
-            self.frame.insert(e);
-            self.oplog_len += 1;
-        }
-
-        fn take_checkpoint(&mut self) {
-            self.last_chk_size = self.frame.len();
-            self.checkpoints.push(SnapshotChk {
-                oplog_len: self.oplog_len,
-                frame: self.frame.clone(),
-            });
-        }
-
-        fn rollback_to(&mut self, c: usize) {
-            let rec = &self.checkpoints[c];
-            self.frame = rec.frame.clone();
-            self.oplog_len = rec.oplog_len;
-            self.last_chk_size = rec.frame.len();
-            self.checkpoints.truncate(c + 1);
-        }
     }
 
     #[derive(Clone, Copy, Debug)]
@@ -640,83 +532,17 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+        #![proptest_config(ProptestConfig::with_cases(512))]
 
+        /// Under QR-CHK the reference is one frame plus a deep copy of it
+        /// (and the op-log length) per checkpoint; under QR-CN a stack of
+        /// frames.
         #[test]
-        fn truncating_rollback_equals_snapshot_rollback(steps in steps()) {
-            let pol = policy(NestingMode::Checkpoint);
+        fn marks_on_the_log_equal_frames_and_snapshots(chk in any::<bool>(), steps in steps()) {
+            let pol = policy(if chk { NestingMode::Checkpoint } else { NestingMode::Closed });
             let mut st = TxState::new(ROOT);
-            let mut reference = SnapshotState::new();
-            for (n, step) in steps.into_iter().enumerate() {
-                let val = ObjVal::Int(n as i64);
-                match step {
-                    Step::Remote { oid, is_write } => {
-                        let oid = ObjectId(oid);
-                        if st.find(0, oid).is_some() {
-                            continue;
-                        }
-                        let e = Entry {
-                            oid,
-                            is_write,
-                            version: Version(n as u64),
-                            val: val.clone(),
-                            owner_level: 0,
-                            owner_chk: st.cur_chk(),
-                        };
-                        reference.insert(e.clone());
-                        // Data-set insert plus op log, as `Tx::access` does.
-                        st.fetched(e);
-                        pol.log_op(&mut st, oid, is_write, &val);
-                    }
-                    Step::Promote { pick } => {
-                        let held = st.entries();
-                        if held.is_empty() {
-                            continue;
-                        }
-                        let oid = held[pick % held.len()].oid;
-                        let found = lookup(std::slice::from_ref(&reference.frame), oid);
-                        reference.insert(promoted(found.expect("held"), val.clone()));
-                        let i = st.find(0, oid).expect("held");
-                        st.promote(i, val);
-                        pol.log_op(&mut st, oid, true, &ObjVal::Unit);
-                    }
-                    Step::Mark => {
-                        pol.take_checkpoint(&mut st);
-                        reference.take_checkpoint();
-                    }
-                    Step::Rollback { pick } => {
-                        let c = pick % reference.checkpoints.len();
-                        prop_assert_eq!(st.rollback_to(c as u32), c as u32);
-                        reference.rollback_to(c);
-                        // The body re-runs: the kept prefix replays as logged.
-                        let prefix: Vec<(ObjectId, bool)> =
-                            st.oplog.iter().map(|op| (op.oid, op.result.is_none())).collect();
-                        prop_assert_eq!(prefix.len(), st.replay_upto);
-                        for (oid, is_write) in prefix {
-                            prop_assert!(pol.replay_hit(&mut st, oid, is_write).is_some());
-                        }
-                        prop_assert!(!st.replaying());
-                    }
-                    Step::CommitScope => continue, // QR-CHK inlines every scope
-                }
-                let frames = frames_of(&st);
-                prop_assert_eq!(&frames[..], std::slice::from_ref(&reference.frame),
-                    "after step {} ({:?})", n, step);
-                prop_assert_eq!(st.dataset_size, reference.frame.len());
-                prop_assert_eq!(st.oplog.len(), reference.oplog_len);
-                prop_assert_eq!(st.last_chk_size, reference.last_chk_size);
-                prop_assert_eq!(st.checkpoints.len(), reference.checkpoints.len());
-                for (rec, snap) in st.checkpoints.iter().zip(&reference.checkpoints) {
-                    prop_assert_eq!(rec.oplog_len, snap.oplog_len);
-                    prop_assert_eq!(rec.dataset_size, snap.frame.len());
-                }
-            }
-        }
-
-        #[test]
-        fn scope_marks_equal_a_stack_of_frames(steps in steps()) {
-            let mut st = TxState::new(ROOT);
-            let mut reference = vec![Frame::default()];
+            let mut frames = vec![Frame::default()];
+            let mut snapshots = vec![(0, Frame::default())];
             for (n, step) in steps.into_iter().enumerate() {
                 let val = ObjVal::Int(n as i64);
                 let level = st.depth();
@@ -730,12 +556,14 @@ mod tests {
                             oid,
                             is_write,
                             version: Version(n as u64),
-                            val,
+                            val: val.clone(),
                             owner_level: level,
-                            owner_chk: 0,
+                            owner_chk: st.cur_chk(),
                         };
-                        reference[level as usize].insert(e.clone());
+                        frames[level as usize].insert(e.clone());
+                        // Data-set insert plus op log, as `Tx::access` does.
                         st.fetched(e);
+                        pol.log_op(&mut st, oid, is_write, &val);
                     }
                     Step::Promote { pick } => {
                         let held = st.entries();
@@ -743,31 +571,44 @@ mod tests {
                             continue;
                         }
                         let oid = held[pick % held.len()].oid;
-                        let e = promoted(lookup(&reference, oid).expect("held"), val.clone());
-                        reference[level as usize].insert(e);
-                        let i = st.find(level, oid).expect("held");
-                        st.promote(i, val);
+                        let found = lookup(&frames, oid).expect("held").clone();
+                        frames[level as usize].insert(Entry { is_write: true, val: val.clone(), ..found });
+                        st.promote(st.find(level, oid).expect("held"), val);
+                        pol.log_op(&mut st, oid, true, &ObjVal::Unit);
+                    }
+                    Step::Mark if chk => {
+                        st.take_checkpoint();
+                        snapshots.push((st.oplog.len(), frames[0].clone()));
                     }
                     Step::Mark => {
                         st.open_scope();
-                        reference.push(Frame::default());
+                        frames.push(Frame::default());
                     }
-                    Step::Rollback { pick } => {
-                        if level == 0 {
-                            continue;
+                    Step::Rollback { pick } if chk => {
+                        let c = pick % snapshots.len();
+                        prop_assert_eq!(st.rollback_to(c as u32), c as u32);
+                        snapshots.truncate(c + 1);
+                        frames[0] = snapshots[c].1.clone();
+                        // The body re-runs: the kept prefix replays as logged.
+                        prop_assert_eq!(st.oplog.len(), snapshots[c].0);
+                        prop_assert_eq!(st.replay_upto, snapshots[c].0);
+                        let prefix: Vec<(ObjectId, bool)> =
+                            st.oplog.iter().map(|op| (op.oid, op.result.is_none())).collect();
+                        for (oid, is_write) in prefix {
+                            prop_assert!(pol.replay_hit(&mut st, oid, is_write).is_some());
                         }
+                        prop_assert!(!st.replaying());
+                    }
+                    Step::Rollback { pick } if level > 0 => {
                         let target = 1 + pick % level as usize;
                         st.abort_scope(target as u32);
-                        reference.truncate(target);
+                        frames.truncate(target);
                     }
-                    Step::CommitScope => {
-                        if level == 0 {
-                            continue;
-                        }
+                    Step::CommitScope if level > 0 => {
                         st.commit_scope();
                         // The deleted commitCT: move both maps into the parent.
-                        let child = reference.pop().expect("child frame");
-                        let parent = reference.last_mut().expect("parent frame");
+                        let child = frames.pop().expect("child frame");
+                        let parent = frames.last_mut().expect("parent frame");
                         for (oid, mut e) in child.reads {
                             e.owner_level = e.owner_level.min(level - 1);
                             parent.reads.entry(oid).or_insert(e);
@@ -777,40 +618,32 @@ mod tests {
                             parent.writes.insert(oid, e);
                         }
                     }
+                    Step::Rollback { .. } | Step::CommitScope => continue,
                 }
-                prop_assert_eq!(&frames_of(&st), &reference, "after step {} ({:?})", n, step);
-                prop_assert_eq!(st.depth() as usize, reference.len() - 1);
+                prop_assert_eq!(&frames_of(&st), &frames, "after step {} ({:?})", n, step);
                 for oid in (0..24).map(ObjectId) {
                     // Every ancestor sees what its frames held.
                     for level in 0..=st.depth() {
                         let seen = st.find(level, oid).map(|i| st.entry(i));
-                        prop_assert_eq!(seen, lookup(&reference[..=level as usize], oid));
+                        prop_assert_eq!(seen, lookup(&frames[..=level as usize], oid));
                     }
                 }
-                prop_assert_eq!(&st.entries()[..], &entries_via_map(&reference)[..]);
+                prop_assert_eq!(&st.entries()[..], &entries_via_map(&frames)[..]);
+                if chk {
+                    prop_assert_eq!(st.dataset_size, frames[0].len());
+                    let marks = st.checkpoints.iter().map(|rec| (rec.oplog_len, rec.dataset_size));
+                    prop_assert!(marks.eq(snapshots.iter().map(|(oplog, frame)| (*oplog, frame.len()))));
+                }
             }
             // Close what is open and compare what a root commit would send.
-            while st.depth() > 0 {
-                st.abort_scope(st.depth());
-                reference.pop();
-            }
-            let root = &reference[0];
+            st.abort_scope(1);
+            let (reads, writes) = (&frames[0].reads, &frames[0].writes);
+            let read_only = reads.values().filter(|e| !writes.contains_key(&e.oid));
+            let installs = writes.values().map(|e| (e.oid, e.version.next(), e.val.clone()));
             let sets = st.commit_sets();
-            let reads: Vec<_> = root
-                .reads
-                .iter()
-                .filter(|(oid, _)| !root.writes.contains_key(oid))
-                .map(|(oid, e)| (*oid, e.version))
-                .collect();
-            let writes: Vec<_> = root.writes.iter().map(|(oid, e)| (*oid, e.version)).collect();
-            let payload: Vec<_> = root
-                .writes
-                .iter()
-                .map(|(oid, e)| (*oid, e.version.next(), e.val.clone()))
-                .collect();
-            prop_assert_eq!(&sets.reads[..], &reads[..]);
-            prop_assert_eq!(&sets.writes[..], &writes[..]);
-            prop_assert_eq!(&sets.payload[..], &payload[..]);
+            prop_assert!(sets.reads.iter().copied().eq(read_only.map(|e| (e.oid, e.version))));
+            prop_assert!(sets.writes.iter().copied().eq(writes.values().map(|e| (e.oid, e.version))));
+            prop_assert!(sets.payload.iter().cloned().eq(installs));
         }
 
         #[test]

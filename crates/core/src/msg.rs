@@ -212,41 +212,26 @@ mod tests {
     }
 
     #[test]
-    fn size_grows_with_piggybacked_entries() {
-        let small = Msg::ReadReq {
+    fn size_hints_are_pinned() {
+        // Wire accounting reads contents, never representation: a payload
+        // by its length, a shared value by what it holds.
+        let entry = ValEntry {
+            oid: ObjectId(2),
+            version: Version(1),
+            owner_level: 0,
+            owner_chk: 0,
+        };
+        let read_req = |entries: usize| Msg::ReadReq {
             root: dummy_tx(),
             cur_level: 0,
             cur_chk: 0,
             oid: ObjectId(1),
             want_write: false,
-            entries: [].into(),
+            entries: vec![entry; entries].into(),
             kind: ValidationKind::Closed,
         };
-        let big = Msg::ReadReq {
-            root: dummy_tx(),
-            cur_level: 0,
-            cur_chk: 0,
-            oid: ObjectId(1),
-            want_write: false,
-            entries: vec![
-                ValEntry {
-                    oid: ObjectId(2),
-                    version: Version(1),
-                    owner_level: 0,
-                    owner_chk: 0
-                };
-                8
-            ]
-            .into(),
-            kind: ValidationKind::Closed,
-        };
-        assert!(big.size_hint() > small.size_hint());
-    }
-
-    #[test]
-    fn size_hint_of_value_carriers_is_pinned() {
-        // A shared value is accounted by content, never by representation:
-        // the same value in a read reply and in two clones of an apply.
+        assert_eq!(read_req(0).size_hint(), 32 + 24);
+        assert_eq!(read_req(8).size_hint(), 32 + 24 + 8 * 24);
         let val = ObjVal::IntList(vec![0; 100].into());
         let read_ok = Msg::ReadOk {
             oid: ObjectId(1),
@@ -254,13 +239,13 @@ mod tests {
             val: val.clone(),
         };
         assert_eq!(read_ok.size_hint(), 32 + 16 + 808);
+        let writes = vec![
+            (ObjectId(1), Version(2), val),
+            (ObjectId(2), Version(2), ObjVal::Int(0)),
+        ];
         let apply = Msg::Apply {
             root: dummy_tx(),
-            writes: vec![
-                (ObjectId(1), Version(2), val),
-                (ObjectId(2), Version(2), ObjVal::Int(0)),
-            ]
-            .into(),
+            writes: writes.into(),
         };
         assert_eq!(apply.size_hint(), 32 + (16 + 808) + (16 + 8));
         assert_eq!(apply.clone().size_hint(), apply.size_hint());

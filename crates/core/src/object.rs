@@ -7,11 +7,13 @@
 //! (PR/PW) the paper's contention manager consults.
 //!
 //! An [`ObjVal`] is immutable once written: its variable-length parts are
-//! shared slices (`Arc<[T]>`), so a clone — replica to read reply, reply to
-//! data set, data set to op log and commit payload, commit payload to every
+//! shared slices, so a clone — replica to read reply, reply to data set,
+//! data set to op log and commit payload, commit payload to every
 //! write-quorum replica — moves a reference count and never bytes. A writer
 //! builds a new value (`to_vec()` … `.into()`, or `Arc::make_mut` on its own
-//! clone) and hands that to [`Tx::write`](crate::Tx::write).
+//! clone) and hands that to [`Tx::write`](crate::Tx::write). The slices are
+//! `Arc`, not `Rc`: the threaded backend (`qrdtm-par`) keeps values in
+//! tables shared between threads, so `ObjVal` must stay `Send + Sync`.
 
 use std::fmt;
 use std::sync::Arc;
@@ -91,10 +93,6 @@ pub struct TableRow {
 /// A small closed universe is enough for every benchmark in the paper; the
 /// variants map 1:1 onto the data structures of §VI (Bank accounts, Hashmap
 /// buckets, RBTree/BST nodes, Skiplist nodes, Vacation relations).
-///
-/// The slices are `Arc`, not `Rc`: the threaded backend (`qrdtm-par`) keeps
-/// values in tables shared between threads, so `ObjVal` must stay
-/// `Send + Sync` (asserted below).
 #[derive(Clone, Debug, PartialEq, Default)]
 pub enum ObjVal {
     /// Placeholder / deleted.
@@ -227,6 +225,16 @@ mod tests {
     use super::*;
     use crate::txid::TxId;
 
+    fn node() -> TreeNode {
+        TreeNode {
+            key: 1,
+            val: 2,
+            left: None,
+            right: Some(ObjectId(3)),
+            red: true,
+        }
+    }
+
     #[test]
     fn version_progression() {
         let v = Version::INITIAL;
@@ -256,13 +264,6 @@ mod tests {
             used: 0,
             price: 10,
         };
-        let node = TreeNode {
-            key: 1,
-            val: 2,
-            left: None,
-            right: Some(ObjectId(3)),
-            red: true,
-        };
         let skip = SkipNode {
             key: 1,
             val: 2,
@@ -273,7 +274,7 @@ mod tests {
             (ObjVal::Int(-7), 8),
             (ObjVal::IntList([].into()), 8),
             (ObjVal::IntList(vec![1; 10].into()), 88),
-            (ObjVal::Node(node), 40),
+            (ObjVal::Node(node()), 40),
             (ObjVal::SkipNode(skip), 96),
             (ObjVal::Table(vec![row; 4].into()), 136),
             (ObjVal::Ptr(Some(ObjectId(3))), 9),
@@ -292,14 +293,7 @@ mod tests {
             ObjVal::Ptr(Some(ObjectId(3))).expect_ptr(),
             Some(ObjectId(3))
         );
-        let n = TreeNode {
-            key: 1,
-            val: 2,
-            left: None,
-            right: None,
-            red: false,
-        };
-        assert_eq!(ObjVal::Node(n.clone()).expect_node(), &n);
+        assert_eq!(ObjVal::Node(node()).expect_node(), &node());
     }
 
     #[test]
