@@ -203,9 +203,8 @@ impl TxState {
         &self.log[i]
     }
 
-    /// Append a copy the innermost scope fetched from the read quorum to
-    /// its read or write set. The object is in no visible scope yet (the
-    /// fetch followed a failed [`TxState::find`]), so it opens a new slot.
+    /// Append a copy the innermost scope fetched from the read quorum: a
+    /// new slot, since the fetch followed a failed [`TxState::find`].
     pub(super) fn fetched(&mut self, e: Entry) {
         debug_assert_eq!(e.owner_level, self.depth(), "the innermost scope inserts");
         self.log.push(e);
@@ -216,14 +215,17 @@ impl TxState {
     /// innermost scope's write set keeping the fetch-time version and owner
     /// (the owner is whoever READ it — its abort invalidates the copy).
     pub(super) fn promote(&mut self, i: usize, val: ObjVal) {
-        let shadowed = Entry { val, ..self.log[i] };
+        let found = &self.log[i];
         let scope_start = self.scopes.last().copied().unwrap_or(0);
         // A write over this scope's own write reuses its slot.
-        self.dataset_size += usize::from(!(shadowed.is_write && i >= scope_start));
-        self.log.push(Entry {
+        let reuses_slot = found.is_write && i >= scope_start;
+        self.dataset_size += usize::from(!reuses_slot);
+        let promoted = Entry {
             is_write: true,
-            ..shadowed
-        });
+            val,
+            ..*found
+        };
+        self.log.push(promoted);
     }
 
     /// Begin a closed-nested scope: a mark, nothing else.

@@ -140,9 +140,8 @@ impl Endpoint {
     }
 
     /// A transaction past its deadline gets no more quorum rounds: the
-    /// driver is about to abandon it, so a round — and any hedges or
-    /// retries it would spawn — is pure waste. Count the work avoided and
-    /// abort.
+    /// driver is about to abandon it, so a round (and any hedges or retries
+    /// it would spawn) is pure waste. Count the work avoided and abort.
     fn within_deadline(&self, deadline: Option<SimTime>) -> Result<(), Abort> {
         if deadline.is_some_and(|d| self.sim.now() > d) {
             self.sim.bump(Counter::WastedRetries);
@@ -197,8 +196,7 @@ impl Endpoint {
             // Re-read per attempt: a retry's whole point is that the view
             // may have reconfigured around the member that timed us out.
             let rq = Rc::clone(&self.inner.quorum.borrow().read_q);
-            // Only a round that actually adds a hedge builds its own
-            // destination list.
+            // Built only by a round that actually adds a hedge.
             let mut hedged_dests: Option<Vec<NodeId>> = None;
             if let Some(d) = det {
                 if d.hedge > 0 {
@@ -217,13 +215,13 @@ impl Endpoint {
                         );
                     } else {
                         let view = self.inner.quorum.borrow();
-                        let spares: Vec<NodeId> = (0..self.inner.cfg.nodes)
+                        let mut spares = (0..self.inner.cfg.nodes)
                             .filter(|&n| view.is_view_alive(n))
                             .map(|n| NodeId(n as u32))
                             .filter(|id| !rq.contains(id))
                             .take(d.hedge)
-                            .collect();
-                        if !spares.is_empty() {
+                            .peekable();
+                        if spares.peek().is_some() {
                             self.sim.bump(Counter::HedgedCalls);
                             hedged_dests = Some(rq.iter().copied().chain(spares).collect());
                         }
