@@ -12,6 +12,7 @@ use std::rc::Rc;
 use crate::cluster::{InjectedBug, PendingPhase2};
 use crate::history::CommitRecord;
 use crate::object::{ObjectId, Version};
+use crate::pool::Payload;
 use crate::txid::Abort;
 
 use super::nesting::{CommitSets, NestingPolicy, TxState};
@@ -126,24 +127,43 @@ pub(super) async fn commit_root(
                 // replica has seen the writes yet, so converting the
                 // decision to an abort is safe — and necessary, since the
                 // vote quorum need not intersect the new view's quorums.
-                ep.phase_two(&wq, root, release(&writes)).await;
+                release_registered(ep, &wq, root, &writes).await;
                 return Err(Abort::root());
             }
             // Serialization point: all write-quorum locks held.
             record(ep.sim.now(), &writes);
-            // Commit confirm: apply writes, release locks.
-            ep.phase_two(&wq, root, PendingPhase2::Apply(payload)).await;
+            // Commit confirm: apply writes, release locks. Registered so a
+            // view change mid-fan-out completes it instantly instead of
+            // leaving the new view behind the decision.
+            ep.inner
+                .pending
+                .borrow_mut()
+                .insert(root, PendingPhase2::Apply(payload.clone()));
+            ep.apply(&wq, root, payload).await;
+            ep.inner.pending.borrow_mut().remove(&root);
             Ok(())
         }
         Err(e) => {
             // Release any locks granted in phase one.
-            ep.phase_two(&wq, root, release(&writes)).await;
+            release_registered(ep, &wq, root, &writes).await;
             Err(e)
         }
     }
 }
 
-/// The abort decision after a vote round that may have locked `writes`.
-fn release(writes: &[(ObjectId, Version)]) -> PendingPhase2 {
-    PendingPhase2::Release(writes.iter().map(|(o, _)| *o).collect())
+/// Release-side phase two: registered with the cluster while in flight so
+/// a view change can finish it on every alive replica immediately.
+async fn release_registered(
+    ep: &Endpoint,
+    voted: &[qrdtm_sim::NodeId],
+    root: crate::txid::TxId,
+    writes: &[(ObjectId, Version)],
+) {
+    let oids: Payload<ObjectId> = writes.iter().map(|(o, _)| *o).collect();
+    ep.inner
+        .pending
+        .borrow_mut()
+        .insert(root, PendingPhase2::Release(oids.clone()));
+    ep.release(voted, root, oids).await;
+    ep.inner.pending.borrow_mut().remove(&root);
 }

@@ -91,7 +91,7 @@ pub struct Client {
 impl Client {
     pub(crate) fn new(sim: Sim<Msg>, inner: Rc<ClusterInner>, node: NodeId) -> Self {
         Client {
-            ep: Endpoint { sim, inner, node },
+            ep: Endpoint::new(sim, inner, node),
         }
     }
 
@@ -324,16 +324,20 @@ impl Tx {
     /// QR-CHK: create a checkpoint when the data set grew by the threshold
     /// (the policy decides; other modes are never "due").
     async fn maybe_checkpoint(&self) {
-        let cfg = &self.ep.inner.cfg;
-        let due = self
-            .policy()
-            .checkpoint_due(&self.st.borrow(), cfg.chk_threshold);
+        let pol = self.policy();
+        let (due, cost) = {
+            let st = self.st.borrow();
+            (
+                pol.checkpoint_due(&st, self.ep.inner.cfg.chk_threshold),
+                self.ep.inner.cfg.chk_cost,
+            )
+        };
         if !due {
             return;
         }
         // The measured ~6% creation overhead, as local compute time; a
         // zero-cost config charges nothing and schedules no event.
-        self.ep.sim.charge(cfg.chk_cost).await;
+        self.ep.sim.charge(cost).await;
         let mut st = self.st.borrow_mut();
         st.take_checkpoint();
         self.ep.inner.stats.borrow_mut().checkpoints += 1;
@@ -433,17 +437,7 @@ impl Tx {
         match self.policy().rollback_checkpoint(&abort) {
             Some(c) => {
                 self.ep.inner.stats.borrow_mut().chk_rollbacks += 1;
-                // Restore the checkpoint and arm deterministic replay of
-                // the logged prefix.
-                let (restored, oplog_len) = {
-                    let mut st = self.st.borrow_mut();
-                    (st.rollback_to(c), st.oplog.len())
-                };
-                self.ep.sim.emit_engine_event(
-                    EngineEventKind::CheckpointRestored,
-                    self.ep.node,
-                    (u64::from(restored) << 32) | oplog_len as u64,
-                );
+                self.rollback_to(c);
                 // The conflicting writer is still in flight; retrying
                 // instantly would just detect the same conflict again (the
                 // paper's "unnecessary partial aborts"), so the rollback
@@ -456,12 +450,33 @@ impl Tx {
                 // from the retry budget when overload protection is armed
                 // (partial aborts above are cheap and exempt).
                 self.ep.inner.stats.borrow_mut().root_aborts += 1;
-                let fresh = self.ep.inner.fresh_txid(self.ep.node);
-                self.st.borrow_mut().reset_for_retry(fresh);
+                self.full_reset();
                 self.acquire_retry_token().await;
                 self.backoff(true).await;
             }
         }
+    }
+
+    /// Restore checkpoint `c` and arm deterministic replay of the logged
+    /// prefix.
+    fn rollback_to(&self, c: u32) {
+        let (restored, oplog_len) = {
+            let mut st = self.st.borrow_mut();
+            let restored = st.rollback_to(c);
+            (restored, st.oplog.len())
+        };
+        self.ep.sim.emit_engine_event(
+            EngineEventKind::CheckpointRestored,
+            self.ep.node,
+            (u64::from(restored) << 32) | oplog_len as u64,
+        );
+    }
+
+    /// Full reset for a root retry; the new attempt gets a fresh TxId so
+    /// stale locks/metadata of the old attempt can never alias it.
+    fn full_reset(&self) {
+        let fresh = self.ep.inner.fresh_txid(self.ep.node);
+        self.st.borrow_mut().reset_for_retry(fresh);
     }
 
     /// Randomized backoff. Escalating (exponential in the attempt counter)

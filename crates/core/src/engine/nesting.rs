@@ -216,10 +216,8 @@ impl TxState {
     /// (the owner is whoever READ it — its abort invalidates the copy).
     pub(super) fn promote(&mut self, i: usize, val: ObjVal) {
         let found = &self.log[i];
-        let scope_start = self.scopes.last().copied().unwrap_or(0);
-        // A write over this scope's own write reuses its slot.
-        let reuses_slot = found.is_write && i >= scope_start;
-        self.dataset_size += usize::from(!reuses_slot);
+        // A write over an earlier write reuses its slot.
+        self.dataset_size += usize::from(!found.is_write);
         let promoted = Entry {
             is_write: true,
             val,
@@ -300,9 +298,7 @@ impl TxState {
 /// branch on [`NestingMode`] asks the policy instead.
 pub(super) trait NestingPolicy {
     /// The abort value a body at `level` uses to abort voluntarily.
-    fn abort_here(&self, level: u32) -> Abort {
-        Abort::level(level)
-    }
+    fn abort_here(&self, level: u32) -> Abort;
 
     /// Validation kind piggybacked on remote reads (assuming Rqv is on).
     fn validation_kind(&self) -> ValidationKind;
@@ -348,6 +344,10 @@ pub(super) trait NestingPolicy {
 struct FlatPolicy;
 
 impl NestingPolicy for FlatPolicy {
+    fn abort_here(&self, level: u32) -> Abort {
+        Abort::level(level)
+    }
+
     fn validation_kind(&self) -> ValidationKind {
         ValidationKind::None
     }
@@ -357,6 +357,10 @@ impl NestingPolicy for FlatPolicy {
 struct ClosedPolicy;
 
 impl NestingPolicy for ClosedPolicy {
+    fn abort_here(&self, level: u32) -> Abort {
+        Abort::level(level)
+    }
+
     fn validation_kind(&self) -> ValidationKind {
         ValidationKind::Closed
     }

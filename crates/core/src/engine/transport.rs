@@ -12,7 +12,7 @@ use std::rc::Rc;
 
 use qrdtm_sim::{Counter, EngineEventKind, NodeId, Sim, SimDuration, SimTime};
 
-use crate::cluster::{ClusterInner, PendingPhase2};
+use crate::cluster::ClusterInner;
 use crate::engine::detector::RPC_RETRIES;
 use crate::msg::{class, Msg, ValEntry, ValidationKind};
 use crate::object::{ObjVal, ObjectId, Version};
@@ -124,6 +124,10 @@ pub(crate) struct Endpoint {
 }
 
 impl Endpoint {
+    pub(super) fn new(sim: Sim<Msg>, inner: Rc<ClusterInner>, node: NodeId) -> Self {
+        Endpoint { sim, inner, node }
+    }
+
     /// Next retry backoff after sleeping `prev`: decorrelated jitter within
     /// `[backoff_base, backoff_max]`. The jitter draw is skipped entirely
     /// for a zero backoff, preserving the zero-cost-path RNG discipline.
@@ -139,15 +143,10 @@ impl Endpoint {
         )
     }
 
-    /// A transaction past its deadline gets no more quorum rounds: the
-    /// driver is about to abandon it, so a round (and any hedges or retries
-    /// it would spawn) is pure waste. Count the work avoided and abort.
-    fn within_deadline(&self, deadline: Option<SimTime>) -> Result<(), Abort> {
-        if deadline.is_some_and(|d| self.sim.now() > d) {
-            self.sim.bump(Counter::WastedRetries);
-            return Err(Abort::root());
-        }
-        Ok(())
+    /// Whether `deadline` (if any) has already passed on the simulator
+    /// clock — retry loops abandon rather than burn more quorum rounds.
+    fn past_deadline(&self, deadline: Option<SimTime>) -> bool {
+        deadline.is_some_and(|d| self.sim.now() > d)
     }
 
     /// One read round against the current read quorum. Returns the raw
@@ -172,7 +171,13 @@ impl Endpoint {
         kind: ValidationKind,
         deadline: Option<SimTime>,
     ) -> Result<ReadRound, Abort> {
-        self.within_deadline(deadline)?;
+        // A transaction past its deadline gets no more quorum rounds: the
+        // driver is about to abandon it, so the round (and any hedges or
+        // retries it would spawn) is pure waste.
+        if self.past_deadline(deadline) {
+            self.sim.bump(Counter::WastedRetries);
+            return Err(Abort::root());
+        }
         let msg = Msg::ReadReq {
             root,
             cur_level,
@@ -252,7 +257,10 @@ impl Endpoint {
             if attempt < retries {
                 // Cancel the remaining retries once the deadline passed
                 // mid-round — the timeout already burned past it.
-                self.within_deadline(deadline)?;
+                if self.past_deadline(deadline) {
+                    self.sim.bump(Counter::WastedRetries);
+                    return Err(Abort::root());
+                }
                 pressure.engage();
                 self.sim.bump(Counter::RpcRetries);
                 self.sim.sleep(backoff).await;
@@ -275,7 +283,10 @@ impl Endpoint {
         writes: Payload<(ObjectId, Version)>,
         deadline: Option<SimTime>,
     ) -> Result<(), Abort> {
-        self.within_deadline(deadline)?;
+        if self.past_deadline(deadline) {
+            self.sim.bump(Counter::WastedRetries);
+            return Err(Abort::root());
+        }
         self.inner.stats.borrow_mut().commit_rounds += 1;
         self.sim.emit_engine_event(
             EngineEventKind::QuorumRound,
@@ -309,7 +320,10 @@ impl Endpoint {
             }
             self.inner.stats.borrow_mut().timeouts += 1;
             if attempt < retries {
-                self.within_deadline(deadline)?;
+                if self.past_deadline(deadline) {
+                    self.sim.bump(Counter::WastedRetries);
+                    return Err(Abort::root());
+                }
                 pressure.engage();
                 self.sim.bump(Counter::RpcRetries);
                 self.sim.sleep(backoff).await;
@@ -319,13 +333,38 @@ impl Endpoint {
         Err(Abort::root())
     }
 
-    /// 2PC phase two: deliver the decision — apply the writes and release
-    /// the locks, or just release them — to `voted`, the write quorum that
-    /// granted phase one, retrying with capped exponential backoff until
-    /// every member still alive acknowledged one attempt in full. The
-    /// decision is registered with the cluster while in flight, so a view
-    /// change mid-fan-out completes it on every alive replica at once
-    /// instead of leaving the new view behind it.
+    /// 2PC phase two, success: apply writes and release locks on `voted`,
+    /// the quorum that granted phase one. See
+    /// [`Endpoint::fanout_until_acked`] for why this must not give up on
+    /// timeout.
+    pub(super) async fn apply(
+        &self,
+        voted: &[NodeId],
+        root: TxId,
+        writes: Payload<(ObjectId, Version, ObjVal)>,
+    ) {
+        // Frozen once by the caller; every retry attempt and
+        // per-destination copy of the fan-out shares the same allocation.
+        self.fanout_until_acked(voted, || Msg::Apply {
+            root,
+            writes: writes.clone(),
+        })
+        .await;
+    }
+
+    /// 2PC phase two, failure: release any locks granted in phase one on
+    /// `voted`, the quorum the vote round was sent to.
+    pub(super) async fn release(&self, voted: &[NodeId], root: TxId, oids: Payload<ObjectId>) {
+        self.fanout_until_acked(voted, || Msg::AbortReq {
+            root,
+            oids: oids.clone(),
+        })
+        .await;
+    }
+
+    /// Deliver a phase-two message to the vote-time write quorum, retrying
+    /// with capped exponential backoff until every member still alive
+    /// acknowledged one attempt in full.
     ///
     /// Phase two is the one place a timeout must not be treated as an
     /// abort: the decision is already taken, and abandoning the fan-out
@@ -340,21 +379,7 @@ impl Endpoint {
     /// until the network heals. The store-level `Apply`/`AbortReq`
     /// handlers are idempotent, so re-sending to members that already
     /// processed an earlier attempt is harmless.
-    pub(super) async fn phase_two(&self, voted: &[NodeId], root: TxId, decision: PendingPhase2) {
-        // The decision's payload was frozen once by the caller: the
-        // registry, every retry attempt and every per-destination copy of
-        // the fan-out share that one allocation.
-        let msg = match &decision {
-            PendingPhase2::Apply(writes) => Msg::Apply {
-                root,
-                writes: writes.clone(),
-            },
-            PendingPhase2::Release(oids) => Msg::AbortReq {
-                root,
-                oids: oids.clone(),
-            },
-        };
-        self.inner.pending.borrow_mut().insert(root, decision);
+    async fn fanout_until_acked(&self, voted: &[NodeId], mk: impl Fn() -> Msg) {
         let mut backoff = self.inner.cfg.backoff_base;
         loop {
             let targets: Vec<NodeId> = voted
@@ -363,21 +388,20 @@ impl Endpoint {
                 .filter(|&n| self.sim.is_alive(n))
                 .collect();
             if targets.is_empty() {
-                break;
+                return;
             }
             let res = self
                 .sim
-                .call(self.node, &targets, msg.clone(), self.inner.cfg.rpc_timeout)
+                .call(self.node, &targets, mk(), self.inner.cfg.rpc_timeout)
                 .await;
             if !res.timed_out {
-                break;
+                return;
             }
             self.inner.stats.borrow_mut().timeouts += 1;
             self.sim.bump(Counter::RpcRetries);
             self.sim.sleep(backoff).await;
             backoff = self.next_backoff(backoff);
         }
-        self.inner.pending.borrow_mut().remove(&root);
     }
 }
 

@@ -160,12 +160,10 @@ impl<M: SimMessage> Future for CallFuture<M> {
 
 impl<M: SimMessage> Drop for CallFuture<M> {
     /// Retire a call nobody awaits any more; its late replies then count
-    /// as "caller gave up". (`try_`: a drop while the core is borrowed must
-    /// not panic — the entry merely outlives its future.)
+    /// as "caller gave up". Futures are polled and dropped by tasks, which
+    /// run with no borrow of the core outstanding.
     fn drop(&mut self) {
-        if let Ok(mut inner) = self.core.inner.try_borrow_mut() {
-            inner.pending.remove(&self.id);
-        }
+        self.core.inner.borrow_mut().pending.remove(&self.id);
     }
 }
 

@@ -30,9 +30,16 @@ use counting_alloc::Allocated;
 const TRANSACTIONS: u64 = 8;
 
 /// One client running `TRANSACTIONS` times `body` over `objects` preloaded
-/// copies of `val` (plus an `Int` sink behind them). Returns the counters
-/// and the allocation calls of the run.
-fn run_client<F, Fut>(mode: NestingMode, objects: u64, val: ObjVal, body: F) -> (DtmStats, u64)
+/// copies of `val` (plus an `Int` sink behind them), which must leave
+/// `sink` installed in the sink. Returns the counters and the allocation
+/// calls of the run.
+fn run_client<F, Fut>(
+    mode: NestingMode,
+    objects: u64,
+    val: ObjVal,
+    sink: ObjVal,
+    body: F,
+) -> (DtmStats, u64)
 where
     F: Fn(Tx) -> Fut + 'static,
     Fut: std::future::Future<Output = Result<(), Abort>>,
@@ -56,18 +63,28 @@ where
     let s = c.stats();
     assert_eq!(s.commits, TRANSACTIONS);
     assert_eq!(s.chk_rollbacks + s.root_aborts, 0, "one client: {s:?}");
+    assert_eq!(c.latest(ObjectId(objects)).unwrap().1, sink, "{mode}");
     (s, calls)
 }
 
-/// Each transaction reads all `objects` copies of `val` and writes how
-/// many it read to the sink.
+/// Each transaction reads all `objects` copies of `val` and writes to the
+/// sink what it read: the sum of the integers, or of any other kind how
+/// many came back equal to `val` — `objects` either way when `val` is
+/// `Int(1)`, and a wrong read changes it.
 fn scan_and_write(mode: NestingMode, objects: u64, val: ObjVal) -> (DtmStats, u64) {
-    run_client(mode, objects, val, move |tx| async move {
-        for i in 0..objects {
-            tx.read(ObjectId(i)).await?;
+    let sink = ObjVal::Int(objects as i64);
+    run_client(mode, objects, val.clone(), sink, move |tx| {
+        let val = val.clone();
+        async move {
+            let mut sum = 0;
+            for i in 0..objects {
+                sum += match tx.read(ObjectId(i)).await? {
+                    ObjVal::Int(n) => n,
+                    other => i64::from(other == val),
+                };
+            }
+            tx.write(ObjectId(objects), ObjVal::Int(sum)).await
         }
-        tx.write(ObjectId(objects), ObjVal::Int(objects as i64))
-            .await
     })
 }
 
@@ -131,14 +148,21 @@ fn a_scope_that_only_promotes_allocates_nothing() {
     // transactions each writing it: every one a local hit, every commit a
     // merge into the root.
     let promote = |scopes: i64| {
-        let (s, calls) = run_client(NestingMode::Closed, 0, ObjVal::Unit, move |tx| async move {
-            tx.read(ObjectId(0)).await?;
-            for k in 0..scopes {
-                tx.closed(|ct| async move { ct.write(ObjectId(0), ObjVal::Int(k)).await })
-                    .await?;
-            }
-            Ok(())
-        });
+        let last = ObjVal::Int(scopes - 1);
+        let (s, calls) = run_client(
+            NestingMode::Closed,
+            0,
+            ObjVal::Unit,
+            last,
+            move |tx| async move {
+                tx.read(ObjectId(0)).await?;
+                for k in 0..scopes {
+                    tx.closed(|ct| async move { ct.write(ObjectId(0), ObjVal::Int(k)).await })
+                        .await?;
+                }
+                Ok(())
+            },
+        );
         assert_eq!(s.ct_commits, TRANSACTIONS * scopes as u64);
         assert_eq!(s.read_rounds, TRANSACTIONS);
         calls
