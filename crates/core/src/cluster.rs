@@ -356,19 +356,10 @@ impl Cluster {
                         cur_level,
                         cur_chk,
                         oid,
-                        want_write,
                         entries,
                         kind,
                     } => {
-                        let out = st.read(
-                            *root,
-                            *cur_level,
-                            *cur_chk,
-                            *oid,
-                            *want_write,
-                            entries,
-                            *kind,
-                        );
+                        let out = st.read(*root, *cur_level, *cur_chk, *oid, false, entries, *kind);
                         let reply = match out {
                             ReadOutcome::Ok(version, val) => Msg::ReadOk {
                                 oid: *oid,

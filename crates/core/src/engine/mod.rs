@@ -212,7 +212,7 @@ impl Tx {
         // (the merged data set, or nothing with Rqv disabled), then
         // read-quorum rounds.
         let (root, cur_chk, entries, kind, deadline) = {
-            let mut st = self.st.borrow_mut();
+            let st = self.st.borrow();
             let kind = if self.ep.inner.cfg.rqv {
                 pol.validation_kind()
             } else {
@@ -227,9 +227,7 @@ impl Tx {
         };
         let round = self
             .ep
-            .read_round(
-                root, self.level, cur_chk, oid, is_write, entries, kind, deadline,
-            )
+            .read_round(root, self.level, cur_chk, oid, entries, kind, deadline)
             .await?;
         if round.hedged {
             // The accepted set was not the designated read quorum; the
@@ -245,14 +243,15 @@ impl Tx {
         {
             let mut st = self.st.borrow_mut();
             st.last_remote_read_at = self.ep.sim.now();
-            st.fetched(Entry {
+            let entry = Entry {
                 oid,
                 is_write,
                 version,
                 val: write_val.unwrap_or_else(|| fetched.clone()),
                 owner_level: self.level,
                 owner_chk: cur_chk,
-            });
+            };
+            st.fetched(entry, kind != ValidationKind::None);
             pol.log_op(&mut st, oid, is_write, &fetched);
         }
         self.maybe_checkpoint().await;

@@ -9,7 +9,9 @@
 //! latest entry for an object is the one the transaction sees, a
 //! closed-nested scope and a checkpoint are both marks on the log, and
 //! every partial abort is a truncation to a mark — the log is its own undo
-//! record. Each variant is a stateless strategy object behind
+//! record. The Rqv payload every remote read piggybacks is kept beside the
+//! log under the same marks, so a read freezes it instead of deriving it
+//! from the whole log. Each variant is a stateless strategy object behind
 //! [`NestingPolicy`]; the engine core consults the policy instead of
 //! matching on [`NestingMode`] mid-access.
 
@@ -48,14 +50,16 @@ impl Entry {
     }
 }
 
-/// A checkpoint: a mark on the op log and on the data-set log, plus the
-/// data-set size at capture. Nothing is copied — truncating both logs to
-/// the mark is the root scope of the capture instant, and replaying the
-/// op-log prefix reconstructs the execution state.
+/// A checkpoint: a mark on the op log, on the data-set log and on the Rqv
+/// payload, plus the data-set size at capture. Nothing is copied —
+/// truncating all three to the mark is the root scope of the capture
+/// instant, and replaying the op-log prefix reconstructs the execution
+/// state.
 #[derive(Clone, Copy, Debug, Default)]
 pub(super) struct ChkRec {
     pub(super) oplog_len: usize,
     pub(super) log_len: usize,
+    pub(super) rqv_len: usize,
     pub(super) dataset_size: usize,
 }
 
@@ -84,17 +88,20 @@ pub(super) struct TxState {
     /// than the read it promotes, a child scope's entry later than its
     /// ancestors').
     log: Vec<Entry>,
-    /// One mark per open closed-nested scope (QR-CN only): the log length
-    /// when the scope at level `index + 1` began.
-    scopes: Vec<usize>,
+    /// What Rqv validates of the log: one entry per distinct object, in
+    /// fetch order (a promoted copy keeps its fetch's version and owner).
+    rqv: Vec<ValEntry>,
+    /// One mark per open closed-nested scope (QR-CN only): the lengths of
+    /// `log` and `rqv` when the scope at level `index + 1` began.
+    scopes: Vec<(usize, usize)>,
     /// Distinct `(object, read|write)` slots the log holds — what the
     /// checkpoint criterion measures (QR-CHK only, whose scopes are all
     /// inlined): a write shadowing an earlier write adds an entry, not a
     /// slot.
     dataset_size: usize,
-    /// Scratch for [`TxState::entries`] and [`TxState::commit_sets`]:
-    /// `(object, newest first)` keys of the log, kept across reads and
-    /// retries so the per-read sort allocates nothing.
+    /// Scratch for [`TxState::commit_sets`]: `(object, newest first)` keys
+    /// of the log, kept across retries so the per-commit sort allocates
+    /// nothing.
     order: Vec<(ObjectId, Reverse<u32>)>,
     /// One entry per operation (QR-CHK only, see [`NestingPolicy::log_op`]).
     pub(super) oplog: Vec<LoggedOp>,
@@ -123,6 +130,7 @@ impl TxState {
         TxState {
             root,
             log: Vec::new(),
+            rqv: Vec::new(),
             scopes: Vec::new(),
             dataset_size: 0,
             order: Vec::new(),
@@ -166,10 +174,11 @@ impl TxState {
             .map(move |&(_, Reverse(i))| &log[i as usize])
     }
 
-    /// The merged data set as the Rqv validation payload, sorted by object,
-    /// one entry per object, collected straight into its one allocation.
-    pub(super) fn entries(&mut self) -> Payload<ValEntry> {
-        self.winners().map(Entry::rqv).collect()
+    /// The merged data set as the Rqv validation payload: one entry per
+    /// object, frozen into its one allocation. Fetch order, not object
+    /// order — the validator folds invalid entries with a `min`.
+    pub(super) fn entries(&self) -> Payload<ValEntry> {
+        self.rqv.as_slice().into()
     }
 
     /// The read and write sets of a root commit (all scopes closed).
@@ -195,7 +204,7 @@ impl TxState {
         let visible = self
             .scopes
             .get(level as usize)
-            .map_or(&self.log[..], |&end| &self.log[..end]);
+            .map_or(&self.log[..], |&(end, _)| &self.log[..end]);
         visible.iter().rposition(|e| e.oid == oid)
     }
 
@@ -205,8 +214,12 @@ impl TxState {
 
     /// Append a copy the innermost scope fetched from the read quorum: a
     /// new slot, since the fetch followed a failed [`TxState::find`].
-    pub(super) fn fetched(&mut self, e: Entry) {
+    /// `piggybacked`: whether reads carry the Rqv payload at all.
+    pub(super) fn fetched(&mut self, e: Entry, piggybacked: bool) {
         debug_assert_eq!(e.owner_level, self.depth(), "the innermost scope inserts");
+        if piggybacked {
+            self.rqv.push(e.rqv());
+        }
         self.log.push(e);
         self.dataset_size += 1;
     }
@@ -228,25 +241,29 @@ impl TxState {
 
     /// Begin a closed-nested scope: a mark, nothing else.
     pub(super) fn open_scope(&mut self) {
-        self.scopes.push(self.log.len());
+        self.scopes.push((self.log.len(), self.rqv.len()));
     }
 
     /// `commitCT` (Alg. 3): the innermost scope's entries become its
     /// parent's. They stay where they are — later than anything the parent
     /// held, so they shadow it — and only their owner moves up.
     pub(super) fn commit_scope(&mut self) {
-        let mark = self.scopes.pop().expect("child scope present");
+        let (log_mark, rqv_mark) = self.scopes.pop().expect("child scope present");
         let parent = self.depth();
-        for e in &mut self.log[mark..] {
+        for e in &mut self.log[log_mark..] {
+            e.owner_level = e.owner_level.min(parent);
+        }
+        for e in &mut self.rqv[rqv_mark..] {
             e.owner_level = e.owner_level.min(parent);
         }
     }
 
     /// Discard the scope at `level` and everything nested in it.
     pub(super) fn abort_scope(&mut self, level: u32) {
-        if let Some(&mark) = self.scopes.get(level as usize - 1) {
+        if let Some(&(log_mark, rqv_mark)) = self.scopes.get(level as usize - 1) {
             self.scopes.truncate(level as usize - 1);
-            self.log.truncate(mark);
+            self.log.truncate(log_mark);
+            self.rqv.truncate(rqv_mark);
         }
     }
 
@@ -255,6 +272,7 @@ impl TxState {
         self.checkpoints.push(ChkRec {
             oplog_len: self.oplog.len(),
             log_len: self.log.len(),
+            rqv_len: self.rqv.len(),
             dataset_size: self.dataset_size,
         });
     }
@@ -273,6 +291,7 @@ impl TxState {
         let rec = self.checkpoints[c];
         self.scopes.clear();
         self.log.truncate(rec.log_len);
+        self.rqv.truncate(rec.rqv_len);
         self.dataset_size = rec.dataset_size;
         self.oplog.truncate(rec.oplog_len);
         self.replay_upto = rec.oplog_len;
@@ -447,12 +466,12 @@ mod tests {
     //! The log with marks against the representations it replaced, kept
     //! here as references: read/write maps per nesting level, merged by
     //! moving map entries at child commit; a deep copy of the root level
-    //! per checkpoint; `entries()` through a map.
+    //! per checkpoint; `entries()` through a map, hence in object order.
 
     use super::*;
     use proptest::collection::vec;
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     const ROOT: TxId = TxId { node: 3, seq: 1 };
 
@@ -483,7 +502,7 @@ mod tests {
     fn frames_of(st: &TxState) -> Vec<Frame> {
         let mut frames = vec![Frame::default(); st.scopes.len() + 1];
         for (i, e) in st.log.iter().enumerate() {
-            let level = st.scopes.iter().filter(|&&mark| mark <= i).count();
+            let level = st.scopes.iter().filter(|&&(mark, _)| mark <= i).count();
             frames[level].insert(e.clone());
         }
         frames
@@ -568,7 +587,7 @@ mod tests {
                         };
                         frames[level as usize].insert(e.clone());
                         // Data-set insert plus op log, as `Tx::access` does.
-                        st.fetched(e);
+                        st.fetched(e, true);
                         pol.log_op(&mut st, oid, is_write, &val);
                     }
                     Step::Promote { pick } => {
@@ -634,7 +653,11 @@ mod tests {
                         prop_assert_eq!(seen, lookup(&frames[..=level as usize], oid));
                     }
                 }
-                prop_assert_eq!(&st.entries()[..], &entries_via_map(&frames)[..]);
+                let mut payload = st.entries().to_vec();
+                payload.sort_by_key(|e| e.oid);
+                prop_assert_eq!(&payload, &entries_via_map(&frames));
+                let distinct: BTreeSet<ObjectId> = st.log.iter().map(|e| e.oid).collect();
+                prop_assert_eq!(payload.len(), distinct.len());
                 if chk {
                     prop_assert_eq!(st.dataset_size, frames[0].len());
                     let marks = st.checkpoints.iter().map(|rec| (rec.oplog_len, rec.dataset_size));
@@ -652,33 +675,38 @@ mod tests {
             prop_assert!(sets.payload.iter().cloned().eq(installs));
         }
 
+        /// The payload is the fetches, in fetch order, however many scopes
+        /// deep and however often later writes shadow them.
         #[test]
-        fn direct_entries_equal_map_built_entries(
-            frames in vec(vec((0..16u64, any::<bool>(), 1..9u64, 0..4u32), 0..12), 1..5)
+        fn entries_are_the_fetches_whatever_shadows_them(
+            levels in vec(vec((0..16u64, any::<bool>(), 1..9u64, 0..4u32), 0..12), 1..5)
         ) {
-            // Arbitrary frames, reachable or not: later levels shadow, and
-            // within a level the write set shadows the read set.
             let mut st = TxState::new(ROOT);
-            let mut reference = Vec::new();
-            for (level, slots) in frames.into_iter().enumerate() {
+            let mut fetches = Vec::new();
+            for (level, slots) in levels.into_iter().enumerate() {
                 if level > 0 {
                     st.open_scope();
                 }
-                let mut f = Frame::default();
                 for (oid, is_write, version, owner_chk) in slots {
-                    f.insert(Entry {
+                    let e = Entry {
                         oid: ObjectId(oid),
                         is_write,
                         version: Version(version),
                         val: ObjVal::Unit,
                         owner_level: level as u32,
                         owner_chk,
-                    });
+                    };
+                    match st.find(level as u32, e.oid) {
+                        Some(held) if is_write => st.promote(held, ObjVal::Int(1)),
+                        Some(_) => {} // a read of a held object inserts nothing
+                        None => {
+                            fetches.push(e.rqv());
+                            st.fetched(e, true);
+                        }
+                    }
                 }
-                st.log.extend(f.reads.values().chain(f.writes.values()).cloned());
-                reference.push(f);
             }
-            prop_assert_eq!(&st.entries()[..], &entries_via_map(&reference)[..]);
+            prop_assert_eq!(&st.entries()[..], &fetches[..]);
         }
     }
 }

@@ -166,7 +166,6 @@ impl Endpoint {
         cur_level: u32,
         cur_chk: u32,
         oid: ObjectId,
-        want_write: bool,
         entries: Payload<ValEntry>,
         kind: ValidationKind,
         deadline: Option<SimTime>,
@@ -183,7 +182,6 @@ impl Endpoint {
             cur_level,
             cur_chk,
             oid,
-            want_write,
             entries,
             kind,
         };

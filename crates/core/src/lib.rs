@@ -75,7 +75,7 @@ pub use history::{
 };
 pub use msg::{Msg, ValEntry, ValidationKind};
 pub use object::{
-    IdHasher, IdMap, IdSet, ObjVal, ObjectId, Replica, SkipNode, TableRow, TreeNode, Version,
+    IdHasher, IdMap, ObjVal, ObjectId, Replica, SkipNode, TableRow, TreeNode, Version,
 };
 pub use pool::Payload;
 pub use protocol::{DtmProtocol, ProtocolStats, QrTxHandle, SimHosted};

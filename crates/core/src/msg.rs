@@ -82,8 +82,6 @@ pub enum Msg {
         cur_chk: u32,
         /// Object requested.
         oid: ObjectId,
-        /// Register the requester in PW (true) or PR (false).
-        want_write: bool,
         /// Rqv data set (empty under flat QR); shared, not copied,
         /// across the quorum fan-out and every retry attempt.
         entries: Payload<ValEntry>,
@@ -184,7 +182,6 @@ mod tests {
             cur_level: 0,
             cur_chk: 0,
             oid: ObjectId(1),
-            want_write: false,
             entries: [].into(),
             kind: ValidationKind::None,
         };
@@ -226,7 +223,6 @@ mod tests {
             cur_level: 0,
             cur_chk: 0,
             oid: ObjectId(1),
-            want_write: false,
             entries: vec![entry; entries].into(),
             kind: ValidationKind::Closed,
         };

@@ -1,10 +1,12 @@
 //! Transactional objects and their replicated copies.
 //!
 //! Every node in QR holds a copy of every object (paper §III-B, property 1).
-//! A copy carries a monotonically increasing [`Version`], the `protected`
+//! A copy carries a monotonically increasing [`Version`] and the `protected`
 //! flag set while a committing transaction holds the object locked during
-//! two-phase commit, and the potential-readers / potential-writers lists
-//! (PR/PW) the paper's contention manager consults.
+//! two-phase commit. The paper also keeps potential-readers / potential-writers
+//! lists (PR/PW) per copy for contention managers to consult; the one rule
+//! implemented here (abort the requester) reads neither, so no copy carries
+//! them — a manager that needs them adds them back together with its reader.
 //!
 //! An [`ObjVal`] is immutable once written: its variable-length parts are
 //! shared slices, so a clone — replica to read reply, reply to data set,
@@ -18,9 +20,9 @@
 use std::fmt;
 use std::sync::Arc;
 
-// The replica tables' integer keys ([`ObjectId`], [`TxId`]) go through the
-// workspace's one integer hasher, which lives in the lowest crate.
-pub use qrdtm_sim::{IdHasher, IdMap, IdSet};
+// The replica tables' integer keys ([`ObjectId`]) go through the workspace's
+// one integer hasher, which lives in the lowest crate.
+pub use qrdtm_sim::{IdHasher, IdMap};
 
 use crate::txid::TxId;
 
@@ -195,10 +197,6 @@ pub struct Replica {
     pub protected: bool,
     /// The transaction holding the lock, when `protected`.
     pub protected_by: Option<TxId>,
-    /// Potential readers (root transactions that fetched the object here).
-    pub pr: IdSet<TxId>,
-    /// Potential writers.
-    pub pw: IdSet<TxId>,
 }
 
 impl Replica {
@@ -209,8 +207,6 @@ impl Replica {
             version: Version::INITIAL,
             protected: false,
             protected_by: None,
-            pr: IdSet::default(),
-            pw: IdSet::default(),
         }
     }
 

@@ -10,11 +10,13 @@
 //!   by another committing transaction (Alg. 1 line 7). The result is the
 //!   most conservative abort target across invalid entries (`abortClosed`
 //!   = min owner level, Alg. 1 lines 9-10; `abortChk` = min owner
-//!   checkpoint, Alg. 4 lines 9-10). Invalid entries' owners are dropped
-//!   from PR/PW (line 8).
-//! * [`NodeStore::read`] — validate, then serve the local copy and record
-//!   the *root* transaction in PR/PW (Alg. 2 remote part; metadata is only
-//!   created for root transactions so CT commits stay local).
+//!   checkpoint, Alg. 4 lines 9-10).
+//! * [`NodeStore::read`] — validate, then serve the local copy (Alg. 2
+//!   remote part). Both take `&self`: a read changes nothing at the
+//!   replica. The paper also records the root transaction in per-object
+//!   PR/PW lists here (Alg. 2 lines 17-18, Alg. 1 line 8) for contention
+//!   managers to consult; the one rule implemented — abort the requester
+//!   — reads neither list, so they are not kept.
 //! * [`NodeStore::vote`] / [`NodeStore::apply`] / [`NodeStore::release`] —
 //!   the 2PC participant: validate read+write sets, lock write-set objects
 //!   by setting `protected`, then apply new versions or roll the locks
@@ -23,12 +25,6 @@
 use crate::msg::{ValEntry, ValidationKind};
 use crate::object::{IdMap, ObjVal, ObjectId, Replica, Version};
 use crate::txid::{AbortTarget, TxId};
-
-/// PR/PW sets are pruned when they exceed this bound. The lists are
-/// advisory contention-manager metadata; bounding them keeps long
-/// simulations from accumulating entries for transactions that completed
-/// elsewhere (a real deployment piggybacks cleanup on later traffic).
-const PRUNE_AT: usize = 256;
 
 /// One node's object table.
 #[derive(Default)]
@@ -104,8 +100,6 @@ impl NodeStore {
         }
         obj.protected = false;
         obj.protected_by = None;
-        obj.pr.clear();
-        obj.pw.clear();
     }
 
     /// View-change state transfer (Cluster Manager side): raise the local
@@ -129,56 +123,45 @@ impl NodeStore {
     /// entry is valid, otherwise the abort target that removes every
     /// invalid object.
     pub fn validate(
-        &mut self,
+        &self,
         root: TxId,
         entries: &[ValEntry],
         kind: ValidationKind,
     ) -> Option<AbortTarget> {
-        if matches!(kind, ValidationKind::None) {
-            return None;
-        }
-        let mut target: Option<AbortTarget> = None;
-        for e in entries {
-            let Some(obj) = self.objects.get_mut(&e.oid) else {
-                continue; // this replica has never seen the object; nothing newer here
-            };
-            let invalid = e.version < obj.version || obj.locked_by_other(root);
-            if invalid {
-                // Alg. 1 line 8: drop the owner from the advisory lists.
-                obj.pr.remove(&root);
-                obj.pw.remove(&root);
-                let t = match kind {
-                    ValidationKind::Closed => AbortTarget::Level(e.owner_level),
-                    ValidationKind::Checkpoint => AbortTarget::Chk(e.owner_chk),
-                    ValidationKind::None => unreachable!(),
-                };
-                target = Some(match target {
-                    Some(prev) => prev.merge(t),
-                    None => t,
-                });
-            }
-        }
-        target
+        let owner: fn(&ValEntry) -> AbortTarget = match kind {
+            ValidationKind::None => return None,
+            ValidationKind::Closed => |e| AbortTarget::Level(e.owner_level),
+            ValidationKind::Checkpoint => |e| AbortTarget::Chk(e.owner_chk),
+        };
+        // A replica that has never seen the object holds nothing newer.
+        let invalid = |e: &&ValEntry| {
+            let held = self.objects.get(&e.oid);
+            held.is_some_and(|obj| e.version < obj.version || obj.locked_by_other(root))
+        };
+        let invalid_owners = entries.iter().filter(invalid).map(owner);
+        invalid_owners.reduce(AbortTarget::merge)
     }
 
     /// Serve a read/acquire request (Alg. 2 remote part). `cur_level` /
     /// `cur_chk` locate the requesting transaction for the abort target
-    /// when the *requested* object itself is locked.
+    /// when the *requested* object itself is locked. `_want_write` is
+    /// ignored (it chose between the PR and PW lists); the parameter stays
+    /// because `benchmark/src/probes.rs` calls this positionally.
     #[allow(clippy::too_many_arguments)]
     pub fn read(
-        &mut self,
+        &self,
         root: TxId,
         cur_level: u32,
         cur_chk: u32,
         oid: ObjectId,
-        want_write: bool,
+        _want_write: bool,
         entries: &[ValEntry],
         kind: ValidationKind,
     ) -> ReadOutcome {
         if let Some(target) = self.validate(root, entries, kind) {
             return ReadOutcome::Abort(target);
         }
-        let Some(obj) = self.objects.get_mut(&oid) else {
+        let Some(obj) = self.objects.get(&oid) else {
             // Every QR node replicates every object; a miss is a driver bug.
             panic!("read of unknown object {oid}");
         };
@@ -192,12 +175,6 @@ impl NodeStore {
             };
             return ReadOutcome::Abort(target);
         }
-        // Alg. 2 lines 17-18: record metadata for the root transaction only.
-        let list = if want_write { &mut obj.pw } else { &mut obj.pr };
-        if list.len() >= PRUNE_AT {
-            list.clear();
-        }
-        list.insert(root);
         ReadOutcome::Ok(obj.version, obj.val.clone())
     }
 
@@ -227,8 +204,8 @@ impl NodeStore {
         true
     }
 
-    /// 2PC phase two (commit confirm): install new values/versions, release
-    /// the locks, and retire `root` from the advisory lists.
+    /// 2PC phase two (commit confirm): install new values/versions and
+    /// release the locks.
     pub fn apply(&mut self, root: TxId, writes: &[(ObjectId, Version, ObjVal)]) {
         for (oid, version, val) in writes {
             let Some(obj) = self.objects.get_mut(oid) else {
@@ -242,8 +219,6 @@ impl NodeStore {
                 obj.protected = false;
                 obj.protected_by = None;
             }
-            obj.pr.remove(&root);
-            obj.pw.remove(&root);
         }
     }
 
@@ -257,8 +232,6 @@ impl NodeStore {
                 obj.protected = false;
                 obj.protected_by = None;
             }
-            obj.pr.remove(&root);
-            obj.pw.remove(&root);
         }
     }
 }
@@ -266,6 +239,8 @@ impl NodeStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn tx(n: u32, s: u64) -> TxId {
         TxId { node: n, seq: s }
@@ -297,7 +272,7 @@ mod tests {
 
     #[test]
     fn validation_passes_on_matching_versions() {
-        let mut s = store_with(3);
+        let s = store_with(3);
         let t = s.validate(
             tx(0, 1),
             &[entry(0, 1, 0, 0), entry(1, 1, 1, 0)],
@@ -311,7 +286,7 @@ mod tests {
         // A node outside the last write quorum has an older version; the
         // one-directional rule (entry.version < node.version) must not fail
         // a reader holding a NEWER copy.
-        let mut s = store_with(1);
+        let s = store_with(1);
         let t = s.validate(tx(0, 1), &[entry(0, 5, 0, 0)], ValidationKind::Closed);
         assert_eq!(t, None);
     }
@@ -368,30 +343,13 @@ mod tests {
     }
 
     #[test]
-    fn validation_fails_on_locked_object_and_cleans_lists() {
+    fn validation_fails_on_locked_object() {
         let mut s = store_with(2);
-        let reader = tx(0, 1);
-        let locker = tx(1, 1);
-        // The reader fetched object 1 earlier (lands in PR).
-        assert!(matches!(
-            s.read(
-                reader,
-                0,
-                0,
-                ObjectId(1),
-                false,
-                &[],
-                ValidationKind::Closed
-            ),
-            ReadOutcome::Ok(..)
-        ));
-        assert!(s.get(ObjectId(1)).unwrap().pr.contains(&reader));
-        // Another transaction locks it in 2PC.
-        assert!(s.vote(locker, &[], &[(ObjectId(1), Version(1))]));
-        // Now the reader's validation of object 1 fails and PR is cleaned.
-        let t = s.validate(reader, &[entry(1, 1, 1, 0)], ValidationKind::Closed);
+        // Another transaction locks object 1 in 2PC: the reader's cached
+        // copy, though current, no longer validates.
+        assert!(s.vote(tx(1, 1), &[], &[(ObjectId(1), Version(1))]));
+        let t = s.validate(tx(0, 1), &[entry(1, 1, 1, 0)], ValidationKind::Closed);
         assert_eq!(t, Some(AbortTarget::Level(1)));
-        assert!(!s.get(ObjectId(1)).unwrap().pr.contains(&reader));
     }
 
     #[test]
@@ -439,17 +397,6 @@ mod tests {
             s.read(t, 0, 0, ObjectId(0), false, &[], ValidationKind::Closed),
             ReadOutcome::Ok(..)
         ));
-    }
-
-    #[test]
-    fn read_registers_pr_or_pw_for_root() {
-        let mut s = store_with(1);
-        let t = tx(0, 1);
-        s.read(t, 0, 0, ObjectId(0), false, &[], ValidationKind::None);
-        assert!(s.get(ObjectId(0)).unwrap().pr.contains(&t));
-        let t2 = tx(0, 2);
-        s.read(t2, 0, 0, ObjectId(0), true, &[], ValidationKind::None);
-        assert!(s.get(ObjectId(0)).unwrap().pw.contains(&t2));
     }
 
     #[test]
@@ -503,27 +450,55 @@ mod tests {
         assert_eq!(r.val, ObjVal::Int(50));
     }
 
-    #[test]
-    fn pr_list_is_pruned_at_bound() {
-        let mut s = store_with(1);
-        for i in 0..400u64 {
-            s.read(
-                tx(0, i),
-                0,
-                0,
-                ObjectId(0),
-                false,
-                &[],
-                ValidationKind::None,
-            );
+    proptest! {
+        /// A read is invisible at the replica whatever its outcome (served,
+        /// aborted by Rqv, aborted by a lock), and its outcome is a function
+        /// of the committed state alone. `&self` already says the first
+        /// half; the test keeps saying it should the receiver ever change.
+        #[test]
+        fn reads_and_validations_leave_the_replica_as_it_was(
+            calls in vec((0..3u64, 0..3u64, 1..4u64, 0..3u64, any::<bool>()), 1..40)
+        ) {
+            // Object 1 has moved on to version 3; object 2 is locked by a
+            // committing writer, which may itself read.
+            let mut s = store_with(3);
+            let locker = tx(2, 1);
+            s.apply(tx(9, 9), &[(ObjectId(1), Version(3), ObjVal::Int(10))]);
+            prop_assert!(s.vote(locker, &[], &[(ObjectId(2), Version(1))]));
+            let locks = |s: &NodeStore| -> Vec<Option<TxId>> {
+                (0..3).map(|i| s.get(ObjectId(i)).unwrap().protected_by).collect()
+            };
+            let before = (s.entries(), locks(&s));
+            for (seq, held, version, oid, validate_only) in calls {
+                let reader = if seq == 0 { locker } else { tx(0, seq) };
+                let blocked = |o: u64| o == 2 && reader != locker;
+                let stale = (held == 1 && version < 3) || blocked(held);
+                let piggyback = [entry(held, version, 1, 0)];
+                if validate_only {
+                    let t = s.validate(reader, &piggyback, ValidationKind::Closed);
+                    prop_assert_eq!(t, stale.then_some(AbortTarget::Level(1)));
+                } else {
+                    let want = if stale {
+                        ReadOutcome::Abort(AbortTarget::Level(1))
+                    } else if blocked(oid) {
+                        ReadOutcome::Abort(AbortTarget::Level(2))
+                    } else {
+                        let r = s.get(ObjectId(oid)).unwrap();
+                        ReadOutcome::Ok(r.version, r.val.clone())
+                    };
+                    let kind = ValidationKind::Closed;
+                    let got = s.read(reader, 2, 0, ObjectId(oid), seq == 1, &piggyback, kind);
+                    prop_assert_eq!(got, want);
+                }
+                prop_assert_eq!(&(s.entries(), locks(&s)), &before);
+            }
         }
-        assert!(s.get(ObjectId(0)).unwrap().pr.len() <= 256 + 1);
     }
 
     #[test]
     #[should_panic(expected = "unknown object")]
     fn read_of_unknown_object_is_a_bug() {
-        let mut s = NodeStore::new();
+        let s = NodeStore::new();
         s.read(
             tx(0, 1),
             0,

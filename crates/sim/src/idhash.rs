@@ -4,7 +4,7 @@
 //! protocol crates' replica tables (`qrdtm_core` re-exports these names)
 //! share one implementation and one spread test.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Hasher for tables keyed by small integer ids (object ids, transaction
@@ -61,12 +61,11 @@ impl Hasher for IdHasher {
 
 /// A hash map keyed by an integer id through [`IdHasher`].
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
-/// A hash set of integer ids through [`IdHasher`].
-pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     /// Distinct values among the low 10 bits of the ids' hashes: what a
     /// 1 024-bucket table would index by. Uniformly random hashes would

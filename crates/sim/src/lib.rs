@@ -61,7 +61,7 @@ pub mod wheel;
 
 pub use disk::{Disk, DiskConfig, DiskImage};
 pub use heartbeat::HeartbeatConfig;
-pub use idhash::{IdHasher, IdMap, IdSet};
+pub use idhash::{IdHasher, IdMap};
 pub use latency::{ConstLatency, JitteredLatency, LatencyModel, MetricSpace};
 pub use metrics::{
     Counter, EngineEvent, EngineEventKind, LatencyReservoir, Metrics, ENGINE_EVENT_KINDS,

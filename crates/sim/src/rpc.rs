@@ -6,13 +6,18 @@
 //! [`CallFuture`] takes the result or is dropped; the future holds the id,
 //! nothing else. The reply vector, which the caller keeps, is the one
 //! allocation a call makes.
+//!
+//! A call's one deadline goes through the wheel's far lane and still pops
+//! as an event, answered or not. A hedged call that resolves early leaves a
+//! count of stragglers in `SimInner::resolved_extra`; each is retired when
+//! its reply arrives (wasted) or is known lost (`SimInner::reply_lost`).
 
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use crate::sim::{Envelope, EventKind, Sim, SimCore, SimMessage};
+use crate::sim::{Envelope, Sim, SimCore, SimMessage};
 use crate::time::SimDuration;
 use crate::NodeId;
 
@@ -21,10 +26,10 @@ use crate::NodeId;
 pub struct CallId(pub(crate) u64);
 
 pub(crate) struct CallState<M> {
-    /// Destinations the call was sent to.
+    /// Destinations the call was sent to, less those known unable to answer.
     pub(crate) expected: usize,
-    /// Replies that resolve the future (`need <= expected`; equal for
-    /// plain calls, smaller for hedged first-quorum calls).
+    /// Replies that resolve the future: every destination's for a plain
+    /// call, fewer for a hedged first-quorum call.
     pub(crate) need: usize,
     pub(crate) replies: Vec<(NodeId, M)>,
     pub(crate) timed_out: bool,
@@ -104,7 +109,7 @@ impl<M: SimMessage> Sim<M> {
             // Resolved as it stands (`need` is 0): no timer to wait out.
         } else if let Some(t) = timeout {
             let at = inner.now + t;
-            inner.schedule(at, EventKind::CallTimeout(id));
+            inner.schedule_timeout(at, id);
         } else if dests.iter().any(|&d| !inner.nodes[d.index()].alive) {
             // The documented footgun: a timeout-less call to a dead node
             // hangs forever. Count it always; with the heartbeat layer
@@ -112,7 +117,7 @@ impl<M: SimMessage> Sim<M> {
             inner.metrics.no_timeout_dead_calls += 1;
             if let Some(hb) = inner.heartbeat {
                 let at = inner.now + hb.suspect_window();
-                inner.schedule(at, EventKind::CallTimeout(id));
+                inner.schedule_timeout(at, id);
             }
         }
         CallFuture {
@@ -317,6 +322,79 @@ mod tests {
         s.run();
         assert_eq!(got.get(), Some(1));
         assert_eq!(s.metrics().wasted_replies, 1, "the straggler's reply");
+    }
+
+    #[test]
+    fn a_lost_straggler_retires_its_early_resolved_call() {
+        // Two hedged calls needing one reply of two. The first straggler's
+        // request dies in a partition before the call resolves; the second
+        // is admitted at a slow node that fails before serving it, after
+        // the call resolved. Neither can ever answer, and neither may leave
+        // an entry behind waiting for it.
+        let s = sim(10);
+        let n = s.add_nodes(4);
+        for &id in &n[1..] {
+            echo(&s, id);
+        }
+        s.set_partition(&[vec![n[2]]]);
+        s.set_service_factor(n[3], 1000.0);
+        let s2 = s.clone();
+        s.spawn(async move {
+            for straggler in [NodeId(2), NodeId(3)] {
+                let r = s2
+                    .call_first(NodeId(0), &[NodeId(1), straggler], Msg::Ping(1), 1, None)
+                    .await;
+                assert_eq!((r.replies.len(), r.timed_out), (1, false));
+            }
+            s2.fail_node(NodeId(3));
+        });
+        s.run();
+        let m = s.metrics();
+        assert_eq!((m.dropped_by_partition, m.dropped), (1, 1));
+        assert_eq!(m.wasted_replies, 0, "a lost reply was never wasted");
+        assert!(s.core.inner.borrow().resolved_extra.is_empty());
+    }
+
+    #[test]
+    fn far_deadlines_touch_neither_the_overflow_heap_nor_a_mailbox() {
+        // 500 ms is past the default wheel's 268 ms horizon: each deadline
+        // used to be a heap push, a promotion and a heap pop. 200 answered
+        // calls in sequence, then 10 000 outstanding at once to a dead node:
+        // every deadline still pops as an event, and the far lane they wait
+        // in is not a service lane (`lane_high_water` is node mailboxes).
+        let s = sim(15);
+        let n = s.add_nodes(3);
+        echo(&s, n[1]);
+        s.fail_node(n[2]);
+        let timeout = Some(SimDuration::from_millis(500));
+        let s2 = s.clone();
+        s.spawn(async move {
+            for i in 0..200 {
+                let r = s2
+                    .call(NodeId(0), &[NodeId(1)], Msg::Ping(i), timeout)
+                    .await;
+                assert!(!r.timed_out);
+            }
+            for i in 0..10_000 {
+                let s3 = s2.clone();
+                s2.spawn(async move {
+                    let r = s3
+                        .call(NodeId(0), &[NodeId(2)], Msg::Ping(i), timeout)
+                        .await;
+                    assert!(r.timed_out);
+                });
+            }
+        });
+        s.run();
+        let m = s.metrics();
+        // Arrive, dispatch, reply, deadline; then arrive (dropped), deadline.
+        assert_eq!(m.events, 200 * 4 + 10_000 * 2);
+        assert_eq!(s.live_tasks(), 0, "every call resolved");
+        let q = m.queue;
+        assert_eq!(
+            (q.overflow_pushes, q.promotions, q.lane_high_water),
+            (0, 0, 0)
+        );
     }
 
     #[test]

@@ -285,8 +285,9 @@ pub(crate) struct SimInner<M: SimMessage> {
     pub(crate) pending: IdMap<CallId, CallState<M>>,
     /// Calls that resolved before every destination replied, with the
     /// number of replies still outstanding — late arrivals are counted as
-    /// wasted instead of "caller gave up".
-    resolved_extra: IdMap<CallId, usize>,
+    /// wasted instead of "caller gave up"; the last one to arrive or be
+    /// lost retires the entry.
+    pub(crate) resolved_extra: IdMap<CallId, usize>,
     pub(crate) next_call: u64,
     pub(crate) metrics: Metrics,
     halted: bool,
@@ -319,6 +320,42 @@ impl<M: SimMessage> SimInner<M> {
         self.seq += 1;
         self.queue
             .push_lane(node.0, done, seq, EventKind::Dispatch(env));
+    }
+
+    /// Schedule a call's deadline through the wheel's far lane: deadlines
+    /// are `now + d` for a per-cluster `d`, so they arrive in order and, at
+    /// the 500 ms default, beyond the horizon. `seq` is drawn exactly as
+    /// [`SimInner::schedule`] draws it and the timeout still pops as an
+    /// event: pop order and the event count are those of a plain push.
+    pub(crate) fn schedule_timeout(&mut self, at: SimTime, call: CallId) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.queue.push_far(at, seq, EventKind::CallTimeout(call));
+    }
+
+    /// A destination of `call` will never answer: its request or its reply
+    /// was just dropped. An open call stops expecting it; a call that
+    /// resolved early retires one straggler.
+    pub(crate) fn reply_lost(&mut self, call: Option<CallId>) {
+        let Some(call) = call else { return };
+        match self.pending.get_mut(&call) {
+            Some(st) if !st.resolved() => st.expected -= 1,
+            _ => {
+                self.retire_straggler(call);
+            }
+        }
+    }
+
+    /// Account for one straggler of an early-resolved call, if it had any.
+    fn retire_straggler(&mut self, call: CallId) -> bool {
+        let Some(left) = self.resolved_extra.get_mut(&call) else {
+            return false;
+        };
+        *left -= 1;
+        if *left == 0 {
+            self.resolved_extra.remove(&call);
+        }
+        true
     }
 
     fn pop(&mut self) -> Option<Scheduled<M>> {
@@ -679,12 +716,12 @@ impl<M: SimMessage> Sim<M> {
             EventKind::Arrive(env) => {
                 let mut inner = self.core.inner.borrow_mut();
                 if inner.delivery_faulted(env.from, env.to) {
-                    return;
+                    return inner.reply_lost(env.call);
                 }
                 let node = &mut inner.nodes[env.to.index()];
                 if !node.alive {
                     inner.metrics.dropped += 1;
-                    return;
+                    return inner.reply_lost(env.call);
                 }
                 let start = if node.busy_until > ev.time {
                     node.busy_until
@@ -705,7 +742,7 @@ impl<M: SimMessage> Sim<M> {
                     let mut inner = self.core.inner.borrow_mut();
                     if !inner.nodes[env.to.index()].alive {
                         inner.metrics.dropped += 1;
-                        return;
+                        return inner.reply_lost(env.call);
                     }
                     inner.metrics.on_processed(env.to.index());
                 }
@@ -733,7 +770,7 @@ impl<M: SimMessage> Sim<M> {
                 let inner = &mut *inner;
                 // Replies cross the same faulty network as requests.
                 if inner.delivery_faulted(from, to) {
-                    return;
+                    return inner.reply_lost(Some(call));
                 }
                 match inner.pending.get_mut(&call) {
                     Some(st) if !st.resolved() => {
@@ -751,11 +788,7 @@ impl<M: SimMessage> Sim<M> {
                     // (timeout, or dropped the future). Early-resolved
                     // extras are the price of hedging — account them.
                     _ => {
-                        if let Some(left) = inner.resolved_extra.get_mut(&call) {
-                            *left -= 1;
-                            if *left == 0 {
-                                inner.resolved_extra.remove(&call);
-                            }
+                        if inner.retire_straggler(call) {
                             inner.metrics.wasted_replies += 1;
                         }
                     }
@@ -889,7 +922,7 @@ impl<'a, M: SimMessage> HandlerCtx<'a, M> {
         let mut inner = self.core.inner.borrow_mut();
         let inner = &mut *inner;
         if !inner.nodes[self.node.index()].alive {
-            return;
+            return inner.reply_lost(Some(call));
         }
         inner.metrics.on_send(msg.class(), msg.size_hint());
         let lat = inner.latency.sample(self.node, env.from, &mut inner.rng)
@@ -1350,6 +1383,42 @@ pub(crate) mod tests {
             ]
         );
         assert_eq!(*log.borrow(), [0, 1, 2].map(|i| (i, at(5, 0))));
+    }
+
+    #[test]
+    fn deadlines_issued_out_of_order_fire_in_time_then_seq_order() {
+        // Four calls at one instant to a node that never answers, with
+        // deadlines of 600, 400, 100 and 600 ms against a 268 ms horizon:
+        // the first and last queue in the far lane, the second is behind
+        // the lane's tail and falls back to the overflow heap, the third is
+        // a plain in-horizon push. The two due at 600 ms are one tie group.
+        let s = sim(5);
+        let n = s.add_nodes(2);
+        let groups = Rc::new(RefCell::new(Vec::new()));
+        s.set_scheduler(Box::new(RecordGroups(Rc::clone(&groups))));
+        let fired = Rc::new(RefCell::new(Vec::new()));
+        for (i, ms) in [600, 400, 100, 600].into_iter().enumerate() {
+            let (s2, fired, callee) = (s.clone(), Rc::clone(&fired), n[1]);
+            s.spawn(async move {
+                let timeout = Some(SimDuration::from_millis(ms));
+                let r = s2.call(NodeId(0), &[callee], Msg::Ping(0), timeout).await;
+                assert!(r.timed_out);
+                fired.borrow_mut().push((i, s2.now()));
+            });
+        }
+        s.run();
+        let want = [
+            (2, at(100, 0)),
+            (1, at(400, 0)),
+            (0, at(600, 0)),
+            (3, at(600, 0)),
+        ];
+        assert_eq!(*fired.borrow(), want);
+        let deadline = (EventTag::CallTimeout, None);
+        let ties = groups.borrow();
+        let deadline_ties: Vec<_> = ties.iter().filter(|g| g.contains(&deadline)).collect();
+        assert_eq!(deadline_ties, [&vec![deadline, deadline]]);
+        assert_eq!(s.metrics().queue.overflow_pushes, 1, "the 400 ms one");
     }
 
     #[test]

@@ -43,6 +43,18 @@
 //! same-instant group by peek-and-pop (the `Scheduler` tie groups) finds
 //! every member.
 //!
+//! ## The far lane
+//!
+//! The overflow level has a FIFO side for a producer whose far keys arrive
+//! in `(time, seq)` order — RPC deadlines, `now + d` for a constant `d`
+//! past the horizon. [`TimingWheel::push_far`] appends a key that is beyond
+//! the horizon and not before the deque's tail, and is a plain push
+//! otherwise; promotion takes from the deque's front as from the heap's
+//! top, so pop order is the same total order with no sift per key. The
+//! deque is the wheel's own second level, not a service lane: it is outside
+//! [`WheelStats::lane_high_water`], and `overflow_pushes` / `promotions`
+//! count heap traffic only.
+//!
 //! ## Arena lifetimes
 //!
 //! Payloads live in a pre-allocated free-list arena ([`EventArena`]); the
@@ -193,22 +205,15 @@ impl<T> EventArena<T> {
 /// [`Metrics::queue`](crate::Metrics)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WheelStats {
-    /// Events pushed.
-    pub pushes: u64,
-    /// Events pushed beyond the horizon, into the overflow level.
+    /// Events pushed beyond the horizon, into the overflow heap.
     pub overflow_pushes: u64,
-    /// Events promoted overflow → wheel as the cursor advanced.
+    /// Events promoted overflow heap → wheel as the cursor advanced.
     pub promotions: u64,
     /// Buckets drained into the run and sorted.
     pub bucket_sorts: u64,
-    /// Drained buckets that were already in `(time, seq)` order (the sort
-    /// was a verification scan only).
-    pub sorts_skipped: u64,
     /// Events inserted into the live run (same-page scheduling while that
     /// page drains) by binary search.
     pub run_inserts: u64,
-    /// Largest run (sorted bucket) ever drained.
-    pub max_run: u64,
     /// Most keys ever waiting in one service lane behind its head
     /// (for the simulator: the deepest node mailbox).
     pub lane_high_water: u64,
@@ -238,6 +243,9 @@ pub struct TimingWheel<T> {
     /// One bit per bucket: set iff the bucket Vec is non-empty.
     occupied: Box<[u64]>,
     overflow: BinaryHeap<Reverse<EvKey>>,
+    /// The overflow level's FIFO side: keys beyond the horizon pushed
+    /// through [`TimingWheel::push_far`], ascending by `(time, seq)`.
+    far: VecDeque<EvKey>,
     /// The current page's events, sorted ascending by `(time, seq)`;
     /// `run[..run_idx]` is already popped.
     run: Vec<EvKey>,
@@ -276,6 +284,7 @@ impl<T> TimingWheel<T> {
             buckets: (0..n).map(|_| Vec::new()).collect(),
             occupied: vec![0u64; n / 64].into_boxed_slice(),
             overflow: BinaryHeap::new(),
+            far: VecDeque::new(),
             run: Vec::new(),
             run_idx: 0,
             cursor_page: 0,
@@ -355,10 +364,22 @@ impl<T> TimingWheel<T> {
         }
     }
 
-    /// Count the push and give the payload its arena slot and key.
+    /// [`TimingWheel::push`] for a producer whose keys beyond the horizon
+    /// mostly arrive in order: such a key joins the far lane (see the
+    /// module docs) when it is not before the lane's tail.
+    pub fn push_far(&mut self, time: SimTime, seq: u64, payload: T) {
+        let key = self.admit(time, seq, NO_LANE, payload);
+        let beyond = self.page(time) >= self.cursor_page + self.horizon();
+        if beyond && self.far.back().is_none_or(|tail| *tail <= key) {
+            self.far.push_back(key);
+        } else {
+            self.place(key);
+        }
+    }
+
+    /// Give the payload its arena slot and key.
     #[inline]
     fn admit(&mut self, time: SimTime, seq: u64, lane: u32, payload: T) -> EvKey {
-        self.stats.pushes += 1;
         let idx = self.arena.alloc(payload);
         EvKey {
             time,
@@ -452,8 +473,9 @@ impl<T> TimingWheel<T> {
             // Nothing within the horizon: jump the cursor so the earliest
             // overflow page becomes the next scan position, then pull the
             // newly in-horizon entries in.
-            let min_page = self.page(self.overflow.peek().expect("live events exist").0.time);
-            self.cursor_page = min_page - 1;
+            let heap_min = self.overflow.peek().map(|k| k.0);
+            let earliest = heap_min.into_iter().chain(self.far.front().copied()).min();
+            self.cursor_page = self.page(earliest.expect("live events exist").time) - 1;
             self.promote();
         }
         let s0 = self.slot(self.cursor_page + 1);
@@ -471,12 +493,9 @@ impl<T> TimingWheel<T> {
         self.wheel_count -= self.run.len();
         self.run_idx = 0;
         self.stats.bucket_sorts += 1;
-        self.stats.max_run = self.stats.max_run.max(self.run.len() as u64);
         // Appends arrive in seq order and times within one page correlate
         // with creation order, so the common case is already sorted.
-        if self.run.windows(2).all(|w| w[0].key() <= w[1].key()) {
-            self.stats.sorts_skipped += 1;
-        } else {
+        if !self.run.windows(2).all(|w| w[0].key() <= w[1].key()) {
             self.run.sort_unstable();
         }
     }
@@ -508,8 +527,8 @@ impl<T> TimingWheel<T> {
         None
     }
 
-    /// Pull every overflow entry whose page is now within the horizon into
-    /// its bucket.
+    /// Pull every overflow entry, of the heap and of the far lane, whose
+    /// page is now within the horizon into its bucket.
     fn promote(&mut self) {
         let limit = self.cursor_page + self.horizon();
         while let Some(Reverse(k)) = self.overflow.peek() {
@@ -520,6 +539,14 @@ impl<T> TimingWheel<T> {
             let Reverse(k) = self.overflow.pop().expect("peeked");
             self.bucket_insert(k, p);
             self.stats.promotions += 1;
+        }
+        while let Some(&k) = self.far.front() {
+            let p = self.page(k.time);
+            if p >= limit {
+                break;
+            }
+            self.far.pop_front();
+            self.bucket_insert(k, p);
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Property tests for the timing wheel against a sorted-vec oracle:
-//! arbitrary interleaved schedule/pop sequences — plain pushes and pushes
-//! through FIFO service lanes — never lose an event, never reorder
+//! arbitrary interleaved schedule/pop sequences — plain pushes, pushes
+//! through FIFO service lanes and through the far lane — never lose an event, never reorder
 //! equal-timestamp events, and promote overflow entries exactly; plus the
 //! arena recycle property (a freed slot is reused, and every live payload
 //! stays reachable through its own index only).
@@ -18,6 +18,11 @@ enum Op {
     /// time) + dt`: per-lane times never decrease, as a node's completion
     /// instants never do. `dt == 0` makes same-instant groups in a lane.
     PushLane { lane: u32, dt: u64 },
+    /// Schedule at `now + dt` through the far lane, as
+    /// `SimInner::schedule_timeout` does: the wheel queues the key FIFO when
+    /// it is beyond the horizon and not before the lane's tail, and pushes
+    /// it plainly otherwise.
+    PushFar { dt: u64 },
     /// Pop the minimum (no-op when empty).
     Pop,
     /// What `Sim::apply_scheduler` does at a tie: pop every event due at
@@ -52,6 +57,13 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             prop_oneof![Just(0u64), 0u64..16, 0u64..200, Just(1 << 11)]
         )
             .prop_map(|(lane, dt)| Op::PushLane { lane, dt }),
+        // Far-lane steps: mostly one duration past the horizon (monotone,
+        // the lane's case), sometimes a shorter far one (behind the tail:
+        // the heap), an in-horizon one and a same-page one (plain pushes).
+        prop_oneof![Just(3000u64), Just(3000), Just(1500), Just(200), Just(3)]
+            .prop_map(|dt| Op::PushFar { dt }),
+        prop_oneof![Just(3000u64), Just(3000), Just(1500), Just(200), Just(3)]
+            .prop_map(|dt| Op::PushFar { dt }),
         Just(Op::Pop),
         Just(Op::Pop),
         Just(Op::Pop),
@@ -95,6 +107,13 @@ proptest! {
                 Op::Push { dt } => {
                     let t = now + dt;
                     w.push(SimTime(t), seq, payload);
+                    oracle.live.push((t, seq, payload));
+                    seq += 1;
+                    payload += 1;
+                }
+                Op::PushFar { dt } => {
+                    let t = now + dt;
+                    w.push_far(SimTime(t), seq, payload);
                     oracle.live.push((t, seq, payload));
                     seq += 1;
                     payload += 1;

@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Report where the samples of scripts/prof/prof.c fell.
+
+    python3 scripts/prof/report.py PROF_OUT [--top N] [--callers FUNC ...]
+
+Prints, per function of the profiled executable, its self share (samples
+whose instruction pointer was in it) and inclusive share (samples with it
+anywhere on the stack); addresses in shared objects are reported per object.
+`--callers FUNC` (substring match) adds the caller chains FUNC was sampled
+under. Needs the host's `addr2line`; the executable needs only its symbol
+table, line tables are not used.
+"""
+import argparse
+import collections
+import struct
+import subprocess
+
+
+def exec_segment_delta(path):
+    """p_vaddr - p_offset of the executable PT_LOAD segment of an ELF64 file."""
+    with open(path, "rb") as f:
+        head = f.read(64)
+        phoff, = struct.unpack_from("<Q", head, 32)
+        phentsize, phnum = struct.unpack_from("<HH", head, 54)
+        for i in range(phnum):
+            f.seek(phoff + i * phentsize)
+            p_type, p_flags, p_offset, p_vaddr = struct.unpack_from("<IIQQ", f.read(phentsize))
+            if p_type == 1 and p_flags & 1:
+                return p_vaddr - p_offset
+    raise SystemExit(f"{path}: no executable segment")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("profile")
+    ap.add_argument("--top", type=int, default=15)
+    ap.add_argument("--callers", nargs="*", default=[])
+    args = ap.parse_args()
+
+    maps, samples = [], []
+    for line in open(args.profile):
+        kind, *fields = line.split()
+        if kind == "M":
+            start, end = (int(x, 16) for x in fields[0].split("-"))
+            maps.append((start, end, int(fields[2], 16), fields[5] if len(fields) > 5 else "[anon]"))
+        else:
+            frames = [int(x, 16) for x in fields]
+            # The unwinder starts inside the signal handler: the stack proper
+            # begins where the interrupted instruction pointer shows up again.
+            rip, rest = frames[0], frames[1:]
+            samples.append(rest[rest.index(rip):] if rip in rest else [rip])
+    exe = maps[0][3]  # the kernel maps the executable lowest
+    delta = exec_segment_delta(exe)
+
+    def locate(addr, is_return):
+        for start, end, offset, path in maps:
+            if start <= addr < end:
+                if path != exe:
+                    return None, "[" + path.rsplit("/", 1)[-1] + "]"
+                # A return address may be the first byte of the next function.
+                return addr - start + offset + delta - is_return, None
+        return None, "[unmapped]"
+
+    located = [[locate(a, i > 0) for i, a in enumerate(s)] for s in samples]
+    vaddrs = sorted({v for s in located for v, _ in s if v is not None})
+    out = subprocess.run(["addr2line", "-f", "-C", "-e", exe] + [hex(v) for v in vaddrs],
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    name = dict(zip(vaddrs, out[0::2]))
+    stacks = [[name[v] if v is not None else other for v, other in s] for s in located]
+
+    total = len(stacks)
+    self_n = collections.Counter(s[0] for s in stacks)
+    incl_n = collections.Counter(f for s in stacks for f in set(s))
+    print(f"{total} samples of 1 ms CPU in {exe}")
+    print(f"{'self %':>7} {'incl %':>7}  function")
+    for f, n in self_n.most_common(args.top):
+        print(f"{100 * n / total:7.1f} {100 * incl_n[f] / total:7.1f}  {f}")
+    for want in args.callers:
+        chains = collections.Counter()
+        for s in stacks:
+            hit = next((i for i, f in enumerate(s) if want in f), None)
+            if hit is not None:
+                chains[" <- ".join(s[hit:hit + 5])] += 1
+        print(f"\ncallers of *{want}* ({sum(chains.values())} samples, {100 * sum(chains.values()) / total:.1f} %):")
+        for chain, n in chains.most_common(8):
+            print(f"{100 * n / total:7.1f}  {chain}")
+
+
+if __name__ == "__main__":
+    main()

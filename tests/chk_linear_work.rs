@@ -15,6 +15,11 @@
 //! * A closed-nested scope is a mark on the data-set log: a scope that
 //!   only shadows a held copy allocates nothing.
 //!
+//! A fifth gate counts queue work, not allocations: at the default 500 ms
+//! `rpc_timeout` — the paper testbed's, and past the event wheel's 268 ms
+//! horizon — the one deadline per quorum call waits in the wheel's far lane
+//! and never reaches the overflow heap.
+//!
 //! The file is its own test binary because it installs the counting
 //! allocator of `tests/support/counting_alloc.rs`. No wall clock is read:
 //! the number of allocations is a function of the seed. Every run is one
@@ -173,5 +178,45 @@ fn a_scope_that_only_promotes_allocates_nothing() {
     assert!(
         calls_200 - calls_100 <= TRANSACTIONS,
         "100 scopes: {calls_100} calls, 200 scopes: {calls_200}"
+    );
+}
+
+#[test]
+fn call_deadlines_never_reach_the_overflow_heap() {
+    // Four QR-CN clients transferring between 16 accounts for two virtual
+    // seconds, then every outstanding deadline drained.
+    let c = Cluster::new(DtmConfig {
+        nodes: 13,
+        mode: NestingMode::Closed,
+        ..Default::default()
+    });
+    c.preload_all((0..16).map(|i| (ObjectId(i), ObjVal::Int(100))));
+    let end = c.sim().now() + SimDuration::from_secs(2);
+    for node in [1, 4, 7, 10] {
+        let (client, sim) = (c.client(NodeId(node)), c.sim().clone());
+        c.sim().spawn(async move {
+            let mut k = u64::from(node);
+            while sim.now() < end {
+                let (from, to) = (ObjectId(k % 16), ObjectId((k + 5) % 16));
+                k += 3;
+                let transfer = move |tx: Tx| async move {
+                    let a = tx.read(from).await?.expect_int();
+                    let b = tx.read(to).await?.expect_int();
+                    tx.write(from, ObjVal::Int(a - 1)).await?;
+                    tx.write(to, ObjVal::Int(b + 1)).await
+                };
+                client
+                    .run(|tx| async move { tx.closed(transfer).await })
+                    .await;
+            }
+        });
+    }
+    c.sim().run();
+    let (s, m) = (c.stats(), c.sim().metrics());
+    assert!(s.commits >= 40 && s.read_rounds >= 80, "{s:?}");
+    assert_eq!(
+        (m.queue.overflow_pushes, m.queue.promotions),
+        (0, 0),
+        "one deadline per quorum call: {s:?}"
     );
 }
