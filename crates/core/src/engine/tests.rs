@@ -1,7 +1,7 @@
 //! Engine unit tests (moved with the runtime split; scenarios unchanged).
 
 use super::*;
-use crate::cluster::{Cluster, DtmConfig, LatencySpec};
+use crate::cluster::{Cluster, DtmConfig, InjectedBug, LatencySpec};
 use crate::object::Version;
 use crate::txid::NestingMode;
 use std::cell::Cell;
@@ -405,4 +405,170 @@ fn engine_events_mirror_protocol_milestones() {
         m.engine_events_by_kind.iter().sum::<u64>(),
         "recording captured every event"
     );
+}
+
+// ---- The phase-two registry and the epoch fence, on hand-built schedules ----
+//
+// Node 5 writes (or reads) `o(1)` on the 13-node constant-latency cluster;
+// the tests stop the clock a millisecond at a time, so "while the message
+// is in flight" is an exact instant and not luck.
+
+fn one_transaction(config: DtmConfig, write: bool) -> Cluster {
+    let c = Cluster::new(config);
+    c.preload(o(1), ObjVal::Int(10));
+    let client = c.client(NodeId(5));
+    c.sim().spawn(async move {
+        let body = |tx: Tx| async move {
+            if write {
+                tx.write(o(1), ObjVal::Int(77)).await
+            } else {
+                tx.read(o(1)).await.map(|_| ())
+            }
+        };
+        client.run(body).await;
+    });
+    c
+}
+
+fn step_until(c: &Cluster, what: &str, reached: impl Fn() -> bool) {
+    for _ in 0..2_000 {
+        if reached() {
+            return;
+        }
+        c.sim().run_for(SimDuration::from_millis(1));
+    }
+    panic!("never reached: {what}");
+}
+
+/// Version of `o(1)` at `n` and whether a commit lock sits on it.
+fn copy_at(c: &Cluster, n: NodeId) -> (Version, bool) {
+    let store = c.inner.stores[n.index()].borrow();
+    let r = store.get(o(1)).expect("preloaded");
+    (r.version, r.protected)
+}
+
+fn alive(c: &Cluster) -> Vec<NodeId> {
+    let all = (0..c.config().nodes as u32).map(NodeId);
+    all.filter(|&n| c.sim().is_alive(n)).collect()
+}
+
+/// `version` is on the whole write quorum and no alive replica is locked.
+fn assert_committed(c: &Cluster, version: Version) {
+    for n in c.write_quorum() {
+        assert_eq!(copy_at(c, n), (version, false), "node {n:?}");
+    }
+    for n in alive(c) {
+        assert!(!copy_at(c, n).1, "node {n:?} still locked");
+    }
+}
+
+/// A node that is neither the client nor in a quorum: failing it changes
+/// the view and nothing else.
+fn bystander(c: &Cluster) -> NodeId {
+    let (rq, wq) = (c.read_quorum(), c.write_quorum());
+    let busy = |n: &NodeId| *n == NodeId(5) || rq.contains(n) || wq.contains(n);
+    alive(c).into_iter().find(|n| !busy(n)).expect("a spare")
+}
+
+/// Voters other than the client's node and the read quorum.
+fn voters(c: &Cluster) -> Vec<NodeId> {
+    let rq = c.read_quorum();
+    let plain = |n: &NodeId| *n != NodeId(5) && !rq.contains(n);
+    c.write_quorum().into_iter().filter(plain).collect()
+}
+
+/// Cut `n` off once the decided phase two is on the wire, and let every
+/// other voter process it.
+fn lose_phase_two_at(c: &Cluster, n: NodeId) {
+    step_until(c, "a decided phase two", || {
+        !c.inner.pending.borrow().is_empty()
+    });
+    c.sim().set_partition(&[vec![n]]);
+    c.sim().run_for(SimDuration::from_millis(20));
+}
+
+#[test]
+fn view_change_finishes_an_apply_still_in_flight() {
+    let c = one_transaction(cfg(NestingMode::Flat), true);
+    let cut = voters(&c)[0];
+    lose_phase_two_at(&c, cut);
+    assert_eq!(copy_at(&c, cut), (Version(1), true), "missed the Apply");
+    c.fail_node(bystander(&c)).unwrap();
+    // At the view change, long before the fan-out's retry: refresh alone
+    // leaves a locked replica alone, so this is the registry's work.
+    for n in alive(&c) {
+        assert_eq!(copy_at(&c, n), (Version(2), false), "node {n:?}");
+    }
+    assert_eq!(c.inner.pending.borrow().len(), 1, "fan-out still retrying");
+    c.sim().heal_partition();
+    c.sim().run();
+    for n in alive(&c) {
+        assert_eq!(copy_at(&c, n), (Version(2), false), "retry was harmless");
+    }
+    assert!(c.inner.pending.borrow().is_empty());
+    let s = c.stats();
+    assert_eq!((s.commits, s.root_aborts), (1, 0));
+    assert!(s.timeouts >= 1, "the fan-out did time out and retry");
+}
+
+#[test]
+fn view_change_finishes_a_release_still_in_flight() {
+    let c = one_transaction(cfg(NestingMode::Flat), true);
+    // A foreign commit lock makes one voter refuse; the others grant.
+    let (refuser, cut) = (voters(&c)[0], voters(&c)[1]);
+    let foreign = crate::txid::TxId { node: 99, seq: 0 };
+    let lock = &[(o(1), Version(1))];
+    assert!(c.inner.stores[refuser.index()]
+        .borrow_mut()
+        .vote(foreign, &[], lock));
+    lose_phase_two_at(&c, cut);
+    assert_eq!(copy_at(&c, cut), (Version(1), true), "missed the release");
+    c.fail_node(bystander(&c)).unwrap();
+    for n in alive(&c).into_iter().filter(|&n| n != refuser) {
+        assert_eq!(copy_at(&c, n), (Version(1), false), "node {n:?}");
+    }
+    assert_eq!(c.inner.pending.borrow().len(), 1, "fan-out still retrying");
+    c.inner.stores[refuser.index()]
+        .borrow_mut()
+        .release(foreign, &[o(1)]);
+    c.sim().heal_partition();
+    c.sim().run();
+    assert_committed(&c, Version(2));
+    assert!(c.inner.pending.borrow().is_empty());
+    let s = c.stats();
+    assert_eq!((s.commits, s.root_aborts), (1, 1));
+}
+
+/// ROADMAP 6(b): fail a bystander while the `CommitReq` round is in flight,
+/// so the votes straddle an epoch bump. Returns commits, root aborts and
+/// commit rounds at the end.
+fn view_change_mid_vote(write: bool, bug: Option<InjectedBug>) -> (u64, u64, u64) {
+    let mut config = cfg(NestingMode::Flat);
+    config.injected_bug = bug;
+    let c = one_transaction(config, write);
+    step_until(&c, "CommitReq sent", || c.stats().commit_rounds == 1);
+    let epoch = c.view_epoch();
+    c.fail_node(bystander(&c)).unwrap();
+    assert_eq!(c.view_epoch(), epoch + 1);
+    if bug.is_none() {
+        step_until(&c, "the fenced attempt", || c.stats().root_aborts == 1);
+        for n in alive(&c) {
+            assert_eq!(copy_at(&c, n), (Version(1), false), "nothing installed");
+        }
+    }
+    c.sim().run();
+    assert_committed(&c, Version(1 + u64::from(write)));
+    assert!(c.inner.pending.borrow().is_empty());
+    let s = c.stats();
+    (s.commits, s.root_aborts, s.commit_rounds)
+}
+
+#[test]
+fn epoch_fence_aborts_a_vote_that_straddles_a_view_change() {
+    // The update commit, then the read-only vote path flat QR takes.
+    for write in [true, false] {
+        assert_eq!(view_change_mid_vote(write, None), (1, 1, 2));
+        let unfenced = view_change_mid_vote(write, Some(InjectedBug::SkipEpochFence));
+        assert_eq!(unfenced, (1, 0, 1), "the first attempt went through");
+    }
 }
