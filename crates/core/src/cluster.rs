@@ -16,8 +16,7 @@ use crate::engine::repair;
 use crate::engine::wal::{install_stream, ReplicaWal, WalRecord};
 use crate::history::{CommitRecord, HistoryRecorder, Violation};
 use crate::msg::Msg;
-use crate::object::{ObjVal, ObjectId};
-use crate::pool::Payload;
+use crate::object::{ObjVal, ObjectId, Version};
 use crate::stats::DtmStats;
 use crate::store::{NodeStore, ReadOutcome};
 use crate::txid::{NestingMode, TxId};
@@ -270,17 +269,6 @@ impl QuorumView {
     }
 }
 
-/// A decided 2PC phase two whose fan-out is still in flight, registered by
-/// the commit layer so a view change can complete it instantly (classic
-/// 2PC recovery: an in-doubt transaction *with* a decision is finished
-/// during reconfiguration, never left blocking the new view).
-pub(crate) enum PendingPhase2 {
-    /// Commit decided: install these writes and release the locks.
-    Apply(Payload<(ObjectId, crate::object::Version, ObjVal)>),
-    /// Abort decided: release any locks granted on these objects.
-    Release(Payload<ObjectId>),
-}
-
 pub(crate) struct ClusterInner {
     pub(crate) cfg: DtmConfig,
     pub(crate) quorum: RefCell<QuorumView>,
@@ -288,10 +276,15 @@ pub(crate) struct ClusterInner {
     pub(crate) next_seq: Cell<u64>,
     pub(crate) stores: Vec<Rc<RefCell<NodeStore>>>,
     pub(crate) history: RefCell<HistoryRecorder>,
-    /// Phase-2 decisions whose fan-out is still in flight. A `BTreeMap`
-    /// (not `HashMap`): view-change transfer iterates this map and its
-    /// effects reach every store, so iteration order must be deterministic.
-    pub(crate) pending: RefCell<std::collections::BTreeMap<TxId, PendingPhase2>>,
+    /// The decided phase-two message ([`Msg::Apply`] or [`Msg::AbortReq`])
+    /// of every root whose fan-out is still in flight, registered by the
+    /// transport so a view change can complete it instantly (classic 2PC
+    /// recovery: an in-doubt transaction *with* a decision is finished
+    /// during reconfiguration, never left blocking the new view). A
+    /// `BTreeMap` (not `HashMap`): view-change transfer iterates this map
+    /// and its effects reach every store, so iteration order must be
+    /// deterministic.
+    pub(crate) pending: RefCell<std::collections::BTreeMap<TxId, Msg>>,
     /// Per-node write-ahead logs; armed by [`DtmConfig::durability`].
     pub(crate) wals: Option<Vec<Rc<RefCell<ReplicaWal>>>>,
     /// Nodes that crashed with amnesia and have not yet run recovery;
@@ -378,9 +371,9 @@ impl Cluster {
                         let ok = st.vote(*root, reads, writes);
                         ctx.respond(&env, Msg::Vote { ok });
                     }
-                    Msg::Apply { root, writes } => {
-                        st.apply(*root, writes);
-                        if let Some(w) = &wal {
+                    msg @ (Msg::Apply { .. } | Msg::AbortReq { .. }) => {
+                        st.phase_two(msg);
+                        if let (Some(w), Msg::Apply { writes, .. }) = (&wal, msg) {
                             // WAL the phase-2 application before acking,
                             // group-committing every `fsync_every` appends
                             // and superseding the log with the post-apply
@@ -398,10 +391,6 @@ impl Cluster {
                             }
                             ctx.occupy(cost);
                         }
-                        ctx.respond(&env, Msg::Ack);
-                    }
-                    Msg::AbortReq { root, oids } => {
-                        st.release(*root, oids);
                         ctx.respond(&env, Msg::Ack);
                     }
                     // Replies are routed to CallFutures by the simulator and
@@ -453,7 +442,7 @@ impl Cluster {
         if let Some(wals) = &self.inner.wals {
             for w in wals {
                 w.borrow_mut().preload(WalRecord {
-                    writes: vec![(oid, crate::object::Version::INITIAL, val.clone())],
+                    writes: vec![(oid, Version::INITIAL, val.clone())],
                 });
             }
         }
@@ -482,6 +471,15 @@ impl Cluster {
     /// which case the view is left untouched (and the node alive).
     /// Idempotent: failing a node the view already excludes is a no-op.
     pub fn fail_node(&self, node: NodeId) -> Result<(), QuorumError> {
+        self.leave_view(node, true)
+    }
+
+    /// The one way out of the view, behind [`Cluster::fail_node`] (oracle:
+    /// also kills the network) and [`Cluster::eject_node`] (detector:
+    /// view-only), mirroring [`Cluster::readmit_node`]: take the node out
+    /// of the quorum system, recompute the quorums — or put it back and
+    /// report that none survive — and run the view-change duties.
+    fn leave_view(&self, node: NodeId, kill_network: bool) -> Result<(), QuorumError> {
         {
             let mut view = self.inner.quorum.borrow_mut();
             if !view.tq.is_alive(node.index()) {
@@ -493,7 +491,9 @@ impl Cluster {
                 return Err(e);
             }
         }
-        self.sim.fail_node(node);
+        if kill_network {
+            self.sim.fail_node(node);
+        }
         self.view_change_transfer();
         Ok(())
     }
@@ -506,8 +506,13 @@ impl Cluster {
     /// the lost suffix instead of receiving the oracle-grade transfer.
     ///
     /// Requires [`DtmConfig::durability`] — without a disk there is nothing
-    /// to restart from. Errors (like `fail_node`) if no quorum survives.
+    /// to restart from, and the call panics before it touches view, network
+    /// or stores. Errors (like `fail_node`) if no quorum survives.
     pub fn crash_node_amnesia(&self, node: NodeId) -> Result<(), QuorumError> {
+        assert!(
+            self.inner.wals.is_some(),
+            "crash_node_amnesia requires DtmConfig::durability"
+        );
         self.fail_node(node)?;
         // fail_node no-ops when the view already excludes the node; the
         // crash must still take the network down and lose the state.
@@ -553,19 +558,7 @@ impl Cluster {
     /// quorum survives without the node, leaving the view untouched.
     /// Idempotent on already-ejected nodes.
     pub fn eject_node(&self, node: NodeId) -> Result<(), QuorumError> {
-        {
-            let mut view = self.inner.quorum.borrow_mut();
-            if !view.tq.is_alive(node.index()) {
-                return Ok(());
-            }
-            view.tq.fail(node.index());
-            if let Err(e) = view.recompute() {
-                view.tq.recover(node.index());
-                return Err(e);
-            }
-        }
-        self.view_change_transfer();
-        Ok(())
+        self.leave_view(node, false)
     }
 
     /// Whether ejecting `node` would still leave the view with quorums,
@@ -612,39 +605,51 @@ impl Cluster {
     ///    quorum of an old one.
     fn view_change_transfer(&self) {
         self.inner.quorum.borrow_mut().epoch += 1;
-        let alive: Vec<NodeId> = (0..self.inner.cfg.nodes as u32)
-            .map(NodeId)
-            .filter(|&n| self.sim.is_alive(n))
-            .collect();
-        let Some(&donor) = alive.first() else {
-            return;
-        };
-        {
-            let pending = self.inner.pending.borrow();
-            for (root, ph) in pending.iter() {
-                for &n in &alive {
-                    let mut st = self.inner.stores[n.index()].borrow_mut();
-                    match ph {
-                        PendingPhase2::Apply(writes) => st.apply(*root, writes),
-                        PendingPhase2::Release(oids) => st.release(*root, oids),
-                    }
-                }
+        let alive = self.alive_except(None);
+        for msg in self.inner.pending.borrow().values() {
+            for &n in &alive {
+                self.inner.stores[n.index()].borrow_mut().phase_two(msg);
             }
         }
-        let oids = self.inner.stores[donor.index()].borrow().object_ids();
-        for oid in oids {
-            let newest = alive
-                .iter()
-                .filter_map(|&n| self.peek(n, oid))
-                .max_by_key(|(v, _)| *v);
-            if let Some((version, val)) = newest {
-                for &n in &alive {
-                    self.inner.stores[n.index()]
-                        .borrow_mut()
-                        .refresh(oid, version, val.clone());
-                }
+        for (oid, version, val) in self.newest_copies(None, &alive) {
+            for &n in &alive {
+                self.inner.stores[n.index()]
+                    .borrow_mut()
+                    .refresh(oid, version, val.clone());
             }
         }
+    }
+
+    /// Network-alive nodes in id order, leaving out `except` — the peers a
+    /// readmitted node may learn from never include the node itself.
+    fn alive_except(&self, except: Option<NodeId>) -> Vec<NodeId> {
+        let all = (0..self.inner.cfg.nodes as u32).map(NodeId);
+        all.filter(|&n| Some(n) != except && self.sim.is_alive(n))
+            .collect()
+    }
+
+    /// The max-version copy of `oid` among `peers`, if any holds one.
+    fn newest_among(&self, peers: &[NodeId], oid: ObjectId) -> Option<(Version, ObjVal)> {
+        let copies = peers.iter().filter_map(|&n| self.peek(n, oid));
+        copies.max_by_key(|(v, _)| *v)
+    }
+
+    /// The one census behind every state transfer: the newest copy among
+    /// `peers` of every object. Which objects exist is asked of the first
+    /// alive node other than `joiner` — under full replication any replica
+    /// that kept its table knows them all, and the node being readmitted
+    /// may be an amnesiac the nemesis already revived, holding none.
+    fn newest_copies<'a>(
+        &'a self,
+        joiner: Option<NodeId>,
+        peers: &'a [NodeId],
+    ) -> impl Iterator<Item = (ObjectId, Version, ObjVal)> + 'a {
+        let donor = self.alive_except(joiner).into_iter().next();
+        let census = donor.map(|d| self.inner.stores[d.index()].borrow().object_ids());
+        census.into_iter().flatten().filter_map(move |oid| {
+            let (version, val) = self.newest_among(peers, oid)?;
+            Some((oid, version, val))
+        })
     }
 
     /// Recover a failed (or falsely ejected) node.
@@ -752,19 +757,8 @@ impl Cluster {
             img.records_replayed,
             img.torn_tail_detected,
         );
-        // Full replication: any alive peer knows the object census (the
-        // disk image alone cannot — that is the point of the repair).
-        let census: Vec<ObjectId> = {
-            let donor = self
-                .inner
-                .stores
-                .iter()
-                .enumerate()
-                .find(|(i, _)| *i != node.index() && self.sim.is_alive(NodeId(*i as u32)))
-                .map(|(_, s)| s)
-                .expect("at least one alive peer");
-            donor.borrow().object_ids()
-        };
+        // The disk image alone cannot know the object census — that is the
+        // point of the repair.
         let rq: Vec<NodeId> = self
             .read_quorum()
             .into_iter()
@@ -772,18 +766,11 @@ impl Cluster {
             .collect();
         let mut repaired = 0u64;
         let mut bytes = 0u64;
-        for oid in census {
-            let newest = rq
-                .iter()
-                .filter_map(|&n| self.peek(n, oid))
-                .max_by_key(|(v, _)| *v);
-            if let Some((version, val)) = newest {
-                let behind = store.get(oid).is_none_or(|r| r.version < version);
-                if behind {
-                    repaired += 1;
-                    bytes += val.approx_size() as u64;
-                    store.sync(oid, version, val);
-                }
+        for (oid, version, val) in self.newest_copies(Some(node), &rq) {
+            if store.get(oid).is_none_or(|r| r.version < version) {
+                repaired += 1;
+                bytes += val.approx_size() as u64;
+                store.sync(oid, version, val);
             }
         }
         let nominal = self.inner.cfg.latency.nominal();
@@ -801,7 +788,7 @@ impl Cluster {
     /// stay silent.
     pub fn transfer_cost(&self) -> SimDuration {
         // Full replication: any store knows the census.
-        let census = self.inner.stores[0].borrow().object_ids().len();
+        let census = self.inner.stores[0].borrow().len();
         self.inner.cfg.latency.nominal() * census as u64
     }
 
@@ -809,32 +796,13 @@ impl Cluster {
     /// alive nodes and return the occupancy cost to charge for it
     /// ([`Cluster::transfer_cost`]).
     fn state_transfer_to(&self, node: NodeId) -> SimDuration {
-        let oids: Vec<ObjectId> = {
-            // Any alive store knows the full object census (full replication).
-            let donor = self
-                .inner
-                .stores
-                .iter()
-                .enumerate()
-                .find(|(i, _)| self.sim.is_alive(NodeId(*i as u32)))
-                .map(|(_, s)| s)
-                .expect("at least one alive node");
-            donor.borrow().object_ids()
-        };
-        let transfer = self.transfer_cost();
-        for oid in oids {
-            let newest = (0..self.inner.cfg.nodes as u32)
-                .map(NodeId)
-                .filter(|&n| n != node && self.sim.is_alive(n))
-                .filter_map(|n| self.peek(n, oid))
-                .max_by_key(|(v, _)| *v);
-            if let Some((version, val)) = newest {
-                self.inner.stores[node.index()]
-                    .borrow_mut()
-                    .sync(oid, version, val);
-            }
+        let peers = self.alive_except(Some(node));
+        for (oid, version, val) in self.newest_copies(Some(node), &peers) {
+            self.inner.stores[node.index()]
+                .borrow_mut()
+                .sync(oid, version, val);
         }
-        transfer
+        self.transfer_cost()
     }
 
     /// Snapshot of the transaction statistics.
@@ -848,7 +816,7 @@ impl Cluster {
     }
 
     /// Read an object's replica at a specific node (tests, invariants).
-    pub fn peek(&self, node: NodeId, oid: ObjectId) -> Option<(crate::object::Version, ObjVal)> {
+    pub fn peek(&self, node: NodeId, oid: ObjectId) -> Option<(Version, ObjVal)> {
         self.inner.stores[node.index()]
             .borrow()
             .get(oid)
@@ -857,11 +825,8 @@ impl Cluster {
 
     /// The latest committed value of an object, as a reader would see it:
     /// max-version copy across the current read quorum.
-    pub fn latest(&self, oid: ObjectId) -> Option<(crate::object::Version, ObjVal)> {
-        self.read_quorum()
-            .into_iter()
-            .filter_map(|n| self.peek(n, oid))
-            .max_by_key(|(v, _)| *v)
+    pub fn latest(&self, oid: ObjectId) -> Option<(Version, ObjVal)> {
+        self.newest_among(&self.read_quorum(), oid)
     }
 
     /// Open a client bound to `node`; transactions it runs originate there.
@@ -905,7 +870,7 @@ mod tests {
         c.preload(ObjectId(5), ObjVal::Int(99));
         for n in 0..13u32 {
             let (v, val) = c.peek(NodeId(n), ObjectId(5)).unwrap();
-            assert_eq!(v, crate::object::Version::INITIAL);
+            assert_eq!(v, Version::INITIAL);
             assert_eq!(val, ObjVal::Int(99));
         }
     }
@@ -931,10 +896,10 @@ mod tests {
         // Bump the copy at node 2 only (as if a write quorum had touched it).
         c.inner.stores[2].borrow_mut().apply(
             TxId { node: 9, seq: 9 },
-            &[(ObjectId(1), crate::object::Version(4), ObjVal::Int(44))],
+            &[(ObjectId(1), Version(4), ObjVal::Int(44))],
         );
         let (v, val) = c.latest(ObjectId(1)).unwrap();
-        assert_eq!(v, crate::object::Version(4));
+        assert_eq!(v, Version(4));
         assert_eq!(val, ObjVal::Int(44));
     }
 

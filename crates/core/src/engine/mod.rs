@@ -1,15 +1,17 @@
 //! The layered protocol engine: the local side of QR, QR-CN and QR-CHK.
 //!
 //! What used to be a monolithic runtime is split along the protocol's own
-//! seams, one module per layer:
+//! seams, one module per layer, and each protocol decision has one site:
 //!
-//! * [`transport`] — quorum RPC rounds (read fetch and the merge of its
-//!   replies, 2PC vote, phase two) plus round/timeout accounting,
+//! * [`transport`] — the one retrying quorum round behind the read fetch
+//!   (plus the merge of its replies) and the 2PC vote, and phase two: one
+//!   decided message, registered with the cluster while it fans out,
 //! * [`nesting`] — per-transaction state ([`nesting::TxState`]: the data
 //!   set as one log with scope and checkpoint marks, and the outbound Rqv
-//!   payload built from it) and the flat/closed/checkpoint strategy
-//!   objects behind [`nesting::NestingPolicy`],
-//! * [`commit`] — the two-phase quorum commit of a root transaction.
+//!   payload built from it) and the flat/closed/checkpoint reactions to a
+//!   conflict as methods of [`NestingMode`],
+//! * [`commit`] — the two-phase quorum commit of a root transaction: one
+//!   "vote, epoch fence" decision for update and read-only commits alike.
 //!
 //! This module composes them. A [`Client`] is bound to a node and runs root
 //! transactions to completion, retrying on aborts. A [`Tx`] handle is what
@@ -63,9 +65,9 @@ use crate::cluster::ClusterInner;
 use crate::msg::{Msg, ValidationKind};
 use crate::object::{ObjVal, ObjectId};
 use crate::pool::Payload;
-use crate::txid::{Abort, AbortTarget};
+use crate::txid::{Abort, AbortTarget, NestingMode};
 
-use nesting::{Entry, NestingPolicy, TxState};
+use nesting::{Entry, TxState};
 use transport::Endpoint;
 
 /// Encode an abort target into an [`EngineEventKind::AbortWithTarget`]
@@ -91,7 +93,7 @@ pub struct Client {
 impl Client {
     pub(crate) fn new(sim: Sim<Msg>, inner: Rc<ClusterInner>, node: NodeId) -> Self {
         Client {
-            ep: Endpoint::new(sim, inner, node),
+            ep: Endpoint { sim, inner, node },
         }
     }
 
@@ -152,8 +154,8 @@ pub struct Tx {
 }
 
 impl Tx {
-    fn policy(&self) -> &'static dyn NestingPolicy {
-        nesting::policy(self.ep.inner.cfg.mode)
+    fn mode(&self) -> NestingMode {
+        self.ep.inner.cfg.mode
     }
 
     /// An abort value addressed to this handle's scope: the innermost
@@ -169,7 +171,7 @@ impl Tx {
     /// proves the snapshot inconsistent and must `return
     /// Err(tx.abort_here())` to retry with fresh reads.
     pub fn abort_here(&self) -> Abort {
-        self.policy().abort_here(self.level)
+        self.mode().abort_here(self.level)
     }
 
     /// Read an object (paper Alg. 2, local part). Checks the transaction's
@@ -187,11 +189,11 @@ impl Tx {
 
     async fn access(&self, oid: ObjectId, write_val: Option<ObjVal>) -> Result<ObjVal, Abort> {
         let is_write = write_val.is_some();
-        let pol = self.policy();
+        let mode = self.mode();
         // Replay and local-hit fast paths (no communication).
         {
             let mut st = self.st.borrow_mut();
-            if let Some(out) = pol.replay_hit(&mut st, oid, is_write) {
+            if let Some(out) = st.replay_hit(oid, is_write) {
                 self.ep.inner.stats.borrow_mut().replayed_ops += 1;
                 return Ok(out);
             }
@@ -203,18 +205,18 @@ impl Tx {
                     }
                     None => st.entry(found).val.clone(),
                 };
-                pol.log_op(&mut st, oid, is_write, &out);
+                st.log_op(mode, oid, is_write, &out);
                 self.ep.inner.stats.borrow_mut().local_hits += 1;
                 return Ok(out);
             }
         }
-        // Remote acquisition: the validation payload the policy mandates
+        // Remote acquisition: the validation payload the mode mandates
         // (the merged data set, or nothing with Rqv disabled), then
         // read-quorum rounds.
         let (root, cur_chk, entries, kind, deadline) = {
             let st = self.st.borrow();
             let kind = if self.ep.inner.cfg.rqv {
-                pol.validation_kind()
+                mode.validation_kind()
             } else {
                 ValidationKind::None
             };
@@ -252,7 +254,7 @@ impl Tx {
                 owner_chk: cur_chk,
             };
             st.fetched(entry, kind != ValidationKind::None);
-            pol.log_op(&mut st, oid, is_write, &fetched);
+            st.log_op(mode, oid, is_write, &fetched);
         }
         self.maybe_checkpoint().await;
         Ok(if is_write { ObjVal::Unit } else { fetched })
@@ -271,7 +273,7 @@ impl Tx {
         F: Fn(Tx) -> Fut,
         Fut: Future<Output = Result<T, Abort>>,
     {
-        if !self.policy().real_nested_scopes() {
+        if self.mode() != NestingMode::Closed {
             return body(self.clone()).await;
         }
         let child_level = self.level + 1;
@@ -321,22 +323,15 @@ impl Tx {
     }
 
     /// QR-CHK: create a checkpoint when the data set grew by the threshold
-    /// (the policy decides; other modes are never "due").
+    /// (other modes are never "due").
     async fn maybe_checkpoint(&self) {
-        let pol = self.policy();
-        let (due, cost) = {
-            let st = self.st.borrow();
-            (
-                pol.checkpoint_due(&st, self.ep.inner.cfg.chk_threshold),
-                self.ep.inner.cfg.chk_cost,
-            )
-        };
-        if !due {
+        let cfg = &self.ep.inner.cfg;
+        if !self.st.borrow().checkpoint_due(cfg.mode, cfg.chk_threshold) {
             return;
         }
         // The measured ~6% creation overhead, as local compute time; a
         // zero-cost config charges nothing and schedules no event.
-        self.ep.sim.charge(cost).await;
+        self.ep.sim.charge(cfg.chk_cost).await;
         let mut st = self.st.borrow_mut();
         st.take_checkpoint();
         self.ep.inner.stats.borrow_mut().checkpoints += 1;
@@ -349,7 +344,7 @@ impl Tx {
 
     /// Try to commit this root transaction's current attempt.
     pub(crate) async fn commit_attempt(&self) -> Result<(), Abort> {
-        commit::commit_root(&self.ep, &self.st, self.policy()).await
+        commit::commit_root(&self.ep, &self.st).await
     }
 
     /// Arm (or clear) a completion deadline for this transaction. Quorum
@@ -433,10 +428,20 @@ impl Tx {
             self.ep.node,
             abort_detail(abort.target, bound),
         );
-        match self.policy().rollback_checkpoint(&abort) {
+        match self.mode().rollback_checkpoint(&abort) {
             Some(c) => {
                 self.ep.inner.stats.borrow_mut().chk_rollbacks += 1;
-                self.rollback_to(c);
+                // Restore the checkpoint and arm deterministic replay of
+                // the logged prefix.
+                let (restored, oplog_len) = {
+                    let mut st = self.st.borrow_mut();
+                    (st.rollback_to(c), st.oplog.len())
+                };
+                self.ep.sim.emit_engine_event(
+                    EngineEventKind::CheckpointRestored,
+                    self.ep.node,
+                    (u64::from(restored) << 32) | oplog_len as u64,
+                );
                 // The conflicting writer is still in flight; retrying
                 // instantly would just detect the same conflict again (the
                 // paper's "unnecessary partial aborts"), so the rollback
@@ -445,37 +450,18 @@ impl Tx {
             }
             None => {
                 // Root-targeted abort (level 0), or a stray target that
-                // nothing below caught: full retry — which must first draw
-                // from the retry budget when overload protection is armed
-                // (partial aborts above are cheap and exempt).
+                // nothing below caught: full retry under a fresh TxId, so
+                // stale locks/metadata of the old attempt can never alias
+                // the new one — which must first draw from the retry
+                // budget when overload protection is armed (partial aborts
+                // above are cheap and exempt).
                 self.ep.inner.stats.borrow_mut().root_aborts += 1;
-                self.full_reset();
+                let fresh = self.ep.inner.fresh_txid(self.ep.node);
+                self.st.borrow_mut().reset_for_retry(fresh);
                 self.acquire_retry_token().await;
                 self.backoff(true).await;
             }
         }
-    }
-
-    /// Restore checkpoint `c` and arm deterministic replay of the logged
-    /// prefix.
-    fn rollback_to(&self, c: u32) {
-        let (restored, oplog_len) = {
-            let mut st = self.st.borrow_mut();
-            let restored = st.rollback_to(c);
-            (restored, st.oplog.len())
-        };
-        self.ep.sim.emit_engine_event(
-            EngineEventKind::CheckpointRestored,
-            self.ep.node,
-            (u64::from(restored) << 32) | oplog_len as u64,
-        );
-    }
-
-    /// Full reset for a root retry; the new attempt gets a fresh TxId so
-    /// stale locks/metadata of the old attempt can never alias it.
-    fn full_reset(&self) {
-        let fresh = self.ep.inner.fresh_txid(self.ep.node);
-        self.st.borrow_mut().reset_for_retry(fresh);
     }
 
     /// Randomized backoff. Escalating (exponential in the attempt counter)

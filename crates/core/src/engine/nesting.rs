@@ -1,5 +1,5 @@
-//! Nesting layer: per-transaction data-set state and the [`NestingPolicy`]
-//! strategies.
+//! Nesting layer: per-transaction data-set state, and what each
+//! [`NestingMode`] does about a conflict.
 //!
 //! The paper's three protocols differ only in *how a transaction reacts to
 //! conflicts and structures its data set*: flat QR retries wholesale, QR-CN
@@ -11,9 +11,9 @@
 //! every partial abort is a truncation to a mark — the log is its own undo
 //! record. The Rqv payload every remote read piggybacks is kept beside the
 //! log under the same marks, so a read freezes it instead of deriving it
-//! from the whole log. Each variant is a stateless strategy object behind
-//! [`NestingPolicy`]; the engine core consults the policy instead of
-//! matching on [`NestingMode`] mid-access.
+//! from the whole log. With one data set for all three, the mode is the
+//! whole policy: its few answers are methods on [`NestingMode`] itself,
+//! and the rest are [`TxState`] methods that take the mode.
 
 use std::cmp::Reverse;
 
@@ -103,7 +103,7 @@ pub(super) struct TxState {
     /// of the log, kept across retries so the per-commit sort allocates
     /// nothing.
     order: Vec<(ObjectId, Reverse<u32>)>,
-    /// One entry per operation (QR-CHK only, see [`NestingPolicy::log_op`]).
+    /// One entry per operation (QR-CHK only, see [`TxState::log_op`]).
     pub(super) oplog: Vec<LoggedOp>,
     pub(super) op_index: usize,
     pub(super) replay_upto: usize,
@@ -267,6 +267,61 @@ impl TxState {
         }
     }
 
+    /// Serve the current operation from the replay log if a rollback armed
+    /// one (only QR-CHK ever does). `Some(result)` consumes the log entry;
+    /// `None` executes normally. Panics if the re-executed body issues a
+    /// different operation than the one logged at this index.
+    pub(super) fn replay_hit(&mut self, oid: ObjectId, is_write: bool) -> Option<ObjVal> {
+        if !self.replaying() {
+            return None;
+        }
+        let logged = &self.oplog[self.op_index];
+        if logged.oid != oid || logged.result.is_none() != is_write {
+            let kind = |w| if w { "write" } else { "read" };
+            panic!(
+                "replay divergence in {}: op {} was logged as ({}, {}) but the re-executed \
+                 body issued ({}, {}); a transaction body must be a pure function of its \
+                 Tx results",
+                self.root,
+                self.op_index,
+                logged.oid,
+                kind(logged.result.is_none()),
+                oid,
+                kind(is_write),
+            );
+        }
+        // A logged write needs nothing: the restored frame contains it.
+        let out = logged.result.clone().unwrap_or(ObjVal::Unit);
+        self.op_index += 1;
+        Some(out)
+    }
+
+    /// Record a completed operation in the op log (QR-CHK only: the log is
+    /// what a rollback replays).
+    pub(super) fn log_op(
+        &mut self,
+        mode: NestingMode,
+        oid: ObjectId,
+        is_write: bool,
+        out: &ObjVal,
+    ) {
+        if mode == NestingMode::Checkpoint {
+            let result = if is_write { None } else { Some(out.clone()) };
+            self.oplog.push(LoggedOp { oid, result });
+            self.op_index += 1;
+        }
+    }
+
+    /// Whether the data set grew enough since the last checkpoint that a
+    /// new one is due (QR-CHK only; other modes are never "due").
+    pub(super) fn checkpoint_due(&self, mode: NestingMode, threshold: usize) -> bool {
+        let last = self
+            .checkpoints
+            .last()
+            .expect("checkpoint 0 is never popped");
+        mode == NestingMode::Checkpoint && self.dataset_size >= last.dataset_size + threshold
+    }
+
     /// Mark the current op-log and data-set position as a new checkpoint.
     pub(super) fn take_checkpoint(&mut self) {
         self.checkpoints.push(ChkRec {
@@ -313,151 +368,33 @@ impl TxState {
     }
 }
 
-/// Protocol variant as a strategy object: every place the engine used to
-/// branch on [`NestingMode`] asks the policy instead.
-pub(super) trait NestingPolicy {
-    /// The abort value a body at `level` uses to abort voluntarily.
-    fn abort_here(&self, level: u32) -> Abort;
+/// The three reactions to a conflict, asked of the mode itself.
+impl NestingMode {
+    /// The abort value a body at `level` uses to abort voluntarily. QR-CHK
+    /// rolls all the way back: the torn prefix cannot be localized.
+    pub(super) fn abort_here(self, level: u32) -> Abort {
+        match self {
+            NestingMode::Checkpoint => Abort::chk(0),
+            NestingMode::Flat | NestingMode::Closed => Abort::level(level),
+        }
+    }
 
     /// Validation kind piggybacked on remote reads (assuming Rqv is on).
-    fn validation_kind(&self) -> ValidationKind;
-
-    /// Whether [`Tx::closed`](super::Tx::closed) creates a real nested
-    /// scope; when `false`, its body runs inline in the enclosing
-    /// transaction.
-    fn real_nested_scopes(&self) -> bool {
-        false
-    }
-
-    /// Whether a read-only root commit may complete locally (Rqv already
-    /// validated every read) — the QR-CN zero-message commit.
-    fn local_read_only_commit(&self) -> bool {
-        false
-    }
-
-    /// Serve the current operation from the replay log if a rollback armed
-    /// one. `Some(result)` consumes the log entry; `None` executes normally.
-    /// Panics if the re-executed body issues a different operation than the
-    /// one logged at this index.
-    fn replay_hit(&self, _st: &mut TxState, _oid: ObjectId, _is_write: bool) -> Option<ObjVal> {
-        None
-    }
-
-    /// Record a completed operation in the op log (QR-CHK only).
-    fn log_op(&self, _st: &mut TxState, _oid: ObjectId, _is_write: bool, _out: &ObjVal) {}
-
-    /// Whether the data set grew enough since the last checkpoint that a new
-    /// one is due.
-    fn checkpoint_due(&self, _st: &TxState, _threshold: usize) -> bool {
-        false
+    pub(super) fn validation_kind(self) -> ValidationKind {
+        match self {
+            NestingMode::Flat => ValidationKind::None,
+            NestingMode::Closed => ValidationKind::Closed,
+            NestingMode::Checkpoint => ValidationKind::Checkpoint,
+        }
     }
 
     /// How a root-level abort retries: `Some(c)` rolls back to checkpoint
     /// `c` (partial, replayed); `None` resets the whole transaction.
-    fn rollback_checkpoint(&self, _abort: &Abort) -> Option<u32> {
-        None
-    }
-}
-
-/// Flat QR: no partial aborts, no piggybacked validation.
-struct FlatPolicy;
-
-impl NestingPolicy for FlatPolicy {
-    fn abort_here(&self, level: u32) -> Abort {
-        Abort::level(level)
-    }
-
-    fn validation_kind(&self) -> ValidationKind {
-        ValidationKind::None
-    }
-}
-
-/// QR-CN: real nested scopes, Rqv validation, local read-only commits.
-struct ClosedPolicy;
-
-impl NestingPolicy for ClosedPolicy {
-    fn abort_here(&self, level: u32) -> Abort {
-        Abort::level(level)
-    }
-
-    fn validation_kind(&self) -> ValidationKind {
-        ValidationKind::Closed
-    }
-
-    fn real_nested_scopes(&self) -> bool {
-        true
-    }
-
-    fn local_read_only_commit(&self) -> bool {
-        true
-    }
-}
-
-/// QR-CHK: op logging, periodic checkpoints, partial rollback with replay.
-struct CheckpointPolicy;
-
-impl NestingPolicy for CheckpointPolicy {
-    fn abort_here(&self, _level: u32) -> Abort {
-        // Roll all the way back: the torn prefix cannot be localized.
-        Abort::chk(0)
-    }
-
-    fn validation_kind(&self) -> ValidationKind {
-        ValidationKind::Checkpoint
-    }
-
-    fn replay_hit(&self, st: &mut TxState, oid: ObjectId, is_write: bool) -> Option<ObjVal> {
-        if !st.replaying() {
-            return None;
+    pub(super) fn rollback_checkpoint(self, abort: &Abort) -> Option<u32> {
+        match (self, abort.target) {
+            (NestingMode::Checkpoint, AbortTarget::Chk(c)) => Some(c),
+            _ => None,
         }
-        let logged = &st.oplog[st.op_index];
-        if logged.oid != oid || logged.result.is_none() != is_write {
-            let kind = |w| if w { "write" } else { "read" };
-            panic!(
-                "replay divergence in {}: op {} was logged as ({}, {}) but the re-executed \
-                 body issued ({}, {}); a transaction body must be a pure function of its \
-                 Tx results",
-                st.root,
-                st.op_index,
-                logged.oid,
-                kind(logged.result.is_none()),
-                oid,
-                kind(is_write),
-            );
-        }
-        // A logged write needs nothing: the restored frame contains it.
-        let out = logged.result.clone().unwrap_or(ObjVal::Unit);
-        st.op_index += 1;
-        Some(out)
-    }
-
-    fn log_op(&self, st: &mut TxState, oid: ObjectId, is_write: bool, out: &ObjVal) {
-        st.oplog.push(LoggedOp {
-            oid,
-            result: if is_write { None } else { Some(out.clone()) },
-        });
-        st.op_index += 1;
-    }
-
-    fn checkpoint_due(&self, st: &TxState, threshold: usize) -> bool {
-        let last = st.checkpoints.last().expect("checkpoint 0 is never popped");
-        st.dataset_size >= last.dataset_size + threshold
-    }
-
-    fn rollback_checkpoint(&self, abort: &Abort) -> Option<u32> {
-        match abort.target {
-            AbortTarget::Chk(c) => Some(c),
-            AbortTarget::Level(_) => None,
-        }
-    }
-}
-
-/// The strategy object for a mode (policies are stateless singletons).
-pub(super) fn policy(mode: NestingMode) -> &'static dyn NestingPolicy {
-    match mode {
-        NestingMode::Flat => &FlatPolicy,
-        NestingMode::Closed => &ClosedPolicy,
-        NestingMode::Checkpoint => &CheckpointPolicy,
     }
 }
 
@@ -564,7 +501,7 @@ mod tests {
         /// frames.
         #[test]
         fn marks_on_the_log_equal_frames_and_snapshots(chk in any::<bool>(), steps in steps()) {
-            let pol = policy(if chk { NestingMode::Checkpoint } else { NestingMode::Closed });
+            let mode = if chk { NestingMode::Checkpoint } else { NestingMode::Closed };
             let mut st = TxState::new(ROOT);
             let mut frames = vec![Frame::default()];
             let mut snapshots = vec![(0, Frame::default())];
@@ -588,7 +525,7 @@ mod tests {
                         frames[level as usize].insert(e.clone());
                         // Data-set insert plus op log, as `Tx::access` does.
                         st.fetched(e, true);
-                        pol.log_op(&mut st, oid, is_write, &val);
+                        st.log_op(mode, oid, is_write, &val);
                     }
                     Step::Promote { pick } => {
                         let held = st.entries();
@@ -599,7 +536,7 @@ mod tests {
                         let found = lookup(&frames, oid).expect("held").clone();
                         frames[level as usize].insert(Entry { is_write: true, val: val.clone(), ..found });
                         st.promote(st.find(level, oid).expect("held"), val);
-                        pol.log_op(&mut st, oid, true, &ObjVal::Unit);
+                        st.log_op(mode, oid, true, &ObjVal::Unit);
                     }
                     Step::Mark if chk => {
                         st.take_checkpoint();
@@ -620,7 +557,7 @@ mod tests {
                         let prefix: Vec<(ObjectId, bool)> =
                             st.oplog.iter().map(|op| (op.oid, op.result.is_none())).collect();
                         for (oid, is_write) in prefix {
-                            prop_assert!(pol.replay_hit(&mut st, oid, is_write).is_some());
+                            prop_assert!(st.replay_hit(oid, is_write).is_some());
                         }
                         prop_assert!(!st.replaying());
                     }

@@ -1,13 +1,15 @@
 //! Transport layer: quorum RPC rounds.
 //!
 //! Everything that puts protocol messages on the wire lives here — the
-//! read-quorum fetch round, the 2PC vote round, and the commit-confirm /
-//! lock-release fan-outs — together with the round/timeout accounting and
-//! the [`EngineEventKind::QuorumRound`] boundary events. Layers above deal
-//! in outcomes — a read round's replies merged, a vote decided — never in
-//! call plumbing.
+//! read-quorum fetch and the 2PC vote, both through the one retrying
+//! [`Endpoint::round`], and phase two, one decided message fanned out until
+//! acknowledged ([`Endpoint::phase_two`]) — together with the round/timeout
+//! accounting and the [`EngineEventKind::QuorumRound`] boundary events.
+//! Layers above deal in outcomes — a read round's replies merged, a vote
+//! decided — never in call plumbing.
 
 use std::cell::Cell;
+use std::future::Future;
 use std::rc::Rc;
 
 use qrdtm_sim::{Counter, EngineEventKind, NodeId, Sim, SimDuration, SimTime};
@@ -17,6 +19,7 @@ use crate::engine::detector::RPC_RETRIES;
 use crate::msg::{class, Msg, ValEntry, ValidationKind};
 use crate::object::{ObjVal, ObjectId, Version};
 use crate::pool::Payload;
+use crate::stats::DtmStats;
 use crate::txid::{Abort, AbortTarget, TxId};
 
 /// With overload protection armed, hedged read rounds are suppressed while
@@ -124,10 +127,6 @@ pub(crate) struct Endpoint {
 }
 
 impl Endpoint {
-    pub(super) fn new(sim: Sim<Msg>, inner: Rc<ClusterInner>, node: NodeId) -> Self {
-        Endpoint { sim, inner, node }
-    }
-
     /// Next retry backoff after sleeping `prev`: decorrelated jitter within
     /// `[backoff_base, backoff_max]`. The jitter draw is skipped entirely
     /// for a zero backoff, preserving the zero-cost-path RNG discipline.
@@ -143,21 +142,64 @@ impl Endpoint {
         )
     }
 
-    /// Whether `deadline` (if any) has already passed on the simulator
-    /// clock — retry loops abandon rather than burn more quorum rounds.
-    fn past_deadline(&self, deadline: Option<SimTime>) -> bool {
-        deadline.is_some_and(|d| self.sim.now() > d)
+    /// A transaction past its deadline gets no more quorum rounds: the
+    /// driver is about to abandon it, so the round (and any hedges or
+    /// retries it would spawn) is pure waste.
+    fn within_deadline(&self, deadline: Option<SimTime>) -> Result<(), Abort> {
+        if deadline.is_some_and(|d| self.sim.now() > d) {
+            self.sim.bump(Counter::WastedRetries);
+            return Err(Abort::root());
+        }
+        Ok(())
+    }
+
+    /// The one retrying quorum round of phase one (read fetch and vote):
+    /// `attempt` issues one call and yields `None` if it timed out — a
+    /// root abort once the attempts are used up (an asynchronous system
+    /// only learns of failures this way). `count` names the caller's round
+    /// counter in the statistics.
+    ///
+    /// With [`DtmConfig::detector`](crate::DtmConfig::detector) set the
+    /// round gets robust: a timed-out attempt is re-issued after a capped,
+    /// decorrelated backoff, unless the deadline passed meanwhile — the
+    /// timeout already burned past it. While it retries, the round weighs
+    /// on the saturation-pressure gauge.
+    async fn round<T, Fut: Future<Output = Option<T>>>(
+        &self,
+        class: u8,
+        count: fn(&mut DtmStats) -> &mut u64,
+        deadline: Option<SimTime>,
+        mut attempt: impl FnMut() -> Fut,
+    ) -> Result<T, Abort> {
+        self.within_deadline(deadline)?;
+        *count(&mut self.inner.stats.borrow_mut()) += 1;
+        self.sim
+            .emit_engine_event(EngineEventKind::QuorumRound, self.node, u64::from(class));
+        let retries = self.inner.cfg.detector.map_or(0, |_| RPC_RETRIES);
+        let mut backoff = self.inner.cfg.backoff_base;
+        let mut pressure = PressureGuard::new(&self.inner.overload.retry_pressure);
+        for n in 0..=retries {
+            if let Some(out) = attempt().await {
+                return Ok(out);
+            }
+            self.inner.stats.borrow_mut().timeouts += 1;
+            if n < retries {
+                self.within_deadline(deadline)?;
+                pressure.engage();
+                self.sim.bump(Counter::RpcRetries);
+                self.sim.sleep(backoff).await;
+                backoff = self.next_backoff(backoff);
+            }
+        }
+        Err(Abort::root())
     }
 
     /// One read round against the current read quorum. Returns the raw
-    /// replies for [`ReadRound::resolve`] to merge; a timeout is a root
-    /// abort (an asynchronous system only learns of failures this way).
+    /// replies for [`ReadRound::resolve`] to merge.
     ///
-    /// With [`DtmConfig::detector`](crate::DtmConfig::detector) set the
-    /// round gets robust: a timed-out attempt is re-issued (capped
-    /// exponential backoff, re-reading the quorum view each time — the
-    /// detector may have reconfigured around the dead member meanwhile),
-    /// and each attempt optionally *hedges* by also addressing `hedge`
+    /// Each attempt re-reads the quorum view (a retry's whole point is
+    /// that the detector may have reconfigured around the member that
+    /// timed us out) and optionally *hedges* by also addressing `hedge`
     /// extra view-alive nodes, accepting the first `|read_q|` replies.
     #[allow(clippy::too_many_arguments)]
     pub(super) async fn read_round(
@@ -170,14 +212,7 @@ impl Endpoint {
         kind: ValidationKind,
         deadline: Option<SimTime>,
     ) -> Result<ReadRound, Abort> {
-        // A transaction past its deadline gets no more quorum rounds: the
-        // driver is about to abandon it, so the round (and any hedges or
-        // retries it would spawn) is pure waste.
-        if self.past_deadline(deadline) {
-            self.sim.bump(Counter::WastedRetries);
-            return Err(Abort::root());
-        }
-        let msg = Msg::ReadReq {
+        let msg = &Msg::ReadReq {
             root,
             cur_level,
             cur_chk,
@@ -185,87 +220,59 @@ impl Endpoint {
             entries,
             kind,
         };
-        self.inner.stats.borrow_mut().read_rounds += 1;
-        self.sim.emit_engine_event(
-            EngineEventKind::QuorumRound,
-            self.node,
-            u64::from(class::READ_REQ),
-        );
-        let det = self.inner.cfg.detector;
-        let retries = det.map_or(0, |_| RPC_RETRIES);
-        let mut backoff = self.inner.cfg.backoff_base;
-        let mut pressure = PressureGuard::new(&self.inner.overload.retry_pressure);
-        for attempt in 0..=retries {
-            // Re-read per attempt: a retry's whole point is that the view
-            // may have reconfigured around the member that timed us out.
+        let attempt = || async move {
             let rq = Rc::clone(&self.inner.quorum.borrow().read_q);
-            // Built only by a round that actually adds a hedge.
-            let mut hedged_dests: Option<Vec<NodeId>> = None;
-            if let Some(d) = det {
-                if d.hedge > 0 {
-                    // Hedge suppression: under saturation (other rounds are
-                    // concurrently timing out and retrying) extra hedge
-                    // destinations only amplify the pressure, so they are
-                    // skipped — counted and event-logged, never silent.
-                    let suppress = self.inner.cfg.overload.is_some()
-                        && self.inner.overload.retry_pressure.get() >= HEDGE_PRESSURE_THRESHOLD;
-                    if suppress {
-                        self.sim.bump(Counter::HedgesSuppressed);
-                        self.sim.emit_engine_event(
-                            EngineEventKind::HedgeSuppressed,
-                            self.node,
-                            self.inner.overload.retry_pressure.get(),
-                        );
-                    } else {
-                        let view = self.inner.quorum.borrow();
-                        let mut spares = (0..self.inner.cfg.nodes)
-                            .filter(|&n| view.is_view_alive(n))
-                            .map(|n| NodeId(n as u32))
-                            .filter(|id| !rq.contains(id))
-                            .take(d.hedge)
-                            .peekable();
-                        if spares.peek().is_some() {
-                            self.sim.bump(Counter::HedgedCalls);
-                            hedged_dests = Some(rq.iter().copied().chain(spares).collect());
-                        }
-                    }
-                }
-            }
-            let res = self
+            let hedged_dests = self.hedge_dests(&rq);
+            let dests = hedged_dests.as_deref().unwrap_or(&rq);
+            let timeout = self.inner.cfg.rpc_timeout;
+            let call = self
                 .sim
-                .call_first(
-                    self.node,
-                    hedged_dests.as_deref().unwrap_or(&rq),
-                    msg.clone(),
-                    rq.len(),
-                    self.inner.cfg.rpc_timeout,
-                )
-                .await;
-            if !res.timed_out {
-                let hedged = res.replies.iter().any(|(n, _)| !rq.contains(n));
-                if hedged {
-                    self.sim.bump(Counter::HedgedWins);
-                }
-                return Ok(ReadRound {
-                    replies: res.replies,
-                    hedged,
-                });
+                .call_first(self.node, dests, msg.clone(), rq.len(), timeout);
+            let res = call.await;
+            if res.timed_out {
+                return None;
             }
-            self.inner.stats.borrow_mut().timeouts += 1;
-            if attempt < retries {
-                // Cancel the remaining retries once the deadline passed
-                // mid-round — the timeout already burned past it.
-                if self.past_deadline(deadline) {
-                    self.sim.bump(Counter::WastedRetries);
-                    return Err(Abort::root());
-                }
-                pressure.engage();
-                self.sim.bump(Counter::RpcRetries);
-                self.sim.sleep(backoff).await;
-                backoff = self.next_backoff(backoff);
+            let hedged = res.replies.iter().any(|(n, _)| !rq.contains(n));
+            if hedged {
+                self.sim.bump(Counter::HedgedWins);
             }
+            Some(ReadRound {
+                replies: res.replies,
+                hedged,
+            })
+        };
+        self.round(class::READ_REQ, |s| &mut s.read_rounds, deadline, attempt)
+            .await
+    }
+
+    /// The read quorum `rq` plus the configured number of view-alive
+    /// spares, if this attempt hedges at all (built only then).
+    fn hedge_dests(&self, rq: &[NodeId]) -> Option<Vec<NodeId>> {
+        let hedge = self.inner.cfg.detector.map_or(0, |d| d.hedge);
+        if hedge == 0 {
+            return None;
         }
-        Err(Abort::root())
+        // Hedge suppression: under saturation (other rounds are
+        // concurrently timing out and retrying) extra hedge destinations
+        // only amplify the pressure, so they are skipped — counted and
+        // event-logged, never silent.
+        let pressure = self.inner.overload.retry_pressure.get();
+        if self.inner.cfg.overload.is_some() && pressure >= HEDGE_PRESSURE_THRESHOLD {
+            self.sim.bump(Counter::HedgesSuppressed);
+            self.sim
+                .emit_engine_event(EngineEventKind::HedgeSuppressed, self.node, pressure);
+            return None;
+        }
+        let view = self.inner.quorum.borrow();
+        let mut spares = (0..self.inner.cfg.nodes)
+            .filter(|&n| view.is_view_alive(n))
+            .map(|n| NodeId(n as u32))
+            .filter(|id| !rq.contains(id))
+            .take(hedge)
+            .peekable();
+        spares.peek()?;
+        self.sim.bump(Counter::HedgedCalls);
+        Some(rq.iter().copied().chain(spares).collect())
     }
 
     /// 2PC phase one against `wq`, the write quorum the caller snapshotted
@@ -273,6 +280,12 @@ impl Endpoint {
     /// members must vote yes. The caller keeps `wq` because that is where
     /// any granted locks live — phase two must go to the same nodes even
     /// if the view has moved on.
+    ///
+    /// A timed-out vote round is retried against the same quorum: the
+    /// replica-side vote is idempotent for the same root (a re-vote on an
+    /// object it already locked re-locks and answers yes), so a reply lost
+    /// to the network costs a retry, not an abort. No hedging here — every
+    /// member of `wq` must vote.
     pub(super) async fn vote_round(
         &self,
         wq: &[NodeId],
@@ -281,88 +294,36 @@ impl Endpoint {
         writes: Payload<(ObjectId, Version)>,
         deadline: Option<SimTime>,
     ) -> Result<(), Abort> {
-        if self.past_deadline(deadline) {
-            self.sim.bump(Counter::WastedRetries);
-            return Err(Abort::root());
-        }
-        self.inner.stats.borrow_mut().commit_rounds += 1;
-        self.sim.emit_engine_event(
-            EngineEventKind::QuorumRound,
-            self.node,
-            u64::from(class::COMMIT_REQ),
-        );
-        let msg = Msg::CommitReq {
+        let msg = &Msg::CommitReq {
             root,
             reads,
             writes,
         };
-        // With a detector configured, a timed-out vote round is retried
-        // against the same quorum: the replica-side vote is idempotent for
-        // the same root (a re-vote on an object it already locked re-locks
-        // and answers yes), so a reply lost to the network costs a retry,
-        // not an abort. No hedging here — every member of `wq` must vote.
-        let retries = self.inner.cfg.detector.map_or(0, |_| RPC_RETRIES);
-        let mut backoff = self.inner.cfg.backoff_base;
-        let mut pressure = PressureGuard::new(&self.inner.overload.retry_pressure);
-        for attempt in 0..=retries {
-            let res = self
-                .sim
-                .call(self.node, wq, msg.clone(), self.inner.cfg.rpc_timeout)
-                .await;
-            if !res.timed_out {
-                let all_yes = res
-                    .replies
-                    .iter()
-                    .all(|(_, m)| matches!(m, Msg::Vote { ok: true }));
-                return if all_yes { Ok(()) } else { Err(Abort::root()) };
-            }
-            self.inner.stats.borrow_mut().timeouts += 1;
-            if attempt < retries {
-                if self.past_deadline(deadline) {
-                    self.sim.bump(Counter::WastedRetries);
-                    return Err(Abort::root());
-                }
-                pressure.engage();
-                self.sim.bump(Counter::RpcRetries);
-                self.sim.sleep(backoff).await;
-                backoff = self.next_backoff(backoff);
-            }
-        }
-        Err(Abort::root())
+        let attempt = || async move {
+            let timeout = self.inner.cfg.rpc_timeout;
+            let res = self.sim.call(self.node, wq, msg.clone(), timeout).await;
+            let yes = |(_, m): &(NodeId, Msg)| matches!(m, Msg::Vote { ok: true });
+            let all_yes = res.replies.iter().all(yes);
+            (!res.timed_out).then_some(if all_yes { Ok(()) } else { Err(Abort::root()) })
+        };
+        self.round(
+            class::COMMIT_REQ,
+            |s| &mut s.commit_rounds,
+            deadline,
+            attempt,
+        )
+        .await?
     }
 
-    /// 2PC phase two, success: apply writes and release locks on `voted`,
-    /// the quorum that granted phase one. See
-    /// [`Endpoint::fanout_until_acked`] for why this must not give up on
-    /// timeout.
-    pub(super) async fn apply(
-        &self,
-        voted: &[NodeId],
-        root: TxId,
-        writes: Payload<(ObjectId, Version, ObjVal)>,
-    ) {
-        // Frozen once by the caller; every retry attempt and
-        // per-destination copy of the fan-out shares the same allocation.
-        self.fanout_until_acked(voted, || Msg::Apply {
-            root,
-            writes: writes.clone(),
-        })
-        .await;
-    }
-
-    /// 2PC phase two, failure: release any locks granted in phase one on
-    /// `voted`, the quorum the vote round was sent to.
-    pub(super) async fn release(&self, voted: &[NodeId], root: TxId, oids: Payload<ObjectId>) {
-        self.fanout_until_acked(voted, || Msg::AbortReq {
-            root,
-            oids: oids.clone(),
-        })
-        .await;
-    }
-
-    /// Deliver a phase-two message to the vote-time write quorum, retrying
-    /// with capped exponential backoff until every member still alive
-    /// acknowledged one attempt in full.
+    /// 2PC phase two: deliver the decided `msg` ([`Msg::Apply`] or
+    /// [`Msg::AbortReq`] of `root`) to `voted`, the quorum that was asked
+    /// to vote, retrying with capped exponential backoff until every
+    /// member still alive acknowledged one attempt in full. The message is
+    /// registered with the cluster for as long as that takes, so a view
+    /// change mid-fan-out completes it on every alive replica instantly
+    /// instead of leaving the new view behind the decision. Its payloads
+    /// are frozen once by the caller: the registry, every retry attempt
+    /// and every per-destination copy share the same allocation.
     ///
     /// Phase two is the one place a timeout must not be treated as an
     /// abort: the decision is already taken, and abandoning the fan-out
@@ -371,13 +332,15 @@ impl Endpoint {
     /// replicas. The targets are the nodes that *granted the vote* — that
     /// is where the locks live, even if a reconfiguration has since moved
     /// the write quorum elsewhere. Members that died are dropped from the
-    /// retry (their lock state is wiped by the recovery state transfer,
-    /// and the view-change transfer completes registered phase twos on
-    /// everyone else); members that are merely unreachable are retried
-    /// until the network heals. The store-level `Apply`/`AbortReq`
-    /// handlers are idempotent, so re-sending to members that already
-    /// processed an earlier attempt is harmless.
-    async fn fanout_until_acked(&self, voted: &[NodeId], mk: impl Fn() -> Msg) {
+    /// retry (their lock state is wiped by the recovery state transfer);
+    /// members that are merely unreachable are retried until the network
+    /// heals. The store-level handlers are idempotent, so re-sending to
+    /// members that already processed an earlier attempt is harmless.
+    ///
+    /// Not the loop of [`Endpoint::round`]: no deadline, no pressure gauge
+    /// and no retry cap apply to a decision already taken.
+    pub(super) async fn phase_two(&self, voted: &[NodeId], root: TxId, msg: Msg) {
+        self.inner.pending.borrow_mut().insert(root, msg.clone());
         let mut backoff = self.inner.cfg.backoff_base;
         loop {
             let targets: Vec<NodeId> = voted
@@ -386,20 +349,19 @@ impl Endpoint {
                 .filter(|&n| self.sim.is_alive(n))
                 .collect();
             if targets.is_empty() {
-                return;
+                break;
             }
-            let res = self
-                .sim
-                .call(self.node, &targets, mk(), self.inner.cfg.rpc_timeout)
-                .await;
-            if !res.timed_out {
-                return;
+            let timeout = self.inner.cfg.rpc_timeout;
+            let call = self.sim.call(self.node, &targets, msg.clone(), timeout);
+            if !call.await.timed_out {
+                break;
             }
             self.inner.stats.borrow_mut().timeouts += 1;
             self.sim.bump(Counter::RpcRetries);
             self.sim.sleep(backoff).await;
             backoff = self.next_backoff(backoff);
         }
+        self.inner.pending.borrow_mut().remove(&root);
     }
 }
 

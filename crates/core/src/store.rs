@@ -22,7 +22,7 @@
 //!   by setting `protected`, then apply new versions or roll the locks
 //!   back.
 
-use crate::msg::{ValEntry, ValidationKind};
+use crate::msg::{Msg, ValEntry, ValidationKind};
 use crate::object::{IdMap, ObjVal, ObjectId, Replica, Version};
 use crate::txid::{AbortTarget, TxId};
 
@@ -219,6 +219,18 @@ impl NodeStore {
                 obj.protected = false;
                 obj.protected_by = None;
             }
+        }
+    }
+
+    /// 2PC phase two as the decided message: the one door the replica
+    /// handler and the view-change completion of registered decisions
+    /// share. Anything but [`Msg::Apply`] / [`Msg::AbortReq`] is no phase
+    /// two and changes nothing.
+    pub(crate) fn phase_two(&mut self, msg: &Msg) {
+        match msg {
+            Msg::Apply { root, writes } => self.apply(*root, writes),
+            Msg::AbortReq { root, oids } => self.release(*root, oids),
+            _ => {}
         }
     }
 

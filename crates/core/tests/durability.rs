@@ -1,6 +1,7 @@
 //! Integration tests for the durable-replica model: write-ahead logging,
 //! crash-restart-with-amnesia, torn-tail detection, and quorum repair.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
 use qrdtm_core::{Cluster, DtmConfig, DurabilityConfig, ObjVal, ObjectId};
@@ -95,6 +96,7 @@ fn amnesia_crash_recovers_via_replay_and_quorum_repair() {
             cl.peek(victim, ObjectId(0)).is_none(),
             "amnesia wipes the volatile object table"
         );
+        assert!(!cl.view_alive(victim) && !cl.sim().is_alive(victim));
         // Let commits the victim will have to repair happen while it is down.
         sim2.sleep(SimDuration::from_millis(1000)).await;
         cl.recover_node(victim).unwrap();
@@ -212,10 +214,16 @@ fn durable_runs_are_deterministic_per_seed() {
     assert_ne!(run(21), run(22), "seed perturbs the trace");
 }
 
+/// Refused on entry: the view, the network and the replica are as they were.
 #[test]
 #[should_panic(expected = "requires DtmConfig::durability")]
 fn amnesia_without_durability_panics() {
     let cluster = Cluster::new(DtmConfig::default());
     cluster.preload(ObjectId(0), ObjVal::Int(1));
-    let _ = cluster.crash_node_amnesia(NodeId(1));
+    let call = AssertUnwindSafe(|| cluster.crash_node_amnesia(NodeId(1)));
+    let refused = catch_unwind(call).expect_err("no disk to restart from");
+    assert!(cluster.view_alive(NodeId(1)) && cluster.sim().is_alive(NodeId(1)));
+    assert_eq!(cluster.view_epoch(), 0, "no view change ran");
+    assert!(cluster.peek(NodeId(1), ObjectId(0)).is_some());
+    resume_unwind(refused);
 }

@@ -11,8 +11,9 @@
 /// Upper bound on distinct message classes a protocol may use.
 pub const MAX_CLASSES: usize = 16;
 
-/// Number of [`EngineEventKind`] variants (size of the counter array).
-pub const ENGINE_EVENT_KINDS: usize = 13;
+/// Number of [`EngineEventKind`] variants (size of the counter array):
+/// one past the last variant's index.
+pub const ENGINE_EVENT_KINDS: usize = EngineEventKind::HedgeSuppressed as usize + 1;
 
 /// Structured events a protocol engine emits at its layer boundaries.
 ///
@@ -83,100 +84,123 @@ pub struct EngineEvent {
     pub detail: u64,
 }
 
-/// Counters accumulated by the simulator while it runs.
-///
-/// Obtain a snapshot via [`Sim::metrics`](crate::Sim::metrics). Counters are
-/// cumulative from simulation start (or the last
-/// [`Sim::reset_metrics`](crate::Sim::reset_metrics), which experiment
-/// drivers use to discard warm-up).
-#[derive(Clone, Debug, Default)]
-pub struct Metrics {
-    /// Messages sent, by message class.
-    pub sent_by_class: [u64; MAX_CLASSES],
-    /// Total messages sent (requests + replies).
-    pub sent_total: u64,
-    /// Total payload bytes sent, per [`SimMessage::size_hint`](crate::SimMessage::size_hint).
-    pub bytes_total: u64,
-    /// Messages dropped because the destination node had failed (or the
-    /// sender was dead at send time).
-    pub dropped: u64,
-    /// Messages dropped at delivery because sender and receiver sat in
-    /// different partition groups (see [`Sim::set_partition`](crate::Sim::set_partition)).
-    pub dropped_by_partition: u64,
-    /// Messages dropped at delivery by a per-link loss fault (see
-    /// [`Sim::set_link_drop`](crate::Sim::set_link_drop)).
-    pub dropped_by_link: u64,
-    /// Requests processed, per node (index = node id).
-    pub processed_by_node: Vec<u64>,
-    /// Total events executed by the simulator loop.
-    pub events: u64,
-    /// Engine events emitted, by [`EngineEventKind`].
-    pub engine_events_by_kind: [u64; ENGINE_EVENT_KINDS],
-    /// Full engine-event stream; populated only while recording is enabled
-    /// (see [`Sim::record_engine_events`](crate::Sim::record_engine_events)),
-    /// since counters are enough for the figures.
-    pub engine_event_log: Vec<EngineEvent>,
-    pub(crate) record_engine_events: bool,
-    /// Heartbeats put on the wire (see [`Sim::start_heartbeats`](crate::Sim::start_heartbeats)).
-    pub heartbeats_sent: u64,
-    /// Heartbeats that reached an alive observer.
-    pub heartbeats_delivered: u64,
-    /// Suspicions raised by a failure detector ([`Counter::Suspicions`]).
-    pub suspicions: u64,
+/// The one edit site per bumpable counter: a row is the [`Counter`]
+/// variant external subsystems pass to [`Sim::bump`](crate::Sim::bump) /
+/// [`Sim::add`](crate::Sim::add), the [`Metrics`] field it lands in, and
+/// the doc line both carry. The counters the simulator maintains itself
+/// (heartbeats, wasted replies) have no variant and are plain fields.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $variant:ident => $field:ident,)*) => {
+        /// Detector/transport counters external subsystems may bump.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Counter {
+            $($(#[$doc])* $variant,)*
+        }
+
+        /// Counters accumulated by the simulator while it runs.
+        ///
+        /// Obtain a snapshot via [`Sim::metrics`](crate::Sim::metrics). Counters are
+        /// cumulative from simulation start (or the last
+        /// [`Sim::reset_metrics`](crate::Sim::reset_metrics), which experiment
+        /// drivers use to discard warm-up).
+        #[derive(Clone, Debug, Default)]
+        pub struct Metrics {
+            /// Messages sent, by message class.
+            pub sent_by_class: [u64; MAX_CLASSES],
+            /// Total messages sent (requests + replies).
+            pub sent_total: u64,
+            /// Total payload bytes sent, per [`SimMessage::size_hint`](crate::SimMessage::size_hint).
+            pub bytes_total: u64,
+            /// Messages dropped because the destination node had failed (or the
+            /// sender was dead at send time).
+            pub dropped: u64,
+            /// Messages dropped at delivery because sender and receiver sat in
+            /// different partition groups (see [`Sim::set_partition`](crate::Sim::set_partition)).
+            pub dropped_by_partition: u64,
+            /// Messages dropped at delivery by a per-link loss fault (see
+            /// [`Sim::set_link_drop`](crate::Sim::set_link_drop)).
+            pub dropped_by_link: u64,
+            /// Requests processed, per node (index = node id).
+            pub processed_by_node: Vec<u64>,
+            /// Total events executed by the simulator loop.
+            pub events: u64,
+            /// Engine events emitted, by [`EngineEventKind`].
+            pub engine_events_by_kind: [u64; ENGINE_EVENT_KINDS],
+            /// Full engine-event stream; populated only while recording is enabled
+            /// (see [`Sim::record_engine_events`](crate::Sim::record_engine_events)),
+            /// since counters are enough for the figures.
+            pub engine_event_log: Vec<EngineEvent>,
+            pub(crate) record_engine_events: bool,
+            /// Heartbeats put on the wire (see [`Sim::start_heartbeats`](crate::Sim::start_heartbeats)).
+            pub heartbeats_sent: u64,
+            /// Heartbeats that reached an alive observer.
+            pub heartbeats_delivered: u64,
+            /// Replies that arrived after their call had already resolved early
+            /// (the wasted work hedging pays for its latency wins).
+            pub wasted_replies: u64,
+            /// Calls issued without a timeout while at least one destination was
+            /// already dead — the caller will hang unless a detector resolves it.
+            pub no_timeout_dead_calls: u64,
+            $($(#[$doc])* pub $field: u64,)*
+            /// Sampled end-to-end commit latencies (engines report through
+            /// [`Sim::observe_latency`](crate::Sim::observe_latency)).
+            pub latency: LatencyReservoir,
+            /// Timing-wheel internals (promotions, bucket sorts, arena
+            /// high-water).
+            /// Lifetime counters: snapshot-merged, unaffected by [`Metrics::reset`].
+            pub queue: crate::wheel::WheelStats,
+        }
+
+        impl Metrics {
+            pub(crate) fn add(&mut self, c: Counter, n: u64) {
+                match c {
+                    $(Counter::$variant => self.$field += n,)*
+                }
+            }
+        }
+    };
+}
+
+counters! {
+    /// Suspicions raised by a failure detector.
+    Suspicions => suspicions,
     /// Suspicions of nodes that were in fact alive at suspicion time.
-    pub false_suspicions: u64,
+    FalseSuspicions => false_suspicions,
     /// Suspected nodes rejoined after heartbeats resumed.
-    pub rejoins: u64,
+    Rejoins => rejoins,
     /// RPC attempts re-issued after a timeout by a retrying transport.
-    pub rpc_retries: u64,
+    RpcRetries => rpc_retries,
     /// Quorum calls issued with extra (hedge) destinations.
-    pub hedged_calls: u64,
+    HedgedCalls => hedged_calls,
     /// Hedged calls whose accepted reply set included a hedge destination.
-    pub hedged_wins: u64,
-    /// Replies that arrived after their call had already resolved early
-    /// (the wasted work hedging pays for its latency wins).
-    pub wasted_replies: u64,
-    /// Calls issued without a timeout while at least one destination was
-    /// already dead — the caller will hang unless a detector resolves it.
-    pub no_timeout_dead_calls: u64,
-    /// Amnesiac restarts that replayed a durable snapshot+log
-    /// ([`Counter::LogReplays`]).
-    pub log_replays: u64,
+    HedgedWins => hedged_wins,
+    /// Amnesiac restarts that replayed a durable snapshot+log.
+    LogReplays => log_replays,
     /// Torn (corrupt) log tails detected and truncated during replay.
-    pub torn_tails: u64,
+    TornTails => torn_tails,
     /// Quorum-repair reconciliation rounds run by recovering replicas.
-    pub repair_rounds: u64,
-    /// Objects caught up from quorum peers during repair.
-    pub repaired_objects: u64,
-    /// Payload bytes transferred by quorum repair.
-    pub repair_bytes: u64,
-    /// Arrivals shed by admission control at a full admission queue
-    /// ([`Counter::AdmissionShed`]).
-    pub admission_shed: u64,
+    RepairRounds => repair_rounds,
+    /// Objects caught up from quorum peers during repair (add by count).
+    RepairedObjects => repaired_objects,
+    /// Payload bytes transferred by quorum repair (add by amount).
+    RepairBytes => repair_bytes,
+    /// Arrivals shed by admission control at a full admission queue.
+    AdmissionShed => admission_shed,
     /// Transactions abandoned past their deadline instead of burning more
-    /// quorum rounds ([`Counter::DeadlineAborts`]).
-    pub deadline_aborts: u64,
+    /// quorum rounds.
+    DeadlineAborts => deadline_aborts,
     /// Retry attempts denied because the client-side retry token bucket
-    /// was empty ([`Counter::RetryBudgetExhausted`]).
-    pub retry_budget_exhausted: u64,
+    /// was empty.
+    RetryBudgetExhausted => retry_budget_exhausted,
     /// RPC retries / hedge rounds cancelled because their transaction was
-    /// already past its deadline — work that would have been wasted
-    /// ([`Counter::WastedRetries`]).
-    pub wasted_retries: u64,
-    /// Read rounds that skipped hedging under saturation pressure
-    /// ([`Counter::HedgesSuppressed`]).
-    pub hedges_suppressed: u64,
-    /// Transaction-level retry attempts that drew a retry-budget token
-    /// ([`Counter::ClientRetries`]) — the no-retry-storm checker compares
-    /// this against the minted token supply.
-    pub client_retries: u64,
-    /// Sampled end-to-end commit latencies (engines report through
-    /// [`Sim::observe_latency`](crate::Sim::observe_latency)).
-    pub latency: LatencyReservoir,
-    /// Timing-wheel internals (promotions, bucket sorts, arena
-    /// high-water).
-    /// Lifetime counters: snapshot-merged, unaffected by [`Metrics::reset`].
-    pub queue: crate::wheel::WheelStats,
+    /// already past its deadline — work that would have been wasted.
+    WastedRetries => wasted_retries,
+    /// Read rounds that skipped hedging under saturation pressure.
+    HedgesSuppressed => hedges_suppressed,
+    /// Transaction-level retry attempts that drew a retry-budget token —
+    /// the no-retry-storm checker compares this against the minted token
+    /// supply.
+    ClientRetries => client_retries,
 }
 
 /// Default sample capacity of a [`LatencyReservoir`].
@@ -264,47 +288,6 @@ impl LatencyReservoir {
     }
 }
 
-/// Detector/transport counters external subsystems may bump through
-/// [`Sim::bump`](crate::Sim::bump) (the counters the simulator maintains
-/// itself — heartbeats, wasted replies — have no public variant).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Counter {
-    /// A failure detector raised a suspicion.
-    Suspicions,
-    /// A suspicion of a node that was actually alive.
-    FalseSuspicions,
-    /// A suspected node was rejoined.
-    Rejoins,
-    /// A transport retried an RPC after a timeout.
-    RpcRetries,
-    /// A quorum call was issued with hedge destinations.
-    HedgedCalls,
-    /// A hedge destination's reply made the accepted set.
-    HedgedWins,
-    /// An amnesiac restart replayed its durable snapshot+log.
-    LogReplays,
-    /// A replay detected (and truncated) a torn log tail.
-    TornTails,
-    /// A recovering replica ran a quorum-repair reconciliation round.
-    RepairRounds,
-    /// Objects caught up from quorum peers during repair (add by count).
-    RepairedObjects,
-    /// Payload bytes transferred by quorum repair (add by amount).
-    RepairBytes,
-    /// Admission control shed an arrival at a full admission queue.
-    AdmissionShed,
-    /// A transaction was abandoned past its deadline.
-    DeadlineAborts,
-    /// A retry was denied because the retry token bucket was empty.
-    RetryBudgetExhausted,
-    /// An RPC retry/hedge round was cancelled for a past-deadline txn.
-    WastedRetries,
-    /// A read round skipped hedging under saturation pressure.
-    HedgesSuppressed,
-    /// A transaction-level retry drew a retry-budget token.
-    ClientRetries,
-}
-
 impl Metrics {
     pub(crate) fn new(nodes: usize) -> Self {
         Metrics {
@@ -329,28 +312,6 @@ impl Metrics {
 
     pub(crate) fn bump(&mut self, c: Counter) {
         self.add(c, 1);
-    }
-
-    pub(crate) fn add(&mut self, c: Counter, n: u64) {
-        match c {
-            Counter::Suspicions => self.suspicions += n,
-            Counter::FalseSuspicions => self.false_suspicions += n,
-            Counter::Rejoins => self.rejoins += n,
-            Counter::RpcRetries => self.rpc_retries += n,
-            Counter::HedgedCalls => self.hedged_calls += n,
-            Counter::HedgedWins => self.hedged_wins += n,
-            Counter::LogReplays => self.log_replays += n,
-            Counter::TornTails => self.torn_tails += n,
-            Counter::RepairRounds => self.repair_rounds += n,
-            Counter::RepairedObjects => self.repaired_objects += n,
-            Counter::RepairBytes => self.repair_bytes += n,
-            Counter::AdmissionShed => self.admission_shed += n,
-            Counter::DeadlineAborts => self.deadline_aborts += n,
-            Counter::RetryBudgetExhausted => self.retry_budget_exhausted += n,
-            Counter::WastedRetries => self.wasted_retries += n,
-            Counter::HedgesSuppressed => self.hedges_suppressed += n,
-            Counter::ClientRetries => self.client_retries += n,
-        }
     }
 
     pub(crate) fn on_engine_event(&mut self, ev: EngineEvent) {
@@ -479,6 +440,41 @@ mod tests {
         assert_eq!(m.engine_events(EngineEventKind::CheckpointTaken), 1);
         assert_eq!(m.engine_events(EngineEventKind::ReadValidated), 0);
         assert!(m.engine_event_log.is_empty(), "off by default");
+    }
+
+    #[test]
+    fn every_engine_event_kind_indexes_inside_the_counter_array() {
+        use EngineEventKind::*;
+        let mut m = Metrics::new(1);
+        let (mut walk, mut seen) = (Some(ReadValidated), 0);
+        while let Some(kind) = walk {
+            // Indexes the array: out of bounds would panic here.
+            m.on_engine_event(EngineEvent {
+                at_ns: 0,
+                node: 0,
+                kind,
+                detail: 0,
+            });
+            assert_eq!(m.engine_events(kind), 1, "{kind:?} has its own slot");
+            seen += 1;
+            // Exhaustive, so a new variant must join the walk to compile.
+            walk = match kind {
+                ReadValidated => Some(QuorumRound),
+                QuorumRound => Some(AbortWithTarget),
+                AbortWithTarget => Some(CheckpointTaken),
+                CheckpointTaken => Some(FaultInjected),
+                FaultInjected => Some(NodeSuspected),
+                NodeSuspected => Some(NodeRejoined),
+                NodeRejoined => Some(WalReplayed),
+                WalReplayed => Some(QuorumRepaired),
+                QuorumRepaired => Some(CheckpointRestored),
+                CheckpointRestored => Some(OverloadShed),
+                OverloadShed => Some(DeadlineAbort),
+                DeadlineAbort => Some(HedgeSuppressed),
+                HedgeSuppressed => None,
+            };
+        }
+        assert_eq!(seen, ENGINE_EVENT_KINDS);
     }
 
     #[test]

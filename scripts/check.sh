@@ -29,19 +29,33 @@ quiet() {
     "$@" >/dev/null
 }
 
-# Lines under crates/*/src, in total and outside tests: a file counts up to
-# the first `#[cfg(test)]` that opens an inline `mod ... {` (a
-# `#[cfg(test)] mod tests;` declaration is one line of code, not the end of
-# the file), and a `tests.rs` counts as all test. ROADMAP's "the round's net
-# line count under crates/ must come out negative" reads these two numbers.
+# Lines under crates/*/src of the tree rooted at $1, as "total code": a file
+# counts as code up to the first `#[cfg(test)]` that opens an inline
+# `mod ... {` (a `#[cfg(test)] mod tests;` declaration is one line of code,
+# not the end of the file), and a `tests.rs` counts as all test.
 count_lines() {
-    find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
+    (cd "$1" && find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
         FNR == 1 { in_test = (FILENAME ~ /\/tests\.rs$/); pending = 0 }
         { total++ }
         in_test { next }
         pending && /^(pub(\([a-z]+\))? )?mod [a-z_]+ \{/ { in_test = 1; code -= 1; next }
         { pending = /^#\[cfg\(test\)\]$/; code++ }
-        END { printf "crates/*/src: %d lines, %d outside tests\n", total, code }'
+        END { print total, code }')
+}
+
+# ROADMAP's "the round's net line count under crates/ must come out
+# negative" reads off this one line: both counts for the parent (HEAD when
+# the tree has uncommitted changes, HEAD~1 when it is clean; a `git archive`
+# into a temp dir, nothing built) and for this tree, with the differences.
+line_budget() {
+    local parent=HEAD~1 tmp
+    [ -z "$(git status --porcelain)" ] || parent=HEAD
+    tmp=$(mktemp -d)
+    git archive "$parent" crates | tar -x -C "$tmp"
+    set -- $(count_lines "$tmp") $(count_lines .)
+    rm -rf "$tmp"
+    printf 'crates/*/src vs %s: %d → %d lines, %d → %d outside tests (Δ %+d total, Δ %+d outside tests)\n' \
+        "$parent" "$1" "$3" "$2" "$4" "$(($3 - $1))" "$(($4 - $2))"
 }
 
 stage "cargo build --workspace --release" \
@@ -104,4 +118,4 @@ stage "benchmark package smoke (separate workspace built against these crates' p
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
 echo "ok: all tier-1 checks passed (${SECONDS} s)"
-count_lines
+line_budget
