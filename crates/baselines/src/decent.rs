@@ -515,6 +515,13 @@ impl DtmProtocol for DecentCluster {
     }
 }
 
+/// The cluster owns its simulation: dropping it runs [`Sim::shutdown`].
+impl Drop for DecentCluster {
+    fn drop(&mut self) {
+        self.sim.shutdown();
+    }
+}
+
 impl SimHosted for DecentCluster {
     type Msg = DecentMsg;
 

@@ -123,8 +123,6 @@ pub struct Fingerprint {
 /// Outcome of one nemesis run.
 #[derive(Clone, Debug)]
 pub struct ChaosReport {
-    /// Target protocol name ("QR-CN", "HyFlow", ...).
-    pub protocol: &'static str,
     /// Committed transactions over the whole run.
     pub commits: u64,
     /// Aborted attempts over the whole run.
@@ -144,9 +142,6 @@ pub struct ChaosReport {
     pub dropped_by_partition: u64,
     /// Messages dropped by per-link loss faults.
     pub dropped_by_link: u64,
-    /// `FaultInjected` engine events in the metrics log (one per applied
-    /// fault, plus one for heal-all).
-    pub fault_events_recorded: u64,
     /// Whether the run quiesced within the drain bound.
     pub drained: bool,
     /// Invariant violations found (empty = verdict OK).
@@ -458,7 +453,6 @@ pub fn run_plan<P: ChaosTarget + 'static>(
     let stats = proto.protocol_stats();
     let st = state.borrow();
     ChaosReport {
-        protocol: proto.protocol_name(),
         commits: stats.commits,
         aborts: stats.aborts,
         plan_events: plan.len(),
@@ -468,7 +462,6 @@ pub fn run_plan<P: ChaosTarget + 'static>(
         dropped: m.dropped,
         dropped_by_partition: m.dropped_by_partition,
         dropped_by_link: m.dropped_by_link,
-        fault_events_recorded: m.engine_events(EngineEventKind::FaultInjected),
         drained,
         violations,
         fingerprint: Fingerprint {
@@ -757,7 +750,7 @@ mod tests {
         assert!(r.dropped_by_partition > 0, "partition saw no traffic");
         assert!(r.dropped_by_link > 0, "lossy link saw no traffic");
         // One FaultInjected engine event per applied fault + heal-all.
-        assert_eq!(r.fault_events_recorded, 5);
+        assert_eq!(r.metrics.engine_events(EngineEventKind::FaultInjected), 5);
     }
 
     #[test]

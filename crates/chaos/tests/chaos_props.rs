@@ -82,10 +82,10 @@ proptest! {
             let r = run_config(proto, seed, events);
             prop_assert!(
                 r.ok(),
-                "{} seed={seed} events={events}: {:?}\nfaults: {:?}",
-                r.protocol, r.violations, r.fault_log
+                "config {proto} seed={seed} events={events}: {:?}\nfaults: {:?}",
+                r.violations, r.fault_log
             );
-            prop_assert!(r.drained, "{} seed={seed}: did not quiesce", r.protocol);
+            prop_assert!(r.drained, "config {proto} seed={seed}: did not quiesce");
         }
     }
 

@@ -852,6 +852,13 @@ impl Cluster {
     }
 }
 
+/// The cluster owns its simulation: dropping it runs [`Sim::shutdown`].
+impl Drop for Cluster {
+    fn drop(&mut self) {
+        self.sim.shutdown();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

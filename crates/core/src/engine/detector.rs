@@ -213,7 +213,8 @@ pub fn spawn_detector(cluster: &Rc<Cluster>) -> DetectorHandle {
 }
 
 /// [`spawn_detector`] for any [`Membership`] view hosted on `sim`,
-/// whatever its wire type.
+/// whatever its wire type. The task holds the view weakly — it usually
+/// owns `sim` — and ends once the view is dropped.
 pub fn spawn_detector_on<M: SimMessage, V: Membership + 'static>(
     view: Rc<V>,
     sim: Sim<M>,
@@ -228,14 +229,15 @@ pub fn spawn_detector_on<M: SimMessage, V: Membership + 'static>(
             move || sim.stop_heartbeats()
         }),
     };
+    let mut st = DetectorState::new(view.node_count());
+    let view = Rc::downgrade(&view);
     sim.clone().spawn(async move {
-        let mut st = DetectorState::new(view.node_count());
         loop {
             sim.sleep(hb.interval).await;
-            if stop.get() {
-                return;
+            match view.upgrade() {
+                Some(view) if !stop.get() => tick(&*view, &sim, hb.suspect_window(), &mut st),
+                _ => return,
             }
-            tick(&*view, &sim, hb.suspect_window(), &mut st);
         }
     });
     handle

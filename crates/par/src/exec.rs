@@ -10,7 +10,6 @@
 use std::future::Future;
 use std::pin::pin;
 use std::task::{Context, Poll, Waker};
-use std::time::Instant;
 
 use qrdtm_core::history;
 use qrdtm_core::{DtmProtocol, ObjVal, ObjectId};
@@ -78,27 +77,13 @@ impl Default for ParBankSpec {
     }
 }
 
-/// Measured outcome of a threaded bank run.
+/// Checked outcome of a threaded bank run.
 #[derive(Clone, Debug)]
 pub struct ParBankResult {
-    /// Worker threads.
-    pub threads: usize,
     /// Transactions run to commit (threads × ops_per_thread).
     pub ops: u64,
     /// Committed transactions (equals `ops` — closed loop retries).
     pub commits: u64,
-    /// Aborted attempts.
-    pub aborts: u64,
-    /// Wall-clock time for the whole run, seconds.
-    pub wall_secs: f64,
-    /// Committed transactions per wall-clock second.
-    pub throughput: f64,
-    /// Sampled commit-latency percentiles, nanoseconds.
-    pub p50_ns: Option<u64>,
-    /// 99th percentile commit latency, nanoseconds.
-    pub p99_ns: Option<u64>,
-    /// 99.9th percentile commit latency, nanoseconds.
-    pub p999_ns: Option<u64>,
     /// Serializability violations in the recorded history (must be 0).
     pub violations: usize,
     /// Sum of all account balances after the run (conservation check).
@@ -114,7 +99,6 @@ pub fn run_par_bank(seed: u64, threads: usize, spec: &ParBankSpec) -> ParBankRes
     for i in 0..spec.accounts {
         stm.preload(ObjectId(i), ObjVal::Int(1_000));
     }
-    let start = Instant::now();
     let workers: Vec<_> = (0..threads)
         .map(|t| {
             let p = backend.stm();
@@ -140,25 +124,16 @@ pub fn run_par_bank(seed: u64, threads: usize, spec: &ParBankSpec) -> ParBankRes
     for w in workers {
         w.join().expect("worker thread panicked");
     }
-    let wall = start.elapsed();
-    let stats = stm.protocol_stats();
+    let commits = stm.protocol_stats().commits;
     let total_balance: i64 = (0..spec.accounts)
         .map(|i| stm.latest(ObjectId(i)).expect("preloaded").1.expect_int())
         .sum();
     drop(stm);
-    let (records, latency) = backend.finish();
+    let (records, _) = backend.finish();
     let violations = history::verify(&records).len();
-    let ops = threads as u64 * spec.ops_per_thread;
     ParBankResult {
-        threads,
-        ops,
-        commits: stats.commits,
-        aborts: stats.aborts,
-        wall_secs: wall.as_secs_f64(),
-        throughput: ops as f64 / wall.as_secs_f64().max(1e-9),
-        p50_ns: latency.percentile(50.0),
-        p99_ns: latency.percentile(99.0),
-        p999_ns: latency.percentile(99.9),
+        ops: threads as u64 * spec.ops_per_thread,
+        commits,
         violations,
         total_balance,
     }
@@ -198,6 +173,5 @@ mod tests {
         assert_eq!(r.commits, 800);
         assert_eq!(r.violations, 0, "history must be serializable");
         assert_eq!(r.total_balance, 16 * 1_000, "transfers conserve money");
-        assert!(r.throughput > 0.0);
     }
 }

@@ -19,8 +19,8 @@
 //!   the simulator oracle uses — that is the differential-testing loop.
 //! * [`run_par_bank`] drives the shared bank workload
 //!   (`qrdtm-workloads::protocol_bank::{transfer, audit}`) on N threads
-//!   and reports wall-clock throughput and sampled latency percentiles —
-//!   the repo's first real-time performance baseline.
+//!   and reports what it committed and whether the audited history and
+//!   the balances check out (the `benchmark/` package times the backend).
 //!
 //! [`DtmProtocol`]: qrdtm_core::DtmProtocol
 //! [`Version`]: qrdtm_core::Version

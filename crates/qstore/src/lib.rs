@@ -749,6 +749,13 @@ impl DtmProtocol for QStoreCluster {
     }
 }
 
+/// The cluster owns its simulation: dropping it runs [`Sim::shutdown`].
+impl Drop for QStoreCluster {
+    fn drop(&mut self) {
+        self.sim.shutdown();
+    }
+}
+
 impl SimHosted for QStoreCluster {
     type Msg = QMsg;
 

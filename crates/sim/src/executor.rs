@@ -48,9 +48,19 @@ pub(crate) struct TaskStore {
     slots: Vec<TaskSlot>,
     free: Vec<u32>,
     live: usize,
+    /// Set by `Sim::shutdown`: the store stays empty and takes no task.
+    pub(crate) closed: bool,
 }
 
 impl TaskStore {
+    /// The empty store a shut-down simulation keeps.
+    pub(crate) fn closed() -> Self {
+        TaskStore {
+            closed: true,
+            ..TaskStore::default()
+        }
+    }
+
     /// Store `fut` with a waker that pushes its id onto `ready`.
     pub(crate) fn insert(&mut self, fut: LocalFuture, ready: &ReadyQueue) -> TaskId {
         self.live += 1;
@@ -66,9 +76,9 @@ impl TaskStore {
 
     /// Remove the task and its waker for polling; `None` if the task
     /// already completed (a stale or duplicate wake-up), whether or not its
-    /// slot has a new tenant since.
+    /// slot has a new tenant since, or was dropped with a closed store.
     pub(crate) fn take(&mut self, id: TaskId) -> Option<(LocalFuture, Waker)> {
-        let slot = &mut self.slots[id.idx as usize];
+        let slot = self.slots.get_mut(id.idx as usize)?;
         if slot.gen != id.gen {
             return None;
         }

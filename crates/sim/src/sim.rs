@@ -24,6 +24,7 @@
 
 use std::cell::RefCell;
 use std::future::Future;
+use std::mem::take;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
@@ -402,6 +403,10 @@ pub(crate) struct SimCore<M: SimMessage> {
 
 /// Handle to a simulation. Cheaply cloneable; all clones refer to the same
 /// simulation state. `Sim` is single-threaded (`!Send`).
+///
+/// Tasks and handlers hold clones, so dropping handles never frees a
+/// simulation: its owner — a family's cluster — calls [`Sim::shutdown`]
+/// when it is dropped, and a task that needs the owner holds it weakly.
 pub struct Sim<M: SimMessage> {
     pub(crate) core: Rc<SimCore<M>>,
 }
@@ -482,14 +487,33 @@ impl<M: SimMessage> Sim<M> {
         self.core.handlers.borrow_mut()[node.index()] = Some(Box::new(h));
     }
 
-    /// Spawn an async task; it starts running inside the next `run_*` call.
+    /// Spawn an async task; it starts running inside the next `run_*` call
+    /// (never, after [`Sim::shutdown`]).
     pub fn spawn(&self, fut: impl Future<Output = ()> + 'static) {
-        let id = self
-            .core
-            .tasks
-            .borrow_mut()
-            .insert(Box::pin(fut), &self.core.ready);
-        self.core.ready.push(id);
+        let mut tasks = self.core.tasks.borrow_mut();
+        if !tasks.closed {
+            let id = tasks.insert(Box::pin(fut), &self.core.ready);
+            self.core.ready.push(id);
+        }
+    }
+
+    /// Tear the simulation down: drop every task, handler, queued event,
+    /// call in flight and the installed scheduler — the clones of `Sim`
+    /// they hold are what keeps a simulation alive. What is left is inert:
+    /// nothing is live or will be polled, `run()` returns at once, `now()`
+    /// and `metrics()` read the final state. Idempotent, and safe from
+    /// inside a task or handler the loop is running.
+    pub fn shutdown(&self) {
+        let core = &self.core;
+        let tasks = core.tasks.replace(TaskStore::closed());
+        let (handlers, scheduler) = (core.handlers.take(), core.scheduler.take());
+        let mut inner = core.inner.borrow_mut();
+        let events = inner.queue.take_events();
+        let calls = (take(&mut inner.pending), take(&mut inner.resolved_extra));
+        drop(inner);
+        // Dropped with no borrow outstanding: a `CallFuture` in a task
+        // re-borrows the core to retire its call.
+        drop((tasks, handlers, scheduler, events, calls));
     }
 
     /// Current virtual time.
@@ -747,16 +771,16 @@ impl<M: SimMessage> Sim<M> {
                     inner.metrics.on_processed(env.to.index());
                 }
                 let idx = env.to.index();
-                let handler = self.core.handlers.borrow_mut()[idx].take();
+                let handler = self.core.handlers.borrow_mut().get_mut(idx).and_then(take);
                 if let Some(mut h) = handler {
                     let mut ctx = HandlerCtx {
                         core: &self.core,
                         node: env.to,
                     };
                     h(&mut ctx, env);
-                    let slot = &mut self.core.handlers.borrow_mut()[idx];
-                    if slot.is_none() {
-                        *slot = Some(h);
+                    // The table is empty if the handler shut the sim down.
+                    if let Some(slot) = self.core.handlers.borrow_mut().get_mut(idx) {
+                        slot.get_or_insert(h);
                     }
                 }
             }
@@ -883,9 +907,14 @@ impl<M: SimMessage> Sim<M> {
                     continue;
                 };
                 let mut cx = Context::from_waker(&waker);
-                match fut.as_mut().poll(&mut cx) {
-                    Poll::Ready(()) => self.core.tasks.borrow_mut().finish(id),
-                    Poll::Pending => self.core.tasks.borrow_mut().put_back(id, fut, waker),
+                let ready = fut.as_mut().poll(&mut cx).is_ready();
+                let mut tasks = self.core.tasks.borrow_mut();
+                if tasks.closed {
+                    continue; // shut down by this poll: the task drops after `tasks`
+                } else if ready {
+                    tasks.finish(id);
+                } else {
+                    tasks.put_back(id, fut, waker);
                 }
             }
         }
@@ -1418,7 +1447,7 @@ pub(crate) mod tests {
         let ties = groups.borrow();
         let deadline_ties: Vec<_> = ties.iter().filter(|g| g.contains(&deadline)).collect();
         assert_eq!(deadline_ties, [&vec![deadline, deadline]]);
-        assert_eq!(s.metrics().queue.overflow_pushes, 1, "the 400 ms one");
+        assert_eq!(s.metrics().queue.promotions, 1, "the 400 ms one");
     }
 
     #[test]
@@ -1540,5 +1569,79 @@ pub(crate) mod tests {
             call: None,
         };
         assert!(!timer.commutes_with(&info(Some(1), Some(0), None)));
+    }
+
+    /// What a family's cluster is to its simulation: the owner whose drop
+    /// tears it down.
+    struct Owner(Sim<Msg>);
+
+    impl Drop for Owner {
+        fn drop(&mut self) {
+            self.0.shutdown();
+        }
+    }
+
+    #[test]
+    fn a_task_that_drops_the_owner_tears_the_sim_down_under_its_own_poll() {
+        // `silent` never answers: the caller parks on a call whose future,
+        // dropped by the teardown, re-borrows the core to retire the call.
+        let s = sim(5);
+        let n = s.add_nodes(3);
+        let (from, silent, served) = (n[0], n[1], n[2]);
+        echo(&s, served);
+        let token = Rc::new(());
+        let (s2, t) = (s.clone(), Rc::clone(&token));
+        s.spawn(async move {
+            s2.call(from, &[silent], Msg::Ping(0), None).await;
+            unreachable!("{t:?}: nobody answers");
+        });
+        let (s3, t) = (s.clone(), Rc::clone(&token));
+        s.spawn(async move {
+            s3.sleep(SimDuration::from_secs(10)).await;
+            unreachable!("{t:?}: torn down before it wakes");
+        });
+        let (s4, owner, t) = (s.clone(), Owner(s.clone()), Rc::clone(&token));
+        s.spawn(async move {
+            s4.sleep(SimDuration::from_millis(1)).await;
+            drop(owner);
+            // Still running: what it sends finds an empty handler table,
+            // and it parks on an empty store, dropped when the poll returns.
+            s4.send(from, served, Msg::Ping(1));
+            std::future::pending::<()>().await;
+            drop(t);
+        });
+        s.run();
+        assert_eq!(s.live_tasks(), 0);
+        assert_eq!(Rc::strong_count(&token), 1, "every task was dropped");
+        assert!(s.core.inner.borrow().pending.is_empty());
+    }
+
+    #[test]
+    fn a_shut_down_sim_is_inert_and_still_readable() {
+        let s = sim(5);
+        let n = s.add_nodes(2);
+        echo(&s, n[1]);
+        let s2 = s.clone();
+        s.spawn(async move {
+            for i in 0.. {
+                s2.call(n[0], &[n[1]], Msg::Ping(i), None).await;
+            }
+        });
+        // Self-rescheduling ticks: `run()` would never return on its own.
+        s.start_heartbeats(crate::HeartbeatConfig::default());
+        s.run_for(SimDuration::from_millis(100));
+        let (now, events) = (s.now(), s.metrics().events);
+        assert!(events > 0 && s.live_tasks() == 1);
+        s.shutdown();
+        s.shutdown();
+        let polled = Rc::new(Cell::new(false));
+        let p = Rc::clone(&polled);
+        s.spawn(async move { p.set(true) });
+        assert_eq!(s.live_tasks(), 0);
+        s.run();
+        assert!(!polled.get(), "a task spawned after shutdown never runs");
+        assert_eq!((s.now(), s.metrics().events), (now, events));
+        // What `DetectorHandle::stop` does once its cluster is gone.
+        s.stop_heartbeats();
     }
 }

@@ -426,10 +426,6 @@ pub struct OpenLoopResult {
     pub abandoned: u64,
     /// Deepest admission queue observed.
     pub max_queue_depth: u64,
-    /// Offered load, transactions per virtual second.
-    pub offered_tps: f64,
-    /// Goodput, within-deadline commits per virtual second.
-    pub goodput_tps: f64,
 }
 
 /// Run the open-loop mix standalone on any simulator-hosted protocol:
@@ -463,7 +459,6 @@ pub fn run_open_loop<P: SimHosted + 'static>(
     sim.reset_metrics();
     sim.run_for(duration);
     stop.set(true);
-    let secs = duration.as_secs_f64();
     OpenLoopResult {
         offered: tallies.offered.get(),
         admitted: tallies.admitted.get(),
@@ -472,8 +467,6 @@ pub fn run_open_loop<P: SimHosted + 'static>(
         late: tallies.late.get(),
         abandoned: tallies.abandoned.get(),
         max_queue_depth: tallies.max_queue_depth.get(),
-        offered_tps: tallies.offered.get() as f64 / secs,
-        goodput_tps: tallies.goodput.get() as f64 / secs,
     }
 }
 
@@ -595,7 +588,7 @@ mod tests {
     /// cluster per point: uniform keys over 64 accounts so the knee
     /// measures capacity rather than lock contention, and a queue bound
     /// that holds less than a deadline's worth of service time. Returns
-    /// `(offered tps, goodput tps)` per point.
+    /// `(offered tps, goodput)` per point, goodput over the same window.
     fn saturation_sweep(protect: bool) -> Vec<(u64, f64)> {
         [100, 200, 400, 800, 1_600, 3_200]
             .into_iter()
@@ -624,7 +617,7 @@ mod tests {
                     SimDuration::from_millis(300),
                     SimDuration::from_secs(2),
                 );
-                (rate_tps, r.goodput_tps)
+                (rate_tps, r.goodput as f64)
             })
             .collect()
     }

@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
 """Report where the samples of scripts/prof/prof.c fell.
 
-    python3 scripts/prof/report.py PROF_OUT [--top N] [--callers FUNC ...]
+    python3 scripts/prof/report.py PROF_OUT [--top N] [--callers FUNC ...] [--lines]
 
 Prints, per function of the profiled executable, its self share (samples
 whose instruction pointer was in it) and inclusive share (samples with it
 anywhere on the stack); addresses in shared objects are reported per object.
 `--callers FUNC` (substring match) adds the caller chains FUNC was sampled
 under. Needs the host's `addr2line`; the executable needs only its symbol
-table, line tables are not used.
+table for that. `--lines` adds self shares by innermost inlined function and
+by source line (`addr2line -i`), which needs line tables: build the
+benchmark with `CARGO_PROFILE_RELEASE_DEBUG=line-tables-only`.
 """
 import argparse
 import collections
+import re
+import shutil
 import struct
 import subprocess
 
@@ -30,11 +34,34 @@ def exec_segment_delta(path):
     raise SystemExit(f"{path}: no executable segment")
 
 
+def innermost(exe, vaddrs):
+    """vaddr -> (innermost inlined function, file:line) from the line tables.
+
+    `addr2line -i` prints, per address, the innermost frame first and then
+    the frames it was inlined into. GNU addr2line names that first frame
+    after the enclosing symbol instead, so LLVM's is preferred when present.
+    """
+    tool = shutil.which("llvm-addr2line") or "addr2line"
+    out = subprocess.run([tool, "-a", "-i", "-f", "-C", "-e", exe] + [hex(v) for v in vaddrs],
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    where = {}
+    for i, line in enumerate(out):
+        if line.startswith("0x") and i + 2 < len(out):
+            # Legacy-mangled symbols of frames that were not inlined keep
+            # `$LT$`/`$GT$` and a hash; inlined ones carry generic arguments.
+            func = re.sub(r"::h[0-9a-f]{16}$", "", out[i + 1]).replace("$LT$", "<").replace("$GT$", ">")
+            func = re.sub(r"<.*>$", "", func)  # `take<EventKind<..>>` -> `take`
+            loc = re.sub(r" \(discriminator \d+\)$", "", out[i + 2])
+            where[int(line, 16)] = (func, re.sub(r".*/src/", "", loc))
+    return where
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("profile")
     ap.add_argument("--top", type=int, default=15)
     ap.add_argument("--callers", nargs="*", default=[])
+    ap.add_argument("--lines", action="store_true")
     args = ap.parse_args()
 
     maps, samples = [], []
@@ -84,6 +111,16 @@ def main():
         print(f"\ncallers of *{want}* ({sum(chains.values())} samples, {100 * sum(chains.values()) / total:.1f} %):")
         for chain, n in chains.most_common(8):
             print(f"{100 * n / total:7.1f}  {chain}")
+    if args.lines:
+        # A sample's own instruction pointer, attributed past inlining: the
+        # per-function view cannot say where inside a loop it stalls.
+        ips = [s[0][0] for s in located if s[0][0] is not None]
+        where = innermost(exe, sorted(set(ips)))
+        for title, pick in (("innermost function", 0), ("line", 1)):
+            n = collections.Counter(where[v][pick] for v in ips)
+            print(f"\nself % by {title}:")
+            for key, k in n.most_common(args.top):
+                print(f"{100 * k / total:7.1f}  {key}")
 
 
 if __name__ == "__main__":
