@@ -17,6 +17,7 @@
 //! Fig. 9 harness sweeps all three protocols through the single generic
 //! bank driver in `qrdtm_workloads::protocol_bank`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod decent;

@@ -5,6 +5,7 @@
 //! results as aligned text and CSV. The `repro` binary is the command-line
 //! front end.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chaos_cli;

@@ -9,6 +9,8 @@
 //! measurement window for a fast smoke pass; the default grid matches the
 //! paper's. Everything is deterministic for a fixed harness seed.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 
 use qrdtm_bench::harness;

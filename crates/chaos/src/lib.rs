@@ -20,6 +20,7 @@
 //! Everything is deterministic per `(config, seed, plan)`, so any
 //! violation the nemesis finds comes with an exact textual repro.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checkers;

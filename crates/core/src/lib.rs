@@ -50,6 +50,7 @@
 //! assert_eq!(cluster.latest(ObjectId(2)).unwrap().1, ObjVal::Int(30));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cluster;

@@ -33,6 +33,7 @@
 //! assert!(report.distinct > 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod runner;

@@ -26,6 +26,7 @@
 //! [`Version`]: qrdtm_core::Version
 //! [`CommitRecord`]: qrdtm_core::CommitRecord
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod exec;

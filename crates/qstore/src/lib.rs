@@ -34,6 +34,8 @@
 //! majority, and replans from acknowledged state — the dead planner's
 //! open epoch is lost by design and clients resubmit into it.
 
+#![forbid(unsafe_code)]
+
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::rc::Rc;

@@ -29,6 +29,7 @@
 //! assert!(intersects(&r, &q.write_quorum().unwrap()));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod select;

@@ -46,6 +46,8 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 mod disk;
 mod executor;

@@ -271,6 +271,14 @@ pub(crate) struct NodeMeta {
     pub(crate) service_factor: f64,
 }
 
+impl NodeMeta {
+    /// When work handed to the node at `now` starts: behind its backlog,
+    /// or at once if it is idle.
+    fn service_start(&self, now: SimTime) -> SimTime {
+        self.busy_until.max(now)
+    }
+}
+
 pub(crate) struct SimInner<M: SimMessage> {
     pub(crate) now: SimTime,
     seq: u64,
@@ -363,6 +371,15 @@ impl<M: SimMessage> SimInner<M> {
         self.queue
             .pop()
             .map(|(time, seq, kind)| Scheduled { time, seq, kind })
+    }
+
+    /// Keep `node` busy for `d` more, queued behind its backlog; returns
+    /// when that work completes, the node's new `busy_until`.
+    fn occupy(&mut self, node: NodeId, d: SimDuration) -> SimTime {
+        let now = self.now;
+        let meta = &mut self.nodes[node.index()];
+        meta.busy_until = meta.service_start(now) + d;
+        meta.busy_until
     }
 
     fn service_for(&self, class: u8) -> SimDuration {
@@ -526,15 +543,7 @@ impl<M: SimMessage> Sim<M> {
     /// e.g. the rejoin state transfer a recovering replica performs before
     /// it can serve requests at full speed again.
     pub fn occupy(&self, node: NodeId, d: SimDuration) {
-        let mut inner = self.core.inner.borrow_mut();
-        let now = inner.now;
-        let meta = &mut inner.nodes[node.index()];
-        let start = if meta.busy_until > now {
-            meta.busy_until
-        } else {
-            now
-        };
-        meta.busy_until = start + d;
+        self.core.inner.borrow_mut().occupy(node, d);
     }
 
     /// Bump a detector/transport counter in the metrics sink (failure
@@ -742,23 +751,17 @@ impl<M: SimMessage> Sim<M> {
                 if inner.delivery_faulted(env.from, env.to) {
                     return inner.reply_lost(env.call);
                 }
-                let node = &mut inner.nodes[env.to.index()];
+                let node = &inner.nodes[env.to.index()];
                 if !node.alive {
                     inner.metrics.dropped += 1;
                     return inner.reply_lost(env.call);
                 }
-                let start = if node.busy_until > ev.time {
-                    node.busy_until
-                } else {
-                    ev.time
-                };
                 let factor = node.service_factor;
                 let mut svc = inner.service_for(env.msg.class());
                 if factor != 1.0 {
                     svc = svc.mul_f64(factor);
                 }
-                let done = start + svc;
-                inner.nodes[env.to.index()].busy_until = done;
+                let done = inner.occupy(env.to, svc);
                 inner.schedule_service(env.to, done, env);
             }
             EventKind::Dispatch(env) => {
@@ -847,16 +850,8 @@ impl<M: SimMessage> Sim<M> {
                 // queues behind the service backlog: an overloaded or
                 // gray-slow node heartbeats late, which is exactly the
                 // signal an accrual detector feeds on.
-                let emit_at = if meta.alive {
-                    Some(if meta.busy_until > inner.now {
-                        meta.busy_until
-                    } else {
-                        inner.now
-                    })
-                } else {
-                    None
-                };
-                if let Some(emit_at) = emit_at {
+                if meta.alive {
+                    let emit_at = meta.service_start(inner.now);
                     for i in 0..n {
                         let to = NodeId(i as u32);
                         if to == node {
@@ -992,15 +987,7 @@ impl<'a, M: SimMessage> HandlerCtx<'a, M> {
     /// backlog — out-of-band work the request triggered on the server, e.g.
     /// a durable-log append+fsync done while applying a commit.
     pub fn occupy(&mut self, d: SimDuration) {
-        let mut inner = self.core.inner.borrow_mut();
-        let now = inner.now;
-        let meta = &mut inner.nodes[self.node.index()];
-        let start = if meta.busy_until > now {
-            meta.busy_until
-        } else {
-            now
-        };
-        meta.busy_until = start + d;
+        self.core.inner.borrow_mut().occupy(self.node, d);
     }
 }
 
@@ -1230,18 +1217,21 @@ pub(crate) mod tests {
         assert_eq!(hits.get(), 2);
     }
 
-    /// Scheduler that always picks a fixed index (clamped by the sim) and
-    /// records the arrival order of every choice group it saw.
+    /// Tag and target of each event of one offered tie group.
+    type TieGroup = Vec<(EventTag, Option<NodeId>)>;
+
+    /// Scheduler that always picks a fixed index (clamped by the sim; 0 is
+    /// the default order) and records every group it was offered.
     struct FixedPick {
         idx: usize,
-        seen: Rc<RefCell<Vec<Vec<u64>>>>,
+        seen: Rc<RefCell<Vec<TieGroup>>>,
     }
 
     impl Scheduler for FixedPick {
         fn pick(&mut self, _now: SimTime, ready: &[EventInfo]) -> usize {
             self.seen
                 .borrow_mut()
-                .push(ready.iter().map(|e| e.seq).collect());
+                .push(ready.iter().map(|e| (e.tag, e.to)).collect());
             self.idx
         }
     }
@@ -1312,10 +1302,7 @@ pub(crate) mod tests {
         // Picking index 0 everywhere reproduces the default order, and
         // clearing the scheduler mid-stream is allowed.
         let (s, order) = tie_sim();
-        s.set_scheduler(Box::new(FixedPick {
-            idx: 0,
-            seen: Rc::new(RefCell::new(Vec::new())),
-        }));
+        s.set_scheduler(pick_first(&Rc::default()));
         s.run();
         s.clear_scheduler();
         assert_eq!(*order.borrow(), vec![(1, 1), (2, 2)]);
@@ -1325,7 +1312,7 @@ pub(crate) mod tests {
         let (s, order) = tie_sim();
         s.set_scheduler(Box::new(FixedPick {
             idx: usize::MAX,
-            seen: Rc::new(RefCell::new(Vec::new())),
+            seen: Rc::default(),
         }));
         s.run();
         assert_eq!(order.borrow().len(), 2);
@@ -1367,20 +1354,64 @@ pub(crate) mod tests {
         assert_eq!(m.queue.lane_high_water, 49, "all but the head waited");
     }
 
-    /// Tag and target of each event of one offered tie group.
-    type TieGroup = Vec<(EventTag, Option<NodeId>)>;
+    /// A scheduler picking index 0 everywhere, recording into `seen`.
+    fn pick_first(seen: &Rc<RefCell<Vec<TieGroup>>>) -> Box<FixedPick> {
+        Box::new(FixedPick {
+            idx: 0,
+            seen: Rc::clone(seen),
+        })
+    }
 
-    /// Scheduler that always picks index 0 (the default order) and records
-    /// every group it was offered.
-    struct RecordGroups(Rc<RefCell<Vec<TieGroup>>>);
-
-    impl Scheduler for RecordGroups {
-        fn pick(&mut self, _now: SimTime, ready: &[EventInfo]) -> usize {
-            self.0
-                .borrow_mut()
-                .push(ready.iter().map(|e| (e.tag, e.to)).collect());
-            0
+    /// A 4-node ring (1 ms links, 100 us service) carrying `chains` pings
+    /// of `hops` hops each, all sent at once: every lane backs up
+    /// `chains / 4` deep, and as link and service times are commensurate,
+    /// a forwarded ping arrives at an instant where its next node also
+    /// completes one. Ping `c * hops + h` is chain `c` on hop `h`.
+    fn ring(chains: u64, hops: u64) -> (Sim<Msg>, DeliveryLog) {
+        let mut cfg = SimConfig::new(1, Box::new(ConstLatency::new(SimDuration::from_millis(1))));
+        cfg.service_time = SimDuration::from_micros(100);
+        let s: Sim<Msg> = Sim::new(cfg);
+        let n = s.add_nodes(4);
+        let log = DeliveryLog::default();
+        for &id in &n {
+            let (l, next) = (Rc::clone(&log), n[(id.index() + 1) % 4]);
+            s.set_handler(id, move |ctx, env| {
+                let Msg::Ping(x) = env.msg else { return };
+                l.borrow_mut().push((ctx.node().0, x));
+                if x % hops + 1 < hops {
+                    ctx.send(next, Msg::Ping(x + 1));
+                }
+            });
         }
+        for c in 0..chains {
+            let from = c as usize % 4;
+            s.send(n[from], n[(from + 1) % 4], Msg::Ping(c * hops));
+        }
+        (s, log)
+    }
+
+    #[test]
+    fn picking_first_over_deep_lanes_is_the_default_order() {
+        // Every tie group re-pushes the lane heads it did not pick through
+        // plain `push`, after their lanes already handed off to the next
+        // key: the run must still be the one with no scheduler at all.
+        let (plain, want) = ring(480, 8);
+        plain.run();
+        let (s, got) = ring(480, 8);
+        let seen = Rc::default();
+        s.set_scheduler(pick_first(&seen));
+        s.run();
+        assert_eq!(want.borrow().len(), 480 * 8);
+        assert_eq!(*got.borrow(), *want.borrow());
+        let (m, pm) = (s.metrics(), plain.metrics());
+        assert_eq!((m.events, s.now()), (pm.events, plain.now()));
+        assert!(pm.queue.lane_high_water >= 100, "{:?}", pm.queue);
+        let has = |g: &TieGroup, tag| g.iter().any(|e| e.0 == tag);
+        let mixed = |g: &TieGroup| has(g, EventTag::Arrive) && has(g, EventTag::Dispatch);
+        assert!(
+            seen.borrow().iter().any(mixed),
+            "no mixed Arrive/Dispatch tie"
+        );
     }
 
     #[test]
@@ -1394,7 +1425,7 @@ pub(crate) mod tests {
         let n = s.add_nodes(2);
         let log = recording(&s, n[1]);
         let groups = Rc::new(RefCell::new(Vec::new()));
-        s.set_scheduler(Box::new(RecordGroups(Rc::clone(&groups))));
+        s.set_scheduler(pick_first(&groups));
         for i in 0..3 {
             s.send(n[0], n[1], Msg::Ping(i));
         }
@@ -1424,7 +1455,7 @@ pub(crate) mod tests {
         let s = sim(5);
         let n = s.add_nodes(2);
         let groups = Rc::new(RefCell::new(Vec::new()));
-        s.set_scheduler(Box::new(RecordGroups(Rc::clone(&groups))));
+        s.set_scheduler(pick_first(&groups));
         let fired = Rc::new(RefCell::new(Vec::new()));
         for (i, ms) in [600, 400, 100, 600].into_iter().enumerate() {
             let (s2, fired, callee) = (s.clone(), Rc::clone(&fired), n[1]);

@@ -43,6 +43,12 @@
 //! same-instant group by peek-and-pop (the `Scheduler` tie groups) finds
 //! every member.
 //!
+//! The hand-off is also the one place that knows which payload pops next
+//! with a few events of lead time. Behind a deep backlog the successor's
+//! arena slot and the lane's new front were last touched a whole backlog
+//! ago, so the hand-off prefetches both; a lane with no successor issues
+//! nothing. Prefetching reads nothing and changes no order.
+//!
 //! ## The far lane
 //!
 //! The overflow level has a FIFO side for a producer whose far keys arrive
@@ -117,6 +123,23 @@ enum Slot<T> {
     Full { payload: T },
 }
 
+/// Start moving the cache line holding `p` toward the core, without
+/// waiting for it. Compiles to nothing off x86_64.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+#[allow(unsafe_code)]
+fn prefetch_line<P>(p: *const P) {
+    use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+    // SAFETY: a prefetch never faults, whatever the address, and has no
+    // architectural effect (it reads no value and writes nothing); SSE,
+    // which provides it, is part of the x86_64 baseline.
+    unsafe { _mm_prefetch::<_MM_HINT_T0>(p.cast()) }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+#[inline(always)]
+fn prefetch_line<P>(_: *const P) {}
+
 /// Free-list slab holding event payloads; see the module docs for the
 /// lifetime story.
 pub struct EventArena<T> {
@@ -185,6 +208,15 @@ impl<T> EventArena<T> {
         };
         self.live -= 1;
         Some(payload)
+    }
+
+    /// Ask for slot `idx` ahead of its `take`: both of its cache lines, as
+    /// a slot may straddle two. A hint only — nothing is read.
+    #[inline]
+    fn prefetch(&self, idx: u32) {
+        let slot = self.slots.as_ptr().wrapping_add(idx as usize);
+        prefetch_line(slot);
+        prefetch_line(slot.cast::<u8>().wrapping_add(size_of::<Slot<T>>() - 1));
     }
 
     /// Live (allocated, not yet taken) payload count.
@@ -415,12 +447,20 @@ impl<T> TimingWheel<T> {
     }
 
     /// The head of `lane` popped: its successor, if any, becomes the head
-    /// and moves into the wheel.
-    #[inline]
+    /// and moves into the wheel, and the cache lines it and the lane's new
+    /// front will need are requested now (see the module docs). Out of
+    /// line, so that `pop` stays small enough to inline into the run loop.
+    #[inline(never)]
     fn lane_popped(&mut self, lane: u32) {
         let l = &mut self.lanes[lane as usize];
         match l.waiting.pop_front() {
-            Some(next) => self.place(next),
+            Some(next) => {
+                if let Some(front) = l.waiting.front() {
+                    prefetch_line(front);
+                }
+                self.arena.prefetch(next.idx);
+                self.place(next);
+            }
             None => l.head_resident = false,
         }
     }

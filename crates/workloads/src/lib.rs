@@ -11,6 +11,7 @@
 //! link and unlink them; removal in the trees is by tombstone. Each data
 //! structure is oracle-tested against `std` collections.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bank;

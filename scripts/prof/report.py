@@ -2,6 +2,7 @@
 """Report where the samples of scripts/prof/prof.c fell.
 
     python3 scripts/prof/report.py PROF_OUT [--top N] [--callers FUNC ...] [--lines]
+                                            [--addrs N]
 
 Prints, per function of the profiled executable, its self share (samples
 whose instruction pointer was in it) and inclusive share (samples with it
@@ -10,7 +11,9 @@ anywhere on the stack); addresses in shared objects are reported per object.
 under. Needs the host's `addr2line`; the executable needs only its symbol
 table for that. `--lines` adds self shares by innermost inlined function and
 by source line (`addr2line -i`), which needs line tables: build the
-benchmark with `CARGO_PROFILE_RELEASE_DEBUG=line-tables-only`.
+benchmark with `CARGO_PROFILE_RELEASE_DEBUG=line-tables-only`. `--addrs N`
+adds the N hottest sampled instruction addresses, each with its innermost
+function and line (same line tables), for `objdump -d --start-address=`.
 """
 import argparse
 import collections
@@ -62,6 +65,7 @@ def main():
     ap.add_argument("--top", type=int, default=15)
     ap.add_argument("--callers", nargs="*", default=[])
     ap.add_argument("--lines", action="store_true")
+    ap.add_argument("--addrs", type=int, default=0, metavar="N")
     args = ap.parse_args()
 
     maps, samples = [], []
@@ -111,16 +115,23 @@ def main():
         print(f"\ncallers of *{want}* ({sum(chains.values())} samples, {100 * sum(chains.values()) / total:.1f} %):")
         for chain, n in chains.most_common(8):
             print(f"{100 * n / total:7.1f}  {chain}")
-    if args.lines:
+    if args.lines or args.addrs:
         # A sample's own instruction pointer, attributed past inlining: the
         # per-function view cannot say where inside a loop it stalls.
         ips = [s[0][0] for s in located if s[0][0] is not None]
         where = innermost(exe, sorted(set(ips)))
+    if args.lines:
         for title, pick in (("innermost function", 0), ("line", 1)):
             n = collections.Counter(where[v][pick] for v in ips)
             print(f"\nself % by {title}:")
             for key, k in n.most_common(args.top):
                 print(f"{100 * k / total:7.1f}  {key}")
+    if args.addrs:
+        # One source line can be several loads; the address, read back with
+        # `objdump -d --start-address=ADDR`, says which one the samples hit.
+        print(f"\nself % by instruction address (vaddrs of {exe}):")
+        for v, k in collections.Counter(ips).most_common(args.addrs):
+            print(f"{100 * k / total:7.1f}  {v:#x}  {where[v][0]}  {where[v][1]}")
 
 
 if __name__ == "__main__":

@@ -23,6 +23,8 @@
 //! `crates/bench` for the `repro` binary that regenerates every table and
 //! figure of the paper.
 
+#![forbid(unsafe_code)]
+
 pub use qrdtm_baselines as baselines;
 pub use qrdtm_core as core;
 pub use qrdtm_par as par;
