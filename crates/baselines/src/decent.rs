@@ -149,21 +149,12 @@ impl Default for DecentConfig {
     }
 }
 
-/// Commit/abort counters for a Decent run.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct DecentStats {
-    /// Committed transactions.
-    pub commits: u64,
-    /// Aborted attempts.
-    pub aborts: u64,
-}
-
 /// A Decent-STM cluster: full replication with version histories.
 pub struct DecentCluster {
     sim: Sim<DecentMsg>,
     nodes: Vec<NodeId>,
     stores: Vec<Rc<RefCell<ReplicaStore>>>,
-    stats: Rc<RefCell<DecentStats>>,
+    stats: RefCell<ProtocolStats>,
     next_seq: Rc<std::cell::Cell<u64>>,
     backoff_base: SimDuration,
 }
@@ -245,7 +236,7 @@ impl DecentCluster {
             sim,
             nodes,
             stores,
-            stats: Rc::new(RefCell::new(DecentStats::default())),
+            stats: RefCell::default(),
             next_seq: Rc::new(std::cell::Cell::new(0)),
             backoff_base: cfg.backoff_base,
         }
@@ -267,16 +258,6 @@ impl DecentCluster {
                 },
             );
         }
-    }
-
-    /// Run statistics.
-    pub fn stats(&self) -> DecentStats {
-        self.stats.borrow().clone()
-    }
-
-    /// Zero the statistics.
-    pub fn reset_stats(&self) {
-        *self.stats.borrow_mut() = DecentStats::default();
     }
 
     /// Newest committed value across all replicas.
@@ -503,15 +484,11 @@ impl DtmProtocol for DecentCluster {
     }
 
     fn protocol_stats(&self) -> ProtocolStats {
-        let s = self.stats.borrow();
-        ProtocolStats {
-            commits: s.commits,
-            aborts: s.aborts,
-        }
+        *self.stats.borrow()
     }
 
     fn reset_protocol_stats(&self) {
-        self.reset_stats();
+        self.stats.take();
     }
 }
 
@@ -533,6 +510,7 @@ impl SimHosted for DecentCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qrdtm_core::atomically;
 
     fn cluster() -> DecentCluster {
         let c = DecentCluster::new(DecentConfig::default());
@@ -543,37 +521,22 @@ mod tests {
     }
 
     async fn transfer(c: &DecentCluster, node: NodeId, from: ObjectId, to: ObjectId, amount: i64) {
-        let mut h = c.begin(node);
-        loop {
-            let r = async {
-                let a = c.read(&mut h, from).await?.expect_int();
-                let b = c.read(&mut h, to).await?.expect_int();
-                c.write(&mut h, from, ObjVal::Int(a - amount)).await?;
-                c.write(&mut h, to, ObjVal::Int(b + amount)).await?;
-                c.commit(&mut h).await
-            }
-            .await;
-            match r {
-                Ok(()) => return,
-                Err(e) => c.restart(&mut h, e).await,
-            }
-        }
+        atomically(c, node, async |h| {
+            let a = c.read(h, from).await?.expect_int();
+            let b = c.read(h, to).await?.expect_int();
+            c.write(h, from, ObjVal::Int(a - amount)).await?;
+            c.write(h, to, ObjVal::Int(b + amount)).await
+        })
+        .await
     }
 
     async fn audit(c: &DecentCluster, node: NodeId, a: ObjectId, b: ObjectId) -> i64 {
-        let mut h = c.begin(node);
-        loop {
-            let r = async {
-                let va = c.read(&mut h, a).await?.expect_int();
-                let vb = c.read(&mut h, b).await?.expect_int();
-                c.commit(&mut h).await.map(|()| va + vb)
-            }
-            .await;
-            match r {
-                Ok(sum) => return sum,
-                Err(e) => c.restart(&mut h, e).await,
-            }
-        }
+        atomically(c, node, async |h| {
+            let va = c.read(h, a).await?.expect_int();
+            let vb = c.read(h, b).await?.expect_int();
+            Ok(va + vb)
+        })
+        .await
     }
 
     #[test]
@@ -606,7 +569,7 @@ mod tests {
             });
         }
         c.sim().run();
-        assert_eq!(c.stats().commits, 18);
+        assert_eq!(c.protocol_stats().commits, 18);
         let total: i64 = (0..8u64)
             .map(|i| c.latest(ObjectId(i)).unwrap().expect_int())
             .sum();
@@ -642,8 +605,8 @@ mod tests {
         // replicas: the multi-version read is cheap but the commit is not.
         assert_eq!(m.sent(0), 6, "two fan-out reads");
         assert_eq!(m.sent(2), 13, "hindsight validation reaches every replica");
-        assert_eq!(c.stats().commits, 1);
-        assert_eq!(c.stats().aborts, 0);
+        assert_eq!(c.protocol_stats().commits, 1);
+        assert_eq!(c.protocol_stats().aborts, 0);
     }
 
     #[test]

@@ -23,8 +23,8 @@
 pub mod decent;
 pub mod tfa;
 
-pub use decent::{DecentCluster, DecentConfig, DecentStats, DecentTxHandle};
-pub use tfa::{TfaCluster, TfaConfig, TfaStats, TfaTxHandle};
+pub use decent::{DecentCluster, DecentConfig, DecentTxHandle};
+pub use tfa::{TfaCluster, TfaConfig, TfaTxHandle};
 
 /// SplitMix64 finalizer used for home-node placement.
 pub(crate) fn mix(mut x: u64) -> u64 {

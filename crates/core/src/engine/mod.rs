@@ -129,8 +129,9 @@ impl Client {
     }
 
     /// A fresh root transaction handle at nesting level 0 — the attempt-
-    /// level API [`crate::protocol::DtmProtocol`] builds on (where the
-    /// caller, not [`Client::run`], drives the retry loop).
+    /// level API [`crate::protocol::DtmProtocol`] builds on (where
+    /// [`crate::protocol::attempts`], not [`Client::run`], drives the retry
+    /// loop).
     pub(crate) fn begin_tx(&self) -> Tx {
         Tx {
             st: Rc::new(RefCell::new(TxState::new(

@@ -79,7 +79,7 @@ pub use object::{
     IdHasher, IdMap, ObjVal, ObjectId, Replica, SkipNode, TableRow, TreeNode, Version,
 };
 pub use pool::Payload;
-pub use protocol::{DtmProtocol, ProtocolStats, QrTxHandle, SimHosted};
+pub use protocol::{atomically, attempts, DtmProtocol, ProtocolStats, QrTxHandle, SimHosted};
 pub use stats::DtmStats;
 pub use store::{NodeStore, ReadOutcome};
 pub use txid::{Abort, AbortTarget, NestingMode, TxId};

@@ -10,11 +10,11 @@
 //!
 //! The shape is *attempt-oriented*: `begin` hands out a transaction
 //! handle, `commit` tries to finish the current attempt, and on an abort
-//! the caller invokes `restart` (which takes the protocol's backoff and
-//! rolls the handle back — to a checkpoint under QR-CHK, to a fresh
-//! attempt otherwise) and re-executes its body on the same handle. That is
-//! exactly the contract [`Client::run`] implements internally for QR, and
-//! the imperative equivalent of what the baselines' bank drivers did.
+//! `restart` takes the protocol's backoff and rolls the handle back — to a
+//! checkpoint under QR-CHK, to a fresh attempt otherwise — before the body
+//! runs again on the same handle. [`attempts`] is the one loop that applies
+//! this retry rule, and [`atomically`] is `begin` plus that loop; it is the
+//! contract [`Client::run`] implements natively for QR's nested bodies.
 //!
 //! [`Client::run`]: crate::Client::run
 
@@ -47,6 +47,9 @@ pub struct ProtocolStats {
 /// is what drivers that spawn tasks and pump virtual time require.
 /// Handles are plain values and futures need not be `Send` — a handle
 /// lives on the thread (or task) that began it.
+///
+/// Drivers do not sequence `commit` and `restart` themselves: [`atomically`]
+/// and [`attempts`] are the one retry rule over these methods.
 #[allow(async_fn_in_trait)]
 pub trait DtmProtocol {
     /// In-flight transaction state, valid across restarts until commit.
@@ -74,7 +77,7 @@ pub trait DtmProtocol {
     async fn commit(&self, tx: &mut Self::TxHandle) -> Result<(), Abort>;
 
     /// Prepare the handle for the next attempt after an abort (backoff,
-    /// rollback or reset) — the retry edge of the attempt loop.
+    /// rollback or reset) — the retry edge of [`attempts`].
     async fn restart(&self, tx: &mut Self::TxHandle, abort: Abort);
 
     /// Arm (or clear) a completion deadline on an in-flight transaction.
@@ -91,6 +94,40 @@ pub trait DtmProtocol {
 
     /// Zero the protocol's counters (measurement-window start).
     fn reset_protocol_stats(&self);
+}
+
+/// Run `body` then `commit` on `h` until an attempt commits, returning the
+/// body's value. After an abort, return it if `give_up()` holds; otherwise
+/// `restart` the handle and run the body again.
+pub async fn attempts<P: DtmProtocol, T>(
+    p: &P,
+    h: &mut P::TxHandle,
+    mut give_up: impl FnMut() -> bool,
+    mut body: impl AsyncFnMut(&mut P::TxHandle) -> Result<T, Abort>,
+) -> Result<T, Abort> {
+    loop {
+        let r = match body(h).await {
+            Ok(v) => p.commit(h).await.map(|()| v),
+            Err(e) => Err(e),
+        };
+        match r {
+            Ok(v) => return Ok(v),
+            Err(e) if give_up() => return Err(e),
+            Err(e) => p.restart(h, e).await,
+        }
+    }
+}
+
+/// Begin a transaction at `node` and run `body` in it until it commits.
+pub async fn atomically<P: DtmProtocol, T>(
+    p: &P,
+    node: NodeId,
+    body: impl AsyncFnMut(&mut P::TxHandle) -> Result<T, Abort>,
+) -> T {
+    let mut h = p.begin(node);
+    attempts(p, &mut h, || false, body)
+        .await
+        .expect("an attempt loop that never gives up returns only on commit")
 }
 
 /// A [`DtmProtocol`] hosted on the deterministic simulator.
@@ -194,6 +231,7 @@ mod tests {
     use super::*;
     use crate::cluster::DtmConfig;
     use crate::object::Version;
+    use std::cell::Cell;
     use std::rc::Rc;
 
     fn cluster(mode: NestingMode) -> Rc<Cluster> {
@@ -219,23 +257,13 @@ mod tests {
         let c2 = Rc::clone(&c);
         c.sim().spawn(async move {
             let p = &*c2;
-            let mut h = p.begin(NodeId(3));
-            loop {
-                let attempt = async {
-                    let a = p.read(&mut h, ObjectId(1)).await?.expect_int();
-                    let b = p.read(&mut h, ObjectId(2)).await?.expect_int();
-                    p.write(&mut h, ObjectId(1), ObjVal::Int(a - 5)).await?;
-                    p.write(&mut h, ObjectId(2), ObjVal::Int(b + 5)).await?;
-                    Ok(())
-                };
-                match attempt.await {
-                    Ok(()) => match p.commit(&mut h).await {
-                        Ok(()) => break,
-                        Err(e) => p.restart(&mut h, e).await,
-                    },
-                    Err(e) => p.restart(&mut h, e).await,
-                }
-            }
+            atomically(p, NodeId(3), async |h| {
+                let a = p.read(h, ObjectId(1)).await?.expect_int();
+                let b = p.read(h, ObjectId(2)).await?.expect_int();
+                p.write(h, ObjectId(1), ObjVal::Int(a - 5)).await?;
+                p.write(h, ObjectId(2), ObjVal::Int(b + 5)).await
+            })
+            .await;
         });
         c.sim().run();
         assert_eq!(c.latest(ObjectId(1)).unwrap(), (Version(2), ObjVal::Int(5)));
@@ -250,6 +278,53 @@ mod tests {
                 aborts: 0
             }
         );
+    }
+
+    #[test]
+    fn a_body_that_aborts_k_times_commits_on_attempt_k_plus_one() {
+        const K: u64 = 3;
+        let c = cluster(NestingMode::Flat);
+        let (c2, got) = (Rc::clone(&c), Rc::new(Cell::new(0)));
+        let got2 = Rc::clone(&got);
+        c.sim().spawn(async move {
+            let p = &*c2;
+            let mut left = K;
+            let v = atomically(p, NodeId(3), async |h| {
+                let a = p.read(h, ObjectId(1)).await?.expect_int();
+                if left > 0 {
+                    left -= 1;
+                    return Err(Abort::root());
+                }
+                Ok(a)
+            })
+            .await;
+            got2.set(v);
+        });
+        c.sim().run();
+        assert_eq!(got.get(), 10, "the committed attempt's value comes back");
+        assert_eq!(
+            c.protocol_stats(),
+            ProtocolStats {
+                commits: 1,
+                aborts: K
+            }
+        );
+    }
+
+    #[test]
+    fn giving_up_returns_the_first_abort_without_a_restart() {
+        let c = cluster(NestingMode::Flat);
+        let c2 = Rc::clone(&c);
+        c.sim().spawn(async move {
+            let p = &*c2;
+            let mut h = p.begin(NodeId(3));
+            let r: Result<(), Abort> =
+                attempts(p, &mut h, || true, async |_| Err(Abort::root())).await;
+            assert_eq!(r, Err(Abort::root()));
+        });
+        c.sim().run();
+        assert_eq!(c.stats().root_aborts, 0, "restart was never called");
+        assert_eq!(c.sim().now(), SimTime::ZERO, "no backoff was charged");
     }
 
     #[test]
@@ -276,19 +351,11 @@ mod tests {
             let c2 = Rc::clone(&c);
             c.sim().spawn(async move {
                 let p = &*c2;
-                let mut h = p.begin(NodeId(3));
-                loop {
-                    let r = async {
-                        let a = p.read(&mut h, ObjectId(1)).await?.expect_int();
-                        p.write(&mut h, ObjectId(1), ObjVal::Int(a + 1)).await?;
-                        p.commit(&mut h).await
-                    }
-                    .await;
-                    match r {
-                        Ok(()) => break,
-                        Err(e) => p.restart(&mut h, e).await,
-                    }
-                }
+                atomically(p, NodeId(3), async |h| {
+                    let a = p.read(h, ObjectId(1)).await?.expect_int();
+                    p.write(h, ObjectId(1), ObjVal::Int(a + 1)).await
+                })
+                .await;
             });
             c.sim().run();
             c.sim().metrics().sent_total

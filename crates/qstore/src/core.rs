@@ -71,7 +71,7 @@ pub(crate) struct ReplicaState {
 impl ReplicaState {
     /// Newest visible write for `oid`: speculative chain top if present,
     /// else the committed slot. Returns `(tag, value)`.
-    pub fn speculative_top(&self, oid: ObjectId) -> Option<(u64, ObjVal)> {
+    pub(crate) fn speculative_top(&self, oid: ObjectId) -> Option<(u64, ObjVal)> {
         let spec = self
             .spec
             .get(&oid)
@@ -84,7 +84,7 @@ impl ReplicaState {
     }
 
     /// Drop speculative entries made obsolete by applying `batch`.
-    pub fn prune_spec(&mut self, batch: u64) {
+    pub(crate) fn prune_spec(&mut self, batch: u64) {
         self.spec.retain(|_, chain| {
             chain.retain(|e| e.batch > batch);
             !chain.is_empty()
@@ -94,7 +94,7 @@ impl ReplicaState {
     /// Install one sealed batch unconditionally (sequencing checked by
     /// the caller) and log it durably in one group commit. Returns the
     /// disk occupancy to charge (`fallback` in cost-modelled mode).
-    pub fn apply_batch(
+    pub(crate) fn apply_batch(
         &mut self,
         batch: u64,
         writes: &Payload<(ObjectId, Version, u64, ObjVal)>,
@@ -123,7 +123,7 @@ impl ReplicaState {
     /// matching [`group_commit`](Self::group_commit)). The planner calls
     /// this at seal and fsyncs from the replication task — dying in
     /// between loses the record, the append-vs-fsync crash window.
-    pub fn append_record(
+    pub(crate) fn append_record(
         &mut self,
         batch: u64,
         writes: &Payload<(ObjectId, Version, u64, ObjVal)>,
@@ -147,7 +147,7 @@ impl ReplicaState {
     /// The group-commit fsync for the record(s) appended since the last
     /// one, driving the snapshot policy. Returns the occupancy to charge,
     /// or `None` in cost-modelled mode (caller charges `wal_cost`).
-    pub fn group_commit(&mut self) -> Option<SimDuration> {
+    pub(crate) fn group_commit(&mut self) -> Option<SimDuration> {
         let snap = self
             .wal
             .as_ref()?
@@ -160,7 +160,7 @@ impl ReplicaState {
     /// Persist a full-state install (`FullSync`, takeover adoption, or a
     /// post-repair re-baseline): one snapshot superseding the log.
     /// Returns the occupancy to charge (`fallback` in cost-modelled mode).
-    pub fn log_full_state(&mut self, fallback: SimDuration) -> SimDuration {
+    pub(crate) fn log_full_state(&mut self, fallback: SimDuration) -> SimDuration {
         self.wal_records += 1;
         self.wal_fsyncs += 1;
         if self.wal.is_none() {
@@ -182,7 +182,7 @@ impl ReplicaState {
 
     /// Wire-format dump of the committed store (for `FullSync`), in
     /// `ObjectId` order so the payload never depends on hasher state.
-    pub fn dump_store(&self) -> Vec<(ObjectId, Version, u64, u64, ObjVal)> {
+    pub(crate) fn dump_store(&self) -> Vec<(ObjectId, Version, u64, u64, ObjVal)> {
         let mut dump: Vec<_> = self
             .store
             .iter()
@@ -194,7 +194,7 @@ impl ReplicaState {
 
     /// This replica's full committed state as the `FullSync` a planner
     /// stamped with `view` pushes to a lagging replica.
-    pub fn full_sync(&mut self, view: u64) -> QMsg {
+    pub(crate) fn full_sync(&mut self, view: u64) -> QMsg {
         QMsg::FullSync {
             view,
             applied: self.applied,
@@ -214,7 +214,7 @@ pub(crate) struct QView {
 }
 
 impl QView {
-    pub fn alive_indices(&self) -> Vec<usize> {
+    pub(crate) fn alive_indices(&self) -> Vec<usize> {
         (0..self.alive.len()).filter(|&i| self.alive[i]).collect()
     }
 }
@@ -246,7 +246,7 @@ pub(crate) struct PlannerState {
 }
 
 impl PlannerState {
-    pub fn fresh(applied: u64) -> Self {
+    pub(crate) fn fresh(applied: u64) -> Self {
         PlannerState {
             open: Vec::new(),
             pending: HashSet::new(),
@@ -262,7 +262,7 @@ impl PlannerState {
 
     /// Index one batch's outcomes (a later decision of a transaction
     /// supersedes an earlier one).
-    pub fn index_outcomes(&mut self, block: &[(TxId, Decision)]) {
+    pub(crate) fn index_outcomes(&mut self, block: &[(TxId, Decision)]) {
         self.outcomes.extend(block.iter().map(|(tx, d)| match d {
             Decision::Committed { batch, .. } => (*tx, (*batch, true)),
             Decision::Requeued { batch } => (*tx, (*batch, false)),
@@ -272,7 +272,7 @@ impl PlannerState {
     /// Status of `tx` if it was ever decided, gated on its batch being
     /// quorum-acknowledged: nothing is reported committed before the
     /// epoch is durable on a majority.
-    pub fn decided_status(&self, tx: &TxId) -> Option<TxStatus> {
+    pub(crate) fn decided_status(&self, tx: &TxId) -> Option<TxStatus> {
         self.outcomes.get(tx).map(|&(batch, committed)| {
             if batch > self.decided_through {
                 TxStatus::Pending
@@ -339,7 +339,7 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    pub fn view_snapshot(&self) -> (Vec<usize>, usize) {
+    pub(crate) fn view_snapshot(&self) -> (Vec<usize>, usize) {
         let v = self.view.borrow();
         (v.alive_indices(), v.planner)
     }

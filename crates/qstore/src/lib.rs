@@ -769,7 +769,7 @@ impl SimHosted for QStoreCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrdtm_core::{crash_amnesia_sim_only, recover_sim_only};
+    use qrdtm_core::{atomically, crash_amnesia_sim_only, recover_sim_only};
 
     const ACCOUNTS: u64 = 8;
     const INITIAL: i64 = 100;
@@ -790,21 +790,13 @@ mod tests {
     }
 
     async fn transfer(c: &QStoreCluster, node: NodeId, from: ObjectId, to: ObjectId, amount: i64) {
-        let mut h = c.begin(node);
-        loop {
-            let r = async {
-                let a = c.read(&mut h, from).await?.expect_int();
-                let b = c.read(&mut h, to).await?.expect_int();
-                c.write(&mut h, from, ObjVal::Int(a - amount)).await?;
-                c.write(&mut h, to, ObjVal::Int(b + amount)).await?;
-                c.commit(&mut h).await
-            }
-            .await;
-            match r {
-                Ok(()) => return,
-                Err(e) => c.restart(&mut h, e).await,
-            }
-        }
+        atomically(c, node, async |h| {
+            let a = c.read(h, from).await?.expect_int();
+            let b = c.read(h, to).await?.expect_int();
+            c.write(h, from, ObjVal::Int(a - amount)).await?;
+            c.write(h, to, ObjVal::Int(b + amount)).await
+        })
+        .await
     }
 
     fn total(c: &QStoreCluster) -> i64 {

@@ -4,7 +4,7 @@
 
 use std::rc::Rc;
 
-use qrdtm_core::{DtmProtocol, DurabilityConfig, ObjVal, ObjectId};
+use qrdtm_core::{atomically, DtmProtocol, DurabilityConfig, ObjVal, ObjectId};
 use qrdtm_qstore::{QStoreCluster, QStoreConfig};
 use qrdtm_sim::{DiskConfig, NodeId};
 
@@ -28,21 +28,13 @@ fn cluster(cfg: QStoreConfig) -> Rc<QStoreCluster> {
 }
 
 async fn transfer(c: &QStoreCluster, node: NodeId, from: ObjectId, to: ObjectId, amount: i64) {
-    let mut h = c.begin(node);
-    loop {
-        let r = async {
-            let a = c.read(&mut h, from).await?.expect_int();
-            let b = c.read(&mut h, to).await?.expect_int();
-            c.write(&mut h, from, ObjVal::Int(a - amount)).await?;
-            c.write(&mut h, to, ObjVal::Int(b + amount)).await?;
-            c.commit(&mut h).await
-        }
-        .await;
-        match r {
-            Ok(()) => return,
-            Err(e) => c.restart(&mut h, e).await,
-        }
-    }
+    atomically(c, node, async |h| {
+        let a = c.read(h, from).await?.expect_int();
+        let b = c.read(h, to).await?.expect_int();
+        c.write(h, from, ObjVal::Int(a - amount)).await?;
+        c.write(h, to, ObjVal::Int(b + amount)).await
+    })
+    .await
 }
 
 fn total(c: &QStoreCluster) -> i64 {

@@ -31,7 +31,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use qrdtm_core::{ObjVal, ObjectId, SimHosted};
+use qrdtm_core::{attempts, ObjVal, ObjectId, SimHosted};
 use qrdtm_sim::{Counter, EngineEventKind, NodeId, SimDuration, SimTime};
 use rand::RngExt;
 
@@ -328,40 +328,24 @@ pub fn spawn_open_loop<P: SimHosted + 'static>(
                         // burning quorum rounds once this instant passes.
                         p.set_deadline(&mut h, Some(job.deadline));
                     }
-                    loop {
-                        let r = async {
-                            if job.read {
-                                let va = p.read(&mut h, ObjectId(job.a)).await?.expect_int();
-                                let vb = p.read(&mut h, ObjectId(job.b)).await?.expect_int();
-                                let _ = va + vb;
-                            } else {
-                                let va = p.read(&mut h, ObjectId(job.a)).await?.expect_int();
-                                let vb = p.read(&mut h, ObjectId(job.b)).await?.expect_int();
-                                p.write(&mut h, ObjectId(job.a), ObjVal::Int(va - 5))
-                                    .await?;
-                                p.write(&mut h, ObjectId(job.b), ObjVal::Int(vb + 5))
-                                    .await?;
-                            }
-                            p.commit(&mut h).await
+                    let (a, b) = (ObjectId(job.a), ObjectId(job.b));
+                    let give_up = || spec.protect && s.now() > job.deadline;
+                    let r = attempts(&*p, &mut h, give_up, async |h| {
+                        let va = p.read(h, a).await?.expect_int();
+                        let vb = p.read(h, b).await?.expect_int();
+                        if !job.read {
+                            p.write(h, a, ObjVal::Int(va - 5)).await?;
+                            p.write(h, b, ObjVal::Int(vb + 5)).await?;
                         }
-                        .await;
-                        match r {
-                            Ok(()) => {
-                                if s.now() <= job.deadline {
-                                    tallies.goodput.set(tallies.goodput.get() + 1);
-                                } else {
-                                    tallies.late.set(tallies.late.get() + 1);
-                                }
-                                break;
-                            }
-                            Err(e) => {
-                                if spec.protect && s.now() > job.deadline {
-                                    abandon(&s, &tallies, node, job.deadline);
-                                    break;
-                                }
-                                p.restart(&mut h, e).await;
-                            }
+                        Ok(())
+                    })
+                    .await;
+                    match r {
+                        Ok(()) if s.now() <= job.deadline => {
+                            tallies.goodput.set(tallies.goodput.get() + 1);
                         }
+                        Ok(()) => tallies.late.set(tallies.late.get() + 1),
+                        Err(_) => abandon(&s, &tallies, node, job.deadline),
                     }
                 }
             });

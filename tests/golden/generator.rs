@@ -113,7 +113,7 @@ fn counters(m: &Metrics) -> Vec<(String, u64)> {
 
 /// One observed simulator execution: everything a behaviour-preserving
 /// change must leave untouched, in comparable form.
-pub struct Observation {
+pub(crate) struct Observation {
     /// Leg name (first token of the golden line).
     pub leg: String,
     /// Workload tallies (commits / aborts / messages, or the open-loop
@@ -140,7 +140,7 @@ impl Observation {
     }
 
     /// The golden line: `leg key=value key=value …`.
-    pub fn line(&self) -> String {
+    pub(crate) fn line(&self) -> String {
         let mut s = self.leg.clone();
         for (k, v) in &self.tallies {
             write!(s, " {k}={v}").expect("write to String");
@@ -387,7 +387,7 @@ fn observe_amnesia_and_detector() -> Vec<Observation> {
 }
 
 /// Every simulator-level leg, in file order.
-pub fn sim_legs() -> Vec<Observation> {
+pub(crate) fn sim_legs() -> Vec<Observation> {
     vec![
         observe_bank("bank/QR", qr(NestingMode::Flat)),
         observe_bank("bank/QR-CN", qr(NestingMode::Closed)),
@@ -462,7 +462,7 @@ fn closed_loop_line(bench: Benchmark) -> String {
 }
 
 /// The non-bank benchmarks, in file order.
-pub fn closed_loop_lines() -> Vec<String> {
+pub(crate) fn closed_loop_lines() -> Vec<String> {
     [
         Benchmark::Hashmap,
         Benchmark::SList,
@@ -547,7 +547,7 @@ fn mc_forced_line(prefix: Vec<usize>) -> String {
 }
 
 /// Every model-checker leg, in file order.
-pub fn mc_lines() -> Vec<String> {
+pub(crate) fn mc_lines() -> Vec<String> {
     let flat = McProto::Qr(NestingMode::Flat);
     let mut lines = Vec::new();
     for (label, proto) in [
@@ -594,7 +594,7 @@ pub fn mc_lines() -> Vec<String> {
 }
 
 /// The full golden text, exactly as committed.
-pub fn golden() -> String {
+pub(crate) fn golden() -> String {
     let mut s = String::from(
         "# Golden behaviour digests, one leg per line. Regenerate with\n\
          #   cargo run --release --example golden_digests > tests/golden/digests.txt\n\

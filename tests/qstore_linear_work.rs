@@ -9,9 +9,10 @@
 
 use std::rc::Rc;
 
-use qr_dtm::core::{DtmProtocol, DurabilityConfig, ObjVal, ObjectId};
+use qr_dtm::core::{DurabilityConfig, ObjVal, ObjectId};
 use qr_dtm::qstore::{QStoreCluster, QStoreConfig};
 use qr_dtm::sim::NodeId;
+use qr_dtm::workloads::protocol_bank::transfer;
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -44,21 +45,7 @@ fn hot_bank(transfers: u64) -> (u64, u64) {
                     ObjectId((client + i) % ACCOUNTS),
                     ObjectId((client + i + 1) % ACCOUNTS),
                 );
-                let mut h = c2.begin(node);
-                loop {
-                    let attempt = async {
-                        let a = c2.read(&mut h, from).await?.expect_int();
-                        let b = c2.read(&mut h, to).await?.expect_int();
-                        c2.write(&mut h, from, ObjVal::Int(a - 1)).await?;
-                        c2.write(&mut h, to, ObjVal::Int(b + 1)).await?;
-                        c2.commit(&mut h).await
-                    }
-                    .await;
-                    match attempt {
-                        Ok(()) => break,
-                        Err(e) => c2.restart(&mut h, e).await,
-                    }
-                }
+                transfer(&*c2, node, from, to, 1).await;
             }
         });
     }

@@ -53,13 +53,13 @@ static GLOBAL: Counting = Counting;
 
 /// Allocation calls and bytes requested by this thread since it started.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Allocated {
+pub(crate) struct Allocated {
     pub calls: u64,
     pub bytes: u64,
 }
 
 impl Allocated {
-    pub fn now() -> Self {
+    pub(crate) fn now() -> Self {
         Allocated {
             calls: CALLS.get(),
             bytes: BYTES.get(),
@@ -67,7 +67,7 @@ impl Allocated {
     }
 
     /// What was allocated since `earlier`.
-    pub fn since(earlier: Allocated) -> Self {
+    pub(crate) fn since(earlier: Allocated) -> Self {
         let now = Allocated::now();
         Allocated {
             calls: now.calls - earlier.calls,
@@ -78,6 +78,6 @@ impl Allocated {
 
 /// Bytes allocated and not yet freed by this thread (negative when it
 /// freed more than it allocated, e.g. memory another thread handed it).
-pub fn live_bytes() -> i64 {
+pub(crate) fn live_bytes() -> i64 {
     LIVE.get()
 }

@@ -13,11 +13,12 @@ use std::rc::Rc;
 
 use qr_dtm::baselines::{DecentCluster, DecentConfig, TfaCluster, TfaConfig};
 use qr_dtm::core::{
-    spawn_detector, Cluster, DetectorConfig, DtmConfig, DtmProtocol, DurabilityConfig, NestingMode,
-    ObjVal, ObjectId, SimHosted, Tx,
+    spawn_detector, Cluster, DetectorConfig, DtmConfig, DurabilityConfig, NestingMode, ObjVal,
+    ObjectId, SimHosted, Tx,
 };
 use qr_dtm::qstore::{QStoreCluster, QStoreConfig};
 use qr_dtm::sim::{NodeId, SimDuration};
+use qr_dtm::workloads::protocol_bank::transfer;
 use qrdtm_chaos::{run_plan, ChaosSpec, FaultPlan};
 
 #[path = "support/counting_alloc.rs"]
@@ -101,7 +102,7 @@ fn protocol<P: SimHosted + 'static>(p: Rc<P>) {
             let mut k = u64::from(node);
             while !stop.get() {
                 let (from, to) = (ObjectId(k % ACCOUNTS), ObjectId((k + 3) % ACCOUNTS));
-                transfer(&*p2, NodeId(node), from, to).await;
+                transfer(&*p2, NodeId(node), from, to, 1).await;
                 k += 1;
             }
             exited.set(exited.get() + 1);
@@ -111,24 +112,6 @@ fn protocol<P: SimHosted + 'static>(p: Rc<P>) {
     stop.set(true);
     while exited.get() < NODES {
         p.sim().run_for(SimDuration::from_millis(50));
-    }
-}
-
-async fn transfer<P: DtmProtocol>(p: &P, node: NodeId, from: ObjectId, to: ObjectId) {
-    let mut h = p.begin(node);
-    loop {
-        let r = async {
-            let a = p.read(&mut h, from).await?.expect_int();
-            let b = p.read(&mut h, to).await?.expect_int();
-            p.write(&mut h, from, ObjVal::Int(a - 1)).await?;
-            p.write(&mut h, to, ObjVal::Int(b + 1)).await?;
-            p.commit(&mut h).await
-        }
-        .await;
-        match r {
-            Ok(()) => return,
-            Err(e) => p.restart(&mut h, e).await,
-        }
     }
 }
 
