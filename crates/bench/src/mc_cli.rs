@@ -96,13 +96,27 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> McArgs {
             _ => mc_usage(),
         }
     }
-    // Q-Store needs three nodes for a meaningful majority.
-    let qstore = a.protos.contains(&McProto::QStore);
-    if a.nodes == 0 || (qstore && a.nodes < 3) || a.objects == 0 {
-        eprintln!("mc: --nodes must be at least 1 (3 with qstore), --objects at least 1");
-        mc_usage();
+    for &proto in &a.protos {
+        if let Err(e) = a.scope(proto).check() {
+            eprintln!("mc: --{e}");
+            mc_usage();
+        }
     }
     a
+}
+
+impl McArgs {
+    /// The scope the command line asks `proto` to be explored at.
+    fn scope(&self, proto: McProto) -> Scope {
+        Scope {
+            proto,
+            nodes: self.nodes,
+            objects: self.objects,
+            txns: self.txns,
+            seed: self.seed,
+            injected_bug: self.bug,
+        }
+    }
 }
 
 /// Entry point for `repro mc ...`. Returns the process exit code: 0 when
@@ -159,14 +173,7 @@ fn explore(a: &McArgs) -> i32 {
     println!("## mc — bounded schedule exploration + invariant checking\n");
     let mut worst = 0;
     for &proto in &a.protos {
-        let scope = Scope {
-            proto,
-            nodes: a.nodes,
-            objects: a.objects,
-            txns: a.txns,
-            seed: a.seed,
-            injected_bug: a.bug,
-        };
+        let scope = a.scope(proto);
         let mut seen = HashSet::new();
         let dfs = dfs_explore(&scope, a.dfs, &mut seen);
         let mut cex = dfs.counterexample.clone();

@@ -1,13 +1,18 @@
-//! Degenerate `repro chaos` / `repro mc` arguments are usage errors (exit
-//! 2, the offending flag named on stderr) — not a panic, and not a run
-//! over zero plans that reports every invariant held. A failed `--out` or
-//! `--save-plan` write is a run error (exit 1, the path named on stderr).
+//! Degenerate `repro chaos` / `repro mc` arguments and traces are usage
+//! errors (exit 2, the offending flag or field named on stderr) — not a
+//! panic, and not a run over zero plans or transactions that reports every
+//! invariant held. A failed `--out` or `--save-plan` write is a run error
+//! (exit 1, the path named on stderr).
 
 use std::process::Command;
 
 #[test]
 fn degenerate_arguments_are_usage_errors() {
-    let cases: [(&[&str], &str); 12] = [
+    // A trace the CLI would refuse to record: two Q-Store nodes.
+    let trace = format!("{}/two_node_qstore.trace", env!("CARGO_TARGET_TMPDIR"));
+    let text = "proto QSTORE\nseed 1\nnodes 2\nobjects 2\ntxns 2\nchoices 0\n";
+    std::fs::write(&trace, text).expect("write trace");
+    let cases: [(&[&str], &str); 14] = [
         (&["chaos", "--seeds", "0"], "chaos: --seeds"),
         (
             &["chaos", "--seed", "18446744073709551615", "--seeds", "2"],
@@ -29,7 +34,10 @@ fn degenerate_arguments_are_usage_errors() {
         ),
         (&["mc", "--nodes", "0"], "mc: --nodes"),
         (&["mc", "--nodes", "2", "--proto", "qstore"], "mc: --nodes"),
-        (&["mc", "--objects", "0"], "--objects at least 1"),
+        (&["mc", "--objects", "0"], "mc: --objects"),
+        // No transaction to schedule: used to pass vacuously.
+        (&["mc", "--txns", "0"], "mc: --txns"),
+        (&["mc", "--replay", &trace], "nodes must be at least 3"),
         (&["perf"], "usage: repro"),
         (&["debug"], "usage: repro"),
     ];

@@ -36,4 +36,4 @@ pub use checkers::{
 pub use generate::{generate, shrink, FaultBudget};
 pub use nemesis::{run_plan, ChaosReport, ChaosSpec, Fingerprint};
 pub use plan::{FaultEvent, FaultKind, FaultPlan};
-pub use target::{ChaosTarget, FaultSupport};
+pub use target::ChaosTarget;

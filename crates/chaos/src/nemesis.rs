@@ -25,9 +25,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use qrdtm_core::{
-    crash_amnesia_sim_only, crash_sim_only, recover_sim_only, Membership, ObjVal, ObjectId,
-};
+use qrdtm_core::{crash_sim_only, recover_sim_only, Membership, ObjVal, ObjectId};
 use qrdtm_sim::{EngineEventKind, NodeId, Sim, SimDuration};
 use qrdtm_workloads::open_loop::{spawn_open_loop, LoadControl, LoadTallies, OpenLoopSpec};
 use qrdtm_workloads::protocol_bank::random_op;
@@ -357,7 +355,7 @@ pub fn run_plan<P: ChaosTarget + 'static>(
     // by the end of the recovery tail the view must agree with the network
     // about every node. Then stop the detector so the drain can quiesce.
     let mut violations = Vec::new();
-    if let Some(view) = detector_view(&*proto, spec.detector) {
+    if let Some(view) = proto.membership().filter(|_| spec.detector) {
         for node in (0..nodes as u32).map(NodeId) {
             let net_alive = sim.is_alive(node);
             if net_alive != view.view_alive(node) {
@@ -467,14 +465,26 @@ pub fn run_plan<P: ChaosTarget + 'static>(
     }
 }
 
-/// The membership view the sim-only verbs and the convergence checker work
-/// over — `Some` exactly in detector mode, where [`run_plan`] has already
-/// established that the target is self-healing.
-fn detector_view<P: ChaosTarget>(p: &P, detector: bool) -> Option<&dyn Membership> {
-    detector.then(|| {
-        p.membership()
-            .expect("a target with a failure detector keeps a membership view")
-    })
+/// Whether a target with this membership view may be subjected to `kind`.
+///
+/// Cures and gray faults (slow nodes, latency spikes) violate no
+/// assumption of any protocol, so they are always allowed. Crashes,
+/// partitions and lossy links need a view to reconfigure: the paper is
+/// explicit that the baselines keep none (TFA has single-copy home nodes;
+/// Decent-STM as modelled has no recovery protocol), so subjecting them
+/// would only reconfirm their stated assumptions. Amnesia and log
+/// corruption need a durable view, with a disk to restart from.
+fn supports(kind: &FaultKind, view: Option<&dyn Membership>) -> bool {
+    match kind {
+        FaultKind::Crash { .. }
+        | FaultKind::CrashReadQuorum
+        | FaultKind::Partition { .. }
+        | FaultKind::DropLink { .. } => view.is_some(),
+        FaultKind::CrashAmnesia { .. } | FaultKind::CorruptTail { .. } => {
+            view.is_some_and(|v| v.durable())
+        }
+        _ => true,
+    }
 }
 
 fn apply_event<P: ChaosTarget>(
@@ -486,25 +496,33 @@ fn apply_event<P: ChaosTarget>(
     detector: bool,
     load: Option<&LoadControl>,
 ) {
-    let support = p.fault_support();
+    let view = p.membership();
     let now_us = s.now().as_nanos() / 1_000;
-    if !support.allows(&kind) {
+    if !supports(&kind, view) {
         st.skipped += 1;
         st.log
             .push(format!("@{now_us}us skip (unsupported): {kind}"));
         return;
     }
-    // Detector mode swaps the oracle hooks (which repair the view at the
-    // instant of the fault) for sim-only ones: the target's own failure
-    // detector must notice the silence and react.
-    let view = detector_view(p, detector);
-    let crash = |n: NodeId| match view {
-        Some(v) => crash_sim_only(v, s, n),
-        None => p.crash(n),
+    // Detector mode swaps the view's oracle verbs (which repair the view at
+    // the instant of the fault) for sim-only ones: the target's own failure
+    // detector must notice the silence and react. `supports` admits node
+    // faults only for a target with a view, and only a crashed node is
+    // recovered.
+    let v = || view.expect("node faults need a membership view");
+    let crash = |n: NodeId| {
+        if detector {
+            crash_sim_only(v(), s, n)
+        } else {
+            v().crash(n)
+        }
     };
-    let recover = |n: NodeId| match view {
-        Some(_) => recover_sim_only(s, n),
-        None => p.recover_crashed(n),
+    let recover = |n: NodeId| {
+        if detector {
+            recover_sim_only(s, n)
+        } else {
+            v().recover(n)
+        }
     };
     let mut applied_on: Option<NodeId> = None;
     match &kind {
@@ -590,22 +608,18 @@ fn apply_event<P: ChaosTarget>(
             }
         }
         FaultKind::CrashAmnesia { node } => {
-            // Joins st.crashed like a plain crash, so Recover (and the
-            // heal-all backstop) cures it through the same recovery hooks;
-            // the amnesiac readmission path runs the honest replay+repair.
-            if *node < nodes && !st.crashed.contains(node) {
-                let ok = match view {
-                    Some(v) => crash_amnesia_sim_only(v, s, NodeId(*node)),
-                    None => p.crash_amnesia(NodeId(*node)),
-                };
-                if ok {
-                    st.crashed.insert(*node);
-                    applied_on = Some(NodeId(*node));
-                }
+            // The mode's crash, then the loss of volatile state. Joins
+            // st.crashed like a plain crash, so Recover (and the heal-all
+            // backstop) cures it the same way; the amnesiac readmission
+            // path runs the honest replay+repair.
+            if *node < nodes && !st.crashed.contains(node) && crash(NodeId(*node)) {
+                v().forget(NodeId(*node));
+                st.crashed.insert(*node);
+                applied_on = Some(NodeId(*node));
             }
         }
         FaultKind::CorruptTail { node } => {
-            if *node < nodes && !st.crashed.contains(node) && p.corrupt_tail(NodeId(*node)) {
+            if *node < nodes && !st.crashed.contains(node) && v().corrupt_tail(NodeId(*node)) {
                 applied_on = Some(NodeId(*node));
             }
         }
@@ -662,15 +676,15 @@ fn heal_all<P: ChaosTarget>(
     detector: bool,
     load: Option<&LoadControl>,
 ) {
-    let crashed: Vec<u32> = st.crashed.iter().copied().collect();
-    for node in crashed {
+    for node in std::mem::take(&mut st.crashed).into_iter().map(NodeId) {
         if detector {
-            recover_sim_only(s, NodeId(node));
+            recover_sim_only(s, node);
         } else {
-            p.recover_crashed(NodeId(node));
+            p.membership()
+                .expect("only a target with a view has crashed nodes")
+                .recover(node);
         }
     }
-    st.crashed.clear();
     s.heal_partition();
     st.partitioned = false;
     s.clear_all_link_faults();
@@ -717,6 +731,50 @@ mod tests {
             seed,
             ..Default::default()
         }))
+    }
+
+    #[test]
+    fn support_follows_from_the_view_and_never_gates_cures() {
+        let (memory, durable) = (qr(1), qr_durable(1));
+        // No view (the baselines), a memory-only view, a durable view.
+        let views: [Option<&dyn Membership>; 3] = [None, Some(&*memory), Some(&*durable)];
+        let cases = [
+            (FaultKind::Crash { node: 1 }, [false, true, true]),
+            (FaultKind::CrashReadQuorum, [false, true, true]),
+            (FaultKind::Partition { groups: vec![] }, [false, true, true]),
+            (
+                FaultKind::DropLink {
+                    from: 0,
+                    to: 1,
+                    permille: 500,
+                },
+                [false, true, true],
+            ),
+            (FaultKind::CrashAmnesia { node: 1 }, [false, false, true]),
+            (FaultKind::CorruptTail { node: 1 }, [false, false, true]),
+            (
+                FaultKind::Delay {
+                    from: 0,
+                    to: 1,
+                    extra_us: 1000,
+                },
+                [true; 3],
+            ),
+            (
+                FaultKind::Slow {
+                    node: 1,
+                    factor_pct: 300,
+                },
+                [true; 3],
+            ),
+            (FaultKind::Heal, [true; 3]),
+            (FaultKind::Recover { node: 1 }, [true; 3]),
+        ];
+        for (kind, want) in cases {
+            for (view, want) in views.into_iter().zip(want) {
+                assert_eq!(supports(&kind, view), want, "{kind}");
+            }
+        }
     }
 
     #[test]

@@ -135,19 +135,6 @@ impl FaultKind {
             FaultKind::Calm => 15,
         }
     }
-
-    /// Whether this event only removes faults. Cures are always applicable
-    /// regardless of what fault classes a target supports.
-    pub fn is_cure(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::Recover { .. }
-                | FaultKind::Heal
-                | FaultKind::HealLink { .. }
-                | FaultKind::Restore { .. }
-                | FaultKind::Calm
-        )
-    }
 }
 
 impl fmt::Display for FaultKind {
@@ -530,19 +517,6 @@ mod tests {
         let q = p.without(0);
         assert_eq!(q.len(), p.len() - 1);
         assert_eq!(q.events[0], p.events[1]);
-    }
-
-    #[test]
-    fn cures_are_classified() {
-        assert!(FaultKind::Heal.is_cure());
-        assert!(FaultKind::Restore { node: 1 }.is_cure());
-        assert!(!FaultKind::Crash { node: 1 }.is_cure());
-        assert!(!FaultKind::CrashReadQuorum.is_cure());
-        assert!(!FaultKind::CrashAmnesia { node: 1 }.is_cure());
-        assert!(!FaultKind::CorruptTail { node: 1 }.is_cure());
-        assert!(FaultKind::Calm.is_cure());
-        assert!(!FaultKind::Surge { factor_pct: 300 }.is_cure());
-        assert!(!FaultKind::FlashCrowd { node: 1 }.is_cure());
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! What the nemesis needs from a protocol beyond [`DtmProtocol`](qrdtm_core::DtmProtocol):
-//! which fault classes it can honestly be subjected to, how to crash and
-//! recover its nodes, and how to read back committed state for the
-//! checkers.
+//! its membership view, if it has one, and how to read back committed
+//! state for the checkers.
 
 use std::rc::Rc;
 
@@ -14,120 +13,28 @@ use qrdtm_core::{
 use qrdtm_qstore::QStoreCluster;
 use qrdtm_sim::{NodeId, SimDuration};
 
-use crate::plan::FaultKind;
-
-/// The fault classes a protocol tolerates by design.
-///
-/// The paper is explicit that the baselines are *not* fault-tolerant (TFA
-/// has single-copy home nodes; Decent-STM as modelled has no recovery
-/// protocol), so subjecting them to crashes or partitions would only
-/// reconfirm their stated assumptions by hanging or losing the single
-/// copy. Gray failures — slow nodes, latency spikes — violate no
-/// assumption of any protocol, so every target supports them.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FaultSupport {
-    /// Crash-stop failures with quorum-view repair.
-    pub crashes: bool,
-    /// Network partitions.
-    pub partitions: bool,
-    /// Probabilistic per-link message loss.
-    pub link_drops: bool,
-    /// Crash-restart-with-amnesia and durable-log corruption — requires
-    /// the target to actually keep durable storage (QR with
-    /// `DtmConfig::durability` armed).
-    pub amnesia: bool,
-}
-
-impl FaultSupport {
-    /// Everything (the QR-DTM configurations; amnesia additionally needs
-    /// durable storage armed — see [`ChaosTarget::fault_support`] for
-    /// `Cluster`).
-    pub fn all() -> Self {
-        FaultSupport {
-            crashes: true,
-            partitions: true,
-            link_drops: true,
-            amnesia: true,
-        }
-    }
-
-    /// Gray failures only (the baselines).
-    pub fn gray_only() -> Self {
-        FaultSupport {
-            crashes: false,
-            partitions: false,
-            link_drops: false,
-            amnesia: false,
-        }
-    }
-
-    /// Whether a fault event may be applied to a target with this support.
-    /// Cures are always allowed (they only remove faults).
-    pub fn allows(&self, kind: &FaultKind) -> bool {
-        if kind.is_cure() {
-            return true;
-        }
-        match kind {
-            FaultKind::Crash { .. } | FaultKind::CrashReadQuorum => self.crashes,
-            FaultKind::Partition { .. } => self.partitions,
-            FaultKind::DropLink { .. } => self.link_drops,
-            FaultKind::CrashAmnesia { .. } | FaultKind::CorruptTail { .. } => self.amnesia,
-            FaultKind::Delay { .. } | FaultKind::Slow { .. } => true,
-            _ => true,
-        }
-    }
-}
-
 /// A protocol the nemesis can drive: a simulator-hosted [`DtmProtocol`]
-/// plus fault hooks and committed-state access for the post-hoc checkers.
+/// plus its membership view and committed-state access for the post-hoc
+/// checkers.
 ///
-/// Only what differs per family is a hook here. The detector-mode verbs
-/// (`crash_sim_only` & co.) are written once in `qrdtm_core` over the
-/// [`Membership`] view a self-healing target hands out; the oracle verbs
-/// stay per family because the order of view repair and network kill is
-/// part of each protocol.
+/// No method here crashes, recovers, forgets or corrupts a node: every
+/// fault verb goes through the target's [`Membership`] view, and what the
+/// nemesis may inject follows from whether there is a view and whether it
+/// is durable. The baselines keep none, so they take gray faults only.
 ///
 /// [`DtmProtocol`]: qrdtm_core::DtmProtocol
 pub trait ChaosTarget: SimHosted {
-    /// Which fault classes this protocol may be subjected to.
-    fn fault_support(&self) -> FaultSupport;
-
-    /// Crash-stop `node`, repairing whatever membership/quorum view the
-    /// protocol keeps. Returns false if the crash cannot be applied (e.g.
-    /// no quorum would survive) — the event is then skipped.
-    fn crash(&self, _node: NodeId) -> bool {
-        false
-    }
-
-    /// Recover a crashed node. Returns false if recovery is impossible.
-    fn recover_crashed(&self, _node: NodeId) -> bool {
-        false
-    }
-
-    /// Crash `node` with amnesia (volatile state lost, durable log keeps a
-    /// seeded prefix), repairing the membership view. Returns false if
-    /// inapplicable.
-    fn crash_amnesia(&self, _node: NodeId) -> bool {
-        false
-    }
-
-    /// Corrupt the tail of `node`'s durable log in place. Returns false if
-    /// the target keeps no durable log (or it is empty).
-    fn corrupt_tail(&self, _node: NodeId) -> bool {
-        false
-    }
-
-    /// The node a [`FaultKind::CrashReadQuorum`] event should kill (the
-    /// Fig. 10 victim), if the notion applies.
+    /// The node a `crash-rq` event should kill (the Fig. 10 victim), if
+    /// the notion applies.
     fn read_quorum_victim(&self) -> Option<NodeId> {
         None
     }
 
-    /// The reconfigurable membership view, if the target keeps one. In
+    /// The reconfigurable membership view, if the target keeps one: the
+    /// door for every crash, recovery, amnesia and log corruption. In
     /// detector mode the nemesis touches the simulator only, through
-    /// `qrdtm_core::{crash_sim_only, recover_sim_only,
-    /// crash_amnesia_sim_only}` over this view, and the convergence
-    /// checker compares it against network aliveness.
+    /// `qrdtm_core::{crash_sim_only, recover_sim_only}` over this view, and
+    /// the convergence checker compares it against network aliveness.
     fn membership(&self) -> Option<&dyn Membership> {
         None
     }
@@ -211,30 +118,6 @@ pub trait ChaosTarget: SimHosted {
 }
 
 impl ChaosTarget for Cluster {
-    fn fault_support(&self) -> FaultSupport {
-        FaultSupport {
-            // Amnesia needs a disk to restart from.
-            amnesia: self.config().durability.is_some(),
-            ..FaultSupport::all()
-        }
-    }
-
-    fn crash(&self, node: NodeId) -> bool {
-        self.fail_node(node).is_ok()
-    }
-
-    fn recover_crashed(&self, node: NodeId) -> bool {
-        self.recover_node(node).is_ok()
-    }
-
-    fn crash_amnesia(&self, node: NodeId) -> bool {
-        self.config().durability.is_some() && self.crash_node_amnesia(node).is_ok()
-    }
-
-    fn corrupt_tail(&self, node: NodeId) -> bool {
-        self.corrupt_wal_tail(node, 1)
-    }
-
     fn read_quorum_victim(&self) -> Option<NodeId> {
         self.read_quorum().first().copied()
     }
@@ -273,52 +156,18 @@ impl ChaosTarget for Cluster {
 }
 
 impl ChaosTarget for TfaCluster {
-    fn fault_support(&self) -> FaultSupport {
-        FaultSupport::gray_only()
-    }
-
     fn committed(&self, oid: ObjectId) -> Option<(Option<Version>, ObjVal)> {
         self.latest(oid).map(|val| (None, val))
     }
 }
 
 impl ChaosTarget for DecentCluster {
-    fn fault_support(&self) -> FaultSupport {
-        FaultSupport::gray_only()
-    }
-
     fn committed(&self, oid: ObjectId) -> Option<(Option<Version>, ObjVal)> {
         self.latest(oid).map(|val| (None, val))
     }
 }
 
 impl ChaosTarget for QStoreCluster {
-    fn fault_support(&self) -> FaultSupport {
-        // Crash-stop with planner failover, partitions and lossy links are
-        // tolerated by design; amnesia additionally needs the per-replica
-        // batch WAL on the simulated disk to restart from.
-        FaultSupport {
-            amnesia: self.config().durability.is_some(),
-            ..FaultSupport::all()
-        }
-    }
-
-    fn crash(&self, node: NodeId) -> bool {
-        self.crash_node(node)
-    }
-
-    fn recover_crashed(&self, node: NodeId) -> bool {
-        self.recover_crashed_node(node)
-    }
-
-    fn crash_amnesia(&self, node: NodeId) -> bool {
-        self.config().durability.is_some() && self.crash_node_amnesia(node)
-    }
-
-    fn corrupt_tail(&self, node: NodeId) -> bool {
-        QStoreCluster::corrupt_tail(self, node, 1)
-    }
-
     fn membership(&self) -> Option<&dyn Membership> {
         Some(self)
     }
@@ -349,48 +198,5 @@ impl ChaosTarget for QStoreCluster {
 
     fn batch_atomicity_violations(&self) -> Vec<String> {
         QStoreCluster::batch_atomicity_violations(self)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn support_masks_gate_hard_faults_but_never_cures() {
-        let gray = FaultSupport::gray_only();
-        assert!(!gray.allows(&FaultKind::Crash { node: 1 }));
-        assert!(!gray.allows(&FaultKind::CrashReadQuorum));
-        assert!(!gray.allows(&FaultKind::Partition { groups: vec![] }));
-        assert!(!gray.allows(&FaultKind::DropLink {
-            from: 0,
-            to: 1,
-            permille: 500
-        }));
-        assert!(gray.allows(&FaultKind::Delay {
-            from: 0,
-            to: 1,
-            extra_us: 1000
-        }));
-        assert!(gray.allows(&FaultKind::Slow {
-            node: 1,
-            factor_pct: 300
-        }));
-        assert!(gray.allows(&FaultKind::Heal));
-        assert!(gray.allows(&FaultKind::Recover { node: 1 }));
-        assert!(!gray.allows(&FaultKind::CrashAmnesia { node: 1 }));
-        assert!(!gray.allows(&FaultKind::CorruptTail { node: 1 }));
-        let all = FaultSupport::all();
-        assert!(all.allows(&FaultKind::Crash { node: 1 }));
-        assert!(all.allows(&FaultKind::CrashReadQuorum));
-        assert!(all.allows(&FaultKind::CrashAmnesia { node: 1 }));
-        assert!(all.allows(&FaultKind::CorruptTail { node: 1 }));
-        // A durability-less QR cluster supports crashes but not amnesia.
-        let pause_only = FaultSupport {
-            amnesia: false,
-            ..FaultSupport::all()
-        };
-        assert!(pause_only.allows(&FaultKind::Crash { node: 1 }));
-        assert!(!pause_only.allows(&FaultKind::CrashAmnesia { node: 1 }));
     }
 }

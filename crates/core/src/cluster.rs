@@ -14,6 +14,7 @@ use qrdtm_sim::{ConstLatency, JitteredLatency, NodeId, Sim, SimConfig, SimDurati
 
 use crate::engine::repair;
 use crate::engine::wal::{install_stream, ReplicaWal, WalRecord};
+use crate::engine::Membership;
 use crate::history::{CommitRecord, HistoryRecorder, Violation};
 use crate::msg::Msg;
 use crate::object::{ObjVal, ObjectId, Version};
@@ -475,7 +476,7 @@ impl Cluster {
     }
 
     /// The one way out of the view, behind [`Cluster::fail_node`] (oracle:
-    /// also kills the network) and [`Cluster::eject_node`] (detector:
+    /// also kills the network) and [`Membership::eject`] (detector:
     /// view-only), mirroring [`Cluster::readmit_node`]: take the node out
     /// of the quorum system, recompute the quorums — or put it back and
     /// report that none survive — and run the view-change duties.
@@ -517,77 +518,8 @@ impl Cluster {
         // fail_node no-ops when the view already excludes the node; the
         // crash must still take the network down and lose the state.
         self.sim.fail_node(node);
-        self.forget_node(node);
+        self.forget(node);
         Ok(())
-    }
-
-    /// Lose `node`'s volatile state: empty object table, seeded partial
-    /// loss of the unsynced disk buffer, amnesiac flag set. Requires
-    /// [`DtmConfig::durability`] — readmission restarts from the disk.
-    pub(crate) fn forget_node(&self, node: NodeId) {
-        let wals = self
-            .inner
-            .wals
-            .as_ref()
-            .expect("an amnesiac crash requires DtmConfig::durability");
-        *self.inner.stores[node.index()].borrow_mut() = NodeStore::new();
-        self.sim
-            .with_rng(|rng| wals[node.index()].borrow_mut().crash(rng));
-        self.inner.amnesiac.borrow_mut()[node.index()] = true;
-    }
-
-    /// Corrupt the last `records` readable records of `node`'s durable log
-    /// (the `corrupt-tail` chaos verb): the damage sits undetected until
-    /// the node's next amnesiac restart, whose replay finds the torn tail,
-    /// truncates it, and repairs the difference from a read quorum. Returns
-    /// whether anything was corrupted (`false` without durability or with
-    /// an empty log).
-    pub fn corrupt_wal_tail(&self, node: NodeId, records: usize) -> bool {
-        match &self.inner.wals {
-            Some(w) => w[node.index()].borrow_mut().corrupt_tail(records),
-            None => false,
-        }
-    }
-
-    /// Eject a *suspected* node from the quorum view without touching the
-    /// simulated network — the failure-detector flavour of [`Cluster::fail_node`].
-    ///
-    /// The node may in fact be alive (false suspicion): it keeps serving
-    /// whatever requests still reach it, but no new quorum includes it, so
-    /// its replies stop mattering to quorum intersection. Errors if no
-    /// quorum survives without the node, leaving the view untouched.
-    /// Idempotent on already-ejected nodes.
-    pub fn eject_node(&self, node: NodeId) -> Result<(), QuorumError> {
-        self.leave_view(node, false)
-    }
-
-    /// Whether ejecting `node` would still leave the view with quorums,
-    /// also discounting every node the network has already killed (which
-    /// the view may not have noticed yet). Probes a scratch quorum system;
-    /// the live view is untouched.
-    pub fn quorum_survives_without(&self, node: NodeId) -> bool {
-        let mut probe = TreeQuorum::new(Tree::ternary(self.inner.cfg.nodes));
-        for n in 0..self.inner.cfg.nodes {
-            if n == node.index() || !self.sim.is_alive(NodeId(n as u32)) {
-                probe.fail(n);
-            }
-        }
-        probe
-            .read_quorum_at_level(self.inner.cfg.read_level)
-            .is_ok()
-            && probe.write_quorum().is_ok()
-    }
-
-    /// Current view epoch (bumped on every reconfiguration).
-    pub fn view_epoch(&self) -> u64 {
-        self.inner.quorum.borrow().epoch
-    }
-
-    /// Whether the quorum view currently considers `node` a member (the
-    /// *view's* notion of aliveness — may lag or contradict the network's
-    /// when a failure detector is in charge).
-    pub fn view_alive(&self, node: NodeId) -> bool {
-        self.inner.quorum.borrow().is_view_alive(node.index())
     }
 
     /// The modelled Cluster Manager's reconfiguration duties, run on every
@@ -673,28 +605,8 @@ impl Cluster {
         self.readmit_node(node, true).map(|_| ())
     }
 
-    /// Rejoin an ejected node to the quorum view **without touching the
-    /// simulated network** — the failure-detector flavour of
-    /// [`Cluster::recover_node`], paired with [`Cluster::eject_node`].
-    ///
-    /// The detector calls this when a suspected node is heard from again;
-    /// whether the node is *actually* network-alive is the nemesis/oracle's
-    /// business, never the detector's (a detector that resurrected nodes
-    /// would heal the very faults it is supposed to detect). Same state
-    /// transfer and occupancy charge as `recover_node`; the charged
-    /// duration is returned so the caller (the detector) can grant the
-    /// joiner a grace period instead of immediately re-suspecting a node
-    /// whose heartbeats are queued behind its own state transfer. No-op
-    /// (zero charge) on view-alive nodes.
-    pub fn rejoin_node(&self, node: NodeId) -> Result<SimDuration, QuorumError> {
-        if self.inner.quorum.borrow().tq.is_alive(node.index()) {
-            return Ok(SimDuration::ZERO);
-        }
-        self.readmit_node(node, false)
-    }
-
     /// The one readmission path behind [`Cluster::recover_node`] (oracle:
-    /// also revives the network) and [`Cluster::rejoin_node`] (detector:
+    /// also revives the network) and [`Membership::rejoin`] (detector:
     /// view-only): bring the node's replica up to date — honest
     /// replay+repair if it crashed with amnesia, oracle-grade state
     /// transfer otherwise — then recover it in the quorum view, charge the
@@ -849,6 +761,98 @@ impl Cluster {
     /// the serial order of its serialization points.
     pub fn verify_history(&self) -> Vec<Violation> {
         crate::history::verify(self.inner.history.borrow().records())
+    }
+}
+
+/// The QR quorum view is the cluster's [`Membership`]: the oracle verbs
+/// are [`Cluster::fail_node`] / [`Cluster::recover_node`], and the
+/// detector's eject and rejoin take the same paths without touching the
+/// network.
+impl Membership for Cluster {
+    fn node_count(&self) -> usize {
+        self.inner.cfg.nodes
+    }
+
+    /// The *view's* notion of aliveness — may lag or contradict the
+    /// network's when a failure detector is in charge.
+    fn view_alive(&self, node: NodeId) -> bool {
+        self.inner.quorum.borrow().is_view_alive(node.index())
+    }
+
+    fn view_epoch(&self) -> u64 {
+        self.inner.quorum.borrow().epoch
+    }
+
+    fn crash(&self, node: NodeId) -> bool {
+        self.fail_node(node).is_ok()
+    }
+
+    fn recover(&self, node: NodeId) -> bool {
+        self.recover_node(node).is_ok()
+    }
+
+    /// The node may in fact be alive (false suspicion): it keeps serving
+    /// whatever requests still reach it, but no new quorum includes it, so
+    /// its replies stop mattering to quorum intersection. Idempotent on
+    /// already-ejected nodes.
+    fn eject(&self, node: NodeId) -> bool {
+        self.leave_view(node, false).is_ok()
+    }
+
+    /// Whether the node is *actually* network-alive is the nemesis's or
+    /// the oracle's business, never the detector's (a detector that
+    /// resurrected nodes would heal the very faults it is supposed to
+    /// detect). Same state transfer and occupancy charge as
+    /// [`Cluster::recover_node`]; the detector turns the charge into the
+    /// joiner's grace period instead of re-suspecting a node whose
+    /// heartbeats queue behind its own state transfer.
+    fn rejoin(&self, node: NodeId) -> Option<SimDuration> {
+        if self.view_alive(node) {
+            return None;
+        }
+        self.readmit_node(node, false).ok()
+    }
+
+    /// Probes a scratch quorum system; the live view is untouched.
+    fn survives_without(&self, node: NodeId) -> bool {
+        let mut probe = TreeQuorum::new(Tree::ternary(self.inner.cfg.nodes));
+        for n in 0..self.inner.cfg.nodes {
+            if n == node.index() || !self.sim.is_alive(NodeId(n as u32)) {
+                probe.fail(n);
+            }
+        }
+        probe
+            .read_quorum_at_level(self.inner.cfg.read_level)
+            .is_ok()
+            && probe.write_quorum().is_ok()
+    }
+
+    fn durable(&self) -> bool {
+        self.inner.wals.is_some()
+    }
+
+    /// Empty object table, seeded partial loss of the unsynced disk
+    /// buffer, amnesiac flag set.
+    fn forget(&self, node: NodeId) {
+        let wals = self
+            .inner
+            .wals
+            .as_ref()
+            .expect("an amnesiac crash requires DtmConfig::durability");
+        *self.inner.stores[node.index()].borrow_mut() = NodeStore::new();
+        self.sim
+            .with_rng(|rng| wals[node.index()].borrow_mut().crash(rng));
+        self.inner.amnesiac.borrow_mut()[node.index()] = true;
+    }
+
+    /// The damage sits undetected until the node's next amnesiac restart,
+    /// whose replay finds the torn tail, truncates it, and repairs the
+    /// difference from a read quorum.
+    fn corrupt_tail(&self, node: NodeId) -> bool {
+        match &self.inner.wals {
+            Some(w) => w[node.index()].borrow_mut().corrupt_tail(1),
+            None => false,
+        }
     }
 }
 

@@ -1,16 +1,16 @@
 //! Failure detection: heartbeat-driven, suspicion-based membership.
 //!
 //! Everywhere else in the reproduction the quorum view is reconfigured by
-//! an *oracle* — tests and the nemesis call [`Cluster::fail_node`] /
-//! [`Cluster::recover_node`] directly, so the cluster is told who died.
+//! an *oracle* — tests and the nemesis call [`Membership::crash`] /
+//! [`Membership::recover`] directly, so the cluster is told who died.
 //! This module replaces the oracle with honest detection: every node emits
 //! periodic heartbeats through the simulated network (latency, partitions,
 //! gray slowness and all — see
 //! [`Sim::start_heartbeats`](qrdtm_sim::Sim::start_heartbeats)), and a
 //! detector task turns *missed* heartbeats into suspicions, suspicions
-//! into epoch-fenced view changes ([`Cluster::eject_node`]), and resumed
+//! into epoch-fenced view changes ([`Membership::eject`]), and resumed
 //! heartbeats from a suspected node into rejoin-with-state-transfer
-//! ([`Cluster::recover_node`]).
+//! ([`Membership::rejoin`]).
 //!
 //! ## Semantics
 //!
@@ -88,9 +88,12 @@ impl DetectorConfig {
     }
 }
 
-/// The reconfigurable membership view a detector drives: the QR family's
-/// quorum view ([`Cluster`]) and the Q-Store planner view both implement
-/// it, so one detector serves every family over its own wire type.
+/// The reconfigurable membership view of a fault-tolerant family — the
+/// paper's Cluster Manager (Fig. 4) — and the one door through which the
+/// detector, the nemesis and the tests crash, recover, forget and corrupt
+/// its nodes. The QR family's quorum view ([`Cluster`]) and the Q-Store
+/// planner view both implement it, so one detector serves every family
+/// over its own wire type.
 pub trait Membership {
     /// Number of nodes the view ranges over (ids `0..node_count`).
     fn node_count(&self) -> usize;
@@ -98,6 +101,14 @@ pub trait Membership {
     fn view_alive(&self, node: NodeId) -> bool;
     /// The current view (fencing) epoch.
     fn view_epoch(&self) -> u64;
+    /// Oracle crash-stop: repair the view and kill `node` in the network,
+    /// in the family's own order. `false` when refused (the view could not
+    /// survive without it), leaving view and network untouched.
+    fn crash(&self, node: NodeId) -> bool;
+    /// Oracle recovery: revive a crashed `node` in the network and readmit
+    /// it to the view (replaying and repairing first if it forgot its
+    /// state). `false` when the family refuses.
+    fn recover(&self, node: NodeId) -> bool;
     /// Remove a suspected `node` from the view without touching the
     /// network. `false` when refused (the view could not survive without
     /// it), leaving the view untouched.
@@ -110,10 +121,17 @@ pub trait Membership {
     /// keep the view going (quorums for QR, a majority for Q-Store) — the
     /// view itself may not have noticed every death yet.
     fn survives_without(&self, node: NodeId) -> bool;
+    /// Whether the nodes keep durable storage, which [`Membership::forget`]
+    /// and [`Membership::corrupt_tail`] need.
+    fn durable(&self) -> bool;
     /// Lose `node`'s volatile state, keeping only what its disk holds
     /// after a seeded crash; its readmission must replay and repair.
     /// Requires durable storage.
     fn forget(&self, node: NodeId);
+    /// Corrupt the last record of `node`'s durable log in place; the next
+    /// amnesiac replay finds the torn tail. `false` without durable storage
+    /// or with an empty log.
+    fn corrupt_tail(&self, node: NodeId) -> bool;
 }
 
 /// Detector-mode crash: kill `node` in the simulator only — no view
@@ -138,44 +156,6 @@ pub fn recover_sim_only<M: SimMessage>(sim: &Sim<M>, node: NodeId) -> bool {
     }
     sim.recover_node(node);
     true
-}
-
-/// Detector-mode crash **with amnesia**: [`crash_sim_only`] plus the loss
-/// of the node's volatile state; the view learns nothing.
-pub fn crash_amnesia_sim_only<M: SimMessage>(
-    view: &dyn Membership,
-    sim: &Sim<M>,
-    node: NodeId,
-) -> bool {
-    let crashed = crash_sim_only(view, sim, node);
-    if crashed {
-        view.forget(node);
-    }
-    crashed
-}
-
-impl Membership for Cluster {
-    fn node_count(&self) -> usize {
-        self.config().nodes
-    }
-    fn view_alive(&self, node: NodeId) -> bool {
-        Cluster::view_alive(self, node)
-    }
-    fn view_epoch(&self) -> u64 {
-        Cluster::view_epoch(self)
-    }
-    fn eject(&self, node: NodeId) -> bool {
-        self.eject_node(node).is_ok()
-    }
-    fn rejoin(&self, node: NodeId) -> Option<SimDuration> {
-        self.rejoin_node(node).ok()
-    }
-    fn survives_without(&self, node: NodeId) -> bool {
-        self.quorum_survives_without(node)
-    }
-    fn forget(&self, node: NodeId) {
-        self.forget_node(node);
-    }
 }
 
 /// Handle on a running detector task (see [`spawn_detector`]).

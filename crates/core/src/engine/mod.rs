@@ -47,8 +47,8 @@ mod transport;
 pub(crate) mod wal;
 
 pub use detector::{
-    crash_amnesia_sim_only, crash_sim_only, recover_sim_only, spawn_detector, spawn_detector_on,
-    DetectorConfig, DetectorHandle, Membership,
+    crash_sim_only, recover_sim_only, spawn_detector, spawn_detector_on, DetectorConfig,
+    DetectorHandle, Membership,
 };
 pub use wal::{DurabilityConfig, Replay, Wal};
 
@@ -112,15 +112,11 @@ impl Client {
         F: Fn(Tx) -> Fut,
         Fut: Future<Output = Result<T, Abort>>,
     {
-        let started = self.ep.sim.now();
         let tx = self.begin_tx();
         loop {
             match body(tx.clone()).await {
                 Ok(v) => match tx.commit_attempt().await {
-                    Ok(()) => {
-                        tx.record_commit(started);
-                        return v;
-                    }
+                    Ok(()) => return v,
                     Err(e) => tx.restart_after(e).await,
                 },
                 Err(abort) => tx.restart_after(abort).await,
@@ -139,11 +135,13 @@ impl Client {
             ))),
             ep: self.ep.clone(),
             level: 0,
+            started: self.ep.sim.now(),
         }
     }
 }
 
-/// Handle a transaction body uses to access shared objects.
+/// Handle a transaction body uses to access shared objects, and QR's
+/// [`DtmProtocol`](crate::DtmProtocol) transaction handle.
 ///
 /// Cloning is cheap (reference-counted); each [`Tx::closed`] scope receives
 /// a handle one nesting level deeper.
@@ -152,6 +150,8 @@ pub struct Tx {
     st: Rc<RefCell<TxState>>,
     ep: Endpoint,
     level: u32,
+    /// The root's begin instant: commit latency spans every retry.
+    started: SimTime,
 }
 
 impl Tx {
@@ -343,9 +343,12 @@ impl Tx {
         );
     }
 
-    /// Try to commit this root transaction's current attempt.
+    /// Try to commit this root transaction's current attempt, counting the
+    /// commit and its latency on success.
     pub(crate) async fn commit_attempt(&self) -> Result<(), Abort> {
-        commit::commit_root(&self.ep, &self.st).await
+        commit::commit_root(&self.ep, &self.st).await?;
+        self.record_commit();
+        Ok(())
     }
 
     /// Arm (or clear) a completion deadline for this transaction. Quorum
@@ -359,9 +362,9 @@ impl Tx {
     }
 
     /// Account a successful commit: one commit plus its latency measured
-    /// from `started` (the begin instant, spanning every retry).
-    pub(crate) fn record_commit(&self, started: qrdtm_sim::SimTime) {
-        let lat = self.ep.sim.now().saturating_since(started).as_nanos();
+    /// from the root's begin instant.
+    fn record_commit(&self) {
+        let lat = self.ep.sim.now().saturating_since(self.started).as_nanos();
         self.ep.sim.observe_latency(lat);
         // Successes replenish the shared retry budget: the token-bucket
         // refill that lets retries scale with how fast the cluster is

@@ -67,8 +67,8 @@ mod txid;
 
 pub use cluster::{Cluster, DtmConfig, InjectedBug, LatencySpec, OverloadConfig, QuorumView};
 pub use engine::{
-    crash_amnesia_sim_only, crash_sim_only, recover_sim_only, spawn_detector, spawn_detector_on,
-    Client, DetectorConfig, DetectorHandle, DurabilityConfig, Membership, Replay, Tx, Wal,
+    crash_sim_only, recover_sim_only, spawn_detector, spawn_detector_on, Client, DetectorConfig,
+    DetectorHandle, DurabilityConfig, Membership, Replay, Tx, Wal,
 };
 pub use history::{
     check_abort_targets, check_checkpoint_restores, CommitRecord, HistoryRecorder,
@@ -79,7 +79,7 @@ pub use object::{
     IdHasher, IdMap, ObjVal, ObjectId, Replica, SkipNode, TableRow, TreeNode, Version,
 };
 pub use pool::Payload;
-pub use protocol::{atomically, attempts, DtmProtocol, ProtocolStats, QrTxHandle, SimHosted};
+pub use protocol::{atomically, attempts, DtmProtocol, ProtocolStats, SimHosted};
 pub use stats::DtmStats;
 pub use store::{NodeStore, ReadOutcome};
 pub use txid::{Abort, AbortTarget, NestingMode, TxId};

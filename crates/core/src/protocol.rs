@@ -145,24 +145,16 @@ pub trait SimHosted: DtmProtocol {
     fn sim(&self) -> &Sim<Self::Msg>;
 }
 
-/// QR transaction handle: the engine transaction plus its begin instant
-/// (commit latency spans every retry, as in [`Client::run`]).
-///
-/// [`Client::run`]: crate::Client::run
-pub struct QrTxHandle {
-    tx: Tx,
-    started: SimTime,
-}
-
 /// The QR engine is a [`DtmProtocol`]: one implementation, three protocol
 /// configurations (QR, QR-CN, QR-CHK) selected by the cluster's
-/// [`NestingMode`]. The handle methods reuse the exact attempt-level
-/// engine paths [`Client::run`] is built from, so a trait-driven workload
-/// and a closure-driven one produce identical message sequences.
+/// [`NestingMode`]. The handle is the engine's own [`Tx`], and its methods
+/// are the exact attempt-level engine paths [`Client::run`] is built from,
+/// so a trait-driven workload and a closure-driven one produce identical
+/// message sequences.
 ///
 /// [`Client::run`]: crate::Client::run
 impl DtmProtocol for Cluster {
-    type TxHandle = QrTxHandle;
+    type TxHandle = Tx;
 
     fn protocol_name(&self) -> &'static str {
         match self.inner.cfg.mode {
@@ -176,33 +168,28 @@ impl DtmProtocol for Cluster {
         Cluster::preload(self, oid, val);
     }
 
-    fn begin(&self, node: NodeId) -> QrTxHandle {
-        QrTxHandle {
-            tx: self.client(node).begin_tx(),
-            started: Cluster::sim(self).now(),
-        }
+    fn begin(&self, node: NodeId) -> Tx {
+        self.client(node).begin_tx()
     }
 
-    async fn read(&self, tx: &mut QrTxHandle, oid: ObjectId) -> Result<ObjVal, Abort> {
-        tx.tx.read(oid).await
+    async fn read(&self, tx: &mut Tx, oid: ObjectId) -> Result<ObjVal, Abort> {
+        tx.read(oid).await
     }
 
-    async fn write(&self, tx: &mut QrTxHandle, oid: ObjectId, val: ObjVal) -> Result<(), Abort> {
-        tx.tx.write(oid, val).await
+    async fn write(&self, tx: &mut Tx, oid: ObjectId, val: ObjVal) -> Result<(), Abort> {
+        tx.write(oid, val).await
     }
 
-    async fn commit(&self, tx: &mut QrTxHandle) -> Result<(), Abort> {
-        tx.tx.commit_attempt().await?;
-        tx.tx.record_commit(tx.started);
-        Ok(())
+    async fn commit(&self, tx: &mut Tx) -> Result<(), Abort> {
+        tx.commit_attempt().await
     }
 
-    async fn restart(&self, tx: &mut QrTxHandle, abort: Abort) {
-        tx.tx.restart_after(abort).await;
+    async fn restart(&self, tx: &mut Tx, abort: Abort) {
+        tx.restart_after(abort).await;
     }
 
-    fn set_deadline(&self, tx: &mut QrTxHandle, deadline: Option<SimTime>) {
-        tx.tx.set_deadline(deadline);
+    fn set_deadline(&self, tx: &mut Tx, deadline: Option<SimTime>) {
+        tx.set_deadline(deadline);
     }
 
     fn protocol_stats(&self) -> ProtocolStats {

@@ -5,7 +5,7 @@
 use std::rc::Rc;
 
 use qrdtm_core::{
-    spawn_detector, Cluster, DetectorConfig, DtmConfig, LatencySpec, ObjVal, ObjectId,
+    spawn_detector, Cluster, DetectorConfig, DtmConfig, LatencySpec, Membership, ObjVal, ObjectId,
 };
 use qrdtm_sim::{NodeId, SimDuration};
 

@@ -4,7 +4,9 @@
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
-use qrdtm_core::{Cluster, DtmConfig, DurabilityConfig, ObjVal, ObjectId};
+use qrdtm_core::{
+    crash_sim_only, Cluster, DtmConfig, DurabilityConfig, Membership, ObjVal, ObjectId,
+};
 use qrdtm_sim::{NodeId, SimDuration};
 
 fn durable_cfg(seed: u64) -> DtmConfig {
@@ -130,7 +132,7 @@ fn corrupt_tail_is_detected_and_repaired_on_restart() {
     sim.spawn(async move {
         sim2.sleep(SimDuration::from_millis(700)).await;
         assert!(
-            cl.corrupt_wal_tail(victim, 2),
+            cl.corrupt_tail(victim),
             "durable log had records to corrupt"
         );
         cl.crash_node_amnesia(victim).unwrap();
@@ -151,7 +153,7 @@ fn corrupt_tail_is_detected_and_repaired_on_restart() {
 fn sim_only_amnesia_rejoins_through_the_shared_readmit_path() {
     // The detector flavour: the network dies and the state is lost, but
     // the quorum view is told nothing; ejection and readmission go through
-    // eject_node/rejoin_node, which must run the same honest recovery.
+    // Membership::{eject, rejoin}, which must run the same honest recovery.
     let cluster = Rc::new(Cluster::new(durable_cfg(13)));
     preload_accounts(&cluster);
     let sim = cluster.sim().clone();
@@ -162,11 +164,12 @@ fn sim_only_amnesia_rejoins_through_the_shared_readmit_path() {
     let sim2 = sim.clone();
     sim.spawn(async move {
         sim2.sleep(SimDuration::from_millis(600)).await;
-        assert!(qrdtm_core::crash_amnesia_sim_only(&*cl, cl.sim(), victim));
-        cl.eject_node(victim).unwrap();
+        assert!(crash_sim_only(&*cl, cl.sim(), victim));
+        cl.forget(victim);
+        assert!(cl.eject(victim));
         sim2.sleep(SimDuration::from_millis(600)).await;
         sim2.recover_node(victim);
-        let charged = cl.rejoin_node(victim).unwrap();
+        let charged = cl.rejoin(victim).unwrap();
         assert!(
             charged > SimDuration::ZERO,
             "amnesiac rejoin charges replay + repair time"
@@ -177,7 +180,7 @@ fn sim_only_amnesia_rejoins_through_the_shared_readmit_path() {
     sim.run_for(SimDuration::from_secs(2));
 
     let m = sim.metrics();
-    assert!(m.log_replays >= 1, "rejoin_node ran the honest recovery");
+    assert!(m.log_replays >= 1, "rejoin ran the honest recovery");
     assert!(m.repair_rounds >= 1);
     assert_eq!(total_balance(&cluster), 1000 * i64::from(ACCOUNTS));
 }

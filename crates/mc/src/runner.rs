@@ -150,6 +150,25 @@ impl Scope {
             injected_bug: None,
         }
     }
+
+    /// Refuse a scope with nothing to schedule or one its protocol cannot
+    /// build: at least one node (three for Q-Store, whose majority needs
+    /// them), one object and one transaction. The error names the field.
+    pub fn check(&self) -> Result<(), String> {
+        let min_nodes = if self.proto == McProto::QStore { 3 } else { 1 };
+        let fields = [
+            ("nodes", self.nodes as u64, min_nodes),
+            ("objects", self.objects, 1),
+            ("txns", self.txns as u64, 1),
+        ];
+        match fields.into_iter().find(|&(_, value, min)| value < min) {
+            Some((name, _, min)) => Err(format!(
+                "{name} must be at least {min} for {}",
+                self.proto.label()
+            )),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Everything one schedule run produced.

@@ -55,7 +55,7 @@ impl fmt::Display for Trace {
 impl Trace {
     /// Parse the text form. `#` and blank lines are ignored; unknown or
     /// repeated keys, missing required fields, tokens after a value and a
-    /// zero `nodes`/`objects` count are errors (a trace must be lossless:
+    /// scope [`Scope::check`] refuses are errors (a trace must be lossless:
     /// silently dropping or overriding a field would change the replayed
     /// schedule, and an empty scope has nothing to schedule).
     pub fn parse(text: &str) -> Result<Trace, String> {
@@ -85,10 +85,7 @@ impl Trace {
                 [] => Err(at(format!("`{key}` needs a value"))),
                 [_, extra, ..] => Err(at(format!("unexpected `{extra}` after `{key}` value"))),
             };
-            let positive = || match parse_num(one()?).map_err(&at)? {
-                0 => Err(at(format!("`{key}` must be at least 1"))),
-                v => Ok(v),
-            };
+            let num = || parse_num(one()?).map_err(&at);
             match key {
                 "proto" => {
                     let v = one()?;
@@ -97,10 +94,10 @@ impl Trace {
                             .ok_or_else(|| at(format!("unknown proto `{v}`")))?,
                     );
                 }
-                "seed" => seed = Some(parse_num(one()?).map_err(&at)?),
-                "nodes" => nodes = Some(positive()? as usize),
-                "objects" => objects = Some(positive()?),
-                "txns" => txns = Some(parse_num(one()?).map_err(&at)? as usize),
+                "seed" => seed = Some(num()?),
+                "nodes" => nodes = Some(num()? as usize),
+                "objects" => objects = Some(num()?),
+                "txns" => txns = Some(num()? as usize),
                 "bug" => {
                     let v = one()?;
                     bug =
@@ -120,15 +117,17 @@ impl Trace {
             }
         }
         let require = |name: &str| format!("missing required `{name}` line");
+        let scope = Scope {
+            proto: proto.ok_or_else(|| require("proto"))?,
+            nodes: nodes.ok_or_else(|| require("nodes"))?,
+            objects: objects.ok_or_else(|| require("objects"))?,
+            txns: txns.ok_or_else(|| require("txns"))?,
+            seed: seed.ok_or_else(|| require("seed"))?,
+            injected_bug: bug,
+        };
+        scope.check()?;
         Ok(Trace {
-            scope: Scope {
-                proto: proto.ok_or_else(|| require("proto"))?,
-                nodes: nodes.ok_or_else(|| require("nodes"))?,
-                objects: objects.ok_or_else(|| require("objects"))?,
-                txns: txns.ok_or_else(|| require("txns"))?,
-                seed: seed.ok_or_else(|| require("seed"))?,
-                injected_bug: bug,
-            },
+            scope,
             choices: choices.ok_or_else(|| require("choices"))?,
         })
     }
@@ -205,8 +204,8 @@ mod tests {
             let text = format!("proto QR\nseed 1\n{line}\ntxns 2\nchoices 1\n");
             Trace::parse(&text).unwrap_err()
         };
-        assert!(with("nodes 0\nobjects 2").contains("`nodes` must be at least 1"));
-        assert!(with("nodes 3\nobjects 0").contains("`objects` must be at least 1"));
+        assert!(with("nodes 0\nobjects 2").contains("nodes must be at least 1"));
+        assert!(with("nodes 3\nobjects 0").contains("objects must be at least 1"));
         assert!(with("nodes 3 4\nobjects 2").contains("unexpected `4` after `nodes`"));
         assert!(Trace::parse("proto QR\nseed 5 6\n")
             .unwrap_err()
@@ -214,5 +213,24 @@ mod tests {
         assert!(with("nodes 3\nobjects 2\nnodes 5").contains("duplicate `nodes`"));
         assert!(with("nodes 3\nobjects 2\nchoices 0").contains("duplicate `choices`"));
         assert!(with("nodes\nobjects 2").contains("`nodes` needs a value"));
+    }
+
+    #[test]
+    fn scopes_the_cli_refuses_are_refused_in_a_trace_too() {
+        let parse = |proto: &str, nodes: u32, txns: u32| {
+            let text = format!(
+                "proto {proto}\nseed 1\nnodes {nodes}\nobjects 2\ntxns {txns}\nchoices 1\n"
+            );
+            Trace::parse(&text)
+        };
+        // No transaction: one empty schedule would pass vacuously.
+        assert!(parse("QR", 3, 0)
+            .unwrap_err()
+            .contains("txns must be at least 1"));
+        // Two Q-Store nodes have no meaningful majority to build.
+        assert!(parse("QSTORE", 2, 2)
+            .unwrap_err()
+            .contains("nodes must be at least 3 for qstore"));
+        assert!(parse("QR", 2, 2).is_ok(), "QR runs on two nodes");
     }
 }

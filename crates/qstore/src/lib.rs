@@ -422,15 +422,6 @@ impl QStoreCluster {
         true
     }
 
-    /// Corrupt the last `records` durable batch records on `node`'s disk
-    /// (torn-tail injection: each corrupted record drops a whole batch on
-    /// the next amnesiac replay). Returns whether anything was corrupted
-    /// (`false` without [`QStoreConfig::durability`] or with an empty log).
-    pub fn corrupt_tail(&self, node: NodeId, records: usize) -> bool {
-        let mut r = self.shared.replicas[node.index()].borrow_mut();
-        r.wal.as_mut().is_some_and(|w| w.corrupt_tail(records))
-    }
-
     /// Recover a crashed node; an amnesiac one replays its durable disk
     /// image and repairs from the quorum frontier first, then the planner
     /// pushes it the committed suffix it missed.
@@ -479,22 +470,6 @@ impl QStoreCluster {
                     .unwrap_or_default()
             })
             .collect()
-    }
-
-    /// Whether the membership view currently counts `node` alive.
-    pub fn view_alive(&self, node: NodeId) -> bool {
-        self.shared
-            .view
-            .borrow()
-            .alive
-            .get(node.index())
-            .copied()
-            .unwrap_or(false)
-    }
-
-    /// The current view (fencing) epoch.
-    pub fn view_epoch(&self) -> u64 {
-        self.shared.view.borrow().epoch
     }
 
     fn fresh_handle(&self, node: NodeId, requeues: u32) -> QStoreTxHandle {
@@ -655,15 +630,29 @@ pub struct QStoreTxHandle {
     requeues: u32,
 }
 
+/// The planner view is the cluster's [`Membership`]: the oracle verbs are
+/// [`QStoreCluster::crash_node`] / [`QStoreCluster::recover_crashed_node`].
 impl Membership for QStoreCluster {
     fn node_count(&self) -> usize {
         self.cfg.nodes
     }
     fn view_alive(&self, node: NodeId) -> bool {
-        QStoreCluster::view_alive(self, node)
+        self.shared
+            .view
+            .borrow()
+            .alive
+            .get(node.index())
+            .copied()
+            .unwrap_or(false)
     }
     fn view_epoch(&self) -> u64 {
-        QStoreCluster::view_epoch(self)
+        self.shared.view.borrow().epoch
+    }
+    fn crash(&self, node: NodeId) -> bool {
+        self.crash_node(node)
+    }
+    fn recover(&self, node: NodeId) -> bool {
+        self.recover_crashed_node(node)
     }
     fn eject(&self, node: NodeId) -> bool {
         self.evict_from_view(node.index())
@@ -683,8 +672,17 @@ impl Membership for QStoreCluster {
             .count();
         others >= majority(self.cfg.nodes)
     }
+    fn durable(&self) -> bool {
+        self.cfg.durability.is_some()
+    }
     fn forget(&self, node: NodeId) {
         forget_replica(&self.shared, &self.sim, node.index());
+    }
+    /// Each corrupted record drops a whole batch on the next amnesiac
+    /// replay.
+    fn corrupt_tail(&self, node: NodeId) -> bool {
+        let mut r = self.shared.replicas[node.index()].borrow_mut();
+        r.wal.as_mut().is_some_and(|w| w.corrupt_tail(1))
     }
 }
 
@@ -769,7 +767,7 @@ impl SimHosted for QStoreCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrdtm_core::{atomically, crash_amnesia_sim_only, recover_sim_only};
+    use qrdtm_core::{atomically, crash_sim_only, recover_sim_only};
 
     const ACCOUNTS: u64 = 8;
     const INITIAL: i64 = 100;
@@ -1105,7 +1103,8 @@ mod tests {
             transfer(&c2, NodeId(4), ObjectId(0), ObjectId(1), 10).await;
             // Silence the planner without telling the view: only missed
             // heartbeats can eject it and fail the planner role over.
-            assert!(crash_amnesia_sim_only(&*c2, c2.sim(), NodeId(0)));
+            assert!(crash_sim_only(&*c2, c2.sim(), NodeId(0)));
+            c2.forget(NodeId(0));
             c2.sim().sleep(bound).await;
             assert!(!c2.view_alive(NodeId(0)), "detector must eject planner");
             transfer(&c2, NodeId(4), ObjectId(2), ObjectId(3), 10).await;

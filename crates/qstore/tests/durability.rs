@@ -4,7 +4,7 @@
 
 use std::rc::Rc;
 
-use qrdtm_core::{atomically, DtmProtocol, DurabilityConfig, ObjVal, ObjectId};
+use qrdtm_core::{atomically, DtmProtocol, DurabilityConfig, Membership, ObjVal, ObjectId};
 use qrdtm_qstore::{QStoreCluster, QStoreConfig};
 use qrdtm_sim::{DiskConfig, NodeId};
 
@@ -86,7 +86,7 @@ fn a_torn_tail_drops_whole_batches_and_repair_restores_them() {
             transfer(&c2, NodeId(2), ObjectId(i), ObjectId(i + 1), 3).await;
         }
         assert!(
-            c2.corrupt_tail(victim, 1),
+            c2.corrupt_tail(victim),
             "durable log had records to corrupt"
         );
         assert!(c2.crash_node_amnesia(victim));
@@ -181,12 +181,4 @@ fn durable_runs_are_deterministic_per_seed() {
 fn amnesia_without_durability_panics() {
     let c = cluster(QStoreConfig::default());
     let _ = c.crash_node_amnesia(NodeId(1));
-}
-
-#[test]
-fn corrupt_tail_without_durability_corrupts_nothing() {
-    // No disk, no log tail: the verb is refused like on an empty log (and
-    // like `Cluster::corrupt_wal_tail`), not a panic.
-    let c = cluster(QStoreConfig::default());
-    assert!(!c.corrupt_tail(NodeId(1), 1));
 }

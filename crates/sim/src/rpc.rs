@@ -419,7 +419,7 @@ mod tests {
             let r = s3.call(NodeId(0), &[NodeId(1)], Msg::Ping(2), None).await;
             assert!(r.timed_out);
             done2.set(true);
-            s3.halt();
+            s3.stop_heartbeats();
         });
         s.run();
         assert!(done.get(), "detector-bounded call resolved");

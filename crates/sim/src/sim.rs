@@ -299,7 +299,6 @@ pub(crate) struct SimInner<M: SimMessage> {
     pub(crate) resolved_extra: IdMap<CallId, usize>,
     pub(crate) next_call: u64,
     pub(crate) metrics: Metrics,
-    halted: bool,
     /// Heartbeat layer state; `None` (the default) means no heartbeat
     /// events exist and the RNG is never touched for them, keeping
     /// detector-less runs byte-identical to earlier versions.
@@ -455,7 +454,6 @@ impl<M: SimMessage> Sim<M> {
                     resolved_extra: IdMap::default(),
                     next_call: 0,
                     metrics: Metrics::new(0),
-                    halted: false,
                     heartbeat: None,
                     last_hb: Vec::new(),
                 }),
@@ -564,11 +562,6 @@ impl<M: SimMessage> Sim<M> {
         self.core.inner.borrow_mut().metrics.latency.record(ns);
     }
 
-    /// Stop the run loop after the current event.
-    pub fn halt(&self) {
-        self.core.inner.borrow_mut().halted = true;
-    }
-
     /// Snapshot of the accounting counters.
     pub fn metrics(&self) -> Metrics {
         let inner = self.core.inner.borrow();
@@ -669,19 +662,14 @@ impl<M: SimMessage> Sim<M> {
         *self.core.scheduler.borrow_mut() = None;
     }
 
-    /// Run until the event queue empties, `halt()` is called, or virtual
-    /// time would exceed `until`. The clock finishes at `min(until, last
-    /// event time)`.
+    /// Run until the event queue empties or virtual time would exceed
+    /// `until`. The clock finishes at `min(until, last event time)`.
     pub fn run_until(&self, until: SimTime) {
         // Run tasks spawned before the first event.
         self.drain_ready();
         loop {
             let ev = {
                 let mut inner = self.core.inner.borrow_mut();
-                if inner.halted {
-                    inner.halted = false;
-                    return;
-                }
                 match inner.queue.peek_key() {
                     None => return,
                     Some((t, _)) if t > until => {
@@ -733,7 +721,7 @@ impl<M: SimMessage> Sim<M> {
         chosen
     }
 
-    /// Run until the event queue is empty (or `halt()`).
+    /// Run until the event queue is empty.
     pub fn run(&self) {
         self.run_until(SimTime::MAX);
     }
@@ -1105,24 +1093,6 @@ pub(crate) mod tests {
         assert_eq!(s.live_tasks(), 1, "sleeper still pending");
         s.run();
         assert_eq!(s.live_tasks(), 0);
-    }
-
-    #[test]
-    fn halt_stops_mid_run() {
-        let s = sim(1);
-        s.add_nodes(1);
-        let s2 = s.clone();
-        s.spawn(async move {
-            s2.sleep(SimDuration::from_millis(1)).await;
-            s2.halt();
-        });
-        let s3 = s.clone();
-        s.spawn(async move {
-            s3.sleep(SimDuration::from_secs(100)).await;
-            panic!("must not run");
-        });
-        s.run();
-        assert!(s.now() < SimTime::ZERO + SimDuration::from_secs(1));
     }
 
     #[test]

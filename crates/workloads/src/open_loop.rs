@@ -8,7 +8,7 @@
 //! whether or not the cluster keeps up. This module models that world:
 //!
 //! * a Poisson **arrival process** at a configurable rate, with Zipfian
-//!   key popularity and flash-crowd / diurnal rate schedules,
+//!   key popularity and a flash-crowd rate schedule,
 //! * a bounded per-node **admission queue** — arrivals past the bound are
 //!   shed *before* acknowledgment (counted, never silently dropped after),
 //! * a per-transaction **deadline** — work the client has already given
@@ -49,12 +49,6 @@ pub enum RateSchedule {
         lasting: SimDuration,
         /// Rate multiplier during the spike, percent (e.g. 500 = 5x).
         factor_pct: u32,
-    },
-    /// A diurnal curve: the rate swings sinusoidally between 25% and 175%
-    /// of the base rate with the given period, starting at the trough.
-    Diurnal {
-        /// Length of one full day/night cycle.
-        period: SimDuration,
     },
 }
 
@@ -384,11 +378,6 @@ fn schedule_factor(schedule: RateSchedule, elapsed: SimDuration) -> f64 {
             } else {
                 1.0
             }
-        }
-        RateSchedule::Diurnal { period } => {
-            let x = elapsed.as_nanos() as f64 / period.as_nanos().max(1) as f64;
-            // Trough 0.25x at the start, peak 1.75x half a period in.
-            1.0 - 0.75 * (x * std::f64::consts::TAU).cos()
         }
     }
 }

@@ -8,13 +8,6 @@
 
 use qrdtm_core::{Abort, ObjVal, ObjectId, TableRow, Tx};
 
-/// Relation indices.
-pub const CARS: usize = 0;
-/// Relation indices.
-pub const ROOMS: usize = 1;
-/// Relation indices.
-pub const FLIGHTS: usize = 2;
-
 /// Object layout of a Vacation instance.
 #[derive(Clone, Copy, Debug)]
 pub struct VacationLayout {

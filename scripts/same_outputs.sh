@@ -1,0 +1,85 @@
+#!/usr/bin/env bash
+# Behaviour check for a change meant to alter no output: build `repro` and
+# the golden-digest generator from REV and from this tree, run every
+# deterministic output surface on both, and compare. Prints one line per
+# surface and exits 1 on the first difference (after a diff excerpt).
+#
+#   scripts/same_outputs.sh [REV]
+#
+# REV defaults to the parent by check.sh's line-budget rule: HEAD while the
+# tree has uncommitted changes, HEAD~1 once it is clean. REV is built from
+# a `git archive` in a temp dir, so this takes a second release build and
+# is not a check.sh stage. Surfaces: the golden digests, the four chaos
+# smokes (stdout and exit code), `mc --smoke` with its `(N.Ns)` wall time
+# stripped, and `all --quick` (stdout, then `diff -r` of the CSVs).
+set -euo pipefail
+# Run from the repository root, wherever the script was invoked from.
+case "$0" in
+*/*) cd "${0%/*}/.." ;;
+*) cd .. ;;
+esac
+
+rev=${1:-}
+if [ -z "$rev" ]; then
+    rev=HEAD~1
+    [ -z "$(git status --porcelain)" ] || rev=HEAD
+fi
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/old"
+git archive "$rev" | tar -x -C "$tmp/old"
+
+build() {
+    cargo build --release --offline --quiet -p qrdtm-bench
+    cargo build --release --offline --quiet --example golden_digests
+}
+echo "building $rev and this tree"
+(cd "$tmp/old" && build)
+build
+
+# Run one surface on both sides and compare what it printed: $1 names the
+# surface, $2 is a filter for the output, the rest is the command. An
+# argument starting with BIN starts with the side's target/release
+# directory instead, and one ending in SIDE ends in `old` or `new`.
+compare() {
+    local name=$1 filter=$2
+    shift 2
+    local side dir
+    for side in old new; do
+        dir=target/release
+        [ "$side" = new ] || dir=$tmp/old/target/release
+        local code=0 args=("${@/#BIN/$dir}")
+        "${args[@]/%SIDE/$side}" 2>/dev/null >"$tmp/$side.out" || code=$?
+        if [ ! -s "$tmp/$side.out" ]; then
+            echo "EMPTY    $name ($side side printed nothing, exit $code)"
+            exit 1
+        fi
+        echo "exit $code" >>"$tmp/$side.out"
+        $filter <"$tmp/$side.out" >"$tmp/$side.cmp"
+    done
+    if cmp -s "$tmp/old.cmp" "$tmp/new.cmp"; then
+        echo "same     $name"
+    else
+        echo "DIFFERS  $name"
+        diff "$tmp/old.cmp" "$tmp/new.cmp" | head -20
+        exit 1
+    fi
+}
+
+# `mc --smoke` ends with its wall time, e.g. "... caught (12.3s)".
+strip_secs() { sed -E 's/ \([0-9]+\.[0-9]s\)$//'; }
+
+compare "golden digests" cat BIN/examples/golden_digests
+compare "chaos --smoke" cat BIN/repro chaos --smoke
+compare "chaos --smoke --detector" cat BIN/repro chaos --smoke --detector
+compare "chaos --smoke --amnesia" cat BIN/repro chaos --smoke --amnesia
+compare "chaos --smoke --overload" cat BIN/repro chaos --smoke --overload
+compare "mc --smoke" strip_secs BIN/repro mc --smoke
+compare "all --quick (stdout)" cat BIN/repro all --quick --out "$tmp/csv.SIDE"
+if diff -r "$tmp/csv.old" "$tmp/csv.new" >"$tmp/csv.diff"; then
+    echo "same     all --quick (CSVs)"
+else
+    echo "DIFFERS  all --quick (CSVs)"
+    head -20 "$tmp/csv.diff"
+    exit 1
+fi
