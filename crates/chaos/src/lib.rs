@@ -29,10 +29,7 @@ pub mod nemesis;
 pub mod plan;
 pub mod target;
 
-pub use checkers::{
-    check_balances, check_detection_latency, check_durability, check_goodput_reconvergence,
-    check_liveness, check_retry_storm, ChaosViolation, Sample,
-};
+pub use checkers::{check_balances, check_durability, ChaosViolation, Sample};
 pub use generate::{generate, shrink, FaultBudget};
 pub use nemesis::{run_plan, ChaosReport, ChaosSpec, Fingerprint};
 pub use plan::{FaultEvent, FaultKind, FaultPlan};

@@ -65,10 +65,7 @@ pub use disk::{Disk, DiskConfig, DiskImage};
 pub use heartbeat::HeartbeatConfig;
 pub use idhash::{IdHasher, IdMap};
 pub use latency::{ConstLatency, JitteredLatency, LatencyModel, MetricSpace};
-pub use metrics::{
-    Counter, EngineEvent, EngineEventKind, LatencyReservoir, Metrics, ENGINE_EVENT_KINDS,
-    MAX_CLASSES, RESERVOIR_CAP,
-};
+pub use metrics::{Counter, EngineEvent, EngineEventKind, LatencyReservoir, Metrics, MAX_CLASSES};
 pub use rpc::{CallFuture, CallId, CallResult};
 pub use sim::{
     Envelope, EventInfo, EventTag, HandlerCtx, Scheduler, Sim, SimConfig, SimMessage, Sleep,

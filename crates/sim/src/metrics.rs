@@ -13,7 +13,7 @@ pub const MAX_CLASSES: usize = 16;
 
 /// Number of [`EngineEventKind`] variants (size of the counter array):
 /// one past the last variant's index.
-pub const ENGINE_EVENT_KINDS: usize = EngineEventKind::HedgeSuppressed as usize + 1;
+pub(crate) const ENGINE_EVENT_KINDS: usize = EngineEventKind::HedgeSuppressed as usize + 1;
 
 /// Structured events a protocol engine emits at its layer boundaries.
 ///
@@ -204,7 +204,7 @@ counters! {
 }
 
 /// Default sample capacity of a [`LatencyReservoir`].
-pub const RESERVOIR_CAP: usize = 4096;
+pub(crate) const RESERVOIR_CAP: usize = 4096;
 
 /// Fixed-size reservoir sample of latency observations (nanoseconds),
 /// for p50/p99/p999 reporting without unbounded memory.

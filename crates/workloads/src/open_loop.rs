@@ -192,12 +192,25 @@ struct Job {
 /// effect within one chunk, not one full low-rate inter-arrival gap).
 const SCHEDULE_RESOLUTION: SimDuration = SimDuration::from_millis(25);
 
-/// Queue-empty poll interval for workers.
-const WORKER_POLL: SimDuration = SimDuration::from_millis(1);
+/// Poll interval of a worker waiting for its down node to recover.
+const DOWN_POLL: SimDuration = SimDuration::from_millis(1);
 
-/// Spawn the arrival process and per-node workers on the protocol's
-/// simulator. The caller pumps virtual time and flips `stop` to wind the
-/// tasks down (workers finish their in-flight transaction first).
+/// What the arrival process shares with the workers it starts.
+struct Pool<P> {
+    proto: Rc<P>,
+    spec: OpenLoopSpec,
+    /// Per-node admission queues.
+    queues: Vec<RefCell<VecDeque<Job>>>,
+    /// Workers alive per node, at most `spec.workers_per_node`.
+    running: Vec<Cell<usize>>,
+    tallies: Rc<LoadTallies>,
+    stop: Rc<Cell<bool>>,
+}
+
+/// Spawn the arrival process on the protocol's simulator; it starts a
+/// worker whenever it admits a job to a node running fewer than
+/// `workers_per_node`. The caller pumps virtual time and flips `stop` to
+/// wind the tasks down (workers finish their in-flight transaction first).
 pub fn spawn_open_loop<P: SimHosted + 'static>(
     proto: &Rc<P>,
     nodes: usize,
@@ -207,144 +220,137 @@ pub fn spawn_open_loop<P: SimHosted + 'static>(
     stop: Rc<Cell<bool>>,
 ) {
     assert!(nodes >= 1 && spec.workers_per_node >= 1 && spec.accounts >= 2);
-    let sim = proto.sim().clone();
-    let queues: Rc<Vec<RefCell<VecDeque<Job>>>> =
-        Rc::new((0..nodes).map(|_| RefCell::new(VecDeque::new())).collect());
+    let pool = Rc::new(Pool {
+        proto: Rc::clone(proto),
+        spec,
+        queues: (0..nodes).map(|_| RefCell::default()).collect(),
+        running: (0..nodes).map(|_| Cell::new(0)).collect(),
+        tallies,
+        stop,
+    });
 
     // The arrival process: Poisson gaps at the scheduled rate, Zipfian
     // keys, admission (or shedding) into the per-node queues.
-    {
-        let s = sim.clone();
-        let queues = Rc::clone(&queues);
-        let control = Rc::clone(&control);
-        let tallies = Rc::clone(&tallies);
-        let stop = Rc::clone(&stop);
-        let cdf = zipf_cdf(spec.accounts, spec.zipf_milli);
-        sim.spawn(async move {
-            let t0 = s.now();
-            loop {
-                if stop.get() {
-                    return;
-                }
-                let elapsed = s.now().saturating_since(t0);
-                let rate = spec.rate_tps as f64
-                    * schedule_factor(spec.schedule, elapsed)
-                    * f64::from(control.surge_pct.get())
-                    / 100.0;
-                if rate < 1e-6 {
-                    s.sleep(SCHEDULE_RESOLUTION).await;
-                    continue;
-                }
-                // Exponential inter-arrival gap, chopped to the schedule
-                // resolution. Chopping truncates the tail of the
-                // exponential (slightly inflating low offered rates), but
-                // keeps surge response latency bounded by one chunk.
-                let u = s.with_rng(|r| r.random_range(0.0f64..1.0));
-                let gap_ns = (-(1.0 - u).ln() / rate * 1e9) as u64;
-                let gap = SimDuration::from_nanos(gap_ns.max(1));
-                s.sleep(gap.min(SCHEDULE_RESOLUTION)).await;
-                if gap > SCHEDULE_RESOLUTION {
-                    continue; // gap not yet elapsed; re-sample the schedule
-                }
-                // One arrival: pick the entry node (flash crowds funnel
-                // 80% of traffic to the hot node), keys and mix.
-                let node = match control.flash_node.get() {
-                    Some(hot) if (hot as usize) < nodes && s.rand_below(100) < 80 => hot,
-                    _ => s.rand_below(nodes as u64) as u32,
-                };
-                let u1 = s.with_rng(|r| r.random_range(0.0f64..1.0));
-                let a = zipf_draw(&cdf, u1);
-                let u2 = s.with_rng(|r| r.random_range(0.0f64..1.0));
-                let mut b = zipf_draw(&cdf, u2);
-                if b == a {
-                    b = (b + 1) % spec.accounts;
-                }
-                let read = s.rand_below(100) < READ_PCT;
-                tallies.offered.set(tallies.offered.get() + 1);
-                let mut q = queues[node as usize].borrow_mut();
-                if spec.protect && q.len() >= spec.queue_bound {
-                    // Shed before acknowledgment: the request never enters
-                    // the system, and the rejection is counted + surfaced.
-                    tallies.shed.set(tallies.shed.get() + 1);
-                    s.add(Counter::AdmissionShed, 1);
-                    s.emit_engine_event(
-                        EngineEventKind::OverloadShed,
-                        NodeId(node),
-                        q.len() as u64,
-                    );
-                    continue;
-                }
-                q.push_back(Job {
-                    deadline: s.now() + spec.deadline,
-                    a,
-                    b,
-                    read,
-                });
-                tallies.admitted.set(tallies.admitted.get() + 1);
-                let depth = q.len() as u64;
-                if depth > tallies.max_queue_depth.get() {
-                    tallies.max_queue_depth.set(depth);
-                }
+    let s = proto.sim().clone();
+    let cdf = zipf_cdf(spec.accounts, spec.zipf_milli);
+    proto.sim().spawn(async move {
+        let tallies = &pool.tallies;
+        let t0 = s.now();
+        loop {
+            if pool.stop.get() {
+                return;
             }
-        });
-    }
-
-    // Workers: drain the admission queues, abandoning work whose deadline
-    // already passed (protected arm only).
-    for node in 0..nodes as u32 {
-        for _ in 0..spec.workers_per_node {
-            let p = Rc::clone(proto);
-            let s = sim.clone();
-            let queues = Rc::clone(&queues);
-            let tallies = Rc::clone(&tallies);
-            let stop = Rc::clone(&stop);
-            sim.spawn(async move {
-                loop {
-                    if stop.get() {
-                        return;
-                    }
-                    if !s.is_alive(NodeId(node)) {
-                        s.sleep(WORKER_POLL).await;
-                        continue;
-                    }
-                    let job = queues[node as usize].borrow_mut().pop_front();
-                    let Some(job) = job else {
-                        s.sleep(WORKER_POLL).await;
-                        continue;
-                    };
-                    if spec.protect && s.now() > job.deadline {
-                        abandon(&s, &tallies, node, job.deadline);
-                        continue;
-                    }
-                    let mut h = p.begin(NodeId(node));
-                    if spec.protect {
-                        // Deadline-aware early abort: the engine stops
-                        // burning quorum rounds once this instant passes.
-                        p.set_deadline(&mut h, Some(job.deadline));
-                    }
-                    let (a, b) = (ObjectId(job.a), ObjectId(job.b));
-                    let give_up = || spec.protect && s.now() > job.deadline;
-                    let r = attempts(&*p, &mut h, give_up, async |h| {
-                        let va = p.read(h, a).await?.expect_int();
-                        let vb = p.read(h, b).await?.expect_int();
-                        if !job.read {
-                            p.write(h, a, ObjVal::Int(va - 5)).await?;
-                            p.write(h, b, ObjVal::Int(vb + 5)).await?;
-                        }
-                        Ok(())
-                    })
-                    .await;
-                    match r {
-                        Ok(()) if s.now() <= job.deadline => {
-                            tallies.goodput.set(tallies.goodput.get() + 1);
-                        }
-                        Ok(()) => tallies.late.set(tallies.late.get() + 1),
-                        Err(_) => abandon(&s, &tallies, node, job.deadline),
-                    }
-                }
+            let elapsed = s.now().saturating_since(t0);
+            let rate = spec.rate_tps as f64
+                * schedule_factor(spec.schedule, elapsed)
+                * f64::from(control.surge_pct.get())
+                / 100.0;
+            if rate < 1e-6 {
+                s.sleep(SCHEDULE_RESOLUTION).await;
+                continue;
+            }
+            // Exponential inter-arrival gap, chopped to the schedule
+            // resolution. Chopping truncates the tail of the exponential
+            // (slightly inflating low offered rates), but keeps surge
+            // response latency bounded by one chunk.
+            let u = s.with_rng(|r| r.random_range(0.0f64..1.0));
+            let gap_ns = (-(1.0 - u).ln() / rate * 1e9) as u64;
+            let gap = SimDuration::from_nanos(gap_ns.max(1));
+            s.sleep(gap.min(SCHEDULE_RESOLUTION)).await;
+            if gap > SCHEDULE_RESOLUTION {
+                continue; // gap not yet elapsed; re-sample the schedule
+            }
+            // One arrival: pick the entry node (flash crowds funnel 80% of
+            // traffic to the hot node), keys and mix.
+            let node = match control.flash_node.get() {
+                Some(hot) if (hot as usize) < nodes && s.rand_below(100) < 80 => hot,
+                _ => s.rand_below(nodes as u64) as u32,
+            };
+            let u1 = s.with_rng(|r| r.random_range(0.0f64..1.0));
+            let a = zipf_draw(&cdf, u1);
+            let u2 = s.with_rng(|r| r.random_range(0.0f64..1.0));
+            let mut b = zipf_draw(&cdf, u2);
+            if b == a {
+                b = (b + 1) % spec.accounts;
+            }
+            let read = s.rand_below(100) < READ_PCT;
+            tallies.offered.set(tallies.offered.get() + 1);
+            let mut q = pool.queues[node as usize].borrow_mut();
+            if spec.protect && q.len() >= spec.queue_bound {
+                // Shed before acknowledgment: the request never enters the
+                // system, and the rejection is counted + surfaced.
+                tallies.shed.set(tallies.shed.get() + 1);
+                s.add(Counter::AdmissionShed, 1);
+                s.emit_engine_event(EngineEventKind::OverloadShed, NodeId(node), q.len() as u64);
+                continue;
+            }
+            q.push_back(Job {
+                deadline: s.now() + spec.deadline,
+                a,
+                b,
+                read,
             });
+            tallies.admitted.set(tallies.admitted.get() + 1);
+            let depth = q.len() as u64;
+            if depth > tallies.max_queue_depth.get() {
+                tallies.max_queue_depth.set(depth);
+            }
+            // Below quota, start a worker; otherwise a running one reaches it.
+            let running = &pool.running[node as usize];
+            if running.get() < spec.workers_per_node {
+                running.set(running.get() + 1);
+                s.spawn(work(Rc::clone(&pool), node));
+            }
+        }
+    });
+}
+
+/// One worker on `node`: drain its admission queue, abandoning work whose
+/// deadline already passed (protected arm only), and exit once the queue
+/// is empty or the run stops. While the node is down, its work waits.
+async fn work<P: SimHosted>(pool: Rc<Pool<P>>, node: u32) {
+    let (p, spec, tallies) = (&*pool.proto, pool.spec, &*pool.tallies);
+    let s = p.sim();
+    while !pool.stop.get() {
+        if !s.is_alive(NodeId(node)) {
+            s.sleep(DOWN_POLL).await;
+            continue;
+        }
+        let Some(job) = pool.queues[node as usize].borrow_mut().pop_front() else {
+            break;
+        };
+        if spec.protect && s.now() > job.deadline {
+            abandon(s, tallies, node, job.deadline);
+            continue;
+        }
+        let mut h = p.begin(NodeId(node));
+        if spec.protect {
+            // Deadline-aware early abort: the engine stops burning quorum
+            // rounds once this instant passes.
+            p.set_deadline(&mut h, Some(job.deadline));
+        }
+        let (a, b) = (ObjectId(job.a), ObjectId(job.b));
+        let give_up = || spec.protect && s.now() > job.deadline;
+        let r = attempts(p, &mut h, give_up, async |h| {
+            let va = p.read(h, a).await?.expect_int();
+            let vb = p.read(h, b).await?.expect_int();
+            if !job.read {
+                p.write(h, a, ObjVal::Int(va - 5)).await?;
+                p.write(h, b, ObjVal::Int(vb + 5)).await?;
+            }
+            Ok(())
+        })
+        .await;
+        match r {
+            Ok(()) if s.now() <= job.deadline => {
+                tallies.goodput.set(tallies.goodput.get() + 1);
+            }
+            Ok(()) => tallies.late.set(tallies.late.get() + 1),
+            Err(_) => abandon(s, tallies, node, job.deadline),
         }
     }
+    let running = &pool.running[node as usize];
+    running.set(running.get() - 1);
 }
 
 /// Account one abandoned transaction: the deadline passed, so the client
@@ -530,6 +536,63 @@ mod tests {
             (r.offered, r.shed, r.goodput, r.abandoned, r.max_queue_depth)
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn idle_open_loop_schedules_only_arrival_ticks() {
+        // No arrivals: the arrival loop's 25 ms re-sampling ticks are the
+        // only events, and no worker exists to poll an empty queue.
+        let cluster = overload_cluster(6);
+        let sim = cluster.sim().clone();
+        let control = Rc::new(LoadControl::default());
+        control.surge_pct.set(0);
+        spawn_open_loop(
+            &cluster,
+            10,
+            quick(100, true),
+            control,
+            Rc::default(),
+            Rc::default(),
+        );
+        sim.run_for(SimDuration::from_secs(10));
+        let events = sim.metrics().events;
+        assert!((395..=405).contains(&events), "{events} events");
+        assert_eq!(sim.live_tasks(), 1, "only the arrival loop is live");
+    }
+
+    #[test]
+    fn job_admitted_to_a_down_node_commits_after_recovery() {
+        let cluster = overload_cluster(7);
+        let sim = cluster.sim().clone();
+        for i in 0..16 {
+            cluster.preload(ObjectId(i), ObjVal::Int(1_000));
+        }
+        cluster.fail_node(NodeId(0)).unwrap();
+        let control = Rc::new(LoadControl::default());
+        let tallies = Rc::new(LoadTallies::default());
+        let spec = OpenLoopSpec {
+            deadline: SimDuration::from_secs(10),
+            ..quick(100, true)
+        };
+        // One entry node, so every arrival lands on the downed node 0.
+        spawn_open_loop(
+            &cluster,
+            1,
+            spec,
+            Rc::clone(&control),
+            Rc::clone(&tallies),
+            Rc::default(),
+        );
+        sim.run_for(SimDuration::from_millis(200));
+        control.surge_pct.set(0);
+        assert!(tallies.admitted.get() > 0, "arrivals queue on a down node");
+        assert_eq!(tallies.goodput.get() + tallies.late.get(), 0);
+        assert_eq!(sim.live_tasks(), 3, "arrival loop + two waiting workers");
+
+        cluster.recover_node(NodeId(0)).unwrap();
+        sim.run_for(SimDuration::from_secs(2));
+        assert_eq!(tallies.goodput.get(), tallies.admitted.get(), "{tallies:?}");
+        assert_eq!(sim.live_tasks(), 1, "workers exit once the queue drains");
     }
 
     #[test]

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Behaviour check for a change meant to alter no output: build `repro` and
 # the golden-digest generator from REV and from this tree, run every
-# deterministic output surface on both, and compare. Prints one line per
-# surface and exits 1 on the first difference (after a diff excerpt).
+# deterministic output surface on both, and compare. Prints `same` or
+# `DIFFERS` (with a diff excerpt) for every surface, then exits 1 if any
+# differed, so a change that moves one surface on purpose still shows the
+# others unchanged.
 #
 #   scripts/same_outputs.sh [REV]
 #
@@ -29,6 +31,8 @@ trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/old"
 git archive "$rev" | tar -x -C "$tmp/old"
 
+differed=0
+
 build() {
     cargo build --release --offline --quiet -p qrdtm-bench
     cargo build --release --offline --quiet --example golden_digests
@@ -52,7 +56,8 @@ compare() {
         "${args[@]/%SIDE/$side}" 2>/dev/null >"$tmp/$side.out" || code=$?
         if [ ! -s "$tmp/$side.out" ]; then
             echo "EMPTY    $name ($side side printed nothing, exit $code)"
-            exit 1
+            differed=1
+            return
         fi
         echo "exit $code" >>"$tmp/$side.out"
         $filter <"$tmp/$side.out" >"$tmp/$side.cmp"
@@ -61,8 +66,8 @@ compare() {
         echo "same     $name"
     else
         echo "DIFFERS  $name"
-        diff "$tmp/old.cmp" "$tmp/new.cmp" | head -20
-        exit 1
+        diff "$tmp/old.cmp" "$tmp/new.cmp" | head -20 || true
+        differed=1
     fi
 }
 
@@ -81,5 +86,6 @@ if diff -r "$tmp/csv.old" "$tmp/csv.new" >"$tmp/csv.diff"; then
 else
     echo "DIFFERS  all --quick (CSVs)"
     head -20 "$tmp/csv.diff"
-    exit 1
+    differed=1
 fi
+exit $differed
