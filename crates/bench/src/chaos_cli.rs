@@ -167,7 +167,7 @@ impl Scenario {
     /// the RPC timeout; durable and protected runs keep
     /// `DtmConfig::default()`'s 500 ms (the nemesis unit-test builders
     /// `qr_durable`/`qr_overload` set 100 ms, so they exercise a different
-    /// configuration — ROADMAP item 3).
+    /// configuration — ROADMAP item 4(d)).
     fn qr(&self, mode: NestingMode, spec: &ChaosSpec) -> Rc<Cluster> {
         let mut cfg = DtmConfig {
             nodes: self.nodes,

@@ -125,7 +125,8 @@ impl HistoryRecorder {
         self.enabled
     }
 
-    pub(crate) fn push(&mut self, rec: CommitRecord) {
+    /// Record one commit, if recording is on.
+    pub fn push(&mut self, rec: CommitRecord) {
         if self.enabled {
             self.records.push(rec);
         }

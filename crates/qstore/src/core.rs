@@ -10,12 +10,14 @@ use std::cell::{Cell, RefCell};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 
-use qrdtm_core::{repair, CommitRecord, ObjVal, ObjectId, Payload, TxId, Version, Wal};
-use qrdtm_sim::{NodeId, Sim, SimDuration, SimTime};
+use qrdtm_core::{
+    repair, CommitRecord, HistoryRecorder, ObjVal, ObjectId, Payload, TxId, Version, Wal,
+};
+use qrdtm_sim::{NodeId, Sim, SimDuration, SimTime, Sleep};
 
 use crate::msg::{Decision, DecisionBlock, DecisionLog, QMsg, TxStatus};
 use crate::wal::{fold, BatchRecord, QSnapshot};
-use crate::QStoreBug;
+use crate::{QStoreBug, QStoreConfig};
 
 /// Quorum size over the *configured* node count (the planner counts
 /// itself when tallying batch acks).
@@ -40,6 +42,23 @@ pub(crate) struct SpecEntry {
     pub val: ObjVal,
 }
 
+/// Install a batch's `(object, version, tag, value)` writes into `store`.
+pub(crate) fn install_writes(
+    store: &mut HashMap<ObjectId, Slot>,
+    batch: u64,
+    writes: &[(ObjectId, Version, u64, ObjVal)],
+) {
+    for (oid, version, tag, val) in writes {
+        let slot = Slot {
+            version: *version,
+            tag: *tag,
+            batch,
+            val: val.clone(),
+        };
+        store.insert(*oid, slot);
+    }
+}
+
 /// Per-node replica state: the committed store (batch prefix), the
 /// speculative per-object queues this node executes, the decision log,
 /// and the durable batch log.
@@ -56,8 +75,8 @@ pub(crate) struct ReplicaState {
     pub wal_records: u64,
     pub wal_fsyncs: u64,
     /// The real disk behind the counters above (`None` = cost-modelled
-    /// mode, PR-7 behaviour: the counters move but nothing is readable
-    /// back and a crash cannot be amnesiac).
+    /// mode: the counters move but nothing is readable back and a crash
+    /// cannot be amnesiac).
     pub wal: Option<Wal<BatchRecord, QSnapshot>>,
     /// Set between an amnesiac crash and the replay+repair at readmission.
     pub amnesiac: bool,
@@ -92,43 +111,40 @@ impl ReplicaState {
     }
 
     /// Install one sealed batch unconditionally (sequencing checked by
-    /// the caller) and log it durably in one group commit. Returns the
-    /// disk occupancy to charge (`fallback` in cost-modelled mode).
+    /// the caller) under view `epoch` and log it durably in one group
+    /// commit. Returns the disk occupancy to charge (`fallback` in
+    /// cost-modelled mode).
     pub(crate) fn apply_batch(
         &mut self,
         batch: u64,
         writes: &Payload<(ObjectId, Version, u64, ObjVal)>,
         decided: &DecisionBlock,
+        epoch: u64,
         fallback: SimDuration,
     ) -> SimDuration {
-        for (oid, version, tag, val) in writes.iter() {
-            self.store.insert(
-                *oid,
-                Slot {
-                    version: *version,
-                    tag: *tag,
-                    batch,
-                    val: val.clone(),
-                },
-            );
-        }
-        self.decided.push(Rc::clone(decided));
-        self.applied = batch;
-        self.prune_spec(batch);
-        self.append_record(batch, writes, decided);
+        install_writes(&mut self.store, batch, writes);
+        self.take_batch(batch, writes, decided, epoch);
         self.group_commit().unwrap_or(fallback)
     }
 
-    /// Append the batch record to the log buffer (volatile until the
-    /// matching [`group_commit`](Self::group_commit)). The planner calls
-    /// this at seal and fsyncs from the replication task — dying in
-    /// between loses the record, the append-vs-fsync crash window.
-    pub(crate) fn append_record(
+    /// Take `batch`, whose writes are already in the store, under view
+    /// `epoch`: log its outcomes, advance `applied`, drop the speculation
+    /// it supersedes and append its record to the log buffer (volatile
+    /// until the matching [`group_commit`](Self::group_commit)). The
+    /// planner takes its own batch at seal and fsyncs from the replication
+    /// task — dying in between loses the record, the append-vs-fsync crash
+    /// window.
+    pub(crate) fn take_batch(
         &mut self,
         batch: u64,
         writes: &Payload<(ObjectId, Version, u64, ObjVal)>,
         decided: &DecisionBlock,
+        epoch: u64,
     ) {
+        self.decided.push(Rc::clone(decided));
+        self.applied = batch;
+        self.prune_spec(batch);
+        self.last_apply_epoch = epoch;
         self.wal_records += 1;
         match self.wal.as_mut() {
             Some(w) => {
@@ -139,7 +155,7 @@ impl ReplicaState {
                 });
             }
             // Cost-modelled mode has no buffer: the whole group commit is
-            // counted at the append site, exactly the PR-7 accounting.
+            // counted at the append site.
             None => self.wal_fsyncs += 1,
         }
     }
@@ -268,21 +284,6 @@ impl PlannerState {
             Decision::Requeued { batch } => (*tx, (*batch, false)),
         }));
     }
-
-    /// Status of `tx` if it was ever decided, gated on its batch being
-    /// quorum-acknowledged: nothing is reported committed before the
-    /// epoch is durable on a majority.
-    pub(crate) fn decided_status(&self, tx: &TxId) -> Option<TxStatus> {
-        self.outcomes.get(tx).map(|&(batch, committed)| {
-            if batch > self.decided_through {
-                TxStatus::Pending
-            } else if committed {
-                TxStatus::Committed
-            } else {
-                TxStatus::Requeued
-            }
-        })
-    }
 }
 
 /// Commit/abort/batch counters.
@@ -298,20 +299,6 @@ pub struct QStoreStats {
     pub batch_txns: u64,
 }
 
-/// Timing/latency knobs resolved from the public config.
-pub(crate) struct Tunables {
-    pub nodes: usize,
-    pub batch_size: usize,
-    pub epoch_timeout: SimDuration,
-    pub rpc_timeout: SimDuration,
-    pub backoff: SimDuration,
-    pub wal_cost: SimDuration,
-    pub transfer_cost: SimDuration,
-    /// Nominal one-way link latency (drives epoch-repair charging).
-    pub nominal: SimDuration,
-    pub bug: Option<QStoreBug>,
-}
-
 /// Everything handlers, background tasks and the cluster handle share.
 pub(crate) struct Shared {
     pub nodes: Vec<NodeId>,
@@ -319,10 +306,9 @@ pub(crate) struct Shared {
     pub planner: RefCell<PlannerState>,
     pub replicas: Vec<Rc<RefCell<ReplicaState>>>,
     pub stats: RefCell<QStoreStats>,
-    pub records: RefCell<Vec<CommitRecord>>,
+    pub history: RefCell<HistoryRecorder>,
     pub recorded: RefCell<HashSet<TxId>>,
     pub requeue_seen: RefCell<HashSet<TxId>>,
-    pub recording: Cell<bool>,
     /// Quorum-acknowledged batch ids (0 = preload). Checker feed.
     pub acked: RefCell<BTreeSet<u64>>,
     /// `(reader's batch, newest batch observed by its reads)` per commit.
@@ -335,13 +321,52 @@ pub(crate) struct Shared {
     /// slips past validation corrupts the history visibly.
     pub tag_vers: RefCell<HashMap<(ObjectId, u64), Version>>,
     pub next_seq: Cell<u64>,
-    pub cfg: Tunables,
+    /// The cluster's configuration, `batch_size` clamped to at least 1.
+    pub cfg: QStoreConfig,
 }
 
 impl Shared {
     pub(crate) fn view_snapshot(&self) -> (Vec<usize>, usize) {
         let v = self.view.borrow();
         (v.alive_indices(), v.planner)
+    }
+
+    /// Whether `me` still holds the planner role: alive, and named planner
+    /// by the view. Every planner task stops the moment this goes false.
+    pub(crate) fn leads(&self, sim: &Sim<QMsg>, me: usize) -> bool {
+        sim.is_alive(self.nodes[me]) && self.view.borrow().planner == me
+    }
+
+    /// The jittered pause a retrying loop takes between rounds.
+    pub(crate) fn pause(&self, sim: &Sim<QMsg>) -> Sleep {
+        sim.sleep(self.cfg.backoff.mul_f64(sim.jitter(0.5, 1.5)))
+    }
+
+    /// Push replica `from`'s full committed state, stamped with the current
+    /// view, to the replicas `to` in one call. Returns `(replica, applied)`
+    /// for every one that acknowledged it. A push to nobody sends nothing.
+    pub(crate) async fn push_full_sync(
+        &self,
+        sim: &Sim<QMsg>,
+        from: usize,
+        to: &[usize],
+    ) -> Vec<(usize, u64)> {
+        if to.is_empty() {
+            return Vec::new();
+        }
+        let sync = self.replicas[from]
+            .borrow_mut()
+            .full_sync(self.view.borrow().epoch);
+        let targets: Vec<NodeId> = to.iter().map(|&i| self.nodes[i]).collect();
+        let timeout = Some(self.cfg.rpc_timeout);
+        let res = sim.call(self.nodes[from], &targets, sync, timeout).await;
+        res.replies
+            .into_iter()
+            .filter_map(|(node, m)| match m {
+                QMsg::ApplyAck { ok: true, applied } => Some((node.index(), applied)),
+                _ => None,
+            })
+            .collect()
     }
 }
 
@@ -396,11 +421,14 @@ pub(crate) fn install_handlers(sim: &Sim<QMsg>, shared: &Rc<Shared>) {
                 }
             }
             QMsg::Submit { tx, reads, writes } => {
-                let status = planner_submit(&sh, &sim2, me, ctx, tx, reads, writes);
+                let status = known_status(&sh, me, tx).unwrap_or_else(|| {
+                    accept(&sh, &sim2, me, ctx, tx, reads, writes);
+                    TxStatus::Pending
+                });
                 ctx.respond(&env, QMsg::SubmitAck { status });
             }
             QMsg::Poll { tx } => {
-                let status = planner_poll(&sh, me, tx);
+                let status = known_status(&sh, me, tx).unwrap_or(TxStatus::Unknown);
                 ctx.respond(&env, QMsg::SubmitAck { status });
             }
             QMsg::ApplyBatch {
@@ -411,24 +439,16 @@ pub(crate) fn install_handlers(sim: &Sim<QMsg>, shared: &Rc<Shared>) {
             } => {
                 let current = sh.view.borrow().epoch;
                 let mut r = sh.replicas[me].borrow_mut();
-                if *view != current {
-                    let applied = r.applied;
-                    ctx.respond(&env, QMsg::ApplyAck { ok: false, applied });
-                } else if *batch <= r.applied {
-                    let applied = r.applied;
-                    ctx.respond(&env, QMsg::ApplyAck { ok: true, applied });
-                } else if *batch == r.applied + 1 {
+                // Acked when held or next in sequence; nacked on a stale
+                // view or a gap.
+                let ok = *view == current && *batch <= r.applied + 1;
+                if ok && *batch > r.applied {
                     // One group-committed WAL record per replica per batch.
-                    let cost = r.apply_batch(*batch, writes, decided, sh.cfg.wal_cost);
-                    r.last_apply_epoch = current;
-                    let applied = r.applied;
-                    drop(r);
-                    ctx.occupy(cost);
-                    ctx.respond(&env, QMsg::ApplyAck { ok: true, applied });
-                } else {
-                    let applied = r.applied;
-                    ctx.respond(&env, QMsg::ApplyAck { ok: false, applied });
+                    ctx.occupy(r.apply_batch(*batch, writes, decided, current, sh.cfg.wal_cost));
                 }
+                let applied = r.applied;
+                drop(r);
+                ctx.respond(&env, QMsg::ApplyAck { ok, applied });
             }
             QMsg::SyncPull => {
                 let applied = sh.replicas[me].borrow().applied;
@@ -453,10 +473,11 @@ pub(crate) fn install_handlers(sim: &Sim<QMsg>, shared: &Rc<Shared>) {
                 // The rollback direction is gated on `last_apply_epoch` so
                 // a stale same-view FullSync that lost a race with normal
                 // ApplyBatch progress cannot undo acknowledged batches.
-                let install = *view == current
+                let ok = *view == current;
+                if ok
                     && (*applied > r.applied
-                        || (*applied < r.applied && r.last_apply_epoch < current));
-                if install {
+                        || (*applied < r.applied && r.last_apply_epoch < current))
+                {
                     r.store = store
                         .iter()
                         .map(|(oid, version, tag, batch, val)| {
@@ -475,16 +496,11 @@ pub(crate) fn install_handlers(sim: &Sim<QMsg>, shared: &Rc<Shared>) {
                     r.applied = *applied;
                     r.prune_spec(*applied);
                     r.last_apply_epoch = current;
-                    let cost = r.log_full_state(sh.cfg.wal_cost);
-                    let applied = r.applied;
-                    drop(r);
-                    ctx.occupy(cost);
-                    ctx.respond(&env, QMsg::ApplyAck { ok: true, applied });
-                } else {
-                    let ok = *view == current;
-                    let applied = r.applied;
-                    ctx.respond(&env, QMsg::ApplyAck { ok, applied });
+                    ctx.occupy(r.log_full_state(sh.cfg.wal_cost));
                 }
+                let applied = r.applied;
+                drop(r);
+                ctx.respond(&env, QMsg::ApplyAck { ok, applied });
             }
             // Reply payloads are consumed by the call futures.
             QMsg::SubmitAck { .. }
@@ -496,28 +512,32 @@ pub(crate) fn install_handlers(sim: &Sim<QMsg>, shared: &Rc<Shared>) {
     }
 }
 
-fn planner_poll(sh: &Rc<Shared>, me: usize, tx: &TxId) -> TxStatus {
-    {
-        let v = sh.view.borrow();
-        if v.planner != me || !v.alive[me] {
-            return TxStatus::NotPlanner;
-        }
+/// What node `me` can already answer about `tx`: `NotPlanner` off the
+/// planner role, `Busy` mid-takeover, else the planner's record of it.
+/// A decided transaction reads `Pending` until its batch is
+/// quorum-acknowledged — nothing is reported committed before the epoch is
+/// durable on a majority. `None`: the planner has never seen `tx`.
+fn known_status(sh: &Shared, me: usize, tx: &TxId) -> Option<TxStatus> {
+    let v = sh.view.borrow();
+    if v.planner != me || !v.alive[me] {
+        return Some(TxStatus::NotPlanner);
     }
     let p = sh.planner.borrow();
     if !p.ready {
-        return TxStatus::Busy;
+        return Some(TxStatus::Busy);
     }
-    if let Some(status) = p.decided_status(tx) {
-        return status;
-    }
-    if p.pending.contains(tx) {
-        TxStatus::Pending
-    } else {
-        TxStatus::Unknown
+    match p.outcomes.get(tx) {
+        Some(&(batch, _)) if batch > p.decided_through => Some(TxStatus::Pending),
+        Some(&(_, true)) => Some(TxStatus::Committed),
+        Some(&(_, false)) => Some(TxStatus::Requeued),
+        None => p.pending.contains(tx).then_some(TxStatus::Pending),
     }
 }
 
-fn planner_submit(
+/// Accept `tx` into the open epoch: assign queue positions (tags), forward
+/// the speculative writes to each object's home executor, arm the sealer
+/// if the epoch just opened and seal at once if it is full.
+fn accept(
     sh: &Rc<Shared>,
     sim: &Sim<QMsg>,
     me: usize,
@@ -525,28 +545,8 @@ fn planner_submit(
     tx: &TxId,
     reads: &[(ObjectId, u64)],
     writes: &[(ObjectId, ObjVal)],
-) -> TxStatus {
-    let epoch = {
-        let v = sh.view.borrow();
-        if v.planner != me || !v.alive[me] {
-            return TxStatus::NotPlanner;
-        }
-        v.epoch
-    };
-    {
-        let p = sh.planner.borrow();
-        if !p.ready {
-            return TxStatus::Busy;
-        }
-        if let Some(status) = p.decided_status(tx) {
-            return status;
-        }
-        if p.pending.contains(tx) {
-            return TxStatus::Pending;
-        }
-    }
-    // Accept: assign queue positions (tags) and forward the speculative
-    // writes to each object's home executor.
+) {
+    let epoch = sh.view.borrow().epoch;
     let (alive, _) = sh.view_snapshot();
     let (open_batch, was_empty, tagged) = {
         let mut p = sh.planner.borrow_mut();
@@ -611,20 +611,16 @@ fn planner_submit(
             sealer(sh2, sim3, me, open_batch).await;
         });
     }
-    let full = {
-        let p = sh.planner.borrow();
-        p.open.len() >= sh.cfg.batch_size && !p.sealing
-    };
-    if full {
-        if let Some(job) = seal(sh, sim, me) {
-            let sh2 = Rc::clone(sh);
-            let sim3 = sim.clone();
-            sim.spawn(async move {
-                run_batches(sh2, sim3, me, job).await;
-            });
-        }
+    if sh.planner.borrow().open.len() < sh.cfg.batch_size {
+        return;
     }
-    TxStatus::Pending
+    if let Some(job) = seal(sh, sim, me) {
+        let sh2 = Rc::clone(sh);
+        let sim3 = sim.clone();
+        sim.spawn(async move {
+            run_batches(sh2, sim3, me, job).await;
+        });
+    }
 }
 
 /// Seal the open epoch: validate every transaction in planner-assigned
@@ -646,8 +642,8 @@ pub(crate) fn seal(sh: &Rc<Shared>, sim: &Sim<QMsg>, me: usize) -> Option<BatchJ
     let mut r = sh.replicas[me].borrow_mut();
     let mut wire_writes: Vec<(ObjectId, Version, u64, ObjVal)> = Vec::new();
     let mut decided: Vec<(TxId, Decision)> = Vec::new();
+    let skip_check = sh.cfg.injected_bug == Some(QStoreBug::SkipTagCheck);
     for (seq, t) in open.iter().enumerate() {
-        let skip_check = sh.cfg.bug == Some(QStoreBug::SkipTagCheck);
         // A tag-0 read of a still-absent object observed the implicit
         // preload and stays valid; any installed write retags the slot
         // and invalidates it.
@@ -725,15 +721,9 @@ pub(crate) fn seal(sh: &Rc<Shared>, sim: &Sim<QMsg>, me: usize) -> Option<BatchJ
     // replica's log, WAL record and snapshot share these two blocks.
     let writes: Payload<_> = wire_writes.into();
     let decided: DecisionBlock = decided.into();
-    // Self-apply bookkeeping: the planner is replica 1 of the quorum. The
-    // batch record is only *appended* here — the group-commit fsync runs
-    // at the head of the replication task, so a planner that dies in
-    // between loses the record (the append-vs-fsync crash window).
-    r.decided.push(Rc::clone(&decided));
-    r.applied = batch;
-    r.prune_spec(batch);
-    r.last_apply_epoch = sh.view.borrow().epoch;
-    r.append_record(batch, &writes, &decided);
+    // Self-apply: the planner is replica 1 of the quorum, and its writes
+    // are already in its store.
+    r.take_batch(batch, &writes, &decided, sh.view.borrow().epoch);
     drop(r);
     sh.planner.borrow_mut().index_outcomes(&decided);
     Some(BatchJob {
@@ -762,8 +752,9 @@ pub(crate) fn account_decisions(sh: &Shared, decided: &[(TxId, Decision)]) {
                     sh.atomicity
                         .borrow_mut()
                         .push((*batch, *observed_batch_max));
-                    if sh.recording.get() {
-                        sh.records.borrow_mut().push(CommitRecord {
+                    let mut history = sh.history.borrow_mut();
+                    if history.is_enabled() {
+                        history.push(CommitRecord {
                             tx: *tx,
                             at: *at,
                             reads: reads.clone(),
@@ -788,7 +779,7 @@ pub(crate) fn account_decisions(sh: &Shared, decided: &[(TxId, Decision)]) {
 pub(crate) async fn run_batches(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, first: BatchJob) {
     let mut job = first;
     loop {
-        if sh.cfg.bug == Some(QStoreBug::AckBeforeFsync) {
+        if sh.cfg.injected_bug == Some(QStoreBug::AckBeforeFsync) {
             // Injected bug: acknowledge the epoch the moment it is sealed
             // — before the planner's own fsync completes and before any
             // replica holds it. Clients polling now see `Committed`, and
@@ -814,7 +805,7 @@ pub(crate) async fn run_batches(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, first
         let maj = majority(sh.cfg.nodes);
         let mut acked: HashSet<usize> = HashSet::from([me]);
         loop {
-            if !sim.is_alive(sh.nodes[me]) || sh.view.borrow().planner != me {
+            if !sh.leads(&sim, me) {
                 return; // deposed mid-replication; takeover owns the rest
             }
             if acked.len() >= maj {
@@ -846,7 +837,7 @@ pub(crate) async fn run_batches(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, first
                 .await;
             let mut lagging: Vec<usize> = Vec::new();
             for (node, reply) in &res.replies {
-                let idx = node.0 as usize;
+                let idx = node.index();
                 match reply {
                     QMsg::ApplyAck { ok: true, .. } => {
                         acked.insert(idx);
@@ -857,25 +848,15 @@ pub(crate) async fn run_batches(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, first
                     _ => {}
                 }
             }
-            // Gap-nacked replicas get the full committed state.
+            // Gap-nacked replicas get the full committed state, one call
+            // each.
             for idx in lagging {
-                let fs = sh.replicas[me]
-                    .borrow_mut()
-                    .full_sync(sh.view.borrow().epoch);
-                let res = sim
-                    .call(sh.nodes[me], &[sh.nodes[idx]], fs, Some(sh.cfg.rpc_timeout))
-                    .await;
-                if res
-                    .replies
-                    .iter()
-                    .any(|(_, m)| matches!(m, QMsg::ApplyAck { ok: true, .. }))
-                {
+                if !sh.push_full_sync(&sim, me, &[idx]).await.is_empty() {
                     acked.insert(idx);
                 }
             }
             if acked.len() < maj {
-                let jitter = sim.jitter(0.5, 1.5);
-                sim.sleep(sh.cfg.backoff.mul_f64(jitter)).await;
+                sh.pause(&sim).await;
             }
         }
         // Quorum reached: acknowledge the whole epoch at once.
@@ -920,7 +901,7 @@ pub(crate) async fn run_batches(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, first
 pub(crate) async fn sealer(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, my_batch: u64) {
     loop {
         sim.sleep(sh.cfg.epoch_timeout).await;
-        if !sim.is_alive(sh.nodes[me]) || sh.view.borrow().planner != me {
+        if !sh.leads(&sim, me) {
             return;
         }
         {
@@ -947,8 +928,12 @@ pub(crate) async fn sealer(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, my_batch: 
 /// lagging replicas. The deposed planner's open epoch is lost by design;
 /// clients re-submit and are replanned from acknowledged state.
 pub(crate) async fn takeover(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize) {
-    loop {
-        if !sim.is_alive(sh.nodes[me]) || sh.view.borrow().planner != me {
+    // A batch applied on a majority has at most `nodes - majority`
+    // non-holders; observing self plus `nodes - majority` others
+    // guarantees a holder is seen.
+    let need_others = sh.cfg.nodes - majority(sh.cfg.nodes);
+    let infos: Vec<(u64, usize)> = loop {
+        if !sh.leads(&sim, me) {
             return;
         }
         let (alive, _) = sh.view_snapshot();
@@ -957,10 +942,6 @@ pub(crate) async fn takeover(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize) {
             .filter(|&&i| i != me)
             .map(|&i| sh.nodes[i])
             .collect();
-        // A batch applied on a majority has at most `nodes - majority`
-        // non-holders; observing self plus `nodes - majority` others
-        // guarantees a holder is seen.
-        let need_others = sh.cfg.nodes - majority(sh.cfg.nodes);
         let res = sim
             .call(
                 sh.nodes[me],
@@ -973,120 +954,86 @@ pub(crate) async fn takeover(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize) {
             .replies
             .iter()
             .filter_map(|(node, m)| match m {
-                QMsg::SyncInfo { applied } => Some((*applied, node.0 as usize)),
+                QMsg::SyncInfo { applied } => Some((*applied, node.index())),
                 _ => None,
             })
             .collect();
-        if infos.len() < need_others {
-            let jitter = sim.jitter(0.5, 1.5);
-            sim.sleep(sh.cfg.backoff.mul_f64(jitter)).await;
-            continue;
+        if infos.len() >= need_others {
+            break infos;
         }
-        let my_applied = sh.replicas[me].borrow().applied;
-        let best = infos.iter().copied().max().unwrap_or((my_applied, me));
-        if best.0 > my_applied {
-            // Charged state transfer from the most advanced replica.
-            sim.sleep(sh.cfg.transfer_cost).await;
-            if !sim.is_alive(sh.nodes[me]) || sh.view.borrow().planner != me {
-                return;
-            }
-            let log_cost = {
-                let donor = sh.replicas[best.1].borrow();
-                let mut r = sh.replicas[me].borrow_mut();
-                r.store = donor.store.clone();
-                r.decided.clone_from(&donor.decided);
-                r.applied = donor.applied;
-                r.spec.clear();
-                r.last_apply_epoch = sh.view.borrow().epoch;
-                // The adopted prefix is durable on the new planner before
-                // anything is promoted: one state-sized snapshot. The old
-                // planner's unsynced tail (if this node was the planner's
-                // successor-by-disk) was already lost at its crash.
-                r.log_full_state(SimDuration::ZERO)
-            };
-            sim.occupy(sh.nodes[me], log_cost);
+        sh.pause(&sim).await;
+    };
+    let my_applied = sh.replicas[me].borrow().applied;
+    let best = infos.iter().copied().max().unwrap_or((my_applied, me));
+    if best.0 > my_applied {
+        // Charged state transfer from the most advanced replica.
+        sim.sleep(sh.cfg.transfer_cost).await;
+        if !sh.leads(&sim, me) {
+            return;
         }
-        let adopted = sh.replicas[me].borrow().applied;
-        // The tail of the adopted prefix may have reached fewer than a
-        // majority before the old planner died (only quorum-acked batches
-        // are guaranteed durable; adopted-but-unacked ones are not).
-        // Nothing from it may be acknowledged — not the acked set, not
-        // stats/history, not a client-visible `Committed` — until the
-        // whole prefix is durable on a majority counting this planner,
-        // so push FullSync to lagging replicas until enough hold it.
-        let maj = majority(sh.cfg.nodes);
-        let mut holders: HashSet<usize> = HashSet::from([me]);
-        for (applied, idx) in &infos {
-            if *applied >= adopted {
-                holders.insert(*idx);
-            }
-        }
-        while holders.len() < maj {
-            if !sim.is_alive(sh.nodes[me]) || sh.view.borrow().planner != me {
-                return;
-            }
-            let (alive, _) = sh.view_snapshot();
-            let lagging: Vec<(usize, NodeId)> = alive
-                .iter()
-                .filter(|i| !holders.contains(i))
-                .map(|&i| (i, sh.nodes[i]))
-                .collect();
-            if !lagging.is_empty() {
-                let fs = sh.replicas[me]
-                    .borrow_mut()
-                    .full_sync(sh.view.borrow().epoch);
-                let targets: Vec<NodeId> = lagging.iter().map(|(_, n)| *n).collect();
-                let res = sim
-                    .call(sh.nodes[me], &targets, fs, Some(sh.cfg.rpc_timeout))
-                    .await;
-                for (node, m) in &res.replies {
-                    if let QMsg::ApplyAck { ok: true, applied } = m {
-                        if *applied >= adopted {
-                            holders.insert(node.0 as usize);
-                        }
-                    }
-                }
-            }
-            if holders.len() < maj {
-                let jitter = sim.jitter(0.5, 1.5);
-                sim.sleep(sh.cfg.backoff.mul_f64(jitter)).await;
-            }
-        }
-        {
-            let mut acked = sh.acked.borrow_mut();
-            for b in 1..=adopted {
-                acked.insert(b);
-            }
-        }
-        // Promote adopted decisions: batches the dead planner replicated
-        // but never acknowledged are now majority-durable (re-replicated
-        // above), so their commits are counted and recorded exactly once,
-        // in apply order. The same walk rebuilds the outcome index — the
-        // one place the planner does work proportional to history.
-        let mut planner = PlannerState::fresh(adopted);
-        for block in sh.replicas[me].borrow().decided.iter() {
-            account_decisions(&sh, block);
-            planner.index_outcomes(block);
-        }
-        *sh.planner.borrow_mut() = planner;
-        // Best-effort catch-up push to any replica still behind; the
-        // per-batch gap repair finishes the job if this races new traffic.
-        let (alive, _) = sh.view_snapshot();
-        let behind: Vec<NodeId> = alive
-            .iter()
-            .filter(|i| !holders.contains(i))
-            .map(|&i| sh.nodes[i])
-            .collect();
-        if !behind.is_empty() {
-            let fs = sh.replicas[me]
-                .borrow_mut()
-                .full_sync(sh.view.borrow().epoch);
-            let _ = sim
-                .call(sh.nodes[me], &behind, fs, Some(sh.cfg.rpc_timeout))
-                .await;
-        }
-        return;
+        let log_cost = {
+            let donor = sh.replicas[best.1].borrow();
+            let mut r = sh.replicas[me].borrow_mut();
+            r.store = donor.store.clone();
+            r.decided.clone_from(&donor.decided);
+            r.applied = donor.applied;
+            r.spec.clear();
+            r.last_apply_epoch = sh.view.borrow().epoch;
+            // The adopted prefix is durable on the new planner before
+            // anything is promoted: one state-sized snapshot. The old
+            // planner's unsynced tail (if this node was the planner's
+            // successor-by-disk) was already lost at its crash.
+            r.log_full_state(SimDuration::ZERO)
+        };
+        sim.occupy(sh.nodes[me], log_cost);
     }
+    let adopted = sh.replicas[me].borrow().applied;
+    // The tail of the adopted prefix may have reached fewer than a
+    // majority before the old planner died (only quorum-acked batches
+    // are guaranteed durable; adopted-but-unacked ones are not).
+    // Nothing from it may be acknowledged — not the acked set, not
+    // stats/history, not a client-visible `Committed` — until the
+    // whole prefix is durable on a majority counting this planner,
+    // so push FullSync to lagging replicas until enough hold it.
+    let maj = majority(sh.cfg.nodes);
+    let mut holders: HashSet<usize> = HashSet::from([me]);
+    for (applied, idx) in &infos {
+        if *applied >= adopted {
+            holders.insert(*idx);
+        }
+    }
+    let lagging = |holders: &HashSet<usize>| -> Vec<usize> {
+        let (alive, _) = sh.view_snapshot();
+        alive.into_iter().filter(|i| !holders.contains(i)).collect()
+    };
+    while holders.len() < maj {
+        if !sh.leads(&sim, me) {
+            return;
+        }
+        for (idx, applied) in sh.push_full_sync(&sim, me, &lagging(&holders)).await {
+            if applied >= adopted {
+                holders.insert(idx);
+            }
+        }
+        if holders.len() < maj {
+            sh.pause(&sim).await;
+        }
+    }
+    sh.acked.borrow_mut().extend(1..=adopted);
+    // Promote adopted decisions: batches the dead planner replicated
+    // but never acknowledged are now majority-durable (re-replicated
+    // above), so their commits are counted and recorded exactly once,
+    // in apply order. The same walk rebuilds the outcome index — the
+    // one place the planner does work proportional to history.
+    let mut planner = PlannerState::fresh(adopted);
+    for block in sh.replicas[me].borrow().decided.iter() {
+        account_decisions(&sh, block);
+        planner.index_outcomes(block);
+    }
+    *sh.planner.borrow_mut() = planner;
+    // Best-effort catch-up push to any replica still behind; the
+    // per-batch gap repair finishes the job if this races new traffic.
+    sh.push_full_sync(&sim, me, &lagging(&holders)).await;
 }
 
 /// Push the committed prefix from the planner to a freshly recovered
@@ -1107,26 +1054,11 @@ pub(crate) async fn catch_up(sh: Rc<Shared>, sim: Sim<QMsg>, planner_idx: usize,
         if sh.replicas[node_idx].borrow().applied >= sh.replicas[planner_idx].borrow().applied {
             return;
         }
-        let fs = sh.replicas[planner_idx]
-            .borrow_mut()
-            .full_sync(sh.view.borrow().epoch);
-        let res = sim
-            .call(
-                sh.nodes[planner_idx],
-                &[sh.nodes[node_idx]],
-                fs,
-                Some(sh.cfg.rpc_timeout),
-            )
-            .await;
-        if res
-            .replies
-            .iter()
-            .any(|(_, m)| matches!(m, QMsg::ApplyAck { ok: true, .. }))
-        {
+        let synced = sh.push_full_sync(&sim, planner_idx, &[node_idx]).await;
+        if !synced.is_empty() {
             return;
         }
-        let jitter = sim.jitter(0.5, 1.5);
-        sim.sleep(sh.cfg.backoff.mul_f64(jitter)).await;
+        sh.pause(&sim).await;
     }
 }
 
@@ -1249,7 +1181,13 @@ pub(crate) fn amnesia_recovery(sh: &Shared, sim: &Sim<QMsg>, idx: usize) -> SimD
             r.applied = donor.applied;
         }
     }
-    cost += repair::charge_quorum_repair(sim, sh.nodes[idx], repaired, bytes, sh.cfg.nominal);
+    cost += repair::charge_quorum_repair(
+        sim,
+        sh.nodes[idx],
+        repaired,
+        bytes,
+        sh.cfg.latency.nominal(),
+    );
     {
         let mut r = sh.replicas[idx].borrow_mut();
         cost += r.log_full_state(SimDuration::ZERO);

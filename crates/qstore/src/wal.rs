@@ -16,7 +16,7 @@ use std::collections::HashMap;
 
 use qrdtm_core::{ObjVal, ObjectId, Payload, Version};
 
-use crate::core::Slot;
+use crate::core::{install_writes, Slot};
 use crate::msg::{DecisionBlock, DecisionLog};
 
 /// One durable log record: a whole sealed batch (preloads use batch 0).
@@ -44,17 +44,7 @@ pub(crate) struct QSnapshot {
 pub(crate) fn fold(snapshot: Option<QSnapshot>, records: Vec<BatchRecord>) -> QSnapshot {
     let mut st = snapshot.unwrap_or_default();
     for rec in records {
-        for (oid, version, tag, val) in rec.writes.iter() {
-            st.store.insert(
-                *oid,
-                Slot {
-                    version: *version,
-                    tag: *tag,
-                    batch: rec.batch,
-                    val: val.clone(),
-                },
-            );
-        }
+        install_writes(&mut st.store, rec.batch, &rec.writes);
         if !rec.decided.is_empty() {
             st.decided.push(rec.decided);
         }

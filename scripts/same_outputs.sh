@@ -13,7 +13,8 @@
 # a `git archive` in a temp dir, so this takes a second release build and
 # is not a check.sh stage. Surfaces: the golden digests, the four chaos
 # smokes (stdout and exit code), `mc --smoke` with its `(N.Ns)` wall time
-# stripped, and `all --quick` (stdout, then `diff -r` of the CSVs).
+# stripped, `all --quick` (stdout, then `diff -r` of the CSVs), and the
+# benchmark package's `--smoke` reduced to its virtual metrics.
 set -euo pipefail
 # Run from the repository root, wherever the script was invoked from.
 case "$0" in
@@ -36,6 +37,7 @@ differed=0
 build() {
     cargo build --release --offline --quiet -p qrdtm-bench
     cargo build --release --offline --quiet --example golden_digests
+    cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 }
 echo "building $rev and this tree"
 (cd "$tmp/old" && build)
@@ -43,16 +45,16 @@ build
 
 # Run one surface on both sides and compare what it printed: $1 names the
 # surface, $2 is a filter for the output, the rest is the command. An
-# argument starting with BIN starts with the side's target/release
-# directory instead, and one ending in SIDE ends in `old` or `new`.
+# argument starting with ROOT starts with the side's checkout instead, and
+# one ending in SIDE ends in `old` or `new`.
 compare() {
     local name=$1 filter=$2
     shift 2
     local side dir
     for side in old new; do
-        dir=target/release
-        [ "$side" = new ] || dir=$tmp/old/target/release
-        local code=0 args=("${@/#BIN/$dir}")
+        dir=.
+        [ "$side" = new ] || dir=$tmp/old
+        local code=0 args=("${@/#ROOT/$dir}")
         "${args[@]/%SIDE/$side}" 2>/dev/null >"$tmp/$side.out" || code=$?
         if [ ! -s "$tmp/$side.out" ]; then
             echo "EMPTY    $name ($side side printed nothing, exit $code)"
@@ -74,13 +76,29 @@ compare() {
 # `mc --smoke` ends with its wall time, e.g. "... caught (12.3s)".
 strip_secs() { sed -E 's/ \([0-9]+\.[0-9]s\)$//'; }
 
-compare "golden digests" cat BIN/examples/golden_digests
-compare "chaos --smoke" cat BIN/repro chaos --smoke
-compare "chaos --smoke --detector" cat BIN/repro chaos --smoke --detector
-compare "chaos --smoke --amnesia" cat BIN/repro chaos --smoke --amnesia
-compare "chaos --smoke --overload" cat BIN/repro chaos --smoke --overload
-compare "mc --smoke" strip_secs BIN/repro mc --smoke
-compare "all --quick (stdout)" cat BIN/repro all --quick --out "$tmp/csv.SIDE"
+# The benchmark smoke minus everything read from the host clock: the
+# par_bank block (threads on the wall clock), the JSON result lines,
+# metrics in s, 1/s, ns or MB, the three bench.* host ratios, and the
+# wall-clock rows of each span table. What is left is seeded.
+virtual_only() {
+    awk '
+        /^# workload=/ { par = ($2 == "workload=par_bank") }
+        par || /^\{/ { next }
+        $3 ~ /^(s|1\/s|ns|MB)$/ { next }
+        $1 ~ /^bench\.(host_speed|slice_wall_growth|trace_overhead)$/ { next }
+        /^# (setup|plan|cluster_new|preload|populate|warmup|measure|slice|audit|invariant|verify_history|probes) / { next }
+        { print }'
+}
+
+compare "golden digests" cat ROOT/target/release/examples/golden_digests
+compare "chaos --smoke" cat ROOT/target/release/repro chaos --smoke
+compare "chaos --smoke --detector" cat ROOT/target/release/repro chaos --smoke --detector
+compare "chaos --smoke --amnesia" cat ROOT/target/release/repro chaos --smoke --amnesia
+compare "chaos --smoke --overload" cat ROOT/target/release/repro chaos --smoke --overload
+compare "mc --smoke" strip_secs ROOT/target/release/repro mc --smoke
+compare "benchmark --smoke (virtual metrics)" virtual_only \
+    ROOT/benchmark/target/release/qrdtm-benchmark --smoke
+compare "all --quick (stdout)" cat ROOT/target/release/repro all --quick --out "$tmp/csv.SIDE"
 if diff -r "$tmp/csv.old" "$tmp/csv.new" >"$tmp/csv.diff"; then
     echo "same     all --quick (CSVs)"
 else
