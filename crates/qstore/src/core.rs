@@ -7,15 +7,17 @@
 //! the QR cluster's membership oracle).
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashSet, VecDeque};
+use std::hash::BuildHasherDefault;
 use std::rc::Rc;
 
 use qrdtm_core::{
-    repair, CommitRecord, HistoryRecorder, ObjVal, ObjectId, Payload, TxId, Version, Wal,
+    repair, CommitRecord, HistoryRecorder, IdHasher, IdMap, ObjVal, ObjectId, Payload, TxId,
+    Version, Wal,
 };
 use qrdtm_sim::{NodeId, Sim, SimDuration, SimTime, Sleep};
 
-use crate::msg::{Decision, DecisionBlock, DecisionLog, QMsg, TxStatus};
+use crate::msg::{Decision, DecisionBlock, DecisionLog, Horizon, QMsg, TxStatus};
 use crate::wal::{fold, BatchRecord, QSnapshot};
 use crate::{QStoreBug, QStoreConfig};
 
@@ -42,9 +44,12 @@ pub(crate) struct SpecEntry {
     pub val: ObjVal,
 }
 
+/// A hash set keyed by an integer id through [`IdHasher`].
+pub(crate) type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
+
 /// Install a batch's `(object, version, tag, value)` writes into `store`.
 pub(crate) fn install_writes(
-    store: &mut HashMap<ObjectId, Slot>,
+    store: &mut IdMap<ObjectId, Slot>,
     batch: u64,
     writes: &[(ObjectId, Version, u64, ObjVal)],
 ) {
@@ -64,13 +69,17 @@ pub(crate) fn install_writes(
 /// and the durable batch log.
 #[derive(Default)]
 pub(crate) struct ReplicaState {
-    pub store: HashMap<ObjectId, Slot>,
-    pub spec: HashMap<ObjectId, Vec<SpecEntry>>,
-    /// Append-only between wholesale replacements (a `FullSync` install,
-    /// takeover adoption, an amnesiac restart) and never searched here —
-    /// only the planner looks a transaction up by id, in its own
-    /// [`PlannerState::outcomes`] index.
+    pub store: IdMap<ObjectId, Slot>,
+    pub spec: IdMap<ObjectId, Vec<SpecEntry>>,
+    /// Appended per batch, trimmed to [`horizon`](Self::horizon), replaced
+    /// wholesale by a `FullSync` install, takeover adoption or an amnesiac
+    /// restart, and never searched here — only the planner looks a
+    /// transaction up by id, in its own [`PlannerState::outcomes`] index.
+    /// Holds every decision of this replica's prefix that `horizon` does
+    /// not cover.
     pub decided: DecisionLog,
+    /// The highest client watermarks this replica has seen.
+    pub horizon: Horizon,
     pub applied: u64,
     pub wal_records: u64,
     pub wal_fsyncs: u64,
@@ -119,29 +128,33 @@ impl ReplicaState {
         batch: u64,
         writes: &Payload<(ObjectId, Version, u64, ObjVal)>,
         decided: &DecisionBlock,
+        horizon: &Horizon,
         epoch: u64,
         fallback: SimDuration,
     ) -> SimDuration {
         install_writes(&mut self.store, batch, writes);
-        self.take_batch(batch, writes, decided, epoch);
+        self.take_batch(batch, writes, decided, horizon, epoch);
         self.group_commit().unwrap_or(fallback)
     }
 
     /// Take `batch`, whose writes are already in the store, under view
-    /// `epoch`: log its outcomes, advance `applied`, drop the speculation
-    /// it supersedes and append its record to the log buffer (volatile
-    /// until the matching [`group_commit`](Self::group_commit)). The
-    /// planner takes its own batch at seal and fsyncs from the replication
-    /// task — dying in between loses the record, the append-vs-fsync crash
-    /// window.
+    /// `epoch`: log its outcomes, forget what `horizon` covers, advance
+    /// `applied`, drop the speculation it supersedes and append its record
+    /// to the log buffer (volatile until the matching
+    /// [`group_commit`](Self::group_commit)). The planner takes its own
+    /// batch at seal and fsyncs from the replication task — dying in
+    /// between loses the record, the append-vs-fsync crash window.
     pub(crate) fn take_batch(
         &mut self,
         batch: u64,
         writes: &Payload<(ObjectId, Version, u64, ObjVal)>,
         decided: &DecisionBlock,
+        horizon: &Horizon,
         epoch: u64,
     ) {
         self.decided.push(Rc::clone(decided));
+        self.horizon.merge(horizon);
+        self.decided.forget(&self.horizon);
         self.applied = batch;
         self.prune_spec(batch);
         self.last_apply_epoch = epoch;
@@ -152,6 +165,7 @@ impl ReplicaState {
                     batch,
                     writes: Rc::clone(writes),
                     decided: Rc::clone(decided),
+                    horizon: horizon.clone(),
                 });
             }
             // Cost-modelled mode has no buffer: the whole group commit is
@@ -187,13 +201,22 @@ impl ReplicaState {
     }
 
     /// The replica's full committed state, as a snapshot payload (the
-    /// decision log by reference).
-    fn snapshot_state(&mut self) -> QSnapshot {
+    /// decision blocks by reference).
+    fn snapshot_state(&self) -> QSnapshot {
         QSnapshot {
             applied: self.applied,
             store: self.store.clone(),
-            decided: self.decided.share(),
+            decided: self.decided.clone(),
+            horizon: self.horizon.clone(),
         }
+    }
+
+    /// Replace the decision log with `decided`, a log complete above
+    /// `horizon`, and adopt the higher of the two horizons.
+    pub(crate) fn adopt_log(&mut self, decided: &DecisionLog, horizon: &Horizon) {
+        self.decided.clone_from(decided);
+        self.horizon.merge(horizon);
+        self.decided.forget(&self.horizon);
     }
 
     /// Wire-format dump of the committed store (for `FullSync`), in
@@ -210,12 +233,13 @@ impl ReplicaState {
 
     /// This replica's full committed state as the `FullSync` a planner
     /// stamped with `view` pushes to a lagging replica.
-    pub(crate) fn full_sync(&mut self, view: u64) -> QMsg {
+    pub(crate) fn full_sync(&self, view: u64) -> QMsg {
         QMsg::FullSync {
             view,
             applied: self.applied,
             store: self.dump_store(),
-            decided: self.decided.share(),
+            decided: self.decided.clone(),
+            horizon: self.horizon.clone(),
         }
     }
 }
@@ -247,12 +271,15 @@ pub(crate) struct PendTxn {
 /// names as planner touches it, and takeover reinitializes it wholesale.
 pub(crate) struct PlannerState {
     pub open: Vec<PendTxn>,
-    pub pending: HashSet<TxId>,
+    pub pending: IdSet<TxId>,
     /// `tx -> (deciding batch, committed?)` for every decision in the
-    /// planner's log — all a duplicate `Submit` or a `Poll` needs to be
-    /// answered exactly once. Filled by `seal`, rebuilt from the adopted
-    /// log by `takeover`.
-    pub outcomes: HashMap<TxId, (u64, bool)>,
+    /// planner's log that `horizon` does not cover — all a duplicate
+    /// `Submit` or a `Poll` needs to be answered exactly once. Filled by
+    /// `seal`, rebuilt from the adopted log by `takeover`.
+    pub outcomes: IdMap<TxId, (u64, bool)>,
+    /// One watermark per client node, raised by every `Submit` and `Poll`
+    /// and shipped with every sealed batch.
+    pub horizon: Horizon,
     pub sealing: bool,
     pub last_sealed: u64,
     pub decided_through: u64,
@@ -262,11 +289,12 @@ pub(crate) struct PlannerState {
 }
 
 impl PlannerState {
-    pub(crate) fn fresh(applied: u64) -> Self {
+    pub(crate) fn fresh(applied: u64, horizon: Horizon) -> Self {
         PlannerState {
             open: Vec::new(),
-            pending: HashSet::new(),
-            outcomes: HashMap::new(),
+            pending: IdSet::default(),
+            outcomes: IdMap::default(),
+            horizon,
             sealing: false,
             last_sealed: applied,
             decided_through: applied,
@@ -277,12 +305,105 @@ impl PlannerState {
     }
 
     /// Index one batch's outcomes (a later decision of a transaction
-    /// supersedes an earlier one).
+    /// supersedes an earlier one), leaving out what the horizon covers.
     pub(crate) fn index_outcomes(&mut self, block: &[(TxId, Decision)]) {
-        self.outcomes.extend(block.iter().map(|(tx, d)| match d {
+        let horizon = &self.horizon;
+        let live = block.iter().filter(|(tx, _)| !horizon.covers(tx));
+        self.outcomes.extend(live.map(|(tx, d)| match d {
             Decision::Committed { batch, .. } => (*tx, (*batch, true)),
             Decision::Requeued { batch } => (*tx, (*batch, false)),
         }));
+    }
+}
+
+/// The client side of the horizon: per node, the `TxId.seq` of every
+/// attempt begun there and not yet answered. A node's watermark is the
+/// lowest of them, or the next `seq` to be handed out when it has none —
+/// monotone, because new attempts draw ever larger `seq`s.
+#[derive(Default)]
+pub(crate) struct Clients {
+    open: Vec<Vec<u64>>,
+    next_seq: u64,
+}
+
+impl Clients {
+    /// A fresh attempt id at `node`, outstanding until [`settle`](Self::settle).
+    pub(crate) fn begin(&mut self, node: u32) -> TxId {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let i = node as usize;
+        if self.open.len() <= i {
+            self.open.resize_with(i + 1, Vec::new);
+        }
+        self.open[i].push(seq);
+        TxId { node, seq }
+    }
+
+    /// `tx`'s client holds its outcome, or never submitted it.
+    pub(crate) fn settle(&mut self, tx: &TxId) {
+        if let Some(open) = self.open.get_mut(tx.node as usize) {
+            open.retain(|&seq| seq != tx.seq);
+        }
+    }
+
+    pub(crate) fn watermark(&self, node: u32) -> u64 {
+        let open = self.open.get(node as usize).into_iter().flatten();
+        open.copied().min().unwrap_or(self.next_seq)
+    }
+
+    /// Whether `tx`'s client already holds its outcome — which it learns
+    /// only once the decision is accounted.
+    fn answered(&self, tx: &TxId) -> bool {
+        tx.seq < self.watermark(tx.node)
+    }
+
+    /// The oldest attempt outstanding anywhere.
+    fn oldest(&self) -> u64 {
+        let open = self.open.iter().flatten();
+        open.copied().min().unwrap_or(self.next_seq)
+    }
+}
+
+/// `(object, write tag) -> version installed by that tag`, so the seal can
+/// record the version a client *actually observed* through its read tag
+/// (not the store's current version) and a stale read that slips past
+/// validation corrupts the history visibly. A validated read names the
+/// store's current tag, whose version the store itself holds, so only
+/// superseded tags are worth keeping — until every attempt begun before
+/// the supersession is answered. A later attempt names one only through an
+/// executor that has not yet heard of the newer write; the seal then falls
+/// back to the store's version.
+#[derive(Default)]
+pub(crate) struct TagVersions {
+    map: IdMap<(ObjectId, u64), Version>,
+    /// `(next seq at supersession, object, tag)`, oldest first.
+    superseded: VecDeque<(u64, ObjectId, u64)>,
+}
+
+impl TagVersions {
+    fn get(&self, oid: ObjectId, tag: u64) -> Option<Version> {
+        self.map.get(&(oid, tag)).copied()
+    }
+
+    pub(crate) fn insert(&mut self, oid: ObjectId, tag: u64, version: Version) {
+        self.map.insert((oid, tag), version);
+    }
+
+    /// `tag` no longer names `oid`'s committed slot.
+    fn supersede(&mut self, clients: &Clients, oid: ObjectId, tag: u64) {
+        self.superseded.push_back((clients.next_seq, oid, tag));
+    }
+
+    /// Forget superseded tags no outstanding attempt can have read.
+    fn forget(&mut self, clients: &Clients) {
+        let oldest = clients.oldest();
+        while let Some(&(seq, oid, tag)) = self.superseded.front() {
+            if seq > oldest {
+                break;
+            }
+            self.superseded.pop_front();
+            self.map.remove(&(oid, tag));
+        }
     }
 }
 
@@ -307,20 +428,18 @@ pub(crate) struct Shared {
     pub replicas: Vec<Rc<RefCell<ReplicaState>>>,
     pub stats: RefCell<QStoreStats>,
     pub history: RefCell<HistoryRecorder>,
-    pub recorded: RefCell<HashSet<TxId>>,
-    pub requeue_seen: RefCell<HashSet<TxId>>,
-    /// Quorum-acknowledged batch ids (0 = preload). Checker feed.
-    pub acked: RefCell<BTreeSet<u64>>,
-    /// `(reader's batch, newest batch observed by its reads)` per commit.
-    pub atomicity: RefCell<Vec<(u64, u64)>>,
+    /// Accounted commits and requeues whose clients are not yet answered:
+    /// a takeover re-walking their batch must not count them twice.
+    pub recorded: RefCell<IdSet<TxId>>,
+    pub requeue_seen: RefCell<IdSet<TxId>>,
+    /// Every batch up to this one is quorum-acknowledged (0 = preload).
+    pub acked: Cell<u64>,
+    /// Batch-atomicity violations, found as commits are accounted.
+    pub atomicity: RefCell<Vec<String>>,
     /// Seal-to-quorum-ack latency per batch, ns.
     pub epoch_lat: RefCell<Vec<u64>>,
-    /// `(object, write tag) -> version installed by that tag` — lets the
-    /// seal record the version a client *actually observed* through its
-    /// read tag (not the store's current version), so a stale read that
-    /// slips past validation corrupts the history visibly.
-    pub tag_vers: RefCell<HashMap<(ObjectId, u64), Version>>,
-    pub next_seq: Cell<u64>,
+    pub tag_vers: RefCell<TagVersions>,
+    pub clients: RefCell<Clients>,
     /// The cluster's configuration, `batch_size` clamped to at least 1.
     pub cfg: QStoreConfig,
 }
@@ -376,6 +495,7 @@ pub(crate) struct BatchJob {
     pub sealed_at: SimTime,
     pub writes: Payload<(ObjectId, Version, u64, ObjVal)>,
     pub decided: DecisionBlock,
+    pub horizon: Horizon,
 }
 
 /// Install the per-node message handlers.
@@ -420,15 +540,20 @@ pub(crate) fn install_handlers(sim: &Sim<QMsg>, shared: &Rc<Shared>) {
                     });
                 }
             }
-            QMsg::Submit { tx, reads, writes } => {
-                let status = known_status(&sh, me, tx).unwrap_or_else(|| {
+            QMsg::Submit {
+                tx,
+                watermark,
+                reads,
+                writes,
+            } => {
+                let status = known_status(&sh, me, tx, *watermark).unwrap_or_else(|| {
                     accept(&sh, &sim2, me, ctx, tx, reads, writes);
                     TxStatus::Pending
                 });
                 ctx.respond(&env, QMsg::SubmitAck { status });
             }
-            QMsg::Poll { tx } => {
-                let status = known_status(&sh, me, tx).unwrap_or(TxStatus::Unknown);
+            QMsg::Poll { tx, watermark } => {
+                let status = known_status(&sh, me, tx, *watermark).unwrap_or(TxStatus::Unknown);
                 ctx.respond(&env, QMsg::SubmitAck { status });
             }
             QMsg::ApplyBatch {
@@ -436,6 +561,7 @@ pub(crate) fn install_handlers(sim: &Sim<QMsg>, shared: &Rc<Shared>) {
                 view,
                 writes,
                 decided,
+                horizon,
             } => {
                 let current = sh.view.borrow().epoch;
                 let mut r = sh.replicas[me].borrow_mut();
@@ -444,7 +570,8 @@ pub(crate) fn install_handlers(sim: &Sim<QMsg>, shared: &Rc<Shared>) {
                 let ok = *view == current && *batch <= r.applied + 1;
                 if ok && *batch > r.applied {
                     // One group-committed WAL record per replica per batch.
-                    ctx.occupy(r.apply_batch(*batch, writes, decided, current, sh.cfg.wal_cost));
+                    let cost = sh.cfg.wal_cost;
+                    ctx.occupy(r.apply_batch(*batch, writes, decided, horizon, current, cost));
                 }
                 let applied = r.applied;
                 drop(r);
@@ -459,6 +586,7 @@ pub(crate) fn install_handlers(sim: &Sim<QMsg>, shared: &Rc<Shared>) {
                 applied,
                 store,
                 decided,
+                horizon,
             } => {
                 let current = sh.view.borrow().epoch;
                 let mut r = sh.replicas[me].borrow_mut();
@@ -492,7 +620,7 @@ pub(crate) fn install_handlers(sim: &Sim<QMsg>, shared: &Rc<Shared>) {
                             )
                         })
                         .collect();
-                    r.decided.clone_from(decided);
+                    r.adopt_log(decided, horizon);
                     r.applied = *applied;
                     r.prune_spec(*applied);
                     r.last_apply_epoch = current;
@@ -512,25 +640,28 @@ pub(crate) fn install_handlers(sim: &Sim<QMsg>, shared: &Rc<Shared>) {
     }
 }
 
-/// What node `me` can already answer about `tx`: `NotPlanner` off the
-/// planner role, `Busy` mid-takeover, else the planner's record of it.
-/// A decided transaction reads `Pending` until its batch is
-/// quorum-acknowledged — nothing is reported committed before the epoch is
-/// durable on a majority. `None`: the planner has never seen `tx`.
-fn known_status(sh: &Shared, me: usize, tx: &TxId) -> Option<TxStatus> {
+/// What node `me` can already answer about `tx`, whose node sent
+/// `watermark`: `NotPlanner` off the planner role, `Busy` mid-takeover,
+/// else the planner's record of it. A decided transaction reads `Pending`
+/// until its batch is quorum-acknowledged — nothing is reported committed
+/// before the epoch is durable on a majority — and one below its node's
+/// watermark reads `Settled`. `None`: the planner has never seen `tx`.
+fn known_status(sh: &Shared, me: usize, tx: &TxId, watermark: u64) -> Option<TxStatus> {
     let v = sh.view.borrow();
     if v.planner != me || !v.alive[me] {
         return Some(TxStatus::NotPlanner);
     }
-    let p = sh.planner.borrow();
+    let mut p = sh.planner.borrow_mut();
     if !p.ready {
         return Some(TxStatus::Busy);
     }
+    p.horizon.raise(tx.node, watermark);
     match p.outcomes.get(tx) {
         Some(&(batch, _)) if batch > p.decided_through => Some(TxStatus::Pending),
         Some(&(_, true)) => Some(TxStatus::Committed),
         Some(&(_, false)) => Some(TxStatus::Requeued),
-        None => p.pending.contains(tx).then_some(TxStatus::Pending),
+        None if p.pending.contains(tx) => Some(TxStatus::Pending),
+        None => p.horizon.covers(tx).then_some(TxStatus::Settled),
     }
 }
 
@@ -637,6 +768,7 @@ pub(crate) fn seal(sh: &Rc<Shared>, sim: &Sim<QMsg>, me: usize) -> Option<BatchJ
     let open = std::mem::take(&mut p.open);
     p.last_sealed = batch;
     p.sealing = true;
+    let horizon = p.horizon.clone();
     drop(p);
 
     let mut r = sh.replicas[me].borrow_mut();
@@ -666,11 +798,10 @@ pub(crate) fn seal(sh: &Rc<Shared>, sim: &Sim<QMsg>, me: usize) -> Option<BatchJ
         // its read tags): with validation on these equal the store's
         // current versions, but a stale read that skips validation must
         // surface in the history for the auditor to catch.
-        let tag_vers = sh.tag_vers.borrow();
+        let mut tag_vers = sh.tag_vers.borrow_mut();
         let observed_via_tag = |oid: &ObjectId, rt: u64| -> Option<Version> {
             tag_vers
-                .get(&(*oid, rt))
-                .copied()
+                .get(*oid, rt)
                 .or_else(|| r.store.get(oid).map(|s| s.version))
         };
         let reads_res: Vec<(ObjectId, Version)> = t
@@ -679,7 +810,6 @@ pub(crate) fn seal(sh: &Rc<Shared>, sim: &Sim<QMsg>, me: usize) -> Option<BatchJ
             .filter(|(oid, _)| !t.writes.iter().any(|(o, _, _)| o == oid))
             .filter_map(|(oid, rt)| observed_via_tag(oid, *rt).map(|v| (*oid, v)))
             .collect();
-        drop(tag_vers);
         let mut writes_res: Vec<(ObjectId, Version, Version)> = Vec::new();
         for (oid, tag, val) in &t.writes {
             let read_tag = t.reads.iter().find(|(o, _)| o == oid).map(|(_, rt)| *rt);
@@ -689,22 +819,22 @@ pub(crate) fn seal(sh: &Rc<Shared>, sim: &Sim<QMsg>, me: usize) -> Option<BatchJ
             // the auditor's model default.
             let current = r.store.get(oid).map(|s| s.version);
             let observed = read_tag
-                .and_then(|rt| sh.tag_vers.borrow().get(&(*oid, rt)).copied())
+                .and_then(|rt| tag_vers.get(*oid, rt))
                 .or(current)
                 .unwrap_or(Version::INITIAL);
             let installed = current.unwrap_or(Version::INITIAL).next();
             writes_res.push((*oid, observed, installed));
             wire_writes.push((*oid, installed, *tag, val.clone()));
-            sh.tag_vers.borrow_mut().insert((*oid, *tag), installed);
-            r.store.insert(
-                *oid,
-                Slot {
-                    version: installed,
-                    tag: *tag,
-                    batch,
-                    val: val.clone(),
-                },
-            );
+            tag_vers.insert(*oid, *tag, installed);
+            let slot = Slot {
+                version: installed,
+                tag: *tag,
+                batch,
+                val: val.clone(),
+            };
+            if let Some(old) = r.store.insert(*oid, slot) {
+                tag_vers.supersede(&sh.clients.borrow(), *oid, old.tag);
+            }
         }
         decided.push((
             t.tx,
@@ -723,22 +853,33 @@ pub(crate) fn seal(sh: &Rc<Shared>, sim: &Sim<QMsg>, me: usize) -> Option<BatchJ
     let decided: DecisionBlock = decided.into();
     // Self-apply: the planner is replica 1 of the quorum, and its writes
     // are already in its store.
-    r.take_batch(batch, &writes, &decided, sh.view.borrow().epoch);
+    r.take_batch(batch, &writes, &decided, &horizon, sh.view.borrow().epoch);
     drop(r);
-    sh.planner.borrow_mut().index_outcomes(&decided);
+    sh.tag_vers.borrow_mut().forget(&sh.clients.borrow());
+    let mut p = sh.planner.borrow_mut();
+    p.outcomes.retain(|tx, _| !horizon.covers(tx));
+    p.index_outcomes(&decided);
+    drop(p);
     Some(BatchJob {
         batch,
         sealed_at,
         writes,
         decided,
+        horizon,
     })
 }
 
 /// Account a quorum-acknowledged batch: stats, commit history, and the
-/// batch-atomicity checker feed. Deduplicated by transaction id so a
-/// takeover that re-promotes an already-acked batch counts nothing twice.
+/// batch-atomicity check. Deduplicated by transaction id so a takeover
+/// that re-promotes an already-acked batch counts nothing twice: an
+/// answered client's decision was accounted before the answer, and the
+/// rest are remembered until their clients are answered.
 pub(crate) fn account_decisions(sh: &Shared, decided: &[(TxId, Decision)]) {
+    let clients = sh.clients.borrow();
     for (tx, d) in decided {
+        if clients.answered(tx) {
+            continue;
+        }
         match d {
             Decision::Committed {
                 batch,
@@ -749,9 +890,7 @@ pub(crate) fn account_decisions(sh: &Shared, decided: &[(TxId, Decision)]) {
             } => {
                 if sh.recorded.borrow_mut().insert(*tx) {
                     sh.stats.borrow_mut().commits += 1;
-                    sh.atomicity
-                        .borrow_mut()
-                        .push((*batch, *observed_batch_max));
+                    check_atomicity(sh, *batch, *observed_batch_max);
                     let mut history = sh.history.borrow_mut();
                     if history.is_enabled() {
                         history.push(CommitRecord {
@@ -770,6 +909,23 @@ pub(crate) fn account_decisions(sh: &Shared, decided: &[(TxId, Decision)]) {
             }
         }
     }
+    sh.recorded.borrow_mut().retain(|tx| !clients.answered(tx));
+    sh.requeue_seen
+        .borrow_mut()
+        .retain(|tx| !clients.answered(tx));
+}
+
+/// No committed transaction may have observed a write from a batch newer
+/// than its own, or from one not yet acknowledged.
+fn check_atomicity(sh: &Shared, reader: u64, observed: u64) {
+    let broken = if observed > reader {
+        format!("commit in batch {reader} observed a write from later batch {observed}")
+    } else if observed > sh.acked.get() {
+        format!("commit in batch {reader} observed unacknowledged batch {observed}")
+    } else {
+        return;
+    };
+    sh.atomicity.borrow_mut().push(broken);
 }
 
 /// Drive sealed batches to quorum, ack them, and chain straight into the
@@ -792,7 +948,7 @@ pub(crate) async fn run_batches(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, first
                 let mut p = sh.planner.borrow_mut();
                 p.decided_through = p.decided_through.max(job.batch);
             }
-            sh.acked.borrow_mut().insert(job.batch);
+            sh.acked.set(sh.acked.get().max(job.batch));
             account_decisions(&sh, &job.decided);
         }
         // The planner's own group-commit fsync for this batch (appended
@@ -803,7 +959,7 @@ pub(crate) async fn run_batches(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, first
             .unwrap_or(sh.cfg.wal_cost);
         sim.sleep(sync_cost).await;
         let maj = majority(sh.cfg.nodes);
-        let mut acked: HashSet<usize> = HashSet::from([me]);
+        let mut acked: IdSet<usize> = IdSet::from_iter([me]);
         loop {
             if !sh.leads(&sim, me) {
                 return; // deposed mid-replication; takeover owns the rest
@@ -831,6 +987,7 @@ pub(crate) async fn run_batches(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, first
                         view: view_epoch,
                         writes: Rc::clone(&job.writes),
                         decided: Rc::clone(&job.decided),
+                        horizon: job.horizon.clone(),
                     },
                     Some(sh.cfg.rpc_timeout),
                 )
@@ -868,7 +1025,7 @@ pub(crate) async fn run_batches(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, first
                 p.pending.remove(tx);
             }
         }
-        sh.acked.borrow_mut().insert(job.batch);
+        sh.acked.set(sh.acked.get().max(job.batch));
         {
             let mut st = sh.stats.borrow_mut();
             st.batches += 1;
@@ -975,7 +1132,7 @@ pub(crate) async fn takeover(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize) {
             let donor = sh.replicas[best.1].borrow();
             let mut r = sh.replicas[me].borrow_mut();
             r.store = donor.store.clone();
-            r.decided.clone_from(&donor.decided);
+            r.adopt_log(&donor.decided, &donor.horizon);
             r.applied = donor.applied;
             r.spec.clear();
             r.last_apply_epoch = sh.view.borrow().epoch;
@@ -996,13 +1153,13 @@ pub(crate) async fn takeover(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize) {
     // whole prefix is durable on a majority counting this planner,
     // so push FullSync to lagging replicas until enough hold it.
     let maj = majority(sh.cfg.nodes);
-    let mut holders: HashSet<usize> = HashSet::from([me]);
+    let mut holders: IdSet<usize> = IdSet::from_iter([me]);
     for (applied, idx) in &infos {
         if *applied >= adopted {
             holders.insert(*idx);
         }
     }
-    let lagging = |holders: &HashSet<usize>| -> Vec<usize> {
+    let lagging = |holders: &IdSet<usize>| -> Vec<usize> {
         let (alive, _) = sh.view_snapshot();
         alive.into_iter().filter(|i| !holders.contains(i)).collect()
     };
@@ -1019,13 +1176,14 @@ pub(crate) async fn takeover(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize) {
             sh.pause(&sim).await;
         }
     }
-    sh.acked.borrow_mut().extend(1..=adopted);
+    sh.acked.set(sh.acked.get().max(adopted));
     // Promote adopted decisions: batches the dead planner replicated
     // but never acknowledged are now majority-durable (re-replicated
     // above), so their commits are counted and recorded exactly once,
-    // in apply order. The same walk rebuilds the outcome index — the
-    // one place the planner does work proportional to history.
-    let mut planner = PlannerState::fresh(adopted);
+    // in apply order. The same walk rebuilds the outcome index above the
+    // adopted horizon.
+    let horizon = sh.replicas[me].borrow().horizon.clone();
+    let mut planner = PlannerState::fresh(adopted, horizon);
     for block in sh.replicas[me].borrow().decided.iter() {
         account_decisions(&sh, block);
         planner.index_outcomes(block);
@@ -1062,25 +1220,6 @@ pub(crate) async fn catch_up(sh: Rc<Shared>, sim: Sim<QMsg>, planner_idx: usize,
     }
 }
 
-/// Union of two decision logs, `own`'s entry winning: `own`'s blocks,
-/// then every donor outcome `own` lacks, in the donor's order. When `own`
-/// is a prefix of `donor` — the replayed disk image of a replica that was
-/// merely behind — the result is the donor's log, block for block.
-fn merge_decisions(own: &mut DecisionLog, donor: &DecisionLog) {
-    let have: HashSet<TxId> = own
-        .iter()
-        .flat_map(|block| block.iter().map(|(tx, _)| *tx))
-        .collect();
-    for block in donor.iter() {
-        let missing = block.iter().filter(|(tx, _)| !have.contains(tx));
-        match missing.clone().count() {
-            0 => {}
-            n if n == block.len() => own.push(Rc::clone(block)),
-            _ => own.push(missing.cloned().collect()),
-        }
-    }
-}
-
 /// Amnesiac crash of `idx`'s replica: wipe the volatile state and crash
 /// the disk (a seeded portion of the unsynced buffer survives, possibly
 /// with a torn last record). Requires durability.
@@ -1093,6 +1232,7 @@ pub(crate) fn forget_replica(sh: &Shared, sim: &Sim<QMsg>, idx: usize) {
     r.store.clear();
     r.spec.clear();
     r.decided = DecisionLog::default();
+    r.horizon = Horizon::default();
     r.applied = 0;
     r.last_apply_epoch = 0;
     sim.with_rng(|rng| r.wal.as_mut().unwrap().crash(rng));
@@ -1109,7 +1249,8 @@ pub(crate) fn forget_replica(sh: &Shared, sim: &Sim<QMsg>, idx: usize) {
 ///    from the planner's replica (authoritative for the acked prefix;
 ///    most-advanced alive peer during a takeover gap) and pull every
 ///    object the disk image is missing or behind on, charged one census
-///    round trip plus one nominal link latency per pulled object. A
+///    round trip plus one nominal link latency per pulled object, and take
+///    the donor's decision log and client watermarks. A
 ///    replayed prefix that runs *ahead* of the frontier resurrected
 ///    batches that were never acknowledged; they are dropped wholesale.
 /// 3. **Re-baseline**: snapshot the repaired state so the disk is caught
@@ -1127,6 +1268,7 @@ pub(crate) fn amnesia_recovery(sh: &Shared, sim: &Sim<QMsg>, idx: usize) -> SimD
         let st = fold(img.snapshot, img.records);
         r.store = st.store;
         r.decided = st.decided;
+        r.horizon = st.horizon;
         r.applied = st.applied;
         r.spec.clear();
         r.last_apply_epoch = 0;
@@ -1150,8 +1292,7 @@ pub(crate) fn amnesia_recovery(sh: &Shared, sim: &Sim<QMsg>, idx: usize) -> SimD
         let donor = sh.replicas[d].borrow();
         let mut r = sh.replicas[idx].borrow_mut();
         if donor.applied >= r.applied {
-            // Behind (or level): pull missing/behind objects, merge the
-            // decision log for exactly-once answers across the repair.
+            // Behind (or level): pull missing/behind objects.
             let mut oids: Vec<ObjectId> = donor.store.keys().copied().collect();
             oids.sort();
             for oid in oids {
@@ -1163,8 +1304,6 @@ pub(crate) fn amnesia_recovery(sh: &Shared, sim: &Sim<QMsg>, idx: usize) -> SimD
                     r.store.insert(oid, ds.clone());
                 }
             }
-            merge_decisions(&mut r.decided, &donor.decided);
-            r.applied = donor.applied;
         } else {
             // The disk resurrected batches beyond the acked frontier
             // (fsynced here, never quorum-acknowledged, and the view
@@ -1177,9 +1316,11 @@ pub(crate) fn amnesia_recovery(sh: &Shared, sim: &Sim<QMsg>, idx: usize) -> SimD
                 .map(|s| s.val.approx_size() as u64)
                 .sum();
             r.store = donor.store.clone();
-            r.decided.clone_from(&donor.decided);
-            r.applied = donor.applied;
         }
+        // The donor's log answers for the whole prefix the replica now
+        // claims, and its horizon says what that log may have forgotten.
+        r.adopt_log(&donor.decided, &donor.horizon);
+        r.applied = donor.applied;
     }
     cost += repair::charge_quorum_repair(
         sim,

@@ -37,7 +37,7 @@
 #![forbid(unsafe_code)]
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use qrdtm_core::history::{verify, Violation};
@@ -53,7 +53,7 @@ mod msg;
 mod wal;
 
 pub use crate::core::QStoreStats;
-pub use msg::{Decision, DecisionBlock, DecisionLog, QMsg, TxStatus};
+pub use msg::{Decision, DecisionBlock, DecisionLog, Horizon, QMsg, TxStatus};
 
 use crate::core::{
     amnesia_recovery, catch_up, forget_replica, install_handlers, install_writes, majority,
@@ -177,7 +177,7 @@ impl QStoreCluster {
                 planner: 0,
                 epoch: 0,
             }),
-            planner: RefCell::new(PlannerState::fresh(0)),
+            planner: RefCell::new(PlannerState::fresh(0, Horizon::default())),
             replicas: (0..cfg.nodes)
                 .map(|_| {
                     Rc::new(RefCell::new(ReplicaState {
@@ -188,13 +188,13 @@ impl QStoreCluster {
                 .collect(),
             stats: RefCell::new(QStoreStats::default()),
             history: RefCell::new(HistoryRecorder::default()),
-            recorded: RefCell::new(HashSet::new()),
-            requeue_seen: RefCell::new(HashSet::new()),
-            acked: RefCell::new(BTreeSet::from([0])),
+            recorded: RefCell::default(),
+            requeue_seen: RefCell::default(),
+            acked: Cell::new(0),
             atomicity: RefCell::new(Vec::new()),
             epoch_lat: RefCell::new(Vec::new()),
-            tag_vers: RefCell::new(std::collections::HashMap::new()),
-            next_seq: Cell::new(0),
+            tag_vers: RefCell::default(),
+            clients: RefCell::default(),
             cfg,
         });
         install_handlers(&sim, &shared);
@@ -218,11 +218,12 @@ impl QStoreCluster {
         self.shared
             .tag_vers
             .borrow_mut()
-            .insert((oid, 0), Version::INITIAL);
+            .insert(oid, 0, Version::INITIAL);
         let record = BatchRecord {
             batch: 0,
             writes: [(oid, Version::INITIAL, 0, val.clone())].into(),
             decided: DecisionBlock::default(),
+            horizon: Horizon::default(),
         };
         for r in &self.shared.replicas {
             let mut r = r.borrow_mut();
@@ -288,27 +289,10 @@ impl QStoreCluster {
     /// Batch-atomicity check: no committed transaction may have observed
     /// a write from an epoch that is not (transitively) acknowledged —
     /// i.e. every observed write batch must be no newer than the
-    /// reader's own batch, and acknowledged.
+    /// reader's own batch, and acknowledged. Checked as each commit is
+    /// accounted.
     pub fn batch_atomicity_violations(&self) -> Vec<String> {
-        let acked = self.shared.acked.borrow();
-        self.shared
-            .atomicity
-            .borrow()
-            .iter()
-            .filter_map(|(reader, observed)| {
-                if observed > reader {
-                    Some(format!(
-                        "commit in batch {reader} observed a write from later batch {observed}"
-                    ))
-                } else if *observed != 0 && !acked.contains(observed) {
-                    Some(format!(
-                        "commit in batch {reader} observed unacknowledged batch {observed}"
-                    ))
-                } else {
-                    None
-                }
-            })
-            .collect()
+        self.shared.atomicity.borrow().clone()
     }
 
     /// Remove `idx` from the view: epoch bump (fencing), planner handoff
@@ -454,11 +438,9 @@ impl QStoreCluster {
     }
 
     fn fresh_handle(&self, node: NodeId, requeues: u32) -> QStoreTxHandle {
-        let seq = self.shared.next_seq.get();
-        self.shared.next_seq.set(seq + 1);
         QStoreTxHandle {
             node,
-            id: TxId { node: node.0, seq },
+            id: self.shared.clients.borrow_mut().begin(node.0),
             reads: BTreeMap::new(),
             writes: BTreeMap::new(),
             requeues,
@@ -489,9 +471,17 @@ impl QStoreCluster {
     /// return the status it answered, if it answered in time.
     async fn ask_planner(&self, node: NodeId, msg: QMsg) -> Option<TxStatus> {
         match self.request(node, |_, planner| (planner, msg)).await {
+            Some(QMsg::SubmitAck {
+                status: TxStatus::Settled,
+            }) => unreachable!("the planner settled a transaction its client still awaits"),
             Some(QMsg::SubmitAck { status }) => Some(status),
             _ => None,
         }
+    }
+
+    /// The watermark of `tx`'s node, for the message about to carry it.
+    fn watermark(&self, tx: &TxId) -> u64 {
+        self.shared.clients.borrow().watermark(tx.node)
     }
 
     /// Resolve one read: speculative from the object's home executor,
@@ -537,6 +527,7 @@ impl QStoreCluster {
         loop {
             let submit = QMsg::Submit {
                 tx: tx.id,
+                watermark: self.watermark(&tx.id),
                 reads: reads.clone(),
                 writes: writes.clone(),
             };
@@ -559,7 +550,11 @@ impl QStoreCluster {
     /// `Err` = requeued, `Ok(false)` = the planner lost it (re-submit).
     async fn poll_outcome(&self, tx: &QStoreTxHandle) -> Result<bool, Abort> {
         loop {
-            match self.ask_planner(tx.node, QMsg::Poll { tx: tx.id }).await {
+            let poll = QMsg::Poll {
+                tx: tx.id,
+                watermark: self.watermark(&tx.id),
+            };
+            match self.ask_planner(tx.node, poll).await {
                 Some(TxStatus::Committed) => return Ok(true),
                 Some(TxStatus::Requeued) => return Err(Abort::root()),
                 Some(TxStatus::Unknown) => return Ok(false),
@@ -676,12 +671,16 @@ impl DtmProtocol for QStoreCluster {
     }
 
     async fn commit(&self, tx: &mut QStoreTxHandle) -> Result<(), Abort> {
-        self.commit_handle(tx).await
+        let outcome = self.commit_handle(tx).await;
+        self.shared.clients.borrow_mut().settle(&tx.id);
+        outcome
     }
 
     async fn restart(&self, tx: &mut QStoreTxHandle, _abort: Abort) {
         // Requeues are counted as aborts at the planner decision; here the
-        // client just backs off and starts a fresh attempt.
+        // client just backs off and starts a fresh attempt. An attempt that
+        // aborted before its commit was never submitted: it settles here.
+        self.shared.clients.borrow_mut().settle(&tx.id);
         let d = self.config().backoff.mul_f64(self.sim.jitter(0.5, 2.0));
         self.sim.charge(d).await;
         *tx = self.fresh_handle(tx.node, tx.requeues + 1);
@@ -1115,8 +1114,8 @@ mod tests {
     }
 
     /// Exactly-once across every representation a decision passes through:
-    /// node 1 rebuilds its log from snapshot + WAL suffix + the donor merge,
-    /// then becomes planner and must answer for every earlier commit.
+    /// node 1 replays snapshot + WAL suffix, takes the donor's log, then
+    /// becomes planner and must answer for every earlier commit.
     #[test]
     fn commits_stay_committed_across_snapshot_amnesia_and_takeover() {
         let c = cluster_with(QStoreConfig {
@@ -1130,6 +1129,10 @@ mod tests {
         c.begin_history();
         let c2 = Rc::clone(&c);
         c.sim().spawn(async move {
+            // An attempt begun and never finished holds node 3's watermark
+            // below every transfer: each stays a transaction a client may
+            // still ask about, the case the horizon must never forget.
+            let _pin = c2.begin(NodeId(3));
             for i in 0..5u64 {
                 transfer(&c2, NodeId(3), ObjectId(i), ObjectId(i + 1), 3).await;
             }
@@ -1137,9 +1140,10 @@ mod tests {
             // the log suffix the replay folds on top.
             assert_eq!(c2.shared.replicas[1].borrow().applied, 5);
             assert!(c2.crash_node_amnesia(NodeId(1)));
-            // Missed while down: only the donor merge can supply it.
+            // Missed while down: only the donor's log can supply it.
             transfer(&c2, NodeId(3), ObjectId(5), ObjectId(6), 3).await;
             assert!(c2.recover_crashed_node(NodeId(1)));
+            assert!(c2.shared.replicas[1].borrow().decided.txns() >= 6);
             let committed: Vec<TxId> = c2.history().iter().map(|r| r.tx).collect();
             assert_eq!(committed.len(), 6);
             assert!(c2.crash_node(NodeId(0)));
@@ -1175,6 +1179,9 @@ mod tests {
         });
         let c2 = Rc::clone(&c);
         c.sim().spawn(async move {
+            // Held below every transfer, node 3's watermark keeps all six
+            // blocks in the logs.
+            let _pin = c2.begin(NodeId(3));
             for i in 0..6u64 {
                 transfer(&c2, NodeId(3), ObjectId(i), ObjectId(i + 1), 3).await;
             }
@@ -1229,6 +1236,7 @@ mod tests {
             view,
             writes: [(ObjectId(0), Version(batch), batch << 24, ObjVal::Int(val))].into(),
             decided: DecisionBlock::default(),
+            horizon: Horizon::default(),
         }
     }
 
@@ -1244,6 +1252,7 @@ mod tests {
                 ObjVal::Int(val),
             )],
             decided: DecisionLog::default(),
+            horizon: Horizon::default(),
         }
     }
 
@@ -1326,10 +1335,11 @@ mod tests {
             let tx = TxId { node: 9, seq: 1 };
             let submit = || QMsg::Submit {
                 tx,
+                watermark: 1,
                 reads: vec![],
                 writes: vec![(ObjectId(0), ObjVal::Int(5))],
             };
-            let poll = QMsg::Poll { tx };
+            let poll = QMsg::Poll { tx, watermark: 1 };
             assert_eq!(status(ask(c, 0, poll.clone()).await), TxStatus::Unknown);
             assert_eq!(status(ask(c, 1, submit()).await), TxStatus::NotPlanner);
             assert_eq!(status(ask(c, 1, poll.clone()).await), TxStatus::NotPlanner);
@@ -1347,6 +1357,166 @@ mod tests {
             }
         });
         c.sim().run();
+    }
+
+    /// Node `node`'s `Submit` of `seq`, writing `val` to object 0,
+    /// carrying `watermark`.
+    fn submit(node: u32, seq: u64, watermark: u64, val: i64) -> QMsg {
+        QMsg::Submit {
+            tx: TxId { node, seq },
+            watermark,
+            reads: vec![],
+            writes: vec![(ObjectId(0), ObjVal::Int(val))],
+        }
+    }
+
+    /// Long enough for a submitted batch to seal and reach its quorum, or
+    /// for a takeover to finish.
+    const SETTLE: SimDuration = SimDuration::from_millis(300);
+
+    #[test]
+    fn a_submit_below_its_nodes_watermark_is_refused_and_never_executed() {
+        let c = cluster(83);
+        let c2 = Rc::clone(&c);
+        c.sim().spawn(async move {
+            let c = &*c2;
+            assert_eq!(
+                status(ask(c, 0, submit(9, 1, 2, 5)).await),
+                TxStatus::Settled
+            );
+            {
+                let p = c.shared.planner.borrow();
+                assert!(p.open.is_empty() && p.pending.is_empty(), "nothing queued");
+            }
+            c.sim().sleep(SETTLE).await;
+        });
+        c.sim().run();
+        assert_eq!(c.stats().commits, 0);
+        assert_eq!(value(&c, 0), ObjVal::Int(INITIAL));
+    }
+
+    #[test]
+    fn a_duplicate_above_the_watermark_is_answered_from_outcomes_exactly_once() {
+        let c = cluster(89);
+        let c2 = Rc::clone(&c);
+        c.sim().spawn(async move {
+            let c = &*c2;
+            assert_eq!(
+                status(ask(c, 0, submit(9, 1, 1, 5)).await),
+                TxStatus::Pending
+            );
+            c.sim().sleep(SETTLE).await;
+            for _ in 0..2 {
+                assert_eq!(
+                    status(ask(c, 0, submit(9, 1, 1, 6)).await),
+                    TxStatus::Committed
+                );
+            }
+            // The client moved past it: the planner forgets it at the next
+            // seal, and from now on settles it.
+            assert_eq!(
+                status(ask(c, 0, submit(9, 2, 2, 7)).await),
+                TxStatus::Pending
+            );
+            assert_eq!(
+                status(ask(c, 0, submit(9, 1, 1, 8)).await),
+                TxStatus::Settled
+            );
+            c.sim().sleep(SETTLE).await;
+            let tx1 = TxId { node: 9, seq: 1 };
+            assert!(!c.shared.planner.borrow().outcomes.contains_key(&tx1));
+        });
+        c.sim().run();
+        assert_eq!(c.stats().commits, 2, "each transaction executed once");
+        assert_eq!(value(&c, 0), ObjVal::Int(7));
+    }
+
+    #[test]
+    fn a_new_planner_and_a_replayed_replica_refuse_what_the_horizon_covers() {
+        let c = cluster_with(QStoreConfig {
+            seed: 97,
+            durability: Some(DurabilityConfig::default()),
+            ..Default::default()
+        });
+        let c2 = Rc::clone(&c);
+        c.sim().spawn(async move {
+            let c = &*c2;
+            let tx1 = TxId { node: 9, seq: 1 };
+            assert_eq!(
+                status(ask(c, 0, submit(9, 1, 1, 5)).await),
+                TxStatus::Pending
+            );
+            c.sim().sleep(SETTLE).await;
+            // Batch 2 ships watermark 2 for node 9: every replica forgets
+            // batch 1's block, and so does what its WAL replays.
+            assert_eq!(
+                status(ask(c, 0, submit(9, 2, 2, 6)).await),
+                TxStatus::Pending
+            );
+            c.sim().sleep(SETTLE).await;
+            assert!(c.crash_node_amnesia(NodeId(2)));
+            assert!(c.recover_crashed_node(NodeId(2)));
+            for idx in [1, 2] {
+                let r = c.shared.replicas[idx].borrow();
+                assert!(r.horizon.covers(&tx1), "replica {idx}");
+                assert_eq!(r.decided.txns(), 1, "replica {idx} keeps batch 2 only");
+            }
+            // Node 1 takes over from its own log, then node 2 from the
+            // replayed one; both settle the stale duplicate.
+            for planner in [1, 2] {
+                assert!(c.crash_node(NodeId(planner - 1)));
+                c.sim().sleep(SETTLE).await;
+                let reply = ask(c, planner, submit(9, 1, 1, 7)).await;
+                assert_eq!(status(reply), TxStatus::Settled, "planner {planner}");
+            }
+            c.sim().sleep(SETTLE).await;
+        });
+        c.sim().run();
+        assert_eq!(c.stats().commits, 2, "the duplicate never executed");
+        assert_eq!(c.latest(ObjectId(0)).unwrap().1, ObjVal::Int(6));
+    }
+
+    /// Nodes 8 and 9 each have a decision in one batch; node 8 crashes
+    /// before it hears its answer, node 9 moves on. Only node 8's decision
+    /// stays pinned: in the planner's outcomes, and in every log, through
+    /// the block it shares with node 9's.
+    #[test]
+    fn a_crashed_client_node_pins_only_its_own_decisions() {
+        let c = cluster(101);
+        let c2 = Rc::clone(&c);
+        c.sim().spawn(async move {
+            let c = &*c2;
+            // Sent together, the two land in one batch.
+            let timeout = Some(c.config().rpc_timeout);
+            let a = c
+                .sim()
+                .call(NodeId(8), &[NodeId(0)], submit(8, 1, 1, 5), timeout);
+            let b = c
+                .sim()
+                .call(NodeId(9), &[NodeId(0)], submit(9, 1, 1, 6), timeout);
+            let _ = (a.await, b.await);
+            assert!(c.crash_node(NodeId(8)));
+            c.sim().sleep(SETTLE).await;
+            assert_eq!(
+                status(ask(c, 0, submit(9, 2, 2, 7)).await),
+                TxStatus::Pending
+            );
+            c.sim().sleep(SETTLE).await;
+        });
+        c.sim().run();
+        let (tx8, tx9) = (TxId { node: 8, seq: 1 }, TxId { node: 9, seq: 1 });
+        let p = c.shared.planner.borrow();
+        assert!(p.outcomes.contains_key(&tx8) && !p.outcomes.contains_key(&tx9));
+        for idx in (0..10).filter(|&i| i != 8) {
+            let r = c.shared.replicas[idx].borrow();
+            let blocks: Vec<Vec<TxId>> = r
+                .decided
+                .iter()
+                .map(|block| block.iter().map(|(tx, _)| *tx).collect())
+                .collect();
+            let second = TxId { node: 9, seq: 2 };
+            assert_eq!(blocks, [vec![tx9, tx8], vec![second]], "replica {idx}");
+        }
     }
 
     #[test]

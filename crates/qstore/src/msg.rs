@@ -38,43 +38,67 @@ pub enum Decision {
 /// `FullSync` — holds the same allocation by reference count.
 pub type DecisionBlock = Payload<(TxId, Decision)>;
 
-/// A replica's decision log: the [`DecisionBlock`] of every applied batch,
-/// in apply order. Append-only; a copy shares every block. Capturing the
-/// log (for a snapshot or a `FullSync`) freezes the blocks since the last
-/// capture into a chunk that is held by reference count too, so a capture
-/// costs one count bump per earlier capture — not one per batch, let alone
-/// one per transaction.
+/// A replica's decision log: the [`DecisionBlock`] of every applied batch
+/// that still holds a decision some client may ask about, in apply order.
+/// A copy (for a snapshot or a `FullSync`) shares every block.
 #[derive(Clone, Debug, Default)]
-pub struct DecisionLog {
-    chunks: Vec<Payload<DecisionBlock>>,
-    tail: Vec<DecisionBlock>,
-}
+pub struct DecisionLog(Vec<DecisionBlock>);
 
 impl DecisionLog {
     pub(crate) fn push(&mut self, block: DecisionBlock) {
-        self.tail.push(block);
+        self.0.push(block);
     }
 
     /// Every block, in apply order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &DecisionBlock> {
-        self.chunks
-            .iter()
-            .flat_map(|chunk| chunk.iter())
-            .chain(&self.tail)
+        self.0.iter()
     }
 
     /// Transactions decided across all blocks.
     pub(crate) fn txns(&self) -> usize {
-        self.iter().map(|block| block.len()).sum()
+        self.0.iter().map(|block| block.len()).sum()
     }
 
-    /// Freeze the blocks pushed since the last call into one chunk and
-    /// hand back a copy of the whole log.
-    pub(crate) fn share(&mut self) -> DecisionLog {
-        if !self.tail.is_empty() {
-            self.chunks.push(std::mem::take(&mut self.tail).into());
+    /// Drop every block whose transactions all lie below `horizon`: their
+    /// clients hold the outcomes, so no `Submit` or `Poll` will name them.
+    pub(crate) fn forget(&mut self, horizon: &Horizon) {
+        self.0
+            .retain(|block| block.iter().any(|(tx, _)| !horizon.covers(tx)));
+    }
+}
+
+/// One *watermark* per client node: the lowest `TxId.seq` that node still
+/// awaits an outcome for. Every lower transaction of that node has its
+/// answer, so nothing below the horizon is executed or answered again.
+/// Raised, never lowered; a node never heard from stays at 0 and pins all
+/// of its own decisions. One word per node on the wire.
+#[derive(Clone, Debug, Default)]
+pub struct Horizon(Vec<u64>);
+
+impl Horizon {
+    /// Raise `node`'s watermark to `watermark` (a stale one changes nothing).
+    pub(crate) fn raise(&mut self, node: u32, watermark: u64) {
+        let i = node as usize;
+        if self.0.len() <= i {
+            self.0.resize(i + 1, 0);
         }
-        self.clone()
+        self.0[i] = self.0[i].max(watermark);
+    }
+
+    /// Raise every watermark to at least `other`'s.
+    pub(crate) fn merge(&mut self, other: &Horizon) {
+        for (node, &w) in other.0.iter().enumerate() {
+            self.raise(node as u32, w);
+        }
+    }
+
+    /// Whether `tx` lies below its node's watermark.
+    pub(crate) fn covers(&self, tx: &TxId) -> bool {
+        self.0.get(tx.node as usize).is_some_and(|&w| tx.seq < w)
+    }
+
+    fn wire_bytes(&self) -> usize {
+        8 * self.0.len()
     }
 }
 
@@ -94,6 +118,9 @@ pub enum TxStatus {
     Committed,
     /// Deterministically rejected; restart with fresh reads.
     Requeued,
+    /// Below its node's watermark: that client already holds the outcome,
+    /// and the planner neither executes nor answers it again.
+    Settled,
 }
 
 /// Q-Store wire messages.
@@ -105,6 +132,8 @@ pub enum QMsg {
         /// Root transaction id (stable across retransmissions of the same
         /// attempt, fresh per restart).
         tx: TxId,
+        /// The sending node's watermark.
+        watermark: u64,
         /// `(object, write tag observed)` for every read.
         reads: Vec<(ObjectId, u64)>,
         /// Buffered writes in client program order.
@@ -114,6 +143,8 @@ pub enum QMsg {
     Poll {
         /// Transaction being polled.
         tx: TxId,
+        /// The sending node's watermark.
+        watermark: u64,
     },
     /// Planner -> client: submission/poll outcome.
     SubmitAck {
@@ -166,6 +197,8 @@ pub enum QMsg {
         writes: Payload<(ObjectId, Version, u64, ObjVal)>,
         /// Outcome of every transaction in the batch.
         decided: DecisionBlock,
+        /// The planner's client watermarks at the seal.
+        horizon: Horizon,
     },
     /// Replica -> planner: batch installation outcome.
     ApplyAck {
@@ -191,8 +224,10 @@ pub enum QMsg {
         applied: u64,
         /// `(object, version, tag, batch, value)` store dump.
         store: Vec<(ObjectId, Version, u64, u64, ObjVal)>,
-        /// Full decision log.
+        /// Decision log, from the sender's horizon up.
         decided: DecisionLog,
+        /// The sender's client watermarks.
+        horizon: Horizon,
     },
 }
 
@@ -211,11 +246,20 @@ impl SimMessage for QMsg {
 
     fn size_hint(&self) -> usize {
         match self {
-            QMsg::Submit { reads, writes, .. } => 32 + 16 * reads.len() + 24 * writes.len(),
+            QMsg::Submit { reads, writes, .. } => 40 + 16 * reads.len() + 24 * writes.len(),
+            QMsg::Poll { .. } => 40,
             QMsg::ApplyBatch {
-                writes, decided, ..
-            } => 32 + 40 * writes.len() + 64 * decided.len(),
-            QMsg::FullSync { store, decided, .. } => 32 + 48 * store.len() + 64 * decided.txns(),
+                writes,
+                decided,
+                horizon,
+                ..
+            } => 32 + 40 * writes.len() + 64 * decided.len() + horizon.wire_bytes(),
+            QMsg::FullSync {
+                store,
+                decided,
+                horizon,
+                ..
+            } => 32 + 48 * store.len() + 64 * decided.txns() + horizon.wire_bytes(),
             _ => 32,
         }
     }

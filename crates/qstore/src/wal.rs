@@ -12,12 +12,10 @@
 //! planner that crashes with amnesia in between loses the record — the
 //! window the takeover protocol and the `ack-before-fsync` mc bug probe.
 
-use std::collections::HashMap;
-
-use qrdtm_core::{ObjVal, ObjectId, Payload, Version};
+use qrdtm_core::{IdMap, ObjVal, ObjectId, Payload, Version};
 
 use crate::core::{install_writes, Slot};
-use crate::msg::{DecisionBlock, DecisionLog};
+use crate::msg::{DecisionBlock, DecisionLog, Horizon};
 
 /// One durable log record: a whole sealed batch (preloads use batch 0).
 /// Both lists are the blocks the seal built, held by reference count.
@@ -28,6 +26,8 @@ pub(crate) struct BatchRecord {
     pub writes: Payload<(ObjectId, Version, u64, ObjVal)>,
     /// Outcome of every transaction in the batch (empty for a preload).
     pub decided: DecisionBlock,
+    /// The client watermarks the batch carried.
+    pub horizon: Horizon,
 }
 
 /// A replica's full committed state: a snapshot's payload, [`fold`]'s result.
@@ -35,12 +35,14 @@ pub(crate) struct BatchRecord {
 pub(crate) struct QSnapshot {
     /// Highest batch the state covers.
     pub applied: u64,
-    pub store: HashMap<ObjectId, Slot>,
+    pub store: IdMap<ObjectId, Slot>,
     pub decided: DecisionLog,
+    pub horizon: Horizon,
 }
 
 /// Snapshot state, then every readable batch record folded in, in append
-/// order — whole batches only.
+/// order — whole batches only. The log keeps what the highest watermarks
+/// read back still let a client ask about.
 pub(crate) fn fold(snapshot: Option<QSnapshot>, records: Vec<BatchRecord>) -> QSnapshot {
     let mut st = snapshot.unwrap_or_default();
     for rec in records {
@@ -48,8 +50,10 @@ pub(crate) fn fold(snapshot: Option<QSnapshot>, records: Vec<BatchRecord>) -> QS
         if !rec.decided.is_empty() {
             st.decided.push(rec.decided);
         }
+        st.horizon.merge(&rec.horizon);
         st.applied = st.applied.max(rec.batch);
     }
+    st.decided.forget(&st.horizon);
     st
 }
 
@@ -74,6 +78,7 @@ mod tests {
                 Decision::Requeued { batch },
             )]
             .into(),
+            horizon: Horizon::default(),
         }
     }
 
@@ -118,5 +123,20 @@ mod tests {
         assert_eq!(st.applied, 1, "batch 2 is gone entirely");
         assert!(st.store.values().all(|s| s.batch <= 1), "no partial epoch");
         assert_eq!(st.decided.txns(), 1, "batch 2's outcomes went with it");
+    }
+
+    #[test]
+    fn replay_adopts_the_highest_watermarks_and_forgets_below_them() {
+        // Batch b decides node 0's seq b; batch 3 ships watermark 3.
+        let mut w = synced(&[(1, 1), (2, 1)]);
+        let mut third = rec(3, 1);
+        third.horizon.raise(0, 3);
+        w.append(third);
+        w.fsync(None);
+        let img = w.replay();
+        let st = fold(img.snapshot, img.records);
+        assert!(st.horizon.covers(&TxId { node: 0, seq: 2 }));
+        let kept: Vec<u64> = st.decided.iter().map(|b| b[0].0.seq).collect();
+        assert_eq!(kept, [3], "batches 1 and 2 are below the horizon");
     }
 }

@@ -2,7 +2,7 @@
 """Report where the samples of scripts/prof/prof.c fell.
 
     python3 scripts/prof/report.py PROF_OUT [--top N] [--callers FUNC ...] [--lines]
-                                            [--addrs N]
+                                            [--addrs N] [--exclude FUNC ...]
 
 Prints, per function of the profiled executable, its self share (samples
 whose instruction pointer was in it) and inclusive share (samples with it
@@ -14,10 +14,16 @@ by source line (`addr2line -i`), which needs line tables: build the
 benchmark with `CARGO_PROFILE_RELEASE_DEBUG=line-tables-only`. `--addrs N`
 adds the N hottest sampled instruction addresses, each with its innermost
 function and line (same line tables), for `objdump -d --start-address=`.
+`--exclude FUNC` (substring match) drops every sample with FUNC anywhere on
+its stack and reports shares of the rest, e.g. to leave out work done
+outside the measured CPU. An executable newer than the profile was rebuilt
+after the run and is reported: its symbols no longer match the addresses.
 """
 import argparse
 import collections
+import os
 import re
+import sys
 import shutil
 import struct
 import subprocess
@@ -66,6 +72,7 @@ def main():
     ap.add_argument("--callers", nargs="*", default=[])
     ap.add_argument("--lines", action="store_true")
     ap.add_argument("--addrs", type=int, default=0, metavar="N")
+    ap.add_argument("--exclude", nargs="*", default=[], metavar="FUNC")
     args = ap.parse_args()
 
     maps, samples = [], []
@@ -81,6 +88,9 @@ def main():
             rip, rest = frames[0], frames[1:]
             samples.append(rest[rest.index(rip):] if rip in rest else [rip])
     exe = maps[0][3]  # the kernel maps the executable lowest
+    if os.path.getmtime(exe) > os.path.getmtime(args.profile):
+        print(f"warning: {exe} is newer than {args.profile}; rebuilt since the run, "
+              "its symbols may not match the sampled addresses", file=sys.stderr)
     delta = exec_segment_delta(exe)
 
     def locate(addr, is_return):
@@ -98,11 +108,16 @@ def main():
                          capture_output=True, text=True, check=True).stdout.splitlines()
     name = dict(zip(vaddrs, out[0::2]))
     stacks = [[name[v] if v is not None else other for v, other in s] for s in located]
+    kept = [i for i, s in enumerate(stacks) if not any(x in f for x in args.exclude for f in s)]
+    dropped = len(stacks) - len(kept)
+    stacks, located = [stacks[i] for i in kept], [located[i] for i in kept]
 
     total = len(stacks)
     self_n = collections.Counter(s[0] for s in stacks)
     incl_n = collections.Counter(f for s in stacks for f in set(s))
     print(f"{total} samples of 1 ms CPU in {exe}")
+    if args.exclude:
+        print(f"({dropped} more excluded: stacks through {', '.join(args.exclude)})")
     print(f"{'self %':>7} {'incl %':>7}  function")
     for f, n in self_n.most_common(args.top):
         print(f"{100 * n / total:7.1f} {100 * incl_n[f] / total:7.1f}  {f}")
