@@ -254,15 +254,23 @@ pub(crate) struct QView {
 }
 
 impl QView {
-    pub(crate) fn alive_indices(&self) -> Vec<usize> {
-        (0..self.alive.len()).filter(|&i| self.alive[i]).collect()
+    /// The alive replicas, in index order.
+    fn members(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.alive.len()).filter(|&i| self.alive[i])
+    }
+
+    /// `oid`'s home executor: the alive replicas in index order, indexed
+    /// by `oid` modulo their count.
+    pub(crate) fn home(&self, oid: ObjectId) -> usize {
+        let k = (oid.0 as usize) % self.members().count();
+        self.members().nth(k).expect("k is below the alive count")
     }
 }
 
 /// A transaction parked in the open epoch.
 pub(crate) struct PendTxn {
     pub tx: TxId,
-    pub reads: Vec<(ObjectId, u64)>,
+    pub reads: Payload<(ObjectId, u64)>,
     /// `(object, assigned tag, value)` in program order.
     pub writes: Vec<(ObjectId, u64, ObjVal)>,
 }
@@ -445,11 +453,6 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    pub(crate) fn view_snapshot(&self) -> (Vec<usize>, usize) {
-        let v = self.view.borrow();
-        (v.alive_indices(), v.planner)
-    }
-
     /// Whether `me` still holds the planner role: alive, and named planner
     /// by the view. Every planner task stops the moment this goes false.
     pub(crate) fn leads(&self, sim: &Sim<QMsg>, me: usize) -> bool {
@@ -674,11 +677,10 @@ fn accept(
     me: usize,
     ctx: &mut qrdtm_sim::HandlerCtx<'_, QMsg>,
     tx: &TxId,
-    reads: &[(ObjectId, u64)],
+    reads: &Payload<(ObjectId, u64)>,
     writes: &[(ObjectId, ObjVal)],
 ) {
     let epoch = sh.view.borrow().epoch;
-    let (alive, _) = sh.view_snapshot();
     let (open_batch, was_empty, tagged) = {
         let mut p = sh.planner.borrow_mut();
         let open_batch = p.last_sealed + 1;
@@ -704,13 +706,13 @@ fn accept(
         p.pending.insert(*tx);
         p.open.push(PendTxn {
             tx: *tx,
-            reads: reads.to_vec(),
+            reads: Rc::clone(reads),
             writes: tagged.clone(),
         });
         (open_batch, was_empty, tagged)
     };
     for (oid, tag, val) in &tagged {
-        let home = alive[(oid.0 as usize) % alive.len()];
+        let home = sh.view.borrow().home(*oid);
         if home == me {
             sh.replicas[me]
                 .borrow_mut()
@@ -967,13 +969,15 @@ pub(crate) async fn run_batches(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, first
             if acked.len() >= maj {
                 break;
             }
-            let (alive, _) = sh.view_snapshot();
-            let view_epoch = sh.view.borrow().epoch;
-            let targets: Vec<NodeId> = alive
-                .iter()
-                .filter(|i| **i != me && !acked.contains(*i))
-                .map(|&i| sh.nodes[i])
-                .collect();
+            let (targets, view_epoch) = {
+                let v = sh.view.borrow();
+                let targets: Vec<NodeId> = v
+                    .members()
+                    .filter(|i| !acked.contains(i))
+                    .map(|i| sh.nodes[i])
+                    .collect();
+                (targets, v.epoch)
+            };
             if targets.is_empty() {
                 sim.sleep(sh.cfg.backoff).await;
                 continue;
@@ -1053,27 +1057,17 @@ pub(crate) async fn run_batches(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, first
 }
 
 /// One-shot epoch-timeout sealer, armed when an epoch first opens. Waits
-/// out `epoch_timeout`, then seals unless the epoch was already sealed
-/// (batch-full trigger or replication chaining) in the meantime.
+/// out `epoch_timeout` once, then seals unless the epoch was already sealed
+/// (batch-full trigger or replication chaining). While an earlier batch
+/// still replicates `seal` declines, and `run_batches` seals this epoch at
+/// that batch's quorum ack: by then it is older than `epoch_timeout`.
 pub(crate) async fn sealer(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, my_batch: u64) {
-    loop {
-        sim.sleep(sh.cfg.epoch_timeout).await;
-        if !sh.leads(&sim, me) {
-            return;
-        }
-        {
-            let p = sh.planner.borrow();
-            if p.last_sealed >= my_batch {
-                return;
-            }
-            if p.sealing {
-                continue; // earlier batch still replicating; retry
-            }
-        }
-        if let Some(job) = seal(&sh, &sim, me) {
-            run_batches(Rc::clone(&sh), sim.clone(), me, job).await;
-        }
+    sim.sleep(sh.cfg.epoch_timeout).await;
+    if !sh.leads(&sim, me) || sh.planner.borrow().last_sealed >= my_batch {
         return;
+    }
+    if let Some(job) = seal(&sh, &sim, me) {
+        run_batches(sh, sim, me, job).await;
     }
 }
 
@@ -1093,11 +1087,12 @@ pub(crate) async fn takeover(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize) {
         if !sh.leads(&sim, me) {
             return;
         }
-        let (alive, _) = sh.view_snapshot();
-        let targets: Vec<NodeId> = alive
-            .iter()
-            .filter(|&&i| i != me)
-            .map(|&i| sh.nodes[i])
+        let targets: Vec<NodeId> = sh
+            .view
+            .borrow()
+            .members()
+            .filter(|&i| i != me)
+            .map(|i| sh.nodes[i])
             .collect();
         let res = sim
             .call(
@@ -1160,8 +1155,8 @@ pub(crate) async fn takeover(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize) {
         }
     }
     let lagging = |holders: &IdSet<usize>| -> Vec<usize> {
-        let (alive, _) = sh.view_snapshot();
-        alive.into_iter().filter(|i| !holders.contains(i)).collect()
+        let view = sh.view.borrow();
+        view.members().filter(|i| !holders.contains(i)).collect()
     };
     while holders.len() < maj {
         if !sh.leads(&sim, me) {

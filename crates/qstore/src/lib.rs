@@ -43,8 +43,8 @@ use std::rc::Rc;
 use qrdtm_core::history::{verify, Violation};
 use qrdtm_core::{
     spawn_detector_on, Abort, DetectorConfig, DetectorHandle, DtmProtocol, DurabilityConfig,
-    HistoryRecorder, LatencySpec, Membership, ObjVal, ObjectId, ProtocolStats, SimHosted, TxId,
-    Version, Wal,
+    HistoryRecorder, LatencySpec, Membership, ObjVal, ObjectId, Payload, ProtocolStats, SimHosted,
+    TxId, Version, Wal,
 };
 use qrdtm_sim::{NodeId, Sim, SimConfig, SimDuration};
 
@@ -152,10 +152,6 @@ impl QStoreCluster {
     /// Build a cluster and install the planner/executor handlers.
     pub fn new(cfg: QStoreConfig) -> Self {
         assert!(cfg.nodes >= 3, "need a meaningful majority");
-        assert!(
-            cfg.epoch_timeout > SimDuration::ZERO,
-            "QStoreConfig::epoch_timeout must be positive: the sealer re-arms every epoch_timeout"
-        );
         let cfg = QStoreConfig {
             batch_size: cfg.batch_size.max(1),
             ..cfg
@@ -449,18 +445,17 @@ impl QStoreCluster {
 
     /// One client request from `node`: idle while `node` itself is down,
     /// then make one call with `rpc_timeout` to the replica `route` picks
-    /// from the view's `(alive replicas, planner)`, along with the message.
-    /// Returns the reply, if one came back in time.
+    /// from the current view, along with the message. Returns the reply,
+    /// if one came back in time.
     async fn request(
         &self,
         node: NodeId,
-        route: impl FnOnce(&[usize], usize) -> (usize, QMsg),
+        route: impl FnOnce(&QView) -> (usize, QMsg),
     ) -> Option<QMsg> {
         while !self.sim.is_alive(node) {
             self.sim.sleep(IDLE).await;
         }
-        let (alive, planner) = self.shared.view_snapshot();
-        let (target, msg) = route(&alive, planner);
+        let (target, msg) = route(&self.shared.view.borrow());
         let to = [self.shared.nodes[target]];
         let timeout = Some(self.config().rpc_timeout);
         let res = self.sim.call(node, &to, msg, timeout).await;
@@ -470,7 +465,7 @@ impl QStoreCluster {
     /// Send `msg` (a `Submit` or `Poll`) to the planner the view names and
     /// return the status it answered, if it answered in time.
     async fn ask_planner(&self, node: NodeId, msg: QMsg) -> Option<TxStatus> {
-        match self.request(node, |_, planner| (planner, msg)).await {
+        match self.request(node, |view| (view.planner, msg)).await {
             Some(QMsg::SubmitAck {
                 status: TxStatus::Settled,
             }) => unreachable!("the planner settled a transaction its client still awaits"),
@@ -496,11 +491,11 @@ impl QStoreCluster {
         let mut attempt = 0u32;
         loop {
             let auth = authoritative || attempt >= 2;
-            let route = |alive: &[usize], planner| {
+            let route = |view: &QView| {
                 if auth {
-                    (planner, QMsg::ReadCommitted { oid })
+                    (view.planner, QMsg::ReadCommitted { oid })
                 } else {
-                    (alive[(oid.0 as usize) % alive.len()], QMsg::Read { oid })
+                    (view.home(oid), QMsg::Read { oid })
                 }
             };
             match self.request(node, route).await {
@@ -521,15 +516,15 @@ impl QStoreCluster {
         if tx.reads.is_empty() && tx.writes.is_empty() {
             return Ok(());
         }
-        let reads: Vec<(ObjectId, u64)> = tx.reads.iter().map(|(o, (t, _))| (*o, *t)).collect();
-        let writes: Vec<(ObjectId, ObjVal)> =
-            tx.writes.iter().map(|(o, v)| (*o, v.clone())).collect();
+        // Built once per attempt: a retransmission shares both payloads.
+        let reads: Payload<_> = tx.reads.iter().map(|(o, (t, _))| (*o, *t)).collect();
+        let writes: Payload<_> = tx.writes.iter().map(|(o, v)| (*o, v.clone())).collect();
         loop {
             let submit = QMsg::Submit {
                 tx: tx.id,
                 watermark: self.watermark(&tx.id),
-                reads: reads.clone(),
-                writes: writes.clone(),
+                reads: Rc::clone(&reads),
+                writes: Rc::clone(&writes),
             };
             match self.ask_planner(tx.node, submit).await {
                 Some(TxStatus::Committed) => return Ok(()),
@@ -718,6 +713,7 @@ impl SimHosted for QStoreCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use qrdtm_core::{atomically, crash_sim_only, recover_sim_only};
 
     const ACCOUNTS: u64 = 8;
@@ -778,9 +774,11 @@ mod tests {
         );
     }
 
-    #[test]
-    fn contending_transfers_conserve_money_serializably() {
-        let c = cluster(21);
+    /// Six clients on nodes 0..6 run three contending transfers each, to
+    /// quiescence: every one commits, money is conserved and both audits
+    /// pass.
+    fn contending_transfers_conserve_money_serializably_with(cfg: QStoreConfig) {
+        let c = cluster_with(cfg);
         c.begin_history();
         for node in 0..6u32 {
             let c2 = Rc::clone(&c);
@@ -797,6 +795,25 @@ mod tests {
         assert_eq!(total(&c), ACCOUNTS as i64 * INITIAL);
         assert_eq!(c.verify_history(), vec![]);
         assert_eq!(c.batch_atomicity_violations(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn contending_transfers_conserve_money_serializably() {
+        contending_transfers_conserve_money_serializably_with(QStoreConfig {
+            seed: 21,
+            ..Default::default()
+        });
+    }
+
+    /// Each epoch's sealer wakes at the instant the epoch opens; one that
+    /// opens while a batch replicates is sealed at that batch's ack.
+    #[test]
+    fn a_zero_epoch_timeout_runs_contending_transfers_to_quiescence() {
+        contending_transfers_conserve_money_serializably_with(QStoreConfig {
+            seed: 21,
+            epoch_timeout: SimDuration::ZERO,
+            ..Default::default()
+        });
     }
 
     #[test]
@@ -982,17 +999,6 @@ mod tests {
         c.sim().run();
     }
 
-    /// A zero timeout would re-arm the sealer at one virtual instant for
-    /// as long as a batch replicates: refused at build time instead.
-    #[test]
-    #[should_panic(expected = "epoch_timeout must be positive")]
-    fn zero_epoch_timeout_is_refused() {
-        QStoreCluster::new(QStoreConfig {
-            epoch_timeout: SimDuration::ZERO,
-            ..Default::default()
-        });
-    }
-
     #[test]
     fn takeover_rereplicates_adopted_prefix_to_a_majority() {
         let c = cluster(43);
@@ -1154,7 +1160,7 @@ mod tests {
                 again.id = id;
                 assert_eq!(c2.poll_outcome(&again).await, Ok(true), "{id:?}");
             }
-            assert_eq!(c2.shared.view_snapshot().1, 1, "node 1 answered");
+            assert_eq!(c2.shared.view.borrow().planner, 1, "node 1 answered");
             transfer(&c2, NodeId(4), ObjectId(0), ObjectId(1), 3).await;
         });
         c.sim().run();
@@ -1336,8 +1342,8 @@ mod tests {
             let submit = || QMsg::Submit {
                 tx,
                 watermark: 1,
-                reads: vec![],
-                writes: vec![(ObjectId(0), ObjVal::Int(5))],
+                reads: [].into(),
+                writes: [(ObjectId(0), ObjVal::Int(5))].into(),
             };
             let poll = QMsg::Poll { tx, watermark: 1 };
             assert_eq!(status(ask(c, 0, poll.clone()).await), TxStatus::Unknown);
@@ -1365,8 +1371,8 @@ mod tests {
         QMsg::Submit {
             tx: TxId { node, seq },
             watermark,
-            reads: vec![],
-            writes: vec![(ObjectId(0), ObjVal::Int(val))],
+            reads: [].into(),
+            writes: [(ObjectId(0), ObjVal::Int(val))].into(),
         }
     }
 
@@ -1516,6 +1522,66 @@ mod tests {
                 .collect();
             let second = TxId { node: 9, seq: 2 };
             assert_eq!(blocks, [vec![tx9, tx8], vec![second]], "replica {idx}");
+        }
+    }
+
+    /// The sealer rule, with `epoch_timeout` well inside one replication
+    /// round (≈ 31 ms). Node 9's `Submit` opens batch 1, which its timer
+    /// seals; node 8's lands 10 ms later, while batch 1 replicates, and
+    /// its epoch is sealed at batch 1's quorum-ack instant. Each epoch's
+    /// sealer fires one timer, so the event count does not depend on the
+    /// timeout: a sealer that re-armed until the round acked would fire
+    /// about round / timeout of them.
+    #[test]
+    fn an_epoch_opened_mid_round_is_sealed_at_the_ack_by_one_timer() {
+        let run = |timeout_ms| {
+            let c = cluster_with(QStoreConfig {
+                seed: 103,
+                epoch_timeout: SimDuration::from_millis(timeout_ms),
+                ..Default::default()
+            });
+            c.begin_history();
+            for (node, delay_ms) in [(9, 0), (8, 10)] {
+                let c2 = Rc::clone(&c);
+                c.sim().spawn(async move {
+                    c2.sim().sleep(SimDuration::from_millis(delay_ms)).await;
+                    let timeout = Some(c2.config().rpc_timeout);
+                    let msg = submit(node, 1, 1, i64::from(node));
+                    let _ = c2
+                        .sim()
+                        .call(NodeId(node), &[NodeId(0)], msg, timeout)
+                        .await;
+                });
+            }
+            c.sim().run();
+            assert_eq!((c.stats().batches, c.stats().commits), (2, 2));
+            // Alone in its batch, each commit's `at` is its seal instant
+            // plus 1 ns.
+            let at: Vec<_> = c.history().iter().map(|r| r.at).collect();
+            let round = c.epoch_latencies()[0];
+            assert_eq!((at[1] - at[0]).as_nanos(), round, "sealed at the ack");
+            c.sim().metrics().events
+        };
+        assert_eq!(run(1), run(4), "one sealer timer per epoch");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `QView::home` is the rule it replaced: the alive indices,
+        /// collected, then indexed by `oid` modulo their count.
+        #[test]
+        fn home_is_the_collected_alive_list_indexed_by_oid(
+            mut alive in proptest::collection::vec(any::<bool>(), 1..16),
+            keep in 0usize..16,
+            oid in 0u64..u64::MAX,
+        ) {
+            let n = alive.len();
+            alive[keep % n] = true;
+            let alive_indices: Vec<usize> = (0..n).filter(|&i| alive[i]).collect();
+            let old = alive_indices[(oid as usize) % alive_indices.len()];
+            let view = QView { alive, planner: 0, epoch: 0 };
+            prop_assert_eq!(view.home(ObjectId(oid)), old);
         }
     }
 

@@ -135,9 +135,9 @@ pub enum QMsg {
         /// The sending node's watermark.
         watermark: u64,
         /// `(object, write tag observed)` for every read.
-        reads: Vec<(ObjectId, u64)>,
+        reads: Payload<(ObjectId, u64)>,
         /// Buffered writes in client program order.
-        writes: Vec<(ObjectId, ObjVal)>,
+        writes: Payload<(ObjectId, ObjVal)>,
     },
     /// Client -> planner: outcome query for an already-submitted `tx`.
     Poll {
