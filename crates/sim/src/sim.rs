@@ -106,10 +106,13 @@ pub(crate) struct TimerState {
 }
 
 pub(crate) enum EventKind<M> {
-    /// Message reached the destination; join its service queue.
-    Arrive(Envelope<M>),
-    /// Service completed; run the node handler.
-    Dispatch(Envelope<M>),
+    /// A request on its way (due when it reaches its destination) or, once
+    /// `admitted` to the node's service queue, in it (due when service
+    /// completes and the handler runs); both in one slot, moved out once.
+    Request {
+        env: Envelope<M>,
+        admitted: bool,
+    },
     /// A reply reached the calling node.
     ReplyArrive {
         call: CallId,
@@ -208,24 +211,12 @@ pub trait Scheduler {
     fn pick(&mut self, now: SimTime, ready: &[EventInfo]) -> usize;
 }
 
-struct Scheduled<M> {
-    time: SimTime,
-    seq: u64,
-    kind: EventKind<M>,
-}
-
-impl<M: SimMessage> Scheduled<M> {
-    fn info(&self) -> EventInfo {
-        let (tag, from, to, class, call) = match &self.kind {
-            EventKind::Arrive(env) => (
-                EventTag::Arrive,
-                Some(env.from),
-                Some(env.to),
-                Some(env.msg.class()),
-                env.call.map(|c| c.0),
-            ),
-            EventKind::Dispatch(env) => (
-                EventTag::Dispatch,
+impl<M: SimMessage> EventKind<M> {
+    fn info(&self, time: SimTime, seq: u64) -> EventInfo {
+        use EventTag::{Arrive, Dispatch};
+        let (tag, from, to, class, call) = match self {
+            EventKind::Request { env, admitted } => (
+                if *admitted { Dispatch } else { Arrive },
                 Some(env.from),
                 Some(env.to),
                 Some(env.msg.class()),
@@ -250,8 +241,8 @@ impl<M: SimMessage> Scheduled<M> {
             ),
         };
         EventInfo {
-            time: self.time,
-            seq: self.seq,
+            time,
+            seq,
             tag,
             from,
             to,
@@ -315,21 +306,6 @@ impl<M: SimMessage> SimInner<M> {
         self.queue.push(time, seq, kind);
     }
 
-    /// Schedule the completion of a request admitted to `node`'s service
-    /// queue through the node's FIFO lane of the wheel. `seq` is drawn
-    /// here, at admission, exactly as [`SimInner::schedule`] draws it, so
-    /// pop order is the one a plain push would give; the lane only keeps a
-    /// deep backlog out of the wheel. Completion instants of one node never
-    /// decrease — `busy_until` moves forward only: admissions and `occupy`
-    /// extend it, `fail_node` / `recover_node` leave it alone — which is
-    /// the monotonicity a lane requires.
-    fn schedule_service(&mut self, node: NodeId, done: SimTime, env: Envelope<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue
-            .push_lane(node.0, done, seq, EventKind::Dispatch(env));
-    }
-
     /// Schedule a call's deadline through the wheel's far lane: deadlines
     /// are `now + d` for a per-cluster `d`, so they arrive in order and, at
     /// the 500 ms default, beyond the horizon. `seq` is drawn exactly as
@@ -366,12 +342,6 @@ impl<M: SimMessage> SimInner<M> {
         true
     }
 
-    fn pop(&mut self) -> Option<Scheduled<M>> {
-        self.queue
-            .pop()
-            .map(|(time, seq, kind)| Scheduled { time, seq, kind })
-    }
-
     /// Keep `node` busy for `d` more, queued behind its backlog; returns
     /// when that work completes, the node's new `busy_until`.
     fn occupy(&mut self, node: NodeId, d: SimDuration) -> SimTime {
@@ -398,7 +368,49 @@ impl<M: SimMessage> SimInner<M> {
         let lat = self.latency.sample(env.from, env.to, &mut self.rng)
             + self.link_extra(env.from, env.to);
         let at = self.now + lat;
-        self.schedule(at, EventKind::Arrive(env));
+        self.schedule(
+            at,
+            EventKind::Request {
+                env,
+                admitted: false,
+            },
+        );
+    }
+
+    /// The event in `slot` is due now. A request reaching its destination
+    /// is lost there or joins the node's service queue where it lies: its
+    /// slot is keyed into the node's lane at the instant service completes,
+    /// `seq` drawn as [`SimInner::schedule`] draws it. A node's completion
+    /// instants never decrease (`busy_until` moves forward only), as a lane
+    /// needs. Any other event is taken out of its slot and returned.
+    fn admit_or_take(&mut self, slot: u32) -> Option<EventKind<M>> {
+        let Some(EventKind::Request {
+            env,
+            admitted: admitted @ false,
+        }) = self.queue.arena_mut().get_mut(slot)
+        else {
+            return self.queue.arena_mut().take(slot);
+        };
+        *admitted = true;
+        let (from, to, call, class) = (env.from, env.to, env.call, env.msg.class());
+        let faulted = self.delivery_faulted(from, to);
+        let dead = !faulted && !self.nodes[to.index()].alive;
+        if faulted || dead {
+            self.metrics.dropped += u64::from(dead);
+            self.queue.arena_mut().take(slot);
+            self.reply_lost(call);
+            return None;
+        }
+        let mut svc = self.service_for(class);
+        let factor = self.nodes[to.index()].service_factor;
+        if factor != 1.0 {
+            svc = svc.mul_f64(factor);
+        }
+        let done = self.occupy(to, svc);
+        let seq = self.seq;
+        self.seq += 1;
+        self.queue.push_lane(to.0, done, seq, slot);
+        None
     }
 }
 
@@ -678,45 +690,48 @@ impl<M: SimMessage> Sim<M> {
                     }
                     Some(_) => {}
                 }
-                let s = inner.pop().expect("peeked");
-                debug_assert!(s.time >= inner.now, "event queue went backwards");
-                inner.now = s.time;
-                let s = self.apply_scheduler(&mut inner, s);
+                let head = inner.queue.pop_key().expect("peeked");
+                debug_assert!(head.0 >= inner.now, "event queue went backwards");
+                inner.now = head.0;
+                let slot = self.apply_scheduler(&mut inner, head);
                 inner.metrics.events += 1;
-                s
+                inner.admit_or_take(slot)
             };
-            self.dispatch(ev);
+            if let Some(ev) = ev {
+                self.dispatch(ev);
+            }
             self.drain_ready();
         }
     }
 
-    /// Offer the popped minimum event plus every other event due at the
-    /// same instant to the installed [`Scheduler`], if any, and return the
-    /// chosen one (the rest go back on the queue with their original
-    /// sequence numbers, preserving relative order). Without a scheduler
-    /// this returns `head` untouched, keeping the historical single-pop
-    /// path byte-identical.
-    fn apply_scheduler(&self, inner: &mut SimInner<M>, head: Scheduled<M>) -> Scheduled<M> {
+    /// Offer the popped minimum key plus every other key due at the same
+    /// instant to the installed [`Scheduler`], if any, and return the
+    /// chosen one's slot; the rest go back on the queue under their original
+    /// `(time, seq)`, payloads untouched. Without a scheduler this returns
+    /// `head`'s slot, keeping the historical single-pop path byte-identical.
+    fn apply_scheduler(&self, inner: &mut SimInner<M>, head: (SimTime, u64, u32)) -> u32 {
         let mut sched = self.core.scheduler.borrow_mut();
         let Some(sched) = sched.as_mut() else {
-            return head;
+            return head.2;
         };
-        let now = head.time;
+        let now = head.0;
         // Queue pops come out in (time, seq) order, so the group is
         // already sorted by creation order — a deterministic candidate
         // ordering.
         let mut group = vec![head];
         while matches!(inner.queue.peek_key(), Some((t, _)) if t == now) {
-            group.push(inner.pop().expect("peeked"));
+            group.push(inner.queue.pop_key().expect("peeked"));
         }
         if group.len() == 1 {
-            return group.pop().expect("nonempty");
+            return head.2;
         }
-        let infos: Vec<EventInfo> = group.iter().map(Scheduled::info).collect();
+        let arena = inner.queue.arena_mut();
+        let info = |&(time, seq, slot)| arena.get_mut(slot).expect("popped").info(time, seq);
+        let infos: Vec<EventInfo> = group.iter().map(info).collect();
         let pick = sched.pick(now, &infos).min(group.len() - 1);
-        let chosen = group.swap_remove(pick);
-        for s in group {
-            inner.queue.push(s.time, s.seq, s.kind);
+        let (_, _, chosen) = group.swap_remove(pick);
+        for (time, seq, slot) in group {
+            inner.queue.push_slot(time, seq, slot);
         }
         chosen
     }
@@ -732,27 +747,10 @@ impl<M: SimMessage> Sim<M> {
         self.run_until(until);
     }
 
-    fn dispatch(&self, ev: Scheduled<M>) {
-        match ev.kind {
-            EventKind::Arrive(env) => {
-                let mut inner = self.core.inner.borrow_mut();
-                if inner.delivery_faulted(env.from, env.to) {
-                    return inner.reply_lost(env.call);
-                }
-                let node = &inner.nodes[env.to.index()];
-                if !node.alive {
-                    inner.metrics.dropped += 1;
-                    return inner.reply_lost(env.call);
-                }
-                let factor = node.service_factor;
-                let mut svc = inner.service_for(env.msg.class());
-                if factor != 1.0 {
-                    svc = svc.mul_f64(factor);
-                }
-                let done = inner.occupy(env.to, svc);
-                inner.schedule_service(env.to, done, env);
-            }
-            EventKind::Dispatch(env) => {
+    fn dispatch(&self, ev: EventKind<M>) {
+        match ev {
+            EventKind::Request { env, admitted } => {
+                debug_assert!(admitted, "a request is dispatched once admitted");
                 {
                     let mut inner = self.core.inner.borrow_mut();
                     if !inner.nodes[env.to.index()].alive {

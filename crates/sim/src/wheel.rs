@@ -43,11 +43,11 @@
 //! same-instant group by peek-and-pop (the `Scheduler` tie groups) finds
 //! every member.
 //!
-//! The hand-off is also the one place that knows which payload pops next
-//! with a few events of lead time. Behind a deep backlog the successor's
-//! arena slot and the lane's new front were last touched a whole backlog
-//! ago, so the hand-off prefetches both; a lane with no successor issues
-//! nothing. Prefetching reads nothing and changes no order.
+//! Behind a deep backlog both ends of a lane are cold: the successor's arena
+//! slot and the deque's front and tail lines were last touched a whole
+//! backlog ago. So the hand-off prefetches the slot and the front's two
+//! lines, and each `push_back` the line two past the tail, for writing.
+//! Prefetching reads nothing and changes no order.
 //!
 //! ## The far lane
 //!
@@ -65,10 +65,10 @@
 //!
 //! Payloads live in a pre-allocated free-list arena ([`EventArena`]); the
 //! buckets, run, lanes and overflow heap hold 24-byte keys only, so
-//! sorting never moves payload bytes and popping never allocates. A slot
-//! is recycled the moment its event is popped. Nothing outlives a pop — no
-//! handle is handed out and nothing is cancelled — so slots carry no
-//! generation: each key is the only reference to its slot.
+//! sorting never moves payload bytes and popping never allocates. A key is
+//! the only reference to its slot, which [`TimingWheel::pop_key`] hands
+//! back with the payload in it to be read, keyed again or taken: nothing is
+//! cancelled and slots carry no generation. The wheel counts keys, not slots.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -123,22 +123,28 @@ enum Slot<T> {
     Full { payload: T },
 }
 
-/// Start moving the cache line holding `p` toward the core, without
-/// waiting for it. Compiles to nothing off x86_64.
+#[cfg(target_arch = "x86_64")]
+use core::arch::x86_64::{_MM_HINT_ET0 as FOR_WRITE, _MM_HINT_T0 as FOR_READ};
+#[cfg(not(target_arch = "x86_64"))]
+const FOR_READ: i32 = 0;
+#[cfg(not(target_arch = "x86_64"))]
+const FOR_WRITE: i32 = 0;
+
+/// Start moving the cache line `offset` bytes past `p` toward the core
+/// (`FOR_WRITE`: exclusive, for a store), without waiting. A no-op off x86_64.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 #[allow(unsafe_code)]
-fn prefetch_line<P>(p: *const P) {
-    use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+fn prefetch_line<const HINT: i32, P>(p: *const P, offset: usize) {
     // SAFETY: a prefetch never faults, whatever the address, and has no
     // architectural effect (it reads no value and writes nothing); SSE,
     // which provides it, is part of the x86_64 baseline.
-    unsafe { _mm_prefetch::<_MM_HINT_T0>(p.cast()) }
+    unsafe { core::arch::x86_64::_mm_prefetch::<HINT>(p.cast::<i8>().wrapping_add(offset)) }
 }
 
 #[cfg(not(target_arch = "x86_64"))]
 #[inline(always)]
-fn prefetch_line<P>(_: *const P) {}
+fn prefetch_line<const HINT: i32, P>(_: *const P, _: usize) {}
 
 /// Free-list slab holding event payloads; see the module docs for the
 /// lifetime story.
@@ -210,13 +216,21 @@ impl<T> EventArena<T> {
         Some(payload)
     }
 
-    /// Ask for slot `idx` ahead of its `take`: both of its cache lines, as
-    /// a slot may straddle two. A hint only — nothing is read.
+    /// The payload at `idx`, left in place; `None` if the slot is vacant.
+    pub fn get_mut(&mut self, idx: u32) -> Option<&mut T> {
+        match self.slots.get_mut(idx as usize)? {
+            Slot::Full { payload } => Some(payload),
+            Slot::Vacant { .. } => None,
+        }
+    }
+
+    /// Ask for slot `idx` ahead of its use: both of its cache lines, as a
+    /// slot may straddle two. A hint only — nothing is read.
     #[inline]
     fn prefetch(&self, idx: u32) {
         let slot = self.slots.as_ptr().wrapping_add(idx as usize);
-        prefetch_line(slot);
-        prefetch_line(slot.cast::<u8>().wrapping_add(size_of::<Slot<T>>() - 1));
+        prefetch_line::<FOR_READ, _>(slot, 0);
+        prefetch_line::<FOR_READ, _>(slot, size_of::<Slot<T>>() - 1);
     }
 
     /// Live (allocated, not yet taken) payload count.
@@ -279,6 +293,8 @@ pub struct TimingWheel<T> {
     arena: EventArena<T>,
     /// Keys resident in `buckets`.
     wheel_count: usize,
+    /// Keys anywhere in the wheel, its overflow level and its lanes.
+    queued: usize,
     /// Service lanes by index, grown on first use.
     lanes: Vec<Lane>,
     stats: WheelStats,
@@ -314,6 +330,7 @@ impl<T> TimingWheel<T> {
             cursor_page: 0,
             arena: EventArena::new(),
             wheel_count: 0,
+            queued: 0,
             lanes: Vec::new(),
             stats: WheelStats::default(),
         }
@@ -334,12 +351,12 @@ impl<T> TimingWheel<T> {
         self.slot_mask + 1
     }
 
-    /// Live event count.
+    /// Queued event count: keys, not payloads (see the module docs).
     pub fn len(&self) -> usize {
-        self.arena.live()
+        self.queued
     }
 
-    /// True when no live events remain.
+    /// True when no event is queued.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -354,8 +371,14 @@ impl<T> TimingWheel<T> {
         self.run.clear();
         self.run_idx = 0;
         self.wheel_count = 0;
+        self.queued = 0;
         self.lanes.clear();
         std::mem::take(&mut self.arena)
+    }
+
+    /// The payloads, where a slot [`TimingWheel::pop_key`] hands back is read.
+    pub fn arena_mut(&mut self) -> &mut EventArena<T> {
+        &mut self.arena
     }
 
     /// Telemetry snapshot.
@@ -369,18 +392,25 @@ impl<T> TimingWheel<T> {
     /// wheel's lifetime and callers must never schedule before an already
     /// popped instant's page (the simulator guarantees both: `seq` is its
     /// global creation counter and events are never scheduled in the past).
+    #[inline]
     pub fn push(&mut self, time: SimTime, seq: u64, payload: T) {
-        let key = self.admit(time, seq, NO_LANE, payload);
+        let idx = self.arena.alloc(payload);
+        self.push_slot(time, seq, idx);
+    }
+
+    /// [`TimingWheel::push`] for the payload in arena slot `idx`, keyed nowhere else.
+    #[inline]
+    pub fn push_slot(&mut self, time: SimTime, seq: u64, idx: u32) {
+        let key = self.key(time, seq, idx, NO_LANE);
         self.place(key);
     }
 
-    /// Schedule `payload` at `(time, seq)` through service lane `lane`:
-    /// same contract and same pop order as [`TimingWheel::push`], for a
-    /// producer whose times never decrease from one push to the next.
-    /// Only the lane's head occupies the wheel; later keys wait in the lane
-    /// until the keys ahead of them have popped.
-    pub fn push_lane(&mut self, lane: u32, time: SimTime, seq: u64, payload: T) {
-        let key = self.admit(time, seq, lane, payload);
+    /// [`TimingWheel::push_slot`] through service lane `lane`, for a
+    /// producer whose times never decrease from one push to the next: same
+    /// contract, same pop order. Only the lane's head occupies the wheel;
+    /// later keys wait in the lane until the keys ahead of them have popped.
+    pub fn push_lane(&mut self, lane: u32, time: SimTime, seq: u64, idx: u32) {
+        let key = self.key(time, seq, idx, lane);
         let li = lane as usize;
         if li >= self.lanes.len() {
             self.lanes.resize_with(li + 1, Lane::default);
@@ -395,6 +425,7 @@ impl<T> TimingWheel<T> {
         l.tail_time = time;
         if l.head_resident {
             l.waiting.push_back(key);
+            prefetch_line::<FOR_WRITE, _>(l.waiting.back().expect("just pushed"), 128);
             self.stats.lane_high_water = self.stats.lane_high_water.max(l.waiting.len() as u64);
         } else {
             l.head_resident = true;
@@ -406,7 +437,8 @@ impl<T> TimingWheel<T> {
     /// mostly arrive in order: such a key joins the far lane (see the
     /// module docs) when it is not before the lane's tail.
     pub fn push_far(&mut self, time: SimTime, seq: u64, payload: T) {
-        let key = self.admit(time, seq, NO_LANE, payload);
+        let idx = self.arena.alloc(payload);
+        let key = self.key(time, seq, idx, NO_LANE);
         let beyond = self.page(time) >= self.cursor_page + self.horizon();
         if beyond && self.far.back().is_none_or(|tail| *tail <= key) {
             self.far.push_back(key);
@@ -415,10 +447,10 @@ impl<T> TimingWheel<T> {
         }
     }
 
-    /// Give the payload its arena slot and key.
+    /// The key of a payload about to be queued.
     #[inline]
-    fn admit(&mut self, time: SimTime, seq: u64, lane: u32, payload: T) -> EvKey {
-        let idx = self.arena.alloc(payload);
+    fn key(&mut self, time: SimTime, seq: u64, idx: u32, lane: u32) -> EvKey {
+        self.queued += 1;
         EvKey {
             time,
             seq,
@@ -437,26 +469,36 @@ impl<T> TimingWheel<T> {
     /// Pop the globally minimum `(time, seq)` event.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
+        let (time, seq, idx) = self.pop_key()?;
+        let payload = self.arena.take(idx).expect("queued key owns its slot");
+        Some((time, seq, payload))
+    }
+
+    /// Pop the globally minimum key, `(time, seq, slot)`, leaving its
+    /// payload in the slot for the caller to read, key again or take.
+    #[inline]
+    pub fn pop_key(&mut self) -> Option<(SimTime, u64, u32)> {
         let k = self.position()?;
         self.run_idx += 1;
-        let payload = self.arena.take(k.idx).expect("queued key owns its slot");
+        self.queued -= 1;
         if k.lane != NO_LANE {
             self.lane_popped(k.lane);
         }
-        Some((k.time, k.seq, payload))
+        Some((k.time, k.seq, k.idx))
     }
 
     /// The head of `lane` popped: its successor, if any, becomes the head
     /// and moves into the wheel, and the cache lines it and the lane's new
     /// front will need are requested now (see the module docs). Out of
-    /// line, so that `pop` stays small enough to inline into the run loop.
+    /// line, so that `pop_key` stays small enough to inline into the run.
     #[inline(never)]
     fn lane_popped(&mut self, lane: u32) {
         let l = &mut self.lanes[lane as usize];
         match l.waiting.pop_front() {
             Some(next) => {
                 if let Some(front) = l.waiting.front() {
-                    prefetch_line(front);
+                    prefetch_line::<FOR_READ, _>(front, 0);
+                    prefetch_line::<FOR_READ, _>(front, 64);
                 }
                 self.arena.prefetch(next.idx);
                 self.place(next);
@@ -603,6 +645,12 @@ mod tests {
         SimTime(ns)
     }
 
+    /// Store `payload` and push its slot through `lane`.
+    fn push_lane<T>(w: &mut TimingWheel<T>, lane: u32, time: SimTime, seq: u64, payload: T) {
+        let idx = w.arena_mut().alloc(payload);
+        w.push_lane(lane, time, seq, idx);
+    }
+
     #[test]
     fn pops_in_time_then_seq_order() {
         let mut w: TimingWheel<u32> = TimingWheel::with_geometry(4, 6);
@@ -666,7 +714,7 @@ mod tests {
         // and a plain event in between still pops in its place.
         let mut w: TimingWheel<u64> = TimingWheel::with_geometry(4, 6);
         for i in 0..1000u64 {
-            w.push_lane(0, t(100 * (i + 1)), i, i);
+            push_lane(&mut w, 0, t(100 * (i + 1)), i, i);
         }
         w.push(t(250), 1000, 1000);
         assert_eq!(w.stats().lane_high_water, 999);
@@ -684,12 +732,12 @@ mod tests {
         // caller collecting the instant by peek-and-pop (a scheduler's tie
         // group) must get all four, in seq order.
         let mut w: TimingWheel<u64> = TimingWheel::new();
-        w.push_lane(7, t(10), 0, 0);
+        push_lane(&mut w, 7, t(10), 0, 0);
         for seq in 1..=3 {
-            w.push_lane(7, t(20), seq, seq);
+            push_lane(&mut w, 7, t(20), seq, seq);
         }
         w.push(t(20), 4, 4);
-        w.push_lane(7, t(30), 5, 5);
+        push_lane(&mut w, 7, t(30), 5, 5);
         assert_eq!(w.pop().map(|x| x.2), Some(0));
         let mut group = Vec::new();
         while w.peek_key().map(|(time, _)| time) == Some(t(20)) {
@@ -705,8 +753,31 @@ mod tests {
     #[should_panic(expected = "must be monotone")]
     fn lane_push_behind_its_tail_is_diagnosed() {
         let mut w: TimingWheel<u64> = TimingWheel::new();
-        w.push_lane(0, t(20), 0, 0);
-        w.push_lane(0, t(10), 1, 1);
+        push_lane(&mut w, 0, t(20), 0, 0);
+        push_lane(&mut w, 0, t(10), 1, 1);
+    }
+
+    #[test]
+    fn a_popped_key_is_not_a_queued_event() {
+        // What a scheduler's tie group does: pop a key and hold its slot
+        // while it peeks for the next one. The held payload must not make
+        // the wheel look non-empty, or `peek_key` advances into nothing.
+        let mut w: TimingWheel<u32> = TimingWheel::with_geometry(4, 6);
+        w.push(t(10), 0, 7);
+        w.push(t(20), 1, 8);
+        let (_, _, held) = w.pop_key().expect("two queued");
+        assert_eq!(
+            w.arena_mut().get_mut(held),
+            Some(&mut 7),
+            "payload stays in its slot"
+        );
+        assert_eq!(w.len(), 1);
+        assert_eq!(w.peek_key(), Some((t(20), 1)));
+        assert_eq!(w.pop().map(|x| x.2), Some(8));
+        assert_eq!(w.peek_key(), None);
+        assert!(w.is_empty() && w.arena_mut().live() == 1);
+        assert_eq!(w.arena_mut().take(held), Some(7));
+        assert_eq!(w.arena_mut().live(), 0, "take freed the held slot");
     }
 
     #[test]

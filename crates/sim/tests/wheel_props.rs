@@ -1,13 +1,15 @@
 //! Property tests for the timing wheel against a sorted-vec oracle:
 //! arbitrary interleaved schedule/pop sequences — plain pushes, pushes
-//! through FIFO service lanes and through the far lane — never lose an event, never reorder
-//! equal-timestamp events, and promote overflow entries exactly; plus the
+//! through FIFO service lanes and through the far lane, popped slots held
+//! and keyed again — never lose an event, never reorder equal-timestamp
+//! events, and promote overflow entries exactly; plus the
 //! arena recycle property (a freed slot is reused, and every live payload
 //! stays reachable through its own index only).
 
 use proptest::prelude::*;
 use qrdtm_sim::wheel::{EventArena, TimingWheel};
 use qrdtm_sim::SimTime;
+use std::collections::VecDeque;
 
 /// One step of an interleaved workload, drawn by proptest.
 #[derive(Clone, Debug)]
@@ -25,9 +27,18 @@ enum Op {
     PushFar { dt: u64 },
     /// Pop the minimum (no-op when empty).
     Pop,
-    /// What `Sim::apply_scheduler` does at a tie: pop every event due at
+    /// Pop the minimum key and hold its slot, the payload left in it (no-op
+    /// when empty).
+    Hold,
+    /// What admitting a request does: key the oldest held slot (or, with
+    /// none held, the slot of a key popped now) again through service lane
+    /// `lane`, at a later, lane-monotone time under a fresh seq.
+    Rekey { lane: u32, dt: u64 },
+    /// Take the payload out of the oldest held slot (no-op when none).
+    Take,
+    /// What `Sim::apply_scheduler` does at a tie: pop every key due at
     /// the head's instant, keep the `pick`-th, push the rest back at that
-    /// instant under their original seqs (as plain events).
+    /// instant under their original seqs (as plain keys of the same slots).
     PopTieGroup { pick: usize },
 }
 
@@ -67,6 +78,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::Pop),
         Just(Op::Pop),
         Just(Op::Pop),
+        Just(Op::Hold),
+        (0u32..LANES, prop_oneof![Just(0u64), 0u64..200])
+            .prop_map(|(lane, dt)| Op::Rekey { lane, dt }),
+        Just(Op::Take),
         (0usize..8).prop_map(|pick| Op::PopTieGroup { pick }),
     ]
 }
@@ -89,6 +104,25 @@ impl Oracle {
     }
 }
 
+/// Pop the minimum key, check it and the payload left in its slot against
+/// the oracle, and hand back `(slot, payload)`; `None` when both are empty.
+fn pop_key(w: &mut TimingWheel<u64>, oracle: &mut Oracle, now: &mut u64) -> Option<(u32, u64)> {
+    let got = w.pop_key();
+    let want = oracle.pop_min();
+    let got_full = got.map(|(t, s, slot)| {
+        (
+            t.as_nanos(),
+            s,
+            *w.arena_mut().get_mut(slot).expect("popped"),
+        )
+    });
+    prop_assert_eq!(got_full, want, "pop_key diverged from oracle");
+    let (t, _, p) = want?;
+    prop_assert!(t >= *now, "time went backwards");
+    *now = t;
+    got.map(|(_, _, slot)| (slot, p))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -101,6 +135,8 @@ proptest! {
         let mut seq = 0u64;
         let mut payload = 0u64;
         let mut lane_last = [0u64; LANES as usize];
+        // Popped slots not yet keyed again or taken: (slot, payload).
+        let mut held: VecDeque<(u32, u64)> = VecDeque::new();
 
         for op in ops {
             match op {
@@ -122,7 +158,8 @@ proptest! {
                     let last = &mut lane_last[lane as usize];
                     let t = now.max(*last) + dt;
                     *last = t;
-                    w.push_lane(lane, SimTime(t), seq, payload);
+                    let slot = w.arena_mut().alloc(payload);
+                    w.push_lane(lane, SimTime(t), seq, slot);
                     oracle.live.push((t, seq, payload));
                     seq += 1;
                     payload += 1;
@@ -140,39 +177,69 @@ proptest! {
                         now = t;
                     }
                 }
+                Op::Hold => {
+                    if let Some(popped) = pop_key(&mut w, &mut oracle, &mut now) {
+                        held.push_back(popped);
+                    }
+                }
+                Op::Rekey { lane, dt } => {
+                    let popped = held.pop_front();
+                    let popped = popped.or_else(|| pop_key(&mut w, &mut oracle, &mut now));
+                    let Some((slot, p)) = popped else { continue };
+                    let last = &mut lane_last[lane as usize];
+                    let t = now.max(*last) + dt;
+                    *last = t;
+                    w.push_lane(lane, SimTime(t), seq, slot);
+                    oracle.live.push((t, seq, p));
+                    seq += 1;
+                }
+                Op::Take => {
+                    if let Some((slot, p)) = held.pop_front() {
+                        prop_assert_eq!(w.arena_mut().take(slot), Some(p), "held payload lost");
+                    }
+                }
                 Op::PopTieGroup { pick } => {
-                    let Some(head) = w.pop() else { continue };
+                    let Some(head) = w.pop_key() else { continue };
                     prop_assert!(head.0.as_nanos() >= now, "time went backwards");
                     now = head.0.as_nanos();
                     let mut group = vec![head];
                     while w.peek_key().map(|(t, _)| t) == Some(head.0) {
-                        group.push(w.pop().expect("peeked"));
+                        group.push(w.pop_key().expect("peeked"));
                     }
                     // The group is every live event due now, in seq order:
                     // a lane must not hold part of an instant back.
                     let mut due: Vec<_> =
                         oracle.live.iter().copied().filter(|e| e.0 == now).collect();
                     due.sort_unstable();
-                    let got: Vec<_> =
-                        group.iter().map(|&(t, s, p)| (t.as_nanos(), s, p)).collect();
+                    let got: Vec<_> = group
+                        .iter()
+                        .map(|&(t, s, slot)| (t.as_nanos(), s, *w.arena_mut().get_mut(slot).expect("held")))
+                        .collect();
                     prop_assert_eq!(&got, &due, "tie group diverged from oracle");
-                    let (_, chosen, _) = group.swap_remove(pick % group.len());
+                    let (_, chosen, slot) = group.swap_remove(pick % group.len());
                     oracle.live.retain(|e| e.1 != chosen);
-                    for (t, s, p) in group {
-                        w.push(t, s, p);
+                    for (t, s, slot) in group {
+                        w.push_slot(t, s, slot);
                     }
+                    prop_assert!(w.arena_mut().take(slot).is_some());
                 }
             }
-            prop_assert_eq!(w.len(), oracle.live.len(), "live count diverged");
+            prop_assert_eq!(w.len(), oracle.live.len(), "queued count diverged");
+            prop_assert_eq!(w.arena_mut().live(), w.len() + held.len(), "arena holds a lost slot");
         }
 
-        // Drain: everything still queued must come out in exact order.
+        // Drain: everything still queued must come out in exact order, and
+        // every held slot still holds its own payload.
         while let Some(want) = oracle.pop_min() {
             let got = w.pop().map(|(t, s, p)| (t.as_nanos(), s, p));
             prop_assert_eq!(got, Some(want), "drain diverged from oracle");
         }
         prop_assert!(w.pop().is_none(), "wheel had events the oracle did not");
         prop_assert!(w.is_empty());
+        for (slot, p) in held {
+            prop_assert_eq!(w.arena_mut().take(slot), Some(p), "held payload lost");
+        }
+        prop_assert_eq!(w.arena_mut().live(), 0);
     }
 
     #[test]

@@ -58,6 +58,21 @@ line_budget() {
         "$parent" "$1" "$3" "$2" "$4" "$(($3 - $1))" "$(($4 - $2))"
 }
 
+# The prefetch hint in sim/src/wheel.rs is the workspace's one `unsafe`
+# block: every other crate root forbids `unsafe_code`, and `qrdtm-sim`
+# denies it but for that block. A second block fails here, not in review.
+one_unsafe_block() {
+    local found
+    found=$(grep -rn "unsafe {" crates/*/src || true)
+    [ "$(grep -c . <<<"$found")" -eq 1 ] && return
+    echo "expected exactly one \`unsafe {\` block under crates/*/src, found:"
+    echo "${found:-  none}"
+    return 1
+}
+
+stage "one unsafe block (the prefetch hint in sim/src/wheel.rs)" \
+    one_unsafe_block
+
 stage "cargo build --workspace --release" \
     cargo build --workspace --release
 

@@ -16,7 +16,9 @@ adds the N hottest sampled instruction addresses, each with its innermost
 function and line (same line tables), for `objdump -d --start-address=`.
 `--exclude FUNC` (substring match) drops every sample with FUNC anywhere on
 its stack and reports shares of the rest, e.g. to leave out work done
-outside the measured CPU. An executable newer than the profile was rebuilt
+outside the measured CPU. `--exclude` and `--callers` see every frame's
+inlined functions too (`addr2line -i`), given line tables: a function
+inlined into a closure is not on the symbol stack. An executable newer than the profile was rebuilt
 after the run and is reported: its symbols no longer match the addresses.
 """
 import argparse
@@ -43,26 +45,36 @@ def exec_segment_delta(path):
     raise SystemExit(f"{path}: no executable segment")
 
 
-def innermost(exe, vaddrs):
-    """vaddr -> (innermost inlined function, file:line) from the line tables.
+def inline_chains(exe, vaddrs):
+    """vaddr -> [(function, file:line), ...], innermost inlined frame first.
 
     `addr2line -i` prints, per address, the innermost frame first and then
-    the frames it was inlined into. GNU addr2line names that first frame
-    after the enclosing symbol instead, so LLVM's is preferred when present.
+    the frames it was inlined into; without line tables, the symbol alone.
+    GNU addr2line names that first frame after the enclosing symbol
+    instead, so LLVM's is preferred when present.
     """
     tool = shutil.which("llvm-addr2line") or "addr2line"
     out = subprocess.run([tool, "-a", "-i", "-f", "-C", "-e", exe] + [hex(v) for v in vaddrs],
                          capture_output=True, text=True, check=True).stdout.splitlines()
-    where = {}
-    for i, line in enumerate(out):
-        if line.startswith("0x") and i + 2 < len(out):
-            # Legacy-mangled symbols of frames that were not inlined keep
-            # `$LT$`/`$GT$` and a hash; inlined ones carry generic arguments.
-            func = re.sub(r"::h[0-9a-f]{16}$", "", out[i + 1]).replace("$LT$", "<").replace("$GT$", ">")
-            func = re.sub(r"<.*>$", "", func)  # `take<EventKind<..>>` -> `take`
-            loc = re.sub(r" \(discriminator \d+\)$", "", out[i + 2])
-            where[int(line, 16)] = (func, re.sub(r".*/src/", "", loc))
-    return where
+    chains, chain = {}, None
+    for line in out:
+        if line.startswith("0x"):
+            chain = chains.setdefault(int(line, 16), [])
+        else:
+            chain.append(line)
+    return {v: [frame(c[j], c[j + 1]) for j in range(0, len(c) - 1, 2)] for v, c in chains.items()}
+
+
+def frame(func, loc):
+    """One `addr2line -f` frame, its function and `file:line` tidied."""
+    # Legacy-mangled symbols of frames that were not inlined keep
+    # `$LT$`/`$GT$` and a hash; inlined ones carry generic arguments.
+    func = re.sub(r"::h[0-9a-f]{16}( \(\.llvm\.\d+\))?$", "", func)
+    for code, char in (("$LT$", "<"), ("$GT$", ">"), ("$u7b$", "{"), ("$u7d$", "}")):
+        func = func.replace(code, char)
+    func = re.sub(r"<.*>$", "", func)  # `take<EventKind<..>>` -> `take`
+    loc = re.sub(r" \(discriminator \d+\)$", "", loc)
+    return func, re.sub(r".*/src/", "", loc)
 
 
 def main():
@@ -108,9 +120,13 @@ def main():
                          capture_output=True, text=True, check=True).stdout.splitlines()
     name = dict(zip(vaddrs, out[0::2]))
     stacks = [[name[v] if v is not None else other for v, other in s] for s in located]
-    kept = [i for i, s in enumerate(stacks) if not any(x in f for x in args.exclude for f in s)]
+    inlined = inline_chains(exe, vaddrs)
+    # Every frame's inlined functions, innermost first, then its caller's.
+    logical = [[f for v, other in s for f, _ in (inlined[v] if v is not None else [(other, "")])]
+               for s in located]
+    kept = [i for i, s in enumerate(logical) if not any(x in f for x in args.exclude for f in s)]
     dropped = len(stacks) - len(kept)
-    stacks, located = [stacks[i] for i in kept], [located[i] for i in kept]
+    stacks, located, logical = ([x[i] for i in kept] for x in (stacks, located, logical))
 
     total = len(stacks)
     self_n = collections.Counter(s[0] for s in stacks)
@@ -123,7 +139,7 @@ def main():
         print(f"{100 * n / total:7.1f} {100 * incl_n[f] / total:7.1f}  {f}")
     for want in args.callers:
         chains = collections.Counter()
-        for s in stacks:
+        for s in logical:
             hit = next((i for i, f in enumerate(s) if want in f), None)
             if hit is not None:
                 chains[" <- ".join(s[hit:hit + 5])] += 1
@@ -134,7 +150,7 @@ def main():
         # A sample's own instruction pointer, attributed past inlining: the
         # per-function view cannot say where inside a loop it stalls.
         ips = [s[0][0] for s in located if s[0][0] is not None]
-        where = innermost(exe, sorted(set(ips)))
+        where = {v: inlined[v][0] for v in ips}
     if args.lines:
         for title, pick in (("innermost function", 0), ("line", 1)):
             n = collections.Counter(where[v][pick] for v in ips)
