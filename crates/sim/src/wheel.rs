@@ -8,11 +8,13 @@
 //! (the second, coarse level of the hierarchy) and are *promoted* into the
 //! wheel as the cursor approaches their page.
 //!
-//! Popping walks an occupancy bitmap to the next non-empty bucket, sorts
-//! that bucket once by `(time, seq)` into the *run*, and then drains the
-//! run front to back. Because the simulator's sequence numbers are
-//! globally monotonic, appends within a bucket arrive nearly sorted and
-//! the sort is usually a no-op scan.
+//! Popping walks an occupancy bitmap to the next non-empty bucket, swaps
+//! its buffer with the emptied *run*'s (no copy, and no second buffer the
+//! size of a page's burst), sorts it once by `(time, seq)`, and drains the
+//! run front to back. Pages are sized to the traffic, as in Brown's
+//! calendar queue: the service lanes below hold the node backlogs, so a
+//! ≈ 1 ms page holds several events and they share one drain, while a key
+//! due on the current page is binary-inserted into the live run.
 //!
 //! ## Tie-order contract
 //!
@@ -74,10 +76,12 @@ use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Default page width: 2^16 ns = 65.536 µs per bucket.
-pub const DEFAULT_BUCKET_SHIFT: u32 = 16;
-/// Default wheel size: 2^12 = 4096 buckets (horizon ≈ 268 ms).
-pub const DEFAULT_BUCKET_BITS: u32 = 12;
+/// Default page width: 2^20 ns ≈ 1.05 ms per bucket, several events per
+/// page at the paper testbed's traffic (see the module docs).
+pub const DEFAULT_BUCKET_SHIFT: u32 = 20;
+/// Default wheel size: 2^8 = 256 buckets, so the horizon stays 2^28 ns
+/// ≈ 268 ms and a 500 ms call deadline stays in the far lane.
+pub const DEFAULT_BUCKET_BITS: u32 = 8;
 
 const NO_SLOT: u32 = u32::MAX;
 /// `EvKey::lane` of an event pushed outside any lane.
@@ -307,7 +311,7 @@ impl<T> Default for TimingWheel<T> {
 }
 
 impl<T> TimingWheel<T> {
-    /// A wheel with the default geometry (4096 buckets of 65.536 µs).
+    /// A wheel with the default geometry (256 buckets of ≈ 1.05 ms).
     pub fn new() -> Self {
         TimingWheel::with_geometry(DEFAULT_BUCKET_SHIFT, DEFAULT_BUCKET_BITS)
     }
@@ -572,18 +576,14 @@ impl<T> TimingWheel<T> {
         // so the wrap distance from the scan origin recovers the page.
         let delta = (s as u64).wrapping_sub(s0 as u64) & self.slot_mask;
         self.cursor_page = self.cursor_page + 1 + delta;
-        let bucket = &mut self.buckets[s];
+        // Swap, not `append`: see the module docs.
         self.run.clear();
-        self.run.append(bucket);
+        std::mem::swap(&mut self.run, &mut self.buckets[s]);
         self.occupied[s / 64] &= !(1u64 << (s % 64));
         self.wheel_count -= self.run.len();
         self.run_idx = 0;
         self.stats.bucket_sorts += 1;
-        // Appends arrive in seq order and times within one page correlate
-        // with creation order, so the common case is already sorted.
-        if !self.run.windows(2).all(|w| w[0].key() <= w[1].key()) {
-            self.run.sort_unstable();
-        }
+        self.run.sort_unstable();
     }
 
     /// First occupied bucket slot at or after `from`, scanning the bitmap

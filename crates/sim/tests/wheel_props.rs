@@ -2,12 +2,13 @@
 //! arbitrary interleaved schedule/pop sequences — plain pushes, pushes
 //! through FIFO service lanes and through the far lane, popped slots held
 //! and keyed again — never lose an event, never reorder equal-timestamp
-//! events, and promote overflow entries exactly; plus the
+//! events, and promote overflow entries exactly, on a tiny geometry and on
+//! the default one; plus the
 //! arena recycle property (a freed slot is reused, and every live payload
 //! stays reachable through its own index only).
 
 use proptest::prelude::*;
-use qrdtm_sim::wheel::{EventArena, TimingWheel};
+use qrdtm_sim::wheel::{EventArena, TimingWheel, DEFAULT_BUCKET_BITS, DEFAULT_BUCKET_SHIFT};
 use qrdtm_sim::SimTime;
 use std::collections::VecDeque;
 
@@ -44,46 +45,79 @@ enum Op {
 
 const LANES: u32 = 3;
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    // dt mix: same-instant ties (0), sub-bucket, in-horizon, and far past
-    // the horizon of the test geometry (shift 4, 64 buckets → horizon
-    // 1024 ns) to force overflow promotion on every run. Repeated arms
-    // stand in for weights (the vendored stub picks uniformly).
+/// The tiny test geometry: 64 buckets of 16 ns, so 300 ops cross many pages
+/// and the overflow level.
+const TINY: (u32, u32) = (4, 6);
+
+/// `ops` for a wheel of `1 << bucket_bits` pages of `1 << shift` ns. The dt
+/// mix is scaled to the page `p` and the horizon `h`: same-instant ties (0),
+/// sub-page, in-horizon, and far past the horizon, to force overflow
+/// promotion on every run. At the tiny geometry (p = 16, h = 1024) the
+/// values are 0, 16, 200, 1500, 3000, 4096 and so on. Repeated arms stand in
+/// for weights (the vendored stub picks uniformly).
+fn op_strategy((shift, bits): (u32, u32)) -> impl Strategy<Value = Op> {
+    let (p, h) = (1u64 << shift, 1u64 << (shift + bits));
+    // A lane's step of a dozen pages (200 ns at the tiny geometry), and the
+    // far lane's durations: one past the horizon, one shorter but still
+    // past it, one inside it and one within the page.
+    let (step, far, near) = (p * 25 / 2, h * 3000 / 1024, h * 1500 / 1024);
+    let far_dt = move || {
+        prop_oneof![
+            Just(far),
+            Just(far),
+            Just(near),
+            Just(step),
+            Just(p * 3 / 16)
+        ]
+    };
     prop_oneof![
-        (0u64..4096).prop_map(|dt| Op::Push { dt }),
-        (0u64..4096).prop_map(|dt| Op::Push { dt }),
-        (0u64..64).prop_map(|dt| Op::Push { dt }),
-        prop_oneof![Just(0u64), Just(1), Just(16), Just(1 << 13), Just(1 << 20)]
+        (0..4 * h).prop_map(|dt| Op::Push { dt }),
+        (0..4 * h).prop_map(|dt| Op::Push { dt }),
+        (0..4 * p).prop_map(|dt| Op::Push { dt }),
+        prop_oneof![Just(0u64), Just(1), Just(p), Just(8 * h), Just(1024 * h)]
             .prop_map(|dt| Op::Push { dt }),
-        // Lane steps: ties (0), sub-bucket, a few buckets, and past the
+        // Lane steps: ties (0), sub-page, a few pages, and past the
         // horizon, so a released head lands in the live run, a bucket and
         // the overflow level.
-        (
-            0u32..LANES,
-            prop_oneof![Just(0u64), Just(0), 0u64..16, 0u64..200]
-        )
+        (0u32..LANES, prop_oneof![Just(0u64), Just(0), 0..p, 0..step])
             .prop_map(|(lane, dt)| Op::PushLane { lane, dt }),
         (
             0u32..LANES,
-            prop_oneof![Just(0u64), 0u64..16, 0u64..200, Just(1 << 11)]
+            prop_oneof![Just(0u64), 0..p, 0..step, Just(2 * h)]
         )
             .prop_map(|(lane, dt)| Op::PushLane { lane, dt }),
         // Far-lane steps: mostly one duration past the horizon (monotone,
         // the lane's case), sometimes a shorter far one (behind the tail:
         // the heap), an in-horizon one and a same-page one (plain pushes).
-        prop_oneof![Just(3000u64), Just(3000), Just(1500), Just(200), Just(3)]
-            .prop_map(|dt| Op::PushFar { dt }),
-        prop_oneof![Just(3000u64), Just(3000), Just(1500), Just(200), Just(3)]
-            .prop_map(|dt| Op::PushFar { dt }),
+        far_dt().prop_map(|dt| Op::PushFar { dt }),
+        far_dt().prop_map(|dt| Op::PushFar { dt }),
         Just(Op::Pop),
         Just(Op::Pop),
         Just(Op::Pop),
         Just(Op::Hold),
-        (0u32..LANES, prop_oneof![Just(0u64), 0u64..200])
+        (0u32..LANES, prop_oneof![Just(0u64), 0..step])
             .prop_map(|(lane, dt)| Op::Rekey { lane, dt }),
         Just(Op::Take),
         (0usize..8).prop_map(|pick| Op::PopTieGroup { pick }),
     ]
+}
+
+/// A burst onto the next page, out of time order, one pop (that page's
+/// drain), and a second burst onto the page being drained: every case at
+/// the default geometry sorts a drained page and binary-inserts into the
+/// live run before its random ops start. (Page 0 is the cursor's page from
+/// the start, so a burst onto it would go straight into the live run.)
+fn page_bursts(shift: u32) -> Vec<Op> {
+    let p = 1u64 << shift;
+    let burst = |from: u64, step: u64| {
+        (0..32u64).map(move |i| Op::Push {
+            dt: from + (i * 37 % 32) * step,
+        })
+    };
+    let mut ops: Vec<Op> = burst(p, p / 64).collect();
+    ops.push(Op::Pop);
+    ops.extend(burst(0, p / 128));
+    ops
 }
 
 /// Oracle entry: `(time, seq, payload)`; the expected pop order is the
@@ -123,123 +157,142 @@ fn pop_key(w: &mut TimingWheel<u64>, oracle: &mut Oracle, now: &mut u64) -> Opti
     got.map(|(_, _, slot)| (slot, p))
 }
 
+/// Run `ops` on `w` and on the oracle side by side: every pop, held slot,
+/// queued count and arena count must agree, and so must the final drain.
+fn check_against_oracle(mut w: TimingWheel<u64>, ops: Vec<Op>) {
+    let mut oracle = Oracle { live: Vec::new() };
+    let mut now = 0u64;
+    let mut seq = 0u64;
+    let mut payload = 0u64;
+    let mut lane_last = [0u64; LANES as usize];
+    // Popped slots not yet keyed again or taken: (slot, payload).
+    let mut held: VecDeque<(u32, u64)> = VecDeque::new();
+
+    for op in ops {
+        match op {
+            Op::Push { dt } => {
+                let t = now + dt;
+                w.push(SimTime(t), seq, payload);
+                oracle.live.push((t, seq, payload));
+                seq += 1;
+                payload += 1;
+            }
+            Op::PushFar { dt } => {
+                let t = now + dt;
+                w.push_far(SimTime(t), seq, payload);
+                oracle.live.push((t, seq, payload));
+                seq += 1;
+                payload += 1;
+            }
+            Op::PushLane { lane, dt } => {
+                let last = &mut lane_last[lane as usize];
+                let t = now.max(*last) + dt;
+                *last = t;
+                let slot = w.arena_mut().alloc(payload);
+                w.push_lane(lane, SimTime(t), seq, slot);
+                oracle.live.push((t, seq, payload));
+                seq += 1;
+                payload += 1;
+            }
+            Op::Pop => {
+                let got = w.pop();
+                let want = oracle.pop_min();
+                prop_assert_eq!(
+                    got.map(|(t, s, p)| (t.as_nanos(), s, p)),
+                    want,
+                    "pop diverged from oracle"
+                );
+                if let Some((t, _, _)) = want {
+                    prop_assert!(t >= now, "time went backwards");
+                    now = t;
+                }
+            }
+            Op::Hold => {
+                if let Some(popped) = pop_key(&mut w, &mut oracle, &mut now) {
+                    held.push_back(popped);
+                }
+            }
+            Op::Rekey { lane, dt } => {
+                let popped = held.pop_front();
+                let popped = popped.or_else(|| pop_key(&mut w, &mut oracle, &mut now));
+                let Some((slot, p)) = popped else { continue };
+                let last = &mut lane_last[lane as usize];
+                let t = now.max(*last) + dt;
+                *last = t;
+                w.push_lane(lane, SimTime(t), seq, slot);
+                oracle.live.push((t, seq, p));
+                seq += 1;
+            }
+            Op::Take => {
+                if let Some((slot, p)) = held.pop_front() {
+                    prop_assert_eq!(w.arena_mut().take(slot), Some(p), "held payload lost");
+                }
+            }
+            Op::PopTieGroup { pick } => {
+                let Some(head) = w.pop_key() else { continue };
+                prop_assert!(head.0.as_nanos() >= now, "time went backwards");
+                now = head.0.as_nanos();
+                let mut group = vec![head];
+                while w.peek_key().map(|(t, _)| t) == Some(head.0) {
+                    group.push(w.pop_key().expect("peeked"));
+                }
+                // The group is every live event due now, in seq order:
+                // a lane must not hold part of an instant back.
+                let mut due: Vec<_> = oracle.live.iter().copied().filter(|e| e.0 == now).collect();
+                due.sort_unstable();
+                let got: Vec<_> = group
+                    .iter()
+                    .map(|&(t, s, slot)| {
+                        (t.as_nanos(), s, *w.arena_mut().get_mut(slot).expect("held"))
+                    })
+                    .collect();
+                prop_assert_eq!(&got, &due, "tie group diverged from oracle");
+                let (_, chosen, slot) = group.swap_remove(pick % group.len());
+                oracle.live.retain(|e| e.1 != chosen);
+                for (t, s, slot) in group {
+                    w.push_slot(t, s, slot);
+                }
+                prop_assert!(w.arena_mut().take(slot).is_some());
+            }
+        }
+        prop_assert_eq!(w.len(), oracle.live.len(), "queued count diverged");
+        prop_assert_eq!(
+            w.arena_mut().live(),
+            w.len() + held.len(),
+            "arena holds a lost slot"
+        );
+    }
+
+    // Drain: everything still queued must come out in exact order, and
+    // every held slot still holds its own payload.
+    while let Some(want) = oracle.pop_min() {
+        let got = w.pop().map(|(t, s, p)| (t.as_nanos(), s, p));
+        prop_assert_eq!(got, Some(want), "drain diverged from oracle");
+    }
+    prop_assert!(w.pop().is_none(), "wheel had events the oracle did not");
+    prop_assert!(w.is_empty());
+    for (slot, p) in held {
+        prop_assert_eq!(w.arena_mut().take(slot), Some(p), "held payload lost");
+    }
+    prop_assert_eq!(w.arena_mut().live(), 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn wheel_matches_sorted_vec_oracle(ops in proptest::collection::vec(op_strategy(), 1..300)) {
-        // Tiny geometry so 300 ops cross many pages and the overflow level.
-        let mut w: TimingWheel<u64> = TimingWheel::with_geometry(4, 6);
-        let mut oracle = Oracle { live: Vec::new() };
-        let mut now = 0u64;
-        let mut seq = 0u64;
-        let mut payload = 0u64;
-        let mut lane_last = [0u64; LANES as usize];
-        // Popped slots not yet keyed again or taken: (slot, payload).
-        let mut held: VecDeque<(u32, u64)> = VecDeque::new();
+    fn wheel_matches_sorted_vec_oracle(ops in proptest::collection::vec(op_strategy(TINY), 1..300)) {
+        check_against_oracle(TimingWheel::with_geometry(TINY.0, TINY.1), ops);
+    }
 
-        for op in ops {
-            match op {
-                Op::Push { dt } => {
-                    let t = now + dt;
-                    w.push(SimTime(t), seq, payload);
-                    oracle.live.push((t, seq, payload));
-                    seq += 1;
-                    payload += 1;
-                }
-                Op::PushFar { dt } => {
-                    let t = now + dt;
-                    w.push_far(SimTime(t), seq, payload);
-                    oracle.live.push((t, seq, payload));
-                    seq += 1;
-                    payload += 1;
-                }
-                Op::PushLane { lane, dt } => {
-                    let last = &mut lane_last[lane as usize];
-                    let t = now.max(*last) + dt;
-                    *last = t;
-                    let slot = w.arena_mut().alloc(payload);
-                    w.push_lane(lane, SimTime(t), seq, slot);
-                    oracle.live.push((t, seq, payload));
-                    seq += 1;
-                    payload += 1;
-                }
-                Op::Pop => {
-                    let got = w.pop();
-                    let want = oracle.pop_min();
-                    prop_assert_eq!(
-                        got.map(|(t, s, p)| (t.as_nanos(), s, p)),
-                        want,
-                        "pop diverged from oracle"
-                    );
-                    if let Some((t, _, _)) = want {
-                        prop_assert!(t >= now, "time went backwards");
-                        now = t;
-                    }
-                }
-                Op::Hold => {
-                    if let Some(popped) = pop_key(&mut w, &mut oracle, &mut now) {
-                        held.push_back(popped);
-                    }
-                }
-                Op::Rekey { lane, dt } => {
-                    let popped = held.pop_front();
-                    let popped = popped.or_else(|| pop_key(&mut w, &mut oracle, &mut now));
-                    let Some((slot, p)) = popped else { continue };
-                    let last = &mut lane_last[lane as usize];
-                    let t = now.max(*last) + dt;
-                    *last = t;
-                    w.push_lane(lane, SimTime(t), seq, slot);
-                    oracle.live.push((t, seq, p));
-                    seq += 1;
-                }
-                Op::Take => {
-                    if let Some((slot, p)) = held.pop_front() {
-                        prop_assert_eq!(w.arena_mut().take(slot), Some(p), "held payload lost");
-                    }
-                }
-                Op::PopTieGroup { pick } => {
-                    let Some(head) = w.pop_key() else { continue };
-                    prop_assert!(head.0.as_nanos() >= now, "time went backwards");
-                    now = head.0.as_nanos();
-                    let mut group = vec![head];
-                    while w.peek_key().map(|(t, _)| t) == Some(head.0) {
-                        group.push(w.pop_key().expect("peeked"));
-                    }
-                    // The group is every live event due now, in seq order:
-                    // a lane must not hold part of an instant back.
-                    let mut due: Vec<_> =
-                        oracle.live.iter().copied().filter(|e| e.0 == now).collect();
-                    due.sort_unstable();
-                    let got: Vec<_> = group
-                        .iter()
-                        .map(|&(t, s, slot)| (t.as_nanos(), s, *w.arena_mut().get_mut(slot).expect("held")))
-                        .collect();
-                    prop_assert_eq!(&got, &due, "tie group diverged from oracle");
-                    let (_, chosen, slot) = group.swap_remove(pick % group.len());
-                    oracle.live.retain(|e| e.1 != chosen);
-                    for (t, s, slot) in group {
-                        w.push_slot(t, s, slot);
-                    }
-                    prop_assert!(w.arena_mut().take(slot).is_some());
-                }
-            }
-            prop_assert_eq!(w.len(), oracle.live.len(), "queued count diverged");
-            prop_assert_eq!(w.arena_mut().live(), w.len() + held.len(), "arena holds a lost slot");
-        }
-
-        // Drain: everything still queued must come out in exact order, and
-        // every held slot still holds its own payload.
-        while let Some(want) = oracle.pop_min() {
-            let got = w.pop().map(|(t, s, p)| (t.as_nanos(), s, p));
-            prop_assert_eq!(got, Some(want), "drain diverged from oracle");
-        }
-        prop_assert!(w.pop().is_none(), "wheel had events the oracle did not");
-        prop_assert!(w.is_empty());
-        for (slot, p) in held {
-            prop_assert_eq!(w.arena_mut().take(slot), Some(p), "held payload lost");
-        }
-        prop_assert_eq!(w.arena_mut().live(), 0);
+    #[test]
+    fn wheel_matches_sorted_vec_oracle_at_the_default_geometry(
+        ops in proptest::collection::vec(op_strategy((DEFAULT_BUCKET_SHIFT, DEFAULT_BUCKET_BITS)), 1..300)
+    ) {
+        let mut all = page_bursts(DEFAULT_BUCKET_SHIFT);
+        all.extend(ops);
+        let w = TimingWheel::new();
+        check_against_oracle(w, all);
     }
 
     #[test]

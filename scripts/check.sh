@@ -87,7 +87,9 @@ stage "cargo build benchmark package (public-API drift)" \
 # allocator of tests/support/counting_alloc.rs: tests/qstore_linear_work.rs
 # (bytes per commit, < 1 s) and tests/chk_linear_work.rs (allocation calls
 # per data-set object, per remote read and per closed-nested scope, < 1 s). crates/sim/tests/backlog.rs rides here too: a node backlog four
-# wheel horizons deep must cause no overflow promotions (< 1 s).
+# wheel horizons deep must cause no overflow promotions (< 1 s); and so does
+# crates/sim/tests/page_density.rs: at the paper testbed's traffic, at most
+# one bucket drain per four events (< 1 s).
 stage "cargo test --workspace" \
     cargo test --quiet --workspace
 

@@ -20,6 +20,14 @@ outside the measured CPU. `--exclude` and `--callers` see every frame's
 inlined functions too (`addr2line -i`), given line tables: a function
 inlined into a closure is not on the symbol stack. An executable newer than the profile was rebuilt
 after the run and is reported: its symbols no longer match the addresses.
+
+A sample inside a shared object is charged to the object and the innermost
+function of the program's own code that called into it, inlined frames
+included and standard-library frames skipped: `[libc.so.6] <- advance` is a
+`memmove` that `Vec::append` issued in `advance`. The process entry frames
+(`_start`, `__libc_start_main` and whatever shared-object frames lie outside
+the program's outermost frame) are dropped from every stack, so
+`--callers libc` finds only the samples that are in libc.
 """
 import argparse
 import collections
@@ -65,8 +73,21 @@ def inline_chains(exe, vaddrs):
     return {v: [frame(c[j], c[j + 1]) for j in range(0, len(c) - 1, 2)] for v, c in chains.items()}
 
 
+# Where the process starts, not what it does.
+ENTRY = ("_start", "__libc_start_main", "__libc_start_call_main")
+
+
+def without_entry(stack, inlined):
+    """`stack` up to the program's outermost frame that is not an entry
+    point: the shared-object frames outside it are the entry's too."""
+    own = [i for i, (v, _) in enumerate(stack) if v is not None and inlined[v][-1][0] not in ENTRY]
+    return stack[:own[-1] + 1] if own else stack[:1]
+
+
 def frame(func, loc):
-    """One `addr2line -f` frame, its function and `file:line` tidied."""
+    """One `addr2line -f` frame: its function and `file:line`, tidied, and
+    whether it is standard-library code."""
+    std = loc.startswith("/rustc/") or re.match(r"<?(core|alloc|std)::", func) is not None
     # Legacy-mangled symbols of frames that were not inlined keep
     # `$LT$`/`$GT$` and a hash; inlined ones carry generic arguments.
     func = re.sub(r"::h[0-9a-f]{16}( \(\.llvm\.\d+\))?$", "", func)
@@ -74,7 +95,7 @@ def frame(func, loc):
         func = func.replace(code, char)
     func = re.sub(r"<.*>$", "", func)  # `take<EventKind<..>>` -> `take`
     loc = re.sub(r" \(discriminator \d+\)$", "", loc)
-    return func, re.sub(r".*/src/", "", loc)
+    return func, re.sub(r".*/src/", "", loc), std
 
 
 def main():
@@ -119,11 +140,18 @@ def main():
     out = subprocess.run(["addr2line", "-f", "-C", "-e", exe] + [hex(v) for v in vaddrs],
                          capture_output=True, text=True, check=True).stdout.splitlines()
     name = dict(zip(vaddrs, out[0::2]))
-    stacks = [[name[v] if v is not None else other for v, other in s] for s in located]
     inlined = inline_chains(exe, vaddrs)
+    located = [without_entry(s, inlined) for s in located]
+    stacks = [[name[v] if v is not None else other for v, other in s] for s in located]
     # Every frame's inlined functions, innermost first, then its caller's.
-    logical = [[f for v, other in s for f, _ in (inlined[v] if v is not None else [(other, "")])]
+    logical = [[f for v, other in s for f, *_ in (inlined[v] if v is not None else [(other,)])]
                for s in located]
+    for s, loc in zip(stacks, located):
+        if loc[0][0] is None:
+            # In a shared object: name the program's own code that called it.
+            own = [f for v, _ in loc[1:] if v is not None for f, _, std in inlined[v] if not std]
+            if own:
+                s[0] += " <- " + own[0]
     kept = [i for i, s in enumerate(logical) if not any(x in f for x in args.exclude for f in s)]
     dropped = len(stacks) - len(kept)
     stacks, located, logical = ([x[i] for i in kept] for x in (stacks, located, logical))
