@@ -14,81 +14,17 @@ use std::rc::Rc;
 use qrdtm_baselines::{DecentCluster, DecentConfig, TfaCluster, TfaConfig};
 use qrdtm_chaos::{
     generate, run_plan, shrink, ChaosReport, ChaosSpec, ChaosViolation, FaultBudget, FaultPlan,
+    Proto,
 };
 use qrdtm_core::{
     Cluster, DetectorConfig, DtmConfig, DurabilityConfig, NestingMode, OverloadConfig,
 };
 use qrdtm_qstore::{QStoreCluster, QStoreConfig};
-use qrdtm_sim::SimDuration;
+use qrdtm_sim::{Metrics, SimDuration};
 use qrdtm_workloads::OpenLoopSpec;
 
-/// One of the six protocol configurations the nemesis can target.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Proto {
-    Qr,
-    QrCn,
-    QrChk,
-    Tfa,
-    Decent,
-    QStore,
-}
-
-const ALL_PROTOS: [Proto; 6] = [
-    Proto::Qr,
-    Proto::QrCn,
-    Proto::QrChk,
-    Proto::Tfa,
-    Proto::Decent,
-    Proto::QStore,
-];
-
-impl Proto {
-    fn label(self) -> &'static str {
-        match self {
-            Proto::Qr => "qr",
-            Proto::QrCn => "qr-cn",
-            Proto::QrChk => "qr-chk",
-            Proto::Tfa => "tfa",
-            Proto::Decent => "decent",
-            Proto::QStore => "qstore",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Vec<Proto>> {
-        if s == "all" {
-            return Some(ALL_PROTOS.to_vec());
-        }
-        ALL_PROTOS.iter().find(|p| p.label() == s).map(|p| vec![*p])
-    }
-
-    /// The fault budget this protocol can honestly be subjected to: the QR
-    /// configurations take the full vocabulary (plus amnesiac restarts
-    /// when durability is armed), the baselines (which the paper states
-    /// are not fault-tolerant) only gray failures.
-    fn budget(self, events: usize, durable: bool) -> FaultBudget {
-        match self {
-            Proto::Qr | Proto::QrCn | Proto::QrChk if durable => FaultBudget::durable(events),
-            Proto::Qr | Proto::QrCn | Proto::QrChk => FaultBudget::full(events),
-            // Q-Store keeps a per-replica batch WAL when durability is
-            // armed, so amnesiac restarts and torn tails are honest faults
-            // for it too; without the disk model it takes the full
-            // vocabulary minus durability.
-            Proto::QStore if durable => FaultBudget::durable(events),
-            Proto::QStore => FaultBudget::full(events),
-            Proto::Tfa | Proto::Decent => FaultBudget::gray(events),
-        }
-    }
-
-    /// Whether this protocol can run with the failure detector in charge
-    /// (the QR family keeps a reconfigurable quorum view; Q-Store keeps a
-    /// reconfigurable planner view with heartbeat-driven failover).
-    fn supports_detector(self) -> bool {
-        matches!(self, Proto::Qr | Proto::QrCn | Proto::QrChk | Proto::QStore)
-    }
-}
-
 /// One chaos run's fixed coordinates: which protocol, on how many nodes,
-/// from which seed, with which engine arms.
+/// from which seed, on which disks.
 #[derive(Clone, Copy)]
 struct Scenario {
     proto: Proto,
@@ -97,22 +33,16 @@ struct Scenario {
     /// Replicas log to the simulated disk (crash-amnesia and corrupt-tail
     /// faults become applicable).
     durable: bool,
-    /// Arm the engine-side overload protections (admission control,
-    /// deadline-aware abort, retry budget) on the QR family; the baselines
-    /// and Q-Store have no engine knobs, so under overload they rely on
-    /// the driver-side queue bound and deadline abandon alone.
-    protect: bool,
 }
 
 impl Scenario {
-    /// The smoke suites' scenario: 10 nodes, neither engine arm set.
+    /// The smoke suites' scenario: 10 nodes, memory-only replicas.
     fn smoke(proto: Proto, seed: u64) -> Self {
         Scenario {
             proto,
             seed,
             nodes: 10,
             durable: false,
-            protect: false,
         }
     }
 
@@ -121,16 +51,14 @@ impl Scenario {
     fn run(&self, spec: &ChaosSpec, plan: &FaultPlan) -> ChaosReport {
         let Scenario { seed, nodes, .. } = *self;
         match self.proto {
-            Proto::Qr => run_plan(self.qr(NestingMode::Flat, spec), nodes, spec, plan),
-            Proto::QrCn => run_plan(self.qr(NestingMode::Closed, spec), nodes, spec, plan),
-            Proto::QrChk => run_plan(self.qr(NestingMode::Checkpoint, spec), nodes, spec, plan),
+            Proto::Qr(mode) => run_plan(self.qr(mode, spec), spec, plan),
             Proto::Tfa => {
                 let cl = Rc::new(TfaCluster::new(TfaConfig {
                     nodes,
                     seed,
                     ..Default::default()
                 }));
-                run_plan(cl, nodes, spec, plan)
+                run_plan(cl, spec, plan)
             }
             Proto::Decent => {
                 let cl = Rc::new(DecentCluster::new(DecentConfig {
@@ -138,7 +66,7 @@ impl Scenario {
                     seed,
                     ..Default::default()
                 }));
-                run_plan(cl, nodes, spec, plan)
+                run_plan(cl, spec, plan)
             }
             Proto::QStore => {
                 let mut cfg = QStoreConfig {
@@ -157,8 +85,7 @@ impl Scenario {
                     // faults become applicable.
                     cfg.durability = Some(DurabilityConfig::default());
                 }
-                let cl = Rc::new(QStoreCluster::new(cfg));
-                run_plan(cl, nodes, spec, plan)
+                run_plan(Rc::new(QStoreCluster::new(cfg)), spec, plan)
             }
         }
     }
@@ -167,7 +94,7 @@ impl Scenario {
     /// the RPC timeout; durable and protected runs keep
     /// `DtmConfig::default()`'s 500 ms (the nemesis unit-test builders
     /// `qr_durable`/`qr_overload` set 100 ms, so they exercise a different
-    /// configuration — ROADMAP item 4(d)).
+    /// configuration — ROADMAP item 5(d)).
     fn qr(&self, mode: NestingMode, spec: &ChaosSpec) -> Rc<Cluster> {
         let mut cfg = DtmConfig {
             nodes: self.nodes,
@@ -185,9 +112,12 @@ impl Scenario {
         if self.durable {
             cfg.durability = Some(DurabilityConfig::default());
         }
-        if self.protect {
-            // Per-node admission queues, deadline-aware early abort, retry
-            // budgets, hedge suppression.
+        if spec.overload.is_some_and(|o| o.protect) {
+            // Protected open-loop traffic also arms the engine side:
+            // per-node admission queues, deadline-aware early abort, retry
+            // budgets, hedge suppression. The baselines and Q-Store have no
+            // engine knobs; they rely on the driver-side queue bound and
+            // deadline abandon alone.
             cfg.overload = Some(OverloadConfig::default());
         }
         Rc::new(Cluster::new(cfg))
@@ -318,7 +248,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> ChaosArgs {
         overload: false,
         seed: 1,
         seeds: 1,
-        protos: ALL_PROTOS.to_vec(),
+        protos: Proto::ALL.map(|r| r.0).to_vec(),
         events: 6,
         horizon_ms: None,
         nodes: 10,
@@ -336,7 +266,12 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> ChaosArgs {
             "--amnesia" => a.amnesia = true,
             "--overload" => a.overload = true,
             "--proto" => {
-                a.protos = Proto::parse(&val(&mut args)).unwrap_or_else(|| chaos_usage());
+                let label = val(&mut args);
+                a.protos = match Proto::parse(&label) {
+                    Some(p) => vec![p],
+                    None if label == "all" => Proto::ALL.map(|r| r.0).to_vec(),
+                    None => chaos_usage(),
+                };
             }
             "--seed" => a.seed = val(&mut args).parse().unwrap_or_else(|_| chaos_usage()),
             "--seeds" => a.seeds = val(&mut args).parse().unwrap_or_else(|_| chaos_usage()),
@@ -402,10 +337,10 @@ pub fn run(args: impl Iterator<Item = String>) -> i32 {
         spec.overload = Some(overload_traffic());
     }
     if a.detector {
-        // Only the QR family keeps the reconfigurable view a detector can
-        // drive; baselines are silently dropped from an "all" selection.
+        // Only a family with a reconfigurable view can have a detector
+        // drive it; baselines are silently dropped from an "all" selection.
         let before = a.protos.len();
-        a.protos.retain(|p| p.supports_detector());
+        a.protos.retain(|p| p.has_view());
         if a.protos.is_empty() {
             eprintln!("chaos: --detector requires a reconfigurable-view protocol (qr, qr-cn, qr-chk, qstore)");
             return 2;
@@ -458,7 +393,6 @@ pub fn run(args: impl Iterator<Item = String>) -> i32 {
                 seed,
                 nodes: a.nodes,
                 durable: a.amnesia,
-                protect: a.overload,
             };
             if let Some(path) = &a.save_plan {
                 if let Err(e) = sc.save_plan(path, &plan) {
@@ -494,6 +428,46 @@ fn plan(text: &str) -> FaultPlan {
     FaultPlan::parse(text).unwrap_or_else(|e| panic!("crafted plan {text:?}: {e}"))
 }
 
+/// Fold one smoke run into its suite's tally: its verdict into `ok`, and
+/// the counter readings `read` takes off its metrics into `sums`.
+fn tally<const N: usize>(
+    r: &ChaosReport,
+    read: fn(&Metrics) -> [u64; N],
+    ok: &mut bool,
+    sums: &mut [u64; N],
+) {
+    *ok &= r.ok();
+    for (sum, v) in sums.iter_mut().zip(read(&r.metrics)) {
+        *sum += v;
+    }
+}
+
+/// A smoke suite's verdict: the aggregate line of its counters' `names`
+/// and `sums`, a complaint for each that never fired, then `pass` (exit 0)
+/// or a failure (exit 1).
+fn verdict(suite: &str, mut ok: bool, names: &[&str], sums: &[u64], pass: &str) -> i32 {
+    if !names.is_empty() {
+        let named = names
+            .iter()
+            .zip(sums)
+            .map(|(name, v)| format!("{name}={v}"));
+        println!("\naggregate: {}", named.collect::<Vec<_>>().join(" "));
+    }
+    for (name, v) in names.iter().zip(sums) {
+        if *v == 0 {
+            eprintln!("{suite}: counter {name} never fired");
+            ok = false;
+        }
+    }
+    if ok {
+        println!("\nchaos {suite}: {pass}");
+        0
+    } else {
+        eprintln!("\nchaos {suite}: FAILED");
+        1
+    }
+}
+
 /// The fixed smoke suite `scripts/check.sh` runs: two seeds across all
 /// six protocols with the short spec, plus one Fig. 10 crash schedule and
 /// a crafted planner-failover plan for the batching family (crash node 0,
@@ -505,14 +479,14 @@ fn smoke() -> i32 {
     let mut ok = true;
     let mut qstore_runs = 0u32;
     for seed in 1..=2u64 {
-        for proto in ALL_PROTOS {
+        for (proto, _) in Proto::ALL {
             let plan = generate(seed, 10, spec.horizon, &proto.budget(5, false));
             ok &= Scenario::smoke(proto, seed).check(&spec, &plan, None).ok();
             qstore_runs += u32::from(proto == Proto::QStore);
         }
     }
     let fig10 = fig10_plan(3, spec.horizon);
-    ok &= Scenario::smoke(Proto::QrCn, 3)
+    ok &= Scenario::smoke(Proto::Qr(NestingMode::Closed), 3)
         .check(&spec, &fig10, None)
         .ok();
     let planner_failover = plan("@400000us crash 0\n@1200000us recover 0");
@@ -523,13 +497,7 @@ fn smoke() -> i32 {
         eprintln!("chaos smoke: the generated-plan grid never ran the qstore arm");
         ok = false;
     }
-    if ok {
-        println!("\nchaos smoke: all invariants held");
-        0
-    } else {
-        eprintln!("\nchaos smoke: invariant violations found");
-        1
-    }
+    verdict("smoke", ok, &[], &[], "all invariants held")
 }
 
 /// The detector-mode smoke suite (`scripts/check.sh` stage 2): the oracle
@@ -551,20 +519,32 @@ fn detector_smoke() -> i32 {
         ("slow-node", &slow),
     ];
     println!("## chaos --smoke --detector — oracle off, detector in charge\n");
-    let mut ok = true;
-    let (mut hb, mut susp, mut false_susp, mut retries, mut hedged) =
-        (0u64, 0u64, 0u64, 0u64, 0u64);
+    let names = [
+        "heartbeats",
+        "suspicions",
+        "false_suspicions",
+        "rpc_retries",
+        "hedged_wins",
+    ];
+    let read = |m: &Metrics| {
+        [
+            m.heartbeats_sent,
+            m.suspicions,
+            m.false_suspicions,
+            m.rpc_retries,
+            m.hedged_wins,
+        ]
+    };
+    let (mut ok, mut sums) = (true, [0; 5]);
+    let mut run = |proto, seed, plan: &FaultPlan| {
+        let r = Scenario::smoke(proto, seed).check(&spec, plan, None);
+        tally(&r, read, &mut ok, &mut sums);
+    };
     for seed in 1..=2u64 {
         for (name, plan) in plans {
             println!("plan: {name}");
-            for proto in [Proto::QrCn, Proto::Qr] {
-                let r = Scenario::smoke(proto, seed).check(&spec, plan, None);
-                ok &= r.ok();
-                hb += r.metrics.heartbeats_sent;
-                susp += r.metrics.suspicions;
-                false_susp += r.metrics.false_suspicions;
-                retries += r.metrics.rpc_retries;
-                hedged += r.metrics.hedged_wins;
+            for mode in [NestingMode::Closed, NestingMode::Flat] {
+                run(Proto::Qr(mode), seed, plan);
             }
         }
     }
@@ -572,13 +552,7 @@ fn detector_smoke() -> i32 {
     // schedules also go through the detector path.
     for seed in 1..=2u64 {
         let plan = generate(seed, 10, spec.horizon, &FaultBudget::full(5));
-        let r = Scenario::smoke(Proto::QrChk, seed).check(&spec, &plan, None);
-        ok &= r.ok();
-        hb += r.metrics.heartbeats_sent;
-        susp += r.metrics.suspicions;
-        false_susp += r.metrics.false_suspicions;
-        retries += r.metrics.rpc_retries;
-        hedged += r.metrics.hedged_wins;
+        run(Proto::Qr(NestingMode::Checkpoint), seed, &plan);
     }
     // Q-Store keeps a reconfigurable planner view: a silently crashed
     // planner (node 0) must be suspected and ejected by the heartbeat
@@ -587,37 +561,10 @@ fn detector_smoke() -> i32 {
     let planner_crash = plan("@300000us crash 0\n@1100000us recover 0");
     for seed in 1..=2u64 {
         println!("plan: planner-crash (batching family)");
-        let r = Scenario::smoke(Proto::QStore, seed).check(&spec, &planner_crash, None);
-        ok &= r.ok();
-        hb += r.metrics.heartbeats_sent;
-        susp += r.metrics.suspicions;
-        false_susp += r.metrics.false_suspicions;
-        retries += r.metrics.rpc_retries;
-        hedged += r.metrics.hedged_wins;
+        run(Proto::QStore, seed, &planner_crash);
     }
-    println!(
-        "\naggregate: heartbeats={hb} suspicions={susp} false_suspicions={false_susp} \
-         rpc_retries={retries} hedged_wins={hedged}"
-    );
-    for (counter, v) in [
-        ("heartbeats_sent", hb),
-        ("suspicions", susp),
-        ("false_suspicions", false_susp),
-        ("rpc_retries", retries),
-        ("hedged_wins", hedged),
-    ] {
-        if v == 0 {
-            eprintln!("detector smoke: counter {counter} never fired");
-            ok = false;
-        }
-    }
-    if ok {
-        println!("\nchaos detector smoke: all invariants held, all mechanisms fired");
-        0
-    } else {
-        eprintln!("\nchaos detector smoke: FAILED");
-        1
-    }
+    let pass = "all invariants held, all mechanisms fired";
+    verdict("detector smoke", ok, &names, &sums, pass)
 }
 
 /// The durability smoke suite (`scripts/check.sh` stage 3): durable QR
@@ -648,25 +595,33 @@ fn amnesia_smoke() -> i32 {
         ("double-amnesia", &double_amnesia),
     ];
     println!("## chaos --smoke --amnesia — durable replicas, amnesiac restarts\n");
-    let durable = |proto, seed| Scenario {
-        durable: true,
-        ..Scenario::smoke(proto, seed)
+    let names = [
+        "log_replays",
+        "torn_tails",
+        "repair_rounds",
+        "repaired_objects",
+    ];
+    let read = |m: &Metrics| {
+        [
+            m.log_replays,
+            m.torn_tails,
+            m.repair_rounds,
+            m.repaired_objects,
+        ]
     };
-    let mut ok = true;
-    let (mut replays, mut torn, mut rounds, mut repaired) = (0u64, 0u64, 0u64, 0u64);
-    let mut tally = |r: &ChaosReport| {
-        replays += r.metrics.log_replays;
-        torn += r.metrics.torn_tails;
-        rounds += r.metrics.repair_rounds;
-        repaired += r.metrics.repaired_objects;
+    let (mut ok, mut sums) = (true, [0; 4]);
+    let mut run = |proto, seed, plan: &FaultPlan| {
+        let sc = Scenario {
+            durable: true,
+            ..Scenario::smoke(proto, seed)
+        };
+        tally(&sc.check(&spec, plan, None), read, &mut ok, &mut sums);
     };
     for seed in 1..=3u64 {
         for (name, plan) in plans {
             println!("plan: {name}");
-            for proto in [Proto::QrCn, Proto::Qr] {
-                let r = durable(proto, seed).check(&spec, plan, None);
-                ok &= r.ok();
-                tally(&r);
+            for mode in [NestingMode::Closed, NestingMode::Flat] {
+                run(Proto::Qr(mode), seed, plan);
             }
         }
     }
@@ -674,9 +629,7 @@ fn amnesia_smoke() -> i32 {
     // (mixed with partitions, drops and slowdowns) also get coverage.
     for seed in 1..=3u64 {
         let plan = generate(seed, 10, spec.horizon, &FaultBudget::durable(5));
-        let r = durable(Proto::QrChk, seed).check(&spec, &plan, None);
-        ok &= r.ok();
-        tally(&r);
+        run(Proto::Qr(NestingMode::Checkpoint), seed, &plan);
     }
     // Q-Store: twenty seeds of torn batch tails + amnesiac restarts. The
     // victim replica rotates with the seed so the tear lands on different
@@ -691,46 +644,22 @@ fn amnesia_smoke() -> i32 {
             "@400000us corrupt-tail {victim}\n@400000us crash-amnesia {victim}\n\
              @700000us crash-amnesia 0\n@1000000us recover {victim}\n@1200000us recover 0"
         ));
-        let r = durable(Proto::QStore, seed).check(&spec, &torn_planner, None);
-        ok &= r.ok();
-        tally(&r);
+        run(Proto::QStore, seed, &torn_planner);
         qstore_runs += 1;
     }
     // And generated durable-budget plans for breadth on the batching
     // family too.
     for seed in 1..=3u64 {
         let plan = generate(seed, 10, spec.horizon, &FaultBudget::durable(5));
-        let r = durable(Proto::QStore, seed).check(&spec, &plan, None);
-        ok &= r.ok();
-        tally(&r);
+        run(Proto::QStore, seed, &plan);
         qstore_runs += 1;
-    }
-    println!(
-        "\naggregate: log_replays={replays} torn_tails={torn} repair_rounds={rounds} \
-         repaired_objects={repaired}"
-    );
-    for (counter, v) in [
-        ("log_replays", replays),
-        ("torn_tails", torn),
-        ("repair_rounds", rounds),
-        ("repaired_objects", repaired),
-    ] {
-        if v == 0 {
-            eprintln!("amnesia smoke: counter {counter} never fired");
-            ok = false;
-        }
     }
     if qstore_runs < 20 {
         eprintln!("amnesia smoke: only {qstore_runs} qstore batch-WAL run(s) (< 20)");
         ok = false;
     }
-    if ok {
-        println!("\nchaos amnesia smoke: all invariants held, recovery machinery fired");
-        0
-    } else {
-        eprintln!("\nchaos amnesia smoke: FAILED");
-        1
-    }
+    let pass = "all invariants held, recovery machinery fired";
+    verdict("amnesia smoke", ok, &names, &sums, pass)
 }
 
 /// The open-loop traffic shape for overload runs: arrivals keep coming at
@@ -769,31 +698,34 @@ fn overload_smoke() -> i32 {
         ..ChaosSpec::smoke()
     };
     println!("## chaos --smoke --overload — open-loop traffic, surges + gray faults\n");
-    let mut ok = true;
-    let (mut shed, mut deadlines, mut exhausted, mut retries) = (0u64, 0u64, 0u64, 0u64);
-    let mut runs = 0u32;
-    let mut tally = |r: &ChaosReport| {
-        runs += 1;
-        shed += r.metrics.admission_shed;
-        deadlines += r.metrics.deadline_aborts;
-        exhausted += r.metrics.retry_budget_exhausted;
-        retries += r.metrics.client_retries;
+    let names = [
+        "admission_shed",
+        "deadline_aborts",
+        "retry_budget_exhausted",
+        "client_retries",
+    ];
+    let read = |m: &Metrics| {
+        [
+            m.admission_shed,
+            m.deadline_aborts,
+            m.retry_budget_exhausted,
+            m.client_retries,
+        ]
     };
+    let (mut ok, mut sums) = (true, [0; 4]);
+    let mut runs = 0u32;
     // Twenty seeds across all six families under generated overload plans
     // (a surge, a flash crowd, a slow node and a latency spike, each
-    // paired with its cure). The QR family runs with the engine-side
-    // protections armed; the baselines and Q-Store have no engine knobs
-    // and rely on the driver-side queue bound and deadline abandon alone.
+    // paired with its cure). The spec's protected traffic arms the QR
+    // family's engine-side protections; the baselines and Q-Store have no
+    // engine knobs and rely on the driver-side queue bound and deadline
+    // abandon alone.
     for seed in 1..=20u64 {
-        for proto in ALL_PROTOS {
+        for (proto, _) in Proto::ALL {
             let plan = generate(seed, 10, spec.horizon, &FaultBudget::overload(4));
-            let protected = Scenario {
-                protect: true,
-                ..Scenario::smoke(proto, seed)
-            };
-            let r = protected.check(&spec, &plan, None);
-            ok &= r.ok();
-            tally(&r);
+            let r = Scenario::smoke(proto, seed).check(&spec, &plan, None);
+            tally(&r, read, &mut ok, &mut sums);
+            runs += 1;
         }
     }
     // Budget pressure: a cap-4 retry budget with no per-commit refill —
@@ -818,13 +750,12 @@ fn overload_smoke() -> i32 {
             }),
             ..Default::default()
         }));
-        let r = run_plan(cl, 10, &spec, &slow_surge);
+        let r = run_plan(cl, &spec, &slow_surge);
         println!("[qr-budget seed={seed} nodes=10] {}", r.summary_line());
         for v in &r.violations {
             println!("    ! {v}");
-            ok = false;
         }
-        tally(&r);
+        tally(&r, read, &mut ok, &mut sums);
     }
     // Checker validation: the same surge with every protection off — no
     // admission control, no shedding, no deadline abandon — builds a
@@ -842,7 +773,7 @@ fn overload_smoke() -> i32 {
     let surge_only = plan("@600000us surge 600\n@1400000us calm");
     println!("\nchecker validation: unprotected surge must go metastable");
     for seed in 1..=3u64 {
-        let r = Scenario::smoke(Proto::Qr, seed).run(&unprotected, &surge_only);
+        let r = Scenario::smoke(Proto::Qr(NestingMode::Flat), seed).run(&unprotected, &surge_only);
         let meta = r
             .violations
             .iter()
@@ -857,32 +788,10 @@ fn overload_smoke() -> i32 {
             ok = false;
         }
     }
-    println!(
-        "\naggregate: admission_shed={shed} deadline_aborts={deadlines} \
-         retry_budget_exhausted={exhausted} client_retries={retries}"
-    );
-    for (counter, v) in [
-        ("admission_shed", shed),
-        ("deadline_aborts", deadlines),
-        ("retry_budget_exhausted", exhausted),
-        ("client_retries", retries),
-    ] {
-        if v == 0 {
-            eprintln!("overload smoke: counter {counter} never fired");
-            ok = false;
-        }
-    }
     if runs < 120 {
         eprintln!("overload smoke: only {runs} protected run(s) (< 120)");
         ok = false;
     }
-    if ok {
-        println!(
-            "\nchaos overload smoke: all invariants held, no retry storms, goodput reconverged"
-        );
-        0
-    } else {
-        eprintln!("\nchaos overload smoke: FAILED");
-        1
-    }
+    let pass = "all invariants held, no retry storms, goodput reconverged";
+    verdict("overload smoke", ok, &names, &sums, pass)
 }

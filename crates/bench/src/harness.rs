@@ -9,13 +9,14 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use qrdtm_baselines::{DecentConfig, TfaConfig};
-use qrdtm_core::{DtmConfig, LatencySpec, NestingMode};
-use qrdtm_qstore::QStoreConfig;
+use std::rc::Rc;
+
+use qrdtm_baselines::{DecentCluster, DecentConfig, TfaCluster, TfaConfig};
+use qrdtm_core::{Cluster, DtmConfig, LatencySpec, NestingMode};
+use qrdtm_qstore::{QStoreCluster, QStoreConfig};
 use qrdtm_sim::SimDuration;
 use qrdtm_workloads::{
-    run, run_decent_bank, run_qr_bank, run_qstore_bank, run_tfa_bank, BankRunResult, BankSpec,
-    Benchmark, RunResult, RunSpec, WorkloadParams,
+    run, run_bank, BankRunResult, BankSpec, Benchmark, RunResult, RunSpec, WorkloadParams,
 };
 
 /// Base RNG seed for every experiment (results are deterministic given it).
@@ -342,7 +343,7 @@ pub fn fig9(quick: bool) -> Figure {
                 nodes,
                 ..paper_cfg(NestingMode::Flat)
             };
-            run_qr_bank(cfg, spec)
+            run_bank(Rc::new(Cluster::new(cfg)), spec)
         }),
         ("HyFlow", |nodes, spec| {
             let cfg = TfaConfig {
@@ -350,7 +351,7 @@ pub fn fig9(quick: bool) -> Figure {
                 seed: SEED,
                 ..Default::default()
             };
-            run_tfa_bank(cfg, spec)
+            run_bank(Rc::new(TfaCluster::new(cfg)), spec)
         }),
         ("Decent-STM", |nodes, spec| {
             let cfg = DecentConfig {
@@ -358,7 +359,7 @@ pub fn fig9(quick: bool) -> Figure {
                 seed: SEED,
                 ..Default::default()
             };
-            run_decent_bank(cfg, spec)
+            run_bank(Rc::new(DecentCluster::new(cfg)), spec)
         }),
         ("Q-Store", |nodes, spec| {
             let cfg = QStoreConfig {
@@ -366,7 +367,7 @@ pub fn fig9(quick: bool) -> Figure {
                 seed: SEED,
                 ..Default::default()
             };
-            run_qstore_bank(cfg, spec)
+            run_bank(Rc::new(QStoreCluster::new(cfg)), spec)
         }),
     ];
     figure(
@@ -375,7 +376,7 @@ pub fn fig9(quick: bool) -> Figure {
         &[50u32, 90].map(|mix| (format!("Bank {mix}% read"), mix)),
         &axis(nodes),
         &protos,
-        |&read_pct, &nodes, run_bank| {
+        |&read_pct, &nodes, bank| {
             let spec = BankSpec {
                 accounts: 48,
                 read_pct,
@@ -383,7 +384,7 @@ pub fn fig9(quick: bool) -> Figure {
                 duration,
                 clients_per_node: 1,
             };
-            run_bank(nodes as usize, &spec).throughput
+            bank(nodes as usize, &spec).throughput
         },
     )
 }

@@ -13,29 +13,33 @@
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
+use qrdtm_chaos::Proto;
 use qrdtm_core::{InjectedBug, NestingMode};
-use qrdtm_mc::{
-    dfs_explore, minimize, pct_explore, replay, ExploreReport, McBug, McProto, Scope, Trace,
-};
+use qrdtm_mc::{dfs_explore, minimize, pct_explore, replay, ExploreReport, McBug, Scope, Trace};
 use qrdtm_qstore::QStoreBug;
 
 use crate::harness;
 
-fn all_protos() -> Vec<McProto> {
-    McProto::ALL.iter().map(|row| row.0).collect()
+/// The families `all` explores: every row of the table with a view.
+fn all_protos() -> Vec<Proto> {
+    Proto::ALL
+        .map(|r| r.0)
+        .into_iter()
+        .filter(|p| p.has_view())
+        .collect()
 }
 
-fn parse_protos(s: &str) -> Option<Vec<McProto>> {
+fn parse_protos(s: &str) -> Option<Vec<Proto>> {
     if s == "all" {
         return Some(all_protos());
     }
-    McProto::from_label(s).map(|p| vec![p])
+    Proto::parse(s).map(|p| vec![p])
 }
 
 struct McArgs {
     smoke: bool,
     replay: Option<PathBuf>,
-    protos: Vec<McProto>,
+    protos: Vec<Proto>,
     seed: u64,
     nodes: usize,
     objects: u64,
@@ -107,7 +111,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> McArgs {
 
 impl McArgs {
     /// The scope the command line asks `proto` to be explored at.
-    fn scope(&self, proto: McProto) -> Scope {
+    fn scope(&self, proto: Proto) -> Scope {
         Scope {
             proto,
             nodes: self.nodes,
@@ -326,21 +330,21 @@ fn smoke() -> i32 {
             "skip-vote-check",
             Scope {
                 injected_bug: Some(McBug::Qr(InjectedBug::SkipVoteCheck)),
-                ..Scope::smoke(McProto::Qr(NestingMode::Flat))
+                ..Scope::smoke(Proto::Qr(NestingMode::Flat))
             },
         ),
         (
             "skip-tag-check",
             Scope {
                 injected_bug: Some(McBug::QStore(QStoreBug::SkipTagCheck)),
-                ..Scope::smoke(McProto::QStore)
+                ..Scope::smoke(Proto::QStore)
             },
         ),
         (
             "ack-before-fsync",
             Scope {
                 injected_bug: Some(McBug::QStore(QStoreBug::AckBeforeFsync)),
-                ..Scope::smoke(McProto::QStore)
+                ..Scope::smoke(Proto::QStore)
             },
         ),
     ];

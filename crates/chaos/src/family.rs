@@ -1,0 +1,89 @@
+//! The one table of the six protocol families the fault layer drives —
+//! what `repro chaos --proto` and `repro mc --proto` name, and what each
+//! family may honestly be subjected to.
+
+use qrdtm_core::NestingMode;
+
+use crate::generate::FaultBudget;
+
+/// One protocol family: a QR nesting variant, a baseline, or Q-Store.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Proto {
+    /// Quorum replication (QR / QR-CN / QR-CHK by nesting mode).
+    Qr(NestingMode),
+    /// The TFA (HyFlow) baseline.
+    Tfa,
+    /// The Decent-STM baseline.
+    Decent,
+    /// Q-Store: planner-ordered epochs, speculative executors, batch-atomic
+    /// group commit.
+    QStore,
+}
+
+impl Proto {
+    /// Every family with its command-line label, in the order `--proto all`
+    /// runs them. The model checker's trace files spell a family by its
+    /// label upper-cased (`QR-CN`).
+    pub const ALL: [(Proto, &'static str); 6] = [
+        (Proto::Qr(NestingMode::Flat), "qr"),
+        (Proto::Qr(NestingMode::Closed), "qr-cn"),
+        (Proto::Qr(NestingMode::Checkpoint), "qr-chk"),
+        (Proto::Tfa, "tfa"),
+        (Proto::Decent, "decent"),
+        (Proto::QStore, "qstore"),
+    ];
+
+    /// The command-line label (`qr-cn`).
+    pub fn label(self) -> &'static str {
+        Self::ALL
+            .iter()
+            .find(|(p, _)| *p == self)
+            .expect("every Proto is in ALL")
+            .1
+    }
+
+    /// The family a command-line label names.
+    pub fn parse(s: &str) -> Option<Proto> {
+        Self::ALL.iter().find(|(_, l)| *l == s).map(|r| r.0)
+    }
+
+    /// Whether the family keeps a reconfigurable membership view — the QR
+    /// quorum view or the Q-Store planner view — so a failure detector can
+    /// drive it and node faults have something to reconfigure. The paper
+    /// is explicit that the baselines keep none.
+    pub fn has_view(self) -> bool {
+        !matches!(self, Proto::Tfa | Proto::Decent)
+    }
+
+    /// The fault budget the family can honestly be subjected to: with a
+    /// view, the full vocabulary, plus amnesiac restarts and torn tails
+    /// when the run is `durable`; without one, gray failures only.
+    pub fn budget(self, events: usize, durable: bool) -> FaultBudget {
+        match (self.has_view(), durable) {
+            (false, _) => FaultBudget::gray(events),
+            (true, false) => FaultBudget::full(events),
+            (true, true) => FaultBudget::durable(events),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_label_round_trips_through_the_table() {
+        for (proto, label) in Proto::ALL {
+            assert_eq!(Proto::parse(label), Some(proto));
+            assert_eq!(proto.label(), label);
+        }
+        // Every variant has a row (`label()` panics on one left out).
+        for mode in NestingMode::ALL {
+            Proto::Qr(mode).label();
+        }
+        for proto in [Proto::Tfa, Proto::Decent, Proto::QStore] {
+            proto.label();
+        }
+        assert_eq!(Proto::parse("QR-CN"), None, "labels are lower-case");
+    }
+}

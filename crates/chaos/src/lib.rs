@@ -1,14 +1,15 @@
 //! `qrdtm-chaos`: fault injection and invariant checking for the QR-DTM
 //! protocol family and its baselines.
 //!
-//! The subsystem has three parts:
+//! The subsystem has three parts, plus the one table of the six protocol
+//! families ([`Proto`]) it drives:
 //!
 //! - **Plans** ([`plan`], [`mod@generate`]): a declarative, serializable
 //!   [`FaultPlan`] — crash/recover, partition/heal, per-link loss and
 //!   latency spikes, slow nodes — plus a seeded generator and a
 //!   delta-debugging shrinker for minimizing failing plans.
 //! - **Nemesis** ([`nemesis`]): runs a bank workload on any
-//!   [`ChaosTarget`] (all five protocol configurations implement it)
+//!   [`ChaosTarget`] (all six protocol families implement it)
 //!   while applying a plan at virtual-time offsets, healing everything at
 //!   the horizon, and draining to quiescence.
 //! - **Checkers** ([`checkers`]): safety (balance conservation, 1-copy
@@ -24,12 +25,14 @@
 #![warn(missing_docs)]
 
 pub mod checkers;
+pub mod family;
 pub mod generate;
 pub mod nemesis;
 pub mod plan;
 pub mod target;
 
 pub use checkers::{check_balances, check_durability, ChaosViolation, Sample};
+pub use family::Proto;
 pub use generate::{generate, shrink, FaultBudget};
 pub use nemesis::{run_plan, ChaosReport, ChaosSpec, Fingerprint};
 pub use plan::{FaultEvent, FaultKind, FaultPlan};

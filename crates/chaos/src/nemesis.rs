@@ -227,12 +227,12 @@ impl NemesisState {
 /// new — preloading and history recording happen here.
 pub fn run_plan<P: ChaosTarget + 'static>(
     proto: Rc<P>,
-    nodes: usize,
     spec: &ChaosSpec,
     plan: &FaultPlan,
 ) -> ChaosReport {
-    assert!(nodes >= 2, "chaos needs at least two nodes");
     let sim = proto.sim().clone();
+    let nodes = sim.num_nodes();
+    assert!(nodes >= 2, "chaos needs at least two nodes");
     sim.record_engine_events(true);
     for i in 0..spec.accounts {
         proto.preload(ObjectId(i), ObjVal::Int(INITIAL_BALANCE));
@@ -779,7 +779,7 @@ mod tests {
 
     #[test]
     fn empty_plan_is_a_healthy_run() {
-        let r = run_plan(qr(1), 10, &quick_spec(), &FaultPlan::default());
+        let r = run_plan(qr(1), &quick_spec(), &FaultPlan::default());
         assert!(r.ok(), "violations: {:?}", r.violations);
         assert!(r.drained);
         assert!(r.commits > 0);
@@ -793,7 +793,7 @@ mod tests {
             "@200000us partition 0,1,2,3,4|5,6,7,8,9\n@700000us heal\n\
              @800000us drop 9->0 500\n@1300000us heal-link 9->0",
         );
-        let r = run_plan(qr(2), 10, &quick_spec(), &plan);
+        let r = run_plan(qr(2), &quick_spec(), &plan);
         assert!(r.ok(), "violations: {:?}", r.violations);
         assert_eq!(r.applied, 4);
         assert!(r.dropped_by_partition > 0, "partition saw no traffic");
@@ -809,7 +809,7 @@ mod tests {
             SimDuration::from_millis(300),
             SimDuration::from_millis(300),
         );
-        let r = run_plan(qr(3), 10, &quick_spec(), &plan);
+        let r = run_plan(qr(3), &quick_spec(), &plan);
         assert!(r.ok(), "violations: {:?}", r.violations);
         assert_eq!(r.applied, 3, "all three read-quorum crashes landed");
         assert!(r.commits > 0);
@@ -824,7 +824,7 @@ mod tests {
             seed: 4,
             ..Default::default()
         }));
-        let r = run_plan(tfa, 10, &quick_spec(), &plan);
+        let r = run_plan(tfa, &quick_spec(), &plan);
         assert!(r.ok(), "violations: {:?}", r.violations);
         assert_eq!(r.skipped, 1, "crash skipped on a non-fault-tolerant target");
         assert_eq!(r.applied, 1, "the gray slow-node fault applied");
@@ -852,7 +852,7 @@ mod tests {
             detector: true,
             ..quick_spec()
         };
-        let r = run_plan(qr_detector(5), 10, &spec, &plan);
+        let r = run_plan(qr_detector(5), &spec, &plan);
         assert!(
             r.ok(),
             "violations: {:?}\nfaults: {:?}",
@@ -877,7 +877,7 @@ mod tests {
             detector: true,
             ..quick_spec()
         };
-        let r = run_plan(qr_detector(6), 10, &spec, &plan);
+        let r = run_plan(qr_detector(6), &spec, &plan);
         assert!(
             r.ok(),
             "violations: {:?}\nfaults: {:?}",
@@ -904,7 +904,7 @@ mod tests {
     fn amnesia_crash_recovers_durably() {
         let plan =
             plan("@400000us corrupt-tail 2\n@400000us crash-amnesia 2\n@1100000us recover 2");
-        let r = run_plan(qr_durable(9), 10, &quick_spec(), &plan);
+        let r = run_plan(qr_durable(9), &quick_spec(), &plan);
         assert!(
             r.ok(),
             "violations: {:?}\nfaults: {:?}",
@@ -921,7 +921,7 @@ mod tests {
     #[test]
     fn amnesia_is_skipped_without_durable_storage() {
         let plan = plan("@300000us crash-amnesia 1");
-        let r = run_plan(qr(10), 10, &quick_spec(), &plan);
+        let r = run_plan(qr(10), &quick_spec(), &plan);
         assert!(r.ok(), "violations: {:?}", r.violations);
         assert_eq!(r.skipped, 1, "memory-only replicas cannot restart");
         assert_eq!(r.applied, 0);
@@ -942,7 +942,7 @@ mod tests {
             seed: 11,
             ..Default::default()
         }));
-        let r = run_plan(c, 10, &quick_spec(), &plan);
+        let r = run_plan(c, &quick_spec(), &plan);
         assert!(
             r.ok(),
             "violations: {:?}\nfaults: {:?}",
@@ -971,7 +971,7 @@ mod tests {
             durability: Some(qrdtm_core::DurabilityConfig::default()),
             ..Default::default()
         }));
-        let r = run_plan(c, 10, &quick_spec(), &plan);
+        let r = run_plan(c, &quick_spec(), &plan);
         assert!(
             r.ok(),
             "violations: {:?}\nfaults: {:?}",
@@ -999,7 +999,7 @@ mod tests {
             seed: 13,
             ..Default::default()
         }));
-        let r = run_plan(c, 10, &quick_spec(), &plan);
+        let r = run_plan(c, &quick_spec(), &plan);
         assert!(r.ok(), "violations: {:?}", r.violations);
         assert_eq!(r.skipped, 1, "cost-modelled replicas cannot restart");
         assert_eq!(r.applied, 0);
@@ -1038,7 +1038,7 @@ mod tests {
 
     #[test]
     fn protected_surge_degrades_gracefully_and_reconverges() {
-        let r = run_plan(qr_overload(20), 10, &overload_spec(true), &surge_plan());
+        let r = run_plan(qr_overload(20), &overload_spec(true), &surge_plan());
         assert!(
             r.ok(),
             "violations: {:?}\nfaults: {:?}",
@@ -1074,7 +1074,7 @@ mod tests {
             rpc_timeout: Some(SimDuration::from_millis(100)),
             ..Default::default()
         }));
-        let r = run_plan(proto, 10, &overload_spec(false), &surge_plan());
+        let r = run_plan(proto, &overload_spec(false), &surge_plan());
         assert!(
             r.violations
                 .iter()
@@ -1089,7 +1089,7 @@ mod tests {
     #[test]
     fn overload_verbs_are_skipped_on_closed_loop_runs() {
         // Without the open-loop generator there is no load to surge.
-        let r = run_plan(qr(22), 10, &quick_spec(), &surge_plan());
+        let r = run_plan(qr(22), &quick_spec(), &surge_plan());
         assert!(r.ok(), "violations: {:?}", r.violations);
         assert_eq!(r.applied, 0);
         assert_eq!(r.skipped, 2);
@@ -1103,7 +1103,7 @@ mod tests {
         let plan = plan(
             "@400000us slow 3 300\n@600000us flash-crowd 3\n@1300000us calm\n@1500000us restore 3",
         );
-        let r = run_plan(qr_overload(23), 10, &overload_spec(true), &plan);
+        let r = run_plan(qr_overload(23), &overload_spec(true), &plan);
         assert!(
             r.ok(),
             "violations: {:?}\nfaults: {:?}",
@@ -1118,8 +1118,8 @@ mod tests {
     fn overload_runs_are_deterministic() {
         let spec = overload_spec(true);
         let plan = surge_plan();
-        let a = run_plan(qr_overload(24), 10, &spec, &plan);
-        let b = run_plan(qr_overload(24), 10, &spec, &plan);
+        let a = run_plan(qr_overload(24), &spec, &plan);
+        let b = run_plan(qr_overload(24), &spec, &plan);
         assert_eq!(a.fingerprint, b.fingerprint);
         assert_eq!(a.summary_line(), b.summary_line());
     }
@@ -1128,11 +1128,11 @@ mod tests {
     fn same_seed_same_plan_same_fingerprint() {
         let spec = quick_spec();
         let plan = generate(7, 10, spec.horizon, &FaultBudget::full(4));
-        let a = run_plan(qr(7), 10, &spec, &plan);
-        let b = run_plan(qr(7), 10, &spec, &plan);
+        let a = run_plan(qr(7), &spec, &plan);
+        let b = run_plan(qr(7), &spec, &plan);
         assert_eq!(a.fingerprint, b.fingerprint);
         assert_eq!(a.fault_log, b.fault_log);
-        let c = run_plan(qr(8), 10, &spec, &plan);
+        let c = run_plan(qr(8), &spec, &plan);
         assert_ne!(
             a.fingerprint, c.fingerprint,
             "different cluster seed perturbs the run"

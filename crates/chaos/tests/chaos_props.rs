@@ -46,16 +46,16 @@ fn run_config(proto: usize, seed: u64, events: usize) -> ChaosReport {
     };
     let plan = generate(seed, NODES as u32, spec.horizon, &budget);
     match proto {
-        0 => run_plan(qr(NestingMode::Flat, seed), NODES, &spec, &plan),
-        1 => run_plan(qr(NestingMode::Closed, seed), NODES, &spec, &plan),
-        2 => run_plan(qr(NestingMode::Checkpoint, seed), NODES, &spec, &plan),
+        0 => run_plan(qr(NestingMode::Flat, seed), &spec, &plan),
+        1 => run_plan(qr(NestingMode::Closed, seed), &spec, &plan),
+        2 => run_plan(qr(NestingMode::Checkpoint, seed), &spec, &plan),
         3 => {
             let cl = Rc::new(TfaCluster::new(TfaConfig {
                 nodes: NODES,
                 seed,
                 ..Default::default()
             }));
-            run_plan(cl, NODES, &spec, &plan)
+            run_plan(cl, &spec, &plan)
         }
         _ => {
             let cl = Rc::new(DecentCluster::new(DecentConfig {
@@ -63,7 +63,7 @@ fn run_config(proto: usize, seed: u64, events: usize) -> ChaosReport {
                 seed,
                 ..Default::default()
             }));
-            run_plan(cl, NODES, &spec, &plan)
+            run_plan(cl, &spec, &plan)
         }
     }
 }
@@ -161,8 +161,8 @@ proptest! {
         );
         let parsed = FaultPlan::parse(&saved).unwrap();
         prop_assert_eq!(&parsed, &plan);
-        let a = run_plan(qr(NestingMode::Closed, seed), NODES, &spec, &plan);
-        let b = run_plan(qr(NestingMode::Closed, seed), NODES, &spec, &parsed);
+        let a = run_plan(qr(NestingMode::Closed, seed), &spec, &plan);
+        let b = run_plan(qr(NestingMode::Closed, seed), &spec, &parsed);
         prop_assert_eq!(a.summary_line(), b.summary_line());
         prop_assert_eq!(a.fingerprint, b.fingerprint);
         let av: Vec<String> = a.violations.iter().map(ToString::to_string).collect();
@@ -270,7 +270,7 @@ fn run_durable(seed: u64, events: usize) -> ChaosReport {
         durability: Some(DurabilityConfig::default()),
         ..Default::default()
     }));
-    run_plan(cl, NODES, &spec, &plan)
+    run_plan(cl, &spec, &plan)
 }
 
 /// A durable Q-Store run under a budget that includes amnesiac restarts
@@ -291,7 +291,7 @@ fn run_qstore_durable(seed: u64, events: usize) -> ChaosReport {
             ..Default::default()
         },
     ));
-    run_plan(cl, NODES, &spec, &plan)
+    run_plan(cl, &spec, &plan)
 }
 
 /// A QR-CN run with the failure detector on and the oracle off.
@@ -309,7 +309,7 @@ fn run_detector(seed: u64, events: usize) -> ChaosReport {
         detector: Some(DetectorConfig::default()),
         ..Default::default()
     }));
-    run_plan(cl, NODES, &spec, &plan)
+    run_plan(cl, &spec, &plan)
 }
 
 /// FNV-1a over the complete engine-event stream, order-sensitive.

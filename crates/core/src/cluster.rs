@@ -110,15 +110,15 @@ pub struct DtmConfig {
     pub rqv: bool,
     /// Run the heartbeat failure detector ([`crate::spawn_detector`])
     /// instead of relying on an oracle to call
-    /// [`Cluster::fail_node`]/[`Cluster::recover_node`]. Also arms the
+    /// [`Membership::crash`]/[`Membership::recover`]. Also arms the
     /// transport's retry/hedging path. `None` (the default) keeps the
     /// classic oracle-driven model byte-for-byte identical.
     pub detector: Option<crate::engine::DetectorConfig>,
     /// Give every replica a simulated disk with a write-ahead log and
     /// periodic snapshots (see [`crate::Wal`]). Arms the
-    /// crash-restart-with-amnesia semantics
-    /// ([`Cluster::crash_node_amnesia`]): a crashed node loses its volatile
-    /// object table and recovers honestly — snapshot+log replay, torn-tail
+    /// crash-restart-with-amnesia semantics ([`Membership::crash`], then
+    /// [`Membership::forget`]): a crashed node loses its volatile object
+    /// table and recovers honestly — snapshot+log replay, torn-tail
     /// detection, then quorum repair of the lost suffix. `None` (the
     /// default) keeps replicas memory-only and crashes pause-only,
     /// byte-for-byte identical to the classic model.
@@ -467,23 +467,20 @@ impl Cluster {
         self.inner.quorum.borrow().write_q.to_vec()
     }
 
-    /// Fail a node and reconfigure the shared quorum view (the Cluster
-    /// Manager reacting to a failure). Errors if no quorum survives, in
-    /// which case the view is left untouched (and the node alive).
-    /// Idempotent: failing a node the view already excludes is a no-op.
-    pub fn fail_node(&self, node: NodeId) -> Result<(), QuorumError> {
-        self.leave_view(node, true)
-    }
-
-    /// The one way out of the view, behind [`Cluster::fail_node`] (oracle:
+    /// The one way out of the view, behind [`Membership::crash`] (oracle:
     /// also kills the network) and [`Membership::eject`] (detector:
     /// view-only), mirroring [`Cluster::readmit_node`]: take the node out
     /// of the quorum system, recompute the quorums — or put it back and
-    /// report that none survive — and run the view-change duties.
+    /// report that none survive — and run the view-change duties. A node
+    /// the view already excludes leaves the view as it is; a crash still
+    /// takes it down in the network.
     fn leave_view(&self, node: NodeId, kill_network: bool) -> Result<(), QuorumError> {
         {
             let mut view = self.inner.quorum.borrow_mut();
             if !view.tq.is_alive(node.index()) {
+                if kill_network {
+                    self.sim.fail_node(node);
+                }
                 return Ok(());
             }
             view.tq.fail(node.index());
@@ -496,29 +493,6 @@ impl Cluster {
             self.sim.fail_node(node);
         }
         self.view_change_transfer();
-        Ok(())
-    }
-
-    /// Crash a node **with amnesia**: besides the view repair and network
-    /// kill of [`Cluster::fail_node`], the node's volatile object table is
-    /// wiped and its disk loses a seeded portion of the unsynced log buffer
-    /// (possibly tearing the last persisted record). The node is marked
-    /// amnesiac; its readmission replays snapshot+log and quorum-repairs
-    /// the lost suffix instead of receiving the oracle-grade transfer.
-    ///
-    /// Requires [`DtmConfig::durability`] — without a disk there is nothing
-    /// to restart from, and the call panics before it touches view, network
-    /// or stores. Errors (like `fail_node`) if no quorum survives.
-    pub fn crash_node_amnesia(&self, node: NodeId) -> Result<(), QuorumError> {
-        assert!(
-            self.inner.wals.is_some(),
-            "crash_node_amnesia requires DtmConfig::durability"
-        );
-        self.fail_node(node)?;
-        // fail_node no-ops when the view already excludes the node; the
-        // crash must still take the network down and lose the state.
-        self.sim.fail_node(node);
-        self.forget(node);
         Ok(())
     }
 
@@ -584,34 +558,22 @@ impl Cluster {
         })
     }
 
-    /// Recover a failed (or falsely ejected) node.
-    ///
-    /// The replica state it kept while down is stale, and quorum
-    /// intersection says nothing about commits it missed — if it rejoined
-    /// as (part of) a read quorum unsynchronized, readers could observe
-    /// old versions. So rejoin performs a **state transfer**: every object
-    /// is brought up to the max-version copy held by the currently alive
-    /// nodes before the node re-enters the quorum view. The transfer's
-    /// install is atomic w.r.t. the view change, but its *cost* is charged
-    /// to the rejoining node as server occupancy
-    /// ([`Cluster::transfer_cost`]), so requests routed to a fresh
-    /// joiner queue behind the transfer in fig10-style runs.
-    pub fn recover_node(&self, node: NodeId) -> Result<(), QuorumError> {
-        // Idempotent: recovering a node that is alive in both the quorum
-        // view and the network is a no-op.
-        if self.sim.is_alive(node) && self.inner.quorum.borrow().tq.is_alive(node.index()) {
-            return Ok(());
-        }
-        self.readmit_node(node, true).map(|_| ())
-    }
-
-    /// The one readmission path behind [`Cluster::recover_node`] (oracle:
+    /// The one readmission path behind [`Membership::recover`] (oracle:
     /// also revives the network) and [`Membership::rejoin`] (detector:
     /// view-only): bring the node's replica up to date — honest
     /// replay+repair if it crashed with amnesia, oracle-grade state
     /// transfer otherwise — then recover it in the quorum view, charge the
     /// transfer as occupancy, and run the view-change duties. Returns the
     /// charged duration.
+    ///
+    /// The replica state a failed (or falsely ejected) node kept while down
+    /// is stale, and quorum intersection says nothing about commits it
+    /// missed — if it rejoined as (part of) a read quorum unsynchronized,
+    /// readers could observe old versions. The transfer's install is
+    /// atomic w.r.t. the view change, but its *cost* is charged to the
+    /// rejoining node as server occupancy ([`Cluster::transfer_cost`]), so
+    /// requests routed to a fresh joiner queue behind the transfer in
+    /// fig10-style runs.
     fn readmit_node(&self, node: NodeId, revive_network: bool) -> Result<SimDuration, QuorumError> {
         let amnesiac = self.inner.amnesiac.borrow()[node.index()];
         let transfer = if amnesiac {
@@ -764,10 +726,10 @@ impl Cluster {
     }
 }
 
-/// The QR quorum view is the cluster's [`Membership`]: the oracle verbs
-/// are [`Cluster::fail_node`] / [`Cluster::recover_node`], and the
-/// detector's eject and rejoin take the same paths without touching the
-/// network.
+/// The QR quorum view is the cluster's [`Membership`] (the Cluster
+/// Manager reacting to a failure): the oracle's crash and recover and the
+/// detector's eject and rejoin take the same view paths, the oracle's
+/// also touching the network.
 impl Membership for Cluster {
     fn node_count(&self) -> usize {
         self.inner.cfg.nodes
@@ -783,12 +745,18 @@ impl Membership for Cluster {
         self.inner.quorum.borrow().epoch
     }
 
+    /// Refused when no quorum survives, leaving the view untouched (and
+    /// the node alive).
     fn crash(&self, node: NodeId) -> bool {
-        self.fail_node(node).is_ok()
+        self.leave_view(node, true).is_ok()
     }
 
+    /// A node alive in both the view and the network is left as it is.
     fn recover(&self, node: NodeId) -> bool {
-        self.recover_node(node).is_ok()
+        if self.sim.is_alive(node) && self.view_alive(node) {
+            return true;
+        }
+        self.readmit_node(node, true).is_ok()
     }
 
     /// The node may in fact be alive (false suspicion): it keeps serving
@@ -803,7 +771,7 @@ impl Membership for Cluster {
     /// the oracle's business, never the detector's (a detector that
     /// resurrected nodes would heal the very faults it is supposed to
     /// detect). Same state transfer and occupancy charge as
-    /// [`Cluster::recover_node`]; the detector turns the charge into the
+    /// [`Membership::recover`]; the detector turns the charge into the
     /// joiner's grace period instead of re-suspecting a node whose
     /// heartbeats queue behind its own state transfer.
     fn rejoin(&self, node: NodeId) -> Option<SimDuration> {
@@ -887,16 +855,16 @@ mod tests {
     }
 
     #[test]
-    fn fail_node_reconfigures_quorums() {
+    fn crash_reconfigures_quorums() {
         let c = Cluster::new(DtmConfig {
             read_level: 0,
             ..Default::default()
         });
         assert_eq!(c.read_quorum(), vec![NodeId(0)]);
-        c.fail_node(NodeId(0)).unwrap();
+        assert!(c.crash(NodeId(0)));
         assert_eq!(c.read_quorum(), vec![NodeId(1), NodeId(2)]);
         assert!(!c.sim().is_alive(NodeId(0)));
-        c.recover_node(NodeId(0)).unwrap();
+        assert!(c.recover(NodeId(0)));
         assert_eq!(c.read_quorum(), vec![NodeId(0)]);
     }
 

@@ -34,7 +34,8 @@
 //!    round re-validates everything;
 //! 4. rejoins every view-dead node some view-alive observer has heard
 //!    within the window (crash healed, partition healed, or the suspicion
-//!    was false all along) via the state-transferring `recover_node`.
+//!    was false all along) via the state-transferring
+//!    [`Membership::rejoin`].
 //!
 //! Everything is driven by the simulator's seeded clock and RNG, so
 //! suspicion timestamps, view epochs and rejoins are exactly reproducible
@@ -102,12 +103,16 @@ pub trait Membership {
     /// The current view (fencing) epoch.
     fn view_epoch(&self) -> u64;
     /// Oracle crash-stop: repair the view and kill `node` in the network,
-    /// in the family's own order. `false` when refused (the view could not
-    /// survive without it), leaving view and network untouched.
+    /// in the family's own order. A node the view already excludes is
+    /// killed in the network and the call returns `true`. `false` when
+    /// refused (the view could not survive without it), leaving view and
+    /// network untouched. An amnesiac crash is `crash`, then
+    /// [`Membership::forget`].
     fn crash(&self, node: NodeId) -> bool;
     /// Oracle recovery: revive a crashed `node` in the network and readmit
     /// it to the view (replaying and repairing first if it forgot its
-    /// state). `false` when the family refuses.
+    /// state). A node alive in both is left as it is and the call returns
+    /// `true`. `false` when the family refuses.
     fn recover(&self, node: NodeId) -> bool;
     /// Remove a suspected `node` from the view without touching the
     /// network. `false` when refused (the view could not survive without
@@ -181,7 +186,7 @@ impl DetectorHandle {
 /// [`DtmConfig::detector`](crate::DtmConfig::detector) (which must be set).
 ///
 /// From this point on the cluster self-heals: no oracle calls to
-/// [`Cluster::fail_node`] / [`Cluster::recover_node`] are needed — kill or
+/// [`Membership::crash`] / [`Membership::recover`] are needed — kill or
 /// heal nodes in the simulator and the view follows within a bounded
 /// number of heartbeat intervals.
 pub fn spawn_detector(cluster: &Rc<Cluster>) -> DetectorHandle {

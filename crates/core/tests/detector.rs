@@ -171,8 +171,8 @@ fn transfer_charge_scales_with_object_count() {
         cluster.preload(ObjectId(u64::from(a)), ObjVal::Int(1));
     }
     let sim = cluster.sim().clone();
-    cluster.fail_node(NodeId(1)).unwrap();
-    cluster.recover_node(NodeId(1)).unwrap();
+    assert!(cluster.crash(NodeId(1)));
+    assert!(cluster.recover(NodeId(1)));
     let client = cluster.client(NodeId(5));
     let t0 = sim.now();
     let done = Rc::new(std::cell::Cell::new(None));

@@ -93,7 +93,8 @@ fn amnesia_crash_recovers_via_replay_and_quorum_repair() {
     let sim2 = sim.clone();
     sim.spawn(async move {
         sim2.sleep(SimDuration::from_millis(800)).await;
-        cl.crash_node_amnesia(victim).unwrap();
+        assert!(cl.crash(victim));
+        cl.forget(victim);
         assert!(
             cl.peek(victim, ObjectId(0)).is_none(),
             "amnesia wipes the volatile object table"
@@ -101,7 +102,7 @@ fn amnesia_crash_recovers_via_replay_and_quorum_repair() {
         assert!(!cl.view_alive(victim) && !cl.sim().is_alive(victim));
         // Let commits the victim will have to repair happen while it is down.
         sim2.sleep(SimDuration::from_millis(1000)).await;
-        cl.recover_node(victim).unwrap();
+        assert!(cl.recover(victim));
         assert_caught_up(&cl, victim);
     });
     sim.run_for(SimDuration::from_secs(3));
@@ -135,9 +136,10 @@ fn corrupt_tail_is_detected_and_repaired_on_restart() {
             cl.corrupt_tail(victim),
             "durable log had records to corrupt"
         );
-        cl.crash_node_amnesia(victim).unwrap();
+        assert!(cl.crash(victim));
+        cl.forget(victim);
         sim2.sleep(SimDuration::from_millis(600)).await;
-        cl.recover_node(victim).unwrap();
+        assert!(cl.recover(victim));
         assert_caught_up(&cl, victim);
     });
     sim.run_for(SimDuration::from_secs(2));
@@ -197,9 +199,10 @@ fn durable_runs_are_deterministic_per_seed() {
         let sim2 = sim.clone();
         sim.spawn(async move {
             sim2.sleep(SimDuration::from_millis(500)).await;
-            cl.crash_node_amnesia(victim).unwrap();
+            assert!(cl.crash(victim));
+            cl.forget(victim);
             sim2.sleep(SimDuration::from_millis(700)).await;
-            cl.recover_node(victim).unwrap();
+            assert!(cl.recover(victim));
         });
         sim.run_for(SimDuration::from_secs(2));
         sim.run_for(SimDuration::from_secs(2));
@@ -223,7 +226,7 @@ fn durable_runs_are_deterministic_per_seed() {
 fn amnesia_without_durability_panics() {
     let cluster = Cluster::new(DtmConfig::default());
     cluster.preload(ObjectId(0), ObjVal::Int(1));
-    let call = AssertUnwindSafe(|| cluster.crash_node_amnesia(NodeId(1)));
+    let call = AssertUnwindSafe(|| cluster.forget(NodeId(1)));
     let refused = catch_unwind(call).expect_err("no disk to restart from");
     assert!(cluster.view_alive(NodeId(1)) && cluster.sim().is_alive(NodeId(1)));
     assert_eq!(cluster.view_epoch(), 0, "no view change ran");

@@ -15,18 +15,20 @@
 //! a [`Counterexample`]; [`minimize`] shrinks it and [`Trace`] serializes
 //! it as lossless text for `repro mc --replay`.
 //!
-//! Exploration covers the QR nesting variants and the Q-Store
-//! speculative-batching protocol ([`McProto`]); the Q-Store arm swaps the
-//! QR structural assertions for batch-atomicity checks, so schedule
-//! exploration reaches the batch-boundary races a wall-clock run rarely
-//! hits.
+//! Exploration covers the rows of the family table
+//! ([`qrdtm_chaos::Proto`]) that keep a membership view: the QR nesting
+//! variants and the Q-Store speculative-batching protocol. The Q-Store arm
+//! swaps the QR structural assertions for batch-atomicity checks, so
+//! schedule exploration reaches the batch-boundary races a wall-clock run
+//! rarely hits.
 //!
 //! ```
 //! use std::collections::HashSet;
 //! use qrdtm_core::NestingMode;
-//! use qrdtm_mc::{dfs_explore, McProto, Scope};
+//! use qrdtm_chaos::Proto;
+//! use qrdtm_mc::{dfs_explore, Scope};
 //!
-//! let scope = Scope::smoke(McProto::Qr(NestingMode::Closed));
+//! let scope = Scope::smoke(Proto::Qr(NestingMode::Closed));
 //! let mut seen = HashSet::new();
 //! let report = dfs_explore(&scope, 25, &mut seen);
 //! assert!(report.counterexample.is_none());
@@ -40,7 +42,7 @@ mod runner;
 mod strategies;
 mod trace;
 
-pub use runner::{run_schedule, McBug, McProto, RunOutcome, Scope, INITIAL_BALANCE};
+pub use runner::{run_schedule, McBug, RunOutcome, Scope, INITIAL_BALANCE};
 pub use strategies::{
     dfs_explore, minimize, pct_explore, replay, schedule_key, ChoicePolicy, Counterexample,
     ExploreReport, ForcedPolicy, PctPolicy,

@@ -12,10 +12,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use qrdtm_chaos::{check_balances, check_durability, ChaosTarget};
+use qrdtm_chaos::{check_balances, check_durability, ChaosTarget, Proto};
 use qrdtm_core::{
     check_abort_targets, check_checkpoint_restores, Cluster, DtmConfig, InjectedBug, LatencySpec,
-    NestingMode, ObjVal, ObjectId,
+    Membership, NestingMode, ObjVal, ObjectId,
 };
 use qrdtm_qstore::{QStoreBug, QStoreCluster, QStoreConfig};
 use qrdtm_sim::{EventInfo, Metrics, NodeId, Scheduler, SimDuration, SimTime};
@@ -30,55 +30,6 @@ pub const INITIAL_BALANCE: i64 = 1000;
 /// few hundred simulated milliseconds when healthy; a task still live at
 /// the horizon is reported as a stuck-run violation.
 const HORIZON: SimDuration = SimDuration::from_secs(300);
-
-/// Protocol family a scope explores: a QR nesting variant or the Q-Store
-/// speculative-batching protocol.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum McProto {
-    /// The quorum-replication family (QR / QR-CN / QR-CHK by nesting mode).
-    Qr(NestingMode),
-    /// Q-Store: planner-ordered epochs, speculative executors, batch-atomic
-    /// group commit.
-    QStore,
-}
-
-impl McProto {
-    /// Every protocol with its `repro mc --proto` label and its trace-file
-    /// spelling — the one table both parsers and both printers read.
-    pub const ALL: [(McProto, &'static str, &'static str); 4] = [
-        (McProto::Qr(NestingMode::Flat), "qr", "QR"),
-        (McProto::Qr(NestingMode::Closed), "qr-cn", "QR-CN"),
-        (McProto::Qr(NestingMode::Checkpoint), "qr-chk", "QR-CHK"),
-        (McProto::QStore, "qstore", "QSTORE"),
-    ];
-
-    fn row(self) -> (McProto, &'static str, &'static str) {
-        *Self::ALL
-            .iter()
-            .find(|(p, ..)| *p == self)
-            .expect("every McProto is in ALL")
-    }
-
-    /// The command-line label (`qr-cn`).
-    pub fn label(self) -> &'static str {
-        self.row().1
-    }
-
-    /// The protocol a command-line label names.
-    pub fn from_label(s: &str) -> Option<McProto> {
-        Self::ALL.iter().find(|(_, l, _)| *l == s).map(|r| r.0)
-    }
-
-    /// The trace-file spelling (`QR-CN`).
-    pub(crate) fn trace_label(self) -> &'static str {
-        self.row().2
-    }
-
-    /// The protocol a trace-file spelling names.
-    pub(crate) fn from_trace_label(s: &str) -> Option<McProto> {
-        Self::ALL.iter().find(|(_, _, t)| *t == s).map(|r| r.0)
-    }
-}
 
 /// A deliberately broken protocol variant, used to validate that the
 /// checkers can actually catch protocol bugs.
@@ -120,8 +71,8 @@ impl McBug {
 /// only replayable under the exact scope it was recorded in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Scope {
-    /// Protocol variant under test.
-    pub proto: McProto,
+    /// Protocol family under test; one with a membership view.
+    pub proto: Proto,
     /// Replica count.
     pub nodes: usize,
     /// Account objects (ids `0..objects`, each preloaded with
@@ -140,7 +91,7 @@ pub struct Scope {
 
 impl Scope {
     /// The issue's smoke scope: 3 nodes, 2 objects, 2 transactions.
-    pub fn smoke(proto: McProto) -> Self {
+    pub fn smoke(proto: Proto) -> Self {
         Scope {
             proto,
             nodes: 3,
@@ -152,20 +103,22 @@ impl Scope {
     }
 
     /// Refuse a scope with nothing to schedule or one its protocol cannot
-    /// build: at least one node (three for Q-Store, whose majority needs
-    /// them), one object and one transaction. The error names the field.
+    /// build: a family with a membership view, at least one node (three
+    /// for Q-Store, whose majority needs them), one object and one
+    /// transaction. The error names the field.
     pub fn check(&self) -> Result<(), String> {
-        let min_nodes = if self.proto == McProto::QStore { 3 } else { 1 };
+        let label = self.proto.label();
+        if !self.proto.has_view() {
+            return Err(format!("proto {label} keeps no membership view to explore"));
+        }
+        let min_nodes = if self.proto == Proto::QStore { 3 } else { 1 };
         let fields = [
             ("nodes", self.nodes as u64, min_nodes),
             ("objects", self.objects, 1),
             ("txns", self.txns as u64, 1),
         ];
         match fields.into_iter().find(|&(_, value, min)| value < min) {
-            Some((name, _, min)) => Err(format!(
-                "{name} must be at least {min} for {}",
-                self.proto.label()
-            )),
+            Some((name, _, min)) => Err(format!("{name} must be at least {min} for {label}")),
             None => Ok(()),
         }
     }
@@ -285,8 +238,9 @@ fn spawn_transfer(cluster: &Rc<Cluster>, node: NodeId, from: ObjectId, to: Objec
 /// always produce the same [`RunOutcome`].
 pub fn run_schedule(scope: &Scope, policy: Box<dyn ChoicePolicy>) -> RunOutcome {
     match scope.proto {
-        McProto::Qr(mode) => run_qr_schedule(scope, mode, policy),
-        McProto::QStore => run_qstore_schedule(scope, policy),
+        Proto::Qr(mode) => run_qr_schedule(scope, mode, policy),
+        Proto::QStore => run_qstore_schedule(scope, policy),
+        Proto::Tfa | Proto::Decent => panic!("{}", scope.check().unwrap_err()),
     }
 }
 
@@ -487,9 +441,10 @@ fn run_qstore_schedule(scope: &Scope, policy: Box<dyn ChoicePolicy>) -> RunOutco
                 while c.stats().commits == 0 {
                     s.sleep(SimDuration::from_micros(200)).await;
                 }
-                if c.crash_node_amnesia(NodeId(0)) {
+                if c.crash(NodeId(0)) {
+                    c.forget(NodeId(0));
                     s.sleep(SimDuration::from_millis(20)).await;
-                    c.recover_crashed_node(NodeId(0));
+                    c.recover(NodeId(0));
                 }
             });
         }
@@ -524,29 +479,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn every_label_round_trips_through_its_table() {
-        for (proto, label, trace_label) in McProto::ALL {
-            assert_eq!(McProto::from_label(label), Some(proto));
-            assert_eq!(proto.label(), label);
-            assert_eq!(McProto::from_trace_label(trace_label), Some(proto));
-            assert_eq!(proto.trace_label(), trace_label);
-        }
+    fn every_bug_label_round_trips_through_its_table() {
         for (bug, label) in McBug::ALL {
             assert_eq!(McBug::parse_bug(label), Some(bug));
             assert_eq!(bug.label(), label);
         }
         // Every variant has a row (`label()` panics on one left out).
-        for mode in NestingMode::ALL {
-            McProto::Qr(mode).label();
-        }
-        McProto::QStore.label();
         for bug in [InjectedBug::SkipVoteCheck, InjectedBug::SkipEpochFence] {
             McBug::Qr(bug).label();
         }
         for bug in [QStoreBug::SkipTagCheck, QStoreBug::AckBeforeFsync] {
             McBug::QStore(bug).label();
         }
-        assert_eq!(McProto::from_label("QR-CN"), None, "spellings stay apart");
-        assert_eq!(McProto::from_trace_label("qr-cn"), None);
+    }
+
+    #[test]
+    fn scopes_without_a_view_are_refused() {
+        for proto in [Proto::Tfa, Proto::Decent] {
+            let err = Scope::smoke(proto).check().unwrap_err();
+            assert!(err.contains("no membership view"), "{err}");
+        }
     }
 }

@@ -16,11 +16,14 @@
 //!
 //! An optional `bug skip-vote-check` / `bug skip-epoch-fence` /
 //! `bug skip-tag-check` line records an injected protocol bug (checker
-//! validation runs). `proto QSTORE` selects the Q-Store arm.
+//! validation runs). `proto QSTORE` selects the Q-Store arm; a family is
+//! spelled by its `--proto` label upper-cased.
 
 use std::fmt;
 
-use crate::runner::{McBug, McProto, Scope};
+use qrdtm_chaos::Proto;
+
+use crate::runner::{McBug, Scope};
 
 /// A replayable schedule: the exploration [`Scope`] plus the scheduler
 /// choice taken at each decision point.
@@ -36,7 +39,7 @@ pub struct Trace {
 impl fmt::Display for Trace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "# qrdtm-mc trace v1")?;
-        writeln!(f, "proto {}", self.scope.proto.trace_label())?;
+        writeln!(f, "proto {}", self.scope.proto.label().to_uppercase())?;
         writeln!(f, "seed {}", self.scope.seed)?;
         writeln!(f, "nodes {}", self.scope.nodes)?;
         writeln!(f, "objects {}", self.scope.objects)?;
@@ -89,10 +92,8 @@ impl Trace {
             match key {
                 "proto" => {
                     let v = one()?;
-                    proto = Some(
-                        McProto::from_trace_label(v)
-                            .ok_or_else(|| at(format!("unknown proto `{v}`")))?,
-                    );
+                    let row = Proto::ALL.iter().find(|(_, l)| l.to_uppercase() == v);
+                    proto = Some(row.ok_or_else(|| at(format!("unknown proto `{v}`")))?.0);
                 }
                 "seed" => seed = Some(num()?),
                 "nodes" => nodes = Some(num()? as usize),
@@ -146,7 +147,7 @@ mod tests {
     fn sample() -> Trace {
         Trace {
             scope: Scope {
-                proto: McProto::Qr(NestingMode::Closed),
+                proto: Proto::Qr(NestingMode::Closed),
                 nodes: 3,
                 objects: 2,
                 txns: 2,
@@ -169,7 +170,7 @@ mod tests {
         assert_eq!(Trace::parse(&t2.to_string()).unwrap(), t2);
         // The Q-Store arm round-trips its own proto and bug labels.
         let mut t3 = sample();
-        t3.scope.proto = McProto::QStore;
+        t3.scope.proto = Proto::QStore;
         t3.scope.injected_bug = Some(McBug::QStore(QStoreBug::SkipTagCheck));
         let text = t3.to_string();
         assert!(text.contains("proto QSTORE"));
@@ -181,7 +182,7 @@ mod tests {
     fn comments_and_blank_lines_are_ignored() {
         let text = "\n# hello\nproto QR\nseed 1\n\nnodes 3\nobjects 2\ntxns 2\nchoices 1 2\n";
         let t = Trace::parse(text).unwrap();
-        assert_eq!(t.scope.proto, McProto::Qr(NestingMode::Flat));
+        assert_eq!(t.scope.proto, Proto::Qr(NestingMode::Flat));
         assert_eq!(t.choices, vec![1, 2]);
     }
 
@@ -193,6 +194,11 @@ mod tests {
         assert!(Trace::parse("proto QR-XX\n")
             .unwrap_err()
             .contains("unknown proto"));
+        assert!(Trace::parse("proto qr-cn\n")
+            .unwrap_err()
+            .contains("unknown proto"));
+        let tfa = Trace::parse("proto TFA\nseed 1\nnodes 3\nobjects 2\ntxns 2\nchoices\n");
+        assert!(tfa.unwrap_err().contains("no membership view"));
         let missing = Trace::parse("proto QR\nseed 1\nnodes 3\nobjects 2\ntxns 2\n");
         assert!(missing.unwrap_err().contains("choices"));
         assert!(Trace::parse("proto QR\nseed x\n")

@@ -5,20 +5,21 @@
 
 use std::collections::HashSet;
 
+use qrdtm_chaos::Proto;
 use qrdtm_core::{InjectedBug, NestingMode};
 use qrdtm_mc::{
-    dfs_explore, minimize, pct_explore, replay, run_schedule, ForcedPolicy, McBug, McProto,
-    PctPolicy, Scope, Trace,
+    dfs_explore, minimize, pct_explore, replay, run_schedule, ForcedPolicy, McBug, PctPolicy,
+    Scope, Trace,
 };
 use qrdtm_qstore::QStoreBug;
 
 #[test]
 fn dfs_explores_distinct_schedules_without_violations() {
     for mode in [
-        McProto::Qr(NestingMode::Flat),
-        McProto::Qr(NestingMode::Closed),
-        McProto::Qr(NestingMode::Checkpoint),
-        McProto::QStore,
+        Proto::Qr(NestingMode::Flat),
+        Proto::Qr(NestingMode::Closed),
+        Proto::Qr(NestingMode::Checkpoint),
+        Proto::QStore,
     ] {
         let scope = Scope::smoke(mode);
         let mut seen = HashSet::new();
@@ -41,7 +42,7 @@ fn dfs_explores_distinct_schedules_without_violations() {
 
 #[test]
 fn pct_sampling_is_clean_and_dedups_against_dfs() {
-    let scope = Scope::smoke(McProto::Qr(NestingMode::Closed));
+    let scope = Scope::smoke(Proto::Qr(NestingMode::Closed));
     let mut seen = HashSet::new();
     let dfs = dfs_explore(&scope, 15, &mut seen);
     assert!(dfs.counterexample.is_none());
@@ -55,7 +56,7 @@ fn pct_sampling_is_clean_and_dedups_against_dfs() {
 
 #[test]
 fn replay_of_equal_choices_is_deterministic() {
-    let scope = Scope::smoke(McProto::Qr(NestingMode::Checkpoint));
+    let scope = Scope::smoke(Proto::Qr(NestingMode::Checkpoint));
     let first = run_schedule(&scope, Box::new(ForcedPolicy::new(vec![1, 0, 2])));
     let second = replay(&scope, &first.choices);
     assert_eq!(first.choices, second.choices);
@@ -77,7 +78,7 @@ fn injected_bug_is_caught_minimized_and_replayable() {
     // round-trip — the full `repro mc` pipeline in miniature.
     let scope = Scope {
         injected_bug: Some(McBug::Qr(InjectedBug::SkipVoteCheck)),
-        ..Scope::smoke(McProto::Qr(NestingMode::Flat))
+        ..Scope::smoke(Proto::Qr(NestingMode::Flat))
     };
     let mut seen = HashSet::new();
     let mut cex = dfs_explore(&scope, 300, &mut seen).counterexample;
@@ -107,7 +108,7 @@ fn injected_bug_is_caught_minimized_and_replayable() {
 
 #[test]
 fn qstore_replay_is_deterministic() {
-    let scope = Scope::smoke(McProto::QStore);
+    let scope = Scope::smoke(Proto::QStore);
     let first = run_schedule(&scope, Box::new(ForcedPolicy::new(vec![2, 1, 0, 3])));
     assert!(first.violations.is_empty(), "{:?}", first.violations);
     let second = replay(&scope, &first.choices);
@@ -123,7 +124,7 @@ fn qstore_injected_tag_skip_is_caught_minimized_and_replayable() {
     // it after a text round-trip.
     let scope = Scope {
         injected_bug: Some(McBug::QStore(QStoreBug::SkipTagCheck)),
-        ..Scope::smoke(McProto::QStore)
+        ..Scope::smoke(Proto::QStore)
     };
     let mut seen = HashSet::new();
     let mut cex = dfs_explore(&scope, 300, &mut seen).counterexample;
@@ -159,7 +160,7 @@ fn qstore_ack_before_fsync_is_caught_minimized_and_replayable() {
     // some explored schedule.
     let scope = Scope {
         injected_bug: Some(McBug::QStore(QStoreBug::AckBeforeFsync)),
-        ..Scope::smoke(McProto::QStore)
+        ..Scope::smoke(Proto::QStore)
     };
     let mut seen = HashSet::new();
     let mut cex = dfs_explore(&scope, 300, &mut seen).counterexample;

@@ -23,16 +23,16 @@
 //! replica; a torn tail drops whole batches atomically on replay) and an
 //! amnesiac restart replays the fsynced prefix, then repairs the rest
 //! from the quorum-acknowledged epoch frontier. Membership is driven
-//! either by the oracle (tests and the nemesis call
-//! [`QStoreCluster::crash_node`] & co. directly) or, with
-//! [`QStoreConfig::detector`], by the same heartbeat failure detector
-//! the QR family uses — a silent planner is suspected, ejected, and
-//! failed over ([`QStoreCluster::start_detector`]). The planner is
-//! sticky; when it dies, the lowest alive node pulls applied high-water
-//! marks from enough replicas to see every acknowledged batch, adopts
-//! the longest prefix (charged state transfer), re-replicates it to a
-//! majority, and replans from acknowledged state — the dead planner's
-//! open epoch is lost by design and clients resubmit into it.
+//! either by the oracle (tests and the nemesis call [`Membership::crash`]
+//! & co. directly) or, with [`QStoreConfig::detector`], by the same
+//! heartbeat failure detector the QR family uses — a silent planner is
+//! suspected, ejected, and failed over
+//! ([`QStoreCluster::start_detector`]). The planner is sticky; when it
+//! dies, the lowest alive node pulls applied high-water marks from enough
+//! replicas to see every acknowledged batch, adopts the longest prefix
+//! (charged state transfer), re-replicates it to a majority, and replans
+//! from acknowledged state — the dead planner's open epoch is lost by
+//! design and clients resubmit into it.
 
 #![forbid(unsafe_code)]
 
@@ -357,48 +357,6 @@ impl QStoreCluster {
         cost
     }
 
-    /// Crash-stop `node` through the membership oracle. Refused when the
-    /// remaining nodes could not form a majority. If the planner died,
-    /// the lowest alive node takes over and replans from acknowledged
-    /// state.
-    pub fn crash_node(&self, node: NodeId) -> bool {
-        if !self.evict_from_view(node.index()) {
-            return false;
-        }
-        self.sim.fail_node(node);
-        true
-    }
-
-    /// Crash `node` *and wipe its memory*: only the durable disk image
-    /// (snapshot + fsynced batch prefix, possibly with a torn tail)
-    /// survives into the next
-    /// [`recover_crashed_node`](Self::recover_crashed_node). Requires
-    /// [`QStoreConfig::durability`]. Refused under the same majority rule
-    /// as [`crash_node`](Self::crash_node).
-    pub fn crash_node_amnesia(&self, node: NodeId) -> bool {
-        if !self.crash_node(node) {
-            return false;
-        }
-        forget_replica(&self.shared, &self.sim, node.index());
-        true
-    }
-
-    /// Recover a crashed node; an amnesiac one replays its durable disk
-    /// image and repairs from the quorum frontier first, then the planner
-    /// pushes it the committed suffix it missed.
-    pub fn recover_crashed_node(&self, node: NodeId) -> bool {
-        let idx = node.index();
-        {
-            let v = self.shared.view.borrow();
-            if idx >= v.alive.len() || v.alive[idx] {
-                return false;
-            }
-        }
-        self.sim.recover_node(node);
-        self.readmit(idx);
-        true
-    }
-
     /// Start the heartbeat failure detector (requires
     /// [`QStoreConfig::detector`]). The QR family's detector, driving this
     /// cluster's view through [`Membership`]: one task reads the
@@ -572,8 +530,7 @@ pub struct QStoreTxHandle {
     requeues: u32,
 }
 
-/// The planner view is the cluster's [`Membership`]: the oracle verbs are
-/// [`QStoreCluster::crash_node`] / [`QStoreCluster::recover_crashed_node`].
+/// The planner view is the cluster's [`Membership`].
 impl Membership for QStoreCluster {
     fn node_count(&self) -> usize {
         self.config().nodes
@@ -590,11 +547,25 @@ impl Membership for QStoreCluster {
     fn view_epoch(&self) -> u64 {
         self.shared.view.borrow().epoch
     }
+    /// Refused when the remaining nodes could not form a majority. If the
+    /// planner died, the lowest alive node takes over and replans from
+    /// acknowledged state.
     fn crash(&self, node: NodeId) -> bool {
-        self.crash_node(node)
+        if self.view_alive(node) && !self.evict_from_view(node.index()) {
+            return false;
+        }
+        self.sim.fail_node(node);
+        true
     }
+    /// An amnesiac node replays its durable disk image and repairs from the
+    /// quorum frontier first, then the planner pushes it the committed
+    /// suffix it missed.
     fn recover(&self, node: NodeId) -> bool {
-        self.recover_crashed_node(node)
+        if !(self.view_alive(node) && self.sim.is_alive(node)) {
+            self.sim.recover_node(node);
+            self.readmit(node.index());
+        }
+        true
     }
     fn eject(&self, node: NodeId) -> bool {
         self.evict_from_view(node.index())
@@ -899,7 +870,7 @@ mod tests {
         let c3 = Rc::clone(&c);
         c.sim().spawn(async move {
             c3.sim().sleep(SimDuration::from_millis(crash_ms)).await;
-            assert!(c3.crash_node(NodeId(0)));
+            assert!(c3.crash(NodeId(0)));
         });
         c.sim().run();
         c
@@ -921,11 +892,11 @@ mod tests {
         let c = cluster(13);
         let c2 = Rc::clone(&c);
         c.sim().spawn(async move {
-            assert!(c2.crash_node(NodeId(7)));
+            assert!(c2.crash(NodeId(7)));
             for i in 0..4u64 {
                 transfer(&c2, NodeId(2), ObjectId(i), ObjectId(i + 1), 3).await;
             }
-            assert!(c2.recover_crashed_node(NodeId(7)));
+            assert!(c2.recover(NodeId(7)));
         });
         c.sim().run();
         assert_eq!(c.stats().commits, 4);
@@ -1020,7 +991,7 @@ mod tests {
             // The takeover must not promote until it has pushed the adopted
             // prefix back onto a majority — otherwise a second crash could
             // lose acknowledged batches.
-            assert!(c2.crash_node(NodeId(0)));
+            assert!(c2.crash(NodeId(0)));
         });
         c.sim().run();
         let frontier = c.shared.planner.borrow().decided_through;
@@ -1145,14 +1116,15 @@ mod tests {
             // Snapshots superseded the log at batches 2 and 4; batch 5 is
             // the log suffix the replay folds on top.
             assert_eq!(c2.shared.replicas[1].borrow().applied, 5);
-            assert!(c2.crash_node_amnesia(NodeId(1)));
+            assert!(c2.crash(NodeId(1)));
+            c2.forget(NodeId(1));
             // Missed while down: only the donor's log can supply it.
             transfer(&c2, NodeId(3), ObjectId(5), ObjectId(6), 3).await;
-            assert!(c2.recover_crashed_node(NodeId(1)));
+            assert!(c2.recover(NodeId(1)));
             assert!(c2.shared.replicas[1].borrow().decided.txns() >= 6);
             let committed: Vec<TxId> = c2.history().iter().map(|r| r.tx).collect();
             assert_eq!(committed.len(), 6);
-            assert!(c2.crash_node(NodeId(0)));
+            assert!(c2.crash(NodeId(0)));
             for id in committed {
                 // A client that lost its reply polls again. `Ok(false)` is
                 // `Unknown`, which would make it re-execute the transfer.
@@ -1325,7 +1297,7 @@ mod tests {
             assert_eq!(value(c, 2), ObjVal::Int(4));
             // After a view change the same behind sync rolls the replica
             // back: its suffix was applied under a dead reign.
-            assert!(c.crash_node(NodeId(8)));
+            assert!(c.crash(NodeId(8)));
             assert_eq!(ack(ask(c, 2, sync(1, 2, 2)).await), (true, 2), "rollback");
             assert_eq!(value(c, 2), ObjVal::Int(2));
         });
@@ -1352,7 +1324,7 @@ mod tests {
             assert_eq!(status(ask(c, 0, submit()).await), TxStatus::Pending);
             // Node 1 takes over; both requests land before its census
             // round trip completes.
-            assert!(c.crash_node(NodeId(0)));
+            assert!(c.crash(NodeId(0)));
             let timeout = Some(c.config().rpc_timeout);
             let sent = submit();
             let a = c.sim().call(NodeId(9), &[NodeId(1)], sent, timeout);
@@ -1460,8 +1432,9 @@ mod tests {
                 TxStatus::Pending
             );
             c.sim().sleep(SETTLE).await;
-            assert!(c.crash_node_amnesia(NodeId(2)));
-            assert!(c.recover_crashed_node(NodeId(2)));
+            assert!(c.crash(NodeId(2)));
+            c.forget(NodeId(2));
+            assert!(c.recover(NodeId(2)));
             for idx in [1, 2] {
                 let r = c.shared.replicas[idx].borrow();
                 assert!(r.horizon.covers(&tx1), "replica {idx}");
@@ -1470,7 +1443,7 @@ mod tests {
             // Node 1 takes over from its own log, then node 2 from the
             // replayed one; both settle the stale duplicate.
             for planner in [1, 2] {
-                assert!(c.crash_node(NodeId(planner - 1)));
+                assert!(c.crash(NodeId(planner - 1)));
                 c.sim().sleep(SETTLE).await;
                 let reply = ask(c, planner, submit(9, 1, 1, 7)).await;
                 assert_eq!(status(reply), TxStatus::Settled, "planner {planner}");
@@ -1501,7 +1474,7 @@ mod tests {
                 .sim()
                 .call(NodeId(9), &[NodeId(0)], submit(9, 1, 1, 6), timeout);
             let _ = (a.await, b.await);
-            assert!(c.crash_node(NodeId(8)));
+            assert!(c.crash(NodeId(8)));
             c.sim().sleep(SETTLE).await;
             assert_eq!(
                 status(ask(c, 0, submit(9, 2, 2, 7)).await),

@@ -54,13 +54,14 @@ fn amnesia_crash_replays_the_fsynced_prefix_and_repairs_the_rest() {
         for i in 0..3u64 {
             transfer(&c2, NodeId(2), ObjectId(i), ObjectId(i + 1), 5).await;
         }
-        assert!(c2.crash_node_amnesia(victim));
+        assert!(c2.crash(victim));
+        c2.forget(victim);
         // ...and batches it misses while down, which replay cannot
         // resurrect: they must come from the quorum frontier.
         for i in 0..3u64 {
             transfer(&c2, NodeId(3), ObjectId(i + 2), ObjectId(i + 3), 5).await;
         }
-        assert!(c2.recover_crashed_node(victim));
+        assert!(c2.recover(victim));
         // One more commit proves the readmitted replica participates.
         transfer(&c2, NodeId(4), ObjectId(0), ObjectId(1), 5).await;
     });
@@ -89,8 +90,9 @@ fn a_torn_tail_drops_whole_batches_and_repair_restores_them() {
             c2.corrupt_tail(victim),
             "durable log had records to corrupt"
         );
-        assert!(c2.crash_node_amnesia(victim));
-        assert!(c2.recover_crashed_node(victim));
+        assert!(c2.crash(victim));
+        c2.forget(victim);
+        assert!(c2.recover(victim));
         transfer(&c2, NodeId(3), ObjectId(0), ObjectId(1), 3).await;
     });
     c.sim().run();
@@ -128,8 +130,9 @@ fn snapshot_truncation_survives_amnesia() {
             )
             .await;
         }
-        assert!(c2.crash_node_amnesia(victim));
-        assert!(c2.recover_crashed_node(victim));
+        assert!(c2.crash(victim));
+        c2.forget(victim);
+        assert!(c2.recover(victim));
         transfer(&c2, NodeId(3), ObjectId(0), ObjectId(1), 2).await;
     });
     c.sim().run();
@@ -152,11 +155,12 @@ fn durable_runs_are_deterministic_per_seed() {
             for i in 0..3u64 {
                 transfer(&c2, NodeId(2), ObjectId(i), ObjectId(i + 1), 4).await;
             }
-            assert!(c2.crash_node_amnesia(victim));
+            assert!(c2.crash(victim));
+            c2.forget(victim);
             for i in 0..2u64 {
                 transfer(&c2, NodeId(3), ObjectId(i + 3), ObjectId(i + 4), 4).await;
             }
-            assert!(c2.recover_crashed_node(victim));
+            assert!(c2.recover(victim));
         });
         c.sim().run();
         let m = c.sim().metrics();
@@ -180,5 +184,5 @@ fn durable_runs_are_deterministic_per_seed() {
 #[should_panic(expected = "requires QStoreConfig::durability")]
 fn amnesia_without_durability_panics() {
     let c = cluster(QStoreConfig::default());
-    let _ = c.crash_node_amnesia(NodeId(1));
+    c.forget(NodeId(1));
 }

@@ -19,7 +19,7 @@
 
 use std::rc::Rc;
 
-use qrdtm_core::{Abort, Client, Cluster, DtmConfig, DtmStats, Msg, Tx};
+use qrdtm_core::{Abort, Client, Cluster, DtmConfig, DtmStats, Membership, Msg, Tx};
 use qrdtm_sim::{NodeId, Sim, SimDuration};
 
 use crate::bank::{self, BankLayout};
@@ -170,9 +170,10 @@ pub fn run(cfg: DtmConfig, spec: &RunSpec) -> RunResult {
             .into_iter()
             .find(|&n| sim.is_alive(n))
             .expect("read quorum has an alive member");
-        cluster
-            .fail_node(victim)
-            .expect("quorum survives the configured failures");
+        assert!(
+            cluster.crash(victim),
+            "quorum survives the configured failures"
+        );
     }
 
     // --- Phase 2+3: drive clients ---------------------------------------

@@ -4,16 +4,13 @@
 //! Section VI-D of the paper compares QR-DTM, HyFlow (TFA) and Decent-STM
 //! on the Bank benchmark. Each protocol used to carry its own hand-wired
 //! driver loop; with the [`DtmProtocol`] trait there is exactly one —
-//! [`run_bank`] — and thin per-protocol constructors ([`run_qr_bank`],
-//! [`run_tfa_bank`], [`run_decent_bank`]) that only assemble the cluster.
-//! Every client draws the same account/mix stream from the protocol's own
+//! [`run_bank`] — and the caller only assembles the cluster. Every client
+//! draws the same account/mix stream from the protocol's own
 //! simulator RNG, so runs stay deterministic per seed.
 
 use std::rc::Rc;
 
-use qrdtm_baselines::{DecentCluster, DecentConfig, TfaCluster, TfaConfig};
-use qrdtm_core::{atomically, Cluster, DtmConfig, DtmProtocol, ObjVal, ObjectId, SimHosted};
-use qrdtm_qstore::{QStoreCluster, QStoreConfig};
+use qrdtm_core::{atomically, DtmProtocol, ObjVal, ObjectId, SimHosted};
 use qrdtm_sim::{NodeId, SimDuration};
 
 /// Fig. 9 bank workload shape.
@@ -108,21 +105,17 @@ pub async fn random_op<P: DtmProtocol>(
 }
 
 /// Run the closed-loop bank mix on any simulator-hosted [`DtmProtocol`]
-/// cluster with `nodes` nodes: warm up, reset counters, measure for
+/// cluster, with clients on every node of its simulator: warm up, reset counters, measure for
 /// `spec.duration`. (The closed loop spawns simulator tasks and pumps
 /// virtual time, hence the [`SimHosted`] bound; the threaded backend has
 /// its own closed-loop driver in `qrdtm-par`, reusing [`transfer`] and
 /// [`audit`] which only need [`DtmProtocol`].)
-pub fn run_bank<P: SimHosted + 'static>(
-    proto: Rc<P>,
-    nodes: usize,
-    spec: &BankSpec,
-) -> BankRunResult {
+pub fn run_bank<P: SimHosted + 'static>(proto: Rc<P>, spec: &BankSpec) -> BankRunResult {
     for i in 0..spec.accounts {
         proto.preload(ObjectId(i), ObjVal::Int(1_000));
     }
     let sim = proto.sim().clone();
-    for node in 0..nodes as u32 {
+    for node in 0..sim.num_nodes() as u32 {
         for _ in 0..spec.clients_per_node {
             let p = Rc::clone(&proto);
             let spec = *spec;
@@ -149,35 +142,12 @@ pub fn run_bank<P: SimHosted + 'static>(
     }
 }
 
-/// Run the bank workload on a QR-DTM cluster (mode per `cfg`).
-pub fn run_qr_bank(cfg: DtmConfig, spec: &BankSpec) -> BankRunResult {
-    let nodes = cfg.nodes;
-    run_bank(Rc::new(Cluster::new(cfg)), nodes, spec)
-}
-
-/// Run the bank workload on a TFA (HyFlow) cluster.
-pub fn run_tfa_bank(cfg: TfaConfig, spec: &BankSpec) -> BankRunResult {
-    let nodes = cfg.nodes;
-    run_bank(Rc::new(TfaCluster::new(cfg)), nodes, spec)
-}
-
-/// Run the bank workload on a Decent-STM cluster.
-pub fn run_decent_bank(cfg: DecentConfig, spec: &BankSpec) -> BankRunResult {
-    let nodes = cfg.nodes;
-    run_bank(Rc::new(DecentCluster::new(cfg)), nodes, spec)
-}
-
-/// Run the bank workload on a Q-Store cluster — the bodies in
-/// [`transfer`]/[`audit`] run unchanged; only the cluster assembly
-/// differs.
-pub fn run_qstore_bank(cfg: QStoreConfig, spec: &BankSpec) -> BankRunResult {
-    let nodes = cfg.nodes;
-    run_bank(Rc::new(QStoreCluster::new(cfg)), nodes, spec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qrdtm_baselines::{DecentCluster, DecentConfig, TfaCluster, TfaConfig};
+    use qrdtm_core::{Cluster, DtmConfig};
+    use qrdtm_qstore::{QStoreCluster, QStoreConfig};
 
     fn quick() -> BankSpec {
         BankSpec {
@@ -191,12 +161,12 @@ mod tests {
 
     #[test]
     fn qr_bank_commits() {
-        let r = run_qr_bank(
-            DtmConfig {
+        let r = run_bank(
+            Rc::new(Cluster::new(DtmConfig {
                 nodes: 10,
                 seed: 3,
                 ..Default::default()
-            },
+            })),
             &quick(),
         );
         assert!(r.commits > 0);
@@ -205,12 +175,12 @@ mod tests {
 
     #[test]
     fn tfa_bank_commits() {
-        let r = run_tfa_bank(
-            TfaConfig {
+        let r = run_bank(
+            Rc::new(TfaCluster::new(TfaConfig {
                 nodes: 10,
                 seed: 3,
                 ..Default::default()
-            },
+            })),
             &quick(),
         );
         assert!(r.commits > 0);
@@ -219,12 +189,12 @@ mod tests {
 
     #[test]
     fn decent_bank_commits() {
-        let r = run_decent_bank(
-            DecentConfig {
+        let r = run_bank(
+            Rc::new(DecentCluster::new(DecentConfig {
                 nodes: 10,
                 seed: 3,
                 ..Default::default()
-            },
+            })),
             &quick(),
         );
         assert!(r.commits > 0);
@@ -232,14 +202,12 @@ mod tests {
 
     #[test]
     fn qstore_bank_commits() {
-        let r = run_qstore_bank(
-            QStoreConfig {
-                nodes: 10,
-                seed: 3,
-                ..Default::default()
-            },
-            &quick(),
-        );
+        let cfg = QStoreConfig {
+            nodes: 10,
+            seed: 3,
+            ..Default::default()
+        };
+        let r = run_bank(Rc::new(QStoreCluster::new(cfg)), &quick());
         assert!(r.commits > 0);
         assert!(r.throughput > 0.0);
     }
@@ -250,20 +218,20 @@ mod tests {
         // any reasonable window: unicast 5 ms RTTs against multicast
         // consensus at 30 ms RTTs.
         let spec = quick();
-        let t = run_tfa_bank(
-            TfaConfig {
+        let t = run_bank(
+            Rc::new(TfaCluster::new(TfaConfig {
                 nodes: 10,
                 seed: 5,
                 ..Default::default()
-            },
+            })),
             &spec,
         );
-        let d = run_decent_bank(
-            DecentConfig {
+        let d = run_bank(
+            Rc::new(DecentCluster::new(DecentConfig {
                 nodes: 10,
                 seed: 5,
                 ..Default::default()
-            },
+            })),
             &spec,
         );
         assert!(
@@ -279,12 +247,12 @@ mod tests {
         let spec = quick();
         for (a, b) in [
             (
-                run_tfa_bank(TfaConfig::default(), &spec),
-                run_tfa_bank(TfaConfig::default(), &spec),
+                run_bank(Rc::new(TfaCluster::new(TfaConfig::default())), &spec),
+                run_bank(Rc::new(TfaCluster::new(TfaConfig::default())), &spec),
             ),
             (
-                run_qr_bank(DtmConfig::default(), &spec),
-                run_qr_bank(DtmConfig::default(), &spec),
+                run_bank(Rc::new(Cluster::new(DtmConfig::default())), &spec),
+                run_bank(Rc::new(Cluster::new(DtmConfig::default())), &spec),
             ),
         ] {
             assert_eq!(a.commits, b.commits);

@@ -43,19 +43,29 @@ count_lines() {
         END { print total, code }')
 }
 
-# ROADMAP's "the round's net line count under crates/ must come out
-# negative" reads off this one line: both counts for the parent (HEAD when
-# the tree has uncommitted changes, HEAD~1 when it is clean; a `git archive`
-# into a temp dir, nothing built) and for this tree, with the differences.
-line_budget() {
-    local parent=HEAD~1 tmp
-    [ -z "$(git status --porcelain)" ] || parent=HEAD
+# Both counts for the tree at commit $1 (a `git archive` into a temp dir,
+# nothing built) and for this tree, with the differences, labelled "vs $2".
+budget_vs() {
+    local tmp
     tmp=$(mktemp -d)
-    git archive "$parent" crates | tar -x -C "$tmp"
-    set -- $(count_lines "$tmp") $(count_lines .)
+    git archive "$1" crates | tar -x -C "$tmp"
+    set -- "$2" $(count_lines "$tmp") $(count_lines .)
     rm -rf "$tmp"
     printf 'crates/*/src vs %s: %d → %d lines, %d → %d outside tests (Δ %+d total, Δ %+d outside tests)\n' \
-        "$parent" "$1" "$3" "$2" "$4" "$(($3 - $1))" "$(($4 - $2))"
+        "$1" "$2" "$4" "$3" "$5" "$(($4 - $2))" "$(($5 - $3))"
+}
+
+# ROADMAP's line rules read off the last two lines: this tree against its
+# parent (HEAD when the tree has uncommitted changes, HEAD~1 when it is
+# clean), then against the last `re-anchor @` commit, the round so far.
+line_budget() {
+    local parent=HEAD~1 anchor
+    [ -z "$(git status --porcelain)" ] || parent=HEAD
+    budget_vs "$parent" "$parent"
+    anchor=$(git log --grep='^re-anchor @' -1 --format=%h)
+    if [ -n "$anchor" ]; then
+        budget_vs "$anchor" "re-anchor $anchor"
+    fi
 }
 
 # The prefetch hint in sim/src/wheel.rs is the workspace's one `unsafe`

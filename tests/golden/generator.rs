@@ -23,13 +23,11 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 
 use qrdtm_baselines::{DecentCluster, DecentConfig, TfaCluster, TfaConfig};
-use qrdtm_chaos::{generate, run_plan, ChaosSpec, ChaosTarget, FaultBudget, FaultPlan};
+use qrdtm_chaos::{generate, run_plan, ChaosSpec, ChaosTarget, FaultBudget, FaultPlan, Proto};
 use qrdtm_core::{
     Cluster, DetectorConfig, DtmConfig, DurabilityConfig, InjectedBug, NestingMode, ObjectId,
 };
-use qrdtm_mc::{
-    dfs_explore, pct_explore, replay, run_schedule, ForcedPolicy, McBug, McProto, Scope, Trace,
-};
+use qrdtm_mc::{dfs_explore, pct_explore, replay, run_schedule, ForcedPolicy, McBug, Scope, Trace};
 use qrdtm_qstore::{QStoreBug, QStoreCluster, QStoreConfig};
 use qrdtm_sim::{EngineEvent, Metrics, SimDuration};
 use qrdtm_workloads::{
@@ -191,7 +189,7 @@ fn observe_bank<P: ChaosTarget + 'static>(leg: &str, proto: Rc<P>) -> Observatio
         duration: SimDuration::from_secs(2),
         clients_per_node: 1,
     };
-    let r = run_bank(Rc::clone(&proto), NODES, &spec);
+    let r = run_bank(Rc::clone(&proto), &spec);
     Observation::new(
         leg,
         vec![
@@ -251,11 +249,10 @@ fn observe_open_loop() -> Observation {
 fn observe_plan<P: ChaosTarget + 'static>(
     leg: &str,
     proto: &Rc<P>,
-    nodes: usize,
     spec: &ChaosSpec,
     plan: &FaultPlan,
 ) -> Observation {
-    let report = run_plan(Rc::clone(proto), nodes, spec, plan);
+    let report = run_plan(Rc::clone(proto), spec, plan);
     let fp = &report.fingerprint;
     let mut obs = Observation::new(
         leg,
@@ -280,13 +277,7 @@ fn observe_plan<P: ChaosTarget + 'static>(
 fn observe_chaos() -> Observation {
     let spec = ChaosSpec::smoke();
     let plan = generate(11, NODES as u32, spec.horizon, &FaultBudget::full(5));
-    observe_plan(
-        "chaos-smoke/QR-CN",
-        &qr(NestingMode::Closed),
-        NODES,
-        &spec,
-        &plan,
-    )
+    observe_plan("chaos-smoke/QR-CN", &qr(NestingMode::Closed), &spec, &plan)
 }
 
 /// Cluster size and seed of the amnesia and detector legs (the shape
@@ -328,7 +319,7 @@ fn observe_qstore_plan(
     plan: &str,
 ) -> Observation {
     let plan = FaultPlan::parse(plan).expect("golden plan parses");
-    let mut obs = observe_plan(leg, proto, CHAOS_NODES, spec, &plan);
+    let mut obs = observe_plan(leg, proto, spec, &plan);
     let (records, fsyncs) = proto.wal_totals();
     let lat = proto.fsync_latencies();
     obs.tallies.extend([
@@ -359,7 +350,6 @@ fn observe_amnesia_and_detector() -> Vec<Observation> {
         observe_plan(
             "chaos-amnesia/QR-CN",
             &chaos_qr(NestingMode::Closed, true, false),
-            CHAOS_NODES,
             &oracle,
             &FaultPlan::parse(torn_restart).expect("golden plan parses"),
         ),
@@ -373,7 +363,6 @@ fn observe_amnesia_and_detector() -> Vec<Observation> {
         observe_plan(
             "chaos-detector/QR",
             &chaos_qr(NestingMode::Flat, false, true),
-            CHAOS_NODES,
             &detector,
             &crash_heal.expect("golden plan parses"),
         ),
@@ -530,7 +519,7 @@ fn mc_explore_line(leg: &str, scope: &Scope, budget: u64) -> String {
 /// (how many same-instant events each choice point saw, and which) is the
 /// surface the mc scheduler hooks into.
 fn mc_forced_line(prefix: Vec<usize>) -> String {
-    let scope = Scope::smoke(McProto::Qr(NestingMode::Closed));
+    let scope = Scope::smoke(Proto::Qr(NestingMode::Closed));
     let leg = format!("mc/forced/qr-cn/{}", dotted(prefix.iter().copied()));
     let out = run_schedule(&scope, Box::new(ForcedPolicy::new(prefix)));
     format!(
@@ -548,13 +537,13 @@ fn mc_forced_line(prefix: Vec<usize>) -> String {
 
 /// Every model-checker leg, in file order.
 pub(crate) fn mc_lines() -> Vec<String> {
-    let flat = McProto::Qr(NestingMode::Flat);
+    let flat = Proto::Qr(NestingMode::Flat);
     let mut lines = Vec::new();
     for (label, proto) in [
         ("qr", flat),
-        ("qr-cn", McProto::Qr(NestingMode::Closed)),
-        ("qr-chk", McProto::Qr(NestingMode::Checkpoint)),
-        ("qstore", McProto::QStore),
+        ("qr-cn", Proto::Qr(NestingMode::Closed)),
+        ("qr-chk", Proto::Qr(NestingMode::Checkpoint)),
+        ("qstore", Proto::QStore),
     ] {
         let leg = format!("mc/explore/{label}");
         lines.push(mc_explore_line(&leg, &Scope::smoke(proto), 40));
@@ -573,12 +562,12 @@ pub(crate) fn mc_lines() -> Vec<String> {
         (
             "skip-tag-check",
             McBug::QStore(QStoreBug::SkipTagCheck),
-            McProto::QStore,
+            Proto::QStore,
         ),
         (
             "ack-before-fsync",
             McBug::QStore(QStoreBug::AckBeforeFsync),
-            McProto::QStore,
+            Proto::QStore,
         ),
     ] {
         let scope = Scope {

@@ -7,6 +7,9 @@
 //!   raises the epoch; `recover` brings it back in both;
 //! * `eject` is view-only — the node stays alive in the network — and
 //!   `rejoin` readmits it;
+//! * `crash` of a node the view already excludes still kills it in the
+//!   network, and `recover` of a node alive in both is a no-op; both
+//!   return `true`;
 //! * crashing node after node ends in a refusal that leaves view, network
 //!   and epoch untouched;
 //! * `durable()` says whether the nodes keep a disk, and `corrupt_tail`
@@ -32,6 +35,15 @@ fn conforms<M: Membership + SimHosted>(m: &M, durable: bool) {
     assert_eq!(alive(b), (false, true), "eject touches the view only");
     assert!(m.rejoin(b).is_some());
     assert_eq!(alive(b), (true, true), "rejoin readmits");
+
+    assert!(m.eject(b));
+    assert!(m.crash(b), "crashing an ejected node is no refusal");
+    assert_eq!(alive(b), (false, false), "crash after eject: dead in both");
+    assert!(m.recover(b));
+    let epoch = m.view_epoch();
+    assert!(m.recover(b), "recovering a live node is no refusal");
+    assert_eq!(alive(b), (true, true));
+    assert_eq!(m.view_epoch(), epoch, "recovering a live node is a no-op");
 
     let mut nodes = (0..m.node_count() as u32).map(NodeId);
     let epoch = loop {

@@ -200,7 +200,7 @@ fn back_to_back_detector_chaos_runs_do_not_accumulate() {
             detector: Some(DetectorConfig::default()),
             ..Default::default()
         }));
-        assert!(run_plan(c, NODES as usize, &spec, &plan).ok());
+        assert!(run_plan(c, &spec, &plan).ok());
     };
     run();
     let before = live_bytes();
