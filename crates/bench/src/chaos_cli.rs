@@ -468,7 +468,7 @@ fn verdict(suite: &str, mut ok: bool, names: &[&str], sums: &[u64], pass: &str) 
     }
 }
 
-/// The fixed smoke suite `scripts/check.sh` runs: two seeds across all
+/// The fixed smoke suite (golden `chaos_smoke.txt`): two seeds across all
 /// six protocols with the short spec, plus one Fig. 10 crash schedule and
 /// a crafted planner-failover plan for the batching family (crash node 0,
 /// the initial planner — the successor must replan, and the batch
@@ -500,7 +500,7 @@ fn smoke() -> i32 {
     verdict("smoke", ok, &[], &[], "all invariants held")
 }
 
-/// The detector-mode smoke suite (`scripts/check.sh` stage 2): the oracle
+/// The detector-mode smoke suite (golden `chaos_smoke_detector.txt`): the oracle
 /// is off, crashes and heals touch the simulator only, and the failure
 /// detector must notice both — crafted plans exercise true suspicion,
 /// false suspicion (an isolated-but-alive node) and gray slowness, and
@@ -567,7 +567,7 @@ fn detector_smoke() -> i32 {
     verdict("detector smoke", ok, &names, &sums, pass)
 }
 
-/// The durability smoke suite (`scripts/check.sh` stage 3): durable QR
+/// The durability smoke suite (golden `chaos_smoke_amnesia.txt`): durable QR
 /// replicas under amnesiac restarts and torn WAL tails. Crafted plans pin
 /// the interesting sequences (a tail corruption followed immediately by an
 /// amnesiac crash, and back-to-back restarts), generated durable-budget
@@ -677,7 +677,7 @@ fn overload_traffic() -> OpenLoopSpec {
     }
 }
 
-/// The overload smoke suite (`scripts/check.sh` stage 4): open-loop
+/// The overload smoke suite (golden `chaos_smoke_overload.txt`): open-loop
 /// traffic with generated surge/flash-crowd/gray plans across all six
 /// protocol families and twenty seeds — the retry-storm and goodput
 /// re-convergence (metastability) checkers are armed on every run. A

@@ -259,7 +259,7 @@ fn replay_file(path: &Path) -> i32 {
     }
 }
 
-/// The fixed smoke suite `scripts/check.sh` runs: ≥10k distinct schedules
+/// The fixed smoke suite (golden `mc_smoke.txt`): ≥10k distinct schedules
 /// across the four protocols at the 3-node/2-object/2-txn scope with zero
 /// violations, plus a checker-validation stage where deliberately broken
 /// protocol variants (one QR, two Q-Store — including a planner that acks
@@ -398,19 +398,19 @@ fn smoke() -> i32 {
             ok = false;
         }
     }
-    let secs = t0.elapsed().as_secs_f64();
     if total_distinct < 10_000 {
         eprintln!("\nmc smoke: only {total_distinct} distinct schedules (< 10000)");
         ok = false;
     }
+    eprintln!("done in {:.1}s", t0.elapsed().as_secs_f64());
     if ok {
         println!(
             "\nmc smoke: {total_distinct} distinct schedules ({total_runs} runs) across 4 \
-             protocols, zero violations, injected bugs caught ({secs:.1}s)"
+             protocols, zero violations, injected bugs caught"
         );
         0
     } else {
-        eprintln!("\nmc smoke: FAILED ({secs:.1}s)");
+        eprintln!("\nmc smoke: FAILED");
         1
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The durability unit is the *batch* (epoch): each replica appends exactly
 //! one [`BatchRecord`] per applied batch and fsyncs it immediately — the
-//! group commit the family is built around (fsyncs ≈ batches ≪
-//! transactions). One record carries the whole batch, so the disk's
+//! group commit the family is built around (of attempts: a batch commits
+//! only ≈ 1.2 transactions on `qstore_hot`). One record holds the batch, so
 //! torn-tail semantics give batch atomicity for free: a tear truncates at a
 //! record boundary, and replay resurrects an epoch completely or not at all.
 //!

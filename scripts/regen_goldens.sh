@@ -1,0 +1,15 @@
+#!/usr/bin/env bash
+# Regenerate every golden `cargo test` compares (tests/golden/digests.txt and
+# tests/golden/repro/) from release binaries, for a change meant to alter an
+# output; review the diff. A surface that exits non-zero stops the script.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+repro() { cargo run --quiet --release --offline -p qrdtm-bench -- "$@"; }
+cargo run --quiet --release --offline --example golden_digests >tests/golden/digests.txt
+out=tests/golden/repro
+for surface in "chaos --smoke" "chaos --smoke --detector" "chaos --smoke --amnesia" \
+    "chaos --smoke --overload" "mc --smoke"; do
+    repro $surface >"$out/${surface// --/_}.txt"
+done
+rm -rf $out/all_quick
+repro all --quick --out $out/all_quick >$out/all_quick.txt
