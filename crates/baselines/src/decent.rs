@@ -19,7 +19,7 @@
 //!
 //! Staleness: a snapshot read may return an old version; writers then fail
 //! consensus and retry, which is the "higher overhead of the snapshot
-//! algorithm" the paper observed. See DESIGN.md for the substitution notes.
+//! algorithm" the paper observed. See DESIGN.md "Substitutions".
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};

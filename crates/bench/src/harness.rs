@@ -87,19 +87,6 @@ where
         .collect()
 }
 
-/// The paper-testbed cluster configuration for a mode (40 nodes, ~30 ms
-/// RTT).
-pub fn paper_cfg(mode: NestingMode) -> DtmConfig {
-    DtmConfig {
-        nodes: 40,
-        mode,
-        read_level: 1,
-        seed: SEED,
-        latency: LatencySpec::Jittered(SimDuration::from_millis(15), 0.1),
-        ..Default::default()
-    }
-}
-
 /// Default workload shape for a benchmark (the fixed axes of each sweep).
 pub fn default_params(bench: Benchmark) -> WorkloadParams {
     let objects = match bench {
@@ -238,7 +225,7 @@ fn mode_sweep(
         |&bench, &x, &mode| {
             let mut spec = base_spec(bench, quick);
             set(&mut spec.params, x);
-            run(paper_cfg(mode), &spec).throughput
+            run(DtmConfig::paper_testbed(mode, SEED), &spec).throughput
         },
     )
 }
@@ -295,7 +282,10 @@ pub struct Table8Row {
 pub fn table8(quick: bool) -> Vec<Table8Row> {
     let benches = Benchmark::FIGURE_SET;
     let cells = grid(&benches, &[()], &MODES, |&bench, (), &mode| {
-        run(paper_cfg(mode), &base_spec(bench, quick))
+        run(
+            DtmConfig::paper_testbed(mode, SEED),
+            &base_spec(bench, quick),
+        )
     });
     let msgs_per_commit = |r: &RunResult| r.messages as f64 / r.commits.max(1) as f64;
     let abort_rate = |r: &RunResult| r.stats.abort_rate();
@@ -341,7 +331,7 @@ pub fn fig9(quick: bool) -> Figure {
         ("QR-DTM", |nodes, spec| {
             let cfg = DtmConfig {
                 nodes,
-                ..paper_cfg(NestingMode::Flat)
+                ..DtmConfig::paper_testbed(NestingMode::Flat, SEED)
             };
             run_bank(Rc::new(Cluster::new(cfg)), spec)
         }),
@@ -413,7 +403,7 @@ pub fn fig10(quick: bool) -> Figure {
                 // quorum is a genuine hot spot; spreading it is what
                 // produces the initial throughput rise of Fig. 10.
                 service_time: SimDuration::from_millis(2),
-                ..paper_cfg(NestingMode::Closed)
+                ..DtmConfig::paper_testbed(NestingMode::Closed, SEED)
             };
             let spec = RunSpec {
                 bench,
@@ -469,7 +459,7 @@ pub fn ablations(quick: bool) -> Vec<Figure> {
             &[(1.0, true), (0.0, false)].map(|(x, rqv)| {
                 let cfg = DtmConfig {
                     rqv,
-                    ..paper_cfg(NestingMode::Closed)
+                    ..DtmConfig::paper_testbed(NestingMode::Closed, SEED)
                 };
                 (x, cfg)
             }),
@@ -484,7 +474,7 @@ pub fn ablations(quick: bool) -> Vec<Figure> {
             &[1usize, 2, 4, 8].map(|chk_threshold| {
                 let cfg = DtmConfig {
                     chk_threshold,
-                    ..paper_cfg(NestingMode::Checkpoint)
+                    ..DtmConfig::paper_testbed(NestingMode::Checkpoint, SEED)
                 };
                 (chk_threshold as f64, cfg)
             }),
@@ -499,7 +489,7 @@ pub fn ablations(quick: bool) -> Vec<Figure> {
             &[0usize, 1, 2].map(|read_level| {
                 let cfg = DtmConfig {
                     read_level,
-                    ..paper_cfg(NestingMode::Closed)
+                    ..DtmConfig::paper_testbed(NestingMode::Closed, SEED)
                 };
                 (read_level as f64, cfg)
             }),
@@ -514,7 +504,7 @@ pub fn ablations(quick: bool) -> Vec<Figure> {
             &[0u32, 1, 4, 16].map(|base| {
                 let cfg = DtmConfig {
                     backoff_base: ms(u64::from(base)),
-                    ..paper_cfg(NestingMode::Flat)
+                    ..DtmConfig::paper_testbed(NestingMode::Flat, SEED)
                 };
                 (f64::from(base), cfg)
             }),
@@ -537,7 +527,7 @@ pub fn ablations(quick: bool) -> Vec<Figure> {
             .map(|(x, latency)| {
                 let cfg = DtmConfig {
                     latency,
-                    ..paper_cfg(NestingMode::Closed)
+                    ..DtmConfig::paper_testbed(NestingMode::Closed, SEED)
                 };
                 (x, cfg)
             }),
@@ -582,12 +572,5 @@ mod tests {
         assert_eq!(grid(&[1, 2], &[], &[1], never), vec![no_xs; 2]);
         let no_series: Vec<u8> = Vec::new();
         assert_eq!(grid(&[1], &[1, 2], &[], never), vec![vec![no_series; 2]]);
-    }
-
-    #[test]
-    fn paper_cfg_matches_testbed() {
-        let cfg = paper_cfg(NestingMode::Closed);
-        assert_eq!(cfg.nodes, 40);
-        assert_eq!(cfg.read_level, 1);
     }
 }

@@ -844,6 +844,13 @@ mod tests {
     }
 
     #[test]
+    fn paper_testbed_is_forty_nodes_at_read_level_one() {
+        let cfg = DtmConfig::paper_testbed(NestingMode::Closed, 42);
+        assert_eq!(cfg.nodes, 40);
+        assert_eq!(cfg.read_level, 1);
+    }
+
+    #[test]
     fn preload_reaches_every_replica() {
         let c = Cluster::new(DtmConfig::default());
         c.preload(ObjectId(5), ObjVal::Int(99));

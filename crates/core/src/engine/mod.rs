@@ -31,7 +31,8 @@
 //!   checkpoint is a mark, not a copy), the operation log is truncated
 //!   likewise, and the body is re-executed with logged results replayed
 //!   (our deterministic-replay substitute for the paper's Java
-//!   continuations — identical message behaviour, see DESIGN.md).
+//!   continuations — identical message behaviour, see DESIGN.md
+//!   "Substitutions").
 //!
 //! At each layer boundary the engine emits structured
 //! [`EngineEventKind`] events into the simulator's metrics sink:

@@ -5,7 +5,7 @@
 //! fixup — the writes it spreads along the root path are exactly what gives
 //! RBTree its contention profile in the paper. Removal uses tombstones
 //! (`val = TOMBSTONE`) rather than structural deletion; the read/write-set
-//! shapes the benchmark measures are unchanged (see DESIGN.md).
+//! shapes the benchmark measures are unchanged (see DESIGN.md "Substitutions").
 
 use qrdtm_core::{Abort, ObjVal, ObjectId, TreeNode, Tx};
 

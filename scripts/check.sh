@@ -88,15 +88,18 @@ stage "cargo build --workspace --release" \
 stage "cargo build benchmark package (public-API drift)" \
     cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
 
-# Root tests/*.rs are separate binaries of the root package and ride along,
-# including the two linear-work gates, each its own binary for the counting
-# allocator of tests/support/counting_alloc.rs: tests/qstore_linear_work.rs
-# (bytes per commit, < 1 s) and tests/chk_linear_work.rs (allocation calls
-# per data-set object, per remote read and per closed-nested scope, < 1 s). crates/sim/tests/backlog.rs rides here too: a node backlog four
-# wheel horizons deep must cause no overflow promotions (< 1 s); and so does
-# crates/sim/tests/page_density.rs: at the paper testbed's traffic, at most
-# one bucket drain per four events (< 1 s). So do the golden digests and
-# crates/bench/tests/golden_surfaces.rs (every `repro` smoke and figure).
+# Besides the unit and integration suites, this stage runs these gates:
+# - tests/golden_digests.rs and crates/bench/tests/golden_surfaces.rs:
+#   every seeded leg, `repro` smoke and figure against tests/golden/;
+# - tests/qstore_linear_work.rs: Q-Store bytes per commit (< 1 s);
+# - tests/chk_linear_work.rs: allocation calls per data-set object, remote
+#   read and closed-nested scope (< 1 s);
+# - crates/sim/tests/backlog.rs: a backlog four wheel horizons deep causes
+#   no overflow promotions (< 1 s);
+# - crates/sim/tests/page_density.rs: at most one bucket drain per four
+#   events at the paper testbed's traffic (< 1 s);
+# - tests/doc_limits.rs: DESIGN.md within 40 000 bytes, citing no PR and
+#   listing every crate; each CHANGES.md entry within 1 200 characters.
 stage "cargo test --workspace" \
     cargo test --quiet --workspace
 
