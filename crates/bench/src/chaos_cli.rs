@@ -69,22 +69,16 @@ impl Scenario {
                 run_plan(cl, spec, plan)
             }
             Proto::QStore => {
-                let mut cfg = QStoreConfig {
+                // Durable replicas append+fsync one batch record per epoch
+                // to the simulated disk; crash-amnesia and corrupt-tail
+                // faults become applicable. The heartbeat detector needs
+                // no switch: detector mode starts it on any Q-Store.
+                let cfg = QStoreConfig {
                     nodes,
                     seed,
+                    durability: self.durable.then(DurabilityConfig::default),
                     ..Default::default()
                 };
-                if spec.detector {
-                    // Oracle off: the heartbeat detector ejects a silent
-                    // planner and drives the successor's fenced takeover.
-                    cfg.detector = Some(DetectorConfig::default());
-                }
-                if self.durable {
-                    // Replicas append+fsync one batch record per epoch to
-                    // the simulated disk; crash-amnesia and corrupt-tail
-                    // faults become applicable.
-                    cfg.durability = Some(DurabilityConfig::default());
-                }
                 run_plan(Rc::new(QStoreCluster::new(cfg)), spec, plan)
             }
         }

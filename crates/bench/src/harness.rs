@@ -372,7 +372,6 @@ pub fn fig9(quick: bool) -> Figure {
                 read_pct,
                 warmup,
                 duration,
-                clients_per_node: 1,
             };
             bank(nodes as usize, &spec).throughput
         },

@@ -16,6 +16,8 @@ use std::fmt;
 
 use qrdtm_sim::{EngineEvent, EngineEventKind, SimDuration};
 
+use crate::FaultKind;
+
 /// One invariant violation found by the checkers.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ChaosViolation {
@@ -236,15 +238,9 @@ pub fn check_liveness(
 /// required to notice a fault that was gone before its window elapsed.
 ///
 /// `events` is the recorded engine-event log; fault codes follow
-/// [`FaultKind::code`](crate::FaultKind::code) (crash = 1, read-quorum
-/// crash = 3, recover = 2, heal-all = 0).
+/// [`FaultKind::code`], plus [`FaultKind::HEAL_ALL`].
 pub fn check_detection_latency(events: &[EngineEvent], bound: SimDuration) -> Vec<ChaosViolation> {
-    const CRASH: u64 = 1;
-    const RECOVER: u64 = 2;
-    const CRASH_READ_QUORUM: u64 = 3;
-    const PARTITION: u64 = 4;
-    const HEAL_PARTITION: u64 = 5;
-    const HEAL_ALL: u64 = 0;
+    use FaultKind as F;
     // Partition intervals confound the bound: while the network is split
     // the detector may be *unable* to eject the crash victim (ejection
     // refuses to destroy the quorums once the partition has cost other
@@ -256,8 +252,8 @@ pub fn check_detection_latency(events: &[EngineEvent], bound: SimDuration) -> Ve
             continue;
         }
         match ev.detail {
-            PARTITION => open = open.or(Some(ev.at_ns)),
-            HEAL_PARTITION | HEAL_ALL => {
+            F::PARTITION => open = open.or(Some(ev.at_ns)),
+            F::HEAL | F::HEAL_ALL => {
                 if let Some(s) = open.take() {
                     partitions.push((s, ev.at_ns));
                 }
@@ -271,7 +267,7 @@ pub fn check_detection_latency(events: &[EngineEvent], bound: SimDuration) -> Ve
     let mut out = Vec::new();
     for (i, ev) in events.iter().enumerate() {
         if ev.kind != EngineEventKind::FaultInjected
-            || (ev.detail != CRASH && ev.detail != CRASH_READ_QUORUM)
+            || (ev.detail != F::CRASH && ev.detail != F::CRASH_READ_QUORUM)
         {
             continue;
         }
@@ -306,8 +302,8 @@ pub fn check_detection_latency(events: &[EngineEvent], bound: SimDuration) -> Ve
             }
             match later.kind {
                 EngineEventKind::FaultInjected
-                    if (later.detail == RECOVER && later.node == ev.node)
-                        || later.detail == HEAL_ALL =>
+                    if (later.detail == F::RECOVER && later.node == ev.node)
+                        || later.detail == F::HEAL_ALL =>
                 {
                     cured = true;
                     break;

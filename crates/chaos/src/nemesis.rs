@@ -64,7 +64,8 @@ pub struct ChaosSpec {
     /// simulator only, the target's failure detector must notice on its
     /// own, and extra checkers assert bounded detection latency and
     /// post-heal membership convergence. Requires a detector-capable
-    /// target (a QR cluster built with `DtmConfig::detector` set).
+    /// target (any Q-Store, or a QR cluster built with `DtmConfig::detector`
+    /// set).
     pub detector: bool,
     /// Overload mode: replace the closed-loop clients with the open-loop
     /// traffic generator (arrivals independent of completion), making the
@@ -701,7 +702,11 @@ fn heal_all<P: ChaosTarget>(
     st.flashed = false;
     let now_us = s.now().as_nanos() / 1_000;
     st.log.push(format!("@{now_us}us heal-all"));
-    s.emit_engine_event(EngineEventKind::FaultInjected, NodeId(0), 0);
+    s.emit_engine_event(
+        EngineEventKind::FaultInjected,
+        NodeId(0),
+        FaultKind::HEAL_ALL,
+    );
 }
 
 #[cfg(test)]

@@ -113,16 +113,30 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
+    /// Code of the nemesis's end-of-run heal-all backstop, which is no plan
+    /// verb but emits a `FaultInjected` event like one.
+    pub const HEAL_ALL: u64 = 0;
+    /// [`FaultKind::code`] of `crash`.
+    pub const CRASH: u64 = 1;
+    /// [`FaultKind::code`] of `recover`.
+    pub const RECOVER: u64 = 2;
+    /// [`FaultKind::code`] of `crash-rq`.
+    pub const CRASH_READ_QUORUM: u64 = 3;
+    /// [`FaultKind::code`] of `partition`.
+    pub const PARTITION: u64 = 4;
+    /// [`FaultKind::code`] of `heal`.
+    pub const HEAL: u64 = 5;
+
     /// Stable numeric code for this fault kind, carried as the `detail` of
     /// the `FaultInjected` engine event so fault timing is greppable in
     /// any recorded trace.
     pub fn code(&self) -> u64 {
         match self {
-            FaultKind::Crash { .. } => 1,
-            FaultKind::Recover { .. } => 2,
-            FaultKind::CrashReadQuorum => 3,
-            FaultKind::Partition { .. } => 4,
-            FaultKind::Heal => 5,
+            FaultKind::Crash { .. } => Self::CRASH,
+            FaultKind::Recover { .. } => Self::RECOVER,
+            FaultKind::CrashReadQuorum => Self::CRASH_READ_QUORUM,
+            FaultKind::Partition { .. } => Self::PARTITION,
+            FaultKind::Heal => Self::HEAL,
             FaultKind::DropLink { .. } => 6,
             FaultKind::Delay { .. } => 7,
             FaultKind::HealLink { .. } => 8,

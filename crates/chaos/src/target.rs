@@ -39,7 +39,8 @@ pub trait ChaosTarget: SimHosted {
         None
     }
 
-    /// Start the target's failure detector, if it has one configured.
+    /// Start the target's failure detector, if it has one (the QR family
+    /// only with `DtmConfig::detector` set).
     fn start_detector(self: Rc<Self>) -> Option<DetectorHandle> {
         None
     }
@@ -127,7 +128,8 @@ impl ChaosTarget for Cluster {
     }
 
     fn start_detector(self: Rc<Self>) -> Option<DetectorHandle> {
-        self.config().detector.map(|_| spawn_detector(&self))
+        let sim = self.sim().clone();
+        self.config().detector.map(|_| spawn_detector(self, sim))
     }
 
     fn detection_bound(&self) -> Option<SimDuration> {
@@ -173,15 +175,12 @@ impl ChaosTarget for QStoreCluster {
     }
 
     fn start_detector(self: Rc<Self>) -> Option<DetectorHandle> {
-        self.config()
-            .detector
-            .map(|_| QStoreCluster::start_detector(&self))
+        let sim = self.sim().clone();
+        Some(spawn_detector(self, sim))
     }
 
     fn detection_bound(&self) -> Option<SimDuration> {
-        self.config()
-            .detector
-            .map(|_| DetectorConfig::detection_bound(self.config().transfer_cost))
+        Some(DetectorConfig::detection_bound(self.config().transfer_cost))
     }
 
     fn begin_history(&self) {

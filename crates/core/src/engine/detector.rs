@@ -21,7 +21,7 @@
 //!
 //! 1. builds the **freshness graph** over view-alive nodes — an edge means
 //!    both endpoints heard each other within the suspicion window
-//!    (`interval × suspect_after`);
+//!    ([`SUSPECT_WINDOW`], four heartbeat intervals);
 //! 2. keeps the largest connected component (ties to the one containing
 //!    the lowest id) as the *reference partition* — under a network
 //!    partition this is the majority side, exactly the side that should
@@ -45,16 +45,15 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use qrdtm_sim::{
-    Counter, EngineEventKind, HeartbeatConfig, NodeId, Sim, SimDuration, SimMessage, SimTime,
+    Counter, EngineEventKind, NodeId, Sim, SimDuration, SimMessage, SimTime, HEARTBEAT_INTERVAL,
+    SUSPECT_WINDOW,
 };
-
-use crate::cluster::Cluster;
 
 /// Arms the failure detector and the transport robustness that rides
 /// along with it (see [`DtmConfig::detector`](crate::DtmConfig::detector)).
-/// Heartbeat period, jitter and suspicion threshold are
-/// [`HeartbeatConfig::default`]'s: every 50 ms ± 20 %, suspected after four
-/// silent intervals.
+/// Heartbeats go out every [`HEARTBEAT_INTERVAL`] (50 ms ± 20 %), and a
+/// node is suspected after a [`SUSPECT_WINDOW`] of silence (four
+/// intervals).
 #[derive(Clone, Copy, Debug)]
 pub struct DetectorConfig {
     /// Transport: send read rounds to `read_q + hedge` destinations and
@@ -84,17 +83,16 @@ impl DetectorConfig {
     /// deliberately does not suspect a joiner whose heartbeats queue behind
     /// the state transfer it was just charged.
     pub fn detection_bound(transfer_cost: SimDuration) -> SimDuration {
-        let hb = HeartbeatConfig::default();
-        hb.suspect_window() * 2 + hb.interval * 4 + transfer_cost
+        SUSPECT_WINDOW * 2 + HEARTBEAT_INTERVAL * 4 + transfer_cost
     }
 }
 
 /// The reconfigurable membership view of a fault-tolerant family — the
 /// paper's Cluster Manager (Fig. 4) — and the one door through which the
 /// detector, the nemesis and the tests crash, recover, forget and corrupt
-/// its nodes. The QR family's quorum view ([`Cluster`]) and the Q-Store
-/// planner view both implement it, so one detector serves every family
-/// over its own wire type.
+/// its nodes. The QR family's quorum view ([`Cluster`](crate::Cluster))
+/// and the Q-Store planner view both implement it, so one detector serves
+/// every family over its own wire type.
 pub trait Membership {
     /// Number of nodes the view ranges over (ids `0..node_count`).
     fn node_count(&self) -> usize;
@@ -182,30 +180,19 @@ impl DetectorHandle {
     }
 }
 
-/// Start the heartbeat layer and the detector task for `cluster`, per
-/// [`DtmConfig::detector`](crate::DtmConfig::detector) (which must be set).
+/// Start the heartbeat layer and the detector task for any [`Membership`]
+/// view hosted on `sim`, whatever its wire type. The task holds the view
+/// weakly — it usually owns `sim` — and ends once the view is dropped.
 ///
-/// From this point on the cluster self-heals: no oracle calls to
+/// From this point on the view self-heals: no oracle calls to
 /// [`Membership::crash`] / [`Membership::recover`] are needed — kill or
-/// heal nodes in the simulator and the view follows within a bounded
-/// number of heartbeat intervals.
-pub fn spawn_detector(cluster: &Rc<Cluster>) -> DetectorHandle {
-    assert!(
-        cluster.config().detector.is_some(),
-        "spawn_detector requires DtmConfig::detector"
-    );
-    spawn_detector_on(Rc::clone(cluster), cluster.sim().clone())
-}
-
-/// [`spawn_detector`] for any [`Membership`] view hosted on `sim`,
-/// whatever its wire type. The task holds the view weakly — it usually
-/// owns `sim` — and ends once the view is dropped.
-pub fn spawn_detector_on<M: SimMessage, V: Membership + 'static>(
+/// heal nodes in the simulator and the view follows within
+/// [`DetectorConfig::detection_bound`].
+pub fn spawn_detector<M: SimMessage, V: Membership + 'static>(
     view: Rc<V>,
     sim: Sim<M>,
 ) -> DetectorHandle {
-    let hb = HeartbeatConfig::default();
-    sim.start_heartbeats(hb);
+    sim.start_heartbeats();
     let stop = Rc::new(Cell::new(false));
     let handle = DetectorHandle {
         stop: Rc::clone(&stop),
@@ -218,9 +205,9 @@ pub fn spawn_detector_on<M: SimMessage, V: Membership + 'static>(
     let view = Rc::downgrade(&view);
     sim.clone().spawn(async move {
         loop {
-            sim.sleep(hb.interval).await;
+            sim.sleep(HEARTBEAT_INTERVAL).await;
             match view.upgrade() {
-                Some(view) if !stop.get() => tick(&*view, &sim, hb.suspect_window(), &mut st),
+                Some(view) if !stop.get() => tick(&*view, &sim, &mut st),
                 _ => return,
             }
         }
@@ -253,16 +240,11 @@ impl DetectorState {
 }
 
 /// One detector evaluation over the current observation matrix.
-fn tick<M: SimMessage>(
-    cluster: &impl Membership,
-    sim: &Sim<M>,
-    window: SimDuration,
-    st: &mut DetectorState,
-) {
+fn tick<M: SimMessage>(cluster: &impl Membership, sim: &Sim<M>, st: &mut DetectorState) {
     let nodes = cluster.node_count();
     let now = sim.now();
     let fresh = |observer: NodeId, sender: NodeId| {
-        now.saturating_since(sim.last_heartbeat(observer, sender)) <= window
+        now.saturating_since(sim.last_heartbeat(observer, sender)) <= SUSPECT_WINDOW
     };
     let trusted: Vec<NodeId> = (0..nodes as u32)
         .map(NodeId)
@@ -312,9 +294,9 @@ fn tick<M: SimMessage>(
         // Strictly newer than the window also implies newer than the
         // heartbeat start (last_hb seeds at start time), so a node that
         // never beat is not rejoined by the seed value.
-        if heard > st.suspected_at[v.index()] && now.saturating_since(heard) <= window {
+        if heard > st.suspected_at[v.index()] && now.saturating_since(heard) <= SUSPECT_WINDOW {
             if let Some(transfer) = cluster.rejoin(v) {
-                st.grace_until[v.index()] = now + transfer + window;
+                st.grace_until[v.index()] = now + transfer + SUSPECT_WINDOW;
                 sim.bump(Counter::Rejoins);
                 sim.emit_engine_event(EngineEventKind::NodeRejoined, v, cluster.view_epoch());
             }

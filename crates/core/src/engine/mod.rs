@@ -48,8 +48,7 @@ mod transport;
 pub(crate) mod wal;
 
 pub use detector::{
-    crash_sim_only, recover_sim_only, spawn_detector, spawn_detector_on, DetectorConfig,
-    DetectorHandle, Membership,
+    crash_sim_only, recover_sim_only, spawn_detector, DetectorConfig, DetectorHandle, Membership,
 };
 pub use wal::{DurabilityConfig, Replay, Wal};
 

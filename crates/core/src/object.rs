@@ -112,8 +112,6 @@ pub enum ObjVal {
     Table(Arc<[TableRow]>),
     /// A pointer cell (tree root, list head).
     Ptr(Option<ObjectId>),
-    /// A directory of object ids (index structures).
-    Dir(Arc<[ObjectId]>),
 }
 
 const _: fn() = || {
@@ -132,7 +130,6 @@ impl ObjVal {
             ObjVal::SkipNode(s) => 24 + 9 * s.nexts.len(),
             ObjVal::Table(t) => 8 + 32 * t.len(),
             ObjVal::Ptr(_) => 9,
-            ObjVal::Dir(d) => 8 + 8 * d.len(),
         }
     }
 
@@ -274,7 +271,6 @@ mod tests {
             (ObjVal::SkipNode(skip), 96),
             (ObjVal::Table(vec![row; 4].into()), 136),
             (ObjVal::Ptr(Some(ObjectId(3))), 9),
-            (ObjVal::Dir(vec![ObjectId(1); 3].into()), 32),
         ];
         for (val, bytes) in sizes {
             assert_eq!(val.approx_size(), bytes, "{val:?}");

@@ -74,7 +74,7 @@ fn crash_is_detected_and_heal_rejoins_without_oracle() {
     let cluster = Rc::new(Cluster::new(detector_cfg(7)));
     bank_accounts(&cluster, 8);
     cluster.enable_history();
-    let det = spawn_detector(&cluster);
+    let det = spawn_detector(Rc::clone(&cluster), cluster.sim().clone());
     let sim = cluster.sim().clone();
     spawn_bank_clients(&cluster, 8, SimDuration::from_secs(3));
 
@@ -113,7 +113,7 @@ fn false_suspicion_is_survivable_and_serializable() {
     let cluster = Rc::new(Cluster::new(detector_cfg(11)));
     bank_accounts(&cluster, 8);
     cluster.enable_history();
-    let det = spawn_detector(&cluster);
+    let det = spawn_detector(Rc::clone(&cluster), cluster.sim().clone());
     let sim = cluster.sim().clone();
     spawn_bank_clients(&cluster, 8, SimDuration::from_secs(3));
 
@@ -212,7 +212,7 @@ fn slow_node_under_surge_is_not_falsely_ejected() {
     let nodes = cfg.nodes;
     let cluster = Rc::new(Cluster::new(cfg));
     bank_accounts(&cluster, 16);
-    let det = spawn_detector(&cluster);
+    let det = spawn_detector(Rc::clone(&cluster), cluster.sim().clone());
     let sim = cluster.sim().clone();
 
     let spec = OpenLoopSpec {
@@ -274,7 +274,7 @@ fn detector_runs_are_deterministic_per_seed() {
     fn trace(seed: u64) -> (u64, u64, u64, u64, u64) {
         let cluster = Rc::new(Cluster::new(detector_cfg(seed)));
         bank_accounts(&cluster, 8);
-        let det = spawn_detector(&cluster);
+        let det = spawn_detector(Rc::clone(&cluster), cluster.sim().clone());
         let sim = cluster.sim().clone();
         spawn_bank_clients(&cluster, 8, SimDuration::from_secs(2));
         let victim = cluster.read_quorum()[0];

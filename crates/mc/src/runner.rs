@@ -414,7 +414,6 @@ fn run_qstore_schedule(scope: &Scope, policy: Box<dyn ChoicePolicy>) -> RunOutco
         // Real per-replica batch WALs, so the planner-crash step below is
         // an honest amnesiac restart and the durability checker bites.
         durability: Some(qrdtm_core::DurabilityConfig::default()),
-        detector: None,
         injected_bug: match scope.injected_bug {
             Some(McBug::QStore(b)) => Some(b),
             _ => None,

@@ -24,10 +24,11 @@
 //! amnesiac restart replays the fsynced prefix, then repairs the rest
 //! from the quorum-acknowledged epoch frontier. Membership is driven
 //! either by the oracle (tests and the nemesis call [`Membership::crash`]
-//! & co. directly) or, with [`QStoreConfig::detector`], by the same
-//! heartbeat failure detector the QR family uses — a silent planner is
-//! suspected, ejected, and failed over
-//! ([`QStoreCluster::start_detector`]). The planner is sticky; when it
+//! & co. directly) or by the same heartbeat failure detector the QR family
+//! uses ([`qrdtm_core::spawn_detector`] over this cluster's view) — a
+//! silent planner is suspected, ejected (which triggers the fenced
+//! takeover), and failed over; an amnesiac joiner's charged replay+repair
+//! cost extends its grace window. The planner is sticky; when it
 //! dies, the lowest alive node pulls applied high-water marks from enough
 //! replicas to see every acknowledged batch, adopts the longest prefix
 //! (charged state transfer), re-replicates it to a majority, and replans
@@ -42,9 +43,8 @@ use std::rc::Rc;
 
 use qrdtm_core::history::{verify, Violation};
 use qrdtm_core::{
-    spawn_detector_on, Abort, DetectorConfig, DetectorHandle, DtmProtocol, DurabilityConfig,
-    HistoryRecorder, LatencySpec, Membership, ObjVal, ObjectId, Payload, ProtocolStats, SimHosted,
-    TxId, Version, Wal,
+    Abort, DtmProtocol, DurabilityConfig, HistoryRecorder, LatencySpec, Membership, ObjVal,
+    ObjectId, Payload, ProtocolStats, SimHosted, TxId, Version, Wal,
 };
 use qrdtm_sim::{NodeId, Sim, SimConfig, SimDuration};
 
@@ -107,10 +107,6 @@ pub struct QStoreConfig {
     /// enabling crash-restart-with-amnesia. `None` = cost-modelled mode
     /// (a crash is a pause; memory survives).
     pub durability: Option<DurabilityConfig>,
-    /// Heartbeat failure detection: when set,
-    /// [`QStoreCluster::start_detector`] drives the membership view (and
-    /// planner failover) from missed heartbeats instead of the oracle.
-    pub detector: Option<DetectorConfig>,
     /// Injected protocol bug (mc validation only).
     pub injected_bug: Option<QStoreBug>,
 }
@@ -131,7 +127,6 @@ impl Default for QStoreConfig {
             wal_cost: SimDuration::from_micros(300),
             transfer_cost: SimDuration::from_millis(3),
             durability: None,
-            detector: None,
             injected_bug: None,
         }
     }
@@ -355,22 +350,6 @@ impl QStoreCluster {
             catch_up(sh, sim, planner_idx, idx).await;
         });
         cost
-    }
-
-    /// Start the heartbeat failure detector (requires
-    /// [`QStoreConfig::detector`]). The QR family's detector, driving this
-    /// cluster's view through [`Membership`]: one task reads the
-    /// observation matrix, keeps the largest bidirectionally-fresh
-    /// component, ejects outsiders (planner ejection triggers the fenced
-    /// takeover) and rejoins nodes that are heard again — an amnesiac
-    /// joiner's charged replay+repair cost extends its grace window.
-    /// Returns a handle whose `stop()` halts detection.
-    pub fn start_detector(self: &Rc<Self>) -> DetectorHandle {
-        assert!(
-            self.config().detector.is_some(),
-            "start_detector requires QStoreConfig::detector"
-        );
-        spawn_detector_on(Rc::clone(self), self.sim.clone())
     }
 
     /// Every group-commit fsync latency sampled across all replica disks,
@@ -685,7 +664,9 @@ impl SimHosted for QStoreCluster {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use qrdtm_core::{atomically, crash_sim_only, recover_sim_only};
+    use qrdtm_core::{
+        atomically, crash_sim_only, recover_sim_only, spawn_detector, DetectorConfig,
+    };
 
     const ACCOUNTS: u64 = 8;
     const INITIAL: i64 = 100;
@@ -1035,10 +1016,9 @@ mod tests {
         let c = cluster_with(QStoreConfig {
             seed: 57,
             durability: Some(DurabilityConfig::default()),
-            detector: Some(DetectorConfig::default()),
             ..Default::default()
         });
-        let handle = c.start_detector();
+        let handle = spawn_detector(Rc::clone(&c), c.sim().clone());
         let bound = DetectorConfig::detection_bound(c.config().transfer_cost);
         let c2 = Rc::clone(&c);
         c.sim().spawn(async move {

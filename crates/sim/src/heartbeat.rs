@@ -1,6 +1,6 @@
-//! The simulator-level heartbeat layer: configuration, start/stop and the
-//! observers' last-heard matrix (tick and arrival events are dispatched by
-//! the event loop in `sim.rs`).
+//! The simulator-level heartbeat layer: timing constants, start/stop and
+//! the observers' last-heard matrix (tick and arrival events are dispatched
+//! by the event loop in `sim.rs`).
 
 use rand::RngExt;
 
@@ -8,8 +8,7 @@ use crate::sim::{EventKind, Sim, SimMessage};
 use crate::time::{SimDuration, SimTime};
 use crate::NodeId;
 
-/// Configuration of the simulator-level heartbeat layer (see
-/// [`Sim::start_heartbeats`]).
+/// Nominal interval between a node's heartbeats.
 ///
 /// Heartbeats are plain simulator events, not protocol messages: they cross
 /// the same latency model, partitions and link faults as real traffic, and
@@ -17,63 +16,40 @@ use crate::NodeId;
 /// drowning in requests — or slowed by a gray failure — heartbeats late),
 /// but they never occupy the receiver's service queue, so enabling them
 /// does not perturb protocol message timing.
-#[derive(Clone, Copy, Debug)]
-pub struct HeartbeatConfig {
-    /// Nominal interval between a node's heartbeats.
-    pub interval: SimDuration,
-    /// Per-beat jitter fraction: each gap is `interval * (1 ± jitter)`,
-    /// drawn from the simulation RNG (keeps nodes de-synchronized while
-    /// staying fully deterministic per seed).
-    pub jitter: f64,
-    /// A node is suspectable once no heartbeat from it was observed for
-    /// `interval * suspect_after` (the *suspicion window* — also used to
-    /// resolve timeout-less calls to dead nodes, see [`Sim::call`]).
-    pub suspect_after: u32,
-}
+pub const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_millis(50);
 
-impl Default for HeartbeatConfig {
-    fn default() -> Self {
-        HeartbeatConfig {
-            interval: SimDuration::from_millis(50),
-            jitter: 0.2,
-            suspect_after: 4,
-        }
-    }
-}
+/// Per-beat jitter fraction: each gap is `interval * (1 ± jitter)`, drawn
+/// from the simulation RNG (keeps nodes de-synchronized while staying fully
+/// deterministic per seed).
+pub(crate) const HEARTBEAT_JITTER: f64 = 0.2;
 
-impl HeartbeatConfig {
-    /// The suspicion window: `interval * suspect_after`.
-    pub fn suspect_window(&self) -> SimDuration {
-        SimDuration::from_nanos(self.interval.as_nanos() * u64::from(self.suspect_after))
-    }
-}
+/// The suspicion window, four heartbeat intervals: a node is suspectable
+/// once no heartbeat from it was observed for this long (also used to
+/// resolve timeout-less calls to dead nodes, see [`Sim::call`]).
+pub const SUSPECT_WINDOW: SimDuration = SimDuration::from_nanos(HEARTBEAT_INTERVAL.as_nanos() * 4);
 
 impl<M: SimMessage> Sim<M> {
     /// Start the heartbeat layer: every node emits periodic heartbeats to
     /// every other node, with seeded per-beat jitter, delivered through the
-    /// regular latency/partition/link-fault path. Observers' last-heard
-    /// times become available via [`Sim::last_heartbeat`]. Idempotent-ish:
-    /// calling again replaces the config but does not double the tick
-    /// streams.
-    pub fn start_heartbeats(&self, cfg: HeartbeatConfig) {
-        assert!(
-            cfg.interval > SimDuration::ZERO && cfg.suspect_after > 0,
-            "heartbeat interval and suspect_after must be positive"
-        );
+    /// regular latency/partition/link-fault path, every
+    /// [`HEARTBEAT_INTERVAL`]. Observers' last-heard times become available
+    /// via [`Sim::last_heartbeat`]. Calling again re-seeds the last-heard
+    /// matrix but does not double the tick streams.
+    pub fn start_heartbeats(&self) {
         let mut inner = self.core.inner.borrow_mut();
         let n = inner.nodes.len();
-        let already = inner.heartbeat.is_some();
-        inner.heartbeat = Some(cfg);
+        let already = inner.heartbeat;
+        inner.heartbeat = true;
         let now = inner.now;
         inner.last_hb = vec![vec![now; n]; n];
         if already {
-            return; // tick streams are still alive; only the config changed
+            return; // tick streams are still alive
         }
         // Stagger initial phases deterministically so all nodes do not
         // beat in lock-step.
         for i in 0..n {
             let frac = inner.rng.random_range(0.0..1.0);
-            let at = now + cfg.interval.mul_f64(frac);
+            let at = now + HEARTBEAT_INTERVAL.mul_f64(frac);
             inner.schedule(at, EventKind::HeartbeatTick(NodeId(i as u32)));
         }
     }
@@ -82,7 +58,7 @@ impl<M: SimMessage> Sim<M> {
     /// discarded at dispatch and no new ones are scheduled (so `run()` can
     /// reach quiescence again).
     pub fn stop_heartbeats(&self) {
-        self.core.inner.borrow_mut().heartbeat = None;
+        self.core.inner.borrow_mut().heartbeat = false;
     }
 
     /// The last virtual time `observer` received a heartbeat from `from`
@@ -102,11 +78,7 @@ mod tests {
     fn heartbeats_flow_and_respect_partitions() {
         let s = sim(5);
         let n = s.add_nodes(3);
-        s.start_heartbeats(HeartbeatConfig {
-            interval: SimDuration::from_millis(20),
-            jitter: 0.1,
-            suspect_after: 3,
-        });
+        s.start_heartbeats();
         s.run_for(SimDuration::from_millis(200));
         let m = s.metrics();
         assert!(m.heartbeats_sent > 0);
@@ -134,11 +106,7 @@ mod tests {
     fn dead_node_heartbeats_resume_on_recovery() {
         let s = sim(5);
         let n = s.add_nodes(2);
-        s.start_heartbeats(HeartbeatConfig {
-            interval: SimDuration::from_millis(20),
-            jitter: 0.0,
-            suspect_after: 3,
-        });
+        s.start_heartbeats();
         s.fail_node(n[1]);
         s.run_for(SimDuration::from_millis(100));
         let stale = s.last_heartbeat(n[0], n[1]);

@@ -62,7 +62,7 @@ mod time;
 pub mod wheel;
 
 pub use disk::{Disk, DiskConfig, DiskImage};
-pub use heartbeat::HeartbeatConfig;
+pub use heartbeat::{HEARTBEAT_INTERVAL, SUSPECT_WINDOW};
 pub use idhash::{IdHasher, IdMap};
 pub use latency::{ConstLatency, JitteredLatency, LatencyModel, MetricSpace};
 pub use metrics::{Counter, EngineEvent, EngineEventKind, LatencyReservoir, Metrics, MAX_CLASSES};

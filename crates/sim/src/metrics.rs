@@ -203,11 +203,12 @@ counters! {
     ClientRetries => client_retries,
 }
 
-/// Default sample capacity of a [`LatencyReservoir`].
+/// Sample capacity of a [`LatencyReservoir`].
 pub(crate) const RESERVOIR_CAP: usize = 4096;
 
-/// Fixed-size reservoir sample of latency observations (nanoseconds),
-/// for p50/p99/p999 reporting without unbounded memory.
+/// Reservoir sample of at most `RESERVOIR_CAP` (4 096) latency
+/// observations (nanoseconds), for p50/p99/p999 reporting without
+/// unbounded memory.
 ///
 /// Uses Vitter's Algorithm R with an *internal* xorshift generator, never
 /// the simulator RNG: sampling decisions must not perturb the seeded
@@ -215,28 +216,21 @@ pub(crate) const RESERVOIR_CAP: usize = 4096;
 #[derive(Clone, Debug)]
 pub struct LatencyReservoir {
     samples: Vec<u64>,
-    cap: usize,
     seen: u64,
     rng: u64,
 }
 
 impl Default for LatencyReservoir {
     fn default() -> Self {
-        LatencyReservoir::new(RESERVOIR_CAP)
-    }
-}
-
-impl LatencyReservoir {
-    /// An empty reservoir holding at most `cap` samples.
-    pub fn new(cap: usize) -> Self {
         LatencyReservoir {
             samples: Vec::new(),
-            cap: cap.max(1),
             seen: 0,
             rng: 0x9e37_79b9_7f4a_7c15,
         }
     }
+}
 
+impl LatencyReservoir {
     fn next_rand(&mut self) -> u64 {
         // xorshift64* — deterministic, self-contained.
         let mut x = self.rng;
@@ -250,12 +244,12 @@ impl LatencyReservoir {
     /// Record one observation (nanoseconds).
     pub fn record(&mut self, ns: u64) {
         self.seen += 1;
-        if self.samples.len() < self.cap {
+        if self.samples.len() < RESERVOIR_CAP {
             self.samples.push(ns);
             return;
         }
         let j = self.next_rand() % self.seen;
-        if (j as usize) < self.cap {
+        if (j as usize) < RESERVOIR_CAP {
             self.samples[j as usize] = ns;
         }
     }
@@ -282,9 +276,9 @@ impl LatencyReservoir {
         Some(sorted[rank.clamp(1, sorted.len()) - 1])
     }
 
-    /// Drop every sample and observation count (capacity kept).
+    /// Drop every sample and observation count.
     pub fn reset(&mut self) {
-        *self = LatencyReservoir::new(self.cap);
+        *self = LatencyReservoir::default();
     }
 }
 
@@ -538,7 +532,7 @@ mod tests {
 
     #[test]
     fn reservoir_percentiles_exact_below_capacity() {
-        let mut r = LatencyReservoir::new(1000);
+        let mut r = LatencyReservoir::default();
         for ns in 1..=100u64 {
             r.record(ns * 10);
         }
@@ -552,7 +546,7 @@ mod tests {
     #[test]
     fn reservoir_caps_memory_and_stays_deterministic() {
         let run = || {
-            let mut r = LatencyReservoir::new(64);
+            let mut r = LatencyReservoir::default();
             for ns in 0..10_000u64 {
                 r.record(ns);
             }
@@ -560,13 +554,13 @@ mod tests {
         };
         let (n, s) = run();
         assert_eq!(n, 10_000);
-        assert_eq!(s.len(), 64);
+        assert_eq!(s.len(), RESERVOIR_CAP);
         assert_eq!(run().1, s, "internal RNG replays identically");
     }
 
     #[test]
     fn reservoir_empty_and_reset() {
-        let mut r = LatencyReservoir::new(8);
+        let mut r = LatencyReservoir::default();
         assert!(r.is_empty());
         assert_eq!(r.percentile(50.0), None);
         r.record(7);

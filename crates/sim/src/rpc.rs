@@ -17,6 +17,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
+use crate::heartbeat::SUSPECT_WINDOW;
 use crate::sim::{Envelope, Sim, SimCore, SimMessage};
 use crate::time::SimDuration;
 use crate::NodeId;
@@ -115,8 +116,8 @@ impl<M: SimMessage> Sim<M> {
             // hangs forever. Count it always; with the heartbeat layer
             // running, bound it by the suspicion window instead.
             inner.metrics.no_timeout_dead_calls += 1;
-            if let Some(hb) = inner.heartbeat {
-                let at = inner.now + hb.suspect_window();
+            if inner.heartbeat {
+                let at = inner.now + SUSPECT_WINDOW;
                 inner.schedule_timeout(at, id);
             }
         }
@@ -175,7 +176,6 @@ impl<M: SimMessage> Drop for CallFuture<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::heartbeat::HeartbeatConfig;
     use crate::latency::ConstLatency;
     use crate::sim::tests::{echo, sim, Msg};
     use crate::sim::SimConfig;
@@ -411,7 +411,7 @@ mod tests {
         assert_eq!(s.live_tasks(), 1, "caller is stuck");
         // With heartbeats running, the same call resolves as timed-out
         // after one suspicion window.
-        s.start_heartbeats(HeartbeatConfig::default());
+        s.start_heartbeats();
         let s3 = s.clone();
         let done = Rc::new(Cell::new(false));
         let done2 = Rc::clone(&done);

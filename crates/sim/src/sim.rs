@@ -33,7 +33,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::executor::{ReadyQueue, TaskId, TaskStore};
-use crate::heartbeat::HeartbeatConfig;
+use crate::heartbeat::{HEARTBEAT_INTERVAL, HEARTBEAT_JITTER};
 use crate::idhash::IdMap;
 use crate::latency::LatencyModel;
 use crate::metrics::{Counter, Metrics, MAX_CLASSES};
@@ -290,10 +290,10 @@ pub(crate) struct SimInner<M: SimMessage> {
     pub(crate) resolved_extra: IdMap<CallId, usize>,
     pub(crate) next_call: u64,
     pub(crate) metrics: Metrics,
-    /// Heartbeat layer state; `None` (the default) means no heartbeat
-    /// events exist and the RNG is never touched for them, keeping
+    /// Whether the heartbeat layer runs; off (the default) means no
+    /// heartbeat events exist and the RNG is never touched for them, keeping
     /// detector-less runs byte-identical to earlier versions.
-    pub(crate) heartbeat: Option<HeartbeatConfig>,
+    pub(crate) heartbeat: bool,
     /// `last_hb[observer][sender]`: virtual time the observer last received
     /// a heartbeat from the sender (seeded with the enable instant).
     pub(crate) last_hb: Vec<Vec<SimTime>>,
@@ -466,7 +466,7 @@ impl<M: SimMessage> Sim<M> {
                     resolved_extra: IdMap::default(),
                     next_call: 0,
                     metrics: Metrics::new(0),
-                    heartbeat: None,
+                    heartbeat: false,
                     last_hb: Vec::new(),
                 }),
                 tasks: RefCell::new(TaskStore::default()),
@@ -826,9 +826,9 @@ impl<M: SimMessage> Sim<M> {
             EventKind::HeartbeatTick(node) => {
                 let mut inner = self.core.inner.borrow_mut();
                 let inner = &mut *inner;
-                let Some(hb) = inner.heartbeat else {
+                if !inner.heartbeat {
                     return; // layer stopped: the tick stream dies here
-                };
+                }
                 let n = inner.nodes.len();
                 let meta = &inner.nodes[node.index()];
                 // A dead node beats nothing but keeps ticking, so its
@@ -850,13 +850,13 @@ impl<M: SimMessage> Sim<M> {
                             .schedule(emit_at + lat, EventKind::HeartbeatArrive { from: node, to });
                     }
                 }
-                let jitter = 1.0 + hb.jitter * inner.rng.random_range(-1.0..1.0);
-                let next = inner.now + hb.interval.mul_f64(jitter.max(0.05));
+                let jitter = 1.0 + HEARTBEAT_JITTER * inner.rng.random_range(-1.0..1.0);
+                let next = inner.now + HEARTBEAT_INTERVAL.mul_f64(jitter);
                 inner.schedule(next, EventKind::HeartbeatTick(node));
             }
             EventKind::HeartbeatArrive { from, to } => {
                 let mut inner = self.core.inner.borrow_mut();
-                if inner.heartbeat.is_none() {
+                if !inner.heartbeat {
                     return;
                 }
                 // Heartbeats cross the same faulty network as requests,
@@ -1627,7 +1627,7 @@ pub(crate) mod tests {
             }
         });
         // Self-rescheduling ticks: `run()` would never return on its own.
-        s.start_heartbeats(crate::HeartbeatConfig::default());
+        s.start_heartbeats();
         s.run_for(SimDuration::from_millis(100));
         let (now, events) = (s.now(), s.metrics().events);
         assert!(events > 0 && s.live_tasks() == 1);

@@ -88,7 +88,7 @@ impl SimDuration {
 
     /// Whole nanoseconds in this span.
     #[inline]
-    pub fn as_nanos(self) -> u64 {
+    pub const fn as_nanos(self) -> u64 {
         self.0
     }
 

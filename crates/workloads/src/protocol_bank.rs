@@ -24,8 +24,6 @@ pub struct BankSpec {
     pub warmup: SimDuration,
     /// Measurement window.
     pub duration: SimDuration,
-    /// Closed-loop clients per node.
-    pub clients_per_node: usize,
 }
 
 impl Default for BankSpec {
@@ -35,7 +33,6 @@ impl Default for BankSpec {
             read_pct: 50,
             warmup: SimDuration::from_secs(2),
             duration: SimDuration::from_secs(20),
-            clients_per_node: 1,
         }
     }
 }
@@ -105,7 +102,7 @@ pub async fn random_op<P: DtmProtocol>(
 }
 
 /// Run the closed-loop bank mix on any simulator-hosted [`DtmProtocol`]
-/// cluster, with clients on every node of its simulator: warm up, reset counters, measure for
+/// cluster, with one client on every node of its simulator: warm up, reset counters, measure for
 /// `spec.duration`. (The closed loop spawns simulator tasks and pumps
 /// virtual time, hence the [`SimHosted`] bound; the threaded backend has
 /// its own closed-loop driver in `qrdtm-par`, reusing [`transfer`] and
@@ -116,18 +113,16 @@ pub fn run_bank<P: SimHosted + 'static>(proto: Rc<P>, spec: &BankSpec) -> BankRu
     }
     let sim = proto.sim().clone();
     for node in 0..sim.num_nodes() as u32 {
-        for _ in 0..spec.clients_per_node {
-            let p = Rc::clone(&proto);
-            let spec = *spec;
-            sim.spawn(async move {
-                loop {
-                    random_op(&*p, NodeId(node), spec.accounts, spec.read_pct, |n| {
-                        p.sim().rand_below(n)
-                    })
-                    .await;
-                }
-            });
-        }
+        let p = Rc::clone(&proto);
+        let spec = *spec;
+        sim.spawn(async move {
+            loop {
+                random_op(&*p, NodeId(node), spec.accounts, spec.read_pct, |n| {
+                    p.sim().rand_below(n)
+                })
+                .await;
+            }
+        });
     }
     sim.run_for(spec.warmup);
     proto.reset_protocol_stats();
@@ -155,7 +150,6 @@ mod tests {
             read_pct: 50,
             warmup: SimDuration::from_millis(500),
             duration: SimDuration::from_secs(5),
-            clients_per_node: 1,
         }
     }
 

@@ -1,20 +1,37 @@
 //! Size and drift limits on the two documents that grow with every change.
 //!
 //! - DESIGN.md describes the tree as it is: at most 40 000 bytes, no line
-//!   citing a `PR <n>` (history lives in CHANGES.md and git), and one
-//!   "Workspace inventory" row per `crates/*` package.
+//!   citing a `PR <n>` (history lives in CHANGES.md and git), one
+//!   "Workspace inventory" row per `crates/*` package, and a "Capability
+//!   census" row naming each `pub` field of the config and spec structs in
+//!   [`OPTION_STRUCTS`].
 //! - Each CHANGES.md entry (a line starting with `- `) is at most 1 200
 //!   characters.
 //!
 //! Each failure names the file and the offender: the byte count and the
 //! first citing line, each over-long entry with its length, each crate
-//! without a row.
+//! without a row, each `Struct::field` no census row names.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 const DESIGN_MAX_BYTES: usize = 40_000;
 const ENTRY_MAX_CHARS: usize = 1_200;
+
+/// Every struct whose `pub` fields are settable options, with the file
+/// that declares it.
+const OPTION_STRUCTS: [(&str, &str); 10] = [
+    ("DtmConfig", "crates/core/src/cluster.rs"),
+    ("OverloadConfig", "crates/core/src/cluster.rs"),
+    ("DetectorConfig", "crates/core/src/engine/detector.rs"),
+    ("DurabilityConfig", "crates/core/src/engine/wal.rs"),
+    ("QStoreConfig", "crates/qstore/src/lib.rs"),
+    ("TfaConfig", "crates/baselines/src/tfa.rs"),
+    ("DecentConfig", "crates/baselines/src/decent.rs"),
+    ("ChaosSpec", "crates/chaos/src/nemesis.rs"),
+    ("OpenLoopSpec", "crates/workloads/src/open_loop.rs"),
+    ("BankSpec", "crates/workloads/src/protocol_bank.rs"),
+];
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -89,14 +106,19 @@ fn package_name(manifest: &Path) -> String {
         .unwrap_or_else(|| panic!("{}: no package name", manifest.display()))
 }
 
+/// The body of DESIGN.md's `## {heading}` section, up to the next `## `.
+fn section<'a>(text: &'a str, heading: &str) -> &'a str {
+    let body = text
+        .split(&format!("\n## {heading}\n"))
+        .nth(1)
+        .unwrap_or_else(|| panic!("DESIGN.md has no \"{heading}\" section"));
+    body.split("\n## ").next().unwrap_or_default()
+}
+
 #[test]
 fn design_md_inventory_lists_every_crate() {
     let text = read("DESIGN.md");
-    let inventory = text
-        .split("\n## Workspace inventory")
-        .nth(1)
-        .expect("DESIGN.md has a \"Workspace inventory\" section");
-    let inventory = inventory.split("\n## ").next().unwrap_or_default();
+    let inventory = section(&text, "Workspace inventory");
     let mut manifests: Vec<PathBuf> = fs::read_dir(root().join("crates"))
         .expect("read crates/")
         .map(|e| e.expect("dir entry").path().join("Cargo.toml"))
@@ -111,6 +133,53 @@ fn design_md_inventory_lists_every_crate() {
     assert!(
         missing.is_empty(),
         "DESIGN.md \"Workspace inventory\" has no row for: {}",
+        missing.join(", ")
+    );
+}
+
+/// The `pub` fields of `pub struct {name}` in `source`, in declaration
+/// order.
+fn pub_fields(source: &str, name: &str) -> Vec<String> {
+    let body = source
+        .split(&format!("pub struct {name} {{\n"))
+        .nth(1)
+        .unwrap_or_else(|| panic!("no `pub struct {name}`"));
+    body.lines()
+        .take_while(|l| *l != "}")
+        .filter_map(|l| l.strip_prefix("    pub ")?.split_once(':'))
+        .map(|(field, _)| field.to_string())
+        .collect()
+}
+
+/// Whether `word` occurs in `text` with no identifier character on
+/// either side.
+fn has_word(text: &str, word: &str) -> bool {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    text.match_indices(word)
+        .any(|(i, _)| !text[..i].ends_with(ident) && !text[i + word.len()..].starts_with(ident))
+}
+
+#[test]
+fn design_md_census_names_every_option() {
+    let text = read("DESIGN.md");
+    let rows: Vec<&str> = section(&text, "Capability census")
+        .lines()
+        .filter(|l| l.starts_with('|'))
+        .collect();
+    let mut missing = Vec::new();
+    for (name, file) in OPTION_STRUCTS {
+        let fields = pub_fields(&read(file), name);
+        assert!(!fields.is_empty(), "{file}: `{name}` has no pub fields");
+        missing.extend(
+            fields
+                .iter()
+                .filter(|f| !rows.iter().any(|r| has_word(r, name) && has_word(r, f)))
+                .map(|f| format!("{name}::{f}")),
+        );
+    }
+    assert!(
+        missing.is_empty(),
+        "DESIGN.md \"Capability census\" has no row naming: {}",
         missing.join(", ")
     );
 }

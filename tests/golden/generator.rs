@@ -187,7 +187,6 @@ fn observe_bank<P: ChaosTarget + 'static>(leg: &str, proto: Rc<P>) -> Observatio
         read_pct: 50,
         warmup: SimDuration::from_millis(500),
         duration: SimDuration::from_secs(2),
-        clients_per_node: 1,
     };
     let r = run_bank(Rc::clone(&proto), &spec);
     Observation::new(
@@ -300,12 +299,11 @@ fn chaos_qr(mode: NestingMode, durable: bool, detector: bool) -> Rc<Cluster> {
     Rc::new(Cluster::new(cfg))
 }
 
-fn chaos_qstore(durable: bool, detector: bool) -> Rc<QStoreCluster> {
+fn chaos_qstore(durable: bool) -> Rc<QStoreCluster> {
     Rc::new(QStoreCluster::new(QStoreConfig {
         nodes: CHAOS_NODES,
         seed: CHAOS_SEED,
         durability: durable.then(DurabilityConfig::default),
-        detector: detector.then(DetectorConfig::default),
         ..Default::default()
     }))
 }
@@ -355,7 +353,7 @@ fn observe_amnesia_and_detector() -> Vec<Observation> {
         ),
         observe_qstore_plan(
             "chaos-amnesia/Q-Store",
-            &chaos_qstore(true, false),
+            &chaos_qstore(true),
             &oracle,
             "@400000us corrupt-tail 2\n@400000us crash-amnesia 2\n@700000us crash-amnesia 0\n\
              @1000000us recover 2\n@1200000us recover 0",
@@ -368,7 +366,7 @@ fn observe_amnesia_and_detector() -> Vec<Observation> {
         ),
         observe_qstore_plan(
             "chaos-detector/Q-Store",
-            &chaos_qstore(false, true),
+            &chaos_qstore(false),
             &detector,
             "@300000us crash 0\n@1100000us recover 0",
         ),

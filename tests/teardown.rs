@@ -67,7 +67,7 @@ fn qr(cfg: DtmConfig) {
         ..cfg
     }));
     c.preload_all((0..ACCOUNTS).map(|i| (ObjectId(i), ObjVal::Int(100))));
-    let handle = detector.then(|| spawn_detector(&c));
+    let handle = detector.then(|| spawn_detector(Rc::clone(&c), c.sim().clone()));
     for node in 0..NODES {
         let client = c.client(NodeId(node));
         c.sim().spawn(async move {
@@ -119,10 +119,9 @@ fn qstore(durable: bool, detector: bool) {
     let c = Rc::new(QStoreCluster::new(QStoreConfig {
         nodes: NODES as usize,
         durability: durable.then(DurabilityConfig::default),
-        detector: detector.then(DetectorConfig::default),
         ..Default::default()
     }));
-    let handle = detector.then(|| c.start_detector());
+    let handle = detector.then(|| spawn_detector(Rc::clone(&c), c.sim().clone()));
     protocol(Rc::clone(&c));
     if detector {
         assert!(c.sim().live_tasks() > 0, "the detector is parked");
@@ -197,7 +196,6 @@ fn back_to_back_detector_chaos_runs_do_not_accumulate() {
     let run = || {
         let c = Rc::new(QStoreCluster::new(QStoreConfig {
             nodes: NODES as usize,
-            detector: Some(DetectorConfig::default()),
             ..Default::default()
         }));
         assert!(run_plan(c, &spec, &plan).ok());
