@@ -108,8 +108,8 @@ impl Scenario {
         }
         if spec.overload.is_some_and(|o| o.protect) {
             // Protected open-loop traffic also arms the engine side:
-            // per-node admission queues, deadline-aware early abort, retry
-            // budgets, hedge suppression. The baselines and Q-Store have no
+            // per-node admission queues, deadline-aware early abort and retry
+            // budgets. The baselines and Q-Store have no
             // engine knobs; they rely on the driver-side queue bound and
             // deadline abandon alone.
             cfg.overload = Some(OverloadConfig::default());

@@ -12,7 +12,7 @@ fn degenerate_arguments_are_usage_errors() {
     let trace = format!("{}/two_node_qstore.trace", env!("CARGO_TARGET_TMPDIR"));
     let text = "proto QSTORE\nseed 1\nnodes 2\nobjects 2\ntxns 2\nchoices 0\n";
     std::fs::write(&trace, text).expect("write trace");
-    let cases: [(&[&str], &str); 14] = [
+    let cases: [(&[&str], &str); 15] = [
         (&["chaos", "--seeds", "0"], "chaos: --seeds"),
         (
             &["chaos", "--seed", "18446744073709551615", "--seeds", "2"],
@@ -35,6 +35,9 @@ fn degenerate_arguments_are_usage_errors() {
         (&["mc", "--nodes", "0"], "mc: --nodes"),
         (&["mc", "--nodes", "2", "--proto", "qstore"], "mc: --nodes"),
         (&["mc", "--objects", "0"], "mc: --objects"),
+        // A transfer from o0 to o0 reads it twice and the second write
+        // wins: used to report a balance leak on a correct protocol.
+        (&["mc", "--objects", "1"], "mc: --objects"),
         // No transaction to schedule: used to pass vacuously.
         (&["mc", "--txns", "0"], "mc: --txns"),
         (&["mc", "--replay", &trace], "nodes must be at least 3"),

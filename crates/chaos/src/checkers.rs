@@ -1,22 +1,25 @@
 //! Safety and liveness checkers run over a finished (or sampled) nemesis
 //! run.
 //!
-//! Safety is checked post-hoc at quiescence: bank-balance conservation
-//! (transfers move money, never create or destroy it) and, for targets
-//! with a history recorder, 1-copy serializability of the committed
-//! history (which subsumes read-your-writes and lost-update detection —
-//! see `qrdtm_core::history`). Liveness is checked from progress samples
-//! taken during the run: in every sufficiently long *quiet* window (no
-//! fault active, after a grace period for timeout/backoff recovery) the
-//! commit counter must advance — this covers both "progress between
-//! faults" and "re-convergence after heal", since the post-heal tail is
-//! itself a quiet window.
+//! Safety is checked post-hoc by [`audit`], the one battery the nemesis and
+//! the model checker share: bank-balance conservation (transfers move
+//! money, never create or destroy it) and durability at quiescence, and,
+//! for targets with a history recorder, 1-copy serializability of the
+//! committed history (which subsumes read-your-writes and lost-update
+//! detection — see `qrdtm_core::history`). Liveness is checked from
+//! progress samples taken during the run: in every sufficiently long
+//! *quiet* window (no fault active, after a grace period for
+//! timeout/backoff recovery) the commit counter must advance — this covers
+//! both "progress between faults" and "re-convergence after heal", since
+//! the post-heal tail is itself a quiet window.
 
 use std::fmt;
 
+use qrdtm_core::history::verify;
+use qrdtm_core::ObjectId;
 use qrdtm_sim::{EngineEvent, EngineEventKind, SimDuration};
 
-use crate::FaultKind;
+use crate::{ChaosTarget, FaultKind};
 
 /// One invariant violation found by the checkers.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -34,7 +37,8 @@ pub enum ChaosViolation {
         oid: u64,
     },
     /// The committed history is not 1-copy serializable (stale read, lost
-    /// update, broken version chain — stringified from `core::history`).
+    /// update, broken version chain — stringified from `core::history`,
+    /// and rendered as that text alone).
     History(
         /// The underlying violation, rendered.
         String,
@@ -53,10 +57,10 @@ pub enum ChaosViolation {
         /// Window end (virtual time, ms).
         to_ms: u64,
     },
-    /// The run never quiesced: tasks were still stuck after every fault
-    /// was healed and the drain window elapsed.
+    /// The run never quiesced: tasks were still live when it ended (after
+    /// heal-all and the drain for the nemesis, at the horizon for mc).
     Stuck {
-        /// Tasks still live at the end of the drain.
+        /// Tasks still live at the end of the run.
         live_tasks: usize,
     },
     /// Detector mode: a node crashed (and stayed crashed) but no suspicion
@@ -122,16 +126,15 @@ impl fmt::Display for ChaosViolation {
             ChaosViolation::MissingAccount { oid } => {
                 write!(f, "account object {oid} has no committed copy")
             }
-            ChaosViolation::History(v) => write!(f, "history not serializable: {v}"),
+            ChaosViolation::History(v) => f.write_str(v),
             ChaosViolation::BatchAtomicity(v) => write!(f, "batch atomicity broken: {v}"),
             ChaosViolation::NoProgress { from_ms, to_ms } => write!(
                 f,
                 "no commits in the fault-free window {from_ms}ms..{to_ms}ms"
             ),
-            ChaosViolation::Stuck { live_tasks } => write!(
-                f,
-                "{live_tasks} client task(s) still stuck after heal + drain"
-            ),
+            ChaosViolation::Stuck { live_tasks } => {
+                write!(f, "stuck: {live_tasks} task(s) still live at the end of the run")
+            }
             ChaosViolation::DetectionTooSlow {
                 node,
                 crashed_at_ms,
@@ -324,6 +327,64 @@ pub fn check_detection_latency(events: &[EngineEvent], bound: SimDuration) -> Ve
         }
     }
     out
+}
+
+/// What [`audit`] read back and found.
+#[derive(Clone, Debug)]
+pub struct Audit {
+    /// Each account's committed balance (`None` = no committed copy).
+    pub balances: Vec<(u64, Option<i64>)>,
+    /// Every `(object id, installed version)` a successful commit
+    /// acknowledged to a client, in history order.
+    pub acked: Vec<(u64, u64)>,
+    /// In order: stuck, history, balances, batch atomicity, durability.
+    pub violations: Vec<ChaosViolation>,
+}
+
+/// The post-run safety battery over a bank of `accounts` accounts, each
+/// preloaded with `initial`. Balances and durability are judged only at
+/// quiescence (no live task): a stuck run is a cut through an in-flight
+/// 2PC, not a committed snapshot, so it reports [`ChaosViolation::Stuck`]
+/// instead.
+pub fn audit<P: ChaosTarget>(p: &P, accounts: u64, initial: i64) -> Audit {
+    let live_tasks = p.sim().live_tasks();
+    let history = p.history();
+    let balances: Vec<(u64, Option<i64>)> = (0..accounts)
+        .map(|o| (o, p.committed(ObjectId(o)).map(|(_, v)| v.expect_int())))
+        .collect();
+    let acked: Vec<(u64, u64)> = history
+        .iter()
+        .flat_map(|rec| rec.writes.iter().map(|(oid, _, v)| (oid.0, v.0)))
+        .collect();
+    let mut violations = Vec::new();
+    if live_tasks > 0 {
+        violations.push(ChaosViolation::Stuck { live_tasks });
+    }
+    violations.extend(
+        verify(&history)
+            .iter()
+            .map(|v| ChaosViolation::History(v.to_string())),
+    );
+    if live_tasks == 0 {
+        violations.extend(check_balances(&balances, initial * accounts as i64));
+    }
+    violations.extend(
+        p.batch_atomicity_violations()
+            .into_iter()
+            .map(ChaosViolation::BatchAtomicity),
+    );
+    if live_tasks == 0 {
+        // No write acknowledged to a client may be missing from committed
+        // state, however many amnesiac restarts or torn tails came first.
+        violations.extend(check_durability(&acked, |oid| {
+            p.committed(ObjectId(oid))?.0.map(|v| v.0)
+        }));
+    }
+    Audit {
+        balances,
+        acked,
+        violations,
+    }
 }
 
 /// Check bank-balance conservation over committed account state.
@@ -561,6 +622,29 @@ mod tests {
             }]
         );
         assert!(check_durability(&[], |_| None).is_empty());
+    }
+
+    #[test]
+    fn audit_judges_balances_only_at_quiescence() {
+        use qrdtm_core::{Cluster, DtmConfig, ObjVal};
+        let c = Cluster::new(DtmConfig::default());
+        for o in 0..2 {
+            c.preload(ObjectId(o), ObjVal::Int(1_000));
+        }
+        let leak = ChaosViolation::BalanceLeak {
+            expected: 1_998,
+            actual: 2_000,
+        };
+        assert_eq!(audit(&c, 2, 999).violations, vec![leak]);
+        // A parked task: the same committed state is now a cut through a
+        // run that never finished, so only the stuck verdict is given.
+        c.sim().spawn(std::future::pending::<()>());
+        let stuck = audit(&c, 2, 999);
+        assert_eq!(
+            stuck.violations,
+            vec![ChaosViolation::Stuck { live_tasks: 1 }]
+        );
+        assert_eq!(stuck.balances, vec![(0, Some(1_000)), (1, Some(1_000))]);
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //!   latency spikes, slow nodes — plus a seeded generator and a
 //!   delta-debugging shrinker for minimizing failing plans.
 //! - **Nemesis** ([`nemesis`]): runs a bank workload on any
-//!   [`ChaosTarget`] (all six protocol families implement it)
-//!   while applying a plan at virtual-time offsets, healing everything at
-//!   the horizon, and draining to quiescence.
-//! - **Checkers** ([`checkers`]): safety (balance conservation, 1-copy
+//!   [`ChaosTarget`] (the QR cluster, which serves its three nesting
+//!   modes, Q-Store, TFA and Decent-STM implement it) while applying a
+//!   plan at virtual-time offsets, healing everything at the horizon, and
+//!   draining to quiescence.
+//! - **Checkers** ([`checkers`]): safety ([`audit`], the battery the
+//!   model checker shares: balance conservation, durability, 1-copy
 //!   serializability of the committed history), liveness (progress in
 //!   fault-free windows, re-convergence after heal), and overload
 //!   robustness (no retry storms past the client budget, post-surge
@@ -31,7 +33,7 @@ pub mod nemesis;
 pub mod plan;
 pub mod target;
 
-pub use checkers::{check_balances, check_durability, ChaosViolation, Sample};
+pub use checkers::{audit, Audit, ChaosViolation, Sample};
 pub use family::Proto;
 pub use generate::{generate, shrink, FaultBudget};
 pub use nemesis::{run_plan, ChaosReport, ChaosSpec, Fingerprint};

@@ -31,8 +31,8 @@ use qrdtm_workloads::open_loop::{spawn_open_loop, LoadControl, LoadTallies, Open
 use qrdtm_workloads::protocol_bank::random_op;
 
 use crate::checkers::{
-    check_balances, check_detection_latency, check_durability, check_goodput_reconvergence,
-    check_liveness, check_retry_storm, ChaosViolation, Sample,
+    audit, check_detection_latency, check_goodput_reconvergence, check_liveness, check_retry_storm,
+    ChaosViolation, Sample,
 };
 use crate::plan::{FaultKind, FaultPlan};
 use crate::target::ChaosTarget;
@@ -373,40 +373,7 @@ pub fn run_plan<P: ChaosTarget + 'static>(
     stop.set(true);
     sim.run_for(DRAIN);
     let drained = sim.live_tasks() == 0;
-
-    // Post-hoc checks, only on quiescent state — a cut through an
-    // in-flight 2PC is not a committed snapshot.
-    if drained {
-        let balances: Vec<(u64, Option<i64>)> = (0..spec.accounts)
-            .map(|i| (i, proto.committed_int(ObjectId(i))))
-            .collect();
-        violations.extend(check_balances(
-            &balances,
-            INITIAL_BALANCE * spec.accounts as i64,
-        ));
-        // Durability: no write acknowledged to a client may be missing
-        // from committed state, no matter how many amnesiac restarts or
-        // torn tails the plan inflicted.
-        violations.extend(check_durability(&proto.acked_write_versions(), |oid| {
-            proto.committed_version(ObjectId(oid))
-        }));
-    } else {
-        violations.push(ChaosViolation::Stuck {
-            live_tasks: sim.live_tasks(),
-        });
-    }
-    violations.extend(
-        proto
-            .history_violations()
-            .into_iter()
-            .map(ChaosViolation::History),
-    );
-    violations.extend(
-        proto
-            .batch_atomicity_violations()
-            .into_iter()
-            .map(ChaosViolation::BatchAtomicity),
-    );
+    violations.extend(audit(&*proto, spec.accounts, INITIAL_BALANCE).violations);
     violations.extend(check_liveness(
         &samples.borrow(),
         QUIET_GRACE,
@@ -435,10 +402,11 @@ pub fn run_plan<P: ChaosTarget + 'static>(
             drip,
         ));
     }
-    if spec.detector {
-        if let Some(bound) = proto.detection_bound() {
-            violations.extend(check_detection_latency(&m.engine_event_log, bound));
-        }
+    if let Some(view) = proto.membership().filter(|_| spec.detector) {
+        violations.extend(check_detection_latency(
+            &m.engine_event_log,
+            view.detection_bound(),
+        ));
     }
     let stats = proto.protocol_stats();
     let st = state.borrow();
@@ -534,7 +502,7 @@ fn apply_event<P: ChaosTarget>(
             }
         }
         FaultKind::CrashReadQuorum => {
-            if let Some(victim) = p.read_quorum_victim() {
+            if let Some(victim) = view.and_then(|v| v.read_quorum_victim()) {
                 if crash(victim) {
                     st.crashed.insert(victim.0);
                     applied_on = Some(victim);

@@ -5,17 +5,16 @@
 use std::rc::Rc;
 
 use qrdtm_baselines::{DecentCluster, TfaCluster};
-use qrdtm_core::history::verify;
 use qrdtm_core::{
-    spawn_detector, Cluster, CommitRecord, DetectorConfig, DetectorHandle, Membership, ObjVal,
-    ObjectId, SimHosted, Version,
+    spawn_detector, Cluster, CommitRecord, DetectorHandle, Membership, ObjVal, ObjectId, SimHosted,
+    Version,
 };
 use qrdtm_qstore::QStoreCluster;
-use qrdtm_sim::{NodeId, SimDuration};
+use qrdtm_sim::SimDuration;
 
 /// A protocol the nemesis can drive: a simulator-hosted [`DtmProtocol`]
-/// plus its membership view and committed-state access for the post-hoc
-/// checkers.
+/// plus what differs by family — its membership view, detector, history
+/// and committed-state access for the post-hoc [`audit`](crate::audit).
 ///
 /// No method here crashes, recovers, forgets or corrupts a node: every
 /// fault verb goes through the target's [`Membership`] view, and what the
@@ -24,12 +23,6 @@ use qrdtm_sim::{NodeId, SimDuration};
 ///
 /// [`DtmProtocol`]: qrdtm_core::DtmProtocol
 pub trait ChaosTarget: SimHosted {
-    /// The node a `crash-rq` event should kill (the Fig. 10 victim), if
-    /// the notion applies.
-    fn read_quorum_victim(&self) -> Option<NodeId> {
-        None
-    }
-
     /// The reconfigurable membership view, if the target keeps one: the
     /// door for every crash, recovery, amnesia and log corruption. In
     /// detector mode the nemesis touches the simulator only, through
@@ -45,16 +38,6 @@ pub trait ChaosTarget: SimHosted {
         None
     }
 
-    /// How long after a crash the detector may take to raise its suspicion
-    /// before the checker flags it ([`DetectorConfig::detection_bound`]
-    /// over the family's transfer cost; `None` when no detector is
-    /// configured).
-    ///
-    /// [`DetectorConfig::detection_bound`]: qrdtm_core::DetectorConfig::detection_bound
-    fn detection_bound(&self) -> Option<SimDuration> {
-        None
-    }
-
     /// Start recording a commit history for post-hoc serializability
     /// checking (no-op if the protocol has no recorder).
     fn begin_history(&self) {}
@@ -65,43 +48,10 @@ pub trait ChaosTarget: SimHosted {
         Vec::new()
     }
 
-    /// Violations found by replaying the recorded history.
-    fn history_violations(&self) -> Vec<String> {
-        verify(&self.history())
-            .into_iter()
-            .map(|v| v.to_string())
-            .collect()
-    }
-
-    /// Every `(object id, installed version)` pair acknowledged to a
-    /// client by a successful commit, from the recorded history. The
-    /// durability checker asserts none of these regressed after the run.
-    fn acked_write_versions(&self) -> Vec<(u64, u64)> {
-        self.history()
-            .iter()
-            .flat_map(|rec| {
-                rec.writes
-                    .iter()
-                    .map(|(oid, _, installed)| (oid.0, installed.0))
-            })
-            .collect()
-    }
-
     /// The committed `(version, value)` of an object as a client reading
     /// after quiescence would see it; the version is `None` for protocols
     /// that keep none.
     fn committed(&self, oid: ObjectId) -> Option<(Option<Version>, ObjVal)>;
-
-    /// The committed value of an integer object.
-    fn committed_int(&self, oid: ObjectId) -> Option<i64> {
-        self.committed(oid).map(|(_, val)| val.expect_int())
-    }
-
-    /// The committed version of an object (for the durability checker;
-    /// `None` if unknown or inapplicable).
-    fn committed_version(&self, oid: ObjectId) -> Option<u64> {
-        self.committed(oid)?.0.map(|v| v.0)
-    }
 
     /// Batch-oriented protocols only: violations of epoch (batch)
     /// atomicity — a committed transaction observing a write from an
@@ -119,10 +69,6 @@ pub trait ChaosTarget: SimHosted {
 }
 
 impl ChaosTarget for Cluster {
-    fn read_quorum_victim(&self) -> Option<NodeId> {
-        self.read_quorum().first().copied()
-    }
-
     fn membership(&self) -> Option<&dyn Membership> {
         Some(self)
     }
@@ -130,12 +76,6 @@ impl ChaosTarget for Cluster {
     fn start_detector(self: Rc<Self>) -> Option<DetectorHandle> {
         let sim = self.sim().clone();
         self.config().detector.map(|_| spawn_detector(self, sim))
-    }
-
-    fn detection_bound(&self) -> Option<SimDuration> {
-        self.config()
-            .detector
-            .map(|_| DetectorConfig::detection_bound(self.transfer_cost()))
     }
 
     fn begin_history(&self) {
@@ -177,10 +117,6 @@ impl ChaosTarget for QStoreCluster {
     fn start_detector(self: Rc<Self>) -> Option<DetectorHandle> {
         let sim = self.sim().clone();
         Some(spawn_detector(self, sim))
-    }
-
-    fn detection_bound(&self) -> Option<SimDuration> {
-        Some(DetectorConfig::detection_bound(self.config().transfer_cost))
     }
 
     fn begin_history(&self) {

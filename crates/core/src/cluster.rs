@@ -14,7 +14,7 @@ use qrdtm_sim::{ConstLatency, JitteredLatency, NodeId, Sim, SimConfig, SimDurati
 
 use crate::engine::repair;
 use crate::engine::wal::{install_stream, ReplicaWal, WalRecord};
-use crate::engine::Membership;
+use crate::engine::{Membership, DETECTION_SLACK};
 use crate::history::{CommitRecord, HistoryRecorder, Violation};
 use crate::msg::Msg;
 use crate::object::{ObjVal, ObjectId, Version};
@@ -127,10 +127,10 @@ pub struct DtmConfig {
     /// see [`InjectedBug`]). `None` (the default) is the correct protocol.
     pub injected_bug: Option<InjectedBug>,
     /// Graceful-degradation machinery for open-loop overload: client-side
-    /// retry token budget, deadline-aware early abort and hedge suppression
-    /// under saturation pressure (open-loop drivers enforce their own
-    /// admission-queue bound). `None` (the default) keeps the engine's behaviour
-    /// byte-for-byte identical to the pre-overload model.
+    /// retry token budget and deadline-aware early abort (open-loop drivers
+    /// enforce their own admission-queue bound). `None` (the default) keeps
+    /// the engine's behaviour byte-for-byte identical to the pre-overload
+    /// model.
     pub overload: Option<OverloadConfig>,
 }
 
@@ -164,19 +164,15 @@ impl Default for OverloadConfig {
     }
 }
 
-/// Mutable overload bookkeeping shared by every endpoint of a cluster:
-/// the retry token bucket and the outstanding-retry pressure gauge.
-/// Present unconditionally (cheap cells); consulted only when
-/// [`DtmConfig::overload`] is armed.
+/// Mutable overload bookkeeping shared by every endpoint of a cluster: the
+/// retry token bucket. Present unconditionally (cheap cells); consulted
+/// only when [`DtmConfig::overload`] is armed.
 #[derive(Debug, Default)]
 pub(crate) struct OverloadState {
     /// Retry tokens currently available (starts at the bucket capacity).
     pub(crate) retry_tokens: Cell<u64>,
     /// Virtual-time floor (ns) the time-drip refill has been accounted to.
     pub(crate) last_drip_ns: Cell<u64>,
-    /// RPC rounds currently in timeout/retry — the saturation gauge hedge
-    /// suppression reads.
-    pub(crate) retry_pressure: Cell<u64>,
 }
 
 /// A deliberately broken protocol variant, used to validate that the
@@ -376,7 +372,7 @@ impl Cluster {
                         st.phase_two(msg);
                         if let (Some(w), Msg::Apply { writes, .. }) = (&wal, msg) {
                             // WAL the phase-2 application before acking,
-                            // group-committing every `fsync_every` appends
+                            // group-committing every `FSYNC_EVERY` appends
                             // and superseding the log with the post-apply
                             // table every `snapshot_every`; the disk work
                             // occupies the server beyond the request's own
@@ -417,7 +413,6 @@ impl Cluster {
                 overload: OverloadState {
                     retry_tokens: Cell::new(retry_cap),
                     last_drip_ns: Cell::new(0),
-                    retry_pressure: Cell::new(0),
                 },
             }),
         }
@@ -821,6 +816,14 @@ impl Membership for Cluster {
             Some(w) => w[node.index()].borrow_mut().corrupt_tail(1),
             None => false,
         }
+    }
+
+    fn read_quorum_victim(&self) -> Option<NodeId> {
+        self.inner.quorum.borrow().read_q.first().copied()
+    }
+
+    fn detection_bound(&self) -> SimDuration {
+        DETECTION_SLACK + self.transfer_cost()
     }
 }
 

@@ -73,20 +73,6 @@ impl Default for DetectorConfig {
 /// before aborting.
 pub(crate) const RPC_RETRIES: u32 = 2;
 
-impl DetectorConfig {
-    /// How long after a crash the detector may take to raise its suspicion
-    /// (and, after a heal, to readmit the node) before a checker flags it.
-    /// Suspicion fires once silence exceeds the window; twice the window
-    /// plus four more intervals is the slack for heartbeat staggering,
-    /// in-flight delivery and detector-tick quantization. `transfer_cost`
-    /// covers a node that crashes right after rejoining: the detector
-    /// deliberately does not suspect a joiner whose heartbeats queue behind
-    /// the state transfer it was just charged.
-    pub fn detection_bound(transfer_cost: SimDuration) -> SimDuration {
-        SUSPECT_WINDOW * 2 + HEARTBEAT_INTERVAL * 4 + transfer_cost
-    }
-}
-
 /// The reconfigurable membership view of a fault-tolerant family — the
 /// paper's Cluster Manager (Fig. 4) — and the one door through which the
 /// detector, the nemesis and the tests crash, recover, forget and corrupt
@@ -135,7 +121,28 @@ pub trait Membership {
     /// amnesiac replay finds the torn tail. `false` without durable storage
     /// or with an empty log.
     fn corrupt_tail(&self, node: NodeId) -> bool;
+    /// The node a Fig. 10 failure step kills: the first member of the
+    /// current read quorum. `None` for a family that reads from no
+    /// designated quorum.
+    fn read_quorum_victim(&self) -> Option<NodeId> {
+        None
+    }
+    /// How long after a crash the detector may take to raise its suspicion
+    /// (and, after a heal, to readmit the node) before a checker flags it:
+    /// [`DETECTION_SLACK`] plus the state-transfer cost the family charges
+    /// a joiner. The detector deliberately does not suspect a joiner whose
+    /// heartbeats queue behind that transfer, so a node that crashes right
+    /// after rejoining is noticed that much later.
+    fn detection_bound(&self) -> SimDuration;
 }
+
+/// The part of every [`Membership::detection_bound`] that is the
+/// detector's own: suspicion fires once silence exceeds the
+/// [`SUSPECT_WINDOW`]; twice the window plus four more intervals is the
+/// slack for heartbeat staggering, in-flight delivery and detector-tick
+/// quantization.
+pub const DETECTION_SLACK: SimDuration =
+    SimDuration::from_nanos(SUSPECT_WINDOW.as_nanos() * 2 + HEARTBEAT_INTERVAL.as_nanos() * 4);
 
 /// Detector-mode crash: kill `node` in the simulator only — no view
 /// repair, no oracle; the failure detector must notice the silence on its
@@ -187,7 +194,7 @@ impl DetectorHandle {
 /// From this point on the view self-heals: no oracle calls to
 /// [`Membership::crash`] / [`Membership::recover`] are needed — kill or
 /// heal nodes in the simulator and the view follows within
-/// [`DetectorConfig::detection_bound`].
+/// [`Membership::detection_bound`].
 pub fn spawn_detector<M: SimMessage, V: Membership + 'static>(
     view: Rc<V>,
     sim: Sim<M>,

@@ -8,7 +8,6 @@
 //! Layers above deal in outcomes — a read round's replies merged, a vote
 //! decided — never in call plumbing.
 
-use std::cell::Cell;
 use std::future::Future;
 use std::rc::Rc;
 
@@ -21,12 +20,6 @@ use crate::object::{ObjVal, ObjectId, Version};
 use crate::pool::Payload;
 use crate::stats::DtmStats;
 use crate::txid::{Abort, AbortTarget, TxId};
-
-/// With overload protection armed, hedged read rounds are suppressed while
-/// at least this many RPC rounds are concurrently in timeout/retry (the
-/// saturation-pressure gauge): hedging helps tail latency at low load and
-/// must disappear at high load, where it only amplifies pressure.
-const HEDGE_PRESSURE_THRESHOLD: u64 = 3;
 
 /// Decorrelated-jitter step of the capped exponential retry backoff:
 /// `next = clamp(prev × mult, base, cap)` with `mult` drawn per step from
@@ -46,39 +39,6 @@ pub(crate) fn decorrelated_backoff(
         return SimDuration::ZERO;
     }
     prev.mul_f64(mult).max(base).min(cap)
-}
-
-/// Saturation-pressure bookkeeping for one RPC round: engaged the first
-/// time the round times out and retries, released (via `Drop`, so every
-/// exit path counts) when the round resolves. The gauge — concurrent
-/// rounds in timeout/retry — is what hedge suppression reads.
-struct PressureGuard<'a> {
-    gauge: &'a Cell<u64>,
-    active: bool,
-}
-
-impl<'a> PressureGuard<'a> {
-    fn new(gauge: &'a Cell<u64>) -> Self {
-        PressureGuard {
-            gauge,
-            active: false,
-        }
-    }
-
-    fn engage(&mut self) {
-        if !self.active {
-            self.active = true;
-            self.gauge.set(self.gauge.get() + 1);
-        }
-    }
-}
-
-impl Drop for PressureGuard<'_> {
-    fn drop(&mut self) {
-        if self.active {
-            self.gauge.set(self.gauge.get().saturating_sub(1));
-        }
-    }
 }
 
 /// Outcome of a read round; `hedged` flags that the accepted reply set
@@ -162,8 +122,7 @@ impl Endpoint {
     /// With [`DtmConfig::detector`](crate::DtmConfig::detector) set the
     /// round gets robust: a timed-out attempt is re-issued after a capped,
     /// decorrelated backoff, unless the deadline passed meanwhile — the
-    /// timeout already burned past it. While it retries, the round weighs
-    /// on the saturation-pressure gauge.
+    /// timeout already burned past it.
     async fn round<T, Fut: Future<Output = Option<T>>>(
         &self,
         class: u8,
@@ -177,7 +136,6 @@ impl Endpoint {
             .emit_engine_event(EngineEventKind::QuorumRound, self.node, u64::from(class));
         let retries = self.inner.cfg.detector.map_or(0, |_| RPC_RETRIES);
         let mut backoff = self.inner.cfg.backoff_base;
-        let mut pressure = PressureGuard::new(&self.inner.overload.retry_pressure);
         for n in 0..=retries {
             if let Some(out) = attempt().await {
                 return Ok(out);
@@ -185,7 +143,6 @@ impl Endpoint {
             self.inner.stats.borrow_mut().timeouts += 1;
             if n < retries {
                 self.within_deadline(deadline)?;
-                pressure.engage();
                 self.sim.bump(Counter::RpcRetries);
                 self.sim.sleep(backoff).await;
                 backoff = self.next_backoff(backoff);
@@ -250,17 +207,6 @@ impl Endpoint {
     fn hedge_dests(&self, rq: &[NodeId]) -> Option<Vec<NodeId>> {
         let hedge = self.inner.cfg.detector.map_or(0, |d| d.hedge);
         if hedge == 0 {
-            return None;
-        }
-        // Hedge suppression: under saturation (other rounds are
-        // concurrently timing out and retrying) extra hedge destinations
-        // only amplify the pressure, so they are skipped — counted and
-        // event-logged, never silent.
-        let pressure = self.inner.overload.retry_pressure.get();
-        if self.inner.cfg.overload.is_some() && pressure >= HEDGE_PRESSURE_THRESHOLD {
-            self.sim.bump(Counter::HedgesSuppressed);
-            self.sim
-                .emit_engine_event(EngineEventKind::HedgeSuppressed, self.node, pressure);
             return None;
         }
         let view = self.inner.quorum.borrow();
@@ -408,24 +354,5 @@ mod tests {
         let a = decorrelated_backoff(ms(8), base, cap, 1.3);
         let b = decorrelated_backoff(ms(8), base, cap, 2.7);
         assert_ne!(a, b, "different draws, different sleeps");
-    }
-
-    #[test]
-    fn pressure_guard_engages_once_and_releases_on_drop() {
-        let gauge = Cell::new(0u64);
-        {
-            let mut g = PressureGuard::new(&gauge);
-            g.engage();
-            g.engage();
-            assert_eq!(gauge.get(), 1, "idempotent engage");
-            let mut g2 = PressureGuard::new(&gauge);
-            g2.engage();
-            assert_eq!(gauge.get(), 2, "two rounds under retry");
-        }
-        assert_eq!(gauge.get(), 0, "drop released both");
-        {
-            let _unused = PressureGuard::new(&gauge);
-        }
-        assert_eq!(gauge.get(), 0, "unengaged guard releases nothing");
     }
 }

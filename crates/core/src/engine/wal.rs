@@ -23,24 +23,22 @@ use qrdtm_sim::{Disk, DiskConfig, SimDuration};
 
 use crate::object::{ObjVal, ObjectId, Version};
 
+/// QR's group commit: the log is fsynced every this many appended records.
+/// Q-Store does not use it: that family group-commits by construction, one
+/// fsync per batch record.
+const FSYNC_EVERY: usize = 4;
+
 /// Durable-storage knobs (see `DtmConfig::durability`; `None` = replicas
 /// are memory-only and a crash is a pause, today's classic behaviour).
 #[derive(Clone, Copy, Debug)]
 pub struct DurabilityConfig {
-    /// Fsync the log every N appended records (QR's group commit). Q-Store
-    /// ignores it: that family group-commits by construction, one fsync
-    /// per batch record.
-    pub fsync_every: usize,
     /// Take a snapshot (and truncate the log) every N appended records.
     pub snapshot_every: usize,
 }
 
 impl Default for DurabilityConfig {
     fn default() -> Self {
-        DurabilityConfig {
-            fsync_every: 4,
-            snapshot_every: 64,
-        }
+        DurabilityConfig { snapshot_every: 64 }
     }
 }
 
@@ -100,9 +98,9 @@ impl<R: Clone, S: Clone> Wal<R, S> {
         self.disk.append(rec)
     }
 
-    /// Whether [`DurabilityConfig::fsync_every`] appends have accumulated.
+    /// Whether `FSYNC_EVERY` (4) appends have accumulated.
     pub fn fsync_due(&self) -> bool {
-        self.appends_since_fsync >= self.cfg.fsync_every
+        self.appends_since_fsync >= FSYNC_EVERY
     }
 
     /// Whether [`DurabilityConfig::snapshot_every`] appends have
@@ -202,11 +200,8 @@ mod tests {
     use rand::SeedableRng;
 
     /// Records and snapshots are opaque to the log: plain integers do.
-    fn wal(fsync_every: usize, snapshot_every: usize) -> Wal<u32, Vec<u32>> {
-        Wal::new(DurabilityConfig {
-            fsync_every,
-            snapshot_every,
-        })
+    fn wal(snapshot_every: usize) -> Wal<u32, Vec<u32>> {
+        Wal::new(DurabilityConfig { snapshot_every })
     }
 
     /// One append under the policy QR's apply path runs.
@@ -221,31 +216,35 @@ mod tests {
 
     #[test]
     fn fsync_and_snapshot_policy_fire_on_schedule() {
-        let mut w = wal(2, 4);
-        apply(&mut w, 1);
-        assert_eq!(w.disk.readable_len(), 0, "first append still buffered");
-        apply(&mut w, 2);
-        assert_eq!(w.disk.readable_len(), 2, "fsync_every=2 flushed");
-        apply(&mut w, 3);
+        let mut w = wal(8);
+        for rec in 1..FSYNC_EVERY as u32 {
+            apply(&mut w, rec);
+        }
+        assert_eq!(w.disk.readable_len(), 0, "appends still buffered");
         apply(&mut w, 4);
+        assert_eq!(w.disk.readable_len(), 4, "FSYNC_EVERY appends flushed");
+        for rec in 5..=8 {
+            apply(&mut w, rec);
+        }
         assert_eq!(
             w.disk.readable_len(),
             0,
-            "snapshot_every=4 truncated the log"
+            "snapshot_every=8 truncated the log"
         );
         let img = w.replay();
         assert_eq!(img.records_replayed, 0);
-        assert_eq!(img.snapshot, Some(vec![4]), "snapshot carries state");
+        assert_eq!(img.snapshot, Some(vec![8]), "snapshot carries state");
         assert_eq!(img.cost, DiskConfig::default().snapshot_latency);
-        apply(&mut w, 5);
+        apply(&mut w, 9);
         assert!(!w.fsync_due(), "the snapshot restarted both counters");
     }
 
     #[test]
     fn crash_loses_unsynced_tail_deterministically() {
         let run = |seed: u64| {
-            let mut w = wal(100, 1000);
-            for i in 0..8 {
+            // One fsync after the fourth append leaves three unsynced.
+            let mut w = wal(1000);
+            for i in 0..7 {
                 apply(&mut w, i);
             }
             w.crash(&mut StdRng::seed_from_u64(seed));
@@ -253,25 +252,26 @@ mod tests {
             (img.records, img.torn_tail_detected)
         };
         assert_eq!(run(3), run(3));
-        assert!(run(3).0.len() <= 8);
+        assert!(run(3).0.len() <= 7);
     }
 
     #[test]
     fn corrupt_tail_is_detected_on_replay() {
-        let mut w = wal(2, 4);
-        apply(&mut w, 1);
-        apply(&mut w, 2); // fsynced now
+        let mut w = wal(8);
+        for rec in 1..=4 {
+            apply(&mut w, rec); // fsynced after the fourth
+        }
         assert!(w.corrupt_tail(1));
         let img = w.replay();
         assert!(img.torn_tail_detected);
-        assert_eq!(img.records, vec![1], "tail truncated at the tear");
-        assert_eq!(img.cost, DiskConfig::default().append_latency);
+        assert_eq!(img.records, vec![1, 2, 3], "tail truncated at the tear");
+        assert_eq!(img.cost, DiskConfig::default().append_latency * 3);
     }
 
     #[test]
     fn group_commit_samples_feed_the_fsync_telemetry() {
         let d = DiskConfig::default();
-        let mut w = wal(1, 2);
+        let mut w = wal(2);
         w.append(1);
         w.fsync(None);
         w.append(2);

@@ -3,16 +3,16 @@
 //! The runner builds a small contended cluster (the exploration [`Scope`]),
 //! installs a recording [`qrdtm_sim::Scheduler`] that delegates tie-breaks
 //! to a [`ChoicePolicy`](crate::ChoicePolicy), drives the workload to
-//! completion, and then runs the full invariant battery: history
-//! serializability, balance conservation, durability no-regress, and the
-//! structural nesting/checkpoint assertions from
-//! [`qrdtm_core::check_abort_targets`] /
+//! completion, and then runs the full invariant battery: the nemesis's
+//! [`qrdtm_chaos::audit`] (history serializability, balance conservation,
+//! durability no-regress) and the structural nesting/checkpoint assertions
+//! from [`qrdtm_core::check_abort_targets`] /
 //! [`qrdtm_core::check_checkpoint_restores`].
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use qrdtm_chaos::{check_balances, check_durability, ChaosTarget, Proto};
+use qrdtm_chaos::{audit, ChaosTarget, Proto};
 use qrdtm_core::{
     check_abort_targets, check_checkpoint_restores, Cluster, DtmConfig, InjectedBug, LatencySpec,
     Membership, NestingMode, ObjVal, ObjectId,
@@ -104,8 +104,9 @@ impl Scope {
 
     /// Refuse a scope with nothing to schedule or one its protocol cannot
     /// build: a family with a membership view, at least one node (three
-    /// for Q-Store, whose majority needs them), one object and one
-    /// transaction. The error names the field.
+    /// for Q-Store, whose majority needs them), two objects (a transfer
+    /// needs distinct accounts) and one transaction. The error names the
+    /// field.
     pub fn check(&self) -> Result<(), String> {
         let label = self.proto.label();
         if !self.proto.has_view() {
@@ -114,7 +115,7 @@ impl Scope {
         let min_nodes = if self.proto == Proto::QStore { 3 } else { 1 };
         let fields = [
             ("nodes", self.nodes as u64, min_nodes),
-            ("objects", self.objects, 1),
+            ("objects", self.objects, 2),
             ("txns", self.txns as u64, 1),
         ];
         match fields.into_iter().find(|&(_, value, min)| value < min) {
@@ -256,10 +257,9 @@ struct Family {
 }
 
 /// The one schedule runner: preload, record history and choices, `spawn`
-/// the workload, run to the horizon, then the battery every family shares
-/// (batch atomicity is empty for per-transaction protocols) and the
-/// fingerprint — the family's words, then message and event totals, final
-/// balances and acknowledged versions.
+/// the workload, run to the horizon, then the [`audit`] every family
+/// shares and the fingerprint — the family's words, then message and event
+/// totals, final balances and acknowledged versions.
 fn drive<P: ChaosTarget>(
     scope: &Scope,
     policy: Box<dyn ChoicePolicy>,
@@ -282,37 +282,10 @@ fn drive<P: ChaosTarget>(
     sim.run_until(SimTime::ZERO + HORIZON);
     sim.clear_scheduler();
 
-    let stuck = sim.live_tasks();
     let metrics = sim.metrics();
     let family = family(&cluster, &metrics);
-
-    let mut violations: Vec<String> = Vec::new();
-    if stuck > 0 {
-        violations.push(format!("stuck: {stuck} task(s) still live at the horizon"));
-    }
-    violations.extend(cluster.history_violations());
-    let balances: Vec<(u64, Option<i64>)> = (0..scope.objects)
-        .map(|o| (o, cluster.committed_int(ObjectId(o))))
-        .collect();
-    violations.extend(
-        check_balances(&balances, INITIAL_BALANCE * scope.objects as i64)
-            .iter()
-            .map(ToString::to_string),
-    );
-    violations.extend(
-        cluster
-            .batch_atomicity_violations()
-            .into_iter()
-            .map(|v| format!("batch atomicity broken: {v}")),
-    );
-    // Durability no-regress: every write version acked to a client must
-    // still be committed state after any crash and takeover.
-    let acked = cluster.acked_write_versions();
-    violations.extend(
-        check_durability(&acked, |oid| cluster.committed_version(ObjectId(oid)))
-            .iter()
-            .map(ToString::to_string),
-    );
+    let audit = audit(&*cluster, scope.objects, INITIAL_BALANCE);
+    let mut violations: Vec<String> = audit.violations.iter().map(ToString::to_string).collect();
     violations.extend(family.violations);
 
     let mut fp = Fnv::new();
@@ -321,11 +294,11 @@ fn drive<P: ChaosTarget>(
     }
     fp.write(metrics.sent_total);
     fp.write(metrics.events);
-    for (o, b) in &balances {
+    for (o, b) in &audit.balances {
         fp.write(*o);
         fp.write(b.map_or(u64::MAX, |b| b as u64));
     }
-    for (o, v) in &acked {
+    for (o, v) in &audit.acked {
         fp.write(*o);
         fp.write(*v);
     }

@@ -211,7 +211,7 @@ mod tests {
             Trace::parse(&text).unwrap_err()
         };
         assert!(with("nodes 0\nobjects 2").contains("nodes must be at least 1"));
-        assert!(with("nodes 3\nobjects 0").contains("objects must be at least 1"));
+        assert!(with("nodes 3\nobjects 1").contains("objects must be at least 2"));
         assert!(with("nodes 3 4\nobjects 2").contains("unexpected `4` after `nodes`"));
         assert!(Trace::parse("proto QR\nseed 5 6\n")
             .unwrap_err()

@@ -44,7 +44,7 @@ use std::rc::Rc;
 use qrdtm_core::history::{verify, Violation};
 use qrdtm_core::{
     Abort, DtmProtocol, DurabilityConfig, HistoryRecorder, LatencySpec, Membership, ObjVal,
-    ObjectId, Payload, ProtocolStats, SimHosted, TxId, Version, Wal,
+    ObjectId, Payload, ProtocolStats, SimHosted, TxId, Version, Wal, DETECTION_SLACK,
 };
 use qrdtm_sim::{NodeId, Sim, SimConfig, SimDuration};
 
@@ -576,6 +576,9 @@ impl Membership for QStoreCluster {
         let mut r = self.shared.replicas[node.index()].borrow_mut();
         r.wal.as_mut().is_some_and(|w| w.corrupt_tail(1))
     }
+    fn detection_bound(&self) -> SimDuration {
+        DETECTION_SLACK + self.config().transfer_cost
+    }
 }
 
 impl DtmProtocol for QStoreCluster {
@@ -664,9 +667,7 @@ impl SimHosted for QStoreCluster {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use qrdtm_core::{
-        atomically, crash_sim_only, recover_sim_only, spawn_detector, DetectorConfig,
-    };
+    use qrdtm_core::{atomically, crash_sim_only, recover_sim_only, spawn_detector};
 
     const ACCOUNTS: u64 = 8;
     const INITIAL: i64 = 100;
@@ -1019,7 +1020,7 @@ mod tests {
             ..Default::default()
         });
         let handle = spawn_detector(Rc::clone(&c), c.sim().clone());
-        let bound = DetectorConfig::detection_bound(c.config().transfer_cost);
+        let bound = c.detection_bound();
         let c2 = Rc::clone(&c);
         c.sim().spawn(async move {
             transfer(&c2, NodeId(4), ObjectId(0), ObjectId(1), 10).await;
@@ -1077,10 +1078,7 @@ mod tests {
     fn commits_stay_committed_across_snapshot_amnesia_and_takeover() {
         let c = cluster_with(QStoreConfig {
             seed: 61,
-            durability: Some(DurabilityConfig {
-                snapshot_every: 2,
-                ..Default::default()
-            }),
+            durability: Some(DurabilityConfig { snapshot_every: 2 }),
             ..Default::default()
         });
         c.begin_history();
@@ -1129,10 +1127,7 @@ mod tests {
     fn a_batch_outcome_block_is_shared_by_logs_and_snapshots() {
         let c = cluster_with(QStoreConfig {
             seed: 67,
-            durability: Some(DurabilityConfig {
-                snapshot_every: 4,
-                ..Default::default()
-            }),
+            durability: Some(DurabilityConfig { snapshot_every: 4 }),
             ..Default::default()
         });
         let c2 = Rc::clone(&c);

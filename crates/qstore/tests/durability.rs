@@ -109,10 +109,7 @@ fn a_torn_tail_drops_whole_batches_and_repair_restores_them() {
 #[test]
 fn snapshot_truncation_survives_amnesia() {
     let c = cluster(QStoreConfig {
-        durability: Some(DurabilityConfig {
-            snapshot_every: 2,
-            ..DurabilityConfig::default()
-        }),
+        durability: Some(DurabilityConfig { snapshot_every: 2 }),
         ..durable_cfg(31)
     });
     let victim = NodeId(6);

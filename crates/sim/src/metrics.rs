@@ -13,7 +13,7 @@ pub const MAX_CLASSES: usize = 16;
 
 /// Number of [`EngineEventKind`] variants (size of the counter array):
 /// one past the last variant's index.
-pub(crate) const ENGINE_EVENT_KINDS: usize = EngineEventKind::HedgeSuppressed as usize + 1;
+pub(crate) const ENGINE_EVENT_KINDS: usize = EngineEventKind::DeadlineAbort as usize + 1;
 
 /// Structured events a protocol engine emits at its layer boundaries.
 ///
@@ -65,10 +65,6 @@ pub enum EngineEventKind {
     /// A transaction was abandoned because it blew its deadline; `detail`
     /// is how far past the deadline it was, in nanoseconds.
     DeadlineAbort = 11,
-    /// A read round skipped its hedge destinations because outstanding
-    /// RPC-retry pressure indicated saturation; `detail` is the pressure
-    /// reading at the decision.
-    HedgeSuppressed = 12,
 }
 
 /// One recorded engine event (see [`Metrics::engine_event_log`]).
@@ -141,6 +137,9 @@ macro_rules! counters {
             /// Calls issued without a timeout while at least one destination was
             /// already dead — the caller will hang unless a detector resolves it.
             pub no_timeout_dead_calls: u64,
+            /// Read rounds that skipped hedging under saturation pressure:
+            /// always 0, since no engine suppresses hedges.
+            pub hedges_suppressed: u64,
             $($(#[$doc])* pub $field: u64,)*
             /// Sampled end-to-end commit latencies (engines report through
             /// [`Sim::observe_latency`](crate::Sim::observe_latency)).
@@ -195,8 +194,6 @@ counters! {
     /// RPC retries / hedge rounds cancelled because their transaction was
     /// already past its deadline — work that would have been wasted.
     WastedRetries => wasted_retries,
-    /// Read rounds that skipped hedging under saturation pressure.
-    HedgesSuppressed => hedges_suppressed,
     /// Transaction-level retry attempts that drew a retry-budget token —
     /// the no-retry-storm checker compares this against the minted token
     /// supply.
@@ -464,8 +461,7 @@ mod tests {
                 QuorumRepaired => Some(CheckpointRestored),
                 CheckpointRestored => Some(OverloadShed),
                 OverloadShed => Some(DeadlineAbort),
-                DeadlineAbort => Some(HedgeSuppressed),
-                HedgeSuppressed => None,
+                DeadlineAbort => None,
             };
         }
         assert_eq!(seen, ENGINE_EVENT_KINDS);
@@ -496,13 +492,11 @@ mod tests {
         m.bump(Counter::DeadlineAborts);
         m.bump(Counter::RetryBudgetExhausted);
         m.bump(Counter::WastedRetries);
-        m.bump(Counter::HedgesSuppressed);
         m.add(Counter::ClientRetries, 5);
         assert_eq!(m.admission_shed, 3);
         assert_eq!(m.deadline_aborts, 1);
         assert_eq!(m.retry_budget_exhausted, 1);
         assert_eq!(m.wasted_retries, 1);
-        assert_eq!(m.hedges_suppressed, 1);
         assert_eq!(m.client_retries, 5);
         m.on_engine_event(EngineEvent {
             at_ns: 1,
@@ -516,15 +510,8 @@ mod tests {
             kind: EngineEventKind::DeadlineAbort,
             detail: 1000,
         });
-        m.on_engine_event(EngineEvent {
-            at_ns: 3,
-            node: 0,
-            kind: EngineEventKind::HedgeSuppressed,
-            detail: 9,
-        });
         assert_eq!(m.engine_events(EngineEventKind::OverloadShed), 1);
         assert_eq!(m.engine_events(EngineEventKind::DeadlineAbort), 1);
-        assert_eq!(m.engine_events(EngineEventKind::HedgeSuppressed), 1);
         m.reset();
         assert_eq!(m.admission_shed, 0);
         assert_eq!(m.client_retries, 0);

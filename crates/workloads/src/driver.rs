@@ -165,11 +165,9 @@ pub fn run(cfg: DtmConfig, spec: &RunSpec) -> RunResult {
 
     // Fig. 10-style failures: shrink the alive set, growing the read quorum.
     for _ in 0..spec.failures {
-        let rq = cluster.read_quorum();
-        let victim = rq
-            .into_iter()
-            .find(|&n| sim.is_alive(n))
-            .expect("read quorum has an alive member");
+        let victim = cluster
+            .read_quorum_victim()
+            .expect("read quorum has a member");
         assert!(
             cluster.crash(victim),
             "quorum survives the configured failures"

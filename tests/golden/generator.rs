@@ -170,11 +170,9 @@ fn store<P: ChaosTarget>(proto: &P) -> Vec<String> {
     (0..ACCOUNTS)
         .map(ObjectId)
         .map(|o| {
-            format!(
-                "{:?}@{:?}",
-                proto.committed_int(o),
-                proto.committed_version(o)
-            )
+            let c = proto.committed(o);
+            let int = c.as_ref().map(|(_, val)| val.expect_int());
+            format!("{int:?}@{:?}", c.and_then(|(v, _)| v).map(|v| v.0))
         })
         .collect()
 }

@@ -13,16 +13,31 @@
 //! * crashing node after node ends in a refusal that leaves view, network
 //!   and epoch untouched;
 //! * `durable()` says whether the nodes keep a disk, and `corrupt_tail`
-//!   corrupts a record exactly when they do.
+//!   corrupts a record exactly when they do;
+//! * `read_quorum_victim()` names a view-alive member of QR's read quorum,
+//!   and another once that one crashed; Q-Store reads from no designated
+//!   quorum and names none;
+//! * `detection_bound()` leaves the detector at least its own slack.
 
 use qr_dtm::core::{Cluster, DtmConfig, DurabilityConfig, Membership, ObjVal, ObjectId, SimHosted};
 use qr_dtm::prelude::NodeId;
 use qr_dtm::qstore::{QStoreCluster, QStoreConfig};
+use qr_dtm::sim::{HEARTBEAT_INTERVAL, SUSPECT_WINDOW};
 
 fn conforms<M: Membership + SimHosted>(m: &M, durable: bool) {
     m.preload(ObjectId(0), ObjVal::Int(1));
     let alive = |n: NodeId| (m.view_alive(n), m.sim().is_alive(n));
     let (a, b) = (NodeId(1), NodeId(2));
+
+    assert!(m.detection_bound() >= SUSPECT_WINDOW * 2 + HEARTBEAT_INTERVAL * 4);
+    if let Some(victim) = m.read_quorum_victim() {
+        assert!(m.view_alive(victim), "the victim is a view member");
+        assert!(m.crash(victim));
+        let next = m.read_quorum_victim().expect("the read quorum regrows");
+        assert_ne!(next, victim, "a crashed victim is not named again");
+        assert!(m.view_alive(next));
+        assert!(m.recover(victim));
+    }
 
     let epoch = m.view_epoch();
     assert!(m.crash(a));
@@ -62,7 +77,10 @@ fn conforms<M: Membership + SimHosted>(m: &M, durable: bool) {
 
 #[test]
 fn qr_cluster_conforms() {
-    conforms(&Cluster::new(DtmConfig::default()), false);
+    let c = Cluster::new(DtmConfig::default());
+    let victim = c.read_quorum_victim().expect("QR reads from a quorum");
+    assert!(c.read_quorum().contains(&victim));
+    conforms(&c, false);
     let durable = DtmConfig {
         durability: Some(DurabilityConfig::default()),
         ..Default::default()
@@ -72,7 +90,9 @@ fn qr_cluster_conforms() {
 
 #[test]
 fn qstore_cluster_conforms() {
-    conforms(&QStoreCluster::new(QStoreConfig::default()), false);
+    let c = QStoreCluster::new(QStoreConfig::default());
+    assert_eq!(c.read_quorum_victim(), None);
+    conforms(&c, false);
     let durable = QStoreConfig {
         durability: Some(DurabilityConfig::default()),
         ..Default::default()
