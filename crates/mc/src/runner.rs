@@ -378,8 +378,6 @@ fn run_qstore_schedule(scope: &Scope, policy: Box<dyn ChoicePolicy>) -> RunOutco
         // inside the contended window, so seals race with reads.
         batch_size: 4,
         epoch_timeout: SimDuration::from_millis(2),
-        poll_initial: SimDuration::from_millis(2),
-        poll_interval: SimDuration::from_millis(1),
         rpc_timeout: SimDuration::from_millis(30),
         backoff: SimDuration::from_millis(1),
         wal_cost: SimDuration::from_micros(100),

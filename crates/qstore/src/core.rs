@@ -15,7 +15,7 @@ use qrdtm_core::{
     repair, CommitRecord, HistoryRecorder, IdHasher, IdMap, ObjVal, ObjectId, Payload, TxId,
     Version, Wal,
 };
-use qrdtm_sim::{NodeId, Sim, SimDuration, SimTime, Sleep};
+use qrdtm_sim::{CallId, NodeId, Sim, SimDuration, SimTime, Sleep};
 
 use crate::msg::{Decision, DecisionBlock, DecisionLog, Horizon, QMsg, TxStatus};
 use crate::wal::{fold, BatchRecord, QSnapshot};
@@ -282,11 +282,16 @@ pub(crate) struct PlannerState {
     pub pending: IdSet<TxId>,
     /// `tx -> (deciding batch, committed?)` for every decision in the
     /// planner's log that `horizon` does not cover — all a duplicate
-    /// `Submit` or a `Poll` needs to be answered exactly once. Filled by
-    /// `seal`, rebuilt from the adopted log by `takeover`.
+    /// `Submit` needs to be answered exactly once. Filled by `seal`,
+    /// rebuilt from the adopted log by `takeover`.
     pub outcomes: IdMap<TxId, (u64, bool)>,
-    /// One watermark per client node, raised by every `Submit` and `Poll`
-    /// and shipped with every sealed batch.
+    /// The held reply of every `Submit` whose outcome is not yet
+    /// acknowledged, `tx -> (client, call)`, answered by `answer_waiters`.
+    /// A takeover's fresh state drops them: those clients time out and
+    /// submit again.
+    pub waiting: IdMap<TxId, (NodeId, CallId)>,
+    /// One watermark per client node, raised by every `Submit` and shipped
+    /// with every sealed batch.
     pub horizon: Horizon,
     pub sealing: bool,
     pub last_sealed: u64,
@@ -302,6 +307,7 @@ impl PlannerState {
             open: Vec::new(),
             pending: IdSet::default(),
             outcomes: IdMap::default(),
+            waiting: IdMap::default(),
             horizon,
             sealing: false,
             last_sealed: applied,
@@ -553,11 +559,15 @@ pub(crate) fn install_handlers(sim: &Sim<QMsg>, shared: &Rc<Shared>) {
                     accept(&sh, &sim2, me, ctx, tx, reads, writes);
                     TxStatus::Pending
                 });
-                ctx.respond(&env, QMsg::SubmitAck { status });
-            }
-            QMsg::Poll { tx, watermark } => {
-                let status = known_status(&sh, me, tx, *watermark).unwrap_or(TxStatus::Unknown);
-                ctx.respond(&env, QMsg::SubmitAck { status });
+                match (status, env.call) {
+                    // Held until the batch is acknowledged; a newer call for
+                    // the same `tx` replaces an older one.
+                    (TxStatus::Pending, Some(call)) => {
+                        let waiter = (env.from, call);
+                        sh.planner.borrow_mut().waiting.insert(*tx, waiter);
+                    }
+                    _ => ctx.respond(&env, QMsg::SubmitAck { status }),
+                }
             }
             QMsg::ApplyBatch {
                 batch,
@@ -646,9 +656,10 @@ pub(crate) fn install_handlers(sim: &Sim<QMsg>, shared: &Rc<Shared>) {
 /// What node `me` can already answer about `tx`, whose node sent
 /// `watermark`: `NotPlanner` off the planner role, `Busy` mid-takeover,
 /// else the planner's record of it. A decided transaction reads `Pending`
-/// until its batch is quorum-acknowledged — nothing is reported committed
-/// before the epoch is durable on a majority — and one below its node's
-/// watermark reads `Settled`. `None`: the planner has never seen `tx`.
+/// (hold the reply) until its batch is quorum-acknowledged — nothing is
+/// reported committed before the epoch is durable on a majority — and one
+/// below its node's watermark reads `Settled`. `None`: the planner has
+/// never seen `tx`.
 fn known_status(sh: &Shared, me: usize, tx: &TxId, watermark: u64) -> Option<TxStatus> {
     let v = sh.view.borrow();
     if v.planner != me || !v.alive[me] {
@@ -917,6 +928,21 @@ pub(crate) fn account_decisions(sh: &Shared, decided: &[(TxId, Decision)]) {
         .retain(|tx| !clients.answered(tx));
 }
 
+/// Answer every held `Submit` of the batch `decided` from `me`, once:
+/// `Committed` or `Requeued`.
+fn answer_waiters(sh: &Shared, sim: &Sim<QMsg>, me: usize, decided: &[(TxId, Decision)]) {
+    let mut p = sh.planner.borrow_mut();
+    for (tx, d) in decided {
+        if let Some((client, call)) = p.waiting.remove(tx) {
+            let status = match d {
+                Decision::Committed { .. } => TxStatus::Committed,
+                Decision::Requeued { .. } => TxStatus::Requeued,
+            };
+            sim.reply(sh.nodes[me], client, call, QMsg::SubmitAck { status });
+        }
+    }
+}
+
 /// No committed transaction may have observed a write from a batch newer
 /// than its own, or from one not yet acknowledged.
 fn check_atomicity(sh: &Shared, reader: u64, observed: u64) {
@@ -940,7 +966,7 @@ pub(crate) async fn run_batches(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, first
         if sh.cfg.injected_bug == Some(QStoreBug::AckBeforeFsync) {
             // Injected bug: acknowledge the epoch the moment it is sealed
             // — before the planner's own fsync completes and before any
-            // replica holds it. Clients polling now see `Committed`, and
+            // replica holds it. Waiting clients hear `Committed` now, and
             // the history records it; a planner crash-with-amnesia inside
             // this window loses the epoch everywhere (the record is still
             // in the volatile disk buffer), a durability regression the
@@ -952,6 +978,7 @@ pub(crate) async fn run_batches(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, first
             }
             sh.acked.set(sh.acked.get().max(job.batch));
             account_decisions(&sh, &job.decided);
+            answer_waiters(&sh, &sim, me, &job.decided);
         }
         // The planner's own group-commit fsync for this batch (appended
         // at seal; cost-modelled mode charges the configured wal_cost).
@@ -1039,6 +1066,7 @@ pub(crate) async fn run_batches(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, first
             .borrow_mut()
             .push((sim.now() - job.sealed_at).as_nanos());
         account_decisions(&sh, &job.decided);
+        answer_waiters(&sh, &sim, me, &job.decided);
         // Chain into the next epoch if it is already ripe.
         let ripe = {
             let p = sh.planner.borrow();

@@ -90,10 +90,6 @@ pub struct QStoreConfig {
     pub batch_size: usize,
     /// Seal the open epoch at the latest this long after it opens.
     pub epoch_timeout: SimDuration,
-    /// Client wait before the first outcome poll after a submission.
-    pub poll_initial: SimDuration,
-    /// Interval between outcome polls.
-    pub poll_interval: SimDuration,
     /// Timeout on every RPC (liveness under crashes and partitions).
     pub rpc_timeout: SimDuration,
     /// Base retry/requeue backoff.
@@ -120,8 +116,6 @@ impl Default for QStoreConfig {
             service_time: SimDuration::from_micros(200),
             batch_size: 16,
             epoch_timeout: SimDuration::from_millis(3),
-            poll_initial: SimDuration::from_millis(25),
-            poll_interval: SimDuration::from_millis(5),
             rpc_timeout: SimDuration::from_millis(120),
             backoff: SimDuration::from_millis(2),
             wal_cost: SimDuration::from_micros(300),
@@ -245,7 +239,7 @@ impl QStoreCluster {
     }
 
     /// Total `(WAL records, WAL fsyncs)` across all replicas: about one
-    /// fsync per replica per batch, and a batch commits only ≈ 1.2 txns.
+    /// fsync per replica per batch, however few commits the batch carries.
     pub fn wal_totals(&self) -> (u64, u64) {
         self.shared
             .replicas
@@ -399,23 +393,6 @@ impl QStoreCluster {
         res.replies.into_iter().next().map(|(_, reply)| reply)
     }
 
-    /// Send `msg` (a `Submit` or `Poll`) to the planner the view names and
-    /// return the status it answered, if it answered in time.
-    async fn ask_planner(&self, node: NodeId, msg: QMsg) -> Option<TxStatus> {
-        match self.request(node, |view| (view.planner, msg)).await {
-            Some(QMsg::SubmitAck {
-                status: TxStatus::Settled,
-            }) => unreachable!("the planner settled a transaction its client still awaits"),
-            Some(QMsg::SubmitAck { status }) => Some(status),
-            _ => None,
-        }
-    }
-
-    /// The watermark of `tx`'s node, for the message about to carry it.
-    fn watermark(&self, tx: &TxId) -> u64 {
-        self.shared.clients.borrow().watermark(tx.node)
-    }
-
     /// Resolve one read: speculative from the object's home executor,
     /// or authoritative from the planner's committed store once an
     /// attempt has been requeued twice (the speculative chain it keeps
@@ -445,10 +422,11 @@ impl QStoreCluster {
         }
     }
 
-    /// Submit the attempt and drive it to an acknowledged outcome.
-    /// Submission is idempotent per `TxId`: timeouts retransmit, polls
-    /// interrogate, and a planner that lost the transaction (its open
-    /// epoch died with it) reports `Unknown`, which re-submits.
+    /// Submit the attempt and wait for its acknowledged outcome, which the
+    /// planner sends once the batch is durable on a majority. Submission is
+    /// idempotent per `TxId`: a timeout (the planner died, or lost the open
+    /// epoch with it), `Busy` or `NotPlanner` pauses and submits again, and
+    /// the planner answers a decided one from its record.
     async fn commit_handle(&self, tx: &QStoreTxHandle) -> Result<(), Abort> {
         if tx.reads.is_empty() && tx.writes.is_empty() {
             return Ok(());
@@ -459,38 +437,21 @@ impl QStoreCluster {
         loop {
             let submit = QMsg::Submit {
                 tx: tx.id,
-                watermark: self.watermark(&tx.id),
+                watermark: self.shared.clients.borrow().watermark(tx.id.node),
                 reads: Rc::clone(&reads),
                 writes: Rc::clone(&writes),
             };
-            match self.ask_planner(tx.node, submit).await {
+            let status = match self.request(tx.node, |view| (view.planner, submit)).await {
+                Some(QMsg::SubmitAck { status }) => Some(status),
+                _ => None,
+            };
+            match status {
                 Some(TxStatus::Committed) => return Ok(()),
                 Some(TxStatus::Requeued) => return Err(Abort::root()),
-                Some(TxStatus::Pending | TxStatus::Busy) => {
-                    self.sim.sleep(self.config().poll_initial).await;
-                    if self.poll_outcome(tx).await? {
-                        return Ok(());
-                    }
-                    // Unknown: fall through to re-submit.
+                Some(TxStatus::Settled) => {
+                    unreachable!("the planner settled a transaction its client still awaits")
                 }
                 _ => self.shared.pause(&self.sim).await,
-            }
-        }
-    }
-
-    /// Poll until the transaction resolves. `Ok(true)` = committed,
-    /// `Err` = requeued, `Ok(false)` = the planner lost it (re-submit).
-    async fn poll_outcome(&self, tx: &QStoreTxHandle) -> Result<bool, Abort> {
-        loop {
-            let poll = QMsg::Poll {
-                tx: tx.id,
-                watermark: self.watermark(&tx.id),
-            };
-            match self.ask_planner(tx.node, poll).await {
-                Some(TxStatus::Committed) => return Ok(true),
-                Some(TxStatus::Requeued) => return Err(Abort::root()),
-                Some(TxStatus::Unknown) => return Ok(false),
-                _ => self.sim.sleep(self.config().poll_interval).await,
             }
         }
     }
@@ -888,6 +849,21 @@ mod tests {
         assert_eq!(lag, top, "catch-up sync must close the gap");
     }
 
+    /// The client's commit is one request and one answer: the planner holds
+    /// the `Submit`'s reply until the batch is acknowledged.
+    #[test]
+    fn a_commit_on_an_idle_cluster_is_one_submit_and_one_answer() {
+        let c = cluster(7);
+        let c2 = Rc::clone(&c);
+        c.sim().spawn(async move {
+            transfer(&c2, NodeId(3), ObjectId(1), ObjectId(2), 40).await;
+        });
+        c.sim().run();
+        assert_eq!(c.stats().commits, 1);
+        let sent = c.sim().metrics().sent_by_class;
+        assert_eq!((sent[2], sent[3]), (1, 1), "Submit, SubmitAck");
+    }
+
     #[test]
     fn read_of_absent_object_resolves_as_implicit_preload() {
         let c = cluster(17);
@@ -998,7 +974,7 @@ mod tests {
         c.sim().spawn(async move {
             // Two requeues force the authoritative (planner) read path; an
             // object absent from the committed store must resolve as the
-            // implicit preload instead of hanging the poll loop.
+            // implicit preload instead of hanging the read loop.
             let mut h = c2.fresh_handle(NodeId(3), 2);
             let v = c2.read(&mut h, ObjectId(200)).await.unwrap();
             assert_eq!(v, ObjVal::Unit);
@@ -1104,11 +1080,12 @@ mod tests {
             assert_eq!(committed.len(), 6);
             assert!(c2.crash(NodeId(0)));
             for id in committed {
-                // A client that lost its reply polls again. `Ok(false)` is
-                // `Unknown`, which would make it re-execute the transfer.
+                // A client that lost its reply submits again. A planner
+                // that forgot the decision would execute this write.
                 let mut again = c2.begin(NodeId(4));
                 again.id = id;
-                assert_eq!(c2.poll_outcome(&again).await, Ok(true), "{id:?}");
+                again.writes.insert(ObjectId(0), ObjVal::Int(0));
+                assert_eq!(c2.commit_handle(&again).await, Ok(()), "{id:?}");
             }
             assert_eq!(c2.shared.view.borrow().planner, 1, "node 1 answered");
             transfer(&c2, NodeId(4), ObjectId(0), ObjectId(1), 3).await;
@@ -1280,34 +1257,20 @@ mod tests {
     }
 
     #[test]
-    fn submit_and_poll_replies_name_the_planner_state() {
+    fn submit_replies_name_the_planner_state() {
         let c = cluster(79);
         let c2 = Rc::clone(&c);
         c.sim().spawn(async move {
             let c = &*c2;
-            let tx = TxId { node: 9, seq: 1 };
-            let submit = || QMsg::Submit {
-                tx,
-                watermark: 1,
-                reads: [].into(),
-                writes: [(ObjectId(0), ObjVal::Int(5))].into(),
-            };
-            let poll = QMsg::Poll { tx, watermark: 1 };
-            assert_eq!(status(ask(c, 0, poll.clone()).await), TxStatus::Unknown);
-            assert_eq!(status(ask(c, 1, submit()).await), TxStatus::NotPlanner);
-            assert_eq!(status(ask(c, 1, poll.clone()).await), TxStatus::NotPlanner);
-            assert_eq!(status(ask(c, 0, submit()).await), TxStatus::Pending);
-            // Node 1 takes over; both requests land before its census
-            // round trip completes.
+            let tx = || submit(9, 1, 1, 5);
+            assert_eq!(status(ask(c, 1, tx()).await), TxStatus::NotPlanner);
+            // Held until the batch is acknowledged, and accounted first.
+            assert_eq!(status(ask(c, 0, tx()).await), TxStatus::Committed);
+            assert_eq!(c.stats().commits, 1);
+            // Node 1 takes over; the request lands before its census round
+            // trip completes.
             assert!(c.crash(NodeId(0)));
-            let timeout = Some(c.config().rpc_timeout);
-            let sent = submit();
-            let a = c.sim().call(NodeId(9), &[NodeId(1)], sent, timeout);
-            let b = c.sim().call(NodeId(9), &[NodeId(1)], poll, timeout);
-            for res in [a.await, b.await] {
-                let reply = res.replies.into_iter().next().expect("node 1 answers").1;
-                assert_eq!(status(reply), TxStatus::Busy);
-            }
+            assert_eq!(status(ask(c, 1, tx()).await), TxStatus::Busy);
         });
         c.sim().run();
     }
@@ -1354,14 +1317,10 @@ mod tests {
         let c2 = Rc::clone(&c);
         c.sim().spawn(async move {
             let c = &*c2;
-            assert_eq!(
-                status(ask(c, 0, submit(9, 1, 1, 5)).await),
-                TxStatus::Pending
-            );
-            c.sim().sleep(SETTLE).await;
-            for _ in 0..2 {
+            // Answered once at the quorum ack, then from the outcomes.
+            for val in [5, 6, 6] {
                 assert_eq!(
-                    status(ask(c, 0, submit(9, 1, 1, 6)).await),
+                    status(ask(c, 0, submit(9, 1, 1, val)).await),
                     TxStatus::Committed
                 );
             }
@@ -1369,13 +1328,12 @@ mod tests {
             // seal, and from now on settles it.
             assert_eq!(
                 status(ask(c, 0, submit(9, 2, 2, 7)).await),
-                TxStatus::Pending
+                TxStatus::Committed
             );
             assert_eq!(
                 status(ask(c, 0, submit(9, 1, 1, 8)).await),
                 TxStatus::Settled
             );
-            c.sim().sleep(SETTLE).await;
             let tx1 = TxId { node: 9, seq: 1 };
             assert!(!c.shared.planner.borrow().outcomes.contains_key(&tx1));
         });
@@ -1397,14 +1355,13 @@ mod tests {
             let tx1 = TxId { node: 9, seq: 1 };
             assert_eq!(
                 status(ask(c, 0, submit(9, 1, 1, 5)).await),
-                TxStatus::Pending
+                TxStatus::Committed
             );
-            c.sim().sleep(SETTLE).await;
             // Batch 2 ships watermark 2 for node 9: every replica forgets
             // batch 1's block, and so does what its WAL replays.
             assert_eq!(
                 status(ask(c, 0, submit(9, 2, 2, 6)).await),
-                TxStatus::Pending
+                TxStatus::Committed
             );
             c.sim().sleep(SETTLE).await;
             assert!(c.crash(NodeId(2)));
@@ -1448,12 +1405,13 @@ mod tests {
             let b = c
                 .sim()
                 .call(NodeId(9), &[NodeId(0)], submit(9, 1, 1, 6), timeout);
-            let _ = (a.await, b.await);
             assert!(c.crash(NodeId(8)));
-            c.sim().sleep(SETTLE).await;
+            drop(a);
+            let reply = b.await.replies.into_iter().next().expect("answered");
+            assert_eq!(status(reply.1), TxStatus::Committed);
             assert_eq!(
                 status(ask(c, 0, submit(9, 2, 2, 7)).await),
-                TxStatus::Pending
+                TxStatus::Committed
             );
             c.sim().sleep(SETTLE).await;
         });

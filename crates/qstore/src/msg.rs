@@ -1,6 +1,7 @@
-//! Wire protocol of the Q-Store family: submission/poll between clients
-//! and the planner, speculative queue forwarding to executors, and the
-//! per-batch replication round.
+//! Wire protocol of the Q-Store family: submission between clients and
+//! the planner (one answer per `Submit`, held until its batch is acked),
+//! speculative queue forwarding to executors, and the per-batch
+//! replication round.
 
 use qrdtm_core::{ObjVal, ObjectId, Payload, TxId, Version};
 use qrdtm_sim::{SimMessage, SimTime};
@@ -60,7 +61,7 @@ impl DecisionLog {
     }
 
     /// Drop every block whose transactions all lie below `horizon`: their
-    /// clients hold the outcomes, so no `Submit` or `Poll` will name them.
+    /// clients hold the outcomes, so no `Submit` will name them.
     pub(crate) fn forget(&mut self, horizon: &Horizon) {
         self.0
             .retain(|block| block.iter().any(|(tx, _)| !horizon.covers(tx)));
@@ -102,18 +103,17 @@ impl Horizon {
     }
 }
 
-/// Reply status for `Submit`/`Poll`.
+/// Reply status for `Submit`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TxStatus {
-    /// Enqueued in the open epoch (or sealed but not yet quorum-acked).
+    /// Enqueued in the open epoch (or sealed but not yet quorum-acked):
+    /// the planner holds the reply until the batch is acknowledged. Never
+    /// sent.
     Pending,
     /// Planner is mid-takeover; retry shortly.
     Busy,
     /// This node is not the planner; re-read the view and retry.
     NotPlanner,
-    /// The planner has no trace of this transaction (lost open epoch
-    /// after a planner crash); resubmit.
-    Unknown,
     /// Acknowledged: the whole epoch reached a quorum.
     Committed,
     /// Deterministically rejected; restart with fresh reads.
@@ -126,8 +126,9 @@ pub enum TxStatus {
 /// Q-Store wire messages.
 #[derive(Clone, Debug)]
 pub enum QMsg {
-    /// Client -> planner: enqueue (idempotent — doubles as a poll for the
-    /// same `tx`).
+    /// Client -> planner: enqueue, answered once the outcome is
+    /// acknowledged (idempotent — a retransmission of the same `tx` is
+    /// answered from the planner's record).
     Submit {
         /// Root transaction id (stable across retransmissions of the same
         /// attempt, fresh per restart).
@@ -139,14 +140,7 @@ pub enum QMsg {
         /// Buffered writes in client program order.
         writes: Payload<(ObjectId, ObjVal)>,
     },
-    /// Client -> planner: outcome query for an already-submitted `tx`.
-    Poll {
-        /// Transaction being polled.
-        tx: TxId,
-        /// The sending node's watermark.
-        watermark: u64,
-    },
-    /// Planner -> client: submission/poll outcome.
+    /// Planner -> client: submission outcome.
     SubmitAck {
         /// Current status of the transaction.
         status: TxStatus,
@@ -236,7 +230,7 @@ impl SimMessage for QMsg {
         match self {
             QMsg::Read { .. } | QMsg::ReadCommitted { .. } => 0,
             QMsg::ReadOk { .. } | QMsg::ReadMiss => 1,
-            QMsg::Submit { .. } | QMsg::Poll { .. } => 2,
+            QMsg::Submit { .. } => 2,
             QMsg::SubmitAck { .. } => 3,
             QMsg::Speculate { .. } => 4,
             QMsg::ApplyBatch { .. } | QMsg::FullSync { .. } => 5,
@@ -247,7 +241,6 @@ impl SimMessage for QMsg {
     fn size_hint(&self) -> usize {
         match self {
             QMsg::Submit { reads, writes, .. } => 40 + 16 * reads.len() + 24 * writes.len(),
-            QMsg::Poll { .. } => 40,
             QMsg::ApplyBatch {
                 writes,
                 decided,

@@ -297,6 +297,83 @@ mod tests {
         s.run();
     }
 
+    /// Install a handler on `node` that keeps each `Ping(x)`'s call and
+    /// answers `Pong(x)` from a task `delay` later.
+    fn deferred(s: &Sim<Msg>, node: NodeId, delay: SimDuration) {
+        let s2 = s.clone();
+        s.set_handler(node, move |ctx, env| {
+            let (Msg::Ping(x), Some(call)) = (env.msg, env.call) else {
+                return;
+            };
+            let (by, to, s3) = (ctx.node(), env.from, s2.clone());
+            s2.spawn(async move {
+                s3.sleep(delay).await;
+                s3.reply(by, to, call, Msg::Pong(x));
+            });
+        });
+    }
+
+    /// Call node 1 from node 0; once the call resolves, the cell holds the
+    /// instant, the reply count and whether it timed out.
+    fn timed_call(
+        s: &Sim<Msg>,
+        timeout: Option<SimDuration>,
+    ) -> Rc<Cell<Option<(SimTime, usize, bool)>>> {
+        let out = Rc::new(Cell::new(None));
+        let (s2, out2) = (s.clone(), Rc::clone(&out));
+        s.spawn(async move {
+            let r = s2
+                .call(NodeId(0), &[NodeId(1)], Msg::Ping(4), timeout)
+                .await;
+            out2.set(Some((s2.now(), r.replies.len(), r.timed_out)));
+        });
+        out
+    }
+
+    #[test]
+    fn a_deferred_reply_resolves_the_call_when_it_is_sent() {
+        let s = sim(15);
+        let n = s.add_nodes(2);
+        deferred(&s, n[1], SimDuration::from_millis(50));
+        let out = timed_call(&s, None);
+        s.run();
+        // 15 ms there + 200 µs service + 50 ms held + 15 ms back.
+        let at = SimTime::ZERO + SimDuration::from_millis(80) + SimDuration::from_micros(200);
+        assert_eq!(out.get(), Some((at, 1, false)));
+    }
+
+    #[test]
+    fn a_deferred_reply_after_the_timeout_is_ignored() {
+        let s = sim(15);
+        let n = s.add_nodes(2);
+        deferred(&s, n[1], SimDuration::from_millis(50));
+        let out = timed_call(&s, Some(SimDuration::from_millis(40)));
+        s.run();
+        let at = SimTime::ZERO + SimDuration::from_millis(40);
+        assert_eq!(out.get(), Some((at, 0, true)));
+        assert!(s.now() > at, "the late reply was still delivered");
+        let inner = s.core.inner.borrow();
+        assert!(inner.pending.is_empty() && inner.resolved_extra.is_empty());
+        assert_eq!(inner.metrics.wasted_replies, 0);
+    }
+
+    #[test]
+    fn a_deferred_reply_from_a_node_that_died_is_lost() {
+        let s = sim(15);
+        let n = s.add_nodes(2);
+        deferred(&s, n[1], SimDuration::from_millis(50));
+        let out = timed_call(&s, Some(SimDuration::from_millis(100)));
+        let s2 = s.clone();
+        s.spawn(async move {
+            s2.sleep(SimDuration::from_millis(30)).await;
+            s2.fail_node(NodeId(1));
+        });
+        s.run();
+        let at = SimTime::ZERO + SimDuration::from_millis(100);
+        assert_eq!(out.get(), Some((at, 0, true)));
+        assert_eq!(s.metrics().sent_total, 1, "the dead node sent nothing");
+    }
+
     #[test]
     fn call_first_resolves_at_need_and_counts_waste() {
         // Node 1 is healthy, node 2 is slow: a hedged call needing one

@@ -66,7 +66,8 @@ pub struct Envelope<M> {
     pub from: NodeId,
     /// Destination node.
     pub to: NodeId,
-    /// Present when the sender awaits a reply via [`HandlerCtx::respond`].
+    /// Present when the sender awaits a reply ([`HandlerCtx::respond`] or
+    /// [`Sim::reply`]).
     pub call: Option<CallId>,
     /// Protocol payload.
     pub msg: M,
@@ -353,6 +354,27 @@ impl<M: SimMessage> SimInner<M> {
 
     fn service_for(&self, class: u8) -> SimDuration {
         self.service_by_class[(class as usize).min(MAX_CLASSES - 1)].unwrap_or(self.service_time)
+    }
+
+    /// Send `msg` from `by` as the reply to `to`'s `call`, accounting for
+    /// it. A dead `by` answers nothing: the reply is lost at once.
+    #[inline]
+    fn reply(&mut self, by: NodeId, to: NodeId, call: CallId, msg: M) {
+        if !self.nodes[by.index()].alive {
+            return self.reply_lost(Some(call));
+        }
+        self.metrics.on_send(msg.class(), msg.size_hint());
+        let lat = self.latency.sample(by, to, &mut self.rng) + self.link_extra(by, to);
+        let at = self.now + lat;
+        self.schedule(
+            at,
+            EventKind::ReplyArrive {
+                call,
+                from: by,
+                to,
+                msg,
+            },
+        );
     }
 
     /// Route a request toward `env.to`, accounting for it; drops silently if
@@ -661,6 +683,14 @@ impl<M: SimMessage> Sim<M> {
         });
     }
 
+    /// Answer `to`'s `call` from `by` after the handler that received the
+    /// request returned: a handler keeps `(env.from, call)` and a task
+    /// replies later, exactly as [`HandlerCtx::respond`] would have. A
+    /// reply reaching a call that already resolved is ignored.
+    pub fn reply(&self, by: NodeId, to: NodeId, call: CallId, msg: M) {
+        self.core.inner.borrow_mut().reply(by, to, call, msg);
+    }
+
     /// Install a schedule-exploration hook consulted whenever several
     /// events are due at the same virtual instant. Replaces any previous
     /// scheduler. See [`Scheduler`] for the contract.
@@ -930,23 +960,7 @@ impl<'a, M: SimMessage> HandlerCtx<'a, M> {
     pub fn respond(&mut self, env: &Envelope<M>, msg: M) {
         let call = env.call.expect("respond() to a fire-and-forget message");
         let mut inner = self.core.inner.borrow_mut();
-        let inner = &mut *inner;
-        if !inner.nodes[self.node.index()].alive {
-            return inner.reply_lost(Some(call));
-        }
-        inner.metrics.on_send(msg.class(), msg.size_hint());
-        let lat = inner.latency.sample(self.node, env.from, &mut inner.rng)
-            + inner.link_extra(self.node, env.from);
-        let at = inner.now + lat;
-        inner.schedule(
-            at,
-            EventKind::ReplyArrive {
-                call,
-                from: self.node,
-                to: env.from,
-                msg,
-            },
-        );
+        inner.reply(self.node, env.from, call, msg);
     }
 
     /// Fire-and-forget send from this node.

@@ -120,23 +120,12 @@ stage "alloc_census (allocation calls and bytes per commit, 5 benchmarks x 3 mod
 stage "benchmark package tests (BENCHMARK.json contract drift, determinism across reps)" \
     cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
 
-# The benchmark smoke minus all it reads from the host: the par_bank block,
-# JSON lines, s, 1/s, ns and MB metrics, three bench.* host ratios, span
-# wall-clock rows and the headers' host fields. What is left is seeded; a
-# change meant to move it copies target/benchmark_smoke.txt over the golden.
-virtual_only() {
-    awk '
-        /^# workload=/ { par = ($2 == "workload=par_bank"); if (!par) print $1, $2, $3, $4; next }
-        par || /^\{/ { next }
-        $3 ~ /^(s|1\/s|ns|MB)$/ { next }
-        $1 ~ /^bench\.(host_speed|slice_wall_growth|trace_overhead)$/ { next }
-        /^# (setup|plan|cluster_new|preload|populate|warmup|measure|slice|audit|invariant|verify_history|probes) / { next }
-        { print }'
-}
-
+# The benchmark smoke's seeded lines (scripts/virtual_only.awk drops what it
+# reads from the host). A change meant to move them regenerates the golden
+# with scripts/regen_goldens.sh.
 benchmark_smoke() {
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke |
-        virtual_only >target/benchmark_smoke.txt
+        awk -f scripts/virtual_only.awk >target/benchmark_smoke.txt
     diff -u tests/golden/benchmark_smoke.txt target/benchmark_smoke.txt
 }
 

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Regenerate every golden `cargo test` compares (tests/golden/digests.txt and
-# tests/golden/repro/) from release binaries, for a change meant to alter an
-# output; review the diff. A surface that exits non-zero stops the script.
+# Regenerate every golden from release binaries, for a change meant to alter
+# an output: the ones `cargo test` compares (tests/golden/digests.txt and
+# tests/golden/repro/) and the benchmark smoke's seeded lines that
+# scripts/check.sh diffs (tests/golden/benchmark_smoke.txt). Review the diff.
+# A surface that exits non-zero stops the script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 repro() { cargo run --quiet --release --offline -p qrdtm-bench -- "$@"; }
@@ -13,3 +15,5 @@ for surface in "chaos --smoke" "chaos --smoke --detector" "chaos --smoke --amnes
 done
 rm -rf $out/all_quick
 repro all --quick --out $out/all_quick >$out/all_quick.txt
+cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- --smoke |
+    awk -f scripts/virtual_only.awk >tests/golden/benchmark_smoke.txt
