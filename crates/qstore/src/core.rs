@@ -280,15 +280,15 @@ pub(crate) struct PendTxn {
 pub(crate) struct PlannerState {
     pub open: Vec<PendTxn>,
     pub pending: IdSet<TxId>,
-    /// `tx -> (deciding batch, committed?)` for every decision in the
-    /// planner's log that `horizon` does not cover — all a duplicate
-    /// `Submit` needs to be answered exactly once. Filled by `seal`,
+    /// `tx -> Some(committing batch)`, or `None` for a requeue, for every
+    /// decision that `horizon` does not cover — all a duplicate `Submit`
+    /// needs to be answered exactly once. Filled at `Submit` and by `seal`,
     /// rebuilt from the adopted log by `takeover`.
-    pub outcomes: IdMap<TxId, (u64, bool)>,
-    /// The held reply of every `Submit` whose outcome is not yet
-    /// acknowledged, `tx -> (client, call)`, answered by `answer_waiters`.
-    /// A takeover's fresh state drops them: those clients time out and
-    /// submit again.
+    pub outcomes: IdMap<TxId, Option<u64>>,
+    /// The held reply of every `Submit` not yet answered, `tx -> (client,
+    /// call)`: a requeue is answered by `seal`, a commit by
+    /// `answer_waiters`. A takeover's fresh state drops them: those
+    /// clients time out and submit again.
     pub waiting: IdMap<TxId, (NodeId, CallId)>,
     /// One watermark per client node, raised by every `Submit` and shipped
     /// with every sealed batch.
@@ -324,8 +324,8 @@ impl PlannerState {
         let horizon = &self.horizon;
         let live = block.iter().filter(|(tx, _)| !horizon.covers(tx));
         self.outcomes.extend(live.map(|(tx, d)| match d {
-            Decision::Committed { batch, .. } => (*tx, (*batch, true)),
-            Decision::Requeued { batch } => (*tx, (*batch, false)),
+            Decision::Committed { batch, .. } => (*tx, Some(*batch)),
+            Decision::Requeued => (*tx, None),
         }));
     }
 }
@@ -426,8 +426,13 @@ impl TagVersions {
 pub struct QStoreStats {
     /// Committed transactions (counted at batch quorum-ack).
     pub commits: u64,
-    /// Requeued attempts (the family's abort analogue).
+    /// Requeued attempts (the family's abort analogue), each counted once
+    /// where it is decided: `requeued_at_submit + requeued_at_seal`.
     pub aborts: u64,
+    /// Requeued at `Submit`: a read is older than its epoch.
+    pub requeued_at_submit: u64,
+    /// Requeued at the seal: a read was overwritten within its epoch.
+    pub requeued_at_seal: u64,
     /// Quorum-acknowledged batches.
     pub batches: u64,
     /// Transactions carried by those batches.
@@ -442,10 +447,9 @@ pub(crate) struct Shared {
     pub replicas: Vec<Rc<RefCell<ReplicaState>>>,
     pub stats: RefCell<QStoreStats>,
     pub history: RefCell<HistoryRecorder>,
-    /// Accounted commits and requeues whose clients are not yet answered:
-    /// a takeover re-walking their batch must not count them twice.
+    /// Accounted commits whose clients are not yet answered: a takeover
+    /// re-walking their batch must not count them twice.
     pub recorded: RefCell<IdSet<TxId>>,
-    pub requeue_seen: RefCell<IdSet<TxId>>,
     /// Every batch up to this one is quorum-acknowledged (0 = preload).
     pub acked: Cell<u64>,
     /// Batch-atomicity violations, found as commits are accounted.
@@ -555,18 +559,35 @@ pub(crate) fn install_handlers(sim: &Sim<QMsg>, shared: &Rc<Shared>) {
                 reads,
                 writes,
             } => {
-                let status = known_status(&sh, me, tx, *watermark).unwrap_or_else(|| {
-                    accept(&sh, &sim2, me, ctx, tx, reads, writes);
-                    TxStatus::Pending
+                let status = known_status(&sh, me, tx, *watermark).or_else(|| {
+                    // Certain to fail at the seal: requeued now, and recorded
+                    // so a duplicate gets the same answer.
+                    let stale = stale_read(&sh, &sh.replicas[me].borrow(), reads, true);
+                    stale.then(|| {
+                        sh.planner.borrow_mut().outcomes.insert(*tx, None);
+                        let mut st = sh.stats.borrow_mut();
+                        st.requeued_at_submit += 1;
+                        st.aborts += 1;
+                        TxStatus::Requeued
+                    })
                 });
-                match (status, env.call) {
-                    // Held until the batch is acknowledged; a newer call for
-                    // the same `tx` replaces an older one.
-                    (TxStatus::Pending, Some(call)) => {
-                        let waiter = (env.from, call);
-                        sh.planner.borrow_mut().waiting.insert(*tx, waiter);
+                match status {
+                    // Held until decided; a newer call for the same `tx`
+                    // replaces an older one. Held before `accept`, whose
+                    // seal may decide it.
+                    None | Some(TxStatus::Pending) => {
+                        if let Some(call) = env.call {
+                            let waiter = (env.from, call);
+                            sh.planner.borrow_mut().waiting.insert(*tx, waiter);
+                        }
+                        if status.is_none() {
+                            accept(&sh, &sim2, me, ctx, tx, reads, writes);
+                        }
                     }
-                    _ => ctx.respond(&env, QMsg::SubmitAck { status }),
+                    Some(TxStatus::Requeued) => {
+                        ctx.respond(&env, requeued(&sh.replicas[me].borrow(), reads));
+                    }
+                    Some(status) => ctx.respond(&env, ack(status)),
                 }
             }
             QMsg::ApplyBatch {
@@ -655,11 +676,11 @@ pub(crate) fn install_handlers(sim: &Sim<QMsg>, shared: &Rc<Shared>) {
 
 /// What node `me` can already answer about `tx`, whose node sent
 /// `watermark`: `NotPlanner` off the planner role, `Busy` mid-takeover,
-/// else the planner's record of it. A decided transaction reads `Pending`
-/// (hold the reply) until its batch is quorum-acknowledged — nothing is
-/// reported committed before the epoch is durable on a majority — and one
-/// below its node's watermark reads `Settled`. `None`: the planner has
-/// never seen `tx`.
+/// else the planner's record of it. A requeue reads `Requeued` at once; a
+/// commit reads `Pending` (hold the reply) until its batch is
+/// quorum-acknowledged — nothing is reported committed before the epoch
+/// is durable on a majority — and a transaction below its node's
+/// watermark reads `Settled`. `None`: the planner has never seen `tx`.
 fn known_status(sh: &Shared, me: usize, tx: &TxId, watermark: u64) -> Option<TxStatus> {
     let v = sh.view.borrow();
     if v.planner != me || !v.alive[me] {
@@ -671,11 +692,46 @@ fn known_status(sh: &Shared, me: usize, tx: &TxId, watermark: u64) -> Option<TxS
     }
     p.horizon.raise(tx.node, watermark);
     match p.outcomes.get(tx) {
-        Some(&(batch, _)) if batch > p.decided_through => Some(TxStatus::Pending),
-        Some(&(_, true)) => Some(TxStatus::Committed),
-        Some(&(_, false)) => Some(TxStatus::Requeued),
+        Some(None) => Some(TxStatus::Requeued),
+        Some(&Some(batch)) if batch > p.decided_through => Some(TxStatus::Pending),
+        Some(Some(_)) => Some(TxStatus::Committed),
         None if p.pending.contains(tx) => Some(TxStatus::Pending),
         None => p.horizon.covers(tx).then_some(TxStatus::Settled),
+    }
+}
+
+/// The stale-read rule: a read of an object at write `tag` is stale once
+/// the committed slot holds another tag (an absent object holds tag 0, the
+/// implicit preload). The seal applies it as is. `Submit` counts only a
+/// slot newer than the read — the read may name a write queued in the open
+/// epoch — and slot tags only grow, so such a read is certain to fail at
+/// the seal. `SkipTagCheck` turns the rule off in both places.
+fn stale_read(sh: &Shared, r: &ReplicaState, reads: &[(ObjectId, u64)], at_submit: bool) -> bool {
+    sh.cfg.injected_bug != Some(QStoreBug::SkipTagCheck)
+        && reads.iter().any(|(oid, tag)| {
+            let slot = r.store.get(oid).map_or(0, |s| s.tag);
+            slot != *tag && (slot > *tag || !at_submit)
+        })
+}
+
+/// The answer to a `Submit` that carries no values.
+fn ack(status: TxStatus) -> QMsg {
+    let fresh = Vec::new();
+    QMsg::SubmitAck { status, fresh }
+}
+
+/// The `Requeued` answer: it carries the committed `(object, tag, value)`
+/// of every object in `reads` (an absent one as the implicit preload) for
+/// the retry to read.
+fn requeued(r: &ReplicaState, reads: &[(ObjectId, u64)]) -> QMsg {
+    let fresh = |oid: &ObjectId| match r.store.get(oid) {
+        Some(s) => (*oid, s.tag, s.val.clone()),
+        None => (*oid, 0, ObjVal::Unit),
+    };
+    let fresh = reads.iter().map(|(oid, _)| fresh(oid)).collect();
+    QMsg::SubmitAck {
+        status: TxStatus::Requeued,
+        fresh,
     }
 }
 
@@ -769,8 +825,9 @@ fn accept(
 
 /// Seal the open epoch: validate every transaction in planner-assigned
 /// order against the (self-applied) committed store, install the valid
-/// writes locally, and hand back the replication job. Returns `None` if
-/// there is nothing to seal or a replication round is already in flight.
+/// writes locally, answer the requeued with the values now installed, and
+/// hand back the replication job. Returns `None` if there is nothing to
+/// seal or a replication round is already in flight.
 pub(crate) fn seal(sh: &Rc<Shared>, sim: &Sim<QMsg>, me: usize) -> Option<BatchJob> {
     let mut p = sh.planner.borrow_mut();
     if p.sealing || !p.ready || p.open.is_empty() {
@@ -787,17 +844,11 @@ pub(crate) fn seal(sh: &Rc<Shared>, sim: &Sim<QMsg>, me: usize) -> Option<BatchJ
     let mut r = sh.replicas[me].borrow_mut();
     let mut wire_writes: Vec<(ObjectId, Version, u64, ObjVal)> = Vec::new();
     let mut decided: Vec<(TxId, Decision)> = Vec::new();
-    let skip_check = sh.cfg.injected_bug == Some(QStoreBug::SkipTagCheck);
+    let mut stale: Vec<&PendTxn> = Vec::new();
     for (seq, t) in open.iter().enumerate() {
-        // A tag-0 read of a still-absent object observed the implicit
-        // preload and stays valid; any installed write retags the slot
-        // and invalidates it.
-        let valid = skip_check
-            || t.reads
-                .iter()
-                .all(|(oid, tag)| r.store.get(oid).map_or(*tag == 0, |s| s.tag == *tag));
-        if !valid {
-            decided.push((t.tx, Decision::Requeued { batch }));
+        if stale_read(sh, &r, &t.reads, false) {
+            decided.push((t.tx, Decision::Requeued));
+            stale.push(t);
             continue;
         }
         let at = sealed_at + SimDuration::from_nanos(seq as u64 + 1);
@@ -867,12 +918,19 @@ pub(crate) fn seal(sh: &Rc<Shared>, sim: &Sim<QMsg>, me: usize) -> Option<BatchJ
     // Self-apply: the planner is replica 1 of the quorum, and its writes
     // are already in its store.
     r.take_batch(batch, &writes, &decided, &horizon, sh.view.borrow().epoch);
-    drop(r);
     sh.tag_vers.borrow_mut().forget(&sh.clients.borrow());
     let mut p = sh.planner.borrow_mut();
     p.outcomes.retain(|tx, _| !horizon.covers(tx));
     p.index_outcomes(&decided);
-    drop(p);
+    // A requeue externalises nothing: answer it now, not at the ack.
+    for t in &stale {
+        if let Some((client, call)) = p.waiting.remove(&t.tx) {
+            sim.reply(sh.nodes[me], client, call, requeued(&r, &t.reads));
+        }
+    }
+    let mut st = sh.stats.borrow_mut();
+    st.requeued_at_seal += stale.len() as u64;
+    st.aborts += stale.len() as u64;
     Some(BatchJob {
         batch,
         sealed_at,
@@ -882,63 +940,52 @@ pub(crate) fn seal(sh: &Rc<Shared>, sim: &Sim<QMsg>, me: usize) -> Option<BatchJ
     })
 }
 
-/// Account a quorum-acknowledged batch: stats, commit history, and the
-/// batch-atomicity check. Deduplicated by transaction id so a takeover
-/// that re-promotes an already-acked batch counts nothing twice: an
-/// answered client's decision was accounted before the answer, and the
-/// rest are remembered until their clients are answered.
+/// Account the commits of a quorum-acknowledged batch: stats, commit
+/// history, and the batch-atomicity check (requeues were counted where
+/// they were decided). Deduplicated by transaction id so a takeover that
+/// re-promotes an already-acked batch counts nothing twice: an answered
+/// client's commit was accounted before the answer, and the rest are
+/// remembered until their clients are answered.
 pub(crate) fn account_decisions(sh: &Shared, decided: &[(TxId, Decision)]) {
     let clients = sh.clients.borrow();
     for (tx, d) in decided {
-        if clients.answered(tx) {
+        let Decision::Committed {
+            batch,
+            at,
+            reads,
+            writes,
+            observed_batch_max,
+        } = d
+        else {
+            continue;
+        };
+        if clients.answered(tx) || !sh.recorded.borrow_mut().insert(*tx) {
             continue;
         }
-        match d {
-            Decision::Committed {
-                batch,
-                at,
-                reads,
-                writes,
-                observed_batch_max,
-            } => {
-                if sh.recorded.borrow_mut().insert(*tx) {
-                    sh.stats.borrow_mut().commits += 1;
-                    check_atomicity(sh, *batch, *observed_batch_max);
-                    let mut history = sh.history.borrow_mut();
-                    if history.is_enabled() {
-                        history.push(CommitRecord {
-                            tx: *tx,
-                            at: *at,
-                            reads: reads.clone(),
-                            writes: writes.clone(),
-                        });
-                    }
-                }
-            }
-            Decision::Requeued { .. } => {
-                if sh.requeue_seen.borrow_mut().insert(*tx) {
-                    sh.stats.borrow_mut().aborts += 1;
-                }
-            }
+        sh.stats.borrow_mut().commits += 1;
+        check_atomicity(sh, *batch, *observed_batch_max);
+        let mut history = sh.history.borrow_mut();
+        if history.is_enabled() {
+            history.push(CommitRecord {
+                tx: *tx,
+                at: *at,
+                reads: reads.clone(),
+                writes: writes.clone(),
+            });
         }
     }
     sh.recorded.borrow_mut().retain(|tx| !clients.answered(tx));
-    sh.requeue_seen
-        .borrow_mut()
-        .retain(|tx| !clients.answered(tx));
 }
 
-/// Answer every held `Submit` of the batch `decided` from `me`, once:
-/// `Committed` or `Requeued`.
+/// Answer every held `Submit` of a commit in the batch `decided` from
+/// `me`, once (`seal` answered the requeues).
 fn answer_waiters(sh: &Shared, sim: &Sim<QMsg>, me: usize, decided: &[(TxId, Decision)]) {
     let mut p = sh.planner.borrow_mut();
     for (tx, d) in decided {
-        if let Some((client, call)) = p.waiting.remove(tx) {
-            let status = match d {
-                Decision::Committed { .. } => TxStatus::Committed,
-                Decision::Requeued { .. } => TxStatus::Requeued,
-            };
-            sim.reply(sh.nodes[me], client, call, QMsg::SubmitAck { status });
+        if let Decision::Committed { .. } = d {
+            if let Some((client, call)) = p.waiting.remove(tx) {
+                sim.reply(sh.nodes[me], client, call, ack(TxStatus::Committed));
+            }
         }
     }
 }

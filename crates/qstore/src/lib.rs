@@ -174,7 +174,6 @@ impl QStoreCluster {
             stats: RefCell::new(QStoreStats::default()),
             history: RefCell::new(HistoryRecorder::default()),
             recorded: RefCell::default(),
-            requeue_seen: RefCell::default(),
             acked: Cell::new(0),
             atomicity: RefCell::new(Vec::new()),
             epoch_lat: RefCell::new(Vec::new()),
@@ -364,13 +363,13 @@ impl QStoreCluster {
             .collect()
     }
 
-    fn fresh_handle(&self, node: NodeId, requeues: u32) -> QStoreTxHandle {
+    fn fresh_handle(&self, node: NodeId, fresh: Vec<(ObjectId, u64, ObjVal)>) -> QStoreTxHandle {
         QStoreTxHandle {
             node,
             id: self.shared.clients.borrow_mut().begin(node.0),
             reads: BTreeMap::new(),
             writes: BTreeMap::new(),
-            requeues,
+            fresh,
         }
     }
 
@@ -394,17 +393,15 @@ impl QStoreCluster {
     }
 
     /// Resolve one read: speculative from the object's home executor,
-    /// or authoritative from the planner's committed store once an
-    /// attempt has been requeued twice (the speculative chain it keeps
-    /// reading may be stale on a lagging executor). An object absent
-    /// everywhere resolves as the implicit preload — tag 0 and
-    /// [`ObjVal::Unit`] — matching the seal's validation default, so
-    /// reads of never-written objects terminate instead of retrying
-    /// forever.
-    async fn read_remote(&self, node: NodeId, oid: ObjectId, authoritative: bool) -> (u64, ObjVal) {
+    /// or authoritative from the planner's committed store after two
+    /// failed executor reads. An object absent everywhere resolves as the
+    /// implicit preload — tag 0 and [`ObjVal::Unit`] — matching the seal's
+    /// validation default, so reads of never-written objects terminate
+    /// instead of retrying forever.
+    async fn read_remote(&self, node: NodeId, oid: ObjectId) -> (u64, ObjVal) {
         let mut attempt = 0u32;
         loop {
-            let auth = authoritative || attempt >= 2;
+            let auth = attempt >= 2;
             let route = |view: &QView| {
                 if auth {
                     (view.planner, QMsg::ReadCommitted { oid })
@@ -422,12 +419,14 @@ impl QStoreCluster {
         }
     }
 
-    /// Submit the attempt and wait for its acknowledged outcome, which the
-    /// planner sends once the batch is durable on a majority. Submission is
-    /// idempotent per `TxId`: a timeout (the planner died, or lost the open
-    /// epoch with it), `Busy` or `NotPlanner` pauses and submits again, and
-    /// the planner answers a decided one from its record.
-    async fn commit_handle(&self, tx: &QStoreTxHandle) -> Result<(), Abort> {
+    /// Submit the attempt and wait for its outcome: a commit once its batch
+    /// is durable on a majority, a requeue as soon as the planner decides
+    /// it, with the planner's committed values of the attempt's reads.
+    /// Submission is idempotent per `TxId`: a timeout (the planner died, or
+    /// lost the open epoch with it), `Busy` or `NotPlanner` pauses and
+    /// submits again, and the planner answers a decided one from its
+    /// record.
+    async fn commit_handle(&self, tx: &QStoreTxHandle) -> Result<(), Vec<(ObjectId, u64, ObjVal)>> {
         if tx.reads.is_empty() && tx.writes.is_empty() {
             return Ok(());
         }
@@ -441,18 +440,18 @@ impl QStoreCluster {
                 reads: Rc::clone(&reads),
                 writes: Rc::clone(&writes),
             };
-            let status = match self.request(tx.node, |view| (view.planner, submit)).await {
-                Some(QMsg::SubmitAck { status }) => Some(status),
-                _ => None,
-            };
-            match status {
-                Some(TxStatus::Committed) => return Ok(()),
-                Some(TxStatus::Requeued) => return Err(Abort::root()),
-                Some(TxStatus::Settled) => {
-                    unreachable!("the planner settled a transaction its client still awaits")
+            let reply = self.request(tx.node, |view| (view.planner, submit)).await;
+            if let Some(QMsg::SubmitAck { status, fresh }) = reply {
+                match status {
+                    TxStatus::Committed => return Ok(()),
+                    TxStatus::Requeued => return Err(fresh),
+                    TxStatus::Settled => {
+                        unreachable!("the planner settled a transaction its client still awaits")
+                    }
+                    _ => {}
                 }
-                _ => self.shared.pause(&self.sim).await,
             }
+            self.shared.pause(&self.sim).await;
         }
     }
 }
@@ -465,9 +464,9 @@ pub struct QStoreTxHandle {
     /// `object -> (write tag observed, value)`.
     reads: BTreeMap<ObjectId, (u64, ObjVal)>,
     writes: BTreeMap<ObjectId, ObjVal>,
-    /// Consecutive requeues of this logical transaction; after two, reads
-    /// switch to the planner's authoritative store.
-    requeues: u32,
+    /// `(object, write tag, value)` the last requeue's answer carried: a
+    /// read of one of them takes it without a message.
+    fresh: Vec<(ObjectId, u64, ObjVal)>,
 }
 
 /// The planner view is the cluster's [`Membership`].
@@ -554,7 +553,7 @@ impl DtmProtocol for QStoreCluster {
     }
 
     fn begin(&self, node: NodeId) -> QStoreTxHandle {
-        self.fresh_handle(node, 0)
+        self.fresh_handle(node, Vec::new())
     }
 
     async fn read(&self, tx: &mut QStoreTxHandle, oid: ObjectId) -> Result<ObjVal, Abort> {
@@ -564,7 +563,13 @@ impl DtmProtocol for QStoreCluster {
         if let Some((_, val)) = tx.reads.get(&oid) {
             return Ok(val.clone());
         }
-        let (tag, val) = self.read_remote(tx.node, oid, tx.requeues >= 2).await;
+        let (tag, val) = match tx.fresh.iter().position(|(o, ..)| *o == oid) {
+            Some(i) => {
+                let (_, tag, val) = tx.fresh.swap_remove(i);
+                (tag, val)
+            }
+            None => self.read_remote(tx.node, oid).await,
+        };
         tx.reads.insert(oid, (tag, val.clone()));
         Ok(val)
     }
@@ -582,17 +587,21 @@ impl DtmProtocol for QStoreCluster {
     async fn commit(&self, tx: &mut QStoreTxHandle) -> Result<(), Abort> {
         let outcome = self.commit_handle(tx).await;
         self.shared.clients.borrow_mut().settle(&tx.id);
-        outcome
+        outcome.map_err(|fresh| {
+            tx.fresh = fresh;
+            Abort::root()
+        })
     }
 
     async fn restart(&self, tx: &mut QStoreTxHandle, _abort: Abort) {
         // Requeues are counted as aborts at the planner decision; here the
-        // client just backs off and starts a fresh attempt. An attempt that
-        // aborted before its commit was never submitted: it settles here.
+        // client just backs off and starts a fresh attempt, handing it the
+        // values the requeue carried. An attempt that aborted before its
+        // commit was never submitted: it settles here.
         self.shared.clients.borrow_mut().settle(&tx.id);
         let d = self.config().backoff.mul_f64(self.sim.jitter(0.5, 2.0));
         self.sim.charge(d).await;
-        *tx = self.fresh_handle(tx.node, tx.requeues + 1);
+        *tx = self.fresh_handle(tx.node, std::mem::take(&mut tx.fresh));
     }
 
     fn protocol_stats(&self) -> ProtocolStats {
@@ -781,15 +790,24 @@ mod tests {
             let first = c2.commit(&mut a).await;
             assert!(first.is_err(), "stale read must requeue");
             c2.restart(&mut a, first.unwrap_err()).await;
+            let sent_reads = c2.sim().metrics().sent_by_class[0];
             let v1 = c2.read(&mut a, ObjectId(0)).await.unwrap().expect_int();
             assert_eq!(v1, INITIAL - 10, "retry must observe the new value");
+            assert_eq!(
+                c2.sim().metrics().sent_by_class[0],
+                sent_reads,
+                "the requeue's answer carried object 0: no Read"
+            );
             c2.write(&mut a, ObjectId(0), ObjVal::Int(v1 - 7))
                 .await
                 .unwrap();
             c2.commit(&mut a).await.unwrap();
         });
         c.sim().run();
-        assert_eq!(c.stats().aborts, 1);
+        let st = c.stats();
+        assert_eq!(st.aborts, 1);
+        // B committed before A submitted: A's read is older than its epoch.
+        assert_eq!((st.requeued_at_submit, st.requeued_at_seal), (1, 0));
         assert_eq!(c.latest(ObjectId(0)).unwrap().1, ObjVal::Int(INITIAL - 17));
         assert_eq!(c.verify_history(), vec![]);
     }
@@ -972,19 +990,24 @@ mod tests {
         let c = cluster(19);
         let c2 = Rc::clone(&c);
         c.sim().spawn(async move {
-            // Two requeues force the authoritative (planner) read path; an
-            // object absent from the committed store must resolve as the
-            // implicit preload instead of hanging the read loop.
-            let mut h = c2.fresh_handle(NodeId(3), 2);
-            let v = c2.read(&mut h, ObjectId(200)).await.unwrap();
+            // Object 203's home executor, node 3, is silent without leaving
+            // the view: two executor reads time out and the read falls back
+            // to the planner's committed store. An object absent from it
+            // must resolve as the implicit preload instead of hanging the
+            // read loop.
+            assert!(crash_sim_only(&*c2, c2.sim(), NodeId(3)));
+            let start = c2.sim().now();
+            let mut h = c2.begin(NodeId(2));
+            let v = c2.read(&mut h, ObjectId(203)).await.unwrap();
             assert_eq!(v, ObjVal::Unit);
-            c2.write(&mut h, ObjectId(200), ObjVal::Int(5))
+            assert!(c2.sim().now() - start >= c2.config().rpc_timeout * 2);
+            c2.write(&mut h, ObjectId(203), ObjVal::Int(5))
                 .await
                 .unwrap();
             c2.commit(&mut h).await.unwrap();
         });
         c.sim().run();
-        assert_eq!(c.latest(ObjectId(200)).unwrap().1, ObjVal::Int(5));
+        assert_eq!(c.latest(ObjectId(203)).unwrap().1, ObjVal::Int(5));
         assert_eq!(c.stats().commits, 1);
     }
 
@@ -1155,8 +1178,19 @@ mod tests {
 
     fn status(reply: QMsg) -> TxStatus {
         match reply {
-            QMsg::SubmitAck { status } => status,
+            QMsg::SubmitAck { status, .. } => status,
             other => panic!("expected SubmitAck, got {other:?}"),
+        }
+    }
+
+    /// A `Requeued` answer's carried values.
+    fn requeued(reply: QMsg) -> Vec<(ObjectId, u64, ObjVal)> {
+        match reply {
+            QMsg::SubmitAck {
+                status: TxStatus::Requeued,
+                fresh,
+            } => fresh,
+            other => panic!("expected a requeue, got {other:?}"),
         }
     }
 
@@ -1284,6 +1318,90 @@ mod tests {
             reads: [].into(),
             writes: [(ObjectId(0), ObjVal::Int(val))].into(),
         }
+    }
+
+    /// Node `node`'s `Submit` of `seq`, reading object 3 at `tag` and
+    /// writing `val` to it, carrying watermark `seq`.
+    fn read_write(node: u32, seq: u64, tag: u64, val: i64) -> QMsg {
+        QMsg::Submit {
+            tx: TxId { node, seq },
+            watermark: seq,
+            reads: [(ObjectId(3), tag)].into(),
+            writes: [(ObjectId(3), ObjVal::Int(val))].into(),
+        }
+    }
+
+    /// The committed `(tag, value)` of object 3 on the planner.
+    fn slot3(c: &QStoreCluster) -> (u64, ObjVal) {
+        let s = &c.shared.replicas[0].borrow().store[&ObjectId(3)];
+        (s.tag, s.val.clone())
+    }
+
+    /// Nodes 8 and 9 read object 3 at its preload and write it, in one
+    /// batch: the first in planner order commits, the second is requeued
+    /// at the seal and hears so before the batch reaches its quorum, with
+    /// the value the first just installed.
+    #[test]
+    fn a_requeued_client_hears_before_its_batch_is_acknowledged() {
+        let c = cluster_with(QStoreConfig {
+            seed: 107,
+            epoch_timeout: SimDuration::from_millis(10),
+            ..Default::default()
+        });
+        let heard: Rc<RefCell<Vec<(QMsg, u64)>>> = Rc::default();
+        for node in [8, 9] {
+            let (c2, heard) = (Rc::clone(&c), Rc::clone(&heard));
+            c.sim().spawn(async move {
+                let msg = read_write(node, 1, 0, i64::from(node));
+                let timeout = Some(c2.config().rpc_timeout);
+                let res = c2.sim().call(NodeId(node), &[NodeId(0)], msg, timeout);
+                let reply = res.await.replies.into_iter().next().expect("answered");
+                heard.borrow_mut().push((reply.1, c2.stats().batches));
+            });
+        }
+        c.sim().run();
+        let mut heard = heard.take().into_iter();
+        let (first, acked_then) = heard.next().unwrap();
+        assert_eq!(acked_then, 0, "answered before the quorum ack");
+        let (tag, val) = slot3(&c);
+        assert_eq!(requeued(first), vec![(ObjectId(3), tag, val)]);
+        let (second, acked_then) = heard.next().unwrap();
+        assert_eq!((status(second), acked_then), (TxStatus::Committed, 1));
+        let st = c.stats();
+        assert_eq!((st.commits, st.batches, st.batch_txns), (1, 1, 2));
+        assert_eq!((st.requeued_at_submit, st.requeued_at_seal), (0, 1));
+    }
+
+    #[test]
+    fn a_submit_older_than_the_committed_slot_is_requeued_at_once() {
+        let c = cluster(109);
+        let c2 = Rc::clone(&c);
+        c.sim().spawn(async move {
+            let c = &*c2;
+            let reply = ask(c, 0, read_write(9, 1, 0, 5)).await;
+            assert_eq!(status(reply), TxStatus::Committed);
+            let speculated = c.sim().metrics().sent_by_class[4];
+            // Still reading the preload: older than the slot, so certain to
+            // fail at the seal. A duplicate gets the same answer.
+            for _ in 0..2 {
+                let fresh = requeued(ask(c, 0, read_write(9, 2, 0, 6)).await);
+                assert_eq!(fresh, vec![(ObjectId(3), slot3(c).0, ObjVal::Int(5))]);
+                let p = c.shared.planner.borrow();
+                assert!(p.open.is_empty() && p.pending.is_empty(), "nothing queued");
+                assert_eq!(p.last_sealed, 1, "no epoch opened");
+            }
+            assert_eq!(
+                c.sim().metrics().sent_by_class[4],
+                speculated,
+                "no Speculate"
+            );
+            c.sim().sleep(SETTLE).await;
+        });
+        c.sim().run();
+        let st = c.stats();
+        assert_eq!((st.commits, st.batches, st.aborts), (1, 1, 1));
+        assert_eq!((st.requeued_at_submit, st.requeued_at_seal), (1, 0));
+        assert_eq!(c.latest(ObjectId(3)).unwrap().1, ObjVal::Int(5));
     }
 
     /// Long enough for a submitted batch to seal and reach its quorum, or

@@ -1,5 +1,6 @@
 //! Wire protocol of the Q-Store family: submission between clients and
-//! the planner (one answer per `Submit`, held until its batch is acked),
+//! the planner (one answer per `Submit`: a requeue as soon as it is
+//! decided, a commit once its batch is acked),
 //! speculative queue forwarding to executors, and the per-batch
 //! replication round.
 
@@ -25,11 +26,9 @@ pub enum Decision {
         /// fed to the batch-atomicity checker.
         observed_batch_max: u64,
     },
-    /// A read tag went stale before the seal; the client must re-execute.
-    Requeued {
-        /// Batch that rejected the transaction.
-        batch: u64,
-    },
+    /// A read tag was overwritten within its epoch; the client must
+    /// re-execute.
+    Requeued,
 }
 
 /// The outcome of every transaction in one sealed batch, in planner order.
@@ -106,9 +105,8 @@ impl Horizon {
 /// Reply status for `Submit`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TxStatus {
-    /// Enqueued in the open epoch (or sealed but not yet quorum-acked):
-    /// the planner holds the reply until the batch is acknowledged. Never
-    /// sent.
+    /// Enqueued in the open epoch, or committed in a batch not yet
+    /// quorum-acked: the planner holds the reply. Never sent.
     Pending,
     /// Planner is mid-takeover; retry shortly.
     Busy,
@@ -116,7 +114,8 @@ pub enum TxStatus {
     NotPlanner,
     /// Acknowledged: the whole epoch reached a quorum.
     Committed,
-    /// Deterministically rejected; restart with fresh reads.
+    /// Deterministically rejected, answered as soon as decided; restart
+    /// with the fresh reads the answer carries.
     Requeued,
     /// Below its node's watermark: that client already holds the outcome,
     /// and the planner neither executes nor answers it again.
@@ -126,9 +125,9 @@ pub enum TxStatus {
 /// Q-Store wire messages.
 #[derive(Clone, Debug)]
 pub enum QMsg {
-    /// Client -> planner: enqueue, answered once the outcome is
-    /// acknowledged (idempotent — a retransmission of the same `tx` is
-    /// answered from the planner's record).
+    /// Client -> planner: enqueue, answered once requeued or once the
+    /// commit is acknowledged (idempotent — a retransmission of the same
+    /// `tx` is answered from the planner's record).
     Submit {
         /// Root transaction id (stable across retransmissions of the same
         /// attempt, fresh per restart).
@@ -144,14 +143,18 @@ pub enum QMsg {
     SubmitAck {
         /// Current status of the transaction.
         status: TxStatus,
+        /// With `Requeued`: the planner's committed `(object, write tag,
+        /// value)` for every object the attempt read, so the retry reads
+        /// them without a message. Empty otherwise.
+        fresh: Vec<(ObjectId, u64, ObjVal)>,
     },
     /// Client -> home executor: speculative read (newest queued write).
     Read {
         /// Object requested.
         oid: ObjectId,
     },
-    /// Client -> planner: authoritative read of the committed store
-    /// (requeue-escape hatch).
+    /// Client -> planner: authoritative read of the committed store (the
+    /// fallback after two failed executor reads).
     ReadCommitted {
         /// Object requested.
         oid: ObjectId,
@@ -241,6 +244,12 @@ impl SimMessage for QMsg {
     fn size_hint(&self) -> usize {
         match self {
             QMsg::Submit { reads, writes, .. } => 40 + 16 * reads.len() + 24 * writes.len(),
+            QMsg::SubmitAck { fresh, .. } => {
+                32 + fresh
+                    .iter()
+                    .map(|(_, _, val)| 16 + val.approx_size())
+                    .sum::<usize>()
+            }
             QMsg::ApplyBatch {
                 writes,
                 decided,
@@ -255,5 +264,26 @@ impl SimMessage for QMsg {
             } => 32 + 48 * store.len() + 64 * decided.txns() + horizon.wire_bytes(),
             _ => 32,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_submit_ack_is_sized_by_the_values_it_carries() {
+        let ack = |fresh: Vec<(ObjectId, u64, ObjVal)>| {
+            let status = TxStatus::Requeued;
+            QMsg::SubmitAck { status, fresh }.size_hint()
+        };
+        let one = vec![(ObjectId(1), 7, ObjVal::Int(5))];
+        let two = vec![
+            (ObjectId(1), 7, ObjVal::Int(5)),
+            (ObjectId(2), 9, ObjVal::IntList([1, 2, 3].into())),
+        ];
+        assert_eq!(ack(Vec::new()), 32);
+        assert_eq!(ack(one), 32 + 16 + 8);
+        assert_eq!(ack(two), 32 + 16 + 8 + 16 + 32);
     }
 }

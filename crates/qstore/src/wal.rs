@@ -3,7 +3,7 @@
 //! The durability unit is the *batch* (epoch): each replica appends exactly
 //! one [`BatchRecord`] per applied batch and fsyncs it immediately — the
 //! group commit the family is built around (of attempts: a batch commits
-//! only ≈ 1.2 transactions on `qstore_hot`). One record holds the batch, so
+//! only ≈ 2.3 transactions on `qstore_hot`). One record holds the batch, so
 //! torn-tail semantics give batch atomicity for free: a tear truncates at a
 //! record boundary, and replay resurrects an epoch completely or not at all.
 //!
@@ -75,7 +75,7 @@ mod tests {
                     node: 0,
                     seq: batch,
                 },
-                Decision::Requeued { batch },
+                Decision::Requeued,
             )]
             .into(),
             horizon: Horizon::default(),

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Regenerate every golden from release binaries, for a change meant to alter
 # an output: the ones `cargo test` compares (tests/golden/digests.txt and
-# tests/golden/repro/) and the benchmark smoke's seeded lines that
-# scripts/check.sh diffs (tests/golden/benchmark_smoke.txt). Review the diff.
-# A surface that exits non-zero stops the script.
+# tests/golden/repro/), the benchmark smoke's seeded lines that
+# scripts/check.sh diffs (tests/golden/benchmark_smoke.txt), and the
+# published full-grid CSVs in results/ (unchecked, but a figure that moves
+# moves there too). Review the diff. A surface that exits non-zero stops the
+# script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 repro() { cargo run --quiet --release --offline -p qrdtm-bench -- "$@"; }
@@ -15,5 +17,6 @@ for surface in "chaos --smoke" "chaos --smoke --detector" "chaos --smoke --amnes
 done
 rm -rf $out/all_quick
 repro all --quick --out $out/all_quick >$out/all_quick.txt
+repro all --out results >/dev/null
 cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- --smoke |
     awk -f scripts/virtual_only.awk >tests/golden/benchmark_smoke.txt
