@@ -16,9 +16,7 @@ use qrdtm_chaos::{
     generate, run_plan, shrink, ChaosReport, ChaosSpec, ChaosViolation, FaultBudget, FaultPlan,
     Proto,
 };
-use qrdtm_core::{
-    Cluster, DetectorConfig, DtmConfig, DurabilityConfig, NestingMode, OverloadConfig,
-};
+use qrdtm_core::{Cluster, DtmConfig, DurabilityConfig, NestingMode, OverloadConfig};
 use qrdtm_qstore::{QStoreCluster, QStoreConfig};
 use qrdtm_sim::{Metrics, SimDuration};
 use qrdtm_workloads::OpenLoopSpec;
@@ -100,7 +98,7 @@ impl Scenario {
             // Oracle off: the cluster self-heals via heartbeats. A tight RPC
             // timeout keeps calls into not-yet-ejected dead nodes short
             // relative to the suspicion window, so retries/hedging matter.
-            cfg.detector = Some(DetectorConfig::default());
+            cfg.detector = true;
             cfg.rpc_timeout = Some(SimDuration::from_millis(100));
         }
         if self.durable {

@@ -809,7 +809,7 @@ mod tests {
             mode: NestingMode::Closed,
             seed,
             rpc_timeout: Some(SimDuration::from_millis(100)),
-            detector: Some(qrdtm_core::DetectorConfig::default()),
+            detector: true,
             ..Default::default()
         }))
     }

@@ -75,7 +75,7 @@ impl ChaosTarget for Cluster {
 
     fn start_detector(self: Rc<Self>) -> Option<DetectorHandle> {
         let sim = self.sim().clone();
-        self.config().detector.map(|_| spawn_detector(self, sim))
+        self.config().detector.then(|| spawn_detector(self, sim))
     }
 
     fn begin_history(&self) {

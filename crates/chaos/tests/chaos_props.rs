@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use qrdtm_baselines::{DecentCluster, DecentConfig, TfaCluster, TfaConfig};
 use qrdtm_chaos::{generate, run_plan, ChaosReport, ChaosSpec, FaultBudget, FaultPlan};
-use qrdtm_core::{Cluster, DetectorConfig, DtmConfig, DurabilityConfig, NestingMode};
+use qrdtm_core::{Cluster, DtmConfig, DurabilityConfig, NestingMode};
 use qrdtm_sim::{EngineEventKind, SimDuration};
 
 const NODES: usize = 10;
@@ -306,7 +306,7 @@ fn run_detector(seed: u64, events: usize) -> ChaosReport {
         mode: NestingMode::Closed,
         seed,
         rpc_timeout: Some(SimDuration::from_millis(100)),
-        detector: Some(DetectorConfig::default()),
+        detector: true,
         ..Default::default()
     }));
     run_plan(cl, &spec, &plan)

@@ -111,9 +111,9 @@ pub struct DtmConfig {
     /// Run the heartbeat failure detector ([`crate::spawn_detector`])
     /// instead of relying on an oracle to call
     /// [`Membership::crash`]/[`Membership::recover`]. Also arms the
-    /// transport's retry/hedging path. `None` (the default) keeps the
+    /// transport's retry/hedging path. Off (the default) keeps the
     /// classic oracle-driven model byte-for-byte identical.
-    pub detector: Option<crate::engine::DetectorConfig>,
+    pub detector: bool,
     /// Give every replica a simulated disk with a write-ahead log and
     /// periodic snapshots (see [`crate::Wal`]). Arms the
     /// crash-restart-with-amnesia semantics ([`Membership::crash`], then
@@ -207,7 +207,7 @@ impl Default for DtmConfig {
             backoff_max: SimDuration::from_millis(120),
             rpc_timeout: Some(SimDuration::from_millis(500)),
             rqv: true,
-            detector: None,
+            detector: false,
             durability: None,
             injected_bug: None,
             overload: None,

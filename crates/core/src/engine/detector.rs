@@ -49,29 +49,16 @@ use qrdtm_sim::{
     SUSPECT_WINDOW,
 };
 
-/// Arms the failure detector and the transport robustness that rides
-/// along with it (see [`DtmConfig::detector`](crate::DtmConfig::detector)).
-/// Heartbeats go out every [`HEARTBEAT_INTERVAL`] (50 ms ± 20 %), and a
-/// node is suspected after a [`SUSPECT_WINDOW`] of silence (four
-/// intervals).
-#[derive(Clone, Copy, Debug)]
-pub struct DetectorConfig {
-    /// Transport: send read rounds to `read_q + hedge` destinations and
-    /// accept the first `|read_q|` replies, masking slow members at the
-    /// cost of wasted replies. 0 disables hedging.
-    pub hedge: usize,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig { hedge: 1 }
-    }
-}
-
-/// Transport, with a detector configured: re-issue a timed-out quorum RPC
-/// up to this many times (capped exponential backoff between attempts)
-/// before aborting.
+/// Transport, with the detector on
+/// ([`DtmConfig::detector`](crate::DtmConfig::detector)): re-issue a
+/// timed-out quorum RPC up to this many times (capped exponential backoff
+/// between attempts) before aborting.
 pub(crate) const RPC_RETRIES: u32 = 2;
+
+/// Transport, with the detector on: send read rounds to `read_q + HEDGE`
+/// destinations and accept the first `|read_q|` replies, masking a slow
+/// member at the cost of wasted replies.
+pub(crate) const HEDGE: usize = 1;
 
 /// The reconfigurable membership view of a fault-tolerant family — the
 /// paper's Cluster Manager (Fig. 4) — and the one door through which the

@@ -14,7 +14,7 @@ use std::rc::Rc;
 use qrdtm_sim::{Counter, EngineEventKind, NodeId, Sim, SimDuration, SimTime};
 
 use crate::cluster::ClusterInner;
-use crate::engine::detector::RPC_RETRIES;
+use crate::engine::detector::{HEDGE, RPC_RETRIES};
 use crate::msg::{class, Msg, ValEntry, ValidationKind};
 use crate::object::{ObjVal, ObjectId, Version};
 use crate::pool::Payload;
@@ -134,7 +134,11 @@ impl Endpoint {
         *count(&mut self.inner.stats.borrow_mut()) += 1;
         self.sim
             .emit_engine_event(EngineEventKind::QuorumRound, self.node, u64::from(class));
-        let retries = self.inner.cfg.detector.map_or(0, |_| RPC_RETRIES);
+        let retries = if self.inner.cfg.detector {
+            RPC_RETRIES
+        } else {
+            0
+        };
         let mut backoff = self.inner.cfg.backoff_base;
         for n in 0..=retries {
             if let Some(out) = attempt().await {
@@ -202,11 +206,10 @@ impl Endpoint {
             .await
     }
 
-    /// The read quorum `rq` plus the configured number of view-alive
-    /// spares, if this attempt hedges at all (built only then).
+    /// The read quorum `rq` plus [`HEDGE`] view-alive spares, if this
+    /// attempt hedges at all (built only then).
     fn hedge_dests(&self, rq: &[NodeId]) -> Option<Vec<NodeId>> {
-        let hedge = self.inner.cfg.detector.map_or(0, |d| d.hedge);
-        if hedge == 0 {
+        if !self.inner.cfg.detector {
             return None;
         }
         let view = self.inner.quorum.borrow();
@@ -214,7 +217,7 @@ impl Endpoint {
             .filter(|&n| view.is_view_alive(n))
             .map(|n| NodeId(n as u32))
             .filter(|id| !rq.contains(id))
-            .take(hedge)
+            .take(HEDGE)
             .peekable();
         spares.peek()?;
         self.sim.bump(Counter::HedgedCalls);

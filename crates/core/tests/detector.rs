@@ -4,9 +4,7 @@
 
 use std::rc::Rc;
 
-use qrdtm_core::{
-    spawn_detector, Cluster, DetectorConfig, DtmConfig, LatencySpec, Membership, ObjVal, ObjectId,
-};
+use qrdtm_core::{spawn_detector, Cluster, DtmConfig, LatencySpec, Membership, ObjVal, ObjectId};
 use qrdtm_sim::{NodeId, SimDuration};
 
 fn detector_cfg(seed: u64) -> DtmConfig {
@@ -15,7 +13,7 @@ fn detector_cfg(seed: u64) -> DtmConfig {
         // Tight timeout so calls to silently-dead nodes fail fast relative
         // to the suspicion window.
         rpc_timeout: Some(SimDuration::from_millis(100)),
-        detector: Some(DetectorConfig::default()),
+        detector: true,
         ..Default::default()
     }
 }

@@ -29,10 +29,14 @@ pub(crate) fn majority(n: usize) -> usize {
 
 /// One committed object slot on a replica.
 #[derive(Clone, Debug)]
-pub(crate) struct Slot {
+pub struct Slot {
+    /// Version the write installed.
     pub version: Version,
+    /// Planner-assigned write tag (0 for the preload).
     pub tag: u64,
+    /// Batch the write committed in.
     pub batch: u64,
+    /// The value.
     pub val: ObjVal,
 }
 
@@ -72,9 +76,9 @@ pub(crate) struct ReplicaState {
     pub store: IdMap<ObjectId, Slot>,
     pub spec: IdMap<ObjectId, Vec<SpecEntry>>,
     /// Appended per batch, trimmed to [`horizon`](Self::horizon), replaced
-    /// wholesale by a `FullSync` install, takeover adoption or an amnesiac
-    /// restart, and never searched here — only the planner looks a
-    /// transaction up by id, in its own [`PlannerState::outcomes`] index.
+    /// wholesale by [`install`](Self::install), and never searched here —
+    /// only the planner looks a transaction up by id, in its own
+    /// [`PlannerState::outcomes`] index.
     /// Holds every decision of this replica's prefix that `horizon` does
     /// not cover.
     pub decided: DecisionLog,
@@ -97,18 +101,21 @@ pub(crate) struct ReplicaState {
 }
 
 impl ReplicaState {
-    /// Newest visible write for `oid`: speculative chain top if present,
-    /// else the committed slot. Returns `(tag, value)`.
-    pub(crate) fn speculative_top(&self, oid: ObjectId) -> Option<(u64, ObjVal)> {
+    /// `oid`'s committed `(tag, value)`; an absent object is the implicit
+    /// preload, tag 0 and [`ObjVal::Unit`].
+    pub(crate) fn committed(&self, oid: &ObjectId) -> (u64, ObjVal) {
+        let slot = self.store.get(oid);
+        slot.map_or((0, ObjVal::Unit), |s| (s.tag, s.val.clone()))
+    }
+
+    /// Newest visible write for `oid` as `(tag, value)`: the speculative
+    /// chain top if present, else [`committed`](Self::committed).
+    fn speculative_top(&self, oid: &ObjectId) -> (u64, ObjVal) {
         let spec = self
             .spec
-            .get(&oid)
+            .get(oid)
             .and_then(|c| c.iter().max_by_key(|e| e.tag));
-        match (spec, self.store.get(&oid)) {
-            (Some(e), _) => Some((e.tag, e.val.clone())),
-            (None, Some(s)) => Some((s.tag, s.val.clone())),
-            (None, None) => None,
-        }
+        spec.map_or_else(|| self.committed(oid), |e| (e.tag, e.val.clone()))
     }
 
     /// Drop speculative entries made obsolete by applying `batch`.
@@ -187,9 +194,10 @@ impl ReplicaState {
         self.wal.as_mut().map(|w| w.fsync(snap))
     }
 
-    /// Persist a full-state install (`FullSync`, takeover adoption, or a
-    /// post-repair re-baseline): one snapshot superseding the log.
-    /// Returns the occupancy to charge (`fallback` in cost-modelled mode).
+    /// Persist a full-state [`install`](Self::install) (`FullSync`,
+    /// takeover adoption, or a post-repair re-baseline): one snapshot
+    /// superseding the log. Returns the occupancy to charge (`fallback` in
+    /// cost-modelled mode).
     pub(crate) fn log_full_state(&mut self, fallback: SimDuration) -> SimDuration {
         self.wal_records += 1;
         self.wal_fsyncs += 1;
@@ -202,7 +210,7 @@ impl ReplicaState {
 
     /// The replica's full committed state, as a snapshot payload (the
     /// decision blocks by reference).
-    fn snapshot_state(&self) -> QSnapshot {
+    pub(crate) fn snapshot_state(&self) -> QSnapshot {
         QSnapshot {
             applied: self.applied,
             store: self.store.clone(),
@@ -211,36 +219,19 @@ impl ReplicaState {
         }
     }
 
-    /// Replace the decision log with `decided`, a log complete above
-    /// `horizon`, and adopt the higher of the two horizons.
-    pub(crate) fn adopt_log(&mut self, decided: &DecisionLog, horizon: &Horizon) {
-        self.decided.clone_from(decided);
-        self.horizon.merge(horizon);
+    /// Install a full committed `state` under view `epoch` — the one way a
+    /// replica takes a whole state (`FullSync`, takeover adoption, an
+    /// amnesiac replay and its repair): its store, prefix and decision log,
+    /// the higher of the two horizons, and only the speculation above the
+    /// new prefix.
+    pub(crate) fn install(&mut self, state: QSnapshot, epoch: u64) {
+        self.store = state.store;
+        self.applied = state.applied;
+        self.decided = state.decided;
+        self.horizon.merge(&state.horizon);
         self.decided.forget(&self.horizon);
-    }
-
-    /// Wire-format dump of the committed store (for `FullSync`), in
-    /// `ObjectId` order so the payload never depends on hasher state.
-    pub(crate) fn dump_store(&self) -> Vec<(ObjectId, Version, u64, u64, ObjVal)> {
-        let mut dump: Vec<_> = self
-            .store
-            .iter()
-            .map(|(oid, s)| (*oid, s.version, s.tag, s.batch, s.val.clone()))
-            .collect();
-        dump.sort_unstable_by_key(|entry| entry.0);
-        dump
-    }
-
-    /// This replica's full committed state as the `FullSync` a planner
-    /// stamped with `view` pushes to a lagging replica.
-    pub(crate) fn full_sync(&self, view: u64) -> QMsg {
-        QMsg::FullSync {
-            view,
-            applied: self.applied,
-            store: self.dump_store(),
-            decided: self.decided.clone(),
-            horizon: self.horizon.clone(),
-        }
+        self.prune_spec(self.applied);
+        self.last_apply_epoch = epoch;
     }
 }
 
@@ -277,9 +268,11 @@ pub(crate) struct PendTxn {
 
 /// Planner-local state. One shared instance; only the node the view
 /// names as planner touches it, and takeover reinitializes it wholesale.
+/// The open epoch's batch is the planner replica's `applied + 1`, and a
+/// batch is acknowledged once [`Shared::acked`] reaches it.
 pub(crate) struct PlannerState {
+    /// The open epoch: every accepted transaction not yet sealed.
     pub open: Vec<PendTxn>,
-    pub pending: IdSet<TxId>,
     /// `tx -> Some(committing batch)`, or `None` for a requeue, for every
     /// decision that `horizon` does not cover — all a duplicate `Submit`
     /// needs to be answered exactly once. Filled at `Submit` and by `seal`,
@@ -294,24 +287,19 @@ pub(crate) struct PlannerState {
     /// with every sealed batch.
     pub horizon: Horizon,
     pub sealing: bool,
-    pub last_sealed: u64,
-    pub decided_through: u64,
     pub next_tag: u64,
     pub ready: bool,
     pub opened_at: SimTime,
 }
 
 impl PlannerState {
-    pub(crate) fn fresh(applied: u64, horizon: Horizon) -> Self {
+    pub(crate) fn fresh(horizon: Horizon) -> Self {
         PlannerState {
             open: Vec::new(),
-            pending: IdSet::default(),
             outcomes: IdMap::default(),
             waiting: IdMap::default(),
             horizon,
             sealing: false,
-            last_sealed: applied,
-            decided_through: applied,
             next_tag: 0,
             ready: true,
             opened_at: SimTime::ZERO,
@@ -486,9 +474,11 @@ impl Shared {
         if to.is_empty() {
             return Vec::new();
         }
-        let sync = self.replicas[from]
-            .borrow_mut()
-            .full_sync(self.view.borrow().epoch);
+        let state = self.replicas[from].borrow().snapshot_state();
+        let sync = QMsg::FullSync {
+            view: self.view.borrow().epoch,
+            state,
+        };
         let targets: Vec<NodeId> = to.iter().map(|&i| self.nodes[i]).collect();
         let timeout = Some(self.cfg.rpc_timeout);
         let res = sim.call(self.nodes[from], &targets, sync, timeout).await;
@@ -519,24 +509,12 @@ pub(crate) fn install_handlers(sim: &Sim<QMsg>, shared: &Rc<Shared>) {
         let node = shared.nodes[me];
         sim.set_handler(node, move |ctx, env| match &env.msg {
             QMsg::Read { oid } => {
-                let r = sh.replicas[me].borrow();
-                match r.speculative_top(*oid) {
-                    Some((tag, val)) => ctx.respond(&env, QMsg::ReadOk { tag, val }),
-                    None => ctx.respond(&env, QMsg::ReadMiss),
-                }
+                let (tag, val) = sh.replicas[me].borrow().speculative_top(oid);
+                ctx.respond(&env, QMsg::ReadOk { tag, val });
             }
             QMsg::ReadCommitted { oid } => {
-                let r = sh.replicas[me].borrow();
-                match r.store.get(oid) {
-                    Some(s) => ctx.respond(
-                        &env,
-                        QMsg::ReadOk {
-                            tag: s.tag,
-                            val: s.val.clone(),
-                        },
-                    ),
-                    None => ctx.respond(&env, QMsg::ReadMiss),
-                }
+                let (tag, val) = sh.replicas[me].borrow().committed(oid);
+                ctx.respond(&env, QMsg::ReadOk { tag, val });
             }
             QMsg::Speculate {
                 oid,
@@ -615,13 +593,7 @@ pub(crate) fn install_handlers(sim: &Sim<QMsg>, shared: &Rc<Shared>) {
                 let applied = sh.replicas[me].borrow().applied;
                 ctx.respond(&env, QMsg::SyncInfo { applied });
             }
-            QMsg::FullSync {
-                view,
-                applied,
-                store,
-                decided,
-                horizon,
-            } => {
+            QMsg::FullSync { view, state } => {
                 let current = sh.view.borrow().epoch;
                 let mut r = sh.replicas[me].borrow_mut();
                 // A FullSync from the current view's planner is
@@ -637,27 +609,10 @@ pub(crate) fn install_handlers(sim: &Sim<QMsg>, shared: &Rc<Shared>) {
                 // ApplyBatch progress cannot undo acknowledged batches.
                 let ok = *view == current;
                 if ok
-                    && (*applied > r.applied
-                        || (*applied < r.applied && r.last_apply_epoch < current))
+                    && (state.applied > r.applied
+                        || (state.applied < r.applied && r.last_apply_epoch < current))
                 {
-                    r.store = store
-                        .iter()
-                        .map(|(oid, version, tag, batch, val)| {
-                            (
-                                *oid,
-                                Slot {
-                                    version: *version,
-                                    tag: *tag,
-                                    batch: *batch,
-                                    val: val.clone(),
-                                },
-                            )
-                        })
-                        .collect();
-                    r.adopt_log(decided, horizon);
-                    r.applied = *applied;
-                    r.prune_spec(*applied);
-                    r.last_apply_epoch = current;
+                    r.install(state.clone(), current);
                     ctx.occupy(r.log_full_state(sh.cfg.wal_cost));
                 }
                 let applied = r.applied;
@@ -667,7 +622,6 @@ pub(crate) fn install_handlers(sim: &Sim<QMsg>, shared: &Rc<Shared>) {
             // Reply payloads are consumed by the call futures.
             QMsg::SubmitAck { .. }
             | QMsg::ReadOk { .. }
-            | QMsg::ReadMiss
             | QMsg::ApplyAck { .. }
             | QMsg::SyncInfo { .. } => {}
         });
@@ -679,8 +633,9 @@ pub(crate) fn install_handlers(sim: &Sim<QMsg>, shared: &Rc<Shared>) {
 /// else the planner's record of it. A requeue reads `Requeued` at once; a
 /// commit reads `Pending` (hold the reply) until its batch is
 /// quorum-acknowledged — nothing is reported committed before the epoch
-/// is durable on a majority — and a transaction below its node's
-/// watermark reads `Settled`. `None`: the planner has never seen `tx`.
+/// is durable on a majority — and so does a transaction in the open
+/// epoch; one below its node's watermark reads `Settled`. `None`: the
+/// planner has never seen `tx`.
 fn known_status(sh: &Shared, me: usize, tx: &TxId, watermark: u64) -> Option<TxStatus> {
     let v = sh.view.borrow();
     if v.planner != me || !v.alive[me] {
@@ -693,9 +648,9 @@ fn known_status(sh: &Shared, me: usize, tx: &TxId, watermark: u64) -> Option<TxS
     p.horizon.raise(tx.node, watermark);
     match p.outcomes.get(tx) {
         Some(None) => Some(TxStatus::Requeued),
-        Some(&Some(batch)) if batch > p.decided_through => Some(TxStatus::Pending),
+        Some(&Some(batch)) if batch > sh.acked.get() => Some(TxStatus::Pending),
         Some(Some(_)) => Some(TxStatus::Committed),
-        None if p.pending.contains(tx) => Some(TxStatus::Pending),
+        None if p.open.iter().any(|t| t.tx == *tx) => Some(TxStatus::Pending),
         None => p.horizon.covers(tx).then_some(TxStatus::Settled),
     }
 }
@@ -724,9 +679,9 @@ fn ack(status: TxStatus) -> QMsg {
 /// of every object in `reads` (an absent one as the implicit preload) for
 /// the retry to read.
 fn requeued(r: &ReplicaState, reads: &[(ObjectId, u64)]) -> QMsg {
-    let fresh = |oid: &ObjectId| match r.store.get(oid) {
-        Some(s) => (*oid, s.tag, s.val.clone()),
-        None => (*oid, 0, ObjVal::Unit),
+    let fresh = |oid: &ObjectId| {
+        let (tag, val) = r.committed(oid);
+        (*oid, tag, val)
     };
     let fresh = reads.iter().map(|(oid, _)| fresh(oid)).collect();
     QMsg::SubmitAck {
@@ -748,9 +703,9 @@ fn accept(
     writes: &[(ObjectId, ObjVal)],
 ) {
     let epoch = sh.view.borrow().epoch;
-    let (open_batch, was_empty, tagged) = {
+    let open_batch = sh.replicas[me].borrow().applied + 1;
+    let (was_empty, tagged) = {
         let mut p = sh.planner.borrow_mut();
-        let open_batch = p.last_sealed + 1;
         let was_empty = p.open.is_empty();
         if was_empty {
             p.opened_at = sim.now();
@@ -770,13 +725,12 @@ fn accept(
             })
             .map(|(tag, (oid, val))| (oid, tag, val))
             .collect();
-        p.pending.insert(*tx);
         p.open.push(PendTxn {
             tx: *tx,
             reads: Rc::clone(reads),
             writes: tagged.clone(),
         });
-        (open_batch, was_empty, tagged)
+        (was_empty, tagged)
     };
     for (oid, tag, val) in &tagged {
         let home = sh.view.borrow().home(*oid);
@@ -833,15 +787,14 @@ pub(crate) fn seal(sh: &Rc<Shared>, sim: &Sim<QMsg>, me: usize) -> Option<BatchJ
     if p.sealing || !p.ready || p.open.is_empty() {
         return None;
     }
-    let batch = p.last_sealed + 1;
     let sealed_at = sim.now();
     let open = std::mem::take(&mut p.open);
-    p.last_sealed = batch;
     p.sealing = true;
     let horizon = p.horizon.clone();
     drop(p);
 
     let mut r = sh.replicas[me].borrow_mut();
+    let batch = r.applied + 1;
     let mut wire_writes: Vec<(ObjectId, Version, u64, ObjVal)> = Vec::new();
     let mut decided: Vec<(TxId, Decision)> = Vec::new();
     let mut stale: Vec<&PendTxn> = Vec::new();
@@ -1019,10 +972,6 @@ pub(crate) async fn run_batches(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, first
             // in the volatile disk buffer), a durability regression the
             // model checker must catch. Replication still continues below
             // for liveness.
-            {
-                let mut p = sh.planner.borrow_mut();
-                p.decided_through = p.decided_through.max(job.batch);
-            }
             sh.acked.set(sh.acked.get().max(job.batch));
             account_decisions(&sh, &job.decided);
             answer_waiters(&sh, &sim, me, &job.decided);
@@ -1095,14 +1044,7 @@ pub(crate) async fn run_batches(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, first
             }
         }
         // Quorum reached: acknowledge the whole epoch at once.
-        {
-            let mut p = sh.planner.borrow_mut();
-            p.decided_through = job.batch;
-            p.sealing = false;
-            for (tx, _) in job.decided.iter() {
-                p.pending.remove(tx);
-            }
-        }
+        sh.planner.borrow_mut().sealing = false;
         sh.acked.set(sh.acked.get().max(job.batch));
         {
             let mut st = sh.stats.borrow_mut();
@@ -1138,7 +1080,7 @@ pub(crate) async fn run_batches(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, first
 /// that batch's quorum ack: by then it is older than `epoch_timeout`.
 pub(crate) async fn sealer(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize, my_batch: u64) {
     sim.sleep(sh.cfg.epoch_timeout).await;
-    if !sh.leads(&sim, me) || sh.planner.borrow().last_sealed >= my_batch {
+    if !sh.leads(&sim, me) || sh.replicas[me].borrow().applied >= my_batch {
         return;
     }
     if let Some(job) = seal(&sh, &sim, me) {
@@ -1199,13 +1141,10 @@ pub(crate) async fn takeover(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize) {
             return;
         }
         let log_cost = {
-            let donor = sh.replicas[best.1].borrow();
+            let state = sh.replicas[best.1].borrow().snapshot_state();
             let mut r = sh.replicas[me].borrow_mut();
-            r.store = donor.store.clone();
-            r.adopt_log(&donor.decided, &donor.horizon);
-            r.applied = donor.applied;
+            r.install(state, sh.view.borrow().epoch);
             r.spec.clear();
-            r.last_apply_epoch = sh.view.borrow().epoch;
             // The adopted prefix is durable on the new planner before
             // anything is promoted: one state-sized snapshot. The old
             // planner's unsynced tail (if this node was the planner's
@@ -1253,7 +1192,7 @@ pub(crate) async fn takeover(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize) {
     // in apply order. The same walk rebuilds the outcome index above the
     // adopted horizon.
     let horizon = sh.replicas[me].borrow().horizon.clone();
-    let mut planner = PlannerState::fresh(adopted, horizon);
+    let mut planner = PlannerState::fresh(horizon);
     for block in sh.replicas[me].borrow().decided.iter() {
         account_decisions(&sh, block);
         planner.index_outcomes(block);
@@ -1314,15 +1253,17 @@ pub(crate) fn forget_replica(sh: &Shared, sim: &Sim<QMsg>, idx: usize) {
 /// (accounted through the shared [`repair`] helpers):
 ///
 /// 1. **Replay**: read snapshot + fsynced batch prefix back, truncating
-///    at a torn record — whole batches drop, never part of one.
+///    at a torn record — whole batches drop, never part of one — and
+///    install what it folds to.
 /// 2. **Epoch repair**: census the quorum-acknowledged epoch frontier
 ///    from the planner's replica (authoritative for the acked prefix;
-///    most-advanced alive peer during a takeover gap) and pull every
-///    object the disk image is missing or behind on, charged one census
-///    round trip plus one nominal link latency per pulled object, and take
-///    the donor's decision log and client watermarks. A
-///    replayed prefix that runs *ahead* of the frontier resurrected
-///    batches that were never acknowledged; they are dropped wholesale.
+///    most-advanced alive peer during a takeover gap) and install its
+///    state whole: store, decision log and client watermarks. Charged one
+///    census round trip plus one nominal link latency per slot the install
+///    rewrites — each whose write tag differs from the donor's, since a
+///    batch replayed here but never acknowledged can share versions with
+///    the one the next reign committed under the same id. A replayed
+///    prefix that runs *ahead* of the frontier is charged every object.
 /// 3. **Re-baseline**: snapshot the repaired state so the disk is caught
 ///    up too.
 ///
@@ -1335,13 +1276,7 @@ pub(crate) fn amnesia_recovery(sh: &Shared, sim: &Sim<QMsg>, idx: usize) -> SimD
             .as_mut()
             .expect("amnesiac replica implies durability")
             .replay();
-        let st = fold(img.snapshot, img.records);
-        r.store = st.store;
-        r.decided = st.decided;
-        r.horizon = st.horizon;
-        r.applied = st.applied;
-        r.spec.clear();
-        r.last_apply_epoch = 0;
+        r.install(fold(img.snapshot, img.records), 0);
         (img.records_replayed, img.torn_tail_detected, img.cost)
     };
     repair::account_wal_replay(sim, sh.nodes[idx], records_replayed, torn_tail_detected);
@@ -1361,36 +1296,16 @@ pub(crate) fn amnesia_recovery(sh: &Shared, sim: &Sim<QMsg>, idx: usize) -> SimD
     if let Some(d) = donor_idx {
         let donor = sh.replicas[d].borrow();
         let mut r = sh.replicas[idx].borrow_mut();
-        if donor.applied >= r.applied {
-            // Behind (or level): pull missing/behind objects.
-            let mut oids: Vec<ObjectId> = donor.store.keys().copied().collect();
-            oids.sort();
-            for oid in oids {
-                let ds = &donor.store[&oid];
-                let behind = r.store.get(&oid).is_none_or(|s| s.version < ds.version);
-                if behind {
-                    repaired += 1;
-                    bytes += ds.val.approx_size() as u64;
-                    r.store.insert(oid, ds.clone());
-                }
-            }
-        } else {
-            // The disk resurrected batches beyond the acked frontier
-            // (fsynced here, never quorum-acknowledged, and the view
-            // moved on without them). They must not survive: adopt the
-            // frontier state wholesale.
-            repaired = donor.store.len() as u64;
-            bytes = donor
-                .store
-                .values()
-                .map(|s| s.val.approx_size() as u64)
-                .sum();
-            r.store = donor.store.clone();
+        let ahead = r.applied > donor.applied;
+        let rewritten = donor
+            .store
+            .iter()
+            .filter(|(oid, ds)| ahead || r.store.get(oid).is_none_or(|s| s.tag != ds.tag));
+        for (_, ds) in rewritten {
+            repaired += 1;
+            bytes += ds.val.approx_size() as u64;
         }
-        // The donor's log answers for the whole prefix the replica now
-        // claims, and its horizon says what that log may have forgotten.
-        r.adopt_log(&donor.decided, &donor.horizon);
-        r.applied = donor.applied;
+        r.install(donor.snapshot_state(), 0);
     }
     cost += repair::charge_quorum_repair(
         sim,

@@ -162,7 +162,7 @@ impl QStoreCluster {
                 planner: 0,
                 epoch: 0,
             }),
-            planner: RefCell::new(PlannerState::fresh(0, Horizon::default())),
+            planner: RefCell::new(PlannerState::fresh(Horizon::default())),
             replicas: (0..cfg.nodes)
                 .map(|_| {
                     Rc::new(RefCell::new(ReplicaState {
@@ -394,10 +394,10 @@ impl QStoreCluster {
 
     /// Resolve one read: speculative from the object's home executor,
     /// or authoritative from the planner's committed store after two
-    /// failed executor reads. An object absent everywhere resolves as the
-    /// implicit preload — tag 0 and [`ObjVal::Unit`] — matching the seal's
-    /// validation default, so reads of never-written objects terminate
-    /// instead of retrying forever.
+    /// failed executor reads. Either answers an object absent everywhere
+    /// as the implicit preload — tag 0 and [`ObjVal::Unit`] — matching the
+    /// seal's validation default, so reads of never-written objects
+    /// terminate.
     async fn read_remote(&self, node: NodeId, oid: ObjectId) -> (u64, ObjVal) {
         let mut attempt = 0u32;
         loop {
@@ -409,10 +409,8 @@ impl QStoreCluster {
                     (view.home(oid), QMsg::Read { oid })
                 }
             };
-            match self.request(node, route).await {
-                Some(QMsg::ReadOk { tag, val }) => return (tag, val),
-                Some(QMsg::ReadMiss) => return (0, ObjVal::Unit),
-                _ => {}
+            if let Some(QMsg::ReadOk { tag, val }) = self.request(node, route).await {
+                return (tag, val);
             }
             attempt += 1;
             self.shared.pause(&self.sim).await;
@@ -636,6 +634,8 @@ impl SimHosted for QStoreCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::Slot;
+    use crate::wal::QSnapshot;
     use proptest::prelude::*;
     use qrdtm_core::{atomically, crash_sim_only, recover_sim_only, spawn_detector};
 
@@ -970,7 +970,7 @@ mod tests {
             assert!(c2.crash(NodeId(0)));
         });
         c.sim().run();
-        let frontier = c.shared.planner.borrow().decided_through;
+        let frontier = c.shared.acked.get();
         assert!(frontier >= 3);
         let holders = c
             .shared
@@ -986,7 +986,7 @@ mod tests {
     }
 
     #[test]
-    fn authoritative_read_of_absent_object_returns_read_miss() {
+    fn authoritative_read_of_absent_object_resolves_as_the_implicit_preload() {
         let c = cluster(19);
         let c2 = Rc::clone(&c);
         c.sim().spawn(async move {
@@ -1205,19 +1205,18 @@ mod tests {
     }
 
     fn sync(view: u64, applied: u64, val: i64) -> QMsg {
-        QMsg::FullSync {
-            view,
+        let slot = Slot {
+            version: Version(applied),
+            tag: applied << 24,
+            batch: applied,
+            val: ObjVal::Int(val),
+        };
+        let state = QSnapshot {
             applied,
-            store: vec![(
-                ObjectId(0),
-                Version(applied),
-                applied << 24,
-                applied,
-                ObjVal::Int(val),
-            )],
-            decided: DecisionLog::default(),
-            horizon: Horizon::default(),
-        }
+            store: [(ObjectId(0), slot)].into_iter().collect(),
+            ..Default::default()
+        };
+        QMsg::FullSync { view, state }
     }
 
     /// A replica's committed value of object 0.
@@ -1386,9 +1385,8 @@ mod tests {
             for _ in 0..2 {
                 let fresh = requeued(ask(c, 0, read_write(9, 2, 0, 6)).await);
                 assert_eq!(fresh, vec![(ObjectId(3), slot3(c).0, ObjVal::Int(5))]);
-                let p = c.shared.planner.borrow();
-                assert!(p.open.is_empty() && p.pending.is_empty(), "nothing queued");
-                assert_eq!(p.last_sealed, 1, "no epoch opened");
+                assert!(c.shared.planner.borrow().open.is_empty(), "nothing queued");
+                assert_eq!(c.shared.replicas[0].borrow().applied, 1, "no epoch sealed");
             }
             assert_eq!(
                 c.sim().metrics().sent_by_class[4],
@@ -1402,6 +1400,76 @@ mod tests {
         assert_eq!((st.commits, st.batches, st.aborts), (1, 1, 1));
         assert_eq!((st.requeued_at_submit, st.requeued_at_seal), (1, 0));
         assert_eq!(c.latest(ObjectId(3)).unwrap().1, ObjVal::Int(5));
+    }
+
+    /// A duplicate `Submit` that lands while its transaction still waits in
+    /// the open epoch is held in place of the first call, and the
+    /// transaction is planned once.
+    #[test]
+    fn a_duplicate_in_the_open_epoch_is_held_and_planned_once() {
+        let c = cluster_with(QStoreConfig {
+            seed: 127,
+            epoch_timeout: SimDuration::from_millis(50),
+            ..Default::default()
+        });
+        let heard = Rc::new(RefCell::new(Vec::new()));
+        for delay_ms in [0, 5] {
+            let (c2, heard) = (Rc::clone(&c), Rc::clone(&heard));
+            c.sim().spawn(async move {
+                c2.sim().sleep(SimDuration::from_millis(delay_ms)).await;
+                let timeout = Some(c2.config().rpc_timeout);
+                let msg = submit(9, 1, 1, 5);
+                let res = c2.sim().call(NodeId(9), &[NodeId(0)], msg, timeout);
+                let reply = res.await.replies.into_iter().next();
+                heard
+                    .borrow_mut()
+                    .push((delay_ms, reply.map(|(_, m)| status(m))));
+            });
+        }
+        c.sim().run();
+        let mut heard = heard.take();
+        heard.sort_by_key(|(delay_ms, _)| *delay_ms);
+        assert_eq!(heard, [(0, None), (5, Some(TxStatus::Committed))]);
+        let st = c.stats();
+        assert_eq!((st.batch_txns, st.commits), (1, 1));
+        let written_once = (Version::INITIAL.next(), ObjVal::Int(5));
+        assert_eq!(c.latest(ObjectId(0)), Some(written_once));
+    }
+
+    /// Replica 2 fsyncs a batch 1 that is never acknowledged, and restarts
+    /// with amnesia after the next reign committed its own batch 1 at the
+    /// same version: the repair takes the acknowledged slot instead of
+    /// keeping the replayed one, whose version is no lower.
+    #[test]
+    fn an_amnesiac_replica_takes_the_acknowledged_slot_over_a_replayed_fork() {
+        let c = cluster_with(QStoreConfig {
+            seed: 113,
+            durability: Some(DurabilityConfig::default()),
+            ..Default::default()
+        });
+        let c2 = Rc::clone(&c);
+        c.sim().spawn(async move {
+            let c = &*c2;
+            let fork = QMsg::ApplyBatch {
+                batch: 1,
+                view: 0,
+                writes: [(ObjectId(0), Version(2), 1, ObjVal::Int(111))].into(),
+                decided: DecisionBlock::default(),
+                horizon: Horizon::default(),
+            };
+            assert_eq!(ack(ask(c, 2, fork).await), (true, 1));
+            assert!(c.crash(NodeId(2)));
+            c.forget(NodeId(2));
+            let reply = ask(c, 0, submit(9, 1, 1, 5)).await;
+            assert_eq!(status(reply), TxStatus::Committed);
+            assert!(c.recover(NodeId(2)));
+        });
+        c.sim().run();
+        let slot = |idx: usize| {
+            let s = &c.shared.replicas[idx].borrow().store[&ObjectId(0)];
+            (s.version, s.tag, s.val.clone())
+        };
+        assert_eq!(slot(2), slot(0));
     }
 
     /// Long enough for a submitted batch to seal and reach its quorum, or
@@ -1418,10 +1486,7 @@ mod tests {
                 status(ask(c, 0, submit(9, 1, 2, 5)).await),
                 TxStatus::Settled
             );
-            {
-                let p = c.shared.planner.borrow();
-                assert!(p.open.is_empty() && p.pending.is_empty(), "nothing queued");
-            }
+            assert!(c.shared.planner.borrow().open.is_empty(), "nothing queued");
             c.sim().sleep(SETTLE).await;
         });
         c.sim().run();

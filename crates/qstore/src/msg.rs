@@ -7,6 +7,8 @@
 use qrdtm_core::{ObjVal, ObjectId, Payload, TxId, Version};
 use qrdtm_sim::{SimMessage, SimTime};
 
+use crate::wal::QSnapshot;
+
 /// The planner's verdict on one transaction, shipped inside the batch
 /// replication record so any replica can answer duplicate submissions
 /// (exactly-once across planner failover).
@@ -160,16 +162,14 @@ pub enum QMsg {
         oid: ObjectId,
     },
     /// Executor -> client: value plus the write tag to validate against.
+    /// An object never preloaded or written answers as the implicit
+    /// preload: tag 0 and [`ObjVal::Unit`].
     ReadOk {
         /// Tag of the write that produced `val` (0 for the preload).
         tag: u64,
         /// The value.
         val: ObjVal,
     },
-    /// Executor -> client: the object is absent from both the
-    /// speculative chain and the committed store (never preloaded or
-    /// written). The client resolves it as the implicit preload.
-    ReadMiss,
     /// Planner -> home executor (fire-and-forget): append a queued write
     /// to the object's speculative chain.
     Speculate {
@@ -217,14 +217,8 @@ pub enum QMsg {
     FullSync {
         /// Planner view epoch.
         view: u64,
-        /// Batch prefix this state represents.
-        applied: u64,
-        /// `(object, version, tag, batch, value)` store dump.
-        store: Vec<(ObjectId, Version, u64, u64, ObjVal)>,
-        /// Decision log, from the sender's horizon up.
-        decided: DecisionLog,
-        /// The sender's client watermarks.
-        horizon: Horizon,
+        /// The sender's committed state.
+        state: QSnapshot,
     },
 }
 
@@ -232,7 +226,7 @@ impl SimMessage for QMsg {
     fn class(&self) -> u8 {
         match self {
             QMsg::Read { .. } | QMsg::ReadCommitted { .. } => 0,
-            QMsg::ReadOk { .. } | QMsg::ReadMiss => 1,
+            QMsg::ReadOk { .. } => 1,
             QMsg::Submit { .. } => 2,
             QMsg::SubmitAck { .. } => 3,
             QMsg::Speculate { .. } => 4,
@@ -256,12 +250,9 @@ impl SimMessage for QMsg {
                 horizon,
                 ..
             } => 32 + 40 * writes.len() + 64 * decided.len() + horizon.wire_bytes(),
-            QMsg::FullSync {
-                store,
-                decided,
-                horizon,
-                ..
-            } => 32 + 48 * store.len() + 64 * decided.txns() + horizon.wire_bytes(),
+            QMsg::FullSync { state, .. } => {
+                32 + 48 * state.store.len() + 64 * state.decided.txns() + state.horizon.wire_bytes()
+            }
             _ => 32,
         }
     }

@@ -30,13 +30,17 @@ pub(crate) struct BatchRecord {
     pub horizon: Horizon,
 }
 
-/// A replica's full committed state: a snapshot's payload, [`fold`]'s result.
+/// A replica's full committed state: a snapshot's payload, [`fold`]'s
+/// result and a `FullSync`'s cargo.
 #[derive(Clone, Debug, Default)]
-pub(crate) struct QSnapshot {
+pub struct QSnapshot {
     /// Highest batch the state covers.
     pub applied: u64,
+    /// The committed slot of every object.
     pub store: IdMap<ObjectId, Slot>,
+    /// Decision log, from [`horizon`](Self::horizon) up.
     pub decided: DecisionLog,
+    /// The client watermarks.
     pub horizon: Horizon,
 }
 

@@ -4,8 +4,8 @@
 # tests/golden/repro/), the benchmark smoke's seeded lines that
 # scripts/check.sh diffs (tests/golden/benchmark_smoke.txt), and the
 # published full-grid CSVs in results/ (unchecked, but a figure that moves
-# moves there too). Review the diff. A surface that exits non-zero stops the
-# script.
+# moves there too). A surface that exits non-zero stops the script. The
+# script ends by listing every surface that moved; review their diffs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 repro() { cargo run --quiet --release --offline -p qrdtm-bench -- "$@"; }
@@ -20,3 +20,4 @@ repro all --quick --out $out/all_quick >$out/all_quick.txt
 repro all --out results >/dev/null
 cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- --smoke |
     awk -f scripts/virtual_only.awk >tests/golden/benchmark_smoke.txt
+git diff --stat -- tests/golden results

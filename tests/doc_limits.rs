@@ -20,10 +20,9 @@ const ENTRY_MAX_CHARS: usize = 1_200;
 
 /// Every struct whose `pub` fields are settable options, with the file
 /// that declares it.
-const OPTION_STRUCTS: [(&str, &str); 10] = [
+const OPTION_STRUCTS: [(&str, &str); 9] = [
     ("DtmConfig", "crates/core/src/cluster.rs"),
     ("OverloadConfig", "crates/core/src/cluster.rs"),
-    ("DetectorConfig", "crates/core/src/engine/detector.rs"),
     ("DurabilityConfig", "crates/core/src/engine/wal.rs"),
     ("QStoreConfig", "crates/qstore/src/lib.rs"),
     ("TfaConfig", "crates/baselines/src/tfa.rs"),

@@ -24,9 +24,7 @@ use std::rc::Rc;
 
 use qrdtm_baselines::{DecentCluster, DecentConfig, TfaCluster, TfaConfig};
 use qrdtm_chaos::{generate, run_plan, ChaosSpec, ChaosTarget, FaultBudget, FaultPlan, Proto};
-use qrdtm_core::{
-    Cluster, DetectorConfig, DtmConfig, DurabilityConfig, InjectedBug, NestingMode, ObjectId,
-};
+use qrdtm_core::{Cluster, DtmConfig, DurabilityConfig, InjectedBug, NestingMode, ObjectId};
 use qrdtm_mc::{dfs_explore, pct_explore, replay, run_schedule, ForcedPolicy, McBug, Scope, Trace};
 use qrdtm_qstore::{QStoreBug, QStoreCluster, QStoreConfig};
 use qrdtm_sim::{EngineEvent, Metrics, SimDuration};
@@ -291,7 +289,7 @@ fn chaos_qr(mode: NestingMode, durable: bool, detector: bool) -> Rc<Cluster> {
         ..Default::default()
     };
     if detector {
-        cfg.detector = Some(DetectorConfig::default());
+        cfg.detector = true;
         cfg.rpc_timeout = Some(SimDuration::from_millis(100));
     }
     Rc::new(Cluster::new(cfg))

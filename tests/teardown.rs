@@ -13,8 +13,8 @@ use std::rc::Rc;
 
 use qr_dtm::baselines::{DecentCluster, DecentConfig, TfaCluster, TfaConfig};
 use qr_dtm::core::{
-    spawn_detector, Cluster, DetectorConfig, DtmConfig, DurabilityConfig, NestingMode, ObjVal,
-    ObjectId, SimHosted, Tx,
+    spawn_detector, Cluster, DtmConfig, DurabilityConfig, NestingMode, ObjVal, ObjectId, SimHosted,
+    Tx,
 };
 use qr_dtm::qstore::{QStoreCluster, QStoreConfig};
 use qr_dtm::sim::{NodeId, SimDuration};
@@ -61,7 +61,7 @@ async fn move_one(tx: Tx, from: ObjectId, to: ObjectId) -> Result<(), qr_dtm::co
 /// when the cluster is dropped. A configured detector is stopped only after
 /// its cluster is gone.
 fn qr(cfg: DtmConfig) {
-    let detector = cfg.detector.is_some();
+    let detector = cfg.detector;
     let c = Rc::new(Cluster::new(DtmConfig {
         nodes: NODES as usize,
         ..cfg
@@ -155,7 +155,7 @@ fn qr_clusters_free_their_simulation_with_clients_parked() {
 fn a_detector_mode_qr_cluster_frees_its_simulation() {
     gate("QR with detector", || {
         qr(DtmConfig {
-            detector: Some(DetectorConfig::default()),
+            detector: true,
             rpc_timeout: Some(SimDuration::from_millis(100)),
             ..Default::default()
         })
