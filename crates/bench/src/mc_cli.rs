@@ -16,7 +16,6 @@ use std::path::{Path, PathBuf};
 use qrdtm_chaos::Proto;
 use qrdtm_core::{InjectedBug, NestingMode};
 use qrdtm_mc::{dfs_explore, minimize, pct_explore, replay, ExploreReport, McBug, Scope, Trace};
-use qrdtm_qstore::QStoreBug;
 
 use crate::harness;
 
@@ -57,8 +56,8 @@ fn mc_usage() -> ! {
          \x20      repro mc [--proto qr|qr-cn|qr-chk|qstore|all] [--seed S] [--nodes N] \
          [--objects K] [--txns T]\n\
          \x20               [--dfs N] [--pct N] \
-         [--inject-bug skip-vote-check|skip-epoch-fence|skip-tag-check|ack-before-fsync] \
-         [--save-trace FILE]"
+         [--inject-bug skip-vote-check|skip-epoch-fence|skip-tag-check|\
+         ignore-open-epoch|ack-before-fsync] [--save-trace FILE]"
     );
     std::process::exit(2);
 }
@@ -297,8 +296,8 @@ fn smoke() -> i32 {
     let mut ok = true;
     let mut total_distinct = 0u64;
     let mut total_runs = 0u64;
-    // What actually ran, by label: the Q-Store arm and its two bug
-    // validations must be among them or the run is not a pass.
+    // What actually ran, by label: the Q-Store arm must be among them or
+    // the run is not a pass.
     let mut exercised: Vec<&str> = Vec::new();
     for (scope, runs, distinct, depth, exhausted, cex) in results {
         exercised.push(scope.proto.label());
@@ -319,36 +318,24 @@ fn smoke() -> i32 {
         }
     }
 
-    // Checker validation: a protocol that trusts a failed vote round (QR),
-    // seals epochs without read-tag validation (Q-Store), or acknowledges
-    // an epoch before its quorum's fsyncs (Q-Store + amnesiac planner
-    // crash) must be caught, and the minimized counterexample must still
-    // reproduce after a trace text round-trip — otherwise the zero
-    // violations above prove nothing.
-    let validations = [
-        (
-            "skip-vote-check",
-            Scope {
-                injected_bug: Some(McBug::Qr(InjectedBug::SkipVoteCheck)),
-                ..Scope::smoke(Proto::Qr(NestingMode::Flat))
-            },
-        ),
-        (
-            "skip-tag-check",
-            Scope {
-                injected_bug: Some(McBug::QStore(QStoreBug::SkipTagCheck)),
-                ..Scope::smoke(Proto::QStore)
-            },
-        ),
-        (
-            "ack-before-fsync",
-            Scope {
-                injected_bug: Some(McBug::QStore(QStoreBug::AckBeforeFsync)),
-                ..Scope::smoke(Proto::QStore)
-            },
-        ),
-    ];
-    for (bug_name, bug_scope) in validations {
+    // Checker validation: every injectable bug but `skip-epoch-fence`,
+    // which finds no counterexample at this scope — a protocol that trusts
+    // a failed vote round (QR), plans transactions without read-tag
+    // validation or against the committed slot alone (Q-Store), or
+    // acknowledges an epoch before its quorum's fsyncs (Q-Store + amnesiac
+    // planner crash) — must be caught, and the minimized counterexample
+    // must still reproduce after a trace text round-trip; otherwise the
+    // zero violations above prove nothing.
+    let fence = McBug::Qr(InjectedBug::SkipEpochFence);
+    for (bug, bug_name) in McBug::ALL.into_iter().filter(|(bug, _)| *bug != fence) {
+        let proto = match bug {
+            McBug::Qr(_) => Proto::Qr(NestingMode::Flat),
+            McBug::QStore(_) => Proto::QStore,
+        };
+        let bug_scope = Scope {
+            injected_bug: Some(bug),
+            ..Scope::smoke(proto)
+        };
         println!(
             "\nchecker validation: injected bug {bug_name} on {}",
             bug_scope.proto.label()
@@ -374,7 +361,6 @@ fn smoke() -> i32 {
                     .ok();
                 match replayed {
                     Some(out) if !out.violations.is_empty() => {
-                        exercised.push(bug_name);
                         println!(
                             "    caught, minimized to {} choice(s), replays from text:",
                             trace.choices.len()
@@ -392,11 +378,9 @@ fn smoke() -> i32 {
         }
     }
 
-    for want in ["qstore", "skip-tag-check", "ack-before-fsync"] {
-        if !exercised.contains(&want) {
-            eprintln!("\nmc smoke: {want} was never exercised");
-            ok = false;
-        }
+    if !exercised.contains(&"qstore") {
+        eprintln!("\nmc smoke: qstore was never exercised");
+        ok = false;
     }
     if total_distinct < 10_000 {
         eprintln!("\nmc smoke: only {total_distinct} distinct schedules (< 10000)");

@@ -37,17 +37,22 @@ const HORIZON: SimDuration = SimDuration::from_secs(300);
 pub enum McBug {
     /// A QR-family bug (`skip-vote-check` / `skip-epoch-fence`).
     Qr(InjectedBug),
-    /// A Q-Store bug (`skip-tag-check` / `ack-before-fsync`).
+    /// A Q-Store bug (`skip-tag-check` / `ignore-open-epoch` /
+    /// `ack-before-fsync`).
     QStore(QStoreBug),
 }
 
 impl McBug {
     /// Every injectable bug with its label — the spelling
     /// `repro mc --inject-bug` and a trace file's `bug` line share.
-    pub const ALL: [(McBug, &'static str); 4] = [
+    pub const ALL: [(McBug, &'static str); 5] = [
         (McBug::Qr(InjectedBug::SkipVoteCheck), "skip-vote-check"),
         (McBug::Qr(InjectedBug::SkipEpochFence), "skip-epoch-fence"),
         (McBug::QStore(QStoreBug::SkipTagCheck), "skip-tag-check"),
+        (
+            McBug::QStore(QStoreBug::IgnoreOpenEpoch),
+            "ignore-open-epoch",
+        ),
         (McBug::QStore(QStoreBug::AckBeforeFsync), "ack-before-fsync"),
     ];
 
@@ -458,7 +463,11 @@ mod tests {
         for bug in [InjectedBug::SkipVoteCheck, InjectedBug::SkipEpochFence] {
             McBug::Qr(bug).label();
         }
-        for bug in [QStoreBug::SkipTagCheck, QStoreBug::AckBeforeFsync] {
+        for bug in [
+            QStoreBug::SkipTagCheck,
+            QStoreBug::IgnoreOpenEpoch,
+            QStoreBug::AckBeforeFsync,
+        ] {
             McBug::QStore(bug).label();
         }
     }

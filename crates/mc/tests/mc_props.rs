@@ -70,22 +70,21 @@ fn replay_of_equal_choices_is_deterministic() {
     assert_eq!(a.fingerprint, b.fingerprint);
 }
 
-#[test]
-fn injected_bug_is_caught_minimized_and_replayable() {
-    // A protocol that trusts a failed vote round must eventually violate
-    // an invariant under contention. The explorer has to find it, shrink
-    // it, and hand back a trace that still reproduces it after a text
-    // round-trip — the full `repro mc` pipeline in miniature.
+/// `bug` injected into `proto`'s smoke scope must violate an invariant in
+/// some explored schedule. The explorer has to find it, shrink it, and hand
+/// back a trace that still reproduces it after a text round-trip — the full
+/// `repro mc` pipeline in miniature.
+fn caught_minimized_and_replayable(bug: McBug, proto: Proto) {
     let scope = Scope {
-        injected_bug: Some(McBug::Qr(InjectedBug::SkipVoteCheck)),
-        ..Scope::smoke(Proto::Qr(NestingMode::Flat))
+        injected_bug: Some(bug),
+        ..Scope::smoke(proto)
     };
     let mut seen = HashSet::new();
     let mut cex = dfs_explore(&scope, 300, &mut seen).counterexample;
     if cex.is_none() {
         cex = pct_explore(&scope, 300, 1, &mut seen).counterexample;
     }
-    let cex = cex.expect("SkipVoteCheck survived 600 schedules — checkers are blind to it");
+    let cex = cex.unwrap_or_else(|| panic!("{bug:?} survived 600 schedules — checkers are blind"));
 
     let min = minimize(&scope, &cex.choices);
     assert!(min.len() <= cex.choices.len());
@@ -106,6 +105,14 @@ fn injected_bug_is_caught_minimized_and_replayable() {
     assert_eq!(replayed.fingerprint, rerun.fingerprint);
 }
 
+/// A protocol that trusts a failed vote round must eventually violate an
+/// invariant under contention.
+#[test]
+fn injected_bug_is_caught_minimized_and_replayable() {
+    let bug = McBug::Qr(InjectedBug::SkipVoteCheck);
+    caught_minimized_and_replayable(bug, Proto::Qr(NestingMode::Flat));
+}
+
 #[test]
 fn qstore_replay_is_deterministic() {
     let scope = Scope::smoke(Proto::QStore);
@@ -116,73 +123,27 @@ fn qstore_replay_is_deterministic() {
     assert_eq!(first.fingerprint, second.fingerprint);
 }
 
+/// A planner that plans transactions without validating read tags commits
+/// stale speculative reads: the auditor must see the lost update.
 #[test]
 fn qstore_injected_tag_skip_is_caught_minimized_and_replayable() {
-    // A planner that seals epochs without validating read tags commits
-    // stale speculative reads — the auditor must see the lost update in
-    // some explored schedule, and the shrunk trace must still reproduce
-    // it after a text round-trip.
-    let scope = Scope {
-        injected_bug: Some(McBug::QStore(QStoreBug::SkipTagCheck)),
-        ..Scope::smoke(Proto::QStore)
-    };
-    let mut seen = HashSet::new();
-    let mut cex = dfs_explore(&scope, 300, &mut seen).counterexample;
-    if cex.is_none() {
-        cex = pct_explore(&scope, 300, 1, &mut seen).counterexample;
-    }
-    let cex = cex.expect("SkipTagCheck survived 600 schedules — checkers are blind to it");
-
-    let min = minimize(&scope, &cex.choices);
-    let rerun = replay(&scope, &min);
-    assert!(
-        !rerun.violations.is_empty(),
-        "minimized schedule no longer violates"
-    );
-
-    let trace = Trace {
-        scope,
-        choices: min,
-    };
-    let parsed = Trace::parse(&trace.to_string()).expect("trace round-trips");
-    assert_eq!(parsed, trace);
-    let replayed = replay(&parsed.scope, &parsed.choices);
-    assert_eq!(replayed.violations, rerun.violations);
+    caught_minimized_and_replayable(McBug::QStore(QStoreBug::SkipTagCheck), Proto::QStore);
 }
 
+/// A planner that validates a read against the committed slot alone
+/// ignores the open epoch's queued writes: two readers of one value plan
+/// into one epoch and both commit, a lost update the auditor must see.
+#[test]
+fn qstore_ignore_open_epoch_is_caught_minimized_and_replayable() {
+    caught_minimized_and_replayable(McBug::QStore(QStoreBug::IgnoreOpenEpoch), Proto::QStore);
+}
+
+/// A planner that acknowledges an epoch before its quorum's fsyncs is only
+/// wrong when it dies in that window: the runner injects an amnesiac
+/// planner crash right after the first visible commit, so the early-acked
+/// epoch evaporates with the planner's volatile log and the durability /
+/// conservation checkers must catch the regression.
 #[test]
 fn qstore_ack_before_fsync_is_caught_minimized_and_replayable() {
-    // A planner that acknowledges an epoch before its quorum's fsyncs is
-    // only wrong when it dies in that window: the runner injects an
-    // amnesiac planner crash right after the first visible commit, so the
-    // early-acked epoch evaporates with the planner's volatile log and
-    // the durability / conservation checkers must catch the regression in
-    // some explored schedule.
-    let scope = Scope {
-        injected_bug: Some(McBug::QStore(QStoreBug::AckBeforeFsync)),
-        ..Scope::smoke(Proto::QStore)
-    };
-    let mut seen = HashSet::new();
-    let mut cex = dfs_explore(&scope, 300, &mut seen).counterexample;
-    if cex.is_none() {
-        cex = pct_explore(&scope, 300, 1, &mut seen).counterexample;
-    }
-    let cex = cex.expect("AckBeforeFsync survived 600 schedules — checkers are blind to it");
-
-    let min = minimize(&scope, &cex.choices);
-    let rerun = replay(&scope, &min);
-    assert!(
-        !rerun.violations.is_empty(),
-        "minimized schedule no longer violates"
-    );
-
-    let trace = Trace {
-        scope,
-        choices: min,
-    };
-    let parsed = Trace::parse(&trace.to_string()).expect("trace round-trips");
-    assert_eq!(parsed, trace);
-    let replayed = replay(&parsed.scope, &parsed.choices);
-    assert_eq!(replayed.violations, rerun.violations);
-    assert_eq!(replayed.fingerprint, rerun.fingerprint);
+    caught_minimized_and_replayable(McBug::QStore(QStoreBug::AckBeforeFsync), Proto::QStore);
 }

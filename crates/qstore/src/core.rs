@@ -275,13 +275,14 @@ pub(crate) struct PlannerState {
     pub open: Vec<PendTxn>,
     /// `tx -> Some(committing batch)`, or `None` for a requeue, for every
     /// decision that `horizon` does not cover — all a duplicate `Submit`
-    /// needs to be answered exactly once. Filled at `Submit` and by `seal`,
-    /// rebuilt from the adopted log by `takeover`.
+    /// needs to be answered exactly once. A requeue is filled in at
+    /// `Submit`, a commit by `seal`; `takeover` rebuilds the commits from
+    /// the adopted log.
     pub outcomes: IdMap<TxId, Option<u64>>,
-    /// The held reply of every `Submit` not yet answered, `tx -> (client,
-    /// call)`: a requeue is answered by `seal`, a commit by
-    /// `answer_waiters`. A takeover's fresh state drops them: those
-    /// clients time out and submit again.
+    /// The held reply of every planned transaction not yet answered,
+    /// `tx -> (client, call)`, answered by `answer_waiters` at its batch's
+    /// quorum ack. A takeover's fresh state drops them: those clients time
+    /// out and submit again.
     pub waiting: IdMap<TxId, (NodeId, CallId)>,
     /// One watermark per client node, raised by every `Submit` and shipped
     /// with every sealed batch.
@@ -311,10 +312,8 @@ impl PlannerState {
     pub(crate) fn index_outcomes(&mut self, block: &[(TxId, Decision)]) {
         let horizon = &self.horizon;
         let live = block.iter().filter(|(tx, _)| !horizon.covers(tx));
-        self.outcomes.extend(live.map(|(tx, d)| match d {
-            Decision::Committed { batch, .. } => (*tx, Some(*batch)),
-            Decision::Requeued => (*tx, None),
-        }));
+        self.outcomes
+            .extend(live.map(|(tx, d)| (*tx, Some(d.batch))));
     }
 }
 
@@ -414,13 +413,10 @@ impl TagVersions {
 pub struct QStoreStats {
     /// Committed transactions (counted at batch quorum-ack).
     pub commits: u64,
-    /// Requeued attempts (the family's abort analogue), each counted once
-    /// where it is decided: `requeued_at_submit + requeued_at_seal`.
+    /// Requeued attempts (the family's abort analogue), each counted once,
+    /// at the `Submit` that decides it: a read was overwritten before it
+    /// was planned.
     pub aborts: u64,
-    /// Requeued at `Submit`: a read is older than its epoch.
-    pub requeued_at_submit: u64,
-    /// Requeued at the seal: a read was overwritten within its epoch.
-    pub requeued_at_seal: u64,
     /// Quorum-acknowledged batches.
     pub batches: u64,
     /// Transactions carried by those batches.
@@ -538,21 +534,19 @@ pub(crate) fn install_handlers(sim: &Sim<QMsg>, shared: &Rc<Shared>) {
                 writes,
             } => {
                 let status = known_status(&sh, me, tx, *watermark).or_else(|| {
-                    // Certain to fail at the seal: requeued now, and recorded
-                    // so a duplicate gets the same answer.
-                    let stale = stale_read(&sh, &sh.replicas[me].borrow(), reads, true);
+                    // Decided on arrival: requeued, and recorded so a
+                    // duplicate gets the same answer.
+                    let (r, p) = (&sh.replicas[me], &sh.planner);
+                    let stale = stale_read(&sh, &r.borrow(), &p.borrow().open, reads);
                     stale.then(|| {
                         sh.planner.borrow_mut().outcomes.insert(*tx, None);
-                        let mut st = sh.stats.borrow_mut();
-                        st.requeued_at_submit += 1;
-                        st.aborts += 1;
+                        sh.stats.borrow_mut().aborts += 1;
                         TxStatus::Requeued
                     })
                 });
                 match status {
-                    // Held until decided; a newer call for the same `tx`
-                    // replaces an older one. Held before `accept`, whose
-                    // seal may decide it.
+                    // Held until its batch is acknowledged; a newer call
+                    // for the same `tx` replaces an older one.
                     None | Some(TxStatus::Pending) => {
                         if let Some(call) = env.call {
                             let waiter = (env.from, call);
@@ -563,7 +557,8 @@ pub(crate) fn install_handlers(sim: &Sim<QMsg>, shared: &Rc<Shared>) {
                         }
                     }
                     Some(TxStatus::Requeued) => {
-                        ctx.respond(&env, requeued(&sh.replicas[me].borrow(), reads));
+                        let (r, p) = (sh.replicas[me].borrow(), sh.planner.borrow());
+                        ctx.respond(&env, requeued(&r, &p.open, reads));
                     }
                     Some(status) => ctx.respond(&env, ack(status)),
                 }
@@ -630,12 +625,12 @@ pub(crate) fn install_handlers(sim: &Sim<QMsg>, shared: &Rc<Shared>) {
 
 /// What node `me` can already answer about `tx`, whose node sent
 /// `watermark`: `NotPlanner` off the planner role, `Busy` mid-takeover,
-/// else the planner's record of it. A requeue reads `Requeued` at once; a
-/// commit reads `Pending` (hold the reply) until its batch is
-/// quorum-acknowledged — nothing is reported committed before the epoch
-/// is durable on a majority — and so does a transaction in the open
-/// epoch; one below its node's watermark reads `Settled`. `None`: the
-/// planner has never seen `tx`.
+/// else the planner's record of it. A requeue, decided when `tx` first
+/// arrived, reads `Requeued`; a planned transaction reads `Pending` (hold
+/// the reply) until its batch is quorum-acknowledged — nothing is reported
+/// committed before the epoch is durable on a majority; one below its
+/// node's watermark reads `Settled`. `None`: the planner has never seen
+/// `tx`, and decides it now.
 fn known_status(sh: &Shared, me: usize, tx: &TxId, watermark: u64) -> Option<TxStatus> {
     let v = sh.view.borrow();
     if v.planner != me || !v.alive[me] {
@@ -655,18 +650,29 @@ fn known_status(sh: &Shared, me: usize, tx: &TxId, watermark: u64) -> Option<TxS
     }
 }
 
-/// The stale-read rule: a read of an object at write `tag` is stale once
-/// the committed slot holds another tag (an absent object holds tag 0, the
-/// implicit preload). The seal applies it as is. `Submit` counts only a
-/// slot newer than the read — the read may name a write queued in the open
-/// epoch — and slot tags only grow, so such a read is certain to fail at
-/// the seal. `SkipTagCheck` turns the rule off in both places.
-fn stale_read(sh: &Shared, r: &ReplicaState, reads: &[(ObjectId, u64)], at_submit: bool) -> bool {
-    sh.cfg.injected_bug != Some(QStoreBug::SkipTagCheck)
-        && reads.iter().any(|(oid, tag)| {
-            let slot = r.store.get(oid).map_or(0, |s| s.tag);
-            slot != *tag && (slot > *tag || !at_submit)
-        })
+/// `oid`'s newest planned `(tag, value)` on the planner replica `r`: the
+/// last write to it queued in the open epoch, else its committed slot.
+fn newest_planned(r: &ReplicaState, open: &[PendTxn], oid: &ObjectId) -> (u64, ObjVal) {
+    let mut queued = open.iter().rev().flat_map(|t| t.writes.iter().rev());
+    match queued.find(|(o, ..)| o == oid) {
+        Some((_, tag, val)) => (*tag, val.clone()),
+        None => r.committed(oid),
+    }
+}
+
+/// The stale-read rule, applied to each `Submit` on arrival: a read of an
+/// object at write `tag` is stale unless `tag` names the object's newest
+/// planned write, so a planned transaction commits at the seal, in queue
+/// order, unless a takeover loses its epoch. `SkipTagCheck` turns the rule
+/// off;
+/// `IgnoreOpenEpoch` reads only the committed slot and lets any read no
+/// older than it through.
+fn stale_read(sh: &Shared, r: &ReplicaState, open: &[PendTxn], reads: &[(ObjectId, u64)]) -> bool {
+    reads.iter().any(|(oid, tag)| match sh.cfg.injected_bug {
+        Some(QStoreBug::SkipTagCheck) => false,
+        Some(QStoreBug::IgnoreOpenEpoch) => r.committed(oid).0 > *tag,
+        _ => newest_planned(r, open, oid).0 != *tag,
+    })
 }
 
 /// The answer to a `Submit` that carries no values.
@@ -675,12 +681,12 @@ fn ack(status: TxStatus) -> QMsg {
     QMsg::SubmitAck { status, fresh }
 }
 
-/// The `Requeued` answer: it carries the committed `(object, tag, value)`
-/// of every object in `reads` (an absent one as the implicit preload) for
-/// the retry to read.
-fn requeued(r: &ReplicaState, reads: &[(ObjectId, u64)]) -> QMsg {
+/// The `Requeued` answer: it carries the newest planned `(object, tag,
+/// value)` of every object in `reads` (an absent one as the implicit
+/// preload) for the retry to read.
+fn requeued(r: &ReplicaState, open: &[PendTxn], reads: &[(ObjectId, u64)]) -> QMsg {
     let fresh = |oid: &ObjectId| {
-        let (tag, val) = r.committed(oid);
+        let (tag, val) = newest_planned(r, open, oid);
         (*oid, tag, val)
     };
     let fresh = reads.iter().map(|(oid, _)| fresh(oid)).collect();
@@ -777,11 +783,10 @@ fn accept(
     }
 }
 
-/// Seal the open epoch: validate every transaction in planner-assigned
-/// order against the (self-applied) committed store, install the valid
-/// writes locally, answer the requeued with the values now installed, and
-/// hand back the replication job. Returns `None` if there is nothing to
-/// seal or a replication round is already in flight.
+/// Seal the open epoch: commit every transaction in planner-assigned order
+/// (each was validated on arrival), install the writes locally, and hand
+/// back the replication job. Returns `None` if there is nothing to seal or
+/// a replication round is already in flight.
 pub(crate) fn seal(sh: &Rc<Shared>, sim: &Sim<QMsg>, me: usize) -> Option<BatchJob> {
     let mut p = sh.planner.borrow_mut();
     if p.sealing || !p.ready || p.open.is_empty() {
@@ -797,13 +802,7 @@ pub(crate) fn seal(sh: &Rc<Shared>, sim: &Sim<QMsg>, me: usize) -> Option<BatchJ
     let batch = r.applied + 1;
     let mut wire_writes: Vec<(ObjectId, Version, u64, ObjVal)> = Vec::new();
     let mut decided: Vec<(TxId, Decision)> = Vec::new();
-    let mut stale: Vec<&PendTxn> = Vec::new();
     for (seq, t) in open.iter().enumerate() {
-        if stale_read(sh, &r, &t.reads, false) {
-            decided.push((t.tx, Decision::Requeued));
-            stale.push(t);
-            continue;
-        }
         let at = sealed_at + SimDuration::from_nanos(seq as u64 + 1);
         let observed_batch_max = t
             .reads
@@ -855,7 +854,7 @@ pub(crate) fn seal(sh: &Rc<Shared>, sim: &Sim<QMsg>, me: usize) -> Option<BatchJ
         }
         decided.push((
             t.tx,
-            Decision::Committed {
+            Decision {
                 batch,
                 at,
                 reads: reads_res,
@@ -875,15 +874,6 @@ pub(crate) fn seal(sh: &Rc<Shared>, sim: &Sim<QMsg>, me: usize) -> Option<BatchJ
     let mut p = sh.planner.borrow_mut();
     p.outcomes.retain(|tx, _| !horizon.covers(tx));
     p.index_outcomes(&decided);
-    // A requeue externalises nothing: answer it now, not at the ack.
-    for t in &stale {
-        if let Some((client, call)) = p.waiting.remove(&t.tx) {
-            sim.reply(sh.nodes[me], client, call, requeued(&r, &t.reads));
-        }
-    }
-    let mut st = sh.stats.borrow_mut();
-    st.requeued_at_seal += stale.len() as u64;
-    st.aborts += stale.len() as u64;
     Some(BatchJob {
         batch,
         sealed_at,
@@ -894,36 +884,25 @@ pub(crate) fn seal(sh: &Rc<Shared>, sim: &Sim<QMsg>, me: usize) -> Option<BatchJ
 }
 
 /// Account the commits of a quorum-acknowledged batch: stats, commit
-/// history, and the batch-atomicity check (requeues were counted where
-/// they were decided). Deduplicated by transaction id so a takeover that
-/// re-promotes an already-acked batch counts nothing twice: an answered
-/// client's commit was accounted before the answer, and the rest are
-/// remembered until their clients are answered.
+/// history, and the batch-atomicity check. Deduplicated by transaction id
+/// so a takeover that re-promotes an already-acked batch counts nothing
+/// twice: an answered client's commit was accounted before the answer, and
+/// the rest are remembered until their clients are answered.
 pub(crate) fn account_decisions(sh: &Shared, decided: &[(TxId, Decision)]) {
     let clients = sh.clients.borrow();
     for (tx, d) in decided {
-        let Decision::Committed {
-            batch,
-            at,
-            reads,
-            writes,
-            observed_batch_max,
-        } = d
-        else {
-            continue;
-        };
         if clients.answered(tx) || !sh.recorded.borrow_mut().insert(*tx) {
             continue;
         }
         sh.stats.borrow_mut().commits += 1;
-        check_atomicity(sh, *batch, *observed_batch_max);
+        check_atomicity(sh, d.batch, d.observed_batch_max);
         let mut history = sh.history.borrow_mut();
         if history.is_enabled() {
             history.push(CommitRecord {
                 tx: *tx,
-                at: *at,
-                reads: reads.clone(),
-                writes: writes.clone(),
+                at: d.at,
+                reads: d.reads.clone(),
+                writes: d.writes.clone(),
             });
         }
     }
@@ -931,14 +910,12 @@ pub(crate) fn account_decisions(sh: &Shared, decided: &[(TxId, Decision)]) {
 }
 
 /// Answer every held `Submit` of a commit in the batch `decided` from
-/// `me`, once (`seal` answered the requeues).
+/// `me`, once (a requeue was answered at its `Submit`).
 fn answer_waiters(sh: &Shared, sim: &Sim<QMsg>, me: usize, decided: &[(TxId, Decision)]) {
     let mut p = sh.planner.borrow_mut();
-    for (tx, d) in decided {
-        if let Decision::Committed { .. } = d {
-            if let Some((client, call)) = p.waiting.remove(tx) {
-                sim.reply(sh.nodes[me], client, call, ack(TxStatus::Committed));
-            }
+    for (tx, _) in decided {
+        if let Some((client, call)) = p.waiting.remove(tx) {
+            sim.reply(sh.nodes[me], client, call, ack(TxStatus::Committed));
         }
     }
 }

@@ -11,7 +11,9 @@
 //! serve reads from the speculative head of their queues, so a
 //! transaction that reads a queued-but-uncommitted write is ordered
 //! *after* the writer by the planner instead of aborting against it.
-//! At the epoch boundary the planner validates the batch in assigned
+//! The planner validates each submission on arrival against the newest
+//! planned write of every object it read and requeues a stale one at
+//! once. At the epoch boundary it commits the whole queue in assigned
 //! order, replicates it with **one group-committed WAL record per
 //! replica per batch**, and acknowledges the whole epoch at once —
 //! nothing is reported committed before its batch is durable on a
@@ -64,9 +66,14 @@ use crate::wal::BatchRecord;
 /// Protocol bugs that can be injected for model-checker validation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QStoreBug {
-    /// The planner skips read-tag validation at the epoch seal, so stale
-    /// reads commit — classic lost updates the mc battery must catch.
+    /// The planner skips read-tag validation on arrival, so stale reads
+    /// commit — classic lost updates the mc battery must catch.
     SkipTagCheck,
+    /// The planner validates a read on arrival against the committed slot
+    /// only, ignoring the writes queued in the open epoch: two readers of
+    /// one value in one epoch both commit, a lost update the mc battery
+    /// must catch.
+    IgnoreOpenEpoch,
     /// The planner acknowledges an epoch the moment it is sealed — before
     /// its own group-commit fsync and before any replica's — so a planner
     /// crash-with-amnesia in that window loses an epoch clients already
@@ -86,13 +93,15 @@ pub struct QStoreConfig {
     pub latency: LatencySpec,
     /// Base message service time.
     pub service_time: SimDuration,
-    /// Seal the open epoch early once it holds this many transactions.
+    /// Seal the open epoch early once it holds this many planned
+    /// transactions.
     pub batch_size: usize,
     /// Seal the open epoch at the latest this long after it opens.
     pub epoch_timeout: SimDuration,
     /// Timeout on every RPC (liveness under crashes and partitions).
     pub rpc_timeout: SimDuration,
-    /// Base retry/requeue backoff.
+    /// Base backoff of the retrying loops (`Shared::pause`); a requeued
+    /// attempt retries at once.
     pub backoff: SimDuration,
     /// Cost of one group-committed WAL record + fsync.
     pub wal_cost: SimDuration,
@@ -419,7 +428,7 @@ impl QStoreCluster {
 
     /// Submit the attempt and wait for its outcome: a commit once its batch
     /// is durable on a majority, a requeue as soon as the planner decides
-    /// it, with the planner's committed values of the attempt's reads.
+    /// it on arrival, with the newest planned values of the attempt's reads.
     /// Submission is idempotent per `TxId`: a timeout (the planner died, or
     /// lost the open epoch with it), `Busy` or `NotPlanner` pauses and
     /// submits again, and the planner answers a decided one from its
@@ -593,12 +602,13 @@ impl DtmProtocol for QStoreCluster {
 
     async fn restart(&self, tx: &mut QStoreTxHandle, _abort: Abort) {
         // Requeues are counted as aborts at the planner decision; here the
-        // client just backs off and starts a fresh attempt, handing it the
-        // values the requeue carried. An attempt that aborted before its
-        // commit was never submitted: it settles here.
+        // client starts a fresh attempt at once, handing it the newest
+        // planned values the requeue carried — a pause would only give them
+        // time to go stale. The retry fails again only if another
+        // transaction is planned first, so retrying at once cannot
+        // livelock. An attempt that aborted before its commit was never
+        // submitted: it settles here.
         self.shared.clients.borrow_mut().settle(&tx.id);
-        let d = self.config().backoff.mul_f64(self.sim.jitter(0.5, 2.0));
-        self.sim.charge(d).await;
         *tx = self.fresh_handle(tx.node, std::mem::take(&mut tx.fresh));
     }
 
@@ -699,7 +709,8 @@ mod tests {
 
     /// Six clients on nodes 0..6 run three contending transfers each, to
     /// quiescence: every one commits, money is conserved and both audits
-    /// pass.
+    /// pass. Only planned writes are speculated, so every `Speculate` is a
+    /// committed write whose home executor is not the planner.
     fn contending_transfers_conserve_money_serializably_with(cfg: QStoreConfig) {
         let c = cluster_with(cfg);
         c.begin_history();
@@ -718,6 +729,10 @@ mod tests {
         assert_eq!(total(&c), ACCOUNTS as i64 * INITIAL);
         assert_eq!(c.verify_history(), vec![]);
         assert_eq!(c.batch_atomicity_violations(), Vec::<String>::new());
+        let history = c.history();
+        let writes = history.iter().flat_map(|r| &r.writes);
+        let off_planner = writes.filter(|(oid, ..)| oid.0 % 10 != 0).count();
+        assert_eq!(c.sim().metrics().sent_by_class[4], off_planner as u64);
     }
 
     #[test]
@@ -804,10 +819,7 @@ mod tests {
             c2.commit(&mut a).await.unwrap();
         });
         c.sim().run();
-        let st = c.stats();
-        assert_eq!(st.aborts, 1);
-        // B committed before A submitted: A's read is older than its epoch.
-        assert_eq!((st.requeued_at_submit, st.requeued_at_seal), (1, 0));
+        assert_eq!(c.stats().aborts, 1);
         assert_eq!(c.latest(ObjectId(0)).unwrap().1, ObjVal::Int(INITIAL - 17));
         assert_eq!(c.verify_history(), vec![]);
     }
@@ -1336,39 +1348,55 @@ mod tests {
         (s.tag, s.val.clone())
     }
 
-    /// Nodes 8 and 9 read object 3 at its preload and write it, in one
-    /// batch: the first in planner order commits, the second is requeued
-    /// at the seal and hears so before the batch reaches its quorum, with
-    /// the value the first just installed.
+    /// Nodes 8 and 9 read object 3 at its preload and write it. The first
+    /// to arrive is planned; the second conflicts with it in the open epoch
+    /// and hears so at once — before any seal, without a `Speculate` — with
+    /// the first's planned write. Its retry reads that write and is planned
+    /// behind it, so both commit in one batch.
     #[test]
-    fn a_requeued_client_hears_before_its_batch_is_acknowledged() {
+    fn a_conflict_in_the_open_epoch_costs_one_round_trip_and_commits_in_the_same_batch() {
         let c = cluster_with(QStoreConfig {
             seed: 107,
-            epoch_timeout: SimDuration::from_millis(10),
+            epoch_timeout: SimDuration::from_millis(100),
+            rpc_timeout: SimDuration::from_millis(300),
             ..Default::default()
         });
-        let heard: Rc<RefCell<Vec<(QMsg, u64)>>> = Rc::default();
+        let requeues: Rc<RefCell<Vec<_>>> = Rc::default();
         for node in [8, 9] {
-            let (c2, heard) = (Rc::clone(&c), Rc::clone(&heard));
+            let (c2, requeues) = (Rc::clone(&c), Rc::clone(&requeues));
             c.sim().spawn(async move {
-                let msg = read_write(node, 1, 0, i64::from(node));
-                let timeout = Some(c2.config().rpc_timeout);
-                let res = c2.sim().call(NodeId(node), &[NodeId(0)], msg, timeout);
-                let reply = res.await.replies.into_iter().next().expect("answered");
-                heard.borrow_mut().push((reply.1, c2.stats().batches));
+                let submit = async |msg| {
+                    let timeout = Some(c2.config().rpc_timeout);
+                    let res = c2.sim().call(NodeId(node), &[NodeId(0)], msg, timeout);
+                    res.await.replies.into_iter().next().expect("answered").1
+                };
+                let reply = submit(read_write(node, 1, 0, i64::from(node))).await;
+                if status(reply.clone()) == TxStatus::Committed {
+                    return;
+                }
+                let applied = c2.shared.replicas[0].borrow().applied;
+                let speculated = c2.sim().metrics().sent_by_class[4];
+                let fresh = requeued(reply);
+                let retry = read_write(node, 2, fresh[0].1, 100 + i64::from(node));
+                requeues
+                    .borrow_mut()
+                    .push((node, fresh, applied, speculated));
+                assert_eq!(status(submit(retry).await), TxStatus::Committed);
             });
         }
         c.sim().run();
-        let mut heard = heard.take().into_iter();
-        let (first, acked_then) = heard.next().unwrap();
-        assert_eq!(acked_then, 0, "answered before the quorum ack");
-        let (tag, val) = slot3(&c);
-        assert_eq!(requeued(first), vec![(ObjectId(3), tag, val)]);
-        let (second, acked_then) = heard.next().unwrap();
-        assert_eq!((status(second), acked_then), (TxStatus::Committed, 1));
+        let requeues = requeues.take();
+        let [(second, fresh, applied, speculated)] = &requeues[..] else {
+            panic!("exactly one requeue, got {requeues:?}");
+        };
+        let first = 17 - i64::from(*second);
+        assert_eq!(*applied, 0, "requeued before any seal");
+        // The epoch's first write tag, 1, holds the first's value.
+        assert_eq!(fresh, &[(ObjectId(3), 1, ObjVal::Int(first))]);
+        assert_eq!(*speculated, 1, "only the first's write was speculated");
         let st = c.stats();
-        assert_eq!((st.commits, st.batches, st.batch_txns), (1, 1, 2));
-        assert_eq!((st.requeued_at_submit, st.requeued_at_seal), (0, 1));
+        assert_eq!((st.commits, st.batches, st.batch_txns), (2, 1, 2));
+        assert_eq!(slot3(&c).1, ObjVal::Int(100 + i64::from(*second)));
     }
 
     #[test]
@@ -1380,8 +1408,8 @@ mod tests {
             let reply = ask(c, 0, read_write(9, 1, 0, 5)).await;
             assert_eq!(status(reply), TxStatus::Committed);
             let speculated = c.sim().metrics().sent_by_class[4];
-            // Still reading the preload: older than the slot, so certain to
-            // fail at the seal. A duplicate gets the same answer.
+            // Still reading the preload, which the slot has overwritten. A
+            // duplicate gets the same answer.
             for _ in 0..2 {
                 let fresh = requeued(ask(c, 0, read_write(9, 2, 0, 6)).await);
                 assert_eq!(fresh, vec![(ObjectId(3), slot3(c).0, ObjVal::Int(5))]);
@@ -1398,7 +1426,6 @@ mod tests {
         c.sim().run();
         let st = c.stats();
         assert_eq!((st.commits, st.batches, st.aborts), (1, 1, 1));
-        assert_eq!((st.requeued_at_submit, st.requeued_at_seal), (1, 0));
         assert_eq!(c.latest(ObjectId(3)).unwrap().1, ObjVal::Int(5));
     }
 

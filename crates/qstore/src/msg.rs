@@ -1,36 +1,32 @@
 //! Wire protocol of the Q-Store family: submission between clients and
-//! the planner (one answer per `Submit`: a requeue as soon as it is
-//! decided, a commit once its batch is acked),
-//! speculative queue forwarding to executors, and the per-batch
-//! replication round.
+//! the planner (one answer per `Submit`: a requeue at once, decided on
+//! arrival; a commit once its batch is acked), speculative queue
+//! forwarding to executors, and the per-batch replication round.
 
 use qrdtm_core::{ObjVal, ObjectId, Payload, TxId, Version};
 use qrdtm_sim::{SimMessage, SimTime};
 
 use crate::wal::QSnapshot;
 
-/// The planner's verdict on one transaction, shipped inside the batch
-/// replication record so any replica can answer duplicate submissions
-/// (exactly-once across planner failover).
+/// The planner's verdict on one transaction of a sealed batch — validated
+/// on arrival, committed in planner order, its writes part of the batch —
+/// shipped inside the batch replication record so any replica can answer
+/// duplicate submissions (exactly-once across planner failover). A batch
+/// holds only commits: a requeue is decided when its `Submit` arrives, and
+/// never planned.
 #[derive(Clone, Debug)]
-pub enum Decision {
-    /// Validated in planner order; its writes are part of the batch.
-    Committed {
-        /// Batch (epoch) the transaction committed in.
-        batch: u64,
-        /// Serialization point: seal time plus the in-batch sequence.
-        at: SimTime,
-        /// `(object, version observed)` for reads of unwritten objects.
-        reads: Vec<(ObjectId, Version)>,
-        /// `(object, version observed, version installed)` per write.
-        writes: Vec<(ObjectId, Version, Version)>,
-        /// Newest batch id among the write tags this transaction read —
-        /// fed to the batch-atomicity checker.
-        observed_batch_max: u64,
-    },
-    /// A read tag was overwritten within its epoch; the client must
-    /// re-execute.
-    Requeued,
+pub struct Decision {
+    /// Batch (epoch) the transaction committed in.
+    pub batch: u64,
+    /// Serialization point: seal time plus the in-batch sequence.
+    pub at: SimTime,
+    /// `(object, version observed)` for reads of unwritten objects.
+    pub reads: Vec<(ObjectId, Version)>,
+    /// `(object, version observed, version installed)` per write.
+    pub writes: Vec<(ObjectId, Version, Version)>,
+    /// Newest batch id among the write tags this transaction read — fed to
+    /// the batch-atomicity checker.
+    pub observed_batch_max: u64,
 }
 
 /// The outcome of every transaction in one sealed batch, in planner order.
@@ -116,8 +112,8 @@ pub enum TxStatus {
     NotPlanner,
     /// Acknowledged: the whole epoch reached a quorum.
     Committed,
-    /// Deterministically rejected, answered as soon as decided; restart
-    /// with the fresh reads the answer carries.
+    /// Rejected on arrival, a read overwritten before it was planned, and
+    /// answered at once; restart with the fresh reads the answer carries.
     Requeued,
     /// Below its node's watermark: that client already holds the outcome,
     /// and the planner neither executes nor answers it again.
@@ -127,8 +123,8 @@ pub enum TxStatus {
 /// Q-Store wire messages.
 #[derive(Clone, Debug)]
 pub enum QMsg {
-    /// Client -> planner: enqueue, answered once requeued or once the
-    /// commit is acknowledged (idempotent — a retransmission of the same
+    /// Client -> planner: enqueue, answered at once when requeued or once
+    /// the commit is acknowledged (idempotent — a retransmission of the same
     /// `tx` is answered from the planner's record).
     Submit {
         /// Root transaction id (stable across retransmissions of the same
@@ -145,9 +141,10 @@ pub enum QMsg {
     SubmitAck {
         /// Current status of the transaction.
         status: TxStatus,
-        /// With `Requeued`: the planner's committed `(object, write tag,
-        /// value)` for every object the attempt read, so the retry reads
-        /// them without a message. Empty otherwise.
+        /// With `Requeued`: the newest planned `(object, write tag, value)`
+        /// — queued in the open epoch, else committed — of every object
+        /// the attempt read, so the retry reads them without a message.
+        /// Empty otherwise.
         fresh: Vec<(ObjectId, u64, ObjVal)>,
     },
     /// Client -> home executor: speculative read (newest queued write).

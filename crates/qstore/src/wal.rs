@@ -2,8 +2,8 @@
 //!
 //! The durability unit is the *batch* (epoch): each replica appends exactly
 //! one [`BatchRecord`] per applied batch and fsyncs it immediately — the
-//! group commit the family is built around (of attempts: a batch commits
-//! only ≈ 2.3 transactions on `qstore_hot`). One record holds the batch, so
+//! group commit the family is built around (a batch holds only commits,
+//! ≈ 2.9 of them on `qstore_hot`). One record holds the batch, so
 //! torn-tail semantics give batch atomicity for free: a tear truncates at a
 //! record boundary, and replay resurrects an epoch completely or not at all.
 //!
@@ -66,6 +66,7 @@ mod tests {
     use super::*;
     use crate::msg::Decision;
     use qrdtm_core::{DurabilityConfig, TxId, Wal};
+    use qrdtm_sim::SimTime;
     use std::rc::Rc;
 
     fn rec(batch: u64, writes: u64) -> BatchRecord {
@@ -79,7 +80,13 @@ mod tests {
                     node: 0,
                     seq: batch,
                 },
-                Decision::Requeued,
+                Decision {
+                    batch,
+                    at: SimTime::ZERO,
+                    reads: Vec::new(),
+                    writes: Vec::new(),
+                    observed_batch_max: 0,
+                },
             )]
             .into(),
             horizon: Horizon::default(),

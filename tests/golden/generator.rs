@@ -559,6 +559,11 @@ pub(crate) fn mc_lines() -> Vec<String> {
             Proto::QStore,
         ),
         (
+            "ignore-open-epoch",
+            McBug::QStore(QStoreBug::IgnoreOpenEpoch),
+            Proto::QStore,
+        ),
+        (
             "ack-before-fsync",
             McBug::QStore(QStoreBug::AckBeforeFsync),
             Proto::QStore,
