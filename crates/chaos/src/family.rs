@@ -15,8 +15,8 @@ pub enum Proto {
     Tfa,
     /// The Decent-STM baseline.
     Decent,
-    /// Q-Store: planner-ordered epochs, speculative executors, batch-atomic
-    /// group commit.
+    /// Q-Store: planner-ordered epochs, reads of committed slots,
+    /// batch-atomic group commit.
     QStore,
 }
 

@@ -124,7 +124,7 @@ fn qstore_replay_is_deterministic() {
 }
 
 /// A planner that plans transactions without validating read tags commits
-/// stale speculative reads: the auditor must see the lost update.
+/// stale reads: the auditor must see the lost update.
 #[test]
 fn qstore_injected_tag_skip_is_caught_minimized_and_replayable() {
     caught_minimized_and_replayable(McBug::QStore(QStoreBug::SkipTagCheck), Proto::QStore);

@@ -1,4 +1,4 @@
-//! Planner/executor machinery: shared cluster state, message handlers,
+//! Planner and replica machinery: shared cluster state, message handlers,
 //! epoch sealing, batch replication, and planner takeover.
 //!
 //! Everything here is sim-world shared state (`Rc<RefCell<_>>`); the
@@ -40,14 +40,6 @@ pub struct Slot {
     pub val: ObjVal,
 }
 
-/// One speculative (queued, not yet batch-committed) write.
-#[derive(Clone, Debug)]
-pub(crate) struct SpecEntry {
-    pub tag: u64,
-    pub batch: u64,
-    pub val: ObjVal,
-}
-
 /// A hash set keyed by an integer id through [`IdHasher`].
 pub(crate) type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
@@ -69,12 +61,11 @@ pub(crate) fn install_writes(
 }
 
 /// Per-node replica state: the committed store (batch prefix), the
-/// speculative per-object queues this node executes, the decision log,
-/// and the durable batch log.
+/// decision log, and the durable batch log. A replica holds nothing of the
+/// open epoch: the planner alone knows its planned writes.
 #[derive(Default)]
 pub(crate) struct ReplicaState {
     pub store: IdMap<ObjectId, Slot>,
-    pub spec: IdMap<ObjectId, Vec<SpecEntry>>,
     /// Appended per batch, trimmed to [`horizon`](Self::horizon), replaced
     /// wholesale by [`install`](Self::install), and never searched here —
     /// only the planner looks a transaction up by id, in its own
@@ -108,24 +99,6 @@ impl ReplicaState {
         slot.map_or((0, ObjVal::Unit), |s| (s.tag, s.val.clone()))
     }
 
-    /// Newest visible write for `oid` as `(tag, value)`: the speculative
-    /// chain top if present, else [`committed`](Self::committed).
-    fn speculative_top(&self, oid: &ObjectId) -> (u64, ObjVal) {
-        let spec = self
-            .spec
-            .get(oid)
-            .and_then(|c| c.iter().max_by_key(|e| e.tag));
-        spec.map_or_else(|| self.committed(oid), |e| (e.tag, e.val.clone()))
-    }
-
-    /// Drop speculative entries made obsolete by applying `batch`.
-    pub(crate) fn prune_spec(&mut self, batch: u64) {
-        self.spec.retain(|_, chain| {
-            chain.retain(|e| e.batch > batch);
-            !chain.is_empty()
-        });
-    }
-
     /// Install one sealed batch unconditionally (sequencing checked by
     /// the caller) under view `epoch` and log it durably in one group
     /// commit. Returns the disk occupancy to charge (`fallback` in
@@ -146,11 +119,10 @@ impl ReplicaState {
 
     /// Take `batch`, whose writes are already in the store, under view
     /// `epoch`: log its outcomes, forget what `horizon` covers, advance
-    /// `applied`, drop the speculation it supersedes and append its record
-    /// to the log buffer (volatile until the matching
-    /// [`group_commit`](Self::group_commit)). The planner takes its own
-    /// batch at seal and fsyncs from the replication task — dying in
-    /// between loses the record, the append-vs-fsync crash window.
+    /// `applied` and append its record to the log buffer (volatile until
+    /// the matching [`group_commit`](Self::group_commit)). The planner
+    /// takes its own batch at seal and fsyncs from the replication task —
+    /// dying in between loses the record, the append-vs-fsync crash window.
     pub(crate) fn take_batch(
         &mut self,
         batch: u64,
@@ -163,7 +135,6 @@ impl ReplicaState {
         self.horizon.merge(horizon);
         self.decided.forget(&self.horizon);
         self.applied = batch;
-        self.prune_spec(batch);
         self.last_apply_epoch = epoch;
         self.wal_records += 1;
         match self.wal.as_mut() {
@@ -222,15 +193,13 @@ impl ReplicaState {
     /// Install a full committed `state` under view `epoch` — the one way a
     /// replica takes a whole state (`FullSync`, takeover adoption, an
     /// amnesiac replay and its repair): its store, prefix and decision log,
-    /// the higher of the two horizons, and only the speculation above the
-    /// new prefix.
+    /// and the higher of the two horizons.
     pub(crate) fn install(&mut self, state: QSnapshot, epoch: u64) {
         self.store = state.store;
         self.applied = state.applied;
         self.decided = state.decided;
         self.horizon.merge(&state.horizon);
         self.decided.forget(&self.horizon);
-        self.prune_spec(self.applied);
         self.last_apply_epoch = epoch;
     }
 }
@@ -250,8 +219,8 @@ impl QView {
         (0..self.alive.len()).filter(|&i| self.alive[i])
     }
 
-    /// `oid`'s home executor: the alive replicas in index order, indexed
-    /// by `oid` modulo their count.
+    /// `oid`'s home replica, which serves its reads: the alive replicas in
+    /// index order, indexed by `oid` modulo their count.
     pub(crate) fn home(&self, oid: ObjectId) -> usize {
         let k = (oid.0 as usize) % self.members().count();
         self.members().nth(k).expect("k is below the alive count")
@@ -371,8 +340,8 @@ impl Clients {
 /// validation corrupts the history visibly. A validated read names the
 /// store's current tag, whose version the store itself holds, so only
 /// superseded tags are worth keeping — until every attempt begun before
-/// the supersession is answered. A later attempt names one only through an
-/// executor that has not yet heard of the newer write; the seal then falls
+/// the supersession is answered. A later attempt names one only through a
+/// replica that has not yet applied the newer write; the seal then falls
 /// back to the store's version.
 #[derive(Default)]
 pub(crate) struct TagVersions {
@@ -505,27 +474,8 @@ pub(crate) fn install_handlers(sim: &Sim<QMsg>, shared: &Rc<Shared>) {
         let node = shared.nodes[me];
         sim.set_handler(node, move |ctx, env| match &env.msg {
             QMsg::Read { oid } => {
-                let (tag, val) = sh.replicas[me].borrow().speculative_top(oid);
-                ctx.respond(&env, QMsg::ReadOk { tag, val });
-            }
-            QMsg::ReadCommitted { oid } => {
                 let (tag, val) = sh.replicas[me].borrow().committed(oid);
                 ctx.respond(&env, QMsg::ReadOk { tag, val });
-            }
-            QMsg::Speculate {
-                oid,
-                tag,
-                batch,
-                val,
-            } => {
-                let mut r = sh.replicas[me].borrow_mut();
-                if *batch > r.applied {
-                    r.spec.entry(*oid).or_default().push(SpecEntry {
-                        tag: *tag,
-                        batch: *batch,
-                        val: val.clone(),
-                    });
-                }
             }
             QMsg::Submit {
                 tx,
@@ -553,7 +503,7 @@ pub(crate) fn install_handlers(sim: &Sim<QMsg>, shared: &Rc<Shared>) {
                             sh.planner.borrow_mut().waiting.insert(*tx, waiter);
                         }
                         if status.is_none() {
-                            accept(&sh, &sim2, me, ctx, tx, reads, writes);
+                            accept(&sh, &sim2, me, tx, reads, writes);
                         }
                     }
                     Some(TxStatus::Requeued) => {
@@ -696,27 +646,25 @@ fn requeued(r: &ReplicaState, open: &[PendTxn], reads: &[(ObjectId, u64)]) -> QM
     }
 }
 
-/// Accept `tx` into the open epoch: assign queue positions (tags), forward
-/// the speculative writes to each object's home executor, arm the sealer
-/// if the epoch just opened and seal at once if it is full.
+/// Accept `tx` into the open epoch: assign queue positions (tags), arm the
+/// sealer if the epoch just opened and seal at once if it is full.
 fn accept(
     sh: &Rc<Shared>,
     sim: &Sim<QMsg>,
     me: usize,
-    ctx: &mut qrdtm_sim::HandlerCtx<'_, QMsg>,
     tx: &TxId,
     reads: &Payload<(ObjectId, u64)>,
     writes: &[(ObjectId, ObjVal)],
 ) {
     let epoch = sh.view.borrow().epoch;
     let open_batch = sh.replicas[me].borrow().applied + 1;
-    let (was_empty, tagged) = {
+    let was_empty = {
         let mut p = sh.planner.borrow_mut();
         let was_empty = p.open.is_empty();
         if was_empty {
             p.opened_at = sim.now();
         }
-        let tagged: Vec<(ObjectId, u64, ObjVal)> = writes
+        let writes = writes
             .iter()
             .map(|(oid, val)| {
                 p.next_tag += 1;
@@ -727,42 +675,16 @@ fn accept(
                     p.next_tag < (1 << 24),
                     "write-tag counter overflowed into the view-epoch bits"
                 );
-                ((epoch << 24) | p.next_tag, (*oid, val.clone()))
+                (*oid, (epoch << 24) | p.next_tag, val.clone())
             })
-            .map(|(tag, (oid, val))| (oid, tag, val))
             .collect();
         p.open.push(PendTxn {
             tx: *tx,
             reads: Rc::clone(reads),
-            writes: tagged.clone(),
+            writes,
         });
-        (was_empty, tagged)
+        was_empty
     };
-    for (oid, tag, val) in &tagged {
-        let home = sh.view.borrow().home(*oid);
-        if home == me {
-            sh.replicas[me]
-                .borrow_mut()
-                .spec
-                .entry(*oid)
-                .or_default()
-                .push(SpecEntry {
-                    tag: *tag,
-                    batch: open_batch,
-                    val: val.clone(),
-                });
-        } else {
-            ctx.send(
-                sh.nodes[home],
-                QMsg::Speculate {
-                    oid: *oid,
-                    tag: *tag,
-                    batch: open_batch,
-                    val: val.clone(),
-                },
-            );
-        }
-    }
     if was_empty {
         // Arm the epoch-timeout sealer exactly once per opened epoch.
         let sh2 = Rc::clone(sh);
@@ -1121,7 +1043,6 @@ pub(crate) async fn takeover(sh: Rc<Shared>, sim: Sim<QMsg>, me: usize) {
             let state = sh.replicas[best.1].borrow().snapshot_state();
             let mut r = sh.replicas[me].borrow_mut();
             r.install(state, sh.view.borrow().epoch);
-            r.spec.clear();
             // The adopted prefix is durable on the new planner before
             // anything is promoted: one state-sized snapshot. The old
             // planner's unsynced tail (if this node was the planner's
@@ -1216,7 +1137,6 @@ pub(crate) fn forget_replica(sh: &Shared, sim: &Sim<QMsg>, idx: usize) {
         "crash-amnesia requires QStoreConfig::durability"
     );
     r.store.clear();
-    r.spec.clear();
     r.decided = DecisionLog::default();
     r.horizon = Horizon::default();
     r.applied = 0;

@@ -6,17 +6,17 @@
 //! quorum round-trip per transaction like the QR family, a **planner**
 //! assigns incoming transactions to **epochs** (batches) and splits
 //! their writes into per-object operation queues with a deterministic
-//! intra-queue order (planner-assigned *write tags*). **Executors** —
-//! every replica, each the home of a hash slice of the object space —
-//! serve reads from the speculative head of their queues, so a
-//! transaction that reads a queued-but-uncommitted write is ordered
-//! *after* the writer by the planner instead of aborting against it.
-//! The planner validates each submission on arrival against the newest
+//! intra-queue order (planner-assigned *write tags*). A read is one
+//! message to the object's home replica, answered from its committed
+//! slot: the open epoch's planned writes live at the planner alone. The
+//! planner validates each submission on arrival against the newest
 //! planned write of every object it read and requeues a stale one at
-//! once. At the epoch boundary it commits the whole queue in assigned
-//! order, replicates it with **one group-committed WAL record per
-//! replica per batch**, and acknowledges the whole epoch at once —
-//! nothing is reported committed before its batch is durable on a
+//! once, carrying those planned values, so the retry reads the
+//! queued-but-uncommitted write and is ordered *after* the writer instead
+//! of aborting against it. At the epoch boundary it commits the whole
+//! queue in assigned order, replicates it with **one group-committed WAL
+//! record per replica per batch**, and acknowledges the whole epoch at
+//! once — nothing is reported committed before its batch is durable on a
 //! majority.
 //!
 //! Fault model: crash-stop plus, with [`QStoreConfig::durability`],
@@ -84,7 +84,7 @@ pub enum QStoreBug {
 /// Configuration for a Q-Store cluster.
 #[derive(Clone, Debug)]
 pub struct QStoreConfig {
-    /// Replica count (every node is an executor for a hash slice of the
+    /// Replica count (every node serves the reads of a hash slice of the
     /// object space; node 0 starts as planner).
     pub nodes: usize,
     /// RNG seed.
@@ -139,15 +139,15 @@ impl Default for QStoreConfig {
 /// before re-checking aliveness.
 const IDLE: SimDuration = SimDuration::from_millis(20);
 
-/// A Q-Store cluster: one sticky planner, fully replicated executors,
-/// batch-atomic group commit.
+/// A Q-Store cluster: one sticky planner, fully replicated committed
+/// stores, batch-atomic group commit.
 pub struct QStoreCluster {
     sim: Sim<QMsg>,
     shared: Rc<Shared>,
 }
 
 impl QStoreCluster {
-    /// Build a cluster and install the planner/executor handlers.
+    /// Build a cluster and install the planner and replica handlers.
     pub fn new(cfg: QStoreConfig) -> Self {
         assert!(cfg.nodes >= 3, "need a meaningful majority");
         let cfg = QStoreConfig {
@@ -326,8 +326,8 @@ impl QStoreCluster {
     /// Readmit `idx` to the view. An amnesiac replica first runs the
     /// honest recovery pipeline — replay the fsynced prefix, repair from
     /// the quorum frontier, re-snapshot — and is charged its cost as
-    /// occupancy; a memory-intact one only discards speculation. Either
-    /// way the planner then pushes the committed suffix it missed.
+    /// occupancy; a memory-intact one is charged nothing. Either way the
+    /// planner then pushes the committed suffix it missed.
     /// Returns the charged recovery cost.
     fn readmit(&self, idx: usize) -> SimDuration {
         let amnesiac = self.shared.replicas[idx].borrow().amnesiac;
@@ -342,7 +342,6 @@ impl QStoreCluster {
             v.epoch += 1;
             v.planner
         };
-        self.shared.replicas[idx].borrow_mut().spec.clear();
         if cost > SimDuration::ZERO {
             self.sim.occupy(self.shared.nodes[idx], cost);
         }
@@ -401,22 +400,17 @@ impl QStoreCluster {
         res.replies.into_iter().next().map(|(_, reply)| reply)
     }
 
-    /// Resolve one read: speculative from the object's home executor,
-    /// or authoritative from the planner's committed store after two
-    /// failed executor reads. Either answers an object absent everywhere
-    /// as the implicit preload — tag 0 and [`ObjVal::Unit`] — matching the
-    /// seal's validation default, so reads of never-written objects
-    /// terminate.
+    /// Resolve one read: one `Read` of the committed slot at the object's
+    /// home replica, or at the planner after two failed reads. Either
+    /// answers an object absent everywhere as the implicit preload — tag 0
+    /// and [`ObjVal::Unit`] — matching the validation default, so reads of
+    /// never-written objects terminate.
     async fn read_remote(&self, node: NodeId, oid: ObjectId) -> (u64, ObjVal) {
         let mut attempt = 0u32;
         loop {
-            let auth = attempt >= 2;
-            let route = |view: &QView| {
-                if auth {
-                    (view.planner, QMsg::ReadCommitted { oid })
-                } else {
-                    (view.home(oid), QMsg::Read { oid })
-                }
+            let route = |view: &QView| match attempt {
+                0 | 1 => (view.home(oid), QMsg::Read { oid }),
+                _ => (view.planner, QMsg::Read { oid }),
             };
             if let Some(QMsg::ReadOk { tag, val }) = self.request(node, route).await {
                 return (tag, val);
@@ -709,8 +703,7 @@ mod tests {
 
     /// Six clients on nodes 0..6 run three contending transfers each, to
     /// quiescence: every one commits, money is conserved and both audits
-    /// pass. Only planned writes are speculated, so every `Speculate` is a
-    /// committed write whose home executor is not the planner.
+    /// pass.
     fn contending_transfers_conserve_money_serializably_with(cfg: QStoreConfig) {
         let c = cluster_with(cfg);
         c.begin_history();
@@ -729,10 +722,6 @@ mod tests {
         assert_eq!(total(&c), ACCOUNTS as i64 * INITIAL);
         assert_eq!(c.verify_history(), vec![]);
         assert_eq!(c.batch_atomicity_violations(), Vec::<String>::new());
-        let history = c.history();
-        let writes = history.iter().flat_map(|r| &r.writes);
-        let off_planner = writes.filter(|(oid, ..)| oid.0 % 10 != 0).count();
-        assert_eq!(c.sim().metrics().sent_by_class[4], off_planner as u64);
     }
 
     #[test]
@@ -1002,9 +991,9 @@ mod tests {
         let c = cluster(19);
         let c2 = Rc::clone(&c);
         c.sim().spawn(async move {
-            // Object 203's home executor, node 3, is silent without leaving
-            // the view: two executor reads time out and the read falls back
-            // to the planner's committed store. An object absent from it
+            // Object 203's home replica, node 3, is silent without leaving
+            // the view: two reads time out and the read falls back to the
+            // planner's committed store. An object absent from it
             // must resolve as the implicit preload instead of hanging the
             // read loop.
             assert!(crash_sim_only(&*c2, c2.sim(), NodeId(3)));
@@ -1348,55 +1337,57 @@ mod tests {
         (s.tag, s.val.clone())
     }
 
-    /// Nodes 8 and 9 read object 3 at its preload and write it. The first
-    /// to arrive is planned; the second conflicts with it in the open epoch
-    /// and hears so at once — before any seal, without a `Speculate` — with
-    /// the first's planned write. Its retry reads that write and is planned
-    /// behind it, so both commit in one batch.
+    /// Node 8 reads object 3 at its preload and writes it, and is planned.
+    /// Later in the same open epoch, long after a message to object 3's
+    /// home replica would have arrived, node 9 reads object 3: a replica
+    /// serves only its committed slot, so node 9 sees the preload. Its
+    /// `Submit` conflicts with node 8's planned write and hears so at once,
+    /// before any seal, carrying that write. The retry reads it and is
+    /// planned behind it, so both commit in one batch.
     #[test]
     fn a_conflict_in_the_open_epoch_costs_one_round_trip_and_commits_in_the_same_batch() {
         let c = cluster_with(QStoreConfig {
             seed: 107,
-            epoch_timeout: SimDuration::from_millis(100),
+            epoch_timeout: SimDuration::from_millis(200),
             rpc_timeout: SimDuration::from_millis(300),
             ..Default::default()
         });
-        let requeues: Rc<RefCell<Vec<_>>> = Rc::default();
-        for node in [8, 9] {
-            let (c2, requeues) = (Rc::clone(&c), Rc::clone(&requeues));
-            c.sim().spawn(async move {
-                let submit = async |msg| {
-                    let timeout = Some(c2.config().rpc_timeout);
-                    let res = c2.sim().call(NodeId(node), &[NodeId(0)], msg, timeout);
-                    res.await.replies.into_iter().next().expect("answered").1
-                };
-                let reply = submit(read_write(node, 1, 0, i64::from(node))).await;
-                if status(reply.clone()) == TxStatus::Committed {
-                    return;
-                }
-                let applied = c2.shared.replicas[0].borrow().applied;
-                let speculated = c2.sim().metrics().sent_by_class[4];
-                let fresh = requeued(reply);
-                let retry = read_write(node, 2, fresh[0].1, 100 + i64::from(node));
-                requeues
-                    .borrow_mut()
-                    .push((node, fresh, applied, speculated));
-                assert_eq!(status(submit(retry).await), TxStatus::Committed);
-            });
-        }
+        let c8 = Rc::clone(&c);
+        c.sim().spawn(async move {
+            let c = &*c8;
+            let mut h = c.begin(NodeId(8));
+            c.read(&mut h, ObjectId(3)).await.unwrap();
+            c.write(&mut h, ObjectId(3), ObjVal::Int(8)).await.unwrap();
+            c.commit(&mut h).await.unwrap();
+        });
+        let c9 = Rc::clone(&c);
+        c.sim().spawn(async move {
+            let c = &*c9;
+            c.sim().sleep(SimDuration::from_millis(60)).await;
+            let open = c.shared.planner.borrow().open.len();
+            assert_eq!(open, 1, "node 8 is planned in the open epoch");
+            c.sim().sleep(SimDuration::from_millis(20)).await;
+            let mut h = c.begin(NodeId(9));
+            let v = c.read(&mut h, ObjectId(3)).await.unwrap();
+            assert_eq!(v, ObjVal::Int(INITIAL));
+            assert_eq!(h.reads[&ObjectId(3)], (0, v), "the committed slot");
+            c.write(&mut h, ObjectId(3), ObjVal::Int(9)).await.unwrap();
+            let abort = c.commit(&mut h).await.expect_err("requeued");
+            assert_eq!(c.shared.replicas[0].borrow().applied, 0, "before any seal");
+            // The epoch's first write tag, 1, holds node 8's value.
+            assert_eq!(h.fresh, [(ObjectId(3), 1, ObjVal::Int(8))]);
+            c.restart(&mut h, abort).await;
+            let v = c.read(&mut h, ObjectId(3)).await.unwrap().expect_int();
+            c.write(&mut h, ObjectId(3), ObjVal::Int(v + 101))
+                .await
+                .unwrap();
+            c.commit(&mut h).await.unwrap();
+        });
         c.sim().run();
-        let requeues = requeues.take();
-        let [(second, fresh, applied, speculated)] = &requeues[..] else {
-            panic!("exactly one requeue, got {requeues:?}");
-        };
-        let first = 17 - i64::from(*second);
-        assert_eq!(*applied, 0, "requeued before any seal");
-        // The epoch's first write tag, 1, holds the first's value.
-        assert_eq!(fresh, &[(ObjectId(3), 1, ObjVal::Int(first))]);
-        assert_eq!(*speculated, 1, "only the first's write was speculated");
         let st = c.stats();
-        assert_eq!((st.commits, st.batches, st.batch_txns), (2, 1, 2));
-        assert_eq!(slot3(&c).1, ObjVal::Int(100 + i64::from(*second)));
+        assert_eq!((st.commits, st.aborts), (2, 1));
+        assert_eq!((st.batches, st.batch_txns), (1, 2));
+        assert_eq!(slot3(&c), (2, ObjVal::Int(109)));
     }
 
     #[test]
@@ -1407,7 +1398,6 @@ mod tests {
             let c = &*c2;
             let reply = ask(c, 0, read_write(9, 1, 0, 5)).await;
             assert_eq!(status(reply), TxStatus::Committed);
-            let speculated = c.sim().metrics().sent_by_class[4];
             // Still reading the preload, which the slot has overwritten. A
             // duplicate gets the same answer.
             for _ in 0..2 {
@@ -1416,11 +1406,6 @@ mod tests {
                 assert!(c.shared.planner.borrow().open.is_empty(), "nothing queued");
                 assert_eq!(c.shared.replicas[0].borrow().applied, 1, "no epoch sealed");
             }
-            assert_eq!(
-                c.sim().metrics().sent_by_class[4],
-                speculated,
-                "no Speculate"
-            );
             c.sim().sleep(SETTLE).await;
         });
         c.sim().run();

@@ -1,7 +1,7 @@
 //! Wire protocol of the Q-Store family: submission between clients and
 //! the planner (one answer per `Submit`: a requeue at once, decided on
-//! arrival; a commit once its batch is acked), speculative queue
-//! forwarding to executors, and the per-batch replication round.
+//! arrival; a commit once its batch is acked), reads of committed slots,
+//! and the per-batch replication round.
 
 use qrdtm_core::{ObjVal, ObjectId, Payload, TxId, Version};
 use qrdtm_sim::{SimMessage, SimTime};
@@ -147,36 +147,19 @@ pub enum QMsg {
         /// Empty otherwise.
         fresh: Vec<(ObjectId, u64, ObjVal)>,
     },
-    /// Client -> home executor: speculative read (newest queued write).
+    /// Client -> the object's home replica, or the planner after two failed
+    /// reads: read the committed slot.
     Read {
         /// Object requested.
         oid: ObjectId,
     },
-    /// Client -> planner: authoritative read of the committed store (the
-    /// fallback after two failed executor reads).
-    ReadCommitted {
-        /// Object requested.
-        oid: ObjectId,
-    },
-    /// Executor -> client: value plus the write tag to validate against.
+    /// Replica -> client: value plus the write tag to validate against.
     /// An object never preloaded or written answers as the implicit
     /// preload: tag 0 and [`ObjVal::Unit`].
     ReadOk {
         /// Tag of the write that produced `val` (0 for the preload).
         tag: u64,
         /// The value.
-        val: ObjVal,
-    },
-    /// Planner -> home executor (fire-and-forget): append a queued write
-    /// to the object's speculative chain.
-    Speculate {
-        /// Object written.
-        oid: ObjectId,
-        /// Planner-assigned write tag (view epoch in the high bits).
-        tag: u64,
-        /// Open batch the write belongs to.
-        batch: u64,
-        /// Speculative value.
         val: ObjVal,
     },
     /// Planner -> replicas: install a sealed batch (one WAL record per
@@ -222,11 +205,11 @@ pub enum QMsg {
 impl SimMessage for QMsg {
     fn class(&self) -> u8 {
         match self {
-            QMsg::Read { .. } | QMsg::ReadCommitted { .. } => 0,
+            QMsg::Read { .. } => 0,
             QMsg::ReadOk { .. } => 1,
             QMsg::Submit { .. } => 2,
             QMsg::SubmitAck { .. } => 3,
-            QMsg::Speculate { .. } => 4,
+            // Class 4 is free; the replication classes keep their numbers.
             QMsg::ApplyBatch { .. } | QMsg::FullSync { .. } => 5,
             QMsg::ApplyAck { .. } | QMsg::SyncPull | QMsg::SyncInfo { .. } => 6,
         }
