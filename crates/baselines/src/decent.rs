@@ -510,7 +510,7 @@ impl SimHosted for DecentCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrdtm_core::atomically;
+    use qrdtm_workloads::protocol_bank::{audit, transfer};
 
     fn cluster() -> DecentCluster {
         let c = DecentCluster::new(DecentConfig::default());
@@ -520,31 +520,12 @@ mod tests {
         c
     }
 
-    async fn transfer(c: &DecentCluster, node: NodeId, from: ObjectId, to: ObjectId, amount: i64) {
-        atomically(c, node, async |h| {
-            let a = c.read(h, from).await?.expect_int();
-            let b = c.read(h, to).await?.expect_int();
-            c.write(h, from, ObjVal::Int(a - amount)).await?;
-            c.write(h, to, ObjVal::Int(b + amount)).await
-        })
-        .await
-    }
-
-    async fn audit(c: &DecentCluster, node: NodeId, a: ObjectId, b: ObjectId) -> i64 {
-        atomically(c, node, async |h| {
-            let va = c.read(h, a).await?.expect_int();
-            let vb = c.read(h, b).await?.expect_int();
-            Ok(va + vb)
-        })
-        .await
-    }
-
     #[test]
     fn transfer_commits_everywhere() {
         let c = Rc::new(cluster());
         let c2 = Rc::clone(&c);
         c.sim().spawn(async move {
-            transfer(&c2, NodeId(0), ObjectId(1), ObjectId(2), 40).await;
+            transfer(&*c2, NodeId(0), ObjectId(1), ObjectId(2), 40).await;
         });
         c.sim().run();
         assert_eq!(c.latest(ObjectId(1)), Some(ObjVal::Int(60)));
@@ -564,7 +545,7 @@ mod tests {
                 for i in 0..3u64 {
                     let from = ObjectId((u64::from(node) + i) % 8);
                     let to = ObjectId((u64::from(node) + i + 3) % 8);
-                    transfer(&c2, NodeId(node), from, to, 5).await;
+                    transfer(&*c2, NodeId(node), from, to, 5).await;
                 }
             });
         }
@@ -582,7 +563,7 @@ mod tests {
         let c2 = Rc::clone(&c);
         c.sim().spawn(async move {
             for _ in 0..HISTORY + 4 {
-                transfer(&c2, NodeId(0), ObjectId(0), ObjectId(1), 1).await;
+                transfer(&*c2, NodeId(0), ObjectId(0), ObjectId(1), 1).await;
             }
         });
         c.sim().run();
@@ -596,7 +577,7 @@ mod tests {
         let c = Rc::new(cluster());
         let c2 = Rc::clone(&c);
         c.sim().spawn(async move {
-            let sum = audit(&c2, NodeId(4), ObjectId(0), ObjectId(1)).await;
+            let sum = audit(&*c2, NodeId(4), ObjectId(0), ObjectId(1)).await;
             assert_eq!(sum, 200);
         });
         c.sim().run();

@@ -503,7 +503,7 @@ impl SimHosted for TfaCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrdtm_core::atomically;
+    use qrdtm_workloads::protocol_bank::{audit, transfer};
 
     fn cluster() -> TfaCluster {
         let c = TfaCluster::new(TfaConfig::default());
@@ -511,25 +511,6 @@ mod tests {
             c.preload(ObjectId(i), ObjVal::Int(100));
         }
         c
-    }
-
-    async fn transfer(c: &TfaCluster, node: NodeId, from: ObjectId, to: ObjectId, amount: i64) {
-        atomically(c, node, async |h| {
-            let a = c.read(h, from).await?.expect_int();
-            let b = c.read(h, to).await?.expect_int();
-            c.write(h, from, ObjVal::Int(a - amount)).await?;
-            c.write(h, to, ObjVal::Int(b + amount)).await
-        })
-        .await
-    }
-
-    async fn audit(c: &TfaCluster, node: NodeId, a: ObjectId, b: ObjectId) {
-        atomically(c, node, async |h| {
-            c.read(h, a).await?;
-            c.read(h, b).await?;
-            Ok(())
-        })
-        .await
     }
 
     #[test]
@@ -546,7 +527,7 @@ mod tests {
         let c = Rc::new(cluster());
         let c2 = Rc::clone(&c);
         c.sim().spawn(async move {
-            transfer(&c2, NodeId(0), ObjectId(1), ObjectId(2), 25).await;
+            transfer(&*c2, NodeId(0), ObjectId(1), ObjectId(2), 25).await;
         });
         c.sim().run();
         assert_eq!(c.latest(ObjectId(1)), Some(ObjVal::Int(75)));
@@ -563,7 +544,7 @@ mod tests {
                 for i in 0..4u64 {
                     let from = ObjectId((u64::from(node) + i) % 8);
                     let to = ObjectId((u64::from(node) + i + 1) % 8);
-                    transfer(&c2, NodeId(node), from, to, 7).await;
+                    transfer(&*c2, NodeId(node), from, to, 7).await;
                 }
             });
         }
@@ -580,7 +561,7 @@ mod tests {
         let c = Rc::new(cluster());
         let c2 = Rc::clone(&c);
         c.sim().spawn(async move {
-            audit(&c2, NodeId(3), ObjectId(0), ObjectId(1)).await;
+            audit(&*c2, NodeId(3), ObjectId(0), ObjectId(1)).await;
         });
         c.sim().run();
         assert_eq!(c.protocol_stats().commits, 1);
@@ -625,7 +606,7 @@ mod tests {
             sim2.sleep(SimDuration::from_millis(20)).await;
             // Write o2 (among others) so home(o2)'s clock advances before
             // the reader's second acquisition.
-            transfer(&c3, NodeId(0), ObjectId(2), ObjectId(3), 1).await;
+            transfer(&*c3, NodeId(0), ObjectId(2), ObjectId(3), 1).await;
         });
         c.sim().run();
     }

@@ -217,7 +217,6 @@ impl SimHosted for Cluster {
 mod tests {
     use super::*;
     use crate::cluster::DtmConfig;
-    use crate::object::Version;
     use std::cell::Cell;
     use std::rc::Rc;
 
@@ -236,35 +235,6 @@ mod tests {
         assert_eq!(cluster(NestingMode::Flat).protocol_name(), "QR");
         assert_eq!(cluster(NestingMode::Closed).protocol_name(), "QR-CN");
         assert_eq!(cluster(NestingMode::Checkpoint).protocol_name(), "QR-CHK");
-    }
-
-    #[test]
-    fn trait_driven_transfer_commits() {
-        let c = cluster(NestingMode::Flat);
-        let c2 = Rc::clone(&c);
-        c.sim().spawn(async move {
-            let p = &*c2;
-            atomically(p, NodeId(3), async |h| {
-                let a = p.read(h, ObjectId(1)).await?.expect_int();
-                let b = p.read(h, ObjectId(2)).await?.expect_int();
-                p.write(h, ObjectId(1), ObjVal::Int(a - 5)).await?;
-                p.write(h, ObjectId(2), ObjVal::Int(b + 5)).await
-            })
-            .await;
-        });
-        c.sim().run();
-        assert_eq!(c.latest(ObjectId(1)).unwrap(), (Version(2), ObjVal::Int(5)));
-        assert_eq!(
-            c.latest(ObjectId(2)).unwrap(),
-            (Version(2), ObjVal::Int(25))
-        );
-        assert_eq!(
-            c.protocol_stats(),
-            ProtocolStats {
-                commits: 1,
-                aborts: 0
-            }
-        );
     }
 
     #[test]

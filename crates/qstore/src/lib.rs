@@ -641,7 +641,8 @@ mod tests {
     use crate::core::Slot;
     use crate::wal::QSnapshot;
     use proptest::prelude::*;
-    use qrdtm_core::{atomically, crash_sim_only, recover_sim_only, spawn_detector};
+    use qrdtm_core::{crash_sim_only, recover_sim_only, spawn_detector};
+    use qrdtm_workloads::protocol_bank::transfer;
 
     const ACCOUNTS: u64 = 8;
     const INITIAL: i64 = 100;
@@ -661,16 +662,6 @@ mod tests {
         })
     }
 
-    async fn transfer(c: &QStoreCluster, node: NodeId, from: ObjectId, to: ObjectId, amount: i64) {
-        atomically(c, node, async |h| {
-            let a = c.read(h, from).await?.expect_int();
-            let b = c.read(h, to).await?.expect_int();
-            c.write(h, from, ObjVal::Int(a - amount)).await?;
-            c.write(h, to, ObjVal::Int(b + amount)).await
-        })
-        .await
-    }
-
     fn total(c: &QStoreCluster) -> i64 {
         (0..ACCOUNTS)
             .map(|i| c.latest(ObjectId(i)).unwrap().1.expect_int())
@@ -682,7 +673,7 @@ mod tests {
         let c = cluster(7);
         let c2 = Rc::clone(&c);
         c.sim().spawn(async move {
-            transfer(&c2, NodeId(3), ObjectId(1), ObjectId(2), 40).await;
+            transfer(&*c2, NodeId(3), ObjectId(1), ObjectId(2), 40).await;
         });
         c.sim().run();
         assert_eq!(c.latest(ObjectId(1)).unwrap().1, ObjVal::Int(60));
@@ -713,7 +704,7 @@ mod tests {
                 for i in 0..3u64 {
                     let from = ObjectId((u64::from(node) + i) % ACCOUNTS);
                     let to = ObjectId((u64::from(node) + i + 3) % ACCOUNTS);
-                    transfer(&c2, NodeId(node), from, to, 5).await;
+                    transfer(&*c2, NodeId(node), from, to, 5).await;
                 }
             });
         }
@@ -752,7 +743,7 @@ mod tests {
                 for i in 0..4u64 {
                     let from = ObjectId((u64::from(node) + i) % ACCOUNTS);
                     let to = ObjectId((u64::from(node) + i + 1) % ACCOUNTS);
-                    transfer(&c2, NodeId(node), from, to, 1).await;
+                    transfer(&*c2, NodeId(node), from, to, 1).await;
                 }
             });
         }
@@ -787,7 +778,7 @@ mod tests {
             let mut a = c2.begin(NodeId(4));
             let v0 = c2.read(&mut a, ObjectId(0)).await.unwrap().expect_int();
             assert_eq!(v0, INITIAL);
-            transfer(&c2, NodeId(5), ObjectId(0), ObjectId(1), 10).await;
+            transfer(&*c2, NodeId(5), ObjectId(0), ObjectId(1), 10).await;
             c2.write(&mut a, ObjectId(0), ObjVal::Int(v0 - 7))
                 .await
                 .unwrap();
@@ -825,7 +816,7 @@ mod tests {
                 for i in 0..transfers {
                     let from = ObjectId((u64::from(node) + i) % ACCOUNTS);
                     let to = ObjectId((u64::from(node) + i + 2) % ACCOUNTS);
-                    transfer(&c2, NodeId(node), from, to, 2).await;
+                    transfer(&*c2, NodeId(node), from, to, 2).await;
                 }
             });
         }
@@ -856,7 +847,7 @@ mod tests {
         c.sim().spawn(async move {
             assert!(c2.crash(NodeId(7)));
             for i in 0..4u64 {
-                transfer(&c2, NodeId(2), ObjectId(i), ObjectId(i + 1), 3).await;
+                transfer(&*c2, NodeId(2), ObjectId(i), ObjectId(i + 1), 3).await;
             }
             assert!(c2.recover(NodeId(7)));
         });
@@ -875,7 +866,7 @@ mod tests {
         let c = cluster(7);
         let c2 = Rc::clone(&c);
         c.sim().spawn(async move {
-            transfer(&c2, NodeId(3), ObjectId(1), ObjectId(2), 40).await;
+            transfer(&*c2, NodeId(3), ObjectId(1), ObjectId(2), 40).await;
         });
         c.sim().run();
         assert_eq!(c.stats().commits, 1);
@@ -918,7 +909,7 @@ mod tests {
             // skipped, both commit against the same base value.
             let mut a = c2.begin(NodeId(4));
             let va = c2.read(&mut a, ObjectId(0)).await.unwrap().expect_int();
-            transfer(&c2, NodeId(5), ObjectId(0), ObjectId(1), 10).await;
+            transfer(&*c2, NodeId(5), ObjectId(0), ObjectId(1), 10).await;
             c2.write(&mut a, ObjectId(0), ObjVal::Int(va + 1))
                 .await
                 .unwrap();
@@ -942,7 +933,7 @@ mod tests {
         c.shared.planner.borrow_mut().next_tag = (1 << 24) - 1;
         let c2 = Rc::clone(&c);
         c.sim().spawn(async move {
-            transfer(&c2, NodeId(3), ObjectId(0), ObjectId(1), 1).await;
+            transfer(&*c2, NodeId(3), ObjectId(0), ObjectId(1), 1).await;
         });
         c.sim().run();
     }
@@ -953,7 +944,7 @@ mod tests {
         let c2 = Rc::clone(&c);
         c.sim().spawn(async move {
             for i in 0..3u64 {
-                transfer(&c2, NodeId(2), ObjectId(i), ObjectId(i + 1), 4).await;
+                transfer(&*c2, NodeId(2), ObjectId(i), ObjectId(i + 1), 4).await;
             }
             let frontier = c2.shared.replicas[0].borrow().applied;
             assert!(frontier >= 1);
@@ -1023,14 +1014,14 @@ mod tests {
         let bound = c.detection_bound();
         let c2 = Rc::clone(&c);
         c.sim().spawn(async move {
-            transfer(&c2, NodeId(4), ObjectId(0), ObjectId(1), 10).await;
+            transfer(&*c2, NodeId(4), ObjectId(0), ObjectId(1), 10).await;
             // Silence the planner without telling the view: only missed
             // heartbeats can eject it and fail the planner role over.
             assert!(crash_sim_only(&*c2, c2.sim(), NodeId(0)));
             c2.forget(NodeId(0));
             c2.sim().sleep(bound).await;
             assert!(!c2.view_alive(NodeId(0)), "detector must eject planner");
-            transfer(&c2, NodeId(4), ObjectId(2), ObjectId(3), 10).await;
+            transfer(&*c2, NodeId(4), ObjectId(2), ObjectId(3), 10).await;
             // Heal the network: heartbeats resume and the detector rejoins
             // the amnesiac through the replay+repair pipeline.
             assert!(recover_sim_only(c2.sim(), NodeId(0)));
@@ -1089,7 +1080,7 @@ mod tests {
             // still ask about, the case the horizon must never forget.
             let _pin = c2.begin(NodeId(3));
             for i in 0..5u64 {
-                transfer(&c2, NodeId(3), ObjectId(i), ObjectId(i + 1), 3).await;
+                transfer(&*c2, NodeId(3), ObjectId(i), ObjectId(i + 1), 3).await;
             }
             // Snapshots superseded the log at batches 2 and 4; batch 5 is
             // the log suffix the replay folds on top.
@@ -1097,7 +1088,7 @@ mod tests {
             assert!(c2.crash(NodeId(1)));
             c2.forget(NodeId(1));
             // Missed while down: only the donor's log can supply it.
-            transfer(&c2, NodeId(3), ObjectId(5), ObjectId(6), 3).await;
+            transfer(&*c2, NodeId(3), ObjectId(5), ObjectId(6), 3).await;
             assert!(c2.recover(NodeId(1)));
             assert!(c2.shared.replicas[1].borrow().decided.txns() >= 6);
             let committed: Vec<TxId> = c2.history().iter().map(|r| r.tx).collect();
@@ -1112,7 +1103,7 @@ mod tests {
                 assert_eq!(c2.commit_handle(&again).await, Ok(()), "{id:?}");
             }
             assert_eq!(c2.shared.view.borrow().planner, 1, "node 1 answered");
-            transfer(&c2, NodeId(4), ObjectId(0), ObjectId(1), 3).await;
+            transfer(&*c2, NodeId(4), ObjectId(0), ObjectId(1), 3).await;
         });
         c.sim().run();
         assert!(c.sim().metrics().log_replays >= 1);
@@ -1137,7 +1128,7 @@ mod tests {
             // blocks in the logs.
             let _pin = c2.begin(NodeId(3));
             for i in 0..6u64 {
-                transfer(&c2, NodeId(3), ObjectId(i), ObjectId(i + 1), 3).await;
+                transfer(&*c2, NodeId(3), ObjectId(i), ObjectId(i + 1), 3).await;
             }
         });
         c.sim().run();
@@ -1696,7 +1687,7 @@ mod tests {
                     for i in 0..3u64 {
                         let from = ObjectId((u64::from(node) + i) % ACCOUNTS);
                         let to = ObjectId((u64::from(node) + i + 1) % ACCOUNTS);
-                        transfer(&c2, NodeId(node), from, to, 3).await;
+                        transfer(&*c2, NodeId(node), from, to, 3).await;
                     }
                 });
             }

@@ -1643,8 +1643,9 @@ pub(crate) mod tests {
         // Self-rescheduling ticks: `run()` would never return on its own.
         s.start_heartbeats();
         s.run_for(SimDuration::from_millis(100));
-        let (now, events) = (s.now(), s.metrics().events);
-        assert!(events > 0 && s.live_tasks() == 1);
+        let (now, m) = (s.now(), s.metrics());
+        assert!(m.events > 0 && s.live_tasks() == 1);
+        assert!(m.queue.arena.high_water > 0);
         s.shutdown();
         s.shutdown();
         let polled = Rc::new(Cell::new(false));
@@ -1653,7 +1654,9 @@ pub(crate) mod tests {
         assert_eq!(s.live_tasks(), 0);
         s.run();
         assert!(!polled.get(), "a task spawned after shutdown never runs");
-        assert_eq!((s.now(), s.metrics().events), (now, events));
+        assert_eq!(s.now(), now);
+        let after = s.metrics();
+        assert_eq!((after.events, after.queue), (m.events, m.queue));
         // What `DetectorHandle::stop` does once its cluster is gone.
         s.stop_heartbeats();
     }

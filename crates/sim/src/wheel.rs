@@ -377,7 +377,10 @@ impl<T> TimingWheel<T> {
         self.wheel_count = 0;
         self.queued = 0;
         self.lanes.clear();
-        std::mem::take(&mut self.arena)
+        let arena = std::mem::take(&mut self.arena);
+        // The high-water mark describes the run, not the payloads: it stays.
+        self.arena.stats = arena.stats;
+        arena
     }
 
     /// The payloads, where a slot [`TimingWheel::pop_key`] hands back is read.

@@ -19,12 +19,14 @@
 
 use std::rc::Rc;
 
-use qrdtm_core::{Abort, Client, Cluster, DtmConfig, DtmStats, Membership, Msg, Tx};
+use qrdtm_core::{
+    Abort, Client, Cluster, DtmConfig, DtmStats, Membership, Msg, ObjVal, ObjectId, Tx,
+};
 use qrdtm_sim::{NodeId, Sim, SimDuration};
 
-use crate::bank::{self, BankLayout};
 use crate::bst::{self, BstLayout};
 use crate::hashmap::{self, HashmapLayout};
+use crate::protocol_bank::{audit_in, transfer_in};
 use crate::rbtree::{self, RBTreeLayout};
 use crate::skiplist::{self, SkiplistLayout};
 use crate::vacation::{self, VacationLayout};
@@ -137,25 +139,12 @@ pub struct RunResult {
     pub read_msgs: u64,
     /// Commit-protocol messages (classes 2, 4, 5).
     pub commit_msgs: u64,
-    /// Measurement window.
-    pub window: SimDuration,
-}
-
-impl RunResult {
-    /// Aborts per commit.
-    pub fn abort_rate(&self) -> f64 {
-        self.stats.abort_rate()
-    }
-
-    /// Mean committed-transaction latency (ms).
-    pub fn mean_latency_ms(&self) -> f64 {
-        self.stats.mean_latency_ms()
-    }
 }
 
 /// Execute one experiment run. Deterministic for a given `(cfg, spec)`.
+/// The simulation is shut down before the result is returned.
 pub fn run(cfg: DtmConfig, spec: &RunSpec) -> RunResult {
-    let cluster = Cluster::new(cfg);
+    let cluster = Rc::new(Cluster::new(cfg));
     let sim = cluster.sim().clone();
     let nodes = sim.num_nodes();
 
@@ -191,6 +180,8 @@ pub fn run(cfg: DtmConfig, spec: &RunSpec) -> RunResult {
 
     let stats = cluster.stats();
     let m = sim.metrics();
+    // Bank clients hold the cluster: end them, or it outlives this call.
+    sim.shutdown();
     RunResult {
         throughput: stats.commits as f64 / spec.duration.as_secs_f64(),
         commits: stats.commits,
@@ -200,7 +191,6 @@ pub fn run(cfg: DtmConfig, spec: &RunSpec) -> RunResult {
             + m.sent(qrdtm_core::msg::class::APPLY)
             + m.sent(qrdtm_core::msg::class::ABORT_REQ),
         stats,
-        window: spec.duration,
     }
 }
 
@@ -208,11 +198,8 @@ pub fn run(cfg: DtmConfig, spec: &RunSpec) -> RunResult {
 /// if several coexist in one cluster.
 const BASE: u64 = 0;
 
-fn bank_layout(p: &WorkloadParams) -> BankLayout {
-    BankLayout {
-        base: BASE,
-        accounts: p.objects.max(2),
-    }
+fn bank_accounts(p: &WorkloadParams) -> u64 {
+    p.objects.max(2)
 }
 
 fn map_layout(_p: &WorkloadParams) -> HashmapLayout {
@@ -254,7 +241,8 @@ fn vacation_layout(p: &WorkloadParams) -> VacationLayout {
 fn setup_bench(cluster: &Cluster, spec: &RunSpec) {
     let p = spec.params;
     match spec.bench {
-        Benchmark::Bank => cluster.preload_all(bank_layout(&p).setup(1_000)),
+        Benchmark::Bank => cluster
+            .preload_all((0..bank_accounts(&p)).map(|i| (ObjectId(BASE + i), ObjVal::Int(1_000)))),
         Benchmark::Hashmap => {
             let map = map_layout(&p);
             cluster.preload_all(map.setup());
@@ -267,10 +255,7 @@ fn setup_bench(cluster: &Cluster, spec: &RunSpec) {
             }
             for (b, mut keys) in buckets.into_iter().enumerate() {
                 keys.sort_unstable();
-                cluster.preload(
-                    qrdtm_core::ObjectId(map.base + b as u64),
-                    qrdtm_core::ObjVal::IntList(keys.into()),
-                );
+                cluster.preload(ObjectId(map.base + b as u64), ObjVal::IntList(keys.into()));
             }
         }
         Benchmark::SList => {
@@ -298,52 +283,48 @@ fn setup_bench(cluster: &Cluster, spec: &RunSpec) {
     }
 }
 
-fn spawn_client(cluster: &Cluster, node: NodeId, spec: &RunSpec) {
+fn spawn_client(cluster: &Rc<Cluster>, node: NodeId, spec: &RunSpec) {
     let sim = cluster.sim().clone();
     let client = cluster.client(node);
     let spec = *spec;
     let p = spec.params;
     match spec.bench {
         Benchmark::Bank => {
-            let bank = bank_layout(&p);
-            sim.spawn({
-                let sim = sim.clone();
-                async move {
-                    loop {
-                        let is_read = sim.rand_below(100) < u64::from(p.read_pct);
-                        let ops: Vec<(u64, u64)> = (0..spec.calls())
-                            .map(|_| {
-                                let a = sim.rand_below(bank.accounts);
-                                let mut b = sim.rand_below(bank.accounts);
-                                if b == a {
-                                    b = (b + 1) % bank.accounts;
+            let accounts = bank_accounts(&p);
+            let cluster = Rc::clone(cluster);
+            sim.clone().spawn(async move {
+                let cluster = &*cluster;
+                loop {
+                    let is_read = sim.rand_below(100) < u64::from(p.read_pct);
+                    let ops: Vec<(ObjectId, ObjectId)> = (0..spec.calls())
+                        .map(|_| {
+                            let a = sim.rand_below(accounts);
+                            let mut b = sim.rand_below(accounts);
+                            if b == a {
+                                b = (b + 1) % accounts;
+                            }
+                            (ObjectId(BASE + a), ObjectId(BASE + b))
+                        })
+                        .collect();
+                    let ops = &ops;
+                    client
+                        .run(|tx| async move {
+                            for &(a, b) in ops {
+                                if is_read {
+                                    tx.closed(|mut t| async move {
+                                        audit_in(cluster, &mut t, a, b).await
+                                    })
+                                    .await?;
+                                } else {
+                                    tx.closed(|mut t| async move {
+                                        transfer_in(cluster, &mut t, a, b, 5).await
+                                    })
+                                    .await?;
                                 }
-                                (a, b)
-                            })
-                            .collect();
-                        let ops = std::rc::Rc::new(ops);
-                        client
-                            .run(|tx| {
-                                let ops = std::rc::Rc::clone(&ops);
-                                async move {
-                                    for &(a, b) in ops.iter() {
-                                        if is_read {
-                                            tx.closed(move |tx2| async move {
-                                                bank::audit(&tx2, &bank, a, b).await
-                                            })
-                                            .await?;
-                                        } else {
-                                            tx.closed(move |tx2| async move {
-                                                bank::transfer(&tx2, &bank, a, b, 5).await
-                                            })
-                                            .await?;
-                                        }
-                                    }
-                                    Ok(())
-                                }
-                            })
-                            .await;
-                    }
+                            }
+                            Ok(())
+                        })
+                        .await;
                 }
             });
         }

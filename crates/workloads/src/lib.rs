@@ -1,10 +1,13 @@
 //! # qrdtm-workloads — the paper's benchmarks as transactional programs
 //!
-//! Micro-benchmarks (Hashmap, Skiplist, Red-black tree, BST) and
-//! macro-benchmarks (Bank, STAMP Vacation) implemented over the QR-DTM
-//! transaction API, plus the [`driver`] that runs a parameterized workload
-//! on a cluster and reports throughput, aborts, and message counts — the
-//! three quantities the paper's evaluation plots.
+//! Micro-benchmarks (Hashmap, Skiplist, Red-black tree, BST) and STAMP
+//! Vacation implemented over the QR-DTM transaction API, and Bank in
+//! [`protocol_bank`], written once over any [`qrdtm_core::DtmProtocol`];
+//! plus the [`driver`] that runs a parameterized workload on a cluster and
+//! reports throughput, aborts, and message counts — the three quantities
+//! the paper's evaluation plots. Each driver ([`run`], [`run_bank`],
+//! [`run_open_loop`]) shuts down the simulation it ran once its results
+//! are read, since its clients hold the cluster.
 //!
 //! Data structures preallocate one object per key (tower heights and node
 //! ids are pure functions of the key), so insert/remove transactionally
@@ -14,7 +17,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bank;
 pub mod bst;
 pub mod driver;
 pub mod hashmap;

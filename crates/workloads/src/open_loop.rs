@@ -35,6 +35,8 @@ use qrdtm_core::{attempts, ObjVal, ObjectId, SimHosted};
 use qrdtm_sim::{Counter, EngineEventKind, NodeId, SimDuration, SimTime};
 use rand::RngExt;
 
+use crate::protocol_bank::{audit_in, transfer_in};
+
 /// How the offered arrival rate evolves over the run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RateSchedule {
@@ -332,13 +334,11 @@ async fn work<P: SimHosted>(pool: Rc<Pool<P>>, node: u32) {
         let (a, b) = (ObjectId(job.a), ObjectId(job.b));
         let give_up = || spec.protect && s.now() > job.deadline;
         let r = attempts(p, &mut h, give_up, async |h| {
-            let va = p.read(h, a).await?.expect_int();
-            let vb = p.read(h, b).await?.expect_int();
-            if !job.read {
-                p.write(h, a, ObjVal::Int(va - 5)).await?;
-                p.write(h, b, ObjVal::Int(vb + 5)).await?;
+            if job.read {
+                audit_in(p, h, a, b).await.map(drop)
+            } else {
+                transfer_in(p, h, a, b, 5).await
             }
-            Ok(())
         })
         .await;
         match r {
@@ -407,12 +407,13 @@ pub struct OpenLoopResult {
     pub max_queue_depth: u64,
 }
 
-/// Run the open-loop mix standalone on any simulator-hosted protocol:
-/// preload, warm up, measure for `duration`. Sweeping `spec.rate_tps`
-/// through the saturation knee gives the graceful-degradation curve.
+/// Run the open-loop mix standalone on any simulator-hosted protocol, with
+/// an entry point on every node of its simulator: preload, warm up,
+/// measure for `duration`, then shut the simulation down (what is left
+/// stays readable). Sweeping `spec.rate_tps` through the saturation knee
+/// gives the graceful-degradation curve.
 pub fn run_open_loop<P: SimHosted + 'static>(
     proto: Rc<P>,
-    nodes: usize,
     spec: &OpenLoopSpec,
     warmup: SimDuration,
     duration: SimDuration,
@@ -423,21 +424,21 @@ pub fn run_open_loop<P: SimHosted + 'static>(
     let sim = proto.sim().clone();
     let control = Rc::new(LoadControl::default());
     let tallies = Rc::new(LoadTallies::default());
-    let stop = Rc::new(Cell::new(false));
     spawn_open_loop(
         &proto,
-        nodes,
+        sim.num_nodes(),
         *spec,
         control,
         Rc::clone(&tallies),
-        Rc::clone(&stop),
+        Rc::default(),
     );
     sim.run_for(warmup);
     tallies.reset();
     proto.reset_protocol_stats();
     sim.reset_metrics();
     sim.run_for(duration);
-    stop.set(true);
+    // The workers hold the protocol: end them, or it outlives every handle.
+    sim.shutdown();
     OpenLoopResult {
         offered: tallies.offered.get(),
         admitted: tallies.admitted.get(),
@@ -501,7 +502,7 @@ mod tests {
             deadline: SimDuration::from_secs(2),
             ..quick(30, true)
         };
-        let r = run_open_loop(overload_cluster(1), 10, &spec, WARM, RUN);
+        let r = run_open_loop(overload_cluster(1), &spec, WARM, RUN);
         assert!(r.offered > 0);
         assert_eq!(r.shed, 0, "no shedding under light load: {r:?}");
         assert!(
@@ -512,7 +513,7 @@ mod tests {
 
     #[test]
     fn saturation_sheds_and_degrades_gracefully() {
-        let r = run_open_loop(overload_cluster(2), 10, &quick(3_000, true), WARM, RUN);
+        let r = run_open_loop(overload_cluster(2), &quick(3_000, true), WARM, RUN);
         assert!(r.shed > 0, "overload must hit the admission bound: {r:?}");
         assert!(
             r.goodput > 0,
@@ -524,7 +525,7 @@ mod tests {
 
     #[test]
     fn unprotected_arm_backs_up_instead_of_shedding() {
-        let r = run_open_loop(overload_cluster(3), 10, &quick(3_000, false), WARM, RUN);
+        let r = run_open_loop(overload_cluster(3), &quick(3_000, false), WARM, RUN);
         assert_eq!(r.shed, 0, "no admission control in the unprotected arm");
         assert!(r.max_queue_depth > 16, "queues grow past the bound: {r:?}");
     }
@@ -532,7 +533,7 @@ mod tests {
     #[test]
     fn open_loop_runs_are_deterministic() {
         let run = || {
-            let r = run_open_loop(overload_cluster(4), 10, &quick(800, true), WARM, RUN);
+            let r = run_open_loop(overload_cluster(4), &quick(800, true), WARM, RUN);
             (r.offered, r.shed, r.goodput, r.abandoned, r.max_queue_depth)
         };
         assert_eq!(run(), run());
@@ -597,10 +598,9 @@ mod tests {
 
     #[test]
     fn flash_crowd_schedule_spikes_offered_load() {
-        let steady = run_open_loop(overload_cluster(5), 10, &quick(100, true), WARM, RUN);
+        let steady = run_open_loop(overload_cluster(5), &quick(100, true), WARM, RUN);
         let flash = run_open_loop(
             overload_cluster(5),
-            10,
             &OpenLoopSpec {
                 schedule: RateSchedule::FlashCrowd {
                     at: SimDuration::from_millis(500),
@@ -648,7 +648,6 @@ mod tests {
                 };
                 let r = run_open_loop(
                     cluster,
-                    10,
                     &spec,
                     SimDuration::from_millis(300),
                     SimDuration::from_secs(2),

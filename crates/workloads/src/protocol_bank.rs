@@ -1,16 +1,21 @@
-//! The unified Fig. 9 bank driver: one closed-loop workload, generic over
-//! [`DtmProtocol`].
+//! Bank — the paper's macro-benchmark "similar to the one in HyFlow" —
+//! written once, against [`DtmProtocol`].
 //!
-//! Section VI-D of the paper compares QR-DTM, HyFlow (TFA) and Decent-STM
-//! on the Bank benchmark. Each protocol used to carry its own hand-wired
-//! driver loop; with the [`DtmProtocol`] trait there is exactly one —
-//! [`run_bank`] — and the caller only assembles the cluster. Every client
-//! draws the same account/mix stream from the protocol's own
-//! simulator RNG, so runs stay deterministic per seed.
+//! Accounts are objects `0..accounts` holding integer balances. The bank
+//! transaction is two attempt bodies: [`transfer_in`] reads two accounts
+//! and writes both, [`audit_in`] reads two. [`transfer`] and [`audit`] run
+//! one to commit; the closed-loop driver ([`crate::run`]) runs
+//! `calls` of them per root transaction, each inside `Tx::closed` (closed
+//! nesting under QR-CN, inline otherwise); the open-loop workers run them
+//! under a deadline. [`run_bank`] is Section VI-D's comparison of QR-DTM,
+//! HyFlow (TFA) and Decent-STM (Fig. 9): one closed-loop driver for every
+//! family, where the caller only assembles the cluster. Every client draws
+//! its account/mix stream from the protocol's own simulator RNG, so runs
+//! stay deterministic per seed.
 
 use std::rc::Rc;
 
-use qrdtm_core::{atomically, DtmProtocol, ObjVal, ObjectId, SimHosted};
+use qrdtm_core::{atomically, Abort, DtmProtocol, ObjVal, ObjectId, SimHosted};
 use qrdtm_sim::{NodeId, SimDuration};
 
 /// Fig. 9 bank workload shape.
@@ -50,6 +55,35 @@ pub struct BankRunResult {
     pub messages: u64,
 }
 
+/// The transfer body: move `amount` from `from` to `to` in the attempt on
+/// `h` (unchecked, as in the paper's bank: an account may overdraw, and
+/// the total is still conserved).
+pub async fn transfer_in<P: DtmProtocol>(
+    p: &P,
+    h: &mut P::TxHandle,
+    from: ObjectId,
+    to: ObjectId,
+    amount: i64,
+) -> Result<(), Abort> {
+    let a = p.read(h, from).await?.expect_int();
+    let b = p.read(h, to).await?.expect_int();
+    p.write(h, from, ObjVal::Int(a - amount)).await?;
+    p.write(h, to, ObjVal::Int(b + amount)).await
+}
+
+/// The audit body: read two accounts in the attempt on `h` and return
+/// their combined balance.
+pub async fn audit_in<P: DtmProtocol>(
+    p: &P,
+    h: &mut P::TxHandle,
+    a: ObjectId,
+    b: ObjectId,
+) -> Result<i64, Abort> {
+    let va = p.read(h, a).await?.expect_int();
+    let vb = p.read(h, b).await?.expect_int();
+    Ok(va + vb)
+}
+
 /// Transfer `amount` between two accounts, retrying until it commits.
 pub async fn transfer<P: DtmProtocol>(
     p: &P,
@@ -58,23 +92,12 @@ pub async fn transfer<P: DtmProtocol>(
     to: ObjectId,
     amount: i64,
 ) {
-    atomically(p, node, async |h| {
-        let a = p.read(h, from).await?.expect_int();
-        let b = p.read(h, to).await?.expect_int();
-        p.write(h, from, ObjVal::Int(a - amount)).await?;
-        p.write(h, to, ObjVal::Int(b + amount)).await
-    })
-    .await
+    atomically(p, node, async |h| transfer_in(p, h, from, to, amount).await).await
 }
 
 /// Read-only audit of two accounts, retrying until it commits.
 pub async fn audit<P: DtmProtocol>(p: &P, node: NodeId, a: ObjectId, b: ObjectId) -> i64 {
-    atomically(p, node, async |h| {
-        let va = p.read(h, a).await?.expect_int();
-        let vb = p.read(h, b).await?.expect_int();
-        Ok(va + vb)
-    })
-    .await
+    atomically(p, node, async |h| audit_in(p, h, a, b).await).await
 }
 
 /// Run one random bank transaction at `node` until it commits: an
@@ -102,8 +125,9 @@ pub async fn random_op<P: DtmProtocol>(
 }
 
 /// Run the closed-loop bank mix on any simulator-hosted [`DtmProtocol`]
-/// cluster, with one client on every node of its simulator: warm up, reset counters, measure for
-/// `spec.duration`. (The closed loop spawns simulator tasks and pumps
+/// cluster, with one client on every node of its simulator: warm up, reset
+/// counters, measure for `spec.duration`, then shut the simulation down
+/// (what is left stays readable). (The closed loop spawns simulator tasks and pumps
 /// virtual time, hence the [`SimHosted`] bound; the threaded backend has
 /// its own closed-loop driver in `qrdtm-par`, reusing [`transfer`] and
 /// [`audit`] which only need [`DtmProtocol`].)
@@ -129,20 +153,104 @@ pub fn run_bank<P: SimHosted + 'static>(proto: Rc<P>, spec: &BankSpec) -> BankRu
     sim.reset_metrics();
     sim.run_for(spec.duration);
     let st = proto.protocol_stats();
-    BankRunResult {
+    let r = BankRunResult {
         throughput: st.commits as f64 / spec.duration.as_secs_f64(),
         commits: st.commits,
         aborts: st.aborts,
         messages: sim.metrics().sent_total,
-    }
+    };
+    // The clients hold the cluster: end them, or it outlives every handle.
+    sim.shutdown();
+    r
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
     use qrdtm_baselines::{DecentCluster, DecentConfig, TfaCluster, TfaConfig};
-    use qrdtm_core::{Cluster, DtmConfig};
+    use qrdtm_core::{Cluster, DtmConfig, NestingMode, ProtocolStats, Version};
     use qrdtm_qstore::{QStoreCluster, QStoreConfig};
+
+    /// A default QR cluster with eight accounts of 100.
+    fn qr_bank(mode: NestingMode) -> Rc<Cluster> {
+        let c = Rc::new(Cluster::new(DtmConfig {
+            mode,
+            ..Default::default()
+        }));
+        c.preload_all((0..8).map(|i| (ObjectId(i), ObjVal::Int(100))));
+        c
+    }
+
+    fn balances(c: &Cluster, n: u64) -> Vec<i64> {
+        (0..n)
+            .map(|i| c.latest(ObjectId(i)).unwrap().1.expect_int())
+            .collect()
+    }
+
+    #[test]
+    fn a_transfer_moves_money() {
+        let c = qr_bank(NestingMode::Flat);
+        let p = Rc::clone(&c);
+        c.sim()
+            .spawn(async move { transfer(&*p, NodeId(3), ObjectId(0), ObjectId(1), 30).await });
+        c.sim().run();
+        assert_eq!(
+            c.latest(ObjectId(0)).unwrap(),
+            (Version(2), ObjVal::Int(70))
+        );
+        assert_eq!(
+            c.latest(ObjectId(1)).unwrap(),
+            (Version(2), ObjVal::Int(130))
+        );
+        assert_eq!(
+            c.protocol_stats(),
+            ProtocolStats {
+                commits: 1,
+                aborts: 0
+            }
+        );
+    }
+
+    #[test]
+    fn closed_nested_transfers_conserve_money() {
+        let c = qr_bank(NestingMode::Closed);
+        let (p, client) = (Rc::clone(&c), c.client(NodeId(4)));
+        c.sim().spawn(async move {
+            let p = &*p;
+            client
+                .run(|tx| async move {
+                    for (from, to) in [(0, 1), (2, 3), (1, 2)] {
+                        let (from, to) = (ObjectId(from), ObjectId(to));
+                        tx.closed(
+                            |mut t| async move { transfer_in(p, &mut t, from, to, 10).await },
+                        )
+                        .await?;
+                    }
+                    Ok(())
+                })
+                .await;
+        });
+        c.sim().run();
+        assert_eq!(c.stats().ct_commits, 3, "each transfer is a nested commit");
+        let b = balances(&c, 8);
+        assert_eq!(b[..4], [90, 100, 100, 110]);
+        assert_eq!(b.iter().sum::<i64>(), 800, "money conserved");
+    }
+
+    #[test]
+    fn a_closed_nesting_audit_commits_locally() {
+        let c = qr_bank(NestingMode::Closed);
+        let (p, sum) = (Rc::clone(&c), Rc::new(Cell::new(0)));
+        let got = Rc::clone(&sum);
+        c.sim().spawn(async move {
+            got.set(audit(&*p, NodeId(3), ObjectId(0), ObjectId(1)).await);
+        });
+        c.sim().run();
+        assert_eq!(sum.get(), 200);
+        assert_eq!(c.stats().commit_rounds, 0, "local read-only commit");
+    }
 
     fn quick() -> BankSpec {
         BankSpec {

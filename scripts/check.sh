@@ -91,6 +91,9 @@ stage "cargo build benchmark package (public-API drift)" \
 # Besides the unit and integration suites, this stage runs these gates:
 # - tests/golden_digests.rs and crates/bench/tests/golden_surfaces.rs:
 #   every seeded leg, `repro` smoke and figure against tests/golden/;
+# - tests/teardown.rs: every family's dropped cluster, and every workload
+#   driver, frees the cluster it ran (live bytes back where they were;
+#   < 1 s);
 # - tests/qstore_linear_work.rs: Q-Store bytes per commit (< 1 s);
 # - tests/chk_linear_work.rs: allocation calls per data-set object, remote
 #   read and closed-nested scope (< 1 s);

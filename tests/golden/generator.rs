@@ -218,7 +218,6 @@ fn observe_open_loop() -> Observation {
     };
     let r = run_open_loop(
         Rc::clone(&proto),
-        NODES,
         &spec,
         SimDuration::from_millis(500),
         SimDuration::from_secs(2),

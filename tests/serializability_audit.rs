@@ -4,7 +4,10 @@
 //! plus latency accounting.
 
 use qr_dtm::prelude::*;
-use qr_dtm::workloads::{bank, hashmap};
+use std::rc::Rc;
+
+use qr_dtm::workloads::hashmap;
+use qr_dtm::workloads::protocol_bank::{audit, transfer};
 
 fn audited_cluster(mode: NestingMode, seed: u64) -> Cluster {
     let c = Cluster::new(DtmConfig {
@@ -18,27 +21,19 @@ fn audited_cluster(mode: NestingMode, seed: u64) -> Cluster {
 }
 
 fn contended_history_is_serializable(mode: NestingMode) {
-    let c = audited_cluster(mode, 61);
-    let layout = bank::BankLayout {
-        base: 0,
-        accounts: 4, // few accounts = plenty of conflicts
-    };
-    c.preload_all(layout.setup(100));
+    let c = Rc::new(audited_cluster(mode, 61));
+    // Few accounts: plenty of conflicts.
+    c.preload_all((0..4).map(|i| (ObjectId(i), ObjVal::Int(100))));
     for node in 0..8u32 {
-        let client = c.client(NodeId(node));
-        let sim = c.sim().clone();
+        let (p, sim) = (Rc::clone(&c), c.sim().clone());
         c.sim().spawn(async move {
             for _ in 0..4 {
-                let from = sim.rand_below(4);
-                let to = (from + 1) % 4;
+                let from = ObjectId(sim.rand_below(4));
+                let to = ObjectId((from.0 + 1) % 4);
                 if sim.rand_below(4) == 0 {
-                    client
-                        .run(|tx| async move { bank::audit(&tx, &layout, from, to).await })
-                        .await;
+                    audit(&*p, NodeId(node), from, to).await;
                 } else {
-                    client
-                        .run(|tx| async move { bank::transfer(&tx, &layout, from, to, 3).await })
-                        .await;
+                    transfer(&*p, NodeId(node), from, to, 3).await;
                 }
             }
         });

@@ -1,7 +1,8 @@
 //! Dropping a cluster frees its simulation: after every handle is gone, the
 //! bytes this thread holds are back where they were before the cluster was
 //! built — with tasks still parked on it, with its failure detector
-//! running, and after whole chaos runs back to back.
+//! running, after whole chaos runs back to back, and after every workload
+//! driver, whose clients hold the cluster until the driver ends the run.
 //!
 //! Each case builds and drops once first, so one-time allocations (lazy
 //! statics, thread-locals) are out of the count. The file is its own test
@@ -13,12 +14,15 @@ use std::rc::Rc;
 
 use qr_dtm::baselines::{DecentCluster, DecentConfig, TfaCluster, TfaConfig};
 use qr_dtm::core::{
-    spawn_detector, Cluster, DtmConfig, DurabilityConfig, NestingMode, ObjVal, ObjectId, SimHosted,
-    Tx,
+    spawn_detector, Cluster, DtmConfig, DurabilityConfig, NestingMode, ObjVal, ObjectId,
+    OverloadConfig, SimHosted, Tx,
 };
 use qr_dtm::qstore::{QStoreCluster, QStoreConfig};
 use qr_dtm::sim::{NodeId, SimDuration};
 use qr_dtm::workloads::protocol_bank::transfer;
+use qr_dtm::workloads::{
+    run, run_bank, run_open_loop, BankSpec, Benchmark, OpenLoopSpec, RunSpec, WorkloadParams,
+};
 use qrdtm_chaos::{run_plan, ChaosSpec, FaultPlan};
 
 #[path = "support/counting_alloc.rs"]
@@ -207,4 +211,96 @@ fn back_to_back_detector_chaos_runs_do_not_accumulate() {
         let leaked = live_bytes() - before;
         assert_eq!(leaked, 0, "run {i}: {leaked} bytes outlive the chaos run");
     }
+}
+
+const WARMUP: SimDuration = SimDuration::from_millis(200);
+const WINDOW: SimDuration = SimDuration::from_secs(1);
+
+#[test]
+fn run_bank_frees_the_cluster_on_every_family() {
+    let spec = BankSpec {
+        accounts: ACCOUNTS,
+        read_pct: 50,
+        warmup: WARMUP,
+        duration: WINDOW,
+    };
+    let nodes = NODES as usize;
+    gate("run_bank on QR", || {
+        run_bank(
+            Rc::new(Cluster::new(DtmConfig {
+                nodes,
+                ..Default::default()
+            })),
+            &spec,
+        );
+    });
+    gate("run_bank on TFA", || {
+        run_bank(
+            Rc::new(TfaCluster::new(TfaConfig {
+                nodes,
+                ..Default::default()
+            })),
+            &spec,
+        );
+    });
+    gate("run_bank on Decent-STM", || {
+        run_bank(
+            Rc::new(DecentCluster::new(DecentConfig {
+                nodes,
+                ..Default::default()
+            })),
+            &spec,
+        );
+    });
+    gate("run_bank on Q-Store", || {
+        run_bank(
+            Rc::new(QStoreCluster::new(QStoreConfig {
+                nodes,
+                ..Default::default()
+            })),
+            &spec,
+        );
+    });
+}
+
+#[test]
+fn run_open_loop_frees_its_cluster() {
+    gate("run_open_loop on QR-CN", || {
+        let c = Rc::new(Cluster::new(DtmConfig {
+            nodes: NODES as usize,
+            mode: NestingMode::Closed,
+            rpc_timeout: Some(SimDuration::from_millis(100)),
+            overload: Some(OverloadConfig::default()),
+            ..Default::default()
+        }));
+        let spec = OpenLoopSpec {
+            accounts: ACCOUNTS,
+            ..Default::default()
+        };
+        run_open_loop(c, &spec, WARMUP, WINDOW);
+    });
+}
+
+/// `run` owns its cluster, and its Bank clients hold it.
+#[test]
+fn the_closed_loop_driver_frees_its_cluster() {
+    gate("workloads::run (Bank)", || {
+        run(
+            DtmConfig {
+                nodes: NODES as usize,
+                mode: NestingMode::Closed,
+                ..Default::default()
+            },
+            &RunSpec {
+                bench: Benchmark::Bank,
+                params: WorkloadParams {
+                    objects: ACCOUNTS,
+                    ..Default::default()
+                },
+                warmup: WARMUP,
+                duration: WINDOW,
+                ..Default::default()
+            },
+        );
+    });
 }

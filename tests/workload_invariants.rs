@@ -3,7 +3,10 @@
 //! serializes, the committed structure must be internally consistent.
 
 use qr_dtm::prelude::*;
-use qr_dtm::workloads::{bank, bst, hashmap, rbtree, skiplist, vacation};
+use std::rc::Rc;
+
+use qr_dtm::workloads::protocol_bank::transfer;
+use qr_dtm::workloads::{bst, hashmap, rbtree, skiplist, vacation};
 
 fn cluster(mode: NestingMode, seed: u64) -> Cluster {
     Cluster::new(DtmConfig {
@@ -325,22 +328,15 @@ fn vacation_conserves_units_checkpoint() {
 /// Bank audit transactions interleaved with transfers always see a
 /// conserved total (serializability of read-only snapshots).
 fn bank_audits_see_conserved_totals(mode: NestingMode) {
-    let c = cluster(mode, 41);
-    let layout = bank::BankLayout {
-        base: 0,
-        accounts: 5,
-    };
-    c.preload_all(layout.setup(100));
+    let c = Rc::new(cluster(mode, 41));
+    c.preload_all((0..5).map(|i| (ObjectId(i), ObjVal::Int(100))));
     for node in 0..5u32 {
-        let client = c.client(NodeId(node));
-        let sim = c.sim().clone();
+        let (p, sim) = (Rc::clone(&c), c.sim().clone());
         c.sim().spawn(async move {
             for _ in 0..4 {
                 let from = sim.rand_below(5);
                 let to = (from + 1) % 5;
-                client
-                    .run(|tx| async move { bank::transfer(&tx, &layout, from, to, 9).await })
-                    .await;
+                transfer(&*p, NodeId(node), ObjectId(from), ObjectId(to), 9).await;
             }
         });
     }
@@ -349,7 +345,13 @@ fn bank_audits_see_conserved_totals(mode: NestingMode) {
     c.sim().spawn(async move {
         for _ in 0..6 {
             let total = auditor
-                .run(|tx| async move { bank::total_balance(&tx, &layout).await })
+                .run(|tx| async move {
+                    let mut sum = 0;
+                    for i in 0..5 {
+                        sum += tx.read(ObjectId(i)).await?.expect_int();
+                    }
+                    Ok(sum)
+                })
                 .await;
             assert_eq!(total, 500, "{mode}: audit saw a torn state");
         }
