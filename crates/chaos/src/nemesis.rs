@@ -25,7 +25,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use qrdtm_core::{crash_sim_only, recover_sim_only, Membership, ObjVal, ObjectId};
+use qrdtm_core::{crash, crash_sim_only, recover, recover_sim_only, Membership, ObjVal, ObjectId};
 use qrdtm_sim::{EngineEventKind, NodeId, Sim, SimDuration};
 use qrdtm_workloads::open_loop::{spawn_open_loop, LoadControl, LoadTallies, OpenLoopSpec};
 use qrdtm_workloads::protocol_bank::random_op;
@@ -473,44 +473,44 @@ fn apply_event<P: ChaosTarget>(
             .push(format!("@{now_us}us skip (unsupported): {kind}"));
         return;
     }
-    // Detector mode swaps the view's oracle verbs (which repair the view at
-    // the instant of the fault) for sim-only ones: the target's own failure
+    // Detector mode swaps the oracle verbs (which repair the view at the
+    // instant of the fault) for sim-only ones: the target's own failure
     // detector must notice the silence and react. `supports` admits node
     // faults only for a target with a view, and only a crashed node is
     // recovered.
     let v = || view.expect("node faults need a membership view");
-    let crash = |n: NodeId| {
+    let crash_node = |n: NodeId| {
         if detector {
             crash_sim_only(v(), s, n)
         } else {
-            v().crash(n)
+            crash(v(), s, n)
         }
     };
-    let recover = |n: NodeId| {
+    let recover_node = |n: NodeId| {
         if detector {
             recover_sim_only(s, n)
         } else {
-            v().recover(n)
+            recover(v(), s, n)
         }
     };
     let mut applied_on: Option<NodeId> = None;
     match &kind {
         FaultKind::Crash { node } => {
-            if *node < nodes && !st.crashed.contains(node) && crash(NodeId(*node)) {
+            if *node < nodes && !st.crashed.contains(node) && crash_node(NodeId(*node)) {
                 st.crashed.insert(*node);
                 applied_on = Some(NodeId(*node));
             }
         }
         FaultKind::CrashReadQuorum => {
             if let Some(victim) = view.and_then(|v| v.read_quorum_victim()) {
-                if crash(victim) {
+                if crash_node(victim) {
                     st.crashed.insert(victim.0);
                     applied_on = Some(victim);
                 }
             }
         }
         FaultKind::Recover { node } => {
-            if st.crashed.contains(node) && recover(NodeId(*node)) {
+            if st.crashed.contains(node) && recover_node(NodeId(*node)) {
                 st.crashed.remove(node);
                 applied_on = Some(NodeId(*node));
             }
@@ -581,7 +581,7 @@ fn apply_event<P: ChaosTarget>(
             // st.crashed like a plain crash, so Recover (and the heal-all
             // backstop) cures it the same way; the amnesiac readmission
             // path runs the honest replay+repair.
-            if *node < nodes && !st.crashed.contains(node) && crash(NodeId(*node)) {
+            if *node < nodes && !st.crashed.contains(node) && crash_node(NodeId(*node)) {
                 v().forget(NodeId(*node));
                 st.crashed.insert(*node);
                 applied_on = Some(NodeId(*node));
@@ -649,9 +649,10 @@ fn heal_all<P: ChaosTarget>(
         if detector {
             recover_sim_only(s, node);
         } else {
-            p.membership()
-                .expect("only a target with a view has crashed nodes")
-                .recover(node);
+            let view = p
+                .membership()
+                .expect("only a target with a view has crashed nodes");
+            recover(view, s, node);
         }
     }
     s.heal_partition();

@@ -24,10 +24,11 @@ use qrdtm_sim::SimDuration;
 /// [`DtmProtocol`]: qrdtm_core::DtmProtocol
 pub trait ChaosTarget: SimHosted {
     /// The reconfigurable membership view, if the target keeps one: the
-    /// door for every crash, recovery, amnesia and log corruption. In
-    /// detector mode the nemesis touches the simulator only, through
-    /// `qrdtm_core::{crash_sim_only, recover_sim_only}` over this view, and
-    /// the convergence checker compares it against network aliveness.
+    /// door for every crash, recovery, amnesia and log corruption, through
+    /// `qrdtm_core::{crash, recover}` over this view. In detector mode the
+    /// nemesis touches the simulator only, through
+    /// `qrdtm_core::{crash_sim_only, recover_sim_only}`, and the
+    /// convergence checker compares the view against network aliveness.
     fn membership(&self) -> Option<&dyn Membership> {
         None
     }

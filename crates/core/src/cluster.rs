@@ -109,14 +109,14 @@ pub struct DtmConfig {
     /// it: conflicts then surface only at root commit.
     pub rqv: bool,
     /// Run the heartbeat failure detector ([`crate::spawn_detector`])
-    /// instead of relying on an oracle to call
-    /// [`Membership::crash`]/[`Membership::recover`]. Also arms the
-    /// transport's retry/hedging path. Off (the default) keeps the
-    /// classic oracle-driven model byte-for-byte identical.
+    /// instead of relying on an oracle to call [`crate::crash`] /
+    /// [`crate::recover`]. Also arms the transport's retry/hedging path.
+    /// Off (the default) keeps the classic oracle-driven model
+    /// byte-for-byte identical.
     pub detector: bool,
     /// Give every replica a simulated disk with a write-ahead log and
     /// periodic snapshots (see [`crate::Wal`]). Arms the
-    /// crash-restart-with-amnesia semantics ([`Membership::crash`], then
+    /// crash-restart-with-amnesia semantics ([`crate::crash`], then
     /// [`Membership::forget`]): a crashed node loses its volatile object
     /// table and recovers honestly — snapshot+log replay, torn-tail
     /// detection, then quorum repair of the lost suffix. `None` (the
@@ -462,20 +462,15 @@ impl Cluster {
         self.inner.quorum.borrow().write_q.to_vec()
     }
 
-    /// The one way out of the view, behind [`Membership::crash`] (oracle:
-    /// also kills the network) and [`Membership::eject`] (detector:
-    /// view-only), mirroring [`Cluster::readmit_node`]: take the node out
-    /// of the quorum system, recompute the quorums — or put it back and
-    /// report that none survive — and run the view-change duties. A node
-    /// the view already excludes leaves the view as it is; a crash still
-    /// takes it down in the network.
-    fn leave_view(&self, node: NodeId, kill_network: bool) -> Result<(), QuorumError> {
+    /// The one way out of the view, behind [`Membership::eject`] (and so
+    /// the oracle's [`crate::crash`]), mirroring [`Cluster::readmit_node`]:
+    /// take the node out of the quorum system, recompute the quorums — or
+    /// put it back and report that none survive — and run the view-change
+    /// duties. A node the view already excludes leaves the view as it is.
+    fn leave_view(&self, node: NodeId) -> Result<(), QuorumError> {
         {
             let mut view = self.inner.quorum.borrow_mut();
             if !view.tq.is_alive(node.index()) {
-                if kill_network {
-                    self.sim.fail_node(node);
-                }
                 return Ok(());
             }
             view.tq.fail(node.index());
@@ -483,9 +478,6 @@ impl Cluster {
                 view.tq.recover(node.index());
                 return Err(e);
             }
-        }
-        if kill_network {
-            self.sim.fail_node(node);
         }
         self.view_change_transfer();
         Ok(())
@@ -553,10 +545,9 @@ impl Cluster {
         })
     }
 
-    /// The one readmission path behind [`Membership::recover`] (oracle:
-    /// also revives the network) and [`Membership::rejoin`] (detector:
-    /// view-only): bring the node's replica up to date — honest
-    /// replay+repair if it crashed with amnesia, oracle-grade state
+    /// The one readmission path, behind [`Membership::rejoin`] (and so the
+    /// oracle's [`crate::recover`]): bring the node's replica up to date —
+    /// honest replay+repair if it crashed with amnesia, oracle-grade state
     /// transfer otherwise — then recover it in the quorum view, charge the
     /// transfer as occupancy, and run the view-change duties. Returns the
     /// charged duration.
@@ -569,7 +560,7 @@ impl Cluster {
     /// rejoining node as server occupancy ([`Cluster::transfer_cost`]), so
     /// requests routed to a fresh joiner queue behind the transfer in
     /// fig10-style runs.
-    fn readmit_node(&self, node: NodeId, revive_network: bool) -> Result<SimDuration, QuorumError> {
+    fn readmit_node(&self, node: NodeId) -> Result<SimDuration, QuorumError> {
         let amnesiac = self.inner.amnesiac.borrow()[node.index()];
         let transfer = if amnesiac {
             self.amnesia_recovery(node)
@@ -580,9 +571,6 @@ impl Cluster {
             let mut view = self.inner.quorum.borrow_mut();
             view.tq.recover(node.index());
             view.recompute()?;
-        }
-        if revive_network {
-            self.sim.recover_node(node);
         }
         // The joiner spends the transfer time busy before serving again;
         // requests the new view routes to it queue behind the transfer.
@@ -722,9 +710,7 @@ impl Cluster {
 }
 
 /// The QR quorum view is the cluster's [`Membership`] (the Cluster
-/// Manager reacting to a failure): the oracle's crash and recover and the
-/// detector's eject and rejoin take the same view paths, the oracle's
-/// also touching the network.
+/// Manager reacting to a failure).
 impl Membership for Cluster {
     fn node_count(&self) -> usize {
         self.inner.cfg.nodes
@@ -740,40 +726,22 @@ impl Membership for Cluster {
         self.inner.quorum.borrow().epoch
     }
 
-    /// Refused when no quorum survives, leaving the view untouched (and
-    /// the node alive).
-    fn crash(&self, node: NodeId) -> bool {
-        self.leave_view(node, true).is_ok()
-    }
-
-    /// A node alive in both the view and the network is left as it is.
-    fn recover(&self, node: NodeId) -> bool {
-        if self.sim.is_alive(node) && self.view_alive(node) {
-            return true;
-        }
-        self.readmit_node(node, true).is_ok()
-    }
-
     /// The node may in fact be alive (false suspicion): it keeps serving
     /// whatever requests still reach it, but no new quorum includes it, so
     /// its replies stop mattering to quorum intersection. Idempotent on
     /// already-ejected nodes.
     fn eject(&self, node: NodeId) -> bool {
-        self.leave_view(node, false).is_ok()
+        self.leave_view(node).is_ok()
     }
 
     /// Whether the node is *actually* network-alive is the nemesis's or
     /// the oracle's business, never the detector's (a detector that
     /// resurrected nodes would heal the very faults it is supposed to
-    /// detect). Same state transfer and occupancy charge as
-    /// [`Membership::recover`]; the detector turns the charge into the
+    /// detect). The detector turns the charged state transfer into the
     /// joiner's grace period instead of re-suspecting a node whose
     /// heartbeats queue behind its own state transfer.
     fn rejoin(&self, node: NodeId) -> Option<SimDuration> {
-        if self.view_alive(node) {
-            return None;
-        }
-        self.readmit_node(node, false).ok()
+        self.readmit_node(node).ok()
     }
 
     /// Probes a scratch quorum system; the live view is untouched.
@@ -837,6 +805,7 @@ impl Drop for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{crash, recover};
 
     #[test]
     fn default_config_builds_quorums() {
@@ -871,10 +840,10 @@ mod tests {
             ..Default::default()
         });
         assert_eq!(c.read_quorum(), vec![NodeId(0)]);
-        assert!(c.crash(NodeId(0)));
+        assert!(crash(&c, c.sim(), NodeId(0)));
         assert_eq!(c.read_quorum(), vec![NodeId(1), NodeId(2)]);
         assert!(!c.sim().is_alive(NodeId(0)));
-        assert!(c.recover(NodeId(0)));
+        assert!(recover(&c, c.sim(), NodeId(0)));
         assert_eq!(c.read_quorum(), vec![NodeId(0)]);
     }
 

@@ -1,13 +1,14 @@
 //! Failure detection: heartbeat-driven, suspicion-based membership.
 //!
 //! Everywhere else in the reproduction the quorum view is reconfigured by
-//! an *oracle* — tests and the nemesis call [`Membership::crash`] /
-//! [`Membership::recover`] directly, so the cluster is told who died.
-//! This module replaces the oracle with honest detection: every node emits
-//! periodic heartbeats through the simulated network (latency, partitions,
-//! gray slowness and all — see
-//! [`Sim::start_heartbeats`](qrdtm_sim::Sim::start_heartbeats)), and a
-//! detector task turns *missed* heartbeats into suspicions, suspicions
+//! an *oracle* — tests and the nemesis call [`crash`] / [`recover`]
+//! directly, so the cluster is told who died. The oracle is this detector
+//! with zero latency: a network fault followed by the same view verbs,
+//! [`Membership::eject`] and [`Membership::rejoin`]. This module replaces
+//! the oracle with honest detection: every node emits periodic heartbeats
+//! through the simulated network (latency, partitions, gray slowness and
+//! all — see [`Sim::start_heartbeats`](qrdtm_sim::Sim::start_heartbeats)),
+//! and a detector task turns *missed* heartbeats into suspicions, suspicions
 //! into epoch-fenced view changes ([`Membership::eject`]), and resumed
 //! heartbeats from a suspected node into rejoin-with-state-transfer
 //! ([`Membership::rejoin`]).
@@ -62,10 +63,12 @@ pub(crate) const HEDGE: usize = 1;
 
 /// The reconfigurable membership view of a fault-tolerant family — the
 /// paper's Cluster Manager (Fig. 4) — and the one door through which the
-/// detector, the nemesis and the tests crash, recover, forget and corrupt
-/// its nodes. The QR family's quorum view ([`Cluster`](crate::Cluster))
-/// and the Q-Store planner view both implement it, so one detector serves
-/// every family over its own wire type.
+/// detector, the nemesis and the tests eject, readmit, forget and corrupt
+/// its nodes ([`crash`] and [`recover`] put a network fault before the
+/// first two). The QR family's quorum view
+/// ([`Cluster`](crate::Cluster)) and the Q-Store planner view both
+/// implement it, so one detector serves every family over its own wire
+/// type.
 pub trait Membership {
     /// Number of nodes the view ranges over (ids `0..node_count`).
     fn node_count(&self) -> usize;
@@ -73,25 +76,15 @@ pub trait Membership {
     fn view_alive(&self, node: NodeId) -> bool;
     /// The current view (fencing) epoch.
     fn view_epoch(&self) -> u64;
-    /// Oracle crash-stop: repair the view and kill `node` in the network,
-    /// in the family's own order. A node the view already excludes is
-    /// killed in the network and the call returns `true`. `false` when
-    /// refused (the view could not survive without it), leaving view and
-    /// network untouched. An amnesiac crash is `crash`, then
-    /// [`Membership::forget`].
-    fn crash(&self, node: NodeId) -> bool;
-    /// Oracle recovery: revive a crashed `node` in the network and readmit
-    /// it to the view (replaying and repairing first if it forgot its
-    /// state). A node alive in both is left as it is and the call returns
-    /// `true`. `false` when the family refuses.
-    fn recover(&self, node: NodeId) -> bool;
     /// Remove a suspected `node` from the view without touching the
     /// network. `false` when refused (the view could not survive without
     /// it), leaving the view untouched.
     fn eject(&self, node: NodeId) -> bool;
-    /// Readmit a view-dead `node` that is heard again, view-only. Returns
-    /// the charged readmission cost (the joiner's grace period), or `None`
-    /// when the node was not readmitted.
+    /// Readmit `node` to the view without touching the network, replaying
+    /// and repairing first if it forgot its state. Runs the whole
+    /// readmission (state transfer, new epoch) even for a node the view
+    /// still lists. Returns the charged readmission cost (the joiner's
+    /// grace period), or `None` when the node was not readmitted.
     fn rejoin(&self, node: NodeId) -> Option<SimDuration>;
     /// Whether the nodes the network still has alive, minus `node`, could
     /// keep the view going (quorums for QR, a majority for Q-Store) — the
@@ -130,6 +123,41 @@ pub trait Membership {
 /// quantization.
 pub const DETECTION_SLACK: SimDuration =
     SimDuration::from_nanos(SUSPECT_WINDOW.as_nanos() * 2 + HEARTBEAT_INTERVAL.as_nanos() * 4);
+
+/// Oracle crash-stop, the detector with zero latency: kill `node` in the
+/// network, then [`Membership::eject`] it if the view still lists it. A
+/// node the view already excludes is killed and the call returns `true`.
+/// Refused (`false`, view and network untouched) only when the view lists
+/// the node, the network has it alive, and the nodes left could not keep
+/// the view going ([`Membership::survives_without`]). One corner: when the
+/// view has fallen behind the network, the eject itself may still be
+/// refused, and the node then stays listed but down, as after a
+/// [`crash_sim_only`]. An amnesiac crash is `crash`, then
+/// [`Membership::forget`].
+pub fn crash<M: SimMessage>(view: &dyn Membership, sim: &Sim<M>, node: NodeId) -> bool {
+    let listed = view.view_alive(node);
+    if listed && sim.is_alive(node) && !view.survives_without(node) {
+        return false;
+    }
+    sim.fail_node(node);
+    if listed {
+        view.eject(node);
+    }
+    true
+}
+
+/// Oracle recovery: revive `node` in the network and readmit it through
+/// [`Membership::rejoin`] (replaying and repairing first if it forgot its
+/// state) — also a node the view still lists but that was down. A node
+/// alive in both the view and the network is left as it is and the call
+/// returns `true`; otherwise `false` when the family refuses the rejoin.
+pub fn recover<M: SimMessage>(view: &dyn Membership, sim: &Sim<M>, node: NodeId) -> bool {
+    if view.view_alive(node) && sim.is_alive(node) {
+        return true;
+    }
+    sim.recover_node(node);
+    view.rejoin(node).is_some()
+}
 
 /// Detector-mode crash: kill `node` in the simulator only — no view
 /// repair, no oracle; the failure detector must notice the silence on its
@@ -178,10 +206,9 @@ impl DetectorHandle {
 /// view hosted on `sim`, whatever its wire type. The task holds the view
 /// weakly — it usually owns `sim` — and ends once the view is dropped.
 ///
-/// From this point on the view self-heals: no oracle calls to
-/// [`Membership::crash`] / [`Membership::recover`] are needed — kill or
-/// heal nodes in the simulator and the view follows within
-/// [`Membership::detection_bound`].
+/// From this point on the view self-heals: no oracle calls to [`crash`] /
+/// [`recover`] are needed — kill or heal nodes in the simulator and the
+/// view follows within [`Membership::detection_bound`].
 pub fn spawn_detector<M: SimMessage, V: Membership + 'static>(
     view: Rc<V>,
     sim: Sim<M>,

@@ -48,7 +48,8 @@ mod transport;
 pub(crate) mod wal;
 
 pub use detector::{
-    crash_sim_only, recover_sim_only, spawn_detector, DetectorHandle, Membership, DETECTION_SLACK,
+    crash, crash_sim_only, recover, recover_sim_only, spawn_detector, DetectorHandle, Membership,
+    DETECTION_SLACK,
 };
 pub use wal::{DurabilityConfig, Replay, Wal};
 

@@ -493,7 +493,7 @@ fn view_change_finishes_an_apply_still_in_flight() {
     let cut = voters(&c)[0];
     lose_phase_two_at(&c, cut);
     assert_eq!(copy_at(&c, cut), (Version(1), true), "missed the Apply");
-    assert!(c.crash(bystander(&c)));
+    assert!(crash(&c, c.sim(), bystander(&c)));
     // At the view change, long before the fan-out's retry: refresh alone
     // leaves a locked replica alone, so this is the registry's work.
     for n in alive(&c) {
@@ -523,7 +523,7 @@ fn view_change_finishes_a_release_still_in_flight() {
         .vote(foreign, &[], lock));
     lose_phase_two_at(&c, cut);
     assert_eq!(copy_at(&c, cut), (Version(1), true), "missed the release");
-    assert!(c.crash(bystander(&c)));
+    assert!(crash(&c, c.sim(), bystander(&c)));
     for n in alive(&c).into_iter().filter(|&n| n != refuser) {
         assert_eq!(copy_at(&c, n), (Version(1), false), "node {n:?}");
     }
@@ -548,7 +548,7 @@ fn view_change_mid_vote(write: bool, bug: Option<InjectedBug>) -> (u64, u64, u64
     let c = one_transaction(config, write);
     step_until(&c, "CommitReq sent", || c.stats().commit_rounds == 1);
     let epoch = c.view_epoch();
-    assert!(c.crash(bystander(&c)));
+    assert!(crash(&c, c.sim(), bystander(&c)));
     assert_eq!(c.view_epoch(), epoch + 1);
     if bug.is_none() {
         step_until(&c, "the fenced attempt", || c.stats().root_aborts == 1);

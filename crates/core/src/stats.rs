@@ -60,20 +60,6 @@ impl DtmStats {
             self.total_aborts() as f64 / self.commits as f64
         }
     }
-
-    /// Mean committed-transaction latency in milliseconds.
-    pub fn mean_latency_ms(&self) -> f64 {
-        if self.commits == 0 {
-            0.0
-        } else {
-            self.latency_sum_ns as f64 / self.commits as f64 / 1e6
-        }
-    }
-
-    /// Largest committed-transaction latency in milliseconds.
-    pub fn max_latency_ms(&self) -> f64 {
-        self.latency_max_ns as f64 / 1e6
-    }
 }
 
 #[cfg(test)]
@@ -96,18 +82,5 @@ mod tests {
     #[test]
     fn abort_rate_of_empty_run_is_zero() {
         assert_eq!(DtmStats::default().abort_rate(), 0.0);
-        assert_eq!(DtmStats::default().mean_latency_ms(), 0.0);
-    }
-
-    #[test]
-    fn latency_aggregates() {
-        let s = DtmStats {
-            commits: 2,
-            latency_sum_ns: 300_000_000,
-            latency_max_ns: 200_000_000,
-            ..Default::default()
-        };
-        assert!((s.mean_latency_ms() - 150.0).abs() < 1e-9);
-        assert!((s.max_latency_ms() - 200.0).abs() < 1e-9);
     }
 }

@@ -4,7 +4,9 @@
 
 use std::rc::Rc;
 
-use qrdtm_core::{spawn_detector, Cluster, DtmConfig, LatencySpec, Membership, ObjVal, ObjectId};
+use qrdtm_core::{
+    crash, recover, spawn_detector, Cluster, DtmConfig, LatencySpec, Membership, ObjVal, ObjectId,
+};
 use qrdtm_sim::{NodeId, SimDuration};
 
 fn detector_cfg(seed: u64) -> DtmConfig {
@@ -169,8 +171,8 @@ fn transfer_charge_scales_with_object_count() {
         cluster.preload(ObjectId(u64::from(a)), ObjVal::Int(1));
     }
     let sim = cluster.sim().clone();
-    assert!(cluster.crash(NodeId(1)));
-    assert!(cluster.recover(NodeId(1)));
+    assert!(crash(&*cluster, cluster.sim(), NodeId(1)));
+    assert!(recover(&*cluster, cluster.sim(), NodeId(1)));
     let client = cluster.client(NodeId(5));
     let t0 = sim.now();
     let done = Rc::new(std::cell::Cell::new(None));

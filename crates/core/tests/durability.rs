@@ -5,7 +5,8 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
 use qrdtm_core::{
-    crash_sim_only, Cluster, DtmConfig, DurabilityConfig, Membership, ObjVal, ObjectId,
+    crash, crash_sim_only, recover, Cluster, DtmConfig, DurabilityConfig, Membership, ObjVal,
+    ObjectId,
 };
 use qrdtm_sim::{NodeId, SimDuration};
 
@@ -93,7 +94,7 @@ fn amnesia_crash_recovers_via_replay_and_quorum_repair() {
     let sim2 = sim.clone();
     sim.spawn(async move {
         sim2.sleep(SimDuration::from_millis(800)).await;
-        assert!(cl.crash(victim));
+        assert!(crash(&*cl, cl.sim(), victim));
         cl.forget(victim);
         assert!(
             cl.peek(victim, ObjectId(0)).is_none(),
@@ -102,7 +103,7 @@ fn amnesia_crash_recovers_via_replay_and_quorum_repair() {
         assert!(!cl.view_alive(victim) && !cl.sim().is_alive(victim));
         // Let commits the victim will have to repair happen while it is down.
         sim2.sleep(SimDuration::from_millis(1000)).await;
-        assert!(cl.recover(victim));
+        assert!(recover(&*cl, cl.sim(), victim));
         assert_caught_up(&cl, victim);
     });
     sim.run_for(SimDuration::from_secs(3));
@@ -136,10 +137,10 @@ fn corrupt_tail_is_detected_and_repaired_on_restart() {
             cl.corrupt_tail(victim),
             "durable log had records to corrupt"
         );
-        assert!(cl.crash(victim));
+        assert!(crash(&*cl, cl.sim(), victim));
         cl.forget(victim);
         sim2.sleep(SimDuration::from_millis(600)).await;
-        assert!(cl.recover(victim));
+        assert!(recover(&*cl, cl.sim(), victim));
         assert_caught_up(&cl, victim);
     });
     sim.run_for(SimDuration::from_secs(2));
@@ -199,10 +200,10 @@ fn durable_runs_are_deterministic_per_seed() {
         let sim2 = sim.clone();
         sim.spawn(async move {
             sim2.sleep(SimDuration::from_millis(500)).await;
-            assert!(cl.crash(victim));
+            assert!(crash(&*cl, cl.sim(), victim));
             cl.forget(victim);
             sim2.sleep(SimDuration::from_millis(700)).await;
-            assert!(cl.recover(victim));
+            assert!(recover(&*cl, cl.sim(), victim));
         });
         sim.run_for(SimDuration::from_secs(2));
         sim.run_for(SimDuration::from_secs(2));

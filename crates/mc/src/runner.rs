@@ -14,8 +14,8 @@ use std::rc::Rc;
 
 use qrdtm_chaos::{audit, ChaosTarget, Proto};
 use qrdtm_core::{
-    check_abort_targets, check_checkpoint_restores, Cluster, DtmConfig, InjectedBug, LatencySpec,
-    Membership, NestingMode, ObjVal, ObjectId,
+    check_abort_targets, check_checkpoint_restores, crash, recover, Cluster, DtmConfig,
+    InjectedBug, LatencySpec, Membership, NestingMode, ObjVal, ObjectId,
 };
 use qrdtm_qstore::{QStoreBug, QStoreCluster, QStoreConfig};
 use qrdtm_sim::{EventInfo, Metrics, NodeId, Scheduler, SimDuration, SimTime};
@@ -208,32 +208,30 @@ fn transfers(scope: &Scope) -> impl Iterator<Item = (NodeId, ObjectId, ObjectId,
 
 /// Spawn one transfer client. Under QR-CN the debit and credit run in
 /// separate closed-nested scopes so conflicts produce real partial aborts;
-/// the other modes run the accesses flat (QR-CHK still checkpoints them,
-/// `chk_threshold` is 1 in this scope).
+/// the other modes run the bank's own [`transfer`] (QR-CHK still
+/// checkpoints its accesses, `chk_threshold` is 1 in this scope).
 fn spawn_transfer(cluster: &Rc<Cluster>, node: NodeId, from: ObjectId, to: ObjectId, amount: i64) {
-    let nested = cluster.config().mode == NestingMode::Closed;
+    if cluster.config().mode != NestingMode::Closed {
+        let c = Rc::clone(cluster);
+        cluster
+            .sim()
+            .spawn(async move { transfer(&*c, node, from, to, amount).await });
+        return;
+    }
     let client = cluster.client(node);
     cluster.sim().spawn(async move {
         client
             .run(|tx| async move {
-                if nested {
-                    tx.closed(|tx| async move {
-                        let v = tx.read(from).await?.expect_int();
-                        tx.write(from, ObjVal::Int(v - amount)).await
-                    })
-                    .await?;
-                    tx.closed(|tx| async move {
-                        let v = tx.read(to).await?.expect_int();
-                        tx.write(to, ObjVal::Int(v + amount)).await
-                    })
-                    .await?;
-                } else {
-                    let a = tx.read(from).await?.expect_int();
-                    let b = tx.read(to).await?.expect_int();
-                    tx.write(from, ObjVal::Int(a - amount)).await?;
-                    tx.write(to, ObjVal::Int(b + amount)).await?;
-                }
-                Ok(())
+                tx.closed(|tx| async move {
+                    let v = tx.read(from).await?.expect_int();
+                    tx.write(from, ObjVal::Int(v - amount)).await
+                })
+                .await?;
+                tx.closed(|tx| async move {
+                    let v = tx.read(to).await?.expect_int();
+                    tx.write(to, ObjVal::Int(v + amount)).await
+                })
+                .await
             })
             .await;
     });
@@ -416,10 +414,10 @@ fn run_qstore_schedule(scope: &Scope, policy: Box<dyn ChoicePolicy>) -> RunOutco
                 while c.stats().commits == 0 {
                     s.sleep(SimDuration::from_micros(200)).await;
                 }
-                if c.crash(NodeId(0)) {
+                if crash(&*c, &s, NodeId(0)) {
                     c.forget(NodeId(0));
                     s.sleep(SimDuration::from_millis(20)).await;
-                    c.recover(NodeId(0));
+                    recover(&*c, &s, NodeId(0));
                 }
             });
         }

@@ -25,7 +25,7 @@
 //! replica; a torn tail drops whole batches atomically on replay) and an
 //! amnesiac restart replays the fsynced prefix, then repairs the rest
 //! from the quorum-acknowledged epoch frontier. Membership is driven
-//! either by the oracle (tests and the nemesis call [`Membership::crash`]
+//! either by the oracle (tests and the nemesis call [`qrdtm_core::crash`]
 //! & co. directly) or by the same heartbeat failure detector the QR family
 //! uses ([`qrdtm_core::spawn_detector`] over this cluster's view) — a
 //! silent planner is suspected, ejected (which triggers the fenced
@@ -487,35 +487,17 @@ impl Membership for QStoreCluster {
     fn view_epoch(&self) -> u64 {
         self.shared.view.borrow().epoch
     }
-    /// Refused when the remaining nodes could not form a majority. If the
-    /// planner died, the lowest alive node takes over and replans from
-    /// acknowledged state.
-    fn crash(&self, node: NodeId) -> bool {
-        if self.view_alive(node) && !self.evict_from_view(node.index()) {
-            return false;
-        }
-        self.sim.fail_node(node);
-        true
-    }
-    /// An amnesiac node replays its durable disk image and repairs from the
-    /// quorum frontier first, then the planner pushes it the committed
-    /// suffix it missed.
-    fn recover(&self, node: NodeId) -> bool {
-        if !(self.view_alive(node) && self.sim.is_alive(node)) {
-            self.sim.recover_node(node);
-            self.readmit(node.index());
-        }
-        true
-    }
+    /// Refused when the view's other members could not form a majority.
+    /// If the planner left, the lowest view-alive node takes over and
+    /// replans from acknowledged state.
     fn eject(&self, node: NodeId) -> bool {
         self.evict_from_view(node.index())
     }
-    /// Amnesiacs go through the replay+repair pipeline; the returned grace
-    /// is at least the configured transfer cost.
+    /// An amnesiac replays its durable disk image and repairs from the
+    /// quorum frontier first, then the planner pushes it the committed
+    /// suffix it missed; the returned grace is at least the configured
+    /// transfer cost.
     fn rejoin(&self, node: NodeId) -> Option<SimDuration> {
-        if self.view_alive(node) || node.index() >= self.config().nodes {
-            return None;
-        }
         Some(self.readmit(node.index()).max(self.config().transfer_cost))
     }
     fn survives_without(&self, node: NodeId) -> bool {
@@ -641,7 +623,7 @@ mod tests {
     use crate::core::Slot;
     use crate::wal::QSnapshot;
     use proptest::prelude::*;
-    use qrdtm_core::{crash_sim_only, recover_sim_only, spawn_detector};
+    use qrdtm_core::{crash, crash_sim_only, recover, recover_sim_only, spawn_detector};
     use qrdtm_workloads::protocol_bank::transfer;
 
     const ACCOUNTS: u64 = 8;
@@ -823,7 +805,7 @@ mod tests {
         let c3 = Rc::clone(&c);
         c.sim().spawn(async move {
             c3.sim().sleep(SimDuration::from_millis(crash_ms)).await;
-            assert!(c3.crash(NodeId(0)));
+            assert!(crash(&*c3, c3.sim(), NodeId(0)));
         });
         c.sim().run();
         c
@@ -845,11 +827,11 @@ mod tests {
         let c = cluster(13);
         let c2 = Rc::clone(&c);
         c.sim().spawn(async move {
-            assert!(c2.crash(NodeId(7)));
+            assert!(crash(&*c2, c2.sim(), NodeId(7)));
             for i in 0..4u64 {
                 transfer(&*c2, NodeId(2), ObjectId(i), ObjectId(i + 1), 3).await;
             }
-            assert!(c2.recover(NodeId(7)));
+            assert!(recover(&*c2, c2.sim(), NodeId(7)));
         });
         c.sim().run();
         assert_eq!(c.stats().commits, 4);
@@ -959,7 +941,7 @@ mod tests {
             // The takeover must not promote until it has pushed the adopted
             // prefix back onto a majority — otherwise a second crash could
             // lose acknowledged batches.
-            assert!(c2.crash(NodeId(0)));
+            assert!(crash(&*c2, c2.sim(), NodeId(0)));
         });
         c.sim().run();
         let frontier = c.shared.acked.get();
@@ -1085,15 +1067,15 @@ mod tests {
             // Snapshots superseded the log at batches 2 and 4; batch 5 is
             // the log suffix the replay folds on top.
             assert_eq!(c2.shared.replicas[1].borrow().applied, 5);
-            assert!(c2.crash(NodeId(1)));
+            assert!(crash(&*c2, c2.sim(), NodeId(1)));
             c2.forget(NodeId(1));
             // Missed while down: only the donor's log can supply it.
             transfer(&*c2, NodeId(3), ObjectId(5), ObjectId(6), 3).await;
-            assert!(c2.recover(NodeId(1)));
+            assert!(recover(&*c2, c2.sim(), NodeId(1)));
             assert!(c2.shared.replicas[1].borrow().decided.txns() >= 6);
             let committed: Vec<TxId> = c2.history().iter().map(|r| r.tx).collect();
             assert_eq!(committed.len(), 6);
-            assert!(c2.crash(NodeId(0)));
+            assert!(crash(&*c2, c2.sim(), NodeId(0)));
             for id in committed {
                 // A client that lost its reply submits again. A planner
                 // that forgot the decision would execute this write.
@@ -1274,7 +1256,7 @@ mod tests {
             assert_eq!(value(c, 2), ObjVal::Int(4));
             // After a view change the same behind sync rolls the replica
             // back: its suffix was applied under a dead reign.
-            assert!(c.crash(NodeId(8)));
+            assert!(crash(c, c.sim(), NodeId(8)));
             assert_eq!(ack(ask(c, 2, sync(1, 2, 2)).await), (true, 2), "rollback");
             assert_eq!(value(c, 2), ObjVal::Int(2));
         });
@@ -1294,7 +1276,7 @@ mod tests {
             assert_eq!(c.stats().commits, 1);
             // Node 1 takes over; the request lands before its census round
             // trip completes.
-            assert!(c.crash(NodeId(0)));
+            assert!(crash(c, c.sim(), NodeId(0)));
             assert_eq!(status(ask(c, 1, tx()).await), TxStatus::Busy);
         });
         c.sim().run();
@@ -1461,11 +1443,11 @@ mod tests {
                 horizon: Horizon::default(),
             };
             assert_eq!(ack(ask(c, 2, fork).await), (true, 1));
-            assert!(c.crash(NodeId(2)));
+            assert!(crash(c, c.sim(), NodeId(2)));
             c.forget(NodeId(2));
             let reply = ask(c, 0, submit(9, 1, 1, 5)).await;
             assert_eq!(status(reply), TxStatus::Committed);
-            assert!(c.recover(NodeId(2)));
+            assert!(recover(c, c.sim(), NodeId(2)));
         });
         c.sim().run();
         let slot = |idx: usize| {
@@ -1550,9 +1532,9 @@ mod tests {
                 TxStatus::Committed
             );
             c.sim().sleep(SETTLE).await;
-            assert!(c.crash(NodeId(2)));
+            assert!(crash(c, c.sim(), NodeId(2)));
             c.forget(NodeId(2));
-            assert!(c.recover(NodeId(2)));
+            assert!(recover(c, c.sim(), NodeId(2)));
             for idx in [1, 2] {
                 let r = c.shared.replicas[idx].borrow();
                 assert!(r.horizon.covers(&tx1), "replica {idx}");
@@ -1561,7 +1543,7 @@ mod tests {
             // Node 1 takes over from its own log, then node 2 from the
             // replayed one; both settle the stale duplicate.
             for planner in [1, 2] {
-                assert!(c.crash(NodeId(planner - 1)));
+                assert!(crash(c, c.sim(), NodeId(planner - 1)));
                 c.sim().sleep(SETTLE).await;
                 let reply = ask(c, planner, submit(9, 1, 1, 7)).await;
                 assert_eq!(status(reply), TxStatus::Settled, "planner {planner}");
@@ -1591,7 +1573,7 @@ mod tests {
             let b = c
                 .sim()
                 .call(NodeId(9), &[NodeId(0)], submit(9, 1, 1, 6), timeout);
-            assert!(c.crash(NodeId(8)));
+            assert!(crash(c, c.sim(), NodeId(8)));
             drop(a);
             let reply = b.await.replies.into_iter().next().expect("answered");
             assert_eq!(status(reply.1), TxStatus::Committed);

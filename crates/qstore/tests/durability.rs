@@ -4,7 +4,9 @@
 
 use std::rc::Rc;
 
-use qrdtm_core::{atomically, DtmProtocol, DurabilityConfig, Membership, ObjVal, ObjectId};
+use qrdtm_core::{
+    atomically, crash, recover, DtmProtocol, DurabilityConfig, Membership, ObjVal, ObjectId,
+};
 use qrdtm_qstore::{QStoreCluster, QStoreConfig};
 use qrdtm_sim::{DiskConfig, NodeId};
 
@@ -54,14 +56,14 @@ fn amnesia_crash_replays_the_fsynced_prefix_and_repairs_the_rest() {
         for i in 0..3u64 {
             transfer(&c2, NodeId(2), ObjectId(i), ObjectId(i + 1), 5).await;
         }
-        assert!(c2.crash(victim));
+        assert!(crash(&*c2, c2.sim(), victim));
         c2.forget(victim);
         // ...and batches it misses while down, which replay cannot
         // resurrect: they must come from the quorum frontier.
         for i in 0..3u64 {
             transfer(&c2, NodeId(3), ObjectId(i + 2), ObjectId(i + 3), 5).await;
         }
-        assert!(c2.recover(victim));
+        assert!(recover(&*c2, c2.sim(), victim));
         // One more commit proves the readmitted replica participates.
         transfer(&c2, NodeId(4), ObjectId(0), ObjectId(1), 5).await;
     });
@@ -90,9 +92,9 @@ fn a_torn_tail_drops_whole_batches_and_repair_restores_them() {
             c2.corrupt_tail(victim),
             "durable log had records to corrupt"
         );
-        assert!(c2.crash(victim));
+        assert!(crash(&*c2, c2.sim(), victim));
         c2.forget(victim);
-        assert!(c2.recover(victim));
+        assert!(recover(&*c2, c2.sim(), victim));
         transfer(&c2, NodeId(3), ObjectId(0), ObjectId(1), 3).await;
     });
     c.sim().run();
@@ -127,9 +129,9 @@ fn snapshot_truncation_survives_amnesia() {
             )
             .await;
         }
-        assert!(c2.crash(victim));
+        assert!(crash(&*c2, c2.sim(), victim));
         c2.forget(victim);
-        assert!(c2.recover(victim));
+        assert!(recover(&*c2, c2.sim(), victim));
         transfer(&c2, NodeId(3), ObjectId(0), ObjectId(1), 2).await;
     });
     c.sim().run();
@@ -152,12 +154,12 @@ fn durable_runs_are_deterministic_per_seed() {
             for i in 0..3u64 {
                 transfer(&c2, NodeId(2), ObjectId(i), ObjectId(i + 1), 4).await;
             }
-            assert!(c2.crash(victim));
+            assert!(crash(&*c2, c2.sim(), victim));
             c2.forget(victim);
             for i in 0..2u64 {
                 transfer(&c2, NodeId(3), ObjectId(i + 3), ObjectId(i + 4), 4).await;
             }
-            assert!(c2.recover(victim));
+            assert!(recover(&*c2, c2.sim(), victim));
         });
         c.sim().run();
         let m = c.sim().metrics();

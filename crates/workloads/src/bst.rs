@@ -9,6 +9,7 @@
 use qrdtm_core::{Abort, ObjVal, ObjectId, TreeNode, Tx};
 
 use crate::rbtree::TOMBSTONE;
+use crate::zombie_guard;
 
 /// Object layout of a BST instance.
 #[derive(Clone, Copy, Debug)]
@@ -58,9 +59,7 @@ pub async fn insert(tx: &Tx, t: &BstLayout, key: i64, val: i64) -> Result<bool, 
     let mut hops = 0usize;
     while let Some(oid) = cur {
         hops += 1;
-        if hops > t.key_space as usize + 2 {
-            return Err(tx.abort_here()); // torn snapshot (zombie guard)
-        }
+        zombie_guard(tx, hops, t.key_space as usize + 2)?;
         let n = tx.read(oid).await?.expect_node().clone();
         if key == n.key {
             let was_tomb = n.val == TOMBSTONE;
@@ -105,9 +104,7 @@ pub async fn remove(tx: &Tx, t: &BstLayout, key: i64) -> Result<bool, Abort> {
     let mut hops = 0usize;
     while let Some(oid) = cur {
         hops += 1;
-        if hops > t.key_space as usize + 2 {
-            return Err(tx.abort_here()); // torn snapshot (zombie guard)
-        }
+        zombie_guard(tx, hops, t.key_space as usize + 2)?;
         let n = tx.read(oid).await?.expect_node().clone();
         if key == n.key {
             if n.val == TOMBSTONE {
@@ -129,9 +126,7 @@ pub async fn contains(tx: &Tx, t: &BstLayout, key: i64) -> Result<bool, Abort> {
     let mut hops = 0usize;
     while let Some(oid) = cur {
         hops += 1;
-        if hops > t.key_space as usize + 2 {
-            return Err(tx.abort_here()); // torn snapshot (zombie guard)
-        }
+        zombie_guard(tx, hops, t.key_space as usize + 2)?;
         let n = tx.read(oid).await?.expect_node().clone();
         if key == n.key {
             return Ok(n.val != TOMBSTONE);
@@ -150,9 +145,7 @@ pub async fn collect_keys(tx: &Tx, t: &BstLayout) -> Result<Vec<i64>, Abort> {
     loop {
         while let Some(oid) = cur {
             visited += 1;
-            if visited > 2 * t.key_space as usize + 4 {
-                return Err(tx.abort_here()); // torn snapshot (zombie guard)
-            }
+            zombie_guard(tx, visited, 2 * t.key_space as usize + 4)?;
             stack.push(oid);
             cur = tx.read(oid).await?.expect_node().left;
         }

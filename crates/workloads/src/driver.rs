@@ -20,7 +20,7 @@
 use std::rc::Rc;
 
 use qrdtm_core::{
-    Abort, Client, Cluster, DtmConfig, DtmStats, Membership, Msg, ObjVal, ObjectId, Tx,
+    crash, Abort, Client, Cluster, DtmConfig, DtmStats, Membership, Msg, ObjVal, ObjectId, Tx,
 };
 use qrdtm_sim::{NodeId, Sim, SimDuration};
 
@@ -158,7 +158,7 @@ pub fn run(cfg: DtmConfig, spec: &RunSpec) -> RunResult {
             .read_quorum_victim()
             .expect("read quorum has a member");
         assert!(
-            cluster.crash(victim),
+            crash(&*cluster, &sim, victim),
             "quorum survives the configured failures"
         );
     }

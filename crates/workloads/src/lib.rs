@@ -32,3 +32,17 @@ pub use open_loop::{
     RateSchedule,
 };
 pub use protocol_bank::{run_bank, BankRunResult, BankSpec};
+
+use qrdtm_core::{Abort, Tx};
+
+/// The *zombie guard* of every pointer-chasing traversal: under flat QR a
+/// transaction may observe a torn snapshot (reads are only validated at
+/// commit), and a traversal over one can cycle through cached nodes
+/// forever. `steps` past `bound`, a length no consistent snapshot needs,
+/// proves the snapshot torn and aborts the scope ([`Tx::abort_here`]).
+fn zombie_guard(tx: &Tx, steps: usize, bound: usize) -> Result<(), Abort> {
+    if steps > bound {
+        return Err(tx.abort_here());
+    }
+    Ok(())
+}

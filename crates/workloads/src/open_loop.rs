@@ -453,7 +453,7 @@ pub fn run_open_loop<P: SimHosted + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrdtm_core::{Cluster, DtmConfig, Membership, NestingMode, OverloadConfig};
+    use qrdtm_core::{crash, recover, Cluster, DtmConfig, NestingMode, OverloadConfig};
 
     fn overload_cluster(seed: u64) -> Rc<Cluster> {
         Rc::new(Cluster::new(DtmConfig {
@@ -568,7 +568,7 @@ mod tests {
         for i in 0..16 {
             cluster.preload(ObjectId(i), ObjVal::Int(1_000));
         }
-        assert!(cluster.crash(NodeId(0)));
+        assert!(crash(&*cluster, &sim, NodeId(0)));
         let control = Rc::new(LoadControl::default());
         let tallies = Rc::new(LoadTallies::default());
         let spec = OpenLoopSpec {
@@ -590,7 +590,7 @@ mod tests {
         assert_eq!(tallies.goodput.get() + tallies.late.get(), 0);
         assert_eq!(sim.live_tasks(), 3, "arrival loop + two waiting workers");
 
-        assert!(cluster.recover(NodeId(0)));
+        assert!(recover(&*cluster, &sim, NodeId(0)));
         sim.run_for(SimDuration::from_secs(2));
         assert_eq!(tallies.goodput.get(), tallies.admitted.get(), "{tallies:?}");
         assert_eq!(sim.live_tasks(), 1, "workers exit once the queue drains");

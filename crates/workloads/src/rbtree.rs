@@ -9,6 +9,8 @@
 
 use qrdtm_core::{Abort, ObjVal, ObjectId, TreeNode, Tx};
 
+use crate::zombie_guard;
+
 /// Marker payload for logically deleted keys.
 pub const TOMBSTONE: i64 = i64::MIN;
 
@@ -149,9 +151,7 @@ pub async fn insert(tx: &Tx, t: &RBTreeLayout, key: i64, val: i64) -> Result<boo
     };
     let mut path: Vec<ObjectId> = Vec::new();
     loop {
-        if path.len() > t.key_space as usize + 2 {
-            return Err(tx.abort_here()); // torn snapshot (zombie guard)
-        }
+        zombie_guard(tx, path.len(), t.key_space as usize + 2)?;
         let n = get_node(tx, cur).await?;
         if key == n.key {
             let was_tomb = n.val == TOMBSTONE;
@@ -268,9 +268,7 @@ pub async fn remove(tx: &Tx, t: &RBTreeLayout, key: i64) -> Result<bool, Abort> 
     let mut hops = 0usize;
     while let Some(oid) = cur {
         hops += 1;
-        if hops > t.key_space as usize + 2 {
-            return Err(tx.abort_here()); // torn snapshot (zombie guard)
-        }
+        zombie_guard(tx, hops, t.key_space as usize + 2)?;
         let n = get_node(tx, oid).await?;
         if key == n.key {
             if n.val == TOMBSTONE {
@@ -292,9 +290,7 @@ pub async fn contains(tx: &Tx, t: &RBTreeLayout, key: i64) -> Result<bool, Abort
     let mut hops = 0usize;
     while let Some(oid) = cur {
         hops += 1;
-        if hops > t.key_space as usize + 2 {
-            return Err(tx.abort_here()); // torn snapshot (zombie guard)
-        }
+        zombie_guard(tx, hops, t.key_space as usize + 2)?;
         let n = get_node(tx, oid).await?;
         if key == n.key {
             return Ok(n.val != TOMBSTONE);
@@ -321,9 +317,7 @@ pub async fn validate(tx: &Tx, t: &RBTreeLayout) -> Result<Vec<i64>, Abort> {
     let mut visited = 0usize;
     while let Some((slot, blacks, parent_red)) = stack.pop() {
         visited += 1;
-        if visited > 4 * t.key_space as usize + 8 {
-            return Err(tx.abort_here()); // torn snapshot (zombie guard)
-        }
+        zombie_guard(tx, visited, 4 * t.key_space as usize + 8)?;
         match slot {
             None => match leaf_bh {
                 None => leaf_bh = Some(blacks),

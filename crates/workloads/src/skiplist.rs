@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::hashmap::mix;
+use crate::zombie_guard;
 
 /// Object layout of a skiplist instance.
 #[derive(Clone, Copy, Debug)]
@@ -82,12 +83,8 @@ impl SkiplistLayout {
 /// Find the predecessor of `key` at every level. Returns
 /// `(pred_oid, pred_snapshot)` per level, bottom first.
 ///
-/// Carries a *zombie guard*: under flat QR a transaction may observe a
-/// torn snapshot (reads are only validated at commit), and a traversal
-/// over one can cycle through cached nodes forever. No consistent list of
-/// `key_space` nodes needs more hops than `key_space + levels`, so
-/// exceeding that proves the snapshot torn and aborts the scope (see
-/// [`Tx::abort_here`]).
+/// Carries a [`zombie_guard`]: no consistent list of `key_space` nodes
+/// needs more hops than `key_space + levels`.
 async fn find_preds(
     tx: &Tx,
     sl: &SkiplistLayout,
@@ -109,9 +106,7 @@ async fn find_preds(
                     let nxt = tx.read(noid).await?.expect_skip().clone();
                     if nxt.key < key {
                         hops += 1;
-                        if hops > max_hops {
-                            return Err(tx.abort_here());
-                        }
+                        zombie_guard(tx, hops, max_hops)?;
                         cur_oid = noid;
                         cur = nxt;
                     } else {
@@ -191,9 +186,7 @@ pub async fn collect_keys(tx: &Tx, sl: &SkiplistLayout) -> Result<Vec<i64>, Abor
     let mut out = Vec::new();
     let mut cur = tx.read(sl.head()).await?.expect_skip().clone();
     while let Some(noid) = cur.nexts[0] {
-        if out.len() > sl.key_space as usize {
-            return Err(tx.abort_here()); // torn snapshot (zombie guard)
-        }
+        zombie_guard(tx, out.len(), sl.key_space as usize)?;
         cur = tx.read(noid).await?.expect_skip().clone();
         out.push(cur.key);
     }

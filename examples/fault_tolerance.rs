@@ -52,7 +52,7 @@ fn main() {
     // Crash the entire read quorum, then a write-quorum member.
     for victim in cluster.read_quorum() {
         println!("*** failing {victim} (read-quorum member)");
-        assert!(cluster.crash(victim), "quorums survive");
+        assert!(crash(&cluster, cluster.sim(), victim), "quorums survive");
     }
     println!("read quorum now     : {:?}", cluster.read_quorum());
     let wq_victim = *cluster
@@ -60,7 +60,7 @@ fn main() {
         .last()
         .expect("write quorum non-empty");
     println!("*** failing {wq_victim} (write-quorum member)");
-    assert!(cluster.crash(wq_victim), "quorums survive");
+    assert!(crash(&cluster, cluster.sim(), wq_victim), "quorums survive");
     println!("write quorum now    : {:?}", cluster.write_quorum());
 
     cluster.sim().run_for(SimDuration::from_secs(5));

@@ -36,8 +36,8 @@ pub use qrdtm_workloads as workloads;
 /// Commonly used items for writing QR-DTM programs.
 pub mod prelude {
     pub use qrdtm_core::{
-        Abort, AbortTarget, Client, Cluster, DtmConfig, DtmProtocol, LatencySpec, Membership,
-        NestingMode, ObjVal, ObjectId, ProtocolStats, SimHosted, Tx,
+        crash, recover, Abort, AbortTarget, Client, Cluster, DtmConfig, DtmProtocol, LatencySpec,
+        Membership, NestingMode, ObjVal, ObjectId, ProtocolStats, SimHosted, Tx,
     };
     pub use qrdtm_sim::{NodeId, SimDuration, SimTime};
 }

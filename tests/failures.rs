@@ -40,7 +40,7 @@ fn commits_continue_after_losing_the_whole_read_quorum() {
     let before = c.stats().commits;
     assert!(before > 0);
     for victim in c.read_quorum() {
-        assert!(c.crash(victim), "quorum survives");
+        assert!(crash(&c, c.sim(), victim), "quorum survives");
     }
     c.sim().run_for(SimDuration::from_secs(3));
     let after = c.stats().commits;
@@ -63,7 +63,7 @@ fn write_quorum_member_failure_is_tolerated() {
     c.preload(ObjectId(1), ObjVal::Int(0));
     // Fail a non-root write-quorum member up front.
     let victim = *c.write_quorum().last().unwrap();
-    assert!(c.crash(victim));
+    assert!(crash(&c, c.sim(), victim));
     assert!(!c.write_quorum().contains(&victim));
     let client = c.client(NodeId(12));
     c.sim().spawn(async move {
@@ -89,7 +89,7 @@ fn recovered_node_catches_up_through_new_commits() {
     let c = cluster(3);
     c.preload(ObjectId(1), ObjVal::Int(0));
     let root = NodeId(0);
-    assert!(c.crash(root));
+    assert!(crash(&c, c.sim(), root));
     // Ten commits happen while the root is down.
     let client = c.client(NodeId(12));
     c.sim().spawn(async move {
@@ -111,7 +111,7 @@ fn recovered_node_catches_up_through_new_commits() {
     // equivalence for commits it missed.
     let (v_before, _) = c.peek(root, ObjectId(1)).unwrap();
     assert_eq!(v_before, qr_dtm::core::Version(1), "stale while down");
-    assert!(c.recover(root));
+    assert!(recover(&c, c.sim(), root));
     let (v_synced, val_synced) = c.peek(root, ObjectId(1)).unwrap();
     assert_eq!(
         v_synced,
@@ -164,7 +164,7 @@ fn in_flight_requests_to_a_dying_node_time_out_and_retry() {
     // view, so the first attempt times out; then repair the view.
     c.sim().fail_node(NodeId(0));
     c.sim().run_for(SimDuration::from_millis(250));
-    assert!(c.crash(NodeId(0)), "view repair");
+    assert!(crash(&c, c.sim(), NodeId(0)), "view repair");
     c.sim().run();
     let s = c.stats();
     assert_eq!(s.commits, 1);
@@ -187,12 +187,12 @@ fn fail_and_recover_are_idempotent_at_the_cluster_level() {
         .no_timeout(),
     );
     c.preload(ObjectId(1), ObjVal::Int(0));
-    assert!(c.crash(NodeId(0)));
+    assert!(crash(&c, c.sim(), NodeId(0)));
     let rq = c.read_quorum();
-    assert!(c.crash(NodeId(0))); // double-fail: no-op
+    assert!(crash(&c, c.sim(), NodeId(0))); // double-fail: no-op
     assert_eq!(c.read_quorum(), rq);
-    assert!(c.recover(NodeId(0)));
-    assert!(c.recover(NodeId(0))); // recover-of-alive: no-op
+    assert!(recover(&c, c.sim(), NodeId(0)));
+    assert!(recover(&c, c.sim(), NodeId(0))); // recover-of-alive: no-op
     assert_eq!(c.read_quorum(), vec![NodeId(0)]);
     // The view matches reality, so `None` timeouts still make progress.
     let client = c.client(NodeId(12));

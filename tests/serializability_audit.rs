@@ -126,8 +126,9 @@ fn latency_statistics_are_sane() {
     let s = c.stats();
     // One read round (20ms) + vote round (20ms) + apply round (20ms) is the
     // conflict-free floor.
-    assert!(s.mean_latency_ms() >= 60.0, "{}", s.mean_latency_ms());
-    assert!(s.max_latency_ms() >= s.mean_latency_ms());
+    let mean_ns = s.latency_sum_ns / s.commits;
+    assert!(mean_ns >= 60_000_000, "{mean_ns} ns");
+    assert!(s.latency_max_ns >= mean_ns);
     assert!(s.latency_sum_ns > 0);
 }
 
