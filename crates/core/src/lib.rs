@@ -76,7 +76,7 @@ pub use history::{
 };
 pub use msg::{Msg, ValEntry, ValidationKind};
 pub use object::{
-    IdHasher, IdMap, ObjVal, ObjectId, Replica, SkipNode, TableRow, TreeNode, Version,
+    IdHasher, IdMap, IntLog, ObjVal, ObjectId, Replica, SkipNode, TableRow, TreeNode, Version,
 };
 pub use pool::Payload;
 pub use protocol::{atomically, attempts, DtmProtocol, ProtocolStats, SimHosted};

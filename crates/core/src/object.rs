@@ -12,10 +12,11 @@
 //! shared slices, so a clone — replica to read reply, reply to data set,
 //! data set to op log and commit payload, commit payload to every
 //! write-quorum replica — moves a reference count and never bytes. A writer
-//! builds a new value (`to_vec()` … `.into()`, or `Arc::make_mut` on its own
-//! clone) and hands that to [`Tx::write`](crate::Tx::write). The slices are
-//! `Arc`, not `Rc`: the threaded backend (`qrdtm-par`) keeps values in
-//! tables shared between threads, so `ObjVal` must stay `Send + Sync`.
+//! builds a new value (one `collect`, or `Arc::make_mut` on its own clone;
+//! an [`IntLog`] append shares the log it extends) and hands that to
+//! [`Tx::write`](crate::Tx::write). The shared parts are `Arc`, not `Rc`:
+//! the threaded backend (`qrdtm-par`) keeps values in tables shared between
+//! threads, so `ObjVal` must stay `Send + Sync`.
 
 use std::fmt;
 use std::sync::Arc;
@@ -90,11 +91,81 @@ pub struct TableRow {
     pub price: i64,
 }
 
+/// An immutable, append-only list of integers (a Vacation customer's
+/// reservations). An append is a chunk of the new entries behind a shared
+/// pointer to the log it extends, so it allocates only what it adds.
+/// `PartialEq` and `Debug` read the entries in order, whatever the chunks.
+#[derive(Clone, Default)]
+pub struct IntLog(Option<Arc<LogChunk>>);
+
+struct LogChunk {
+    prev: IntLog,
+    /// Entries up to and including this chunk.
+    len: usize,
+    items: Box<[i64]>,
+}
+
+impl IntLog {
+    /// This log with `items` appended after its entries.
+    pub fn append(&self, items: &[i64]) -> IntLog {
+        IntLog(Some(Arc::new(LogChunk {
+            prev: self.clone(),
+            len: self.len() + items.len(),
+            items: items.into(),
+        })))
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.0.as_ref().map_or(0, |c| c.len)
+    }
+
+    /// Whether the log has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The entries in append order.
+    pub fn iter(&self) -> impl Iterator<Item = i64> + '_ {
+        let mut chunks = Vec::new();
+        let mut at = &self.0;
+        while let Some(c) = at {
+            chunks.push(&c.items[..]);
+            at = &c.prev.0;
+        }
+        chunks.into_iter().rev().flatten().copied()
+    }
+}
+
+impl Drop for LogChunk {
+    // Unlinks the chunks only this one held, one by one: the default
+    // recursive drop would use a stack frame per chunk.
+    fn drop(&mut self) {
+        let mut next = self.prev.0.take();
+        while let Some(chunk) = next {
+            next = Arc::into_inner(chunk).and_then(|mut c| c.prev.0.take());
+        }
+    }
+}
+
+impl PartialEq for IntLog {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for IntLog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// The value stored in a transactional object.
 ///
 /// A small closed universe is enough for every benchmark in the paper; the
 /// variants map 1:1 onto the data structures of §VI (Bank accounts, Hashmap
-/// buckets, RBTree/BST nodes, Skiplist nodes, Vacation relations).
+/// buckets, RBTree/BST nodes, Skiplist nodes, Vacation relations and
+/// customer records).
 #[derive(Clone, Debug, PartialEq, Default)]
 pub enum ObjVal {
     /// Placeholder / deleted.
@@ -110,6 +181,8 @@ pub enum ObjVal {
     SkipNode(SkipNode),
     /// Vacation relation fragment.
     Table(Arc<[TableRow]>),
+    /// Vacation customer record: its reservations in booking order.
+    Log(IntLog),
     /// A pointer cell (tree root, list head).
     Ptr(Option<ObjectId>),
 }
@@ -126,6 +199,7 @@ impl ObjVal {
             ObjVal::Unit => 1,
             ObjVal::Int(_) => 8,
             ObjVal::IntList(v) => 8 + 8 * v.len(),
+            ObjVal::Log(l) => 8 + 8 * l.len(),
             ObjVal::Node(_) => 40,
             ObjVal::SkipNode(s) => 24 + 9 * s.nexts.len(),
             ObjVal::Table(t) => 8 + 32 * t.len(),
@@ -146,6 +220,14 @@ impl ObjVal {
         match self {
             ObjVal::IntList(v) => v,
             other => panic!("expected IntList, found {other:?}"),
+        }
+    }
+
+    /// Unwrap a `Log`.
+    pub fn expect_log(&self) -> &IntLog {
+        match self {
+            ObjVal::Log(l) => l,
+            other => panic!("expected Log, found {other:?}"),
         }
     }
 
@@ -228,6 +310,11 @@ mod tests {
         }
     }
 
+    /// A log built by one append per chunk.
+    fn log(chunks: &[&[i64]]) -> IntLog {
+        chunks.iter().fold(IntLog::default(), |l, c| l.append(c))
+    }
+
     #[test]
     fn version_progression() {
         let v = Version::INITIAL;
@@ -270,6 +357,8 @@ mod tests {
             (ObjVal::Node(node()), 40),
             (ObjVal::SkipNode(skip), 96),
             (ObjVal::Table(vec![row; 4].into()), 136),
+            (ObjVal::Log(IntLog::default()), 8),
+            (ObjVal::Log(log(&[&[1; 4], &[1; 6]])), 88),
             (ObjVal::Ptr(Some(ObjectId(3))), 9),
         ];
         for (val, bytes) in sizes {
@@ -281,11 +370,41 @@ mod tests {
     fn expect_accessors_round_trip() {
         assert_eq!(ObjVal::Int(5).expect_int(), 5);
         assert_eq!(ObjVal::IntList(vec![1, 2].into()).expect_list(), [1, 2]);
+        let entries: Vec<i64> = ObjVal::Log(log(&[&[1, 2], &[3]]))
+            .expect_log()
+            .iter()
+            .collect();
+        assert_eq!(entries, [1, 2, 3]);
         assert_eq!(
             ObjVal::Ptr(Some(ObjectId(3))).expect_ptr(),
             Some(ObjectId(3))
         );
         assert_eq!(ObjVal::Node(node()).expect_node(), &node());
+    }
+
+    #[test]
+    fn logs_compare_and_print_by_contents() {
+        let base = log(&[&[1, 2]]);
+        let a = base.append(&[3]);
+        let b = base.append(&[4]);
+        assert_eq!(base.len(), 2, "an append leaves the log it extends alone");
+        assert_eq!(a, log(&[&[1], &[], &[2, 3]]), "same entries, other chunks");
+        assert_ne!(a, b);
+        assert_ne!(a, base);
+        assert_eq!(format!("{:?}", ObjVal::Log(a)), "Log([1, 2, 3])");
+    }
+
+    #[test]
+    fn a_million_appends_drop_compare_and_format_without_recursion() {
+        // On the default 2 MiB test-thread stack: a recursive walk of the
+        // chain would overflow it.
+        const N: i64 = 1_000_000;
+        let long = (0..N).fold(IntLog::default(), |l, i| l.append(&[i]));
+        let flat = IntLog::default().append(&(0..N).collect::<Vec<_>>());
+        assert_eq!(long.len(), N as usize);
+        assert!(long == flat);
+        assert_eq!(format!("{long:?}"), format!("{flat:?}"));
+        drop(long);
     }
 
     #[test]

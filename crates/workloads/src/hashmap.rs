@@ -45,12 +45,14 @@ pub(crate) fn mix(mut x: u64) -> u64 {
 /// Insert `key`; returns true if it was absent.
 pub async fn put(tx: &Tx, map: &HashmapLayout, key: i64) -> Result<bool, Abort> {
     let oid = map.bucket(key);
-    let mut list = tx.read(oid).await?.expect_list().to_vec();
+    let val = tx.read(oid).await?;
+    let list = val.expect_list();
     match list.binary_search(&key) {
         Ok(_) => Ok(false),
         Err(pos) => {
-            list.insert(pos, key);
-            tx.write(oid, ObjVal::IntList(list.into())).await?;
+            let (lo, hi) = list.split_at(pos);
+            let list = lo.iter().chain(std::iter::once(&key)).chain(hi).copied();
+            tx.write(oid, ObjVal::IntList(list.collect())).await?;
             Ok(true)
         }
     }
@@ -70,11 +72,12 @@ pub async fn get(tx: &Tx, map: &HashmapLayout, key: i64) -> Result<bool, Abort> 
 /// Remove `key`; returns true if it was present.
 pub async fn remove(tx: &Tx, map: &HashmapLayout, key: i64) -> Result<bool, Abort> {
     let oid = map.bucket(key);
-    let mut list = tx.read(oid).await?.expect_list().to_vec();
+    let val = tx.read(oid).await?;
+    let list = val.expect_list();
     match list.binary_search(&key) {
         Ok(pos) => {
-            list.remove(pos);
-            tx.write(oid, ObjVal::IntList(list.into())).await?;
+            let list = list[..pos].iter().chain(&list[pos + 1..]).copied();
+            tx.write(oid, ObjVal::IntList(list.collect())).await?;
             Ok(true)
         }
         Err(_) => Ok(false),

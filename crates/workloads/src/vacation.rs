@@ -5,8 +5,11 @@
 //! As in the paper, *each of the reservations for car, hotel and flight
 //! forms a closed-nested transaction* inside the root reservation
 //! transaction.
+//!
+//! No mix deletes customers, so a record grows for the whole run; it is an
+//! [`IntLog`], whose append costs the same at any length.
 
-use qrdtm_core::{Abort, ObjVal, ObjectId, TableRow, Tx};
+use qrdtm_core::{Abort, IntLog, ObjVal, ObjectId, TableRow, Tx};
 
 /// Object layout of a Vacation instance.
 #[derive(Clone, Copy, Debug)]
@@ -65,20 +68,30 @@ impl VacationLayout {
             }
         }
         for c in 0..self.customers {
-            objs.push((self.customer(c), ObjVal::IntList([].into())));
+            objs.push((self.customer(c), ObjVal::Log(IntLog::default())));
         }
         objs
     }
 }
 
+/// `rows` with `delta` added to the first row's `used`, in one allocation.
+fn add_used(rows: &[TableRow], delta: i64) -> ObjVal {
+    let mut first = rows[0].clone();
+    first.used += delta;
+    ObjVal::Table(
+        std::iter::once(first)
+            .chain(rows[1..].iter().cloned())
+            .collect(),
+    )
+}
+
 /// Reserve one unit of `(table, pick)` if available; CT-sized helper.
 async fn reserve_row(tx: &Tx, v: &VacationLayout, table: usize, pick: u64) -> Result<bool, Abort> {
     let oid = v.row(table, pick);
-    let mut rows = tx.read(oid).await?.expect_table().to_vec();
-    let row = &mut rows[0];
-    if row.used < row.total {
-        row.used += 1;
-        tx.write(oid, ObjVal::Table(rows.into())).await?;
+    let val = tx.read(oid).await?;
+    let rows = val.expect_table();
+    if rows[0].used < rows[0].total {
+        tx.write(oid, add_used(rows, 1)).await?;
         Ok(true)
     } else {
         Ok(false)
@@ -94,32 +107,27 @@ pub async fn make_reservation(
     customer: u64,
     picks: [u64; 3],
 ) -> Result<usize, Abort> {
-    let mut got = Vec::new();
+    let (mut got, mut n) = ([0; 3], 0);
     for (table, &pick) in picks.iter().enumerate() {
         let v2 = *v;
         let ok = tx
             .closed(move |tx2| async move { reserve_row(&tx2, &v2, table, pick).await })
             .await?;
         if ok {
-            got.push(v.encode(table, pick));
+            got[n] = v.encode(table, pick);
+            n += 1;
         }
     }
-    if !got.is_empty() {
+    if n > 0 {
         let v2 = *v;
-        let got2 = got.clone();
-        tx.closed(move |tx2| {
-            let got2 = got2.clone();
-            let v2 = v2;
-            async move {
-                let oid = v2.customer(customer);
-                let mut list = tx2.read(oid).await?.expect_list().to_vec();
-                list.extend_from_slice(&got2);
-                tx2.write(oid, ObjVal::IntList(list.into())).await
-            }
+        tx.closed(move |tx2| async move {
+            let oid = v2.customer(customer);
+            let log = tx2.read(oid).await?.expect_log().append(&got[..n]);
+            tx2.write(oid, ObjVal::Log(log)).await
         })
         .await?;
     }
-    Ok(got.len())
+    Ok(n)
 }
 
 /// Read-only availability query over the three picked rows.
@@ -143,22 +151,21 @@ pub async fn query(tx: &Tx, v: &VacationLayout, picks: [u64; 3]) -> Result<i64, 
 pub async fn delete_customer(tx: &Tx, v: &VacationLayout, customer: u64) -> Result<usize, Abort> {
     let oid = v.customer(customer);
     let record = tx.read(oid).await?;
-    let list = record.expect_list();
-    for &code in list {
+    let log = record.expect_log();
+    for code in log.iter() {
         let (table, i) = v.decode(code);
         let v2 = *v;
         tx.closed(move |tx2| async move {
             let roid = v2.row(table, i);
-            let mut rows = tx2.read(roid).await?.expect_table().to_vec();
-            rows[0].used -= 1;
-            tx2.write(roid, ObjVal::Table(rows.into())).await
+            let rows = tx2.read(roid).await?;
+            tx2.write(roid, add_used(rows.expect_table(), -1)).await
         })
         .await?;
     }
-    if !list.is_empty() {
-        tx.write(oid, ObjVal::IntList([].into())).await?;
+    if !log.is_empty() {
+        tx.write(oid, ObjVal::Log(IntLog::default())).await?;
     }
-    Ok(list.len())
+    Ok(log.len())
 }
 
 /// Sum of `used` across all rows (must equal the total reservations held by
@@ -177,7 +184,7 @@ pub async fn total_used(tx: &Tx, v: &VacationLayout) -> Result<i64, Abort> {
 pub async fn total_reserved(tx: &Tx, v: &VacationLayout) -> Result<i64, Abort> {
     let mut n = 0;
     for c in 0..v.customers {
-        n += tx.read(v.customer(c)).await?.expect_list().len() as i64;
+        n += tx.read(v.customer(c)).await?.expect_log().len() as i64;
     }
     Ok(n)
 }

@@ -1,21 +1,23 @@
 //! The QR engine must do work per transaction proportional to its data
 //! set, and per remote read a small constant, whatever the objects hold.
-//! Four gates on allocation *calls* (bytes are not counted: they stay
-//! quadratic by protocol, since each of the N Rqv requests carries the data
-//! set read so far):
+//! Four gates on allocation *calls* (bytes stay quadratic in the data set
+//! by protocol, since each of the N Rqv requests carries the data set read
+//! so far) and one on bytes:
 //!
 //! * QR-CHK takes a checkpoint per `chk_threshold` objects (default 1), so
 //!   a checkpoint that copies the data set makes an N-object transaction
 //!   allocate O(N^2) times; twice the objects may make about twice the
 //!   calls.
 //! * A committed value is shared, never copied: reading 128 eight-level
-//!   skip-list nodes costs exactly the calls of reading 128 integers.
+//!   skip-list nodes costs exactly the calls of reading 128 integers, and
+//!   a Vacation reservation allocates about the same bytes whether the
+//!   customer record it extends is empty or thousands of entries long.
 //! * The call plumbing of one remote read — Rqv payload, quorum call,
 //!   data-set entry, op log — stays within a handful of calls.
 //! * A closed-nested scope is a mark on the data-set log: a scope that
 //!   only shadows a held copy allocates nothing.
 //!
-//! A fifth gate counts queue work, not allocations: at the default 500 ms
+//! A sixth gate counts queue work, not allocations: at the default 500 ms
 //! `rpc_timeout` — the paper testbed's, and past the event wheel's 268 ms
 //! horizon — the one deadline per quorum call waits in the wheel's far lane
 //! and never reaches the overflow heap.
@@ -25,8 +27,12 @@
 //! the number of allocations is a function of the seed. Every run is one
 //! client on 13 nodes and counts from after `preload_all`.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use qr_dtm::core::{DtmStats, SkipNode};
 use qr_dtm::prelude::*;
+use qr_dtm::workloads::vacation::{self, VacationLayout};
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -126,6 +132,50 @@ fn reading_big_values_allocates_no_more_than_reading_integers() {
             "{mode}: 128 skip-list nodes against 128 integers, {TRANSACTIONS} transactions"
         );
     }
+}
+
+#[test]
+fn a_reservation_allocates_the_same_bytes_however_long_the_record() {
+    // One QR-CN client books three rows per reservation for one customer,
+    // whose record ends 4 500 entries long. A copy of the record per append
+    // would make the last 100 commits allocate several times the bytes of
+    // the first 100.
+    const RESERVATIONS: u64 = 1_500;
+    let c = Cluster::new(DtmConfig {
+        nodes: 13,
+        mode: NestingMode::Closed,
+        ..Default::default()
+    });
+    let v = VacationLayout {
+        base: 0,
+        rows: 16,
+        customers: 1,
+        capacity: RESERVATIONS as i64,
+    };
+    c.preload_all(v.setup());
+    let per_commit = Rc::new(RefCell::new(Vec::with_capacity(RESERVATIONS as usize)));
+    let (client, out) = (c.client(NodeId(3)), Rc::clone(&per_commit));
+    c.sim().spawn(async move {
+        for i in 0..RESERVATIONS {
+            let picks = [i % 16, i * 7 % 16, i * 13 % 16];
+            let before = Allocated::now();
+            let got = client
+                .run(|tx| async move { vacation::make_reservation(&tx, &v, 0, picks).await })
+                .await;
+            assert_eq!(got, 3);
+            out.borrow_mut().push(Allocated::since(before).bytes);
+        }
+    });
+    c.sim().run();
+    assert_eq!(c.stats().commits, RESERVATIONS);
+    let bytes = per_commit.borrow();
+    let first: u64 = bytes[..100].iter().sum();
+    let last: u64 = bytes[bytes.len() - 100..].iter().sum();
+    assert!(
+        last as f64 <= 1.25 * first as f64,
+        "first 100 commits: {first} bytes, last 100: {last} (x{:.2})",
+        last as f64 / first as f64
+    );
 }
 
 #[test]
