@@ -25,11 +25,3 @@ pub mod tfa;
 
 pub use decent::{DecentCluster, DecentConfig, DecentTxHandle};
 pub use tfa::{TfaCluster, TfaConfig, TfaTxHandle};
-
-/// SplitMix64 finalizer used for home-node placement.
-pub(crate) fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}

@@ -20,7 +20,7 @@ use std::rc::Rc;
 use qrdtm_core::{
     Abort, DtmProtocol, LatencySpec, ObjVal, ObjectId, ProtocolStats, SimHosted, Version,
 };
-use qrdtm_sim::{NodeId, Sim, SimConfig, SimDuration, SimMessage};
+use qrdtm_sim::{mix, NodeId, Sim, SimConfig, SimDuration, SimMessage};
 
 /// TFA wire protocol.
 #[derive(Clone, Debug)]
@@ -242,7 +242,7 @@ impl TfaCluster {
 
     /// The home node of `oid`.
     pub fn home(&self, oid: ObjectId) -> NodeId {
-        NodeId((crate::mix(oid.0) % self.nodes as u64) as u32)
+        NodeId((mix(oid.0) % self.nodes as u64) as u32)
     }
 
     /// Install an object at its home (bootstrap).

@@ -1,8 +1,10 @@
-//! The workspace's one integer hasher.
+//! The workspace's one integer hasher, and its one integer mixer.
 //!
 //! Lives in the lowest crate so the simulator's call tables and the
 //! protocol crates' replica tables (`qrdtm_core` re-exports these names)
-//! share one implementation and one spread test.
+//! share one implementation and one spread test, and every crate that
+//! spreads keys by hand (TFA's home nodes, the workloads' buckets, tower
+//! heights and populate orders) shares [`mix`].
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -61,6 +63,15 @@ impl Hasher for IdHasher {
 
 /// A hash map keyed by an integer id through [`IdHasher`].
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// SplitMix64's finalizer: a cheap, well-mixed stateless hash of one word.
+#[inline]
+pub fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e3779b97f4a7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
+    x ^ (x >> 31)
+}
 
 #[cfg(test)]
 mod tests {

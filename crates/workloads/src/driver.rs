@@ -22,12 +22,12 @@ use std::rc::Rc;
 use qrdtm_core::{
     crash, Abort, Client, Cluster, DtmConfig, DtmStats, Membership, Msg, ObjVal, ObjectId, Tx,
 };
-use qrdtm_sim::{NodeId, Sim, SimDuration};
+use qrdtm_sim::{mix, NodeId, Sim, SimDuration};
 
-use crate::bst::{self, BstLayout};
+use crate::bst;
 use crate::hashmap::{self, HashmapLayout};
 use crate::protocol_bank::{audit_in, transfer_in};
-use crate::rbtree::{self, RBTreeLayout};
+use crate::rbtree::{self, TreeLayout};
 use crate::skiplist::{self, SkiplistLayout};
 use crate::vacation::{self, VacationLayout};
 
@@ -213,15 +213,8 @@ fn slist_layout(p: &WorkloadParams) -> SkiplistLayout {
     SkiplistLayout::new(BASE, p.objects.max(4) as i64)
 }
 
-fn rbtree_layout(p: &WorkloadParams) -> RBTreeLayout {
-    RBTreeLayout {
-        base: BASE,
-        key_space: p.objects.max(4) as i64,
-    }
-}
-
-fn bst_layout(p: &WorkloadParams) -> BstLayout {
-    BstLayout {
+fn tree_layout(p: &WorkloadParams) -> TreeLayout {
+    TreeLayout {
         base: BASE,
         key_space: p.objects.max(4) as i64,
     }
@@ -264,19 +257,19 @@ fn setup_bench(cluster: &Cluster, spec: &RunSpec) {
             populate(cluster, sl, (0..sl.key_space).step_by(2));
         }
         Benchmark::RBTree => {
-            let t = rbtree_layout(&p);
+            let t = tree_layout(&p);
             cluster.preload_all(t.setup());
             populate(cluster, t, (0..t.key_space).step_by(2));
         }
         Benchmark::Bst => {
-            let t = bst_layout(&p);
+            let t = tree_layout(&p);
             cluster.preload_all(t.setup());
             // Shuffled-ish order keeps the unbalanced tree shallow.
             let n = t.key_space;
             populate(
                 cluster,
-                t,
-                (0..n).map(move |step| (hashmap::mix(step as u64) % n as u64) as i64),
+                Bst(t),
+                (0..n).map(move |step| (mix(step as u64) % n as u64) as i64),
             );
         }
         Benchmark::Vacation => cluster.preload_all(vacation_layout(&p).setup()),
@@ -334,12 +327,12 @@ fn spawn_client(cluster: &Rc<Cluster>, node: NodeId, spec: &RunSpec) {
             spawn_set_client(sim, client, spec, sl, sl.key_space as u64);
         }
         Benchmark::RBTree => {
-            let t = rbtree_layout(&p);
+            let t = tree_layout(&p);
             spawn_set_client(sim, client, spec, t, t.key_space as u64);
         }
         Benchmark::Bst => {
-            let t = bst_layout(&p);
-            spawn_set_client(sim, client, spec, t, t.key_space as u64);
+            let t = tree_layout(&p);
+            spawn_set_client(sim, client, spec, Bst(t), t.key_space as u64);
         }
         Benchmark::Vacation => {
             let v = vacation_layout(&p);
@@ -429,7 +422,7 @@ impl KeyedSet for SkiplistLayout {
     }
 }
 
-impl KeyedSet for RBTreeLayout {
+impl KeyedSet for TreeLayout {
     async fn contains(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
         rbtree::contains(tx, self, key).await
     }
@@ -441,15 +434,19 @@ impl KeyedSet for RBTreeLayout {
     }
 }
 
-impl KeyedSet for BstLayout {
+/// The BST benchmark: the red-black tree with BST's insert.
+#[derive(Clone, Copy)]
+struct Bst(TreeLayout);
+
+impl KeyedSet for Bst {
     async fn contains(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
-        bst::contains(tx, self, key).await
+        rbtree::contains(tx, &self.0, key).await
     }
     async fn insert(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
-        bst::insert(tx, self, key, key).await
+        bst::insert(tx, &self.0, key, key).await
     }
     async fn remove(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
-        bst::remove(tx, self, key).await
+        rbtree::remove(tx, &self.0, key).await
     }
 }
 

@@ -9,14 +9,16 @@
 //! a root transaction strings `calls` of them together.
 
 use qrdtm_core::{Abort, ObjVal, ObjectId, Tx};
+use qrdtm_sim::mix;
 
 /// Object layout of a hashmap instance.
 #[derive(Clone, Copy, Debug)]
 pub struct HashmapLayout {
     /// First bucket object id.
     pub base: u64,
-    /// Number of bucket objects (fixed; default 8 like a small table under
-    /// churn).
+    /// Number of bucket objects, fixed for the instance's life, so a
+    /// larger key space means longer bucket lists. There is no default:
+    /// the figure driver uses 16.
     pub buckets: u64,
 }
 
@@ -32,14 +34,6 @@ impl HashmapLayout {
             .map(|b| (ObjectId(self.base + b), ObjVal::IntList([].into())))
             .collect()
     }
-}
-
-/// SplitMix64 finalizer — a cheap, well-mixed stateless hash.
-pub(crate) fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
 }
 
 /// Insert `key`; returns true if it was absent.

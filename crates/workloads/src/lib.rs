@@ -11,8 +11,10 @@
 //!
 //! Data structures preallocate one object per key (tower heights and node
 //! ids are pure functions of the key), so insert/remove transactionally
-//! link and unlink them; removal in the trees is by tombstone. Each data
-//! structure is oracle-tested against `std` collections.
+//! link and unlink them. The two trees are one: BST ([`bst`]) is the
+//! red-black tree ([`rbtree`]) without its insertion fixup, sharing its
+//! layout, lookup and tombstone removal. Each data structure is
+//! oracle-tested against `std` collections.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,11 +1,16 @@
-//! Red-black tree (RBTree) micro-benchmark.
+//! The tree benchmarks: the red-black tree (RBTree, Figs. 5-7) and, as
+//! the same tree without its fixup, the plain binary search tree (BST,
+//! Fig. 10; [`crate::bst`] holds its insert).
 //!
-//! A transactional red-black tree with one object per node plus a root
-//! pointer object. Insertion performs the full CLRS recolor/rotation
-//! fixup — the writes it spreads along the root path are exactly what gives
-//! RBTree its contention profile in the paper. Removal uses tombstones
-//! (`val = TOMBSTONE`) rather than structural deletion; the read/write-set
-//! shapes the benchmark measures are unchanged (see DESIGN.md "Substitutions").
+//! One preallocated object per key plus a root pointer object
+//! ([`TreeLayout`]); removal is by tombstone (`val = TOMBSTONE`) rather
+//! than structural deletion, which leaves the read/write-set shapes the
+//! benchmarks measure unchanged (see DESIGN.md "Substitutions"). Every
+//! operation descends through `find`, and both inserts link through
+//! `place`. The red-black insert then runs the full CLRS recolor/rotation
+//! fixup up its root path — the writes it spreads along that path are what
+//! gives RBTree its contention profile in the paper; BST's insert skips it,
+//! so its hot spot is the nodes near the root.
 
 use qrdtm_core::{Abort, ObjVal, ObjectId, TreeNode, Tx};
 
@@ -14,16 +19,16 @@ use crate::zombie_guard;
 /// Marker payload for logically deleted keys.
 pub const TOMBSTONE: i64 = i64::MIN;
 
-/// Object layout of a red-black tree instance.
+/// Object layout of a tree instance, red-black or BST.
 #[derive(Clone, Copy, Debug)]
-pub struct RBTreeLayout {
+pub struct TreeLayout {
     /// Root-pointer object id; key nodes follow at `base + 1 + key`.
     pub base: u64,
     /// Keys range over `0..key_space`.
     pub key_space: i64,
 }
 
-impl RBTreeLayout {
+impl TreeLayout {
     /// The root pointer cell.
     pub fn root_ptr(&self) -> ObjectId {
         ObjectId(self.base)
@@ -62,11 +67,92 @@ async fn put_node(tx: &Tx, oid: ObjectId, n: TreeNode) -> Result<(), Abort> {
     tx.write(oid, ObjVal::Node(n)).await
 }
 
+/// Where a [`find`] descent ended.
+enum Found {
+    /// `key` is linked: its node's id and contents.
+    Linked(ObjectId, TreeNode),
+    /// `key` is not linked; it would hang below this node (`None`: the
+    /// tree is empty).
+    Absent(Option<ObjectId>),
+}
+
+/// The one descent: from the root pointer towards `key`, under the zombie
+/// guard (hops count from 1; hop `key_space + 3` aborts), pushing each
+/// node passed onto `path` when one is kept.
+async fn find(
+    tx: &Tx,
+    t: &TreeLayout,
+    key: i64,
+    mut path: Option<&mut Vec<ObjectId>>,
+) -> Result<Found, Abort> {
+    let mut cur = tx.read(t.root_ptr()).await?.expect_ptr();
+    let mut parent = None;
+    let mut hops = 0usize;
+    while let Some(oid) = cur {
+        hops += 1;
+        zombie_guard(tx, hops, t.key_space as usize + 2)?;
+        let n = get_node(tx, oid).await?;
+        if key == n.key {
+            return Ok(Found::Linked(oid, n));
+        }
+        if let Some(path) = path.as_deref_mut() {
+            path.push(oid);
+        }
+        parent = Some(oid);
+        cur = if key < n.key { n.left } else { n.right };
+    }
+    Ok(Found::Absent(parent))
+}
+
+/// The insert step both trees share: give a linked `key` the payload `val`
+/// and return whether it was a tombstone, or link its node as a new leaf
+/// (red if `red` and it has a parent: roots are black) and return `None`.
+pub(crate) async fn place(
+    tx: &Tx,
+    t: &TreeLayout,
+    key: i64,
+    val: i64,
+    red: bool,
+    path: Option<&mut Vec<ObjectId>>,
+) -> Result<Option<bool>, Abort> {
+    let parent = match find(tx, t, key, path).await? {
+        Found::Linked(oid, mut n) => {
+            let was_tomb = n.val == TOMBSTONE;
+            n.val = val;
+            put_node(tx, oid, n).await?;
+            return Ok(Some(was_tomb));
+        }
+        Found::Absent(parent) => parent,
+    };
+    let z = t.node(key);
+    let leaf = TreeNode {
+        key,
+        val,
+        left: None,
+        right: None,
+        red: red && parent.is_some(),
+    };
+    put_node(tx, z, leaf).await?;
+    match parent {
+        None => tx.write(t.root_ptr(), ObjVal::Ptr(Some(z))).await?,
+        Some(p_oid) => {
+            let mut p = get_node(tx, p_oid).await?;
+            if key < p.key {
+                p.left = Some(z);
+            } else {
+                p.right = Some(z);
+            }
+            put_node(tx, p_oid, p).await?;
+        }
+    }
+    Ok(None)
+}
+
 /// Point `parent`'s link that used to address `from` at `to`; `parent =
 /// None` means the root pointer.
 async fn set_child(
     tx: &Tx,
-    t: &RBTreeLayout,
+    t: &TreeLayout,
     parent: Option<ObjectId>,
     from: ObjectId,
     to: Option<ObjectId>,
@@ -88,7 +174,7 @@ async fn set_child(
 
 async fn rotate_left(
     tx: &Tx,
-    t: &RBTreeLayout,
+    t: &TreeLayout,
     x_oid: ObjectId,
     parent: Option<ObjectId>,
 ) -> Result<(), Abort> {
@@ -104,7 +190,7 @@ async fn rotate_left(
 
 async fn rotate_right(
     tx: &Tx,
-    t: &RBTreeLayout,
+    t: &TreeLayout,
     x_oid: ObjectId,
     parent: Option<ObjectId>,
 ) -> Result<(), Abort> {
@@ -127,76 +213,24 @@ async fn set_red(tx: &Tx, oid: ObjectId, red: bool) -> Result<(), Abort> {
     Ok(())
 }
 
-/// Insert `key` with payload `val`; returns true if the key was absent
-/// (including reviving a tombstone).
-pub async fn insert(tx: &Tx, t: &RBTreeLayout, key: i64, val: i64) -> Result<bool, Abort> {
-    let root = tx.read(t.root_ptr()).await?.expect_ptr();
-    let Some(mut cur) = root else {
-        // Empty tree: the new node becomes the black root.
-        put_node(
-            tx,
-            t.node(key),
-            TreeNode {
-                key,
-                val,
-                left: None,
-                right: None,
-                red: false,
-            },
-        )
-        .await?;
-        tx.write(t.root_ptr(), ObjVal::Ptr(Some(t.node(key))))
-            .await?;
-        return Ok(true);
-    };
-    let mut path: Vec<ObjectId> = Vec::new();
-    loop {
-        zombie_guard(tx, path.len(), t.key_space as usize + 2)?;
-        let n = get_node(tx, cur).await?;
-        if key == n.key {
-            let was_tomb = n.val == TOMBSTONE;
-            let mut n = n;
-            n.val = val;
-            put_node(tx, cur, n).await?;
-            return Ok(was_tomb);
-        }
-        path.push(cur);
-        let child = if key < n.key { n.left } else { n.right };
-        match child {
-            Some(c) => cur = c,
-            None => {
-                let z = t.node(key);
-                put_node(
-                    tx,
-                    z,
-                    TreeNode {
-                        key,
-                        val,
-                        left: None,
-                        right: None,
-                        red: true,
-                    },
-                )
-                .await?;
-                let mut parent = get_node(tx, *path.last().expect("non-empty path")).await?;
-                if key < parent.key {
-                    parent.left = Some(z);
-                } else {
-                    parent.right = Some(z);
-                }
-                put_node(tx, *path.last().unwrap(), parent).await?;
-                fixup(tx, t, z, path).await?;
-                return Ok(true);
-            }
-        }
+/// Insert `key` with payload `val` into the red-black tree; returns true
+/// if the key was absent (including reviving a tombstone).
+pub async fn insert(tx: &Tx, t: &TreeLayout, key: i64, val: i64) -> Result<bool, Abort> {
+    let mut path = Vec::new();
+    if let Some(was_tomb) = place(tx, t, key, val, true, Some(&mut path)).await? {
+        return Ok(was_tomb);
     }
+    if !path.is_empty() {
+        fixup(tx, t, t.node(key), path).await?;
+    }
+    Ok(true)
 }
 
 /// CLRS insertion fixup driven by the recorded root path (`path.last()` is
 /// `z`'s parent).
 async fn fixup(
     tx: &Tx,
-    t: &RBTreeLayout,
+    t: &TreeLayout,
     mut z: ObjectId,
     mut path: Vec<ObjectId>,
 ) -> Result<(), Abort> {
@@ -263,47 +297,26 @@ async fn fixup(
 }
 
 /// Logically remove `key`; returns true if it was present.
-pub async fn remove(tx: &Tx, t: &RBTreeLayout, key: i64) -> Result<bool, Abort> {
-    let mut cur = tx.read(t.root_ptr()).await?.expect_ptr();
-    let mut hops = 0usize;
-    while let Some(oid) = cur {
-        hops += 1;
-        zombie_guard(tx, hops, t.key_space as usize + 2)?;
-        let n = get_node(tx, oid).await?;
-        if key == n.key {
-            if n.val == TOMBSTONE {
-                return Ok(false);
-            }
-            let mut n = n;
+pub async fn remove(tx: &Tx, t: &TreeLayout, key: i64) -> Result<bool, Abort> {
+    match find(tx, t, key, None).await? {
+        Found::Linked(oid, mut n) if n.val != TOMBSTONE => {
             n.val = TOMBSTONE;
             put_node(tx, oid, n).await?;
-            return Ok(true);
+            Ok(true)
         }
-        cur = if key < n.key { n.left } else { n.right };
+        _ => Ok(false),
     }
-    Ok(false)
 }
 
 /// Membership test (read-only descent).
-pub async fn contains(tx: &Tx, t: &RBTreeLayout, key: i64) -> Result<bool, Abort> {
-    let mut cur = tx.read(t.root_ptr()).await?.expect_ptr();
-    let mut hops = 0usize;
-    while let Some(oid) = cur {
-        hops += 1;
-        zombie_guard(tx, hops, t.key_space as usize + 2)?;
-        let n = get_node(tx, oid).await?;
-        if key == n.key {
-            return Ok(n.val != TOMBSTONE);
-        }
-        cur = if key < n.key { n.left } else { n.right };
-    }
-    Ok(false)
+pub async fn contains(tx: &Tx, t: &TreeLayout, key: i64) -> Result<bool, Abort> {
+    Ok(matches!(find(tx, t, key, None).await?, Found::Linked(_, n) if n.val != TOMBSTONE))
 }
 
 /// Walk the whole tree checking red-black invariants; returns the sorted
 /// live (non-tombstone) keys. Panics on an invariant violation — this is a
 /// test/verification helper.
-pub async fn validate(tx: &Tx, t: &RBTreeLayout) -> Result<Vec<i64>, Abort> {
+pub async fn validate(tx: &Tx, t: &TreeLayout) -> Result<Vec<i64>, Abort> {
     let root = tx.read(t.root_ptr()).await?.expect_ptr();
     if let Some(r) = root {
         assert!(!get_node(tx, r).await?.red, "root must be black");
@@ -342,16 +355,15 @@ pub async fn validate(tx: &Tx, t: &RBTreeLayout) -> Result<Vec<i64>, Abort> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hashmap::mix;
     use qrdtm_core::{Cluster, DtmConfig, NestingMode};
-    use qrdtm_sim::NodeId;
+    use qrdtm_sim::{mix, NodeId};
 
-    fn setup(keys: i64) -> (Cluster, RBTreeLayout) {
+    fn setup(keys: i64) -> (Cluster, TreeLayout) {
         let c = Cluster::new(DtmConfig {
             mode: NestingMode::Closed,
             ..Default::default()
         });
-        let t = RBTreeLayout {
+        let t = TreeLayout {
             base: 0,
             key_space: keys,
         };

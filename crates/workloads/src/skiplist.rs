@@ -8,10 +8,10 @@
 //! insert/remove link and unlink them transactionally.
 
 use qrdtm_core::{Abort, ObjVal, ObjectId, SkipNode, Tx};
+use qrdtm_sim::mix;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::hashmap::mix;
 use crate::zombie_guard;
 
 /// Object layout of a skiplist instance.

@@ -5,12 +5,13 @@
 //! cargo run --release --example alloc_census
 //! ```
 //!
-//! Runs the five closed-loop benchmarks of Figs. 5-7 under flat, closed and
-//! checkpoint nesting through `workloads::run` at a fixed seed and prints,
-//! per run, allocation calls and bytes requested per committed root
-//! transaction. The counts cover the whole run, setup included; they are a
-//! function of the seed, so a parent/change pair of this table shows what a
-//! change to the read or commit path saves without a profiler.
+//! Runs the five closed-loop benchmarks of Figs. 5-7 and Fig. 10's BST under
+//! flat, closed and checkpoint nesting through `workloads::run` at a fixed
+//! seed and prints, per run, allocation calls and bytes requested per
+//! committed root transaction. The counts cover the whole run, setup
+//! included; they are a function of the seed, so a parent/change pair of
+//! this table shows what a change to the read or commit path saves without
+//! a profiler.
 
 use qr_dtm::prelude::*;
 use qr_dtm::workloads::{run, Benchmark, RunSpec, WorkloadParams};
@@ -24,7 +25,7 @@ fn main() {
         "{:<9} {:<7} {:>7} {:>18} {:>18}",
         "benchmark", "mode", "commits", "alloc_calls/commit", "alloc_bytes/commit"
     );
-    for bench in Benchmark::FIGURE_SET {
+    for bench in Benchmark::FIGURE_SET.into_iter().chain([Benchmark::Bst]) {
         for mode in NestingMode::ALL {
             let before = Allocated::now();
             let r = run(

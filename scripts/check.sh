@@ -117,7 +117,7 @@ stage "cargo doc (broken intra-doc links are errors)" \
 
 # The allocation census only has to run; its table is read by hand against
 # the parent's (DESIGN.md "Value ownership").
-stage "alloc_census (allocation calls and bytes per commit, 5 benchmarks x 3 modes)" \
+stage "alloc_census (allocation calls and bytes per commit, 6 benchmarks x 3 modes)" \
     quiet cargo run --quiet --release --example alloc_census
 
 stage "benchmark package tests (BENCHMARK.json contract drift, determinism across reps)" \

@@ -133,7 +133,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let c = cluster(NestingMode::Closed, seed, 13);
-        let t = rbtree::RBTreeLayout { base: 0, key_space: 24 };
+        let t = rbtree::TreeLayout { base: 0, key_space: 24 };
         c.preload_all(t.setup());
         let client = c.client(NodeId(0));
         let results = Rc::new(RefCell::new(Vec::new()));

@@ -149,7 +149,7 @@ fn skiplist_chain_stays_sorted_checkpoint() {
 
 fn rbtree_under_contention(mode: NestingMode) {
     let c = cluster(mode, 29);
-    let t = rbtree::RBTreeLayout {
+    let t = rbtree::TreeLayout {
         base: 0,
         key_space: 32,
     };
@@ -199,7 +199,7 @@ fn rbtree_invariants_survive_contention_checkpoint() {
 
 fn bst_under_contention(mode: NestingMode) {
     let c = cluster(mode, 31);
-    let t = bst::BstLayout {
+    let t = rbtree::TreeLayout {
         base: 0,
         key_space: 32,
     };
@@ -211,7 +211,7 @@ fn bst_under_contention(mode: NestingMode) {
                 let key = sim.rand_below(32) as i64;
                 if (node + i as u32).is_multiple_of(3) {
                     client
-                        .run(|tx| async move { bst::remove(&tx, &t, key).await })
+                        .run(|tx| async move { rbtree::remove(&tx, &t, key).await })
                         .await;
                 } else {
                     client

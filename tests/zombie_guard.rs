@@ -128,3 +128,69 @@ fn voluntary_abort_retries_the_body() {
     assert_eq!(c.latest(ObjectId(1)).unwrap().1, ObjVal::Int(99));
     assert_eq!(c.stats().commits, 1);
 }
+
+/// One guard rule for every tree descent: on a torn snapshot that links
+/// two nodes into a cycle (key 1's right child is key 3, key 3's left
+/// child is key 1), a descent for key 2 never ends, and each of the four
+/// tree operations aborts its attempt after the same number of reads.
+/// Reads are counted as `read_rounds + local_hits`.
+#[test]
+fn every_tree_descent_aborts_a_cycle_after_the_same_reads() {
+    use qr_dtm::core::TreeNode;
+    use qr_dtm::workloads::{bst, rbtree};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    let c = Rc::new(Cluster::new(DtmConfig {
+        nodes: 13,
+        mode: NestingMode::Flat,
+        seed: 3,
+        ..Default::default()
+    }));
+    let t = rbtree::TreeLayout {
+        base: 0,
+        key_space: 4,
+    };
+    c.preload_all(t.setup());
+    let node = |key, left: Option<i64>, right: Option<i64>| TreeNode {
+        key,
+        val: key,
+        left: left.map(|k| t.node(k)),
+        right: right.map(|k| t.node(k)),
+        red: false,
+    };
+    c.preload(t.root_ptr(), ObjVal::Ptr(Some(t.node(1))));
+    c.preload(t.node(1), ObjVal::Node(node(1, None, Some(3))));
+    c.preload(t.node(3), ObjVal::Node(node(3, Some(1), None)));
+
+    let reads = Rc::new(RefCell::new(Vec::new()));
+    for op in [
+        "rbtree::contains",
+        "rbtree::remove",
+        "rbtree::insert",
+        "bst::insert",
+    ] {
+        let (c2, reads) = (Rc::clone(&c), Rc::clone(&reads));
+        c.sim().spawn(async move {
+            let tx = DtmProtocol::begin(&*c2, NodeId(3));
+            let before = c2.stats();
+            let r = match op {
+                "rbtree::contains" => rbtree::contains(&tx, &t, 2).await,
+                "rbtree::remove" => rbtree::remove(&tx, &t, 2).await,
+                "rbtree::insert" => rbtree::insert(&tx, &t, 2, 2).await,
+                _ => bst::insert(&tx, &t, 2, 2).await,
+            };
+            assert_eq!(r, Err(tx.abort_here()), "{op} must abort the attempt");
+            let after = c2.stats();
+            let n = after.read_rounds + after.local_hits - before.read_rounds - before.local_hits;
+            reads.borrow_mut().push((op, n));
+        });
+        c.sim().run();
+    }
+    // The root pointer, then `key_space + 2` nodes; the next hop aborts.
+    let reads = reads.borrow();
+    assert!(
+        reads.iter().all(|&(_, n)| n == 7),
+        "reads before the guard fired: {reads:?}"
+    );
+}
