@@ -12,7 +12,8 @@
 //!   [`ChaosTarget`] (the QR cluster, which serves its three nesting
 //!   modes, Q-Store, TFA and Decent-STM implement it) while applying a
 //!   plan at virtual-time offsets, healing everything at the horizon, and
-//!   draining to quiescence.
+//!   draining to quiescence. It keeps only its own log: what is broken it
+//!   reads off the simulator and the open-loop load control.
 //! - **Checkers** ([`checkers`]): safety ([`audit`], the battery the
 //!   model checker shares: balance conservation, durability, 1-copy
 //!   serializability of the committed history), liveness (progress in

@@ -4,12 +4,13 @@
 //!
 //! A run has four phases, all in virtual time:
 //!
-//! 1. **Plan window** (`spec.horizon`): closed-loop bank clients run on
-//!    every node while the nemesis applies plan events at their offsets.
-//! 2. **Heal-all**: at the horizon every remaining fault is cured
-//!    (crashed nodes recovered, partition healed, link faults cleared,
-//!    slow nodes restored) — generated plans cure their own faults, but
-//!    hand-written or shrunken plans need the backstop.
+//! 1. **Plan window** (`spec.horizon`): closed-loop bank clients
+//!    ([`spawn_bank_clients`]) run on every node while the nemesis applies
+//!    plan events at their offsets.
+//! 2. **Heal-all**: at the horizon every remaining fault is cured (down
+//!    nodes revived in ascending id, then partitions, link faults and
+//!    slowness cleared and the load calmed) — generated plans cure their
+//!    own faults, but hand-written or shrunken plans need the backstop.
 //! 3. **Recovery tail** (`spec.recovery`): clients keep running on the
 //!    healed cluster, so the liveness checker can observe re-convergence.
 //! 4. **Drain**: clients are told to stop after their current
@@ -17,18 +18,21 @@
 //!    `DRAIN`, 60 s); only then is committed state snapshotted, so the
 //!    safety checkers never see a mid-2PC cut.
 //!
+//! The nemesis keeps only its log. The quiet flag, the node verbs'
+//! preconditions and heal-all read what is broken where it is held: off
+//! the [`Sim`] ([`Sim::any_fault`]) and the [`LoadControl`].
+//!
 //! Everything derives from the target's simulator seed plus the plan, so
 //! a `(config, seed, plan)` triple replays bit-identically —
 //! [`ChaosReport::fingerprint`] makes that checkable.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use qrdtm_core::{crash, crash_sim_only, recover, recover_sim_only, Membership, ObjVal, ObjectId};
-use qrdtm_sim::{EngineEventKind, NodeId, Sim, SimDuration};
+use qrdtm_sim::{EngineEventKind, NodeId, Sim, SimDuration, SimMessage};
 use qrdtm_workloads::open_loop::{spawn_open_loop, LoadControl, LoadTallies, OpenLoopSpec};
-use qrdtm_workloads::protocol_bank::random_op;
+use qrdtm_workloads::protocol_bank::spawn_bank_clients;
 
 use crate::checkers::{
     audit, check_detection_latency, check_goodput_reconvergence, check_liveness, check_retry_storm,
@@ -135,12 +139,6 @@ pub struct ChaosReport {
     pub skipped: usize,
     /// Human-readable nemesis actions, in order.
     pub fault_log: Vec<String>,
-    /// Messages dropped at dead nodes.
-    pub dropped: u64,
-    /// Messages dropped by the partition.
-    pub dropped_by_partition: u64,
-    /// Messages dropped by per-link loss faults.
-    pub dropped_by_link: u64,
     /// Whether the run quiesced within the drain bound.
     pub drained: bool,
     /// Invariant violations found (empty = verdict OK).
@@ -149,10 +147,10 @@ pub struct ChaosReport {
     pub fingerprint: Fingerprint,
     /// Final view epoch (0 for targets without a reconfigurable view).
     pub view_epoch: u64,
-    /// Full simulator metrics at the end of the run — detector/transport
-    /// counters (heartbeats, suspicions, retries, hedges) and, since
-    /// engine-event recording is on, the complete engine-event log with
-    /// suspicion/rejoin timestamps.
+    /// Full simulator metrics at the end of the run — drop tallies,
+    /// detector/transport counters (heartbeats, suspicions, retries, hedges)
+    /// and, since engine-event recording is on, the complete engine-event
+    /// log with suspicion/rejoin timestamps.
     pub metrics: qrdtm_sim::Metrics,
 }
 
@@ -181,9 +179,9 @@ impl ChaosReport {
             self.skipped,
             self.commits,
             self.aborts,
-            self.dropped,
-            self.dropped_by_partition,
-            self.dropped_by_link,
+            self.metrics.dropped,
+            self.metrics.dropped_by_partition,
+            self.metrics.dropped_by_link,
             self.metrics.log_replays,
             self.metrics.torn_tails,
             self.metrics.repair_rounds,
@@ -201,26 +199,15 @@ impl ChaosReport {
 
 #[derive(Default)]
 struct NemesisState {
-    crashed: BTreeSet<u32>,
-    partitioned: bool,
-    links: BTreeSet<(u32, u32)>,
-    slowed: BTreeSet<u32>,
-    surged: bool,
-    flashed: bool,
     applied: usize,
     skipped: usize,
     log: Vec<String>,
 }
 
-impl NemesisState {
-    fn quiet(&self) -> bool {
-        self.crashed.is_empty()
-            && !self.partitioned
-            && self.links.is_empty()
-            && self.slowed.is_empty()
-            && !self.surged
-            && !self.flashed
-    }
+/// Whether no fault is in force: nothing broken in the simulator and the
+/// load, if any, nominal.
+fn quiet<M: SimMessage>(s: &Sim<M>, load: Option<&LoadControl>) -> bool {
+    !s.any_fault() && load.is_none_or(LoadControl::is_calm)
 }
 
 /// Run `plan` against a freshly constructed protocol cluster under the
@@ -254,7 +241,7 @@ pub fn run_plan<P: ChaosTarget + 'static>(
     // Workload: either the open-loop traffic generator (overload mode —
     // arrivals keep coming whether or not the cluster keeps up, and the
     // surge/flash-crowd verbs steer them) or closed-loop bank clients.
-    let load: Option<(Rc<LoadControl>, Rc<LoadTallies>)> = if let Some(ospec) = spec.overload {
+    let (control, tallies) = if let Some(ospec) = spec.overload {
         let control = Rc::new(LoadControl::default());
         let tallies = Rc::new(LoadTallies::default());
         spawn_open_loop(
@@ -268,26 +255,10 @@ pub fn run_plan<P: ChaosTarget + 'static>(
             Rc::clone(&tallies),
             Rc::clone(&stop),
         );
-        Some((control, tallies))
+        (Some(control), Some(tallies))
     } else {
-        // One client per node; a client whose node is down idles until it
-        // comes back (a crashed node runs no workload).
-        for node in 0..nodes as u32 {
-            let p = Rc::clone(&proto);
-            let stop = Rc::clone(&stop);
-            let s = sim.clone();
-            let accounts = spec.accounts;
-            sim.spawn(async move {
-                while !stop.get() {
-                    if !s.is_alive(NodeId(node)) {
-                        s.sleep(PROBE).await;
-                        continue;
-                    }
-                    random_op(&*p, NodeId(node), accounts, READ_PCT, |n| s.rand_below(n)).await;
-                }
-            });
-        }
-        None
+        spawn_bank_clients(&proto, spec.accounts, READ_PCT, Rc::clone(&stop));
+        (None, None)
     };
 
     // Progress monitor for the liveness and re-convergence checkers.
@@ -295,9 +266,8 @@ pub fn run_plan<P: ChaosTarget + 'static>(
     {
         let p = Rc::clone(&proto);
         let stop = Rc::clone(&stop);
-        let st = Rc::clone(&state);
         let out = Rc::clone(&samples);
-        let tallies = load.as_ref().map(|(_, t)| Rc::clone(t));
+        let control = control.clone();
         let s = sim.clone();
         sim.spawn(async move {
             while !stop.get() {
@@ -308,7 +278,7 @@ pub fn run_plan<P: ChaosTarget + 'static>(
                     // Closed-loop runs have no deadlines: every commit is
                     // good by definition.
                     goodput: tallies.as_ref().map_or(commits, |t| t.goodput.get()),
-                    quiet: st.borrow().quiet(),
+                    quiet: quiet(&s, control.as_deref()),
                 });
                 s.sleep(PROBE).await;
             }
@@ -325,7 +295,6 @@ pub fn run_plan<P: ChaosTarget + 'static>(
         let horizon = spec.horizon;
         let n = nodes as u32;
         let det_mode = spec.detector;
-        let control = load.as_ref().map(|(c, _)| Rc::clone(c));
         sim.spawn(async move {
             let t0 = s.now();
             for ev in plan.events {
@@ -417,9 +386,6 @@ pub fn run_plan<P: ChaosTarget + 'static>(
         applied: st.applied,
         skipped: st.skipped,
         fault_log: st.log.clone(),
-        dropped: m.dropped,
-        dropped_by_partition: m.dropped_by_partition,
-        dropped_by_link: m.dropped_by_link,
         drained,
         violations,
         fingerprint: Fingerprint {
@@ -473,11 +439,11 @@ fn apply_event<P: ChaosTarget>(
             .push(format!("@{now_us}us skip (unsupported): {kind}"));
         return;
     }
-    // Detector mode swaps the oracle verbs (which repair the view at the
-    // instant of the fault) for sim-only ones: the target's own failure
+    // Detector mode swaps the oracle crash (which repairs the view at the
+    // instant of the fault) for a sim-only one: the target's own failure
     // detector must notice the silence and react. `supports` admits node
-    // faults only for a target with a view, and only a crashed node is
-    // recovered.
+    // faults only for a target with a view; a node is crashed only while
+    // the simulator has it alive and recovered only while it has it down.
     let v = || view.expect("node faults need a membership view");
     let crash_node = |n: NodeId| {
         if detector {
@@ -486,32 +452,23 @@ fn apply_event<P: ChaosTarget>(
             crash(v(), s, n)
         }
     };
-    let recover_node = |n: NodeId| {
-        if detector {
-            recover_sim_only(s, n)
-        } else {
-            recover(v(), s, n)
-        }
-    };
+    let up = |n: u32| n < nodes && s.is_alive(NodeId(n));
     let mut applied_on: Option<NodeId> = None;
     match &kind {
         FaultKind::Crash { node } => {
-            if *node < nodes && !st.crashed.contains(node) && crash_node(NodeId(*node)) {
-                st.crashed.insert(*node);
+            if up(*node) && crash_node(NodeId(*node)) {
                 applied_on = Some(NodeId(*node));
             }
         }
         FaultKind::CrashReadQuorum => {
             if let Some(victim) = view.and_then(|v| v.read_quorum_victim()) {
                 if crash_node(victim) {
-                    st.crashed.insert(victim.0);
                     applied_on = Some(victim);
                 }
             }
         }
         FaultKind::Recover { node } => {
-            if st.crashed.contains(node) && recover_node(NodeId(*node)) {
-                st.crashed.remove(node);
+            if *node < nodes && !up(*node) && revive(p, s, NodeId(*node), detector) {
                 applied_on = Some(NodeId(*node));
             }
         }
@@ -528,19 +485,16 @@ fn apply_event<P: ChaosTarget>(
                 .collect();
             if mapped.len() >= 2 || (mapped.len() == 1 && (mapped[0].len() as u32) < nodes) {
                 s.set_partition(&mapped);
-                st.partitioned = true;
                 applied_on = Some(NodeId(0));
             }
         }
         FaultKind::Heal => {
             s.heal_partition();
-            st.partitioned = false;
             applied_on = Some(NodeId(0));
         }
         FaultKind::DropLink { from, to, permille } => {
             if *from < nodes && *to < nodes && from != to && *permille > 0 {
                 s.set_link_drop(NodeId(*from), NodeId(*to), *permille);
-                st.links.insert((*from, *to));
                 applied_on = Some(NodeId(*from));
             }
         }
@@ -551,44 +505,39 @@ fn apply_event<P: ChaosTarget>(
                     NodeId(*to),
                     SimDuration::from_micros(*extra_us),
                 );
-                st.links.insert((*from, *to));
                 applied_on = Some(NodeId(*from));
             }
         }
         FaultKind::HealLink { from, to } => {
             if *from < nodes && *to < nodes {
                 s.clear_link_fault(NodeId(*from), NodeId(*to));
-                st.links.remove(&(*from, *to));
                 applied_on = Some(NodeId(*from));
             }
         }
         FaultKind::Slow { node, factor_pct } => {
             if *node < nodes && *factor_pct > 0 {
                 s.set_service_factor(NodeId(*node), f64::from(*factor_pct) / 100.0);
-                st.slowed.insert(*node);
                 applied_on = Some(NodeId(*node));
             }
         }
         FaultKind::Restore { node } => {
             if *node < nodes {
                 s.set_service_factor(NodeId(*node), 1.0);
-                st.slowed.remove(node);
                 applied_on = Some(NodeId(*node));
             }
         }
         FaultKind::CrashAmnesia { node } => {
-            // The mode's crash, then the loss of volatile state. Joins
-            // st.crashed like a plain crash, so Recover (and the heal-all
-            // backstop) cures it the same way; the amnesiac readmission
-            // path runs the honest replay+repair.
-            if *node < nodes && !st.crashed.contains(node) && crash_node(NodeId(*node)) {
+            // The mode's crash, then the loss of volatile state. The node
+            // is down like after a plain crash, so Recover (and the
+            // heal-all backstop) cures it the same way; the amnesiac
+            // readmission path runs the honest replay+repair.
+            if up(*node) && crash_node(NodeId(*node)) {
                 v().forget(NodeId(*node));
-                st.crashed.insert(*node);
                 applied_on = Some(NodeId(*node));
             }
         }
         FaultKind::CorruptTail { node } => {
-            if *node < nodes && !st.crashed.contains(node) && v().corrupt_tail(NodeId(*node)) {
+            if up(*node) && v().corrupt_tail(NodeId(*node)) {
                 applied_on = Some(NodeId(*node));
             }
         }
@@ -599,7 +548,6 @@ fn apply_event<P: ChaosTarget>(
             if let Some(l) = load {
                 if *factor_pct > 0 {
                     l.surge_pct.set(*factor_pct);
-                    st.surged = *factor_pct != 100;
                     applied_on = Some(NodeId(0));
                 }
             }
@@ -608,7 +556,6 @@ fn apply_event<P: ChaosTarget>(
             if *node < nodes {
                 if let Some(l) = load {
                     l.flash_node.set(Some(*node));
-                    st.flashed = true;
                     applied_on = Some(NodeId(*node));
                 }
             }
@@ -616,8 +563,6 @@ fn apply_event<P: ChaosTarget>(
         FaultKind::Calm => {
             if let Some(l) = load {
                 l.calm();
-                st.surged = false;
-                st.flashed = false;
                 applied_on = Some(NodeId(0));
             }
         }
@@ -636,8 +581,23 @@ fn apply_event<P: ChaosTarget>(
     }
 }
 
+/// Bring a down `node` back the mode's way: in the simulator only in
+/// detector mode (the detector readmits it), through the oracle's
+/// `recover` otherwise.
+fn revive<P: ChaosTarget>(p: &P, s: &Sim<P::Msg>, node: NodeId, detector: bool) -> bool {
+    if detector {
+        recover_sim_only(s, node)
+    } else {
+        let view = p
+            .membership()
+            .expect("only a target with a view has crashed nodes");
+        recover(view, s, node)
+    }
+}
+
 /// Cure everything still active: the backstop that guarantees the
-/// recovery tail and the final snapshot run on a healthy cluster.
+/// recovery tail and the final snapshot run on a healthy cluster. Down
+/// nodes are revived in ascending id.
 fn heal_all<P: ChaosTarget>(
     p: &P,
     s: &Sim<P::Msg>,
@@ -645,30 +605,15 @@ fn heal_all<P: ChaosTarget>(
     detector: bool,
     load: Option<&LoadControl>,
 ) {
-    for node in std::mem::take(&mut st.crashed).into_iter().map(NodeId) {
-        if detector {
-            recover_sim_only(s, node);
-        } else {
-            let view = p
-                .membership()
-                .expect("only a target with a view has crashed nodes");
-            recover(view, s, node);
+    for node in (0..s.num_nodes() as u32).map(NodeId) {
+        if !s.is_alive(node) {
+            revive(p, s, node, detector);
         }
     }
-    s.heal_partition();
-    st.partitioned = false;
-    s.clear_all_link_faults();
-    st.links.clear();
-    let slowed: Vec<u32> = st.slowed.iter().copied().collect();
-    for node in slowed {
-        s.set_service_factor(NodeId(node), 1.0);
-    }
-    st.slowed.clear();
+    s.heal_all_but_crashes();
     if let Some(l) = load {
         l.calm();
     }
-    st.surged = false;
-    st.flashed = false;
     let now_us = s.now().as_nanos() / 1_000;
     st.log.push(format!("@{now_us}us heal-all"));
     s.emit_engine_event(
@@ -758,7 +703,10 @@ mod tests {
         assert!(r.drained);
         assert!(r.commits > 0);
         assert_eq!(r.applied, 0);
-        assert_eq!(r.dropped_by_partition + r.dropped_by_link, 0);
+        assert_eq!(
+            r.metrics.dropped_by_partition + r.metrics.dropped_by_link,
+            0
+        );
     }
 
     #[test]
@@ -770,8 +718,11 @@ mod tests {
         let r = run_plan(qr(2), &quick_spec(), &plan);
         assert!(r.ok(), "violations: {:?}", r.violations);
         assert_eq!(r.applied, 4);
-        assert!(r.dropped_by_partition > 0, "partition saw no traffic");
-        assert!(r.dropped_by_link > 0, "lossy link saw no traffic");
+        assert!(
+            r.metrics.dropped_by_partition > 0,
+            "partition saw no traffic"
+        );
+        assert!(r.metrics.dropped_by_link > 0, "lossy link saw no traffic");
         // One FaultInjected engine event per applied fault + heal-all.
         assert_eq!(r.metrics.engine_events(EngineEventKind::FaultInjected), 5);
     }
@@ -787,7 +738,10 @@ mod tests {
         assert!(r.ok(), "violations: {:?}", r.violations);
         assert_eq!(r.applied, 3, "all three read-quorum crashes landed");
         assert!(r.commits > 0);
-        assert!(r.dropped > 0, "traffic toward the dead quorum was dropped");
+        assert!(
+            r.metrics.dropped > 0,
+            "traffic toward the dead quorum was dropped"
+        );
     }
 
     #[test]
@@ -893,6 +847,25 @@ mod tests {
     }
 
     #[test]
+    fn node_verbs_follow_the_simulators_liveness() {
+        // Node 4 never crashed, so recovering it is inapplicable; node 2 is
+        // down, so corrupting its tail is too. Both read the simulator.
+        let plan = plan("@300000us recover 4\n@400000us crash 2\n@500000us corrupt-tail 2");
+        let r = run_plan(qr_durable(14), &quick_spec(), &plan);
+        assert!(r.ok(), "violations: {:?}", r.violations);
+        assert_eq!((r.applied, r.skipped), (1, 2));
+        assert_eq!(
+            r.fault_log,
+            [
+                "@300000us skip (inapplicable): recover 4",
+                "@400000us crash 2",
+                "@500000us skip (inapplicable): corrupt-tail 2",
+                "@1500000us heal-all",
+            ]
+        );
+    }
+
+    #[test]
     fn amnesia_is_skipped_without_durable_storage() {
         let plan = plan("@300000us crash-amnesia 1");
         let r = run_plan(qr(10), &quick_spec(), &plan);
@@ -926,7 +899,10 @@ mod tests {
         assert_eq!(r.applied, 5);
         assert!(r.commits > 0);
         assert!(r.view_epoch >= 3, "each crash/recovery bumped the epoch");
-        assert!(r.dropped_by_partition > 0, "partition saw no traffic");
+        assert!(
+            r.metrics.dropped_by_partition > 0,
+            "partition saw no traffic"
+        );
     }
 
     #[test]

@@ -123,11 +123,6 @@ impl<M: SimMessage> Sim<M> {
             .remove(&(from.0, to.0));
     }
 
-    /// Remove every injected link fault.
-    pub fn clear_all_link_faults(&self) {
-        self.core.inner.borrow_mut().link_faults.clear();
-    }
-
     /// Scale `node`'s service time by `factor` (a gray failure: the node is
     /// up but slow). `1.0` restores healthy speed. Panics if `factor` is not
     /// finite and positive.
@@ -142,6 +137,29 @@ impl<M: SimMessage> Sim<M> {
     /// Whether `node` is currently alive.
     pub fn is_alive(&self, node: NodeId) -> bool {
         self.core.inner.borrow().nodes[node.index()].alive
+    }
+
+    /// Whether any injected fault is in force: a node down, partitioned
+    /// off or slowed (a service factor other than `1.0`), or a faulted link.
+    pub fn any_fault(&self) -> bool {
+        let inner = self.core.inner.borrow();
+        !inner.link_faults.is_empty()
+            || inner
+                .nodes
+                .iter()
+                .any(|m| !m.alive || m.group != 0 || m.service_factor != 1.0)
+    }
+
+    /// Cure every fault but crashes: heal the partition, clear every link
+    /// fault and restore every node's speed. A dead node stays dead —
+    /// reviving it is the protocol layer's business.
+    pub fn heal_all_but_crashes(&self) {
+        let mut inner = self.core.inner.borrow_mut();
+        inner.link_faults.clear();
+        for meta in inner.nodes.iter_mut() {
+            meta.group = 0;
+            meta.service_factor = 1.0;
+        }
     }
 }
 
@@ -325,6 +343,44 @@ mod tests {
             done.get().unwrap(),
             SimTime::ZERO + SimDuration::from_millis(27) + SimDuration::from_micros(200)
         );
+    }
+
+    #[test]
+    fn any_fault_tracks_each_verb_and_its_cure() {
+        let s = sim(5);
+        let n = s.add_nodes(3);
+        assert!(!s.any_fault());
+        let extra = SimDuration::from_millis(3);
+        // Each fault verb beside its cure.
+        type Verb<'a> = (&'a dyn Fn(), &'a dyn Fn());
+        let verbs: [Verb; 5] = [
+            (&|| s.fail_node(n[1]), &|| s.recover_node(n[1])),
+            (&|| s.set_partition(&[vec![n[0]]]), &|| s.heal_partition()),
+            (&|| s.set_link_drop(n[0], n[1], 10), &|| {
+                s.clear_link_fault(n[0], n[1])
+            }),
+            (&|| s.set_link_delay(n[1], n[2], extra), &|| {
+                s.clear_link_fault(n[1], n[2])
+            }),
+            (&|| s.set_service_factor(n[2], 2.5), &|| {
+                s.set_service_factor(n[2], 1.0)
+            }),
+        ];
+        for (i, (fault, cure)) in verbs.iter().enumerate() {
+            fault();
+            assert!(s.any_fault(), "verb {i} installs a fault");
+            cure();
+            assert!(!s.any_fault(), "verb {i}'s cure removes it");
+        }
+        // The heal verb cures all but the crash.
+        for (fault, _) in &verbs {
+            fault();
+        }
+        s.heal_all_but_crashes();
+        assert!(!s.is_alive(n[1]), "a dead node stays dead");
+        assert!(s.any_fault());
+        s.recover_node(n[1]);
+        assert!(!s.any_fault(), "partition, links and slowness are cleared");
     }
 
     #[test]

@@ -965,13 +965,8 @@ impl<'a, M: SimMessage> HandlerCtx<'a, M> {
 
     /// Fire-and-forget send from this node.
     pub fn send(&mut self, to: NodeId, msg: M) {
-        let mut inner = self.core.inner.borrow_mut();
-        if !inner.nodes[self.node.index()].alive {
-            return;
-        }
-        let from = self.node;
-        inner.send_request(Envelope {
-            from,
+        self.core.inner.borrow_mut().send_request(Envelope {
+            from: self.node,
             to,
             call: None,
             msg,

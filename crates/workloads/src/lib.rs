@@ -30,8 +30,7 @@ pub mod vacation;
 
 pub use driver::{run, Benchmark, RunResult, RunSpec, WorkloadParams};
 pub use open_loop::{
-    run_open_loop, spawn_open_loop, LoadControl, LoadTallies, OpenLoopResult, OpenLoopSpec,
-    RateSchedule,
+    run_open_loop, spawn_open_loop, LoadControl, LoadTallies, OpenLoopSpec, RateSchedule,
 };
 pub use protocol_bank::{run_bank, BankRunResult, BankSpec};
 

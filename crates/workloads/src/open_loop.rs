@@ -122,6 +122,11 @@ impl LoadControl {
         self.surge_pct.set(100);
         self.flash_node.set(None);
     }
+
+    /// Whether the load is nominal, as [`LoadControl::calm`] leaves it.
+    pub fn is_calm(&self) -> bool {
+        self.surge_pct.get() == 100 && self.flash_node.get().is_none()
+    }
 }
 
 /// Running tallies of the arrival process, readable while in flight (the
@@ -388,36 +393,18 @@ fn schedule_factor(schedule: RateSchedule, elapsed: SimDuration) -> f64 {
     }
 }
 
-/// Measured outcome of a standalone open-loop run.
-#[derive(Clone, Copy, Debug)]
-pub struct OpenLoopResult {
-    /// Arrivals generated in the measurement window.
-    pub offered: u64,
-    /// Arrivals admitted.
-    pub admitted: u64,
-    /// Arrivals shed at the admission bound.
-    pub shed: u64,
-    /// Commits within deadline.
-    pub goodput: u64,
-    /// Commits past deadline.
-    pub late: u64,
-    /// Admitted transactions abandoned at their deadline.
-    pub abandoned: u64,
-    /// Deepest admission queue observed.
-    pub max_queue_depth: u64,
-}
-
 /// Run the open-loop mix standalone on any simulator-hosted protocol, with
 /// an entry point on every node of its simulator: preload, warm up,
-/// measure for `duration`, then shut the simulation down (what is left
-/// stays readable). Sweeping `spec.rate_tps` through the saturation knee
-/// gives the graceful-degradation curve.
+/// measure for `duration`, then shut the simulation down and return the
+/// window's tallies (what else is left stays readable). Sweeping
+/// `spec.rate_tps` through the saturation knee gives the
+/// graceful-degradation curve.
 pub fn run_open_loop<P: SimHosted + 'static>(
     proto: Rc<P>,
     spec: &OpenLoopSpec,
     warmup: SimDuration,
     duration: SimDuration,
-) -> OpenLoopResult {
+) -> LoadTallies {
     for i in 0..spec.accounts {
         proto.preload(ObjectId(i), ObjVal::Int(1_000));
     }
@@ -437,17 +424,10 @@ pub fn run_open_loop<P: SimHosted + 'static>(
     proto.reset_protocol_stats();
     sim.reset_metrics();
     sim.run_for(duration);
-    // The workers hold the protocol: end them, or it outlives every handle.
+    // The workers hold the protocol and the tallies: end them, or both
+    // outlive every handle.
     sim.shutdown();
-    OpenLoopResult {
-        offered: tallies.offered.get(),
-        admitted: tallies.admitted.get(),
-        shed: tallies.shed.get(),
-        goodput: tallies.goodput.get(),
-        late: tallies.late.get(),
-        abandoned: tallies.abandoned.get(),
-        max_queue_depth: tallies.max_queue_depth.get(),
-    }
+    Rc::try_unwrap(tallies).expect("shutdown dropped every worker")
 }
 
 #[cfg(test)]
@@ -503,10 +483,10 @@ mod tests {
             ..quick(30, true)
         };
         let r = run_open_loop(overload_cluster(1), &spec, WARM, RUN);
-        assert!(r.offered > 0);
-        assert_eq!(r.shed, 0, "no shedding under light load: {r:?}");
+        assert!(r.offered.get() > 0);
+        assert_eq!(r.shed.get(), 0, "no shedding under light load: {r:?}");
         assert!(
-            r.goodput * 10 >= r.offered * 8,
+            r.goodput.get() * 10 >= r.offered.get() * 8,
             "goodput within 80% of offered under light load: {r:?}"
         );
     }
@@ -514,27 +494,50 @@ mod tests {
     #[test]
     fn saturation_sheds_and_degrades_gracefully() {
         let r = run_open_loop(overload_cluster(2), &quick(3_000, true), WARM, RUN);
-        assert!(r.shed > 0, "overload must hit the admission bound: {r:?}");
         assert!(
-            r.goodput > 0,
+            r.shed.get() > 0,
+            "overload must hit the admission bound: {r:?}"
+        );
+        assert!(
+            r.goodput.get() > 0,
             "graceful degradation keeps committing: {r:?}"
         );
-        assert!(r.max_queue_depth <= 16, "admission bound holds: {r:?}");
-        assert_eq!(r.offered, r.admitted + r.shed, "every arrival accounted");
+        assert!(
+            r.max_queue_depth.get() <= 16,
+            "admission bound holds: {r:?}"
+        );
+        assert_eq!(
+            r.offered.get(),
+            r.admitted.get() + r.shed.get(),
+            "every arrival accounted"
+        );
     }
 
     #[test]
     fn unprotected_arm_backs_up_instead_of_shedding() {
         let r = run_open_loop(overload_cluster(3), &quick(3_000, false), WARM, RUN);
-        assert_eq!(r.shed, 0, "no admission control in the unprotected arm");
-        assert!(r.max_queue_depth > 16, "queues grow past the bound: {r:?}");
+        assert_eq!(
+            r.shed.get(),
+            0,
+            "no admission control in the unprotected arm"
+        );
+        assert!(
+            r.max_queue_depth.get() > 16,
+            "queues grow past the bound: {r:?}"
+        );
     }
 
     #[test]
     fn open_loop_runs_are_deterministic() {
         let run = || {
             let r = run_open_loop(overload_cluster(4), &quick(800, true), WARM, RUN);
-            (r.offered, r.shed, r.goodput, r.abandoned, r.max_queue_depth)
+            (
+                r.offered.get(),
+                r.shed.get(),
+                r.goodput.get(),
+                r.abandoned.get(),
+                r.max_queue_depth.get(),
+            )
         };
         assert_eq!(run(), run());
     }
@@ -613,10 +616,10 @@ mod tests {
             RUN,
         );
         assert!(
-            flash.offered > steady.offered * 2,
+            flash.offered.get() > steady.offered.get() * 2,
             "flash window multiplies arrivals: {} vs {}",
-            flash.offered,
-            steady.offered
+            flash.offered.get(),
+            steady.offered.get()
         );
     }
 
@@ -652,7 +655,7 @@ mod tests {
                     SimDuration::from_millis(300),
                     SimDuration::from_secs(2),
                 );
-                (rate_tps, r.goodput as f64)
+                (rate_tps, r.goodput.get() as f64)
             })
             .collect()
     }

@@ -7,12 +7,14 @@
 //! one to commit; the closed-loop driver ([`crate::run`]) runs
 //! `calls` of them per root transaction, each inside `Tx::closed` (closed
 //! nesting under QR-CN, inline otherwise); the open-loop workers run them
-//! under a deadline. [`run_bank`] is Section VI-D's comparison of QR-DTM,
-//! HyFlow (TFA) and Decent-STM (Fig. 9): one closed-loop driver for every
-//! family, where the caller only assembles the cluster. Every client draws
-//! its account/mix stream from the protocol's own simulator RNG, so runs
-//! stay deterministic per seed.
+//! under a deadline. [`spawn_bank_clients`] is the one closed-loop client
+//! pool, shared by the chaos nemesis and [`run_bank`], Section VI-D's
+//! comparison of QR-DTM, HyFlow (TFA) and Decent-STM (Fig. 9): one
+//! closed-loop driver for every family, where the caller only assembles
+//! the cluster. Every client draws its account/mix stream from the
+//! protocol's own simulator RNG, so runs stay deterministic per seed.
 
+use std::cell::Cell;
 use std::rc::Rc;
 
 use qrdtm_core::{atomically, Abort, DtmProtocol, ObjVal, ObjectId, SimHosted};
@@ -124,8 +126,36 @@ pub async fn random_op<P: DtmProtocol>(
     }
 }
 
+/// Poll interval of a client waiting for its down node to recover.
+const DOWN_POLL: SimDuration = SimDuration::from_millis(200);
+
+/// Spawn the closed-loop bank mix on `proto`'s simulator: one client per
+/// node running [`random_op`] back to back until `stop` is set, idle while
+/// its node is down (the check draws and schedules nothing while it is up).
+pub fn spawn_bank_clients<P: SimHosted + 'static>(
+    proto: &Rc<P>,
+    accounts: u64,
+    read_pct: u32,
+    stop: Rc<Cell<bool>>,
+) {
+    let sim = proto.sim();
+    for node in (0..sim.num_nodes() as u32).map(NodeId) {
+        let (p, stop) = (Rc::clone(proto), Rc::clone(&stop));
+        sim.spawn(async move {
+            let s = p.sim();
+            while !stop.get() {
+                if s.is_alive(node) {
+                    random_op(&*p, node, accounts, read_pct, |n| s.rand_below(n)).await;
+                } else {
+                    s.sleep(DOWN_POLL).await;
+                }
+            }
+        });
+    }
+}
+
 /// Run the closed-loop bank mix on any simulator-hosted [`DtmProtocol`]
-/// cluster, with one client on every node of its simulator: warm up, reset
+/// cluster, with [`spawn_bank_clients`] never told to stop: warm up, reset
 /// counters, measure for `spec.duration`, then shut the simulation down
 /// (what is left stays readable). (The closed loop spawns simulator tasks and pumps
 /// virtual time, hence the [`SimHosted`] bound; the threaded backend has
@@ -135,19 +165,8 @@ pub fn run_bank<P: SimHosted + 'static>(proto: Rc<P>, spec: &BankSpec) -> BankRu
     for i in 0..spec.accounts {
         proto.preload(ObjectId(i), ObjVal::Int(1_000));
     }
+    spawn_bank_clients(&proto, spec.accounts, spec.read_pct, Rc::default());
     let sim = proto.sim().clone();
-    for node in 0..sim.num_nodes() as u32 {
-        let p = Rc::clone(&proto);
-        let spec = *spec;
-        sim.spawn(async move {
-            loop {
-                random_op(&*p, NodeId(node), spec.accounts, spec.read_pct, |n| {
-                    p.sim().rand_below(n)
-                })
-                .await;
-            }
-        });
-    }
     sim.run_for(spec.warmup);
     proto.reset_protocol_stats();
     sim.reset_metrics();
@@ -167,7 +186,6 @@ pub fn run_bank<P: SimHosted + 'static>(proto: Rc<P>, spec: &BankSpec) -> BankRu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
 
     use qrdtm_baselines::{DecentCluster, DecentConfig, TfaCluster, TfaConfig};
     use qrdtm_core::{Cluster, DtmConfig, NestingMode, ProtocolStats, Version};

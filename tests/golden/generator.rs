@@ -225,12 +225,12 @@ fn observe_open_loop() -> Observation {
     Observation::new(
         "open-loop/QR-CN",
         vec![
-            ("offered", r.offered),
-            ("admitted", r.admitted),
-            ("shed", r.shed),
-            ("goodput", r.goodput),
-            ("late", r.late),
-            ("abandoned", r.abandoned),
+            ("offered", r.offered.get()),
+            ("admitted", r.admitted.get()),
+            ("shed", r.shed.get()),
+            ("goodput", r.goodput.get()),
+            ("late", r.late.get()),
+            ("abandoned", r.abandoned.get()),
         ],
         &proto.sim().metrics(),
         store(&*proto),
