@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use qrdtm_baselines::{DecentCluster, DecentConfig, TfaCluster, TfaConfig};
 use qrdtm_chaos::{generate, run_plan, ChaosReport, ChaosSpec, FaultBudget, FaultPlan};
 use qrdtm_core::{Cluster, DtmConfig, DurabilityConfig, NestingMode};
-use qrdtm_sim::{EngineEventKind, SimDuration};
+use qrdtm_sim::{fnv, EngineEventKind, SimDuration};
 
 const NODES: usize = 10;
 
@@ -314,19 +314,11 @@ fn run_detector(seed: u64, events: usize) -> ChaosReport {
 
 /// FNV-1a over the complete engine-event stream, order-sensitive.
 fn event_stream_hash(r: &ChaosReport) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for e in &r.metrics.engine_event_log {
-        mix(e.kind as u64);
-        mix(u64::from(e.node));
-        mix(e.detail);
-        mix(e.at_ns);
-    }
-    h
+    fnv(r
+        .metrics
+        .engine_event_log
+        .iter()
+        .flat_map(|e| [e.kind as u64, u64::from(e.node), e.detail, e.at_ns]))
 }
 
 /// The membership trace: every suspicion/rejoin with node, epoch and time.

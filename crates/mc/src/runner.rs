@@ -18,7 +18,7 @@ use qrdtm_core::{
     InjectedBug, LatencySpec, Membership, NestingMode, ObjVal, ObjectId,
 };
 use qrdtm_qstore::{QStoreBug, QStoreCluster, QStoreConfig};
-use qrdtm_sim::{EventInfo, Metrics, NodeId, Scheduler, SimDuration, SimTime};
+use qrdtm_sim::{fnv, EventInfo, Metrics, NodeId, Scheduler, SimDuration, SimTime};
 use qrdtm_workloads::protocol_bank::transfer;
 
 use crate::strategies::ChoicePolicy;
@@ -151,26 +151,6 @@ pub struct RunOutcome {
     pub fingerprint: u64,
 }
 
-/// Minimal FNV-1a, used for outcome fingerprints and schedule dedup keys
-/// (stable across runs, unlike `DefaultHasher`).
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn write(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Per-run recording shared between the scheduler and the runner.
 #[derive(Default)]
 struct Recording {
@@ -291,20 +271,17 @@ fn drive<P: ChaosTarget>(
     let mut violations: Vec<String> = audit.violations.iter().map(ToString::to_string).collect();
     violations.extend(family.violations);
 
-    let mut fp = Fnv::new();
-    for word in family.fingerprint {
-        fp.write(word);
-    }
-    fp.write(metrics.sent_total);
-    fp.write(metrics.events);
-    for (o, b) in &audit.balances {
-        fp.write(*o);
-        fp.write(b.map_or(u64::MAX, |b| b as u64));
-    }
-    for (o, v) in &audit.acked {
-        fp.write(*o);
-        fp.write(*v);
-    }
+    let fingerprint = fnv(family
+        .fingerprint
+        .into_iter()
+        .chain([metrics.sent_total, metrics.events])
+        .chain(
+            audit
+                .balances
+                .iter()
+                .flat_map(|&(o, b)| [o, b.map_or(u64::MAX, |b| b as u64)]),
+        )
+        .chain(audit.acked.iter().flat_map(|&(o, v)| [o, v])));
 
     let rec = rec.borrow();
     RunOutcome {
@@ -313,7 +290,7 @@ fn drive<P: ChaosTarget>(
         commits: family.commits,
         aborts: family.aborts,
         violations,
-        fingerprint: fp.finish(),
+        fingerprint,
     }
 }
 

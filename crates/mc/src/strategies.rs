@@ -12,11 +12,11 @@
 
 use std::collections::{HashMap, HashSet};
 
-use qrdtm_sim::{EventInfo, EventTag, SimTime};
+use qrdtm_sim::{fnv, EventInfo, EventTag, SimTime};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::runner::{run_schedule, Fnv, RunOutcome, Scope};
+use crate::runner::{run_schedule, RunOutcome, Scope};
 
 /// Picks the next event among a same-instant tie group — the
 /// model-checking side of [`qrdtm_sim::Scheduler`]. Out-of-range indices
@@ -128,11 +128,7 @@ pub struct ExploreReport {
 /// schedule as its trimmed prefix).
 pub fn schedule_key(choices: &[usize]) -> u64 {
     let end = choices.iter().rposition(|&c| c != 0).map_or(0, |i| i + 1);
-    let mut h = Fnv::new();
-    for &c in &choices[..end] {
-        h.write(c as u64);
-    }
-    h.finish()
+    fnv(choices[..end].iter().map(|&c| c as u64))
 }
 
 fn trim(choices: &[usize]) -> Vec<usize> {

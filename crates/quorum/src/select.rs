@@ -9,13 +9,14 @@
 //! * A **write quorum** for `v` is `{v}` plus recursively the write quorums
 //!   of a majority of `v`'s children all the way to the leaves
 //!   (`W2 = {n0, n2, n3, n8, n9, n11, n12}` in Fig. 3). If `v` has failed it
-//!   is substituted by the write quorums of **all** of its children, which
-//!   preserves both read–write and write–write intersection (see the
+//!   is substituted by the write quorums of a **majority** of its children,
+//!   which preserves both read–write and write–write intersection (see the
 //!   property tests).
 //!
-//! Both constructions are deterministic: among eligible children the
-//! lowest-index alive candidates win, so every node in the system derives
-//! the same quorums from the same failure view.
+//! Both constructions cover a node's children through one step,
+//! `majority`, and are deterministic: among eligible children the
+//! lowest-index candidates whose own cover succeeds win, so every node in
+//! the system derives the same quorums from the same failure view.
 
 use crate::tree::Tree;
 
@@ -98,39 +99,18 @@ impl TreeQuorum {
     }
 
     fn read_rec(&self, v: usize, level: usize, out: &mut Vec<usize>) -> Option<()> {
-        let children: Vec<usize> = self.tree.children(v).collect();
-        if self.alive[v] && (level == 0 || children.is_empty()) {
+        if self.alive[v] && (level == 0 || self.tree.children(v).next().is_none()) {
             out.push(v);
             return Some(());
         }
         // Either v failed (substitute regardless of level) or the policy
         // pushes the quorum down a level.
         let next_level = if self.alive[v] { level - 1 } else { level };
-        if children.is_empty() {
-            return None; // failed leaf cannot be substituted
-        }
-        let need = Tree::majority_of(children.len());
-        let mut got = 0;
-        for &c in &children {
-            if got == need {
-                break;
-            }
-            let mark = out.len();
-            if self.read_rec(c, next_level, out).is_some() {
-                got += 1;
-            } else {
-                out.truncate(mark);
-            }
-        }
-        if got == need {
-            Some(())
-        } else {
-            None
-        }
+        self.majority(v, out, |c, out| self.read_rec(c, next_level, out))
     }
 
     /// Write quorum: root-to-leaf majority cover, with failed nodes
-    /// substituted by all of their children.
+    /// substituted by a majority of their children.
     pub fn write_quorum(&self) -> Result<Vec<usize>, QuorumError> {
         let mut out = Vec::new();
         self.write_rec(self.tree.root(), &mut out)
@@ -141,58 +121,48 @@ impl TreeQuorum {
     }
 
     fn write_rec(&self, v: usize, out: &mut Vec<usize>) -> Option<()> {
-        let children: Vec<usize> = self.tree.children(v).collect();
         if self.alive[v] {
             out.push(v);
-            if children.is_empty() {
+            if self.tree.children(v).next().is_none() {
                 return Some(());
             }
-            let need = Tree::majority_of(children.len());
-            let mut got = 0;
-            for &c in &children {
-                if got == need {
-                    break;
-                }
-                let mark = out.len();
-                if self.write_rec(c, out).is_some() {
-                    got += 1;
-                } else {
-                    out.truncate(mark);
-                }
-            }
+        }
+        // An alive node covers a majority of its children, and a failed one
+        // is substituted by a MAJORITY of them too: any two majorities of
+        // the same child set intersect, so both write/write and read/write
+        // intersection are preserved by induction (within one agreed
+        // failure view) — and availability degrades gracefully, as the
+        // Fig. 10 experiment requires.
+        self.majority(v, out, |c, out| self.write_rec(c, out))
+    }
+
+    /// The one cover step of both quorums: cover a majority of `v`'s
+    /// children with `rec`, lowest index first, truncating a child's
+    /// partial cover when it fails. `None` for a leaf, or when too few
+    /// children can be covered.
+    fn majority(
+        &self,
+        v: usize,
+        out: &mut Vec<usize>,
+        rec: impl Fn(usize, &mut Vec<usize>) -> Option<()>,
+    ) -> Option<()> {
+        let need = Tree::majority_of(self.tree.children(v).count());
+        if need == 0 {
+            return None;
+        }
+        let mut got = 0;
+        for c in self.tree.children(v) {
             if got == need {
-                Some(())
+                break;
+            }
+            let mark = out.len();
+            if rec(c, out).is_some() {
+                got += 1;
             } else {
-                None
-            }
-        } else {
-            // Substitute a failed node by a MAJORITY of its children: any
-            // two majorities of the same child set intersect, so both
-            // write/write and read/write intersection are preserved by
-            // induction (within one agreed failure view) — and availability
-            // degrades gracefully, as the Fig. 10 experiment requires.
-            if children.is_empty() {
-                return None;
-            }
-            let need = Tree::majority_of(children.len());
-            let mut got = 0;
-            for &c in &children {
-                if got == need {
-                    break;
-                }
-                let mark = out.len();
-                if self.write_rec(c, out).is_some() {
-                    got += 1;
-                } else {
-                    out.truncate(mark);
-                }
-            }
-            if got == need {
-                Some(())
-            } else {
-                None
+                out.truncate(mark);
             }
         }
+        (got == need).then_some(())
     }
 }
 
@@ -228,6 +198,12 @@ mod tests {
         assert_eq!(w, vec![0, 1, 2, 4, 5, 7, 8]);
         // Same cardinality as the paper's W2.
         assert_eq!(w.len(), 7);
+        // A failed n1 is substituted by a majority of its children, {n4,
+        // n5}, in both quorums; all of them would add n6.
+        let mut q = q13();
+        q.fail(1);
+        assert_eq!(q.write_quorum().unwrap(), vec![0, 2, 4, 5, 7, 8]);
+        assert_eq!(q.read_quorum_at_level(1).unwrap(), vec![2, 4, 5]);
     }
 
     #[test]

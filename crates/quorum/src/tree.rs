@@ -32,9 +32,10 @@ impl Tree {
         self.n
     }
 
-    /// True if the tree has exactly one node.
+    /// Always false: a tree has at least one node (`with_branching`
+    /// panics on `n == 0`).
     pub fn is_empty(&self) -> bool {
-        false // n > 0 is an invariant; method provided for API completeness
+        false
     }
 
     /// The root node (always 0).

@@ -1,10 +1,14 @@
-//! The workspace's one integer hasher, and its one integer mixer.
+//! The workspace's one integer hasher, its one integer mixer, and its one
+//! stable fingerprint hash.
 //!
 //! Lives in the lowest crate so the simulator's call tables and the
 //! protocol crates' replica tables (`qrdtm_core` re-exports these names)
-//! share one implementation and one spread test, and every crate that
-//! spreads keys by hand (TFA's home nodes, the workloads' buckets, tower
-//! heights and populate orders) shares [`mix`].
+//! share one implementation and one spread test, every crate that spreads
+//! keys by hand (TFA's home nodes, the workloads' buckets, tower heights
+//! and populate orders) shares [`mix`], and every fingerprint that is
+//! compared or written down (the model checker's outcome fingerprints and
+//! schedule keys, the golden digests, the chaos tests' event-stream hash)
+//! shares [`fnv`].
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -71,6 +75,18 @@ pub fn mix(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
     x ^ (x >> 31)
+}
+
+/// FNV-1a over 64-bit words, each fed as its eight little-endian bytes:
+/// stable across runs and toolchains, unlike `DefaultHasher`.
+pub fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
 }
 
 #[cfg(test)]

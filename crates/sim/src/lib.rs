@@ -63,7 +63,7 @@ pub mod wheel;
 
 pub use disk::{Disk, DiskConfig, DiskImage};
 pub use heartbeat::{HEARTBEAT_INTERVAL, SUSPECT_WINDOW};
-pub use idhash::{mix, IdHasher, IdMap};
+pub use idhash::{fnv, mix, IdHasher, IdMap};
 pub use latency::{ConstLatency, JitteredLatency, LatencyModel, MetricSpace};
 pub use metrics::{Counter, EngineEvent, EngineEventKind, LatencyReservoir, Metrics, MAX_CLASSES};
 pub use rpc::{CallFuture, CallId, CallResult};

@@ -10,6 +10,11 @@
 //! 3. **Measurement** — a fixed virtual-time window; throughput is
 //!    `commits / window`.
 //!
+//! Every benchmark's clients are one closed-loop client, `run_client`: a
+//! benchmark supplies only its *draw* (one root transaction's calls, taken
+//! from the simulator's RNG in the benchmark's own order) and its *call*
+//! (one call, run inside the root).
+//!
 //! Everything is parameterized the way the paper's sweeps are: read
 //! percentage (Fig. 5), number of nested calls per root transaction
 //! (Fig. 6), and number of objects (Fig. 7); plus a failure count for the
@@ -20,7 +25,7 @@
 use std::rc::Rc;
 
 use qrdtm_core::{
-    crash, Abort, Client, Cluster, DtmConfig, DtmStats, Membership, Msg, ObjVal, ObjectId, Tx,
+    crash, Abort, Cluster, DtmConfig, DtmStats, Membership, Msg, ObjVal, ObjectId, Tx,
 };
 use qrdtm_sim::{mix, NodeId, Sim, SimDuration};
 
@@ -276,109 +281,130 @@ fn setup_bench(cluster: &Cluster, spec: &RunSpec) {
     }
 }
 
+/// Spawn one closed-loop client of `spec.bench` on `node`: the benchmark's
+/// draw, in its own RNG order, and its call, run by [`run_client`].
 fn spawn_client(cluster: &Rc<Cluster>, node: NodeId, spec: &RunSpec) {
-    let sim = cluster.sim().clone();
-    let client = cluster.client(node);
-    let spec = *spec;
-    let p = spec.params;
+    let (p, calls) = (spec.params, spec.params.calls.max(1));
+    let reads = move |sim: &Sim<Msg>| sim.rand_below(100) < u64::from(p.read_pct);
+    // The keyed sets' draw: per call a key, then an operation.
+    let ops = move |keys: u64| {
+        move |sim: &Sim<Msg>| {
+            (0..calls)
+                .map(|_| {
+                    let key = sim.rand_below(keys) as i64;
+                    let op = if reads(sim) {
+                        Op::Read
+                    } else if sim.rand_below(2) == 0 {
+                        Op::Insert
+                    } else {
+                        Op::Remove
+                    };
+                    (key, op)
+                })
+                .collect()
+        }
+    };
     match spec.bench {
         Benchmark::Bank => {
             let accounts = bank_accounts(&p);
-            let cluster = Rc::clone(cluster);
-            sim.clone().spawn(async move {
-                let cluster = &*cluster;
-                loop {
-                    let is_read = sim.rand_below(100) < u64::from(p.read_pct);
-                    let ops: Vec<(ObjectId, ObjectId)> = (0..spec.calls())
-                        .map(|_| {
-                            let a = sim.rand_below(accounts);
-                            let mut b = sim.rand_below(accounts);
-                            if b == a {
-                                b = (b + 1) % accounts;
-                            }
-                            (ObjectId(BASE + a), ObjectId(BASE + b))
-                        })
-                        .collect();
-                    let ops = &ops;
-                    client
-                        .run(|tx| async move {
-                            for &(a, b) in ops {
-                                if is_read {
-                                    tx.closed(|mut t| async move {
-                                        audit_in(cluster, &mut t, a, b).await
-                                    })
-                                    .await?;
-                                } else {
-                                    tx.closed(|mut t| async move {
-                                        transfer_in(cluster, &mut t, a, b, 5).await
-                                    })
-                                    .await?;
-                                }
-                            }
-                            Ok(())
-                        })
-                        .await;
-                }
+            let bank = Rc::clone(cluster);
+            let draw = move |sim: &Sim<Msg>| {
+                let read = reads(sim);
+                (0..calls)
+                    .map(|_| {
+                        let a = sim.rand_below(accounts);
+                        let mut b = sim.rand_below(accounts);
+                        if b == a {
+                            b = (b + 1) % accounts;
+                        }
+                        (read, ObjectId(BASE + a), ObjectId(BASE + b))
+                    })
+                    .collect()
+            };
+            run_client(cluster, node, draw, async move |tx: &Tx, (read, a, b)| {
+                let bank = &*bank;
+                tx.closed(|mut t| async move {
+                    if read {
+                        audit_in(bank, &mut t, a, b).await.map(drop)
+                    } else {
+                        transfer_in(bank, &mut t, a, b, 5).await
+                    }
+                })
+                .await
             });
         }
-        Benchmark::Hashmap => spawn_set_client(sim, client, spec, map_layout(&p), p.objects.max(2)),
+        Benchmark::Hashmap => {
+            let m = map_layout(&p);
+            run_client(cluster, node, ops(p.objects.max(2)), set_call(m));
+        }
         Benchmark::SList => {
             let sl = slist_layout(&p);
-            spawn_set_client(sim, client, spec, sl, sl.key_space as u64);
+            run_client(cluster, node, ops(sl.key_space as u64), set_call(sl));
         }
         Benchmark::RBTree => {
             let t = tree_layout(&p);
-            spawn_set_client(sim, client, spec, t, t.key_space as u64);
+            run_client(cluster, node, ops(t.key_space as u64), set_call(t));
         }
         Benchmark::Bst => {
             let t = tree_layout(&p);
-            spawn_set_client(sim, client, spec, Bst(t), t.key_space as u64);
+            run_client(cluster, node, ops(t.key_space as u64), set_call(Bst(t)));
         }
         Benchmark::Vacation => {
             let v = vacation_layout(&p);
-            sim.spawn({
-                let sim = sim.clone();
-                async move {
-                    loop {
-                        let is_read = sim.rand_below(100) < u64::from(p.read_pct);
-                        let customer = sim.rand_below(v.customers);
-                        let rounds: Vec<[u64; 3]> = (0..spec.calls())
-                            .map(|_| {
-                                [
-                                    sim.rand_below(v.rows),
-                                    sim.rand_below(v.rows),
-                                    sim.rand_below(v.rows),
-                                ]
-                            })
-                            .collect();
-                        let rounds = std::rc::Rc::new(rounds);
-                        client
-                            .run(|tx| {
-                                let rounds = std::rc::Rc::clone(&rounds);
-                                async move {
-                                    for &picks in rounds.iter() {
-                                        if is_read {
-                                            vacation::query(&tx, &v, picks).await?;
-                                        } else {
-                                            vacation::make_reservation(&tx, &v, customer, picks)
-                                                .await?;
-                                        }
-                                    }
-                                    Ok(())
-                                }
-                            })
-                            .await;
+            let draw = move |sim: &Sim<Msg>| {
+                let (read, customer) = (reads(sim), sim.rand_below(v.customers));
+                (0..calls)
+                    .map(|_| {
+                        (
+                            read,
+                            customer,
+                            std::array::from_fn(|_| sim.rand_below(v.rows)),
+                        )
+                    })
+                    .collect()
+            };
+            run_client(
+                cluster,
+                node,
+                draw,
+                async move |tx: &Tx, (read, customer, picks)| {
+                    if read {
+                        vacation::query(tx, &v, picks).await.map(drop)
+                    } else {
+                        vacation::make_reservation(tx, &v, customer, picks)
+                            .await
+                            .map(drop)
                     }
-                }
-            });
+                },
+            );
         }
     }
 }
 
-impl RunSpec {
-    fn calls(&self) -> usize {
-        self.params.calls.max(1)
-    }
+/// The one closed-loop client: `draw` a root transaction's calls from the
+/// simulator's RNG, run each through `call` inside one root transaction
+/// (retried until it commits), repeat.
+fn run_client<C: Copy + 'static, R>(
+    cluster: &Cluster,
+    node: NodeId,
+    draw: impl Fn(&Sim<Msg>) -> Vec<C> + 'static,
+    call: impl AsyncFn(&Tx, C) -> Result<R, Abort> + 'static,
+) {
+    let sim = cluster.sim().clone();
+    let client = cluster.client(node);
+    sim.clone().spawn(async move {
+        loop {
+            let (calls, call) = (&draw(&sim), &call);
+            client
+                .run(|tx| async move {
+                    for &c in calls {
+                        call(&tx, c).await?;
+                    }
+                    Ok(())
+                })
+                .await;
+        }
+    });
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -389,48 +415,42 @@ enum Op {
 }
 
 /// A keyed set under churn — what the Hashmap, SList, RBTree and BST
-/// benchmarks share, so one client loop and one populate loop drive all
+/// benchmarks share, so one client call and one populate loop drive all
 /// four layouts.
 #[allow(async_fn_in_trait)]
 trait KeyedSet: Copy + 'static {
-    async fn contains(&self, tx: &Tx, key: i64) -> Result<bool, Abort>;
-    async fn insert(&self, tx: &Tx, key: i64) -> Result<bool, Abort>;
-    async fn remove(&self, tx: &Tx, key: i64) -> Result<bool, Abort>;
+    /// `op` on `key`: whether the key was present (`Read`), newly added
+    /// (`Insert`) or removed (`Remove`).
+    async fn call(&self, tx: &Tx, key: i64, op: Op) -> Result<bool, Abort>;
 }
 
 impl KeyedSet for HashmapLayout {
-    async fn contains(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
-        hashmap::get(tx, self, key).await
-    }
-    async fn insert(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
-        hashmap::put(tx, self, key).await
-    }
-    async fn remove(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
-        hashmap::remove(tx, self, key).await
+    async fn call(&self, tx: &Tx, key: i64, op: Op) -> Result<bool, Abort> {
+        match op {
+            Op::Read => hashmap::get(tx, self, key).await,
+            Op::Insert => hashmap::put(tx, self, key).await,
+            Op::Remove => hashmap::remove(tx, self, key).await,
+        }
     }
 }
 
 impl KeyedSet for SkiplistLayout {
-    async fn contains(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
-        skiplist::contains(tx, self, key).await
-    }
-    async fn insert(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
-        skiplist::insert(tx, self, key, key).await
-    }
-    async fn remove(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
-        skiplist::remove(tx, self, key).await
+    async fn call(&self, tx: &Tx, key: i64, op: Op) -> Result<bool, Abort> {
+        match op {
+            Op::Read => skiplist::contains(tx, self, key).await,
+            Op::Insert => skiplist::insert(tx, self, key, key).await,
+            Op::Remove => skiplist::remove(tx, self, key).await,
+        }
     }
 }
 
 impl KeyedSet for TreeLayout {
-    async fn contains(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
-        rbtree::contains(tx, self, key).await
-    }
-    async fn insert(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
-        rbtree::insert(tx, self, key, key).await
-    }
-    async fn remove(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
-        rbtree::remove(tx, self, key).await
+    async fn call(&self, tx: &Tx, key: i64, op: Op) -> Result<bool, Abort> {
+        match op {
+            Op::Read => rbtree::contains(tx, self, key).await,
+            Op::Insert => rbtree::insert(tx, self, key, key).await,
+            Op::Remove => rbtree::remove(tx, self, key).await,
+        }
     }
 }
 
@@ -439,14 +459,20 @@ impl KeyedSet for TreeLayout {
 struct Bst(TreeLayout);
 
 impl KeyedSet for Bst {
-    async fn contains(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
-        rbtree::contains(tx, &self.0, key).await
+    async fn call(&self, tx: &Tx, key: i64, op: Op) -> Result<bool, Abort> {
+        match op {
+            Op::Read => rbtree::contains(tx, &self.0, key).await,
+            Op::Insert => bst::insert(tx, &self.0, key, key).await,
+            Op::Remove => rbtree::remove(tx, &self.0, key).await,
+        }
     }
-    async fn insert(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
-        bst::insert(tx, &self.0, key, key).await
-    }
-    async fn remove(&self, tx: &Tx, key: i64) -> Result<bool, Abort> {
-        rbtree::remove(tx, &self.0, key).await
+}
+
+/// A keyed set's client call: `op` on `key` in a closed-nested scope.
+fn set_call<S: KeyedSet>(set: S) -> impl AsyncFn(&Tx, (i64, Op)) -> Result<bool, Abort> {
+    async move |tx: &Tx, (key, op)| {
+        tx.closed(move |tx2| async move { set.call(&tx2, key, op).await })
+            .await
     }
 }
 
@@ -457,61 +483,10 @@ fn populate<S: KeyedSet>(cluster: &Cluster, set: S, keys: impl Iterator<Item = i
     cluster.sim().spawn(async move {
         for k in keys {
             client
-                .run(|tx| async move { set.insert(&tx, k).await })
+                .run(|tx| async move { set.call(&tx, k, Op::Insert).await })
                 .await;
         }
     });
-}
-
-/// The closed-loop client of the keyed-set benchmarks: draw a plan, run it
-/// as one root transaction with a closed-nested call per operation, repeat.
-fn spawn_set_client<S: KeyedSet>(
-    sim: Sim<Msg>,
-    client: Client,
-    spec: RunSpec,
-    set: S,
-    keyspace: u64,
-) {
-    sim.clone().spawn(async move {
-        loop {
-            let plan = Rc::new(op_plan(&sim, spec.calls(), spec.params.read_pct, keyspace));
-            client
-                .run(|tx| {
-                    let plan = Rc::clone(&plan);
-                    async move {
-                        for &(key, op) in plan.iter() {
-                            tx.closed(move |tx2| async move {
-                                match op {
-                                    Op::Read => set.contains(&tx2, key).await,
-                                    Op::Insert => set.insert(&tx2, key).await,
-                                    Op::Remove => set.remove(&tx2, key).await,
-                                }
-                            })
-                            .await?;
-                        }
-                        Ok(())
-                    }
-                })
-                .await;
-        }
-    });
-}
-
-/// Draw a root transaction's operation plan: `calls` (key, op) pairs.
-fn op_plan(sim: &Sim<Msg>, calls: usize, read_pct: u32, keyspace: u64) -> Vec<(i64, Op)> {
-    (0..calls)
-        .map(|_| {
-            let key = sim.rand_below(keyspace) as i64;
-            let op = if sim.rand_below(100) < u64::from(read_pct) {
-                Op::Read
-            } else if sim.rand_below(2) == 0 {
-                Op::Insert
-            } else {
-                Op::Remove
-            };
-            (key, op)
-        })
-        .collect()
 }
 
 #[cfg(test)]

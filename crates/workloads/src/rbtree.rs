@@ -10,7 +10,10 @@
 //! `place`. The red-black insert then runs the full CLRS recolor/rotation
 //! fixup up its root path — the writes it spreads along that path are what
 //! gives RBTree its contention profile in the paper; BST's insert skips it,
-//! so its hot spot is the nodes near the root.
+//! so its hot spot is the nodes near the root. Each mirrored step is
+//! written once over `link`, a node's left or right link: one `rotate`,
+//! one fixup arm for either side of the grandparent, and the link writes
+//! of `place` and `set_child`.
 
 use qrdtm_core::{Abort, ObjVal, ObjectId, TreeNode, Tx};
 
@@ -65,6 +68,15 @@ async fn get_node(tx: &Tx, oid: ObjectId) -> Result<TreeNode, Abort> {
 
 async fn put_node(tx: &Tx, oid: ObjectId, n: TreeNode) -> Result<(), Abort> {
     tx.write(oid, ObjVal::Node(n)).await
+}
+
+/// `n`'s right link if `right`, else its left one.
+fn link(n: &mut TreeNode, right: bool) -> &mut Option<ObjectId> {
+    if right {
+        &mut n.right
+    } else {
+        &mut n.left
+    }
 }
 
 /// Where a [`find`] descent ended.
@@ -137,11 +149,8 @@ pub(crate) async fn place(
         None => tx.write(t.root_ptr(), ObjVal::Ptr(Some(z))).await?,
         Some(p_oid) => {
             let mut p = get_node(tx, p_oid).await?;
-            if key < p.key {
-                p.left = Some(z);
-            } else {
-                p.right = Some(z);
-            }
+            let right = key > p.key;
+            *link(&mut p, right) = Some(z);
             put_node(tx, p_oid, p).await?;
         }
     }
@@ -161,44 +170,29 @@ async fn set_child(
         None => tx.write(t.root_ptr(), ObjVal::Ptr(to)).await,
         Some(p_oid) => {
             let mut p = get_node(tx, p_oid).await?;
-            if p.left == Some(from) {
-                p.left = to;
-            } else {
-                debug_assert_eq!(p.right, Some(from));
-                p.right = to;
-            }
+            let right = p.left != Some(from);
+            debug_assert!(!right || p.right == Some(from));
+            *link(&mut p, right) = to;
             put_node(tx, p_oid, p).await
         }
     }
 }
 
-async fn rotate_left(
+/// Rotate `x_oid` down to its `down` side (`true`: right), lifting its
+/// child on the other side into its place under `parent` (`None`: the
+/// root pointer).
+async fn rotate(
     tx: &Tx,
     t: &TreeLayout,
     x_oid: ObjectId,
     parent: Option<ObjectId>,
+    down: bool,
 ) -> Result<(), Abort> {
     let mut x = get_node(tx, x_oid).await?;
-    let y_oid = x.right.expect("rotate_left requires a right child");
+    let y_oid = link(&mut x, !down).expect("a rotation lifts an existing child");
     let mut y = get_node(tx, y_oid).await?;
-    x.right = y.left;
-    y.left = Some(x_oid);
-    put_node(tx, x_oid, x).await?;
-    put_node(tx, y_oid, y).await?;
-    set_child(tx, t, parent, x_oid, Some(y_oid)).await
-}
-
-async fn rotate_right(
-    tx: &Tx,
-    t: &TreeLayout,
-    x_oid: ObjectId,
-    parent: Option<ObjectId>,
-) -> Result<(), Abort> {
-    let mut x = get_node(tx, x_oid).await?;
-    let y_oid = x.left.expect("rotate_right requires a left child");
-    let mut y = get_node(tx, y_oid).await?;
-    x.left = y.right;
-    y.right = Some(x_oid);
+    *link(&mut x, !down) = *link(&mut y, down);
+    *link(&mut y, down) = Some(x_oid);
     put_node(tx, x_oid, x).await?;
     put_node(tx, y_oid, y).await?;
     set_child(tx, t, parent, x_oid, Some(y_oid)).await
@@ -246,9 +240,9 @@ async fn fixup(
         }
         // A red parent is never the root, so a grandparent exists.
         let g_oid = path[path.len() - 2];
-        let g = get_node(tx, g_oid).await?;
-        let parent_is_left = g.left == Some(p_oid);
-        let u_oid = if parent_is_left { g.right } else { g.left };
+        let mut g = get_node(tx, g_oid).await?;
+        let p_left = g.left == Some(p_oid);
+        let u_oid = *link(&mut g, p_left);
         let u_red = match u_oid {
             Some(u) => get_node(tx, u).await?.red,
             None => false,
@@ -267,31 +261,18 @@ async fn fixup(
         } else {
             None
         };
-        if parent_is_left {
-            let z_is_right = get_node(tx, p_oid).await?.right == Some(z);
-            // Case 2: inner child straightens into an outer child.
-            let top = if z_is_right {
-                rotate_left(tx, t, p_oid, Some(g_oid)).await?;
-                z
-            } else {
-                p_oid
-            };
-            // Case 3: recolor and rotate the grandparent down.
-            set_red(tx, top, false).await?;
-            set_red(tx, g_oid, true).await?;
-            rotate_right(tx, t, g_oid, ggp).await?;
+        // Case 2: an inner child straightens into an outer one.
+        let inner = *link(&mut get_node(tx, p_oid).await?, p_left) == Some(z);
+        let top = if inner {
+            rotate(tx, t, p_oid, Some(g_oid), !p_left).await?;
+            z
         } else {
-            let z_is_left = get_node(tx, p_oid).await?.left == Some(z);
-            let top = if z_is_left {
-                rotate_right(tx, t, p_oid, Some(g_oid)).await?;
-                z
-            } else {
-                p_oid
-            };
-            set_red(tx, top, false).await?;
-            set_red(tx, g_oid, true).await?;
-            rotate_left(tx, t, g_oid, ggp).await?;
-        }
+            p_oid
+        };
+        // Case 3: recolor and rotate the grandparent down, away from p.
+        set_red(tx, top, false).await?;
+        set_red(tx, g_oid, true).await?;
+        rotate(tx, t, g_oid, ggp, p_left).await?;
         return Ok(());
     }
 }
@@ -371,14 +352,14 @@ mod tests {
         (c, t)
     }
 
-    #[test]
-    fn sequential_inserts_stay_balanced() {
-        // Ascending inserts are the classic worst case for an unbalanced
-        // tree; the fixup must keep the black heights uniform.
+    /// Insert `keys` in order, one root each, into a fresh 32-key tree;
+    /// check the tree and return what the inserts cost: reads, commit
+    /// rounds, messages and bytes sent.
+    fn insert_all(keys: Vec<i64>) -> [u64; 4] {
         let (c, t) = setup(32);
         let client = c.client(NodeId(3));
         c.sim().spawn(async move {
-            for k in 0..32i64 {
+            for &k in &keys {
                 client
                     .run(|tx| async move { insert(&tx, &t, k, k).await })
                     .await;
@@ -389,6 +370,24 @@ mod tests {
             assert_eq!(keys, (0..32).collect::<Vec<_>>());
         });
         c.sim().run();
+        let (s, m) = (c.stats(), c.sim().metrics());
+        [
+            s.read_rounds + s.local_hits,
+            s.commit_rounds,
+            m.sent_total,
+            m.bytes_total,
+        ]
+    }
+
+    #[test]
+    fn sequential_inserts_stay_balanced() {
+        // Sorted inserts are the classic worst case for an unbalanced
+        // tree; the fixup must keep the black heights uniform. Descending
+        // order mirrors ascending, so its rotations and recolors mirror
+        // too and must cost exactly as much.
+        let ascending = insert_all((0..32).collect());
+        let descending = insert_all((0..32).rev().collect());
+        assert_eq!(ascending, descending);
     }
 
     #[test]

@@ -20,4 +20,4 @@ repro all --quick --out $out/all_quick >$out/all_quick.txt
 repro all --out results >/dev/null
 cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- --smoke |
     awk -f scripts/virtual_only.awk >tests/golden/benchmark_smoke.txt
-git diff --stat -- tests/golden results
+git diff --stat -- tests/golden/digests.txt tests/golden/repro tests/golden/benchmark_smoke.txt results

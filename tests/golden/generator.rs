@@ -27,7 +27,7 @@ use qrdtm_chaos::{generate, run_plan, ChaosSpec, ChaosTarget, FaultBudget, Fault
 use qrdtm_core::{Cluster, DtmConfig, DurabilityConfig, InjectedBug, NestingMode, ObjectId};
 use qrdtm_mc::{dfs_explore, pct_explore, replay, run_schedule, ForcedPolicy, McBug, Scope, Trace};
 use qrdtm_qstore::{QStoreBug, QStoreCluster, QStoreConfig};
-use qrdtm_sim::{EngineEvent, Metrics, SimDuration};
+use qrdtm_sim::{fnv, EngineEvent, Metrics, SimDuration};
 use qrdtm_workloads::{
     run, run_bank, run_open_loop, BankSpec, Benchmark, OpenLoopSpec, RunSpec, WorkloadParams,
 };
@@ -35,18 +35,6 @@ use qrdtm_workloads::{
 const NODES: usize = 6;
 const ACCOUNTS: u64 = 8;
 const SEED: u64 = 7;
-
-/// FNV-1a over 64-bit words (stable across runs and toolchains, unlike
-/// `DefaultHasher`).
-fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
 
 fn fnv_text(s: &str) -> u64 {
     fnv(s.bytes().map(u64::from))
@@ -207,7 +195,7 @@ fn qr(mode: NestingMode) -> Rc<Cluster> {
 }
 
 /// Open-loop leg: the admission-control path (shedding, deadlines, retry
-/// budgets) is timer-heavy and exercises cancel/lazy-skip in the queue.
+/// budgets) is timer-heavy.
 fn observe_open_loop() -> Observation {
     let proto = qr(NestingMode::Closed);
     proto.sim().record_engine_events(true);
