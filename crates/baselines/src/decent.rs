@@ -22,11 +22,11 @@
 //! algorithm" the paper observed. See DESIGN.md "Substitutions".
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use qrdtm_core::{
-    Abort, DtmProtocol, LatencySpec, ObjVal, ObjectId, ProtocolStats, SimHosted, Version,
+    Abort, DtmProtocol, IdMap, LatencySpec, ObjVal, ObjectId, ProtocolStats, SimHosted, Version,
 };
 use qrdtm_sim::{NodeId, Sim, SimConfig, SimDuration, SimMessage};
 
@@ -118,7 +118,7 @@ impl ReplicaObj {
 
 #[derive(Default)]
 struct ReplicaStore {
-    objects: HashMap<ObjectId, ReplicaObj>,
+    objects: IdMap<ObjectId, ReplicaObj>,
 }
 
 /// Link latency (same network as QR-DTM in the paper's comparison).

@@ -14,11 +14,11 @@
 //! round trips (~5 ms) are far cheaper than quorum multicast (~30 ms RTT).
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use qrdtm_core::{
-    Abort, DtmProtocol, LatencySpec, ObjVal, ObjectId, ProtocolStats, SimHosted, Version,
+    Abort, DtmProtocol, IdMap, LatencySpec, ObjVal, ObjectId, ProtocolStats, SimHosted, Version,
 };
 use qrdtm_sim::{mix, NodeId, Sim, SimConfig, SimDuration, SimMessage};
 
@@ -105,7 +105,7 @@ struct HomeObj {
 /// Per-node state: the objects homed here plus the node clock.
 #[derive(Default)]
 struct HomeStore {
-    objects: HashMap<ObjectId, HomeObj>,
+    objects: IdMap<ObjectId, HomeObj>,
     clock: u64,
 }
 

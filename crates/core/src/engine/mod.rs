@@ -65,7 +65,6 @@ use qrdtm_sim::{Counter, EngineEventKind, NodeId, Sim, SimDuration, SimTime};
 use crate::cluster::ClusterInner;
 use crate::msg::{Msg, ValidationKind};
 use crate::object::{ObjVal, ObjectId};
-use crate::pool::Payload;
 use crate::txid::{Abort, AbortTarget, NestingMode};
 
 use nesting::{Entry, TxState};
@@ -200,20 +199,20 @@ impl Tx {
                 return Ok(out);
             }
             if let Some(found) = st.find(self.level, oid) {
-                let out = match write_val {
+                let (out, read_at) = match write_val {
                     Some(v) => {
                         st.promote(found, v);
-                        ObjVal::Unit
+                        (ObjVal::Unit, None)
                     }
-                    None => st.entry(found).val.clone(),
+                    None => (st.entry(found).val.clone(), Some(found)),
                 };
-                st.log_op(mode, oid, is_write, &out);
+                st.log_op(mode, oid, read_at);
                 self.ep.inner.stats.borrow_mut().local_hits += 1;
                 return Ok(out);
             }
         }
-        // Remote acquisition: the validation payload the mode mandates
-        // (the merged data set, or nothing with Rqv disabled), then
+        // Remote acquisition: the validation payload (the merged data set,
+        // empty when the mode or a disabled Rqv piggybacks nothing), then
         // read-quorum rounds.
         let (root, cur_chk, entries, kind, deadline) = {
             let st = self.st.borrow();
@@ -222,12 +221,7 @@ impl Tx {
             } else {
                 ValidationKind::None
             };
-            let entries = if kind == ValidationKind::None {
-                Payload::default()
-            } else {
-                st.entries()
-            };
-            (st.root, st.cur_chk(), entries, kind, st.deadline)
+            (st.root, st.cur_chk(), st.entries(), kind, st.deadline)
         };
         let round = self
             .ep
@@ -255,8 +249,8 @@ impl Tx {
                 owner_level: self.level,
                 owner_chk: cur_chk,
             };
-            st.fetched(entry, kind != ValidationKind::None);
-            st.log_op(mode, oid, is_write, &fetched);
+            let at = st.fetched(entry, kind != ValidationKind::None);
+            st.log_op(mode, oid, (!is_write).then_some(at));
         }
         self.maybe_checkpoint().await;
         Ok(if is_write { ObjVal::Unit } else { fetched })

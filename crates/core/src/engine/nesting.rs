@@ -10,12 +10,15 @@
 //! closed-nested scope and a checkpoint are both marks on the log, and
 //! every partial abort is a truncation to a mark — the log is its own undo
 //! record. The Rqv payload every remote read piggybacks is kept beside the
-//! log under the same marks, so a read freezes it instead of deriving it
-//! from the whole log. With one data set for all three, the mode is the
-//! whole policy: its few answers are methods on [`NestingMode`] itself,
-//! and the rest are [`TxState`] methods that take the mode.
+//! log under the same marks, copy-on-write: a read sends the payload itself
+//! (a reference-count bump), and the next change copies it only if a
+//! request still in flight holds it. With one data set for all three, the
+//! mode is the whole policy: its few answers are methods on
+//! [`NestingMode`] itself, and the rest are [`TxState`] methods that take
+//! the mode.
 
 use std::cmp::Reverse;
+use std::rc::Rc;
 
 use qrdtm_sim::SimTime;
 
@@ -72,12 +75,15 @@ pub(super) struct CommitSets {
     pub(super) payload: Payload<(ObjectId, Version, ObjVal)>,
 }
 
-/// One logged operation: what the body issued and, for a read, what it got.
+/// One logged operation: what the body issued and, for a read, where what
+/// it got sits in the data-set log. The log is append-only and every
+/// checkpoint marks both logs at once, so a position below a restored mark
+/// still holds the value that was read, whatever later writes shadow it.
 #[derive(Debug)]
 pub(super) struct LoggedOp {
     pub(super) oid: ObjectId,
-    /// `Some(result)` for a read, `None` for a write.
-    pub(super) result: Option<ObjVal>,
+    /// `Some(position)` for a read, `None` for a write.
+    pub(super) read_at: Option<u32>,
 }
 
 /// The mutable state of one root transaction attempt (all nesting levels).
@@ -90,7 +96,10 @@ pub(super) struct TxState {
     log: Vec<Entry>,
     /// What Rqv validates of the log: one entry per distinct object, in
     /// fetch order (a promoted copy keeps its fetch's version and owner).
-    rqv: Vec<ValEntry>,
+    /// Shared with the read requests that carry it; every change goes
+    /// through [`Rc::make_mut`], so a request still in flight keeps the
+    /// snapshot it was sent with.
+    rqv: Rc<Vec<ValEntry>>,
     /// One mark per open closed-nested scope (QR-CN only): the lengths of
     /// `log` and `rqv` when the scope at level `index + 1` began.
     scopes: Vec<(usize, usize)>,
@@ -130,7 +139,7 @@ impl TxState {
         TxState {
             root,
             log: Vec::new(),
-            rqv: Vec::new(),
+            rqv: Rc::default(),
             scopes: Vec::new(),
             dataset_size: 0,
             order: Vec::new(),
@@ -175,10 +184,19 @@ impl TxState {
     }
 
     /// The merged data set as the Rqv validation payload: one entry per
-    /// object, frozen into its one allocation. Fetch order, not object
-    /// order — the validator folds invalid entries with a `min`.
-    pub(super) fn entries(&self) -> Payload<ValEntry> {
-        self.rqv.as_slice().into()
+    /// object, shared rather than copied. Fetch order, not object order —
+    /// the validator folds invalid entries with a `min`. Empty unless reads
+    /// piggyback it, so flat reads all share one empty payload.
+    pub(super) fn entries(&self) -> Rc<Vec<ValEntry>> {
+        Rc::clone(&self.rqv)
+    }
+
+    /// Cut the Rqv payload back to `mark`, leaving a payload that is
+    /// already that short (and whoever shares it) alone.
+    fn truncate_rqv(&mut self, mark: usize) {
+        if mark < self.rqv.len() {
+            Rc::make_mut(&mut self.rqv).truncate(mark);
+        }
     }
 
     /// The read and write sets of a root commit (all scopes closed).
@@ -214,14 +232,16 @@ impl TxState {
 
     /// Append a copy the innermost scope fetched from the read quorum: a
     /// new slot, since the fetch followed a failed [`TxState::find`].
-    /// `piggybacked`: whether reads carry the Rqv payload at all.
-    pub(super) fn fetched(&mut self, e: Entry, piggybacked: bool) {
+    /// `piggybacked`: whether reads carry the Rqv payload at all. Returns
+    /// the entry's position in the log.
+    pub(super) fn fetched(&mut self, e: Entry, piggybacked: bool) -> usize {
         debug_assert_eq!(e.owner_level, self.depth(), "the innermost scope inserts");
         if piggybacked {
-            self.rqv.push(e.rqv());
+            Rc::make_mut(&mut self.rqv).push(e.rqv());
         }
         self.log.push(e);
         self.dataset_size += 1;
+        self.log.len() - 1
     }
 
     /// Write `val` to the object entry `i` holds: promote/shadow into the
@@ -253,8 +273,10 @@ impl TxState {
         for e in &mut self.log[log_mark..] {
             e.owner_level = e.owner_level.min(parent);
         }
-        for e in &mut self.rqv[rqv_mark..] {
-            e.owner_level = e.owner_level.min(parent);
+        if rqv_mark < self.rqv.len() {
+            for e in &mut Rc::make_mut(&mut self.rqv)[rqv_mark..] {
+                e.owner_level = e.owner_level.min(parent);
+            }
         }
     }
 
@@ -263,7 +285,7 @@ impl TxState {
         if let Some(&(log_mark, rqv_mark)) = self.scopes.get(level as usize - 1) {
             self.scopes.truncate(level as usize - 1);
             self.log.truncate(log_mark);
-            self.rqv.truncate(rqv_mark);
+            self.truncate_rqv(rqv_mark);
         }
     }
 
@@ -276,7 +298,7 @@ impl TxState {
             return None;
         }
         let logged = &self.oplog[self.op_index];
-        if logged.oid != oid || logged.result.is_none() != is_write {
+        if logged.oid != oid || logged.read_at.is_none() != is_write {
             let kind = |w| if w { "write" } else { "read" };
             panic!(
                 "replay divergence in {}: op {} was logged as ({}, {}) but the re-executed \
@@ -285,29 +307,25 @@ impl TxState {
                 self.root,
                 self.op_index,
                 logged.oid,
-                kind(logged.result.is_none()),
+                kind(logged.read_at.is_none()),
                 oid,
                 kind(is_write),
             );
         }
         // A logged write needs nothing: the restored frame contains it.
-        let out = logged.result.clone().unwrap_or(ObjVal::Unit);
+        let read = logged.read_at.map(|at| self.log[at as usize].val.clone());
+        let out = read.unwrap_or(ObjVal::Unit);
         self.op_index += 1;
         Some(out)
     }
 
     /// Record a completed operation in the op log (QR-CHK only: the log is
-    /// what a rollback replays).
-    pub(super) fn log_op(
-        &mut self,
-        mode: NestingMode,
-        oid: ObjectId,
-        is_write: bool,
-        out: &ObjVal,
-    ) {
+    /// what a rollback replays): a read with the log position of the entry
+    /// it returned, a write with `None`.
+    pub(super) fn log_op(&mut self, mode: NestingMode, oid: ObjectId, read_at: Option<usize>) {
         if mode == NestingMode::Checkpoint {
-            let result = if is_write { None } else { Some(out.clone()) };
-            self.oplog.push(LoggedOp { oid, result });
+            let read_at = read_at.map(|at| at as u32);
+            self.oplog.push(LoggedOp { oid, read_at });
             self.op_index += 1;
         }
     }
@@ -346,7 +364,7 @@ impl TxState {
         let rec = self.checkpoints[c];
         self.scopes.clear();
         self.log.truncate(rec.log_len);
-        self.rqv.truncate(rec.rqv_len);
+        self.truncate_rqv(rec.rqv_len);
         self.dataset_size = rec.dataset_size;
         self.oplog.truncate(rec.oplog_len);
         self.replay_upto = rec.oplog_len;
@@ -462,12 +480,59 @@ mod tests {
         map.into_values().collect()
     }
 
+    fn fetch(oid: u64, owner_level: u32) -> Entry {
+        Entry {
+            oid: ObjectId(oid),
+            is_write: false,
+            version: Version::INITIAL,
+            val: ObjVal::Unit,
+            owner_level,
+            owner_chk: 0,
+        }
+    }
+
+    /// Make `change` while a request still holds the payload it was sent
+    /// with: the request's copy must not move, and the state's must.
+    fn in_flight(st: &mut TxState, name: &str, change: impl FnOnce(&mut TxState)) {
+        let sent = st.entries();
+        let copy = sent.to_vec();
+        change(st);
+        assert_eq!(*sent, copy, "{name} edited a payload in flight");
+        assert!(!Rc::ptr_eq(&sent, &st.entries()), "{name} left no change");
+    }
+
+    #[test]
+    fn a_taken_payload_is_a_snapshot_and_the_last_alias_writes_in_place() {
+        let mut st = TxState::new(ROOT);
+        st.fetched(fetch(0, 0), true);
+        st.open_scope();
+        st.fetched(fetch(1, 1), true);
+        in_flight(&mut st, "fetched", |st| {
+            st.fetched(fetch(2, 1), true);
+        });
+        in_flight(&mut st, "commit_scope", TxState::commit_scope);
+        st.open_scope();
+        st.fetched(fetch(3, 1), true);
+        in_flight(&mut st, "abort_scope", |st| st.abort_scope(1));
+        in_flight(&mut st, "rollback_to", |st| {
+            st.rollback_to(0);
+        });
+        assert!(st.entries().is_empty());
+        // No alias left: the next change happens in place.
+        let at = Rc::as_ptr(&st.rqv);
+        st.fetched(fetch(4, 0), true);
+        assert_eq!(Rc::as_ptr(&st.rqv), at);
+        assert_eq!(st.rqv.len(), 1);
+    }
+
     #[derive(Clone, Copy, Debug)]
     enum Step {
         /// Fetch an object the data set does not hold, for read or write.
         Remote { oid: u64, is_write: bool },
         /// Write the `pick`-th held object as a local hit.
         Promote { pick: usize },
+        /// Read the `pick`-th held object as a local hit.
+        Hit { pick: usize },
         /// QR-CHK: take a checkpoint. QR-CN: open a closed-nested scope.
         Mark,
         /// QR-CHK: roll back to the `pick`-th live checkpoint. QR-CN: abort
@@ -485,6 +550,7 @@ mod tests {
                 remote(),
                 remote(),
                 (0..64usize).prop_map(|pick| Step::Promote { pick }),
+                (0..64usize).prop_map(|pick| Step::Hit { pick }),
                 Just(Step::Mark),
                 (0..64usize).prop_map(|pick| Step::Rollback { pick }),
                 Just(Step::CommitScope),
@@ -497,14 +563,16 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         /// Under QR-CHK the reference is one frame plus a deep copy of it
-        /// (and the op-log length) per checkpoint; under QR-CN a stack of
-        /// frames.
+        /// (and the op-log length) per checkpoint, and an op log of the
+        /// values the reads returned; under QR-CN a stack of frames.
         #[test]
         fn marks_on_the_log_equal_frames_and_snapshots(chk in any::<bool>(), steps in steps()) {
             let mode = if chk { NestingMode::Checkpoint } else { NestingMode::Closed };
             let mut st = TxState::new(ROOT);
             let mut frames = vec![Frame::default()];
             let mut snapshots = vec![(0, Frame::default())];
+            // `(object, what the read returned)`, `None` for a write.
+            let mut ops: Vec<(ObjectId, Option<ObjVal>)> = Vec::new();
             for (n, step) in steps.into_iter().enumerate() {
                 let val = ObjVal::Int(n as i64);
                 let level = st.depth();
@@ -524,8 +592,9 @@ mod tests {
                         };
                         frames[level as usize].insert(e.clone());
                         // Data-set insert plus op log, as `Tx::access` does.
-                        st.fetched(e, true);
-                        st.log_op(mode, oid, is_write, &val);
+                        let at = st.fetched(e, true);
+                        st.log_op(mode, oid, (!is_write).then_some(at));
+                        ops.push((oid, (!is_write).then_some(val)));
                     }
                     Step::Promote { pick } => {
                         let held = st.entries();
@@ -536,7 +605,20 @@ mod tests {
                         let found = lookup(&frames, oid).expect("held").clone();
                         frames[level as usize].insert(Entry { is_write: true, val: val.clone(), ..found });
                         st.promote(st.find(level, oid).expect("held"), val);
-                        st.log_op(mode, oid, true, &ObjVal::Unit);
+                        st.log_op(mode, oid, None);
+                        ops.push((oid, None));
+                    }
+                    Step::Hit { pick } => {
+                        let held = st.entries();
+                        if held.is_empty() {
+                            continue;
+                        }
+                        let oid = held[pick % held.len()].oid;
+                        let found = st.find(level, oid).expect("held");
+                        let got = st.entry(found).val.clone();
+                        prop_assert_eq!(&got, &lookup(&frames, oid).expect("held").val);
+                        st.log_op(mode, oid, Some(found));
+                        ops.push((oid, Some(got)));
                     }
                     Step::Mark if chk => {
                         st.take_checkpoint();
@@ -551,13 +633,15 @@ mod tests {
                         prop_assert_eq!(st.rollback_to(c as u32), c as u32);
                         snapshots.truncate(c + 1);
                         frames[0] = snapshots[c].1.clone();
-                        // The body re-runs: the kept prefix replays as logged.
+                        // The body re-runs: the kept prefix replays as logged,
+                        // every read returning what it returned the first
+                        // time, however many later writes shadowed it.
                         prop_assert_eq!(st.oplog.len(), snapshots[c].0);
                         prop_assert_eq!(st.replay_upto, snapshots[c].0);
-                        let prefix: Vec<(ObjectId, bool)> =
-                            st.oplog.iter().map(|op| (op.oid, op.result.is_none())).collect();
-                        for (oid, is_write) in prefix {
-                            prop_assert!(st.replay_hit(oid, is_write).is_some());
+                        ops.truncate(snapshots[c].0);
+                        for (oid, read) in &ops {
+                            let want = read.clone().unwrap_or(ObjVal::Unit);
+                            prop_assert_eq!(st.replay_hit(*oid, read.is_none()), Some(want));
                         }
                         prop_assert!(!st.replaying());
                     }

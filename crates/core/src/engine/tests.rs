@@ -314,7 +314,11 @@ fn contending_writers_serialize() {
     // No replica remains locked.
     for n in 0..13u32 {
         let r = c.inner.stores[n as usize].borrow();
-        assert!(!r.get(o(1)).unwrap().protected, "node {n} still locked");
+        assert_eq!(
+            r.get(o(1)).unwrap().protected_by,
+            None,
+            "node {n} still locked"
+        );
     }
 }
 
@@ -444,7 +448,7 @@ fn step_until(c: &Cluster, what: &str, reached: impl Fn() -> bool) {
 fn copy_at(c: &Cluster, n: NodeId) -> (Version, bool) {
     let store = c.inner.stores[n.index()].borrow();
     let r = store.get(o(1)).expect("preloaded");
-    (r.version, r.protected)
+    (r.version, r.protected_by.is_some())
 }
 
 fn alive(c: &Cluster) -> Vec<NodeId> {

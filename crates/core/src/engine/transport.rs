@@ -169,7 +169,7 @@ impl Endpoint {
         cur_level: u32,
         cur_chk: u32,
         oid: ObjectId,
-        entries: Payload<ValEntry>,
+        entries: Rc<Vec<ValEntry>>,
         kind: ValidationKind,
         deadline: Option<SimTime>,
     ) -> Result<ReadRound, Abort> {

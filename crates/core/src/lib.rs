@@ -81,5 +81,5 @@ pub use object::{
 pub use pool::Payload;
 pub use protocol::{atomically, attempts, DtmProtocol, ProtocolStats, SimHosted};
 pub use stats::DtmStats;
-pub use store::{NodeStore, ReadOutcome};
+pub use store::{NodeStore, ReadOutcome, MAX_OBJECTS};
 pub use txid::{Abort, AbortTarget, NestingMode, TxId};

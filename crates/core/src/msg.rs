@@ -7,13 +7,15 @@
 //!   transaction's current data set for Rqv incremental validation
 //!   (paper Algs. 1, 2, 4); under flat QR the set is empty.
 //! * `CommitReq` → `Vote` — phase one of two-phase commit on the write
-//!   quorum: validate the read/write sets and lock (`protected`) the
+//!   quorum: validate the read/write sets and lock (`protected_by`) the
 //!   write-set objects.
 //! * `Apply` / `AbortReq` → `Ack` — phase two: apply the writes and release
 //!   the locks, or just release them.
 //!
 //! Message classes index the simulator's accounting so experiments can
 //! report read-request vs commit-request traffic like the paper's Table 8.
+
+use std::rc::Rc;
 
 use qrdtm_sim::SimMessage;
 
@@ -82,9 +84,10 @@ pub enum Msg {
         cur_chk: u32,
         /// Object requested.
         oid: ObjectId,
-        /// Rqv data set (empty under flat QR); shared, not copied,
-        /// across the quorum fan-out and every retry attempt.
-        entries: Payload<ValEntry>,
+        /// Rqv data set (empty under flat QR): the transaction's own
+        /// copy-on-write payload, shared, not copied, by the request, the
+        /// quorum fan-out and every retry attempt.
+        entries: Rc<Vec<ValEntry>>,
         /// Validation flavour.
         kind: ValidationKind,
     },
@@ -134,6 +137,12 @@ pub enum Msg {
     Ack,
 }
 
+// The simulator's arena keeps every message in flight inline, one event
+// slot each. If this fails, a variant outgrew a 40-byte value plus its id
+// and version (`ReadOk`): a payload went back to a fat slice pointer or a
+// value regrew, and every event slot regrows with it.
+const _: () = assert!(std::mem::size_of::<Msg>() <= 56);
+
 impl SimMessage for Msg {
     fn class(&self) -> u8 {
         match self {
@@ -182,7 +191,7 @@ mod tests {
             cur_level: 0,
             cur_chk: 0,
             oid: ObjectId(1),
-            entries: [].into(),
+            entries: Rc::default(),
             kind: ValidationKind::None,
         };
         let commit = Msg::CommitReq {

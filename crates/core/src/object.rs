@@ -1,28 +1,31 @@
 //! Transactional objects and their replicated copies.
 //!
 //! Every node in QR holds a copy of every object (paper §III-B, property 1).
-//! A copy carries a monotonically increasing [`Version`] and the `protected`
-//! flag set while a committing transaction holds the object locked during
-//! two-phase commit. The paper also keeps potential-readers / potential-writers
-//! lists (PR/PW) per copy for contention managers to consult; the one rule
-//! implemented here (abort the requester) reads neither, so no copy carries
-//! them — a manager that needs them adds them back together with its reader.
+//! A copy carries a monotonically increasing [`Version`] and, while a
+//! committing transaction holds the object locked during two-phase commit,
+//! that transaction (`protected_by`). The paper also keeps
+//! potential-readers / potential-writers lists (PR/PW) per copy for
+//! contention managers to consult; the one rule implemented here (abort
+//! the requester) reads neither, so no copy carries them — a manager that
+//! needs them adds them back together with its reader.
 //!
 //! An [`ObjVal`] is immutable once written: its variable-length parts are
-//! shared slices, so a clone — replica to read reply, reply to data set,
-//! data set to op log and commit payload, commit payload to every
-//! write-quorum replica — moves a reference count and never bytes. A writer
-//! builds a new value (one `collect`, or `Arc::make_mut` on its own clone;
-//! an [`IntLog`] append shares the log it extends) and hands that to
-//! [`Tx::write`](crate::Tx::write). The shared parts are `Arc`, not `Rc`:
-//! the threaded backend (`qrdtm-par`) keeps values in tables shared between
-//! threads, so `ObjVal` must stay `Send + Sync`.
+//! shared slices and a tree node sits behind its own `Arc`, so a clone —
+//! replica to read reply, reply to data set, data set to commit payload,
+//! commit payload to every write-quorum replica — moves a reference count
+//! and never bytes. A writer builds a new value (one `collect`, or
+//! `Arc::make_mut` on its own clone; an [`IntLog`] append shares the log it
+//! extends) and hands that to [`Tx::write`](crate::Tx::write). The shared
+//! parts are `Arc`, not `Rc`: the threaded backend (`qrdtm-par`) keeps
+//! values in tables shared between threads, so `ObjVal` must stay `Send +
+//! Sync`.
 
 use std::fmt;
 use std::sync::Arc;
 
-// The replica tables' integer keys ([`ObjectId`]) go through the workspace's
-// one integer hasher, which lives in the lowest crate.
+// Q-Store's and the baselines' replica tables key [`ObjectId`]s through the
+// workspace's one integer hasher, which lives in the lowest crate (QR's own
+// table is a dense row per id).
 pub use qrdtm_sim::{IdHasher, IdMap};
 
 use crate::txid::TxId;
@@ -175,8 +178,9 @@ pub enum ObjVal {
     Int(i64),
     /// A sorted list of keys (hashmap bucket).
     IntList(Arc<[i64]>),
-    /// Search-tree node.
-    Node(TreeNode),
+    /// Search-tree node, behind a pointer: inline it would make every
+    /// value 56 bytes rather than 40.
+    Node(Arc<TreeNode>),
     /// Skip-list node.
     SkipNode(SkipNode),
     /// Vacation relation fragment.
@@ -191,6 +195,11 @@ const _: fn() = || {
     fn is<T: Send + Sync>() {}
     is::<ObjVal>();
 };
+
+// Every data-set entry, replica row, commit payload and event slot that
+// carries a value holds one inline. If this fails, a variant grew past a
+// tag plus two words: box it as `Node` is, or those all regrow.
+const _: () = assert!(std::mem::size_of::<ObjVal>() <= 40);
 
 impl ObjVal {
     /// Approximate serialized size in bytes, used for wire accounting.
@@ -272,11 +281,14 @@ pub struct Replica {
     pub val: ObjVal,
     /// Version of `val`.
     pub version: Version,
-    /// Set while a transaction holds this object locked in 2PC.
-    pub protected: bool,
-    /// The transaction holding the lock, when `protected`.
+    /// The transaction holding this object locked in 2PC, if any.
     pub protected_by: Option<TxId>,
 }
+
+// One replica row per object per node. If this fails, `ObjVal` grew or a
+// lock field came back beside `protected_by`, and every node's dense row
+// table regrows with it.
+const _: () = assert!(std::mem::size_of::<Replica>() <= 72);
 
 impl Replica {
     /// A fresh replica with the initial version.
@@ -284,14 +296,13 @@ impl Replica {
         Replica {
             val,
             version: Version::INITIAL,
-            protected: false,
             protected_by: None,
         }
     }
 
     /// Whether `tx` conflicts with the current lock holder.
     pub fn locked_by_other(&self, tx: TxId) -> bool {
-        self.protected && self.protected_by != Some(tx)
+        self.protected_by.is_some_and(|holder| holder != tx)
     }
 }
 
@@ -328,7 +339,6 @@ mod tests {
         let t2 = TxId { node: 1, seq: 1 };
         let mut r = Replica::new(ObjVal::Int(7));
         assert!(!r.locked_by_other(t1));
-        r.protected = true;
         r.protected_by = Some(t1);
         assert!(!r.locked_by_other(t1), "own lock never conflicts");
         assert!(r.locked_by_other(t2));
@@ -354,7 +364,7 @@ mod tests {
             (ObjVal::Int(-7), 8),
             (ObjVal::IntList([].into()), 8),
             (ObjVal::IntList(vec![1; 10].into()), 88),
-            (ObjVal::Node(node()), 40),
+            (ObjVal::Node(node().into()), 40),
             (ObjVal::SkipNode(skip), 96),
             (ObjVal::Table(vec![row; 4].into()), 136),
             (ObjVal::Log(IntLog::default()), 8),
@@ -379,7 +389,7 @@ mod tests {
             ObjVal::Ptr(Some(ObjectId(3))).expect_ptr(),
             Some(ObjectId(3))
         );
-        assert_eq!(ObjVal::Node(node()).expect_node(), &node());
+        assert_eq!(ObjVal::Node(node().into()).expect_node(), &node());
     }
 
     #[test]

@@ -8,6 +8,13 @@
 //! payload of a [`Msg`](crate::Msg) is built exactly once (`vec.into()`),
 //! frozen, and shared by every copy in flight.
 //!
+//! One payload is not frozen: the Rqv data set a read request carries is
+//! the transaction's own copy-on-write log, an `Rc<Vec<ValEntry>>` that it
+//! keeps appending to. A read sends it by count, and the next change goes
+//! through `Rc::make_mut`, which copies only while a request still in
+//! flight holds the old one — so every request keeps the snapshot it was
+//! sent with, as a frozen slice would, without a copy per read.
+//!
 //! Payloads are `Rc<[T]>` while object values ([`ObjVal`](crate::ObjVal))
 //! share their contents as `Arc<[T]>`: a payload lives and dies inside one
 //! single-threaded simulation, so the non-atomic count is enough. Values

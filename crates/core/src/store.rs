@@ -19,17 +19,26 @@
 //!   — reads neither list, so they are not kept.
 //! * [`NodeStore::vote`] / [`NodeStore::apply`] / [`NodeStore::release`] —
 //!   the 2PC participant: validate read+write sets, lock write-set objects
-//!   by setting `protected`, then apply new versions or roll the locks
-//!   back.
+//!   by naming their holder in `protected_by` (the one lock state: there
+//!   is no separate flag), then apply new versions or roll the locks back.
+//!
+//! The table is a row per object id, not a hash map: every layout numbers
+//! its objects densely from 0, so an Rqv entry is an index, and exports
+//! come out in id order without a sort. An id at or past [`MAX_OBJECTS`]
+//! is a driver bug and panics rather than allocating a row for it.
 
 use crate::msg::{Msg, ValEntry, ValidationKind};
-use crate::object::{IdMap, ObjVal, ObjectId, Replica, Version};
+use crate::object::{ObjVal, ObjectId, Replica, Version};
 use crate::txid::{AbortTarget, TxId};
+
+/// The replica table's cap: object ids from 0 up to (not including) this.
+pub const MAX_OBJECTS: u64 = 1 << 20;
 
 /// One node's object table.
 #[derive(Default)]
 pub struct NodeStore {
-    objects: IdMap<ObjectId, Replica>,
+    /// Row `i` is object `i`'s copy; `None` for an id this node never held.
+    rows: Vec<Option<Replica>>,
 }
 
 /// Outcome of serving a read request.
@@ -49,56 +58,74 @@ impl NodeStore {
         NodeStore::default()
     }
 
+    /// The row of `oid`, grown into the table if it lies past its end.
+    fn slot(&mut self, oid: ObjectId) -> &mut Option<Replica> {
+        assert!(
+            oid.0 < MAX_OBJECTS,
+            "object id {oid} is past the replica table's cap of {MAX_OBJECTS} objects \
+             (layouts number objects densely from 0)"
+        );
+        let i = oid.0 as usize;
+        if i >= self.rows.len() {
+            self.rows.resize_with(i + 1, || None);
+        }
+        &mut self.rows[i]
+    }
+
+    fn row_mut(&mut self, oid: ObjectId) -> Option<&mut Replica> {
+        self.rows.get_mut(oid.0 as usize)?.as_mut()
+    }
+
+    /// Every held copy with its id, in ascending id order.
+    fn iter(&self) -> impl Iterator<Item = (ObjectId, &Replica)> {
+        let rows = self.rows.iter().enumerate();
+        rows.filter_map(|(i, r)| Some((ObjectId(i as u64), r.as_ref()?)))
+    }
+
     /// Install an object with [`Version::INITIAL`] (bootstrap only).
     pub fn preload(&mut self, oid: ObjectId, val: ObjVal) {
-        self.objects.insert(oid, Replica::new(val));
+        *self.slot(oid) = Some(Replica::new(val));
     }
 
     /// Number of objects stored.
     pub fn len(&self) -> usize {
-        self.objects.len()
+        self.iter().count()
     }
 
     /// True when no objects are stored.
     pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
+        self.iter().next().is_none()
     }
 
     /// Direct access to a replica (tests and invariant checks).
     pub fn get(&self, oid: ObjectId) -> Option<&Replica> {
-        self.objects.get(&oid)
+        self.rows.get(oid.0 as usize)?.as_ref()
     }
 
-    /// All object ids this replica holds (every node holds every object).
+    /// All object ids this replica holds (every node holds every object),
+    /// in ascending order.
     pub fn object_ids(&self) -> Vec<ObjectId> {
-        self.objects.keys().copied().collect()
+        self.iter().map(|(oid, _)| oid).collect()
     }
 
-    /// Export every committed `(oid, version, value)` triple, sorted by
-    /// object id so snapshot images are deterministic regardless of hash
-    /// iteration order (used by the durable-storage layer).
+    /// Export every committed `(oid, version, value)` triple in ascending
+    /// id order — the table's own order — so snapshot images are
+    /// deterministic (used by the durable-storage layer).
     pub fn entries(&self) -> Vec<(ObjectId, Version, ObjVal)> {
-        let mut out: Vec<_> = self
-            .objects
-            .iter()
-            .map(|(oid, r)| (*oid, r.version, r.val.clone()))
-            .collect();
-        out.sort_by_key(|(oid, _, _)| *oid);
-        out
+        let copy = |(oid, r): (ObjectId, &Replica)| (oid, r.version, r.val.clone());
+        self.iter().map(copy).collect()
     }
 
     /// Recovery state transfer: install `(version, val)` if newer than the
     /// local copy, clearing any leftover lock from before the crash.
     pub fn sync(&mut self, oid: ObjectId, version: Version, val: ObjVal) {
         let obj = self
-            .objects
-            .entry(oid)
-            .or_insert_with(|| Replica::new(val.clone()));
+            .slot(oid)
+            .get_or_insert_with(|| Replica::new(val.clone()));
         if version > obj.version {
             obj.version = version;
             obj.val = val;
         }
-        obj.protected = false;
         obj.protected_by = None;
     }
 
@@ -110,10 +137,9 @@ impl NodeStore {
     /// resolves it — so locked replicas are left alone.
     pub fn refresh(&mut self, oid: ObjectId, version: Version, val: ObjVal) {
         let obj = self
-            .objects
-            .entry(oid)
-            .or_insert_with(|| Replica::new(val.clone()));
-        if !obj.protected && version > obj.version {
+            .slot(oid)
+            .get_or_insert_with(|| Replica::new(val.clone()));
+        if obj.protected_by.is_none() && version > obj.version {
             obj.version = version;
             obj.val = val;
         }
@@ -135,7 +161,7 @@ impl NodeStore {
         };
         // A replica that has never seen the object holds nothing newer.
         let invalid = |e: &&ValEntry| {
-            let held = self.objects.get(&e.oid);
+            let held = self.get(e.oid);
             held.is_some_and(|obj| e.version < obj.version || obj.locked_by_other(root))
         };
         let invalid_owners = entries.iter().filter(invalid).map(owner);
@@ -161,7 +187,7 @@ impl NodeStore {
         if let Some(target) = self.validate(root, entries, kind) {
             return ReadOutcome::Abort(target);
         }
-        let Some(obj) = self.objects.get(&oid) else {
+        let Some(obj) = self.get(oid) else {
             // Every QR node replicates every object; a miss is a driver bug.
             panic!("read of unknown object {oid}");
         };
@@ -189,15 +215,14 @@ impl NodeStore {
         let valid =
             |obj: &Replica, version: Version| !(version < obj.version || obj.locked_by_other(root));
         for (oid, version) in reads.iter().chain(writes) {
-            if let Some(obj) = self.objects.get(oid) {
+            if let Some(obj) = self.get(*oid) {
                 if !valid(obj, *version) {
                     return false;
                 }
             }
         }
         for (oid, _) in writes {
-            if let Some(obj) = self.objects.get_mut(oid) {
-                obj.protected = true;
+            if let Some(obj) = self.row_mut(*oid) {
                 obj.protected_by = Some(root);
             }
         }
@@ -208,7 +233,7 @@ impl NodeStore {
     /// release the locks.
     pub fn apply(&mut self, root: TxId, writes: &[(ObjectId, Version, ObjVal)]) {
         for (oid, version, val) in writes {
-            let Some(obj) = self.objects.get_mut(oid) else {
+            let Some(obj) = self.row_mut(*oid) else {
                 continue;
             };
             if *version > obj.version {
@@ -216,7 +241,6 @@ impl NodeStore {
                 obj.val = val.clone();
             }
             if obj.protected_by == Some(root) {
-                obj.protected = false;
                 obj.protected_by = None;
             }
         }
@@ -237,11 +261,10 @@ impl NodeStore {
     /// 2PC phase two after an abort: release any locks `root` holds.
     pub fn release(&mut self, root: TxId, oids: &[ObjectId]) {
         for oid in oids {
-            let Some(obj) = self.objects.get_mut(oid) else {
+            let Some(obj) = self.row_mut(*oid) else {
                 continue;
             };
             if obj.protected_by == Some(root) {
-                obj.protected = false;
                 obj.protected_by = None;
             }
         }
@@ -280,6 +303,27 @@ mod tests {
         let s = store_with(3);
         assert_eq!(s.len(), 3);
         assert_eq!(s.get(ObjectId(0)).unwrap().version, Version::INITIAL);
+    }
+
+    #[test]
+    fn exports_come_out_in_ascending_id_order() {
+        // Preloaded out of order and with gaps: the rows are the order.
+        let mut s = NodeStore::new();
+        for i in [5, 0, 3, 1] {
+            s.preload(ObjectId(i), ObjVal::Int(i as i64));
+        }
+        let ids = [0, 1, 3, 5].map(ObjectId);
+        assert_eq!(s.len(), 4);
+        assert_eq!(s.object_ids(), ids);
+        let exported: Vec<ObjectId> = s.entries().iter().map(|(oid, _, _)| *oid).collect();
+        assert_eq!(exported, ids);
+        assert!(s.get(ObjectId(2)).is_none() && s.get(ObjectId(9)).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "object id o1048576 is past the replica table's cap")]
+    fn an_id_past_the_cap_panics_instead_of_allocating() {
+        NodeStore::new().preload(ObjectId(MAX_OBJECTS), ObjVal::Unit);
     }
 
     #[test]
@@ -425,7 +469,7 @@ mod tests {
         let a = tx(0, 1);
         let b = tx(1, 1);
         assert!(s.vote(a, &[], &[(ObjectId(0), Version(1))]));
-        assert!(s.get(ObjectId(0)).unwrap().protected);
+        assert!(s.get(ObjectId(0)).unwrap().protected_by.is_some());
         assert!(
             !s.vote(b, &[], &[(ObjectId(0), Version(1))]),
             "second locker loses"
@@ -433,7 +477,7 @@ mod tests {
         // The loser releases nothing; the winner applies.
         s.apply(a, &[(ObjectId(0), Version(2), ObjVal::Int(42))]);
         let r = s.get(ObjectId(0)).unwrap();
-        assert!(!r.protected);
+        assert_eq!(r.protected_by, None);
         assert_eq!(r.version, Version(2));
         assert_eq!(r.val, ObjVal::Int(42));
     }
@@ -446,8 +490,16 @@ mod tests {
         assert!(s.vote(a, &[], &[(ObjectId(0), Version(1))]));
         assert!(s.vote(b, &[], &[(ObjectId(1), Version(1))]));
         s.release(a, &[ObjectId(0), ObjectId(1)]);
-        assert!(!s.get(ObjectId(0)).unwrap().protected, "a's lock released");
-        assert!(s.get(ObjectId(1)).unwrap().protected, "b's lock survives");
+        assert_eq!(
+            s.get(ObjectId(0)).unwrap().protected_by,
+            None,
+            "a's lock released"
+        );
+        assert_eq!(
+            s.get(ObjectId(1)).unwrap().protected_by,
+            Some(b),
+            "b's lock survives"
+        );
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! stable fingerprint hash.
 //!
 //! Lives in the lowest crate so the simulator's call tables and the
-//! protocol crates' replica tables (`qrdtm_core` re-exports these names)
-//! share one implementation and one spread test, every crate that spreads
+//! Q-Store and baseline replica tables (`qrdtm_core` re-exports these
+//! names; QR's own table is a dense row per id) share one implementation
+//! and one spread test, every crate that spreads
 //! keys by hand (TFA's home nodes, the workloads' buckets, tower heights
 //! and populate orders) shares [`mix`], and every fingerprint that is
 //! compared or written down (the model checker's outcome fingerprints and
@@ -14,10 +15,10 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Hasher for tables keyed by small integer ids (object ids, transaction
-/// ids, call ids): one folded 64x64 -> 128-bit multiply per word. An Rqv
-/// validation is one table lookup per piggybacked entry, on every quorum
-/// member, on every remote read, and the simulator looks a call id up on
-/// every reply; under SipHash the hashing was most of either cost.
+/// ids, call ids): one folded 64x64 -> 128-bit multiply per word. A
+/// replica table is probed on every request at every quorum member, and
+/// the simulator looks a call id up on every reply; under SipHash the
+/// hashing was most of either cost.
 ///
 /// Folding the high product half into the low one is what lets ids that
 /// differ only in high bits (`table << 32 | row`) still differ in the low

@@ -49,13 +49,16 @@ impl TreeLayout {
         for k in 0..self.key_space {
             objs.push((
                 self.node(k),
-                ObjVal::Node(TreeNode {
-                    key: k,
-                    val: TOMBSTONE,
-                    left: None,
-                    right: None,
-                    red: false,
-                }),
+                ObjVal::Node(
+                    TreeNode {
+                        key: k,
+                        val: TOMBSTONE,
+                        left: None,
+                        right: None,
+                        red: false,
+                    }
+                    .into(),
+                ),
             ));
         }
         objs
@@ -67,7 +70,7 @@ async fn get_node(tx: &Tx, oid: ObjectId) -> Result<TreeNode, Abort> {
 }
 
 async fn put_node(tx: &Tx, oid: ObjectId, n: TreeNode) -> Result<(), Abort> {
-    tx.write(oid, ObjVal::Node(n)).await
+    tx.write(oid, ObjVal::Node(n.into())).await
 }
 
 /// `n`'s right link if `right`, else its left one.

@@ -160,8 +160,8 @@ fn every_tree_descent_aborts_a_cycle_after_the_same_reads() {
         red: false,
     };
     c.preload(t.root_ptr(), ObjVal::Ptr(Some(t.node(1))));
-    c.preload(t.node(1), ObjVal::Node(node(1, None, Some(3))));
-    c.preload(t.node(3), ObjVal::Node(node(3, Some(1), None)));
+    c.preload(t.node(1), ObjVal::Node(node(1, None, Some(3)).into()));
+    c.preload(t.node(3), ObjVal::Node(node(3, Some(1), None).into()));
 
     let reads = Rc::new(RefCell::new(Vec::new()));
     for op in [
