@@ -14,8 +14,10 @@
 //!   snapshot/commit path.
 //!
 //! Both clusters implement `qrdtm_core`'s `DtmProtocol` trait, so the
-//! Fig. 9 harness sweeps all three protocols through the single generic
-//! bank driver in `qrdtm_workloads::protocol_bank`.
+//! Fig. 9 harness sweeps four protocols — QR-DTM, HyFlow, Decent-STM and
+//! Q-Store — through the single generic bank driver in
+//! `qrdtm_workloads::protocol_bank`. Neither keeps a membership view, so
+//! detector mode (`ChaosSpec::detector`) has nothing to watch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -69,8 +69,7 @@ impl Scenario {
             Proto::QStore => {
                 // Durable replicas append+fsync one batch record per epoch
                 // to the simulated disk; crash-amnesia and corrupt-tail
-                // faults become applicable. The heartbeat detector needs
-                // no switch: detector mode starts it on any Q-Store.
+                // faults become applicable.
                 let cfg = QStoreConfig {
                     nodes,
                     seed,
@@ -98,7 +97,6 @@ impl Scenario {
             // Oracle off: the cluster self-heals via heartbeats. A tight RPC
             // timeout keeps calls into not-yet-ejected dead nodes short
             // relative to the suspicion window, so retries/hedging matter.
-            cfg.detector = true;
             cfg.rpc_timeout = Some(SimDuration::from_millis(100));
         }
         if self.durable {

@@ -29,7 +29,9 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use qrdtm_core::{crash, crash_sim_only, recover, recover_sim_only, Membership, ObjVal, ObjectId};
+use qrdtm_core::{
+    crash, crash_sim_only, recover, recover_sim_only, spawn_detector, Membership, ObjVal, ObjectId,
+};
 use qrdtm_sim::{EngineEventKind, NodeId, Sim, SimDuration, SimMessage};
 use qrdtm_workloads::open_loop::{spawn_open_loop, LoadControl, LoadTallies, OpenLoopSpec};
 use qrdtm_workloads::protocol_bank::spawn_bank_clients;
@@ -64,12 +66,13 @@ pub struct ChaosSpec {
     pub horizon: SimDuration,
     /// Healthy tail after heal-all, for re-convergence checking.
     pub recovery: SimDuration,
-    /// Detector mode: no oracle — crashes and recoveries touch the
-    /// simulator only, the target's failure detector must notice on its
-    /// own, and extra checkers assert bounded detection latency and
-    /// post-heal membership convergence. Requires a detector-capable
-    /// target (any Q-Store, or a QR cluster built with `DtmConfig::detector`
-    /// set).
+    /// Detector mode, the one switch: no oracle — the nemesis starts the
+    /// heartbeat detector (`qrdtm_core::spawn_detector`) on the target's
+    /// membership view, crashes and recoveries touch the simulator only,
+    /// the detector must notice on its own, and extra checkers assert
+    /// bounded detection latency and post-heal membership convergence. A
+    /// target without a view (the baselines) has nothing to detect and
+    /// takes gray faults only, as under the oracle.
     pub detector: bool,
     /// Overload mode: replace the closed-loop clients with the open-loop
     /// traffic generator (arrivals independent of completion), making the
@@ -227,13 +230,14 @@ pub fn run_plan<P: ChaosTarget + 'static>(
     }
     proto.begin_history();
 
-    // Detector mode: start the target's failure detector — the nemesis
-    // will then touch the SIMULATOR only and never call the view oracle.
-    let detector = spec.detector.then(|| {
-        Rc::clone(&proto)
-            .start_detector()
-            .expect("detector mode requires a detector-capable target (set DtmConfig::detector)")
-    });
+    // Detector mode: start the one failure detector on the target's view —
+    // the nemesis will then touch the SIMULATOR only and never call the
+    // view oracle.
+    let view = proto.membership();
+    let detector = view
+        .clone()
+        .filter(|_| spec.detector)
+        .map(|v| spawn_detector(v, sim.clone()));
 
     let stop = Rc::new(Cell::new(false));
     let state = Rc::new(RefCell::new(NemesisState::default()));
@@ -288,7 +292,7 @@ pub fn run_plan<P: ChaosTarget + 'static>(
     // The nemesis itself: apply events at their offsets, heal everything
     // at the horizon.
     {
-        let p = Rc::clone(&proto);
+        let view = view.clone();
         let st = Rc::clone(&state);
         let s = sim.clone();
         let plan = plan.clone();
@@ -296,6 +300,7 @@ pub fn run_plan<P: ChaosTarget + 'static>(
         let n = nodes as u32;
         let det_mode = spec.detector;
         sim.spawn(async move {
+            let view = view.as_deref();
             let t0 = s.now();
             for ev in plan.events {
                 let due = t0 + ev.at.min(horizon);
@@ -303,7 +308,7 @@ pub fn run_plan<P: ChaosTarget + 'static>(
                     s.sleep(due - s.now()).await;
                 }
                 apply_event(
-                    &*p,
+                    view,
                     &s,
                     &mut st.borrow_mut(),
                     ev.kind,
@@ -316,7 +321,7 @@ pub fn run_plan<P: ChaosTarget + 'static>(
             if heal_at > s.now() {
                 s.sleep(heal_at - s.now()).await;
             }
-            heal_all(&*p, &s, &mut st.borrow_mut(), det_mode, control.as_deref());
+            heal_all(view, &s, &mut st.borrow_mut(), det_mode, control.as_deref());
         });
     }
 
@@ -325,7 +330,7 @@ pub fn run_plan<P: ChaosTarget + 'static>(
     // by the end of the recovery tail the view must agree with the network
     // about every node. Then stop the detector so the drain can quiesce.
     let mut violations = Vec::new();
-    if let Some(view) = proto.membership().filter(|_| spec.detector) {
+    if let Some(view) = view.as_deref().filter(|_| spec.detector) {
         for node in (0..nodes as u32).map(NodeId) {
             let net_alive = sim.is_alive(node);
             if net_alive != view.view_alive(node) {
@@ -371,7 +376,7 @@ pub fn run_plan<P: ChaosTarget + 'static>(
             drip,
         ));
     }
-    if let Some(view) = proto.membership().filter(|_| spec.detector) {
+    if let Some(view) = view.as_deref().filter(|_| spec.detector) {
         violations.extend(check_detection_latency(
             &m.engine_event_log,
             view.detection_bound(),
@@ -395,7 +400,7 @@ pub fn run_plan<P: ChaosTarget + 'static>(
             events: m.events,
             end_ns: sim.now().as_nanos(),
         },
-        view_epoch: proto.membership().map_or(0, |m| m.view_epoch()),
+        view_epoch: view.map_or(0, |m| m.view_epoch()),
         metrics: m,
     }
 }
@@ -422,16 +427,15 @@ fn supports(kind: &FaultKind, view: Option<&dyn Membership>) -> bool {
     }
 }
 
-fn apply_event<P: ChaosTarget>(
-    p: &P,
-    s: &Sim<P::Msg>,
+fn apply_event<M: SimMessage>(
+    view: Option<&dyn Membership>,
+    s: &Sim<M>,
     st: &mut NemesisState,
     kind: FaultKind,
     nodes: u32,
     detector: bool,
     load: Option<&LoadControl>,
 ) {
-    let view = p.membership();
     let now_us = s.now().as_nanos() / 1_000;
     if !supports(&kind, view) {
         st.skipped += 1;
@@ -468,7 +472,7 @@ fn apply_event<P: ChaosTarget>(
             }
         }
         FaultKind::Recover { node } => {
-            if *node < nodes && !up(*node) && revive(p, s, NodeId(*node), detector) {
+            if *node < nodes && !up(*node) && revive(view, s, NodeId(*node), detector) {
                 applied_on = Some(NodeId(*node));
             }
         }
@@ -584,30 +588,28 @@ fn apply_event<P: ChaosTarget>(
 /// Bring a down `node` back the mode's way: in the simulator only in
 /// detector mode (the detector readmits it), through the oracle's
 /// `recover` otherwise.
-fn revive<P: ChaosTarget>(p: &P, s: &Sim<P::Msg>, node: NodeId, detector: bool) -> bool {
-    if detector {
-        recover_sim_only(s, node)
+fn revive<M: SimMessage>(view: Option<&dyn Membership>, s: &Sim<M>, n: NodeId, det: bool) -> bool {
+    if det {
+        recover_sim_only(s, n)
     } else {
-        let view = p
-            .membership()
-            .expect("only a target with a view has crashed nodes");
-        recover(view, s, node)
+        let view = view.expect("only a target with a view has crashed nodes");
+        recover(view, s, n)
     }
 }
 
 /// Cure everything still active: the backstop that guarantees the
 /// recovery tail and the final snapshot run on a healthy cluster. Down
 /// nodes are revived in ascending id.
-fn heal_all<P: ChaosTarget>(
-    p: &P,
-    s: &Sim<P::Msg>,
+fn heal_all<M: SimMessage>(
+    view: Option<&dyn Membership>,
+    s: &Sim<M>,
     st: &mut NemesisState,
     detector: bool,
     load: Option<&LoadControl>,
 ) {
     for node in (0..s.num_nodes() as u32).map(NodeId) {
         if !s.is_alive(node) {
-            revive(p, s, node, detector);
+            revive(view, s, node, detector);
         }
     }
     s.heal_all_but_crashes();
@@ -764,9 +766,29 @@ mod tests {
             mode: NestingMode::Closed,
             seed,
             rpc_timeout: Some(SimDuration::from_millis(100)),
-            detector: true,
             ..Default::default()
         }))
+    }
+
+    #[test]
+    fn detector_mode_is_the_specs_switch_alone() {
+        // A QR-CN cluster from the defaults, only its timeout tightened:
+        // no cluster option names detector mode, the spec starts the
+        // detector on the cluster's view and the transport follows it.
+        let cluster = Rc::new(Cluster::new(DtmConfig {
+            mode: NestingMode::Closed,
+            rpc_timeout: Some(SimDuration::from_millis(100)),
+            ..DtmConfig::default()
+        }));
+        let spec = ChaosSpec {
+            detector: true,
+            ..quick_spec()
+        };
+        let plan = plan("@300000us crash 1\n@1100000us recover 1");
+        let r = run_plan(cluster, &spec, &plan);
+        assert!(r.ok(), "violations: {:?}", r.violations);
+        assert!(r.metrics.suspicions >= 1, "the crash was detected");
+        assert!(r.metrics.rejoins >= 1, "the recovery was detected");
     }
 
     #[test]

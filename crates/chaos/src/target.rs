@@ -5,16 +5,13 @@
 use std::rc::Rc;
 
 use qrdtm_baselines::{DecentCluster, TfaCluster};
-use qrdtm_core::{
-    spawn_detector, Cluster, CommitRecord, DetectorHandle, Membership, ObjVal, ObjectId, SimHosted,
-    Version,
-};
+use qrdtm_core::{Cluster, CommitRecord, Membership, ObjVal, ObjectId, SimHosted, Version};
 use qrdtm_qstore::QStoreCluster;
 use qrdtm_sim::SimDuration;
 
 /// A protocol the nemesis can drive: a simulator-hosted [`DtmProtocol`]
-/// plus what differs by family — its membership view, detector, history
-/// and committed-state access for the post-hoc [`audit`](crate::audit).
+/// plus what differs by family — its membership view, history and
+/// committed-state access for the post-hoc [`audit`](crate::audit).
 ///
 /// No method here crashes, recovers, forgets or corrupts a node: every
 /// fault verb goes through the target's [`Membership`] view, and what the
@@ -26,16 +23,11 @@ pub trait ChaosTarget: SimHosted {
     /// The reconfigurable membership view, if the target keeps one: the
     /// door for every crash, recovery, amnesia and log corruption, through
     /// `qrdtm_core::{crash, recover}` over this view. In detector mode the
-    /// nemesis touches the simulator only, through
-    /// `qrdtm_core::{crash_sim_only, recover_sim_only}`, and the
-    /// convergence checker compares the view against network aliveness.
-    fn membership(&self) -> Option<&dyn Membership> {
-        None
-    }
-
-    /// Start the target's failure detector, if it has one (the QR family
-    /// only with `DtmConfig::detector` set).
-    fn start_detector(self: Rc<Self>) -> Option<DetectorHandle> {
+    /// nemesis starts `qrdtm_core::spawn_detector` on this view and then
+    /// touches the simulator only (`qrdtm_core::{crash_sim_only,
+    /// recover_sim_only}`); the convergence checker compares the view
+    /// against network aliveness.
+    fn membership(self: &Rc<Self>) -> Option<Rc<dyn Membership>> {
         None
     }
 
@@ -70,13 +62,8 @@ pub trait ChaosTarget: SimHosted {
 }
 
 impl ChaosTarget for Cluster {
-    fn membership(&self) -> Option<&dyn Membership> {
-        Some(self)
-    }
-
-    fn start_detector(self: Rc<Self>) -> Option<DetectorHandle> {
-        let sim = self.sim().clone();
-        self.config().detector.then(|| spawn_detector(self, sim))
+    fn membership(self: &Rc<Self>) -> Option<Rc<dyn Membership>> {
+        Some(Rc::clone(self) as Rc<dyn Membership>)
     }
 
     fn begin_history(&self) {
@@ -111,13 +98,8 @@ impl ChaosTarget for DecentCluster {
 }
 
 impl ChaosTarget for QStoreCluster {
-    fn membership(&self) -> Option<&dyn Membership> {
-        Some(self)
-    }
-
-    fn start_detector(self: Rc<Self>) -> Option<DetectorHandle> {
-        let sim = self.sim().clone();
-        Some(spawn_detector(self, sim))
+    fn membership(self: &Rc<Self>) -> Option<Rc<dyn Membership>> {
+        Some(Rc::clone(self) as Rc<dyn Membership>)
     }
 
     fn begin_history(&self) {

@@ -306,7 +306,6 @@ fn run_detector(seed: u64, events: usize) -> ChaosReport {
         mode: NestingMode::Closed,
         seed,
         rpc_timeout: Some(SimDuration::from_millis(100)),
-        detector: true,
         ..Default::default()
     }));
     run_plan(cl, &spec, &plan)

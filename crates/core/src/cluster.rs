@@ -108,12 +108,6 @@ pub struct DtmConfig {
     /// it off under QR-CN is the ablation showing why local CT commits need
     /// it: conflicts then surface only at root commit.
     pub rqv: bool,
-    /// Run the heartbeat failure detector ([`crate::spawn_detector`])
-    /// instead of relying on an oracle to call [`crate::crash`] /
-    /// [`crate::recover`]. Also arms the transport's retry/hedging path.
-    /// Off (the default) keeps the classic oracle-driven model
-    /// byte-for-byte identical.
-    pub detector: bool,
     /// Give every replica a simulated disk with a write-ahead log and
     /// periodic snapshots (see [`crate::Wal`]). Arms the
     /// crash-restart-with-amnesia semantics ([`crate::crash`], then
@@ -207,7 +201,6 @@ impl Default for DtmConfig {
             backoff_max: SimDuration::from_millis(120),
             rpc_timeout: Some(SimDuration::from_millis(500)),
             rqv: true,
-            detector: false,
             durability: None,
             injected_bug: None,
             overload: None,

@@ -50,13 +50,14 @@ use qrdtm_sim::{
     SUSPECT_WINDOW,
 };
 
-/// Transport, with the detector on
-/// ([`DtmConfig::detector`](crate::DtmConfig::detector)): re-issue a
-/// timed-out quorum RPC up to this many times (capped exponential backoff
-/// between attempts) before aborting.
+/// Transport, once a detector has watched the cluster ([`spawn_detector`]
+/// started its simulator's heartbeats, and the state outlives
+/// [`DetectorHandle::stop`]): re-issue a timed-out quorum RPC up to this
+/// many times (capped exponential backoff between attempts) before
+/// aborting.
 pub(crate) const RPC_RETRIES: u32 = 2;
 
-/// Transport, with the detector on: send read rounds to `read_q + HEDGE`
+/// Transport, on the same condition: send read rounds to `read_q + HEDGE`
 /// destinations and accept the first `|read_q|` replies, masking a slow
 /// member at the cost of wasted replies.
 pub(crate) const HEDGE: usize = 1;
@@ -186,8 +187,8 @@ pub fn recover_sim_only<M: SimMessage>(sim: &Sim<M>, node: NodeId) -> bool {
 /// Handle on a running detector task (see [`spawn_detector`]).
 ///
 /// The handle is deliberately message-type-agnostic (the teardown is a
-/// boxed callback, not a `Sim<Msg>`), so every protocol family hands back
-/// the same handle shape through `ChaosTarget::start_detector`.
+/// boxed callback, not a `Sim<Msg>`), so one handle shape serves every
+/// protocol family's view.
 pub struct DetectorHandle {
     stop: Rc<Cell<bool>>,
     on_stop: Box<dyn Fn()>,
@@ -203,13 +204,14 @@ impl DetectorHandle {
 }
 
 /// Start the heartbeat layer and the detector task for any [`Membership`]
-/// view hosted on `sim`, whatever its wire type. The task holds the view
-/// weakly — it usually owns `sim` — and ends once the view is dropped.
+/// view hosted on `sim`, whatever its wire type (a concrete cluster or an
+/// `Rc<dyn Membership>`). The task holds the view weakly — it usually owns
+/// `sim` — and ends once the view is dropped.
 ///
 /// From this point on the view self-heals: no oracle calls to [`crash`] /
 /// [`recover`] are needed — kill or heal nodes in the simulator and the
 /// view follows within [`Membership::detection_bound`].
-pub fn spawn_detector<M: SimMessage, V: Membership + 'static>(
+pub fn spawn_detector<M: SimMessage, V: Membership + ?Sized + 'static>(
     view: Rc<V>,
     sim: Sim<M>,
 ) -> DetectorHandle {
@@ -261,7 +263,7 @@ impl DetectorState {
 }
 
 /// One detector evaluation over the current observation matrix.
-fn tick<M: SimMessage>(cluster: &impl Membership, sim: &Sim<M>, st: &mut DetectorState) {
+fn tick<M: SimMessage, V: Membership + ?Sized>(cluster: &V, sim: &Sim<M>, st: &mut DetectorState) {
     let nodes = cluster.node_count();
     let now = sim.now();
     let fresh = |observer: NodeId, sender: NodeId| {

@@ -119,10 +119,11 @@ impl Endpoint {
     /// only learns of failures this way). `count` names the caller's round
     /// counter in the statistics.
     ///
-    /// With [`DtmConfig::detector`](crate::DtmConfig::detector) set the
-    /// round gets robust: a timed-out attempt is re-issued after a capped,
-    /// decorrelated backoff, unless the deadline passed meanwhile — the
-    /// timeout already burned past it.
+    /// Once a failure detector has watched the cluster (its simulator
+    /// started heartbeats, see [`crate::spawn_detector`]) the round gets
+    /// robust: a timed-out attempt is re-issued up to [`RPC_RETRIES`] times
+    /// after a capped, decorrelated backoff, unless the deadline passed
+    /// meanwhile — the timeout already burned past it.
     async fn round<T, Fut: Future<Output = Option<T>>>(
         &self,
         class: u8,
@@ -134,7 +135,7 @@ impl Endpoint {
         *count(&mut self.inner.stats.borrow_mut()) += 1;
         self.sim
             .emit_engine_event(EngineEventKind::QuorumRound, self.node, u64::from(class));
-        let retries = if self.inner.cfg.detector {
+        let retries = if self.sim.heartbeats_started() {
             RPC_RETRIES
         } else {
             0
@@ -207,9 +208,10 @@ impl Endpoint {
     }
 
     /// The read quorum `rq` plus [`HEDGE`] view-alive spares, if this
-    /// attempt hedges at all (built only then).
+    /// attempt hedges at all (built only then): like the retries, only once
+    /// a detector has watched the cluster.
     fn hedge_dests(&self, rq: &[NodeId]) -> Option<Vec<NodeId>> {
-        if !self.inner.cfg.detector {
+        if !self.sim.heartbeats_started() {
             return None;
         }
         let view = self.inner.quorum.borrow();

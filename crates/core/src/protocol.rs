@@ -1,12 +1,17 @@
 //! [`DtmProtocol`] — one transactional interface over every protocol.
 //!
-//! The reproduction compares three distributed transactional memories: the
-//! QR engine of this crate (in its flat, closed-nesting and checkpointing
-//! configurations) and the two comparator baselines (HyFlow's TFA and a
-//! Decent-STM analogue, in `qrdtm-baselines`). Before this trait each had
-//! its own hand-wired driver; now workload drivers and the benchmark
-//! harness program against a single begin/read/write/commit/stats surface
-//! and any conformance test runs unchanged against all of them.
+//! The reproduction compares six simulator-hosted families — QR flat,
+//! QR-CN and QR-CHK (this crate), HyFlow's TFA and a Decent-STM analogue
+//! (`qrdtm-baselines`) and Q-Store (`qrdtm-qstore`) — plus a threaded TL2
+//! backend (`qrdtm-par`). Workload drivers and the benchmark harness
+//! program against this one begin/read/write/commit/stats surface, and any
+//! conformance test runs unchanged against all of them.
+//!
+//! Who plays the paper's Cluster Manager is a property of the run: an
+//! oracle, or the heartbeat detector the one switch `ChaosSpec::detector`
+//! starts ([`spawn_detector`](crate::spawn_detector), stopped through a
+//! [`DetectorHandle`](crate::DetectorHandle)). Once one has watched a QR
+//! cluster, its transport retries (`RPC_RETRIES`) and hedges (`HEDGE`).
 //!
 //! The shape is *attempt-oriented*: `begin` hands out a transaction
 //! handle, `commit` tries to finish the current attempt, and on an abort

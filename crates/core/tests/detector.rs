@@ -15,7 +15,6 @@ fn detector_cfg(seed: u64) -> DtmConfig {
         // Tight timeout so calls to silently-dead nodes fail fast relative
         // to the suspicion window.
         rpc_timeout: Some(SimDuration::from_millis(100)),
-        detector: true,
         ..Default::default()
     }
 }
@@ -155,6 +154,39 @@ fn false_suspicion_is_survivable_and_serializable() {
         assert_eq!(v, latest_v, "object {a} version refreshed at victim");
         assert_eq!(val, latest_val, "object {a} value refreshed at victim");
     }
+}
+
+#[test]
+fn reads_hedge_once_a_detector_has_watched_the_cluster() {
+    // The transport's retry and hedge policy is no option: it follows
+    // whether the simulator ever ran heartbeats, so it arms with the first
+    // detector and stays armed after that detector stops.
+    let cluster = Rc::new(Cluster::new(DtmConfig {
+        nodes: 7,
+        mode: qrdtm_core::NestingMode::Closed,
+        ..Default::default()
+    }));
+    cluster.preload(ObjectId(0), ObjVal::Int(7));
+    let hedged_calls_after_a_read = || {
+        let client = cluster.client(NodeId(3));
+        cluster.sim().spawn(async move {
+            client
+                .run(|tx| async move { tx.read(ObjectId(0)).await.map(|_| ()) })
+                .await;
+        });
+        cluster.sim().run_for(SimDuration::from_secs(1));
+        cluster.sim().metrics().hedged_calls
+    };
+    assert_eq!(hedged_calls_after_a_read(), 0, "no detector, no hedge");
+    let det = spawn_detector(Rc::clone(&cluster), cluster.sim().clone());
+    let watched = hedged_calls_after_a_read();
+    assert!(watched > 0, "a running detector arms hedging");
+    det.stop();
+    assert!(
+        hedged_calls_after_a_read() > watched,
+        "a stopped detector leaves hedging armed"
+    );
+    assert_eq!(cluster.stats().commits, 3);
 }
 
 #[test]

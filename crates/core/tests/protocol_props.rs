@@ -2,8 +2,12 @@
 //! hygiene at quiescence, version/commit bookkeeping, and Rqv's
 //! zero-message guarantees — across random configurations.
 
+use std::rc::Rc;
+
 use proptest::prelude::*;
-use qrdtm_core::{Cluster, DtmConfig, LatencySpec, NestingMode, ObjVal, ObjectId, Version};
+use qrdtm_core::{
+    spawn_detector, Cluster, DtmConfig, LatencySpec, NestingMode, ObjVal, ObjectId, Version,
+};
 use qrdtm_sim::{NodeId, SimDuration};
 
 fn mode_strategy() -> impl Strategy<Value = NestingMode> {
@@ -58,19 +62,29 @@ fn contended_run(
     c
 }
 
+/// A cluster on which a failure detector has run: started, then stopped
+/// at once. Its transport keeps retrying and hedging (the simulator
+/// remembers that heartbeats ran), with no heartbeat left to keep the
+/// simulation from quiescing.
+fn watched(c: Cluster) -> Rc<Cluster> {
+    let c = Rc::new(c);
+    spawn_detector(Rc::clone(&c), c.sim().clone()).stop();
+    c
+}
+
 /// A read-only QR-CN workload, its read rounds hedged (one extra
-/// destination each) when `detector` is on: six clients, two transactions
-/// each, two reads per transaction, under jittered latency so hedge
-/// replies genuinely race the quorum's.
-fn hedged_read_only_run(seed: u64, detector: bool) -> Cluster {
+/// destination each) when `detector` has watched the cluster: six
+/// clients, two transactions each, two reads per transaction, under
+/// jittered latency so hedge replies genuinely race the quorum's.
+fn hedged_read_only_run(seed: u64, detector: bool) -> Rc<Cluster> {
     let c = Cluster::new(DtmConfig {
         nodes: 7,
         mode: NestingMode::Closed,
         seed,
         latency: LatencySpec::Jittered(SimDuration::from_millis(10), 0.4),
-        detector,
         ..Default::default()
     });
+    let c = if detector { watched(c) } else { Rc::new(c) };
     for i in 0..4u64 {
         c.preload(ObjectId(i), ObjVal::Int(7));
     }
@@ -107,7 +121,7 @@ fn hedged_read_only_run(seed: u64, detector: bool) -> Cluster {
 #[test]
 fn hedged_reads_disqualify_local_commits_but_stay_serializable() {
     // Seed 20 is pinned so both branches of the fallback are exercised:
-    // five transactions see only quorum replies (and stay local), seven
+    // one transaction sees only quorum replies (and stays local), eleven
     // get at least one hedge win (and take a commit round).
     let baseline = hedged_read_only_run(20, false);
     let sb = baseline.stats();
@@ -279,14 +293,13 @@ proptest! {
     /// transaction and produce a serializable history.
     #[test]
     fn hedged_contended_runs_stay_serializable(seed in 0u64..200) {
-        let c = Cluster::new(DtmConfig {
+        let c = watched(Cluster::new(DtmConfig {
             nodes: 7,
             mode: NestingMode::Closed,
             seed,
             latency: LatencySpec::Jittered(SimDuration::from_millis(10), 0.3),
-            detector: true,
             ..Default::default()
-        });
+        }));
         for i in 0..3u64 {
             c.preload(ObjectId(i), ObjVal::Int(0));
         }

@@ -14,10 +14,11 @@
 //! choices 0 2 1
 //! ```
 //!
-//! An optional `bug skip-vote-check` / `bug skip-epoch-fence` /
-//! `bug skip-tag-check` line records an injected protocol bug (checker
-//! validation runs). `proto QSTORE` selects the Q-Store arm; a family is
-//! spelled by its `--proto` label upper-cased.
+//! An optional `bug NAME` line, `NAME` one of the five `McBug` labels
+//! (`skip-vote-check`, `skip-epoch-fence`, `skip-tag-check`,
+//! `ignore-open-epoch`, `ack-before-fsync`), records an injected protocol
+//! bug (checker validation runs). `proto QSTORE` selects the Q-Store arm;
+//! a family is spelled by its `--proto` label upper-cased.
 
 use std::fmt;
 

@@ -4,13 +4,14 @@
 //!   citing a `PR <n>` (history lives in CHANGES.md and git), one
 //!   "Workspace inventory" row per `crates/*` package, and a "Capability
 //!   census" row naming each `pub` field of the config and spec structs in
-//!   [`OPTION_STRUCTS`].
+//!   [`OPTION_STRUCTS`], and no census row naming a field they lack.
 //! - Each CHANGES.md entry (a line starting with `- `) is at most 1 200
 //!   characters.
 //!
 //! Each failure names the file and the offender: the byte count and the
 //! first citing line, each over-long entry with its length, each crate
-//! without a row, each `Struct::field` no census row names.
+//! without a row, each `Struct::field` no census row names, each
+//! `Struct::field` a census row names that does not exist.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -180,5 +181,67 @@ fn design_md_census_names_every_option() {
         missing.is_empty(),
         "DESIGN.md \"Capability census\" has no row naming: {}",
         missing.join(", ")
+    );
+}
+
+/// The fields `cell` spells after `name::`, as `name::field` or
+/// `name::{a, b}`.
+fn spelled_fields(cell: &str, name: &str) -> Vec<String> {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let path = format!("{name}::");
+    cell.match_indices(&path)
+        .filter(|(i, _)| !cell[..*i].ends_with(ident))
+        .flat_map(|(i, _)| {
+            let rest = &cell[i + path.len()..];
+            match rest.strip_prefix('{') {
+                Some(list) => list
+                    .split('}')
+                    .next()
+                    .unwrap_or_default()
+                    .split(',')
+                    .collect(),
+                None => vec![rest.split(|c: char| !ident(c)).next().unwrap_or_default()],
+            }
+        })
+        .map(|f| f.trim().to_string())
+        .collect()
+}
+
+#[test]
+fn design_md_census_names_only_real_options() {
+    let text = read("DESIGN.md");
+    let mut stale = Vec::new();
+    for row in section(&text, "Capability census").lines() {
+        let Some(cell) = row.strip_prefix('|').and_then(|r| r.split('|').next()) else {
+            continue;
+        };
+        // A row naming two structs (`TfaConfig` / `DecentConfig::{..}`)
+        // is checked against the union of their fields.
+        let named: Vec<&str> = OPTION_STRUCTS
+            .iter()
+            .map(|(name, _)| *name)
+            .filter(|name| has_word(cell, name))
+            .collect();
+        let fields: Vec<String> = OPTION_STRUCTS
+            .iter()
+            .filter(|(name, _)| named.contains(name))
+            .flat_map(|(name, file)| pub_fields(&read(file), name))
+            .collect();
+        stale.extend(
+            named
+                .iter()
+                .flat_map(|name| {
+                    spelled_fields(cell, name)
+                        .into_iter()
+                        .map(move |f| (name, f))
+                })
+                .filter(|(_, f)| !fields.contains(f))
+                .map(|(name, f)| format!("{name}::{f}")),
+        );
+    }
+    assert!(
+        stale.is_empty(),
+        "DESIGN.md \"Capability census\" names fields that do not exist: {}",
+        stale.join(", ")
     );
 }

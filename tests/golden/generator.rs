@@ -276,7 +276,6 @@ fn chaos_qr(mode: NestingMode, durable: bool, detector: bool) -> Rc<Cluster> {
         ..Default::default()
     };
     if detector {
-        cfg.detector = true;
         cfg.rpc_timeout = Some(SimDuration::from_millis(100));
     }
     Rc::new(Cluster::new(cfg))

@@ -7,7 +7,7 @@ use qrdtm_chaos::FaultPlan;
 use qrdtm_mc::Trace;
 
 /// The verbs, keys and labels both formats are built from, plus near misses.
-const WORDS: [&str; 33] = [
+const WORDS: [&str; 34] = [
     "crash",
     "recover",
     "crash-rq",
@@ -38,6 +38,7 @@ const WORDS: [&str; 33] = [
     "skip-vote-check",
     "skip-epoch-fence",
     "skip-tag-check",
+    "ignore-open-epoch",
     "ack-before-fsync",
     "#",
     "",

@@ -62,10 +62,9 @@ async fn move_one(tx: Tx, from: ObjectId, to: ObjectId) -> Result<(), qr_dtm::co
 
 /// A QR cluster with one endless client per node: the clients hold the
 /// simulation, not the cluster, so they are still parked mid-transaction
-/// when the cluster is dropped. A configured detector is stopped only after
-/// its cluster is gone.
-fn qr(cfg: DtmConfig) {
-    let detector = cfg.detector;
+/// when the cluster is dropped. With `detector` the heartbeat detector
+/// runs, and it is stopped only after its cluster is gone.
+fn qr(cfg: DtmConfig, detector: bool) {
     let c = Rc::new(Cluster::new(DtmConfig {
         nodes: NODES as usize,
         ..cfg
@@ -140,29 +139,37 @@ fn qstore(durable: bool, detector: bool) {
 fn qr_clusters_free_their_simulation_with_clients_parked() {
     for mode in NestingMode::ALL {
         gate(&format!("QR {mode}"), || {
-            qr(DtmConfig {
-                mode,
-                ..Default::default()
-            })
+            qr(
+                DtmConfig {
+                    mode,
+                    ..Default::default()
+                },
+                false,
+            )
         });
     }
     gate("durable QR-CN", || {
-        qr(DtmConfig {
-            mode: NestingMode::Closed,
-            durability: Some(DurabilityConfig::default()),
-            ..Default::default()
-        })
+        qr(
+            DtmConfig {
+                mode: NestingMode::Closed,
+                durability: Some(DurabilityConfig::default()),
+                ..Default::default()
+            },
+            false,
+        )
     });
 }
 
 #[test]
 fn a_detector_mode_qr_cluster_frees_its_simulation() {
     gate("QR with detector", || {
-        qr(DtmConfig {
-            detector: true,
-            rpc_timeout: Some(SimDuration::from_millis(100)),
-            ..Default::default()
-        })
+        qr(
+            DtmConfig {
+                rpc_timeout: Some(SimDuration::from_millis(100)),
+                ..Default::default()
+            },
+            true,
+        )
     });
 }
 
