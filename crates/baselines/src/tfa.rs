@@ -7,7 +7,10 @@
 //! and when it acquires an object whose home clock has advanced past it,
 //! it *forwards* — revalidating its read-set and advancing its own clock.
 //! Commit locks the write-set objects at their homes, validates the
-//! read-set, applies, and bumps the home clocks.
+//! read-set, applies, and bumps the home clocks. Each of those phases, and
+//! a forwarding revalidation, sends to all its homes at once and awaits
+//! every reply: one unicast round trip per phase, not one per home. A
+//! failed commit releases exactly the homes that granted its locks.
 //!
 //! TFA cannot survive a node failure (losing a home loses its objects);
 //! the paper keeps it as the fastest no-failure baseline because unicast
@@ -316,10 +319,10 @@ impl TfaCluster {
         }
     }
 
-    /// Group entries by home node.
-    fn by_home(
+    /// Group `(object, (version, value))` entries by home node.
+    fn by_home<'a>(
         &self,
-        set: &BTreeMap<ObjectId, (Version, ObjVal)>,
+        set: impl IntoIterator<Item = (&'a ObjectId, &'a (Version, ObjVal))>,
     ) -> BTreeMap<NodeId, Vec<(ObjectId, Version)>> {
         let mut out: BTreeMap<NodeId, Vec<(ObjectId, Version)>> = BTreeMap::new();
         for (oid, (v, _)) in set {
@@ -328,30 +331,44 @@ impl TfaCluster {
         out
     }
 
-    async fn validate_entries(
+    /// Send every `(home, msg)` call at once, then await each reply: a
+    /// phase costs one unicast round trip however many homes it spans.
+    /// Replies come back in call order.
+    async fn fan_out(
+        &self,
+        from: NodeId,
+        calls: impl IntoIterator<Item = (NodeId, TfaMsg)>,
+    ) -> Vec<Option<TfaMsg>> {
+        let sent: Vec<_> = calls
+            .into_iter()
+            .map(|(home, msg)| self.sim.call(from, &[home], msg, None))
+            .collect();
+        let mut replies = Vec::with_capacity(sent.len());
+        for call in sent {
+            replies.push(call.await.replies.pop().map(|(_, m)| m));
+        }
+        replies
+    }
+
+    /// Revalidate `set` at every home it touches, all homes at once.
+    async fn validate_entries<'a>(
         &self,
         node: NodeId,
-        set: &BTreeMap<ObjectId, (Version, ObjVal)>,
+        set: impl IntoIterator<Item = (&'a ObjectId, &'a (Version, ObjVal))>,
     ) -> bool {
-        for (home, entries) in self.by_home(set) {
-            let res = self
-                .sim
-                .call(node, &[home], TfaMsg::Validate { entries }, None)
-                .await;
-            let ok = matches!(
-                res.replies.first(),
-                Some((_, TfaMsg::ValidateOk { ok: true, .. }))
-            );
-            if !ok {
-                return false;
-            }
-        }
-        true
+        let calls = self
+            .by_home(set)
+            .into_iter()
+            .map(|(home, entries)| (home, TfaMsg::Validate { entries }));
+        let replies = self.fan_out(node, calls).await;
+        replies
+            .iter()
+            .all(|r| matches!(r, Some(TfaMsg::ValidateOk { ok: true, .. })))
     }
 
     /// Commit one attempt: read-only transactions revalidate their read set;
-    /// writers lock the write homes, validate the remaining reads, and apply
-    /// (or release on failure).
+    /// writers lock the write homes, validate the remaining reads once every
+    /// lock is granted, and apply — or release the homes that granted.
     async fn commit_handle(&self, tx: &TfaTxHandle) -> Result<(), Abort> {
         if tx.writes.is_empty() {
             return if self.validate_entries(tx.node, &tx.reads).await {
@@ -361,57 +378,37 @@ impl TfaCluster {
             };
         }
         let write_homes = self.by_home(&tx.writes);
-        let mut locked: Vec<(NodeId, Vec<ObjectId>)> = Vec::new();
-        let mut ok = true;
-        for (home, entries) in &write_homes {
-            let res = self
-                .sim
-                .call(
-                    tx.node,
-                    &[*home],
-                    TfaMsg::Lock {
-                        tx: tx.id,
-                        entries: entries.clone(),
-                    },
-                    None,
-                )
-                .await;
-            let got = matches!(res.replies.first(), Some((_, TfaMsg::LockOk { ok: true })));
-            locked.push((*home, entries.iter().map(|(o, _)| *o).collect()));
-            if !got {
-                ok = false;
-                break;
-            }
-        }
+        let locks = write_homes.iter().map(|(home, entries)| {
+            let entries = entries.clone();
+            (*home, TfaMsg::Lock { tx: tx.id, entries })
+        });
+        let replies = self.fan_out(tx.node, locks).await;
+        let granted: Vec<bool> = replies
+            .iter()
+            .map(|r| matches!(r, Some(TfaMsg::LockOk { ok: true })))
+            .collect();
         // Validate reads not shadowed by writes.
-        if ok {
-            let read_only: BTreeMap<ObjectId, (Version, ObjVal)> = tx
-                .reads
-                .iter()
-                .filter(|(o, _)| !tx.writes.contains_key(o))
-                .map(|(o, v)| (*o, v.clone()))
-                .collect();
-            ok = self.validate_entries(tx.node, &read_only).await;
-        }
-        if !ok {
-            for (home, oids) in locked {
-                let _ = self
-                    .sim
-                    .call(tx.node, &[home], TfaMsg::Release { tx: tx.id, oids }, None)
-                    .await;
-            }
+        let reads = tx.reads.iter().filter(|(o, _)| !tx.writes.contains_key(o));
+        if !(granted.iter().all(|&g| g) && self.validate_entries(tx.node, reads).await) {
+            let releases = write_homes
+                .into_iter()
+                .zip(granted)
+                .filter(|(_, g)| *g)
+                .map(|((home, entries), _)| {
+                    let oids = entries.into_iter().map(|(o, _)| o).collect();
+                    (home, TfaMsg::Release { tx: tx.id, oids })
+                });
+            self.fan_out(tx.node, releases).await;
             return Err(Abort::root());
         }
-        for (home, entries) in &write_homes {
-            let writes: Vec<(ObjectId, Version, ObjVal)> = entries
-                .iter()
-                .map(|(oid, v)| (*oid, v.next(), tx.writes[oid].1.clone()))
+        let applies = write_homes.into_iter().map(|(home, entries)| {
+            let writes = entries
+                .into_iter()
+                .map(|(oid, v)| (oid, v.next(), tx.writes[&oid].1.clone()))
                 .collect();
-            let _ = self
-                .sim
-                .call(tx.node, &[*home], TfaMsg::Apply { tx: tx.id, writes }, None)
-                .await;
-        }
+            (home, TfaMsg::Apply { tx: tx.id, writes })
+        });
+        self.fan_out(tx.node, applies).await;
         Ok(())
     }
 }
@@ -503,7 +500,7 @@ impl SimHosted for TfaCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qrdtm_workloads::protocol_bank::{audit, transfer};
+    use qrdtm_workloads::protocol_bank::{audit, audit_in, transfer, transfer_in};
 
     fn cluster() -> TfaCluster {
         let c = TfaCluster::new(TfaConfig::default());
@@ -579,6 +576,106 @@ mod tests {
         c.sim().run();
         assert_eq!(c.latest(ObjectId(4)), Some(ObjVal::Int(1)));
         assert_eq!(c.protocol_stats().commits, 1);
+    }
+
+    /// Two objects homed at different nodes, the first home's id below the
+    /// second's, and a caller that is neither home.
+    fn two_homes(c: &TfaCluster) -> (ObjectId, ObjectId, NodeId) {
+        let (a, b) = (0..8u64)
+            .flat_map(|a| (0..8u64).map(move |b| (ObjectId(a), ObjectId(b))))
+            .find(|&(a, b)| c.home(a) < c.home(b))
+            .expect("eight objects span two homes");
+        let node = (0..13u32)
+            .map(NodeId)
+            .find(|&n| n != c.home(a) && n != c.home(b))
+            .unwrap();
+        (a, b, node)
+    }
+
+    /// One unicast round trip at most: 2.5 ms each way, +10 % jitter, plus
+    /// the 200 µs service time. Two in a row take at least 9.4 ms.
+    const ONE_RTT: SimDuration = SimDuration::from_micros(5_700);
+
+    /// Run `body` at the caller of [`two_homes`], then commit; returns the
+    /// virtual time the commit took.
+    fn time_commit(
+        c: &Rc<TfaCluster>,
+        body: impl AsyncFnOnce(&TfaCluster, &mut TfaTxHandle, ObjectId, ObjectId) + 'static,
+    ) -> SimDuration {
+        let (a, b, node) = two_homes(c);
+        let took = Rc::new(std::cell::Cell::new(None));
+        let (c2, took2) = (Rc::clone(c), Rc::clone(&took));
+        c.sim().spawn(async move {
+            let mut h = c2.begin(node);
+            body(&c2, &mut h, a, b).await;
+            let start = c2.sim().now();
+            c2.commit(&mut h).await.unwrap();
+            took2.set(Some(c2.sim().now() - start));
+        });
+        c.sim().run();
+        took.get().expect("the commit finished")
+    }
+
+    #[test]
+    fn a_read_only_commit_over_two_homes_takes_one_round_trip() {
+        let c = Rc::new(cluster());
+        let took = time_commit(&c, async |c, h, a, b| {
+            audit_in(c, h, a, b).await.unwrap();
+        });
+        assert!(took <= ONE_RTT, "validation took {took:?}");
+        assert_eq!(c.sim().metrics().sent_by_class[2], 2, "one Validate a home");
+    }
+
+    #[test]
+    fn a_writer_over_two_homes_locks_in_one_round_trip_and_applies_in_one() {
+        let c = Rc::new(cluster());
+        let took = time_commit(&c, async |c, h, a, b| {
+            transfer_in(c, h, a, b, 10).await.unwrap();
+        });
+        // Every read is also written, so no validation round runs.
+        assert!(took <= ONE_RTT + ONE_RTT, "lock and apply took {took:?}");
+        let (a, b, _) = two_homes(&c);
+        assert_eq!(c.latest(a), Some(ObjVal::Int(90)));
+        assert_eq!(c.latest(b), Some(ObjVal::Int(110)));
+    }
+
+    fn set_lock(c: &TfaCluster, oid: ObjectId, owner: Option<(u32, u64)>) {
+        let mut st = c.stores[c.home(oid).index()].borrow_mut();
+        st.objects.get_mut(&oid).unwrap().locked_by = owner;
+    }
+
+    #[test]
+    fn a_refused_lock_releases_only_the_home_that_granted() {
+        let c = Rc::new(cluster());
+        let (a, b, node) = two_homes(&c);
+        let c2 = Rc::clone(&c);
+        c.sim().spawn(async move {
+            let mut h = c2.begin(node);
+            transfer_in(&*c2, &mut h, a, b, 10).await.unwrap();
+            // Another committer takes b's lock between our reads and commit.
+            set_lock(&c2, b, Some((99, 0)));
+            assert!(c2.commit(&mut h).await.is_err());
+        });
+        c.sim().run();
+        // Both reads are written, so no Validate shares the Lock class; the
+        // attempt never applies, so no Apply shares the Release class.
+        let m = c.sim().metrics();
+        assert_eq!(m.sent_by_class[2], 2, "a Lock to each home");
+        assert_eq!(m.sent_by_class[4], 1, "a Release to a's home alone");
+        let st = c.stores[c.home(a).index()].borrow();
+        assert_eq!(st.objects[&a].locked_by, None, "a's lock was released");
+        drop(st);
+        set_lock(&c, b, None);
+        let c3 = Rc::clone(&c);
+        c.sim()
+            .spawn(async move { transfer(&*c3, node, a, b, 10).await });
+        c.sim().run();
+        assert_eq!(c.latest(a), Some(ObjVal::Int(90)));
+        assert_eq!(c.latest(b), Some(ObjVal::Int(110)));
+        let total: i64 = (0..8u64)
+            .map(|i| c.latest(ObjectId(i)).unwrap().expect_int())
+            .sum();
+        assert_eq!(total, 800, "balance conserved");
     }
 
     #[test]

@@ -120,39 +120,41 @@ fn hedged_read_only_run(seed: u64, detector: bool) -> Rc<Cluster> {
 /// serializable throughout.
 #[test]
 fn hedged_reads_disqualify_local_commits_but_stay_serializable() {
-    // Seed 20 is pinned so both branches of the fallback are exercised:
-    // one transaction sees only quorum replies (and stays local), eleven
-    // get at least one hedge win (and take a commit round).
-    let baseline = hedged_read_only_run(20, false);
-    let sb = baseline.stats();
-    assert_eq!(sb.commits, 12, "6 clients x 2 read-only txns");
-    assert_eq!(sb.local_commits, sb.commits, "all commits are local");
-    assert_eq!(sb.commit_rounds, 0);
-    let mb = baseline.sim().metrics();
-    assert_eq!((mb.hedged_calls, mb.hedged_wins), (0, 0));
-    assert!(baseline.verify_history().is_empty());
+    // Which transactions a hedge reply wins for hangs on the schedule, so
+    // the two branches of the fallback are asserted over several seeds
+    // together rather than on one seed's split.
+    let (mut local, mut commits, mut wins, mut wasted) = (0, 0, 0, 0);
+    for seed in 20..26 {
+        let baseline = hedged_read_only_run(seed, false);
+        let sb = baseline.stats();
+        assert_eq!(sb.commits, 12, "6 clients x 2 read-only txns");
+        assert_eq!(sb.local_commits, sb.commits, "all commits are local");
+        assert_eq!(sb.commit_rounds, 0);
+        let mb = baseline.sim().metrics();
+        assert_eq!((mb.hedged_calls, mb.hedged_wins), (0, 0));
+        assert!(baseline.verify_history().is_empty());
 
-    let hedged = hedged_read_only_run(20, true);
-    let sh = hedged.stats();
-    let mh = hedged.sim().metrics();
-    assert_eq!(sh.commits, 12, "hedging changes cost, not outcomes");
-    assert!(mh.hedged_calls > 0, "every read round hedged");
-    assert!(mh.hedged_wins > 0, "at least one hedge reply won the race");
+        let hedged = hedged_read_only_run(seed, true);
+        let sh = hedged.stats();
+        let mh = hedged.sim().metrics();
+        assert_eq!(sh.commits, 12, "hedging changes cost, not outcomes");
+        assert!(mh.hedged_calls > 0, "every read round hedged");
+        assert_eq!(
+            sh.commit_rounds,
+            sh.commits - sh.local_commits,
+            "each disqualified txn pays exactly one commit round"
+        );
+        assert!(hedged.verify_history().is_empty());
+        (local, commits) = (local + sh.local_commits, commits + sh.commits);
+        (wins, wasted) = (wins + mh.hedged_wins, wasted + mh.wasted_replies);
+    }
+    assert!(wins > 0, "some hedge reply won the race");
     assert!(
-        mh.wasted_replies > 0,
+        wasted > 0,
         "losing destinations' replies are wasted, and counted"
     );
-    assert!(sh.local_commits > 0, "hedge-free txns keep the fast path");
-    assert!(
-        sh.local_commits < sh.commits,
-        "hedge-won txns lost the fast path"
-    );
-    assert_eq!(
-        sh.commit_rounds,
-        sh.commits - sh.local_commits,
-        "each disqualified txn pays exactly one commit round"
-    );
-    assert!(hedged.verify_history().is_empty());
+    assert!(local > 0, "hedge-free txns keep the fast path");
+    assert!(local < commits, "hedge-won txns lost the fast path");
 }
 
 proptest! {
