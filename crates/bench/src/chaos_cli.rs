@@ -293,6 +293,12 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> ChaosArgs {
                 .is_some_and(|ms| !(1..=MAX_HORIZON_MS).contains(&ms)),
             "--horizon-ms must be at least 1 and at most u64::MAX / 8 nanoseconds",
         ),
+        // Each run writes its plan, so a second run would overwrite the
+        // first one's reproducer.
+        (
+            a.save_plan.is_some() && (a.smoke || a.seeds > 1 || a.protos.len() > 1),
+            "--save-plan takes one run: one --proto, --seeds 1 and no --smoke",
+        ),
     ];
     if let Some((_, msg)) = bad.iter().find(|(hit, _)| *hit) {
         eprintln!("chaos: {msg}");
@@ -306,14 +312,15 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> ChaosArgs {
 pub fn run(args: impl Iterator<Item = String>) -> i32 {
     let mut a = parse_args(args);
     if a.smoke {
-        return if a.amnesia {
-            amnesia_smoke()
-        } else if a.detector {
-            detector_smoke()
-        } else if a.overload {
-            overload_smoke()
-        } else {
-            smoke()
+        return match (a.detector, a.amnesia, a.overload) {
+            (false, false, false) => smoke(),
+            (true, false, false) => detector_smoke(),
+            (false, true, false) => amnesia_smoke(),
+            (false, false, true) => overload_smoke(),
+            _ => {
+                eprintln!("chaos: --smoke takes at most one of --detector, --amnesia, --overload");
+                chaos_usage()
+            }
         };
     }
     let mut spec = ChaosSpec {
@@ -540,9 +547,10 @@ fn detector_smoke() -> i32 {
     }
     // Random full-vocabulary plans on top, so generated crash/partition
     // schedules also go through the detector path.
+    let chk = Proto::Qr(NestingMode::Checkpoint);
     for seed in 1..=2u64 {
-        let plan = generate(seed, 10, spec.horizon, &FaultBudget::full(5));
-        run(Proto::Qr(NestingMode::Checkpoint), seed, &plan);
+        let plan = generate(seed, 10, spec.horizon, &chk.budget(5, false));
+        run(chk, seed, &plan);
     }
     // Q-Store keeps a reconfigurable planner view: a silently crashed
     // planner (node 0) must be suspected and ejected by the heartbeat
@@ -617,9 +625,10 @@ fn amnesia_smoke() -> i32 {
     }
     // Random durable-budget plans on top, so generated amnesia schedules
     // (mixed with partitions, drops and slowdowns) also get coverage.
+    let chk = Proto::Qr(NestingMode::Checkpoint);
     for seed in 1..=3u64 {
-        let plan = generate(seed, 10, spec.horizon, &FaultBudget::durable(5));
-        run(Proto::Qr(NestingMode::Checkpoint), seed, &plan);
+        let plan = generate(seed, 10, spec.horizon, &chk.budget(5, true));
+        run(chk, seed, &plan);
     }
     // Q-Store: twenty seeds of torn batch tails + amnesiac restarts. The
     // victim replica rotates with the seed so the tear lands on different
@@ -640,7 +649,7 @@ fn amnesia_smoke() -> i32 {
     // And generated durable-budget plans for breadth on the batching
     // family too.
     for seed in 1..=3u64 {
-        let plan = generate(seed, 10, spec.horizon, &FaultBudget::durable(5));
+        let plan = generate(seed, 10, spec.horizon, &Proto::QStore.budget(5, true));
         run(Proto::QStore, seed, &plan);
         qstore_runs += 1;
     }

@@ -12,7 +12,9 @@ fn degenerate_arguments_are_usage_errors() {
     let trace = format!("{}/two_node_qstore.trace", env!("CARGO_TARGET_TMPDIR"));
     let text = "proto QSTORE\nseed 1\nnodes 2\nobjects 2\ntxns 2\nchoices 0\n";
     std::fs::write(&trace, text).expect("write trace");
-    let cases: [(&[&str], &str); 15] = [
+    let unsaved = format!("{}/unsaved.plan", env!("CARGO_TARGET_TMPDIR"));
+    let _ = std::fs::remove_file(&unsaved);
+    let cases: [(&[&str], &str); 19] = [
         (&["chaos", "--seeds", "0"], "chaos: --seeds"),
         (
             &["chaos", "--seed", "18446744073709551615", "--seeds", "2"],
@@ -31,6 +33,37 @@ fn degenerate_arguments_are_usage_errors() {
         (
             &["chaos", "--horizon-ms", "18446744073710"],
             "chaos: --horizon-ms",
+        ),
+        // A second run's plan used to overwrite the first one's minimized
+        // reproducer: `--proto all` is six runs.
+        (&["chaos", "--save-plan", &unsaved], "chaos: --save-plan"),
+        (
+            &[
+                "chaos",
+                "--proto",
+                "tfa",
+                "--seeds",
+                "2",
+                "--save-plan",
+                &unsaved,
+            ],
+            "chaos: --save-plan",
+        ),
+        (
+            &[
+                "chaos",
+                "--smoke",
+                "--proto",
+                "tfa",
+                "--save-plan",
+                &unsaved,
+            ],
+            "chaos: --save-plan",
+        ),
+        // Used to run the amnesia suite alone and exit 0.
+        (
+            &["chaos", "--smoke", "--detector", "--amnesia"],
+            "chaos: --smoke",
         ),
         (&["mc", "--nodes", "0"], "mc: --nodes"),
         (&["mc", "--nodes", "2", "--proto", "qstore"], "mc: --nodes"),
@@ -54,6 +87,7 @@ fn degenerate_arguments_are_usage_errors() {
         assert!(stderr.contains(names), "repro {args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "repro {args:?} ran something");
     }
+    assert!(!std::path::Path::new(&unsaved).exists(), "no plan written");
 }
 
 /// Run `repro <args> PATH` with a PATH that cannot be written and expect

@@ -4,7 +4,7 @@
 
 use qrdtm_core::NestingMode;
 
-use crate::generate::FaultBudget;
+use crate::generate::{FaultBudget, FaultClass};
 
 /// One protocol family: a QR nesting variant, a baseline, or Q-Store.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,15 +55,23 @@ impl Proto {
         !matches!(self, Proto::Tfa | Proto::Decent)
     }
 
-    /// The fault budget the family can honestly be subjected to: with a
-    /// view, the full vocabulary, plus amnesiac restarts and torn tails
-    /// when the run is `durable`; without one, gray failures only.
+    /// The fault budget the family can honestly be subjected to: `events`
+    /// faults spread over the classes [`FaultClass::admitted`] lets
+    /// through for its view, `durable` or not — amnesiac restarts first,
+    /// then every node and link fault.
     pub fn budget(self, events: usize, durable: bool) -> FaultBudget {
-        match (self.has_view(), durable) {
-            (false, _) => FaultBudget::gray(events),
-            (true, false) => FaultBudget::full(events),
-            (true, true) => FaultBudget::durable(events),
-        }
+        let admitted: Vec<FaultClass> = [
+            FaultClass::Amnesia,
+            FaultClass::Crash,
+            FaultClass::Partition,
+            FaultClass::Drop,
+            FaultClass::Delay,
+            FaultClass::Slow,
+        ]
+        .into_iter()
+        .filter(|c| c.admitted(self.has_view(), durable))
+        .collect();
+        FaultBudget::spread(events, &admitted)
     }
 }
 

@@ -5,9 +5,9 @@
 //! families ([`Proto`]) it drives:
 //!
 //! - **Plans** ([`plan`], [`mod@generate`]): a declarative, serializable
-//!   [`FaultPlan`] — crash/recover, partition/heal, per-link loss and
-//!   latency spikes, slow nodes — plus a seeded generator and a
-//!   delta-debugging shrinker for minimizing failing plans.
+//!   [`FaultPlan`], a seeded generator and a delta-debugging shrinker for
+//!   minimizing failing plans. One table of fault classes ([`FaultClass`])
+//!   draws generated faults, spreads budgets and admits them per target.
 //! - **Nemesis** ([`nemesis`]): runs a bank workload on any
 //!   [`ChaosTarget`] (the QR cluster, which serves its three nesting
 //!   modes, Q-Store, TFA and Decent-STM implement it) while applying a
@@ -36,7 +36,7 @@ pub mod target;
 
 pub use checkers::{audit, Audit, ChaosViolation, Sample};
 pub use family::Proto;
-pub use generate::{generate, shrink, FaultBudget};
+pub use generate::{generate, shrink, FaultBudget, FaultClass};
 pub use nemesis::{run_plan, ChaosReport, ChaosSpec, Fingerprint};
 pub use plan::{FaultEvent, FaultKind, FaultPlan};
 pub use target::ChaosTarget;

@@ -29,9 +29,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use qrdtm_core::{
-    crash, crash_sim_only, recover, recover_sim_only, spawn_detector, Membership, ObjVal, ObjectId,
-};
+use qrdtm_core::{crash, recover, spawn_detector, Membership, ObjVal, ObjectId};
 use qrdtm_sim::{EngineEventKind, NodeId, Sim, SimDuration, SimMessage};
 use qrdtm_workloads::open_loop::{spawn_open_loop, LoadControl, LoadTallies, OpenLoopSpec};
 use qrdtm_workloads::protocol_bank::spawn_bank_clients;
@@ -405,26 +403,13 @@ pub fn run_plan<P: ChaosTarget + 'static>(
     }
 }
 
-/// Whether a target with this membership view may be subjected to `kind`.
-///
-/// Cures and gray faults (slow nodes, latency spikes) violate no
-/// assumption of any protocol, so they are always allowed. Crashes,
-/// partitions and lossy links need a view to reconfigure: the paper is
-/// explicit that the baselines keep none (TFA has single-copy home nodes;
-/// Decent-STM as modelled has no recovery protocol), so subjecting them
-/// would only reconfirm their stated assumptions. Amnesia and log
-/// corruption need a durable view, with a disk to restart from.
+/// Whether a target with this membership view may be subjected to `kind`:
+/// a cure always, a fault when [`FaultClass::admitted`](crate::FaultClass::admitted)
+/// admits its class.
 fn supports(kind: &FaultKind, view: Option<&dyn Membership>) -> bool {
-    match kind {
-        FaultKind::Crash { .. }
-        | FaultKind::CrashReadQuorum
-        | FaultKind::Partition { .. }
-        | FaultKind::DropLink { .. } => view.is_some(),
-        FaultKind::CrashAmnesia { .. } | FaultKind::CorruptTail { .. } => {
-            view.is_some_and(|v| v.durable())
-        }
-        _ => true,
-    }
+    let durable = view.is_some_and(|v| v.durable());
+    kind.class()
+        .is_none_or(|c| c.admitted(view.is_some(), durable))
 }
 
 fn apply_event<M: SimMessage>(
@@ -444,17 +429,23 @@ fn apply_event<M: SimMessage>(
         return;
     }
     // Detector mode swaps the oracle crash (which repairs the view at the
-    // instant of the fault) for a sim-only one: the target's own failure
-    // detector must notice the silence and react. `supports` admits node
-    // faults only for a target with a view; a node is crashed only while
-    // the simulator has it alive and recovered only while it has it down.
+    // instant of the fault) for a fault of the simulator alone: the
+    // target's own failure detector must notice the silence and react. It
+    // spares a node the view cannot lose, which the detector could only
+    // refuse to eject, stalling the cluster until heal. `supports` admits
+    // node faults only for a target with a view; a node is crashed only
+    // while the simulator has it alive and recovered only while it has it
+    // down.
     let v = || view.expect("node faults need a membership view");
     let crash_node = |n: NodeId| {
-        if detector {
-            crash_sim_only(v(), s, n)
-        } else {
-            crash(v(), s, n)
+        if !detector {
+            return crash(v(), s, n);
         }
+        let silenced = s.is_alive(n) && v().survives_without(n);
+        if silenced {
+            s.fail_node(n);
+        }
+        silenced
     };
     let up = |n: u32| n < nodes && s.is_alive(NodeId(n));
     let mut applied_on: Option<NodeId> = None;
@@ -590,11 +581,11 @@ fn apply_event<M: SimMessage>(
 /// `recover` otherwise.
 fn revive<M: SimMessage>(view: Option<&dyn Membership>, s: &Sim<M>, n: NodeId, det: bool) -> bool {
     if det {
-        recover_sim_only(s, n)
-    } else {
-        let view = view.expect("only a target with a view has crashed nodes");
-        recover(view, s, n)
+        s.recover_node(n);
+        return true;
     }
+    let view = view.expect("only a target with a view has crashed nodes");
+    recover(view, s, n)
 }
 
 /// Cure everything still active: the backstop that guarantees the
@@ -628,7 +619,8 @@ fn heal_all<M: SimMessage>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generate::{generate, FaultBudget};
+    use crate::generate::generate;
+    use crate::Proto;
     use qrdtm_baselines::{TfaCluster, TfaConfig};
     use qrdtm_core::{Cluster, DtmConfig, NestingMode};
 
@@ -1099,7 +1091,12 @@ mod tests {
     #[test]
     fn same_seed_same_plan_same_fingerprint() {
         let spec = quick_spec();
-        let plan = generate(7, 10, spec.horizon, &FaultBudget::full(4));
+        let plan = generate(
+            7,
+            10,
+            spec.horizon,
+            &Proto::Qr(NestingMode::Closed).budget(4, false),
+        );
         let a = run_plan(qr(7), &spec, &plan);
         let b = run_plan(qr(7), &spec, &plan);
         assert_eq!(a.fingerprint, b.fingerprint);

@@ -10,6 +10,8 @@
 use qrdtm_sim::SimDuration;
 use std::fmt;
 
+use crate::generate::FaultClass;
+
 /// One thing the nemesis can do to the cluster.
 ///
 /// Node indices refer to simulator [`NodeId`](qrdtm_sim::NodeId)s;
@@ -126,6 +128,27 @@ impl FaultKind {
     pub const PARTITION: u64 = 4;
     /// [`FaultKind::code`] of `heal`.
     pub const HEAL: u64 = 5;
+
+    /// The generated-fault class whose admission rule
+    /// ([`FaultClass::admitted`]) this verb follows; `None` for a cure,
+    /// which every target may take.
+    pub(crate) fn class(&self) -> Option<FaultClass> {
+        Some(match self {
+            FaultKind::Crash { .. } | FaultKind::CrashReadQuorum => FaultClass::Crash,
+            FaultKind::Partition { .. } => FaultClass::Partition,
+            FaultKind::DropLink { .. } => FaultClass::Drop,
+            FaultKind::Delay { .. } => FaultClass::Delay,
+            FaultKind::Slow { .. } => FaultClass::Slow,
+            FaultKind::CrashAmnesia { .. } | FaultKind::CorruptTail { .. } => FaultClass::Amnesia,
+            FaultKind::Surge { .. } => FaultClass::Surge,
+            FaultKind::FlashCrowd { .. } => FaultClass::FlashCrowd,
+            FaultKind::Recover { .. }
+            | FaultKind::Heal
+            | FaultKind::HealLink { .. }
+            | FaultKind::Restore { .. }
+            | FaultKind::Calm => return None,
+        })
+    }
 
     /// Stable numeric code for this fault kind, carried as the `detail` of
     /// the `FaultInjected` engine event so fault timing is greppable in
@@ -340,7 +363,10 @@ fn parse_event(line: &str) -> Result<FaultEvent, String> {
         "heal" => FaultKind::Heal,
         "drop" => {
             let (from, to) = parse_link(arg()?)?;
-            let permille = parse_u32(arg()?)?.min(1000) as u16;
+            let permille = match parse_u32(arg()?)? {
+                p @ 0..=1000 => p as u16,
+                p => return Err(format!("drop permille {p} is above 1000")),
+            };
             FaultKind::DropLink { from, to, permille }
         }
         "delay" => {
@@ -491,6 +517,7 @@ mod tests {
             "@100us crash",
             "@100us crash 3 junk",
             "@100us drop 1-2 400",
+            "@100us drop 1->2 1001",
         ] {
             let err = FaultPlan::parse(bad).unwrap_err();
             assert!(err.starts_with("line 1:"), "{err}");

@@ -15,8 +15,11 @@ use qrdtm_sim::SimDuration;
 ///
 /// No method here crashes, recovers, forgets or corrupts a node: every
 /// fault verb goes through the target's [`Membership`] view, and what the
-/// nemesis may inject follows from whether there is a view and whether it
-/// is durable. The baselines keep none, so they take gray faults only.
+/// nemesis may inject is what [`FaultClass::admitted`] allows for whether
+/// there is a view and whether it is durable. The baselines keep none, so
+/// they take gray faults only.
+///
+/// [`FaultClass::admitted`]: crate::FaultClass::admitted
 ///
 /// [`DtmProtocol`]: qrdtm_core::DtmProtocol
 pub trait ChaosTarget: SimHosted {
@@ -24,9 +27,8 @@ pub trait ChaosTarget: SimHosted {
     /// door for every crash, recovery, amnesia and log corruption, through
     /// `qrdtm_core::{crash, recover}` over this view. In detector mode the
     /// nemesis starts `qrdtm_core::spawn_detector` on this view and then
-    /// touches the simulator only (`qrdtm_core::{crash_sim_only,
-    /// recover_sim_only}`); the convergence checker compares the view
-    /// against network aliveness.
+    /// faults the simulator itself (`Sim::{fail_node, recover_node}`); the
+    /// convergence checker compares the view against network aliveness.
     fn membership(self: &Rc<Self>) -> Option<Rc<dyn Membership>> {
         None
     }

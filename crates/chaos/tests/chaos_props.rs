@@ -11,11 +11,17 @@ use std::rc::Rc;
 use proptest::prelude::*;
 
 use qrdtm_baselines::{DecentCluster, DecentConfig, TfaCluster, TfaConfig};
-use qrdtm_chaos::{generate, run_plan, ChaosReport, ChaosSpec, FaultBudget, FaultPlan};
+use qrdtm_chaos::{generate, run_plan, ChaosReport, ChaosSpec, FaultBudget, FaultPlan, Proto};
 use qrdtm_core::{Cluster, DtmConfig, DurabilityConfig, NestingMode};
 use qrdtm_sim::{fnv, EngineEventKind, SimDuration};
 
 const NODES: usize = 10;
+
+/// Every node and link fault (`durable`: and amnesiac restarts), the
+/// budget of a family with a view.
+fn with_view(events: usize, durable: bool) -> FaultBudget {
+    Proto::Qr(NestingMode::Closed).budget(events, durable)
+}
 
 fn spec() -> ChaosSpec {
     ChaosSpec {
@@ -40,9 +46,9 @@ fn qr(mode: NestingMode, seed: u64) -> Rc<Cluster> {
 fn run_config(proto: usize, seed: u64, events: usize) -> ChaosReport {
     let spec = spec();
     let budget = if proto < 3 {
-        FaultBudget::full(events)
+        with_view(events, false)
     } else {
-        FaultBudget::gray(events)
+        Proto::Tfa.budget(events, false)
     };
     let plan = generate(seed, NODES as u32, spec.horizon, &budget);
     match proto {
@@ -109,9 +115,9 @@ proptest! {
     #[test]
     fn plan_text_round_trips_losslessly(seed in 0u64..100_000, events in 0usize..14) {
         for budget in [
-            FaultBudget::full(events),
-            FaultBudget::gray(events),
-            FaultBudget::durable(events),
+            with_view(events, false),
+            Proto::Tfa.budget(events, false),
+            with_view(events, true),
         ] {
             let plan = generate(seed, NODES as u32, spec().horizon, &budget);
             let text = plan.to_text();
@@ -153,7 +159,7 @@ proptest! {
         events in 1usize..8,
     ) {
         let spec = spec();
-        let plan = generate(seed, NODES as u32, spec.horizon, &FaultBudget::full(events));
+        let plan = generate(seed, NODES as u32, spec.horizon, &with_view(events, false));
         // Byte-identical to what `repro chaos --save-plan` writes.
         let saved = format!(
             "# generated for --proto qr-cn --seed {seed} --nodes {NODES}\n{}",
@@ -256,12 +262,7 @@ proptest! {
 /// A durable QR-CN run under a budget that includes amnesiac restarts.
 fn run_durable(seed: u64, events: usize) -> ChaosReport {
     let spec = spec();
-    let plan = generate(
-        seed,
-        NODES as u32,
-        spec.horizon,
-        &FaultBudget::durable(events),
-    );
+    let plan = generate(seed, NODES as u32, spec.horizon, &with_view(events, true));
     let cl = Rc::new(Cluster::new(DtmConfig {
         nodes: NODES,
         mode: NestingMode::Closed,
@@ -277,12 +278,7 @@ fn run_durable(seed: u64, events: usize) -> ChaosReport {
 /// and torn tails (batch-WAL replay + epoch repair on every recovery).
 fn run_qstore_durable(seed: u64, events: usize) -> ChaosReport {
     let spec = spec();
-    let plan = generate(
-        seed,
-        NODES as u32,
-        spec.horizon,
-        &FaultBudget::durable(events),
-    );
+    let plan = generate(seed, NODES as u32, spec.horizon, &with_view(events, true));
     let cl = Rc::new(qrdtm_qstore::QStoreCluster::new(
         qrdtm_qstore::QStoreConfig {
             nodes: NODES,
@@ -300,7 +296,7 @@ fn run_detector(seed: u64, events: usize) -> ChaosReport {
         detector: true,
         ..spec()
     };
-    let plan = generate(seed, NODES as u32, spec.horizon, &FaultBudget::full(events));
+    let plan = generate(seed, NODES as u32, spec.horizon, &with_view(events, false));
     let cl = Rc::new(Cluster::new(DtmConfig {
         nodes: NODES,
         mode: NestingMode::Closed,

@@ -11,7 +11,9 @@
 //! and a detector task turns *missed* heartbeats into suspicions, suspicions
 //! into epoch-fenced view changes ([`Membership::eject`]), and resumed
 //! heartbeats from a suspected node into rejoin-with-state-transfer
-//! ([`Membership::rejoin`]).
+//! ([`Membership::rejoin`]). With a detector in charge a fault is the
+//! simulator's alone ([`Sim::fail_node`] / [`Sim::recover_node`]), and
+//! the view follows only what the detector observes.
 //!
 //! ## Semantics
 //!
@@ -132,8 +134,9 @@ pub const DETECTION_SLACK: SimDuration =
 /// the node, the network has it alive, and the nodes left could not keep
 /// the view going ([`Membership::survives_without`]). One corner: when the
 /// view has fallen behind the network, the eject itself may still be
-/// refused, and the node then stays listed but down, as after a
-/// [`crash_sim_only`]. An amnesiac crash is `crash`, then
+/// refused, and the node then stays listed but down, as after a fault
+/// of the simulator alone ([`Sim::fail_node`], what the nemesis does in
+/// detector mode). An amnesiac crash is `crash`, then
 /// [`Membership::forget`].
 pub fn crash<M: SimMessage>(view: &dyn Membership, sim: &Sim<M>, node: NodeId) -> bool {
     let listed = view.view_alive(node);
@@ -158,30 +161,6 @@ pub fn recover<M: SimMessage>(view: &dyn Membership, sim: &Sim<M>, node: NodeId)
     }
     sim.recover_node(node);
     view.rejoin(node).is_some()
-}
-
-/// Detector-mode crash: kill `node` in the simulator only — no view
-/// repair, no oracle; the failure detector must notice the silence on its
-/// own. Refused (`false`) when the node is already dead or is the last
-/// one keeping the view alive: the detector could only refuse the
-/// ejection and the cluster would stall until heal.
-pub fn crash_sim_only<M: SimMessage>(view: &dyn Membership, sim: &Sim<M>, node: NodeId) -> bool {
-    if !sim.is_alive(node) || !view.survives_without(node) {
-        return false;
-    }
-    sim.fail_node(node);
-    true
-}
-
-/// Detector-mode heal: revive `node` in the simulator only; its heartbeats
-/// resume and the detector rejoins it to the view (with state transfer).
-/// `false` when the node is not dead.
-pub fn recover_sim_only<M: SimMessage>(sim: &Sim<M>, node: NodeId) -> bool {
-    if sim.is_alive(node) {
-        return false;
-    }
-    sim.recover_node(node);
-    true
 }
 
 /// Handle on a running detector task (see [`spawn_detector`]).

@@ -47,10 +47,7 @@ pub mod repair;
 mod transport;
 pub(crate) mod wal;
 
-pub use detector::{
-    crash, crash_sim_only, recover, recover_sim_only, spawn_detector, DetectorHandle, Membership,
-    DETECTION_SLACK,
-};
+pub use detector::{crash, recover, spawn_detector, DetectorHandle, Membership, DETECTION_SLACK};
 pub use wal::{DurabilityConfig, Replay, Wal};
 
 #[cfg(test)]

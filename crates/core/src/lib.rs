@@ -67,8 +67,8 @@ mod txid;
 
 pub use cluster::{Cluster, DtmConfig, InjectedBug, LatencySpec, OverloadConfig, QuorumView};
 pub use engine::{
-    crash, crash_sim_only, recover, recover_sim_only, spawn_detector, Client, DetectorHandle,
-    DurabilityConfig, Membership, Replay, Tx, Wal, DETECTION_SLACK,
+    crash, recover, spawn_detector, Client, DetectorHandle, DurabilityConfig, Membership, Replay,
+    Tx, Wal, DETECTION_SLACK,
 };
 pub use history::{
     check_abort_targets, check_checkpoint_restores, CommitRecord, HistoryRecorder,

@@ -5,8 +5,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
 use qrdtm_core::{
-    crash, crash_sim_only, recover, Cluster, DtmConfig, DurabilityConfig, Membership, ObjVal,
-    ObjectId,
+    crash, recover, Cluster, DtmConfig, DurabilityConfig, Membership, ObjVal, ObjectId,
 };
 use qrdtm_sim::{NodeId, SimDuration};
 
@@ -167,7 +166,7 @@ fn sim_only_amnesia_rejoins_through_the_shared_readmit_path() {
     let sim2 = sim.clone();
     sim.spawn(async move {
         sim2.sleep(SimDuration::from_millis(600)).await;
-        assert!(crash_sim_only(&*cl, cl.sim(), victim));
+        sim2.fail_node(victim);
         cl.forget(victim);
         assert!(cl.eject(victim));
         sim2.sleep(SimDuration::from_millis(600)).await;

@@ -623,7 +623,7 @@ mod tests {
     use crate::core::Slot;
     use crate::wal::QSnapshot;
     use proptest::prelude::*;
-    use qrdtm_core::{crash, crash_sim_only, recover, recover_sim_only, spawn_detector};
+    use qrdtm_core::{crash, recover, spawn_detector};
     use qrdtm_workloads::protocol_bank::transfer;
 
     const ACCOUNTS: u64 = 8;
@@ -969,7 +969,7 @@ mod tests {
             // planner's committed store. An object absent from it
             // must resolve as the implicit preload instead of hanging the
             // read loop.
-            assert!(crash_sim_only(&*c2, c2.sim(), NodeId(3)));
+            c2.sim().fail_node(NodeId(3));
             let start = c2.sim().now();
             let mut h = c2.begin(NodeId(2));
             let v = c2.read(&mut h, ObjectId(203)).await.unwrap();
@@ -999,14 +999,14 @@ mod tests {
             transfer(&*c2, NodeId(4), ObjectId(0), ObjectId(1), 10).await;
             // Silence the planner without telling the view: only missed
             // heartbeats can eject it and fail the planner role over.
-            assert!(crash_sim_only(&*c2, c2.sim(), NodeId(0)));
+            c2.sim().fail_node(NodeId(0));
             c2.forget(NodeId(0));
             c2.sim().sleep(bound).await;
             assert!(!c2.view_alive(NodeId(0)), "detector must eject planner");
             transfer(&*c2, NodeId(4), ObjectId(2), ObjectId(3), 10).await;
             // Heal the network: heartbeats resume and the detector rejoins
             // the amnesiac through the replay+repair pipeline.
-            assert!(recover_sim_only(c2.sim(), NodeId(0)));
+            c2.sim().recover_node(NodeId(0));
             c2.sim().sleep(bound).await;
             assert!(c2.view_alive(NodeId(0)), "detector must rejoin planner");
         });

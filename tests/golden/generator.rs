@@ -23,7 +23,7 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 
 use qrdtm_baselines::{DecentCluster, DecentConfig, TfaCluster, TfaConfig};
-use qrdtm_chaos::{generate, run_plan, ChaosSpec, ChaosTarget, FaultBudget, FaultPlan, Proto};
+use qrdtm_chaos::{generate, run_plan, ChaosSpec, ChaosTarget, FaultPlan, Proto};
 use qrdtm_core::{Cluster, DtmConfig, DurabilityConfig, InjectedBug, NestingMode, ObjectId};
 use qrdtm_mc::{dfs_explore, pct_explore, replay, run_schedule, ForcedPolicy, McBug, Scope, Trace};
 use qrdtm_qstore::{QStoreBug, QStoreCluster, QStoreConfig};
@@ -258,7 +258,12 @@ fn observe_plan<P: ChaosTarget + 'static>(
 /// far harder than the healthy bank does.
 fn observe_chaos() -> Observation {
     let spec = ChaosSpec::smoke();
-    let plan = generate(11, NODES as u32, spec.horizon, &FaultBudget::full(5));
+    let plan = generate(
+        11,
+        NODES as u32,
+        spec.horizon,
+        &Proto::Qr(NestingMode::Closed).budget(5, false),
+    );
     observe_plan("chaos-smoke/QR-CN", &qr(NestingMode::Closed), &spec, &plan)
 }
 

@@ -24,8 +24,7 @@
 //! * `detection_bound()` leaves the detector at least its own slack.
 
 use qr_dtm::core::{
-    crash, crash_sim_only, recover, Cluster, DtmConfig, DurabilityConfig, Membership, ObjVal,
-    ObjectId, SimHosted,
+    crash, recover, Cluster, DtmConfig, DurabilityConfig, Membership, ObjVal, ObjectId, SimHosted,
 };
 use qr_dtm::prelude::NodeId;
 use qr_dtm::qstore::{QStoreCluster, QStoreConfig};
@@ -54,7 +53,7 @@ fn conforms<M: Membership + SimHosted>(m: &M, durable: bool) {
     assert!(recover(m, sim, a));
     assert_eq!(alive(a), (true, true), "recover: alive in view and network");
 
-    assert!(crash_sim_only(m, sim, a));
+    sim.fail_node(a);
     assert_eq!(
         alive(a),
         (true, false),
