@@ -13,13 +13,18 @@ use std::rc::Rc;
 
 use qrdtm_baselines::{DecentCluster, DecentConfig, TfaCluster, TfaConfig};
 use qrdtm_chaos::{
-    generate, run_plan, shrink, ChaosReport, ChaosSpec, ChaosViolation, FaultBudget, FaultPlan,
-    Proto,
+    drop_at, generate, run_plan, ChaosReport, ChaosSpec, ChaosViolation, FaultBudget, FaultEvent,
+    FaultPlan, Proto,
 };
 use qrdtm_core::{Cluster, DtmConfig, DurabilityConfig, NestingMode, OverloadConfig};
 use qrdtm_qstore::{QStoreCluster, QStoreConfig};
 use qrdtm_sim::{Metrics, SimDuration};
 use qrdtm_workloads::OpenLoopSpec;
+
+use crate::cli::{
+    family, in_range, load, num, report_counterexample, Modes, Out, FIG10, ONE_RUN, REPLAY, RUN,
+    SELECTS, SMOKE,
+};
 
 /// One chaos run's fixed coordinates: which protocol, on how many nodes,
 /// from which seed, on which disks.
@@ -114,15 +119,10 @@ impl Scenario {
     }
 
     /// Run `plan`, print the report line and, on a violation, shrink the
-    /// plan to a minimal deterministic reproducer (written to `save_to` if
-    /// given). The caller judges the returned report with
+    /// plan to a minimal deterministic reproducer (reported through
+    /// `out`). The caller judges the returned report with
     /// [`ChaosReport::ok`].
-    fn check(
-        &self,
-        spec: &ChaosSpec,
-        plan: &FaultPlan,
-        save_to: Option<&std::path::Path>,
-    ) -> ChaosReport {
+    fn check(&self, spec: &ChaosSpec, plan: &FaultPlan, out: &Out) -> ChaosReport {
         let Scenario {
             proto, seed, nodes, ..
         } = *self;
@@ -158,61 +158,20 @@ impl Scenario {
                 m.log_replays, m.torn_tails, m.repair_rounds, m.repaired_objects, m.repair_bytes,
             );
         }
-        if r.ok() {
-            return r;
+        if !r.ok() {
+            let events = |evs: &[FaultEvent]| FaultPlan::new(evs.to_vec());
+            report_counterexample(
+                ["plan", "event"],
+                &r.violations,
+                &plan.events,
+                drop_at,
+                |evs| !self.run(spec, &events(evs)).ok(),
+                |evs| events(evs).to_text(),
+                out,
+            );
         }
-        for v in &r.violations {
-            println!("    ! {v}");
-        }
-        println!(
-            "    shrinking the {}-event plan to a minimal reproducer...",
-            plan.len()
-        );
-        let min = shrink(plan, |cand| !self.run(spec, cand).ok());
-        println!("    minimized plan ({} event(s)):", min.len());
-        for line in min.to_text().lines() {
-            println!("      {line}");
-        }
-        if let Some(path) = save_to {
-            match self.save_plan(path, &min) {
-                Ok(()) => println!("    minimized plan written to {}", path.display()),
-                Err(e) => eprintln!("chaos: cannot write {}: {e}", path.display()),
-            }
-        }
-        println!(
-            "    repro: save the plan to FILE and run `repro chaos --proto {} --seed {seed} \
-             --nodes {nodes} --plan FILE` (fully deterministic)",
-            proto.label()
-        );
         r
     }
-
-    fn save_plan(&self, path: &std::path::Path, plan: &FaultPlan) -> std::io::Result<()> {
-        let text = format!(
-            "# generated for --proto {} --seed {} --nodes {}\n{}",
-            self.proto.label(),
-            self.seed,
-            self.nodes,
-            plan.to_text()
-        );
-        std::fs::write(path, text)
-    }
-}
-
-struct ChaosArgs {
-    smoke: bool,
-    detector: bool,
-    amnesia: bool,
-    overload: bool,
-    seed: u64,
-    seeds: u64,
-    protos: Vec<Proto>,
-    events: usize,
-    horizon_ms: Option<u64>,
-    nodes: usize,
-    plan: Option<PathBuf>,
-    save_plan: Option<PathBuf>,
-    fig10: Option<usize>,
 }
 
 /// Largest accepted `--horizon-ms`: the plan generator and the fig10
@@ -220,107 +179,93 @@ struct ChaosArgs {
 /// overflow `u64`.
 const MAX_HORIZON_MS: u64 = u64::MAX / 1_000_000 / 8;
 
-fn chaos_usage() -> ! {
-    eprintln!(
-        "usage: repro chaos [--smoke] [--detector] [--amnesia] [--overload] \
-         [--proto qr|qr-cn|qr-chk|tfa|decent|qstore|all] \
-         [--seed S] [--seeds N] [--events N] [--nodes N] [--horizon-ms H] \
-         [--fig10 K] [--plan FILE] [--save-plan FILE]"
-    );
-    std::process::exit(2);
+/// Every mode but the smoke suite's.
+const RUNS: Modes = RUN | REPLAY | FIG10;
+
+// `repro chaos`'s flags. The rows a replay reads and prints back are the
+// ones that shape a run: its modes, family, seed, size and horizon.
+// `proto: None` runs every family (those with a view, under `detector`).
+crate::flags! {
+    ChaosArgs, CHAOS, "chaos", check: check_args,
+    runs: |a| (a.protos().len() as u64).saturating_mul(a.seeds);
+    smoke: bool = false, "--smoke", SMOKE | SELECTS, |_v| true;
+    detector: bool = false, "--detector", RUNS | SMOKE, |_v| true,
+        |a| a.detector.then(String::new);
+    amnesia: bool = false, "--amnesia", RUNS | SMOKE, |_v| true,
+        |a| a.amnesia.then(String::new);
+    overload: bool = false, "--overload", RUNS | SMOKE, |_v| true,
+        |a| a.overload.then(String::new);
+    proto: Option<Proto> = None, "--proto PROTO", RUNS, |v| family(v)?,
+        |a| a.proto.map(|p| p.label().into());
+    seed: u64 = 1, "--seed S", RUNS, |v| num(v)?,
+        |a| Some(a.seed.to_string());
+    seeds: u64 = 1, "--seeds N", RUNS, |v| in_range(v, 1, u64::MAX)?;
+    events: usize = 6, "--events N", RUN, |v| num(v)?;
+    nodes: usize = 10, "--nodes N", RUNS, |v| in_range(v, 2, usize::MAX)?,
+        |a| Some(a.nodes.to_string());
+    horizon_ms: Option<u64> = None, "--horizon-ms H", RUNS,
+        |v| Some(in_range(v, 1, MAX_HORIZON_MS)?), |a| a.horizon_ms.map(|ms| ms.to_string());
+    fig10: Option<usize> = None, "--fig10 K", FIG10 | SELECTS, |v| Some(num(v)?);
+    plan: Option<PathBuf> = None, "--plan FILE", REPLAY | SELECTS, |v| Some(v.into());
+    save_plan: Option<PathBuf> = None, "--save-plan FILE", RUNS | ONE_RUN, |v| Some(v.into());
 }
 
-fn parse_args(mut args: impl Iterator<Item = String>) -> ChaosArgs {
-    let mut a = ChaosArgs {
-        smoke: false,
-        detector: false,
-        amnesia: false,
-        overload: false,
-        seed: 1,
-        seeds: 1,
-        protos: Proto::ALL.map(|r| r.0).to_vec(),
-        events: 6,
-        horizon_ms: None,
-        nodes: 10,
-        plan: None,
-        save_plan: None,
-        fig10: None,
-    };
-    let val = |args: &mut dyn Iterator<Item = String>| -> String {
-        args.next().unwrap_or_else(|| chaos_usage())
-    };
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--smoke" => a.smoke = true,
-            "--detector" => a.detector = true,
-            "--amnesia" => a.amnesia = true,
-            "--overload" => a.overload = true,
-            "--proto" => {
-                let label = val(&mut args);
-                a.protos = match Proto::parse(&label) {
-                    Some(p) => vec![p],
-                    None if label == "all" => Proto::ALL.map(|r| r.0).to_vec(),
-                    None => chaos_usage(),
-                };
-            }
-            "--seed" => a.seed = val(&mut args).parse().unwrap_or_else(|_| chaos_usage()),
-            "--seeds" => a.seeds = val(&mut args).parse().unwrap_or_else(|_| chaos_usage()),
-            "--events" => a.events = val(&mut args).parse().unwrap_or_else(|_| chaos_usage()),
-            "--nodes" => a.nodes = val(&mut args).parse().unwrap_or_else(|_| chaos_usage()),
-            "--horizon-ms" => {
-                a.horizon_ms = Some(val(&mut args).parse().unwrap_or_else(|_| chaos_usage()));
-            }
-            "--fig10" => a.fig10 = Some(val(&mut args).parse().unwrap_or_else(|_| chaos_usage())),
-            "--plan" => a.plan = Some(PathBuf::from(val(&mut args))),
-            "--save-plan" => a.save_plan = Some(PathBuf::from(val(&mut args))),
-            _ => chaos_usage(),
-        }
+/// `repro chaos`'s usage line.
+pub fn usage() -> String {
+    CHAOS.usage()
+}
+
+/// The checks across flags; zero runs would report "all invariants held"
+/// over nothing, and the plan generator and cluster constructors assert
+/// on degenerate shapes.
+fn check_args(a: &ChaosArgs) -> Result<(), String> {
+    if a.seed.checked_add(a.seeds).is_none() {
+        return Err("seeds must keep seed + seeds within u64".into());
     }
-    // Zero runs would report "all invariants held" over nothing, and the
-    // plan generator / cluster constructors assert on degenerate shapes.
-    let bad = [
-        (
-            a.seeds == 0 || a.seed.checked_add(a.seeds).is_none(),
-            "--seeds must be at least 1 and --seed + --seeds must not overflow",
-        ),
-        (a.nodes < 2, "--nodes must be at least 2"),
-        (
-            a.nodes < 3 && a.protos.contains(&Proto::QStore),
-            "--nodes must be at least 3 when qstore is selected",
-        ),
-        (
-            a.horizon_ms
-                .is_some_and(|ms| !(1..=MAX_HORIZON_MS).contains(&ms)),
-            "--horizon-ms must be at least 1 and at most u64::MAX / 8 nanoseconds",
-        ),
-        // Each run writes its plan, so a second run would overwrite the
-        // first one's reproducer.
-        (
-            a.save_plan.is_some() && (a.smoke || a.seeds > 1 || a.protos.len() > 1),
-            "--save-plan takes one run: one --proto, --seeds 1 and no --smoke",
-        ),
-    ];
-    if let Some((_, msg)) = bad.iter().find(|(hit, _)| *hit) {
-        eprintln!("chaos: {msg}");
-        chaos_usage();
+    if let Some(p) = a.protos().into_iter().find(|p| a.nodes < p.min_nodes()) {
+        let (min, label) = (p.min_nodes(), p.label());
+        return Err(format!(
+            "nodes must be at least {min} when {label} is selected"
+        ));
     }
-    a
+    if a.protos().is_empty() {
+        return Err("detector needs a family with a reconfigurable view".into());
+    }
+    let suites = [a.detector, a.amnesia, a.overload];
+    if a.smoke && suites.into_iter().filter(|&s| s).count() > 1 {
+        return Err("smoke runs one suite, so it takes at most one of its switches".into());
+    }
+    Ok(())
+}
+
+impl ChaosArgs {
+    /// The families a run covers: only one with a reconfigurable view can
+    /// have a detector drive it, so `--detector` drops the baselines from
+    /// `all` and refuses one named alone.
+    fn protos(&self) -> Vec<Proto> {
+        let all = Proto::ALL.map(|r| r.0);
+        let chosen = self.proto.as_ref().map_or(&all[..], std::slice::from_ref);
+        let has_view = |p: &&Proto| !self.detector || p.has_view();
+        chosen.iter().filter(has_view).copied().collect()
+    }
 }
 
 /// Entry point for `repro chaos ...`. Returns the process exit code:
 /// 0 when every run's invariants held, 1 on any violation.
 pub fn run(args: impl Iterator<Item = String>) -> i32 {
-    let mut a = parse_args(args);
+    let a = CHAOS.parse(args);
     if a.smoke {
+        // A smoke suite's spec (12 accounts, a 2 s horizon) is no flag's:
+        // its counterexamples replay through the suite's own command.
+        let out = Out {
+            save_to: None,
+            replay: CHAOS.command(&a, SMOKE, None),
+        };
         return match (a.detector, a.amnesia, a.overload) {
-            (false, false, false) => smoke(),
-            (true, false, false) => detector_smoke(),
-            (false, true, false) => amnesia_smoke(),
-            (false, false, true) => overload_smoke(),
-            _ => {
-                eprintln!("chaos: --smoke takes at most one of --detector, --amnesia, --overload");
-                chaos_usage()
-            }
+            (true, ..) => detector_smoke(&out),
+            (_, true, _) => amnesia_smoke(&out),
+            (.., true) => overload_smoke(&out),
+            _ => smoke(&out),
         };
     }
     let mut spec = ChaosSpec {
@@ -333,46 +278,28 @@ pub fn run(args: impl Iterator<Item = String>) -> i32 {
         // re-convergence (metastability) checker is armed.
         spec.overload = Some(overload_traffic());
     }
-    if a.detector {
-        // Only a family with a reconfigurable view can have a detector
-        // drive it; baselines are silently dropped from an "all" selection.
-        let before = a.protos.len();
-        a.protos.retain(|p| p.has_view());
-        if a.protos.is_empty() {
-            eprintln!("chaos: --detector requires a reconfigurable-view protocol (qr, qr-cn, qr-chk, qstore)");
-            return 2;
-        }
-        if a.protos.len() < before {
-            println!("(detector mode: baselines skipped — no reconfigurable view)\n");
-        }
-    }
     if let Some(ms) = a.horizon_ms {
         spec.horizon = SimDuration::from_millis(ms);
     }
     // A plan fixed on the command line (replay or Fig. 10 schedule)
     // overrides seeded generation; the seed still varies the workload.
-    let fixed_plan: Option<FaultPlan> = if let Some(path) = &a.plan {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("chaos: cannot read {}: {e}", path.display());
-                return 2;
-            }
-        };
-        match FaultPlan::parse(&text) {
+    let fixed_plan = match (&a.plan, a.fig10) {
+        (Some(path), _) => match load(path, FaultPlan::parse) {
             Ok(p) => Some(p),
             Err(e) => {
-                eprintln!("chaos: bad plan {}: {e}", path.display());
+                eprintln!("chaos: {e}");
                 return 2;
             }
-        }
-    } else {
-        a.fig10.map(|k| fig10_plan(k, spec.horizon))
+        },
+        (None, k) => k.map(|k| fig10_plan(k, spec.horizon)),
     };
     println!("## chaos — randomized fault injection + invariant checking\n");
+    if a.detector && a.proto.is_none() {
+        println!("(detector mode: baselines skipped — no reconfigurable view)\n");
+    }
     let mut failures = 0usize;
     for seed in a.seed..a.seed + a.seeds {
-        for &proto in &a.protos {
+        for proto in a.protos() {
             let budget = if a.overload {
                 // Surges, flash crowds and gray failures — the overload
                 // verbs act on the traffic generator, so every protocol
@@ -391,13 +318,21 @@ pub fn run(args: impl Iterator<Item = String>) -> i32 {
                 nodes: a.nodes,
                 durable: a.amnesia,
             };
-            if let Some(path) = &a.save_plan {
-                if let Err(e) = sc.save_plan(path, &plan) {
-                    eprintln!("chaos: cannot write {}: {e}", path.display());
-                    return 1;
-                }
+            let this_run = ChaosArgs {
+                proto: Some(proto),
+                seed,
+                seeds: 1,
+                ..a.clone()
+            };
+            let out = Out {
+                save_to: a.save_plan.as_deref(),
+                replay: CHAOS.command(&this_run, REPLAY, a.save_plan.as_deref()),
+            };
+            if let Err(e) = out.save(&plan.to_text()) {
+                eprintln!("chaos: {e}");
+                return 1;
             }
-            if !sc.check(&spec, &plan, a.save_plan.as_deref()).ok() {
+            if !sc.check(&spec, &plan, &out).ok() {
                 failures += 1;
             }
         }
@@ -470,7 +405,7 @@ fn verdict(suite: &str, mut ok: bool, names: &[&str], sums: &[u64], pass: &str) 
 /// a crafted planner-failover plan for the batching family (crash node 0,
 /// the initial planner — the successor must replan, and the batch
 /// atomicity checker must stay clean).
-fn smoke() -> i32 {
+fn smoke(out: &Out) -> i32 {
     let spec = ChaosSpec::smoke();
     println!("## chaos --smoke — 2 seeds x 6 protocols + fig10 + planner-failover\n");
     let mut ok = true;
@@ -478,17 +413,17 @@ fn smoke() -> i32 {
     for seed in 1..=2u64 {
         for (proto, _) in Proto::ALL {
             let plan = generate(seed, 10, spec.horizon, &proto.budget(5, false));
-            ok &= Scenario::smoke(proto, seed).check(&spec, &plan, None).ok();
+            ok &= Scenario::smoke(proto, seed).check(&spec, &plan, out).ok();
             qstore_runs += u32::from(proto == Proto::QStore);
         }
     }
     let fig10 = fig10_plan(3, spec.horizon);
     ok &= Scenario::smoke(Proto::Qr(NestingMode::Closed), 3)
-        .check(&spec, &fig10, None)
+        .check(&spec, &fig10, out)
         .ok();
     let planner_failover = plan("@400000us crash 0\n@1200000us recover 0");
     ok &= Scenario::smoke(Proto::QStore, 3)
-        .check(&spec, &planner_failover, None)
+        .check(&spec, &planner_failover, out)
         .ok();
     if qstore_runs == 0 {
         eprintln!("chaos smoke: the generated-plan grid never ran the qstore arm");
@@ -502,7 +437,7 @@ fn smoke() -> i32 {
 /// detector must notice both — crafted plans exercise true suspicion,
 /// false suspicion (an isolated-but-alive node) and gray slowness, and
 /// the aggregated counters prove each mechanism actually fired.
-fn detector_smoke() -> i32 {
+fn detector_smoke(out: &Out) -> i32 {
     let spec = ChaosSpec {
         detector: true,
         ..ChaosSpec::smoke()
@@ -534,7 +469,7 @@ fn detector_smoke() -> i32 {
     };
     let (mut ok, mut sums) = (true, [0; 5]);
     let mut run = |proto, seed, plan: &FaultPlan| {
-        let r = Scenario::smoke(proto, seed).check(&spec, plan, None);
+        let r = Scenario::smoke(proto, seed).check(&spec, plan, out);
         tally(&r, read, &mut ok, &mut sums);
     };
     for seed in 1..=2u64 {
@@ -580,7 +515,7 @@ fn detector_smoke() -> i32 {
 /// nodes must replay their fsynced batch prefix (dropping the torn batch
 /// whole), census the quorum-acked epoch frontier and pull what they
 /// lost — with the batch-atomicity and durability checkers watching.
-fn amnesia_smoke() -> i32 {
+fn amnesia_smoke(out: &Out) -> i32 {
     let spec = ChaosSpec::smoke();
     let torn_restart =
         plan("@400000us corrupt-tail 2\n@400000us crash-amnesia 2\n@1100000us recover 2");
@@ -613,7 +548,7 @@ fn amnesia_smoke() -> i32 {
             durable: true,
             ..Scenario::smoke(proto, seed)
         };
-        tally(&sc.check(&spec, plan, None), read, &mut ok, &mut sums);
+        tally(&sc.check(&spec, plan, out), read, &mut ok, &mut sums);
     };
     for seed in 1..=3u64 {
         for (name, plan) in plans {
@@ -684,7 +619,7 @@ fn overload_traffic() -> OpenLoopSpec {
 /// draws under a slow node, and a checker-validation arm turns every
 /// protection off and asserts the same surge drives the run metastable —
 /// the checker has to be able to catch the failure mode it guards against.
-fn overload_smoke() -> i32 {
+fn overload_smoke(out: &Out) -> i32 {
     let ms = SimDuration::from_millis;
     let spec = ChaosSpec {
         overload: Some(overload_traffic()),
@@ -722,7 +657,7 @@ fn overload_smoke() -> i32 {
     for seed in 1..=20u64 {
         for (proto, _) in Proto::ALL {
             let plan = generate(seed, 10, spec.horizon, &FaultBudget::overload(4));
-            let r = Scenario::smoke(proto, seed).check(&spec, &plan, None);
+            let r = Scenario::smoke(proto, seed).check(&spec, &plan, out);
             tally(&r, read, &mut ok, &mut sums);
             runs += 1;
         }

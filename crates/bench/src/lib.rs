@@ -3,12 +3,14 @@
 //! [`harness`] holds one function per experiment (Figs. 5, 6, 7, 9, 10,
 //! Table 8, plus the ablations DESIGN.md calls out); [`table`] renders
 //! results as aligned text and CSV. The `repro` binary is the command-line
-//! front end.
+//! front end; [`cli`] reads each of its commands' flag tables and reports
+//! a `repro chaos` or `repro mc` counterexample.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chaos_cli;
+pub mod cli;
 pub mod harness;
 pub mod mc_cli;
 pub mod table;

@@ -13,8 +13,8 @@
 
 use std::path::PathBuf;
 
-use qrdtm_bench::harness;
-use qrdtm_bench::{emit_figure, table};
+use qrdtm_bench::cli::RUN;
+use qrdtm_bench::{chaos_cli, emit_figure, harness, mc_cli, table};
 
 /// Emits one artifact: `(quick, out_dir)`.
 type Emit = fn(bool, Option<&PathBuf>) -> std::io::Result<()>;
@@ -37,38 +37,39 @@ const ARTIFACTS: [(&str, Emit); 7] = [
     }),
 ];
 
+// The flags every figure takes.
+qrdtm_bench::flags! {
+    FigureArgs, FIGURE, "FIGURE", check: |_| Ok(()), runs: |_| 1;
+    quick: bool = false, "--quick", RUN, |_v| true;
+    out: Option<PathBuf> = None, "--out DIR", RUN, |v| Some(v.into());
+}
+
 fn usage() -> ! {
     let names: Vec<&str> = ARTIFACTS.iter().map(|(name, _)| *name).collect();
     eprintln!(
-        "usage: repro <{}|all> [--quick] [--out DIR]",
-        names.join("|")
+        "usage: repro <{}|all> {}",
+        names.join("|"),
+        FIGURE.synopsis()
     );
-    eprintln!("       repro chaos [--smoke] [...]   (see `repro chaos --help`)");
-    eprintln!("       repro mc [--smoke] [...]      (see `repro mc --help`)");
+    eprintln!("       {}", chaos_cli::usage());
+    eprintln!("       {}", mc_cli::usage());
     std::process::exit(2);
 }
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let Some(cmd) = args.next() else { usage() };
-    if cmd == "chaos" {
-        // The chaos subcommand owns its flag vocabulary.
-        std::process::exit(qrdtm_bench::chaos_cli::run(args));
+    match cmd.as_str() {
+        "chaos" => std::process::exit(chaos_cli::run(args)),
+        "mc" => std::process::exit(mc_cli::run(args)),
+        _ => {}
     }
-    if cmd == "mc" {
-        std::process::exit(qrdtm_bench::mc_cli::run(args));
-    }
-    let mut quick = false;
-    let mut out_dir: Option<PathBuf> = None;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--out" => out_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            _ => usage(),
-        }
-    }
+    let a = FIGURE.read(args).unwrap_or_else(|e| {
+        eprintln!("repro: {e}");
+        usage()
+    });
     let t0 = std::time::Instant::now();
-    if let Err(e) = emit(&cmd, quick, out_dir.as_ref()) {
+    if let Err(e) = emit(&cmd, a.quick, a.out.as_ref()) {
         eprintln!("error: CSV write failed: {e}");
         std::process::exit(1);
     }

@@ -13,102 +13,57 @@
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
-use qrdtm_chaos::Proto;
-use qrdtm_core::{InjectedBug, NestingMode};
-use qrdtm_mc::{dfs_explore, minimize, pct_explore, replay, ExploreReport, McBug, Scope, Trace};
+use qrdtm_chaos::{shrink, Proto};
+use qrdtm_core::InjectedBug;
+use qrdtm_mc::{
+    dfs_explore, pct_explore, replay, zero_pick, Counterexample, ExploreReport, McBug, Scope, Trace,
+};
 
+use crate::cli::{
+    family, label, load, num, report_counterexample, Out, ONE_RUN, REPLAY, RUN, SELECTS, SMOKE,
+};
 use crate::harness;
 
 /// The families `all` explores: every row of the table with a view.
-fn all_protos() -> Vec<Proto> {
-    Proto::ALL
-        .map(|r| r.0)
-        .into_iter()
-        .filter(|p| p.has_view())
-        .collect()
+fn all_protos() -> impl Iterator<Item = Proto> {
+    Proto::ALL.map(|r| r.0).into_iter().filter(|p| p.has_view())
 }
 
-fn parse_protos(s: &str) -> Option<Vec<Proto>> {
-    if s == "all" {
-        return Some(all_protos());
-    }
-    Proto::parse(s).map(|p| vec![p])
+// `repro mc`'s flags. Range checks are [`Scope::check`]'s, so a trace and
+// the command line refuse the same scopes. `proto: None` explores every
+// family with a view (of the injected bug's own family, if any).
+crate::flags! {
+    McArgs, MC, "mc", check: |a| a.protos().iter().try_for_each(|&p| a.scope(p).check()),
+    runs: |a| a.protos().len() as u64;
+    smoke: bool = false, "--smoke", SMOKE | SELECTS, |_v| true;
+    replay: Option<PathBuf> = None, "--replay FILE", REPLAY | SELECTS, |v| Some(v.into());
+    proto: Option<Proto> = None, "--proto PROTO", RUN, |v| family(v)?;
+    seed: u64 = 1, "--seed S", RUN, |v| num(v)?;
+    nodes: usize = 3, "--nodes N", RUN, |v| num(v)?;
+    objects: u64 = 2, "--objects K", RUN, |v| num(v)?;
+    txns: usize = 2, "--txns T", RUN, |v| num(v)?;
+    dfs: u64 = 500, "--dfs N", RUN, |v| num(v)?;
+    pct: u64 = 500, "--pct N", RUN, |v| num(v)?;
+    bug: Option<McBug> = None, "--inject-bug BUG", RUN, |v| Some(label(v, &McBug::ALL)?);
+    save_trace: Option<PathBuf> = None, "--save-trace FILE", RUN | ONE_RUN, |v| Some(v.into());
 }
 
-struct McArgs {
-    smoke: bool,
-    replay: Option<PathBuf>,
-    protos: Vec<Proto>,
-    seed: u64,
-    nodes: usize,
-    objects: u64,
-    txns: usize,
-    dfs: u64,
-    pct: u64,
-    bug: Option<McBug>,
-    save_trace: Option<PathBuf>,
-}
-
-fn mc_usage() -> ! {
-    eprintln!(
-        "usage: repro mc --smoke\n\
-         \x20      repro mc --replay FILE\n\
-         \x20      repro mc [--proto qr|qr-cn|qr-chk|qstore|all] [--seed S] [--nodes N] \
-         [--objects K] [--txns T]\n\
-         \x20               [--dfs N] [--pct N] \
-         [--inject-bug skip-vote-check|skip-epoch-fence|skip-tag-check|\
-         ignore-open-epoch|ack-before-fsync] [--save-trace FILE]"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args(mut args: impl Iterator<Item = String>) -> McArgs {
-    let mut a = McArgs {
-        smoke: false,
-        replay: None,
-        protos: all_protos(),
-        seed: 1,
-        nodes: 3,
-        objects: 2,
-        txns: 2,
-        dfs: 500,
-        pct: 500,
-        bug: None,
-        save_trace: None,
-    };
-    let val = |args: &mut dyn Iterator<Item = String>| -> String {
-        args.next().unwrap_or_else(|| mc_usage())
-    };
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--smoke" => a.smoke = true,
-            "--replay" => a.replay = Some(PathBuf::from(val(&mut args))),
-            "--proto" => {
-                a.protos = parse_protos(&val(&mut args)).unwrap_or_else(|| mc_usage());
-            }
-            "--seed" => a.seed = val(&mut args).parse().unwrap_or_else(|_| mc_usage()),
-            "--nodes" => a.nodes = val(&mut args).parse().unwrap_or_else(|_| mc_usage()),
-            "--objects" => a.objects = val(&mut args).parse().unwrap_or_else(|_| mc_usage()),
-            "--txns" => a.txns = val(&mut args).parse().unwrap_or_else(|_| mc_usage()),
-            "--dfs" => a.dfs = val(&mut args).parse().unwrap_or_else(|_| mc_usage()),
-            "--pct" => a.pct = val(&mut args).parse().unwrap_or_else(|_| mc_usage()),
-            "--inject-bug" => {
-                a.bug = Some(McBug::parse_bug(&val(&mut args)).unwrap_or_else(|| mc_usage()));
-            }
-            "--save-trace" => a.save_trace = Some(PathBuf::from(val(&mut args))),
-            _ => mc_usage(),
-        }
-    }
-    for &proto in &a.protos {
-        if let Err(e) = a.scope(proto).check() {
-            eprintln!("mc: --{e}");
-            mc_usage();
-        }
-    }
-    a
+/// `repro mc`'s usage line.
+pub fn usage() -> String {
+    MC.usage()
 }
 
 impl McArgs {
+    /// The families a run explores.
+    fn protos(&self) -> Vec<Proto> {
+        match self.proto {
+            Some(p) => vec![p],
+            None => all_protos()
+                .filter(|&p| self.bug.is_none_or(|b| b.applies_to(p)))
+                .collect(),
+        }
+    }
+
     /// The scope the command line asks `proto` to be explored at.
     fn scope(&self, proto: Proto) -> Scope {
         Scope {
@@ -127,55 +82,39 @@ impl McArgs {
 /// injected-bug validation caught its bug), 1 on any violation, 2 on
 /// usage/IO errors.
 pub fn run(args: impl Iterator<Item = String>) -> i32 {
-    let a = parse_args(args);
-    if let Some(path) = &a.replay {
-        return replay_file(path);
+    let a = MC.parse(args);
+    match &a.replay {
+        Some(path) => replay_file(path),
+        None if a.smoke => smoke(),
+        None => explore(&a),
     }
-    if a.smoke {
-        return smoke();
-    }
-    explore(&a)
 }
 
-/// Print a counterexample: the violations, then the minimized trace (and
-/// optionally write it to `save_to`).
-fn report_counterexample(
-    scope: Scope,
-    choices: &[usize],
-    violations: &[String],
-    save_to: Option<&Path>,
-) {
-    for v in violations {
-        println!("    ! {v}");
-    }
-    println!("    shrinking the {}-choice schedule...", choices.len());
-    let min = minimize(&scope, choices);
-    let trace = Trace {
-        scope,
-        choices: min,
-    };
-    println!("    minimized trace ({} choice(s)):", trace.choices.len());
-    for line in trace.to_string().lines() {
-        println!("      {line}");
-    }
-    if let Some(path) = save_to {
-        if let Err(e) = std::fs::write(path, trace.to_string()) {
-            eprintln!("mc: cannot write {}: {e}", path.display());
-        } else {
-            println!("    trace written to {}", path.display());
-            println!(
-                "    repro: `repro mc --replay {}` (fully deterministic)",
-                path.display()
-            );
-        }
-    }
+/// Print `cex`, found in `scope`, shrunk to a minimal schedule; the trace
+/// is written to `save_to` if given.
+fn report(scope: Scope, cex: &Counterexample, save_to: Option<&Path>) {
+    report_counterexample(
+        ["trace", "choice"],
+        &cex.violations,
+        &cex.choices,
+        zero_pick,
+        |c| !replay(&scope, c).violations.is_empty(),
+        |c| {
+            let choices = c.to_vec();
+            Trace { scope, choices }.to_string()
+        },
+        &Out {
+            save_to,
+            replay: MC.command(&McArgs::default(), REPLAY, save_to),
+        },
+    );
 }
 
 /// Freeform exploration at the scope given on the command line.
 fn explore(a: &McArgs) -> i32 {
     println!("## mc — bounded schedule exploration + invariant checking\n");
     let mut worst = 0;
-    for &proto in &a.protos {
+    for proto in a.protos() {
         let scope = a.scope(proto);
         let mut seen = HashSet::new();
         let dfs = dfs_explore(&scope, a.dfs, &mut seen);
@@ -199,12 +138,7 @@ fn explore(a: &McArgs) -> i32 {
             if cex.is_none() { "OK" } else { "VIOLATION" },
         );
         if let Some(cex) = cex {
-            report_counterexample(
-                scope,
-                &cex.choices,
-                &cex.violations,
-                a.save_trace.as_deref(),
-            );
+            report(scope, &cex, a.save_trace.as_deref());
             worst = 1;
         }
     }
@@ -219,17 +153,10 @@ fn explore(a: &McArgs) -> i32 {
 /// Parse a saved trace and re-run it. Exit 0 when the replay passes every
 /// invariant, 1 when it (re)produces violations.
 fn replay_file(path: &Path) -> i32 {
-    let text = match std::fs::read_to_string(path) {
+    let trace = match load(path, Trace::parse) {
         Ok(t) => t,
         Err(e) => {
-            eprintln!("mc: cannot read {}: {e}", path.display());
-            return 2;
-        }
-    };
-    let trace = match Trace::parse(&text) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("mc: bad trace {}: {e}", path.display());
+            eprintln!("mc: {e}");
             return 2;
         }
     };
@@ -268,7 +195,7 @@ fn smoke() -> i32 {
     let t0 = std::time::Instant::now();
     println!("## mc --smoke — schedule exploration at 3 nodes / 2 objects / 2 txns\n");
     const TARGET_PER_MODE: u64 = 3_500;
-    let results = harness::parallel_map(all_protos(), |proto| {
+    let results = harness::parallel_map(all_protos().collect(), |proto| {
         let scope = Scope::smoke(proto);
         let mut seen = HashSet::new();
         let dfs = dfs_explore(&scope, 2_500, &mut seen);
@@ -313,7 +240,7 @@ fn smoke() -> i32 {
             if cex.is_none() { "OK" } else { "VIOLATION" },
         );
         if let Some(cex) = cex {
-            report_counterexample(scope, &cex.choices, &cex.violations, None);
+            report(scope, &cex, None);
             ok = false;
         }
     }
@@ -328,10 +255,7 @@ fn smoke() -> i32 {
     // zero violations above prove nothing.
     let fence = McBug::Qr(InjectedBug::SkipEpochFence);
     for (bug, bug_name) in McBug::ALL.into_iter().filter(|(bug, _)| *bug != fence) {
-        let proto = match bug {
-            McBug::Qr(_) => Proto::Qr(NestingMode::Flat),
-            McBug::QStore(_) => Proto::QStore,
-        };
+        let proto = all_protos().find(|&p| bug.applies_to(p)).expect("a family");
         let bug_scope = Scope {
             injected_bug: Some(bug),
             ..Scope::smoke(proto)
@@ -351,7 +275,9 @@ fn smoke() -> i32 {
                 ok = false;
             }
             Some(cex) => {
-                let min = minimize(&bug_scope, &cex.choices);
+                let min = shrink(&cex.choices, zero_pick, |c| {
+                    !replay(&bug_scope, c).violations.is_empty()
+                });
                 let trace = Trace {
                     scope: bug_scope,
                     choices: min,

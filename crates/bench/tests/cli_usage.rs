@@ -12,9 +12,16 @@ fn degenerate_arguments_are_usage_errors() {
     let trace = format!("{}/two_node_qstore.trace", env!("CARGO_TARGET_TMPDIR"));
     let text = "proto QSTORE\nseed 1\nnodes 2\nobjects 2\ntxns 2\nchoices 0\n";
     std::fs::write(&trace, text).expect("write trace");
+    // A plan and a trace that replay: a flag refused next to them is
+    // refused for itself, not for a bad file.
+    let plan = format!("{}/one_crash.plan", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(&plan, "@100000us crash 1\n").expect("write plan");
+    let good = format!("{}/three_node_qr.trace", env!("CARGO_TARGET_TMPDIR"));
+    let text = "proto QR\nseed 1\nnodes 3\nobjects 2\ntxns 2\nchoices 0\n";
+    std::fs::write(&good, text).expect("write trace");
     let unsaved = format!("{}/unsaved.plan", env!("CARGO_TARGET_TMPDIR"));
     let _ = std::fs::remove_file(&unsaved);
-    let cases: [(&[&str], &str); 19] = [
+    let cases: [(&[&str], &str); 29] = [
         (&["chaos", "--seeds", "0"], "chaos: --seeds"),
         (
             &["chaos", "--seed", "18446744073709551615", "--seeds", "2"],
@@ -74,6 +81,44 @@ fn degenerate_arguments_are_usage_errors() {
         // No transaction to schedule: used to pass vacuously.
         (&["mc", "--txns", "0"], "mc: --txns"),
         (&["mc", "--replay", &trace], "nodes must be at least 3"),
+        // Each flag below used to be dropped without a word: the smoke ran
+        // whole, the saved record ran alone, or the correct protocol ran
+        // green. A flag the selected mode does not read is refused.
+        (&["chaos", "--smoke", "--proto", "tfa"], "chaos: --proto"),
+        (&["chaos", "--smoke", "--seed", "3"], "chaos: --seed"),
+        (
+            &["chaos", "--plan", &trace, "--fig10", "2"],
+            "chaos: --fig10",
+        ),
+        (
+            &["chaos", "--plan", &trace, "--events", "9"],
+            "chaos: --events",
+        ),
+        (
+            &["chaos", "--fig10", "2", "--events", "9"],
+            "chaos: --events",
+        ),
+        (&["mc", "--smoke", "--proto", "qr"], "mc: --proto"),
+        (&["mc", "--replay", &good, "--seed", "9"], "mc: --seed"),
+        (
+            &["mc", "--replay", &good, "--save-trace", &unsaved],
+            "mc: --save-trace",
+        ),
+        // `--proto all` explores the bug's family: three QR variants.
+        (
+            &[
+                "mc",
+                "--inject-bug",
+                "skip-vote-check",
+                "--save-trace",
+                &unsaved,
+            ],
+            "mc: --save-trace",
+        ),
+        (
+            &["mc", "--proto", "qstore", "--inject-bug", "skip-vote-check"],
+            "mc: --inject-bug",
+        ),
         (&["perf"], "usage: repro"),
         (&["debug"], "usage: repro"),
     ];
@@ -160,6 +205,44 @@ fn saved_plans_and_traces_replay_from_the_command_line() {
     let (code, again) = repro(&[&shape[..], &["--plan", &plan]].concat());
     assert_eq!(code, Some(0), "{again}");
     assert_eq!(report_line(&first), report_line(&again));
+
+    // A run's modes shape it as much as its family and seed: the header
+    // of the saved plan is the command that replays it, mode flags and
+    // horizon included.
+    for (mode, proto) in [("--amnesia", "qr-cn"), ("--detector", "qr")] {
+        let plan = format!("{dir}/cli_usage_{proto}.plan");
+        let (code, first) = repro(&[
+            "chaos",
+            mode,
+            "--proto",
+            proto,
+            "--seed",
+            "3",
+            "--horizon-ms",
+            "400",
+            "--save-plan",
+            &plan,
+        ]);
+        assert_eq!(code, Some(0), "{first}");
+        let text = std::fs::read_to_string(&plan).expect("saved plan");
+        let header = text.lines().next().expect("a header line");
+        let command: Vec<&str> = header
+            .strip_prefix("# repro ")
+            .expect("the header is a repro command")
+            .split(' ')
+            .collect();
+        assert!(command.contains(&mode), "{header}");
+        assert!(command.contains(&"400"), "{header}");
+        let (code, again) = repro(&command);
+        assert_eq!(code, Some(0), "{again}");
+        let line = |s: &str| {
+            s.lines()
+                .find(|l| l.starts_with('['))
+                .expect("one report line")
+                .to_string()
+        };
+        assert_eq!(line(&first), line(&again), "{header}");
+    }
 
     let (code, out) = repro(&[
         "chaos",

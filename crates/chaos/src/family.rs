@@ -42,17 +42,22 @@ impl Proto {
             .1
     }
 
-    /// The family a command-line label names.
-    pub fn parse(s: &str) -> Option<Proto> {
-        Self::ALL.iter().find(|(_, l)| *l == s).map(|r| r.0)
-    }
-
     /// Whether the family keeps a reconfigurable membership view — the QR
     /// quorum view or the Q-Store planner view — so a failure detector can
     /// drive it and node faults have something to reconfigure. The paper
     /// is explicit that the baselines keep none.
     pub fn has_view(self) -> bool {
         !matches!(self, Proto::Tfa | Proto::Decent)
+    }
+
+    /// The fewest nodes the family builds a meaningful cluster on:
+    /// Q-Store's majority needs three, every other family runs on one.
+    pub fn min_nodes(self) -> usize {
+        if self == Proto::QStore {
+            3
+        } else {
+            1
+        }
     }
 
     /// The fault budget the family can honestly be subjected to: `events`
@@ -82,7 +87,6 @@ mod tests {
     #[test]
     fn every_label_round_trips_through_the_table() {
         for (proto, label) in Proto::ALL {
-            assert_eq!(Proto::parse(label), Some(proto));
             assert_eq!(proto.label(), label);
         }
         // Every variant has a row (`label()` panics on one left out).
@@ -92,6 +96,10 @@ mod tests {
         for proto in [Proto::Tfa, Proto::Decent, Proto::QStore] {
             proto.label();
         }
-        assert_eq!(Proto::parse("QR-CN"), None, "labels are lower-case");
+        let lower = |l: &&str| *l == l.to_lowercase();
+        assert!(
+            Proto::ALL.map(|r| r.1).iter().all(lower),
+            "labels are lower-case"
+        );
     }
 }

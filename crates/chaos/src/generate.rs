@@ -5,8 +5,9 @@
 //! with its cure inside the plan horizon, so a generated plan always ends
 //! with a healthy network (the nemesis additionally heals everything at
 //! the horizon as a backstop). [`shrink`] minimizes a
-//! failing plan with the classic delta-debugging moves — smallest failing
-//! prefix, then greedy single-event removal — re-running the (fully
+//! failing sequence — a plan's events here, a model-checked schedule's
+//! picks in `qrdtm-mc` — with the classic delta-debugging moves: smallest
+//! failing prefix, then greedy single-position cuts, re-running the (fully
 //! deterministic) repro closure at each step.
 
 use rand::rngs::StdRng;
@@ -199,34 +200,37 @@ pub fn generate(seed: u64, nodes: u32, horizon: SimDuration, budget: &FaultBudge
     FaultPlan::new(events)
 }
 
-/// Minimize a failing plan: `fails(candidate)` must deterministically
-/// re-run the scenario and report whether the violation reproduces.
-/// Precondition: `fails(plan)` is true. Returns a (usually much) smaller
-/// plan that still fails. With no shrinking possible, returns the input.
-pub fn shrink(plan: &FaultPlan, mut fails: impl FnMut(&FaultPlan) -> bool) -> FaultPlan {
-    let mut best = plan.clone();
-    // Smallest failing prefix first: violations usually trigger early.
-    for k in 1..best.len() {
-        let cand = best.prefix(k);
-        if fails(&cand) {
-            best = cand;
-            break;
-        }
-    }
-    // Then greedy single-event removal, scanning from the tail so cures
-    // (which sort late) go first.
+/// Minimize a failing sequence — a plan's events, a schedule's picks.
+/// `fails(candidate)` must deterministically re-run the scenario and report
+/// whether the violation reproduces; `cut(seq, i)` is `seq` made smaller at
+/// position `i` ([`drop_at`] for a plan), `None` when it cannot be. First
+/// the shortest failing prefix, starting from the empty one, then one
+/// greedy pass from the tail (a plan's cures sort late) keeping each cut
+/// that still fails. Precondition: `fails(seq)`. With nothing smaller
+/// failing, returns the input.
+pub fn shrink<T: Clone>(
+    seq: &[T],
+    cut: impl Fn(&[T], usize) -> Option<Vec<T>>,
+    mut fails: impl FnMut(&[T]) -> bool,
+) -> Vec<T> {
+    let k = (0..seq.len()).find(|&k| fails(&seq[..k]));
+    let mut best = seq[..k.unwrap_or(seq.len())].to_vec();
     let mut i = best.len();
     while i > 0 {
         i -= 1;
-        if best.len() <= 1 {
-            break;
-        }
-        let cand = best.without(i);
-        if fails(&cand) {
+        if let Some(cand) = cut(&best, i).filter(|cand| fails(cand)) {
             best = cand;
+            i = i.min(best.len());
         }
     }
     best
+}
+
+/// [`shrink`]'s cut for a plan: `seq` without event `i`.
+pub fn drop_at<T: Clone>(seq: &[T], i: usize) -> Option<Vec<T>> {
+    let mut cand = seq.to_vec();
+    cand.remove(i);
+    Some(cand)
 }
 
 #[cfg(test)]
@@ -400,10 +404,10 @@ mod tests {
         };
         let mut with_guilty = p.clone();
         with_guilty.events.insert(0, guilty.clone());
-        let fails = |cand: &FaultPlan| cand.events.contains(&guilty);
-        assert!(fails(&with_guilty));
-        let min = shrink(&with_guilty, fails);
-        assert_eq!(min.events, vec![guilty], "shrunk to exactly the cause");
+        let fails = |cand: &[FaultEvent]| cand.contains(&guilty);
+        assert!(fails(&with_guilty.events));
+        let min = shrink(&with_guilty.events, drop_at, fails);
+        assert_eq!(min, vec![guilty], "shrunk to exactly the cause");
     }
 
     #[test]
@@ -415,7 +419,7 @@ mod tests {
         );
         // Only the full plan fails.
         let full = p.clone();
-        let min = shrink(&p, |cand| *cand == full);
-        assert_eq!(min, p);
+        let min = shrink(&p.events, drop_at, |cand| cand == full.events);
+        assert_eq!(min, p.events);
     }
 }

@@ -5,8 +5,8 @@
 //! families ([`Proto`]) it drives:
 //!
 //! - **Plans** ([`plan`], [`mod@generate`]): a declarative, serializable
-//!   [`FaultPlan`], a seeded generator and a delta-debugging shrinker for
-//!   minimizing failing plans. One table of fault classes ([`FaultClass`])
+//!   [`FaultPlan`], a seeded generator and the delta-debugging shrinker
+//!   for failing plans (and `qrdtm-mc`'s failing schedules). One table of fault classes ([`FaultClass`])
 //!   draws generated faults, spreads budgets and admits them per target.
 //! - **Nemesis** ([`nemesis`]): runs a bank workload on any
 //!   [`ChaosTarget`] (the QR cluster, which serves its three nesting
@@ -36,7 +36,7 @@ pub mod target;
 
 pub use checkers::{audit, Audit, ChaosViolation, Sample};
 pub use family::Proto;
-pub use generate::{generate, shrink, FaultBudget, FaultClass};
+pub use generate::{drop_at, generate, shrink, FaultBudget, FaultClass};
 pub use nemesis::{run_plan, ChaosReport, ChaosSpec, Fingerprint};
 pub use plan::{FaultEvent, FaultKind, FaultPlan};
 pub use target::ChaosTarget;

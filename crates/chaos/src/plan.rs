@@ -254,20 +254,6 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// The first `n` events (used by the shrinker).
-    pub fn prefix(&self, n: usize) -> FaultPlan {
-        FaultPlan {
-            events: self.events[..n.min(self.events.len())].to_vec(),
-        }
-    }
-
-    /// The plan with event `i` removed (used by the shrinker).
-    pub fn without(&self, i: usize) -> FaultPlan {
-        let mut events = self.events.clone();
-        events.remove(i);
-        FaultPlan { events }
-    }
-
     /// The paper's Fig. 10 crash schedule as a plan: starting at `start`,
     /// crash the current first read-quorum member every `spacing`, for
     /// `failures` victims, with no recovery. Each crash collapses the
@@ -548,16 +534,6 @@ mod tests {
             .all(|e| e.kind == FaultKind::CrashReadQuorum));
         assert_eq!(p.events[0].at, SimDuration::from_millis(500));
         assert_eq!(p.events[7].at, SimDuration::from_millis(2250));
-    }
-
-    #[test]
-    fn prefix_and_without_shrink_the_plan() {
-        let p = sample_plan();
-        assert_eq!(p.prefix(3).len(), 3);
-        assert_eq!(p.prefix(99), p);
-        let q = p.without(0);
-        assert_eq!(q.len(), p.len() - 1);
-        assert_eq!(q.events[0], p.events[1]);
     }
 
     #[test]

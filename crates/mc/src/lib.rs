@@ -12,8 +12,9 @@
 //! structural nesting/checkpoint assertions (an abort's target must be an
 //! ancestor on the current stack; a checkpoint restore must never
 //! resurrect state captured after it). A violation stops exploration with
-//! a [`Counterexample`]; [`minimize`] shrinks it and [`Trace`] serializes
-//! it as lossless text for `repro mc --replay`.
+//! a [`Counterexample`]; [`qrdtm_chaos::shrink`] with [`zero_pick`]
+//! shrinks it and [`Trace`] serializes it as lossless text for
+//! `repro mc --replay`.
 //!
 //! Exploration covers the rows of the family table
 //! ([`qrdtm_chaos::Proto`]) that keep a membership view: the QR nesting
@@ -44,7 +45,7 @@ mod trace;
 
 pub use runner::{run_schedule, McBug, RunOutcome, Scope, INITIAL_BALANCE};
 pub use strategies::{
-    dfs_explore, minimize, pct_explore, replay, schedule_key, ChoicePolicy, Counterexample,
+    dfs_explore, pct_explore, replay, schedule_key, zero_pick, ChoicePolicy, Counterexample,
     ExploreReport, ForcedPolicy, PctPolicy,
 };
 pub use trace::Trace;

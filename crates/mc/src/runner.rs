@@ -69,6 +69,15 @@ impl McBug {
     pub fn parse_bug(s: &str) -> Option<McBug> {
         Self::ALL.iter().find(|(_, l)| *l == s).map(|r| r.0)
     }
+
+    /// Whether the bug is defined for `proto`: a QR bug for the QR
+    /// variants, a Q-Store bug for Q-Store.
+    pub fn applies_to(self, proto: Proto) -> bool {
+        matches!(
+            (self, proto),
+            (McBug::Qr(_), Proto::Qr(_)) | (McBug::QStore(_), Proto::QStore)
+        )
+    }
 }
 
 /// The bounded exploration scope: protocol, cluster size, and workload
@@ -108,18 +117,21 @@ impl Scope {
     }
 
     /// Refuse a scope with nothing to schedule or one its protocol cannot
-    /// build: a family with a membership view, at least one node (three
-    /// for Q-Store, whose majority needs them), two objects (a transfer
-    /// needs distinct accounts) and one transaction. The error names the
-    /// field.
+    /// build: a family with a membership view, its
+    /// [`min_nodes`](Proto::min_nodes), two objects (a transfer needs
+    /// distinct accounts), one transaction, and no injected bug of another
+    /// family (which would run the correct protocol). The error starts
+    /// with the field's name.
     pub fn check(&self) -> Result<(), String> {
         let label = self.proto.label();
         if !self.proto.has_view() {
             return Err(format!("proto {label} keeps no membership view to explore"));
         }
-        let min_nodes = if self.proto == Proto::QStore { 3 } else { 1 };
+        if let Some(bug) = self.injected_bug.filter(|b| !b.applies_to(self.proto)) {
+            return Err(format!("bug {} is not defined for {label}", bug.label()));
+        }
         let fields = [
-            ("nodes", self.nodes as u64, min_nodes),
+            ("nodes", self.nodes as u64, self.proto.min_nodes() as u64),
             ("objects", self.objects, 2),
             ("txns", self.txns as u64, 1),
         ];

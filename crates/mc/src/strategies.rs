@@ -231,28 +231,12 @@ pub fn replay(scope: &Scope, choices: &[usize]) -> RunOutcome {
     run_schedule(scope, Box::new(ForcedPolicy::new(choices.to_vec())))
 }
 
-/// Shrink a violating schedule: drop trailing zeros, then greedily zero
-/// each remaining nonzero choice (deepest first), keeping every candidate
-/// that still violates. Each candidate costs one replay run; the result
-/// still violates (or equals the trimmed input if the input did not).
-pub fn minimize(scope: &Scope, choices: &[usize]) -> Vec<usize> {
-    let mut best = trim(choices);
-    if replay(scope, &best).violations.is_empty() {
-        return best;
-    }
-    let mut i = best.len();
-    while i > 0 {
-        i -= 1;
-        if best[i] == 0 {
-            continue;
-        }
-        let mut cand = best.clone();
+/// [`shrink`](qrdtm_chaos::shrink)'s cut for a schedule: `choices` picking
+/// 0 at decision `i`, trailing zeros trimmed; `None` when it already does.
+pub fn zero_pick(choices: &[usize], i: usize) -> Option<Vec<usize>> {
+    (choices[i] != 0).then(|| {
+        let mut cand = choices.to_vec();
         cand[i] = 0;
-        let cand = trim(&cand);
-        if !replay(scope, &cand).violations.is_empty() {
-            best = cand;
-            i = i.min(best.len());
-        }
-    }
-    best
+        trim(&cand)
+    })
 }

@@ -17,7 +17,8 @@
 //! An optional `bug NAME` line, `NAME` one of the five `McBug` labels
 //! (`skip-vote-check`, `skip-epoch-fence`, `skip-tag-check`,
 //! `ignore-open-epoch`, `ack-before-fsync`), records an injected protocol
-//! bug (checker validation runs). `proto QSTORE` selects the Q-Store arm;
+//! bug of the trace's own family (checker validation runs). `proto QSTORE`
+//! selects the Q-Store arm;
 //! a family is spelled by its `--proto` label upper-cased.
 
 use std::fmt;
@@ -239,5 +240,22 @@ mod tests {
             .unwrap_err()
             .contains("nodes must be at least 3 for qstore"));
         assert!(parse("QR", 2, 2).is_ok(), "QR runs on two nodes");
+    }
+
+    /// A bug of another family used to map to no bug at all: the trace
+    /// replayed the correct protocol and passed.
+    #[test]
+    fn a_bug_of_another_family_is_refused() {
+        let trace = |proto: &str, bug: &str| {
+            let text =
+                format!("proto {proto}\nseed 1\nnodes 3\nobjects 2\ntxns 2\nbug {bug}\nchoices\n");
+            Trace::parse(&text)
+        };
+        let err = trace("QSTORE", "skip-vote-check").unwrap_err();
+        assert!(err.contains("bug skip-vote-check"), "{err}");
+        let err = trace("QR-CN", "skip-tag-check").unwrap_err();
+        assert!(err.contains("bug skip-tag-check"), "{err}");
+        assert!(trace("QR-CHK", "skip-epoch-fence").is_ok());
+        assert!(trace("QSTORE", "ack-before-fsync").is_ok());
     }
 }

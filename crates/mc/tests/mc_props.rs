@@ -5,10 +5,10 @@
 
 use std::collections::HashSet;
 
-use qrdtm_chaos::Proto;
+use qrdtm_chaos::{shrink, Proto};
 use qrdtm_core::{InjectedBug, NestingMode};
 use qrdtm_mc::{
-    dfs_explore, minimize, pct_explore, replay, run_schedule, ForcedPolicy, McBug, PctPolicy,
+    dfs_explore, pct_explore, replay, run_schedule, zero_pick, ForcedPolicy, McBug, PctPolicy,
     Scope, Trace,
 };
 use qrdtm_qstore::QStoreBug;
@@ -86,7 +86,9 @@ fn caught_minimized_and_replayable(bug: McBug, proto: Proto) {
     }
     let cex = cex.unwrap_or_else(|| panic!("{bug:?} survived 600 schedules — checkers are blind"));
 
-    let min = minimize(&scope, &cex.choices);
+    let min = shrink(&cex.choices, zero_pick, |c| {
+        !replay(&scope, c).violations.is_empty()
+    });
     assert!(min.len() <= cex.choices.len());
     let rerun = replay(&scope, &min);
     assert!(

@@ -13,7 +13,7 @@ use std::task::{Context, Poll, Waker};
 
 use qrdtm_core::history;
 use qrdtm_core::{DtmProtocol, ObjVal, ObjectId};
-use qrdtm_sim::NodeId;
+use qrdtm_sim::{mix, NodeId};
 use qrdtm_workloads::protocol_bank::random_op;
 
 use crate::tl2::ParBackend;
@@ -37,10 +37,7 @@ struct SmallRng(u64);
 
 impl SmallRng {
     fn new(seed: u64) -> Self {
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        SmallRng((z ^ (z >> 31)) | 1)
+        SmallRng(mix(seed) | 1)
     }
 
     fn next(&mut self) -> u64 {
