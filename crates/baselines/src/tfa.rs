@@ -12,6 +12,13 @@
 //! every reply: one unicast round trip per phase, not one per home. A
 //! failed commit releases exactly the homes that granted its locks.
 //!
+//! A read-only transaction serializes when its last remote read was
+//! served, current and unlocked: an earlier read that a later validation
+//! finds unchanged was unchanged then too, since versions only grow. So
+//! its commit validates every read but the last, and nothing after a
+//! forward at the last read, which revalidated every earlier read after
+//! that copy was served. Writers validate once every lock is held.
+//!
 //! TFA cannot survive a node failure (losing a home loses its objects);
 //! the paper keeps it as the fastest no-failure baseline because unicast
 //! round trips (~5 ms) are far cheaper than quorum multicast (~30 ms RTT).
@@ -49,12 +56,10 @@ pub enum TfaMsg {
         /// `(object, version)` pairs to check.
         entries: Vec<(ObjectId, Version)>,
     },
-    /// Validation verdict + the home clock.
+    /// Validation verdict.
     ValidateOk {
         /// True if every entry is still current and unlocked.
         ok: bool,
-        /// Home node clock.
-        clock: u64,
     },
     /// Lock write-set entries homed at this node (commit phase one).
     Lock {
@@ -184,8 +189,7 @@ impl TfaCluster {
                                 .get(oid)
                                 .is_some_and(|o| o.version == *v && o.locked_by.is_none())
                         });
-                        let clock = st.clock;
-                        ctx.respond(&env, TfaMsg::ValidateOk { ok, clock });
+                        ctx.respond(&env, TfaMsg::ValidateOk { ok });
                     }
                     TfaMsg::Lock { tx, entries } => {
                         let ok = entries.iter().all(|(oid, v)| {
@@ -281,6 +285,8 @@ impl TfaCluster {
             clock,
             reads: BTreeMap::new(),
             writes: BTreeMap::new(),
+            last_read: None,
+            forwarded_at_last: false,
         }
     }
 
@@ -304,7 +310,8 @@ impl TfaCluster {
                     clock,
                 },
             )) => {
-                if clock > tx.clock {
+                let forward = clock > tx.clock;
+                if forward {
                     // Transaction forwarding: prove the read-set still holds,
                     // then advance our clock.
                     if !self.validate_entries(tx.node, &tx.reads).await {
@@ -313,6 +320,8 @@ impl TfaCluster {
                     tx.clock = clock;
                 }
                 tx.reads.insert(oid, (version, val.clone()));
+                tx.last_read = Some(oid);
+                tx.forwarded_at_last = forward;
                 Ok(val)
             }
             _ => Err(Abort::root()),
@@ -363,15 +372,20 @@ impl TfaCluster {
         let replies = self.fan_out(node, calls).await;
         replies
             .iter()
-            .all(|r| matches!(r, Some(TfaMsg::ValidateOk { ok: true, .. })))
+            .all(|r| matches!(r, Some(TfaMsg::ValidateOk { ok: true })))
     }
 
-    /// Commit one attempt: read-only transactions revalidate their read set;
+    /// Commit one attempt: read-only transactions revalidate every read but
+    /// the last, or nothing after a forward at the last read (module doc);
     /// writers lock the write homes, validate the remaining reads once every
     /// lock is granted, and apply — or release the homes that granted.
     async fn commit_handle(&self, tx: &TfaTxHandle) -> Result<(), Abort> {
         if tx.writes.is_empty() {
-            return if self.validate_entries(tx.node, &tx.reads).await {
+            if tx.forwarded_at_last {
+                return Ok(());
+            }
+            let earlier = tx.reads.iter().filter(|(o, _)| Some(**o) != tx.last_read);
+            return if self.validate_entries(tx.node, earlier).await {
                 Ok(())
             } else {
                 Err(Abort::root())
@@ -421,6 +435,11 @@ pub struct TfaTxHandle {
     clock: u64,
     reads: BTreeMap<ObjectId, (Version, ObjVal)>,
     writes: BTreeMap<ObjectId, (Version, ObjVal)>,
+    /// The last copy fetched from its home.
+    last_read: Option<ObjectId>,
+    /// Fetching `last_read` forwarded: every earlier read was revalidated
+    /// after that copy was served.
+    forwarded_at_last: bool,
 }
 
 /// TFA as a [`DtmProtocol`]: flat transactions over unicast home-node
@@ -623,7 +642,55 @@ mod tests {
             audit_in(c, h, a, b).await.unwrap();
         });
         assert!(took <= ONE_RTT, "validation took {took:?}");
-        assert_eq!(c.sim().metrics().sent_by_class[2], 2, "one Validate a home");
+        // The last read (b) was served current: only a is revalidated.
+        let (a, b, _) = two_homes(&c);
+        let m = c.sim().metrics();
+        assert_eq!(m.sent_by_class[2], 1, "one Validate");
+        let served = |o: ObjectId| m.processed_by_node[c.home(o).index()];
+        assert_eq!(
+            (served(a), served(b)),
+            (2, 1),
+            "a Read each, a Validate to a's home"
+        );
+    }
+
+    #[test]
+    fn a_one_read_transaction_commits_with_no_message() {
+        let c = Rc::new(cluster());
+        let c2 = Rc::clone(&c);
+        c.sim().spawn(async move {
+            let mut h = c2.begin(NodeId(0));
+            c2.read(&mut h, ObjectId(3)).await.unwrap();
+            let sent = c2.sim().metrics().sent_total;
+            c2.commit(&mut h).await.unwrap();
+            assert_eq!(
+                c2.sim().metrics().sent_total,
+                sent,
+                "the commit sent nothing"
+            );
+        });
+        c.sim().run();
+        assert_eq!(c.protocol_stats().commits, 1);
+    }
+
+    #[test]
+    fn a_snapshot_torn_between_two_reads_does_not_commit() {
+        let c = Rc::new(cluster());
+        let (a, b, node) = two_homes(&c);
+        let outcome = Rc::new(std::cell::Cell::new(None));
+        let (c2, outcome2) = (Rc::clone(&c), Rc::clone(&outcome));
+        c.sim().spawn(async move {
+            let mut h = c2.begin(node);
+            // No home clock ever runs ahead of this one: no forward fires.
+            h.clock = u64::MAX;
+            let va = c2.read(&mut h, a).await.unwrap().expect_int();
+            transfer(&*c2, NodeId(0), a, b, 10).await;
+            let vb = c2.read(&mut h, b).await.unwrap().expect_int();
+            outcome2.set(Some((va + vb, c2.commit(&mut h).await.is_ok())));
+        });
+        c.sim().run();
+        // 100 before the transfer plus 110 after it: no serial order.
+        assert_eq!(outcome.get(), Some((210, false)));
     }
 
     #[test]
@@ -696,6 +763,11 @@ mod tests {
             // valid because the writer touched different objects).
             c2.read(&mut tx, ObjectId(2)).await.unwrap();
             assert!(tx.clock > start, "only forwarding advances the clock");
+            // That forward revalidated o1 after o2 was served: the commit
+            // has nothing left to check.
+            let validates = sim.metrics().sent_by_class[2];
+            c2.commit(&mut tx).await.unwrap();
+            assert_eq!(sim.metrics().sent_by_class[2], validates, "no Validate");
         });
         let c3 = Rc::clone(&c);
         let sim2 = c.sim().clone();

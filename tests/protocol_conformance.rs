@@ -12,16 +12,18 @@
 //! * **abort isolation** — a write buffered by an aborted attempt is never
 //!   observed, neither by the restarted attempt nor by other transactions;
 //! * **determinism per seed** — a contended run is reproducible message-
-//!   for-message given the same seed.
+//!   for-message given the same seed;
+//! * **one snapshot per committed audit** — a read-only transaction that
+//!   commits saw the accounts as of one instant, never a transfer's half.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use qr_dtm::baselines::{DecentCluster, DecentConfig, TfaCluster, TfaConfig};
 use qr_dtm::core::{Cluster, DtmConfig, DtmProtocol, ObjVal, ObjectId, ProtocolStats, SimHosted};
 use qr_dtm::prelude::{Abort, NestingMode, NodeId};
 use qr_dtm::qstore::{QStoreCluster, QStoreConfig};
-use qr_dtm::workloads::protocol_bank::transfer;
+use qr_dtm::workloads::protocol_bank::{audit, transfer};
 
 const ACCOUNTS: u64 = 8;
 const INITIAL: i64 = 100;
@@ -37,6 +39,7 @@ where
     on_sim(mk(12), write_visibility_after_commit);
     on_sim(mk(13), abort_isolation);
     determinism_per_seed(&mk);
+    committed_audits_see_one_snapshot(&mk);
 }
 
 /// Run `scenario` as one task on `p`'s simulator, to quiescence, and fail
@@ -134,6 +137,49 @@ where
     let b = run_once();
     assert_eq!(a.0.commits, 12, "every transfer eventually commits");
     assert_eq!(a, b, "same seed must replay the same run");
+}
+
+/// Four clients move money between accounts 0 and 1 while four others
+/// audit the pair: every audit that commits must see the whole sum.
+/// Sixteen rounds each make a torn audit show on seed 20 when TFA neither
+/// forwards nor validates at commit.
+fn committed_audits_see_one_snapshot<P, F>(mk: &F)
+where
+    P: SimHosted + 'static,
+    F: Fn(u64) -> Rc<P>,
+{
+    const OPS: u32 = 16;
+    for seed in 20..=25 {
+        let p = mk(seed);
+        let sums = Rc::new(RefCell::new(Vec::new()));
+        for node in 0..4u32 {
+            let p2 = Rc::clone(&p);
+            p.sim().spawn(async move {
+                for i in 0..OPS {
+                    let (from, to) = if (node + i) % 2 == 0 { (0, 1) } else { (1, 0) };
+                    transfer(&*p2, NodeId(node), ObjectId(from), ObjectId(to), 7).await;
+                }
+            });
+            let (p3, sums3) = (Rc::clone(&p), Rc::clone(&sums));
+            p.sim().spawn(async move {
+                for _ in 0..OPS {
+                    let sum = audit(&*p3, NodeId(node + 4), ObjectId(0), ObjectId(1)).await;
+                    sums3.borrow_mut().push(sum);
+                }
+            });
+        }
+        p.sim().run();
+        let sums = sums.borrow();
+        assert_eq!(
+            sums.len(),
+            4 * OPS as usize,
+            "seed {seed}: every audit commits"
+        );
+        assert!(
+            sums.iter().all(|&s| s == 2 * INITIAL),
+            "seed {seed}: a committed audit saw a torn snapshot: {sums:?}"
+        );
+    }
 }
 
 fn qr(mode: NestingMode) -> impl Fn(u64) -> Rc<Cluster> {
