@@ -228,6 +228,11 @@ fn check_args(a: &ChaosArgs) -> Result<(), String> {
             "nodes must be at least {min} when {label} is selected"
         ));
     }
+    // Two nodes cannot tell a crash from an isolation: the lower id keeps
+    // the reference component, so a crashed node 0 is never suspected.
+    if a.detector && a.nodes < 3 {
+        return Err("nodes must be at least 3 with --detector".into());
+    }
     if a.protos().is_empty() {
         return Err("detector needs a family with a reconfigurable view".into());
     }

@@ -6,9 +6,9 @@
 //! random priority schedules for breadth after. Every schedule runs the
 //! full invariant battery (serializability, balance conservation,
 //! durability no-regress, nesting/checkpoint structure — batch atomicity
-//! on the Q-Store arm); a violation is shrunk to a minimal schedule and
-//! serialized as a lossless text trace that `--replay` re-runs
-//! deterministically.
+//! on the Q-Store arm); a violation is shrunk to a minimal schedule, its
+//! picks saved under the command that replays them deterministically:
+//! the scope is the flags, the file holds only the picks.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -16,11 +16,13 @@ use std::path::{Path, PathBuf};
 use qrdtm_chaos::{shrink, Proto};
 use qrdtm_core::InjectedBug;
 use qrdtm_mc::{
-    dfs_explore, pct_explore, replay, zero_pick, Counterexample, ExploreReport, McBug, Scope, Trace,
+    dfs_explore, parse_picks, pct_explore, replay, zero_pick, Counterexample, ExploreReport, McBug,
+    Scope,
 };
 
 use crate::cli::{
-    family, label, load, num, report_counterexample, Out, ONE_RUN, REPLAY, RUN, SELECTS, SMOKE,
+    family, in_range, label, load, num, report_counterexample, Modes, Out, ONE_RUN, REPLAY, RUN,
+    SELECTS, SMOKE,
 };
 use crate::harness;
 
@@ -29,22 +31,29 @@ fn all_protos() -> impl Iterator<Item = Proto> {
     Proto::ALL.map(|r| r.0).into_iter().filter(|p| p.has_view())
 }
 
-// `repro mc`'s flags. Range checks are [`Scope::check`]'s, so a trace and
-// the command line refuse the same scopes. `proto: None` explores every
-// family with a view (of the injected bug's own family, if any).
+/// Every mode that runs schedules at the scope the flags give.
+const SCOPED: Modes = RUN | REPLAY;
+
+// `repro mc`'s flags. The rows a replay reads and prints back are the
+// scope: family, seed, size and injected bug; range checks are
+// [`Scope::check`]'s. `proto: None` explores every family with a view (of
+// the injected bug's own family, if any), so a replay must name one.
 crate::flags! {
     McArgs, MC, "mc", check: |a| a.protos().iter().try_for_each(|&p| a.scope(p).check()),
     runs: |a| a.protos().len() as u64;
     smoke: bool = false, "--smoke", SMOKE | SELECTS, |_v| true;
-    replay: Option<PathBuf> = None, "--replay FILE", REPLAY | SELECTS, |v| Some(v.into());
-    proto: Option<Proto> = None, "--proto PROTO", RUN, |v| family(v)?;
-    seed: u64 = 1, "--seed S", RUN, |v| num(v)?;
-    nodes: usize = 3, "--nodes N", RUN, |v| num(v)?;
-    objects: u64 = 2, "--objects K", RUN, |v| num(v)?;
-    txns: usize = 2, "--txns T", RUN, |v| num(v)?;
-    dfs: u64 = 500, "--dfs N", RUN, |v| num(v)?;
+    proto: Option<Proto> = None, "--proto PROTO", SCOPED, |v| family(v)?,
+        |a| a.proto.map(|p| p.label().into());
+    seed: u64 = 1, "--seed S", SCOPED, |v| num(v)?, |a| Some(a.seed.to_string());
+    nodes: usize = 3, "--nodes N", SCOPED, |v| num(v)?, |a| Some(a.nodes.to_string());
+    objects: u64 = 2, "--objects K", SCOPED, |v| num(v)?, |a| Some(a.objects.to_string());
+    txns: usize = 2, "--txns T", SCOPED, |v| num(v)?, |a| Some(a.txns.to_string());
+    dfs: u64 = 500, "--dfs N", RUN, |v| in_range(v, 1, u64::MAX)?;
     pct: u64 = 500, "--pct N", RUN, |v| num(v)?;
-    bug: Option<McBug> = None, "--inject-bug BUG", RUN, |v| Some(label(v, &McBug::ALL)?);
+    bug: Option<McBug> = None, "--inject-bug BUG", SCOPED, |v| Some(label(v, &McBug::ALL)?),
+        |a| a.bug.map(|b| b.label().into());
+    replay: Option<PathBuf> = None, "--replay FILE", REPLAY | SELECTS | ONE_RUN,
+        |v| Some(v.into());
     save_trace: Option<PathBuf> = None, "--save-trace FILE", RUN | ONE_RUN, |v| Some(v.into());
 }
 
@@ -61,6 +70,16 @@ impl McArgs {
             None => all_protos()
                 .filter(|&p| self.bug.is_none_or(|b| b.applies_to(p)))
                 .collect(),
+        }
+    }
+
+    /// The smoke suite's run of `proto`: the default scope, `bug`
+    /// injected.
+    fn smoke_run(proto: Proto, bug: Option<McBug>) -> Self {
+        McArgs {
+            proto: Some(proto),
+            bug,
+            ..McArgs::default()
         }
     }
 
@@ -84,28 +103,37 @@ impl McArgs {
 pub fn run(args: impl Iterator<Item = String>) -> i32 {
     let a = MC.parse(args);
     match &a.replay {
-        Some(path) => replay_file(path),
+        Some(path) => replay_file(&a, path),
         None if a.smoke => smoke(),
         None => explore(&a),
     }
 }
 
-/// Print `cex`, found in `scope`, shrunk to a minimal schedule; the trace
-/// is written to `save_to` if given.
-fn report(scope: Scope, cex: &Counterexample, save_to: Option<&Path>) {
+/// A saved trace's body: one line of space-separated picks, or none.
+fn picks_text(picks: &[usize]) -> String {
+    let words: Vec<String> = picks.iter().map(ToString::to_string).collect();
+    if words.is_empty() {
+        String::new()
+    } else {
+        words.join(" ") + "\n"
+    }
+}
+
+/// Print `cex`, found by the one-family run `a`, shrunk to a minimal
+/// schedule; its picks are written to `save_to` if given, under the
+/// command that replays them.
+fn report(a: &McArgs, cex: &Counterexample, save_to: Option<&Path>) {
+    let scope = a.scope(a.protos()[0]);
     report_counterexample(
         ["trace", "choice"],
         &cex.violations,
         &cex.choices,
         zero_pick,
         |c| !replay(&scope, c).violations.is_empty(),
-        |c| {
-            let choices = c.to_vec();
-            Trace { scope, choices }.to_string()
-        },
+        picks_text,
         &Out {
             save_to,
-            replay: MC.command(&McArgs::default(), REPLAY, save_to),
+            replay: MC.command(a, REPLAY, save_to),
         },
     );
 }
@@ -138,7 +166,11 @@ fn explore(a: &McArgs) -> i32 {
             if cex.is_none() { "OK" } else { "VIOLATION" },
         );
         if let Some(cex) = cex {
-            report(scope, &cex, a.save_trace.as_deref());
+            let this_run = McArgs {
+                proto: Some(proto),
+                ..a.clone()
+            };
+            report(&this_run, &cex, a.save_trace.as_deref());
             worst = 1;
         }
     }
@@ -150,26 +182,28 @@ fn explore(a: &McArgs) -> i32 {
     worst
 }
 
-/// Parse a saved trace and re-run it. Exit 0 when the replay passes every
-/// invariant, 1 when it (re)produces violations.
-fn replay_file(path: &Path) -> i32 {
-    let trace = match load(path, Trace::parse) {
-        Ok(t) => t,
+/// Read a saved trace's picks and re-run them at the scope `a` gives.
+/// Exit 0 when the replay passes every invariant, 1 when it (re)produces
+/// violations.
+fn replay_file(a: &McArgs, path: &Path) -> i32 {
+    let picks = match load(path, parse_picks) {
+        Ok(p) => p,
         Err(e) => {
             eprintln!("mc: {e}");
             return 2;
         }
     };
-    let out = replay(&trace.scope, &trace.choices);
+    let scope = a.scope(a.protos()[0]);
+    let out = replay(&scope, &picks);
     println!(
         "replayed {} choice(s) [{} nodes={} objects={} txns={} seed={}]: \
          commits={} aborts={} fingerprint={:016x}",
-        trace.choices.len(),
-        trace.scope.proto.label(),
-        trace.scope.nodes,
-        trace.scope.objects,
-        trace.scope.txns,
-        trace.scope.seed,
+        picks.len(),
+        scope.proto.label(),
+        scope.nodes,
+        scope.objects,
+        scope.txns,
+        scope.seed,
         out.commits,
         out.aborts,
         out.fingerprint,
@@ -196,7 +230,8 @@ fn smoke() -> i32 {
     println!("## mc --smoke — schedule exploration at 3 nodes / 2 objects / 2 txns\n");
     const TARGET_PER_MODE: u64 = 3_500;
     let results = harness::parallel_map(all_protos().collect(), |proto| {
-        let scope = Scope::smoke(proto);
+        let run = McArgs::smoke_run(proto, None);
+        let scope = run.scope(proto);
         let mut seen = HashSet::new();
         let dfs = dfs_explore(&scope, 2_500, &mut seen);
         let mut runs = dfs.runs;
@@ -217,7 +252,7 @@ fn smoke() -> i32 {
             cex = pct.counterexample;
             round += 1;
         }
-        (scope, runs, distinct, depth, dfs.exhausted, cex)
+        (run, runs, distinct, depth, dfs.exhausted, cex)
     });
 
     let mut ok = true;
@@ -226,13 +261,14 @@ fn smoke() -> i32 {
     // What actually ran, by label: the Q-Store arm must be among them or
     // the run is not a pass.
     let mut exercised: Vec<&str> = Vec::new();
-    for (scope, runs, distinct, depth, exhausted, cex) in results {
-        exercised.push(scope.proto.label());
+    for (run, runs, distinct, depth, exhausted, cex) in results {
+        let label = run.protos()[0].label();
+        exercised.push(label);
         total_distinct += distinct;
         total_runs += runs;
         println!(
             "[{:<6}] runs={:>5} distinct={:>5} max_depth={:>3} exhausted={} => {}",
-            scope.proto.label(),
+            label,
             runs,
             distinct,
             depth,
@@ -240,7 +276,7 @@ fn smoke() -> i32 {
             if cex.is_none() { "OK" } else { "VIOLATION" },
         );
         if let Some(cex) = cex {
-            report(scope, &cex, None);
+            report(&run, &cex, None);
             ok = false;
         }
     }
@@ -251,18 +287,15 @@ fn smoke() -> i32 {
     // validation or against the committed slot alone (Q-Store), or
     // acknowledges an epoch before its quorum's fsyncs (Q-Store + amnesiac
     // planner crash) — must be caught, and the minimized counterexample
-    // must still reproduce after a trace text round-trip; otherwise the
-    // zero violations above prove nothing.
+    // must still reproduce after a round-trip through its picks' text;
+    // otherwise the zero violations above prove nothing.
     let fence = McBug::Qr(InjectedBug::SkipEpochFence);
     for (bug, bug_name) in McBug::ALL.into_iter().filter(|(bug, _)| *bug != fence) {
         let proto = all_protos().find(|&p| bug.applies_to(p)).expect("a family");
-        let bug_scope = Scope {
-            injected_bug: Some(bug),
-            ..Scope::smoke(proto)
-        };
+        let bug_scope = McArgs::smoke_run(proto, Some(bug)).scope(proto);
         println!(
             "\nchecker validation: injected bug {bug_name} on {}",
-            bug_scope.proto.label()
+            proto.label()
         );
         let mut seen = HashSet::new();
         let mut cex = dfs_explore(&bug_scope, 600, &mut seen).counterexample;
@@ -278,18 +311,14 @@ fn smoke() -> i32 {
                 let min = shrink(&cex.choices, zero_pick, |c| {
                     !replay(&bug_scope, c).violations.is_empty()
                 });
-                let trace = Trace {
-                    scope: bug_scope,
-                    choices: min,
-                };
-                let replayed = Trace::parse(&trace.to_string())
-                    .map(|t| replay(&t.scope, &t.choices))
+                let replayed = parse_picks(&picks_text(&min))
+                    .map(|picks| replay(&bug_scope, &picks))
                     .ok();
                 match replayed {
                     Some(out) if !out.violations.is_empty() => {
                         println!(
                             "    caught, minimized to {} choice(s), replays from text:",
-                            trace.choices.len()
+                            min.len()
                         );
                         for v in &out.violations {
                             println!("      ! {v}");

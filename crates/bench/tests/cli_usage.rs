@@ -1,5 +1,5 @@
-//! Degenerate `repro chaos` / `repro mc` arguments and traces are usage
-//! errors (exit 2, the offending flag or field named on stderr) — not a
+//! Degenerate `repro chaos` / `repro mc` arguments are usage errors
+//! (exit 2, the offending flag named on stderr) — not a
 //! panic, and not a run over zero plans or transactions that reports every
 //! invariant held. A failed `--out` or `--save-plan` write is a run error
 //! (exit 1, the path named on stderr).
@@ -8,20 +8,15 @@ use std::process::Command;
 
 #[test]
 fn degenerate_arguments_are_usage_errors() {
-    // A trace the CLI would refuse to record: two Q-Store nodes.
-    let trace = format!("{}/two_node_qstore.trace", env!("CARGO_TARGET_TMPDIR"));
-    let text = "proto QSTORE\nseed 1\nnodes 2\nobjects 2\ntxns 2\nchoices 0\n";
-    std::fs::write(&trace, text).expect("write trace");
     // A plan and a trace that replay: a flag refused next to them is
     // refused for itself, not for a bad file.
     let plan = format!("{}/one_crash.plan", env!("CARGO_TARGET_TMPDIR"));
     std::fs::write(&plan, "@100000us crash 1\n").expect("write plan");
-    let good = format!("{}/three_node_qr.trace", env!("CARGO_TARGET_TMPDIR"));
-    let text = "proto QR\nseed 1\nnodes 3\nobjects 2\ntxns 2\nchoices 0\n";
-    std::fs::write(&good, text).expect("write trace");
+    let trace = format!("{}/one_pick.trace", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(&trace, "0\n").expect("write trace");
     let unsaved = format!("{}/unsaved.plan", env!("CARGO_TARGET_TMPDIR"));
     let _ = std::fs::remove_file(&unsaved);
-    let cases: [(&[&str], &str); 29] = [
+    let cases: [(&[&str], &str); 32] = [
         (&["chaos", "--seeds", "0"], "chaos: --seeds"),
         (
             &["chaos", "--seed", "18446744073709551615", "--seeds", "2"],
@@ -67,6 +62,12 @@ fn degenerate_arguments_are_usage_errors() {
             ],
             "chaos: --save-plan",
         ),
+        // Two nodes cannot tell a crash of node 0 from its isolation, so
+        // the detector never suspects it: used to run and violate.
+        (
+            &["chaos", "--proto", "qr-cn", "--detector", "--nodes", "2"],
+            "chaos: --nodes",
+        ),
         // Used to run the amnesia suite alone and exit 0.
         (
             &["chaos", "--smoke", "--detector", "--amnesia"],
@@ -80,18 +81,30 @@ fn degenerate_arguments_are_usage_errors() {
         (&["mc", "--objects", "1"], "mc: --objects"),
         // No transaction to schedule: used to pass vacuously.
         (&["mc", "--txns", "0"], "mc: --txns"),
-        (&["mc", "--replay", &trace], "nodes must be at least 3"),
+        // No DFS budget: used to run one schedule anyway.
+        (
+            &["mc", "--proto", "qr", "--dfs", "0", "--pct", "0"],
+            "mc: --dfs",
+        ),
+        // A replay runs one family: the flags are the trace's scope.
+        (&["mc", "--replay", &trace], "mc: --replay"),
+        (
+            &[
+                "mc", "--proto", "qstore", "--nodes", "2", "--replay", &trace,
+            ],
+            "mc: --nodes",
+        ),
         // Each flag below used to be dropped without a word: the smoke ran
         // whole, the saved record ran alone, or the correct protocol ran
         // green. A flag the selected mode does not read is refused.
         (&["chaos", "--smoke", "--proto", "tfa"], "chaos: --proto"),
         (&["chaos", "--smoke", "--seed", "3"], "chaos: --seed"),
         (
-            &["chaos", "--plan", &trace, "--fig10", "2"],
+            &["chaos", "--plan", &plan, "--fig10", "2"],
             "chaos: --fig10",
         ),
         (
-            &["chaos", "--plan", &trace, "--events", "9"],
+            &["chaos", "--plan", &plan, "--events", "9"],
             "chaos: --events",
         ),
         (
@@ -99,9 +112,20 @@ fn degenerate_arguments_are_usage_errors() {
             "chaos: --events",
         ),
         (&["mc", "--smoke", "--proto", "qr"], "mc: --proto"),
-        (&["mc", "--replay", &good, "--seed", "9"], "mc: --seed"),
         (
-            &["mc", "--replay", &good, "--save-trace", &unsaved],
+            &["mc", "--proto", "qr", "--dfs", "9", "--replay", &trace],
+            "mc: --dfs",
+        ),
+        (
+            &[
+                "mc",
+                "--proto",
+                "qr",
+                "--replay",
+                &trace,
+                "--save-trace",
+                &unsaved,
+            ],
             "mc: --save-trace",
         ),
         // `--proto all` explores the bug's family: three QR variants.
@@ -259,33 +283,49 @@ fn saved_plans_and_traces_replay_from_the_command_line() {
         "both fig10 crashes applied: {out}"
     );
 
+    // A trace holds only its picks; its scope is the command in its
+    // header, which replays it as written — here a scope no default gives,
+    // so a replay at the defaults reports other violations.
     let trace = format!("{dir}/cli_usage.trace");
-    let (code, found) = repro(&[
-        "mc",
+    let scope = [
         "--proto",
         "qr",
-        "--txns",
-        "2",
         "--seed",
-        "1",
+        "3",
+        "--nodes",
+        "4",
+        "--objects",
+        "2",
+        "--txns",
+        "3",
         "--inject-bug",
         "skip-vote-check",
-        "--dfs",
-        "50",
-        "--pct",
-        "0",
-        "--save-trace",
-        &trace,
-    ]);
+    ];
+    let search = ["--dfs", "50", "--pct", "0", "--save-trace", &trace];
+    let (code, found) = repro(&[&["mc"][..], &scope, &search].concat());
     assert_eq!(code, Some(1), "the injected bug is caught: {found}");
-    let (code, replayed) = repro(&["mc", "--replay", &trace]);
+    let text = std::fs::read_to_string(&trace).expect("saved trace");
+    let mut lines = text.lines();
+    let header = lines.next().expect("a header line");
+    let command: Vec<&str> = header
+        .strip_prefix("# repro ")
+        .expect("the header is a repro command")
+        .split(' ')
+        .collect();
+    let expected = [&["mc"][..], &scope, &["--replay", &trace]].concat();
+    assert_eq!(command, expected, "{header}");
+    for line in lines {
+        let pick = |t: &str| t.parse::<usize>().is_ok();
+        assert!(line.split_whitespace().all(pick), "only picks: {text}");
+    }
+    let (code, replayed) = repro(&command);
     assert_eq!(code, Some(1), "{replayed}");
-    let violation = |s: &str| {
-        s.lines()
-            .find(|l| l.contains("! T"))
-            .map(str::trim)
-            .map(String::from)
+    let violations = |s: &str| -> Vec<String> {
+        let lines = s.lines().filter(|l| l.contains("! T"));
+        lines.map(|l| l.trim().to_string()).collect()
     };
-    assert!(violation(&found).is_some(), "{found}");
-    assert_eq!(violation(&found), violation(&replayed));
+    assert!(!violations(&found).is_empty(), "{found}");
+    assert_eq!(violations(&found), violations(&replayed));
+    let (_, at_defaults) = repro(&["mc", "--proto", "qr", "--replay", &trace]);
+    assert_ne!(violations(&found), violations(&at_defaults));
 }

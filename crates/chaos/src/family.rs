@@ -22,8 +22,7 @@ pub enum Proto {
 
 impl Proto {
     /// Every family with its command-line label, in the order `--proto all`
-    /// runs them. The model checker's trace files spell a family by its
-    /// label upper-cased (`QR-CN`).
+    /// runs them.
     pub const ALL: [(Proto, &'static str); 6] = [
         (Proto::Qr(NestingMode::Flat), "qr"),
         (Proto::Qr(NestingMode::Closed), "qr-cn"),

@@ -831,6 +831,29 @@ mod tests {
         assert!(r.commits > 0);
     }
 
+    /// Node 0 dies and comes back within the suspicion window, so the
+    /// detector never ejects it and it is never readmitted. Phase two used
+    /// to drop it while dead, leaving it the write locks of those commits:
+    /// it then voted no on their objects forever and the run stalled.
+    #[test]
+    fn a_node_back_before_it_is_suspected_keeps_no_leaked_locks() {
+        let cluster = Rc::new(Cluster::new(DtmConfig {
+            nodes: 10,
+            mode: NestingMode::Flat,
+            seed: 1,
+            rpc_timeout: Some(SimDuration::from_millis(100)),
+            ..Default::default()
+        }));
+        let spec = ChaosSpec {
+            detector: true,
+            ..Default::default()
+        };
+        let plan = plan("@323757us crash 0\n@383757us recover 0");
+        let r = run_plan(cluster, &spec, &plan);
+        assert!(r.ok(), "violations: {:?}", r.violations);
+        assert_eq!(r.metrics.suspicions, 0, "the outage stayed unsuspected");
+    }
+
     fn qr_durable(seed: u64) -> Rc<Cluster> {
         Rc::new(Cluster::new(DtmConfig {
             nodes: 10,

@@ -282,11 +282,14 @@ impl Endpoint {
     /// every later writer) or lose installed-vs-released agreement between
     /// replicas. The targets are the nodes that *granted the vote* — that
     /// is where the locks live, even if a reconfiguration has since moved
-    /// the write quorum elsewhere. Members that died are dropped from the
-    /// retry (their lock state is wiped by the recovery state transfer);
-    /// members that are merely unreachable are retried until the network
-    /// heals. The store-level handlers are idempotent, so re-sending to
-    /// members that already processed an earlier attempt is harmless.
+    /// the write quorum elsewhere. A member is dropped from the retry only
+    /// once it is dead *and* the view has ejected it: its readmission's
+    /// state transfer then wipes its lock state. A dead member the view
+    /// still counts may come back before it is suspected, never to be
+    /// readmitted, so it is retried until it answers or is ejected, as is
+    /// a member that is merely unreachable. The store-level handlers are
+    /// idempotent, so re-sending to members that already processed an
+    /// earlier attempt is harmless.
     ///
     /// Not the loop of [`Endpoint::round`]: no deadline, no pressure gauge
     /// and no retry cap apply to a decision already taken.
@@ -294,10 +297,11 @@ impl Endpoint {
         self.inner.pending.borrow_mut().insert(root, msg.clone());
         let mut backoff = self.inner.cfg.backoff_base;
         loop {
+            let view = &self.inner.quorum;
             let targets: Vec<NodeId> = voted
                 .iter()
                 .copied()
-                .filter(|&n| self.sim.is_alive(n))
+                .filter(|&n| self.sim.is_alive(n) || view.borrow().is_view_alive(n.index()))
                 .collect();
             if targets.is_empty() {
                 break;

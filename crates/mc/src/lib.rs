@@ -13,8 +13,9 @@
 //! ancestor on the current stack; a checkpoint restore must never
 //! resurrect state captured after it). A violation stops exploration with
 //! a [`Counterexample`]; [`qrdtm_chaos::shrink`] with [`zero_pick`]
-//! shrinks it and [`Trace`] serializes it as lossless text for
-//! `repro mc --replay`.
+//! shrinks it to the picks `repro mc --save-trace` writes and
+//! [`parse_picks`] reads back: the scope is the flags of the command in
+//! the file's header, so the file holds nothing else.
 //!
 //! Exploration covers the rows of the family table
 //! ([`qrdtm_chaos::Proto`]) that keep a membership view: the QR nesting
@@ -45,7 +46,7 @@ mod trace;
 
 pub use runner::{run_schedule, McBug, RunOutcome, Scope, INITIAL_BALANCE};
 pub use strategies::{
-    dfs_explore, pct_explore, replay, schedule_key, zero_pick, ChoicePolicy, Counterexample,
-    ExploreReport, ForcedPolicy, PctPolicy,
+    dfs_explore, pct_explore, replay, schedule_key, zero_pick, Counterexample, ExploreReport,
+    ForcedPolicy, PctPolicy,
 };
-pub use trace::Trace;
+pub use trace::parse_picks;

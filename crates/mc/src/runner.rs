@@ -1,8 +1,9 @@
 //! One schedule = one deterministic simulation run under a pick policy.
 //!
 //! The runner builds a small contended cluster (the exploration [`Scope`]),
-//! installs a recording [`qrdtm_sim::Scheduler`] that delegates tie-breaks
-//! to a [`ChoicePolicy`](crate::ChoicePolicy), drives the workload to
+//! installs a recording [`qrdtm_sim::Scheduler`] around the one that
+//! breaks the ties ([`ForcedPolicy`](crate::ForcedPolicy),
+//! [`PctPolicy`](crate::PctPolicy)), drives the workload to
 //! completion, and then runs the full invariant battery: the nemesis's
 //! [`qrdtm_chaos::audit`] (history serializability, balance conservation,
 //! durability no-regress) and the structural nesting/checkpoint assertions
@@ -20,8 +21,6 @@ use qrdtm_core::{
 use qrdtm_qstore::{QStoreBug, QStoreCluster, QStoreConfig};
 use qrdtm_sim::{fnv, EventInfo, Metrics, NodeId, Scheduler, SimDuration, SimTime};
 use qrdtm_workloads::protocol_bank::transfer;
-
-use crate::strategies::ChoicePolicy;
 
 /// Balance preloaded into every account object at the start of a run.
 pub const INITIAL_BALANCE: i64 = 1000;
@@ -43,8 +42,7 @@ pub enum McBug {
 }
 
 impl McBug {
-    /// Every injectable bug with its label — the spelling
-    /// `repro mc --inject-bug` and a trace file's `bug` line share.
+    /// Every injectable bug with its `repro mc --inject-bug` label.
     pub const ALL: [(McBug, &'static str); 5] = [
         (McBug::Qr(InjectedBug::SkipVoteCheck), "skip-vote-check"),
         (McBug::Qr(InjectedBug::SkipEpochFence), "skip-epoch-fence"),
@@ -63,11 +61,6 @@ impl McBug {
             .find(|(b, _)| *b == self)
             .expect("every McBug is in ALL")
             .1
-    }
-
-    /// The bug a label names.
-    pub fn parse_bug(s: &str) -> Option<McBug> {
-        Self::ALL.iter().find(|(_, l)| *l == s).map(|r| r.0)
     }
 
     /// Whether the bug is defined for `proto`: a QR bug for the QR
@@ -170,17 +163,17 @@ struct Recording {
     groups: Vec<Vec<EventInfo>>,
 }
 
-/// Adapts a [`ChoicePolicy`] to the sim's [`Scheduler`] hook, recording
-/// every decision point (the offered group and the clamped pick) so the
-/// run is replayable and the explorer can backtrack.
+/// Wraps the [`Scheduler`] that picks, recording every decision point
+/// (the offered group and the pick, clamped into range) so the run is
+/// replayable and the explorer can backtrack.
 struct RecordingScheduler {
-    policy: Box<dyn ChoicePolicy>,
+    policy: Box<dyn Scheduler>,
     rec: Rc<RefCell<Recording>>,
 }
 
 impl Scheduler for RecordingScheduler {
     fn pick(&mut self, now: SimTime, ready: &[EventInfo]) -> usize {
-        let pick = self.policy.choose(now, ready).min(ready.len() - 1);
+        let pick = self.policy.pick(now, ready).min(ready.len() - 1);
         let mut rec = self.rec.borrow_mut();
         rec.choices.push(pick);
         rec.groups.push(ready.to_vec());
@@ -232,7 +225,7 @@ fn spawn_transfer(cluster: &Rc<Cluster>, node: NodeId, from: ObjectId, to: Objec
 /// Run one schedule of the scope's workload under `policy` and check every
 /// invariant. Deterministic: the same scope and the same effective choices
 /// always produce the same [`RunOutcome`].
-pub fn run_schedule(scope: &Scope, policy: Box<dyn ChoicePolicy>) -> RunOutcome {
+pub fn run_schedule(scope: &Scope, policy: Box<dyn Scheduler>) -> RunOutcome {
     match scope.proto {
         Proto::Qr(mode) => run_qr_schedule(scope, mode, policy),
         Proto::QStore => run_qstore_schedule(scope, policy),
@@ -257,7 +250,7 @@ struct Family {
 /// totals, final balances and acknowledged versions.
 fn drive<P: ChaosTarget>(
     scope: &Scope,
-    policy: Box<dyn ChoicePolicy>,
+    policy: Box<dyn Scheduler>,
     cluster: Rc<P>,
     spawn: impl FnOnce(&Rc<P>),
     family: impl FnOnce(&P, &Metrics) -> Family,
@@ -308,7 +301,7 @@ fn drive<P: ChaosTarget>(
 
 /// QR-family schedule: the shared battery plus the structural
 /// nesting/checkpoint assertions over the engine-event stream.
-fn run_qr_schedule(scope: &Scope, mode: NestingMode, policy: Box<dyn ChoicePolicy>) -> RunOutcome {
+fn run_qr_schedule(scope: &Scope, mode: NestingMode, policy: Box<dyn Scheduler>) -> RunOutcome {
     let cfg = DtmConfig {
         nodes: scope.nodes,
         mode,
@@ -358,7 +351,7 @@ fn run_qr_schedule(scope: &Scope, mode: NestingMode, policy: Box<dyn ChoicePolic
 /// commit may observe state from an unacknowledged or later epoch). Tight
 /// timeouts and constant latency keep every fan-out a real tie group for
 /// the scheduler.
-fn run_qstore_schedule(scope: &Scope, policy: Box<dyn ChoicePolicy>) -> RunOutcome {
+fn run_qstore_schedule(scope: &Scope, policy: Box<dyn Scheduler>) -> RunOutcome {
     let cfg = QStoreConfig {
         nodes: scope.nodes,
         seed: scope.seed,
@@ -443,8 +436,9 @@ mod tests {
     #[test]
     fn every_bug_label_round_trips_through_its_table() {
         for (bug, label) in McBug::ALL {
-            assert_eq!(McBug::parse_bug(label), Some(bug));
             assert_eq!(bug.label(), label);
+            let named = McBug::ALL.iter().filter(|(_, l)| *l == label);
+            assert_eq!(named.count(), 1, "{label} names one bug");
         }
         // Every variant has a row (`label()` panics on one left out).
         for bug in [InjectedBug::SkipVoteCheck, InjectedBug::SkipEpochFence] {

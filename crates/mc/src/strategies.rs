@@ -12,19 +12,11 @@
 
 use std::collections::{HashMap, HashSet};
 
-use qrdtm_sim::{fnv, EventInfo, EventTag, SimTime};
+use qrdtm_sim::{fnv, EventInfo, EventTag, Scheduler, SimTime};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::runner::{run_schedule, RunOutcome, Scope};
-
-/// Picks the next event among a same-instant tie group — the
-/// model-checking side of [`qrdtm_sim::Scheduler`]. Out-of-range indices
-/// are clamped (and the clamped value is what gets recorded/replayed).
-pub trait ChoicePolicy {
-    /// Choose an index into `ready` (always two or more candidates).
-    fn choose(&mut self, now: SimTime, ready: &[EventInfo]) -> usize;
-}
 
 /// Follows a forced choice prefix, then always picks index 0 — the queue
 /// head, i.e. the sim's historical deterministic order.
@@ -40,8 +32,8 @@ impl ForcedPolicy {
     }
 }
 
-impl ChoicePolicy for ForcedPolicy {
-    fn choose(&mut self, _now: SimTime, _ready: &[EventInfo]) -> usize {
+impl Scheduler for ForcedPolicy {
+    fn pick(&mut self, _now: SimTime, _ready: &[EventInfo]) -> usize {
         let i = self.pos;
         self.pos += 1;
         self.forced.get(i).copied().unwrap_or(0)
@@ -72,8 +64,8 @@ impl PctPolicy {
     }
 }
 
-impl ChoicePolicy for PctPolicy {
-    fn choose(&mut self, _now: SimTime, ready: &[EventInfo]) -> usize {
+impl Scheduler for PctPolicy {
+    fn pick(&mut self, _now: SimTime, ready: &[EventInfo]) -> usize {
         let mut best = 0usize;
         let mut best_p = 0u64;
         for (i, e) in ready.iter().enumerate() {

@@ -8,8 +8,8 @@ use std::collections::HashSet;
 use qrdtm_chaos::{shrink, Proto};
 use qrdtm_core::{InjectedBug, NestingMode};
 use qrdtm_mc::{
-    dfs_explore, pct_explore, replay, run_schedule, zero_pick, ForcedPolicy, McBug, PctPolicy,
-    Scope, Trace,
+    dfs_explore, parse_picks, pct_explore, replay, run_schedule, zero_pick, ForcedPolicy, McBug,
+    PctPolicy, Scope,
 };
 use qrdtm_qstore::QStoreBug;
 
@@ -72,8 +72,8 @@ fn replay_of_equal_choices_is_deterministic() {
 
 /// `bug` injected into `proto`'s smoke scope must violate an invariant in
 /// some explored schedule. The explorer has to find it, shrink it, and hand
-/// back a trace that still reproduces it after a text round-trip — the full
-/// `repro mc` pipeline in miniature.
+/// back picks that still reproduce it after a round-trip through the text
+/// a saved trace holds — the full `repro mc` pipeline in miniature.
 fn caught_minimized_and_replayable(bug: McBug, proto: Proto) {
     let scope = Scope {
         injected_bug: Some(bug),
@@ -96,13 +96,11 @@ fn caught_minimized_and_replayable(bug: McBug, proto: Proto) {
         "minimized schedule no longer violates"
     );
 
-    let trace = Trace {
-        scope,
-        choices: min,
-    };
-    let parsed = Trace::parse(&trace.to_string()).expect("trace round-trips");
-    assert_eq!(parsed, trace);
-    let replayed = replay(&parsed.scope, &parsed.choices);
+    let words: Vec<String> = min.iter().map(ToString::to_string).collect();
+    let text = format!("# repro mc --replay F\n{}\n", words.join(" "));
+    let parsed = parse_picks(&text).expect("picks round-trip");
+    assert_eq!(parsed, min);
+    let replayed = replay(&scope, &parsed);
     assert_eq!(replayed.violations, rerun.violations);
     assert_eq!(replayed.fingerprint, rerun.fingerprint);
 }

@@ -25,7 +25,9 @@ use std::rc::Rc;
 use qrdtm_baselines::{DecentCluster, DecentConfig, TfaCluster, TfaConfig};
 use qrdtm_chaos::{generate, run_plan, ChaosSpec, ChaosTarget, FaultPlan, Proto};
 use qrdtm_core::{Cluster, DtmConfig, DurabilityConfig, InjectedBug, NestingMode, ObjectId};
-use qrdtm_mc::{dfs_explore, pct_explore, replay, run_schedule, ForcedPolicy, McBug, Scope, Trace};
+use qrdtm_mc::{
+    dfs_explore, parse_picks, pct_explore, replay, run_schedule, ForcedPolicy, McBug, Scope,
+};
 use qrdtm_qstore::{QStoreBug, QStoreCluster, QStoreConfig};
 use qrdtm_sim::{fnv, EngineEvent, Metrics, SimDuration};
 use qrdtm_workloads::{
@@ -461,7 +463,7 @@ fn dotted(v: impl IntoIterator<Item = usize>) -> String {
 /// DFS then PCT at the smoke scope: the report shape, the full sorted
 /// distinct-schedule key set (hashed) and the counterexample, if any —
 /// its choice vector, its violation text, and the fingerprint it replays
-/// to after a round trip through the trace text format.
+/// to after a round trip through the picks text a saved trace holds.
 fn mc_explore_line(leg: &str, scope: &Scope, budget: u64) -> String {
     let mut seen = HashSet::new();
     let dfs = dfs_explore(scope, budget, &mut seen);
@@ -480,13 +482,10 @@ fn mc_explore_line(leg: &str, scope: &Scope, budget: u64) -> String {
     match dfs.counterexample.or(pct.counterexample) {
         None => s.push_str(" cex=none"),
         Some(cex) => {
-            let text = Trace {
-                scope: *scope,
-                choices: cex.choices.clone(),
-            }
-            .to_string();
-            let parsed = Trace::parse(&text).expect("trace round-trips");
-            let out = replay(&parsed.scope, &parsed.choices);
+            let words: Vec<String> = cex.choices.iter().map(ToString::to_string).collect();
+            let parsed = parse_picks(&words.join(" ")).expect("picks round-trip");
+            assert_eq!(parsed, cex.choices);
+            let out = replay(scope, &parsed);
             write!(
                 s,
                 " cex={} violations={:016x} replay_fingerprint={:016x}",

@@ -1,13 +1,14 @@
-//! `FaultPlan::parse` and `mc::Trace::parse` read text from outside the
+//! `FaultPlan::parse` and `mc::parse_picks` read text from outside the
 //! program (`repro chaos --plan FILE`, `repro mc --replay FILE`). Whatever
 //! the bytes, the answer is `Ok` or `Err` — never a panic.
 
 use proptest::prelude::*;
 use qrdtm_chaos::FaultPlan;
-use qrdtm_mc::Trace;
+use qrdtm_mc::parse_picks;
 
-/// The verbs, keys and labels both formats are built from, plus near misses.
-const WORDS: [&str; 34] = [
+/// The verbs a plan is built from, plus the comment mark and the empty
+/// word; a trace is numerals alone.
+const WORDS: [&str; 17] = [
     "crash",
     "recover",
     "crash-rq",
@@ -23,29 +24,12 @@ const WORDS: [&str; 34] = [
     "surge",
     "flash-crowd",
     "calm",
-    "proto",
-    "seed",
-    "nodes",
-    "objects",
-    "txns",
-    "bug",
-    "choices",
-    "QR",
-    "QR-CN",
-    "QR-CHK",
-    "QSTORE",
-    "qr-cn",
-    "skip-vote-check",
-    "skip-epoch-fence",
-    "skip-tag-check",
-    "ignore-open-epoch",
-    "ack-before-fsync",
     "#",
     "",
 ];
 
 /// Numerals at, inside and past the edges of the integer types the parsers
-/// read (`u32` indices, `u64` microseconds and seeds, `usize` choices).
+/// read (`u32` indices, `u64` microseconds, `usize` picks).
 const NUMERALS: [&str; 8] = [
     "0",
     "3",
@@ -73,8 +57,8 @@ fn token() -> impl Strategy<Value = String> {
     })
 }
 
-/// Lines of one to four tokens: `@3us drop 0->3 1000`, `nodes 0`,
-/// `@18446744073709551616us heal`, `choices 3 3 crash` all come up.
+/// Lines of one to four tokens: `@3us drop 0->3 1000`, `0 3`,
+/// `@18446744073709551616us heal`, `3 3 crash` all come up.
 fn token_soup() -> impl Strategy<Value = String> {
     let line = proptest::collection::vec(token(), 1..5).prop_map(|toks| toks.join(" "));
     proptest::collection::vec(line, 0..8).prop_map(|lines| lines.join("\n"))
@@ -93,12 +77,12 @@ proptest! {
     #[test]
     fn parsers_survive_arbitrary_bytes(text in lossy_bytes()) {
         let _ = FaultPlan::parse(&text);
-        let _ = Trace::parse(&text);
+        let _ = parse_picks(&text);
     }
 
     #[test]
     fn parsers_survive_token_soup(text in token_soup()) {
         let _ = FaultPlan::parse(&text);
-        let _ = Trace::parse(&text);
+        let _ = parse_picks(&text);
     }
 }
