@@ -101,7 +101,7 @@ impl Scenario {
         if spec.detector {
             // Oracle off: the cluster self-heals via heartbeats. A tight RPC
             // timeout keeps calls into not-yet-ejected dead nodes short
-            // relative to the suspicion window, so retries/hedging matter.
+            // relative to the suspicion window.
             cfg.rpc_timeout = Some(SimDuration::from_millis(100));
         }
         if self.durable {
@@ -135,17 +135,13 @@ impl Scenario {
         let m = &r.metrics;
         if spec.detector {
             println!(
-                "    detector: hb={} suspicions={} (false {}) rejoins={} epoch={} \
-                 retries={} hedged {}/{} wasted={}",
+                "    detector: hb={} suspicions={} (false {}) rejoins={} epoch={} retries={}",
                 m.heartbeats_sent,
                 m.suspicions,
                 m.false_suspicions,
                 m.rejoins,
                 r.view_epoch,
                 m.rpc_retries,
-                m.hedged_wins,
-                m.hedged_calls,
-                m.wasted_replies,
             );
         }
         // Recovery counters are zero unless an amnesiac restart actually
@@ -461,7 +457,6 @@ fn detector_smoke(out: &Out) -> i32 {
         "suspicions",
         "false_suspicions",
         "rpc_retries",
-        "hedged_wins",
     ];
     let read = |m: &Metrics| {
         [
@@ -469,10 +464,9 @@ fn detector_smoke(out: &Out) -> i32 {
             m.suspicions,
             m.false_suspicions,
             m.rpc_retries,
-            m.hedged_wins,
         ]
     };
-    let (mut ok, mut sums) = (true, [0; 5]);
+    let (mut ok, mut sums) = (true, [0; 4]);
     let mut run = |proto, seed, plan: &FaultPlan| {
         let r = Scenario::smoke(proto, seed).check(&spec, plan, out);
         tally(&r, read, &mut ok, &mut sums);

@@ -149,7 +149,7 @@ pub struct ChaosReport {
     /// Final view epoch (0 for targets without a reconfigurable view).
     pub view_epoch: u64,
     /// Full simulator metrics at the end of the run — drop tallies,
-    /// detector/transport counters (heartbeats, suspicions, retries, hedges)
+    /// detector/transport counters (heartbeats, suspicions, retries)
     /// and, since engine-event recording is on, the complete engine-event
     /// log with suspicion/rejoin timestamps.
     pub metrics: qrdtm_sim::Metrics,

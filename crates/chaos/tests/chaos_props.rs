@@ -251,10 +251,10 @@ proptest! {
         prop_assert_eq!(
             (a.metrics.heartbeats_sent, a.metrics.suspicions,
              a.metrics.false_suspicions, a.metrics.rejoins,
-             a.metrics.rpc_retries, a.metrics.hedged_wins),
+             a.metrics.rpc_retries),
             (b.metrics.heartbeats_sent, b.metrics.suspicions,
              b.metrics.false_suspicions, b.metrics.rejoins,
-             b.metrics.rpc_retries, b.metrics.hedged_wins)
+             b.metrics.rpc_retries)
         );
     }
 }

@@ -64,13 +64,12 @@ pub(super) async fn commit_root(ep: &Endpoint, st: &RefCell<TxState>) -> Result<
     let read_only = writes.is_empty();
     if read_only {
         let validated = ep.inner.cfg.mode == NestingMode::Closed && ep.inner.cfg.rqv;
-        if validated && !st.borrow().hedged_reads {
+        if validated {
             // QR-CN: Rqv validated every read as of the last remote
-            // operation; nothing to propagate — commit locally, zero
+            // operation at a whole read quorum, which meets every write
+            // quorum; nothing to propagate — commit locally, zero
             // messages. (Without Rqv this would be unsound, hence the
-            // guard; likewise if any read was accepted from a hedged reply
-            // set, which need not intersect write quorums — those attempts
-            // fall through to the vote round below.)
+            // guard.)
             ep.inner.stats.borrow_mut().local_commits += 1;
             // Serialization point: the last validated remote read.
             record(st.borrow().last_remote_read_at, &[]);

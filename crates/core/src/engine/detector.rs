@@ -43,6 +43,11 @@
 //! Everything is driven by the simulator's seeded clock and RNG, so
 //! suspicion timestamps, view epochs and rejoins are exactly reproducible
 //! per seed.
+//!
+//! The detector moves the view and nothing else: a transaction's quorum
+//! calls are the same with or without one — a read waits for its whole
+//! read quorum, a vote for its whole write quorum, and a timeout aborts
+//! the root, whose retry then meets the view the detector has rebuilt.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -51,18 +56,6 @@ use qrdtm_sim::{
     Counter, EngineEventKind, NodeId, Sim, SimDuration, SimMessage, SimTime, HEARTBEAT_INTERVAL,
     SUSPECT_WINDOW,
 };
-
-/// Transport, once a detector has watched the cluster ([`spawn_detector`]
-/// started its simulator's heartbeats, and the state outlives
-/// [`DetectorHandle::stop`]): re-issue a timed-out quorum RPC up to this
-/// many times (capped exponential backoff between attempts) before
-/// aborting.
-pub(crate) const RPC_RETRIES: u32 = 2;
-
-/// Transport, on the same condition: send read rounds to `read_q + HEDGE`
-/// destinations and accept the first `|read_q|` replies, masking a slow
-/// member at the cost of wasted replies.
-pub(crate) const HEDGE: usize = 1;
 
 /// The reconfigurable membership view of a fault-tolerant family — the
 /// paper's Cluster Manager (Fig. 4) — and the one door through which the

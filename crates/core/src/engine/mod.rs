@@ -220,16 +220,10 @@ impl Tx {
             };
             (st.root, st.cur_chk(), st.entries(), kind, st.deadline)
         };
-        let round = self
+        let (version, fetched) = self
             .ep
             .read_round(root, self.level, cur_chk, oid, entries, kind, deadline)
             .await?;
-        if round.hedged {
-            // The accepted set was not the designated read quorum; the
-            // zero-message read-only commit must not trust it.
-            self.st.borrow_mut().hedged_reads = true;
-        }
-        let (version, fetched) = round.resolve()?;
         if kind != ValidationKind::None {
             self.ep
                 .sim

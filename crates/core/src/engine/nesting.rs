@@ -121,12 +121,6 @@ pub(super) struct TxState {
     /// Completion instant of the latest remote (validated) read — the
     /// serialization point of a read-only QR-CN commit.
     pub(super) last_remote_read_at: SimTime,
-    /// Whether any read this attempt accepted came from a hedged quorum
-    /// call whose accepted reply set was not the designated read quorum.
-    /// Such a set need not intersect write quorums, so the zero-message
-    /// Rqv read-only commit is disabled for the attempt (the vote round
-    /// re-validates everything and remains safe).
-    pub(super) hedged_reads: bool,
     /// Completion deadline, if the client armed one: quorum rounds past
     /// this instant are abandoned instead of burning retries (deadline-
     /// aware early abort). Survives retries — the deadline belongs to the
@@ -149,7 +143,6 @@ impl TxState {
             checkpoints: vec![ChkRec::default()],
             attempt: 0,
             last_remote_read_at: SimTime::ZERO,
-            hedged_reads: false,
             deadline: None,
         }
     }
@@ -382,7 +375,6 @@ impl TxState {
         self.rollback_to(0);
         self.root = fresh;
         self.last_remote_read_at = SimTime::ZERO;
-        self.hedged_reads = false;
     }
 }
 

@@ -1,21 +1,22 @@
 //! Transport layer: quorum RPC rounds.
 //!
 //! Everything that puts protocol messages on the wire lives here — the
-//! read-quorum fetch and the 2PC vote, both through the one retrying
+//! read-quorum fetch and the 2PC vote, both one call through
 //! [`Endpoint::round`], and phase two, one decided message fanned out until
 //! acknowledged ([`Endpoint::phase_two`]) — together with the round/timeout
 //! accounting and the [`EngineEventKind::QuorumRound`] boundary events.
+//! Phase one takes the same path whether or not a failure detector watches
+//! the cluster: a read waits for its whole read quorum, a vote for its whole
+//! write quorum, and a timeout aborts the root.
 //! Layers above deal in outcomes — a read round's replies merged, a vote
 //! decided — never in call plumbing.
 
-use std::future::Future;
 use std::rc::Rc;
 
-use qrdtm_sim::{Counter, EngineEventKind, NodeId, Sim, SimDuration, SimTime};
+use qrdtm_sim::{Counter, EngineEventKind, NodeId, Sim, SimDuration, SimMessage, SimTime};
 
 use crate::cluster::ClusterInner;
-use crate::engine::detector::{HEDGE, RPC_RETRIES};
-use crate::msg::{class, Msg, ValEntry, ValidationKind};
+use crate::msg::{Msg, ValEntry, ValidationKind};
 use crate::object::{ObjVal, ObjectId, Version};
 use crate::pool::Payload;
 use crate::stats::DtmStats;
@@ -41,39 +42,27 @@ pub(crate) fn decorrelated_backoff(
     prev.mul_f64(mult).max(base).min(cap)
 }
 
-/// Outcome of a read round; `hedged` flags that the accepted reply set
-/// included a node outside the designated read quorum, so the set need not
-/// intersect write quorums (the commit layer then skips the zero-message
-/// read-only shortcut and re-validates at the vote round).
-pub(super) struct ReadRound {
-    replies: Vec<(NodeId, Msg)>,
-    pub(super) hedged: bool,
-}
-
-impl ReadRound {
-    /// Merge the replies (paper Alg. 2, quorum part): the max-version copy
-    /// served, or — if any node's Rqv validation reported a conflict — the
-    /// abort targets merged toward the outermost scope.
-    pub(super) fn resolve(self) -> Result<(Version, ObjVal), Abort> {
-        let mut best: Option<(Version, ObjVal)> = None;
-        let mut abort: Option<AbortTarget> = None;
-        for (_, m) in self.replies {
-            match m {
-                Msg::ReadOk { version, val, .. }
-                    if best.as_ref().is_none_or(|(v, _)| version > *v) =>
-                {
-                    best = Some((version, val));
-                }
-                Msg::ReadAbort { target } => {
-                    abort = Some(abort.map_or(target, |prev| prev.merge(target)));
-                }
-                _ => {}
+/// Merge a read round's replies, one per read-quorum member (paper
+/// Alg. 2, quorum part): the max-version copy served, or — if any node's
+/// Rqv validation reported a conflict — the abort targets merged toward
+/// the outermost scope.
+fn merge_reads(replies: Vec<(NodeId, Msg)>) -> Result<(Version, ObjVal), Abort> {
+    let mut best: Option<(Version, ObjVal)> = None;
+    let mut abort: Option<AbortTarget> = None;
+    for (_, m) in replies {
+        match m {
+            Msg::ReadOk { version, val, .. } if best.as_ref().is_none_or(|(v, _)| version > *v) => {
+                best = Some((version, val));
             }
+            Msg::ReadAbort { target } => {
+                abort = Some(abort.map_or(target, |prev| prev.merge(target)));
+            }
+            _ => {}
         }
-        match abort {
-            Some(target) => Err(Abort { target }),
-            None => Ok(best.expect("non-empty read quorum")),
-        }
+    }
+    match abort {
+        Some(target) => Err(Abort { target }),
+        None => Ok(best.expect("non-empty read quorum")),
     }
 }
 
@@ -103,8 +92,7 @@ impl Endpoint {
     }
 
     /// A transaction past its deadline gets no more quorum rounds: the
-    /// driver is about to abandon it, so the round (and any hedges or
-    /// retries it would spawn) is pure waste.
+    /// driver is about to abandon it, so the round is pure waste.
     fn within_deadline(&self, deadline: Option<SimTime>) -> Result<(), Abort> {
         if deadline.is_some_and(|d| self.sim.now() > d) {
             self.sim.bump(Counter::WastedRetries);
@@ -113,56 +101,33 @@ impl Endpoint {
         Ok(())
     }
 
-    /// The one retrying quorum round of phase one (read fetch and vote):
-    /// `attempt` issues one call and yields `None` if it timed out — a
-    /// root abort once the attempts are used up (an asynchronous system
-    /// only learns of failures this way). `count` names the caller's round
-    /// counter in the statistics.
-    ///
-    /// Once a failure detector has watched the cluster (its simulator
-    /// started heartbeats, see [`crate::spawn_detector`]) the round gets
-    /// robust: a timed-out attempt is re-issued up to [`RPC_RETRIES`] times
-    /// after a capped, decorrelated backoff, unless the deadline passed
-    /// meanwhile — the timeout already burned past it.
-    async fn round<T, Fut: Future<Output = Option<T>>>(
+    /// The one quorum round of phase one (read fetch and vote): `msg` to
+    /// every member of `quorum`, awaited until each replied. A timeout is
+    /// a root abort (an asynchronous system only learns of failures this
+    /// way). `count` names the caller's round counter in the statistics.
+    async fn round(
         &self,
-        class: u8,
+        quorum: &[NodeId],
+        msg: Msg,
         count: fn(&mut DtmStats) -> &mut u64,
         deadline: Option<SimTime>,
-        mut attempt: impl FnMut() -> Fut,
-    ) -> Result<T, Abort> {
+    ) -> Result<Vec<(NodeId, Msg)>, Abort> {
         self.within_deadline(deadline)?;
         *count(&mut self.inner.stats.borrow_mut()) += 1;
+        let class = u64::from(msg.class());
         self.sim
-            .emit_engine_event(EngineEventKind::QuorumRound, self.node, u64::from(class));
-        let retries = if self.sim.heartbeats_started() {
-            RPC_RETRIES
-        } else {
-            0
-        };
-        let mut backoff = self.inner.cfg.backoff_base;
-        for n in 0..=retries {
-            if let Some(out) = attempt().await {
-                return Ok(out);
-            }
+            .emit_engine_event(EngineEventKind::QuorumRound, self.node, class);
+        let timeout = self.inner.cfg.rpc_timeout;
+        let res = self.sim.call(self.node, quorum, msg, timeout).await;
+        if res.timed_out {
             self.inner.stats.borrow_mut().timeouts += 1;
-            if n < retries {
-                self.within_deadline(deadline)?;
-                self.sim.bump(Counter::RpcRetries);
-                self.sim.sleep(backoff).await;
-                backoff = self.next_backoff(backoff);
-            }
+            return Err(Abort::root());
         }
-        Err(Abort::root())
+        Ok(res.replies)
     }
 
-    /// One read round against the current read quorum. Returns the raw
-    /// replies for [`ReadRound::resolve`] to merge.
-    ///
-    /// Each attempt re-reads the quorum view (a retry's whole point is
-    /// that the detector may have reconfigured around the member that
-    /// timed us out) and optionally *hedges* by also addressing `hedge`
-    /// extra view-alive nodes, accepting the first `|read_q|` replies.
+    /// One read round against the current read quorum: the newest copy
+    /// its members hold, or the abort their Rqv validation asked for.
     #[allow(clippy::too_many_arguments)]
     pub(super) async fn read_round(
         &self,
@@ -173,8 +138,8 @@ impl Endpoint {
         entries: Rc<Vec<ValEntry>>,
         kind: ValidationKind,
         deadline: Option<SimTime>,
-    ) -> Result<ReadRound, Abort> {
-        let msg = &Msg::ReadReq {
+    ) -> Result<(Version, ObjVal), Abort> {
+        let msg = Msg::ReadReq {
             root,
             cur_level,
             cur_chk,
@@ -182,48 +147,11 @@ impl Endpoint {
             entries,
             kind,
         };
-        let attempt = || async move {
-            let rq = Rc::clone(&self.inner.quorum.borrow().read_q);
-            let hedged_dests = self.hedge_dests(&rq);
-            let dests = hedged_dests.as_deref().unwrap_or(&rq);
-            let timeout = self.inner.cfg.rpc_timeout;
-            let call = self
-                .sim
-                .call_first(self.node, dests, msg.clone(), rq.len(), timeout);
-            let res = call.await;
-            if res.timed_out {
-                return None;
-            }
-            let hedged = res.replies.iter().any(|(n, _)| !rq.contains(n));
-            if hedged {
-                self.sim.bump(Counter::HedgedWins);
-            }
-            Some(ReadRound {
-                replies: res.replies,
-                hedged,
-            })
-        };
-        self.round(class::READ_REQ, |s| &mut s.read_rounds, deadline, attempt)
-            .await
-    }
-
-    /// The read quorum `rq` plus [`HEDGE`] view-alive spares, if this
-    /// attempt hedges at all (built only then): like the retries, only once
-    /// a detector has watched the cluster.
-    fn hedge_dests(&self, rq: &[NodeId]) -> Option<Vec<NodeId>> {
-        if !self.sim.heartbeats_started() {
-            return None;
-        }
-        let view = self.inner.quorum.borrow();
-        let mut spares = (0..self.inner.cfg.nodes)
-            .filter(|&n| view.is_view_alive(n))
-            .map(|n| NodeId(n as u32))
-            .filter(|id| !rq.contains(id))
-            .take(HEDGE)
-            .peekable();
-        spares.peek()?;
-        self.sim.bump(Counter::HedgedCalls);
-        Some(rq.iter().copied().chain(spares).collect())
+        let rq = Rc::clone(&self.inner.quorum.borrow().read_q);
+        let replies = self
+            .round(&rq, msg, |s| &mut s.read_rounds, deadline)
+            .await?;
+        merge_reads(replies)
     }
 
     /// 2PC phase one against `wq`, the write quorum the caller snapshotted
@@ -231,12 +159,6 @@ impl Endpoint {
     /// members must vote yes. The caller keeps `wq` because that is where
     /// any granted locks live — phase two must go to the same nodes even
     /// if the view has moved on.
-    ///
-    /// A timed-out vote round is retried against the same quorum: the
-    /// replica-side vote is idempotent for the same root (a re-vote on an
-    /// object it already locked re-locks and answers yes), so a reply lost
-    /// to the network costs a retry, not an abort. No hedging here — every
-    /// member of `wq` must vote.
     pub(super) async fn vote_round(
         &self,
         wq: &[NodeId],
@@ -245,25 +167,20 @@ impl Endpoint {
         writes: Payload<(ObjectId, Version)>,
         deadline: Option<SimTime>,
     ) -> Result<(), Abort> {
-        let msg = &Msg::CommitReq {
+        let msg = Msg::CommitReq {
             root,
             reads,
             writes,
         };
-        let attempt = || async move {
-            let timeout = self.inner.cfg.rpc_timeout;
-            let res = self.sim.call(self.node, wq, msg.clone(), timeout).await;
-            let yes = |(_, m): &(NodeId, Msg)| matches!(m, Msg::Vote { ok: true });
-            let all_yes = res.replies.iter().all(yes);
-            (!res.timed_out).then_some(if all_yes { Ok(()) } else { Err(Abort::root()) })
-        };
-        self.round(
-            class::COMMIT_REQ,
-            |s| &mut s.commit_rounds,
-            deadline,
-            attempt,
-        )
-        .await?
+        let replies = self
+            .round(wq, msg, |s| &mut s.commit_rounds, deadline)
+            .await?;
+        let yes = |(_, m): &(NodeId, Msg)| matches!(m, Msg::Vote { ok: true });
+        if replies.iter().all(yes) {
+            Ok(())
+        } else {
+            Err(Abort::root())
+        }
     }
 
     /// 2PC phase two: deliver the decided `msg` ([`Msg::Apply`] or
@@ -291,8 +208,8 @@ impl Endpoint {
     /// idempotent, so re-sending to members that already processed an
     /// earlier attempt is harmless.
     ///
-    /// Not the loop of [`Endpoint::round`]: no deadline, no pressure gauge
-    /// and no retry cap apply to a decision already taken.
+    /// Unlike [`Endpoint::round`], it retries: no deadline and no retry cap
+    /// apply to a decision already taken.
     pub(super) async fn phase_two(&self, voted: &[NodeId], root: TxId, msg: Msg) {
         self.inner.pending.borrow_mut().insert(root, msg.clone());
         let mut backoff = self.inner.cfg.backoff_base;

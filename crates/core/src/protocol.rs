@@ -10,8 +10,8 @@
 //! Who plays the paper's Cluster Manager is a property of the run: an
 //! oracle, or the heartbeat detector the one switch `ChaosSpec::detector`
 //! starts ([`spawn_detector`](crate::spawn_detector), stopped through a
-//! [`DetectorHandle`](crate::DetectorHandle)). Once one has watched a QR
-//! cluster, its transport retries (`RPC_RETRIES`) and hedges (`HEDGE`).
+//! [`DetectorHandle`](crate::DetectorHandle)). Either way a QR cluster's
+//! transport is the same: the detector only moves the view it reads.
 //!
 //! The shape is *attempt-oriented*: `begin` hands out a transaction
 //! handle, `commit` tries to finish the current attempt, and on an abort

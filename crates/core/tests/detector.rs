@@ -4,6 +4,7 @@
 
 use std::rc::Rc;
 
+use qrdtm_core::msg::class;
 use qrdtm_core::{
     crash, recover, spawn_detector, Cluster, DtmConfig, LatencySpec, Membership, ObjVal, ObjectId,
 };
@@ -157,17 +158,18 @@ fn false_suspicion_is_survivable_and_serializable() {
 }
 
 #[test]
-fn reads_hedge_once_a_detector_has_watched_the_cluster() {
-    // The transport's retry and hedge policy is no option: it follows
-    // whether the simulator ever ran heartbeats, so it arms with the first
-    // detector and stays armed after that detector stops.
+fn a_read_asks_its_read_quorum_whether_or_not_a_detector_watches() {
+    // The detector moves the view, never the transport: one read sends one
+    // request to each read-quorum member before, during and after it.
     let cluster = Rc::new(Cluster::new(DtmConfig {
         nodes: 7,
         mode: qrdtm_core::NestingMode::Closed,
         ..Default::default()
     }));
     cluster.preload(ObjectId(0), ObjVal::Int(7));
-    let hedged_calls_after_a_read = || {
+    let read_requests_of_a_read = || {
+        let sent = || cluster.sim().metrics().sent_by_class[usize::from(class::READ_REQ)];
+        let before = sent();
         let client = cluster.client(NodeId(3));
         cluster.sim().spawn(async move {
             client
@@ -175,17 +177,14 @@ fn reads_hedge_once_a_detector_has_watched_the_cluster() {
                 .await;
         });
         cluster.sim().run_for(SimDuration::from_secs(1));
-        cluster.sim().metrics().hedged_calls
+        sent() - before
     };
-    assert_eq!(hedged_calls_after_a_read(), 0, "no detector, no hedge");
+    let rq = cluster.read_quorum().len() as u64;
+    assert_eq!(read_requests_of_a_read(), rq, "no detector");
     let det = spawn_detector(Rc::clone(&cluster), cluster.sim().clone());
-    let watched = hedged_calls_after_a_read();
-    assert!(watched > 0, "a running detector arms hedging");
+    assert_eq!(read_requests_of_a_read(), rq, "a running detector");
     det.stop();
-    assert!(
-        hedged_calls_after_a_read() > watched,
-        "a stopped detector leaves hedging armed"
-    );
+    assert_eq!(read_requests_of_a_read(), rq, "a stopped detector");
     assert_eq!(cluster.stats().commits, 3);
 }
 

@@ -61,12 +61,6 @@ impl<M: SimMessage> Sim<M> {
         self.core.inner.borrow_mut().heartbeat = false;
     }
 
-    /// Whether [`Sim::start_heartbeats`] ever ran here; still `true` after
-    /// [`Sim::stop_heartbeats`], which keeps the last-heard matrix.
-    pub fn heartbeats_started(&self) -> bool {
-        !self.core.inner.borrow().last_hb.is_empty()
-    }
-
     /// The last virtual time `observer` received a heartbeat from `from`
     /// (the enable instant if none arrived yet). Panics if heartbeats were
     /// never started.
@@ -84,7 +78,6 @@ mod tests {
     fn heartbeats_flow_and_respect_partitions() {
         let s = sim(5);
         let n = s.add_nodes(3);
-        assert!(!s.heartbeats_started());
         s.start_heartbeats();
         s.run_for(SimDuration::from_millis(200));
         let m = s.metrics();
@@ -106,7 +99,8 @@ mod tests {
             "same side stays fresh"
         );
         s.stop_heartbeats();
-        assert!(s.heartbeats_started(), "stopping keeps the record");
+        let kept = s.last_heartbeat(n[0], n[1]);
+        assert!(kept > cut_at, "stopping keeps the record");
         s.run(); // must quiesce: no perpetual tick stream
     }
 

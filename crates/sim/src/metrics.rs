@@ -131,14 +131,11 @@ macro_rules! counters {
             pub heartbeats_sent: u64,
             /// Heartbeats that reached an alive observer.
             pub heartbeats_delivered: u64,
-            /// Replies that arrived after their call had already resolved early
-            /// (the wasted work hedging pays for its latency wins).
-            pub wasted_replies: u64,
             /// Calls issued without a timeout while at least one destination was
             /// already dead — the caller will hang unless a detector resolves it.
             pub no_timeout_dead_calls: u64,
             /// Read rounds that skipped hedging under saturation pressure:
-            /// always 0, since no engine suppresses hedges.
+            /// always 0, since no transport hedges.
             pub hedges_suppressed: u64,
             $($(#[$doc])* pub $field: u64,)*
             /// Sampled end-to-end commit latencies (engines report through
@@ -167,12 +164,8 @@ counters! {
     FalseSuspicions => false_suspicions,
     /// Suspected nodes rejoined after heartbeats resumed.
     Rejoins => rejoins,
-    /// RPC attempts re-issued after a timeout by a retrying transport.
+    /// 2PC phase-two fan-outs re-issued after a timeout.
     RpcRetries => rpc_retries,
-    /// Quorum calls issued with extra (hedge) destinations.
-    HedgedCalls => hedged_calls,
-    /// Hedged calls whose accepted reply set included a hedge destination.
-    HedgedWins => hedged_wins,
     /// Amnesiac restarts that replayed a durable snapshot+log.
     LogReplays => log_replays,
     /// Torn (corrupt) log tails detected and truncated during replay.
@@ -191,8 +184,8 @@ counters! {
     /// Retry attempts denied because the client-side retry token bucket
     /// was empty.
     RetryBudgetExhausted => retry_budget_exhausted,
-    /// RPC retries / hedge rounds cancelled because their transaction was
-    /// already past its deadline — work that would have been wasted.
+    /// Quorum rounds not issued because their transaction was already past
+    /// its deadline — work that would have been wasted.
     WastedRetries => wasted_retries,
     /// Transaction-level retry attempts that drew a retry-budget token —
     /// the no-retry-storm checker compares this against the minted token
@@ -242,6 +235,11 @@ impl LatencyReservoir {
     pub fn record(&mut self, ns: u64) {
         self.seen += 1;
         if self.samples.len() < RESERVOIR_CAP {
+            if self.samples.is_empty() {
+                // Algorithm R fills a fixed array of `RESERVOIR_CAP`:
+                // taken whole at the first sample, it never regrows.
+                self.samples.reserve_exact(RESERVOIR_CAP);
+            }
             self.samples.push(ns);
             return;
         }

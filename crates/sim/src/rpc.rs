@@ -1,5 +1,5 @@
 //! Quorum RPC: one request fanned out to several nodes, the replies
-//! gathered by a future that resolves on the last needed reply or on timeout.
+//! gathered by a future that resolves on the last reply or on timeout.
 //!
 //! The state of a call in flight lives in the simulator's own table
 //! (`SimInner::pending`, keyed by [`CallId`]) from the send until its
@@ -8,9 +8,9 @@
 //! allocation a call makes.
 //!
 //! A call's one deadline goes through the wheel's far lane and still pops
-//! as an event, answered or not. A hedged call that resolves early leaves a
-//! count of stragglers in `SimInner::resolved_extra`; each is retired when
-//! its reply arrives (wasted) or is known lost (`SimInner::reply_lost`).
+//! as an event, answered or not. A reply that arrives after its call
+//! resolved (timed out, or its future dropped) finds no entry and is
+//! ignored.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -27,21 +27,18 @@ use crate::NodeId;
 pub struct CallId(pub(crate) u64);
 
 pub(crate) struct CallState<M> {
-    /// Destinations the call was sent to, less those known unable to answer.
-    pub(crate) expected: usize,
-    /// Replies that resolve the future: every destination's for a plain
-    /// call, fewer for a hedged first-quorum call.
-    pub(crate) need: usize,
+    /// Destinations the call was sent to: their replies resolve it.
+    pub(crate) dests: usize,
     pub(crate) replies: Vec<(NodeId, M)>,
     pub(crate) timed_out: bool,
     pub(crate) waker: Option<Waker>,
 }
 
 impl<M> CallState<M> {
-    /// Whether the future may take its result: enough replies, or timeout.
+    /// Whether the future may take its result: every reply, or timeout.
     /// A resolved call accepts no further reply.
     pub(crate) fn resolved(&self) -> bool {
-        self.replies.len() >= self.need || self.timed_out
+        self.replies.len() == self.dests || self.timed_out
     }
 
     pub(crate) fn wake(&mut self) {
@@ -61,28 +58,13 @@ impl<M: SimMessage> Sim<M> {
     /// heartbeat layer is running, in which case such calls are resolved as
     /// timed-out after one suspicion window (the detector is the failure
     /// oracle now), and either way a `no_timeout_dead_calls` counter
-    /// records the footgun.
+    /// records the footgun. A call to nobody resolves at once with no
+    /// replies, and schedules nothing.
     pub fn call(
         &self,
         from: NodeId,
         dests: &[NodeId],
         msg: M,
-        timeout: Option<SimDuration>,
-    ) -> CallFuture<M> {
-        self.call_first(from, dests, msg, dests.len(), timeout)
-    }
-
-    /// Like [`Sim::call`], but the future resolves as soon as the first
-    /// `need` replies arrived (hedged-request support: send to a quorum
-    /// plus spares, take the first quorum of replies). Later replies are
-    /// counted as wasted. `need` is clamped to `1..=dests.len()`; a call to
-    /// nobody resolves at once with no replies, and schedules nothing.
-    pub fn call_first(
-        &self,
-        from: NodeId,
-        dests: &[NodeId],
-        msg: M,
-        need: usize,
         timeout: Option<SimDuration>,
     ) -> CallFuture<M> {
         let mut inner = self.core.inner.borrow_mut();
@@ -91,8 +73,7 @@ impl<M: SimMessage> Sim<M> {
         inner.pending.insert(
             id,
             CallState {
-                expected: dests.len(),
-                need: need.clamp(dests.len().min(1), dests.len()),
+                dests: dests.len(),
                 replies: Vec::with_capacity(dests.len()),
                 timed_out: false,
                 waker: None,
@@ -107,7 +88,7 @@ impl<M: SimMessage> Sim<M> {
             });
         }
         if dests.is_empty() {
-            // Resolved as it stands (`need` is 0): no timer to wait out.
+            // Resolved as it stands: no timer to wait out.
         } else if let Some(t) = timeout {
             let at = inner.now + t;
             inner.schedule_timeout(at, id);
@@ -176,9 +157,7 @@ impl<M: SimMessage> Drop for CallFuture<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::latency::ConstLatency;
     use crate::sim::tests::{echo, sim, Msg};
-    use crate::sim::SimConfig;
     use crate::time::SimTime;
     use std::cell::Cell;
 
@@ -352,9 +331,7 @@ mod tests {
         let at = SimTime::ZERO + SimDuration::from_millis(40);
         assert_eq!(out.get(), Some((at, 0, true)));
         assert!(s.now() > at, "the late reply was still delivered");
-        let inner = s.core.inner.borrow();
-        assert!(inner.pending.is_empty() && inner.resolved_extra.is_empty());
-        assert_eq!(inner.metrics.wasted_replies, 0);
+        assert!(s.core.inner.borrow().pending.is_empty());
     }
 
     #[test]
@@ -372,64 +349,6 @@ mod tests {
         let at = SimTime::ZERO + SimDuration::from_millis(100);
         assert_eq!(out.get(), Some((at, 0, true)));
         assert_eq!(s.metrics().sent_total, 1, "the dead node sent nothing");
-    }
-
-    #[test]
-    fn call_first_resolves_at_need_and_counts_waste() {
-        // Node 1 is healthy, node 2 is slow: a hedged call needing one
-        // reply resolves with node 1's answer; node 2's late reply is
-        // counted as wasted.
-        let mut cfg = SimConfig::new(1, Box::new(ConstLatency::new(SimDuration::from_millis(10))));
-        cfg.service_time = SimDuration::from_millis(1);
-        let s: Sim<Msg> = Sim::new(cfg);
-        let n = s.add_nodes(3);
-        echo(&s, n[1]);
-        echo(&s, n[2]);
-        s.set_service_factor(n[2], 50.0);
-        let s2 = s.clone();
-        let got = Rc::new(Cell::new(None));
-        let got2 = Rc::clone(&got);
-        s.spawn(async move {
-            let r = s2
-                .call_first(NodeId(0), &[NodeId(1), NodeId(2)], Msg::Ping(5), 1, None)
-                .await;
-            assert!(!r.timed_out);
-            got2.set(Some(r.replies.len()));
-        });
-        s.run();
-        assert_eq!(got.get(), Some(1));
-        assert_eq!(s.metrics().wasted_replies, 1, "the straggler's reply");
-    }
-
-    #[test]
-    fn a_lost_straggler_retires_its_early_resolved_call() {
-        // Two hedged calls needing one reply of two. The first straggler's
-        // request dies in a partition before the call resolves; the second
-        // is admitted at a slow node that fails before serving it, after
-        // the call resolved. Neither can ever answer, and neither may leave
-        // an entry behind waiting for it.
-        let s = sim(10);
-        let n = s.add_nodes(4);
-        for &id in &n[1..] {
-            echo(&s, id);
-        }
-        s.set_partition(&[vec![n[2]]]);
-        s.set_service_factor(n[3], 1000.0);
-        let s2 = s.clone();
-        s.spawn(async move {
-            for straggler in [NodeId(2), NodeId(3)] {
-                let r = s2
-                    .call_first(NodeId(0), &[NodeId(1), straggler], Msg::Ping(1), 1, None)
-                    .await;
-                assert_eq!((r.replies.len(), r.timed_out), (1, false));
-            }
-            s2.fail_node(NodeId(3));
-        });
-        s.run();
-        let m = s.metrics();
-        assert_eq!((m.dropped_by_partition, m.dropped), (1, 1));
-        assert_eq!(m.wasted_replies, 0, "a lost reply was never wasted");
-        assert!(s.core.inner.borrow().resolved_extra.is_empty());
     }
 
     #[test]

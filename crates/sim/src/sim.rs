@@ -284,11 +284,6 @@ pub(crate) struct SimInner<M: SimMessage> {
     /// Every call between its send and its future taking the result (or
     /// being dropped).
     pub(crate) pending: IdMap<CallId, CallState<M>>,
-    /// Calls that resolved before every destination replied, with the
-    /// number of replies still outstanding — late arrivals are counted as
-    /// wasted instead of "caller gave up"; the last one to arrive or be
-    /// lost retires the entry.
-    pub(crate) resolved_extra: IdMap<CallId, usize>,
     pub(crate) next_call: u64,
     pub(crate) metrics: Metrics,
     /// Whether the heartbeat layer runs; off (the default) means no
@@ -318,31 +313,6 @@ impl<M: SimMessage> SimInner<M> {
         self.queue.push_far(at, seq, EventKind::CallTimeout(call));
     }
 
-    /// A destination of `call` will never answer: its request or its reply
-    /// was just dropped. An open call stops expecting it; a call that
-    /// resolved early retires one straggler.
-    pub(crate) fn reply_lost(&mut self, call: Option<CallId>) {
-        let Some(call) = call else { return };
-        match self.pending.get_mut(&call) {
-            Some(st) if !st.resolved() => st.expected -= 1,
-            _ => {
-                self.retire_straggler(call);
-            }
-        }
-    }
-
-    /// Account for one straggler of an early-resolved call, if it had any.
-    fn retire_straggler(&mut self, call: CallId) -> bool {
-        let Some(left) = self.resolved_extra.get_mut(&call) else {
-            return false;
-        };
-        *left -= 1;
-        if *left == 0 {
-            self.resolved_extra.remove(&call);
-        }
-        true
-    }
-
     /// Keep `node` busy for `d` more, queued behind its backlog; returns
     /// when that work completes, the node's new `busy_until`.
     fn occupy(&mut self, node: NodeId, d: SimDuration) -> SimTime {
@@ -361,7 +331,7 @@ impl<M: SimMessage> SimInner<M> {
     #[inline]
     fn reply(&mut self, by: NodeId, to: NodeId, call: CallId, msg: M) {
         if !self.nodes[by.index()].alive {
-            return self.reply_lost(Some(call));
+            return;
         }
         self.metrics.on_send(msg.class(), msg.size_hint());
         let lat = self.latency.sample(by, to, &mut self.rng) + self.link_extra(by, to);
@@ -414,13 +384,12 @@ impl<M: SimMessage> SimInner<M> {
             return self.queue.arena_mut().take(slot);
         };
         *admitted = true;
-        let (from, to, call, class) = (env.from, env.to, env.call, env.msg.class());
+        let (from, to, class) = (env.from, env.to, env.msg.class());
         let faulted = self.delivery_faulted(from, to);
         let dead = !faulted && !self.nodes[to.index()].alive;
         if faulted || dead {
             self.metrics.dropped += u64::from(dead);
             self.queue.arena_mut().take(slot);
-            self.reply_lost(call);
             return None;
         }
         let mut svc = self.service_for(class);
@@ -485,7 +454,6 @@ impl<M: SimMessage> Sim<M> {
                     rng: StdRng::seed_from_u64(cfg.seed),
                     link_faults: std::collections::HashMap::new(),
                     pending: IdMap::default(),
-                    resolved_extra: IdMap::default(),
                     next_call: 0,
                     metrics: Metrics::new(0),
                     heartbeat: false,
@@ -558,7 +526,7 @@ impl<M: SimMessage> Sim<M> {
         let (handlers, scheduler) = (core.handlers.take(), core.scheduler.take());
         let mut inner = core.inner.borrow_mut();
         let events = inner.queue.take_events();
-        let calls = (take(&mut inner.pending), take(&mut inner.resolved_extra));
+        let calls = take(&mut inner.pending);
         drop(inner);
         // Dropped with no borrow outstanding: a `CallFuture` in a task
         // re-borrows the core to retire its call.
@@ -785,7 +753,7 @@ impl<M: SimMessage> Sim<M> {
                     let mut inner = self.core.inner.borrow_mut();
                     if !inner.nodes[env.to.index()].alive {
                         inner.metrics.dropped += 1;
-                        return inner.reply_lost(env.call);
+                        return;
                     }
                     inner.metrics.on_processed(env.to.index());
                 }
@@ -810,29 +778,17 @@ impl<M: SimMessage> Sim<M> {
                 msg,
             } => {
                 let mut inner = self.core.inner.borrow_mut();
-                let inner = &mut *inner;
                 // Replies cross the same faulty network as requests.
                 if inner.delivery_faulted(from, to) {
-                    return inner.reply_lost(Some(call));
+                    return;
                 }
-                match inner.pending.get_mut(&call) {
-                    Some(st) if !st.resolved() => {
+                // A caller that gave up (timeout, or dropped the future)
+                // takes no more replies.
+                if let Some(st) = inner.pending.get_mut(&call) {
+                    if !st.resolved() {
                         st.replies.push((from, msg));
                         if st.resolved() {
-                            if st.replies.len() < st.expected {
-                                inner
-                                    .resolved_extra
-                                    .insert(call, st.expected - st.replies.len());
-                            }
                             st.wake();
-                        }
-                    }
-                    // Caller resolved early (hedged win) or gave up
-                    // (timeout, or dropped the future). Early-resolved
-                    // extras are the price of hedging — account them.
-                    _ => {
-                        if inner.retire_straggler(call) {
-                            inner.metrics.wasted_replies += 1;
                         }
                     }
                 }

@@ -59,9 +59,6 @@ fn counters(m: &Metrics) -> Vec<(String, u64)> {
         ("false_suspicions", m.false_suspicions),
         ("rejoins", m.rejoins),
         ("rpc_retries", m.rpc_retries),
-        ("hedged_calls", m.hedged_calls),
-        ("hedged_wins", m.hedged_wins),
-        ("wasted_replies", m.wasted_replies),
         ("no_timeout_dead_calls", m.no_timeout_dead_calls),
         ("log_replays", m.log_replays),
         ("torn_tails", m.torn_tails),
