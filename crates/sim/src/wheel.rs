@@ -11,10 +11,14 @@
 //! Popping walks an occupancy bitmap to the next non-empty bucket, swaps
 //! its buffer with the emptied *run*'s (no copy, and no second buffer the
 //! size of a page's burst), sorts it once by `(time, seq)`, and drains the
-//! run front to back. Pages are sized to the traffic, as in Brown's
-//! calendar queue: the service lanes below hold the node backlogs, so a
-//! ≈ 1 ms page holds several events and they share one drain, while a key
-//! due on the current page is binary-inserted into the live run.
+//! run front to back. Before the swap the emptied run is trimmed to the
+//! power of two at or above the keys it last held (at least
+//! `BUCKET_KEEP`): untrimmed, the buffers would trade capacities until each
+//! held the largest page any bucket ever saw, and a fixed size would regrow
+//! every busy page. Pages are sized to the traffic, as in Brown's calendar
+//! queue: the service lanes below hold the node backlogs, so a ≈ 1 ms page
+//! holds several events and they share one drain, while a key due on the
+//! current page is binary-inserted into the live run.
 //!
 //! ## Tie-order contract
 //!
@@ -82,6 +86,10 @@ pub const DEFAULT_BUCKET_SHIFT: u32 = 20;
 /// Default wheel size: 2^8 = 256 buckets, so the horizon stays 2^28 ns
 /// ≈ 268 ms and a 500 ms call deadline stays in the far lane.
 pub const DEFAULT_BUCKET_BITS: u32 = 8;
+
+/// Least room, in keys, a drained page's buffer keeps for the bucket it
+/// goes back to (see the module docs).
+const BUCKET_KEEP: usize = 16;
 
 const NO_SLOT: u32 = u32::MAX;
 /// `EvKey::lane` of an event pushed outside any lane.
@@ -579,8 +587,11 @@ impl<T> TimingWheel<T> {
         // so the wrap distance from the scan origin recovers the page.
         let delta = (s as u64).wrapping_sub(s0 as u64) & self.slot_mask;
         self.cursor_page = self.cursor_page + 1 + delta;
-        // Swap, not `append`: see the module docs.
+        // Trim, then swap, not `append`: see the module docs.
+        let held = self.run.len();
         self.run.clear();
+        self.run
+            .shrink_to(held.next_power_of_two().max(BUCKET_KEEP));
         std::mem::swap(&mut self.run, &mut self.buckets[s]);
         self.occupied[s / 64] &= !(1u64 << (s % 64));
         self.wheel_count -= self.run.len();
@@ -696,6 +707,22 @@ mod tests {
         assert_eq!(w.pop().map(|x| x.2), Some(1));
         assert_eq!(w.pop().map(|x| x.2), Some(2));
         assert_eq!(w.pop().map(|x| x.2), Some(3));
+    }
+
+    #[test]
+    fn a_big_page_leaves_no_big_buffer_behind() {
+        // A thousand keys on page 1, then one per page for three laps of
+        // the 64 buckets: the page-1 buffer comes back as a run once a lap
+        // and holds one key each time.
+        let mut w: TimingWheel<u64> = TimingWheel::with_geometry(4, 6);
+        for i in 0..1000u64 {
+            w.push(t(16), i, i);
+        }
+        for page in 2..=200u64 {
+            w.push(t(page * 16), 1000 + page, page);
+        }
+        while w.pop().is_some() {}
+        assert!(w.buckets.iter().all(|b| b.capacity() <= BUCKET_KEEP));
     }
 
     #[test]

@@ -10,8 +10,9 @@ anywhere on the stack); addresses in shared objects are reported per object.
 `--callers FUNC` (substring match) adds the caller chains FUNC was sampled
 under. Needs the host's `addr2line`; the executable needs only its symbol
 table for that. `--lines` adds self shares by innermost inlined function and
-by source line (`addr2line -i`), which needs line tables: build the
-benchmark with `CARGO_PROFILE_RELEASE_DEBUG=line-tables-only`. `--addrs N`
+by source line (`addr2line -i`), which needs line tables: the release
+profile in `.cargo/config.toml` has them, so build from the repository
+root. `--addrs N`
 adds the N hottest sampled instruction addresses, each with its innermost
 function and line (same line tables), for `objdump -d --start-address=`.
 `--exclude FUNC` (substring match) drops every sample with FUNC anywhere on

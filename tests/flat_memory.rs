@@ -99,11 +99,9 @@ fn qr_memory_is_flat_at_steady_state() {
     }
 }
 
-/// Decent-STM comes closest (x1.21): its jittered retry sleeps land in
-/// every one of the timing wheel's 4 096 buckets, and each bucket keeps the
-/// capacity of its fullest moment, 96 B growing to 192 B over the first
-/// few thousand commits. That ramp levels off near 1 MB; its per-object
-/// history is capped.
+/// Decent-STM's jittered retry sleeps land in every one of the timing
+/// wheel's buckets, and a bucket's buffer is trimmed to about its last page
+/// rather than kept at its fullest; its per-object history is capped.
 #[test]
 fn the_baselines_memory_is_flat_at_steady_state() {
     let base = live_bytes();
