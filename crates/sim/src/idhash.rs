@@ -1,12 +1,11 @@
 //! The workspace's one integer hasher, its one integer mixer, and its one
 //! stable fingerprint hash.
 //!
-//! Lives in the lowest crate so the simulator's call tables and the
-//! Q-Store and baseline replica tables (`qrdtm_core` re-exports these
-//! names; QR's own table is a dense row per id) share one implementation
-//! and one spread test, every crate that spreads
-//! keys by hand (TFA's home nodes, the workloads' buckets, tower heights
-//! and populate orders) shares [`mix`], and every fingerprint that is
+//! Lives in the lowest crate so the Q-Store and baseline replica tables
+//! (`qrdtm_core` re-exports these names; QR's own table is a dense row per
+//! id) share one implementation and one spread test, every crate that
+//! spreads keys by hand (TFA's home nodes, the workloads' buckets, tower
+//! heights and populate orders) shares [`mix`], and every fingerprint that is
 //! compared or written down (the model checker's outcome fingerprints and
 //! schedule keys, the golden digests, the chaos tests' event-stream hash)
 //! shares [`fnv`].
@@ -15,19 +14,17 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Hasher for tables keyed by small integer ids (object ids, transaction
-/// ids, call ids): one folded 64x64 -> 128-bit multiply per word. A
-/// replica table is probed on every request at every quorum member, and
-/// the simulator looks a call id up on every reply; under SipHash the
-/// hashing was most of either cost.
+/// ids): one folded 64x64 -> 128-bit multiply per word. A replica table is
+/// probed on every request at every quorum member; under SipHash the
+/// hashing was most of that cost.
 ///
 /// Folding the high product half into the low one is what lets ids that
 /// differ only in high bits (`table << 32 | row`) still differ in the low
 /// bits a hash table indexes by; a plain multiply would not. The keys are
 /// minted by this program (workload generators, per-node sequence
-/// numbers, the simulator's call counter), never taken from outside it, so
-/// losing SipHash's resistance to crafted collisions costs nothing. The
-/// function is fixed, but nothing may come to depend on the iteration
-/// order it induces: exports sort.
+/// numbers), never taken from outside it, so losing SipHash's resistance
+/// to crafted collisions costs nothing. The function is fixed, but nothing
+/// may come to depend on the iteration order it induces: exports sort.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct IdHasher(u64);
 
@@ -107,7 +104,7 @@ mod tests {
 
     #[test]
     fn id_hasher_spreads_ids_over_the_low_bits() {
-        // One-word ids: object ids, call ids.
+        // One-word ids: object ids.
         let sequential = low_bits_reached(0..1024u64);
         assert!(sequential >= 512, "sequential ids: {sequential}");
         // `table << 32 | row` ids of different tables, same row: only the

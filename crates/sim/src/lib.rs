@@ -71,7 +71,7 @@ pub use sim::{
     Envelope, EventInfo, EventTag, HandlerCtx, Scheduler, Sim, SimConfig, SimMessage, Sleep,
 };
 pub use time::{SimDuration, SimTime};
-pub use wheel::{ArenaStats, EventArena, TimingWheel, WheelStats};
+pub use wheel::{ArenaStats, EventArena, FarTicket, TimingWheel, WheelStats};
 
 use std::fmt;
 

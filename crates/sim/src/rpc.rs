@@ -1,37 +1,44 @@
 //! Quorum RPC: one request fanned out to several nodes, the replies
 //! gathered by a future that resolves on the last reply or on timeout.
 //!
-//! The state of a call in flight lives in the simulator's own table
-//! (`SimInner::pending`, keyed by [`CallId`]) from the send until its
-//! [`CallFuture`] takes the result or is dropped; the future holds the id,
-//! nothing else. The reply vector, which the caller keeps, is the one
+//! The state of a call in flight lives in a row of the simulator's call
+//! slab (`SimInner::calls`, addressed by [`CallId`]) from the send until
+//! its [`CallFuture`] takes the result or is dropped; the future holds the
+//! id, nothing else. The reply vector, which the caller keeps, is the one
 //! allocation a call makes.
 //!
-//! A call's one deadline goes through the wheel's far lane and still pops
-//! as an event, answered or not. A reply that arrives after its call
-//! resolved (timed out, or its future dropped) finds no entry and is
-//! ignored.
+//! A call's one deadline goes through the wheel's far lane, and a call
+//! answered or dropped while it waits there retires it
+//! ([`TimingWheel::cancel_far`](crate::TimingWheel::cancel_far)); one within
+//! the horizon pops and finds its call gone. A reply after its call
+//! resolved misses the row on its generation and is ignored.
 
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
 
+use crate::executor::{current_task, SlabId, TaskId};
 use crate::heartbeat::SUSPECT_WINDOW;
 use crate::sim::{Envelope, Sim, SimCore, SimMessage};
 use crate::time::SimDuration;
+use crate::wheel::FarTicket;
 use crate::NodeId;
 
-/// Correlates a reply with the [`CallFuture`] awaiting it.
+/// Correlates a reply with the [`CallFuture`] awaiting it: the call's row
+/// in the simulator's call slab, under the row's generation.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct CallId(pub(crate) u64);
+pub struct CallId(pub(crate) SlabId);
 
 pub(crate) struct CallState<M> {
     /// Destinations the call was sent to: their replies resolve it.
     pub(crate) dests: usize,
     pub(crate) replies: Vec<(NodeId, M)>,
     pub(crate) timed_out: bool,
-    pub(crate) waker: Option<Waker>,
+    /// The task parked on the call.
+    pub(crate) waiter: Option<TaskId>,
+    /// Where the deadline waits in the far lane, if it went there.
+    pub(crate) deadline: Option<FarTicket>,
 }
 
 impl<M> CallState<M> {
@@ -39,12 +46,6 @@ impl<M> CallState<M> {
     /// A resolved call accepts no further reply.
     pub(crate) fn resolved(&self) -> bool {
         self.replies.len() == self.dests || self.timed_out
-    }
-
-    pub(crate) fn wake(&mut self) {
-        if let Some(w) = self.waker.take() {
-            w.wake();
-        }
     }
 }
 
@@ -68,17 +69,13 @@ impl<M: SimMessage> Sim<M> {
         timeout: Option<SimDuration>,
     ) -> CallFuture<M> {
         let mut inner = self.core.inner.borrow_mut();
-        let id = CallId(inner.next_call);
-        inner.next_call += 1;
-        inner.pending.insert(
-            id,
-            CallState {
-                dests: dests.len(),
-                replies: Vec::with_capacity(dests.len()),
-                timed_out: false,
-                waker: None,
-            },
-        );
+        let id = CallId(inner.calls.insert(CallState {
+            dests: dests.len(),
+            replies: Vec::with_capacity(dests.len()),
+            timed_out: false,
+            waiter: None,
+            deadline: None,
+        }));
         for &to in dests {
             inner.send_request(Envelope {
                 from,
@@ -127,17 +124,17 @@ pub struct CallFuture<M: SimMessage> {
 
 impl<M: SimMessage> Future for CallFuture<M> {
     type Output = CallResult<M>;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<CallResult<M>> {
+    fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<CallResult<M>> {
         let mut inner = self.core.inner.borrow_mut();
         let st = inner
-            .pending
-            .get_mut(&self.id)
+            .calls
+            .get_mut(self.id.0)
             .expect("CallFuture polled after it resolved");
         if !st.resolved() {
-            st.waker = Some(cx.waker().clone());
+            st.waiter = Some(current_task());
             return Poll::Pending;
         }
-        let st = inner.pending.remove(&self.id).expect("present above");
+        let st = inner.calls.remove(self.id.0).expect("present above");
         Poll::Ready(CallResult {
             replies: st.replies,
             timed_out: st.timed_out,
@@ -146,11 +143,15 @@ impl<M: SimMessage> Future for CallFuture<M> {
 }
 
 impl<M: SimMessage> Drop for CallFuture<M> {
-    /// Retire a call nobody awaits any more; its late replies then count
-    /// as "caller gave up". Futures are polled and dropped by tasks, which
-    /// run with no borrow of the core outstanding.
+    /// Retire a call nobody awaits any more, and its deadline if that still
+    /// waits in the far lane; its late replies then count as "caller gave
+    /// up". Futures are polled and dropped by tasks, which run with no
+    /// borrow of the core outstanding.
     fn drop(&mut self) {
-        self.core.inner.borrow_mut().pending.remove(&self.id);
+        let inner = &mut *self.core.inner.borrow_mut();
+        if let Some(t) = inner.calls.remove(self.id.0).and_then(|st| st.deadline) {
+            inner.queue.cancel_far(t);
+        }
     }
 }
 
@@ -331,7 +332,45 @@ mod tests {
         let at = SimTime::ZERO + SimDuration::from_millis(40);
         assert_eq!(out.get(), Some((at, 0, true)));
         assert!(s.now() > at, "the late reply was still delivered");
-        assert!(s.core.inner.borrow().pending.is_empty());
+        assert_eq!(s.core.inner.borrow().calls.live(), 0);
+    }
+
+    #[test]
+    fn a_dropped_call_retires_its_deadline_and_its_row_serves_the_next_call() {
+        // Node 1 answers each ping 50 ms late. Call a is dropped unanswered
+        // and call b, sent next, takes a's row: a's late reply must miss b
+        // on the row's generation, and neither 500 ms deadline pops.
+        let s = sim(15);
+        let n = s.add_nodes(2);
+        deferred(&s, n[1], SimDuration::from_millis(50));
+        let timeout = Some(SimDuration::from_millis(500));
+        let out = Rc::new(std::cell::RefCell::new(None));
+        let (s2, out2) = (s.clone(), Rc::clone(&out));
+        s.spawn(async move {
+            let a = s2.call(NodeId(0), &[NodeId(1)], Msg::Ping(1), timeout);
+            let a_id = a.id;
+            drop(a);
+            let b = s2.call(NodeId(0), &[NodeId(1)], Msg::Ping(2), timeout);
+            let b_id = b.id;
+            let r = b.await;
+            *out2.borrow_mut() = Some((a_id, b_id, r.replies, r.timed_out));
+        });
+        s.run();
+        let (a, b, replies, timed_out) = out.take().expect("b resolved");
+        assert_eq!(a.0.bits() as u32, b.0.bits() as u32, "b took a's row");
+        assert_ne!(a, b, "under a new generation");
+        assert_eq!(
+            (replies, timed_out),
+            (vec![(NodeId(1), Msg::Pong(2))], false)
+        );
+        // 15 ms there + two services (b queues behind a) + 50 ms held + 15
+        // ms back.
+        let at = SimTime::ZERO + SimDuration::from_millis(80) + SimDuration::from_micros(400);
+        assert_eq!(s.now(), at, "no deadline popped after the replies");
+        let m = s.metrics();
+        // Per call: arrive, dispatch, the held reply's timer, reply.
+        assert_eq!((m.events, m.queue.cancelled), (2 * 4, 2));
+        assert_eq!(s.core.inner.borrow().calls.live(), 0);
     }
 
     #[test]
@@ -356,7 +395,8 @@ mod tests {
         // 500 ms is past the default wheel's 268 ms horizon: each deadline
         // used to be a heap push, a promotion and a heap pop. 200 answered
         // calls in sequence, then 10 000 outstanding at once to a dead node:
-        // every deadline still pops as an event, and the far lane they wait
+        // an answered call's deadline leaves the far lane unpopped, an
+        // unanswered one pops as its timeout, and the far lane they wait
         // in is not a service lane (`lane_high_water` is node mailboxes).
         let s = sim(15);
         let n = s.add_nodes(3);
@@ -383,11 +423,11 @@ mod tests {
         });
         s.run();
         let m = s.metrics();
-        // Arrive, dispatch, reply, deadline; then arrive (dropped), deadline.
-        assert_eq!(m.events, 200 * 4 + 10_000 * 2);
+        // Arrive, dispatch, reply; then arrive (dropped), deadline.
+        assert_eq!(m.events, 200 * 3 + 10_000 * 2);
         assert_eq!(s.live_tasks(), 0, "every call resolved");
         let q = m.queue;
-        assert_eq!((q.promotions, q.lane_high_water), (0, 0));
+        assert_eq!((q.promotions, q.lane_high_water, q.cancelled), (0, 0, 200));
     }
 
     #[test]

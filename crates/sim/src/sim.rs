@@ -22,19 +22,18 @@
 //! Everything is deterministic: one seed fixes the RNG, and all ties in the
 //! event queue break on a monotonically increasing sequence number.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::mem::take;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::executor::{ReadyQueue, TaskId, TaskStore};
+use crate::executor::{current_task, poll_as, LocalFuture, Slab, TaskId};
 use crate::heartbeat::{HEARTBEAT_INTERVAL, HEARTBEAT_JITTER};
-use crate::idhash::IdMap;
 use crate::latency::LatencyModel;
 use crate::metrics::{Counter, Metrics, MAX_CLASSES};
 use crate::net::LinkFault;
@@ -101,9 +100,10 @@ impl SimConfig {
 
 type Handler<M> = Box<dyn FnMut(&mut HandlerCtx<'_, M>, Envelope<M>)>;
 
+#[derive(Default)]
 pub(crate) struct TimerState {
     fired: bool,
-    waker: Option<Waker>,
+    waiter: Option<TaskId>,
 }
 
 pub(crate) enum EventKind<M> {
@@ -221,17 +221,17 @@ impl<M: SimMessage> EventKind<M> {
                 Some(env.from),
                 Some(env.to),
                 Some(env.msg.class()),
-                env.call.map(|c| c.0),
+                env.call,
             ),
             EventKind::ReplyArrive { call, from, to, .. } => (
                 EventTag::ReplyArrive,
                 Some(*from),
                 Some(*to),
                 None,
-                Some(call.0),
+                Some(*call),
             ),
             EventKind::Timer(_) => (EventTag::Timer, None, None, None, None),
-            EventKind::CallTimeout(c) => (EventTag::CallTimeout, None, None, None, Some(c.0)),
+            EventKind::CallTimeout(c) => (EventTag::CallTimeout, None, None, None, Some(*c)),
             EventKind::HeartbeatTick(n) => (EventTag::HeartbeatTick, Some(*n), None, None, None),
             EventKind::HeartbeatArrive { from, to } => (
                 EventTag::HeartbeatArrive,
@@ -248,7 +248,7 @@ impl<M: SimMessage> EventKind<M> {
             from,
             to,
             class,
-            call,
+            call: call.map(|c| c.0.bits()),
         }
     }
 }
@@ -274,7 +274,7 @@ impl NodeMeta {
 pub(crate) struct SimInner<M: SimMessage> {
     pub(crate) now: SimTime,
     seq: u64,
-    queue: TimingWheel<EventKind<M>>,
+    pub(crate) queue: TimingWheel<EventKind<M>>,
     pub(crate) nodes: Vec<NodeMeta>,
     latency: Box<dyn LatencyModel>,
     service_time: SimDuration,
@@ -283,8 +283,7 @@ pub(crate) struct SimInner<M: SimMessage> {
     pub(crate) link_faults: std::collections::HashMap<(u32, u32), LinkFault>,
     /// Every call between its send and its future taking the result (or
     /// being dropped).
-    pub(crate) pending: IdMap<CallId, CallState<M>>,
-    pub(crate) next_call: u64,
+    pub(crate) calls: Slab<CallState<M>>,
     pub(crate) metrics: Metrics,
     /// Whether the heartbeat layer runs; off (the default) means no
     /// heartbeat events exist and the RNG is never touched for them, keeping
@@ -304,13 +303,14 @@ impl<M: SimMessage> SimInner<M> {
 
     /// Schedule a call's deadline through the wheel's far lane: deadlines
     /// are `now + d` for a per-cluster `d`, so they arrive in order and, at
-    /// the 500 ms default, beyond the horizon. `seq` is drawn exactly as
-    /// [`SimInner::schedule`] draws it and the timeout still pops as an
-    /// event: pop order and the event count are those of a plain push.
+    /// the 500 ms default, beyond the horizon. `seq` is drawn as
+    /// [`SimInner::schedule`] draws it (pop order is a plain push's), and
+    /// the call keeps the ticket to retire the deadline if it resolves first.
     pub(crate) fn schedule_timeout(&mut self, at: SimTime, call: CallId) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push_far(at, seq, EventKind::CallTimeout(call));
+        let ticket = self.queue.push_far(at, seq, EventKind::CallTimeout(call));
+        self.calls.get_mut(call.0).expect("call just sent").deadline = ticket;
     }
 
     /// Keep `node` busy for `d` more, queued behind its backlog; returns
@@ -407,12 +407,12 @@ impl<M: SimMessage> SimInner<M> {
 
 pub(crate) struct SimCore<M: SimMessage> {
     pub(crate) inner: RefCell<SimInner<M>>,
-    tasks: RefCell<TaskStore>,
-    ready: ReadyQueue,
-    /// The batch of ready ids `drain_ready` is working through; kept here
-    /// so its buffer and the ready queue's trade places instead of being
-    /// reallocated.
-    ready_batch: RefCell<Vec<TaskId>>,
+    /// Every live task; taken out of its row while it is polled.
+    tasks: RefCell<Slab<LocalFuture>>,
+    /// Set by [`Sim::shutdown`]: the slab stays empty and takes no task.
+    closed: Cell<bool>,
+    /// Ids of the tasks made runnable, in wake order.
+    ready: RefCell<Vec<TaskId>>,
     handlers: RefCell<Vec<Option<Handler<M>>>>,
     /// Installed schedule-exploration hook (see [`Scheduler`]). Kept
     /// outside `inner` so the pick callback never observes a borrowed
@@ -453,15 +453,14 @@ impl<M: SimMessage> Sim<M> {
                     service_by_class: cfg.service_by_class,
                     rng: StdRng::seed_from_u64(cfg.seed),
                     link_faults: std::collections::HashMap::new(),
-                    pending: IdMap::default(),
-                    next_call: 0,
+                    calls: Slab::default(),
                     metrics: Metrics::new(0),
                     heartbeat: false,
                     last_hb: Vec::new(),
                 }),
-                tasks: RefCell::new(TaskStore::default()),
-                ready: ReadyQueue::default(),
-                ready_batch: RefCell::new(Vec::new()),
+                tasks: RefCell::default(),
+                closed: Cell::new(false),
+                ready: RefCell::default(),
                 handlers: RefCell::new(Vec::new()),
                 scheduler: RefCell::new(None),
             }),
@@ -507,10 +506,9 @@ impl<M: SimMessage> Sim<M> {
     /// Spawn an async task; it starts running inside the next `run_*` call
     /// (never, after [`Sim::shutdown`]).
     pub fn spawn(&self, fut: impl Future<Output = ()> + 'static) {
-        let mut tasks = self.core.tasks.borrow_mut();
-        if !tasks.closed {
-            let id = tasks.insert(Box::pin(fut), &self.core.ready);
-            self.core.ready.push(id);
+        if !self.core.closed.get() {
+            let id = self.core.tasks.borrow_mut().insert(Box::pin(fut));
+            self.core.ready.borrow_mut().push(id);
         }
     }
 
@@ -522,11 +520,12 @@ impl<M: SimMessage> Sim<M> {
     /// inside a task or handler the loop is running.
     pub fn shutdown(&self) {
         let core = &self.core;
-        let tasks = core.tasks.replace(TaskStore::closed());
+        core.closed.set(true);
+        let tasks = core.tasks.take();
         let (handlers, scheduler) = (core.handlers.take(), core.scheduler.take());
         let mut inner = core.inner.borrow_mut();
         let events = inner.queue.take_events();
-        let calls = take(&mut inner.pending);
+        let calls = take(&mut inner.calls);
         drop(inner);
         // Dropped with no borrow outstanding: a `CallFuture` in a task
         // re-borrows the core to retire its call.
@@ -618,10 +617,7 @@ impl<M: SimMessage> Sim<M> {
 
     /// A future that completes `d` of virtual time from now.
     pub fn sleep(&self, d: SimDuration) -> Sleep {
-        let state = Rc::new(RefCell::new(TimerState {
-            fired: false,
-            waker: None,
-        }));
+        let state: Rc<RefCell<TimerState>> = Rc::default();
         let mut inner = self.core.inner.borrow_mut();
         let at = inner.now + d;
         inner.schedule(at, EventKind::Timer(Rc::clone(&state)));
@@ -777,18 +773,19 @@ impl<M: SimMessage> Sim<M> {
                 to,
                 msg,
             } => {
-                let mut inner = self.core.inner.borrow_mut();
+                let inner = &mut *self.core.inner.borrow_mut();
                 // Replies cross the same faulty network as requests.
                 if inner.delivery_faulted(from, to) {
                     return;
                 }
                 // A caller that gave up (timeout, or dropped the future)
                 // takes no more replies.
-                if let Some(st) = inner.pending.get_mut(&call) {
-                    if !st.resolved() {
-                        st.replies.push((from, msg));
-                        if st.resolved() {
-                            st.wake();
+                if let Some(st) = inner.calls.get_mut(call.0).filter(|st| !st.resolved()) {
+                    st.replies.push((from, msg));
+                    if st.resolved() {
+                        self.core.ready.borrow_mut().extend(st.waiter.take());
+                        if let Some(t) = st.deadline.take() {
+                            inner.queue.cancel_far(t);
                         }
                     }
                 }
@@ -796,17 +793,13 @@ impl<M: SimMessage> Sim<M> {
             EventKind::Timer(state) => {
                 let mut st = state.borrow_mut();
                 st.fired = true;
-                if let Some(w) = st.waker.take() {
-                    w.wake();
-                }
+                self.core.ready.borrow_mut().extend(st.waiter.take());
             }
             EventKind::CallTimeout(call) => {
                 let mut inner = self.core.inner.borrow_mut();
-                if let Some(st) = inner.pending.get_mut(&call) {
-                    if !st.resolved() {
-                        st.timed_out = true;
-                        st.wake();
-                    }
+                if let Some(st) = inner.calls.get_mut(call.0).filter(|st| !st.resolved()) {
+                    st.timed_out = true;
+                    self.core.ready.borrow_mut().extend(st.waiter.take());
                 }
             }
             EventKind::HeartbeatTick(node) => {
@@ -860,32 +853,31 @@ impl<M: SimMessage> Sim<M> {
         }
     }
 
-    /// Poll every task a waker made runnable, in wake order, including
-    /// those woken by these polls. An event that woke nothing costs one
-    /// load here (see [`ReadyQueue::take_batch`]).
+    /// Poll every task made runnable, in wake order, including those woken
+    /// by these polls: they join the queue's tail. An id whose task
+    /// finished since misses on its generation and polls nothing.
     fn drain_ready(&self) {
-        // Taken out of its cell for the duration: a poll must find no
-        // borrow of the core outstanding.
-        let mut batch = self.core.ready_batch.take();
-        while self.core.ready.take_batch(&mut batch) {
-            for id in batch.drain(..) {
-                let task = self.core.tasks.borrow_mut().take(id);
-                let Some((mut fut, waker)) = task else {
-                    continue;
-                };
-                let mut cx = Context::from_waker(&waker);
-                let ready = fut.as_mut().poll(&mut cx).is_ready();
-                let mut tasks = self.core.tasks.borrow_mut();
-                if tasks.closed {
-                    continue; // shut down by this poll: the task drops after `tasks`
-                } else if ready {
-                    tasks.finish(id);
-                } else {
-                    tasks.put_back(id, fut, waker);
-                }
+        let core = &*self.core;
+        // No borrow is held across a poll: it may spawn, send or reply.
+        for next in 0.. {
+            let Some(id) = core.ready.borrow().get(next).copied() else {
+                break;
+            };
+            let Some(mut fut) = core.tasks.borrow_mut().take(id) else {
+                continue;
+            };
+            let ready = poll_as(id, &mut fut);
+            if core.closed.get() {
+                continue; // shut down by this poll: the task drops here
+            }
+            let mut tasks = core.tasks.borrow_mut();
+            if ready {
+                tasks.free(id);
+            } else {
+                tasks.put_back(id, fut);
             }
         }
-        self.core.ready_batch.replace(batch);
+        core.ready.borrow_mut().clear();
     }
 
     /// Number of tasks that have been spawned but not completed.
@@ -949,12 +941,12 @@ pub struct Sleep {
 
 impl Future for Sleep {
     type Output = ();
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+    fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
         let mut st = self.state.borrow_mut();
         if st.fired {
             Poll::Ready(())
         } else {
-            st.waker = Some(cx.waker().clone());
+            st.waiter = Some(current_task());
             Poll::Pending
         }
     }
@@ -1577,7 +1569,7 @@ pub(crate) mod tests {
         s.run();
         assert_eq!(s.live_tasks(), 0);
         assert_eq!(Rc::strong_count(&token), 1, "every task was dropped");
-        assert!(s.core.inner.borrow().pending.is_empty());
+        assert_eq!(s.core.inner.borrow().calls.live(), 0);
     }
 
     #[test]

@@ -67,14 +67,20 @@
 //! [`WheelStats::lane_high_water`], and `promotions` counts heap traffic
 //! only.
 //!
+//! A key joining the deque gets a [`FarTicket`] (keys popped from the front
+//! so far, plus its index): [`TimingWheel::cancel_far`] frees its payload
+//! and marks it, and a marked key is dropped at the front, never bucketed,
+//! sorted or popped. A key already promoted stays queued.
+//!
 //! ## Arena lifetimes
 //!
 //! Payloads live in a pre-allocated free-list arena ([`EventArena`]); the
 //! buckets, run, lanes and overflow heap hold 24-byte keys only, so
 //! sorting never moves payload bytes and popping never allocates. A key is
 //! the only reference to its slot, which [`TimingWheel::pop_key`] hands
-//! back with the payload in it to be read, keyed again or taken: nothing is
-//! cancelled and slots carry no generation. The wheel counts keys, not slots.
+//! back with the payload in it to be read, keyed again or taken, or which
+//! [`TimingWheel::cancel_far`] frees: slots carry no generation. The wheel
+//! counts keys, not slots (a cancelled key no longer counts).
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -267,9 +273,16 @@ pub struct WheelStats {
     /// Most keys ever waiting in one service lane behind its head
     /// (for the simulator: the deepest node mailbox).
     pub lane_high_water: u64,
+    /// Far-lane keys retired by [`TimingWheel::cancel_far`] (for the
+    /// simulator: deadlines of calls resolved first, never events).
+    pub cancelled: u64,
     /// Arena telemetry.
     pub arena: ArenaStats,
 }
+
+/// Where a key waits in the far lane (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FarTicket(u64);
 
 /// One FIFO service lane (see the module docs).
 #[derive(Default)]
@@ -294,8 +307,11 @@ pub struct TimingWheel<T> {
     occupied: Box<[u64]>,
     overflow: BinaryHeap<Reverse<EvKey>>,
     /// The overflow level's FIFO side: keys beyond the horizon pushed
-    /// through [`TimingWheel::push_far`], ascending by `(time, seq)`.
+    /// through [`TimingWheel::push_far`], ascending by `(time, seq)`; a
+    /// cancelled key's `idx` is `NO_SLOT`.
     far: VecDeque<EvKey>,
+    /// Keys ever pushed onto `far`: the next ticket.
+    far_pushed: u64,
     /// The current page's events, sorted ascending by `(time, seq)`;
     /// `run[..run_idx]` is already popped.
     run: Vec<EvKey>,
@@ -337,6 +353,7 @@ impl<T> TimingWheel<T> {
             occupied: vec![0u64; n / 64].into_boxed_slice(),
             overflow: BinaryHeap::new(),
             far: VecDeque::new(),
+            far_pushed: 0,
             run: Vec::new(),
             run_idx: 0,
             cursor_page: 0,
@@ -450,16 +467,39 @@ impl<T> TimingWheel<T> {
 
     /// [`TimingWheel::push`] for a producer whose keys beyond the horizon
     /// mostly arrive in order: such a key joins the far lane (see the
-    /// module docs) when it is not before the lane's tail.
-    pub fn push_far(&mut self, time: SimTime, seq: u64, payload: T) {
+    /// module docs) when it is not before the lane's tail, and gets a ticket.
+    pub fn push_far(&mut self, time: SimTime, seq: u64, payload: T) -> Option<FarTicket> {
         let idx = self.arena.alloc(payload);
         let key = self.key(time, seq, idx, NO_LANE);
         let beyond = self.page(time) >= self.cursor_page + self.horizon();
         if beyond && self.far.back().is_none_or(|tail| *tail <= key) {
             self.far.push_back(key);
+            self.far_pushed += 1;
+            Some(FarTicket(self.far_pushed - 1))
         } else {
             self.place(key);
+            None
         }
+    }
+
+    /// Retire the far-lane key of `ticket` and hand back its payload, if
+    /// the key still waits there (not promoted, popped or cancelled).
+    pub fn cancel_far(&mut self, ticket: FarTicket) -> Option<T> {
+        // The keys popped from the front are those pushed and gone.
+        let at = (ticket.0 + self.far.len() as u64).checked_sub(self.far_pushed)?;
+        let key = self.far.get_mut(at as usize).filter(|k| k.idx != NO_SLOT)?;
+        let payload = self.arena.take(std::mem::replace(&mut key.idx, NO_SLOT));
+        self.queued -= 1;
+        self.stats.cancelled += 1;
+        payload
+    }
+
+    /// The far lane's first key, once the cancelled ones before it are dropped.
+    fn far_front(&mut self) -> Option<EvKey> {
+        while self.far.front().is_some_and(|k| k.idx == NO_SLOT) {
+            self.far.pop_front();
+        }
+        self.far.front().copied()
     }
 
     /// The key of a payload about to be queued.
@@ -575,7 +615,7 @@ impl<T> TimingWheel<T> {
             // overflow page becomes the next scan position, then pull the
             // newly in-horizon entries in.
             let heap_min = self.overflow.peek().map(|k| k.0);
-            let earliest = heap_min.into_iter().chain(self.far.front().copied()).min();
+            let earliest = heap_min.into_iter().chain(self.far_front()).min();
             self.cursor_page = self.page(earliest.expect("live events exist").time) - 1;
             self.promote();
         }
@@ -640,7 +680,7 @@ impl<T> TimingWheel<T> {
             self.bucket_insert(k, p);
             self.stats.promotions += 1;
         }
-        while let Some(&k) = self.far.front() {
+        while let Some(k) = self.far_front() {
             let p = self.page(k.time);
             if p >= limit {
                 break;
@@ -808,6 +848,28 @@ mod tests {
         assert!(w.is_empty() && w.arena_mut().live() == 1);
         assert_eq!(w.arena_mut().take(held), Some(7));
         assert_eq!(w.arena_mut().live(), 0, "take freed the held slot");
+    }
+
+    #[test]
+    fn a_cancelled_far_key_is_never_popped_and_a_promoted_one_is() {
+        // Tiny wheel (horizon 1024 ns): three far keys in order, the middle
+        // one cancelled while it waits, the last once it was promoted.
+        let mut w: TimingWheel<u32> = TimingWheel::with_geometry(4, 6);
+        let tickets = [2000, 2100, 2200].map(|ns| w.push_far(t(ns), ns, ns as u32));
+        let [a, b, c] = tickets.map(|k| k.expect("beyond the horizon, in order"));
+        w.push(t(500), 1, 1);
+        assert_eq!(w.cancel_far(b), Some(2100));
+        assert_eq!(w.cancel_far(b), None, "a second cancel finds nothing");
+        assert_eq!(w.len(), 3);
+        assert_eq!(w.pop().map(|x| x.2), Some(1));
+        // The cursor jumps to a's page: a and c are promoted, b dropped.
+        assert_eq!(w.peek_key(), Some((t(2000), 2000)));
+        assert_eq!(w.cancel_far(c), None, "a promoted key stays queued");
+        let rest: Vec<u32> = std::iter::from_fn(|| w.pop().map(|x| x.2)).collect();
+        assert_eq!(rest, [2000, 2200]);
+        assert_eq!(w.cancel_far(a), None, "a popped key is gone");
+        assert!(w.is_empty() && w.arena_mut().live() == 0);
+        assert_eq!((w.stats().cancelled, w.stats().promotions), (1, 0));
     }
 
     #[test]

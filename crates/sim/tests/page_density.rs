@@ -2,7 +2,7 @@
 //!
 //! Since service lanes hold every node backlog (`backlog.rs`), what reaches
 //! the wheel's buckets is sparse: link arrivals, service completions and
-//! replies, about nine per virtual millisecond here. A page far narrower
+//! replies, about eight per virtual millisecond here. A page far narrower
 //! than that spacing drains one bucket per event and pays a cold bucket
 //! line, a move into the run and a sort for each; 65.5 µs pages came to
 //! about 0.7 drains per event on this scenario. Counts only: seeded, and
@@ -29,7 +29,7 @@ fn paper_testbed_traffic_shares_each_page_drain() {
         sim.set_handler(id, |ctx, env| ctx.respond(&env, Echo));
     }
     // Back-to-back quorum calls of two, each with a 500 ms deadline that
-    // still pops as an event once it is stale.
+    // the answered call retires from the far lane before it is due.
     for c in 0..CLIENTS {
         let s = sim.clone();
         sim.spawn(async move {
@@ -47,8 +47,8 @@ fn paper_testbed_traffic_shares_each_page_drain() {
     sim.run_for(SimDuration::from_secs(2));
 
     let m = sim.metrics();
-    // Per call: two arrivals, two service completions, two replies and the
-    // deadline; ≈ 30 ms per round trip, so ≈ 9 events per virtual ms.
+    // Per call: two arrivals, two service completions and two replies;
+    // ≈ 30 ms per round trip, so ≈ 8 events per virtual ms.
     assert!(m.events > 15_000, "traffic stalled: {} events", m.events);
     assert!(
         m.queue.bucket_sorts * 4 <= m.events,

@@ -1,14 +1,17 @@
 //! Property tests for the timing wheel against a sorted-vec oracle:
 //! arbitrary interleaved schedule/pop sequences — plain pushes, pushes
-//! through FIFO service lanes and through the far lane, popped slots held
-//! and keyed again — never lose an event, never reorder equal-timestamp
-//! events, and promote overflow entries exactly, on a tiny geometry and on
-//! the default one; plus the
+//! through FIFO service lanes and through the far lane, far keys cancelled,
+//! popped slots held and keyed again — never lose an event, never pop a
+//! cancelled one, never reorder equal-timestamp events, and promote
+//! overflow entries exactly, on a tiny geometry and on the default one;
+//! plus the
 //! arena recycle property (a freed slot is reused, and every live payload
 //! stays reachable through its own index only).
 
 use proptest::prelude::*;
-use qrdtm_sim::wheel::{EventArena, TimingWheel, DEFAULT_BUCKET_BITS, DEFAULT_BUCKET_SHIFT};
+use qrdtm_sim::wheel::{
+    EventArena, FarTicket, TimingWheel, DEFAULT_BUCKET_BITS, DEFAULT_BUCKET_SHIFT,
+};
 use qrdtm_sim::SimTime;
 use std::collections::VecDeque;
 
@@ -26,6 +29,12 @@ enum Op {
     /// it is beyond the horizon and not before the lane's tail, and pushes
     /// it plainly otherwise.
     PushFar { dt: u64 },
+    /// What resolving a call does to its deadline: cancel the key of one
+    /// ticket `push_far` returned (the `pick`-th, modulo those not yet
+    /// cancelled; no-op when none). A key still waiting in the far lane
+    /// leaves the wheel with its payload; one already promoted or popped
+    /// is not touched.
+    CancelFar { pick: usize },
     /// Pop the minimum (no-op when empty).
     Pop,
     /// Pop the minimum key and hold its slot, the payload left in it (no-op
@@ -91,6 +100,7 @@ fn op_strategy((shift, bits): (u32, u32)) -> impl Strategy<Value = Op> {
         // the heap), an in-horizon one and a same-page one (plain pushes).
         far_dt().prop_map(|dt| Op::PushFar { dt }),
         far_dt().prop_map(|dt| Op::PushFar { dt }),
+        (0usize..8).prop_map(|pick| Op::CancelFar { pick }),
         Just(Op::Pop),
         Just(Op::Pop),
         Just(Op::Pop),
@@ -167,6 +177,8 @@ fn check_against_oracle(mut w: TimingWheel<u64>, ops: Vec<Op>) {
     let mut lane_last = [0u64; LANES as usize];
     // Popped slots not yet keyed again or taken: (slot, payload).
     let mut held: VecDeque<(u32, u64)> = VecDeque::new();
+    // Far-lane tickets not yet cancelled: (ticket, seq, payload).
+    let mut tickets: Vec<(FarTicket, u64, u64)> = Vec::new();
 
     for op in ops {
         match op {
@@ -179,10 +191,24 @@ fn check_against_oracle(mut w: TimingWheel<u64>, ops: Vec<Op>) {
             }
             Op::PushFar { dt } => {
                 let t = now + dt;
-                w.push_far(SimTime(t), seq, payload);
+                if let Some(ticket) = w.push_far(SimTime(t), seq, payload) {
+                    tickets.push((ticket, seq, payload));
+                }
                 oracle.live.push((t, seq, payload));
                 seq += 1;
                 payload += 1;
+            }
+            Op::CancelFar { pick } => {
+                if tickets.is_empty() {
+                    continue;
+                }
+                let (ticket, s, p) = tickets.swap_remove(pick % tickets.len());
+                if let Some(got) = w.cancel_far(ticket) {
+                    prop_assert_eq!(got, p, "cancel handed back another payload");
+                    let before = oracle.live.len();
+                    oracle.live.retain(|e| e.1 != s);
+                    prop_assert_eq!(oracle.live.len() + 1, before, "cancelled a popped key");
+                }
             }
             Op::PushLane { lane, dt } => {
                 let last = &mut lane_last[lane as usize];
